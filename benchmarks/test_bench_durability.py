@@ -11,7 +11,7 @@ interval.  The claims to measure:
   is linear in the recovered rows and takes milliseconds at history-ring
   scale.
 
-Wall-clock timing lives here (tests/, not src/ — the GRM101 lint keeps
+Wall-clock timing lives here (benchmarks/, not src/ — the GRM101 lint keeps
 ``time`` out of the simulation); each sample is a best-of-N minimum to
 damp CI noise.  Numbers land in ``BENCH_durability.json`` at the repo
 root so the ``crash-smoke`` CI job archives them run over run.

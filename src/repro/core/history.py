@@ -27,12 +27,12 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 from repro.analysis import races
 from repro.glue.schema import GlueSchema
 from repro.sql.ast_nodes import ColumnDef
-from repro.sql.database import Database
+from repro.sql.database import Database, Table
 from repro.sql.executor import SelectResult
 from repro.sql.parser import parse_select
+from repro.sql.plan import CompiledPlan, compile_plan
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sql.plan import CompiledPlan
     from repro.storage.engine import HistoryEngine
 
 #: Provenance columns appended to every history table.
@@ -82,7 +82,7 @@ class HistoryStore:
                 table.rows.append({name: row.get(name) for name in columns})
                 self.rows_recovered += 1
 
-    def _ensure_table(self, group_name: str):
+    def _ensure_table(self, group_name: str) -> Table:
         group = self.schema.group(group_name)
         if group.name not in self.db.tables:
             columns = [ColumnDef(f.name, f.type) for f in group.fields]
@@ -138,36 +138,30 @@ class HistoryStore:
         sql: str,
         *,
         source_url: str | None = None,
-        plan: "CompiledPlan | None" = None,
+        plan: CompiledPlan | None = None,
     ) -> SelectResult:
         """Run a client SELECT against a group's history.
 
         ``source_url`` optionally narrows to one data source's records —
         the RequestManager passes the URL of the source the client
         addressed.  The WHERE clause may reference ``RecordedAt`` for
-        time ranges.  ``plan`` (a compiled plan for this exact ``sql``,
-        from the gateway's plan cache) skips the parse and evaluates the
-        scan with precompiled closures — column names resolved against
-        the table layout once instead of once per row.
+        time ranges.  ``plan`` hands down a plan already compiled for
+        this exact ``sql`` (the gateway's plan cache does); without one
+        the text is parsed and compiled here.  Either way the scan runs
+        precompiled closures — column names resolved against the table
+        layout once instead of once per row.
         """
-        if plan is not None:
-            select = plan.select
-        else:
-            select = parse_select(sql)
+        plan = plan or compile_plan(parse_select(sql))
+        select = plan.select
         if races.ACTIVE is not None:
             races.ACTIVE.note(
                 "history", select.table, "r", site="HistoryStore.query"
             )
-        self._ensure_table(select.table)
-        table = self.db.table(self.schema.group(select.table).name)
+        table = self._ensure_table(select.table)
         rows = table.rows
         if source_url is not None:
             rows = [r for r in rows if r.get("SourceUrl") == source_url]
-        if plan is not None:
-            return plan.bind_mapping(tuple(table.column_names)).execute(rows)
-        from repro.sql.executor import execute_select
-
-        return execute_select(select, table.column_names, rows)
+        return plan.bind_mapping(tuple(table.column_names)).execute(rows)
 
     @staticmethod
     def _since_slice(rows: list[dict[str, Any]], since: float) -> list[dict[str, Any]]:

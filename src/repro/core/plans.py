@@ -9,10 +9,14 @@ maps to one cache key across all three subsystems.
 
 Each entry carries the parsed AST, the compile-time GLUE validation
 findings, and (when the query validated cleanly) a
-:class:`~repro.sql.plan.CompiledPlan`.  Warm queries therefore skip the
-lexer, the parser, the validator and all closure construction: the trace
-shows a single ``plan.cache_hit`` span where a cold query shows
-``plan.compile`` with ``parse`` and ``validate`` children.
+:class:`~repro.sql.plan.CompiledPlan` — the only SELECT executor the
+gateway serves with.  The invariant is ``entry.plan`` is ``None`` ⇔
+``entry.findings``: compilation is total, so the one kind of entry
+without a plan is a query callers reject before executing anything.
+Warm queries skip the lexer, the parser, the validator and all closure
+construction: the trace shows a single ``plan.cache_hit`` span where a
+cold query shows ``plan.compile`` with ``parse`` and ``validate``
+children.
 
 Invalidation is versioned: the cache polls ``version_fn`` (wired to
 ``SchemaManager.version``, which bumps on every GLUE mapping change) and
@@ -33,7 +37,6 @@ from repro.glue.schema import GlueSchema
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NO_TRACER, Tracer
 from repro.sql import ast_nodes as ast
-from repro.sql.errors import SqlError
 from repro.sql.parser import parse_select
 from repro.sql.plan import CompiledPlan, compile_plan
 
@@ -41,23 +44,24 @@ from repro.sql.plan import CompiledPlan, compile_plan
 class PlanEntry:
     """One cached compilation: AST + validation findings + compiled plan.
 
-    ``plan`` is None when validation produced findings (the request
-    manager rejects such queries before execution) or when the statement
-    uses a shape the compiler cannot handle — callers fall back to the
-    interpreted executor in that case.
+    Invariant: ``plan`` is ``None`` ⇔ ``findings`` is non-empty.
+    Callers reject an entry with findings before executing anything and
+    take the plan of a clean one from :meth:`compiled`.
     """
 
     __slots__ = ("select", "findings", "plan")
 
-    def __init__(
-        self,
-        select: ast.Select,
-        findings: list[Finding],
-        plan: CompiledPlan | None,
-    ) -> None:
+    def __init__(self, select: ast.Select, findings: list[Finding]) -> None:
         self.select = select
         self.findings = findings
-        self.plan = plan
+        self.plan: CompiledPlan | None = (
+            None if findings else compile_plan(select)
+        )
+
+    def compiled(self) -> CompiledPlan:
+        """The plan of an entry whose ``findings`` the caller found empty."""
+        assert self.plan, "entry has findings: reject it, do not execute it"
+        return self.plan
 
 
 class PlanCache:
@@ -150,15 +154,7 @@ class PlanCache:
                 findings = validate_select(
                     select, self.schema, extra_fields=extra_fields
                 )
-            plan: CompiledPlan | None = None
-            if not findings:
-                try:
-                    plan = compile_plan(select)
-                except (SqlError, RecursionError):
-                    # Shape the compiler cannot hold — callers use the
-                    # interpreted executor for this statement.
-                    plan = None
-        entry = PlanEntry(select, findings, plan)
+            entry = PlanEntry(select, findings)
         if races.ACTIVE is not None:
             digest = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
             races.ACTIVE.note(

@@ -301,8 +301,8 @@ class RequestManager:
                 + "; ".join(f.message for f in entry.findings),
                 findings=entry.findings,
             )
-        select = entry.select
-        plan = entry.plan
+        plan = entry.compiled()
+        select = plan.select
 
         started = self.clock.now()
         with self.tracer.span(
@@ -310,8 +310,7 @@ class RequestManager:
         ):
             if select.is_join:
                 result = self._execute_join(
-                    parsed, select, plan, mode, max_age, info, deadline,
-                    retry_budget,
+                    parsed, plan, mode, max_age, info, deadline, retry_budget
                 )
                 result.started_at = started
             else:
@@ -326,13 +325,13 @@ class RequestManager:
                 elif len(parsed) == 1 or not self.policy.fanout_enabled:
                     for url in parsed:
                         self._one_realtime(
-                            url, sql, select, result, mode, max_age, info,
-                            deadline, retry_budget, plan,
+                            url, sql, plan, result, mode, max_age, info,
+                            deadline, retry_budget,
                         )
                 else:
                     self._fan_out(
-                        parsed, sql, select, result, mode, max_age, info,
-                        deadline, retry_budget, plan,
+                        parsed, sql, plan, result, mode, max_age, info,
+                        deadline, retry_budget,
                     )
         result.elapsed = self.clock.now() - started
         return result
@@ -341,14 +340,13 @@ class RequestManager:
         self,
         urls: list[JdbcUrl],
         sql: str,
-        select: Any,
+        plan: CompiledPlan,
         result: QueryResult,
         mode: QueryMode,
         max_age: float | None,
         info: Mapping[str, Any] | None,
         deadline: Deadline | None = None,
         retry_budget: RetryBudget | None = None,
-        plan: "CompiledPlan | None" = None,
     ) -> None:
         """Dispatch one sub-request per source concurrently.
 
@@ -361,8 +359,8 @@ class RequestManager:
 
         def branch(url: JdbcUrl, partial: QueryResult):
             return lambda: self._one_realtime(
-                url, sql, select, partial, mode, max_age, info,
-                deadline, retry_budget, plan,
+                url, sql, plan, partial, mode, max_age, info,
+                deadline, retry_budget,
             )
 
         guarded = (
@@ -397,8 +395,7 @@ class RequestManager:
     def _execute_join(
         self,
         urls: list[JdbcUrl],
-        select,
-        plan: "CompiledPlan | None",
+        plan: CompiledPlan,
         mode: QueryMode,
         max_age: float | None,
         info: Mapping[str, Any] | None,
@@ -415,11 +412,10 @@ class RequestManager:
         match across agents), and evaluates the original projection /
         WHERE / ORDER BY / aggregation over the joined relation.
         """
-        from repro.sql.executor import execute_select, natural_join
-
         self.stats["join_queries"] += 1
         result = QueryResult(columns=[], rows=[], mode=mode)
-        self.tracer.current_span().annotate(groups=len(select.tables))
+        groups = plan.select.tables
+        self.tracer.current_span().annotate(groups=len(groups))
 
         def branch(group: str):
             return lambda: self.execute(
@@ -435,34 +431,25 @@ class RequestManager:
         # One decomposed sub-query per GLUE group, dispatched
         # concurrently (each branch fans out over the sources in turn);
         # relations are consolidated in the statement's group order.
-        outcomes = self.dispatcher.run([branch(g) for g in select.tables])
+        outcomes = self.dispatcher.run([branch(g) for g in groups])
         relations = []
         for outcome in outcomes:
             if outcome.error is not None:
                 raise outcome.error
             sub = outcome.value
             result.statuses.extend(sub.statuses)
-            if plan is not None:
-                # Compiled path joins positional rows directly — no
-                # per-row dict round-trip between sub-query and join.
-                relations.append((sub.columns, sub.rows))
-            else:
-                relations.append((sub.columns, sub.dicts()))
+            relations.append((sub.columns, sub.rows))
         if any(not columns for columns, _ in relations):
             # A group nobody could serve: the inner join is empty, which
             # is a degraded answer, not an error (statuses carry why).
             return result
         try:
-            if plan is not None:
-                columns, rows = join_rows(
-                    relations, key_columns=("HostName", "SiteName")
-                )
-                sel = plan.bind(tuple(columns)).execute(rows)
-            else:
-                columns, rows = natural_join(
-                    relations, key_columns=("HostName", "SiteName")
-                )
-                sel = execute_select(select, columns, rows)
+            # Positional rows straight from the sub-queries: no per-row
+            # dict round-trip between sub-query and join.
+            columns, rows = join_rows(
+                relations, key_columns=("HostName", "SiteName")
+            )
+            sel = plan.bind(tuple(columns)).execute(rows)
         except SqlError as exc:
             raise GridRmError(f"join failed: {exc}") from exc
         result.columns = sel.columns
@@ -484,14 +471,13 @@ class RequestManager:
         self,
         url: JdbcUrl,
         sql: str,
-        select: Any,
+        plan: CompiledPlan,
         result: QueryResult,
         mode: QueryMode,
         max_age: float | None,
         info: Mapping[str, Any] | None,
         deadline: Deadline | None = None,
         retry_budget: RetryBudget | None = None,
-        plan: "CompiledPlan | None" = None,
     ) -> None:
         with self.tracer.span("source", url=str(url)) as span:
             if deadline is not None:
@@ -499,15 +485,15 @@ class RequestManager:
             if self.health is not None:
                 span["breaker"] = self.health.state(str(url)).value
             self._one_realtime_traced(
-                url, sql, select, result, mode, max_age, info,
-                deadline, retry_budget, span, plan,
+                url, sql, plan, result, mode, max_age, info,
+                deadline, retry_budget, span,
             )
 
     def _one_realtime_traced(
         self,
         url: JdbcUrl,
         sql: str,
-        select: Any,
+        plan: CompiledPlan,
         result: QueryResult,
         mode: QueryMode,
         max_age: float | None,
@@ -515,7 +501,6 @@ class RequestManager:
         deadline: Deadline | None,
         retry_budget: RetryBudget | None,
         span,
-        plan: "CompiledPlan | None" = None,
     ) -> None:
         url_text = str(url)
         if deadline is not None and deadline.expired():
@@ -687,17 +672,16 @@ class RequestManager:
         n = self._merge(result, columns, rows)
         result.statuses.append(SourceStatus(url=url_text, ok=True, rows=n))
         self.cache.store(url_text, sql, list(columns), [list(r) for r in rows])
+        group = plan.select.table
         if self.policy.history_enabled:
-            group = select.table
             if self.history.schema.has_group(group):
                 canonical = self.history.schema.group(group)
-                dict_rows = [dict(zip(columns, r)) for r in rows]
                 # Only record rows that carry the group's fields (star
                 # queries); narrow projections are not representative.
                 if set(canonical.field_names()) <= set(columns):
                     self.history.record(
                         canonical.name,
-                        dict_rows,
+                        [dict(zip(columns, r)) for r in rows],
                         source_url=url_text,
                         recorded_at=self.clock.now(),
                     )
@@ -707,7 +691,7 @@ class RequestManager:
             # (at the producing gateway), inside this source's fan-out
             # branch, so push spans nest under the live query trace.
             self.streams.publish(
-                select.table, list(columns), rows, source_url=url_text
+                group, list(columns), rows, source_url=url_text
             )
 
     def _one_degraded(self, url_text: str, sql: str, result: QueryResult) -> None:
@@ -755,8 +739,8 @@ class RequestManager:
         url: JdbcUrl,
         sql: str,
         info: Mapping[str, Any] | None,
-        deadline: Deadline | None = None,
-        plan: "CompiledPlan | None" = None,
+        deadline: Deadline | None,
+        plan: CompiledPlan,
     ) -> tuple[list[str], list[list[Any]]]:
         from repro.drivers.base import GridRmStatement
 
@@ -765,11 +749,7 @@ class RequestManager:
             # Hand the statement the compiled plan only when it runs the
             # stock execute_query — a subclass overriding it may not
             # accept the keyword (and re-parses on its own authority).
-            if (
-                plan is not None
-                and type(statement).execute_query
-                is GridRmStatement.execute_query
-            ):
+            if type(statement).execute_query is GridRmStatement.execute_query:
                 rs = statement.execute_query(sql, plan=plan)
             else:
                 rs = statement.execute_query(sql)
@@ -781,7 +761,7 @@ class RequestManager:
         url: JdbcUrl,
         sql: str,
         result: QueryResult,
-        plan: "CompiledPlan | None" = None,
+        plan: CompiledPlan,
     ) -> None:
         url_text = str(url)
         with self.tracer.span("history", url=url_text) as span:

@@ -54,12 +54,11 @@ from repro.simnet.errors import NetworkError, TimeoutError_
 from repro.simnet.network import Address, Network
 from repro.sql import ast_nodes as sql_ast
 from repro.sql.errors import SqlError
-from repro.sql.executor import execute_select
 from repro.sql.parser import parse_select
+from repro.sql.plan import CompiledPlan, compile_plan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deadline import Deadline
-    from repro.sql.plan import CompiledPlan
 
 #: Default TTL for coarse-grained response caches, virtual seconds.
 DEFAULT_CACHE_TTL = 15.0
@@ -121,30 +120,28 @@ class GridRmStatement(Statement):
         self._timeout: float | None = None
 
     def execute_query(
-        self, sql: str, plan: "CompiledPlan | None" = None
+        self, sql: str, plan: CompiledPlan | None = None
     ) -> ResultSet:
         """Parse, fetch, translate, filter.
 
-        ``plan`` (a :class:`repro.sql.plan.CompiledPlan` for this exact
-        ``sql``) lets the gateway's hot path skip the parse and run the
-        compiled executor over positional rows straight out of the
-        mapping layer — no per-row dicts, no per-row copies.  Callers
-        that only have raw SQL (standalone JDBC-style use) omit it and
-        get the interpreted path.
+        ``plan`` hands down a :class:`repro.sql.plan.CompiledPlan`
+        already compiled for this exact ``sql`` (the gateway's plan
+        cache does), skipping the parse.  Callers that only have raw SQL
+        (standalone JDBC-style use) omit it; the statement compiles one
+        and runs the same executor over positional rows straight out of
+        the mapping layer — no per-row dicts, no per-row copies.
         """
         if self._closed:
             raise SQLException("statement is closed")
         conn = self._connection
         if conn.is_closed():
             raise SQLConnectionException("connection is closed")
-        if plan is not None:
-            select = plan.select
-        else:
+        if not plan:
             try:
-                select = parse_select(sql)
+                plan = compile_plan(parse_select(sql))
             except SqlError as exc:
                 raise SQLSyntaxErrorException(str(exc), cause=exc) from exc
-
+        select = plan.select
         if select.is_join:
             raise SQLException(
                 "drivers serve one GLUE group per statement; multi-group "
@@ -170,13 +167,9 @@ class GridRmStatement(Statement):
         types: Sequence[str] | None = None
         if select.is_star:
             types = group.column_types()
-        if plan is not None:
-            slot_rows = mapping.translate_rows(group.name, records, schema)
-            result = plan.bind(tuple(group.field_names())).execute(slot_rows)
-            return ListResultSet.adopt(result.columns, result.rows, types)
-        rows = mapping.translate(group.name, records, schema)
-        result = execute_select(select, group.field_names(), rows)
-        return ListResultSet(result.columns, result.rows, types)
+        slot_rows = mapping.translate_rows(group.name, records, schema)
+        result = plan.bind(tuple(group.field_names())).execute(slot_rows)
+        return ListResultSet.adopt(result.columns, result.rows, types)
 
     def set_query_timeout(self, seconds: float) -> None:
         if seconds <= 0:

@@ -83,40 +83,14 @@ class MappingRule:
 
     def apply(self, record: Mapping[str, Any], target: "GlueGroup") -> Any:
         """Produce the GLUE value, or None on any failure (paper §3.2.3)."""
-        if self.native_key is not None:
-            if self.native_key not in record:
-                return self.default
-            raw: Any = record[self.native_key]
-        else:
-            raw = record
-        try:
-            if self.transform is not None:
-                raw = self.transform(raw)
-            if raw is None:
-                return self.default
-            fdef = target.field(self.glue_field)
-            if fdef.type in ("REAL", "INTEGER", "TIMESTAMP") and not isinstance(
-                raw, bool
-            ):
-                numeric = float(raw)
-                numeric = convert_unit(numeric, self.unit, fdef.unit)
-                return int(numeric) if fdef.type == "INTEGER" else numeric
-            if fdef.type == "BOOLEAN":
-                if isinstance(raw, str):
-                    return raw.strip().lower() in ("true", "t", "yes", "1", "on")
-                return bool(raw)
-            return str(raw) if fdef.type == "TEXT" else raw
-        except (TypeError, ValueError, KeyError, UnitConversionError):
-            # "drivers can return null values, indicating a translation was
-            # either not possible or currently not implemented"
-            return None
+        return self.compile(target)(record)
 
     def compile(self, target: "GlueGroup") -> Callable[[Mapping[str, Any]], Any]:
-        """A closure equivalent to :meth:`apply` with ``target`` prebound.
+        """The conversion closure for this rule with ``target`` prebound.
 
-        The field definition lookup (a linear scan in :meth:`apply`) and
-        the type dispatch happen here, once, instead of once per record
-        — the hot translation loop then runs pure closures.
+        The field definition lookup (a linear scan) and the type
+        dispatch happen here, once, instead of once per record — the
+        hot translation loop then runs pure closures.
         """
         native_key = self.native_key
         transform = self.transform
@@ -143,7 +117,7 @@ class MappingRule:
                 if raw is None:
                     return default
                 if fdef is None:
-                    # apply() hits KeyError from target.field here.
+                    # The target group has no such field: untranslatable.
                     return None
                 if numeric_type and not isinstance(raw, bool):
                     numeric = convert_unit(float(raw), unit, funit)
@@ -154,6 +128,8 @@ class MappingRule:
                     return bool(raw)
                 return str(raw) if ftype == "TEXT" else raw
             except (TypeError, ValueError, KeyError, UnitConversionError):
+                # "drivers can return null values, indicating a translation
+                # was either not possible or currently not implemented"
                 return None
 
         return build
@@ -180,22 +156,17 @@ class GroupMapping:
         Every field of the group is present in the output; unmapped or
         failed fields are None.
         """
-        target = schema.group(self.group)
-        row: dict[str, Any] = {}
-        by_field = {r.glue_field: r for r in self.rules}
-        for fdef in target.fields:
-            rule = by_field.get(fdef.name)
-            row[fdef.name] = rule.apply(record, target) if rule else None
-        return row
+        builders = self.row_builders(schema)
+        names = schema.group(self.group).field_names()
+        return {name: b(record) for name, b in zip(names, builders)}
 
     def row_builders(
         self, schema: GlueSchema
     ) -> list[Callable[[Mapping[str, Any]], Any]]:
         """One compiled value builder per group field, in field order.
 
-        ``[[b(record) for b in builders] for record in records]`` is the
-        positional-row equivalent of calling :meth:`translate` per
-        record, minus the per-record dict and per-field rule lookups.
+        ``[[b(record) for b in builders] for record in records]`` is a
+        batch of positional GLUE rows; a field with no rule builds None.
         Builders are cached; the cache is discarded when the target
         group object or the rule list changes.
         """
@@ -267,8 +238,9 @@ class SchemaMapping:
         self, group: str, records: Iterable[Mapping[str, Any]], schema: GlueSchema
     ) -> list[dict[str, Any]]:
         """Translate a batch of native records into GLUE rows."""
-        mapping = self.group_mapping(group)
-        return [mapping.translate(r, schema) for r in records]
+        rows = self.translate_rows(group, records, schema)
+        names = schema.group(group).field_names()
+        return [dict(zip(names, row)) for row in rows]
 
     def translate_rows(
         self, group: str, records: Iterable[Mapping[str, Any]], schema: GlueSchema

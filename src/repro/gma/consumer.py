@@ -137,21 +137,16 @@ class GatewayConsumer:
             remote_trace_id = str(response.get("trace_id", ""))
             if remote_trace_id:
                 span["remote_trace"] = remote_trace_id
-            # Batched wire shape (status keys once, statuses positional);
-            # the legacy dict-per-status form is still decoded so mixed
-            # gateway versions interoperate.
-            if "status_rows" in response:
-                keys = list(response.get("status_keys", []))
-                statuses = [
-                    dict(zip(keys, row))
-                    for row in response.get("status_rows", [])
-                ]
-            else:
-                statuses = list(response.get("statuses", []))
+            # Batched wire shape: status keys once, statuses positional.
+            if "status_keys" not in response or "status_rows" not in response:
+                raise RemoteQueryFailure(
+                    f"producer {producer.key()}: malformed reply (no statuses)"
+                )
+            keys = list(response["status_keys"])
             return RemoteResult(
                 columns=list(response.get("columns", [])),
                 rows=[list(r) for r in response.get("rows", [])],
-                statuses=statuses,
+                statuses=[dict(zip(keys, row)) for row in response["status_rows"]],
                 producer=producer,
                 remote_trace_id=remote_trace_id,
             )

@@ -280,12 +280,6 @@ class StreamHub:
             entry = self.plans.get(sql)
             if entry.findings:
                 return {"ok": False, "error": entry.findings[0].message}
-            if entry.plan is None:
-                return {
-                    "ok": False,
-                    "error": "statement shape not supported for "
-                    "continuous evaluation",
-                }
             group = (
                 self.schema.group(entry.select.table).name
                 if self.schema.has_group(entry.select.table)
@@ -300,7 +294,7 @@ class StreamHub:
                 sql=sql,
                 flavour=flavour,
                 group=group,
-                plan=entry.plan,
+                plan=entry.compiled(),
                 query_class=qc.value,
                 expires_at=now
                 + float(payload.get("lease") or self.policy.stream_default_lease),

@@ -162,6 +162,10 @@ class Histogram:
         if not self.count:
             return 0.0
         rank = max(1, math.ceil(self.count * (q / 100.0)))
+        if rank >= self.count:
+            # The top-ranked sample is the maximum, exactly; a bucket's
+            # upper bound can round one ulp below a sample on its edge.
+            return self.max
         seen = self._zeros
         if seen >= rank:
             return self._clamp(0.0)

@@ -12,8 +12,9 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.sql import ast_nodes as ast
 from repro.sql.errors import SqlExecutionError
-from repro.sql.executor import SelectResult, evaluate_expr, evaluate_predicate, execute_select
+from repro.sql.executor import SelectResult, evaluate_expr, evaluate_predicate
 from repro.sql.parser import parse_statement
+from repro.sql.plan import compile_plan, join_rows
 
 _COERCERS = {
     "INTEGER": lambda v: int(v),
@@ -130,17 +131,17 @@ class Database:
 
     def execute_ast(self, stmt: ast.Statement) -> Any:
         if isinstance(stmt, ast.Select):
+            plan = compile_plan(stmt)
             if stmt.is_join:
-                from repro.sql.executor import natural_join
-
-                relations = [
-                    (self.table(name).column_names, self.table(name).rows)
-                    for name in stmt.tables
-                ]
-                columns, rows = natural_join(relations)
-                return execute_select(stmt, columns, rows)
+                columns, rows = join_rows(
+                    [
+                        (t.column_names, [[r.get(c) for c in t.column_names] for r in t.rows])
+                        for t in map(self.table, stmt.tables)
+                    ]
+                )
+                return plan.bind(tuple(columns)).execute(rows)
             table = self.table(stmt.table)
-            return execute_select(stmt, table.column_names, table.rows)
+            return plan.bind_mapping(tuple(table.column_names)).execute(table.rows)
         if isinstance(stmt, ast.Insert):
             table = self.table(stmt.table)
             empty: dict[str, Any] = {}

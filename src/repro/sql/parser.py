@@ -6,6 +6,23 @@ from repro.sql import ast_nodes as ast
 from repro.sql.errors import SqlParseError
 from repro.sql.lexer import Lexer, Token, TokenType
 
+#: Deepest nesting one expression may have: parenthesised levels while
+#: parsing, operator levels in the tree that results.  The parser
+#: recurses nine frames per parenthesis, and validation, plan binding and
+#: evaluation recurse once or twice per tree level, so this bound is what
+#: keeps a hostile query a typed error instead of a ``RecursionError``.
+MAX_EXPR_DEPTH = 64
+
+#: Child expressions per node type, for the iterative depth walk.
+_CHILDREN = {
+    ast.BinOp: lambda e: (e.left, e.right),
+    ast.UnaryOp: lambda e: (e.operand,),
+    ast.InList: lambda e: (e.expr, *e.items),
+    ast.Between: lambda e: (e.expr, e.low, e.high),
+    ast.IsNull: lambda e: (e.expr,),
+    ast.FuncCall: lambda e: e.args,
+}
+
 
 def parse_statement(text: str) -> ast.Statement:
     """Parse one SQL statement (trailing ``;`` allowed)."""
@@ -25,6 +42,7 @@ class _Parser:
         self.text = text
         self.toks = Lexer(text).tokens()
         self.i = 0
+        self.depth = 0
 
     # ------------------------------------------------------------------
     # Token plumbing
@@ -284,7 +302,32 @@ class _Parser:
     # Expressions (precedence climbing)
     # ------------------------------------------------------------------
     def expr(self) -> ast.Expr:
-        return self.or_expr()
+        self.depth += 1
+        if self.depth > MAX_EXPR_DEPTH:
+            self.fail_too_deep()
+        try:
+            node = self.or_expr()
+        finally:
+            self.depth -= 1
+        if self.depth == 0:
+            self.check_tree_depth(node)
+        return node
+
+    def fail_too_deep(self) -> None:
+        self.fail(f"expression nested deeper than {MAX_EXPR_DEPTH} levels")
+
+    def check_tree_depth(self, root: ast.Expr) -> None:
+        """Bound the finished tree's depth.  Operator chains
+        (``a OR b OR ...``, ``NOT NOT ...``) parse in loops yet nest the
+        tree one level per operator, so the walk is iterative too."""
+        stack = [(root, 1)]
+        while stack:
+            node, depth = stack.pop()
+            if depth > MAX_EXPR_DEPTH:
+                self.fail_too_deep()
+            children = _CHILDREN.get(type(node))
+            if children is not None:
+                stack.extend((child, depth + 1) for child in children(node))
 
     def or_expr(self) -> ast.Expr:
         left = self.and_expr()
@@ -299,9 +342,13 @@ class _Parser:
         return left
 
     def not_expr(self) -> ast.Expr:
-        if self.accept_keyword("NOT"):
-            return ast.UnaryOp(op="NOT", operand=self.not_expr())
-        return self.comparison()
+        nots = 0
+        while self.accept_keyword("NOT"):
+            nots += 1
+        node = self.comparison()
+        for _ in range(nots):
+            node = ast.UnaryOp(op="NOT", operand=node)
+        return node
 
     def comparison(self) -> ast.Expr:
         left = self.additive()
@@ -357,11 +404,13 @@ class _Parser:
             left = ast.BinOp(op=op, left=left, right=self.unary())
 
     def unary(self) -> ast.Expr:
-        if self.accept_op("-"):
-            return ast.UnaryOp(op="-", operand=self.unary())
-        if self.accept_op("+"):
-            return self.unary()
-        return self.primary()
+        negations = 0
+        while (sign := self.accept_op("-", "+")) is not None:
+            negations += sign == "-"
+        node = self.primary()
+        for _ in range(negations):
+            node = ast.UnaryOp(op="-", operand=node)
+        return node
 
     def primary(self) -> ast.Expr:
         tok = self.cur

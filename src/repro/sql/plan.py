@@ -25,8 +25,9 @@ Semantics are **byte-identical** to the interpreted executor — NULL
 tri-state logic, AND/OR short-circuiting, numeric-string coercion, the
 case-insensitive column fallback, alias-aware ORDER BY, error messages —
 and a differential property test (``tests/test_sql_plan.py``) enforces
-the equivalence over generated queries.  The interpreted path remains
-both the fallback and the testing oracle.
+the equivalence over generated queries.  The interpreted path is the
+reference that oracle compares against; bound plans are the only SELECT
+executor any module under ``src/repro`` calls.
 
 :func:`join_rows` is the positional mirror of
 :func:`~repro.sql.executor.natural_join` for the gateway's multi-group

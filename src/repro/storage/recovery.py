@@ -208,14 +208,6 @@ def _replay_wal(disk: "SimDisk", state: RecoveredState) -> None:
                     if isinstance(row, dict):
                         entries.append((lsn if isinstance(lsn, int) else 0, row))
                 report.wal_records_replayed += 1
-        elif kind == "row":
-            group = str(record.get("group", ""))
-            row = record.get("row")
-            if group and isinstance(row, dict):
-                state.memtable.setdefault(group, []).append(
-                    (lsn if isinstance(lsn, int) else 0, row)
-                )
-                report.wal_records_replayed += 1
         elif kind == "trim":
             cutoff = record.get("cutoff")
             if isinstance(cutoff, (int, float)) and not isinstance(cutoff, bool):

@@ -10,6 +10,8 @@ from repro.core.request_manager import QueryMode
 from repro.core.security import AccessRule, Principal
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
+from repro.sql.errors import SqlError
+from repro.sql.parser import MAX_EXPR_DEPTH
 from repro.testbed import build_site
 
 
@@ -154,6 +156,38 @@ class TestAcil:
         )
         assert resp.elapsed > 0
         assert resp.statuses[0]["url"] == site.url_for("snmp")
+
+
+class TestHostileNesting:
+    """A query nested past the parser's bound reaches the client as a
+    typed error from every entry point; one at the bound runs."""
+
+    WHERE = "SELECT * FROM Processor WHERE "
+    PARENS = WHERE + "(" * 300 + "LoadAverage1Min > 1" + ")" * 300
+    NOTS = WHERE + "NOT " * 2000 + "LoadAverage1Min > 1"
+
+    @pytest.mark.parametrize("sql", [PARENS, NOTS], ids=["parens", "nots"])
+    def test_typed_error_through_query_and_acil(self, rig, sql):
+        _, site, gw = rig
+        url = site.url_for("snmp")
+        with pytest.raises((SqlError, GridRmError), match="nested deeper"):
+            gw.query(url, sql)
+        with pytest.raises((SqlError, GridRmError), match="nested deeper"):
+            gw.query(url, sql, mode=QueryMode.HISTORY)
+        with pytest.raises((SqlError, GridRmError), match="nested deeper"):
+            gw.acil.query(ClientRequest(urls=[url], sql=sql))
+
+    def test_deepest_legal_query_binds_and_executes(self, rig):
+        _, site, gw = rig
+        url = site.url_for("snmp")
+        n = MAX_EXPR_DEPTH - 1
+        for sql in (
+            self.WHERE + "(" * n + "LoadAverage1Min >= 0" + ")" * n,
+            self.WHERE + "NOT " * ((n - 1) // 2 * 2) + "LoadAverage1Min >= 0",
+            self.WHERE + " OR ".join(["LoadAverage1Min >= 0"] * n),
+        ):
+            assert gw.query(url, sql).rows
+            assert gw.query(url, sql, mode=QueryMode.HISTORY).rows
 
 
 class TestDriverAdmin:

@@ -89,6 +89,32 @@ class TestMappingRule:
         rule = MappingRule("Vendor", "v")
         assert rule.apply({"v": 123}, proc) == "123"
 
+    #: (rule, record, group name): every record the tests above translate.
+    CASES = [
+        (MappingRule("RAMSizeMB", "memTotal", unit="KB"), {"memTotal": 2048}, "MainMemory"),
+        (MappingRule("RAMSizeMB", "absent"), {}, "MainMemory"),
+        (MappingRule("RAMSizeMB", "absent", default=0.0), {}, "MainMemory"),
+        (
+            MappingRule("RAMSizeMB", "raw", unit="KB", transform=lambda v: float(v) * 2),
+            {"raw": "512"},
+            "MainMemory",
+        ),
+        (MappingRule("RAMSizeMB", "raw", transform=float), {"raw": "garbage"}, "MainMemory"),
+        (MappingRule("UniqueId", None, transform=lambda r: f"{r['h']}#x"), {"h": "n0"}, "Host"),
+        (MappingRule("CPUCount", "ncpu"), {"ncpu": "4"}, "Processor"),
+        (MappingRule("Reachable", "alive"), {"alive": "yes"}, "Host"),
+        (MappingRule("Reachable", "alive"), {"alive": "0"}, "Host"),
+        (MappingRule("Vendor", "v"), {"v": 123}, "Processor"),
+        (MappingRule("RAMSizeMB", "m", unit="furlongs"), {"m": 1}, "MainMemory"),
+        (MappingRule("NoSuchField", "m"), {"m": 1}, "MainMemory"),
+    ]
+
+    @pytest.mark.parametrize("rule,record,group", CASES)
+    def test_apply_is_the_compiled_builder(self, rule, record, group):
+        target = STANDARD_SCHEMA.group(group)
+        assert rule.apply(record, target) == rule.compile(target)(record)
+        assert type(rule.apply(record, target)) is type(rule.compile(target)(record))
+
 
 class TestGroupMapping:
     def test_translate_fills_all_fields(self):
@@ -131,3 +157,14 @@ class TestSchemaMapping:
         sm = SchemaMapping("d", [GroupMapping("Host", [MappingRule("HostName", "h")])])
         rows = sm.translate("Host", [{"h": "a"}, {"h": "b"}], STANDARD_SCHEMA)
         assert [r["HostName"] for r in rows] == ["a", "b"]
+
+    def test_translate_is_a_view_over_translate_rows(self):
+        gm = GroupMapping("Host", [MappingRule("HostName", "h")])
+        sm = SchemaMapping("d", [gm])
+        records = [{"h": "a"}, {"x": 1}]
+        names = STANDARD_SCHEMA.group("Host").field_names()
+        slot_rows = sm.translate_rows("Host", records, STANDARD_SCHEMA)
+        assert sm.translate("Host", records, STANDARD_SCHEMA) == [
+            dict(zip(names, row)) for row in slot_rows
+        ]
+        assert gm.translate(records[0], STANDARD_SCHEMA) == dict(zip(names, slot_rows[0]))

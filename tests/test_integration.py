@@ -9,8 +9,43 @@ from repro.glue.schema import STANDARD_SCHEMA
 from repro.glue.validation import validate_row
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
-from repro.testbed import build_site, build_testbed
+from repro.sql.parser import parse_select
+from repro.sql.plan import compile_plan
+from repro.testbed import AGENT_KINDS, build_site, build_testbed
 from repro.web.console import Console
+
+
+def _statement_results(kind, hand_plan):
+    """Every group one agent kind serves, fetched through a bare
+    statement on a fresh identically-seeded site (same virtual instant
+    for both variants)."""
+    clock = VirtualClock()
+    network = Network(clock, seed=9)
+    site = build_site(network, name="site-f", n_hosts=3, agents=(kind,), seed=9)
+    clock.advance(60)
+    out = []
+    with site.gateway.connection_manager.connection(site.url_for(kind)) as conn:
+        for group in conn.get_metadata().get_tables():
+            sql = f"SELECT * FROM {group}"
+            statement = conn.create_statement()
+            if hand_plan:
+                rs = statement.execute_query(sql, plan=compile_plan(parse_select(sql)))
+            else:
+                rs = statement.execute_query(sql)
+            meta = rs.metadata()
+            types = [meta.column_type(i + 1) for i in range(meta.column_count())]
+            out.append((group, rs.columns, types, rs.take_rows()))
+    return out
+
+
+@pytest.mark.parametrize("kind", AGENT_KINDS)
+def test_statement_compiles_the_plan_it_is_not_handed(kind):
+    """One SELECT engine: raw SQL and a handed-down plan take the same
+    path, so columns, rows and declared types are identical."""
+    bare = _statement_results(kind, hand_plan=False)
+    handed = _statement_results(kind, hand_plan=True)
+    assert bare and any(rows for *_, rows in bare)
+    assert bare == handed
 
 
 class TestHeterogeneousNormalisation:

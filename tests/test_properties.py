@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.agents import snmp as wire
@@ -451,6 +451,7 @@ def _hist(samples):
 
 
 @given(samples=hist_samples)
+@example(samples=[0.0, 2.0])  # 2.0 sits on a bucket edge: bound rounds below it
 def test_histogram_quantiles_bounded_and_ordered(samples):
     """min <= p50 <= p95 <= p99 <= max, and quantile(100) is exact."""
     h = _hist(samples)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sql import ast_nodes as ast
 from repro.sql.errors import SqlParseError
-from repro.sql.parser import parse_select, parse_statement
+from repro.sql.parser import MAX_EXPR_DEPTH, parse_select, parse_statement
 
 
 class TestSelectBasics:
@@ -122,6 +122,53 @@ class TestWhere:
     def test_null_literal(self):
         stmt = parse_select("SELECT NULL FROM m")
         assert stmt.items[0].expr.value is None
+
+
+class TestDepthBound:
+    """Hostile nesting is a typed parse error, never a RecursionError."""
+
+    PREFIX = "SELECT * FROM m WHERE "
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "(" * 300 + "x > 1" + ")" * 300,
+            "NOT " * 2000 + "x > 1",
+            "x > " + "-" * 3000 + "1",
+            " OR ".join(["x = 1"] * 2000),
+            " + ".join(["x"] * 2000) + " > 1",
+            "x IN (" * 300 + "1" + ")" * 300,
+            "COUNT(" * 300 + "x" + ")" * 300 + " > 1",
+            # nesting times chain length: neither alone reaches the bound
+            "(" * 30 + "x = 1" + (" OR x = 1" * 30 + ")") * 30,
+        ],
+    )
+    def test_too_deep_is_a_parse_error(self, where):
+        with pytest.raises(SqlParseError, match="nested deeper"):
+            parse_select(self.PREFIX + where)
+
+    def test_other_statements_are_bounded_too(self):
+        deep = "NOT " * 2000 + "x"
+        for text in (
+            f"DELETE FROM m WHERE {deep}",
+            f"UPDATE m SET x = {deep}",
+            f"INSERT INTO m (x) VALUES ({deep})",
+        ):
+            with pytest.raises(SqlParseError, match="nested deeper"):
+                parse_statement(text)
+
+    def test_the_bound_itself_parses(self):
+        n = MAX_EXPR_DEPTH - 1
+        parse_select(self.PREFIX + "(" * n + "x > 1" + ")" * n)
+        parse_select(self.PREFIX + "NOT " * (n - 1) + "x > 1")
+        parse_select(self.PREFIX + " OR ".join(["x = 1"] * n))
+
+    def test_sign_and_not_chains_keep_their_tree(self):
+        stmt = parse_select("SELECT - + - x FROM m WHERE NOT NOT y")
+        assert stmt.items[0].expr == ast.UnaryOp(
+            "-", ast.UnaryOp("-", ast.Column("x"))
+        )
+        assert stmt.where == ast.UnaryOp("NOT", ast.UnaryOp("NOT", ast.Column("y")))
 
 
 class TestClauses:

@@ -10,8 +10,12 @@ relation with NULLs, numeric strings and mixed types; both bind flavours
 """
 
 import random
+import re
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.sql.executor import execute_select, natural_join
 from repro.sql.parser import parse_select
@@ -316,3 +320,17 @@ class TestZeroCopy:
         result = plan.bind_mapping(tuple(COLUMNS)).execute(ROWS)
         result.rows[0][0] = "mutated"
         assert ROWS[0]["HostName"] == "h1"
+
+
+def test_only_the_executor_module_names_the_interpreter():
+    """One SELECT engine serves: nothing under ``src/repro`` outside the
+    reference's own module (and the package that could re-export it)
+    may name ``execute_select``."""
+    root = Path(repro.__file__).parent
+    allowed = {root / "sql" / "executor.py", root / "sql" / "__init__.py"}
+    offenders = [
+        str(path.relative_to(root))
+        for path in sorted(root.rglob("*.py"))
+        if path not in allowed and re.search(r"\bexecute_select\b", path.read_text())
+    ]
+    assert offenders == []
