@@ -7,7 +7,14 @@ limiting resource intrusion", and the same mechanism "is used between
 gateways to increase scalability by reducing unnecessary requests".
 
 Keys are (source url, normalised SQL); values carry the result rows plus
-the sample time so the console can display staleness.
+the sample time and the GLUE group they answer, so the console can
+display both without reading the SQL again.
+
+The public contract is raw text in, normalised inside.  A caller that
+already holds the query's :class:`~repro.core.plans.PlanEntry` hands
+its normalised text down as ``key=`` and :func:`normalise_sql` is
+skipped — the serving path normalises a query text once, in
+``PlanCache.get``, however many sources it reads.
 
 The cache is bounded: ``GatewayPolicy.query_cache_max_entries`` sets an
 LRU capacity (0 = unbounded).  Lookups refresh recency; inserting past
@@ -35,6 +42,9 @@ class CachedResult:
     cached_at: float
     source_url: str
     sql: str
+    #: GLUE group the query selects from ("?" when the storer named
+    #: none); the tree view prints it.
+    group: str = "?"
 
     def age(self, now: float) -> float:
         return now - self.cached_at
@@ -137,34 +147,34 @@ class CacheController:
     def misses(self) -> int:
         return self._misses.value
 
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.add(value - self._misses.value)
-
     @property
     def evictions(self) -> int:
         return self._evictions.value
 
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        self._evictions.add(value - self._evictions.value)
-
-    def key(self, source_url: str, sql: str) -> tuple[str, str]:
-        return (source_url, normalise_sql(sql))
+    def key(
+        self, source_url: str, sql: str, normalised: str | None = None
+    ) -> tuple[str, str]:
+        return (source_url, normalised or normalise_sql(sql))
 
     def lookup(
-        self, source_url: str, sql: str, *, max_age: float | None = None
+        self,
+        source_url: str,
+        sql: str,
+        *,
+        max_age: float | None = None,
+        key: str | None = None,
     ) -> Optional[CachedResult]:
         """A live cached result, or None.  ``max_age`` tightens the TTL
-        per-request (a client may insist on fresher data)."""
-        key = self.key(source_url, sql)
+        per-request (a client may insist on fresher data); ``key`` is
+        the already-normalised ``sql`` when the caller has it."""
+        key = self.key(source_url, sql, key)
         if races.ACTIVE is not None:
             races.ACTIVE.note(
                 "cache", f"{key[0]}|{key[1]}", "r", site="CacheController.lookup"
             )
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
+            self._misses.add(1)
             return None
         now = self.clock.now()
         if entry.cached_at > now:
@@ -173,19 +183,21 @@ class CacheController:
             # result does not exist yet.  Treat as a miss so the caller
             # takes the single-flight path (and pays its wait cost)
             # instead of time-travelling.
-            self.misses += 1
+            self._misses.add(1)
             return None
         limit = self.ttl if max_age is None else min(self.ttl, max_age)
         if entry.age(now) > limit:
-            self.misses += 1
+            self._misses.add(1)
             return None
-        self.hits += 1
+        self._hits.add(1)
         # Refresh recency: move to the back of the eviction queue.
         self._entries.pop(key)
         self._entries[key] = entry
         return entry
 
-    def lookup_stale(self, source_url: str, sql: str) -> Optional[CachedResult]:
+    def lookup_stale(
+        self, source_url: str, sql: str, *, key: str | None = None
+    ) -> Optional[CachedResult]:
         """The last result for this query regardless of age.
 
         Graceful-degradation path: when a source's circuit breaker is
@@ -195,10 +207,17 @@ class CacheController:
         vanish via :meth:`invalidate`/:meth:`sweep`, so keep the periodic
         sweep off sources you want stale answers for.
         """
-        return self._entries.get(self.key(source_url, sql))
+        return self._entries.get(self.key(source_url, sql, key))
 
     def store(
-        self, source_url: str, sql: str, columns: list[str], rows: list[list[Any]]
+        self,
+        source_url: str,
+        sql: str,
+        columns: list[str],
+        rows: list[list[Any]],
+        *,
+        group: str = "?",
+        key: str | None = None,
     ) -> CachedResult:
         entry = CachedResult(
             columns=list(columns),
@@ -206,8 +225,9 @@ class CacheController:
             cached_at=self.clock.now(),
             source_url=source_url,
             sql=sql,
+            group=group,
         )
-        key = self.key(source_url, sql)
+        key = self.key(source_url, sql, key)
         if races.ACTIVE is not None:
             digest = hashlib.sha256(
                 repr((entry.columns, entry.rows)).encode()
@@ -225,7 +245,7 @@ class CacheController:
             while len(self._entries) > self.max_entries:
                 oldest = next(iter(self._entries))
                 del self._entries[oldest]
-                self.evictions += 1
+                self._evictions.add(1)
         return entry
 
     def invalidate(self, source_url: str | None = None) -> int:
@@ -239,14 +259,19 @@ class CacheController:
             del self._entries[k]
         return len(doomed)
 
-    def entries_for(self, source_url: str) -> list[CachedResult]:
-        """All live entries of one source (the tree view reads these)."""
+    def entries_by_source(self) -> dict[str, list[CachedResult]]:
+        """All live entries grouped by source url, in one walk of the
+        cache (the tree view reads these)."""
         now = self.clock.now()
-        return [
-            e
-            for (url, _), e in self._entries.items()
-            if url == source_url and e.age(now) <= self.ttl
-        ]
+        grouped: dict[str, list[CachedResult]] = {}
+        for (url, _), entry in self._entries.items():
+            if entry.age(now) <= self.ttl:
+                grouped.setdefault(url, []).append(entry)
+        return grouped
+
+    def entries_for(self, source_url: str) -> list[CachedResult]:
+        """All live entries of one source."""
+        return self.entries_by_source().get(source_url, [])
 
     def sweep(self) -> int:
         """Evict expired entries; returns how many were dropped."""

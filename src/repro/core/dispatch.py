@@ -251,29 +251,35 @@ class FanoutDispatcher:
     # ------------------------------------------------------------------
     # Single-flight coalescing
     # ------------------------------------------------------------------
-    def flight_key(self, source_key: str, sql: str) -> tuple[str, str]:
-        return (source_key, normalise_sql(sql))
+    def flight_key(
+        self, source_key: str, sql: str, normalised: str | None = None
+    ) -> tuple[str, str]:
+        return (source_key, normalised or normalise_sql(sql))
 
-    def join_flight(self, source_key: str, sql: str) -> Flight | None:
+    def join_flight(
+        self, source_key: str, sql: str, *, key: str | None = None
+    ) -> Flight | None:
         """Join an identical in-flight request, or None to fetch for real.
 
         A flight is joinable while its completion still lies in the
         caller's future — i.e. the shared round-trip is genuinely in the
         air right now.  Joining waits (advances this branch's timeline)
         until the flight completes, then shares its outcome; the caller
-        performs no agent traffic.
+        performs no agent traffic.  ``key`` (here and in
+        :meth:`run_flight`) is the already-normalised ``sql`` when the
+        caller has it.
         """
         if not (self.policy.singleflight_enabled and self.policy.fanout_enabled):
             return None
-        key = self.flight_key(source_key, sql)
-        flight = self._flights.get(key)
+        flight_key = self.flight_key(source_key, sql, key)
+        flight = self._flights.get(flight_key)
         if flight is None:
             return None
         now = self.clock.now()
         if flight.completed_at <= now:
             # Landed in the past: no longer coalescable (the query cache
             # owns reuse from here on).
-            del self._flights[key]
+            del self._flights[flight_key]
             return None
         self.stats.singleflight_joins += 1
         self.clock.advance_to(flight.completed_at)
@@ -287,6 +293,7 @@ class FanoutDispatcher:
         *,
         hedge: bool = True,
         deadline: Deadline | None = None,
+        key: str | None = None,
     ) -> Any:
         """Run the real fetch, registered as the coalescing target.
 
@@ -301,6 +308,7 @@ class FanoutDispatcher:
         the source's ``hedge_percentile`` latency, a second fetch fires
         and the first usable response wins.
         """
+        flight_key = self.flight_key(source_key, sql, key)
         self._await_slot(source_key, deadline=deadline)
         started = self.clock.now()
         delay = self._hedge_delay(source_key) if hedge else None
@@ -309,17 +317,17 @@ class FanoutDispatcher:
                 value = fetch()
             except BRANCH_ERRORS as exc:
                 self._note_congestion(source_key, self.clock.now() - started)
-                self._finish_flight(source_key, sql, started, error=exc)
+                self._finish_flight(flight_key, started, error=exc)
                 raise
             self._note_latency(source_key, self.clock.now() - started)
-            self._finish_flight(source_key, sql, started, value=value)
+            self._finish_flight(flight_key, started, value=value)
             return value
         outcome = self._run_hedged(source_key, fetch, delay)
         if outcome.error is not None:
             self._note_congestion(source_key, self.clock.now() - started)
-            self._finish_flight(source_key, sql, started, error=outcome.error)
+            self._finish_flight(flight_key, started, error=outcome.error)
             raise outcome.error
-        self._finish_flight(source_key, sql, started, value=outcome.value)
+        self._finish_flight(flight_key, started, value=outcome.value)
         return outcome.value
 
     def _run_hedged(
@@ -419,19 +427,17 @@ class FanoutDispatcher:
 
     def _finish_flight(
         self,
-        source_key: str,
-        sql: str,
+        key: tuple[str, str],
         started: float,
         *,
         value: Any = None,
         error: Exception | None = None,
     ) -> None:
         end = self.clock.now()
-        key = self.flight_key(source_key, sql)
         self._flights[key] = Flight(
             key=key, value=value, error=error, started_at=started, completed_at=end
         )
-        self._inflight_ends.setdefault(source_key, []).append(end)
+        self._inflight_ends.setdefault(key[0], []).append(end)
         self.stats.flights += 1
         if len(self._flights) > _FLIGHT_SWEEP_THRESHOLD:
             self._sweep_flights(end)

@@ -32,7 +32,7 @@ from repro.core.errors import DeadlineExceededError, GridRmError, OverloadError
 from repro.core.events import Event, EventManager, SnmpTrapEventDriver
 from repro.core.health import BreakerState, HealthTracker, SourceHealth
 from repro.core.history import HistoryStore
-from repro.core.plans import PlanCache
+from repro.core.plans import PlanCache, PlanEntry
 from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import (
     QueryMode,
@@ -59,7 +59,6 @@ from repro.obs.driver import GatewayMetricsDriver
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.simnet.network import Address, Network
-from repro.sql.parser import parse_select
 from repro.storage.engine import HistoryEngine
 from repro.storage.recovery import RecoveryReport
 from repro.storage.simdisk import SimDisk
@@ -450,14 +449,6 @@ class Gateway:
         in the paper's testbeds) and open a session."""
         return self.sessions.open(principal)
 
-    def _authorise(
-        self, principal: Principal, urls: Sequence[JdbcUrl], sql: str, operation: str
-    ) -> None:
-        self.cgsl.check(principal, operation)
-        for group in parse_select(sql).tables:
-            for url in urls:
-                self.fgsl.check(principal, url.host, group)
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -498,21 +489,20 @@ class Gateway:
         ``result.trace_id``.  ``trace_parent`` carries the originating
         span context when this query arrived over the GMA wire, so a
         remote site's tree links back to the consumer's.
+
+        The query text is analysed once, by the plan cache, as the root
+        span's first child; the resulting entry authorises the query
+        (FGSL walks its tables) and rides down to the request manager.
+        Only the coarse-grained check runs before any SQL work and
+        before the trace: an unparsable or FGSL-refused query leaves a
+        failed trace, a CGSL-refused one leaves none.
         """
         if isinstance(urls, (str, JdbcUrl)):
             urls = [urls]
         parsed = [JdbcUrl.parse(u) if isinstance(u, str) else u for u in urls]
-        operation = "history" if mode is QueryMode.HISTORY else "query"
-        self._authorise(principal, parsed, sql, operation)
-        if deadline is None:
-            budget = timeout if timeout is not None else self.policy.default_deadline
-            if budget > 0:
-                deadline = Deadline.after(self.network.clock, budget)
-        qc = QueryClass.parse(
-            query_class if query_class is not None
-            else self.policy.default_query_class
+        self.cgsl.check(
+            principal, "history" if mode is QueryMode.HISTORY else "query"
         )
-
         with self.tracer.start_trace(
             "query",
             remote_parent=dict(trace_parent) if trace_parent else None,
@@ -522,8 +512,22 @@ class Gateway:
             urls=len(parsed),
         ) as root:
             trace = self.tracer.current_trace()
+            entry = self.request_manager.plan_entry(sql, mode)
+            for group in entry.select.tables:
+                for url in parsed:
+                    self.fgsl.check(principal, url.host, group)
+            if deadline is None:
+                budget = (
+                    timeout if timeout is not None else self.policy.default_deadline
+                )
+                if budget > 0:
+                    deadline = Deadline.after(self.network.clock, budget)
+            qc = QueryClass.parse(
+                query_class if query_class is not None
+                else self.policy.default_query_class
+            )
             result = self._admitted_query(
-                parsed, sql, mode, max_age, principal, deadline, root, qc
+                parsed, sql, entry, mode, max_age, principal, deadline, root, qc
             )
         result.trace_id = trace.trace_id if trace is not None else ""
         return result
@@ -532,6 +536,7 @@ class Gateway:
         self,
         parsed: list[JdbcUrl],
         sql: str,
+        entry: PlanEntry,
         mode: QueryMode,
         max_age: float | None,
         principal: Principal,
@@ -548,12 +553,12 @@ class Gateway:
         adm = self.overload
         if not adm.enabled or mode is QueryMode.HISTORY:
             return self._traced_query(
-                parsed, sql, mode, max_age, principal, deadline, root, qc
+                parsed, sql, entry, mode, max_age, principal, deadline, root, qc
             )
         root.annotate(query_class=qc.value)
         action = adm.decide(qc)
         if action in (ShedAction.STALE_THEN_DISPATCH, ShedAction.STALE_THEN_SHED):
-            stale = self._brownout_result(parsed, sql, mode)
+            stale = self._brownout_result(parsed, sql, entry, mode)
             if stale is not None:
                 adm.note_brownout_serve()
                 return stale
@@ -565,7 +570,7 @@ class Gateway:
         congested = True
         try:
             result = self._traced_query(
-                parsed, sql, mode, max_age, principal, deadline, root, qc
+                parsed, sql, entry, mode, max_age, principal, deadline, root, qc
             )
             # A request that failed any source (deadline blowouts
             # included) is a congestion signal to the gateway limiter.
@@ -575,7 +580,7 @@ class Gateway:
             adm.release(ticket, congested=congested)
 
     def _brownout_result(
-        self, parsed: list[JdbcUrl], sql: str, mode: QueryMode
+        self, parsed: list[JdbcUrl], sql: str, entry: PlanEntry, mode: QueryMode
     ) -> QueryResult | None:
         """A complete stale answer from the query cache, or None.
 
@@ -587,7 +592,7 @@ class Gateway:
         started = self.network.clock.now()
         hits: list[tuple[str, Any]] = []
         for url in parsed:
-            stale = self.cache.lookup_stale(str(url), sql)
+            stale = self.cache.lookup_stale(str(url), sql, key=entry.key)
             if stale is None:
                 return None
             hits.append((str(url), stale))
@@ -619,6 +624,7 @@ class Gateway:
         self,
         parsed: list[JdbcUrl],
         sql: str,
+        entry: PlanEntry,
         mode: QueryMode,
         max_age: float | None,
         principal: Principal,
@@ -639,7 +645,8 @@ class Gateway:
         if not remote_by_site:
             # Local-only fast path: the RequestManager fans out itself.
             result = self.request_manager.execute(
-                local, sql, mode=mode, max_age=max_age, info=info, deadline=deadline
+                local, sql, mode=mode, max_age=max_age, info=info,
+                deadline=deadline, entry=entry,
             )
         else:
             # Scatter-gather: the local batch and each remote site's
@@ -651,7 +658,7 @@ class Gateway:
                 thunks.append(
                     lambda: self.request_manager.execute(
                         local, sql, mode=mode, max_age=max_age, info=info,
-                        deadline=deadline,
+                        deadline=deadline, entry=entry,
                     )
                 )
 

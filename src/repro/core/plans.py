@@ -1,14 +1,19 @@
 """Plan cache: parse + validate + compile a query exactly once.
 
-Every layer that used to re-parse SQL on its own — the request manager,
-the driver translation path, the history scan — now asks the
-:class:`PlanCache` instead.  An entry is keyed by the **same**
-normalised-SQL text the result cache and single-flight layers already
-compute (:func:`repro.core.cache.normalise_sql`), so one client query
-maps to one cache key across all three subsystems.
+Every layer that used to analyse SQL on its own — the gateway's
+authorisation, the request manager, the driver translation path, the
+history scan, the result cache and single-flight keying, the console's
+tree view — reads a :class:`PlanEntry` instead: one
+:meth:`PlanCache.get` per ``Gateway.query`` is the only place a
+serving-path query text is lexed, parsed or normalised.  An entry is
+keyed by the **same** normalised-SQL text the result cache and
+single-flight layers key on (:func:`repro.core.cache.normalise_sql`)
+and keeps it as ``entry.key``, so one client query maps to one cache
+key across all three subsystems and the text is normalised once.
 
-Each entry carries the parsed AST, the compile-time GLUE validation
-findings, and (when the query validated cleanly) a
+Each entry carries that key, the parsed AST (``entry.select.tables`` is
+what the FGSL authorises), the compile-time GLUE validation findings,
+and (when the query validated cleanly) a
 :class:`~repro.sql.plan.CompiledPlan` — the only SELECT executor the
 gateway serves with.  The invariant is ``entry.plan`` is ``None`` ⇔
 ``entry.findings``: compilation is total, so the one kind of entry
@@ -42,16 +47,21 @@ from repro.sql.plan import CompiledPlan, compile_plan
 
 
 class PlanEntry:
-    """One cached compilation: AST + validation findings + compiled plan.
+    """One cached compilation: key + AST + validation findings + plan.
 
     Invariant: ``plan`` is ``None`` ⇔ ``findings`` is non-empty.
     Callers reject an entry with findings before executing anything and
     take the plan of a clean one from :meth:`compiled`.
     """
 
-    __slots__ = ("select", "findings", "plan")
+    __slots__ = ("key", "select", "findings", "plan")
 
-    def __init__(self, select: ast.Select, findings: list[Finding]) -> None:
+    def __init__(
+        self, key: str, select: ast.Select, findings: list[Finding]
+    ) -> None:
+        #: The normalised text this entry is cached under — handed down
+        #: as the result-cache and single-flight ``key=``.
+        self.key = key
         self.select = select
         self.findings = findings
         self.plan: CompiledPlan | None = (
@@ -154,7 +164,7 @@ class PlanCache:
                 findings = validate_select(
                     select, self.schema, extra_fields=extra_fields
                 )
-            entry = PlanEntry(select, findings)
+            entry = PlanEntry(key[0], select, findings)
         if races.ACTIVE is not None:
             digest = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
             races.ACTIVE.note(

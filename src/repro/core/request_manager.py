@@ -55,7 +55,7 @@ from repro.core.errors import (
 from repro.core.health import HealthTracker
 from repro.core.retry import RetryBudget, RetryPolicy
 from repro.core.history import HistoryStore
-from repro.core.plans import PlanCache
+from repro.core.plans import PlanCache, PlanEntry
 from repro.core.policy import GatewayPolicy
 from repro.dbapi.exceptions import (
     SQLConnectionException,
@@ -259,6 +259,7 @@ class RequestManager:
         info: Mapping[str, Any] | None = None,
         deadline: Deadline | None = None,
         retry_budget: RetryBudget | None = None,
+        entry: PlanEntry | None = None,
     ) -> QueryResult:
         """Run ``sql`` against one or many data sources and consolidate.
 
@@ -267,6 +268,9 @@ class RequestManager:
         sources into fast-failed statuses rather than agent traffic.
         ``retry_budget``: internal — the join decomposition passes the
         top-level query's budget down so sub-queries cannot multiply it.
+        ``entry``: the plan entry of ``sql`` when the caller already
+        resolved it (the Gateway authorises from it); direct callers and
+        join sub-queries leave it out and it is resolved here.
         """
         self.stats["queries"] += 1
         if (
@@ -287,13 +291,11 @@ class RequestManager:
         # comparing incompatible types is rejected before driver
         # selection, and a warm query skips all three stages (the trace
         # shows ``plan.cache_hit`` instead of ``plan.compile``).
-        # Historical queries may additionally reference the store's
-        # provenance columns.
-        extra = ("SourceUrl", "RecordedAt") if mode is QueryMode.HISTORY else ()
-        try:
-            entry = self.plans.get(sql, extra_fields=extra)
-        except SqlError as exc:
-            raise GridRmError(f"bad query: {exc}") from exc
+        if entry is None:
+            try:
+                entry = self.plan_entry(sql, mode)
+            except SqlError as exc:
+                raise GridRmError(f"bad query: {exc}") from exc
         if entry.findings:
             self.stats["validation_rejects"] += 1
             raise QueryValidationError(
@@ -322,45 +324,114 @@ class RequestManager:
                     # network round-trips, nothing to overlap.
                     for url in parsed:
                         self._one_history(url, sql, result, plan)
-                elif len(parsed) == 1 or not self.policy.fanout_enabled:
-                    for url in parsed:
-                        self._one_realtime(
-                            url, sql, plan, result, mode, max_age, info,
-                            deadline, retry_budget,
-                        )
                 else:
-                    self._fan_out(
-                        parsed, sql, plan, result, mode, max_age, info,
+                    self._realtime(
+                        parsed, sql, entry, result, mode, max_age, info,
                         deadline, retry_budget,
                     )
         result.elapsed = self.clock.now() - started
         return result
 
-    def _fan_out(
+    def plan_entry(self, sql: str, mode: QueryMode) -> PlanEntry:
+        """The plan-cache entry ``sql`` is served from in ``mode``.
+
+        Historical queries may additionally reference the store's
+        provenance columns, so they validate — and cache — apart from
+        the same text run in real time.
+        """
+        extra = ("SourceUrl", "RecordedAt") if mode is QueryMode.HISTORY else ()
+        return self.plans.get(sql, extra_fields=extra)
+
+    def _realtime(
         self,
         urls: list[JdbcUrl],
         sql: str,
-        plan: CompiledPlan,
+        entry: PlanEntry,
         result: QueryResult,
         mode: QueryMode,
         max_age: float | None,
         info: Mapping[str, Any] | None,
+        deadline: Deadline | None,
+        retry_budget: RetryBudget | None,
+    ) -> None:
+        """REALTIME / CACHED_OK over one GLUE group.
+
+        Every source fills a private partial; partials are merged into
+        ``result`` in the caller's URL order, so rows and statuses come
+        out identically however the sources were answered.  CACHED_OK
+        probes the query cache for every source *before* anything is
+        dispatched: hits are answered in place and only the misses are
+        fetched — concurrently when there are two or more.
+        """
+        partials = [QueryResult(columns=[], rows=[], mode=mode) for _ in urls]
+        pending = list(zip(urls, partials))
+        if mode is QueryMode.CACHED_OK:
+            pending = [
+                (url, partial)
+                for url, partial in pending
+                if not self._serve_cached(
+                    str(url), sql, entry.key, partial, max_age, deadline
+                )
+            ]
+        if len(pending) > 1 and self.policy.fanout_enabled:
+            self._fan_out(pending, sql, entry, mode, info, deadline, retry_budget)
+        else:
+            for url, partial in pending:
+                self._one_realtime(
+                    url, sql, entry, partial, mode, info, deadline, retry_budget
+                )
+        for partial in partials:
+            result.statuses.extend(partial.statuses)
+            if partial.columns:
+                self._merge(result, partial.columns, partial.rows)
+
+    def _serve_cached(
+        self,
+        url_text: str,
+        sql: str,
+        key: str,
+        partial: QueryResult,
+        max_age: float | None,
+        deadline: Deadline | None,
+    ) -> bool:
+        """Answer one source from the query cache; False on a miss (or
+        a spent deadline — ``_one_realtime`` fails that source fast)."""
+        if deadline is not None and deadline.expired():
+            return False
+        cached = self.cache.lookup(url_text, sql, max_age=max_age, key=key)
+        if cached is None:
+            return False
+        self.stats["cache_served"] += 1
+        with self.tracer.span("source", url=url_text) as span:
+            self._stamp_source(span, url_text, deadline)
+            span["cache"] = "hit"
+        # Shared with the cache entry, not copied: the merge into the
+        # consolidated result copies every row it takes.
+        partial.columns, partial.rows = cached.columns, cached.rows
+        partial.statuses.append(
+            SourceStatus(
+                url=url_text, ok=True, rows=len(cached.rows), from_cache=True
+            )
+        )
+        return True
+
+    def _fan_out(
+        self,
+        pending: list[tuple[JdbcUrl, QueryResult]],
+        sql: str,
+        entry: PlanEntry,
+        mode: QueryMode,
+        info: Mapping[str, Any] | None,
         deadline: Deadline | None = None,
         retry_budget: RetryBudget | None = None,
     ) -> None:
-        """Dispatch one sub-request per source concurrently.
-
-        Each branch fills a private partial result; partials are merged
-        into ``result`` afterwards in the caller's URL order, so rows and
-        statuses come out identically however branch round-trips overlap.
-        """
+        """Dispatch one sub-request per pending source concurrently,
+        each branch filling that source's partial."""
         self.stats["fanout_queries"] += 1
-        partials = [QueryResult(columns=[], rows=[], mode=mode) for _ in urls]
 
         def branch(url: JdbcUrl, partial: QueryResult):
             return lambda: self._one_realtime(
-                url, sql, plan, partial, mode, max_age, info,
-                deadline, retry_budget,
+                url, sql, entry, partial, mode, info, deadline, retry_budget
             )
 
         guarded = (
@@ -369,27 +440,23 @@ class RequestManager:
             else None
         )
         outcomes = self.dispatcher.run(
-            [branch(u, p) for u, p in zip(urls, partials)], deadline=guarded
+            [branch(u, p) for u, p in pending], deadline=guarded
         )
-        for outcome, partial, url in zip(outcomes, partials, urls):
+        for outcome, (url, partial) in zip(outcomes, pending):
             if isinstance(outcome.error, DeadlineExceededError):
                 # The branch-launch guard fired: the budget ran out while
                 # this source's branch queued.  A per-source outcome, not
                 # a query failure — and no health penalty.
                 self.stats["deadline_exceeded"] += 1
                 self.stats["source_failures"] += 1
-                result.statuses.append(
+                partial.statuses.append(
                     SourceStatus(url=str(url), ok=False, error=str(outcome.error))
                 )
-                continue
-            if outcome.error is not None:
+            elif outcome.error is not None:
                 # _one_realtime converts per-source failures to statuses;
                 # anything escaping it is a programming error worth
                 # surfacing, not a source outcome.
                 raise outcome.error
-            result.statuses.extend(partial.statuses)
-            if partial.columns:
-                self._merge(result, partial.columns, partial.rows)
 
     # ------------------------------------------------------------------
     def _execute_join(
@@ -467,42 +534,47 @@ class RequestManager:
         result.columns, n = merge_rows(result.columns, result.rows, columns, rows)
         return n
 
+    def _stamp_source(
+        self, span, url_text: str, deadline: Deadline | None
+    ) -> None:
+        """What every ``source`` span records about how it was answered."""
+        if deadline is not None:
+            span["deadline_remaining"] = deadline.remaining()
+        if self.health is not None:
+            span["breaker"] = self.health.state(url_text).value
+
     def _one_realtime(
         self,
         url: JdbcUrl,
         sql: str,
-        plan: CompiledPlan,
+        entry: PlanEntry,
         result: QueryResult,
         mode: QueryMode,
-        max_age: float | None,
         info: Mapping[str, Any] | None,
         deadline: Deadline | None = None,
         retry_budget: RetryBudget | None = None,
     ) -> None:
-        with self.tracer.span("source", url=str(url)) as span:
-            if deadline is not None:
-                span["deadline_remaining"] = deadline.remaining()
-            if self.health is not None:
-                span["breaker"] = self.health.state(str(url)).value
+        url_text = str(url)
+        with self.tracer.span("source", url=url_text) as span:
+            self._stamp_source(span, url_text, deadline)
             self._one_realtime_traced(
-                url, sql, plan, result, mode, max_age, info,
-                deadline, retry_budget, span,
+                url, sql, entry, result, mode, info, deadline, retry_budget, span
             )
 
     def _one_realtime_traced(
         self,
         url: JdbcUrl,
         sql: str,
-        plan: CompiledPlan,
+        entry: PlanEntry,
         result: QueryResult,
         mode: QueryMode,
-        max_age: float | None,
         info: Mapping[str, Any] | None,
         deadline: Deadline | None,
         retry_budget: RetryBudget | None,
         span,
     ) -> None:
         url_text = str(url)
+        plan = entry.compiled()
         if deadline is not None and deadline.expired():
             # Budget gone before this source was even dispatched (eaten
             # by earlier hops): fail fast, no agent traffic, and no
@@ -517,16 +589,7 @@ class RequestManager:
                 )
             )
             return
-        if mode is QueryMode.CACHED_OK:
-            cached = self.cache.lookup(url_text, sql, max_age=max_age)
-            if cached is not None:
-                self.stats["cache_served"] += 1
-                span["cache"] = "hit"
-                n = self._merge(result, cached.columns, cached.rows)
-                result.statuses.append(
-                    SourceStatus(url=url_text, ok=True, rows=n, from_cache=True)
-                )
-                return
+        # A CACHED_OK source only gets here after _serve_cached missed.
         span["cache"] = "miss" if mode is QueryMode.CACHED_OK else "bypass"
         if self.health is not None and not self.health.allow_request(url_text):
             # Circuit OPEN: never touch the source (even in REALTIME —
@@ -535,13 +598,13 @@ class RequestManager:
             self.stats["breaker_short_circuits"] += 1
             span["breaker"] = "open"
             span["short_circuited"] = True
-            self._one_degraded(url_text, sql, result)
+            self._one_degraded(url_text, sql, entry.key, result)
             return
         # Single-flight: an identical request already in the air to this
         # source answers both of us with one agent round-trip.  The real
         # flight already updated health, stats, cache and history — the
         # joiner only waits for it and shares the outcome.
-        flight = self.dispatcher.join_flight(url_text, sql)
+        flight = self.dispatcher.join_flight(url_text, sql, key=entry.key)
         if flight is not None:
             self.stats["singleflight_joins"] += 1
             span["coalesced"] = True
@@ -598,6 +661,7 @@ class RequestManager:
                             hedge=reissuable
                             and not (adm is not None and adm.suppress_hedges()),
                             deadline=deadline if adm is not None else None,
+                            key=entry.key,
                         )
                     break
                 except OverloadError as exc:
@@ -671,8 +735,11 @@ class RequestManager:
         )
         n = self._merge(result, columns, rows)
         result.statuses.append(SourceStatus(url=url_text, ok=True, rows=n))
-        self.cache.store(url_text, sql, list(columns), [list(r) for r in rows])
         group = plan.select.table
+        self.cache.store(
+            url_text, sql, list(columns), [list(r) for r in rows],
+            group=group, key=entry.key,
+        )
         if self.policy.history_enabled:
             if self.history.schema.has_group(group):
                 canonical = self.history.schema.group(group)
@@ -694,12 +761,14 @@ class RequestManager:
                 group, list(columns), rows, source_url=url_text
             )
 
-    def _one_degraded(self, url_text: str, sql: str, result: QueryResult) -> None:
+    def _one_degraded(
+        self, url_text: str, sql: str, key: str, result: QueryResult
+    ) -> None:
         """Answer for a source whose breaker is OPEN: stale rows when the
         policy allows and the cache still holds any, a fast failure
         status otherwise — never an exception, never agent traffic."""
         if self.policy.serve_stale_on_open:
-            stale = self.cache.lookup_stale(url_text, sql)
+            stale = self.cache.lookup_stale(url_text, sql, key=key)
             if stale is not None:
                 self.stats["stale_served"] += 1
                 n = self._merge(result, stale.columns, stale.rows)

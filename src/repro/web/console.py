@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.health import BreakerState
 from repro.core.request_manager import QueryMode, QueryResult
-from repro.sql.errors import SqlError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.gateway import Gateway
@@ -74,6 +73,7 @@ class Console:
         gw = self.gateway
         now = gw.network.clock.now()
         lines = [f"GridRM Gateway {gw.host} (site {gw.site})  t={now:.1f}s"]
+        cached = gw.cache.entries_by_source()
         for source in gw.sources():
             icon = self._icon(source)
             age = (
@@ -82,15 +82,9 @@ class Console:
                 else "never polled"
             )
             lines.append(f"+- {icon} {source.url}  ({age})")
-            for entry in gw.cache.entries_for(str(source.url)):
-                try:
-                    from repro.sql.parser import parse_select
-
-                    group = parse_select(entry.sql).table
-                except SqlError:
-                    group = "?"
+            for entry in cached.get(str(source.url), ()):
                 lines.append(
-                    f"|    cached: {group} rows={len(entry.rows)} "
+                    f"|    cached: {entry.group} rows={len(entry.rows)} "
                     f"age={entry.age(now):.1f}s"
                 )
             health = gw.health.health(str(source.url))

@@ -30,6 +30,8 @@ from repro.obs.trace import Span
 from repro.simnet.clock import VirtualClock
 from repro.testbed import build_site, build_testbed
 
+from .test_query_analysed_once import EXPIRED, read_with_expired
+
 SQL = "SELECT HostName FROM Host"
 
 
@@ -204,6 +206,128 @@ class TestEndToEnd:
         assert len(gw.tracer.traces()) == 4
         assert gw.tracer.get("q1") is None  # evicted
         assert gw.tracer.get("q7") is not None
+
+
+# ----------------------------------------------------------------------
+# Cached reads: hits are answered before anything is dispatched
+# ----------------------------------------------------------------------
+class TestCachedReads:
+    @pytest.mark.parametrize("n_expired", sorted(EXPIRED))
+    def test_hit_spans_hang_off_execute_and_only_misses_fan_out(self, n_expired):
+        site, result = read_with_expired(n_expired)
+        trace = site.gateway.tracer.get(result.trace_id)
+        execute = trace.find_span("execute")
+        hits = [s for s in execute.children if s.attrs.get("cache") == "hit"]
+        assert [s.name for s in hits] == ["source"] * (9 - n_expired)
+        assert trace.find_span("fanout") is None or n_expired > 1
+        assert check_trace(trace) == []
+        assert_clean(site.gateway.tracer)
+
+
+# ----------------------------------------------------------------------
+# Refused queries: the security boundary sits inside the trace
+# ----------------------------------------------------------------------
+class TestRefusedQueries:
+    """Only the coarse-grained check runs before the trace opens; the
+    plan span is the root's first child, and whatever refuses the query
+    after it (parser, FGSL, validator) leaves one failed trace."""
+
+    BAD = "SELECT FROM WHERE"
+    BAD_MESSAGE = (
+        "expected identifier at position 7 (near 'FROM') in 'SELECT FROM WHERE'"
+    )
+
+    def _secured(self):
+        from repro.core.security import AccessRule, Principal
+
+        site = make_site(GatewayPolicy(security_enabled=True))
+        gw = site.gateway
+        gw.cgsl.restrict("query", "role:operator")
+        gw.fgsl.add_rule(AccessRule(False, "role:student", "*", "Processor"))
+        operator = Principal.with_roles("olga", "operator")
+        student = Principal.with_roles("sam", "operator", "student")
+        return site, gw, operator, student
+
+    def test_cgsl_denied_before_any_sql_work_or_trace(self):
+        from repro.core.errors import SecurityError
+        from repro.core.security import Principal
+
+        site, gw, _, _ = self._secured()
+        looked_up = gw.plans.hits + gw.plans.misses
+        with pytest.raises(SecurityError, match="may not perform 'query'"):
+            gw.query(
+                site.url_for("snmp"), self.BAD,
+                principal=Principal.with_roles("eve", "guest"),
+            )
+        assert gw.plans.hits + gw.plans.misses == looked_up
+        assert gw.tracer.traces() == []
+
+    def test_unparsable_text_keeps_its_type_and_message(self):
+        from urllib.parse import quote
+
+        from repro.core.acil import ClientRequest
+        from repro.sql.errors import SqlParseError
+        from repro.web.servlet import GatewayServlet, http_get
+
+        site = make_site()
+        gw = site.gateway
+        url = site.url_for("snmp")
+        for run in (
+            lambda: gw.query(url, self.BAD),
+            lambda: gw.query(url, self.BAD, mode=QueryMode.HISTORY),
+            lambda: gw.acil.query(ClientRequest(urls=[url], sql=self.BAD)),
+        ):
+            before = len(gw.tracer.traces())
+            with pytest.raises(SqlParseError) as err:
+                run()
+            assert type(err.value) is SqlParseError
+            assert str(err.value) == self.BAD_MESSAGE
+            assert len(gw.tracer.traces()) == before + 1
+            trace = gw.tracer.last()
+            assert trace.root.status == "error"
+            assert [c.name for c in trace.root.children] == ["plan.compile"]
+        servlet = GatewayServlet(gw)
+        reply = http_get(
+            site.network, gw.host, servlet.address,
+            f"/query?url={quote(url)}&sql={quote(self.BAD)}",
+        )
+        assert reply == (500, f"SqlParseError: {self.BAD_MESSAGE}")
+        assert gw.request_manager.stats["queries"] == 0
+        assert_clean(gw.tracer)
+
+    def test_fgsl_denied_touches_neither_agent_nor_cache(self):
+        from repro.core.errors import SecurityError
+
+        site, gw, operator, student = self._secured()
+        url = site.url_for("snmp")
+        sql = "SELECT HostName FROM Processor"
+        gw.query(url, sql, principal=operator, mode=QueryMode.REALTIME)
+        requests = site.network.stats.requests
+        lookups = gw.cache.hits + gw.cache.misses
+        with pytest.raises(SecurityError, match="may not read group 'Processor'"):
+            gw.query(url, sql, principal=student, mode=QueryMode.CACHED_OK)
+        assert site.network.stats.requests == requests
+        assert gw.cache.hits + gw.cache.misses == lookups
+        trace = gw.tracer.last()
+        assert trace.root.status == "error"
+        assert [c.name for c in trace.root.children] == ["plan.cache_hit"]
+        assert len(trace.spans) == 2
+        assert_clean(gw.tracer)
+
+    def test_fgsl_checked_before_validation_findings_reject(self):
+        from repro.core.errors import QueryValidationError, SecurityError
+
+        site, gw, operator, student = self._secured()
+        url = site.url_for("snmp")
+        invalid = "SELECT NoSuchField FROM Processor"
+        with pytest.raises(SecurityError):
+            gw.query(url, invalid, principal=student)
+        assert gw.request_manager.stats["validation_rejects"] == 0
+        with pytest.raises(QueryValidationError):
+            gw.query(url, invalid, principal=operator)
+        assert gw.request_manager.stats["validation_rejects"] == 1
+        assert [t.root.status for t in gw.tracer.traces()] == ["error", "error"]
+        assert_clean(gw.tracer)
 
 
 # ----------------------------------------------------------------------
