@@ -668,9 +668,11 @@ class StreamReport:
     delivered_rows: int = 0
     #: Batches flagged ``replay`` (latest/history attach catch-up).
     replay_batches: int = 0
-    #: Hub-side counters (pushes sent, rows replayed on attach, drops,
-    #: brownout suppressions, expiries, tombstone resurrections, sheds).
+    #: Hub-side counters (batches pushed, the datagram frames that
+    #: carried them, rows replayed on attach, drops, brownout
+    #: suppressions, expiries, tombstone resurrections, sheds).
     pushes: int = 0
+    frames: int = 0
     replayed: int = 0
     dropped: int = 0
     suppressed: int = 0
@@ -708,6 +710,7 @@ class StreamReport:
             "delivered_rows": self.delivered_rows,
             "replay_batches": self.replay_batches,
             "pushes": self.pushes,
+            "frames": self.frames,
             "replayed": self.replayed,
             "dropped": self.dropped,
             "suppressed": self.suppressed,
@@ -741,7 +744,8 @@ class StreamReport:
             f"  delivered: {self.delivered_batches} batches "
             f"({self.delivered_rows} rows), "
             f"{self.replay_batches} replay batches on attach",
-            f"  hub: {self.pushes} pushes, {self.replayed} rows replayed, "
+            f"  hub: {self.pushes} pushes in {self.frames} frames, "
+            f"{self.replayed} rows replayed, "
             f"{self.dropped} dropped, {self.suppressed} suppressed, "
             f"{self.shed} shed",
             f"  leases: {self.renewals} renewals "
@@ -933,7 +937,7 @@ def run_stream(
                     )
         report.hub = gw.streams.snapshot()
         for key in (
-            "pushes", "replayed", "dropped", "suppressed",
+            "pushes", "frames", "replayed", "dropped", "suppressed",
             "expired", "resurrected", "shed",
         ):
             setattr(report, key, int(report.hub[key]))

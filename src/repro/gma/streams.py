@@ -16,13 +16,24 @@ consumer.  This module is that plane for GridRM:
   from the gateway's :class:`~repro.core.history.HistoryStore` since a
   client watermark, ``stream`` is publish-forward only.
 * :class:`StreamConsumer` — the consumer side: registers continuous
-  queries, receives tuple batches as datagrams, renews leases, and
+  queries, receives tuple batches in frames, renews leases, and
   re-registers when a partition let a lease lapse.
 * :class:`Republisher` — an archiving consumer upgraded to a producer:
   it subscribes to upstream tuple streams, folds them into windowed
   per-key aggregates (per-site ``AVG(load)``), and publishes the derived
   rows through its **own** hub, which downstream consumers subscribe to
   like any source.
+
+The push wire ships **one frame per consumer address per publish**:
+``{"kind": "gridrm-frame", "batches": [...]}``, each member the
+:func:`encode_batch` form of what one subscription is owed, in the order
+the hub evaluated them.  A viewer holding thirty subscriptions costs the
+hub one datagram (and one ``push`` span) per publish, not thirty; what a
+consumer observes per subscription — batches, rows, callbacks — does not
+depend on how they were framed.  A lost datagram therefore loses that
+consumer's whole share of one publish; recovery is per flavour, as
+before.  A member carries its own ``published_at`` / ``source_url`` /
+``replay`` because a resume flush mixes publishes in one frame.
 
 Flow control reuses the bounded-buffer / pause-resume discipline of
 :mod:`repro.gma.subscription`: while a subscription is paused its tuples
@@ -109,8 +120,35 @@ def decode_batch(payload: Any) -> Optional[dict[str, Any]]:
             "source_url": str(payload.get("source_url", "")),
             "replay": bool(payload.get("replay", False)),
         }
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None
+
+
+def encode_frame(batches: list[dict[str, Any]]) -> dict[str, Any]:
+    """Wire form of one datagram: every batch one publish (or one attach
+    replay, or one resume flush) owes one consumer address."""
+    return {"kind": "gridrm-frame", "batches": batches}
+
+
+def decode_frame(payload: Any) -> list[dict[str, Any]]:
+    """The well-formed member batches of a frame, in frame order.
+
+    Untrusted boundary: anything that is not a frame yields ``[]``, a
+    malformed member is skipped and its siblings are delivered, and
+    every member goes through :func:`decode_batch` (rows are copied).
+    Never raises.
+    """
+    if not isinstance(payload, dict) or payload.get("kind") != "gridrm-frame":
+        return []
+    members = payload.get("batches")
+    if not isinstance(members, list):
+        return []
+    return [b for b in map(decode_batch, members) if b is not None]
+
+
+#: Encoded batches owed to each consumer address by one publish, in
+#: first-offer order; :meth:`StreamHub._flush` ships one frame per key.
+_Outbox = dict[Address, list[dict[str, Any]]]
 
 
 @dataclass
@@ -154,8 +192,15 @@ class StreamHub:
       ``{"ok": False, "error": "missing"}``
     * ``{"op": "deregister", "cq": id}`` -> same shape as renew
     * ``{"op": "pause", "cq": id}`` -> ``{"ok": True}``
-    * ``{"op": "resume", "cq": id}`` -> ``{"ok": True, "flushed": n}``
+    * ``{"op": "resume", "cq": id}`` -> ``{"ok": True, "flushed": n}``;
+      the ``n`` buffered batches leave as one frame, in publish order
     * ``{"op": "stats"}`` -> ``{"ok": True, "stats": {...}}``
+
+    Data plane (one-way datagrams to the registered ``host:port``):
+    ``{"kind": "gridrm-frame", "batches": [batch, ...]}`` — one per
+    consumer address per publish, attach replay or resume.
+    ``stats["pushes"]`` counts batches owed to subscriptions,
+    ``stats["frames"]`` the datagrams that carried them.
 
     Constructible standalone (the :class:`Republisher` owns one with no
     gateway behind it) or wired by the Gateway when
@@ -197,6 +242,7 @@ class StreamHub:
         self.stats = {
             "registered": 0,
             "pushes": 0,
+            "frames": 0,
             "tuples": 0,
             "replayed": 0,
             "dropped": 0,
@@ -335,6 +381,7 @@ class StreamHub:
             return 0
         now = self.network.clock.now()
         replayed = 0
+        outbox: _Outbox = {}
         with self.tracer.span("replay", cq=cq.cq_id, flavour=cq.flavour):
             if cq.flavour == "latest":
                 for source_url in sorted(self._latest.get(cq.group, {})):
@@ -358,7 +405,7 @@ class StreamHub:
                         replay=True,
                     )
                     replayed += len(result.rows)
-                    self._offer(cq, batch)
+                    self._offer(cq, batch, outbox)
             elif cq.flavour == "history" and self.history is not None:
                 if cq.group in self.history.db.tables:
                     table = self.history.db.table(cq.group)
@@ -381,7 +428,8 @@ class StreamHub:
                             replay=True,
                         )
                         replayed = len(result.rows)
-                        self._offer(cq, batch)
+                        self._offer(cq, batch, outbox)
+            self._flush(outbox, cq.group)
         self.stats["replayed"] += replayed
         return replayed
 
@@ -437,17 +485,17 @@ class StreamHub:
         if cq is None:
             return {"ok": False, "error": "missing"}
         cq.paused = False
-        flushed = len(cq.buffer)
-        while cq.buffer:
-            batch = cq.buffer.popleft()
-            self.network.send(self.host, cq.consumer, batch)
-            cq.delivered += 1
-            cq.tuples += len(batch["rows"])
+        batches = list(cq.buffer)
+        cq.buffer.clear()
+        if batches:
+            cq.delivered += len(batches)
+            cq.tuples += sum(len(b["rows"]) for b in batches)
+            self._flush({cq.consumer: batches}, cq.group)
         if races.ACTIVE is not None:
             races.ACTIVE.note(
                 "stream.subs", str(cq.cq_id), "w", site="StreamHub.resume"
             )
-        return {"ok": True, "flushed": flushed}
+        return {"ok": True, "flushed": len(batches)}
 
     # ------------------------------------------------------------------
     # Publish plane
@@ -463,9 +511,10 @@ class StreamHub:
         """Evaluate every live continuous query against one publish.
 
         Called by the RequestManager after each real-time fetch (inside
-        the fan-out branch, so the ``push`` spans nest under the live
-        query trace) and by the :class:`Republisher`'s window rolls.
-        Returns the number of subscriptions that received tuples.
+        the fan-out branch, so the ``push`` spans — one per frame — nest
+        under the live query trace) and by the :class:`Republisher`'s
+        window rolls.  Returns the number of subscriptions that received
+        tuples.
         """
         g = (
             self.schema.group(group).name
@@ -477,6 +526,7 @@ class StreamHub:
         self._latest.setdefault(g, {})[source_url] = (cols, snapshot)
         now = self.network.clock.now()
         suppress = self._brownout()
+        outbox: _Outbox = {}
         pushed = 0
         for cq in self._subs.values():
             if cq.group != g or cq.expires_at < now:
@@ -501,18 +551,15 @@ class StreamHub:
                 continue
             if not result.rows:
                 continue
-            with self.tracer.span(
-                "push", cq=cq.cq_id, group=g, rows=len(result.rows)
-            ):
-                batch = encode_batch(
-                    cq.cq_id,
-                    list(result.columns),
-                    [list(r) for r in result.rows],
-                    published_at=now,
-                    source_url=source_url,
-                    replay=False,
-                )
-                self._offer(cq, batch)
+            batch = encode_batch(
+                cq.cq_id,
+                list(result.columns),
+                [list(r) for r in result.rows],
+                published_at=now,
+                source_url=source_url,
+                replay=False,
+            )
+            self._offer(cq, batch, outbox)
             if races.ACTIVE is not None:
                 # Registered COMMUTATIVE: sibling fan-out branches
                 # (different sources) push to one subscription in launch
@@ -523,6 +570,7 @@ class StreamHub:
                     "stream.push", str(cq.cq_id), "w", site="StreamHub.publish"
                 )
             pushed += 1
+        self._flush(outbox, g)
         return pushed
 
     def _brownout(self) -> bool:
@@ -533,10 +581,13 @@ class StreamHub:
             and ov.state is not PressureState.NORMAL
         )
 
-    def _offer(self, cq: _Continuous, batch: dict[str, Any]) -> None:
-        """Push live, or buffer (bounded) while the consumer is paused."""
+    def _offer(
+        self, cq: _Continuous, batch: dict[str, Any], outbox: _Outbox
+    ) -> None:
+        """Owe the batch to the consumer's next frame, or buffer it
+        (bounded) while the subscription is paused."""
         if not cq.paused:
-            self.network.send(self.host, cq.consumer, batch)
+            outbox.setdefault(cq.consumer, []).append(batch)
             cq.delivered += 1
             cq.tuples += len(batch["rows"])
             self.stats["pushes"] += 1
@@ -552,6 +603,19 @@ class StreamHub:
             cq.buffer.popleft()
             cq.buffer.append(batch)
         # "pause": the newcomer is dropped — the orderly prefix survives.
+
+    def _flush(self, outbox: _Outbox, group: str) -> None:
+        """Send each consumer address its share as one frame, one span."""
+        for consumer, batches in outbox.items():
+            with self.tracer.span(
+                "push",
+                consumer=str(consumer),
+                group=group,
+                cqs=[b["cq"] for b in batches],
+                rows=sum(len(b["rows"]) for b in batches),
+            ):
+                self.network.send(self.host, consumer, encode_frame(batches))
+            self.stats["frames"] += 1
 
     # ------------------------------------------------------------------
     def sweep(self) -> int:
@@ -631,9 +695,9 @@ class _Registration:
 class StreamConsumer:
     """Consumer side: register continuous queries, receive tuple batches.
 
-    Batches arrive as one-way datagrams on ``port``; they are retained in
-    arrival order (``batches``, and per-query under ``delivered``) and
-    handed to any registered callbacks.  A renew timer keeps every
+    Frames arrive as one-way datagrams on ``port``; their member batches
+    are retained in arrival order (``batches``, and per-query under
+    ``delivered``) and handed one by one to any registered callbacks.  A renew timer keeps every
     registration's lease alive at half-lease cadence; a renewal answered
     ``missing`` (the lease lapsed beyond the hub's tombstone grace, e.g.
     across a long partition) triggers an automatic re-registration with
@@ -675,18 +739,23 @@ class StreamConsumer:
 
     # ------------------------------------------------------------------
     def _on_datagram(self, payload: Any, src: Address) -> None:
-        batch = decode_batch(payload)
-        if batch is None:
-            return
-        batch["received_at"] = self.network.clock.now()
-        self.received += 1
-        self.batches.append(batch)
-        self.delivered.setdefault(batch["cq"], []).append(batch)
+        batches = decode_frame(payload)
+        now = self.network.clock.now()
+        newest: dict[int, float] = {}
+        for batch in batches:
+            batch["received_at"] = now
+            cq = batch["cq"]
+            newest[cq] = max(newest.get(cq, 0.0), batch["published_at"])
         for reg in self._regs:
-            if reg.cq_id == batch["cq"]:
-                reg.last_published = max(reg.last_published, batch["published_at"])
-        for cb in list(self._callbacks):
-            cb(batch)
+            reg.last_published = max(
+                reg.last_published, newest.get(reg.cq_id, 0.0)
+            )
+        self.received += len(batches)
+        for batch in batches:
+            self.batches.append(batch)
+            self.delivered.setdefault(batch["cq"], []).append(batch)
+            for cb in list(self._callbacks):
+                cb(batch)
 
     def on_batch(self, callback: Callable[[dict[str, Any]], None]) -> None:
         self._callbacks.append(callback)

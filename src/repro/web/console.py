@@ -333,7 +333,8 @@ class Console:
             f"{snap['registered']} registered since start "
             f"({snap['expired']} expired, {snap['resurrected']} resurrected, "
             f"{snap['shed']} shed)",
-            f"  pushes: {snap['pushes']} batches / {snap['tuples']} tuples, "
+            f"  pushes: {snap['pushes']} batches / {snap['tuples']} tuples "
+            f"in {snap['frames']} frames, "
             f"replayed {snap['replayed']} on attach",
             f"  backpressure: {snap['dropped']} dropped, "
             f"{snap['suppressed']} suppressed in brownout",

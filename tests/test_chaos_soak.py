@@ -287,3 +287,5 @@ def test_stream_report_rendering_and_dict(stream_soak):
         "pending_futures",
     ):
         assert key in payload
+    assert 0 < payload["frames"] < payload["pushes"]
+    assert f"{payload['pushes']} pushes in {payload['frames']} frames" in text

@@ -608,12 +608,17 @@ def test_console_and_servlet_render_stream_state():
     panel = Console(gw).streams_panel()
     assert "subscriptions: 1 live" in panel
     assert "batch" in panel and "Processor" in panel
+    snap = gw.streams.snapshot()
+    assert f"{snap['pushes']} batches" in panel
+    assert f"in {snap['frames']} frames" in panel
     servlet = GatewayServlet(gw)
     network.add_host("browser", site="ops")
     code, body = http_get(network, "browser", servlet.address, "/streams")
     assert code == 200 and "Continuous queries" in body
+    assert f"in {snap['frames']} frames" in body
     stats = gw.stats()["streams"]
     assert stats["subscriptions"] == 1 and stats["pushes"] >= 1
+    assert 1 <= stats["frames"] <= stats["pushes"]
     gw.shutdown()
     assert gw.streams._sweep_task is None
 

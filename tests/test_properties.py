@@ -572,3 +572,163 @@ def test_durable_history_recovers_acked_prefix(ops, sync_interval, torn_seed):
     # Recovery is idempotent: a second boot serves the same rows.
     again = HistoryEngine(disk, sync_interval=sync_interval, max_rows_per_group=25)
     assert again.serving_rows("G") == expected
+
+
+# ----------------------------------------------------------------------
+# Stream frames: the consumer's datagram decoder is an untrusted boundary
+# ----------------------------------------------------------------------
+import dataclasses  # noqa: E402
+
+from repro.gma.streams import (  # noqa: E402
+    decode_batch,
+    decode_frame,
+    encode_batch,
+    encode_frame,
+)
+
+from .test_gma_streams import _fabric  # noqa: E402
+from .test_stream_frames import publish  # noqa: E402
+
+_cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**9), 10**9),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+)
+_valid_batches = st.builds(
+    lambda cq, columns, rows, at, url, replay: encode_batch(
+        cq, columns, rows, published_at=at, source_url=url, replay=replay
+    ),
+    st.integers(1, 10**6),
+    st.lists(st.text(max_size=6), max_size=4),
+    st.lists(st.lists(_cells, max_size=4), max_size=5),
+    st.floats(0.0, 1e9),
+    st.text(max_size=20),
+    st.booleans(),
+)
+#: Anything a peer could put in a datagram (NaN, infinities, ints too
+#: large for a float, bytes and nesting included).
+_json_like = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.just(10**400),
+        st.floats(),
+        st.text(max_size=8),
+        st.binary(max_size=4),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _nest(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@st.composite
+def _mutated_frames(draw):
+    """A valid frame with one structure-aware defect."""
+    batches = draw(st.lists(_valid_batches, min_size=1, max_size=5))
+    frame = encode_frame(batches)
+    defect = draw(st.sampled_from(
+        ("junk_member", "dict", "str", "nested", "kind", "missing_key", "bad_field")
+    ))
+    index = draw(st.integers(0, len(batches) - 1))
+    if defect == "junk_member":
+        frame["batches"][index] = draw(_json_like)
+    elif defect == "dict":
+        frame["batches"] = {str(i): b for i, b in enumerate(batches)}
+    elif defect == "str":
+        frame["batches"] = repr(batches)
+    elif defect == "nested":
+        frame["batches"] = _nest(batches, draw(st.integers(1, 60)))
+    elif defect == "kind":
+        frame["kind"] = draw(st.sampled_from(("gridrm-tuples", "gridrm-event", "", None, 7)))
+    elif defect == "missing_key":
+        member = dict(batches[index])
+        del member[draw(st.sampled_from(sorted(member)))]
+        frame["batches"][index] = member
+    else:
+        member = dict(batches[index])
+        member[draw(st.sampled_from(sorted(member)))] = draw(_json_like)
+        frame["batches"][index] = member
+    return frame
+
+
+def _well_formed(batch):
+    return (
+        isinstance(batch, dict)
+        and batch["kind"] == "gridrm-tuples"
+        and type(batch["cq"]) is int
+        and isinstance(batch["columns"], list)
+        and all(isinstance(c, str) for c in batch["columns"])
+        and isinstance(batch["rows"], list)
+        and all(isinstance(r, list) for r in batch["rows"])
+        and isinstance(batch["published_at"], float)
+        and isinstance(batch["source_url"], str)
+        and isinstance(batch["replay"], bool)
+    )
+
+
+@given(batches=st.lists(_valid_batches, max_size=8))
+def test_stream_frame_round_trip(batches):
+    decoded = decode_frame(encode_frame(batches))
+    assert decoded == [decode_batch(b) for b in batches]
+    assert all(_well_formed(b) for b in decoded)
+    # Rows are copied at the boundary, never aliased.
+    for mine, theirs in zip(decoded, batches):
+        assert all(a is not b for a, b in zip(mine["rows"], theirs["rows"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=st.one_of(_json_like, _mutated_frames()))
+@example(payload={"kind": "gridrm-frame", "batches": [{"kind": "gridrm-tuples", "cq": float("inf")}]})
+@example(payload={"kind": "gridrm-frame", "batches": [{
+    "kind": "gridrm-tuples", "cq": 1, "columns": [], "rows": [], "published_at": 10**400,
+}]})
+@example(payload={"kind": "gridrm-frame"})
+def test_hostile_datagram_never_raises_and_leaks_no_state(payload):
+    batches = decode_frame(payload)
+    assert isinstance(batches, list) and all(_well_formed(b) for b in batches)
+
+    _, network, hub, client, _ = _fabric()
+    cq = client.register(hub.address, "SELECT Slot FROM Probe")
+    publish(network, hub, 1)
+    regs = [dataclasses.replace(r) for r in client._regs]
+    timer = client._renew_timer
+    earlier = [dict(b) for b in client.batches]
+    assert len(earlier) == 1
+
+    client._on_datagram(payload, hub.address)
+
+    assert client._renew_timer is timer and not timer.cancelled
+    assert client.batches[:1] == earlier
+    assert len(client.batches) == 1 + len(batches)
+    assert client.received == len(client.batches)
+    (before,), (after,) = regs, client._regs
+    # The registration is untouched; its watermark only ever moves
+    # forward, and only to what a well-formed member for it said.
+    assert dataclasses.replace(after, last_published=0.0) == dataclasses.replace(
+        before, last_published=0.0
+    )
+    claimed = [b["published_at"] for b in batches if b["cq"] == cq]
+    assert after.last_published in [before.last_published, *claimed]
+    assert after.last_published >= before.last_published
+    # And the next honest publish still lands.
+    publish(network, hub, 2)
+    assert client.rows(cq)[-1] == [2]
+
+
+def test_ten_thousand_member_frame_is_decoded_in_one_pass():
+    good = encode_batch(1, ["a"], [[1]], published_at=1.0, source_url="u", replay=False)
+    frame = encode_frame([good if i % 2 else {"kind": "junk", "i": i} for i in range(10_000)])
+    decoded = decode_frame(frame)
+    assert len(decoded) == 5_000 and all(_well_formed(b) for b in decoded)

@@ -457,13 +457,20 @@ class TestPendingFutures:
 
 
 class TestPayloadSize:
-    """_repr_len must equal len(repr(payload)) exactly.
+    """_payload_size: bytes count themselves, text its UTF-8 length, and
+    every structured payload exactly ``len(repr(payload))``.
 
-    The structural walk exists so the bandwidth-delay model charges
-    batched row payloads honestly without building the (large) repr
-    string; if its arithmetic ever drifts from repr, charged sizes
-    silently change and golden traces shift.
+    The charged size feeds every virtual transfer time; if it drifts for
+    any payload shape, golden traces and replay signatures shift.
     """
+
+    @staticmethod
+    def expected(payload):
+        if isinstance(payload, (bytes, bytearray)):
+            return len(payload)
+        if isinstance(payload, str):
+            return len(payload.encode("utf-8"))
+        return len(repr(payload))
 
     def random_payload(self, rng, depth=0):
         roll = rng.randrange(10 if depth < 4 else 6)
@@ -491,15 +498,18 @@ class TestPayloadSize:
     def test_structural_size_matches_repr_exactly(self):
         import random
 
-        from repro.simnet.network import _repr_len
+        from repro.simnet.network import _payload_size
 
         rng = random.Random(4242)
+        containers = 0
         for _ in range(500):
             payload = self.random_payload(rng)
-            assert _repr_len(payload) == len(repr(payload)), repr(payload)
+            containers += isinstance(payload, (list, tuple, dict))
+            assert _payload_size(payload) == self.expected(payload), repr(payload)
+        assert containers > 100
 
     def test_hand_picked_shapes(self):
-        from repro.simnet.network import _repr_len
+        from repro.simnet.network import _payload_size
 
         for payload in (
             [],
@@ -510,16 +520,20 @@ class TestPayloadSize:
             (1, 2),
             {"a": [1, (2,)], "b": {"c": None}},
             [["h1", 0.5, None], ["h2", 1024, "x"]],
+            [b"\x00\xff", "caf\u00e9", float("inf")],
         ):
-            assert _repr_len(payload) == len(repr(payload))
+            assert _payload_size(payload) == len(repr(payload))
+        assert _payload_size(b"\x00\xff\x10") == 3
+        assert _payload_size(bytearray(b"abcd")) == 4
+        assert _payload_size("caf\u00e9 \u2603") == 9  # 2- and 3-byte code points
+        assert _payload_size("") == 0
 
     def test_deep_nesting_falls_back_to_repr(self):
-        from repro.simnet.network import _payload_size, _repr_len
+        from repro.simnet.network import _payload_size
 
         deep = [1]
         for _ in range(30):
             deep = [deep]
-        assert _repr_len(deep) == len(repr(deep))
         assert _payload_size(deep) == len(repr(deep))
 
     def test_batched_rows_cheaper_than_dicts(self):

@@ -31,6 +31,7 @@ from repro.simnet.clock import VirtualClock
 from repro.testbed import build_site, build_testbed
 
 from .test_query_analysed_once import EXPIRED, read_with_expired
+from .test_stream_frames import scenario as streaming_site
 
 SQL = "SELECT HostName FROM Host"
 
@@ -222,6 +223,25 @@ class TestCachedReads:
         assert trace.find_span("fanout") is None or n_expired > 1
         assert check_trace(trace) == []
         assert_clean(site.gateway.tracer)
+
+
+# ----------------------------------------------------------------------
+# Stream frames: one push span per datagram, wherever a frame is cut
+# ----------------------------------------------------------------------
+class TestStreamFrames:
+    def test_push_spans_sit_under_source_and_replay_and_nest_cleanly(self):
+        site, _ = streaming_site()
+        tracer = site.gateway.tracer
+        assert_clean(tracer)
+        cut_under = set()
+        for trace in tracer.traces():
+            for span in trace.spans:
+                for child in span.children:
+                    if child.name == "push":
+                        cut_under.add((trace.name, span.name))
+                        assert child.status == "ok" and child.attrs["cqs"]
+        # A publishing fetch and an attach replay both cut frames.
+        assert cut_under == {("query", "source"), ("subscribe", "replay")}
 
 
 # ----------------------------------------------------------------------
