@@ -23,7 +23,8 @@ import pathlib
 
 import pytest
 
-from repro.chaos import run_chaos
+from repro.scenario import run
+from repro.scenarios import CHAOS
 from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import QueryMode
 from repro.simnet.faults import FaultPlane
@@ -44,12 +45,14 @@ def _record(key: str, payload: dict) -> None:
 @pytest.mark.benchmark(group="E15-chaos")
 def test_e15_deadlines_and_hedging_cap_p99(benchmark, report):
     """Hedging + a 2.5s deadline cut p99 under the standard fault mix."""
-    baseline = run_chaos(
-        seed=0, rounds=30, warmup_rounds=10, hedging=False, deadline=0.0
+    baseline_run = run(
+        CHAOS, seed=0, rounds=30, warmup_rounds=10, hedging=False, deadline=0.0
     )
-    treated = run_chaos(
-        seed=0, rounds=30, warmup_rounds=10, hedging=True, deadline=2.5
+    treated_run = run(
+        CHAOS, seed=0, rounds=30, warmup_rounds=10, hedging=True, deadline=2.5
     )
+    baseline, treated = baseline_run.measurements, treated_run.measurements
+    rounds, deadline = baseline_run.knobs["rounds"], treated_run.knobs["deadline"]
     report(
         "E15: p99 under the standard chaos scenario (30 rounds, seed 0)",
         *fmt_table(
@@ -57,55 +60,56 @@ def test_e15_deadlines_and_hedging_cap_p99(benchmark, report):
             [
                 [
                     "baseline",
-                    baseline.latency(50),
-                    baseline.latency(95),
-                    baseline.latency(99),
-                    max(baseline.latencies),
-                    sum(baseline.latencies) / baseline.rounds,
+                    baseline["p50"],
+                    baseline["p95"],
+                    baseline["p99"],
+                    baseline["max"],
+                    sum(baseline["latencies"]) / rounds,
                 ],
                 [
                     "hedge+deadline",
-                    treated.latency(50),
-                    treated.latency(95),
-                    treated.latency(99),
-                    max(treated.latencies),
-                    sum(treated.latencies) / treated.rounds,
+                    treated["p50"],
+                    treated["p95"],
+                    treated["p99"],
+                    treated["max"],
+                    sum(treated["latencies"]) / rounds,
                 ],
             ],
         ),
-        f"p99 cut: {baseline.latency(99):.3f}s -> {treated.latency(99):.3f}s "
-        f"({1 - treated.latency(99) / baseline.latency(99):.0%}); "
-        f"hedges fired {treated.dispatch['hedges_fired']}, "
+        f"p99 cut: {baseline['p99']:.3f}s -> {treated['p99']:.3f}s "
+        f"({1 - treated['p99'] / baseline['p99']:.0%}); "
+        f"hedges fired {treated['dispatch']['hedges_fired']}, "
         f"deadline-exceeded rounds "
-        f"{treated.requests.get('deadline_exceeded', 0)}",
+        f"{treated['requests']['deadline_exceeded']}",
     )
     _record(
         "tail_latency",
         {
-            "rounds": baseline.rounds,
-            "baseline_p50_s": baseline.latency(50),
-            "baseline_p99_s": baseline.latency(99),
-            "baseline_mean_s": sum(baseline.latencies) / baseline.rounds,
-            "treated_p50_s": treated.latency(50),
-            "treated_p99_s": treated.latency(99),
-            "treated_mean_s": sum(treated.latencies) / treated.rounds,
-            "deadline_s": treated.deadline,
-            "hedges_fired": treated.dispatch["hedges_fired"],
-            "p99_cut_ratio": treated.latency(99) / baseline.latency(99),
+            "rounds": rounds,
+            "baseline_p50_s": baseline["p50"],
+            "baseline_p99_s": baseline["p99"],
+            "baseline_mean_s": sum(baseline["latencies"]) / rounds,
+            "treated_p50_s": treated["p50"],
+            "treated_p99_s": treated["p99"],
+            "treated_mean_s": sum(treated["latencies"]) / rounds,
+            "deadline_s": deadline,
+            "hedges_fired": treated["dispatch"]["hedges_fired"],
+            "p99_cut_ratio": treated["p99"] / baseline["p99"],
         },
     )
     # The acceptance shape: the deadline genuinely caps the tail (every
     # hop honours the remaining budget, so no round can cost more), and
     # the cap sits well below the native-timeout plateau of the baseline.
-    assert max(treated.latencies) <= treated.deadline + 1e-9
-    assert treated.latency(99) <= baseline.latency(99) * 0.6
-    assert treated.dispatch["hedges_fired"] > 0
-    # Replay identity held for both runs (structural invariants).
-    assert baseline.pending_futures == 0 and treated.pending_futures == 0
-    assert baseline.breaker_violations == [] and treated.breaker_violations == []
+    assert treated["max"] <= deadline + 1e-9
+    assert treated["p99"] <= baseline["p99"] * 0.6
+    assert treated["dispatch"]["hedges_fired"] > 0
+    # Structural invariants held for both runs.
+    for arm in (baseline_run, treated_run):
+        assert arm.violations["no_pending_futures"] == []
+        assert arm.violations["breaker_invariants"] == []
 
     benchmark(
-        run_chaos, seed=0, rounds=5, warmup_rounds=2, hedging=True, deadline=2.5
+        run, CHAOS, seed=0, rounds=5, warmup_rounds=2, hedging=True, deadline=2.5
     )
 
 

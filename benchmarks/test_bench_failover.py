@@ -123,7 +123,6 @@ def test_e10_flaky_network_retry_helps(benchmark, report):
             failure_retries=retries,
             pool_enabled=False,
             query_cache_ttl=0.0,
-            default_query_timeout=0.05,
             breaker_enabled=False,  # isolate the retry budget from the breaker
         )
         gw = Gateway(network, "gw", site="e10b", policy=policy, install_event_drivers=False)

@@ -5,7 +5,7 @@ mode: offered load past saturation collapses *goodput* (answers that
 arrive complete and inside their deadline), because queues fill with
 requests that will miss their deadlines anyway and per-source breakers
 start blaming healthy hosts for queueing delay.  The overload scenario
-(:func:`repro.chaos.run_overload`) reproduces that sweep against one
+(the ``overload`` declaration in :mod:`repro.scenarios`) reproduces that sweep against one
 gateway — a load spike at 1x/2x/4x the admission limit while every
 monitored host degrades — and the claims to measure are:
 
@@ -27,7 +27,8 @@ import pathlib
 
 import pytest
 
-from repro.chaos import run_overload
+from repro.scenario import run
+from repro.scenarios import OVERLOAD
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_overload.json"
 
@@ -45,7 +46,7 @@ def _record(key: str, payload: dict) -> None:
 
 
 def _spike_goodput(report) -> list[int]:
-    return report.goodput[SPIKE_START:SPIKE_START + SPIKE_ROUNDS]
+    return report.measurements["goodput"][SPIKE_START:SPIKE_START + SPIKE_ROUNDS]
 
 
 @pytest.mark.benchmark(group="E18-overload")
@@ -58,8 +59,9 @@ def test_e18_goodput_under_overload(benchmark, report):
     runs: dict[tuple[int, bool], object] = {}
     for spike_load in (SATURATION, 2 * SATURATION, 4 * SATURATION):
         for shedding in (True, False):
-            r = run_overload(seed=0, shedding=shedding, spike_load=spike_load)
+            r = run(OVERLOAD, seed=0, shedding=shedding, spike_load=spike_load)
             runs[(spike_load, shedding)] = r
+            m = r.measurements
             spike = _spike_goodput(r)
             frac = sum(spike) / (len(spike) * spike_load)
             rows.append(
@@ -69,9 +71,9 @@ def test_e18_goodput_under_overload(benchmark, report):
                     f"{sum(spike)}/{len(spike) * spike_load}",
                     frac,
                     min(spike) / spike_load,
-                    r.shed_counts.get("total", 0),
-                    r.brownout_served,
-                    r.breakers["trips"],
+                    m["shed_counts"]["total"],
+                    m["brownout_served"],
+                    m["breakers"]["trips"],
                 ]
             )
             section["sweep"].append(
@@ -82,12 +84,12 @@ def test_e18_goodput_under_overload(benchmark, report):
                     "spike_offered": len(spike) * spike_load,
                     "goodput_fraction": frac,
                     "min_round_fraction": min(spike) / spike_load,
-                    "good_total": r.good_total,
-                    "offered_total": r.offered_total,
-                    "sheds": dict(r.shed_counts),
-                    "brownout_served": r.brownout_served,
-                    "critical_shed": r.critical_shed,
-                    "breaker_trips": r.breakers["trips"],
+                    "good_total": m["good_total"],
+                    "offered_total": m["offered_total"],
+                    "sheds": dict(m["shed_counts"]),
+                    "brownout_served": m["brownout_served"],
+                    "critical_shed": m["critical_shed"],
+                    "breaker_trips": m["breakers"]["trips"],
                 }
             )
     report(
@@ -114,21 +116,24 @@ def test_e18_goodput_under_overload(benchmark, report):
     off4 = runs[(4 * SATURATION, False)]
     # The tentpole claim: >= 80% goodput in every spike round at 4x the
     # saturating load with the protection on...
-    assert min(_spike_goodput(on4)) >= 0.8 * on4.spike_load, on4.goodput
+    spike_load = on4.knobs["spike_load"]
+    assert min(_spike_goodput(on4)) >= 0.8 * spike_load, _spike_goodput(on4)
     # ...vs collapse (and breaker pollution on healthy hosts) without.
     off_spike = _spike_goodput(off4)
-    assert sum(off_spike) / len(off_spike) <= 0.7 * off4.spike_load, off4.goodput
-    assert off4.breakers["trips"] > 0
-    assert on4.breakers["trips"] == 0
+    assert sum(off_spike) / len(off_spike) <= 0.7 * spike_load, off_spike
+    assert off4.measurements["breakers"]["trips"] > 0
+    assert on4.measurements["breakers"]["trips"] == 0
     # Priority honoured and invariants clean across the whole sweep.
     for r in runs.values():
-        assert r.critical_shed == 0
-        assert r.pending_futures == 0
-        assert r.breaker_violations == []
-        assert r.trace_violations == []
+        assert r.violations == {
+            "critical_never_shed": [],
+            "breaker_invariants": [],
+            "trace_invariants": [],
+            "no_pending_futures": [],
+        }
 
     benchmark(
-        run_overload, seed=0, shedding=True, rounds=6, spike_rounds=2,
+        run, OVERLOAD, seed=0, shedding=True, rounds=6, spike_rounds=2,
         warmup_rounds=2, spike_load=16,
     )
 
@@ -139,8 +144,8 @@ def test_e18_shed_fate_honours_priority(benchmark, report):
     and the shed order is BATCH-heavy, CRITICAL-never."""
     from conftest import fmt_table
 
-    r = run_overload(seed=0, shedding=True, warmup_rounds=0)
-    counts = r.shed_counts
+    m = run(OVERLOAD, seed=0, shedding=True, warmup_rounds=0).measurements
+    counts = m["shed_counts"]
     report(
         "E18b: shed mix with no stale coverage (warmup_rounds=0, seed 0)",
         *fmt_table(
@@ -151,24 +156,24 @@ def test_e18_shed_fate_honours_priority(benchmark, report):
                 ["batch", "~33%", counts["batch"]],
             ],
         ),
-        f"total sheds {counts['total']}, doomed-on-dequeue {r.doomed}",
+        f"total sheds {counts['total']}, doomed-on-dequeue {m['doomed']}",
     )
     _record(
         "shed_priority",
         {
             "sheds": dict(counts),
-            "doomed": r.doomed,
-            "critical_offered": r.critical_offered,
-            "critical_shed": r.critical_shed,
+            "doomed": m["doomed"],
+            "critical_offered": m["critical_offered"],
+            "critical_shed": m["critical_shed"],
         },
     )
     assert counts["total"] > 0
     assert counts["critical"] == 0
     # BATCH is ~1/3 of offered load yet sheds at least its share.
     assert counts["batch"] > 0
-    assert r.critical_offered > 0
+    assert m["critical_offered"] > 0
 
     benchmark(
-        run_overload, seed=1, shedding=True, rounds=6, spike_rounds=2,
+        run, OVERLOAD, seed=1, shedding=True, rounds=6, spike_rounds=2,
         warmup_rounds=0, spike_load=16,
     )

@@ -45,8 +45,10 @@ when detection is off.  Activate with::
     findings = detector.report()
 
 The static half of the sanitizer lives in
-:mod:`repro.analysis.determinism`; the lockstep dual-run divergence
-harness that complements this detector is :mod:`repro.racecheck`.
+:mod:`repro.analysis.determinism`; the lockstep dual-run divergence check
+that complements this detector is :func:`repro.scenario.run` with
+``race_detect=True`` (what ``--race-detect`` means on every scenario
+command, and what ``python -m repro racecheck`` always does).
 """
 
 from __future__ import annotations

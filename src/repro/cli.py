@@ -10,16 +10,24 @@ everything is simulated) and exercises it:
 * ``health``    — poll all sources and print the breaker scoreboard;
 * ``chaos``     — run the standard fault-plane scenario and report tail
   latency, hedging/retry/deadline counters and the replay signature;
+* ``overload``  — run the overload scenario: an offered-load spike while
+  every monitored host degrades, admission control on (or ``--shed-off``);
 * ``stream``    — run the streaming scenario: continuous queries (all
   three producer flavours) under the standard faults plus a consumer
   partition long enough to force lease-lapse re-registration;
 * ``crashtest`` — seeded kill/recover/verify loops over the durable
   history store: crash the disk (torn writes, bit rot), rebuild the
   gateway, and hold recovery to the acked-prefix equality;
-* ``racecheck`` — determinism sanitizer, dynamic side: run the standard
-  chaos scenario twice in lockstep (race detector on, then off), report
-  GRM55x lane races, and bisect the first diverging round / trace span /
-  WAL frame if replay identity breaks;
+* ``racecheck`` — the chaos scenario on a durable history store, always
+  as the dual run;
+
+  These five are declarations (:mod:`repro.scenarios`) over one runner
+  (:mod:`repro.scenario`) and one handler here.
+  ``--race-detect`` means the same on each — the dual run: once under the
+  virtual-lane race detector, once without, GRM55x lane races reported
+  and the first diverging step / trace span / WAL frame bisected if
+  replay identity breaks.  Exit status 1 iff the report is not ok (every
+  violation on stderr), 2 for knobs the runner refuses;
 * ``trace``     — run a query, print its hop-by-hop span tree, verify the
   trace invariants, and dump the metrics registry;
 * ``schema``    — print the GLUE schema (``--xml`` for the XML rendering);
@@ -33,6 +41,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro import scenario, scenarios
 from repro.core.request_manager import QueryMode
 from repro.testbed import AGENT_KINDS, build_testbed
 from repro.web.console import Console
@@ -50,7 +59,7 @@ def _build(args):
     return network, site
 
 
-def _add_common(p):
+def _add_site(p):
     p.add_argument("--hosts", type=int, default=4, help="hosts per site")
     p.add_argument(
         "--agents",
@@ -58,9 +67,67 @@ def _add_common(p):
         help=f"comma-separated agent kinds from {','.join(AGENT_KINDS)}",
     )
     p.add_argument("--seed", type=int, default=0, help="testbed seed")
+
+
+def _add_common(p):
+    _add_site(p)
     p.add_argument(
         "--warmup", type=float, default=60.0, help="virtual warm-up seconds"
     )
+
+
+#: Flags every scenario command shares, by the knob they set; a command
+#: offers one iff its scenario declares the knob, defaulting to the
+#: declaration's value.  ``--hosts`` / ``--agents`` are the exception:
+#: they keep the site defaults above on every command (4 hosts, SNMP +
+#: Ganglia) whatever the declaration's Python default is, so the CI seed
+#: matrices keep their replay signatures.
+_SHARED_FLAGS = {
+    "rounds": "measured rounds (per kill/recover cycle for crashtest)",
+    "period": "virtual seconds between rounds",
+    "deadline": "end-to-end query budget in virtual seconds (0 = unlimited)",
+    "warmup_rounds": "unmeasured, fault-free warm-up rounds",
+}
+
+
+def _seed_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",") if s.strip()]
+
+
+def _add_scenario_parser(sub, sc):
+    # No abbreviations: ``--warmup SECONDS`` (accepted and ignored here
+    # before the scenarios stopped offering it) must be refused, not read
+    # as a prefix of ``--warmup-rounds``.
+    p = sub.add_parser(sc.name, help=sc.help, allow_abbrev=False)
+    _add_site(p)
+    p.add_argument(
+        "--seeds",
+        type=_seed_list,
+        default=None,
+        metavar="S1,S2,...",
+        help="comma-separated seed list (overrides --seed)",
+    )
+    p.add_argument(
+        "--race-detect",
+        action="store_true",
+        default=sc.race_detect,
+        help="dual run: under the lane-race detector, then without; GRM55x "
+        "findings or any diverging step / trace / WAL frame fail",
+    )
+    for knob, default in sc.knobs.items():
+        if knob in sc.flags:
+            flag, text = sc.flags[knob]
+        elif knob in _SHARED_FLAGS:
+            flag, text = "--" + knob.replace("_", "-"), _SHARED_FLAGS[knob]
+        else:
+            continue
+        if default is True:
+            p.add_argument(flag, dest=knob, action="store_false", help=text)
+        else:
+            p.add_argument(
+                flag, dest=knob, type=type(default), default=default, help=text
+            )
+    p.set_defaults(func=cmd_scenario, scenario=sc, parser=p)
 
 
 def cmd_demo(args) -> int:
@@ -131,214 +198,30 @@ def cmd_health(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
-    from repro.chaos import run_chaos
-
-    report = run_chaos(
-        seed=args.seed,
-        rounds=args.rounds,
-        hosts=args.hosts,
-        agents=tuple(args.agents.split(",")) if args.agents else ("snmp", "ganglia"),
-        hedging=not args.no_hedge,
-        fanout=not args.no_fanout,
-        deadline=args.deadline,
-        period=args.period,
-        race_detect=args.race_detect,
-    )
-    print(report.format())
-    if report.race_findings:
-        for finding in report.race_findings:
-            print(f"# lane race: {finding}", file=sys.stderr)
-        return 1
-    if report.breaker_violations:
-        for violation in report.breaker_violations:
-            print(f"# breaker invariant violated: {violation}", file=sys.stderr)
-        return 1
-    if report.trace_violations:
-        for violation in report.trace_violations:
-            print(f"# trace invariant violated: {violation}", file=sys.stderr)
-        return 1
-    if report.pending_futures:
-        print(
-            f"# {report.pending_futures} network future(s) never resolved",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_overload(args) -> int:
-    from repro.chaos import run_overload
-
-    agents = tuple(args.agents.split(",")) if args.agents else ("snmp",)
-    knobs = dict(
-        seed=args.seed,
-        rounds=args.rounds,
-        hosts=args.hosts,
-        agents=agents,
-        shedding=not args.shed_off,
-        spike_load=args.spike_load,
-        deadline=args.deadline,
-        period=args.period,
-        warmup_rounds=args.warmup_rounds,
-        slow_host=not args.no_slow_host,
-    )
-    report = run_overload(**knobs)
-    print(report.format())
-    failed = False
-    if args.race_detect:
-        # Dual run: the detector must neither find lane races nor
-        # perturb the run — byte-identical signature with detection on.
-        detected = run_overload(**knobs, race_detect=True)
-        if detected.signature != report.signature:
-            print(
-                "# race detector perturbed the run: "
-                f"{detected.signature[:16]} != {report.signature[:16]}",
-                file=sys.stderr,
-            )
-            failed = True
-        for finding in detected.race_findings:
-            print(f"# lane race: {finding}", file=sys.stderr)
-        failed = failed or bool(detected.race_findings)
-        print(
-            f"race detector: {detected.race_accesses} accesses checked, "
-            f"{len(detected.race_findings)} finding(s), "
-            f"signature {'identical' if detected.signature == report.signature else 'DIVERGED'}"
-        )
-    if report.critical_shed:
-        print(
-            f"# {report.critical_shed} CRITICAL quer(ies) shed — "
-            "critical work must never be dropped",
-            file=sys.stderr,
-        )
-        failed = True
-    for violation in report.breaker_violations:
-        print(f"# breaker invariant violated: {violation}", file=sys.stderr)
-        failed = True
-    for violation in report.trace_violations:
-        print(f"# trace invariant violated: {violation}", file=sys.stderr)
-        failed = True
-    if report.pending_futures:
-        print(
-            f"# {report.pending_futures} network future(s) never resolved",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
-
-
-def cmd_stream(args) -> int:
-    from repro.chaos import run_stream
-
-    agents = tuple(args.agents.split(",")) if args.agents else ("snmp",)
-    knobs = dict(
-        seed=args.seed,
-        rounds=args.rounds,
-        hosts=args.hosts,
-        agents=agents,
-        subscriptions=args.subscriptions,
-        period=args.period,
-        warmup_rounds=args.warmup_rounds,
-        deadline=args.deadline,
-        partition=not args.no_partition,
-    )
-    report = run_stream(**knobs)
-    print(report.format())
-    failed = False
-    if args.race_detect:
-        # Dual run: the detector must neither find lane races nor
-        # perturb the run — byte-identical signature with detection on.
-        detected = run_stream(**knobs, race_detect=True)
-        if detected.signature != report.signature:
-            print(
-                "# race detector perturbed the run: "
-                f"{detected.signature[:16]} != {report.signature[:16]}",
-                file=sys.stderr,
-            )
-            failed = True
-        for finding in detected.race_findings:
-            print(f"# lane race: {finding}", file=sys.stderr)
-        failed = failed or bool(detected.race_findings)
-        print(
-            f"race detector: {detected.race_accesses} accesses checked, "
-            f"{len(detected.race_findings)} finding(s), "
-            f"signature {'identical' if detected.signature == report.signature else 'DIVERGED'}"
-        )
-    if not args.no_partition and report.reregisters == 0:
-        print(
-            "# consumer partition healed without any re-registration — "
-            "lease recovery never ran",
-            file=sys.stderr,
-        )
-        failed = True
-    for entry in report.stuck_buffers:
-        print(f"# stuck buffer: {entry}", file=sys.stderr)
-        failed = True
-    for violation in report.trace_violations:
-        print(f"# trace invariant violated: {violation}", file=sys.stderr)
-        failed = True
-    if report.pending_futures:
-        print(
-            f"# {report.pending_futures} network future(s) never resolved",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
-
-
-def cmd_crashtest(args) -> int:
-    from repro.crashtest import run_crashtest
-
-    report = run_crashtest(
-        seed=args.seed,
-        cycles=args.cycles,
-        rounds=args.rounds,
-        hosts=args.hosts,
-        agents=tuple(args.agents.split(",")) if args.agents else ("snmp", "ganglia"),
-        fsync_interval=args.fsync_interval,
-        checkpoint_every=args.checkpoint_every,
-        period=args.period,
-        race_detect=args.race_detect,
-    )
-    print(report.format())
-    if report.race_findings:
-        for finding in report.race_findings:
-            print(f"# lane race: {finding}", file=sys.stderr)
-        return 1
-    if report.violations:
-        for violation in report.violations:
-            print(f"# durability invariant violated: {violation}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_racecheck(args) -> int:
-    from repro.racecheck import run_racecheck
-
-    agents = tuple(args.agents.split(",")) if args.agents else ("snmp", "ganglia")
-    seeds = (
-        [int(s) for s in args.seeds.split(",") if s.strip()]
-        if args.seeds
-        else [args.seed]
-    )
+def cmd_scenario(args) -> int:
+    """The one handler behind chaos, overload, stream, crashtest, racecheck."""
+    sc = args.scenario
+    knobs = {name: getattr(args, name) for name in sc.knobs if hasattr(args, name)}
+    knobs["agents"] = tuple(args.agents.split(","))
+    seeds = args.seeds or [args.seed]
     failed = 0
     for i, seed in enumerate(seeds):
-        report = run_racecheck(
-            seed=seed,
-            rounds=args.rounds,
-            hosts=args.hosts,
-            agents=agents,
-            period=args.period,
-        )
+        try:
+            report = scenario.run(sc, seed=seed, race_detect=args.race_detect, **knobs)
+        except scenario.ScenarioError as exc:
+            args.parser.error(str(exc))
         if i:
             print()
         print(report.format())
-        if not report.ok:
-            failed += 1
-    if failed:
+        for finding in report.race_findings:
+            print(f"# lane race: {finding}", file=sys.stderr)
+        for checker, violations in report.violations.items():
+            for violation in violations:
+                print(f"# {checker} violated: {violation}", file=sys.stderr)
+        failed += not report.ok
+    if failed and len(seeds) > 1:
         print(f"# {failed}/{len(seeds)} seed(s) failed", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_trace(args) -> int:
@@ -436,10 +319,11 @@ def cmd_lint(args) -> int:
 
 def cmd_experiments(args) -> int:
     print(
-        "Experiments E1-E12 reproduce every claim in the paper "
-        "(see DESIGN.md section 5 and EXPERIMENTS.md).\n"
+        "The experiment index in DESIGN.md section 5 maps every claim in "
+        "the paper to a benchmark (measured results: EXPERIMENTS.md).\n"
         "Run them with:\n\n"
         "    pytest benchmarks/ --benchmark-only\n"
+        "    python3 benchmarks/e2e/run.py          # the end-to-end rows\n"
     )
     return 0
 
@@ -489,163 +373,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.set_defaults(func=cmd_health)
 
-    p = sub.add_parser("chaos", help="run the standard chaos scenario")
-    _add_common(p)
-    p.add_argument("--rounds", type=int, default=30, help="measured query rounds")
-    p.add_argument(
-        "--period", type=float, default=30.0, help="virtual seconds between rounds"
-    )
-    p.add_argument(
-        "--deadline",
-        type=float,
-        default=10.0,
-        help="end-to-end query budget in virtual seconds (0 = unlimited)",
-    )
-    p.add_argument(
-        "--no-hedge", action="store_true", help="disable hedged requests"
-    )
-    p.add_argument(
-        "--no-fanout", action="store_true", help="disable concurrent fan-out"
-    )
-    p.add_argument(
-        "--race-detect",
-        action="store_true",
-        help="run under the virtual-lane race detector (GRM55x findings fail)",
-    )
-    p.set_defaults(func=cmd_chaos)
-
-    p = sub.add_parser(
-        "overload",
-        help="run the overload scenario (load spike x slow hosts)",
-    )
-    _add_common(p)
-    p.add_argument("--rounds", type=int, default=12, help="measured burst rounds")
-    p.add_argument(
-        "--spike-load", type=int, default=32, help="burst size during the spike"
-    )
-    p.add_argument(
-        "--period", type=float, default=10.0, help="virtual seconds between rounds"
-    )
-    p.add_argument(
-        "--deadline",
-        type=float,
-        default=2.0,
-        help="per-query budget in virtual seconds",
-    )
-    p.add_argument(
-        "--warmup-rounds",
-        type=int,
-        default=4,
-        help="unmeasured warm-up rounds (0 = no stale coverage: shed-heavy)",
-    )
-    p.add_argument(
-        "--shed-off",
-        action="store_true",
-        help="disable admission control / shedding (the collapse arm)",
-    )
-    p.add_argument(
-        "--no-slow-host",
-        action="store_true",
-        help="skip the slow-host fault (sheds come purely from load)",
-    )
-    p.add_argument(
-        "--race-detect",
-        action="store_true",
-        help="dual run under the lane-race detector; findings or a "
-        "perturbed signature fail",
-    )
-    p.set_defaults(func=cmd_overload)
-
-    p = sub.add_parser(
-        "stream",
-        help="run the streaming scenario (continuous queries x faults)",
-    )
-    _add_common(p)
-    p.add_argument("--rounds", type=int, default=12, help="measured poll rounds")
-    p.add_argument(
-        "--subscriptions",
-        type=int,
-        default=6,
-        help="continuous queries to register (flavour x class mix)",
-    )
-    p.add_argument(
-        "--period", type=float, default=10.0, help="virtual seconds between rounds"
-    )
-    p.add_argument(
-        "--warmup-rounds",
-        type=int,
-        default=3,
-        help="unmeasured warm-up polls before registration (replay fodder)",
-    )
-    p.add_argument(
-        "--deadline",
-        type=float,
-        default=10.0,
-        help="per-query budget in virtual seconds",
-    )
-    p.add_argument(
-        "--no-partition",
-        action="store_true",
-        help="skip the long consumer partition (no lease-lapse recovery)",
-    )
-    p.add_argument(
-        "--race-detect",
-        action="store_true",
-        help="dual run under the lane-race detector; findings or a "
-        "perturbed signature fail",
-    )
-    p.set_defaults(func=cmd_stream)
-
-    p = sub.add_parser(
-        "crashtest", help="kill/recover/verify loops over durable history"
-    )
-    _add_common(p)
-    p.add_argument(
-        "--cycles", type=int, default=3, help="kill/recover cycles to run"
-    )
-    p.add_argument(
-        "--rounds", type=int, default=5, help="query rounds per cycle"
-    )
-    p.add_argument(
-        "--period", type=float, default=30.0, help="virtual seconds between rounds"
-    )
-    p.add_argument(
-        "--fsync-interval",
-        type=int,
-        default=3,
-        help="WAL group-commit interval (records per fsync)",
-    )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=2,
-        help="checkpoint every N rounds (0 = only at recovery)",
-    )
-    p.add_argument(
-        "--race-detect",
-        action="store_true",
-        help="run under the virtual-lane race detector (GRM55x findings fail)",
-    )
-    p.set_defaults(func=cmd_crashtest)
-
-    p = sub.add_parser(
-        "racecheck",
-        help="dual-run divergence check + virtual-lane race detection",
-    )
-    _add_common(p)
-    p.add_argument(
-        "--seeds",
-        default=None,
-        metavar="S1,S2,...",
-        help="comma-separated seed list (overrides --seed)",
-    )
-    p.add_argument(
-        "--rounds", type=int, default=15, help="measured query rounds per run"
-    )
-    p.add_argument(
-        "--period", type=float, default=30.0, help="virtual seconds between rounds"
-    )
-    p.set_defaults(func=cmd_racecheck)
+    for sc in scenarios.SCENARIOS:
+        _add_scenario_parser(sub, sc)
 
     p = sub.add_parser(
         "trace", help="run a query and print its hop-by-hop trace"

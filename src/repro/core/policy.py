@@ -46,7 +46,6 @@ class GatewayPolicy:
             source (paper §3.1.3) — disable for the E2 ablation.
         security_enabled: enforce CGSL/FGSL checks.
         session_ttl: idle lifetime of client sessions (s, virtual).
-        default_query_timeout: per-source deadline for native requests.
         event_fast_buffer_size: capacity of the EventManager's in-memory
             fast buffer ("ensures events are not lost in a busy system").
         event_disk_buffer_size: capacity of the spill buffer behind it.
@@ -186,7 +185,6 @@ class GatewayPolicy:
     driver_cache_enabled: bool = True
     security_enabled: bool = False
     session_ttl: float = 3600.0
-    default_query_timeout: float = 5.0
     event_fast_buffer_size: int = 1024
     event_disk_buffer_size: int = 65536
     event_history_enabled: bool = True
@@ -253,10 +251,6 @@ class GatewayPolicy:
             raise PolicyError(f"failure_retries < 0: {self.failure_retries!r}")
         if self.session_ttl <= 0:
             raise PolicyError(f"session_ttl must be > 0: {self.session_ttl!r}")
-        if self.default_query_timeout <= 0:
-            raise PolicyError(
-                f"default_query_timeout must be > 0: {self.default_query_timeout!r}"
-            )
         if self.event_fast_buffer_size < 1:
             raise PolicyError(
                 f"event_fast_buffer_size must be >= 1: {self.event_fast_buffer_size!r}"

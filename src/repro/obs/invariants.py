@@ -3,9 +3,10 @@
 These are the properties a correct query path cannot help but satisfy,
 independent of workload or fault schedule — which makes them ideal
 chaos-soak assertions: :func:`check_trace` is run by the test harness
-(`tests/test_trace_invariants.py`) *and* per-round by
-:func:`repro.chaos.run_chaos`, so any future change to the dispatch or
-retry machinery that warps a span tree fails loudly in both places.
+(`tests/test_trace_invariants.py`) *and*, as the ``trace_invariants``
+checker, at the end of every :func:`repro.scenario.run`, so any future
+change to the dispatch or retry machinery that warps a span tree fails
+loudly in both places.
 
 Checked per trace:
 

@@ -65,9 +65,9 @@ class TestLintPaths:
 
     def test_walk_covers_storage_and_harnesses(self):
         """The determinism sanitizer's blast radius includes the
-        durability layer and the chaos/crash/race harnesses."""
+        durability layer and the scenario runner with its declarations."""
         report = lint_paths(
-            ["src/repro/storage", "src/repro/crashtest.py", "src/repro/racecheck.py"]
+            ["src/repro/storage", "src/repro/scenario.py", "src/repro/scenarios.py"]
         )
         assert report.files_scanned >= 5
         assert report.findings == [], render_flat(report)

@@ -30,7 +30,6 @@ class TestValidation:
             {"pool_idle_ttl": 0.0},
             {"failure_retries": -1},
             {"session_ttl": 0.0},
-            {"default_query_timeout": 0.0},
             {"event_fast_buffer_size": 0},
             {"event_disk_buffer_size": -1},
             {"history_max_rows_per_group": 0},

@@ -34,7 +34,6 @@ class TestLossyNetwork:
             policy=GatewayPolicy(
                 failure_action=FailureAction.RETRY,
                 failure_retries=3,
-                default_query_timeout=0.05,
                 pool_enabled=False,
             ),
         )
@@ -52,7 +51,7 @@ class TestLossyNetwork:
         assert ok > 0 and failed > 0
 
     def test_loss_removed_restores_full_success(self):
-        network, site = make("healing", policy=GatewayPolicy(default_query_timeout=0.05))
+        network, site = make("healing")
         host = site.host_names()[0]
         network.set_extra_loss(host, 0.95)
         url = site.url_for("snmp", host=host)

@@ -1,14 +1,7 @@
-"""The dual-run divergence harness and its CLI."""
+"""The dual run: its comparator, the ``racecheck`` declaration, its CLI."""
 
-import pytest
-
-from repro.racecheck import (
-    RacecheckReport,
-    _bisect_streams,
-    _Capture,
-    _first_diff_line,
-    run_racecheck,
-)
+from repro.scenario import Evidence, ScenarioReport, _first_diff_line, compare, run
+from repro.scenarios import CHAOS, CRASHTEST, RACECHECK
 
 # One shared small run: the harness builds four gateways (2 runs x the
 # dual capture), so tests that only inspect the report reuse this.
@@ -18,7 +11,7 @@ _REPORT = None
 def small_report():
     global _REPORT
     if _REPORT is None:
-        _REPORT = run_racecheck(seed=0, rounds=6, warmup_rounds=5)
+        _REPORT = run(RACECHECK, seed=0, rounds=6, warmup_rounds=5)
     return _REPORT
 
 
@@ -26,14 +19,14 @@ class TestHarness:
     def test_standard_scenario_is_clean(self):
         report = small_report()
         assert report.race_findings == []
-        assert report.divergence == []
+        assert report.violations["replay_identity"] == []
         assert report.ok
 
     def test_all_three_streams_were_compared(self):
         report = small_report()
-        assert report.rounds_compared == 6
-        assert report.traces_compared > 0
-        assert report.wal_frames_compared > 0
+        assert report.compared["steps"] == 6
+        assert report.compared["traces"] > 0
+        assert report.compared["wal_frames"] > 0
 
     def test_detector_actually_observed_accesses(self):
         assert small_report().race_accesses > 0
@@ -49,52 +42,51 @@ class TestHarness:
 
 
 class TestBisection:
-    def run(self, a, b):
-        report = RacecheckReport(seed=0, rounds=len(a.round_digests))
-        _bisect_streams(a, b, report)
-        return report
+    def divergence(self, a, b):
+        return compare(a, b)[1]
 
     def test_identical_captures_have_no_divergence(self):
-        a = _Capture(round_digests=["x", "y"], trace_renders=["t"], wal_frames=["f"])
-        b = _Capture(round_digests=["x", "y"], trace_renders=["t"], wal_frames=["f"])
-        assert self.run(a, b).divergence == []
+        a = Evidence(step_digests=["x", "y"], trace_renders=["t"], wal_frames=["f"])
+        b = Evidence(step_digests=["x", "y"], trace_renders=["t"], wal_frames=["f"])
+        assert compare(a, b) == ({"steps": 2, "traces": 1, "wal_frames": 1}, [])
 
     def test_first_diverging_round_named(self):
-        a = _Capture(round_digests=["x", "y", "z"])
-        b = _Capture(round_digests=["x", "Q", "R"])
-        (d,) = self.run(a, b).divergence
-        assert d.startswith("round 1:")
+        a = Evidence(step_digests=["x", "y", "z"])
+        b = Evidence(step_digests=["x", "Q", "R"])
+        (d,) = self.divergence(a, b)
+        assert d.startswith("step 1:")
 
     def test_first_diverging_trace_line_named(self):
-        a = _Capture(trace_renders=["same\nleft\nrest"])
-        b = _Capture(trace_renders=["same\nright\nrest"])
-        (d,) = self.run(a, b).divergence
+        a = Evidence(trace_renders=["same\nleft\nrest"])
+        b = Evidence(trace_renders=["same\nright\nrest"])
+        (d,) = self.divergence(a, b)
         assert "trace 0 line 2" in d
         assert "'left'" in d and "'right'" in d
 
     def test_first_diverging_wal_frame_named(self):
-        a = _Capture(wal_frames=["f0", "f1", "f2"])
-        b = _Capture(wal_frames=["f0", "XX", "f2"])
-        (d,) = self.run(a, b).divergence
+        a = Evidence(wal_frames=["f0", "f1", "f2"])
+        b = Evidence(wal_frames=["f0", "XX", "f2"])
+        (d,) = self.divergence(a, b)
         assert d.startswith("WAL frame 1:")
 
     def test_length_mismatches_reported(self):
-        a = _Capture(trace_renders=["t"], wal_frames=["f", "g"])
-        b = _Capture(trace_renders=["t", "u"], wal_frames=["f"])
-        report = self.run(a, b)
-        assert any("trace count differs" in d for d in report.divergence)
-        assert any("WAL frame count differs" in d for d in report.divergence)
+        a = Evidence(trace_renders=["t"], wal_frames=["f", "g"])
+        b = Evidence(trace_renders=["t", "u"], wal_frames=["f"])
+        found = self.divergence(a, b)
+        assert any("trace count differs" in d for d in found)
+        assert any("WAL frame count differs" in d for d in found)
 
     def test_wal_tail_mismatch_reported(self):
-        a = _Capture(wal_tail="clean")
-        b = _Capture(wal_tail="torn")
-        (d,) = self.run(a, b).divergence
+        a = Evidence(wal_tail="clean")
+        b = Evidence(wal_tail="torn")
+        (d,) = self.divergence(a, b)
         assert "tail" in d
 
     def test_divergent_report_is_not_ok(self):
-        a = _Capture(round_digests=["x"])
-        b = _Capture(round_digests=["y"])
-        report = self.run(a, b)
+        a = Evidence(step_digests=["x"])
+        b = Evidence(step_digests=["y"])
+        report = ScenarioReport("racecheck", 0, {}, template=("dual run",))
+        report.compared, report.violations["replay_identity"] = compare(a, b)
         assert not report.ok
         assert "DIVERGENCE" in report.format()
 
@@ -127,10 +119,8 @@ class TestCli:
 
 class TestChaosIntegration:
     def test_chaos_race_detect_is_transparent(self):
-        from repro.chaos import run_chaos
-
-        plain = run_chaos(seed=3, rounds=6, warmup_rounds=5)
-        detected = run_chaos(seed=3, rounds=6, warmup_rounds=5, race_detect=True)
+        plain = run(CHAOS, seed=3, rounds=6, warmup_rounds=5)
+        detected = run(CHAOS, seed=3, rounds=6, warmup_rounds=5, race_detect=True)
         assert detected.race_findings == []
         assert detected.race_accesses > 0
         # Detection must not perturb the run: same replay signature.
@@ -140,10 +130,8 @@ class TestChaosIntegration:
 
 class TestCrashtestIntegration:
     def test_crashtest_race_detect_is_transparent(self):
-        from repro.crashtest import run_crashtest
-
-        plain = run_crashtest(seed=1, cycles=2, rounds=3)
-        detected = run_crashtest(seed=1, cycles=2, rounds=3, race_detect=True)
+        plain = run(CRASHTEST, seed=1, cycles=2, rounds=3)
+        detected = run(CRASHTEST, seed=1, cycles=2, rounds=3, race_detect=True)
         assert detected.race_findings == []
         assert detected.race_accesses > 0
         assert detected.signature == plain.signature

@@ -14,8 +14,8 @@ satisfy the invariants in :mod:`repro.obs.invariants`:
 * a source span's ``attempts`` attribute equals its attempt-span count;
 * a deadline-exceeded span names the spending hop in its error.
 
-The same checker runs inside the chaos soak (``ChaosReport.
-trace_violations``), so the invariants hold under injected faults too,
+The same checker closes every scenario run (``report.violations[
+"trace_invariants"]``), so the invariants hold under injected faults too,
 and the golden-trace test pins the rendering: one seeded scenario must
 render byte-identical across runs.
 """
@@ -434,19 +434,22 @@ class TestRemoteTraces:
 # ----------------------------------------------------------------------
 class TestChaosSoak:
     def test_invariants_under_standard_chaos(self):
-        from repro.chaos import run_chaos
+        from repro.scenario import run
+        from repro.scenarios import CHAOS
 
-        report = run_chaos(seed=5, rounds=8, warmup_rounds=4, period=10.0)
-        assert report.traces_checked == 12
-        assert report.trace_violations == [], "\n".join(report.trace_violations)
+        report = run(CHAOS, seed=5, rounds=8, warmup_rounds=4, period=10.0)
+        assert report.measurements["traces_checked"] == 12
+        violations = report.violations["trace_invariants"]
+        assert violations == [], "\n".join(violations)
 
     def test_invariants_with_hedging_off(self):
-        from repro.chaos import run_chaos
+        from repro.scenario import run
+        from repro.scenarios import CHAOS
 
-        report = run_chaos(
-            seed=5, rounds=8, warmup_rounds=4, period=10.0, hedging=False
+        report = run(
+            CHAOS, seed=5, rounds=8, warmup_rounds=4, period=10.0, hedging=False
         )
-        assert report.trace_violations == []
+        assert report.violations["trace_invariants"] == []
 
 
 # ----------------------------------------------------------------------
