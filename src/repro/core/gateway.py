@@ -986,6 +986,8 @@ class Gateway:
                 "scoreboard": self.health.scoreboard(),
             },
             "history_rows": self.history.row_count(),
+            "history_queries": self.history.queries,
+            "history_rows_scanned": self.history.rows_scanned,
             "durability": (
                 self.history_engine.stats()
                 if self.history_engine is not None

@@ -10,6 +10,19 @@ executed against the same group name — only the mode flag differs.
 Tables are ring-bounded per group to keep long-running gateways at a
 fixed memory footprint.
 
+Every HISTORY-mode request names one data source and most name a time
+window, so each group keeps one ordered index (:class:`_GroupIndex`):
+its rows in stable ``(RecordedAt, arrival)`` order, group-wide
+(``table.rows``) and per ``SourceUrl`` (lists of references to the same
+dicts).  Rows do *not* arrive in that order — fan-out siblings record
+the rows of one round a few microseconds out of ``RecordedAt`` order, and
+recovery hands rows back in WAL order — so the index places each batch
+by bisection (an append when it is the newest, which it almost always
+is) and re-sorts stably when a group is rebuilt.  Readers then take a
+source's partition by dict lookup and a ``RecordedAt`` range by bisect
+instead of scanning the group.  The index is derived state: it is
+rebuilt from the engine's rows after recovery and never persisted.
+
 Durability is optional and delegated: when constructed with a
 :class:`~repro.storage.engine.HistoryEngine`, every recorded row is
 WAL-appended before it is served and every ``trim_older_than`` is
@@ -21,7 +34,7 @@ Without an engine the store is the original pure in-memory ring.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.analysis import races
@@ -40,6 +53,101 @@ PROVENANCE = (
     ColumnDef("SourceUrl", "TEXT"),
     ColumnDef("RecordedAt", "TIMESTAMP"),
 )
+
+Row = dict[str, Any]
+
+_NULL_FIRST = float("-inf")
+
+
+def _recorded(row: Row) -> float:
+    """Sort key of the index: a NULL ``RecordedAt`` sorts before every
+    instant, so such rows sit at the head of every list."""
+    at = row["RecordedAt"]
+    return _NULL_FIRST if at is None else at
+
+
+class _GroupIndex:
+    """One group's rows in stable ``(RecordedAt, arrival)`` order.
+
+    ``table.rows`` is the group-wide list and ``by_source`` one list per
+    ``SourceUrl`` over the same dicts in the same relative order.  Every
+    row enters or leaves a history table through one of the four methods
+    below, which is what keeps the lists sorted and in step.
+    """
+
+    __slots__ = ("table", "by_source")
+
+    def __init__(self, table: Table) -> None:
+        self.table = table
+        self.by_source: dict[Any, list[Row]] = {}
+
+    def insert(self, batch: list[Row]) -> None:
+        """Place one recorded batch (one source, one instant) after every
+        row recorded at or before it — an append unless a sibling branch
+        already recorded a later instant."""
+        at = _recorded(batch[0])
+        partition = self.by_source.setdefault(batch[0]["SourceUrl"], [])
+        for rows in (self.table.rows, partition):
+            if rows and _recorded(rows[-1]) > at:
+                i = bisect_right(rows, at, key=_recorded)
+                rows[i:i] = batch
+            else:
+                rows.extend(batch)
+
+    def evict_oldest(self, n: int) -> None:
+        """Ring overflow: drop the ``n`` oldest rows.  The oldest rows of
+        the group are the oldest of their sources, so each partition
+        loses a prefix."""
+        rows = self.table.rows
+        heads: dict[Any, int] = {}
+        for row in rows[:n]:
+            url = row["SourceUrl"]
+            heads[url] = heads.get(url, 0) + 1
+        del rows[:n]
+        for url, k in heads.items():
+            del self.by_source[url][:k]
+
+    def trim(self, cutoff: float) -> int:
+        """Drop rows recorded before ``cutoff`` (NULL ``RecordedAt`` rows
+        stay); returns how many the group lost."""
+        before = len(self.table.rows)
+        for rows in (self.table.rows, *self.by_source.values()):
+            nulls = bisect_right(rows, _NULL_FIRST, key=_recorded)
+            del rows[nulls:bisect_left(rows, cutoff, key=_recorded)]
+        return before - len(self.table.rows)
+
+    def rebuild(self, rows: list[Row]) -> None:
+        """Replace the group's content with ``rows`` (any order; ties
+        keep the given order)."""
+        rows.sort(key=_recorded)
+        self.table.rows = rows
+        self.by_source = {}
+        for row in rows:
+            self.by_source.setdefault(row["SourceUrl"], []).append(row)
+
+    def rows(self, source_url: str | None) -> list[Row]:
+        """The group-wide list, or one source's partition."""
+        if source_url is None:
+            return self.table.rows
+        return self.by_source.get(source_url, [])
+
+
+def _window(rows: list[Row], bounds: tuple[tuple[str, float], ...]) -> list[Row]:
+    """The rows of a sorted list that can satisfy every ``RecordedAt
+    <op> number`` bound: the NULL-``RecordedAt`` head (a bound is NULL
+    there, not false) plus the bisected range."""
+    nulls = bisect_right(rows, _NULL_FIRST, key=_recorded)
+    lo, hi = nulls, len(rows)
+    for op, value in bounds:
+        if op == ">=":
+            lo = max(lo, bisect_left(rows, value, key=_recorded))
+        elif op == ">":
+            lo = max(lo, bisect_right(rows, value, key=_recorded))
+        elif op == "<":
+            hi = min(hi, bisect_left(rows, value, key=_recorded))
+        else:
+            hi = min(hi, bisect_right(rows, value, key=_recorded))
+    return rows[:nulls] + rows[lo:hi] if nulls else rows[lo:hi]
 
 
 class HistoryStore:
@@ -60,35 +168,31 @@ class HistoryStore:
         self.max_rows_per_group = max_rows_per_group
         self.engine = engine
         self.db = Database()
+        self._index: dict[str, _GroupIndex] = {}
         self.rows_recorded = 0
         self.rows_evicted = 0
         self.rows_recovered = 0
+        #: Reads served by :meth:`query`, and the rows they handed to the
+        #: bound plan (what a read *touched*, not what it returned).
+        self.queries = 0
+        self.rows_scanned = 0
         if engine is not None:
-            self._load_recovered()
+            # A durable row for a group this schema no longer knows stays
+            # durable (in the engine's segments); it is just not served.
+            for group_name in engine.groups():
+                self._resync_group(group_name)
+            self.rows_recovered = self.row_count()
 
     # ------------------------------------------------------------------
-    def _load_recovered(self) -> None:
-        """Populate serving tables from the engine's recovered rows."""
-        assert self.engine is not None
-        for group_name in self.engine.groups():
-            if not self.schema.has_group(group_name):
-                # A durable row for a group this schema no longer knows:
-                # keep it durable (it stays in the engine's segments),
-                # just don't serve it.
-                continue
-            table = self._ensure_table(group_name)
-            columns = table.column_names
-            for row in self.engine.serving_rows(group_name):
-                table.rows.append({name: row.get(name) for name in columns})
-                self.rows_recovered += 1
-
-    def _ensure_table(self, group_name: str) -> Table:
+    def _group(self, group_name: str) -> _GroupIndex:
         group = self.schema.group(group_name)
-        if group.name not in self.db.tables:
+        index = self._index.get(group.name)
+        if index is None:
             columns = [ColumnDef(f.name, f.type) for f in group.fields]
             columns.extend(PROVENANCE)
-            self.db.create_table(group.name, columns)
-        return self.db.table(group.name)
+            index = _GroupIndex(self.db.create_table(group.name, columns))
+            self._index[group.name] = index
+        return index
 
     def record(
         self,
@@ -102,35 +206,36 @@ class HistoryStore:
         if races.ACTIVE is not None:
             # Registered COMMUTATIVE: sibling-branch appends to one group
             # interleave by launch order, but every row carries its own
-            # SourceUrl/RecordedAt provenance, so time-windowed readers
-            # (series, rollup, RecordedAt predicates) are insensitive to
-            # the interleaving.  A read racing the appends is still
-            # flagged (GRM552) — it would see a launch-order prefix.
+            # SourceUrl/RecordedAt provenance and the index orders rows
+            # by it, so time-windowed readers (query, since, series,
+            # rollup) are insensitive to the interleaving.  A read
+            # racing the appends is still flagged (GRM552) — it would
+            # see a launch-order prefix.
             races.ACTIVE.note(
                 "history", group_name, "w", site="HistoryStore.record"
             )
-        table = self._ensure_table(group_name)
+        index = self._group(group_name)
+        table = index.table
         known = set(table.column_names)
-        engine = self.engine
-        n = 0
+        batch = []
         for row in rows:
             stored = {k: v for k, v in row.items() if k in known}
             stored["SourceUrl"] = source_url
             stored["RecordedAt"] = recorded_at
-            table.insert_row(stored)
-            n += 1
-        if engine is not None and n:
+            batch.append(table.coerce_row(stored))
+        if not batch:
+            return 0
+        index.insert(batch)
+        if self.engine is not None:
             # One WAL record for the whole batch, referencing the coerced
             # dicts the table holds (atomic ack, one frame per call).
-            engine.append_rows(table.name, table.rows[-n:])
-        self.rows_recorded += n
+            self.engine.append_rows(table.name, batch)
+        self.rows_recorded += len(batch)
         overflow = len(table.rows) - self.max_rows_per_group
         if overflow > 0:
-            # Rows are appended in time order, so the oldest are first;
-            # one slice-delete trims the whole batch's overflow at once.
-            del table.rows[:overflow]
+            index.evict_oldest(overflow)
             self.rows_evicted += overflow
-        return n
+        return len(batch)
 
     # ------------------------------------------------------------------
     def query(
@@ -150,6 +255,12 @@ class HistoryStore:
         the text is parsed and compiled here.  Either way the scan runs
         precompiled closures — column names resolved against the table
         layout once instead of once per row.
+
+        The plan sees the source's partition narrowed to the window its
+        leading ``RecordedAt`` bounds allow (see
+        :meth:`~repro.sql.plan.BoundPlan.leading_bounds`) and still
+        evaluates the whole WHERE over it: narrowing only spares it rows
+        it would have rejected.
         """
         plan = plan or compile_plan(parse_select(sql))
         select = plan.select
@@ -157,28 +268,42 @@ class HistoryStore:
             races.ACTIVE.note(
                 "history", select.table, "r", site="HistoryStore.query"
             )
-        table = self._ensure_table(select.table)
-        rows = table.rows
-        if source_url is not None:
-            rows = [r for r in rows if r.get("SourceUrl") == source_url]
-        return plan.bind_mapping(tuple(table.column_names)).execute(rows)
+        index = self._group(select.table)
+        bound = plan.bind_mapping(tuple(index.table.column_names))
+        rows = index.rows(source_url)
+        bounds = bound.leading_bounds("RecordedAt")
+        if bounds:
+            rows = _window(rows, bounds)
+        self.queries += 1
+        self.rows_scanned += len(rows)
+        return bound.execute(rows)
 
-    @staticmethod
-    def _since_slice(rows: list[dict[str, Any]], since: float) -> list[dict[str, Any]]:
-        """Rows recorded at or after ``since``, found by bisection.
+    def since(
+        self,
+        group_name: str,
+        watermark: float | None,
+        *,
+        source_url: str | None = None,
+    ) -> list[Row]:
+        """A group's rows (one source's with ``source_url``) recorded at
+        or after ``watermark``, oldest first.
 
-        Rows are appended in ``RecordedAt`` order, so instead of scanning
-        every row we bisect to the cutoff.  ``RecordedAt is None`` rows
-        sort as -inf: they sit at the front and a time-filtered read
-        skips them (same semantics as the old linear filter).
+        A row with a NULL ``RecordedAt`` is at no instant (it sorts
+        before every finite one) and is never returned for a watermark;
+        ``watermark=None`` asks for every row, those included.  The
+        result is for reading only (it may be the index's own list).
         """
-        lo = bisect_left(
-            rows,
-            since,
-            key=lambda r: r["RecordedAt"] if r.get("RecordedAt") is not None
-            else float("-inf"),
-        )
-        return rows[lo:]
+        if races.ACTIVE is not None:
+            races.ACTIVE.note(
+                "history", group_name, "r", site="HistoryStore.since"
+            )
+        index = self._index.get(group_name)
+        if index is None:
+            return []
+        rows = index.rows(source_url)
+        if watermark is None:
+            return rows
+        return rows[bisect_left(rows, watermark, key=_recorded):]
 
     def series(
         self,
@@ -190,26 +315,11 @@ class HistoryStore:
         since: float | None = None,
     ) -> list[tuple[float, Any]]:
         """(RecordedAt, value) pairs for one field — the console's plots."""
-        if races.ACTIVE is not None:
-            races.ACTIVE.note(
-                "history", group_name, "r", site="HistoryStore.series"
-            )
-        if group_name not in self.db.tables:
-            return []
-        rows = self.db.table(group_name).rows
-        if since is not None:
-            rows = self._since_slice(rows, since)
-        out: list[tuple[float, Any]] = []
-        for row in rows:
-            if source_url is not None and row.get("SourceUrl") != source_url:
-                continue
-            if host is not None and row.get("HostName") != host:
-                continue
-            t = row.get("RecordedAt")
-            if since is not None and t is None:
-                continue
-            out.append((t, row.get(field)))
-        return out
+        return [
+            (row["RecordedAt"], row.get(field))
+            for row in self.since(group_name, since, source_url=source_url)
+            if host is None or row.get("HostName") == host
+        ]
 
     def rollup(
         self,
@@ -264,15 +374,7 @@ class HistoryStore:
         """
         if self.engine is not None:
             self.engine.append_trim(cutoff)
-        dropped = 0
-        for table in self.db.tables.values():
-            before = len(table.rows)
-            table.rows = [
-                r
-                for r in table.rows
-                if r.get("RecordedAt") is None or r["RecordedAt"] >= cutoff
-            ]
-            dropped += before - len(table.rows)
+        dropped = sum(index.trim(cutoff) for index in self._index.values())
         self.rows_evicted += dropped
         return dropped
 
@@ -293,23 +395,26 @@ class HistoryStore:
             self._resync_group(group_name)
 
     def _resync_group(self, group_name: str) -> None:
-        """Rebuild one group's serving rows from the engine.
+        """Rebuild one group's serving rows (and index) from the engine.
 
-        Needed when checkpoint retention (``history_retention_age``)
-        drops sealed segments whose rows the serving table still held.
+        Runs for every durable group when the store opens, and again
+        when checkpoint retention (``history_retention_age``) drops
+        sealed segments whose rows the serving table still held.  The
+        engine returns rows in WAL order; the rebuild re-sorts them.
         """
         assert self.engine is not None
         if not self.schema.has_group(group_name):
             return
-        table = self._ensure_table(group_name)
-        before = len(table.rows)
-        columns = table.column_names
-        table.rows = [
-            {name: row.get(name) for name in columns}
-            for row in self.engine.serving_rows(group_name)
-        ]
-        if len(table.rows) < before:
-            self.rows_evicted += before - len(table.rows)
+        index = self._group(group_name)
+        before = len(index.table.rows)
+        columns = index.table.column_names
+        index.rebuild(
+            [
+                {name: row.get(name) for name in columns}
+                for row in self.engine.serving_rows(group_name)
+            ]
+        )
+        self.rows_evicted += max(0, before - len(index.table.rows))
 
     def row_count(self, group_name: str | None = None) -> int:
         if group_name is not None:

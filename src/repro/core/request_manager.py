@@ -834,6 +834,7 @@ class RequestManager:
     ) -> None:
         url_text = str(url)
         with self.tracer.span("history", url=url_text) as span:
+            scanned_before = self.history.rows_scanned
             try:
                 sel = self.history.query(sql, source_url=url_text, plan=plan)
             except SqlError as exc:
@@ -842,6 +843,13 @@ class RequestManager:
                     SourceStatus(url=url_text, ok=False, error=str(exc))
                 )
                 return
+            finally:
+                # What the read touched (rows handed to the bound plan),
+                # next to what it returned (``rows`` below).
+                scanned = self.history.rows_scanned - scanned_before
+                span["scanned"] = scanned
+                self.registry.counter("history.queries").inc()
+                self.registry.counter("history.rows_scanned").add(scanned)
             self.stats["history_served"] += 1
             n = self._merge(result, sel.columns, sel.rows)
             span["rows"] = n

@@ -56,6 +56,7 @@ heals without a re-registration round-trip.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, TYPE_CHECKING
@@ -111,7 +112,7 @@ def decode_batch(payload: Any) -> Optional[dict[str, Any]]:
     if not isinstance(payload, dict) or payload.get("kind") != "gridrm-tuples":
         return None
     try:
-        return {
+        batch = {
             "kind": "gridrm-tuples",
             "cq": int(payload["cq"]),
             "columns": [str(c) for c in payload["columns"]],
@@ -122,6 +123,12 @@ def decode_batch(payload: Any) -> Optional[dict[str, Any]]:
         }
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
+    # ``published_at`` becomes the consumer's replay watermark: a forged
+    # ``inf`` would silence every later ``history`` catch-up, a NaN would
+    # poison the ``max`` that advances it.
+    if not math.isfinite(batch["published_at"]):
+        return None
+    return batch
 
 
 def encode_frame(batches: list[dict[str, Any]]) -> dict[str, Any]:
@@ -187,7 +194,9 @@ class StreamHub:
       "deadline_budget", "trace_ctx"}`` ->
       ``{"ok": True, "cq": id, "group": g, "replayed": n}``;
       a shed registration returns the typed form
-      ``{"ok": False, "shed": True, "retry_after": s, ...}``
+      ``{"ok": False, "shed": True, "retry_after": s, ...}``; a
+      ``watermark`` that is not a finite instant >= 0 is refused
+      (``{"ok": False, "error": "bad watermark ..."}``)
     * ``{"op": "renew", "cq": id, "lease": s}`` -> ``{"ok": True}`` |
       ``{"ok": False, "error": "missing"}``
     * ``{"op": "deregister", "cq": id}`` -> same shape as renew
@@ -306,6 +315,15 @@ class StreamHub:
         overflow = str(payload.get("overflow") or "drop_oldest")
         if overflow not in ("drop_oldest", "pause"):
             return {"ok": False, "error": f"unknown overflow policy {overflow!r}"}
+        try:
+            watermark = float(payload.get("watermark") or 0.0)
+        except (TypeError, ValueError, OverflowError):
+            watermark = math.nan
+        if not (math.isfinite(watermark) and watermark >= 0):
+            return {
+                "ok": False,
+                "error": f"bad watermark {payload.get('watermark')!r}",
+            }
         qc = QueryClass.parse(payload.get("query_class") or None)
         trace_ctx = payload.get("trace_ctx")
         with self.tracer.start_trace(
@@ -354,7 +372,7 @@ class StreamHub:
                 races.ACTIVE.note(
                     "stream.subs", str(cq.cq_id), "w", site="StreamHub.register"
                 )
-            replayed = self._replay(cq, float(payload.get("watermark") or 0.0))
+            replayed = self._replay(cq, watermark)
             root.annotate(cq=cq.cq_id, group=group, replayed=replayed)
             return {"ok": True, "cq": cq.cq_id, "group": group, "replayed": replayed}
 
@@ -407,17 +425,16 @@ class StreamHub:
                     replayed += len(result.rows)
                     self._offer(cq, batch, outbox)
             elif cq.flavour == "history" and self.history is not None:
-                if cq.group in self.history.db.tables:
-                    table = self.history.db.table(cq.group)
-                    rows = HistoryStore._since_slice(table.rows, watermark)
-                    # Cap at the newest rows: attach replay is a catch-up,
-                    # not a full table scan shipped over the wire.
-                    limit = self.policy.stream_replay_limit
-                    if len(rows) > limit:
-                        rows = rows[-limit:]
-                    result = cq.plan.bind_mapping(
-                        tuple(table.column_names)
-                    ).execute(rows)
+                rows = self.history.since(cq.group, watermark)
+                # Cap at the newest rows: attach replay is a catch-up,
+                # not a full table scan shipped over the wire.
+                limit = self.policy.stream_replay_limit
+                if len(rows) > limit:
+                    rows = rows[-limit:]
+                if rows:
+                    # A stored row carries every column of its table, in
+                    # table order: its keys are the layout to bind to.
+                    result = cq.plan.bind_mapping(tuple(rows[0])).execute(rows)
                     if result.rows:
                         batch = encode_batch(
                             cq.cq_id,

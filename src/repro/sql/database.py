@@ -53,8 +53,9 @@ class Table:
                 f"{self.name}.{column.name}"
             ) from exc
 
-    def insert_row(self, values: Mapping[str, Any]) -> None:
-        """Insert one row given as a column->value mapping."""
+    def coerce_row(self, values: Mapping[str, Any]) -> dict[str, Any]:
+        """A column->value mapping as the row this table would store:
+        every declared column present, each value coerced to its type."""
         unknown = set(values) - set(self.column_names)
         if unknown:
             raise SqlExecutionError(
@@ -63,7 +64,11 @@ class Table:
         row: dict[str, Any] = {}
         for col in self.columns:
             row[col.name] = self.coerce(col, values.get(col.name))
-        self.rows.append(row)
+        return row
+
+    def insert_row(self, values: Mapping[str, Any]) -> None:
+        """Insert one row given as a column->value mapping."""
+        self.rows.append(self.coerce_row(values))
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -37,7 +37,7 @@ join path.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.sql import ast_nodes as ast
 from repro.sql.errors import SqlExecutionError
@@ -508,6 +508,19 @@ def _sort_payload(
 # ----------------------------------------------------------------------
 # Bound plans
 # ----------------------------------------------------------------------
+#: ``literal <op> column`` read with the column on the left.
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _conjuncts(where: ast.Expr | None) -> Iterator[ast.Expr]:
+    """The operands of the top-level AND chain, in evaluation order."""
+    if isinstance(where, ast.BinOp) and where.op == "AND":
+        yield from _conjuncts(where.left)
+        yield from _conjuncts(where.right)
+    elif where is not None:
+        yield where
+
+
 class BoundPlan:
     """A :class:`CompiledPlan` resolved against one column layout.
 
@@ -536,12 +549,14 @@ class BoundPlan:
         "_ext_columns",
         "_star",
         "_star_with_aggregates",
+        "_leading_bounds",
     )
 
     def __init__(self, select: ast.Select, flavour: _Flavour) -> None:
         self.select = select
         self.columns = list(flavour.columns)
         self._flavour = flavour
+        self._leading_bounds: dict[str, tuple[tuple[str, float], ...]] = {}
         self._predicate = _compile_predicate(select.where, flavour)
         self._star = select.is_star
         has_aggregates = any(
@@ -649,6 +664,56 @@ class BoundPlan:
                     ext[action] = value
             out.append(ext)
         return out
+
+    # -- range pruning -------------------------------------------------
+    def leading_bounds(self, name: str) -> tuple[tuple[str, float], ...]:
+        """The ``name <op> number`` conjuncts that *lead* the WHERE
+        clause, as ``(op, number)`` with the column on the left
+        (``5 < c`` reads ``(">", 5)``); ops are ``<  <=  >  >=``.
+
+        A caller holding rows sorted by ``name`` may skip every row whose
+        non-NULL numeric value fails one of them and still hand the whole
+        predicate the rest: AND evaluates left to right and stops at the
+        first false conjunct, and these conjuncts cannot raise on a
+        number, so for such a row nothing after the failing one runs —
+        it is rejected silently either way.  The walk stops at the first
+        conjunct of any other shape, because a later bound would skip
+        rows on which that conjunct has to be evaluated first (and may
+        raise).  A row whose value is NULL makes a bound NULL, not false,
+        and evaluation continues: such rows must not be skipped.
+
+        Extracted once per bound plan and column, not per execution.
+        """
+        bounds = self._leading_bounds.get(name)
+        if bounds is None:
+            found: list[tuple[str, float]] = []
+            for conjunct in _conjuncts(self.select.where):
+                bound = self._bound_on(name, conjunct)
+                if bound is None:
+                    break
+                found.append(bound)
+            bounds = self._leading_bounds[name] = tuple(found)
+        return bounds
+
+    def _bound_on(self, name: str, expr: ast.Expr) -> tuple[str, float] | None:
+        if not isinstance(expr, ast.BinOp) or expr.op not in _MIRRORED:
+            return None
+        op, column, literal = expr.op, expr.left, expr.right
+        if isinstance(column, ast.Literal):
+            op, column, literal = _MIRRORED[op], literal, column
+        if not isinstance(column, ast.Column) or not isinstance(literal, ast.Literal):
+            return None
+        value = literal.value
+        if (
+            not isinstance(value, (int, float))
+            or isinstance(value, bool)
+            or value != value
+        ):
+            return None
+        slot = _resolve_slot(self.columns, column)
+        if slot is None or self.columns[slot] != name:
+            return None
+        return op, value
 
     # -- execution -----------------------------------------------------
     def execute(self, rows: Sequence[Any]) -> SelectResult:

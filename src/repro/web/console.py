@@ -445,6 +445,9 @@ class Console:
             ),
             f"  disk: {disk['writes']} writes ({disk['bytes_written']} B), "
             f"{disk['fsyncs']} fsyncs, {disk['crashes']} crashes survived",
+            f"  reads: {gw.history.queries} queries handed "
+            f"{gw.history.rows_scanned} rows to their plans "
+            f"({gw.history.row_count()} rows serving)",
         ]
         for group in sorted(seg["per_group"]):
             per = seg["per_group"][group]

@@ -28,6 +28,8 @@ from repro.gma.streams import (
     StreamConsumer,
     StreamHub,
     decode_batch,
+    encode_batch,
+    encode_frame,
 )
 from repro.obs.trace import Tracer
 from repro.simnet.clock import VirtualClock
@@ -349,6 +351,41 @@ def test_ignores_non_batch_datagrams():
     assert decode_batch({"kind": "other"}) is None
     assert decode_batch({"kind": "gridrm-tuples", "cq": "x"}) is None
     assert decode_batch("text") is None
+
+
+@pytest.mark.parametrize("instant", [float("inf"), float("-inf"), float("nan"), "inf", "nan"])
+def test_non_finite_instants_are_refused_on_both_wires(instant):
+    """``published_at`` becomes the consumer's watermark and the
+    watermark the hub's replay bisect: one unauthenticated datagram with
+    ``inf`` would silence every later ``history`` catch-up."""
+    clock, network, hub, consumer, store = _fabric(history=True)
+    store.record(
+        "Probe", [{"HostName": "n0", "Load": 0.1, "Slot": 1}],
+        source_url="probe://h0", recorded_at=5.0,
+    )
+    cq = consumer.register(hub.address, "SELECT Slot FROM Probe", flavour="history")
+    clock.advance(1.0)
+    (reg,) = consumer._regs
+    honest = reg.last_published
+    assert honest > 0.0 and consumer.rows(cq) == [[1]]
+    forged = encode_batch(
+        cq, ["Slot"], [[9]], published_at=instant, source_url="x", replay=False
+    )
+    assert decode_batch(forged) is None
+    consumer._on_datagram(encode_frame([forged]), hub.address)
+    assert reg.last_published == honest and consumer.rows(cq) == [[1]]
+    # The hub refuses the same values (and a negative one) as a watermark,
+    # with the typed reply of every other bad registration field.
+    registration = {
+        "op": "register", "sql": "SELECT Slot FROM Probe", "flavour": "history",
+        "host": "client", "port": consumer.address.port, "watermark": instant,
+    }
+    for watermark in (instant, -1.0, [3]):
+        reply = network.request(
+            "client", hub.address, {**registration, "watermark": watermark}
+        )
+        assert reply == {"ok": False, "error": f"bad watermark {watermark!r}"}
+    assert hub.stats["registered"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -224,6 +224,49 @@ class TestSelfMonitoringDriver:
         v2 = grm_rows(gw)["requests.queries"]
         assert v2 >= v1 + 3  # live values, not a stale snapshot
 
+    def test_history_reads_say_what_they_scanned(self):
+        """``history.queries`` / ``history.rows_scanned`` (rows handed to
+        the bound plan) on every surface: registry, ``stats()``, the
+        ``grm://`` relation, the durability panel and the trace."""
+        from repro.core.policy import GatewayPolicy
+        from repro.simnet.clock import VirtualClock
+        from repro.simnet.network import Network
+        from repro.testbed import build_site
+        from repro.web.console import Console
+
+        network = Network(VirtualClock(), seed=5)
+        site = build_site(
+            network, name="site-a", n_hosts=3, agents=("snmp",),
+            policy=GatewayPolicy(history_durable=True),
+        )
+        gw = site.gateway
+        urls = list(site.source_urls)
+        marks = []
+        for _ in range(4):
+            marks.append(site.clock.now())
+            gw.query(urls, "SELECT * FROM Processor", mode=QueryMode.REALTIME)
+            site.clock.advance(30.0)
+        assert gw.history.row_count("Processor") == 12
+        result = gw.query(
+            urls[:1],
+            f"SELECT HostName, RecordedAt FROM Processor WHERE RecordedAt >= {marks[2]!r}",
+            mode=QueryMode.HISTORY,
+        )
+        assert len(result.rows) == 2
+        span = next(s for s in gw.tracer.last().spans if s.name == "history")
+        assert (span.attrs["scanned"], span.attrs["rows"]) == (2, 2)
+        gw.query(urls[1:2], "SELECT HostName FROM Processor", mode=QueryMode.HISTORY)
+        assert gw.metrics.counter("history.queries").value == 2
+        assert gw.metrics.counter("history.rows_scanned").value == 2 + 4
+        stats = gw.stats()
+        assert (stats["history_queries"], stats["history_rows_scanned"]) == (2, 6)
+        assert stats["history_rows"] == 12
+        rows = grm_rows(gw, "SELECT Name, Value FROM GatewayMetrics WHERE Name LIKE 'history.%'")
+        assert rows == {"history.queries": 2, "history.rows_scanned": 6}
+        assert "reads: 2 queries handed 6 rows to their plans (12 rows serving)" in (
+            Console(gw).durability_panel()
+        )
+
     def test_network_counters_folded_in(self, site):
         names = grm_rows(site.gateway)
         assert any(name.startswith("net.") for name in names)

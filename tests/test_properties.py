@@ -673,6 +673,7 @@ def _well_formed(batch):
         and isinstance(batch["rows"], list)
         and all(isinstance(r, list) for r in batch["rows"])
         and isinstance(batch["published_at"], float)
+        and math.isfinite(batch["published_at"])
         and isinstance(batch["source_url"], str)
         and isinstance(batch["replay"], bool)
     )
@@ -695,6 +696,9 @@ def test_stream_frame_round_trip(batches):
     "kind": "gridrm-tuples", "cq": 1, "columns": [], "rows": [], "published_at": 10**400,
 }]})
 @example(payload={"kind": "gridrm-frame"})
+@example(payload={"kind": "gridrm-frame", "batches": [{
+    "kind": "gridrm-tuples", "cq": 1, "columns": [], "rows": [], "published_at": float("inf"),
+}]})
 def test_hostile_datagram_never_raises_and_leaks_no_state(payload):
     batches = decode_frame(payload)
     assert isinstance(batches, list) and all(_well_formed(b) for b in batches)
@@ -714,8 +718,10 @@ def test_hostile_datagram_never_raises_and_leaks_no_state(payload):
     assert len(client.batches) == 1 + len(batches)
     assert client.received == len(client.batches)
     (before,), (after,) = regs, client._regs
-    # The registration is untouched; its watermark only ever moves
-    # forward, and only to what a well-formed member for it said.
+    # The registration is untouched; its watermark stays finite, only
+    # ever moves forward, and only to what a well-formed member for it
+    # said.
+    assert math.isfinite(after.last_published)
     assert dataclasses.replace(after, last_published=0.0) == dataclasses.replace(
         before, last_published=0.0
     )

@@ -19,6 +19,11 @@ which was produced by running this module as a script against the
 
 Run the same way on the current tree it prints the same file (CI's smoke
 jobs ``diff`` the two); tier-1 asserts the cheap subset in ``TIER1``.
+The five ``stream`` signatures were re-recorded from the current tree
+when history reads moved to the time-ordered index: each seed's two
+post-partition ``history`` re-registrations now replay the one row
+recorded at their watermark instant, where the bisect over arrival order
+returned none (80 -> 82 rows replayed per seed, nothing else moves).
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ from this repo's root with ``PYTHONPATH`` on that commit's ``src``), the
 recipe of ``tests/test_query_analysed_once.py``.  The scenario's links have no
 jitter, so no virtual instant depends on how many datagrams drew from
 the network's RNG and the two commits are comparable field by field.
+One batch was re-recorded since: the ``history`` attach replay (cq 9)
+lists its eight rows in ``RecordedAt`` order, as the store's index now
+keeps them, where the parent listed them in arrival order (same rows).
 """
 
 import dataclasses
