@@ -15,8 +15,10 @@ executed repeatedly over a 16-row Processor relation.
   plan's closures over slot rows.
 
 What is asserted is what repeats exactly: both arms give the same
-answer, the warm arm is one plan-cache miss and then only hits, and it
-never calls the parser again.  The wall-time ratio (ISSUE 8 asked for
+answer, the warm arm is one plan-cache miss and then only hits, it never
+calls the parser again, and (PR 17) over typed rows its column kernels
+never reach ``_coerce_pair`` — a numeric-string row costs exactly the
+one coercion that row needs.  The wall-time ratio (ISSUE 8 asked for
 >= 5x; ~7x on an idle machine, 4.6x was seen under load) is recorded to
 BENCH_hotpath.json, not gated.
 """
@@ -31,7 +33,7 @@ from repro.analysis.query_check import validate_select
 from repro.core.plans import PlanCache
 from repro.core.request_manager import QueryMode
 from repro.glue.schema import standard_schema
-from repro.sql.executor import execute_select
+from repro.sql.executor import _coerce_pair, execute_select
 from repro.sql.parser import parse_select
 from conftest import fresh_site, fmt_table
 
@@ -137,6 +139,40 @@ def test_e17_warm_queries_replay_one_compiled_plan(benchmark, report, monkeypatc
     assert parses == [SQL], "the warm path parsed again"
 
     benchmark(compiled)
+
+
+def test_e17_typed_rows_take_the_kernels_fast_path(monkeypatch):
+    """Counted, not timed: the warm plan over typed rows makes no
+    coercion call at all; one numeric-string cell makes the one call its
+    row needs, and the answer is still the interpreter's."""
+    schema, columns, dict_rows, slot_rows = make_relation()
+    cols = tuple(columns)
+    select = parse_select(SQL)
+    bound = PlanCache(schema).get(SQL).plan.bind(cols)
+    bound.execute(slot_rows)  # warm
+
+    calls = []
+
+    def counting_coerce(a, b):
+        calls.append((a, b))
+        return _coerce_pair(a, b)
+
+    monkeypatch.setattr("repro.sql.plan._coerce_pair", counting_coerce)
+
+    got = bound.execute(slot_rows)
+    assert calls == []
+    ref = execute_select(select, columns, dict_rows)
+    assert (got.columns, got.rows) == (ref.columns, ref.rows)
+
+    # One agent reported CPUCount as text (native agents return text).
+    odd = 5
+    dict_rows[odd]["CPUCount"] = str(dict_rows[odd]["CPUCount"])
+    slot_rows[odd][columns.index("CPUCount")] = dict_rows[odd]["CPUCount"]
+    got = bound.execute(slot_rows)
+    assert calls == [(dict_rows[odd]["CPUCount"], 2)]
+    ref = execute_select(select, columns, dict_rows)
+    assert (got.columns, got.rows) == (ref.columns, ref.rows)
+    assert [f"host-{odd:03d}"] in [r[:1] for r in got.rows]
 
 
 @pytest.mark.benchmark(group="E17-hotpath")

@@ -4,7 +4,8 @@ The interpreted executor (:mod:`repro.sql.executor`) re-walks the SELECT
 AST for every row: each column reference re-resolves its name against the
 row mapping, each LIKE recompiles (pre-memoisation) its regex, and every
 operator dispatch is an ``isinstance`` ladder.  This module compiles a
-parsed :class:`~repro.sql.ast_nodes.Select` **once** into closures:
+parsed :class:`~repro.sql.ast_nodes.Select` **once**, into closures and,
+in front of them, column kernels:
 
 * :func:`compile_plan` produces a :class:`CompiledPlan` — a layout-
   independent holder for the statement;
@@ -20,6 +21,35 @@ parsed :class:`~repro.sql.ast_nodes.Select` **once** into closures:
 
 Bindings are cached per layout on the plan, so repeated queries pay the
 closure-construction cost once.
+
+Every AST node compiles to a **closure** over one row
+(:func:`_compile_expr`), and those closures are the semantics: NULL
+tri-state, numeric-string coercion, the case-insensitive column
+fallback and every error message are defined there and nowhere else.
+The shapes that make up almost every monitoring query also get a
+**column kernel**: a loop over the whole batch that subscripts the row
+once (slot index or mapping key — both flavours share the kernels) and
+applies the native operator with no Python call per row.
+
+* A top-level WHERE conjunct ``column <op> literal`` (either order, a
+  sign folded into a numeric literal), ``column LIKE 'pattern'``,
+  ``[NOT] BETWEEN`` / ``[NOT] IN`` over literals or ``IS [NOT] NULL``
+  is a filter stage (:func:`_compile_filter`).  Its guard is the
+  value's **exact class**: ``float`` / ``int`` against a numeric
+  literal, ``str`` against a string literal — the pairs
+  ``_coerce_pair`` leaves alone, so the native operator *is* the
+  closure's answer.  Never ``isinstance``: ``bool``, NULL, a numeric
+  string, ``Decimal``, a missing key or a short row all go to the
+  node's closure.
+* A projection, GROUP BY key list, ORDER BY key or aggregate argument
+  made only of plain columns is one ``itemgetter`` / comprehension per
+  batch; a ``LookupError`` sends the whole batch back through the
+  per-row closures, so the first error raised is the same one.
+
+A kernel is chosen from the AST shape when the plan is bound (a few
+``isinstance`` checks — no generated source, because a bind happens on
+every plan-cache miss) and is only ever a guard in front of the closure
+``_compile_expr`` built for the same node.
 
 Semantics are **byte-identical** to the interpreted executor — NULL
 tri-state logic, AND/OR short-circuiting, numeric-string coercion, the
@@ -37,6 +67,8 @@ join path.
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
+from functools import partial
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.sql import ast_nodes as ast
@@ -55,6 +87,15 @@ from repro.sql.executor import (
 RowFn = Callable[[Any], Any]
 #: A compiled evaluator over one group: (member rows, sample row) -> value.
 GroupFn = Callable[[list[Any], Any], Any]
+#: A column kernel over one batch: rows in, the surviving rows / the
+#: extracted values out, as a fresh list.
+BatchFn = Callable[[Sequence[Any]], list[Any]]
+
+#: The exact classes of a row value that ``_coerce_pair`` leaves alone
+#: against a numeric / a string literal: there the native operator is
+#: the closure's answer.  Subclasses (``bool``) are not in them.
+_NUMBERS = (float, int)
+_STRINGS = (str, str)
 
 #: Slot-flavour sample row for an empty implicit group: every accessor
 #: raises "unknown column" against it, matching the interpreted
@@ -114,16 +155,34 @@ def _slow_mapping_lookup(row: Mapping[str, Any], name: str, qualified: str) -> A
     raise SqlExecutionError(f"unknown column: {qualified!r}")
 
 
-class _SlotFlavour:
-    """Rows are positional lists; columns resolve to slot indices."""
+class _Layout:
+    """One column layout; a name resolves to its position in it."""
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "_exact")
 
     def __init__(self, columns: Sequence[str]) -> None:
         self.columns = list(columns)
+        # A plan is bound on every plan-cache miss and names each column
+        # several times; nearly every reference is an exact label.  As
+        # in ``dict(zip(columns, row))``, a duplicate's last place wins.
+        self._exact = {c: i for i, c in enumerate(self.columns)}
+
+    def slot(self, column: ast.Column) -> int | None:
+        index = self._exact.get(column.name)
+        return _resolve_slot(self.columns, column) if index is None else index
+
+
+class _SlotFlavour(_Layout):
+    """Rows are positional lists; columns resolve to slot indices."""
+
+    __slots__ = ()
+
+    def subscript(self, column: ast.Column) -> int | None:
+        """What a kernel subscripts a row with to read ``column``."""
+        return self.slot(column)
 
     def resolve(self, column: ast.Column) -> RowFn:
-        index = _resolve_slot(self.columns, column)
+        index = self.subscript(column)
         qualified = column.qualified
         if index is None:
             return lambda row: _raise_unknown(qualified)
@@ -152,20 +211,21 @@ class _SlotFlavour:
         return filtered
 
 
-class _MappingFlavour:
+class _MappingFlavour(_Layout):
     """Rows are mappings; column names resolve to canonical keys once."""
 
-    __slots__ = ("columns",)
+    __slots__ = ()
 
-    def __init__(self, columns: Sequence[str]) -> None:
-        self.columns = list(columns)
+    def subscript(self, column: ast.Column) -> str | None:
+        """What a kernel subscripts a row with to read ``column``."""
+        index = self.slot(column)
+        return None if index is None else self.columns[index]
 
     def resolve(self, column: ast.Column) -> RowFn:
-        index = _resolve_slot(self.columns, column)
+        key = self.subscript(column)
         name, qualified = column.name, column.qualified
-        if index is None:
+        if key is None:
             return lambda row: _slow_mapping_lookup(row, name, qualified)
-        key = self.columns[index]
 
         def accessor(
             row: Any, k: str = key, n: str = name, q: str = qualified
@@ -191,6 +251,19 @@ _Flavour = _SlotFlavour | _MappingFlavour
 # ----------------------------------------------------------------------
 # Expression compilation (row-level)
 # ----------------------------------------------------------------------
+def _literal(expr: ast.Expr) -> ast.Literal | None:
+    """``expr`` as a constant: a literal, or a sign in front of a numeric
+    one (``-3`` parses as a negation).  Only what cannot raise when
+    evaluated is folded: ``-'x'`` and ``-TRUE`` stay expressions."""
+    if isinstance(expr, ast.Literal):
+        return expr
+    if isinstance(expr, ast.UnaryOp) and expr.op == "-":
+        inner = _literal(expr.operand)
+        if inner is not None and inner.value.__class__ in _NUMBERS:
+            return ast.Literal(-inner.value)  # type: ignore[operator]
+    return None
+
+
 def _compile_expr(expr: ast.Expr, flavour: _Flavour) -> RowFn:
     """Compile an expression to a closure over one row.
 
@@ -210,6 +283,9 @@ def _compile_expr(expr: ast.Expr, flavour: _Flavour) -> RowFn:
             )
         return star_error
     if isinstance(expr, ast.UnaryOp):
+        constant = _literal(expr)
+        if constant is not None:
+            return _compile_expr(constant, flavour)
         inner = _compile_expr(expr.operand, flavour)
         if expr.op == "NOT":
             def not_fn(row: Any) -> Any:
@@ -396,18 +472,239 @@ def _compile_binop(expr: ast.BinOp, flavour: _Flavour) -> RowFn:
     return binop_fn
 
 
-def _compile_predicate(
-    where: ast.Expr | None, flavour: _Flavour
-) -> RowFn | None:
-    """WHERE clause -> bool closure (NULL counts false); None = no filter."""
-    if where is None:
-        return None
-    inner = _compile_expr(where, flavour)
+# ----------------------------------------------------------------------
+# Column kernels
+# ----------------------------------------------------------------------
+#: Stands in for a value the subscript did not find; its class fails
+#: every guard, so the node's closure gets to look (or to raise).
+_MISSING = object()
 
-    def predicate(row: Any) -> bool:
-        value = inner(row)
-        return bool(value) if value is not None else False
-    return predicate
+#: ``literal <op> column`` read with the column on the left, and back.
+_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
+
+
+def _conjuncts(where: ast.Expr | None) -> Iterator[ast.Expr]:
+    """The operands of the top-level AND chain, in evaluation order."""
+    if isinstance(where, ast.BinOp) and where.op == "AND":
+        yield from _conjuncts(where.left)
+        yield from _conjuncts(where.right)
+    elif where is not None:
+        yield where
+
+
+def _column_vs_literal(
+    expr: ast.Expr,
+) -> tuple[str, ast.Column, ast.Literal] | None:
+    """A comparison of one plain column with a constant, as ``(op,
+    column, literal)`` with the column on the left (``5 < c`` reads
+    ``(">", c, 5)``)."""
+    if not isinstance(expr, ast.BinOp) or expr.op not in _MIRRORED:
+        return None
+    if isinstance(expr.left, ast.Column):
+        literal = _literal(expr.right)
+        if literal is not None:
+            return expr.op, expr.left, literal
+    elif isinstance(expr.right, ast.Column):
+        literal = _literal(expr.left)
+        if literal is not None:
+            return _MIRRORED[expr.op], expr.right, literal
+    return None
+
+
+def _guard_for(values: Sequence[Any]) -> tuple[type, type] | None:
+    """The class guard under which a native comparison with every one
+    of these literal values is what the closure computes, if any."""
+    classes = {v.__class__ for v in values}
+    if classes <= {float, int}:
+        return _NUMBERS
+    if classes == {str}:
+        return _STRINGS
+    return None
+
+
+def _column_test(
+    expr: ast.Expr,
+) -> tuple[ast.Column, tuple[type, type], Callable[[Any], Any]] | None:
+    """``(column, guard, test)`` when ``expr`` tests one plain column
+    against literals: for a value ``v`` of that column whose exact class
+    is in ``guard``, ``test(v)`` is what the closure for ``expr``
+    returns, or a value as true or false as that.  (``IS NULL`` needs no
+    guard; see :func:`_null_stage`.)"""
+    compared = _column_vs_literal(expr)
+    if compared is not None:
+        op, column, literal = compared
+        guard = _guard_for([literal.value])
+        if guard is None:
+            return None
+        # test(v) is ``literal <mirrored op> v``: one C call per row.
+        return column, guard, partial(_DIRECT_OPS[_MIRRORED[op]], literal.value)
+    if isinstance(expr, ast.BinOp) and expr.op == "LIKE":
+        column, pattern = expr.left, expr.right
+        if (
+            isinstance(column, ast.Column)
+            and isinstance(pattern, ast.Literal)
+            and pattern.value is not None
+        ):
+            # A match object is truthy, no match is None: that is enough.
+            return column, _STRINGS, compile_like(str(pattern.value)).match
+        return None
+    if not isinstance(expr, (ast.Between, ast.InList)):
+        return None
+    column, negated = expr.expr, expr.negated
+    if not isinstance(column, ast.Column):
+        return None
+    operands = expr.items if isinstance(expr, ast.InList) else (expr.low, expr.high)
+    literals = [_literal(o) for o in operands]
+    if None in literals:
+        return None
+    values: list[Any] = [lit.value for lit in literals]  # type: ignore[union-attr]
+    guard = _guard_for(values)
+    if guard is None:
+        return None
+    if isinstance(expr, ast.Between):
+        low, high = values
+        return column, guard, lambda v: (low <= v <= high) is not negated
+    # Membership by hash agrees with the closure's ``==`` scan except
+    # for a NaN item, which equals nothing but is found by identity.
+    if any(v != v for v in values):
+        return None
+    members = frozenset(values)
+    if negated:
+        return column, guard, lambda v: v not in members
+    return column, guard, members.__contains__
+
+
+def _guarded_stage(
+    key: Any, guard: tuple[type, type], test: Callable[[Any], Any], decide: RowFn
+) -> BatchFn:
+    """Filter a batch on ``test(row[key])``; a row whose value is not of
+    a ``guard`` class (NULL, numeric string, ``bool``, ...) or is not
+    there at all (missing key, short row) is ``decide``'s."""
+    first, second = guard
+
+    def stage(rows: Sequence[Any]) -> list[Any]:
+        out: list[Any] = []
+        keep = out.append
+        for row in rows:
+            try:
+                value = row[key]
+            except LookupError:
+                value = _MISSING
+            cls = value.__class__
+            if test(value) if cls is first or cls is second else decide(row):
+                keep(row)
+        return out
+    return stage
+
+
+def _null_stage(key: Any, negated: bool, decide: RowFn) -> BatchFn:
+    """``column IS [NOT] NULL`` over a batch.  The test cannot be NULL
+    and cannot raise once the value is found, so a lookup failure
+    anywhere redoes the batch through the closure."""
+    def stage(rows: Sequence[Any]) -> list[Any]:
+        try:
+            return [row for row in rows if (row[key] is None) is not negated]
+        except LookupError:
+            return [row for row in rows if decide(row)]
+    return stage
+
+
+def _deciding(closure: RowFn, later: Sequence[RowFn]) -> RowFn:
+    """A conjunct's closure as the judge of one row inside an AND chain
+    that runs stage by stage: truthy keeps the row.
+
+    NULL rejects it, but AND goes on evaluating the conjuncts after a
+    NULL one until one of them is false, and they may raise (``NULL AND
+    <type error>`` is an error, not a rejection) — so they are evaluated
+    here before the row is let go."""
+    if not later:
+        return closure
+
+    def decide(row: Any) -> Any:
+        value = closure(row)
+        if value is None:
+            for conjunct in later:
+                rest = conjunct(row)
+                if rest is not None and not rest:
+                    break
+        return value
+    return decide
+
+
+def _kernel_stage(
+    conjunct: ast.Expr, flavour: _Flavour, decide: RowFn
+) -> BatchFn | None:
+    """The column kernel for one conjunct, when its shape has one."""
+    if isinstance(conjunct, ast.IsNull):
+        key = _plain_key(conjunct.expr, flavour)
+        if key is None:
+            return None
+        return _null_stage(key, conjunct.negated, decide)
+    found = _column_test(conjunct)
+    if found is not None:
+        column, guard, test = found
+        key = flavour.subscript(column)
+        if key is not None:
+            return _guarded_stage(key, guard, test, decide)
+    return None
+
+
+def _closure_stage(decide: RowFn) -> BatchFn:
+    """A conjunct of any other shape: its closure judges every row."""
+    return lambda rows: [row for row in rows if decide(row)]
+
+
+def _compile_filter(where: ast.Expr | None, flavour: _Flavour) -> list[BatchFn]:
+    """WHERE clause -> one batch stage per top-level conjunct, applied
+    in order to a shrinking batch (NULL counts false); [] = no filter.
+
+    Stage by stage, an error on a late row can surface before an earlier
+    row's; :meth:`BoundPlan._filter` replays such a batch row by row."""
+    conjuncts = list(_conjuncts(where))
+    closures = [_compile_expr(c, flavour) for c in conjuncts]
+    stages: list[BatchFn] = []
+    for i, conjunct in enumerate(conjuncts):
+        decide = _deciding(closures[i], closures[i + 1:])
+        stages.append(
+            _kernel_stage(conjunct, flavour, decide) or _closure_stage(decide)
+        )
+    return stages
+
+
+def _plain_key(expr: ast.Expr, flavour: _Flavour) -> Any:
+    """The subscript that reads ``expr`` when it is a plain column the
+    layout has; None when it needs its closure."""
+    return flavour.subscript(expr) if isinstance(expr, ast.Column) else None
+
+
+def _plain_keys(exprs: Sequence[ast.Expr], flavour: _Flavour) -> tuple[Any, ...] | None:
+    """The subscripts of ``exprs`` when every one is a plain column (and
+    there is one); None when any needs its closure."""
+    keys = tuple(_plain_key(expr, flavour) for expr in exprs)
+    return None if None in keys or not keys else keys
+
+
+def _cells_of(keys: tuple[Any, ...]) -> BatchFn:
+    """rows -> ``[[row[k] for k in keys] for row in rows]``, without a
+    Python call per cell."""
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda rows: [[row[key]] for row in rows]
+    getter = operator.itemgetter(*keys)
+    return lambda rows: list(map(list, map(getter, rows)))
+
+
+def _column_values(rows: Sequence[Any], key: Any, closure: RowFn) -> list[Any]:
+    """One plain column of a batch (``key`` None: not a plain column).
+    A row the subscript fails on sends the whole batch through the
+    closure, which finds the value its slow way or raises for the first
+    such row."""
+    if key is not None:
+        try:
+            return [row[key] for row in rows]
+        except LookupError:
+            pass
+    return [closure(row) for row in rows]
 
 
 # ----------------------------------------------------------------------
@@ -429,12 +726,12 @@ def _compile_aggregate(call: ast.FuncCall, flavour: _Flavour) -> GroupFn:
             raise SqlExecutionError(arity_message)
         return arity_error
     arg = _compile_expr(call.args[0], flavour)
+    key = _plain_key(call.args[0], flavour)
     name = call.name
     distinct = call.distinct
 
     def aggregate(rows: list[Any], sample: Any) -> Any:
-        values = [arg(r) for r in rows]
-        return _aggregate_values(name, values, distinct)
+        return _aggregate_values(name, _column_values(rows, key, arg), distinct)
     return aggregate
 
 
@@ -475,20 +772,44 @@ def _compile_agg_expr(expr: ast.Expr, flavour: _Flavour) -> GroupFn:
 # ----------------------------------------------------------------------
 # Ordering
 # ----------------------------------------------------------------------
+#: One ORDER BY key: its closure, its direction, and its subscript when
+#: it is a plain column of the rows it sorts (None otherwise).
+OrderKey = tuple[RowFn, bool, Any]
+
+
+def _order_keys(select: ast.Select, flavour: _Flavour) -> list[OrderKey]:
+    return [
+        (_compile_expr(o.expr, flavour), o.descending, _plain_key(o.expr, flavour))
+        for o in select.order_by
+    ]
+
+
+def _sort_values(rows: list[Any], key_fn: RowFn, key: Any) -> list[Any]:
+    """One ORDER BY key over the rows it sorts."""
+    if key is not None:
+        try:
+            return [r[key] for r in rows]
+        except LookupError:
+            pass
+    # Row by row, not per batch: an evaluation error is that row's NULL.
+    values = []
+    for r in rows:
+        try:
+            values.append(key_fn(r))
+        except SqlExecutionError:
+            values.append(None)
+    return values
+
+
 def _sort_payload(
-    order_keys: list[tuple[RowFn, bool]], key_rows: list[Any], payload: list[Any]
+    order_keys: list[OrderKey], key_rows: list[Any], payload: list[Any]
 ) -> list[Any]:
     """The interpreted ``_ordered`` over compiled key closures: stable
     multi-key sort applied right-to-left, None-first, evaluation errors
     sorting as None."""
     indexed = list(range(len(payload)))
-    for key_fn, descending in reversed(order_keys):
-        values = []
-        for r in key_rows:
-            try:
-                values.append(key_fn(r))
-            except SqlExecutionError:
-                values.append(None)
+    for key_fn, descending, key in reversed(order_keys):
+        values = _sort_values(key_rows, key_fn, key)
         # Homogeneous keys (all numbers, or all strings — no NULLs) sort
         # identically raw, because _SortKey's total order reduces to the
         # native one when every pairwise comparison is defined.  That is
@@ -508,19 +829,6 @@ def _sort_payload(
 # ----------------------------------------------------------------------
 # Bound plans
 # ----------------------------------------------------------------------
-#: ``literal <op> column`` read with the column on the left.
-_MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _conjuncts(where: ast.Expr | None) -> Iterator[ast.Expr]:
-    """The operands of the top-level AND chain, in evaluation order."""
-    if isinstance(where, ast.BinOp) and where.op == "AND":
-        yield from _conjuncts(where.left)
-        yield from _conjuncts(where.right)
-    elif where is not None:
-        yield where
-
-
 class BoundPlan:
     """A :class:`CompiledPlan` resolved against one column layout.
 
@@ -535,11 +843,13 @@ class BoundPlan:
         "select",
         "columns",
         "_flavour",
-        "_predicate",
+        "_stages",
         "_out_cols",
         "_item_fns",
+        "_item_cells",
         "_grouped",
         "_group_keys",
+        "_group_key",
         "_having",
         "_agg_items",
         "_order_plain",
@@ -557,7 +867,7 @@ class BoundPlan:
         self.columns = list(flavour.columns)
         self._flavour = flavour
         self._leading_bounds: dict[str, tuple[tuple[str, float], ...]] = {}
-        self._predicate = _compile_predicate(select.where, flavour)
+        self._stages = _compile_filter(select.where, flavour)
         self._star = select.is_star
         has_aggregates = any(
             ast.contains_aggregate(i.expr) for i in select.items
@@ -565,11 +875,13 @@ class BoundPlan:
         self._grouped = bool(select.group_by) or has_aggregates
         self._star_with_aggregates = self._grouped and self._star
         self._group_keys: list[RowFn] = []
+        self._group_key: Callable[[Any], Any] | None = None
         self._having: GroupFn | None = None
         self._agg_items: list[GroupFn] = []
         self._item_fns: list[RowFn] = []
-        self._order_plain: list[tuple[RowFn, bool]] = []
-        self._order_grouped: list[tuple[RowFn, bool]] = []
+        self._item_cells: BatchFn | None = None
+        self._order_plain: list[OrderKey] = []
+        self._order_grouped: list[OrderKey] = []
         self._aliases: list[tuple[str, RowFn]] = []
         self._alias_actions: list[int | None] = []
         self._ext_columns: list[str] = []
@@ -580,6 +892,11 @@ class BoundPlan:
             self._group_keys = [
                 _compile_expr(g, flavour) for g in select.group_by
             ]
+            plain = _plain_keys(select.group_by, flavour)
+            if plain is not None:
+                # One key: the bare value; several: their tuple.  Either
+                # groups as the closures' tuple of values does.
+                self._group_key = operator.itemgetter(*plain)
             if select.having is not None:
                 self._having = _compile_agg_expr(select.having, flavour)
             if not self._star_with_aggregates:
@@ -589,11 +906,9 @@ class BoundPlan:
             if select.order_by:
                 # Grouped output: ORDER BY keys resolve against the
                 # projected columns over the projected (positional) rows.
-                projected = _SlotFlavour(self._out_cols)
-                self._order_grouped = [
-                    (_compile_expr(o.expr, projected), o.descending)
-                    for o in select.order_by
-                ]
+                self._order_grouped = _order_keys(
+                    select, _SlotFlavour(self._out_cols)
+                )
         else:
             self._out_cols = (
                 list(flavour.columns) if self._star else select.projected_names()
@@ -602,6 +917,9 @@ class BoundPlan:
                 self._item_fns = [
                     _compile_expr(i.expr, flavour) for i in select.items
                 ]
+                plain = _plain_keys([i.expr for i in select.items], flavour)
+                if plain is not None:
+                    self._item_cells = _cells_of(plain)
             if select.order_by:
                 self._compile_plain_order(select, flavour)
 
@@ -613,10 +931,7 @@ class BoundPlan:
             if item.alias is not None
         ]
         if not self._aliases:
-            self._order_plain = [
-                (_compile_expr(o.expr, flavour), o.descending)
-                for o in select.order_by
-            ]
+            self._order_plain = _order_keys(select, flavour)
             return
         # Sort keys see the source row augmented with the computed
         # aliases — an alias sharing an existing column's name
@@ -632,11 +947,7 @@ class BoundPlan:
                 ext_columns.append(alias)
         self._alias_actions = actions
         self._ext_columns = ext_columns
-        extended = _SlotFlavour(ext_columns)
-        self._order_plain = [
-            (_compile_expr(o.expr, extended), o.descending)
-            for o in select.order_by
-        ]
+        self._order_plain = _order_keys(select, _SlotFlavour(ext_columns))
 
     def _extended_rows(self, filtered: list[Any]) -> list[list[Any]]:
         """Source rows + computed alias values, as positional rows under
@@ -670,6 +981,8 @@ class BoundPlan:
         """The ``name <op> number`` conjuncts that *lead* the WHERE
         clause, as ``(op, number)`` with the column on the left
         (``5 < c`` reads ``(">", 5)``); ops are ``<  <=  >  >=``.
+        ``name BETWEEN a AND b`` reads as its two bounds and ``name = t``
+        as ``>= t`` and ``<= t``; ``NOT BETWEEN`` and ``!=`` bound nothing.
 
         A caller holding rows sorted by ``name`` may skip every row whose
         non-NULL numeric value fails one of them and still hand the whole
@@ -688,44 +1001,51 @@ class BoundPlan:
         if bounds is None:
             found: list[tuple[str, float]] = []
             for conjunct in _conjuncts(self.select.where):
-                bound = self._bound_on(name, conjunct)
-                if bound is None:
+                more = self._bounds_on(name, conjunct)
+                if not more:
                     break
-                found.append(bound)
+                found.extend(more)
             bounds = self._leading_bounds[name] = tuple(found)
         return bounds
 
-    def _bound_on(self, name: str, expr: ast.Expr) -> tuple[str, float] | None:
-        if not isinstance(expr, ast.BinOp) or expr.op not in _MIRRORED:
-            return None
-        op, column, literal = expr.op, expr.left, expr.right
-        if isinstance(column, ast.Literal):
-            op, column, literal = _MIRRORED[op], literal, column
-        if not isinstance(column, ast.Column) or not isinstance(literal, ast.Literal):
-            return None
-        value = literal.value
-        if (
-            not isinstance(value, (int, float))
-            or isinstance(value, bool)
-            or value != value
+    def _bounds_on(self, name: str, expr: ast.Expr) -> list[tuple[str, float]]:
+        """What one conjunct bounds ``name`` by; [] when it is no bound."""
+        limits: list[tuple[str, ast.Literal | None]]
+        compared = _column_vs_literal(expr)
+        if compared is not None:
+            op, column, literal = compared
+            if op == "!=":
+                return []
+            limits = [(o, literal) for o in ((">=", "<=") if op == "=" else (op,))]
+        elif (
+            isinstance(expr, ast.Between)
+            and not expr.negated
+            and isinstance(expr.expr, ast.Column)
         ):
-            return None
-        slot = _resolve_slot(self.columns, column)
+            column = expr.expr
+            limits = [(">=", _literal(expr.low)), ("<=", _literal(expr.high))]
+        else:
+            return []
+        slot = self._flavour.slot(column)
         if slot is None or self.columns[slot] != name:
-            return None
-        return op, value
+            return []
+        bounds: list[tuple[str, float]] = []
+        for op, literal in limits:
+            value = None if literal is None else literal.value
+            if value.__class__ not in _NUMBERS or value != value:
+                return []
+            bounds.append((op, value))  # type: ignore[arg-type]
+        return bounds
 
     # -- execution -----------------------------------------------------
     def execute(self, rows: Sequence[Any]) -> SelectResult:
         """Run the bound plan over ``rows``."""
-        predicate = self._predicate
-        if predicate is None:
-            filtered = list(rows)
-        else:
-            filtered = [r for r in rows if predicate(r)]
-
+        filtered = self._filter(rows)
         if self._grouped:
             out_cols, out_rows = self._execute_grouped(filtered)
+        elif not filtered:
+            # Nothing to order, project, de-duplicate or slice.
+            return SelectResult.adopt(self._out_cols, [])
         else:
             if self._order_plain:
                 if self._aliases:
@@ -740,8 +1060,7 @@ class BoundPlan:
             if self._star:
                 out_rows = self._flavour.star_rows(filtered)
             else:
-                item_fns = self._item_fns
-                out_rows = [[fn(r) for fn in item_fns] for r in filtered]
+                out_rows = self._project(filtered)
 
         stmt = self.select
         if stmt.distinct:
@@ -759,6 +1078,60 @@ class BoundPlan:
             out_rows = out_rows[: stmt.limit]
         return SelectResult.adopt(out_cols, out_rows)
 
+    def _filter(self, rows: Sequence[Any]) -> list[Any]:
+        """The rows the WHERE clause keeps, as a fresh list."""
+        if not self._stages:
+            return list(rows)
+        kept: Any = rows
+        try:
+            for stage in self._stages:
+                kept = stage(kept)
+                if not kept:
+                    break
+        except Exception:
+            # Conjunct by conjunct this may be a later row's error, or a
+            # later conjunct's.  The interpreter goes row by row: replay
+            # the WHERE clause's own closure that way, and it raises the
+            # error the interpreter would have raised first.
+            where = _compile_expr(self.select.where, self._flavour)  # type: ignore[arg-type]
+            for row in rows:
+                where(row)
+            raise
+        return kept
+
+    def _project(self, filtered: list[Any]) -> list[list[Any]]:
+        cells = self._item_cells
+        if cells is not None:
+            try:
+                return cells(filtered)
+            except LookupError:
+                pass
+        # Per cell, in row order: the first error raised is the
+        # interpreter's (the kernel above fails on the first row that
+        # lacks ANY key, which need not be the first cell that raises).
+        item_fns = self._item_fns
+        return [[fn(r) for fn in item_fns] for r in filtered]
+
+    def _groups(self, filtered: list[Any]) -> Mapping[Any, list[Any]]:
+        """Member rows per GROUP BY key, in first-appearance order."""
+        key_of = self._group_key
+        if key_of is not None:
+            fast: defaultdict[Any, list[Any]] = defaultdict(list)
+            try:
+                for key, r in zip(map(key_of, filtered), filtered):
+                    fast[key].append(r)
+                return fast
+            except (LookupError, TypeError):
+                # A row the subscript fails on, or a value the dict
+                # cannot hash (``_hashable`` turns a list into a tuple).
+                pass
+        groups: dict[tuple[Any, ...], list[Any]] = {}
+        group_keys = self._group_keys
+        for r in filtered:
+            key = tuple(_hashable(fn(r)) for fn in group_keys)
+            groups.setdefault(key, []).append(r)
+        return groups
+
     def _execute_grouped(
         self, filtered: list[Any]
     ) -> tuple[list[str], list[list[Any]]]:
@@ -766,23 +1139,15 @@ class BoundPlan:
             raise SqlExecutionError(
                 "SELECT * cannot be combined with aggregation"
             )
-        groups: dict[tuple[Any, ...], list[Any]] = {}
-        group_keys = self._group_keys
-        if group_keys:
-            for r in filtered:
-                key = tuple(_hashable(fn(r)) for fn in group_keys)
-                groups.setdefault(key, []).append(r)
-        else:
-            # Implicit single group: aggregates over empty input still
-            # produce one row (COUNT(*) = 0).
-            groups[()] = filtered
+        # Implicit single group: aggregates over empty input still
+        # produce one row (COUNT(*) = 0).
+        groups = self._groups(filtered) if self._group_keys else {(): filtered}
 
         having = self._having
         agg_items = self._agg_items
         empty_sample = self._flavour.empty_sample()
         out: list[list[Any]] = []
-        for key in groups:
-            members = groups[key]
+        for members in groups.values():
             sample = members[0] if members else empty_sample
             if having is not None:
                 hv = having(members, sample)

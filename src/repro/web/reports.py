@@ -3,7 +3,8 @@
 The paper's introduction motivates the homogeneous view with high-level
 tools — "intelligent system monitoring, scheduling, load-balancing".
 This module is the monitoring-report consumer: it reads only the
-gateway's HistoryStore (never the agents), so reports are free of
+gateway's HistoryStore (never the agents, and the store only through
+``HistoryStore.since``, never its tables), so reports are free of
 resource intrusion, and produces the tables an era site operator put on
 the group web page:
 
@@ -47,15 +48,9 @@ def utilisation_report(
 ) -> list[HostUtilisation]:
     """Per-host min/avg/max 1-minute load (plus mean CPU utilisation)
     from recorded Processor history."""
-    history = gateway.history
     hosts: dict[str, list[float]] = {}
     utils: dict[str, list[float]] = {}
-    if "Processor" not in history.db.tables:
-        return []
-    for row in history.db.table("Processor").rows:
-        t = row.get("RecordedAt")
-        if since is not None and (t is None or t < since):
-            continue
+    for row in gateway.history.since("Processor", since):
         host = row.get("HostName")
         load = row.get("LoadAverage1Min")
         if host is None or not isinstance(load, (int, float)):
@@ -115,32 +110,23 @@ def _latest_per_host(rows: list[dict], value_keys: list[str]) -> dict[str, dict]
 def capacity_report(gateway: "Gateway") -> CapacitySummary:
     """Aggregate the newest recorded sample of each host."""
     history = gateway.history
-    proc = (
-        _latest_per_host(history.db.table("Processor").rows, ["CPUCount"])
-        if "Processor" in history.db.tables
-        else {}
-    )
-    mem = (
-        _latest_per_host(history.db.table("MainMemory").rows, ["RAMSizeMB"])
-        if "MainMemory" in history.db.tables
-        else {}
-    )
+    proc = _latest_per_host(history.since("Processor", None), ["CPUCount"])
+    mem = _latest_per_host(history.since("MainMemory", None), ["RAMSizeMB"])
     total_disk = free_disk = 0.0
-    if "FileSystem" in history.db.tables:
-        # FileSystem rows are one per mount; key on (host, Name).
-        newest: dict[tuple, dict] = {}
-        for row in history.db.table("FileSystem").rows:
-            key = (row.get("HostName"), row.get("Name"))
-            t = row.get("RecordedAt")
-            if None in key or t is None:
-                continue
-            if key not in newest or t >= newest[key]["RecordedAt"]:
-                newest[key] = row
-        for row in newest.values():
-            if isinstance(row.get("SizeMB"), (int, float)):
-                total_disk += row["SizeMB"]
-            if isinstance(row.get("AvailableSpaceMB"), (int, float)):
-                free_disk += row["AvailableSpaceMB"]
+    # FileSystem rows are one per mount; key on (host, Name).
+    newest: dict[tuple, dict] = {}
+    for row in history.since("FileSystem", None):
+        key = (row.get("HostName"), row.get("Name"))
+        t = row.get("RecordedAt")
+        if None in key or t is None:
+            continue
+        if key not in newest or t >= newest[key]["RecordedAt"]:
+            newest[key] = row
+    for row in newest.values():
+        if isinstance(row.get("SizeMB"), (int, float)):
+            total_disk += row["SizeMB"]
+        if isinstance(row.get("AvailableSpaceMB"), (int, float)):
+            free_disk += row["AvailableSpaceMB"]
     hosts = set(proc) | set(mem)
     return CapacitySummary(
         hosts=len(hosts),

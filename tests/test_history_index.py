@@ -36,8 +36,8 @@ RETENTION_AGE = 6.0
 
 #: ``{a}`` / ``{b}`` are drawn from the instants rows are recorded at
 #: (and the halves between them), so bounds land on, between and beyond
-#: stored values.  They are never negative: ``-1`` parses as a negation,
-#: which is not a literal and so not a bound.
+#: stored values.  They are never negative; the statements that test the
+#: sign fold write their own ``-``.
 STATEMENTS = (
     "SELECT * FROM Processor",
     "SELECT HostName, RecordedAt FROM Processor WHERE RecordedAt > {a}",
@@ -49,6 +49,15 @@ STATEMENTS = (
     "SELECT LoadAverage1Min FROM Processor WHERE recordedat >= {a} AND Processor.RecordedAt < {b}",
     "SELECT LoadAverage1Min FROM Processor WHERE RecordedAt >= {b} AND RecordedAt < {a}",
     "SELECT LoadAverage1Min FROM Processor WHERE RecordedAt BETWEEN {a} AND {b}",
+    "SELECT LoadAverage1Min FROM Processor WHERE recordedat BETWEEN {b} AND {a}",
+    "SELECT HostName, RecordedAt FROM Processor WHERE RecordedAt = {a}",
+    "SELECT HostName, RecordedAt FROM Processor WHERE {b} = RecordedAt AND RecordedAt <= {a}",
+    "SELECT HostName, RecordedAt FROM Processor WHERE RecordedAt >= -1 AND RecordedAt < {a}",
+    "SELECT HostName, RecordedAt FROM Processor WHERE RecordedAt BETWEEN - -{a} AND {b}",
+    "SELECT HostName, RecordedAt FROM Processor WHERE RecordedAt <= -{a}",
+    "SELECT LoadAverage1Min FROM Processor WHERE RecordedAt NOT BETWEEN {a} AND {b}",
+    "SELECT LoadAverage1Min FROM Processor WHERE RecordedAt != {a}",
+    "SELECT LoadAverage1Min FROM Processor WHERE RecordedAt BETWEEN {a} AND '{b}'",
     "SELECT LoadAverage1Min FROM Processor WHERE RecordedAt < {a} OR RecordedAt >= {b}",
     "SELECT LoadAverage1Min FROM Processor WHERE NOT RecordedAt < {a}",
     "SELECT LoadAverage1Min FROM Processor WHERE RecordedAt >= '{a}'",
@@ -65,8 +74,10 @@ STATEMENTS = (
     "ORDER BY LoadAverage1Min DESC LIMIT 3",
 )
 
-#: Statements whose whole WHERE is leading ``RecordedAt`` bounds.
-PURE_RANGES = range(1, 9)
+#: Statements whose whole WHERE is leading ``RecordedAt`` bounds
+#: (``BETWEEN`` is its two bounds, ``=`` is ``>=`` and ``<=``, and a
+#: sign in front of a number is part of the number).
+PURE_RANGES = range(1, 16)
 
 _instants = st.integers(-1, 40).map(lambda n: n / 2)
 _bounds = st.integers(0, 40).map(lambda n: n / 2)

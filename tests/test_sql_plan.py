@@ -7,6 +7,38 @@ raises.  A seeded generator sweeps projections, aliases, LIKE, NULLs,
 aggregates, GROUP BY/HAVING, ORDER BY, DISTINCT and LIMIT/OFFSET over a
 relation with NULLs, numeric strings and mixed types; both bind flavours
 (positional slots and mapping rows) are checked against the oracle.
+
+The sweep runs over four relations: the six typed rows; those plus a
+row for every edge of a column kernel's class guard (``bool``, a
+``str`` subclass, NaN, ±inf, ``2**63``, a non-numeric string in a numeric
+column, ``'1e3'``); one whose mapping rows lack bind-time keys (a row
+keyed in another case, one missing a middle key); and its positional
+twin, a slot row shorter than its layout.  The generator writes literals on either side of a
+comparison, negative literals, ``-'x'``, numeric ``IN`` lists, string
+``BETWEEN`` and comparisons that raise behind conjuncts that are NULL.
+
+Hand mutations of ``sql/plan.py`` that must each fail this module (each
+was applied and seen to fail; the statement that catches it is in
+``KERNEL_EDGES`` as well as reachable by the sweep):
+
+* the class guard of ``_guarded_stage`` loosened to ``isinstance`` —
+  ``HostName IN ('h1', 'H11')`` loses the case-blind ``Host('h11')``,
+  which a set lookup hashes past;
+* a NULL conjunct short-circuited (``_deciding`` returns the closure
+  whatever follows) — ``Load > 100 AND HostName > 3`` stops raising;
+* ``LookupError`` swallowed in a kernel (a missing value reads as NULL
+  instead of going to the closure) — ``MemMB >= 512`` over the
+  ``LACKING`` relation loses the row keyed ``memmb`` and stops raising
+  ``unknown column`` for the row with no such key;
+* the sign fold applied to any literal (``-'x'``) — ``HostName = 'zz'
+  AND Label = -'x'`` raises ``TypeError`` when bound instead of never;
+* the empty-filter early return taken on a grouped plan — ``SELECT
+  COUNT(*) ... WHERE Load > 100`` returns no row instead of ``[0]``;
+* a batch fallback that raises its own error, or the first one in
+  column or conjunct order (``_filter`` without the replay, ``_project``
+  re-raising the ``LookupError``) — ``Load > 0 AND MemMB > 'x'`` over
+  the edge relation and ``SELECT Label, MemMB`` over ``LACKING`` name
+  the wrong operand types / the wrong column.
 """
 
 import random
@@ -33,15 +65,68 @@ ROWS = [
 ]
 
 
+class Host(str):
+    """A ``str`` that is not exactly a ``str``: host names compare (and
+    hash) without regard to case.  Only the closure's ``==`` scan gets
+    ``IN`` right for it; a native set lookup misses."""
+
+    def __eq__(self, other):
+        return isinstance(other, str) and self.lower() == other.lower()
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self.lower())
+
+
+#: ``ROWS`` plus one value for every way a kernel's guard can miss.
+EDGE_ROWS = ROWS + [
+    {"HostName": "h7", "SiteName": "s1", "Load": True, "MemMB": 2**63, "Label": "alpha"},
+    {"HostName": "h8", "SiteName": "s4", "Load": float("nan"), "MemMB": float("inf"), "Label": "Beta"},
+    {"HostName": "h9", "SiteName": "s4", "Load": "n/a", "MemMB": float("-inf"), "Label": "1e3"},
+    {"HostName": "h10", "SiteName": "s2", "Load": "1e3", "MemMB": "1e3", "Label": "h1"},
+    {"HostName": Host("h11"), "SiteName": "s1", "Load": -0.0, "MemMB": 4096, "Label": "s2"},
+]
+
+#: Rows that lack a bind-time key.  h3 spells ``MemMB`` in another case
+#: (the closure's slow lookup finds it), h4 has no such key at all and
+#: h5 lacks the trailing ``Label`` — as a slot row, it is short.
+LACKING_ROWS = [
+    ROWS[0],
+    ROWS[1],
+    {"HostName": "h3", "SiteName": "s2", "Load": "2.5", "memmb": 512, "Label": None},
+    {"HostName": "h4", "SiteName": "s2", "Load": 7, "Label": "alpha"},
+    {"HostName": "h5", "SiteName": "s3", "Load": 0.5, "MemMB": 512},
+]
+#: The positional twin where there is one: a slot row cannot lack a
+#: middle column, it can only be short.
+SHORT_ROWS = [ROWS[0], ROWS[1], LACKING_ROWS[4]]
+
+
 def slot_rows():
     return [[r[c] for c in COLUMNS] for r in ROWS]
 
 
+def positional(columns, dict_rows):
+    """Slot rows of ``dict_rows``: a row lacking trailing keys is short;
+    None when some row lacks a key in the middle (no positional twin)."""
+    out = []
+    for r in dict_rows:
+        present = [c in r for c in columns]
+        width = max((i + 1 for i, there in enumerate(present) if there), default=0)
+        if not all(present[:width]):
+            return None
+        out.append([r[c] for c in columns[:width]])
+    return out
+
+
 def outcome(fn):
-    """Result triple or exception fingerprint — compared across paths."""
+    """Result triple or exception fingerprint — compared across paths.
+    Rows compare by ``repr``: NaN equals NaN, 1 does not equal 1.0."""
     try:
         result = fn()
-        return ("ok", result.columns, result.rows)
+        return ("ok", result.columns, repr(result.rows))
     except Exception as exc:  # noqa: BLE001 - fingerprinting all failures
         return ("err", type(exc).__name__, str(exc))
 
@@ -50,11 +135,21 @@ def assert_equivalent(sql, columns=COLUMNS, dict_rows=ROWS):
     select = parse_select(sql)
     ref = outcome(lambda: execute_select(select, columns, dict_rows))
     plan = compile_plan(select)
-    positional = [[r.get(c) for c in columns] for r in dict_rows]
-    got_slot = outcome(lambda: plan.bind(tuple(columns)).execute(positional))
     got_map = outcome(lambda: plan.bind_mapping(tuple(columns)).execute(dict_rows))
-    assert got_slot == ref, f"slot flavour diverged on {sql!r}:\n{got_slot}\n{ref}"
     assert got_map == ref, f"mapping flavour diverged on {sql!r}:\n{got_map}\n{ref}"
+    rows = positional(columns, dict_rows)
+    if rows is None:
+        return ref
+    if any(len(r) < len(columns) for r in rows) and (
+        select.is_star or (select.order_by and any(i.alias for i in select.items))
+    ):
+        # A short slot row is adopted into a star projection (and into
+        # the alias-extended sort rows) as it is, where the interpreter
+        # pads a dict row's missing keys with NULL: not a kernel's doing
+        # and not comparable.
+        return ref
+    got_slot = outcome(lambda: plan.bind(tuple(columns)).execute(rows))
+    assert got_slot == ref, f"slot flavour diverged on {sql!r}:\n{got_slot}\n{ref}"
     return ref
 
 
@@ -107,10 +202,100 @@ HAND_PICKED = [
 ]
 
 
+#: One statement per edge of a column kernel: guard misses, the literal
+#: on the left, the sign fold and what it must not fold, NULL conjuncts
+#: in front of conjuncts that raise, errors out of row order.
+KERNEL_EDGES = [
+    "SELECT HostName FROM Processor WHERE 1 < Load",
+    "SELECT HostName FROM Processor WHERE '1' >= Load",
+    "SELECT HostName FROM Processor WHERE Load >= -1",
+    "SELECT HostName FROM Processor WHERE Load > - -1",
+    "SELECT HostName FROM Processor WHERE -1.5 = Load",
+    "SELECT HostName FROM Processor WHERE Load != -1.5",
+    "SELECT HostName FROM Processor WHERE Load = TRUE",
+    "SELECT HostName FROM Processor WHERE Load > -TRUE",
+    "SELECT HostName FROM Processor WHERE Load = NULL",
+    "SELECT HostName FROM Processor WHERE Label = -'x'",
+    "SELECT HostName FROM Processor WHERE HostName = 'zz' AND Label = -'x'",
+    "SELECT HostName FROM Processor WHERE Load BETWEEN -2 AND 1e3",
+    "SELECT HostName FROM Processor WHERE Load NOT BETWEEN -2 AND 0.5",
+    "SELECT HostName FROM Processor WHERE Label BETWEEN 'a' AND 'h'",
+    "SELECT HostName FROM Processor WHERE Label BETWEEN 0 AND 5",
+    "SELECT HostName FROM Processor WHERE Load BETWEEN '0' AND 5",
+    "SELECT HostName FROM Processor WHERE MemMB IN (512, 4096)",
+    "SELECT HostName FROM Processor WHERE MemMB NOT IN (512, 4096.0, -1)",
+    "SELECT HostName FROM Processor WHERE MemMB IN (512, '1e3')",
+    "SELECT HostName FROM Processor WHERE Load IN (0.5, 1, 1000)",
+    "SELECT HostName FROM Processor WHERE Label IN ('alpha', NULL)",
+    "SELECT SiteName FROM Processor WHERE HostName IN ('h1', 'H11')",
+    "SELECT SiteName FROM Processor WHERE HostName = 'H11' OR HostName > 'h5'",
+    "SELECT HostName FROM Processor WHERE Label NOT IN ('alpha', '1e3')",
+    "SELECT HostName FROM Processor WHERE Load LIKE '%5'",
+    "SELECT HostName FROM Processor WHERE MemMB LIKE 512 AND Label LIKE '%A'",
+    "SELECT HostName FROM Processor WHERE Label LIKE NULL OR HostName LIKE 'H1_'",
+    "SELECT HostName FROM Processor WHERE memmb IS NULL",
+    "SELECT HostName FROM Processor WHERE Processor.Label IS NOT NULL",
+    "SELECT HostName FROM Processor WHERE Load > 100 AND HostName > 3",
+    "SELECT HostName FROM Processor WHERE Load IS NULL AND HostName > 3",
+    "SELECT HostName FROM Processor WHERE Load > 100 AND MemMB < 0 AND HostName > 3",
+    "SELECT HostName FROM Processor WHERE Load > 0 AND MemMB > 'x'",
+    "SELECT HostName FROM Processor WHERE HostName > 3 AND Load > 0",
+    "SELECT HostName FROM Processor WHERE MemMB >= 512",
+    "SELECT HostName FROM Processor WHERE MemMB >= 512 AND Label LIKE 'a%'",
+    "SELECT COUNT(*) FROM Processor WHERE Load > 100",
+    "SELECT COUNT(*), MAX(MemMB) FROM Processor WHERE MemMB > 1e400",
+    "SELECT HostName, Load FROM Processor WHERE MemMB > 1e400 ORDER BY Missing LIMIT 2",
+    "SELECT Label, MemMB FROM Processor",
+    "SELECT MemMB, Label FROM Processor",
+    "SELECT Label FROM Processor ORDER BY MemMB DESC, HostName",
+    "SELECT SiteName, COUNT(MemMB), MIN(Label) FROM Processor GROUP BY SiteName",
+    "SELECT MemMB, Label, COUNT(*) FROM Processor GROUP BY MemMB, Label",
+    "SELECT Label, COUNT(*) FROM Processor GROUP BY Label ORDER BY Label DESC",
+    "SELECT Load, COUNT(*) FROM Processor GROUP BY Load",
+]
+
+RELATIONS = {"typed": ROWS, "edge": EDGE_ROWS, "lacking": LACKING_ROWS, "short": SHORT_ROWS}
+
+
 class TestHandPicked:
     @pytest.mark.parametrize("sql", HAND_PICKED)
     def test_equivalent(self, sql):
         assert_equivalent(sql)
+
+    @pytest.mark.parametrize("relation", RELATIONS)
+    @pytest.mark.parametrize("sql", HAND_PICKED + KERNEL_EDGES)
+    def test_kernel_edges(self, sql, relation):
+        assert_equivalent(sql, COLUMNS, RELATIONS[relation])
+
+    def test_a_value_in_a_list_groups_with_its_tuple(self):
+        # ``_hashable``: the group-key kernel meets an unhashable value
+        # and hands the whole batch back to the closures.
+        rows = [
+            {**ROWS[0], "Label": ["a", 1]},
+            {**ROWS[1], "Label": ["a", 1]},
+            {**ROWS[3], "Label": "alpha"},
+        ]
+        ref = assert_equivalent(
+            "SELECT SiteName, Label, COUNT(*) FROM Processor GROUP BY SiteName, Label",
+            COLUMNS,
+            rows,
+        )
+        assert ref[0] == "ok" and "2]" in ref[2]
+
+    def test_the_edges_are_met(self):
+        """The relations do raise, and do not only raise: each edge
+        statement succeeds over the typed rows or is one of the known
+        raisers, and the lacking relation raises ``unknown column``."""
+        raisers = 0
+        for sql in KERNEL_EDGES:
+            raisers += assert_equivalent(sql)[0] == "err"
+        assert 0 < raisers < len(KERNEL_EDGES) // 3
+        assert assert_equivalent(
+            "SELECT HostName FROM Processor WHERE MemMB >= 512", COLUMNS, LACKING_ROWS
+        ) == ("err", "SqlExecutionError", "unknown column: 'MemMB'")
+        assert assert_equivalent(
+            "SELECT SiteName FROM Processor WHERE HostName IN ('h1', 'H11')", COLUMNS, EDGE_ROWS
+        ) == ("ok", ["SiteName"], "[['s1'], ['s1']]")
 
     def test_empty_relation(self):
         for sql in (
@@ -155,7 +340,7 @@ def random_select(rng):
     textual = ["HostName", "SiteName", "Label"]
 
     def predicate():
-        roll = rng.randrange(8)
+        roll = rng.randrange(13)
         col = rng.choice(COLUMNS)
         if roll == 0:
             return f"{col} IS {'NOT ' if rng.random() < 0.5 else ''}NULL"
@@ -173,7 +358,24 @@ def random_select(rng):
             return f"{rng.choice(textual)} {op} '{rng.choice(['h1', 'alpha', 's2', ''])}'"
         if roll == 6:
             return f"{rng.choice(numeric)} {rng.choice(['+', '-', '*', '/', '%'])} {rng.randrange(0, 4)} {op} {rng.randrange(0, 1024)}"
-        return f"{rng.choice(COLUMNS)} {op} {rng.choice(COLUMNS)}"
+        if roll == 7:
+            return f"{rng.choice(COLUMNS)} {op} {rng.choice(COLUMNS)}"
+        # Column-kernel shapes the first eight never write.
+        if roll == 8:  # the literal on the left, signed
+            lhs = rng.choice(["0.5", "-1.5", "- -2", "512", "1e3", "'1'", "'alpha'", "-0"])
+            return f"{lhs} {op} {col}"
+        if roll == 9:  # a sign in front of anything
+            rhs = rng.choice(["-1", "-1.5", "-4096", "- - 7", "-'x'", "-TRUE", "-NULL"])
+            return f"{rng.choice(numeric)} {op} {rhs}"
+        if roll == 10:  # numeric / mixed / negated membership
+            items = rng.sample(["512", "4096", "0.5", "-1.5", "7", "'1e3'", "'2.5'", "NULL"], 3)
+            return f"{rng.choice(numeric)} {'NOT ' if rng.random() < 0.3 else ''}IN ({', '.join(items)})"
+        if roll == 11:  # string and ill-typed ranges
+            low, high = rng.choice([("'a'", "'h'"), ("''", "'s2'"), ("0", "'z'"), ("-1", "1")])
+            return f"{col} {'NOT ' if rng.random() < 0.3 else ''}BETWEEN {low} AND {high}"
+        # A type error unless something in front of it is false: the
+        # NULLs of the other conjuncts decide whether it is reached.
+        return f"{rng.choice(textual)} {rng.choice(['<', '<=', '>', '>='])} {rng.randrange(0, 4)}"
 
     def where():
         parts = [predicate() for _ in range(rng.randrange(1, 4))]
@@ -229,14 +431,16 @@ def random_select(rng):
 
 class TestGeneratedDifferential:
     def test_seeded_sweep(self):
-        """400 generated SELECTs, byte-identical across all three paths."""
+        """400 generated SELECTs, byte-identical across all three paths,
+        over each relation."""
         rng = random.Random(20260809)
         for i in range(400):
             sql = random_select(rng)
-            try:
-                assert_equivalent(sql)
-            except AssertionError:
-                raise AssertionError(f"iteration {i}: {sql}") from None
+            for name, rows in RELATIONS.items():
+                try:
+                    assert_equivalent(sql, COLUMNS, rows)
+                except AssertionError:
+                    raise AssertionError(f"iteration {i} over {name}: {sql}") from None
 
     def test_generator_exercises_interesting_shapes(self):
         rng = random.Random(20260809)
@@ -247,6 +451,20 @@ class TestGeneratedDifferential:
         assert any(" AS " in s for s in batch)
         assert any("DISTINCT" in s for s in batch)
         assert any("LIMIT" in s for s in batch)
+        # Kernel edges: a literal on the left, signs, numeric IN, string
+        # BETWEEN, and a raising conjunct behind an AND.
+        assert any(re.search(r"WHERE (-|'|\d)[^ ]* (=|!=|<|>)", s) for s in batch)
+        assert any("- -" in s for s in batch) and any("-'x'" in s for s in batch)
+        assert any(re.search(r"(Load|MemMB) (NOT )?IN \(", s) for s in batch)
+        assert any("BETWEEN 'a' AND 'h'" in s for s in batch)
+        assert any(re.search(r"AND (HostName|SiteName|Label) [<>]=? \d", s) for s in batch)
+        # ... and the sweep is not all errors: most statements succeed
+        # over the typed rows, and a fair share still do over the edges.
+        ok = {
+            name: sum(assert_equivalent(s, COLUMNS, rows)[0] == "ok" for s in batch)
+            for name, rows in RELATIONS.items()
+        }
+        assert ok["typed"] >= 280 and ok["edge"] >= 120 and ok["short"] >= 120, ok
 
 
 class TestBindingCache:

@@ -81,6 +81,46 @@ class TestCapacity:
         assert summary.hosts == 0 and summary.total_cpus == 0
 
 
+class TestReadsGoThroughTheStore:
+    """Reports read history through ``HistoryStore.since`` — bisected,
+    and the accessor the lane-race detector instruments — never through
+    the store's tables."""
+
+    def test_window_is_the_linear_filter_it_replaced(self, polled_site):
+        gw = polled_site.gateway
+        rows = gw.history.db.table("Processor").rows
+        for cut in (None, 0.0, polled_site.clock.now() - 20.0, rows[5]["RecordedAt"], 1e9):
+            want: dict[str, list[float]] = {}
+            for r in rows:
+                if cut is None or (r["RecordedAt"] is not None and r["RecordedAt"] >= cut):
+                    want.setdefault(r["HostName"], []).append(float(r["LoadAverage1Min"]))
+            got = utilisation_report(gw, since=cut)
+            assert [(e.host, e.samples) for e in got] == [
+                (h, len(v)) for h, v in sorted(want.items())
+            ]
+            assert [e.load_avg for e in got] == [
+                sum(v) / len(v) for _, v in sorted(want.items())
+            ]
+
+    def test_reads_are_noted_for_the_race_detector(self, polled_site):
+        from repro.analysis import races
+
+        class Notes:
+            def __init__(self):
+                self.noted = []
+
+            def note(self, state, key, kind, *, digest=None, site=""):
+                self.noted.append((state, key, kind, site))
+
+        with races.activate(Notes()) as notes:
+            utilisation_report(polled_site.gateway, since=0.0)
+            capacity_report(polled_site.gateway)
+        assert notes.noted == [
+            ("history", group, "r", "HistoryStore.since")
+            for group in ("Processor", "Processor", "MainMemory", "FileSystem")
+        ]
+
+
 class TestAvailability:
     def test_counts_poll_outcomes(self, site):
         gw = site.gateway
