@@ -94,7 +94,7 @@ def run_continuous(m: int) -> dict:
     latencies = [
         batch["received_at"] - batch["published_at"]
         for cq in cqs
-        for batch in consumer.delivered.get(cq, [])
+        for batch in consumer.delivered.get((gw.host, cq), [])
     ]
     deliveries = len(latencies)
     assert deliveries > 0

@@ -60,7 +60,7 @@ def main() -> None:
     # --- the central archiver follows every site -----------------------
     archiver = EventArchiver(network, "noc-archive")
     for publisher in publishers:
-        archiver.follow(publisher, name_prefix="alert.")
+        archiver.follow(publisher, where="Name LIKE 'alert.%'")
 
     print("=== monitoring both sites for 30 virtual minutes ===")
     clock.advance(1800.0)

@@ -160,7 +160,10 @@ class GatewayPolicy:
             matching tuples on every publish.  Off by default so
             existing replay signatures and golden traces are untouched.
         stream_max_subscriptions: cap on live continuous queries per
-            hub; registrations past it are refused with a typed shed.
+            hub — the gateway's, and the hub of an
+            :class:`~repro.gma.subscription.EventPublisher` on it (event
+            subscribers); registrations past it are refused with a
+            typed shed.
         stream_default_lease: lease stamped on registrations that arrive
             without one (s, virtual).
         stream_sweep_period: cadence of the hub's lease sweeper; a swept

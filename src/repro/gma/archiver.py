@@ -8,36 +8,23 @@ of gateway :class:`~repro.gma.subscription.EventPublisher` endpoints and
 records every received event into its own relational store, queryable
 with the same SQL engine the rest of GridRM uses.
 
-It renews its subscription leases automatically while running, so it
-survives publisher lease expiry, and exposes small report helpers the
-operations examples/benchmarks consume.
+Its feeds are ordinary event subscriptions: the subscriber's
+:class:`~repro.gma.streams.StreamConsumer` renews their leases at
+half-lease cadence and re-registers one a publisher forgot (counters in
+``archiver.subscriber.consumer.stats``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
 from repro.core.events import Event
 from repro.gma.subscription import EventPublisher, EventSubscriber
-from repro.simnet.errors import NetworkError
 from repro.simnet.network import Address, Network
 from repro.sql.database import Database
 from repro.sql.executor import SelectResult
 
 
-@dataclass
-class _Feed:
-    publisher: Address
-    subscription_id: int
-    lease: float
-    name_prefix: str = ""
-
-
 class EventArchiver:
     """Subscribes to gateways and archives their event streams."""
-
-    RENEW_FRACTION = 0.5  # renew when half the lease has elapsed
 
     def __init__(
         self,
@@ -54,16 +41,8 @@ class EventArchiver:
         self.max_rows = max_rows
         self.subscriber = EventSubscriber(network, host, port=port)
         self.subscriber.on_event(self._archive)
-        self._feeds: list[_Feed] = []
-        self._renew_timer = None
-        self._renew_period = 0.0
         self.db = Database()
-        self.stats = {
-            "archived": 0,
-            "renewals": 0,
-            "renewal_failures": 0,
-            "resubscribes": 0,
-        }
+        self.stats = {"archived": 0}
         self.db.create_table(
             "events",
             [
@@ -81,82 +60,18 @@ class EventArchiver:
         self,
         publisher: EventPublisher | Address,
         *,
-        name_prefix: str = "",
+        where: str = "",
         lease: float = 300.0,
     ) -> int:
         """Subscribe to a gateway's events; returns the subscription id."""
         address = (
             publisher.address if isinstance(publisher, EventPublisher) else publisher
         )
-        sid = self.subscriber.subscribe(
-            address, name_prefix=name_prefix, lease=lease
-        )
-        self._feeds.append(
-            _Feed(
-                publisher=address,
-                subscription_id=sid,
-                lease=lease,
-                name_prefix=name_prefix,
-            )
-        )
-        self._ensure_renewals()
-        return sid
-
-    def _ensure_renewals(self) -> None:
-        """(Re)arm the renew timer at half the *shortest* live lease.
-
-        Recomputed on every follow: a later feed with a shorter lease
-        must tighten the cadence, or it would expire between renewals.
-        """
-        if not self._feeds:
-            return
-        period = min(f.lease for f in self._feeds) * self.RENEW_FRACTION
-        if self._renew_timer is not None:
-            if period >= self._renew_period:
-                return
-            self._renew_timer.cancel()
-        self._renew_period = period
-        self._renew_timer = self.network.clock.call_every(period, self._renew_all)
-
-    def _renew_all(self) -> None:
-        for feed in self._feeds:
-            try:
-                ok = self.subscriber.renew(
-                    feed.publisher, feed.subscription_id, feed.lease
-                )
-            except NetworkError:
-                self.stats["renewal_failures"] += 1
-                continue
-            if ok:
-                self.stats["renewals"] += 1
-                continue
-            # The publisher no longer knows the subscription — the lease
-            # lapsed beyond the sweep's tombstone grace (e.g. across a
-            # partition that has since healed).  Recover by
-            # re-subscribing rather than silently renewing into the
-            # void forever.
-            try:
-                feed.subscription_id = self.subscriber.subscribe(
-                    feed.publisher,
-                    name_prefix=feed.name_prefix,
-                    lease=feed.lease,
-                )
-                self.stats["resubscribes"] += 1
-            except NetworkError:
-                self.stats["renewal_failures"] += 1
+        return self.subscriber.subscribe(address, where=where, lease=lease)
 
     def stop(self) -> None:
         """Unsubscribe everywhere and stop renewing."""
-        for feed in self._feeds:
-            try:
-                self.subscriber.unsubscribe(feed.publisher, feed.subscription_id)
-            except NetworkError:
-                pass
-        self._feeds.clear()
-        if self._renew_timer is not None:
-            self._renew_timer.cancel()
-            self._renew_timer = None
-            self._renew_period = 0.0
+        self.subscriber.consumer.stop()
 
     # ------------------------------------------------------------------
     def _archive(self, event: Event) -> None:

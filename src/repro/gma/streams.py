@@ -35,10 +35,12 @@ consumer's whole share of one publish; recovery is per flavour, as
 before.  A member carries its own ``published_at`` / ``source_url`` /
 ``replay`` because a resume flush mixes publishes in one frame.
 
-Flow control reuses the bounded-buffer / pause-resume discipline of
-:mod:`repro.gma.subscription`: while a subscription is paused its tuples
-buffer (bounded) at the hub, and overflow fates (``drop_oldest`` |
-``pause``) are counted, never silent.  Registration rides the same
+Flow control is a bounded buffer with pause/resume: while a subscription
+is paused its tuples buffer (bounded) at the hub, and overflow fates
+(``drop_oldest`` | ``pause``) are counted, never silent.  The event
+plane (:mod:`repro.gma.subscription`) is an instance of this module — a
+hub over a one-group ``Event`` schema — so it is the only lease, buffer
+and renew implementation.  Registration rides the same
 Deadline / QueryClass / trace-context envelope as the GMA query wire,
 and the hub honours the gateway's admission state: in BROWNOUT and SHED
 pushes to BATCH-class subscriptions are suppressed (counted), and new
@@ -714,11 +716,14 @@ class StreamConsumer:
 
     Frames arrive as one-way datagrams on ``port``; their member batches
     are retained in arrival order (``batches``, and per-query under
-    ``delivered``) and handed one by one to any registered callbacks.  A renew timer keeps every
-    registration's lease alive at half-lease cadence; a renewal answered
-    ``missing`` (the lease lapsed beyond the hub's tombstone grace, e.g.
-    across a long partition) triggers an automatic re-registration with
-    the last-seen watermark.
+    ``delivered``) and handed one by one to any registered callbacks.
+    Continuous-query ids are per-hub counters, so one consumer following
+    several hubs holds equal ids: a registration is (hub, id) and
+    ``delivered`` is keyed by (sending host, id).  A renew timer keeps
+    every registration's lease alive at half-lease cadence; a renewal
+    answered ``missing`` (the lease lapsed beyond the hub's tombstone
+    grace, e.g. across a long partition) triggers an automatic
+    re-registration with the last-seen watermark.
     """
 
     RENEW_FRACTION = 0.5
@@ -739,7 +744,7 @@ class StreamConsumer:
         self.address = Address(host, port)
         self.received = 0
         self.batches: list[dict[str, Any]] = []
-        self.delivered: dict[int, list[dict[str, Any]]] = {}
+        self.delivered: dict[tuple[str, int], list[dict[str, Any]]] = {}
         self._callbacks: list[Callable[[dict[str, Any]], None]] = []
         self._regs: list[_Registration] = []
         self._renew_timer = None
@@ -764,23 +769,24 @@ class StreamConsumer:
             cq = batch["cq"]
             newest[cq] = max(newest.get(cq, 0.0), batch["published_at"])
         for reg in self._regs:
-            reg.last_published = max(
-                reg.last_published, newest.get(reg.cq_id, 0.0)
-            )
+            if reg.hub.host == src.host:
+                reg.last_published = max(
+                    reg.last_published, newest.get(reg.cq_id, 0.0)
+                )
         self.received += len(batches)
         for batch in batches:
             self.batches.append(batch)
-            self.delivered.setdefault(batch["cq"], []).append(batch)
+            self.delivered.setdefault((src.host, batch["cq"]), []).append(batch)
             for cb in list(self._callbacks):
                 cb(batch)
 
     def on_batch(self, callback: Callable[[dict[str, Any]], None]) -> None:
         self._callbacks.append(callback)
 
-    def rows(self, cq_id: int) -> list[list[Any]]:
+    def rows(self, hub: Address, cq_id: int) -> list[list[Any]]:
         """All delivered rows for one continuous query, arrival order."""
         out: list[list[Any]] = []
-        for batch in self.delivered.get(cq_id, []):
+        for batch in self.delivered.get((hub.host, cq_id), []):
             out.extend(batch["rows"])
         return out
 
@@ -808,21 +814,17 @@ class StreamConsumer:
         :class:`~repro.core.errors.OverloadError` with the hub's
         retry-after hint.
         """
-        payload: dict[str, Any] = {
-            "op": "register",
-            "sql": sql,
-            "host": self.address.host,
-            "port": self.address.port,
-            "flavour": flavour,
-            "lease": lease,
-            "watermark": watermark,
-        }
-        if max_buffer is not None:
-            payload["max_buffer"] = int(max_buffer)
-        if overflow is not None:
-            payload["overflow"] = overflow
-        if query_class:
-            payload["query_class"] = query_class
+        reg = _Registration(
+            hub=hub,
+            cq_id=0,
+            sql=sql,
+            flavour=flavour,
+            lease=lease,
+            max_buffer=max_buffer,
+            overflow=overflow,
+            query_class=query_class,
+        )
+        payload = self._register_payload(reg, watermark)
         if deadline is not None:
             timeout = deadline.clamp(timeout, "stream.register")
             payload["deadline_budget"] = deadline.remaining()
@@ -843,19 +845,32 @@ class StreamConsumer:
             )
         if not response.get("ok"):
             raise NetworkError(f"register rejected: {response!r}")
-        reg = _Registration(
-            hub=hub,
-            cq_id=int(response["cq"]),
-            sql=sql,
-            flavour=flavour,
-            lease=lease,
-            max_buffer=max_buffer,
-            overflow=overflow,
-            query_class=query_class,
-        )
+        reg.cq_id = int(response["cq"])
         self._regs.append(reg)
         self._ensure_renewals()
         return reg.cq_id
+
+    def _register_payload(
+        self, reg: _Registration, watermark: float
+    ) -> dict[str, Any]:
+        """The register request for ``reg`` — first registration and
+        lease recovery (with the last-seen watermark) send the same one."""
+        payload: dict[str, Any] = {
+            "op": "register",
+            "sql": reg.sql,
+            "host": self.address.host,
+            "port": self.address.port,
+            "flavour": reg.flavour,
+            "lease": reg.lease,
+            "watermark": watermark,
+        }
+        if reg.max_buffer is not None:
+            payload["max_buffer"] = int(reg.max_buffer)
+        if reg.overflow is not None:
+            payload["overflow"] = reg.overflow
+        if reg.query_class:
+            payload["query_class"] = reg.query_class
+        return payload
 
     def _control(self, hub: Address, payload: dict[str, Any]) -> dict[str, Any]:
         response = self.network.request(self.host, hub, payload)
@@ -879,7 +894,7 @@ class StreamConsumer:
 
     def deregister(self, hub: Address, cq_id: int) -> bool:
         ok = bool(self._control(hub, {"op": "deregister", "cq": cq_id}).get("ok"))
-        self._regs = [r for r in self._regs if r.cq_id != cq_id]
+        self._regs = [r for r in self._regs if (r.hub, r.cq_id) != (hub, cq_id)]
         if not self._regs and self._renew_timer is not None:
             self._renew_timer.cancel()
             self._renew_timer = None
@@ -920,31 +935,7 @@ class StreamConsumer:
             # flavour does not replay rows already delivered.
             try:
                 response = self._control(
-                    reg.hub,
-                    {
-                        "op": "register",
-                        "sql": reg.sql,
-                        "host": self.address.host,
-                        "port": self.address.port,
-                        "flavour": reg.flavour,
-                        "lease": reg.lease,
-                        "watermark": reg.last_published,
-                        **(
-                            {"max_buffer": int(reg.max_buffer)}
-                            if reg.max_buffer is not None
-                            else {}
-                        ),
-                        **(
-                            {"overflow": reg.overflow}
-                            if reg.overflow is not None
-                            else {}
-                        ),
-                        **(
-                            {"query_class": reg.query_class}
-                            if reg.query_class
-                            else {}
-                        ),
-                    },
+                    reg.hub, self._register_payload(reg, reg.last_published)
                 )
             except NetworkError:
                 self.stats["renewal_failures"] += 1

@@ -2,29 +2,34 @@
 
 "This behaviour allows GridRM to propagate events between Gateways and
 groups of diverse data sources."  GMA's third interaction mode (besides
-request/response and query) is subscription: a consumer registers
-interest with a producer, which then pushes events as they occur.
+request/response and query) is subscription, and R-GMA makes it
+relational: every monitoring datum, events included, is a tuple, and a
+subscription is a continuous ``SELECT``.  The event plane is therefore an
+instance of the stream plane (:mod:`repro.gma.streams`), not a second
+mechanism beside it:
 
-:class:`EventPublisher` attaches to a gateway: it accepts subscription
-requests on a control port and forwards every matching local event —
-whether translated from a native trap or synthesised by the alert
-monitor — to each subscriber as a one-way datagram carrying the
-serialised GridRM event.  :class:`EventSubscriber` is the consumer side:
-it subscribes a local callback to a remote gateway's events.
+* :class:`EventPublisher` attaches to a gateway and owns a
+  :class:`~repro.gma.streams.StreamHub` over a one-group schema
+  (:data:`EVENT_GROUP`).  Every local event — translated from a native
+  trap or synthesised by the alert monitor — is published as one row.
+* :class:`EventSubscriber` owns a
+  :class:`~repro.gma.streams.StreamConsumer`; a subscription is
+  ``SELECT * FROM Event [WHERE <where>]`` registered at a publisher, and
+  delivered rows become :class:`~repro.core.events.Event` objects again
+  for the local callbacks.
 
-Subscriptions lease-expire: publishers drop subscribers that have not
-renewed within the lease, so crashed consumers do not accumulate.
+Leases, tombstone grace, pause/resume, bounded buffers, overflow fates,
+frames and the typed shed at ``stream_max_subscriptions`` are the hub's;
+renewal and re-registration are the consumer's (``subscriber.consumer``).
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.core.events import Event
-from repro.simnet.errors import NetworkError
+from repro.core.plans import PlanCache
+from repro.glue.schema import GlueField, GlueGroup, GlueSchema
 from repro.simnet.network import Address, Network
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,239 +37,91 @@ if TYPE_CHECKING:  # pragma: no cover
 
 PUBLISHER_PORT = 8400
 
-#: Wire form of an event (plain dict so any endpoint can consume it).
-def encode_event(event: Event) -> dict[str, Any]:
-    return {
-        "kind": "gridrm-event",
-        "source_host": event.source_host,
-        "name": event.name,
-        "severity": event.severity,
-        "time": event.time,
-        "fields": dict(event.fields),
-        "native_kind": event.native_kind,
-    }
+#: Events as a relation.  ``Fields`` carries the event's free-form
+#: mapping as one opaque cell; predicates address the other five columns.
+EVENT_GROUP = GlueGroup(
+    name="Event",
+    fields=(
+        GlueField("SourceHost", "TEXT"),
+        GlueField("Name", "TEXT"),
+        GlueField("Severity", "TEXT"),
+        GlueField("Time", "TIMESTAMP"),
+        GlueField("NativeKind", "TEXT"),
+        GlueField("Fields", "TEXT"),
+    ),
+    description="GridRM events (native traps, alerts, gateway state changes)",
+)
+EVENT_COLUMNS = EVENT_GROUP.field_names()
 
 
-def decode_event(payload: Any) -> Optional[Event]:
-    if not isinstance(payload, dict) or payload.get("kind") != "gridrm-event":
+def encode_event(event: Event) -> list[Any]:
+    """An event as one row of :data:`EVENT_GROUP`."""
+    return [
+        event.source_host,
+        event.name,
+        event.severity,
+        event.time,
+        event.native_kind,
+        dict(event.fields),
+    ]
+
+
+def decode_event(row: Any) -> Optional[Event]:
+    """The event a delivered ``SELECT *`` row carries; ``None`` for
+    anything that is not a full, well-typed row (untrusted boundary)."""
+    if not isinstance(row, list) or len(row) != len(EVENT_COLUMNS):
         return None
+    source_host, name, severity, time, native_kind, fields = row
     try:
         return Event(
-            source_host=str(payload["source_host"]),
-            name=str(payload["name"]),
-            severity=str(payload["severity"]),
-            time=float(payload["time"]),
-            fields=dict(payload.get("fields", {})),
-            native_kind=str(payload.get("native_kind", "")),
+            source_host=str(source_host),
+            name=str(name),
+            severity=str(severity),
+            time=float(time),
+            fields=dict(fields),
+            native_kind=str(native_kind),
         )
-    except (KeyError, TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
-
-
-@dataclass
-class _Subscription:
-    subscriber: Address
-    name_prefix: str
-    source_host: Optional[str]
-    expires_at: float
-    delivered: int = 0
-    #: Backpressure: while paused, events buffer here (bounded) instead
-    #: of being pushed — a continuous query cannot OOM a slow consumer.
-    max_buffer: int = 256
-    #: What happens when the bounded buffer is full: "drop_oldest"
-    #: keeps the newest events, "pause" keeps the orderly prefix and
-    #: drops newcomers.  Either way the drop is counted, never silent.
-    overflow: str = "drop_oldest"
-    paused: bool = False
-    dropped: int = 0
-    buffer: "deque[dict[str, Any]]" = field(default_factory=deque)
 
 
 class EventPublisher:
-    """Gateway-side event publisher with leased subscriptions.
-
-    Control protocol (request/response on :data:`PUBLISHER_PORT`):
-
-    * ``("subscribe", reply_host, reply_port, name_prefix, source_host,
-      lease_s)`` -> ``("ok", subscription_id)``; the extended form adds
-      ``(..., max_buffer, overflow)`` to size the backpressure buffer
-      (0 = the gateway policy's ``subscription_buffer_limit``) and pick
-      the overflow policy (``"drop_oldest"`` | ``"pause"``)
-    * ``("renew", subscription_id, lease_s)`` -> ``("ok",)`` | ``("missing",)``;
-      a renewal arriving within one sweep period of the sweeper removing
-      the subscription resurrects it in place (see :meth:`sweep`)
-    * ``("unsubscribe", subscription_id)`` -> ``("ok",)`` | ``("missing",)``
-    * ``("pause", subscription_id)`` -> ``("ok",)`` — stop pushing;
-      events buffer (bounded) until resume
-    * ``("resume", subscription_id)`` -> ``("ok", flushed_count)`` —
-      flush the buffer in order and push live again
+    """Gateway-side event publisher: a stream hub fed by the gateway's
+    event manager.  The control and data wires are the hub's (see
+    :class:`~repro.gma.streams.StreamHub`); ``stats`` are its counters.
     """
 
-    DEFAULT_LEASE = 300.0
-    SWEEP_PERIOD = 60.0
-
     def __init__(self, gateway: "Gateway", *, port: int = PUBLISHER_PORT) -> None:
-        self.gateway = gateway
-        self.address = Address(gateway.host, port)
-        self._subs: dict[int, _Subscription] = {}
-        #: Swept subscriptions, kept resurrectable until the next sweep.
-        self._tombstones: dict[int, _Subscription] = {}
-        self._ids = itertools.count(1)
-        self.stats = {
-            "published": 0,
-            "expired": 0,
-            "subscribes": 0,
-            "dropped": 0,
-            "resurrected": 0,
-        }
-        gateway.network.listen(self.address, self._handle_control)
+        # Imported here, not at module level: streams.py imports the
+        # archiver (Republisher's base), which imports this module.
+        from repro.gma.streams import StreamHub
+
+        schema = GlueSchema("events-1", [EVENT_GROUP])
+        self.hub = StreamHub(
+            gateway.network,
+            gateway.host,
+            plans=PlanCache(schema),
+            schema=schema,
+            policy=gateway.policy,
+            port=port,
+        )
+        self.address = self.hub.address
+        self.stats = self.hub.stats
         gateway.events.register_listener(self._on_event)
-        gateway.network.clock.call_every(self.SWEEP_PERIOD, self.sweep)
 
-    # ------------------------------------------------------------------
-    def _handle_control(self, payload: Any, src: Address) -> tuple:
-        if not isinstance(payload, tuple) or not payload:
-            return ("error", "malformed request")
-        op = payload[0]
-        now = self.gateway.network.clock.now()
-        if op == "subscribe":
-            # Legacy 6-tuple, or the extended 8-tuple carrying the
-            # backpressure buffer bound and overflow policy.
-            if len(payload) == 6:
-                _, host, port, prefix, source_host, lease = payload
-                max_buffer, overflow = 0, "drop_oldest"
-            elif len(payload) == 8:
-                _, host, port, prefix, source_host, lease, max_buffer, overflow = (
-                    payload
-                )
-            else:
-                return ("error", "subscribe needs 5 or 7 arguments")
-            if overflow not in ("drop_oldest", "pause"):
-                return ("error", f"unknown overflow policy {overflow!r}")
-            sid = next(self._ids)
-            self._subs[sid] = _Subscription(
-                subscriber=Address(str(host), int(port)),
-                name_prefix=str(prefix or ""),
-                source_host=source_host,
-                expires_at=now + float(lease or self.DEFAULT_LEASE),
-                max_buffer=int(max_buffer)
-                or self.gateway.policy.subscription_buffer_limit,
-                overflow=str(overflow),
-            )
-            self.stats["subscribes"] += 1
-            return ("ok", sid)
-        if op == "renew":
-            sub = self._subs.get(payload[1])
-            if sub is None:
-                # Tombstone grace: this renewal may have been on the
-                # wire — sent while the lease was still live — when the
-                # sweeper ran; transport delay carries the arrival past
-                # the lease-expiry instant, so the sweep removes the
-                # subscription first and the renewal would land on
-                # nothing.  Within one sweep period the renewal
-                # resurrects it, buffers intact.
-                sub = self._tombstones.pop(payload[1], None)
-                if sub is None:
-                    return ("missing",)
-                self._subs[payload[1]] = sub
-                self.stats["resurrected"] += 1
-            sub.expires_at = now + float(payload[2] or self.DEFAULT_LEASE)
-            return ("ok",)
-        if op == "unsubscribe":
-            if self._subs.pop(payload[1], None) or self._tombstones.pop(
-                payload[1], None
-            ):
-                return ("ok",)
-            return ("missing",)
-        if op == "pause":
-            sub = self._subs.get(payload[1])
-            if sub is None:
-                return ("missing",)
-            sub.paused = True
-            return ("ok",)
-        if op == "resume":
-            sub = self._subs.get(payload[1])
-            if sub is None:
-                return ("missing",)
-            sub.paused = False
-            flushed = len(sub.buffer)
-            while sub.buffer:
-                self.gateway.network.send(
-                    self.gateway.host, sub.subscriber, sub.buffer.popleft()
-                )
-                sub.delivered += 1
-                self.stats["published"] += 1
-            return ("ok", flushed)
-        return ("error", f"unknown op {op!r}")
-
-    # ------------------------------------------------------------------
     def _on_event(self, event: Event) -> None:
-        now = self.gateway.network.clock.now()
-        wire_event = encode_event(event)
-        for sub in self._subs.values():
-            if sub.expires_at < now:
-                continue
-            if sub.name_prefix and not event.name.startswith(sub.name_prefix):
-                continue
-            if sub.source_host is not None and event.source_host != sub.source_host:
-                continue
-            self._offer(sub, wire_event)
-
-    def _offer(self, sub: _Subscription, wire_event: dict[str, Any]) -> None:
-        """Push live, or buffer (bounded) while the subscriber is paused."""
-        if not sub.paused:
-            self.gateway.network.send(self.gateway.host, sub.subscriber, wire_event)
-            sub.delivered += 1
-            self.stats["published"] += 1
-            return
-        if len(sub.buffer) < sub.max_buffer:
-            sub.buffer.append(wire_event)
-            return
-        # Bounded buffer full: something must be dropped, and counted.
-        sub.dropped += 1
-        self.stats["dropped"] += 1
-        if sub.overflow == "drop_oldest":
-            sub.buffer.popleft()
-            sub.buffer.append(wire_event)
-        # "pause": the newcomer is dropped — the orderly prefix survives.
-
-    def buffer_stats(self) -> dict[int, dict[str, Any]]:
-        """Per-subscription backpressure state (console view)."""
-        return {
-            sid: {
-                "paused": s.paused,
-                "buffered": len(s.buffer),
-                "max_buffer": s.max_buffer,
-                "overflow": s.overflow,
-                "dropped": s.dropped,
-                "delivered": s.delivered,
-            }
-            for sid, s in sorted(self._subs.items())
-        }
-
-    def sweep(self) -> int:
-        """Tombstone expired subscriptions; returns how many moved.
-
-        Tombstones from the *previous* sweep are discarded first, so a
-        swept subscription stays renew-resurrectable for exactly one
-        sweep period — long enough for a renewal whose arrival the
-        virtual clock carried past the expiry instant, or across a
-        short partition, to land.
-        """
-        self._tombstones.clear()
-        now = self.gateway.network.clock.now()
-        dead = [sid for sid, s in self._subs.items() if s.expires_at < now]
-        for sid in dead:
-            self._tombstones[sid] = self._subs.pop(sid)
-        self.stats["expired"] += len(dead)
-        return len(dead)
+        self.hub.publish(EVENT_GROUP.name, EVENT_COLUMNS, [encode_event(event)])
 
     def subscriber_count(self) -> int:
-        return len(self._subs)
+        return self.hub.subscription_count()
 
 
 class EventSubscriber:
-    """Consumer side: receive a remote gateway's events locally."""
+    """Consumer side: receive remote gateways' events locally.
+
+    Flow control and lease upkeep are ``self.consumer``'s: pause, resume,
+    renew and deregister a subscription there, by (publisher, id).
+    """
 
     def __init__(
         self,
@@ -273,22 +130,21 @@ class EventSubscriber:
         *,
         port: int = 8401,
     ) -> None:
-        self.network = network
-        self.host = host
-        self.address = Address(host, port)
+        from repro.gma.streams import StreamConsumer
+
+        self.consumer = StreamConsumer(network, host, port=port)
+        self.consumer.on_batch(self._on_batch)
         self._callbacks: list[Callable[[Event], None]] = []
         self.received = 0
-        network.listen(
-            self.address, lambda p, s: None, datagram_handler=self._on_datagram
-        )
 
-    def _on_datagram(self, payload: Any, src: Address) -> None:
-        event = decode_event(payload)
-        if event is None:
-            return
-        self.received += 1
-        for cb in list(self._callbacks):
-            cb(event)
+    def _on_batch(self, batch: dict[str, Any]) -> None:
+        for row in batch["rows"]:
+            event = decode_event(row)
+            if event is None:
+                continue
+            self.received += 1
+            for cb in list(self._callbacks):
+                cb(event)
 
     def on_event(self, callback: Callable[[Event], None]) -> None:
         self._callbacks.append(callback)
@@ -297,69 +153,23 @@ class EventSubscriber:
         self,
         publisher: Address,
         *,
-        name_prefix: str = "",
-        source_host: str | None = None,
-        lease: float = EventPublisher.DEFAULT_LEASE,
+        where: str = "",
+        lease: float = 300.0,
         max_buffer: int | None = None,
         overflow: str | None = None,
     ) -> int:
         """Subscribe at a remote publisher; returns the subscription id.
 
-        ``max_buffer`` / ``overflow`` size this subscription's
-        backpressure buffer at the publisher (events buffer there,
-        bounded, while the subscription is paused).  When both are left
-        default the legacy 6-tuple goes out, so old publishers still
-        accept the request.
+        ``where`` is a SQL predicate over :data:`EVENT_GROUP`
+        (``"Name LIKE 'alert.%'"``, ``"SourceHost = 'n0'"``), evaluated
+        at the publisher.  A refused subscription — unparsable or
+        invalid predicate, unknown overflow policy — raises
+        :class:`~repro.simnet.errors.NetworkError`; a full subscription
+        table raises :class:`~repro.core.errors.OverloadError`.
         """
-        if max_buffer is None and overflow is None:
-            request: tuple = (
-                "subscribe",
-                self.address.host,
-                self.address.port,
-                name_prefix,
-                source_host,
-                lease,
-            )
-        else:
-            request = (
-                "subscribe",
-                self.address.host,
-                self.address.port,
-                name_prefix,
-                source_host,
-                lease,
-                int(max_buffer or 0),
-                overflow or "drop_oldest",
-            )
-        response = self.network.request(self.host, publisher, request)
-        if not isinstance(response, tuple) or response[0] != "ok":
-            raise NetworkError(f"subscribe rejected: {response!r}")
-        return response[1]
-
-    def pause(self, publisher: Address, subscription_id: int) -> bool:
-        """Ask the publisher to buffer (bounded) instead of pushing."""
-        response = self.network.request(
-            self.host, publisher, ("pause", subscription_id)
+        sql = f"SELECT * FROM {EVENT_GROUP.name}"
+        if where:
+            sql += f" WHERE {where}"
+        return self.consumer.register(
+            publisher, sql, lease=lease, max_buffer=max_buffer, overflow=overflow
         )
-        return isinstance(response, tuple) and response[0] == "ok"
-
-    def resume(self, publisher: Address, subscription_id: int) -> int:
-        """Resume pushing; returns how many buffered events flushed."""
-        response = self.network.request(
-            self.host, publisher, ("resume", subscription_id)
-        )
-        if not isinstance(response, tuple) or response[0] != "ok":
-            raise NetworkError(f"resume rejected: {response!r}")
-        return int(response[1])
-
-    def renew(self, publisher: Address, subscription_id: int, lease: float) -> bool:
-        response = self.network.request(
-            self.host, publisher, ("renew", subscription_id, lease)
-        )
-        return isinstance(response, tuple) and response[0] == "ok"
-
-    def unsubscribe(self, publisher: Address, subscription_id: int) -> bool:
-        response = self.network.request(
-            self.host, publisher, ("unsubscribe", subscription_id)
-        )
-        return isinstance(response, tuple) and response[0] == "ok"

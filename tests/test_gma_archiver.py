@@ -1,4 +1,8 @@
-"""Unit tests for the multi-gateway event archiver."""
+"""Unit tests for the multi-gateway event archiver.
+
+Feeds are event subscriptions: lease upkeep (renew cadence, re-register,
+counters) is the state of ``archiver.subscriber.consumer``.
+"""
 
 import pytest
 
@@ -50,7 +54,7 @@ class TestArchiving:
 
     def test_name_prefix_filter(self, fabric):
         network, a, b, pa, pb, archiver = fabric
-        archiver.follow(pa, name_prefix="never.")
+        archiver.follow(pa, where="Name LIKE 'never.%'")
         network.clock.advance(120.0)
         assert archiver.event_count() == 0
 
@@ -80,7 +84,7 @@ class TestLeaseManagement:
         network.clock.advance(200.0)  # > 3 lease periods
         n = archiver.event_count()
         assert n > 0
-        assert archiver.stats["renewals"] >= 2
+        assert archiver.subscriber.consumer.stats["renewals"] >= 2
         network.clock.advance(60.0)
         assert archiver.event_count() > n  # still flowing
 
@@ -99,17 +103,22 @@ class TestLeaseManagement:
         archiver.follow(pa, lease=60.0)
         network.set_host_up(a.gateway.host, False)
         network.clock.advance(100.0)
-        assert archiver.stats["renewal_failures"] >= 1
+        stats = archiver.subscriber.consumer.stats
+        assert stats["renewal_failures"] >= 1
         network.set_host_up(a.gateway.host, True)
-        # Renewals resume once the publisher is back (subscription may
-        # have lease-expired server-side; the archiver keeps trying).
+        # Renewals resume once the publisher is back: the lease lapsed
+        # server-side, so the feed is resurrected or re-registered.
+        n = archiver.event_count()
         network.clock.advance(100.0)
+        assert stats["renewals"] + stats["reregisters"] >= 1
+        assert pa.subscriber_count() == 1
+        assert archiver.event_count() > n
 
 
 class TestWithAlertRules:
     def test_alert_events_archived_across_wan(self, fabric):
         network, a, b, pa, pb, archiver = fabric
-        archiver.follow(pa, name_prefix="alert.")
+        archiver.follow(pa, where="Name LIKE 'alert.%'")
         a.gateway.alerts.add_rule(
             AlertRule(
                 name="always",
@@ -133,15 +142,15 @@ class TestLeaseRecovery:
 
     def test_resubscribes_when_publisher_forgot_the_lease(self, fabric):
         network, a, b, pa, pb, archiver = fabric
+        consumer = archiver.subscriber.consumer
         sid = archiver.follow(pa, lease=60.0)
         network.clock.advance(10.0)
         # Simulate a lapse beyond the tombstone grace: the publisher
         # dropped the subscription while the archiver still holds it.
-        pa._subs.pop(sid)
-        archiver._renew_all()
-        assert archiver.stats["resubscribes"] == 1
-        new_sid = archiver._feeds[0].subscription_id
-        assert new_sid != sid
+        pa.hub._subs.pop(sid)
+        consumer._renew_all()
+        assert consumer.stats["reregisters"] == 1
+        assert consumer._regs[0].cq_id != sid
         assert pa.subscriber_count() == 1
         # The recovered feed archives events again.
         n = archiver.event_count()
@@ -150,29 +159,61 @@ class TestLeaseRecovery:
 
     def test_later_shorter_lease_tightens_renew_cadence(self, fabric):
         network, a, b, pa, pb, archiver = fabric
+        consumer = archiver.subscriber.consumer
         archiver.follow(pa, lease=600.0)
-        assert archiver._renew_period == 300.0
+        assert consumer._renew_period == 300.0
         # A second feed with a much shorter lease must re-arm the timer
         # at half *its* lease, or it would expire between renewals.
         archiver.follow(pb, lease=60.0)
-        assert archiver._renew_period == 30.0
+        assert consumer._renew_period == 30.0
         network.clock.advance(200.0)
-        assert archiver.stats["renewals"] >= 2 * (200 // 30 - 1)
+        assert consumer.stats["renewals"] >= 2 * (200 // 30 - 1)
         assert pb.subscriber_count() == 1  # never lapsed
+        assert pb.stats["expired"] == 0
 
     def test_longer_lease_does_not_loosen_cadence(self, fabric):
         network, a, b, pa, pb, archiver = fabric
         archiver.follow(pa, lease=60.0)
         archiver.follow(pb, lease=600.0)
-        assert archiver._renew_period == 30.0
+        assert archiver.subscriber.consumer._renew_period == 30.0
 
     def test_stop_resets_timer_state_for_reuse(self, fabric):
         network, a, b, pa, pb, archiver = fabric
+        consumer = archiver.subscriber.consumer
         archiver.follow(pa, lease=60.0)
         archiver.stop()
-        assert archiver._renew_timer is None
-        assert archiver._renew_period == 0.0
+        assert consumer._renew_timer is None
+        assert consumer._renew_period == 0.0
         # A fresh follow after stop() re-arms from scratch.
         archiver.follow(pb, lease=100.0)
-        assert archiver._renew_period == 50.0
+        assert consumer._renew_period == 50.0
         archiver.stop()
+
+    def test_dropping_one_feed_keeps_the_other_alive_past_its_lease(self, fabric):
+        """Both publishers number their first subscription 1: dropping
+        feed A must leave feed B registered, renewed and archiving."""
+        network, a, b, pa, pb, archiver = fabric
+        consumer = archiver.subscriber.consumer
+        sid_a = archiver.follow(pa, lease=60.0)
+        sid_b = archiver.follow(pb, lease=60.0)
+        assert sid_a == sid_b == 1
+        network.clock.advance(20.0)
+        assert consumer.deregister(pa.address, sid_a)
+        assert [(r.hub, r.cq_id) for r in consumer._regs] == [(pb.address, sid_b)]
+        assert consumer._renew_timer is not None
+        from_a = archiver.query(
+            "SELECT COUNT(*) FROM events WHERE source_host LIKE 'arc-a%'"
+        ).rows[0][0]
+        renewals = consumer.stats["renewals"]
+        network.clock.advance(240.0)  # four leases on
+        assert consumer.stats["renewals"] > renewals
+        assert pa.subscriber_count() == 0
+        assert pb.subscriber_count() == 1 and pb.stats["expired"] == 0
+        recent = archiver.query(
+            "SELECT source_host FROM events "
+            f"WHERE received_at > {network.clock.now() - 60.0}"
+        ).rows
+        assert recent and all(h.startswith("arc-b") for (h,) in recent)
+        assert from_a == archiver.query(
+            "SELECT COUNT(*) FROM events WHERE source_host LIKE 'arc-a%'"
+        ).rows[0][0]

@@ -101,13 +101,13 @@ def test_stream_flavour_pushes_only_matching_tuples():
         flavour="stream",
     )
     _publish(hub, clock, [["n0", 0.9, 1], ["n1", 0.1, 2], ["n2", 0.7, 3]])
-    assert consumer.rows(cq) == [["n0", 0.9], ["n2", 0.7]]
+    assert consumer.rows(hub.address, cq) == [["n0", 0.9], ["n2", 0.7]]
     # A publish with no matching rows must push nothing at all.
-    before = len(consumer.delivered.get(cq, []))
+    before = len(consumer.delivered.get((hub.host, cq), []))
     _publish(hub, clock, [["n3", 0.2, 4]])
-    assert len(consumer.delivered.get(cq, [])) == before
+    assert len(consumer.delivered.get((hub.host, cq), [])) == before
     # stream flavour replays nothing on attach.
-    assert consumer.delivered[cq][0]["replay"] is False
+    assert consumer.delivered[hub.host, cq][0]["replay"] is False
 
 
 def test_latest_flavour_replays_current_rows_on_attach():
@@ -121,7 +121,7 @@ def test_latest_flavour_replays_current_rows_on_attach():
         hub.address, "SELECT HostName, Load FROM Probe", flavour="latest"
     )
     clock.advance(1.0)
-    batches = consumer.delivered[cq]
+    batches = consumer.delivered[hub.host, cq]
     assert all(b["replay"] for b in batches)
     by_source = {b["source_url"]: b["rows"] for b in batches}
     assert by_source == {
@@ -147,7 +147,7 @@ def test_history_flavour_replays_since_watermark():
         watermark=15.0,
     )
     clock.advance(1.0)
-    (batch,) = consumer.delivered[cq]
+    (batch,) = consumer.delivered[hub.host, cq]
     assert batch["replay"] is True
     assert batch["source_url"] == "history://Probe"
     assert batch["rows"] == [["n0", 0.2], ["n0", 0.3]]
@@ -167,7 +167,7 @@ def test_history_replay_caps_at_replay_limit():
         hub.address, "SELECT HostName FROM Probe", flavour="history"
     )
     clock.advance(1.0)
-    (batch,) = consumer.delivered[cq]
+    (batch,) = consumer.delivered[hub.host, cq]
     # Newest rows win the cap: catch-up, not a full table scan.
     assert batch["rows"] == [["n3"], ["n4"]]
 
@@ -181,20 +181,20 @@ def test_narrow_publish_never_fails_the_publisher():
     # A real-time query that only acquired HostName publishes just that.
     hub.publish("Probe", ["HostName"], [["n0"], ["n1"]], source_url="probe://h0")
     clock.advance(1.0)
-    assert consumer.rows(narrow) == [["n0"], ["n1"]]
-    assert consumer.delivered.get(wide, []) == []
+    assert consumer.rows(hub.address, narrow) == [["n0"], ["n1"]]
+    assert consumer.delivered.get((hub.host, wide), []) == []
     assert hub.stats["unsatisfied"] == 1
     # The narrow snapshot also cannot feed a later ``latest`` attach.
     late = consumer.register(
         hub.address, "SELECT HostName, Load FROM Probe", flavour="latest"
     )
     clock.advance(1.0)
-    assert consumer.delivered.get(late, []) == []
+    assert consumer.delivered.get((hub.host, late), []) == []
     assert hub.stats["unsatisfied"] == 2
     # A full-width publish satisfies everyone again.
     _publish(hub, clock, [["n2", 0.4, 1]])
-    assert consumer.rows(wide) == [["n2", 0.4]]
-    assert consumer.rows(late) == [["n2", 0.4]]
+    assert consumer.rows(hub.address, wide) == [["n2", 0.4]]
+    assert consumer.rows(hub.address, late) == [["n2", 0.4]]
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +211,7 @@ def test_paused_subscription_buffers_then_drop_oldest():
     assert consumer.pause(hub.address, cq)
     for slot in range(4):
         _publish(hub, clock, [[f"n{slot}", 0.5, slot]])
-    assert consumer.rows(cq) == []  # nothing crossed the wire yet
+    assert consumer.rows(hub.address, cq) == []  # nothing crossed the wire yet
     stats = hub.buffer_stats()[cq]
     assert stats["paused"] and stats["buffered"] == 2
     assert stats["dropped"] == 2 and hub.stats["dropped"] == 2
@@ -219,7 +219,7 @@ def test_paused_subscription_buffers_then_drop_oldest():
     clock.advance(1.0)
     assert flushed == 2
     # drop_oldest kept the newest window, flushed in publish order.
-    assert consumer.rows(cq) == [["n2", 2], ["n3", 3]]
+    assert consumer.rows(hub.address, cq) == [["n2", 2], ["n3", 3]]
     assert not hub.buffer_stats()[cq]["paused"]
 
 
@@ -237,7 +237,7 @@ def test_pause_overflow_policy_drops_the_newcomer():
     consumer.resume(hub.address, cq)
     clock.advance(1.0)
     # The orderly prefix survives; the late batches were dropped.
-    assert consumer.rows(cq) == [[0], [1]]
+    assert consumer.rows(hub.address, cq) == [[0], [1]]
     assert hub.stats["dropped"] == 2
 
 
@@ -264,14 +264,14 @@ def test_brownout_suppresses_batch_pushes_only():
         hub.address, "SELECT HostName FROM Probe", query_class="interactive"
     )
     _publish(hub, clock, [["n0", 0.5, 1]])
-    assert consumer.rows(batch_cq) == []
-    assert consumer.rows(inter_cq) == [["n0"]]
+    assert consumer.rows(hub.address, batch_cq) == []
+    assert consumer.rows(hub.address, inter_cq) == [["n0"]]
     assert hub.stats["suppressed"] == 1
     assert hub.buffer_stats()[batch_cq]["suppressed"] == 1
     # Pressure relaxes: batch pushes resume, nothing was buffered.
     overload.state = PressureState.NORMAL
     _publish(hub, clock, [["n1", 0.5, 2]])
-    assert consumer.rows(batch_cq) == [[2]]
+    assert consumer.rows(hub.address, batch_cq) == [[2]]
 
 
 def test_shed_state_refuses_batch_registration_with_typed_shed():
@@ -367,13 +367,13 @@ def test_non_finite_instants_are_refused_on_both_wires(instant):
     clock.advance(1.0)
     (reg,) = consumer._regs
     honest = reg.last_published
-    assert honest > 0.0 and consumer.rows(cq) == [[1]]
+    assert honest > 0.0 and consumer.rows(hub.address, cq) == [[1]]
     forged = encode_batch(
         cq, ["Slot"], [[9]], published_at=instant, source_url="x", replay=False
     )
     assert decode_batch(forged) is None
     consumer._on_datagram(encode_frame([forged]), hub.address)
-    assert reg.last_published == honest and consumer.rows(cq) == [[1]]
+    assert reg.last_published == honest and consumer.rows(hub.address, cq) == [[1]]
     # The hub refuses the same values (and a negative one) as a watermark,
     # with the typed reply of every other bad registration field.
     registration = {
@@ -406,7 +406,7 @@ def test_sweep_tombstones_then_renewal_resurrects():
     assert hub.stats["resurrected"] == 1
     assert hub.subscription_count() == 1
     _publish(hub, clock, [["n0", 0.5, 1]])
-    assert consumer.rows(cq) == [[1]]
+    assert consumer.rows(hub.address, cq) == [[1]]
 
 
 def test_tombstone_gone_after_second_sweep():
@@ -479,7 +479,43 @@ def test_consumer_reregisters_when_lease_lapsed_beyond_grace():
     new_cq = consumer._regs[0].cq_id
     assert new_cq != cq
     _publish(hub, clock, [["n0", 0.5, 3]])
-    assert consumer.rows(new_cq) == [[3]]
+    assert consumer.rows(hub.address, new_cq) == [[3]]
+
+
+def test_one_consumer_at_two_hubs_holds_equal_ids_apart():
+    """Ids are per-hub counters: a consumer following two hubs holds
+    (hub A, 1) and (hub B, 1).  Deliveries, watermarks, deregistration
+    and renewal must each address one of them, not both."""
+    clock, network, hub_a, consumer, _ = _fabric()
+    network.add_host("hub-b-host", site="t")
+    schema = GlueSchema("t-1", groups=(PROBE,))
+    hub_b = StreamHub(
+        network, "hub-b-host", plans=PlanCache(schema), schema=schema,
+        policy=GatewayPolicy(),
+    )
+    sql = "SELECT Slot FROM Probe"
+    cq_a = consumer.register(hub_a.address, sql, lease=60.0)
+    cq_b = consumer.register(hub_b.address, sql, lease=60.0)
+    assert cq_a == cq_b == 1
+    reg_a, reg_b = consumer._regs
+
+    _publish(hub_a, clock, [["n0", 0.5, 1]])
+    assert reg_a.last_published > 0.0 and reg_b.last_published == 0.0
+    _publish(hub_b, clock, [["n0", 0.5, 2]])
+    assert reg_a.last_published < reg_b.last_published
+    assert consumer.rows(hub_a.address, 1) == [[1]]
+    assert consumer.rows(hub_b.address, 1) == [[2]]
+    assert sorted(consumer.delivered) == [("hub-b-host", 1), ("hub-host", 1)]
+
+    assert consumer.deregister(hub_a.address, cq_a)
+    assert consumer._regs == [reg_b]
+    assert consumer._renew_timer is not None
+    assert hub_a.subscription_count() == 0
+    clock.advance(200.0)  # three leases on: hub B's was renewed throughout
+    assert consumer.stats["renewals"] >= 5
+    assert hub_b.subscription_count() == 1 and hub_b.stats["expired"] == 0
+    _publish(hub_b, clock, [["n0", 0.5, 3]])
+    assert consumer.rows(hub_b.address, 1) == [[2], [3]]
 
 
 def test_expired_subscription_receives_no_pushes():
@@ -489,7 +525,7 @@ def test_expired_subscription_receives_no_pushes():
     _silence_renewals(consumer)  # let the lease lapse; keep the hub entry
     clock.advance(10.0)
     _publish(hub, clock, [["n0", 0.5, 1]])
-    assert consumer.rows(cq) == []
+    assert consumer.rows(hub.address, cq) == []
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +556,7 @@ def test_republisher_derives_windowed_aggregates_downstream():
     assert rep.stats["samples"] == 3
     assert rep.stats["skipped_rows"] == 1  # the non-numeric Load
     assert rep.stats["windows"] == 1
-    (batch,) = downstream.delivered[cq]
+    (batch,) = downstream.delivered[rep.hub.host, cq]
     assert batch["source_url"] == "republish://rep-host/DerivedLoad"
     assert batch["rows"] == [
         ["n0", 1.5, 1.0, 2.0, 2],
@@ -600,7 +636,7 @@ def test_push_spans_nest_under_the_live_query_trace():
         mode=QueryMode.REALTIME,
     )
     network.clock.advance(1.0)
-    assert consumer.rows(consumer._regs[0].cq_id)
+    assert consumer.rows(gw.streams.address, consumer._regs[0].cq_id)
     trace = gw.tracer.get(result.trace_id)
     pushes = [s for s in trace.spans if s.name == "push"]
     assert pushes, "publish must trace inside the query that fetched"

@@ -730,7 +730,7 @@ def test_hostile_datagram_never_raises_and_leaks_no_state(payload):
     assert after.last_published >= before.last_published
     # And the next honest publish still lands.
     publish(network, hub, 2)
-    assert client.rows(cq)[-1] == [2]
+    assert client.rows(hub.address, cq)[-1] == [2]
 
 
 def test_ten_thousand_member_frame_is_decoded_in_one_pass():

@@ -24,6 +24,12 @@ when history reads moved to the time-ordered index: each seed's two
 post-partition ``history`` re-registrations now replay the one row
 recorded at their watermark instant, where the bisect over arrival order
 returned none (80 -> 82 rows replayed per seed, nothing else moves).
+``stream`` seeds 3 and 4 were re-recorded again when consumer-side
+registrations became (hub, id): the scenario's consumer holds id 1 at
+both the gateway's hub and the republisher's, and derived batches used
+to advance the gateway registration's watermark too, so its
+post-partition re-register request carried another float (a few bytes
+of virtual transfer time; every counter and measurement is equal).
 """
 
 from __future__ import annotations

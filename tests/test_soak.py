@@ -104,7 +104,7 @@ class TestSoakInvariants:
         hosts = {r[0] for r in archiver.query("SELECT source_host FROM events").rows}
         assert any(h.startswith("soak-a") for h in hosts)
         assert any(h.startswith("soak-b") for h in hosts)
-        assert archiver.stats["renewals"] > 0
+        assert archiver.subscriber.consumer.stats["renewals"] > 0
 
     def test_caches_effective(self, soaked):
         network, sites, *_ = soaked

@@ -126,7 +126,8 @@ def observed(site, consumers):
                         b["cq"], b["columns"], b["rows"],
                         b["published_at"], b["source_url"], b["replay"],
                     ]
-                    for b in consumers[index].delivered.get(cq_id, [])
+                    for b in consumers[index].batches
+                    if b["cq"] == cq_id
                 ],
                 key=lambda b: (b[3], b[4]),
             )
@@ -236,9 +237,9 @@ class TestPauseAndResume:
             # The sibling on the same address is still framed; the other
             # consumer still gets its own frame.
             assert publish(network, hub, slot) == 2
-        assert client.rows(paused) == []
-        assert client.rows(sibling) == [["n0"], ["n1"], ["n2"]]
-        assert other.rows(far) == [[0, 0.5], [1, 0.5], [2, 0.5]]
+        assert client.rows(hub.address, paused) == []
+        assert client.rows(hub.address, sibling) == [["n0"], ["n1"], ["n2"]]
+        assert other.rows(hub.address, far) == [[0, 0.5], [1, 0.5], [2, 0.5]]
         assert hub.buffer_stats()[paused]["buffered"] == 3
         before = network.stats.datagrams, hub.stats["frames"]
         assert client.resume(hub.address, paused) == 3
@@ -246,8 +247,8 @@ class TestPauseAndResume:
         assert network.stats.datagrams - before[0] == 1
         assert hub.stats["frames"] - before[1] == 1
         # Publish order, one arrival instant, nothing for anyone else.
-        assert client.rows(paused) == [[0], [1], [2]]
-        flushed = client.delivered[paused]
+        assert client.rows(hub.address, paused) == [[0], [1], [2]]
+        flushed = client.delivered[hub.host, paused]
         assert [b["published_at"] for b in flushed] == sorted(
             b["published_at"] for b in flushed
         )
@@ -274,7 +275,7 @@ class TestPauseAndResume:
             assert hub.stats["pushes"] == hub.stats["frames"] == 0
             assert client.resume(hub.address, cq) == 2
             network.clock.advance(1.0)
-            assert client.rows(cq) == kept
+            assert client.rows(hub.address, cq) == kept
 
 
 # ----------------------------------------------------------------------
@@ -290,10 +291,10 @@ def test_latest_attach_over_four_sources_is_one_frame():
     assert network.stats.datagrams - before[0] == 1
     assert hub.stats["frames"] - before[1] == 1
     assert hub.stats["replayed"] == 4
-    batches = client.delivered[cq]
+    batches = client.delivered[hub.host, cq]
     assert [b["source_url"] for b in batches] == [f"probe://h{i}" for i in range(4)]
     assert all(b["replay"] for b in batches)
-    assert client.rows(cq) == [[0], [1], [2], [3]]
+    assert client.rows(hub.address, cq) == [[0], [1], [2], [3]]
     assert hub.stats["pushes"] == 4
 
 
@@ -317,11 +318,11 @@ def test_a_lost_frame_costs_one_consumer_one_whole_publish():
     network.heal()
     publish(network, hub, 2)
     # Every subscription of the partitioned consumer lost publish 1 ...
-    assert [len(client.delivered[cq]) for cq in mine] == [2, 2, 2]
-    assert client.rows(mine[0]) == [[0], [2]]
-    assert client.rows(mine[1]) == [["n0"], ["n2"]]
+    assert [len(client.delivered[hub.host, cq]) for cq in mine] == [2, 2, 2]
+    assert client.rows(hub.address, mine[0]) == [[0], [2]]
+    assert client.rows(hub.address, mine[1]) == [["n0"], ["n2"]]
     # ... nobody else lost anything, and the hub owes what it owed.
-    assert other.rows(theirs) == [[0], [1], [2]]
+    assert other.rows(hub.address, theirs) == [[0], [1], [2]]
     assert hub.stats["pushes"] == 12 and hub.stats["frames"] == 6
 
 

@@ -26,6 +26,13 @@ oracle over each source's final publish.
 
 Case budget: ``len(SEEDS) * CASES_PER_SEED`` >= 200, enforced by
 ``test_case_budget``.
+
+Events are tuples too: the event plane (:mod:`repro.gma.subscription`)
+is a hub over the ``Event`` group, so the same oracle holds every event
+subscription's ``where`` predicate to the interpreted executor
+(``test_event_subscriptions_match_polling_oracle``), and a trap storm
+costs one frame per consumer address per event however many
+subscriptions that address holds (``test_event_storm_costs_one_frame_per_event``).
 """
 
 from __future__ import annotations
@@ -34,14 +41,22 @@ import random
 
 import pytest
 
+from repro.core.events import Event
 from repro.core.plans import PlanCache
 from repro.core.policy import GatewayPolicy
 from repro.glue.schema import GlueField, GlueGroup, GlueSchema
 from repro.gma.streams import StreamConsumer, StreamHub
+from repro.gma.subscription import (
+    EVENT_COLUMNS,
+    EventPublisher,
+    EventSubscriber,
+    encode_event,
+)
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
 from repro.sql.executor import execute_select
 from repro.sql.parser import parse_select
+from repro.testbed import build_site
 
 SEEDS = range(10)
 CASES_PER_SEED = 20
@@ -169,10 +184,10 @@ def test_streaming_matches_polling_oracle(seed: int) -> None:
             columns, rows = _gen_publish(rng)
             source = sources[step % len(sources)]
             final_publish[source] = (columns, rows)
-            before = len(consumer.delivered.get(cq, []))
+            before = len(consumer.delivered.get((hub.host, cq), []))
             hub.publish("Probe", columns, rows, source_url=source)
             clock.advance(1.0)
-            delivered = consumer.delivered.get(cq, [])[before:]
+            delivered = consumer.delivered.get((hub.host, cq), [])[before:]
 
             expected = _oracle(sql, columns, rows)
             if not expected.rows:
@@ -203,7 +218,7 @@ def test_streaming_matches_polling_oracle(seed: int) -> None:
             hub.address, sql, flavour="latest", lease=1e6
         )
         clock.advance(1.0)
-        replayed = consumer.delivered.get(replay_cq, [])
+        replayed = consumer.delivered.get((hub.host, replay_cq), [])
         expected_replay = []
         for source in sorted(final_publish):
             columns, rows = final_publish[source]
@@ -229,3 +244,105 @@ def test_streaming_matches_polling_oracle(seed: int) -> None:
 def test_case_budget() -> None:
     """The differential oracle covers at least 200 query x schedule cases."""
     assert len(SEEDS) * CASES_PER_SEED >= 200
+
+
+# ----------------------------------------------------------------------
+# Events as tuples: the event plane under the same oracle
+# ----------------------------------------------------------------------
+EVENT_SEEDS = range(5)
+
+EVENT_WHERES = (
+    "",
+    "Name LIKE 'alert.%'",
+    "Name NOT LIKE '%.high'",
+    "Name IN ('load.high', 'breaker.open')",
+    "SourceHost = 'n1'",
+    "Severity <> 'info'",
+    "SourceHost = 'n0' AND Name LIKE 'load.%' AND Severity <> 'error'",
+    "SourceHost IN ('n2', 'n3') OR Severity = 'error'",
+    "Time >= 20 AND NativeKind = 'snmp-trap'",
+    "Name LIKE 'never.%'",
+)
+
+EVENT_NAMES = (
+    "load.high", "load.low", "alert.cpu-hot", "alert.memory-low",
+    "breaker.open", "pressure.brownout",
+)
+
+
+def _event_rig(seed: int):
+    """A quiet one-host site (no trap threshold, no alert rules): the
+    only events are the ones the test emits."""
+    network = Network(VirtualClock(), seed=seed)
+    site = build_site(network, name="ev", n_hosts=1, agents=("snmp",), seed=seed)
+    publisher = EventPublisher(site.gateway)
+    network.add_host("ev-client", site="ev")
+    subscriber = EventSubscriber(network, "ev-client")
+    return network, site.gateway.events, publisher, subscriber
+
+
+def _gen_event(rng: random.Random, now: float) -> Event:
+    return Event(
+        source_host=f"n{rng.randrange(4)}",
+        name=rng.choice(EVENT_NAMES),
+        severity=rng.choice(("info", "warning", "error")),
+        time=now,
+        fields={f"k{rng.randrange(3)}": rng.randint(0, 99)},
+        native_kind=rng.choice(("snmp-trap", "alert", "")),
+    )
+
+
+@pytest.mark.parametrize("seed", EVENT_SEEDS)
+def test_event_subscriptions_match_polling_oracle(seed: int) -> None:
+    rng = random.Random(0xE7E27 + seed)
+    network, events, publisher, subscriber = _event_rig(seed)
+    decoded: list[Event] = []
+    subscriber.on_event(decoded.append)
+    sids = [
+        subscriber.subscribe(publisher.address, where=where, lease=1e6)
+        for where in EVENT_WHERES
+    ]
+    emitted = []
+    for _ in range(rng.randint(20, 40)):
+        event = _gen_event(rng, network.clock.now())
+        emitted.append(event)
+        events.emit(event)
+        network.clock.advance(1.0)  # one frame per event, in publish order
+    rows = [encode_event(e) for e in emitted]
+
+    for where, sid in zip(EVENT_WHERES, sids):
+        sql = "SELECT * FROM Event" + (f" WHERE {where}" if where else "")
+        expected = _oracle(sql, EVENT_COLUMNS, rows)
+        batches = subscriber.consumer.delivered.get((publisher.hub.host, sid), [])
+        assert all(b["columns"] == list(expected.columns) for b in batches)
+        got = [row for b in batches for row in b["rows"]]
+        assert repr(got) == repr(list(expected.rows)), (
+            f"seed={seed} where={where!r}: pushed {got!r} != polled "
+            f"{list(expected.rows)!r}"
+        )
+    # The schedule is worth running: the empty predicate saw everything,
+    # some predicate saw a strict non-empty subset, one saw nothing.
+    delivered = [len(subscriber.consumer.rows(publisher.address, sid)) for sid in sids]
+    assert delivered[0] == len(emitted) and delivered[-1] == 0
+    assert any(0 < n < len(emitted) for n in delivered)
+    # Rows become the emitted events again on the subscriber side.
+    assert subscriber.received == len(decoded) == sum(delivered)
+    assert [e for e in decoded if e in emitted] == decoded
+
+
+def test_event_storm_costs_one_frame_per_event() -> None:
+    """K subscriptions from one consumer address over N events: N frames
+    (and datagrams) carrying K*N batches, not K*N datagrams."""
+    k, n = 6, 25
+    network, events, publisher, subscriber = _event_rig(0)
+    for i in range(k):  # k distinct texts, every one of them always true
+        subscriber.subscribe(publisher.address, where=f"Time >= {-i}")
+    rng = random.Random(7)
+    before = network.stats.datagrams
+    for _ in range(n):  # a storm: every event inside one virtual instant
+        events.emit(_gen_event(rng, network.clock.now()))
+    network.clock.advance(1.0)
+    assert publisher.stats["frames"] == n
+    assert publisher.stats["pushes"] == k * n
+    assert network.stats.datagrams - before == n
+    assert subscriber.received == k * n
