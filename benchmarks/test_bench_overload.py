@@ -129,7 +129,6 @@ def test_e18_goodput_under_overload(benchmark, report):
             "critical_never_shed": [],
             "breaker_invariants": [],
             "trace_invariants": [],
-            "no_pending_futures": [],
         }
 
     benchmark(

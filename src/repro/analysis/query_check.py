@@ -193,14 +193,6 @@ def _columns(expr: sql_ast.Expr) -> "list[sql_ast.Column]":
     return out
 
 
-def _field_type(
-    expr: sql_ast.Expr, known: Mapping[str, "str | None"]
-) -> "str | None":
-    if isinstance(expr, sql_ast.Column):
-        return known.get(expr.name.lower())
-    return None
-
-
 def _mismatch(
     column: sql_ast.Column,
     field_type: str,

@@ -3,7 +3,7 @@
 The serving plane's overload protection (with :mod:`repro.core.shed`):
 
 * **QueryClass** — every query carries a priority class (CRITICAL /
-  INTERACTIVE / BATCH, settable via :class:`GatewayPolicy`, the dbapi
+  INTERACTIVE / BATCH, settable per query through the gateway, the dbapi
   and the GMA consumer APIs); under pressure the gateway sheds BATCH
   first and never refuses CRITICAL.
 * **AdmissionController** — a bounded, priority-aware request queue at
@@ -47,7 +47,12 @@ from typing import Any, Callable, Optional
 
 from repro.analysis import races
 from repro.core.deadline import Deadline
-from repro.core.errors import DeadlineExceededError, GridRmError, OverloadError
+from repro.core.errors import (
+    DeadlineExceededError,
+    GridRmError,
+    OverloadError,
+    PolicyError,
+)
 from repro.core.policy import GatewayPolicy
 from repro.core.shed import (
     PressureMonitor,
@@ -101,14 +106,23 @@ class GradientLimiter:
         clock: VirtualClock,
         *,
         initial: int,
-        floor: int,
-        ceiling: int,
-        tolerance: float,
-        backoff: float,
-        window: int,
+        floor: int = 1,
+        ceiling: int = 64,
+        tolerance: float = 2.0,
+        backoff: float = 0.8,
+        window: int = 16,
         registry: Optional[MetricsRegistry] = None,
         key: str = "",
     ) -> None:
+        if not 1 <= floor <= ceiling:
+            raise PolicyError(
+                f"limiter needs 1 <= floor <= ceiling: {floor!r}, {ceiling!r}"
+            )
+        if tolerance <= 1.0 or not 0.0 < backoff < 1.0 or window < 1:
+            raise PolicyError(
+                "limiter needs tolerance > 1, 0 < backoff < 1, window >= 1: "
+                f"{tolerance!r}, {backoff!r}, {window!r}"
+            )
         self._clock = clock
         self.key = key
         self.floor = floor
@@ -223,19 +237,12 @@ class AdmissionController:
         self.limiter = GradientLimiter(
             clock,
             initial=policy.admission_initial_limit,
-            floor=policy.limiter_floor,
-            ceiling=policy.limiter_ceiling,
-            tolerance=policy.limiter_tolerance,
-            backoff=policy.limiter_backoff,
-            window=policy.limiter_window,
             registry=self.registry,
             key="gateway",
         )
         self.monitor = PressureMonitor(
             clock,
             queue_capacity=policy.admission_queue_limit,
-            brownout_enter=policy.brownout_enter_pressure,
-            shed_enter=policy.shed_enter_pressure,
             min_dwell=policy.pressure_min_dwell,
             registry=self.registry,
             on_transition=on_transition,

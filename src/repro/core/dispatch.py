@@ -465,11 +465,6 @@ class FanoutDispatcher:
             limiter = self._limiters[source_key] = GradientLimiter(
                 self.clock,
                 initial=initial,
-                floor=self.policy.limiter_floor,
-                ceiling=self.policy.limiter_ceiling,
-                tolerance=self.policy.limiter_tolerance,
-                backoff=self.policy.limiter_backoff,
-                window=self.policy.limiter_window,
                 registry=self.registry,
                 key=source_key,
             )

@@ -267,7 +267,7 @@ class EventManager:
 
     def _dispatch(self, event: Event) -> None:
         self.recent.append(event)
-        if self.history is not None and self.policy.event_history_enabled:
+        if self.history is not None:
             self.history.record(
                 "LogEvent",
                 [

@@ -194,7 +194,6 @@ class Gateway:
                 clock=network.clock,
                 sync_interval=self.policy.history_fsync_interval,
                 max_rows_per_group=self.policy.history_max_rows_per_group,
-                retention_age=self.policy.history_retention_age,
                 registry=self.metrics,
                 tracer=self.tracer,
             )
@@ -279,7 +278,7 @@ class Gateway:
             self.request_manager.streams = self.streams
         self.cgsl = CoarseGrainedSecurity(enabled=self.policy.security_enabled)
         self.fgsl = FineGrainedSecurity(enabled=self.policy.security_enabled)
-        self.sessions = SessionManager(network.clock, ttl=self.policy.session_ttl)
+        self.sessions = SessionManager(network.clock)
         self.acil = AbstractClientInterface(self)
         # Threshold alerting over the query path (Figure 3); imported
         # here to keep module import order acyclic.
@@ -468,11 +467,10 @@ class Gateway:
         """Run a client query against one or more local data sources.
 
         ``query_class`` sets the query's priority class ("critical" /
-        "interactive" / "batch", defaulting to the policy's
-        ``default_query_class``).  With admission control enabled the
-        gateway sheds BATCH first under pressure
-        (:class:`~repro.core.errors.OverloadError`), serves sheddable
-        classes stale in BROWNOUT, and never refuses CRITICAL.
+        "interactive" / "batch"; ``None`` is INTERACTIVE).  With
+        admission control enabled the gateway sheds BATCH first under
+        pressure (:class:`~repro.core.errors.OverloadError`), serves
+        sheddable classes stale in BROWNOUT, and never refuses CRITICAL.
 
         ``timeout`` gives the query an end-to-end budget in virtual
         seconds: a :class:`~repro.core.deadline.Deadline` is minted here
@@ -522,10 +520,7 @@ class Gateway:
                 )
                 if budget > 0:
                     deadline = Deadline.after(self.network.clock, budget)
-            qc = QueryClass.parse(
-                query_class if query_class is not None
-                else self.policy.default_query_class
-            )
+            qc = QueryClass.parse(query_class)
             result = self._admitted_query(
                 parsed, sql, entry, mode, max_age, principal, deadline, root, qc
             )

@@ -398,7 +398,7 @@ class HistoryStore:
         """Rebuild one group's serving rows (and index) from the engine.
 
         Runs for every durable group when the store opens, and again
-        when checkpoint retention (``history_retention_age``) drops
+        when checkpoint retention (``HistoryEngine(retention_age=)``) drops
         sealed segments whose rows the serving table still held.  The
         engine returns rows in WAL order; the rebuild re-sorts them.
         """

@@ -45,11 +45,9 @@ class GatewayPolicy:
         driver_cache_enabled: remember the last driver that worked for a
             source (paper §3.1.3) — disable for the E2 ablation.
         security_enabled: enforce CGSL/FGSL checks.
-        session_ttl: idle lifetime of client sessions (s, virtual).
         event_fast_buffer_size: capacity of the EventManager's in-memory
             fast buffer ("ensures events are not lost in a busy system").
         event_disk_buffer_size: capacity of the spill buffer behind it.
-        event_history_enabled: record events into the history database.
         breaker_enabled: per-source circuit breakers — remember failures
             across queries and short-circuit requests to sources that
             keep failing (see :mod:`repro.core.health`).
@@ -117,9 +115,6 @@ class GatewayPolicy:
             checkpoints that seal the memtable into segments and
             truncate the WAL; 0 disables the periodic task (checkpoints
             then happen only at shutdown or on demand).
-        history_retention_age: drop sealed history segments whose newest
-            row is older than this many virtual seconds at checkpoint
-            time; 0 disables age-based retention (ring bound only).
         admission_enabled: gateway-entry admission control — bounded
             priority queue, doomed-on-dequeue drops, brownout/shed state
             machine (:mod:`repro.core.admission`).  Off by default so
@@ -136,25 +131,8 @@ class GatewayPolicy:
             fan-out dispatcher with AIMD gradient limiters (probe up
             under low latency, multiplicative backoff when latency
             inflates or attempts fail).
-        limiter_floor: lower clamp on every adaptive concurrency limit.
-        limiter_ceiling: upper clamp on every adaptive concurrency
-            limit.
-        limiter_tolerance: an epoch whose mean latency exceeds
-            ``tolerance x baseline`` counts as congestion (backoff).
-        limiter_backoff: multiplicative decrease factor applied to the
-            limit on congestion (0 < backoff < 1).
-        limiter_window: latency observations folded per limiter epoch.
-        brownout_enter_pressure: admission-queue fill fraction at which
-            the gateway enters BROWNOUT (serve stale instead of
-            dispatching for sheddable classes).
-        shed_enter_pressure: fill fraction at which the gateway enters
-            SHED (refuse BATCH outright).
         pressure_min_dwell: minimum virtual seconds in a pressure state
             before de-escalating (hysteresis against flapping).
-        default_query_class: class stamped on queries that arrive
-            without one ("critical" / "interactive" / "batch").
-        subscription_buffer_limit: per-subscription bounded buffer for
-            continuous-query streams (backpressure for slow consumers).
         streaming_enabled: the continuous-SQL streaming plane
             (:mod:`repro.gma.streams`) — register a SELECT once, receive
             matching tuples on every publish.  Off by default so
@@ -187,10 +165,8 @@ class GatewayPolicy:
     failure_retries: int = 1
     driver_cache_enabled: bool = True
     security_enabled: bool = False
-    session_ttl: float = 3600.0
     event_fast_buffer_size: int = 1024
     event_disk_buffer_size: int = 65536
-    event_history_enabled: bool = True
     breaker_enabled: bool = True
     breaker_failure_threshold: int = 3
     breaker_base_backoff: float = 5.0
@@ -211,22 +187,12 @@ class GatewayPolicy:
     history_durable: bool = False
     history_fsync_interval: int = 8
     history_checkpoint_interval: float = 600.0
-    history_retention_age: float = 0.0
     admission_enabled: bool = False
     admission_queue_limit: int = 32
     admission_batch_queue_share: float = 0.5
     admission_initial_limit: int = 8
     adaptive_concurrency: bool = False
-    limiter_floor: int = 1
-    limiter_ceiling: int = 64
-    limiter_tolerance: float = 2.0
-    limiter_backoff: float = 0.8
-    limiter_window: int = 16
-    brownout_enter_pressure: float = 0.25
-    shed_enter_pressure: float = 0.75
     pressure_min_dwell: float = 5.0
-    default_query_class: str = "interactive"
-    subscription_buffer_limit: int = 256
     streaming_enabled: bool = False
     stream_max_subscriptions: int = 1024
     stream_default_lease: float = 300.0
@@ -252,8 +218,6 @@ class GatewayPolicy:
             raise PolicyError(f"pool_idle_ttl must be > 0: {self.pool_idle_ttl!r}")
         if self.failure_retries < 0:
             raise PolicyError(f"failure_retries < 0: {self.failure_retries!r}")
-        if self.session_ttl <= 0:
-            raise PolicyError(f"session_ttl must be > 0: {self.session_ttl!r}")
         if self.event_fast_buffer_size < 1:
             raise PolicyError(
                 f"event_fast_buffer_size must be >= 1: {self.event_fast_buffer_size!r}"
@@ -324,10 +288,6 @@ class GatewayPolicy:
                 "history_checkpoint_interval < 0: "
                 f"{self.history_checkpoint_interval!r}"
             )
-        if self.history_retention_age < 0:
-            raise PolicyError(
-                f"history_retention_age < 0: {self.history_retention_age!r}"
-            )
         if self.admission_queue_limit < 1:
             raise PolicyError(
                 f"admission_queue_limit must be >= 1: {self.admission_queue_limit!r}"
@@ -342,44 +302,9 @@ class GatewayPolicy:
                 "admission_initial_limit must be >= 1: "
                 f"{self.admission_initial_limit!r}"
             )
-        if self.limiter_floor < 1:
-            raise PolicyError(f"limiter_floor must be >= 1: {self.limiter_floor!r}")
-        if self.limiter_ceiling < self.limiter_floor:
-            raise PolicyError(
-                "limiter_ceiling must be >= limiter_floor: "
-                f"{self.limiter_ceiling!r} < {self.limiter_floor!r}"
-            )
-        if self.limiter_tolerance <= 1.0:
-            raise PolicyError(
-                f"limiter_tolerance must be > 1: {self.limiter_tolerance!r}"
-            )
-        if not 0.0 < self.limiter_backoff < 1.0:
-            raise PolicyError(
-                f"limiter_backoff must be in (0, 1): {self.limiter_backoff!r}"
-            )
-        if self.limiter_window < 1:
-            raise PolicyError(f"limiter_window must be >= 1: {self.limiter_window!r}")
-        if not 0.0 < self.brownout_enter_pressure <= self.shed_enter_pressure:
-            raise PolicyError(
-                "brownout_enter_pressure must be in (0, shed_enter_pressure]: "
-                f"{self.brownout_enter_pressure!r}"
-            )
-        if self.shed_enter_pressure > 1.0:
-            raise PolicyError(
-                f"shed_enter_pressure must be <= 1: {self.shed_enter_pressure!r}"
-            )
         if self.pressure_min_dwell < 0:
             raise PolicyError(
                 f"pressure_min_dwell < 0: {self.pressure_min_dwell!r}"
-            )
-        if self.default_query_class not in ("critical", "interactive", "batch"):
-            raise PolicyError(
-                f"unknown default_query_class: {self.default_query_class!r}"
-            )
-        if self.subscription_buffer_limit < 1:
-            raise PolicyError(
-                "subscription_buffer_limit must be >= 1: "
-                f"{self.subscription_buffer_limit!r}"
             )
         if self.stream_max_subscriptions < 1:
             raise PolicyError(

@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Optional
 
+from repro.core.errors import PolicyError
 from repro.obs.metrics import MetricsRegistry
 from repro.simnet.clock import VirtualClock
 
@@ -98,14 +99,19 @@ class PressureMonitor:
         clock: VirtualClock,
         *,
         queue_capacity: int,
-        brownout_enter: float,
-        shed_enter: float,
+        brownout_enter: float = 0.25,
+        shed_enter: float = 0.75,
         min_dwell: float,
         registry: Optional[MetricsRegistry] = None,
         on_transition: Optional[
             Callable[[PressureState, PressureState], None]
         ] = None,
     ) -> None:
+        if not 0.0 < brownout_enter <= shed_enter <= 1.0:
+            raise PolicyError(
+                "pressure needs 0 < brownout_enter <= shed_enter <= 1: "
+                f"{brownout_enter!r}, {shed_enter!r}"
+            )
         self._clock = clock
         self.queue_capacity = max(1, queue_capacity)
         self.brownout_enter = brownout_enter

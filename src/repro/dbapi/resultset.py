@@ -227,12 +227,3 @@ class ListResultSet(ResultSet):
     def _check_open(self) -> None:
         if self._closed:
             raise SQLException("ResultSet is closed")
-
-
-def result_set_from_select(result: "object") -> ListResultSet:
-    """Adapt a :class:`repro.sql.executor.SelectResult` to a ResultSet."""
-    from repro.sql.executor import SelectResult
-
-    if not isinstance(result, SelectResult):
-        raise SQLException(f"expected SelectResult, got {type(result).__name__}")
-    return ListResultSet(result.columns, result.rows)

@@ -4,8 +4,8 @@
 Organisation, interaction is based on the Global Grid Forum's Grid
 Monitoring Architecture (GMA)."  GMA's three parts are all here:
 
-* :mod:`repro.gma.directory` — the directory service producers and
-  consumers register with and look each other up in;
+* :mod:`repro.gma.directory` — the directory service producers
+  register with and consumers look them up in;
 * :mod:`repro.gma.producer` — a gateway-side producer answering remote
   queries over the network;
 * :mod:`repro.gma.consumer` — the consumer used to reach remote
@@ -16,7 +16,7 @@ Monitoring Architecture (GMA)."  GMA's three parts are all here:
   unnecessary requests", §4).
 """
 
-from repro.gma.records import ProducerRecord, ConsumerRecord
+from repro.gma.records import ProducerRecord
 from repro.gma.directory import GMADirectory, DirectoryClient
 from repro.gma.producer import GatewayProducer
 from repro.gma.consumer import GatewayConsumer
@@ -27,7 +27,6 @@ from repro.gma.streams import Republisher, StreamConsumer, StreamHub
 
 __all__ = [
     "ProducerRecord",
-    "ConsumerRecord",
     "GMADirectory",
     "DirectoryClient",
     "GatewayProducer",

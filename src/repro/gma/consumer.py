@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 from repro.core.deadline import Deadline
 from repro.core.errors import GridRmError, OverloadError
@@ -159,24 +159,20 @@ class GatewayConsumer:
         urls: list[str] | None = None,
         mode: str = "cached_ok",
         max_age: float | None = None,
-        producers: list[ProducerRecord] | None = None,
         deadline: Deadline | None = None,
         query_class: str | None = None,
     ) -> RemoteResult:
         """Query a site via its first reachable registered producer.
 
-        ``producers`` short-circuits the directory lookup when the caller
-        already resolved the site (e.g. a batched
-        :meth:`DirectoryClient.lookup_sites` round).  A ``deadline``
-        stops the failover loop: once the budget is gone, remaining
-        producers are not tried (``DeadlineExceededError`` propagates
-        rather than being folded into the all-failed summary).  A shed
-        (:class:`OverloadError`) stops it too — a producer protecting
-        itself is not a producer that failed, and hammering its siblings
-        with the same query would amplify the overload.
+        A ``deadline`` stops the failover loop: once the budget is gone,
+        remaining producers are not tried (``DeadlineExceededError``
+        propagates rather than being folded into the all-failed
+        summary).  A shed (:class:`OverloadError`) stops it too — a
+        producer protecting itself is not a producer that failed, and
+        hammering its siblings with the same query would amplify the
+        overload.
         """
-        if producers is None:
-            producers = self.producers_for(site)
+        producers = self.producers_for(site)
         if not producers:
             raise RemoteQueryFailure(f"no producer registered for site {site!r}")
         last: Exception | None = None
@@ -191,57 +187,3 @@ class GatewayConsumer:
         raise RemoteQueryFailure(
             f"all {len(producers)} producer(s) for {site!r} failed: {last}"
         )
-
-    def query_sites(
-        self,
-        sites: Sequence[str],
-        sql: str,
-        *,
-        mode: str = "cached_ok",
-        max_age: float | None = None,
-        urls_by_site: dict[str, list[str]] | None = None,
-        deadline: Deadline | None = None,
-        query_class: str | None = None,
-    ) -> "list[RemoteResult | RemoteQueryFailure | OverloadError]":
-        """Scatter one query to several sites concurrently.
-
-        Directory lookups for all sites go out in one overlapped round,
-        then each site's query runs as a concurrent branch in virtual
-        time — the scatter costs the slowest site's round-trip, not the
-        sum.  Results come back in ``sites`` order; a site that fails
-        contributes its :class:`RemoteQueryFailure` in place rather than
-        aborting the gather.
-        """
-        sites = list(sites)
-        urls_by_site = urls_by_site or {}
-        if not sites:
-            return []
-
-        producers_by_site = self.directory.lookup_sites(sites)
-
-        def one(site: str) -> "RemoteResult | RemoteQueryFailure | OverloadError":
-            try:
-                return self.query_site(
-                    site,
-                    sql,
-                    urls=urls_by_site.get(site),
-                    mode=mode,
-                    max_age=max_age,
-                    producers=producers_by_site[site],
-                    deadline=deadline,
-                    query_class=query_class,
-                )
-            except (RemoteQueryFailure, OverloadError) as exc:
-                # Both are legitimate per-site outcomes: returned in
-                # place (never raised out of a concurrent branch, which
-                # would abort the gather's sibling sites).
-                return exc
-
-        if len(sites) == 1:
-            return [one(sites[0])]
-        results: "list[RemoteResult | RemoteQueryFailure | OverloadError]" = []
-        with self.network.clock.concurrent() as scope:
-            for site in sites:
-                with scope.branch():
-                    results.append(one(site))
-        return results

@@ -11,18 +11,34 @@ Wire protocol (tuples over the simulated network):
 * ``("unregister_producer", key)`` -> ``("ok",)`` | ``("missing",)``
 * ``("lookup_site", site)`` -> ``("ok", [record_fields...])``
 * ``("list_producers",)`` -> ``("ok", [record_fields...])``
-* ``("register_consumer", record_fields)`` -> ``("ok",)``
+
+A request of the wrong shape (arity, a record that is not a mapping of
+:class:`ProducerRecord` fields, a non-string site or key) is answered
+``("error", "malformed request")`` and changes nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
-from typing import Any, Sequence
+from dataclasses import asdict, fields
+from typing import Any, Mapping
 
-from repro.gma.records import ConsumerRecord, ProducerRecord
+from repro.gma.records import ProducerRecord
 from repro.simnet.network import Address, Network
 
 DIRECTORY_PORT = 8200
+
+_MALFORMED = ("error", "malformed request")
+_RECORD_FIELDS = frozenset(f.name for f in fields(ProducerRecord))
+_REQUIRED_FIELDS = frozenset({"site", "gateway_host", "port"})
+
+
+def _is_record(arg: Any) -> bool:
+    """A mapping carrying the required :class:`ProducerRecord` fields and
+    no key outside the record's own."""
+    return (
+        isinstance(arg, Mapping)
+        and _REQUIRED_FIELDS <= arg.keys() <= _RECORD_FIELDS
+    )
 
 
 class GMADirectory:
@@ -36,7 +52,6 @@ class GMADirectory:
         self.network = network
         self.address = Address(host, port)
         self._producers: dict[str, ProducerRecord] = {}
-        self._consumers: dict[str, ConsumerRecord] = {}
         self.requests_served = 0
         network.listen(self.address, self._handle)
 
@@ -44,33 +59,30 @@ class GMADirectory:
     def _handle(self, payload: Any, src: Address) -> tuple:
         self.requests_served += 1
         if not isinstance(payload, tuple) or not payload:
-            return ("error", "malformed request")
-        op = payload[0]
+            return _MALFORMED
+        op, args = payload[0], payload[1:]
         if op == "register_producer":
-            record = ProducerRecord(**payload[1])
+            if len(args) != 1 or not _is_record(args[0]):
+                return _MALFORMED
+            record = ProducerRecord(**args[0])
             self._producers[record.key()] = record
             return ("ok",)
-        if op == "unregister_producer":
-            return ("ok",) if self._producers.pop(payload[1], None) else ("missing",)
-        if op == "lookup_site":
-            hits = [asdict(r) for r in self._producers.values() if r.site == payload[1]]
+        if op in ("unregister_producer", "lookup_site"):
+            if len(args) != 1 or not isinstance(args[0], str):
+                return _MALFORMED
+            if op == "unregister_producer":
+                return ("ok",) if self._producers.pop(args[0], None) else ("missing",)
+            hits = [asdict(r) for r in self._producers.values() if r.site == args[0]]
             return ("ok", hits)
         if op == "list_producers":
+            if args:
+                return _MALFORMED
             return ("ok", [asdict(r) for r in self._producers.values()])
-        if op == "register_consumer":
-            record = ConsumerRecord(**payload[1])
-            self._consumers[record.key()] = record
-            return ("ok",)
-        if op == "list_consumers":
-            return ("ok", [asdict(r) for r in self._consumers.values()])
         return ("error", f"unknown op {op!r}")
 
-    # Direct (in-process) views, for tests and the console.
+    # Direct (in-process) view, for tests and the console.
     def producers(self) -> list[ProducerRecord]:
         return sorted(self._producers.values(), key=ProducerRecord.key)
-
-    def consumers(self) -> list[ConsumerRecord]:
-        return sorted(self._consumers.values(), key=ConsumerRecord.key)
 
 
 class DirectoryClient:
@@ -98,35 +110,5 @@ class DirectoryClient:
     def lookup_site(self, site: str) -> list[ProducerRecord]:
         return [ProducerRecord(**d) for d in self._call("lookup_site", site)[1]]
 
-    def lookup_sites(self, sites: Sequence[str]) -> dict[str, list[ProducerRecord]]:
-        """Resolve several sites with overlapped directory round-trips.
-
-        Uses deferred RPC (:meth:`Network.request_async` + ``gather``) so
-        N lookups cost ~one round-trip of virtual time instead of N.
-        Falls back to serial calls inside a concurrent branch, where the
-        clock cannot be pumped (deliveries are deferred to the join).
-        """
-        sites = list(sites)
-        if len(sites) <= 1 or self.network.clock.in_concurrent_branch:
-            return {site: self.lookup_site(site) for site in sites}
-        futures = [
-            self.network.request_async(
-                self.from_host, self.directory, ("lookup_site", site)
-            )
-            for site in sites
-        ]
-        responses = self.network.gather(futures)
-        out: dict[str, list[ProducerRecord]] = {}
-        for site, response in zip(sites, responses):
-            if not isinstance(response, tuple) or not response:
-                raise RuntimeError("malformed directory response")
-            if response[0] == "error":
-                raise RuntimeError(f"directory error: {response[1]}")
-            out[site] = [ProducerRecord(**d) for d in response[1]]
-        return out
-
     def list_producers(self) -> list[ProducerRecord]:
         return [ProducerRecord(**d) for d in self._call("list_producers")[1]]
-
-    def register_consumer(self, record: ConsumerRecord) -> None:
-        self._call("register_consumer", asdict(record))

@@ -17,19 +17,3 @@ class ProducerRecord:
 
     def key(self) -> str:
         return f"{self.site}@{self.gateway_host}:{self.port}"
-
-
-@dataclass(frozen=True)
-class ConsumerRecord:
-    """A consumer's directory entry (kept for GMA completeness; GridRM's
-    request/response interactions do not require consumers to register,
-    but event subscriptions across gateways do)."""
-
-    name: str
-    host: str
-    port: int
-    interests: tuple[str, ...] = ()
-    registered_at: float = 0.0
-
-    def key(self) -> str:
-        return f"{self.name}@{self.host}:{self.port}"

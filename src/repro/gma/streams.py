@@ -84,6 +84,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 STREAM_PORT = 8500
 CONSUMER_PORT = 8501
+#: Per-subscription buffer bound for registrations that name none.
+DEFAULT_BUFFER = 256
 
 #: Producer flavours, R-GMA's vocabulary (see module docstring).
 FLAVOURS = ("stream", "latest", "history")
@@ -174,8 +176,8 @@ class _Continuous:
     expires_at: float
     #: Backpressure: while paused, batches buffer here (bounded) instead
     #: of being pushed — a continuous query cannot OOM a slow consumer.
-    max_buffer: int = 256
-    overflow: str = "drop_oldest"
+    max_buffer: int
+    overflow: str
     paused: bool = False
     delivered: int = 0
     tuples: int = 0
@@ -364,8 +366,7 @@ class StreamHub:
                 query_class=qc.value,
                 expires_at=now
                 + float(payload.get("lease") or self.policy.stream_default_lease),
-                max_buffer=int(payload.get("max_buffer") or 0)
-                or self.policy.subscription_buffer_limit,
+                max_buffer=int(payload.get("max_buffer") or 0) or DEFAULT_BUFFER,
                 overflow=overflow,
             )
             self._subs[cq.cq_id] = cq

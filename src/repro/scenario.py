@@ -488,12 +488,6 @@ def trace_invariants(ctx: Ctx) -> list[str]:
     return check_tracer(ctx.gw.tracer)
 
 
-def no_pending_futures(ctx: Ctx) -> list[str]:
-    """Every async RPC resolved or hit its deadline guard."""
-    n = ctx.network.pending_futures()
-    return [f"{n} network future(s) never resolved"] if n else []
-
-
 def stuck_buffers(hub: StreamHub | None) -> list[str]:
     """Live (non-paused) subscriptions of ``hub`` holding buffered batches."""
     if hub is None:

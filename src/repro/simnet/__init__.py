@@ -19,11 +19,10 @@ from repro.simnet.errors import (
 )
 from repro.simnet.faults import FaultPlane, FaultPlaneStats, FaultWindow
 from repro.simnet.link import LinkModel
-from repro.simnet.network import Address, Endpoint, NetFuture, Network
+from repro.simnet.network import Address, Endpoint, Network
 
 __all__ = [
     "ConcurrentScope",
-    "NetFuture",
     "VirtualClock",
     "ScheduledCall",
     "NetworkError",

@@ -10,8 +10,9 @@ Concurrency is modelled with :class:`ConcurrentScope` (see
 :meth:`VirtualClock.concurrent`): every branch of a scope starts at the
 same virtual instant on its own private timeline, and joining the scope
 advances the shared clock by the *maximum* branch elapsed time — the
-semantics of work done in parallel.  The scheduler stack (fan-out
-queries, scatter-gather, deferred RPC futures) is built on this.
+semantics of work done in parallel.  It is the one way to overlap work
+in virtual time: the scheduler stack (fan-out queries, hedging,
+scatter-gather, batches) is built on it.
 """
 
 from __future__ import annotations
@@ -162,16 +163,6 @@ class VirtualClock:
     def pending(self) -> int:
         """Number of live (non-cancelled) scheduled calls."""
         return sum(1 for c in self._schedule if not c.cancelled)
-
-    def next_due(self) -> Optional[float]:
-        """The due time of the earliest live scheduled call, or None.
-
-        Used by event pumps (e.g. :meth:`Network.gather`) to advance the
-        simulation one event at a time without overshooting.
-        """
-        while self._schedule and self._schedule[0].cancelled:
-            heapq.heappop(self._schedule)
-        return self._schedule[0].when if self._schedule else None
 
     # ------------------------------------------------------------------
     # Concurrency (virtual-time parallelism)

@@ -12,7 +12,7 @@ same seed.
 
 The plane attaches to a :class:`~repro.simnet.network.Network` via
 ``network.install_fault_plane`` (done by the constructor) and is consulted
-by ``Network.request``/``request_async`` on every RPC:
+by ``Network.request`` on every RPC:
 
 * :meth:`request_overhead` — extra service time (heavy-tail latency
   spikes), charged against the caller's timeout;

@@ -5,12 +5,11 @@ clock by the modelled round-trip delay), and :meth:`Network.send`
 delivers a one-way datagram (used for SNMP traps and GridRM event
 propagation) via the clock's schedule.
 
-:meth:`Network.request_async` is the deferred counterpart of ``request``:
-it returns a :class:`NetFuture` completed through the virtual clock's
-schedule — the request travels, is handled at its arrival instant, and
-the response lands without the caller blocking, so N outstanding RPCs
-cost the *max* of their round-trip times once :meth:`Network.gather`
-drives them to completion.
+``request`` is the only RPC implementation.  Work overlaps in virtual
+time by calling it inside the branches of a
+:meth:`~repro.simnet.clock.VirtualClock.concurrent` scope: every branch
+starts at the scope's opening instant, so N round-trips cost the *max*
+of their delays once the scope joins.
 
 Hosts belong to *sites*; traffic within a site uses the LAN link model and
 traffic between sites uses the WAN model, matching the paper's two-layer
@@ -133,68 +132,6 @@ def _payload_size(payload: Any) -> int:
     return len(repr(payload))
 
 
-class NetFuture:
-    """The deferred result of one :meth:`Network.request_async` RPC.
-
-    Completed via the virtual clock's schedule; drive the clock (directly
-    or with :meth:`Network.gather`) to resolve it.  ``completed_at`` holds
-    the virtual time at which the response (or failure) landed.
-    """
-
-    __slots__ = ("_done", "_value", "_exception", "_callbacks", "completed_at")
-
-    def __init__(self) -> None:
-        self._done = False
-        self._value: Any = None
-        self._exception: Exception | None = None
-        self._callbacks: list[Callable[["NetFuture"], None]] = []
-        self.completed_at: float | None = None
-
-    def done(self) -> bool:
-        return self._done
-
-    def result(self) -> Any:
-        """The response payload; raises the RPC's failure if it failed."""
-        if not self._done:
-            raise RuntimeError(
-                "NetFuture not completed yet — advance the clock or use "
-                "Network.gather()"
-            )
-        if self._exception is not None:
-            raise self._exception
-        return self._value
-
-    def exception(self) -> Exception | None:
-        if not self._done:
-            raise RuntimeError("NetFuture not completed yet")
-        return self._exception
-
-    def add_done_callback(self, fn: Callable[["NetFuture"], None]) -> None:
-        """Run ``fn(self)`` at completion (immediately if already done)."""
-        if self._done:
-            fn(self)
-        else:
-            self._callbacks.append(fn)
-
-    def _complete(
-        self,
-        at: float,
-        value: Any = None,
-        exception: Exception | None = None,
-    ) -> None:
-        if self._done:
-            # A late response losing the race against the deadline guard
-            # (or a cancelled hedge sibling): first completion wins.
-            return
-        self._done = True
-        self._value = value
-        self._exception = exception
-        self.completed_at = at
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
-
-
 class Network:
     """The simulated internetwork joining all sites in an experiment.
 
@@ -234,7 +171,6 @@ class Network:
         self._bytes_sent = self.metrics.counter("net.bytes_sent")
         #: Optional chaos plane consulted per request (see simnet.faults).
         self.fault_plane: "FaultPlane | None" = None
-        self._outstanding_futures = 0
 
     # ------------------------------------------------------------------
     # Topology management
@@ -324,15 +260,6 @@ class Network:
     def install_fault_plane(self, plane: "FaultPlane | None") -> None:
         """Attach (or detach, with None) a chaos plane to this network."""
         self.fault_plane = plane
-
-    def pending_futures(self) -> int:
-        """Outstanding :class:`NetFuture` RPCs not yet completed.
-
-        Every async request is guarded by a deadline timer, so this must
-        drain to zero once the clock passes the last deadline — the chaos
-        soak asserts exactly that (no stuck futures).
-        """
-        return self._outstanding_futures
 
     def partition(self, *groups: set[str]) -> None:
         """Split the network: traffic may only flow within one group.
@@ -457,184 +384,6 @@ class Network:
             )
         return response
 
-    def request_async(
-        self,
-        src_host: str,
-        dst: Address,
-        payload: Any,
-        *,
-        timeout: float | None = None,
-    ) -> NetFuture:
-        """Deferred RPC: returns immediately with a :class:`NetFuture`.
-
-        The request is delivered, handled and answered entirely through
-        the virtual clock's schedule: the destination handler runs at the
-        request's arrival instant and the future completes when the
-        response lands (or the failure becomes observable).  Failure
-        semantics mirror :meth:`request` — unreachable hosts and lost
-        packets surface as the same exceptions after the same timeout —
-        but the caller's clock does not move, so many RPCs can be in
-        flight at once.
-
-        The timeout is an *absolute* deadline fixed at send time: a
-        deadline guard scheduled at ``now + timeout`` fails the future if
-        nothing completed it first, so a host dying mid-flight (or a
-        slow service queue) surfaces at send-time + timeout — matching
-        the sync path — rather than arrival-time + timeout.
-        """
-        timeout = self.DEFAULT_TIMEOUT if timeout is None else timeout
-        src = self._require_host(src_host)
-        deadline = self.clock.now() + timeout
-        fut = NetFuture()
-        self._outstanding_futures += 1
-        fut.add_done_callback(lambda _f: self._future_resolved())
-        self._requests.inc()
-        size = _payload_size(payload)
-        self._bytes_sent.add(size)
-
-        def _expire() -> None:
-            fut._complete(
-                self.clock.now(),
-                exception=TimeoutError_(
-                    f"{src_host} -> {dst}: no reply within {timeout:g}s"
-                ),
-            )
-
-        guard = self.clock.call_at(deadline, _expire)
-        fut.add_done_callback(lambda _f: guard.cancel())
-
-        def fail_at_deadline(exc: Exception) -> None:
-            # Replace the generic deadline timeout with a specific cause,
-            # still surfacing at the same instant the caller gives up.
-            guard.cancel()
-
-            def _fail() -> None:
-                fut._complete(self.clock.now(), exception=exc)
-
-            self.clock.call_at(max(deadline, self.clock.now()), _fail)
-
-        dst_host = self._hosts.get(dst.host)
-        if dst_host is None or self._partitioned(src_host, dst.host):
-            fail_at_deadline(HostUnreachableError(f"{src_host} -> {dst}: no route"))
-            return fut
-        if not dst_host.up:
-            fail_at_deadline(HostUnreachableError(f"{src_host} -> {dst}: host down"))
-            return fut
-
-        link = self.link_for(src_host, dst.host)
-        loss = link.loss + src.extra_loss + dst_host.extra_loss
-        if loss > 0.0 and self._rng.random() < loss:
-            self._drops.inc()
-            fail_at_deadline(TimeoutError_(f"{src_host} -> {dst}: request lost"))
-            return fut
-        src_addr = Address(src_host, 0)
-        plane = self.fault_plane
-
-        def _arrive() -> None:
-            now = self.clock.now()
-            live = self._hosts.get(dst.host)
-            if live is None or not live.up or self._partitioned(src_host, dst.host):
-                # Died (or was partitioned) while the request was in
-                # flight: the caller sees a timeout, not an instant error
-                # — at send-time + timeout, not arrival + timeout.
-                fail_at_deadline(
-                    HostUnreachableError(f"{src_host} -> {dst}: host went down")
-                )
-                return
-            if plane is not None and plane.refuses(dst.host, dst.port):
-                fut._complete(
-                    now,
-                    exception=PortClosedError(
-                        f"{src_host} -> {dst}: connection refused (flaky port)"
-                    ),
-                )
-                return
-            endpoint = live.ports.get(dst.port)
-            if endpoint is None:
-                fut._complete(
-                    now,
-                    exception=PortClosedError(
-                        f"{src_host} -> {dst}: connection refused"
-                    ),
-                )
-                return
-
-            def _handle() -> None:
-                response = endpoint.handler(payload, src_addr)
-                rsize = _payload_size(response)
-                self._bytes_sent.add(rsize)
-                if loss > 0.0 and self._rng.random() < loss:
-                    self._drops.inc()
-                    fail_at_deadline(
-                        TimeoutError_(f"{dst} -> {src_host}: response lost")
-                    )
-                    return
-
-                def _respond() -> None:
-                    # A response landing after the deadline guard fired is
-                    # silently dropped by NetFuture's first-wins rule.
-                    if plane is not None and plane.corrupts(dst.host):
-                        fut._complete(
-                            self.clock.now(),
-                            exception=PayloadCorruptedError(
-                                f"{dst} -> {src_host}: response failed checksum"
-                            ),
-                        )
-                        return
-                    fut._complete(self.clock.now(), value=response)
-
-                self.clock.call_later(
-                    link.delay(rsize, self._rng) * live.slowdown, _respond
-                )
-
-            service = live.service_time * live.slowdown
-            if plane is not None:
-                service += plane.request_overhead(dst.host)
-            if service > 0.0:
-                self.clock.call_later(service, _handle)
-            else:
-                _handle()
-
-        self.clock.call_later(link.delay(size, self._rng) * dst_host.slowdown, _arrive)
-        return fut
-
-    def gather(
-        self,
-        futures: "list[NetFuture] | tuple[NetFuture, ...]",
-        *,
-        return_exceptions: bool = False,
-    ) -> list[Any]:
-        """Drive the clock until every future completes; results in order.
-
-        Total virtual elapsed time is the *max* of the branches' delays,
-        not the sum — the whole point of deferred RPC.  With
-        ``return_exceptions`` failures are returned in place of results
-        instead of raised.  Cannot be used inside a
-        :class:`~repro.simnet.clock.ConcurrentScope` branch (callback
-        delivery is deferred there); use one future per branch instead.
-        """
-        futures = list(futures)
-        if self.clock.in_concurrent_branch:
-            raise RuntimeError(
-                "Network.gather() cannot run inside a concurrent branch: "
-                "scheduled deliveries are deferred until the scope joins"
-            )
-        while not all(f.done() for f in futures):
-            due = self.clock.next_due()
-            if due is None:
-                raise RuntimeError(
-                    "Network.gather() would deadlock: futures pending but "
-                    "nothing is scheduled"
-                )
-            self.clock.advance_to(due)
-        results: list[Any] = []
-        for fut in futures:
-            exc = fut.exception()
-            if exc is not None and not return_exceptions:
-                raise exc
-            results.append(exc if exc is not None else fut.result())
-        return results
-
     def send(self, src_host: str, dst: Address, payload: Any) -> None:
         """One-way datagram (trap/event); silently dropped on failure."""
         self._datagrams.inc()
@@ -674,9 +423,6 @@ class Network:
         self.clock.call_later(delay, _deliver)
 
     # ------------------------------------------------------------------
-    def _future_resolved(self) -> None:
-        self._outstanding_futures -= 1
-
     def _require_host(self, name: str) -> _Host:
         host = self._hosts.get(name)
         if host is None:

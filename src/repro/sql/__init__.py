@@ -19,7 +19,7 @@ from repro.sql.errors import SqlError, SqlParseError, SqlExecutionError
 from repro.sql.lexer import Lexer, Token, TokenType
 from repro.sql.parser import parse_statement, parse_select
 from repro.sql.database import Database, Table
-from repro.sql.executor import execute, evaluate_predicate
+from repro.sql.executor import evaluate_predicate
 from repro.sql import ast_nodes as ast
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "parse_select",
     "Database",
     "Table",
-    "execute",
     "evaluate_predicate",
     "ast",
 ]

@@ -1,9 +1,8 @@
 """SQL execution.
 
 :func:`execute_select` evaluates a parsed SELECT against an in-memory
-relation (column list + rows of dicts); :func:`execute` dispatches a full
-statement against a :class:`~repro.sql.database.Database`.  Drivers also
-reuse :func:`evaluate_predicate` directly to apply WHERE clauses to rows
+relation (column list + rows of dicts).  Drivers also reuse
+:func:`evaluate_predicate` directly to apply WHERE clauses to rows
 assembled from native agent data.
 
 NULL semantics are the pragmatic subset GridRM needs: any comparison or
@@ -88,10 +87,6 @@ def compile_like(pattern: str) -> re.Pattern[str]:
     if len(_LIKE_CACHE) > _LIKE_CACHE_MAX:
         _LIKE_CACHE.popitem(last=False)
     return compiled
-
-
-def _like_to_regex(pattern: str) -> re.Pattern[str]:
-    return compile_like(pattern)
 
 
 def _coerce_pair(a: Any, b: Any) -> tuple[Any, Any]:
@@ -567,18 +562,3 @@ def _ordered(
         else:
             indexed.sort(key=single_key)
     return [payload[i] for i in indexed]
-
-
-# ----------------------------------------------------------------------
-# Full statement dispatch
-# ----------------------------------------------------------------------
-def execute(stmt: ast.Statement, db: "Database") -> Any:
-    """Execute any statement against a Database.
-
-    Returns a :class:`SelectResult` for SELECT and an affected-row count
-    for DML/DDL.
-    """
-    from repro.sql.database import Database  # local import to avoid a cycle
-
-    assert isinstance(db, Database)
-    return db.execute_ast(stmt)

@@ -5,7 +5,7 @@ segment file: a single CRC-framed pickled blob (see the codec note in
 :mod:`repro.storage.wal`) holding the rows plus the ``RecordedAt`` span
 they cover.  Segments are immutable after sealing —
 retention drops *whole* segments (ring overflow, ``trim_older_than``
-age, or the ``history_retention_age`` policy), never rewrites them,
+age, or the engine's ``retention_age``), never rewrites them,
 which keeps both the crash story and the recovery story trivial: a
 segment either decodes byte-perfect or it is quarantined.
 """

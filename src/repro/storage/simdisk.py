@@ -198,9 +198,6 @@ class SimDisk:
         """Sorted paths starting with ``prefix``."""
         return sorted(p for p in self._files if p.startswith(prefix))
 
-    def total_bytes(self) -> int:
-        return sum(len(s.view()) for s in self._files.values())
-
     # ------------------------------------------------------------------
     # Faults
     # ------------------------------------------------------------------

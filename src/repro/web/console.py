@@ -356,61 +356,6 @@ class Console:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # Chaos / resilience view
-    # ------------------------------------------------------------------
-    def chaos_panel(self) -> str:
-        """Deadline, retry and hedging counters, plus the fault plane's
-        live schedule when one is installed on the gateway's network."""
-        gw = self.gateway
-        now = gw.network.clock.now()
-        r = gw.request_manager.stats
-        d = gw.dispatcher.stats
-        lines = [
-            f"Resilience @ t={now:.1f}s  "
-            f"(deadline default={gw.policy.default_deadline:g}s, "
-            f"retries/source={gw.policy.retry_attempts}, "
-            f"budget/query={gw.policy.retry_budget}, "
-            f"hedging {'enabled' if gw.policy.hedge_enabled else 'DISABLED'}"
-            + (
-                f" @ p{gw.policy.hedge_percentile:g}"
-                if gw.policy.hedge_enabled
-                else ""
-            )
-            + ")",
-            f"  deadlines exceeded: {r['deadline_exceeded']}",
-            f"  retries: {r['retries']} (gave up {r['retry_giveups']})",
-            f"  hedges: fired {d.hedges_fired}, won {d.hedges_won}, "
-            f"cancelled {d.hedges_cancelled}, "
-            f"saved {d.hedge_time_saved:.2f}s virtual",
-        ]
-        delays = []
-        for source in gw.sources():
-            delay = gw.dispatcher.hedge_delay(str(source.url))
-            if delay is not None:
-                delays.append(f"  - {source.url}: hedge after {delay * 1000:.1f}ms")
-        if delays:
-            lines.append("Per-source hedge delays:")
-            lines.extend(delays)
-        plane = gw.network.fault_plane
-        if plane is None:
-            lines.append("Fault plane: not installed")
-            return "\n".join(lines)
-        s = plane.stats
-        lines.append(
-            f"Fault plane (seed={plane.seed}): "
-            f"spikes={s.spikes_injected} (+{s.spike_seconds:.1f}s), "
-            f"refusals={s.refusals}, corruptions={s.corruptions}, "
-            f"flaps={s.flaps}, partitions={s.partitions}/heals={s.heals}"
-        )
-        active = plane.active_faults()
-        lines.append(f"Active fault windows ({len(active)}):")
-        for description in active:
-            lines.append(f"  - {description}")
-        if not active:
-            lines.append("  (none)")
-        return "\n".join(lines)
-
-    # ------------------------------------------------------------------
     # Durability view
     # ------------------------------------------------------------------
     def durability_panel(self) -> str:

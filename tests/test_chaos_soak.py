@@ -8,8 +8,6 @@ in ``test_scenario.py``):
 * **replay identity** — the same seed and knobs reproduce byte-identical
   rows, statuses and latencies (the SHA-256 signature matches), with
   fan-out on *or* off;
-* **no stuck futures** — every async RPC's deadline guard fired or was
-  cancelled, so ``Network.pending_futures()`` drains to zero;
 * **breaker consistency** — every breaker entry satisfies its structural
   invariants once the dust settles (state valid, counters coherent, OPEN
   implies a re-probe instant).
@@ -40,7 +38,6 @@ def soak(seed, **overrides):
 
 
 def assert_invariants(report):
-    assert report.violations["no_pending_futures"] == [], "stuck NetFutures after drain"
     assert report.violations["breaker_invariants"] == []
     latencies = report.measurements["latencies"]
     assert len(latencies) == report.knobs["rounds"]
@@ -121,7 +118,6 @@ def spike_slice(report):
 
 def assert_overload_invariants(report):
     m = report.measurements
-    assert report.violations["no_pending_futures"] == [], "stuck NetFutures after drain"
     assert report.violations["breaker_invariants"] == []
     assert report.violations["trace_invariants"] == []
     assert m["traces_checked"] > 0
@@ -214,7 +210,6 @@ def stream_soak():
 
 
 def assert_stream_invariants(report):
-    assert report.violations["no_pending_futures"] == [], "stuck NetFutures after drain"
     assert report.violations["trace_invariants"] == []
     assert report.violations["no_stuck_buffers"] == []
     assert report.measurements["delivered_batches"] > 0
@@ -280,8 +275,7 @@ def test_stream_report_rendering_and_dict(stream_soak):
         assert key in payload
     for key in ("delivered_batches", "reregisters"):
         assert key in payload["measurements"]
-    for key in ("no_stuck_buffers", "no_pending_futures"):
-        assert key in payload["violations"]
+    assert "no_stuck_buffers" in payload["violations"]
     hub = payload["measurements"]["hub"]
     assert 0 < hub["frames"] < hub["pushes"]
     assert f"{hub['pushes']} pushes in {hub['frames']} frames" in text

@@ -1,6 +1,8 @@
 """Unit tests for the overload-protection layer (admission, shedding,
 brownout, adaptive concurrency) and its breaker interplay."""
 
+import functools
+
 import pytest
 
 from repro.core.admission import (
@@ -287,30 +289,47 @@ class TestAdmissionController:
 
 
 class TestPolicyValidation:
+    """Bad knobs are refused where they are read: policy fields by
+    ``GatewayPolicy``, the limiter's and the pressure monitor's own
+    constants by their constructors — all with ``PolicyError``."""
+
+    limiter = functools.partial(GradientLimiter, VirtualClock(), initial=4)
+    monitor = functools.partial(
+        PressureMonitor, VirtualClock(), queue_capacity=8, min_dwell=5.0
+    )
+
     @pytest.mark.parametrize(
         "kw",
         [
-            {"admission_queue_limit": 0},
-            {"admission_batch_queue_share": 0.0},
-            {"admission_batch_queue_share": 1.5},
-            {"admission_initial_limit": 0},
-            {"limiter_floor": 0},
-            {"limiter_ceiling": 1, "limiter_floor": 2},
-            {"limiter_tolerance": 1.0},
-            {"limiter_backoff": 1.0},
-            {"limiter_backoff": 0.0},
-            {"limiter_window": 0},
-            {"brownout_enter_pressure": 0.0},
-            {"brownout_enter_pressure": 0.9, "shed_enter_pressure": 0.5},
-            {"shed_enter_pressure": 1.5},
-            {"pressure_min_dwell": -1.0},
-            {"default_query_class": "urgent"},
-            {"subscription_buffer_limit": 0},
+            (GatewayPolicy, {"admission_queue_limit": 0}),
+            (GatewayPolicy, {"admission_batch_queue_share": 0.0}),
+            (GatewayPolicy, {"admission_batch_queue_share": 1.5}),
+            (GatewayPolicy, {"admission_initial_limit": 0}),
+            (limiter, {"floor": 0}),
+            (limiter, {"ceiling": 1, "floor": 2}),
+            (limiter, {"tolerance": 1.0}),
+            (limiter, {"backoff": 1.0}),
+            (limiter, {"backoff": 0.0}),
+            (limiter, {"window": 0}),
+            (monitor, {"brownout_enter": 0.0}),
+            (monitor, {"brownout_enter": 0.9, "shed_enter": 0.5}),
+            (monitor, {"shed_enter": 1.5}),
+            (GatewayPolicy, {"pressure_min_dwell": -1.0}),
+            (GatewayPolicy, {"stream_max_subscriptions": 0}),
+            (GatewayPolicy, {"stream_default_lease": 0.0}),
         ],
     )
     def test_bad_knobs_rejected(self, kw):
+        build, kwargs = kw
         with pytest.raises(PolicyError):
-            GatewayPolicy(**kw)
+            build(**kwargs)
+
+    def test_limiter_and_monitor_defaults(self):
+        limiter = self.limiter()
+        assert (limiter.floor, limiter.ceiling, limiter.window) == (1, 64, 16)
+        assert (limiter.tolerance, limiter.backoff) == (2.0, 0.8)
+        monitor = self.monitor()
+        assert (monitor.brownout_enter, monitor.shed_enter) == (0.25, 0.75)
 
 
 class TestBreakerShedInterplay:

@@ -1,5 +1,9 @@
 """Unit tests for gateway policy validation."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.core.errors import PolicyError
@@ -29,10 +33,14 @@ class TestValidation:
             {"pool_max_per_source": 0},
             {"pool_idle_ttl": 0.0},
             {"failure_retries": -1},
-            {"session_ttl": 0.0},
+            {"trace_max_traces": 0},
             {"event_fast_buffer_size": 0},
             {"event_disk_buffer_size": -1},
             {"history_max_rows_per_group": 0},
+            {"history_fsync_interval": 0},
+            {"history_checkpoint_interval": -1.0},
+            {"stream_sweep_period": 0.0},
+            {"stream_replay_limit": 0},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -48,3 +56,22 @@ class TestValidation:
             event_disk_buffer_size=0,
             history_max_rows_per_group=1,
         )
+
+
+def test_every_field_is_varied_by_a_caller():
+    """The knob census: a field no shipped caller ever sets is a
+    constant — delete it and put the value at its one reader."""
+    root = Path(__file__).resolve().parent.parent
+    policy_py = root / "src" / "repro" / "core" / "policy.py"
+    text = "\n".join(
+        path.read_text()
+        for top in ("src", "tests", "benchmarks", "examples")
+        for path in sorted((root / top).rglob("*.py"))
+        if path != policy_py
+    )
+    never_set = [
+        f.name
+        for f in dataclasses.fields(GatewayPolicy)
+        if not re.search(rf"\b{f.name}\s*=[^=]", text)
+    ]
+    assert never_set == []

@@ -53,6 +53,32 @@ class TestDirectory:
         resp = network.request(a.gateway.host, directory.address, "garbage")
         assert resp[0] == "error"
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            ("register_producer",),
+            ("register_producer", {"bogus": 1}),
+            ("register_producer", 5),
+            ("lookup_site",),
+            ("unregister_producer", [1]),
+            ("register_producer", {"site": "s", "gateway_host": "h"}),
+            ("lookup_site", "site-a", "site-b"),
+            ("list_producers", "site-a"),
+        ],
+    )
+    def test_malformed_shapes_get_a_typed_refusal(self, fabric, payload):
+        """Wrong arity, a record that is not a mapping of ProducerRecord
+        fields, a non-string key: an error *reply*, never an exception in
+        the caller's stack, and the registry is untouched."""
+        network, directory, a, *_ = fabric
+        before = directory.producers()
+        resp = network.request(a.gateway.host, directory.address, payload)
+        assert resp == ("error", "malformed request")
+        assert directory.producers() == before
+        # The next honest request is served as if nothing happened.
+        client = DirectoryClient(network, a.gateway.host, directory.address)
+        assert [p.site for p in client.lookup_site("site-a")] == ["site-a"]
+
     def test_record_groups_published(self, fabric):
         _, directory, *_ = fabric
         record = directory.producers()[0]

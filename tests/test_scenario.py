@@ -232,7 +232,7 @@ def test_runner_refuses_zero_counts(name, knob):
 
 def test_cli_prints_every_violation_of_every_checker(monkeypatch, capsys):
     """One exit path: a race finding *and* a breaker violation *and* a
-    pending future all reach stderr (the old chaos handler returned at
+    stuck buffer all reach stderr (the old chaos handler returned at
     the first category)."""
     red = ScenarioReport(
         "chaos",
@@ -242,7 +242,7 @@ def test_cli_prints_every_violation_of_every_checker(monkeypatch, capsys):
         violations={
             "breaker_invariants": ["snmp://h0: OPEN with no open_until instant"],
             "trace_invariants": [],
-            "no_pending_futures": ["2 network future(s) never resolved"],
+            "no_stuck_buffers": ["gw: cq3 live with 2 buffered batch(es)"],
         },
         template=("red",),
     )
@@ -254,7 +254,7 @@ def test_cli_prints_every_violation_of_every_checker(monkeypatch, capsys):
     assert err.splitlines() == [
         "# lane race: GRM551 cache[k]: unordered write/write",
         "# breaker_invariants violated: snmp://h0: OPEN with no open_until instant",
-        "# no_pending_futures violated: 2 network future(s) never resolved",
+        "# no_stuck_buffers violated: gw: cq3 live with 2 buffered batch(es)",
     ]
 
 
@@ -299,5 +299,5 @@ ALL_PLANES = dataclasses.replace(
 def test_all_planes_on_passes_every_checker_and_the_dual_run(seed):
     report = run(ALL_PLANES, seed=seed, race_detect=True, rounds=15)
     assert report.ok, (report.violations, report.race_findings)
-    assert len(report.violations) == 6  # five stock checkers + replay_identity
+    assert len(report.violations) == 5  # four stock checkers + replay_identity
     assert report.compared["wal_frames"] > 0

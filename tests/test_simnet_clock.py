@@ -232,11 +232,3 @@ class TestConcurrentScope:
         clock.advance(2.0)
         assert seen == [6.0]
         assert clock.now() == 6.0
-
-    def test_next_due_skips_cancelled(self):
-        clock = VirtualClock()
-        h = clock.call_later(1.0, lambda: None)
-        clock.call_later(2.0, lambda: None)
-        assert clock.next_due() == 1.0
-        h.cancel()
-        assert clock.next_due() == 2.0

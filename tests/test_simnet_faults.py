@@ -93,11 +93,16 @@ class TestFlakyPort:
             net.request("a", Address("b", 10), "x")
 
     def test_async_path_also_refused(self, rig):
+        # The overlapped path — one request per concurrent branch — draws
+        # a refusal per branch, raised in the branch that made the call.
         net, plane = rig
         plane.flaky_port("b", prob=1.0)
-        future = net.request_async("a", Address("b", 9), "x")
-        with pytest.raises(PortClosedError):
-            net.gather([future])
+        with net.clock.concurrent() as scope:
+            for _ in range(2):
+                with scope.branch():
+                    with pytest.raises(PortClosedError, match="flaky port"):
+                        net.request("a", Address("b", 9), "x")
+        assert plane.stats.refusals == 2
 
 
 class TestCorruption:
@@ -112,11 +117,20 @@ class TestCorruption:
         assert plane.stats.corruptions == 1
 
     def test_async_path_corruption(self, rig):
+        # Overlapped branches each pay the full round trip before the
+        # checksum fails; the join lands on the slower of the two.
         net, plane = rig
         plane.corrupt_payloads("b", prob=1.0)
-        future = net.request_async("a", Address("b", 9), "x")
-        with pytest.raises(PayloadCorruptedError):
-            net.gather([future])
+        t0 = net.clock.now()
+        ends = []
+        with net.clock.concurrent() as scope:
+            for _ in range(2):
+                with scope.branch():
+                    with pytest.raises(PayloadCorruptedError):
+                        net.request("a", Address("b", 9), "x")
+                    ends.append(net.clock.now())
+        assert plane.stats.corruptions == 2
+        assert net.clock.now() == max(ends) > t0
 
 
 class TestSlowHost:

@@ -5,6 +5,7 @@ import pytest
 from repro.simnet.clock import VirtualClock
 from repro.simnet.errors import (
     HostUnreachableError,
+    NetworkError,
     PortClosedError,
     TimeoutError_,
 )
@@ -12,8 +13,7 @@ from repro.simnet.link import LAN, WAN, LinkModel
 from repro.simnet.network import Address, Network
 
 
-@pytest.fixture
-def net():
+def make_net():
     clock = VirtualClock()
     network = Network(clock, seed=3)
     network.add_host("a", site="s1")
@@ -22,8 +22,28 @@ def net():
     return network
 
 
+@pytest.fixture
+def net():
+    return make_net()
+
+
 def echo(payload, src):
     return ("echo", payload)
+
+
+def overlapped(net, calls):
+    """One ``request`` from host ``a`` per ``(dst, payload, timeout)``,
+    each in its own ``clock.concurrent()`` branch: the replies, or the
+    typed error a branch ended with, in launch order."""
+    out = []
+    with net.clock.concurrent() as scope:
+        for dst, payload, timeout in calls:
+            with scope.branch():
+                try:
+                    out.append(net.request("a", dst, payload, timeout=timeout))
+                except NetworkError as exc:
+                    out.append(exc)
+    return out
 
 
 class TestTopology:
@@ -218,79 +238,80 @@ class TestLinkModel:
 
 
 class TestDeferredRpc:
-    def test_request_async_matches_sync_result(self, net):
-        net.listen(Address("b", 9), echo)
-        future = net.request_async("a", Address("b", 9), "hello")
-        assert not future.done()
-        results = net.gather([future])
-        assert results == [("echo", "hello")]
-        assert future.done()
-        assert future.result() == ("echo", "hello")
+    """Overlapped RPC: ``request`` inside ``clock.concurrent()`` branches
+    is the one way round-trips overlap in virtual time.
+
+    The class and test names predate the deletion of the deferred-RPC
+    stack (``request_async`` / ``NetFuture`` / ``gather``); each keeps
+    its id and checks the same property on the surviving path.
+    """
+
+    def test_request_async_matches_sync_result(self):
+        def run(in_branch):
+            net = make_net()
+            net.listen(Address("b", 9), echo)
+            if in_branch:
+                (reply,) = overlapped(net, [(Address("b", 9), "hello", None)])
+            else:
+                reply = net.request("a", Address("b", 9), "hello")
+            return reply, net.clock.now(), net.stats.as_dict()
+
+        # Same seed: a lone branch is the sequential call, reply for
+        # reply, instant for instant, byte for byte.
+        assert run(True) == run(False)
+        assert run(True)[0] == ("echo", "hello")
 
     def test_gather_overlaps_round_trips(self, net):
         net.listen(Address("b", 9), echo)
         t0 = net.clock.now()
-        serial = 0.0
         for i in range(4):
-            start = net.clock.now()
             net.request("a", Address("b", 9), i)
-            serial += net.clock.now() - start
+        serial = net.clock.now() - t0
+        net.stats.reset()
         t0 = net.clock.now()
-        futures = [net.request_async("a", Address("b", 9), i) for i in range(4)]
-        net.gather(futures)
-        overlapped = net.clock.now() - t0
+        overlapped(net, [(Address("b", 9), i, None) for i in range(4)])
         # Four overlapped round-trips cost about one round-trip, far less
-        # than four serial ones.
-        assert overlapped < serial / 2
+        # than four serial ones — and are still four requests.
+        assert net.clock.now() - t0 < serial / 2
+        assert net.stats.requests == 4
 
     def test_gather_preserves_order(self, net):
         net.listen(Address("b", 9), echo)
-        futures = [net.request_async("a", Address("b", 9), i) for i in range(5)]
-        assert net.gather(futures) == [("echo", i) for i in range(5)]
+        calls = [(Address("b", 9), i, None) for i in range(5)]
+        assert overlapped(net, calls) == [("echo", i) for i in range(5)]
 
     def test_async_failure_surfaces_on_result(self, net):
-        future = net.request_async("a", Address("b", 777), "x")  # port closed
-        with pytest.raises(PortClosedError):
-            net.gather([future])
-        assert isinstance(future.exception(), PortClosedError)
+        t0 = net.clock.now()
+        with net.clock.concurrent() as scope:
+            with scope.branch():
+                # Raised in the branch that made the call, not at the join.
+                with pytest.raises(PortClosedError):
+                    net.request("a", Address("b", 777), "x")  # port closed
+                assert net.clock.in_concurrent_branch
+        assert not net.clock.in_concurrent_branch
+        # A refusal is an answer: it costs the send delay, not the timeout.
+        assert 0 < net.clock.now() - t0 < 0.01
 
     def test_gather_return_exceptions(self, net):
         net.listen(Address("b", 9), echo)
-        good = net.request_async("a", Address("b", 9), "ok")
-        bad = net.request_async("a", Address("b", 777), "x")
-        results = net.gather([good, bad], return_exceptions=True)
-        assert results[0] == ("echo", "ok")
-        assert isinstance(results[1], PortClosedError)
+        good, bad = overlapped(
+            net, [(Address("b", 9), "ok", None), (Address("b", 777), "x", None)]
+        )
+        assert good == ("echo", "ok")
+        assert isinstance(bad, PortClosedError)
 
     def test_async_to_dead_host_times_out(self, net):
         net.listen(Address("b", 9), echo)
+        net.listen(Address("c", 9), echo)
         net.set_host_up("b", False)
-        future = net.request_async("a", Address("b", 9), "x", timeout=0.5)
-        with pytest.raises((TimeoutError_, HostUnreachableError)):
-            net.gather([future])
-
-    def test_result_before_completion_raises(self, net):
-        net.listen(Address("b", 9), echo)
-        future = net.request_async("a", Address("b", 9), "x")
-        with pytest.raises(RuntimeError):
-            future.result()
-        net.gather([future])
-
-    def test_gather_rejected_inside_concurrent_branch(self, net):
-        net.listen(Address("b", 9), echo)
-        with net.clock.concurrent() as scope:
-            with scope.branch():
-                future = net.request_async("a", Address("b", 9), "x")
-                with pytest.raises(RuntimeError):
-                    net.gather([future])
-
-    def test_done_callback_runs_at_completion(self, net):
-        net.listen(Address("b", 9), echo)
-        seen = []
-        future = net.request_async("a", Address("b", 9), "x")
-        future.add_done_callback(lambda f: seen.append(net.clock.now()))
-        net.gather([future])
-        assert seen == [future.completed_at]
+        t0 = net.clock.now()
+        dead, alive = overlapped(
+            net, [(Address("b", 9), "x", 0.5), (Address("c", 9), "y", None)]
+        )
+        assert isinstance(dead, HostUnreachableError)
+        assert alive == ("echo", "y")
+        # The join waits out the dead branch's timeout, exactly.
+        assert net.clock.now() - t0 == pytest.approx(0.5)
 
 
 class TestTimeoutBudget:
@@ -375,85 +396,129 @@ class TestTimeoutBudget:
 
 
 class TestAsyncMidFlightDeath:
-    """A host dying mid-flight surfaces at send-time + timeout."""
+    """A host lost while sibling requests are in flight surfaces at
+    send-time + timeout: every branch's budget starts at the scope's
+    opening instant, not where an earlier branch left the clock."""
+
+    def _lost_between_branches(self, net, dst, lose):
+        net.listen(dst, echo)
+        t0 = net.clock.now()
+        with net.clock.concurrent() as scope:
+            with scope.branch():
+                assert net.request("a", dst, "x") == ("echo", "x")
+                assert net.clock.now() > t0
+            lose()  # while the first request is still in flight
+            with scope.branch():
+                with pytest.raises(HostUnreachableError) as exc:
+                    net.request("a", dst, "x", timeout=0.5)
+        # Not first-branch-end + timeout: the deadline was fixed at send.
+        assert net.clock.now() == pytest.approx(t0 + 0.5)
+        return str(exc.value)
 
     def test_death_mid_flight_surfaces_at_send_plus_timeout(self, net):
-        net.listen(Address("b", 9), echo)
-        t0 = net.clock.now()
-        future = net.request_async("a", Address("b", 9), "x", timeout=0.5)
-        net.set_host_up("b", False)  # dies while the request is in flight
-        with pytest.raises(HostUnreachableError) as exc:
-            net.gather([future])
-        assert "went down" in str(exc.value)
-        # Not arrival-time + timeout: the deadline was fixed at send time.
-        assert future.completed_at == pytest.approx(t0 + 0.5)
+        message = self._lost_between_branches(
+            net, Address("b", 9), lambda: net.set_host_up("b", False)
+        )
+        assert "host down" in message
 
     def test_partition_mid_flight_surfaces_at_send_plus_timeout(self, net):
-        net.listen(Address("c", 9), echo)
-        t0 = net.clock.now()
-        future = net.request_async("a", Address("c", 9), "x", timeout=0.5)
-        net.partition({"a", "b"}, {"c"})
-        with pytest.raises(HostUnreachableError):
-            net.gather([future])
-        assert future.completed_at == pytest.approx(t0 + 0.5)
+        message = self._lost_between_branches(
+            net, Address("c", 9), lambda: net.partition({"a", "b"}, {"c"})
+        )
+        assert "no route" in message
 
     def test_already_dead_host_fails_at_deadline(self, net):
         net.listen(Address("b", 9), echo)
         net.set_host_up("b", False)
         t0 = net.clock.now()
-        future = net.request_async("a", Address("b", 9), "x", timeout=0.25)
-        with pytest.raises(HostUnreachableError) as exc:
-            net.gather([future])
-        assert "host down" in str(exc.value)
-        assert future.completed_at == pytest.approx(t0 + 0.25)
+        (failure,) = overlapped(net, [(Address("b", 9), "x", 0.25)])
+        assert isinstance(failure, HostUnreachableError)
+        assert "host down" in str(failure)
+        assert net.clock.now() == pytest.approx(t0 + 0.25)
 
 
 class TestGatherAllFail:
-    """``gather(return_exceptions=True)`` when every future fails."""
+    """Every branch of a scope fails, each in its own way."""
 
-    def _three_doomed(self, net):
-        net.listen(Address("b", 9), echo)
+    DOOMED = [
+        (Address("ghost", 9), "x", 0.2),  # no route
+        (Address("b", 777), "x", 0.2),  # refused
+        (Address("c", 9), "x", 0.3),  # host down
+        (Address("d", 9), "x", 0.1),  # every packet lost
+    ]
+
+    def _doom(self, net):
+        net.listen(Address("c", 9), echo)
+        net.set_host_up("c", False)
         net.add_host("d", site="s1")
         net.listen(Address("d", 9), echo)
-        net.set_extra_loss("d", 0.9999999)  # every packet lost
-        return [
-            net.request_async("a", Address("ghost", 9), "x", timeout=0.2),
-            net.request_async("a", Address("b", 777), "x", timeout=0.2),
-            net.request_async("a", Address("d", 9), "x", timeout=0.2),
-        ]
+        net.set_extra_loss("d", 0.9999999)
 
     def test_ordering_and_exception_types_preserved(self, net):
-        futures = self._three_doomed(net)
-        results = net.gather(futures, return_exceptions=True)
-        assert isinstance(results[0], HostUnreachableError)
-        assert isinstance(results[1], PortClosedError)
-        assert isinstance(results[2], TimeoutError_)
-        assert "lost" in str(results[2])
-        assert all(f.done() for f in futures)
-        assert net.pending_futures() == 0
+        self._doom(net)
+        t0 = net.clock.now()
+        results = overlapped(net, self.DOOMED)
+        assert [type(r) for r in results] == [
+            HostUnreachableError,
+            PortClosedError,
+            HostUnreachableError,
+            TimeoutError_,
+        ]
+        assert "no route" in str(results[0])
+        assert "host down" in str(results[2])
+        assert "lost" in str(results[3])
+        # The join lands on the slowest failure, not on the sum.
+        assert net.clock.now() == pytest.approx(t0 + 0.3)
+        assert net.stats.requests == 4
 
     def test_without_flag_first_failure_raises(self, net):
-        futures = self._three_doomed(net)
-        with pytest.raises(HostUnreachableError):
-            net.gather(futures)
+        self._doom(net)
+        t0 = net.clock.now()
+        launched = 0
+        # Nobody catches inside the branch: the first failure leaves the
+        # scope as itself, later branches never launch, and the clock is
+        # back on the shared timeline at the failed branch's end.
+        with pytest.raises(HostUnreachableError, match="no route"):
+            with net.clock.concurrent() as scope:
+                for dst, payload, timeout in self.DOOMED:
+                    with scope.branch():
+                        launched += 1
+                        net.request("a", dst, payload, timeout=timeout)
+        assert launched == 1
+        assert not net.clock.in_concurrent_branch and net.clock.lane == ()
+        assert net.clock.now() == pytest.approx(t0 + 0.2)
 
 
 class TestPendingFutures:
+    """``request`` leaves nothing outstanding: it schedules no timer, so
+    there is nothing a drain could find stuck.  Datagrams are the only
+    deliveries that wait on the clock's schedule."""
+
     def test_counts_outstanding_and_drains_to_zero(self, net):
-        net.listen(Address("b", 9), echo)
-        assert net.pending_futures() == 0
-        futures = [net.request_async("a", Address("b", 9), i) for i in range(3)]
-        assert net.pending_futures() == 3
-        net.gather(futures)
-        assert net.pending_futures() == 0
+        got = []
+        net.listen(
+            Address("b", 9), echo, datagram_handler=lambda p, src: got.append(p)
+        )
+        overlapped(net, [(Address("b", 9), i, None) for i in range(3)])
+        assert net.clock.pending() == 0
+        for i in range(3):
+            net.send("a", Address("b", 9), i)
+        assert net.clock.pending() == 3 and got == []
+        net.clock.advance(1.0)
+        assert net.clock.pending() == 0 and sorted(got) == [0, 1, 2]
 
     def test_failed_futures_drain_via_deadline_guard(self, net):
         net.set_host_up("b", False)
-        future = net.request_async("a", Address("b", 9), "x", timeout=0.2)
-        assert net.pending_futures() == 1
+        t0 = net.clock.now()
+        (failure,) = overlapped(net, [(Address("b", 9), "x", 0.2)])
+        assert isinstance(failure, HostUnreachableError)
+        # The failure landed on its deadline and left no guard behind:
+        # sweeping past it fires nothing.
+        assert net.clock.now() == pytest.approx(t0 + 0.2)
+        assert net.clock.pending() == 0
+        before = net.stats.as_dict()
         net.clock.advance(0.25)
-        assert future.done()
-        assert net.pending_futures() == 0
+        assert net.stats.as_dict() == before
 
 
 class TestPayloadSize:

@@ -2,6 +2,11 @@
 
 import pytest
 
+from repro.core.policy import GatewayPolicy
+from repro.core.request_manager import QueryMode
+from repro.simnet.clock import VirtualClock
+from repro.simnet.network import Network
+from repro.testbed import build_site
 from repro.web.servlet import GatewayServlet, http_get
 
 
@@ -49,6 +54,41 @@ class TestRouting:
     def test_garbage_rejected(self, site, servlet):
         raw = site.network.request(site.host_names()[0], servlet.address, "")
         assert "400" in raw.splitlines()[0]
+
+
+class TestOverloadEndpoint:
+    def test_overload_panel_with_admission_on(self):
+        network = Network(VirtualClock(), seed=7)
+        site = build_site(
+            network,
+            name="site-o",
+            n_hosts=2,
+            agents=("snmp",),
+            seed=7,
+            policy=GatewayPolicy(
+                admission_enabled=True,
+                adaptive_concurrency=True,
+                admission_queue_limit=12,
+            ),
+        )
+        network.clock.advance(30)
+        servlet = GatewayServlet(site.gateway)
+        site.gateway.query(
+            site.source_urls, "SELECT HostName FROM Host", mode=QueryMode.REALTIME
+        )
+        code, body = get(site, servlet, "/overload")
+        assert code == 200
+        assert "adaptive concurrency enabled" in body
+        assert "pressure: NORMAL" in body
+        assert "queue: 0/12" in body
+        assert "admitted: 1 " in body
+        for url in site.source_urls:
+            assert f"  - {url}: limit=4, baseline=" in body
+
+    def test_overload_panel_says_so_when_admission_is_off(self, site, servlet):
+        code, body = get(site, servlet, "/overload")
+        assert code == 200
+        assert "DISABLED" in body and "admission_enabled=False" in body
 
 
 class TestQueryEndpoint:
