@@ -23,6 +23,7 @@ one coercion that row needs.  The wall-time ratio (ISSUE 8 asked for
 BENCH_hotpath.json, not gated.
 """
 
+import collections
 import json
 import pathlib
 import time
@@ -31,8 +32,14 @@ import pytest
 
 from repro.analysis.query_check import validate_select
 from repro.core.plans import PlanCache
+from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import QueryMode
+from repro.dbapi import url as url_module
+from repro.dbapi.url import JdbcUrl
 from repro.glue.schema import standard_schema
+from repro.obs.metrics import MetricsRegistry, StatsView
+from repro.obs.trace import Tracer
+from repro.simnet.clock import VirtualClock
 from repro.sql.executor import _coerce_pair, execute_select
 from repro.sql.parser import parse_select
 from conftest import fresh_site, fmt_table
@@ -214,3 +221,133 @@ def test_e17_gateway_warm_queries_hit_plan_cache(benchmark, report):
     assert hits >= repeat
 
     benchmark(query)
+
+
+# ----------------------------------------------------------------------
+# E26 — the envelope of a warm dashboard read (the cost of observing)
+# ----------------------------------------------------------------------
+DASHBOARD_SQL = "SELECT HostName, LoadAverage1Min FROM Processor"
+
+
+def _us_per_call(fn, repeat):
+    fn()
+    t0 = time.perf_counter()
+    for _ in range(repeat):
+        fn()
+    return (time.perf_counter() - t0) / repeat * 1e6
+
+
+def _nine_sources(*, tracing):
+    site = fresh_site(
+        name="e26", n_hosts=8, agents=("snmp", "ganglia"), seed=5,
+        policy=GatewayPolicy(tracing_enabled=tracing),
+    )
+    assert len(site.source_urls) == 9
+    return site
+
+
+def test_e26_envelope_of_a_warm_dashboard_read(report, monkeypatch):
+    """A cache-backed dashboard read costs the agents nothing, so all of
+    its cost is the gateway's fixed per-query work.  Counted: a warm
+    nine-source ``CACHED_OK`` read matches no URL regex, renders no URL
+    text, looks no instrument up by name and opens 12 spans (3 + one per
+    source), and returns the rows the cold read fetched.  Recorded, not
+    gated: what one span, one counter bump and one warm URL parse cost,
+    and the tracer's share of the warm read."""
+    site = _nine_sources(tracing=True)
+    gw, urls = site.gateway, site.source_urls
+
+    def read():
+        return gw.query(urls, DASHBOARD_SQL, mode=QueryMode.CACHED_OK)
+
+    cold = read()
+    assert cold.ok_sources == 9 and not any(s.from_cache for s in cold.statuses)
+
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    class CountingPattern:
+        def match(self, text, _pattern=url_module._URL_RE):
+            counts["url_regex"] += 1
+            return _pattern.match(text)
+
+    with monkeypatch.context() as spies:
+        spies.setattr(url_module, "_URL_RE", CountingPattern())
+        spies.setattr(JdbcUrl, "_render", counting("url_render", JdbcUrl._render))
+        spies.setattr(
+            MetricsRegistry,
+            "_instrument",
+            counting("instrument_lookup", MetricsRegistry._instrument),
+        )
+        warm = read()
+    assert [s.from_cache for s in warm.statuses] == [True] * 9
+    assert (warm.columns, warm.rows) == (cold.columns, cold.rows)
+    assert counts == {}
+    assert len(gw.tracer.get(warm.trace_id).spans) == 12
+
+    # Wall numbers from here on: recorded, never asserted.
+    repeat = 2000
+    traced_us = _us_per_call(read, repeat)
+    untraced_site = _nine_sources(tracing=False)
+
+    def untraced_read():
+        return untraced_site.gateway.query(
+            untraced_site.source_urls, DASHBOARD_SQL, mode=QueryMode.CACHED_OK
+        )
+
+    assert untraced_read().ok_sources == 9
+    untraced_us = _us_per_call(untraced_read, repeat)
+
+    tracer = Tracer(VirtualClock())
+    stats = StatsView(MetricsRegistry(), "e26", ("bumps",))
+    text = urls[0]
+
+    def one_span():
+        with tracer.span("source", url=text):
+            pass
+
+    with tracer.start_trace("bench"):
+        span_us = _us_per_call(one_span, 20_000)
+    bump_us = _us_per_call(lambda: stats.inc("bumps"), 50_000)
+    parse_us = _us_per_call(lambda: JdbcUrl.parse(text), 50_000)
+
+    share = 1.0 - untraced_us / traced_us
+    report(
+        "E26: envelope of a warm nine-source CACHED_OK read",
+        *fmt_table(
+            ["quantity", "value"],
+            [
+                ["URL regex matches / renders / by-name lookups", "0 / 0 / 0"],
+                ["spans per read", 12],
+                ["gateway.query, tracing on (us)", traced_us],
+                ["gateway.query, tracing off (us)", untraced_us],
+                ["tracer's share of the read", share],
+                ["one span open+close (us)", span_us],
+                ["one counter bump (us)", bump_us],
+                ["one warm JdbcUrl.parse (us)", parse_us],
+            ],
+        ),
+    )
+    _record(
+        "envelope",
+        {
+            "sources": 9,
+            "spans_per_read": 12,
+            "url_regex_matches": 0,
+            "url_renders": 0,
+            "instrument_lookups": 0,
+            "repeat": repeat,
+            "query_us_tracing_on": traced_us,
+            "query_us_tracing_off": untraced_us,
+            "tracer_share": share,
+            "span_us": span_us,
+            "counter_bump_us": bump_us,
+            "warm_url_parse_us": parse_us,
+        },
+    )

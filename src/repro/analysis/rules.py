@@ -10,8 +10,9 @@ module and decorating its own classes.
 Rule-id ranges:
 
 * ``GRM1xx`` — project invariants checked over any Python source
-  (virtual-clock discipline, simnet discipline, exception discipline)
-  and DDK driver-contract checks (signatures, exception families);
+  (virtual-clock discipline, simnet discipline, exception discipline,
+  instruments bound at construction) and DDK driver-contract checks
+  (signatures, exception families);
 * ``GRM2xx`` — compile-time GLUE query validation
   (:mod:`repro.analysis.query_check`);
 * ``GRM3xx`` — gateway start-up findings
@@ -33,6 +34,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from pathlib import PurePath
 from typing import Iterator, Type
 
 from repro.analysis.findings import Finding, Severity
@@ -338,6 +340,71 @@ class ExceptionDisciplineRule(LintRule):
             for e in exprs
             if isinstance(e, ast.Name) and e.id in ("Exception", "BaseException")
         ]
+
+
+#: Names a metrics registry goes by, and the ``repro`` packages whose
+#: serving paths GRM108 holds to "instruments are bound at construction".
+_REGISTRY_NAMES = frozenset({"registry", "_registry", "metrics", "reg"})
+_BOUND_INSTRUMENT_PACKAGES = frozenset({"core", "gma", "simnet", "storage", "obs"})
+
+
+def _below_repro(path: str) -> list[str]:
+    """Path components below the innermost ``repro`` directory (empty
+    when the file is not under one)."""
+    parts = PurePath(path).parts
+    for index in range(len(parts) - 2, -1, -1):
+        if parts[index] == "repro":
+            return list(parts[index + 1 :])
+    return []
+
+
+@register_rule
+class BoundInstrumentRule(LintRule):
+    """Instruments are bound where their owner is constructed.
+
+    ``registry.counter("x")`` formats nothing but still costs a dict
+    lookup and a type check per call; on a serving path that is paid per
+    source per query.  Resolve the instrument once, in ``__init__``, and
+    hold it (or a :class:`~repro.obs.metrics.StatsView` over it).
+    """
+
+    rule_id = "GRM108"
+    severity = Severity.ERROR
+    title = "instrument looked up by name outside __init__ (bind it at construction)"
+
+    def check(self, module: ModuleContext) -> Iterator[Finding]:
+        below = _below_repro(module.path)
+        if (
+            not below
+            or below[0] not in _BOUND_INSTRUMENT_PACKAGES
+            or below == ["obs", "metrics.py"]  # the registry itself
+        ):
+            return
+        yield from self._walk(module, module.tree, None)
+
+    def _walk(
+        self, module: ModuleContext, node: ast.AST, function: "str | None"
+    ) -> Iterator[Finding]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from self._walk(module, child, child.name)
+                continue
+            if (
+                function not in (None, "__init__")
+                and isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("counter", "histogram", "gauge")
+                and child.args
+                and _base_name(child.func.value) in _REGISTRY_NAMES
+            ):
+                yield self.finding(
+                    module,
+                    child,
+                    f"{function}() resolves an instrument by name; bind it "
+                    "in __init__ and hold the instrument",
+                    symbol=f"{function}:{child.func.attr}",
+                )
+            yield from self._walk(module, child, function)
 
 
 # ----------------------------------------------------------------------

@@ -61,7 +61,7 @@ from repro.core.shed import (
     ShedLedger,
     shed_action,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.obs.trace import NO_TRACER, Tracer
 from repro.simnet.clock import VirtualClock
 
@@ -130,7 +130,9 @@ class GradientLimiter:
         self.tolerance = tolerance
         self.backoff = backoff
         self.window = window
-        self.registry = registry if registry is not None else MetricsRegistry()
+        registry = registry if registry is not None else MetricsRegistry()
+        self._backoffs = registry.counter("limiter.backoffs")
+        self._probes = registry.counter("limiter.probes")
         self._limit = float(min(max(initial, floor), ceiling))
         #: Long-run latency floor the epoch mean is judged against.
         self._baseline: Optional[float] = None
@@ -183,10 +185,10 @@ class GradientLimiter:
             )
         if congested > 0 or mean > self._baseline * self.tolerance:
             self._limit = max(float(self.floor), self._limit * self.backoff)
-            self.registry.counter("limiter.backoffs").add(1)
+            self._backoffs.add(1)
         else:
             self._limit = min(float(self.ceiling), self._limit + 1.0)
-            self.registry.counter("limiter.probes").add(1)
+            self._probes.add(1)
         if races.ACTIVE is not None:
             # VALUE discipline: two unordered rolls only conflict when
             # they land on *different* limits (a real order dependence).
@@ -256,13 +258,13 @@ class AdmissionController:
         self._queue_spans: list[tuple[float, float]] = []
         #: Post-queue service times (doomed-on-dequeue p50 source).
         self._service: deque[float] = deque(maxlen=_SERVICE_WINDOW)
-        for name in (
-            "admission.admitted",
-            "admission.queued",
-            "admission.doomed",
-            "admission.brownout_served",
-        ):
-            self.registry.counter(name)
+        self._counts = StatsView(
+            self.registry,
+            "admission",
+            ("admitted", "queued", "doomed", "brownout_served"),
+        )
+        self._queue_wait_time = self.registry.histogram("admission.queue_wait_time")
+        self._service_time = self.registry.histogram("admission.service_time")
 
     # ------------------------------------------------------------------
     @property
@@ -344,14 +346,12 @@ class AdmissionController:
                     queued_for = now - entered
                     wspan["waited"] = queued_for
                 self._queue_spans.append((entered, now))
-                self.registry.counter("admission.queued").add(1)
-                self.registry.histogram("admission.queue_wait_time").record(
-                    queued_for
-                )
+                self._counts.inc("queued")
+                self._queue_wait_time.record(queued_for)
                 if deadline is not None and self._service:
                     p50 = _median(self._service)
                     if deadline.remaining() <= p50:
-                        self.registry.counter("admission.doomed").add(1)
+                        self._counts.inc("doomed")
                         raise DeadlineExceededError(
                             "doomed on dequeue: remaining budget "
                             f"{deadline.remaining():.3f}s is below the observed "
@@ -359,7 +359,7 @@ class AdmissionController:
                             "(budget spent in queue_wait)"
                         )
         self._ends = live
-        self.registry.counter("admission.admitted").add(1)
+        self._counts.inc("admitted")
         return AdmissionTicket(
             query_class=query_class, admitted_at=now, queued_for=queued_for
         )
@@ -372,10 +372,10 @@ class AdmissionController:
         service = now - ticket.admitted_at
         self._service.append(service)
         self.limiter.observe(service, congested=congested)
-        self.registry.histogram("admission.service_time").record(service)
+        self._service_time.record(service)
 
     def note_brownout_serve(self) -> None:
-        self.registry.counter("admission.brownout_served").add(1)
+        self._counts.inc("brownout_served")
 
     # ------------------------------------------------------------------
     # Retry / hedge interplay (satellite: don't fight our own limiter)
@@ -413,10 +413,5 @@ class AdmissionController:
             "headroom": self.headroom(now),
             "limiter": self.limiter.snapshot(),
             "sheds": self.sheds.counts(),
-            "admitted": self.registry.counter("admission.admitted").value,
-            "queued": self.registry.counter("admission.queued").value,
-            "doomed": self.registry.counter("admission.doomed").value,
-            "brownout_served": self.registry.counter(
-                "admission.brownout_served"
-            ).value,
+            **self._counts,
         }

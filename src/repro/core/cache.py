@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Optional
 
 from repro.analysis import races
@@ -50,8 +51,17 @@ class CachedResult:
         return now - self.cached_at
 
 
+#: Distinct raw texts :func:`normalise_sql` remembers (LRU beyond it).
+NORMALISE_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=NORMALISE_MEMO_SIZE)
 def normalise_sql(sql: str) -> str:
     """Collapse whitespace and case-fold keywords/identifiers for cache keying.
+
+    A pure function of its text, and dashboards resend byte-identical
+    texts, so results are memoised (bounded: query texts come from
+    clients).
 
     Deliberately cheap: semantically equal but textually different
     queries may miss, which only costs a refetch.  Quoted string

@@ -107,7 +107,7 @@ class ConnectionManager:
                 # upstream (cap_wait / admission queue): name queue_wait
                 # as the spending step rather than blaming the pool.
                 deadline.check(f"queue_wait before connection acquire for {url}")
-            self.stats["acquires"] += 1
+            self.stats.inc("acquires")
             quarantined = self.health is not None and self.health.is_quarantined(
                 _pool_key(url)
             )
@@ -119,12 +119,12 @@ class ConnectionManager:
                     entry = idle.pop()
                     conn = entry.connection
                     if conn.is_closed():
-                        self.stats["evicted_invalid"] += 1
+                        self.stats.inc("evicted_invalid")
                         continue
                     if now - entry.idle_since > self.policy.pool_idle_ttl:
                         # Stale: pay one probe to revalidate before reuse,
                         # bounded by the borrowing query's remaining budget.
-                        self.stats["revalidated"] += 1
+                        self.stats.inc("revalidated")
                         span["revalidated"] = True
                         probe_timeout = 1.0
                         if deadline is not None:
@@ -133,14 +133,14 @@ class ConnectionManager:
                             )
                         if not conn.is_valid(timeout=probe_timeout):
                             conn.close()
-                            self.stats["evicted_invalid"] += 1
+                            self.stats.inc("evicted_invalid")
                             continue
-                    self.stats["reused"] += 1
+                    self.stats.inc("reused")
                     span["pooled"] = True
                     conn.deadline = deadline
                     conn.tracer = self.tracer
                     return conn
-            self.stats["created"] += 1
+            self.stats.inc("created")
             span["pooled"] = False
             conn = self.driver_manager.open_connection(url, info, deadline=deadline)
             conn.deadline = deadline
@@ -167,18 +167,18 @@ class ConnectionManager:
         if self.health is not None:
             entry = self.health.health(key)
             if self.health.is_quarantined(key):
-                self.stats["quarantined"] += 1
+                self.stats.inc("quarantined")
                 connection.close()
                 return
             if entry.state is not BreakerState.CLOSED or entry.consecutive_failures:
                 # Source recently misbehaved: pay one probe before pooling.
                 if not connection.is_valid():
-                    self.stats["evicted_unhealthy"] += 1
+                    self.stats.inc("evicted_unhealthy")
                     connection.close()
                     return
         idle = self._idle.setdefault(key, [])
         if len(idle) >= self.policy.pool_max_per_source:
-            self.stats["evicted_capacity"] += 1
+            self.stats.inc("evicted_capacity")
             connection.close()
             return
         idle.append(
@@ -205,7 +205,7 @@ class ConnectionManager:
             if not entry.connection.is_closed():
                 entry.connection.close()
                 n += 1
-        self.stats["quarantined"] += n
+        self.stats.inc("quarantined", n)
         return n
 
     @contextmanager

@@ -44,7 +44,7 @@ from repro.core.deadline import Deadline
 from repro.core.errors import GridRmError
 from repro.core.policy import GatewayPolicy
 from repro.dbapi.exceptions import SQLException
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.obs.trace import NO_TRACER, Tracer
 from repro.simnet.clock import VirtualClock
 from repro.simnet.errors import NetworkError
@@ -107,60 +107,6 @@ class Flight:
     completed_at: float = 0.0
 
 
-class DispatchStats:
-    """Counters surfaced via ``Gateway.stats()`` and the console.
-
-    Attribute-shaped compatibility view over ``dispatch.*`` registry
-    counters: ``stats.fanouts += 1`` and :meth:`as_dict` behave exactly
-    as the plain dataclass this replaces, while the same numbers surface
-    through ``SELECT * FROM GatewayMetrics``.
-    """
-
-    FIELDS = (
-        "fanouts",
-        "branches",
-        "serial_runs",
-        "singleflight_joins",
-        "cap_waits",
-        "cap_wait_time",
-        "flights",
-        "hedges_fired",
-        "hedges_won",
-        "hedges_cancelled",
-        "hedge_time_saved",
-    )
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        object.__setattr__(
-            self, "_registry", registry if registry is not None else MetricsRegistry()
-        )
-        for name in self.FIELDS:
-            self._registry.counter(f"dispatch.{name}")
-
-    def __getattr__(self, name: str) -> Any:
-        if name in self.FIELDS:
-            return self._registry.counter(f"dispatch.{name}").value
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name not in self.FIELDS:
-            object.__setattr__(self, name, value)
-            return
-        counter = self._registry.counter(f"dispatch.{name}")
-        counter.add(value - counter.value)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, DispatchStats):
-            return self.as_dict() == other.as_dict()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"DispatchStats({self.as_dict()!r})"
-
-
 class FanoutDispatcher:
     """Concurrent dispatch + single-flight + per-source caps for one
     gateway."""
@@ -186,7 +132,28 @@ class FanoutDispatcher:
         #: Per-source AIMD limiters (``policy.adaptive_concurrency``);
         #: they replace the static cap as the ``_await_slot`` bound.
         self._limiters: dict[str, GradientLimiter] = {}
-        self.stats = DispatchStats(self.registry)
+        #: Counters surfaced via ``Gateway.stats()`` and the console
+        #: (``stats.fanouts``, ``stats.as_dict()``): a read-only view
+        #: over the ``dispatch.*`` registry counters, bumped through
+        #: ``stats.inc``.
+        self.stats = StatsView(
+            self.registry,
+            "dispatch",
+            (
+                "fanouts",
+                "branches",
+                "serial_runs",
+                "singleflight_joins",
+                "cap_waits",
+                "cap_wait_time",
+                "flights",
+                "hedges_fired",
+                "hedges_won",
+                "hedges_cancelled",
+                "hedge_time_saved",
+            ),
+        )
+        self._attempt_latency = self.registry.histogram("dispatch.attempt_latency")
 
     # ------------------------------------------------------------------
     # Fan-out
@@ -217,10 +184,10 @@ class FanoutDispatcher:
         if deadline is not None:
             thunks = [self._launch_guard(thunk, deadline) for thunk in thunks]
         if not self.policy.fanout_enabled or len(thunks) == 1:
-            self.stats.serial_runs += 1
+            self.stats.inc("serial_runs")
             return [self._run_one(thunk) for thunk in thunks]
-        self.stats.fanouts += 1
-        self.stats.branches += len(thunks)
+        self.stats.inc("fanouts")
+        self.stats.inc("branches", len(thunks))
         outcomes: list[BranchOutcome] = []
         with self.tracer.span("fanout", branches=len(thunks)):
             with self.clock.concurrent() as scope:
@@ -281,7 +248,7 @@ class FanoutDispatcher:
             # owns reuse from here on).
             del self._flights[flight_key]
             return None
-        self.stats.singleflight_joins += 1
+        self.stats.inc("singleflight_joins")
         self.clock.advance_to(flight.completed_at)
         return flight
 
@@ -361,7 +328,7 @@ class FanoutDispatcher:
                 primary_span.attrs.pop("index", None)
             self.clock.advance(primary.elapsed)
             return primary
-        self.stats.hedges_fired += 1
+        self.stats.inc("hedges_fired")
         with scope.branch():
             self.clock.advance(delay)
             with self.tracer.span("hedge", index=1, delay=delay) as hedge_span:
@@ -383,9 +350,9 @@ class FanoutDispatcher:
         else:
             winner, end = primary, max(primary.elapsed, hedge_end)
         if winner is hedge and winner.ok:
-            self.stats.hedges_won += 1
-            self.stats.hedge_time_saved += max(0.0, primary.elapsed - end)
-        self.stats.hedges_cancelled += 1  # exactly one loser per fired hedge
+            self.stats.inc("hedges_won")
+            self.stats.inc("hedge_time_saved", max(0.0, primary.elapsed - end))
+        self.stats.inc("hedges_cancelled")  # exactly one loser per fired hedge
         # The abandoned attempt's span may outlive its parent — marking
         # it cancelled is what exempts it from the containment invariant.
         (hedge_span if winner is primary else primary_span).cancel()
@@ -400,7 +367,7 @@ class FanoutDispatcher:
         if window is None:
             window = self._latencies[source_key] = deque(maxlen=_LATENCY_WINDOW)
         window.append(elapsed)
-        self.registry.histogram("dispatch.attempt_latency").record(elapsed)
+        self._attempt_latency.record(elapsed)
         if self.policy.adaptive_concurrency:
             self._source_limiter(source_key).observe(elapsed)
 
@@ -438,7 +405,7 @@ class FanoutDispatcher:
             key=key, value=value, error=error, started_at=started, completed_at=end
         )
         self._inflight_ends.setdefault(key[0], []).append(end)
-        self.stats.flights += 1
+        self.stats.inc("flights")
         if len(self._flights) > _FLIGHT_SWEEP_THRESHOLD:
             self._sweep_flights(end)
 
@@ -497,8 +464,8 @@ class FanoutDispatcher:
                     now = self.clock.now()
                     live = [e for e in live if e > now]
                 wspan["waited"] = now - waited_from
-            self.stats.cap_waits += 1
-            self.stats.cap_wait_time += now - waited_from
+            self.stats.inc("cap_waits")
+            self.stats.inc("cap_wait_time", now - waited_from)
             if deadline is not None:
                 # The wait spent real budget: fail now rather than
                 # dispatch work whose answer nobody is waiting for.

@@ -248,9 +248,9 @@ class GridRmDriverManager:
                 return out, False
         cached = self.cached_driver(url)
         if cached is not None and cached in self.registry:
-            self.stats["cache_hits"] += 1
+            self.stats.inc("cache_hits")
             return [cached], True
-        self.stats["dynamic_scans"] += 1
+        self.stats.inc("dynamic_scans")
         return self.registry.locate_all(url), False
 
     def open_connection(
@@ -289,14 +289,14 @@ class GridRmDriverManager:
         if deadline is not None:
             deadline.check(f"driver selection for {url}")
         if self.health is not None and not self.health.allow_request(source_key):
-            self.stats["breaker_fast_fails"] += 1
+            self.stats.inc("breaker_fast_fails")
             span["fast_failed"] = True
             entry = self.health.health(source_key)
             raise SourceQuarantinedError(
                 f"circuit open for {url} until t={entry.open_until:.1f}s "
                 f"(last error: {entry.last_error or 'unknown'})"
             )
-        self.stats["selections"] += 1
+        self.stats.inc("selections")
         candidates, only_cached = self._candidates(url)
         span["candidates"] = len(candidates)
         if not candidates:
@@ -325,7 +325,7 @@ class GridRmDriverManager:
                 try:
                     conn = driver.connect(url, attempt_info)
                 except SQLException as exc:
-                    self.stats["connect_failures"] += 1
+                    self.stats.inc("connect_failures")
                     last_error = exc
                     continue
                 if self.policy.driver_cache_enabled:
@@ -350,7 +350,7 @@ class GridRmDriverManager:
                 raise DataSourceError(
                     f"driver {driver.name()!r} failed for {url}: {last_error}"
                 ) from last_error
-            self.stats["failovers"] += 1
+            self.stats.inc("failovers")
             # RETRY exhausts its budget on the first candidate only; the
             # remaining candidates exist for TRY_NEXT / DYNAMIC.
             if action is FailureAction.RETRY:
@@ -365,7 +365,7 @@ class GridRmDriverManager:
             # Fresh dynamic scan for anything not yet tried — the cached /
             # preferred driver may be stale while another fits (paper §4).
             self.invalidate_cache(url)
-            self.stats["dynamic_scans"] += 1
+            self.stats.inc("dynamic_scans")
             for driver in self.registry.locate_all(url):
                 if driver in tried:
                     continue

@@ -140,6 +140,7 @@ class Gateway:
         # tracer, and the self-monitoring driver serves the registry back
         # out as the GatewayMetrics GLUE group.
         self.metrics = MetricsRegistry(network.clock)
+        self._query_elapsed = self.metrics.histogram("gateway.query_elapsed")
         self.tracer = Tracer(
             network.clock,
             enabled=self.policy.tracing_enabled,
@@ -685,7 +686,7 @@ class Gateway:
             sources_ok=sum(1 for s in result.statuses if s.ok),
             sources_failed=sum(1 for s in result.statuses if not s.ok),
         )
-        self.metrics.histogram("gateway.query_elapsed").record(result.elapsed)
+        self._query_elapsed.record(result.elapsed)
         # Update per-source poll status for the tree view (Figure 9).
         now = self.network.clock.now()
         for status in result.statuses:

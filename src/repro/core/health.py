@@ -205,7 +205,7 @@ class HealthTracker:
                 self._transition(entry, BreakerState.HALF_OPEN)
                 return True
             entry.short_circuits += 1
-            self.stats["short_circuits"] += 1
+            self.stats.inc("short_circuits")
             return False
         return True  # HALF_OPEN: probes flow
 
@@ -267,7 +267,7 @@ class HealthTracker:
             entry.half_open_successes += 1
             if entry.half_open_successes >= self.policy.breaker_half_open_probes:
                 entry.current_backoff = 0.0
-                self.stats["recoveries"] += 1
+                self.stats.inc("recoveries")
                 self._transition(entry, BreakerState.CLOSED)
 
     def record_failure(self, key: str, error: str = "") -> None:
@@ -306,7 +306,7 @@ class HealthTracker:
         entry.opened_at = now
         entry.open_until = now + wait
         entry.half_open_successes = 0
-        self.stats["trips"] += 1
+        self.stats.inc("trips")
         self._transition(entry, BreakerState.OPEN)
 
     def _transition(self, entry: SourceHealth, new: BreakerState) -> None:

@@ -222,9 +222,9 @@ class RequestManager:
         #: Seeded jitter source for retry backoffs — deterministic under
         #: replay (draws happen in deterministic branch order).
         self._retry_rng = random.Random(0)
-        #: Compatibility view over ``requests.*`` registry counters: the
-        #: historical dict keys keep working (``stats["queries"] += 1``,
-        #: ``dict(stats)``), and the same numbers surface through
+        #: Read-only view over the ``requests.*`` registry counters
+        #: (``stats["queries"]``, ``dict(stats)``), bumped through
+        #: ``stats.inc``; the same numbers surface through
         #: ``SELECT * FROM GatewayMetrics``.
         self.stats = StatsView(
             self.registry,
@@ -247,6 +247,9 @@ class RequestManager:
                 "sheds",
             ),
         )
+        self._source_latency = self.registry.histogram("requests.source_latency")
+        self._history_queries = self.registry.counter("history.queries")
+        self._history_rows_scanned = self.registry.counter("history.rows_scanned")
 
     # ------------------------------------------------------------------
     def execute(
@@ -272,7 +275,7 @@ class RequestManager:
         resolved it (the Gateway authorises from it); direct callers and
         join sub-queries leave it out and it is resolved here.
         """
-        self.stats["queries"] += 1
+        self.stats.inc("queries")
         if (
             retry_budget is None
             and self.policy.retry_attempts > 1
@@ -297,7 +300,7 @@ class RequestManager:
             except SqlError as exc:
                 raise GridRmError(f"bad query: {exc}") from exc
         if entry.findings:
-            self.stats["validation_rejects"] += 1
+            self.stats.inc("validation_rejects")
             raise QueryValidationError(
                 "invalid query: "
                 + "; ".join(f.message for f in entry.findings),
@@ -401,7 +404,7 @@ class RequestManager:
         cached = self.cache.lookup(url_text, sql, max_age=max_age, key=key)
         if cached is None:
             return False
-        self.stats["cache_served"] += 1
+        self.stats.inc("cache_served")
         with self.tracer.span("source", url=url_text) as span:
             self._stamp_source(span, url_text, deadline)
             span["cache"] = "hit"
@@ -427,7 +430,7 @@ class RequestManager:
     ) -> None:
         """Dispatch one sub-request per pending source concurrently,
         each branch filling that source's partial."""
-        self.stats["fanout_queries"] += 1
+        self.stats.inc("fanout_queries")
 
         def branch(url: JdbcUrl, partial: QueryResult):
             return lambda: self._one_realtime(
@@ -447,8 +450,8 @@ class RequestManager:
                 # The branch-launch guard fired: the budget ran out while
                 # this source's branch queued.  A per-source outcome, not
                 # a query failure — and no health penalty.
-                self.stats["deadline_exceeded"] += 1
-                self.stats["source_failures"] += 1
+                self.stats.inc("deadline_exceeded")
+                self.stats.inc("source_failures")
                 partial.statuses.append(
                     SourceStatus(url=str(url), ok=False, error=str(outcome.error))
                 )
@@ -479,7 +482,7 @@ class RequestManager:
         match across agents), and evaluates the original projection /
         WHERE / ORDER BY / aggregation over the joined relation.
         """
-        self.stats["join_queries"] += 1
+        self.stats.inc("join_queries")
         result = QueryResult(columns=[], rows=[], mode=mode)
         groups = plan.select.tables
         self.tracer.current_span().annotate(groups=len(groups))
@@ -579,8 +582,8 @@ class RequestManager:
             # Budget gone before this source was even dispatched (eaten
             # by earlier hops): fail fast, no agent traffic, and no
             # health penalty — the source did nothing wrong.
-            self.stats["deadline_exceeded"] += 1
-            self.stats["source_failures"] += 1
+            self.stats.inc("deadline_exceeded")
+            self.stats.inc("source_failures")
             span.fail("deadline exceeded before dispatch",
                       status="deadline_exceeded")
             result.statuses.append(
@@ -595,7 +598,7 @@ class RequestManager:
             # Circuit OPEN: never touch the source (even in REALTIME —
             # that is the breaker's whole point).  Serve the last cached
             # answer past its TTL when the policy allows, else fail fast.
-            self.stats["breaker_short_circuits"] += 1
+            self.stats.inc("breaker_short_circuits")
             span["breaker"] = "open"
             span["short_circuited"] = True
             self._one_degraded(url_text, sql, entry.key, result)
@@ -606,10 +609,10 @@ class RequestManager:
         # joiner only waits for it and shares the outcome.
         flight = self.dispatcher.join_flight(url_text, sql, key=entry.key)
         if flight is not None:
-            self.stats["singleflight_joins"] += 1
+            self.stats.inc("singleflight_joins")
             span["coalesced"] = True
             if flight.error is not None:
-                self.stats["source_failures"] += 1
+                self.stats.inc("source_failures")
                 result.statuses.append(
                     SourceStatus(
                         url=url_text,
@@ -670,8 +673,8 @@ class RequestManager:
                     # nothing about this source's health: no breaker
                     # penalty, no retry token spent, no hedge — just a
                     # typed per-source status with the retry-after hint.
-                    self.stats["sheds"] += 1
-                    self.stats["source_failures"] += 1
+                    self.stats.inc("sheds")
+                    self.stats.inc("source_failures")
                     span.annotate(attempts=attempt)
                     span.fail(exc, status="shed")
                     result.statuses.append(
@@ -682,8 +685,8 @@ class RequestManager:
                     # The end-to-end budget ran out mid-fetch: report it as
                     # this source's outcome.  No health penalty (the source
                     # was not proven unhealthy) and never a retry.
-                    self.stats["deadline_exceeded"] += 1
-                    self.stats["source_failures"] += 1
+                    self.stats.inc("deadline_exceeded")
+                    self.stats.inc("source_failures")
                     span.annotate(attempts=attempt)
                     span.fail(exc, status="deadline_exceeded")
                     result.statuses.append(
@@ -709,17 +712,17 @@ class RequestManager:
                             # Re-check admission: retrying under pressure
                             # is extra offered load fighting our own
                             # limiter (only CRITICAL keeps its retries).
-                            self.stats["retry_giveups"] += 1
+                            self.stats.inc("retry_giveups")
                         elif deadline is not None and deadline.remaining() <= pause:
                             # No budget left to back off and try again.
-                            self.stats["retry_giveups"] += 1
+                            self.stats.inc("retry_giveups")
                         elif retry_budget is not None and retry_budget.take():
-                            self.stats["retries"] += 1
+                            self.stats.inc("retries")
                             self.clock.advance(pause)
                             continue
                         elif retry_budget is not None:
-                            self.stats["retry_giveups"] += 1
-                    self.stats["source_failures"] += 1
+                            self.stats.inc("retry_giveups")
+                    self.stats.inc("source_failures")
                     span.annotate(attempts=attempt)
                     span.fail(exc)
                     result.statuses.append(
@@ -728,11 +731,9 @@ class RequestManager:
                     return
         if self.health is not None:
             self.health.record_success(url_text)
-        self.stats["realtime_fetches"] += 1
+        self.stats.inc("realtime_fetches")
         span.annotate(attempts=attempt)
-        self.registry.histogram("requests.source_latency").record(
-            self.clock.now() - fetch_started
-        )
+        self._source_latency.record(self.clock.now() - fetch_started)
         n = self._merge(result, columns, rows)
         result.statuses.append(SourceStatus(url=url_text, ok=True, rows=n))
         group = plan.select.table
@@ -770,7 +771,7 @@ class RequestManager:
         if self.policy.serve_stale_on_open:
             stale = self.cache.lookup_stale(url_text, sql, key=key)
             if stale is not None:
-                self.stats["stale_served"] += 1
+                self.stats.inc("stale_served")
                 n = self._merge(result, stale.columns, stale.rows)
                 result.statuses.append(
                     SourceStatus(
@@ -848,9 +849,9 @@ class RequestManager:
                 # next to what it returned (``rows`` below).
                 scanned = self.history.rows_scanned - scanned_before
                 span["scanned"] = scanned
-                self.registry.counter("history.queries").inc()
-                self.registry.counter("history.rows_scanned").add(scanned)
-            self.stats["history_served"] += 1
+                self._history_queries.inc()
+                self._history_rows_scanned.add(scanned)
+            self.stats.inc("history_served")
             n = self._merge(result, sel.columns, sel.rows)
             span["rows"] = n
             result.statuses.append(SourceStatus(url=url_text, ok=True, rows=n))

@@ -32,7 +32,7 @@ import enum
 from typing import Any, Callable, Optional
 
 from repro.core.errors import PolicyError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.simnet.clock import VirtualClock
 
 
@@ -117,7 +117,8 @@ class PressureMonitor:
         self.brownout_enter = brownout_enter
         self.shed_enter = shed_enter
         self.min_dwell = min_dwell
-        self.registry = registry if registry is not None else MetricsRegistry()
+        registry = registry if registry is not None else MetricsRegistry()
+        self._transitions = registry.counter("admission.transitions")
         self.on_transition = on_transition
         self.state = PressureState.NORMAL
         self.since = clock.now()
@@ -141,7 +142,7 @@ class PressureMonitor:
             return self.state
         old, self.state, self.since = self.state, raw, now
         self.transitions += 1
-        self.registry.counter("admission.transitions").add(1)
+        self._transitions.add(1)
         if self.on_transition is not None:
             self.on_transition(old, raw)
         return self.state
@@ -170,18 +171,17 @@ class ShedLedger:
     CLASSES = ("critical", "interactive", "batch")
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.registry.counter("shed.total")
-        for cls in self.CLASSES:
-            self.registry.counter(f"shed.{cls}")
+        self._counts = StatsView(
+            registry if registry is not None else MetricsRegistry(),
+            "shed",
+            (*self.CLASSES, "total"),
+        )
 
     def record(self, query_class: "QueryClassLike") -> None:
         cls = getattr(query_class, "value", str(query_class))
-        self.registry.counter("shed.total").add(1)
+        self._counts.inc("total")
         if cls in self.CLASSES:
-            self.registry.counter(f"shed.{cls}").add(1)
+            self._counts.inc(cls)
 
-    def counts(self) -> dict[str, int]:
-        out = {cls: self.registry.counter(f"shed.{cls}").value for cls in self.CLASSES}
-        out["total"] = self.registry.counter("shed.total").value
-        return out
+    def counts(self) -> dict[str, float]:
+        return self._counts.as_dict()

@@ -144,12 +144,12 @@ class GlobalLayer:
         span,
         query_class: str | None = None,
     ) -> RemoteResult:
-        self.stats["remote_queries"] += 1
+        self.stats.inc("remote_queries")
         cache_key_url = f"gma://{site}" + (f"/{','.join(urls)}" if urls else "")
         if self.cache_remote:
             cached = self.gateway.cache.lookup(cache_key_url, sql, max_age=max_age)
             if cached is not None:
-                self.stats["remote_cache_hits"] += 1
+                self.stats.inc("remote_cache_hits")
                 span["cache"] = "hit"
                 return RemoteResult(
                     columns=list(cached.columns),
@@ -162,12 +162,12 @@ class GlobalLayer:
         health = self.gateway.health
         health_key = f"gma://{site}"
         if not health.allow_request(health_key):
-            self.stats["remote_short_circuits"] += 1
+            self.stats.inc("remote_short_circuits")
             span["short_circuited"] = True
             if self.cache_remote and self.gateway.policy.serve_stale_on_open:
                 stale = self.gateway.cache.lookup_stale(cache_key_url, sql)
                 if stale is not None:
-                    self.stats["remote_stale_served"] += 1
+                    self.stats.inc("remote_stale_served")
                     span["stale"] = True
                     return RemoteResult(
                         columns=list(stale.columns),
@@ -193,7 +193,7 @@ class GlobalLayer:
         dispatcher = self.gateway.dispatcher
         flight = dispatcher.join_flight(cache_key_url, sql)
         if flight is not None:
-            self.stats["remote_coalesced"] += 1
+            self.stats.inc("remote_coalesced")
             span["coalesced"] = True
             if isinstance(flight.error, OverloadError):
                 # The shared flight was shed by the remote gateway:
@@ -221,7 +221,7 @@ class GlobalLayer:
             # A shed says nothing about the remote site's health: no
             # record_failure (the breaker must not trip on a gateway
             # protecting itself), just the typed error to the caller.
-            self.stats["remote_sheds"] += 1
+            self.stats.inc("remote_sheds")
             raise
         except RemoteQueryFailure as exc:
             health.record_failure(health_key, str(exc))

@@ -4,12 +4,13 @@ The paper's premise is homogeneous visibility into heterogeneous
 resources; this package turns that lens back on the gateway itself:
 
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
-  gauges and virtual-clock histograms that the managers' ad-hoc ``stats``
-  dicts migrate onto (behind :class:`StatsView` so old key names keep
-  working);
+  gauges and virtual-clock histograms; every instrument is bound where
+  its owner is constructed, and each manager's ``stats`` is a read-only
+  :class:`StatsView` over its bound counters;
 * :mod:`repro.obs.trace` — a :class:`Tracer` producing one span per hop
   of the query path, threaded along the same route the ``Deadline``
-  travels;
+  travels (``span()`` / ``start_trace()`` return plain scope objects
+  for ``with``);
 * :mod:`repro.obs.invariants` — structural checks over finished traces
   (every span closed, child intervals within parents, hedged losers
   cancelled), shared by the chaos harness and the test suite;

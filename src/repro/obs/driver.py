@@ -53,6 +53,7 @@ class GatewayMetricsDriver(GridRmDriver):
     ) -> None:
         super().__init__(network, gateway_host=gateway_host)
         self.registry = registry if registry is not None else MetricsRegistry()
+        self._self_scans = self.registry.counter("obs.self_scans")
         self.tracer = tracer if tracer is not None else NO_TRACER
         self.site = site
 
@@ -111,5 +112,5 @@ class GatewayMetricsDriver(GridRmDriver):
                 record["_time"] = now
                 records.append(record)
             span["rows"] = len(records)
-            self.registry.counter("obs.self_scans").inc()
+            self._self_scans.inc()
         return records

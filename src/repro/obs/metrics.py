@@ -2,13 +2,15 @@
 
 One :class:`MetricsRegistry` per gateway gathers every manager's
 telemetry under dotted names (``requests.queries``, ``pool.reused``,
-``dispatch.hedges_fired`` ...).  The managers keep their historical
-``stats`` interfaces — dict-shaped for the request/connection/driver
-managers, attribute-shaped for dispatch and network — as
-:class:`StatsView` compatibility views over registry counters, so
-existing tests and console panels read the same keys they always did
-while the self-monitoring driver (:mod:`repro.obs.driver`) serves the
-very same instruments as the ``GatewayMetrics`` GLUE group.
+``dispatch.hedges_fired`` ...).  Instruments are bound once, where the
+component that bumps them is constructed: a serving path holds its
+counters and histograms, it never looks one up by name (lint rule
+GRM108 keeps it so).  Each manager's ``stats`` — dict-shaped for the
+request/connection/driver managers, attribute-shaped for dispatch and
+network — is a read-only :class:`StatsView` over its bound counters, so
+tests and console panels read the keys they always did while the
+self-monitoring driver (:mod:`repro.obs.driver`) serves the very same
+instruments as the ``GatewayMetrics`` GLUE group.
 
 Histograms are geometric-bucketed (four buckets per doubling), which
 buys two properties the test suite leans on:
@@ -23,7 +25,7 @@ buys two properties the test suite leans on:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Iterator, MutableMapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from repro.analysis import races
 
@@ -293,54 +295,53 @@ class MetricsRegistry:
         return rows
 
 
-class StatsView(MutableMapping):
-    """Dict-shaped compatibility view over registry counters.
+class StatsView(Mapping):
+    """Read-only view over counters bound at construction.
 
-    The managers' historical ``stats`` dicts become views: every key is
-    backed by the counter ``<prefix>.<key>`` in the owning gateway's
-    registry, so ``stats["queries"] += 1`` and ``dict(stats)`` keep
-    working byte-for-byte while ``SELECT * FROM GatewayMetrics`` serves
-    the same numbers.  Iteration order is declaration order, matching
-    the literal dicts this replaces.
+    Every manager's ``stats`` is one of these: key ``k`` is the counter
+    ``<prefix>.<k>`` of the owning registry, resolved once, here.  It
+    reads as the plain dict or dataclass it replaced — ``stats["k"]``,
+    ``stats.k``, ``dict(stats)``, :meth:`as_dict`, iteration in
+    declaration order — and ``SELECT * FROM GatewayMetrics`` serves the
+    same numbers.  The owner writes through :meth:`inc` (or holds the
+    registry counter itself on a path hot enough to care); nothing is
+    assigned through the view and no key appears after construction, so
+    a bump is one dict lookup and one ``Counter.add``.
     """
 
-    def __init__(
-        self, registry: MetricsRegistry, prefix: str, keys: "tuple[str, ...]" = ()
-    ) -> None:
-        self._registry = registry
-        self._prefix = prefix
-        self._keys: list[str] = []
-        for key in keys:
-            self._counter(key)
+    __slots__ = ("_counters",)
 
-    def _counter(self, key: str) -> Counter:
-        if key not in self._keys:
-            self._keys.append(key)
-        return self._registry.counter(f"{self._prefix}.{key}")
+    def __init__(
+        self, registry: MetricsRegistry, prefix: str, keys: "tuple[str, ...]"
+    ) -> None:
+        self._counters = {key: registry.counter(f"{prefix}.{key}") for key in keys}
+
+    def inc(self, key: str, n: float = 1) -> None:
+        self._counters[key].add(n)
 
     def __getitem__(self, key: str) -> float:
-        if key not in self._keys:
-            raise KeyError(key)
-        return self._registry.counter(f"{self._prefix}.{key}").value
+        return self._counters[key].value
 
-    def __setitem__(self, key: str, value: float) -> None:
-        counter = self._counter(key)
-        delta = value - counter.value
-        if delta < 0:
-            raise ValueError(
-                f"stat {self._prefix}.{key} is a monotone counter; "
-                f"cannot move it from {counter.value!r} to {value!r}"
-            )
-        counter.add(delta)
-
-    def __delitem__(self, key: str) -> None:
-        self._keys.remove(key)
+    def __getattr__(self, name: str) -> float:
+        if not name.startswith("_"):
+            counter = self._counters.get(name)
+            if counter is not None:
+                return counter.value
+        raise AttributeError(name)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._keys)
+        return iter(self._counters)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._counters)
+
+    def as_dict(self) -> dict[str, float]:
+        return {key: counter.value for key, counter in self._counters.items()}
+
+    def reset(self) -> None:
+        """Zero every counter (benchmark bookkeeping)."""
+        for counter in self._counters.values():
+            counter.reset()
 
     def __repr__(self) -> str:
-        return repr(dict(self))
+        return repr(self.as_dict())

@@ -25,7 +25,6 @@ containment.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -247,6 +246,117 @@ class _Frame:
         self.stack: list[Span] = []
 
 
+def _mark_failure(span: Span, exc: "BaseException | None") -> None:
+    """An ``Exception`` leaving a span's body marks a span that is still
+    ``ok`` as ``error`` (``deadline_exceeded`` for a spent deadline); any
+    other ``BaseException`` leaves the status alone."""
+    if isinstance(exc, Exception) and span.status == "ok":
+        status = "deadline_exceeded" if _is_deadline_error(exc) else "error"
+        span.fail(exc, status=status)
+
+
+class _SpanScope:
+    """What :meth:`Tracer.span` hands to ``with``: a child span of the
+    innermost open span, covering the body.
+
+    A plain slotted object, not a generator — a query opens a span per
+    hop, so entering and leaving one is two method calls.  Whether
+    anything is recorded is decided when the scope is *entered*: with
+    tracing off or no trace open, ``__enter__`` returns
+    :data:`NULL_SPAN` and ``__exit__`` does nothing.
+    """
+
+    __slots__ = ("_tracer", "_name", "_attrs", "_frame", "_span")
+
+    def __init__(self, tracer: "Tracer", name: str, attrs: dict[str, Any]) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attrs = attrs
+        self._span: Span | None = None
+
+    def __enter__(self) -> "Span | _NullSpan":
+        tracer = self._tracer
+        if not tracer.enabled or not tracer._frames:
+            return NULL_SPAN
+        frame = self._frame = tracer._frames[-1]
+        spans = frame.trace.spans
+        stack = frame.stack
+        clock = tracer.clock
+        now = clock.now() if clock is not None else 0.0
+        if stack:
+            parent = stack[-1]
+            span = Span(len(spans) + 1, self._name, parent.span_id, now)
+            parent.children.append(span)
+        else:
+            span = Span(len(spans) + 1, self._name, None, now)
+        span.attrs = self._attrs
+        spans.append(span)
+        stack.append(span)
+        self._span = span
+        return span
+
+    def __exit__(self, exc_type: Any, exc: "BaseException | None", tb: Any) -> None:
+        span = self._span
+        if span is None:
+            return
+        if exc is not None:
+            _mark_failure(span, exc)
+        if span.end is None:
+            clock = self._tracer.clock
+            span.end = clock.now() if clock is not None else 0.0
+        stack = self._frame.stack
+        if stack and stack[-1] is span:
+            stack.pop()
+        elif span in stack:  # pragma: no cover - defensive
+            stack.remove(span)
+
+
+class _TraceScope:
+    """What :meth:`Tracer.start_trace` hands to ``with``: a new trace
+    whose root span covers the body (:data:`NULL_SPAN`, and nothing
+    recorded, when tracing is off at enter)."""
+
+    __slots__ = ("_tracer", "_name", "_attrs", "_remote_parent", "_frame")
+
+    def __init__(
+        self,
+        tracer: "Tracer",
+        name: str,
+        attrs: dict[str, Any],
+        remote_parent: "dict[str, Any] | None",
+    ) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attrs = attrs
+        self._remote_parent = remote_parent
+        self._frame: _Frame | None = None
+
+    def __enter__(self) -> "Span | _NullSpan":
+        tracer = self._tracer
+        if not tracer.enabled:
+            return NULL_SPAN
+        trace = Trace(f"q{tracer._next_trace}", self._name)
+        tracer._next_trace += 1
+        remote_parent = trace.remote_parent = self._remote_parent
+        frame = self._frame = _Frame(trace)
+        root = Span(1, self._name, None, tracer._now())
+        root.attrs = self._attrs
+        if remote_parent:
+            root.attrs.setdefault("remote_trace", remote_parent.get("trace"))
+            root.attrs.setdefault("remote_span", remote_parent.get("span"))
+        trace.spans.append(root)
+        frame.stack.append(root)
+        tracer._frames.append(frame)
+        return root
+
+    def __exit__(self, exc_type: Any, exc: "BaseException | None", tb: Any) -> None:
+        frame = self._frame
+        if frame is None:
+            return
+        _mark_failure(frame.trace.spans[0], exc)
+        self._tracer._close_frame(frame)
+
+
 class Tracer:
     """Mints traces and spans for one gateway.
 
@@ -291,39 +401,15 @@ class Tracer:
         frame = self._frames[-1]
         return {"trace": frame.trace.trace_id, "span": frame.stack[-1].span_id}
 
-    @contextmanager
     def start_trace(
         self,
         name: str,
         *,
         remote_parent: "dict[str, Any] | None" = None,
         **attrs: Any,
-    ) -> Iterator["Span | _NullSpan"]:
+    ) -> _TraceScope:
         """Open a new trace whose root span covers the ``with`` body."""
-        if not self.enabled:
-            yield NULL_SPAN
-            return
-        trace = Trace(f"q{self._next_trace}", name)
-        self._next_trace += 1
-        trace.remote_parent = remote_parent
-        frame = _Frame(trace)
-        root = Span(1, name, None, self._now())
-        root.attrs.update(attrs)
-        if remote_parent:
-            root.attrs.setdefault("remote_trace", remote_parent.get("trace"))
-            root.attrs.setdefault("remote_span", remote_parent.get("span"))
-        trace.spans.append(root)
-        frame.stack.append(root)
-        self._frames.append(frame)
-        try:
-            yield root
-        except Exception as exc:
-            if root.status == "ok":
-                status = "deadline_exceeded" if _is_deadline_error(exc) else "error"
-                root.fail(exc, status=status)
-            raise
-        finally:
-            self._close_frame(frame)
+        return _TraceScope(self, name, attrs, remote_parent)
 
     def _close_frame(self, frame: _Frame) -> None:
         now = self._now()
@@ -338,39 +424,9 @@ class Tracer:
             self._frames = [f for f in self._frames if f is not frame]
         self._finished.append(frame.trace)
 
-    @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator["Span | _NullSpan"]:
+    def span(self, name: str, **attrs: Any) -> _SpanScope:
         """Open a child span of the innermost open span."""
-        if not self.enabled or not self._frames:
-            yield NULL_SPAN
-            return
-        frame = self._frames[-1]
-        parent = frame.stack[-1] if frame.stack else None
-        span = Span(
-            len(frame.trace.spans) + 1,
-            name,
-            parent.span_id if parent is not None else None,
-            self._now(),
-        )
-        span.attrs.update(attrs)
-        frame.trace.spans.append(span)
-        if parent is not None:
-            parent.children.append(span)
-        frame.stack.append(span)
-        try:
-            yield span
-        except Exception as exc:
-            if span.status == "ok":
-                status = "deadline_exceeded" if _is_deadline_error(exc) else "error"
-                span.fail(exc, status=status)
-            raise
-        finally:
-            if span.end is None:
-                span.end = self._now()
-            if frame.stack and frame.stack[-1] is span:
-                frame.stack.pop()
-            elif span in frame.stack:  # pragma: no cover - defensive
-                frame.stack.remove(span)
+        return _SpanScope(self, name, attrs)
 
     # -- finished-trace access -------------------------------------------
 

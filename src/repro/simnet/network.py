@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.simnet.clock import VirtualClock
 from repro.simnet.errors import (
     HostUnreachableError,
@@ -78,40 +78,6 @@ class _Host:
     ports: dict[int, Endpoint] = field(default_factory=dict)
 
 
-class NetworkStats:
-    """Aggregate traffic counters (reset-able; consumed by benchmarks).
-
-    A read-only attribute view (``net.stats.requests``) over the
-    ``net.<name>`` counters of a
-    :class:`~repro.obs.metrics.MetricsRegistry`, so a gateway's
-    self-monitoring driver serves the same numbers.  The
-    :class:`Network` bumps the counters themselves, which it holds;
-    nothing assigns through this view.
-    """
-
-    FIELDS = ("requests", "datagrams", "drops", "bytes_sent")
-
-    def __init__(self, registry: "MetricsRegistry | None" = None) -> None:
-        self._registry = registry if registry is not None else MetricsRegistry()
-        for name in self.FIELDS:
-            self._registry.counter(f"net.{name}")
-
-    def __getattr__(self, name: str):
-        if name in type(self).FIELDS:
-            return self._registry.counter(f"net.{name}").value
-        raise AttributeError(name)
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-    def reset(self) -> None:
-        for name in self.FIELDS:
-            self._registry.counter(f"net.{name}").reset()
-
-    def __repr__(self) -> str:
-        return f"NetworkStats({self.as_dict()!r})"
-
-
 def _payload_size(payload: Any) -> int:
     """Wire size of a payload, for bandwidth-delay charging.
 
@@ -162,8 +128,14 @@ class Network:
         #: Fabric-wide instruments (``net.*``); gateways merge these into
         #: their self-monitoring view alongside their own registries.
         self.metrics = MetricsRegistry(clock)
-        self.stats = NetworkStats(self.metrics)
-        # The traffic paths bump the held counters: no lookup by name per
+        #: Aggregate traffic counters (``net.stats.requests``,
+        #: ``as_dict()``, ``reset()`` — benchmarks read and zero them): a
+        #: read-only view over the ``net.*`` counters, so a gateway's
+        #: self-monitoring driver serves the same numbers.
+        self.stats = StatsView(
+            self.metrics, "net", ("requests", "datagrams", "drops", "bytes_sent")
+        )
+        # The traffic paths bump the held counters: no lookup at all per
         # message.
         self._requests = self.metrics.counter("net.requests")
         self._datagrams = self.metrics.counter("net.datagrams")

@@ -26,13 +26,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator
 
+from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.storage.checkpoint import CheckpointResult, write_manifest
 from repro.storage.recovery import RecoveryReport, recover_state
 from repro.storage.segments import Segment, seal_segment
 from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
     from repro.simnet.clock import VirtualClock
     from repro.storage.simdisk import SimDisk
@@ -60,8 +60,17 @@ class HistoryEngine:
         self.clock = clock
         self.max_rows_per_group = max_rows_per_group
         self.retention_age = retention_age
-        self.registry = registry
         self.tracer = tracer
+        # A standalone engine counts into a private registry.
+        counters = registry if registry is not None else MetricsRegistry()
+        self._recovery = StatsView(
+            counters,
+            "recovery",
+            ("runs", "rows_replayed", "segments_quarantined", "truncated_tails"),
+        )
+        self._checkpoints = StatsView(
+            counters, "checkpoint", ("runs", "rows_sealed", "segments_dropped")
+        )
         self.checkpoints_run = 0
         self.last_checkpoint_at: float | None = None
         self._in_checkpoint = False
@@ -95,14 +104,15 @@ class HistoryEngine:
         self.recovery_report.elapsed = (
             (clock.now() - started) if clock is not None else 0.0
         )
-        self._count("recovery.runs")
-        self._count("recovery.rows_replayed", float(self.recovery_report.wal_records_replayed))
-        self._count(
-            "recovery.segments_quarantined",
-            float(self.recovery_report.segments_quarantined),
+        self._recovery.inc("runs", 1.0)
+        self._recovery.inc(
+            "rows_replayed", float(self.recovery_report.wal_records_replayed)
+        )
+        self._recovery.inc(
+            "segments_quarantined", float(self.recovery_report.segments_quarantined)
         )
         if self.recovery_report.wal_tail != "clean":
-            self._count("recovery.truncated_tails")
+            self._recovery.inc("truncated_tails", 1.0)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -111,10 +121,6 @@ class HistoryEngine:
             return int(path.rpartition("-")[2])
         except ValueError:
             return 0
-
-    def _count(self, name: str, delta: float = 1.0) -> None:
-        if self.registry is not None and delta:
-            self.registry.counter(name).add(delta)
 
     @contextmanager
     def _span(self, name: str) -> Iterator[Any]:
@@ -255,9 +261,9 @@ class HistoryEngine:
         self.checkpoints_run += 1
         if self.clock is not None:
             self.last_checkpoint_at = self.clock.now()
-        self._count("checkpoint.runs")
-        self._count("checkpoint.rows_sealed", float(result.rows_sealed))
-        self._count("checkpoint.segments_dropped", float(result.segments_dropped))
+        self._checkpoints.inc("runs", 1.0)
+        self._checkpoints.inc("rows_sealed", float(result.rows_sealed))
+        self._checkpoints.inc("segments_dropped", float(result.segments_dropped))
         return result
 
     def _apply_retention(self, result: CheckpointResult) -> None:

@@ -36,8 +36,9 @@ import struct
 import zlib
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.obs.metrics import MetricsRegistry
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import MetricsRegistry
     from repro.storage.simdisk import SimDisk
 
 #: ``<length, crc32>`` little-endian frame header.
@@ -156,7 +157,12 @@ class WriteAheadLog:
         self.disk = disk
         self.gen = gen
         self.sync_interval = sync_interval
-        self.registry = registry
+        # A standalone log counts into a private registry.
+        registry = registry if registry is not None else MetricsRegistry()
+        self._appends = registry.counter("wal.appends")
+        self._bytes = registry.counter("wal.bytes")
+        self._syncs = registry.counter("wal.syncs")
+        self._rotations = registry.counter("wal.rotations")
         self.next_lsn = next_lsn
         #: Highest LSN appended (acknowledged or not).
         self.last_lsn = next_lsn - 1
@@ -170,10 +176,6 @@ class WriteAheadLog:
         return wal_path(self.gen)
 
     # ------------------------------------------------------------------
-    def _count(self, name: str, delta: float = 1.0) -> None:
-        if self.registry is not None:
-            self.registry.counter(name).add(delta)
-
     def append(self, record: Mapping[str, Any]) -> int:
         """Append one record, stamping and returning its LSN.
 
@@ -193,8 +195,8 @@ class WriteAheadLog:
         self.next_lsn = lsn + 1
         self.last_lsn = lsn
         self._unsynced += 1
-        self._count("wal.appends")
-        self._count("wal.bytes", float(len(data)))
+        self._appends.add(1.0)
+        self._bytes.add(float(len(data)))
         if self._unsynced >= self.sync_interval:
             self.sync()
         return lsn
@@ -206,7 +208,7 @@ class WriteAheadLog:
         self.disk.fsync(self.path)
         self.synced_lsn = self.last_lsn
         self._unsynced = 0
-        self._count("wal.syncs")
+        self._syncs.add(1.0)
 
     @property
     def unsynced_records(self) -> int:
@@ -226,7 +228,7 @@ class WriteAheadLog:
         self.synced_lsn = self.last_lsn
         self._unsynced = 0
         self.disk.create(self.path)
-        self._count("wal.rotations")
+        self._rotations.add(1.0)
         return old_path
 
     # ------------------------------------------------------------------

@@ -72,6 +72,36 @@ class TestLintPaths:
         assert report.files_scanned >= 5
         assert report.findings == [], render_flat(report)
 
+    #: A manager that binds one instrument in ``__init__`` and resolves
+    #: another by name while serving.
+    LATE_LOOKUP = (
+        "class Manager:\n"
+        "    def __init__(self, registry):\n"
+        "        self.registry = registry\n"
+        "        self._hits = registry.counter('m.hits')\n"
+        "    def serve(self):\n"
+        "        self._hits.inc()\n"
+        "        self.registry.histogram('m.latency').record(0.1)\n"
+    )
+
+    def test_instrument_lookup_outside_init_is_grm108(self, tmp_path):
+        (tmp_path / "repro" / "core").mkdir(parents=True)
+        (tmp_path / "repro" / "core" / "manager.py").write_text(self.LATE_LOOKUP)
+        report = lint_paths([str(tmp_path)])
+        assert [(f.rule_id, f.symbol, f.line) for f in report.findings] == [
+            ("GRM108", "serve:histogram", 7)
+        ]
+
+    def test_grm108_covers_serving_packages_only(self, tmp_path):
+        """Web panels and scripts may look instruments up; the registry
+        module itself has to."""
+        for below in ("repro/web/panel.py", "repro/obs/metrics.py", "script.py"):
+            path = tmp_path / below
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(self.LATE_LOOKUP)
+        report = lint_paths([str(tmp_path)])
+        assert report.files_scanned == 3 and report.findings == []
+
     def test_unreadable_file_is_grm100(self, tmp_path):
         bad = tmp_path / "latin.py"
         bad.write_bytes(b"# caf\xe9\nx = 1\n")

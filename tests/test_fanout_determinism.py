@@ -280,6 +280,23 @@ class TestBatchSurfaces:
         assert not replies[1].ok
         assert "NoSuchGroup" in replies[1].error
 
+    def test_acil_query_many_survives_a_hostile_url(self):
+        """One member's unparsable URL is that member's failure (it
+        used to be a raw ValueError that aborted the whole batch)."""
+        from repro.core.acil import ClientRequest
+
+        site = fresh_site()
+        urls = source_urls(site)
+        honest = ClientRequest(urls=urls, sql="SELECT * FROM Processor")
+        hostile = ClientRequest(
+            urls=["jdbc:snmp://h:" + "9" * 5000 + "/x"], sql=honest.sql
+        )
+        replies = site.gateway.acil.query_many([honest, hostile, honest])
+        assert [r.ok for r in replies] == [True, False, True]
+        assert "malformed JDBC URL" in replies[1].error
+        (alone,) = fresh_site().gateway.acil.query_many([honest])
+        assert replies[0].rows == replies[2].rows == alone.rows != []
+
     def test_console_poll_all_uses_one_fanout(self):
         from repro.web.console import Console
 

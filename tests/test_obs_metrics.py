@@ -128,7 +128,7 @@ class TestInstruments:
 
 
 # ---------------------------------------------------------------------------
-# StatsView: the dict-shaped compatibility surface
+# StatsView: the read-only view every manager's ``stats`` is
 # ---------------------------------------------------------------------------
 class TestStatsView:
     def test_iterates_in_declaration_order(self):
@@ -140,9 +140,13 @@ class TestStatsView:
     def test_writes_land_on_registry_counters(self):
         reg = MetricsRegistry()
         view = StatsView(reg, "p", ("hits",))
-        view["hits"] += 3
-        assert view["hits"] == 3
+        view.inc("hits")
+        view.inc("hits", 2)
+        assert view["hits"] == view.hits == 3
+        assert view.as_dict() == dict(view) == {"hits": 3}
         assert reg.counter("p.hits").value == 3
+        view.reset()
+        assert view["hits"] == reg.counter("p.hits").value == 0
 
     def test_registry_writes_visible_through_view(self):
         reg = MetricsRegistry()
@@ -153,19 +157,33 @@ class TestStatsView:
     def test_decrease_raises(self):
         reg = MetricsRegistry()
         view = StatsView(reg, "p", ("hits",))
-        view["hits"] = 5
-        with pytest.raises(ValueError, match="monotone"):
-            view["hits"] = 4
+        view.inc("hits", 5)
+        with pytest.raises(ValueError, match="cannot decrease"):
+            view.inc("hits", -1)
+        with pytest.raises(ValueError, match="cannot decrease"):
+            reg.counter("p.hits").add(-1)
+        assert view["hits"] == 5
 
     def test_unknown_key_raises(self):
         view = StatsView(MetricsRegistry(), "p", ("hits",))
         with pytest.raises(KeyError):
             view["misses"]
+        with pytest.raises(KeyError):
+            view.inc("misses")
+        with pytest.raises(AttributeError):
+            view.misses
 
     def test_new_key_appends(self):
+        """The key set is fixed at construction: the view takes no item
+        or attribute assignment, so nothing appends a key."""
         view = StatsView(MetricsRegistry(), "p", ("hits",))
-        view["late"] = 1
-        assert list(view) == ["hits", "late"]
+        with pytest.raises(TypeError):
+            view["late"] = 1
+        with pytest.raises(TypeError):
+            del view["hits"]
+        with pytest.raises(AttributeError):
+            view.hits = 1
+        assert list(view) == ["hits"]
 
 
 # ---------------------------------------------------------------------------

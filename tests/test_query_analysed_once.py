@@ -7,6 +7,11 @@ and names the group the tree view prints.  ``CACHED_OK`` probes the
 cache for every source before it dispatches anything, so only misses
 become fan-out branches.
 
+The same goes for the rest of a query's fixed envelope
+(:class:`TestEnvelope`): a warm read matches no URL regex, renders no
+URL text, looks no instrument up by name and opens exactly the spans of
+its shape — the budget a dashboard read is held to.
+
 Everything here is a count or a byte-for-byte comparison with
 ``golden_query_analysed_once.json``, which was produced by running this
 module's scenario functions against the commit *before* the change
@@ -24,11 +29,16 @@ import pytest
 from repro.core import cache as cache_module
 from repro.core.plans import PlanCache
 from repro.core.request_manager import QueryMode
+from repro.dbapi import url as url_module
+from repro.dbapi.url import JdbcUrl
+from repro.obs.metrics import MetricsRegistry
 from repro.sql import parser as parser_module
 from repro.testbed import build_testbed
 from repro.web.console import Console
 
 GOLDEN_PATH = Path(__file__).with_name("golden_query_analysed_once.json")
+#: The memoised function itself (the ``calls`` fixture rebinds the name).
+NORMALISE_SQL = cache_module.normalise_sql
 
 
 def parent_answer(name):
@@ -109,31 +119,33 @@ def golden():
     return out
 
 
+def counting(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Call counts of ``parse_select``, ``normalise_sql`` (wherever a
     ``repro`` module bound them by name) and ``PlanCache.get``."""
     counts = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
     for name, fn in (
         ("parse_select", parser_module.parse_select),
         ("normalise_sql", cache_module.normalise_sql),
     ):
-        wrapped = counting(name, fn)
+        wrapped = counting(counts, name, fn)
         for mod_name, module in list(sys.modules.items()):
             if module is None or not mod_name.startswith("repro"):
                 continue
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, wrapped)
-    monkeypatch.setattr(PlanCache, "get", counting("PlanCache.get", PlanCache.get))
+    monkeypatch.setattr(
+        PlanCache, "get", counting(counts, "PlanCache.get", PlanCache.get)
+    )
     return counts
 
 
@@ -174,6 +186,72 @@ class TestCounts:
         before = plans.hits + plans.misses
         site.gateway.query(site.source_urls, SQL, mode=QueryMode.CACHED_OK)
         assert plans.hits + plans.misses == before + 1
+
+
+@pytest.fixture
+def envelope(monkeypatch):
+    """Counts of the per-query bookkeeping a warm read must not repeat:
+    ``url_regex`` (``_URL_RE.match``), ``url_render``
+    (``JdbcUrl._render``) and ``instrument_lookup`` (a registry
+    instrument resolved by name)."""
+    counts = Counter()
+
+    class CountingPattern:
+        def match(self, text, _pattern=url_module._URL_RE):
+            counts["url_regex"] += 1
+            return _pattern.match(text)
+
+    monkeypatch.setattr(url_module, "_URL_RE", CountingPattern())
+    monkeypatch.setattr(
+        JdbcUrl, "_render", counting(counts, "url_render", JdbcUrl._render)
+    )
+    monkeypatch.setattr(
+        MetricsRegistry,
+        "_instrument",
+        counting(counts, "instrument_lookup", MetricsRegistry._instrument),
+    )
+    return counts
+
+
+def span_names(site, result):
+    return [s.name for s in site.gateway.tracer.get(result.trace_id).spans]
+
+
+class TestEnvelope:
+    """The fixed cost of a warm query, under the default policy."""
+
+    def test_warm_dashboard_read(self, calls, envelope):
+        site = warm_site()
+        calls.clear()
+        envelope.clear()
+        bodies_run = NORMALISE_SQL.cache_info().misses
+        result = site.gateway.query(
+            site.source_urls, SQL, mode=QueryMode.CACHED_OK
+        )
+        assert [s.from_cache for s in result.statuses] == [True] * 9
+        assert envelope == {}
+        # The text is still handed to normalise_sql once per query; a
+        # repeated raw text does not re-run its body.
+        assert calls == {"normalise_sql": 1, "PlanCache.get": 1}
+        assert NORMALISE_SQL.cache_info().misses == bodies_run
+        # The span budget of a dashboard read: 3 + one per source.
+        assert span_names(site, result) == (
+            ["query", "plan.cache_hit", "execute"] + ["source"] * 9
+        )
+
+    def test_warm_single_source_realtime_read(self, envelope):
+        site = warm_site()
+        url = site.source_urls[0]
+        site.gateway.query(url, SQL, mode=QueryMode.REALTIME)
+        site.clock.advance(40.0)
+        envelope.clear()
+        result = site.gateway.query(url, SQL, mode=QueryMode.REALTIME)
+        assert result.ok_sources == 1
+        assert envelope == {}
+        assert span_names(site, result) == [
+            "query", "plan.cache_hit", "execute",
+            "source", "attempt", "conn.acquire", "native",
+        ]
 
 
 class TestTreeView:

@@ -510,3 +510,110 @@ class TestSpan:
         assert source.closed and source.status == "error"
         assert trace.root.status == "error"
         assert check_trace(trace) == []
+
+
+# ----------------------------------------------------------------------
+# Scope objects: what ``span()`` / ``start_trace()`` hand to ``with``
+# ----------------------------------------------------------------------
+class TestScopes:
+    """The scopes are plain objects with ``__enter__`` / ``__exit__``;
+    they keep the semantics the generator-based ones had."""
+
+    def test_exception_marks_error_and_deadline_marks_deadline_exceeded(self):
+        from repro.core.errors import DeadlineExceededError
+
+        tracer = Tracer(VirtualClock())
+        with pytest.raises(DeadlineExceededError):
+            with tracer.start_trace("query"):
+                with pytest.raises(ValueError):
+                    with tracer.span("broken"):
+                        raise ValueError("boom")
+                with tracer.span("late"):
+                    raise DeadlineExceededError("budget spent in late")
+        trace = tracer.last()
+        assert trace.find_span("broken").status == "error"
+        assert trace.find_span("broken").error == "boom"
+        assert trace.find_span("late").status == "deadline_exceeded"
+        assert trace.root.status == "deadline_exceeded"
+        assert all(s.closed for s in trace.spans)
+
+    @pytest.mark.parametrize("exc_type", [KeyboardInterrupt, GeneratorExit])
+    def test_non_exception_closes_without_marking(self, exc_type):
+        tracer = Tracer(VirtualClock())
+        with pytest.raises(exc_type):
+            with tracer.start_trace("query"):
+                with tracer.span("interrupted"):
+                    raise exc_type()
+        trace = tracer.last()
+        assert [(s.status, s.error, s.closed) for s in trace.spans] == [
+            ("ok", "", True)
+        ] * 2
+        assert tracer.current_trace() is None
+
+    def test_span_with_no_trace_open_is_null_even_if_one_opens_inside(self):
+        from repro.obs import NULL_SPAN
+
+        tracer = Tracer(VirtualClock())
+        with tracer.span("orphan") as orphan:
+            assert orphan is NULL_SPAN
+            with tracer.start_trace("query"):
+                pass
+        assert [s.name for s in tracer.last().spans] == ["query"]
+        assert tracer.current_trace() is None
+
+    def test_scope_entered_with_tracing_off_records_nothing(self):
+        from repro.obs import NULL_SPAN
+
+        tracer = Tracer(VirtualClock(), enabled=False)
+        with tracer.start_trace("query") as root:
+            tracer.enabled = True  # flipped mid-body: decided at enter
+            with pytest.raises(RuntimeError):
+                with tracer.span("child") as child:
+                    raise RuntimeError("unseen")
+        assert root is NULL_SPAN and child is NULL_SPAN
+        assert tracer.traces() == [] and tracer.current_trace() is None
+
+    def test_nested_traces_unwind_lifo(self):
+        tracer = Tracer(VirtualClock())
+        with tracer.start_trace("outer"):
+            with tracer.span("before"):
+                with tracer.start_trace("inner"):
+                    with tracer.span("inside"):
+                        assert tracer.current_trace().name == "inner"
+                assert tracer.current_trace().name == "outer"
+                assert tracer.current_span().name == "before"
+            with tracer.span("after"):
+                pass
+        inner, outer = tracer.traces()
+        assert [s.name for s in inner.spans] == ["inner", "inside"]
+        assert [s.name for s in outer.spans] == ["outer", "before", "after"]
+        assert_clean(tracer)
+
+    def test_status_set_in_the_body_survives_exit(self):
+        tracer = Tracer(VirtualClock())
+        with pytest.raises(RuntimeError):
+            with tracer.start_trace("query"):
+                with pytest.raises(RuntimeError):
+                    with tracer.span("shed") as shed:
+                        shed.fail("refused", status="shed")
+                        raise RuntimeError("later")
+                with pytest.raises(RuntimeError):
+                    with tracer.span("loser") as loser:
+                        loser.cancel()
+                        raise RuntimeError("later")
+                raise RuntimeError("root")
+        trace = tracer.last()
+        assert (shed.status, shed.error) == ("shed", "refused")
+        assert (loser.status, loser.error) == ("cancelled", "")
+        assert (trace.root.status, trace.root.error) == ("error", "root")
+
+    def test_hedge_that_never_fired_renders_as_fetch(self):
+        clock, tracer, dispatcher = TestHedgeSpans()._dispatcher()
+        dispatcher._note_latency("src", 0.1)
+        with tracer.start_trace("query"):
+            dispatcher.run_flight("src", SQL, lambda: "fast")
+        assert tracer.last().render() == (
+            "trace q1 · query · 0.000000s\n"
+            "query [+0.000000s → +0.000000s]\n"
+            "└─ fetch [+0.000000s → +0.000000s]\n"
+        )

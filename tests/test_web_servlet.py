@@ -116,6 +116,18 @@ class TestQueryEndpoint:
         code, body = get(site, servlet, f"/query?url={url}&sql=SELEKT")
         assert code == 500
 
+    def test_hostile_url_port_is_a_typed_500(self, site, servlet):
+        """A port past Python's int-conversion limit used to escape the
+        servlet as a raw ValueError, into the caller's stack."""
+        sql = "SELECT%20HostName%20FROM%20Host"
+        hostile = "jdbc%3Asnmp%3A%2F%2Fh%3A" + "9" * 5000 + "%2Fx"
+        code, body = get(site, servlet, f"/query?url={hostile}&sql={sql}")
+        assert code == 500
+        assert body.startswith("SQLException: malformed JDBC URL")
+        url = site.url_for("snmp").replace(":", "%3A").replace("/", "%2F")
+        code, body = get(site, servlet, f"/query?url={url}&sql={sql}")
+        assert code == 200 and body.splitlines()[1] == site.host_names()[0]
+
     def test_failed_source_reported_in_comments(self, site, servlet):
         site.network.set_host_up(site.host_names()[0], False)
         url = site.url_for("snmp", host=site.host_names()[0]).replace(":", "%3A")
