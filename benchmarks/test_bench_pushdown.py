@@ -29,12 +29,10 @@ class NoPushdownSqlDriver(SqlDriver):
 
     display_name = "JDBC-SQL-nopush"
 
-    def fetch_group(self, connection, group, select):
+    def exchange(self, url, group, select):
         import dataclasses
 
-        return super().fetch_group(
-            connection, group, dataclasses.replace(select, where=None)
-        )
+        return super().exchange(url, group, dataclasses.replace(select, where=None))
 
 
 class NoPushdownNetLoggerDriver(NetLoggerDriver):
@@ -42,12 +40,12 @@ class NoPushdownNetLoggerDriver(NetLoggerDriver):
 
     display_name = "JDBC-NetLogger-nopush"
 
-    def fetch_group(self, connection, group, select):
+    def exchange(self, url, group, select):
         import dataclasses
 
         # TAIL the agent's whole retention window, filter locally.
         neutered = dataclasses.replace(select, where=None, limit=10**6)
-        return super().fetch_group(connection, group, neutered)
+        return super().exchange(url, group, neutered)
 
 
 def sql_rig():

@@ -10,7 +10,8 @@ text protocol — end to end:
 
 1. implement the native agent;
 2. extend the GLUE schema with an ``Environment`` group;
-3. implement the driver (a ~40-line GridRmDriver subclass);
+3. implement the driver (a ~35-line GridRmDriver subclass: a mapping
+   and two conversations — no I/O, no counters, no error handling);
 4. register it with a *running* gateway, no restart;
 5. query it with plain SQL like every other source.
 
@@ -21,7 +22,6 @@ from repro import build_testbed
 from repro.drivers.base import GridRmDriver
 from repro.glue.mapping import GroupMapping, MappingRule, SchemaMapping
 from repro.glue.schema import GlueField, GlueGroup
-from repro.simnet.errors import PortClosedError
 from repro.simnet.network import Address
 
 SENSOR_PORT = 7700
@@ -82,26 +82,15 @@ class EnvSensorDriver(GridRmDriver):
             ],
         )
 
-    def probe(self, url, *, timeout: float = 1.0) -> bool:
-        self.stats["probes"] += 1
-        port = url.port if url.port is not None else self.default_port
-        try:
-            response = self.network.request(
-                self.gateway_host, Address(url.host, port), "READ", timeout=timeout
-            )
-        except PortClosedError:
-            return False
-        return isinstance(response, str) and "temp_c=" in response
+    def hello(self, url):
+        return "temp_c=" in (yield "READ")
 
-    def fetch_group(self, connection, group, select):
-        self.stats["fetches"] += 1
-        record = {}
-        for line in str(connection.request("READ")).splitlines():
+    def exchange(self, url, group, select):
+        record = {"_host": url.host}
+        for line in (yield "READ").splitlines():
             key, _, value = line.partition("=")
             record[key] = value
-        record["_host"] = connection.url.host
-        record["_site"] = self.network.site_of(connection.url.host)
-        record["_time"] = self.network.clock.now()
+        float(record["temp_c"])  # assert what you need: the DDK types whatever this raises
         return [record]
 
 

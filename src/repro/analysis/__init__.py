@@ -5,9 +5,9 @@ Three passes over one shared finding/severity/reporting model
 
 * **driver conformance** (:mod:`repro.analysis.conformance`) — AST
   inspection + introspection of driver plug-ins against the DDK contract
-  (paper §3.2.1): required ``probe``/``fetch_group`` signatures, only
-  SQLException-family exceptions escaping entry points, virtual-clock
-  and simnet discipline;
+  (paper §3.2.1): required ``hello``/``exchange`` signatures, no I/O
+  outside the DDK's one site, only SQLException-family exceptions
+  escaping entry points, virtual-clock and simnet discipline;
 * **compile-time GLUE query validation**
   (:mod:`repro.analysis.query_check`) — parsed SELECTs checked against
   the GLUE naming schema (§3.2.3) so unknown groups/attributes and

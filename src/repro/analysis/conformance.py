@@ -30,9 +30,11 @@ from repro.analysis.rules import (
     expected_signature,
 )
 
-#: Members every concrete driver must override (the two native-protocol
-#: hooks plus the GLUE implementation; everything else is inherited).
-REQUIRED_OVERRIDES = ("probe", "fetch_group", "build_mapping")
+#: Members every concrete driver must supply (the GLUE implementation
+#: plus the native protocol's two conversations; everything else is
+#: inherited).  A driver with no wire may override ``probe`` itself
+#: instead of supplying ``hello``.
+REQUIRED_OVERRIDES = ("build_mapping", "hello", "exchange")
 
 
 def parse_module(source: str, path: str = "<driver>") -> ModuleContext:
@@ -166,15 +168,17 @@ def check_driver_class(driver_cls: type) -> list[Finding]:
     module_path = getattr(driver_cls, "__module__", "")
     if not issubclass(driver_cls, GridRmDriver):
         # Foreign Driver implementations honour a looser contract; only
-        # the DDK base class carries the probe/fetch_group recipe.
+        # the DDK base class carries the hello/exchange recipe.
         return findings
     for member in REQUIRED_OVERRIDES:
+        if member == "hello" and driver_cls.probe is not GridRmDriver.probe:
+            continue
         if getattr(driver_cls, member, None) is getattr(GridRmDriver, member):
             findings.append(
                 Finding(
                     rule_id="GRM106",
                     severity=Severity.ERROR,
-                    message=f"{symbol} does not override required member "
+                    message=f"{symbol} does not supply required member "
                     f"{member}()",
                     path=module_path,
                     symbol=f"{symbol}.{member}",
@@ -190,7 +194,7 @@ def check_driver_class(driver_cls: type) -> list[Finding]:
                 symbol=f"{symbol}.protocol",
             )
         )
-    for method_name in ("probe", "fetch_group", "build_mapping"):
+    for method_name in (*REQUIRED_OVERRIDES, "probe"):
         f = _signature_finding(driver_cls, method_name)
         if f is not None:
             findings.append(f)

@@ -44,7 +44,7 @@ from repro.analysis.findings import Finding, Severity
 #: SQLExceptions; the driver manager's failure policies catch nothing
 #: else).
 DRIVER_ENTRY_POINTS = frozenset(
-    {"probe", "fetch_group", "connect", "accepts_url", "execute_query"}
+    {"probe", "connect", "accepts_url", "execute_query"}
 )
 
 #: Exception names a driver entry point may raise: the SQLException
@@ -59,6 +59,11 @@ ALLOWED_DRIVER_RAISES = frozenset(
         "NotImplementedError",
     }
 )
+
+#: The one function allowed a blanket ``except`` (GRM103): (path below
+#: ``repro/``, class, method) of the DDK wrapper that turns whatever a
+#: reply decoder raises into ``SQLDataException``.
+TRUST_BOUNDARY = (("drivers", "base.py"), "GridRmDriver", "_typed")
 
 #: ``(module, attribute)`` call patterns that read or block on the wall
 #: clock.  All timing must flow through ``repro.simnet.clock`` so that
@@ -271,13 +276,39 @@ class WallClockRule(LintRule):
 
 @register_rule
 class RawSocketRule(LintRule):
-    """Simnet discipline: no real network I/O bypassing the simulation."""
+    """I/O discipline: no real network I/O bypassing the simulation, and
+    no driver I/O bypassing the DDK — a driver describes its protocol as
+    ``hello`` / ``exchange`` conversations; ``GridRmDriver.converse`` is
+    the one place a request is sent."""
 
     rule_id = "GRM102"
     severity = Severity.ERROR
-    title = "raw socket use (all I/O must go through repro.simnet)"
+    title = "I/O that bypasses the sanctioned path (repro.simnet; the DDK's converse)"
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
+        for cls_name, cls in module.driver_classes().items():
+            for node in ast.walk(cls):
+                if isinstance(node, ast.FunctionDef) and node.name == "fetch_group":
+                    yield self.finding(
+                        module,
+                        node,
+                        f"{cls_name} defines fetch_group; describe the fetch as "
+                        "an exchange(url, group, select) conversation and let "
+                        "the DDK drive it",
+                        symbol=f"{cls_name}.fetch_group",
+                    )
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "request"
+                ):
+                    yield self.finding(
+                        module,
+                        node,
+                        f"{cls_name} calls .request() itself; yield the payload "
+                        "from a conversation instead",
+                        symbol=f"{cls_name}.request",
+                    )
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -307,7 +338,10 @@ class ExceptionDisciplineRule(LintRule):
     """No bare except / blanket ``except Exception`` in library code.
 
     Cleanup-and-reraise handlers (whose last statement is a bare
-    ``raise``) are exempt: they narrow nothing and swallow nothing.
+    ``raise``) are exempt: they narrow nothing and swallow nothing.  So
+    is exactly one function, by qualified name: the DDK's trust boundary
+    (:data:`TRUST_BOUNDARY`), whose job is to type whatever decoding an
+    agent's reply raises.
     """
 
     rule_id = "GRM103"
@@ -315,8 +349,9 @@ class ExceptionDisciplineRule(LintRule):
     title = "bare or blanket except (catch concrete exception types)"
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
+        exempt = self._trust_boundary(module)
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ExceptHandler):
+            if not isinstance(node, ast.ExceptHandler) or node in exempt:
                 continue
             last = node.body[-1] if node.body else None
             if isinstance(last, ast.Raise) and last.exc is None:
@@ -329,6 +364,21 @@ class ExceptionDisciplineRule(LintRule):
                     "exception types instead",
                     symbol=caught,
                 )
+
+    @staticmethod
+    def _trust_boundary(module: ModuleContext) -> set[ast.AST]:
+        """Nodes of the one exempted function (none in any other module)."""
+        path, cls_name, fn_name = TRUST_BOUNDARY
+        if _below_repro(module.path) != list(path):
+            return set()
+        return {
+            node
+            for cls in module.tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == cls_name
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == fn_name
+            for node in ast.walk(fn)
+        }
 
     @staticmethod
     def _caught_names(node: ast.ExceptHandler) -> list[str]:
@@ -412,9 +462,10 @@ class BoundInstrumentRule(LintRule):
 # ----------------------------------------------------------------------
 #: method name -> names of the required positional parameters after self.
 _REQUIRED_SIGNATURES = {
-    "probe": ("url",),
-    "fetch_group": ("connection", "group", "select"),
     "build_mapping": (),
+    "hello": ("url",),
+    "exchange": ("url", "group", "select"),
+    "probe": ("url",),  # overridden only by a driver with no wire
 }
 
 
@@ -425,8 +476,8 @@ def expected_signature(method: str) -> "tuple[str, ...] | None":
 
 @register_rule
 class DriverSignatureRule(LintRule):
-    """DDK contract: ``probe(url)`` / ``fetch_group(connection, group,
-    select)`` / ``build_mapping()`` positional shapes."""
+    """DDK contract: ``build_mapping()`` / ``hello(url)`` /
+    ``exchange(url, group, select)`` (/ ``probe(url)``) positional shapes."""
 
     rule_id = "GRM104"
     severity = Severity.ERROR

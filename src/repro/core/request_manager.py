@@ -59,6 +59,7 @@ from repro.core.plans import PlanCache, PlanEntry
 from repro.core.policy import GatewayPolicy
 from repro.dbapi.exceptions import (
     SQLConnectionException,
+    SQLDataException,
     SQLException,
     SQLTimeoutException,
 )
@@ -696,15 +697,18 @@ class RequestManager:
                 except (DataSourceError, NoSuitableDriverError, SQLException) as exc:
                     # Connect-stage failures (DataSourceError) were already
                     # recorded into the health tracker by the driver manager;
-                    # post-connect transport failures are recorded here.  Syntax
-                    # or mapping errors say nothing about source health.
-                    if self.health is not None and isinstance(
-                        exc, (SQLConnectionException, SQLTimeoutException)
-                    ):
-                        self.health.record_failure(url_text, str(exc))
-                    transient = isinstance(
+                    # post-connect transport failures and bad replies (a
+                    # source answering garbage is unhealthy; the commonest
+                    # cause is a connection closed mid-reply) are recorded
+                    # here.  Syntax errors say nothing about source health.
+                    unhealthy = isinstance(
                         exc,
-                        (SQLConnectionException, SQLTimeoutException, DataSourceError),
+                        (SQLConnectionException, SQLTimeoutException, SQLDataException),
+                    )
+                    if self.health is not None and unhealthy:
+                        self.health.record_failure(url_text, str(exc))
+                    transient = (
+                        unhealthy or isinstance(exc, DataSourceError)
                     ) and not isinstance(exc, SourceQuarantinedError)
                     if transient and reissuable and attempt < retry.attempts:
                         pause = retry.backoff(attempt, self._retry_rng)
@@ -812,17 +816,8 @@ class RequestManager:
         deadline: Deadline | None,
         plan: CompiledPlan,
     ) -> tuple[list[str], list[list[Any]]]:
-        from repro.drivers.base import GridRmStatement
-
         with self.connection_manager.connection(url, info, deadline=deadline) as conn:
-            statement = conn.create_statement()
-            # Hand the statement the compiled plan only when it runs the
-            # stock execute_query — a subclass overriding it may not
-            # accept the keyword (and re-parses on its own authority).
-            if type(statement).execute_query is GridRmStatement.execute_query:
-                rs = statement.execute_query(sql, plan=plan)
-            else:
-                rs = statement.execute_query(sql)
+            rs = conn.create_statement().execute_query(sql, plan=plan)
             assert isinstance(rs, ListResultSet)
             return rs.columns, rs.take_rows()
 

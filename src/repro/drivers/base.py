@@ -13,13 +13,20 @@ classes within the driver":
 * code to translate result data into the format required by GLUE.
 
 :class:`GridRmDriver` / :class:`GridRmConnection` / :class:`GridRmStatement`
-implement everything except the two native-protocol hooks, which each
-concrete driver supplies:
+implement everything except the native protocol itself, which each
+concrete driver supplies as two *conversations* — generators that yield
+native request payloads, receive each reply, and return a value:
 
-* ``probe(url)`` — cheap liveness check (used for wildcard-URL driver
-  selection and connection-pool validation);
-* ``fetch_group(connection, group, select)`` — return native records for
-  one GLUE group.
+* ``hello(url)`` — the liveness probe: yield one cheap request, return
+  whether the reply looks like this driver's agent;
+* ``exchange(url, group, select)`` — return native records for one GLUE
+  group.
+
+A conversation performs no I/O.  :meth:`GridRmDriver.converse` drives it:
+the one place a request is sent, and the one place an agent's reply
+crosses into trusted code — whatever a conversation (or the GLUE mapping
+over its records) raises that is not already typed becomes
+:class:`~repro.dbapi.exceptions.SQLDataException`.
 
 Per-driver caching policy (§3.3: "implementations should address these
 issues by using caching policies within the plug-in, as appropriate for
@@ -31,10 +38,13 @@ wrap around their expensive full-dump fetches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Sequence
 
+from repro.core.errors import GridRmError
 from repro.dbapi.exceptions import (
     SQLConnectionException,
+    SQLDataException,
     SQLException,
     SQLSyntaxErrorException,
     SQLTimeoutException,
@@ -50,7 +60,7 @@ from repro.dbapi.resultset import ListResultSet
 from repro.dbapi.url import JdbcUrl
 from repro.glue.mapping import SchemaMapping
 from repro.glue.schema import GlueSchema, STANDARD_SCHEMA
-from repro.simnet.errors import NetworkError, TimeoutError_
+from repro.simnet.errors import NetworkError, PortClosedError, TimeoutError_
 from repro.simnet.network import Address, Network
 from repro.sql import ast_nodes as sql_ast
 from repro.sql.errors import SqlError
@@ -167,7 +177,9 @@ class GridRmStatement(Statement):
         types: Sequence[str] | None = None
         if select.is_star:
             types = group.column_types()
-        slot_rows = mapping.translate_rows(group.name, records, schema)
+        slot_rows = conn.driver._typed(
+            conn.url, mapping.translate_rows, group.name, records, schema
+        )
         result = plan.bind(tuple(group.field_names())).execute(slot_rows)
         return ListResultSet.adopt(result.columns, result.rows, types)
 
@@ -227,8 +239,9 @@ class GridRmConnection(Connection):
         self.schema: GlueSchema = self.info.get("schema", STANDARD_SCHEMA)
         self._schema_manager = self.info.get("schema_manager")
         self._mapping_handle = self._fetch_mapping()
-        # Session state usable by concrete drivers (per-connection caches).
-        self.session: dict[str, Any] = {}
+        #: Replies to the driver's ``ask_once`` payloads, kept for the life
+        #: of this session (see :meth:`GridRmDriver.converse`).
+        self.session: dict[Any, Any] = {}
         #: End-to-end deadline of the query currently borrowing this
         #: connection; stamped by the ConnectionManager at acquire time
         #: and cleared at release.  Every native request is clamped to
@@ -292,8 +305,7 @@ class GridRmConnection(Connection):
 
     def agent_address(self) -> Address:
         """The native agent endpoint this connection talks to."""
-        port = self.url.port if self.url.port is not None else self.driver.default_port
-        return Address(self.url.host, port)
+        return self.driver.address_of(self.url)
 
     def request(self, payload: Any, *, timeout: float | None = None) -> Any:
         """One native round-trip from the gateway host to the agent.
@@ -301,8 +313,9 @@ class GridRmConnection(Connection):
         When the borrowing query carries a deadline, the native timeout
         is clamped to the remaining budget (and the request fails fast
         with :class:`~repro.core.errors.DeadlineExceededError` once that
-        budget is gone) — a driver that routes all its agent traffic
-        through here honours end-to-end deadlines for free.
+        budget is gone) — :meth:`GridRmDriver.converse` routes every
+        fetch-path request through here, so drivers honour end-to-end
+        deadlines for free.
         """
         deadline = self.deadline
         if deadline is not None:
@@ -328,12 +341,30 @@ class GridRmConnection(Connection):
             )
 
 
+def _step(conversation: Generator, reply: Any) -> tuple[bool, Any]:
+    """Resume ``conversation`` with ``reply``: (False, next request
+    payload) or (True, return value)."""
+    try:
+        return False, conversation.send(reply)
+    except StopIteration as stop:
+        return True, stop.value
+
+
+def _stamp(records: list[dict[str, Any]], site: str | None, started: float) -> list:
+    for record in records:
+        record.setdefault("_site", site)
+        record.setdefault("_time", started)
+    return records
+
+
 class GridRmDriver(Driver):
     """Base class for all GridRM data-source drivers.
 
     Concrete drivers set :attr:`protocol` and :attr:`default_port`, build
-    their GLUE mapping in :meth:`build_mapping`, and implement
-    :meth:`probe` and :meth:`fetch_group`.
+    their GLUE mapping in :meth:`build_mapping`, and describe the native
+    protocol as two conversations, :meth:`hello` and :meth:`exchange`.
+    :meth:`probe` and :meth:`fetch_group` drive them; a concrete driver
+    sends nothing, counts nothing and catches nothing itself.
     """
 
     #: JDBC subprotocol this driver serves ("snmp", "ganglia", ...).
@@ -347,6 +378,16 @@ class GridRmDriver(Driver):
     #: side effects (counters reset on read, one-shot probes) must set
     #: this False to opt out of query-level retries and hedged requests.
     idempotent = True
+    #: Request payloads whose reply holds for the life of a connection
+    #: (an agent's table of contents): sent once per session, answered
+    #: from :attr:`GridRmConnection.session` after that.
+    ask_once: tuple[Any, ...] = ()
+    #: A coarse-grained driver sets a :class:`ResponseCache` here to say
+    #: that one :meth:`exchange` returns records serving *every* group
+    #: and query of that agent (a whole-cluster dump); they are then
+    #: reused for ``ttl`` virtual seconds.  A failed exchange caches
+    #: nothing.
+    cache: ResponseCache | None = None
 
     def __init__(self, network: Network, *, gateway_host: str = "gateway") -> None:
         if not self.protocol:
@@ -354,7 +395,8 @@ class GridRmDriver(Driver):
         self.network = network
         self.gateway_host = gateway_host
         self._mapping: SchemaMapping | None = None
-        #: Probe/connect/query counters for the experiments.
+        #: Probe/connect/query counters for the experiments; ``fetches``
+        #: counts exchanges run (a response-cache hit runs none).
         self.stats = {"probes": 0, "connects": 0, "fetches": 0}
 
     # -- Driver interface -------------------------------------------------
@@ -415,10 +457,92 @@ class GridRmDriver(Driver):
     def build_mapping(self) -> SchemaMapping:
         raise NotImplementedError
 
-    # -- native protocol hooks ---------------------------------------------
-    def probe(self, url: JdbcUrl, *, timeout: float = 1.0) -> bool:
-        """Cheap native liveness check; must not raise on a clean 'no'."""
+    # -- the native protocol, as conversations ------------------------------
+    def hello(self, url: JdbcUrl) -> Generator[Any, Any, bool]:
+        """The liveness probe: yield one cheap request payload, return
+        whether the reply is this driver's agent (a clean 'no' for a
+        wrong service on the port)."""
         raise NotImplementedError
+
+    def exchange(
+        self, url: JdbcUrl, group: str, select: sql_ast.Select
+    ) -> Generator[Any, Any, list[dict[str, Any]]]:
+        """Return native records (dicts of native keys) for ``group``,
+        yielding each native request payload and receiving its reply.
+
+        ``select`` is provided so fine-grained drivers can fetch only the
+        fields the query touches and push down LIMIT/WHERE where the
+        native protocol allows.  Records need not carry ``_site`` /
+        ``_time``: :meth:`fetch_group` stamps the agent host's site and
+        the instant the exchange began on every record lacking them.
+        """
+        raise NotImplementedError
+
+    # -- the one I/O site and the one trust boundary -------------------------
+    def _typed(self, url: JdbcUrl, fn: Callable[..., Any], *args: Any) -> Any:
+        """Run untrusted-input code: ``fn`` decodes an agent's reply.
+
+        Whatever it raises that is not already typed becomes
+        :class:`SQLDataException` naming driver and source — a bad reply
+        costs that source one breaker failure and the query nothing
+        else.  The one sanctioned blanket ``except`` (lint GRM103).
+        """
+        try:
+            return fn(*args)
+        except (SQLException, NetworkError, GridRmError):
+            raise
+        except Exception as exc:
+            raise SQLDataException(
+                f"{self.name()}: bad reply from {url}: "
+                f"{type(exc).__name__}: {exc}",
+                cause=exc,
+            ) from exc
+
+    def converse(
+        self,
+        url: JdbcUrl,
+        conversation: Generator,
+        connection: GridRmConnection | None = None,
+        *,
+        timeout: float | None = None,
+    ) -> Any:
+        """Drive ``conversation`` to its return value.
+
+        Each yielded payload is one native round-trip: through
+        ``connection`` (deadline clamp, ``native`` span) when the caller
+        holds one, straight over the network otherwise (probes, and
+        conversations run standalone).
+        """
+        send: Callable[..., Any]
+        memo: dict[Any, Any] | None = None
+        if connection is None:
+            send = partial(
+                self.network.request, self.gateway_host, self.address_of(url)
+            )
+        else:
+            send = connection.request
+            if self.ask_once:
+                memo = connection.session
+        reply = None
+        while True:
+            done, value = self._typed(url, _step, conversation, reply)
+            if done:
+                return value
+            if memo is not None and value in self.ask_once:
+                if value not in memo:
+                    memo[value] = send(value, timeout=timeout)
+                reply = memo[value]
+            else:
+                reply = send(value, timeout=timeout)
+
+    def probe(self, url: JdbcUrl, *, timeout: float = 1.0) -> bool:
+        """Cheap native liveness check; a closed port or a reply
+        :meth:`hello` cannot read is a clean 'no'."""
+        self.stats["probes"] += 1
+        try:
+            return bool(self.converse(url, self.hello(url), timeout=timeout))
+        except (PortClosedError, SQLDataException):
+            return False
 
     def fetch_group(
         self,
@@ -426,15 +550,35 @@ class GridRmDriver(Driver):
         group: str,
         select: sql_ast.Select,
     ) -> list[dict[str, Any]]:
-        """Return native records (dicts of native keys) for ``group``.
+        """Native records for ``group``: one :meth:`exchange`, or the
+        driver's :attr:`cache` of an earlier one."""
+        if self.cache is None:
+            return self._fetch(connection, group, select)
+        url = connection.url
+        return self.cache.get_or_fetch(
+            (url.host, url.port), lambda: self._fetch(connection, group, select)
+        )
 
-        ``select`` is provided so fine-grained drivers can fetch only the
-        fields the query touches and push down LIMIT/WHERE where the
-        native protocol allows.
-        """
-        raise NotImplementedError
+    def _fetch(
+        self, connection: GridRmConnection, group: str, select: sql_ast.Select
+    ) -> list[dict[str, Any]]:
+        self.stats["fetches"] += 1
+        url = connection.url
+        started = self.network.clock.now()
+        records = self.converse(url, self.exchange(url, group, select), connection)
+        return self._typed(url, _stamp, records, self.site_of(url.host), started)
 
     # -- shared helpers -----------------------------------------------------
+    def address_of(self, url: JdbcUrl) -> Address:
+        """The native agent endpoint ``url`` names."""
+        port = url.port if url.port is not None else self.default_port
+        return Address(url.host, port)
+
+    def site_of(self, host: str) -> str | None:
+        """The site ``host`` belongs to, None for a host the network
+        does not know."""
+        return self.network.site_of(host) if self.network.has_host(host) else None
+
     def fields_needed(
         self, select: sql_ast.Select, group_fields: Sequence[str]
     ) -> list[str]:

@@ -19,10 +19,8 @@ from typing import Any
 
 from repro.agents.netlogger import NETLOGGER_PORT, parse_ulm_line
 from repro.dbapi.url import JdbcUrl
-from repro.drivers.base import GridRmConnection, GridRmDriver
+from repro.drivers.base import GridRmDriver
 from repro.glue.mapping import GroupMapping, MappingRule, SchemaMapping
-from repro.simnet.errors import PortClosedError
-from repro.simnet.network import Address
 from repro.sql import ast_nodes as sql_ast
 
 #: Default tail size when no pushdown-friendly constraint is present.
@@ -30,6 +28,11 @@ DEFAULT_TAIL = 256
 
 #: GLUE field -> ULM field for equality pushdown via MATCH.
 _MATCH_FIELDS = {"Program": "PROG", "EventName": "NL.EVNT", "Level": "LVL"}
+
+
+#: Fields every ULM record carries (the ULM draft's own four plus
+#: NetLogger's event name); a line without them was cut short.
+_ULM_REQUIRED = {"DATE", "HOST", "PROG", "LVL", "NL.EVNT"}
 
 
 def _parse_ulm_date(text: str) -> float | None:
@@ -90,7 +93,7 @@ class NetLoggerDriver(GridRmDriver):
                         MappingRule("HostName", "HOST"),
                         MappingRule("SiteName", "_site"),
                         MappingRule("Timestamp", "_time"),
-                        MappingRule("EventTime", "DATE", transform=_parse_ulm_date),
+                        MappingRule("EventTime", "DATE"),
                         MappingRule("Program", "PROG"),
                         MappingRule("EventName", "NL.EVNT"),
                         MappingRule("Level", "LVL"),
@@ -116,31 +119,12 @@ class NetLoggerDriver(GridRmDriver):
         )
 
     # ------------------------------------------------------------------
-    def probe(self, url: JdbcUrl, *, timeout: float = 1.0) -> bool:
-        self.stats["probes"] += 1
-        port = url.port if url.port is not None else self.default_port
-        try:
-            response = self.network.request(
-                self.gateway_host, Address(url.host, port), "TAIL 1", timeout=timeout
-            )
-        except PortClosedError:
-            return False
-        return isinstance(response, str) and not response.startswith("ERROR")
+    def hello(self, url: JdbcUrl):
+        return not (yield "TAIL 1").startswith("ERROR")
 
-    def fetch_group(
-        self,
-        connection: GridRmConnection,
-        group: str,
-        select: sql_ast.Select,
-    ) -> list[dict[str, Any]]:
-        self.stats["fetches"] += 1
-        url = connection.url
-        site = (
-            self.network.site_of(url.host) if self.network.has_host(url.host) else None
-        )
-        now = self.network.clock.now()
+    def exchange(self, url: JdbcUrl, group: str, select: sql_ast.Select):
         if group == "Host":
-            return [{"_host": url.host, "_site": site, "_time": now}]
+            return [{"_host": url.host}]
 
         # Choose the native request: MATCH > SINCE > TAIL.
         match = _equality_pushdown(select.where)
@@ -152,14 +136,14 @@ class NetLoggerDriver(GridRmDriver):
         else:
             limit = select.limit if select.limit is not None else DEFAULT_TAIL
             native = f"TAIL {limit}"
-        response = str(connection.request(native))
         records: list[dict[str, Any]] = []
-        for line in response.splitlines():
+        for line in (yield native).splitlines():
             if not line or line.startswith("ERROR"):
                 continue
-            fields = parse_ulm_line(line)
-            fields["_site"] = site
-            fields["_time"] = now
-            fields["_line"] = line
+            fields: dict[str, Any] = parse_ulm_line(line)
+            when = _parse_ulm_date(fields["DATE"]) if _ULM_REQUIRED <= fields.keys() else None
+            if when is None:
+                raise ValueError(f"incomplete or undated ULM record: {line!r}")
+            fields["DATE"], fields["_line"] = when, line
             records.append(fields)
         return records

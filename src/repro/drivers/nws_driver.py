@@ -5,8 +5,8 @@ sensor: one native ``RESOURCES`` round-trip to enumerate what the sensor
 measures, then one ``FORECAST`` request per resource.  Responses are
 plain ``KEY=VALUE`` text the driver parses — the paper files NWS with
 Ganglia under coarse-grained sources needing real parsing work (§3.3) —
-and the resource list is cached per connection session, the per-driver
-caching policy the paper recommends.
+and the resource list is asked once per connection session
+(``ask_once``), the per-driver caching policy the paper recommends.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from typing import Any
 
 from repro.agents.nws import NWS_PORT
 from repro.dbapi.url import JdbcUrl
-from repro.drivers.base import GridRmConnection, GridRmDriver
+from repro.drivers.base import GridRmDriver
 from repro.glue.mapping import GroupMapping, MappingRule, SchemaMapping
-from repro.simnet.errors import PortClosedError
-from repro.simnet.network import Address
 from repro.sql import ast_nodes as sql_ast
 
 
@@ -32,13 +30,9 @@ def parse_forecast_line(line: str) -> dict[str, str]:
     return out
 
 
-def _num_or_none(text: str | None) -> float | None:
-    if text is None or text == "NA":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        return None
+def _num_or_none(text: str) -> float | None:
+    """A forecast number; ``NA`` is the sensor's own "no data yet"."""
+    return None if text == "NA" else float(text)
 
 
 class NwsDriver(GridRmDriver):
@@ -47,6 +41,7 @@ class NwsDriver(GridRmDriver):
     protocol = "nws"
     default_port = NWS_PORT
     display_name = "JDBC-NWS"
+    ask_once = ("RESOURCES",)
 
     # ------------------------------------------------------------------
     def build_mapping(self) -> SchemaMapping:
@@ -84,48 +79,18 @@ class NwsDriver(GridRmDriver):
         )
 
     # ------------------------------------------------------------------
-    def probe(self, url: JdbcUrl, *, timeout: float = 1.0) -> bool:
-        self.stats["probes"] += 1
-        port = url.port if url.port is not None else self.default_port
-        try:
-            response = self.network.request(
-                self.gateway_host, Address(url.host, port), "RESOURCES", timeout=timeout
-            )
-        except PortClosedError:
-            return False
-        return isinstance(response, str) and not response.startswith("ERROR")
+    def hello(self, url: JdbcUrl):
+        return not (yield "RESOURCES").startswith("ERROR")
 
-    def _resources(self, connection: GridRmConnection) -> list[str]:
-        cached = connection.session.get("nws_resources")
-        if cached is not None:
-            return cached
-        response = connection.request("RESOURCES")
-        resources = [r for r in str(response).splitlines() if r and not r.startswith("ERROR")]
-        connection.session["nws_resources"] = resources
-        return resources
-
-    def fetch_group(
-        self,
-        connection: GridRmConnection,
-        group: str,
-        select: sql_ast.Select,
-    ) -> list[dict[str, Any]]:
-        self.stats["fetches"] += 1
-        url = connection.url
-        site = (
-            self.network.site_of(url.host) if self.network.has_host(url.host) else None
-        )
+    def exchange(self, url: JdbcUrl, group: str, select: sql_ast.Select):
         if group == "Host":
-            return [
-                {
-                    "_host": url.host,
-                    "_site": site,
-                    "_time": self.network.clock.now(),
-                }
-            ]
+            return [{"_host": url.host}]
+        listing = yield "RESOURCES"
         records: list[dict[str, Any]] = []
-        for resource in self._resources(connection):
-            line = str(connection.request(f"FORECAST {resource.replace(':', ' ')}"))
+        for resource in listing.splitlines():
+            if not resource or resource.startswith("ERROR"):
+                continue
+            line = yield f"FORECAST {resource.replace(':', ' ')}"
             if line.startswith("ERROR"):
                 continue
             fields = parse_forecast_line(line)
@@ -133,14 +98,13 @@ class NwsDriver(GridRmDriver):
             records.append(
                 {
                     "_host": url.host,
-                    "_site": site,
                     "_resource": name,
                     "_peer": peer or None,
-                    "TIME": _num_or_none(fields.get("TIME")),
-                    "MEASURED": _num_or_none(fields.get("MEASURED")),
-                    "FORECAST": _num_or_none(fields.get("FORECAST")),
-                    "MAE": _num_or_none(fields.get("MAE")),
-                    "METHOD": fields.get("METHOD"),
+                    "TIME": _num_or_none(fields["TIME"]),
+                    "MEASURED": _num_or_none(fields["MEASURED"]),
+                    "FORECAST": _num_or_none(fields["FORECAST"]),
+                    "MAE": _num_or_none(fields["MAE"]),
+                    "METHOD": fields["METHOD"],
                 }
             )
         return records

@@ -10,14 +10,10 @@ E3 needs.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.agents.scms import SCMS_PORT
 from repro.dbapi.url import JdbcUrl
-from repro.drivers.base import GridRmConnection, GridRmDriver
+from repro.drivers.base import GridRmDriver
 from repro.glue.mapping import GroupMapping, MappingRule, SchemaMapping
-from repro.simnet.errors import PortClosedError
-from repro.simnet.network import Address
 from repro.sql import ast_nodes as sql_ast
 
 #: GLUE group -> SCMS section command.
@@ -58,6 +54,14 @@ def parse_scms_queue(text: str) -> list[dict[str, str]]:
         if fields:
             jobs.append(fields)
     return jobs
+
+
+def _complete(records: list[dict[str, str]]) -> list[dict[str, str]]:
+    """Every node (or job) of one reply reports the same keys; a ragged
+    reply was cut short on the way."""
+    if len({frozenset(r) for r in records}) > 1:
+        raise ValueError("ragged SCMS reply: records differ in their keys")
+    return records
 
 
 class ScmsDriver(GridRmDriver):
@@ -147,42 +151,11 @@ class ScmsDriver(GridRmDriver):
         )
 
     # ------------------------------------------------------------------
-    def probe(self, url: JdbcUrl, *, timeout: float = 1.0) -> bool:
-        self.stats["probes"] += 1
-        port = url.port if url.port is not None else self.default_port
-        try:
-            response = self.network.request(
-                self.gateway_host, Address(url.host, port), "NODES", timeout=timeout
-            )
-        except PortClosedError:
-            return False
-        return isinstance(response, str) and not response.startswith("ERROR")
+    def hello(self, url: JdbcUrl):
+        return not (yield "NODES").startswith("ERROR")
 
-    def fetch_group(
-        self,
-        connection: GridRmConnection,
-        group: str,
-        select: sql_ast.Select,
-    ) -> list[dict[str, Any]]:
-        self.stats["fetches"] += 1
-        url = connection.url
-        site = (
-            self.network.site_of(url.host) if self.network.has_host(url.host) else None
-        )
-        now = self.network.clock.now()
+    def exchange(self, url: JdbcUrl, group: str, select: sql_ast.Select):
         if group == "Job":
-            jobs = parse_scms_queue(str(connection.request("QUEUE")))
-            for j in jobs:
-                j["_site"] = site
-                j["_time"] = now
-            return jobs
-        section = _SECTION[group]
-        nodes = parse_scms_section(str(connection.request(section)))
-        records = []
-        for node in sorted(nodes):
-            record: dict[str, Any] = dict(nodes[node])
-            record["_node"] = node
-            record["_site"] = site
-            record["_time"] = now
-            records.append(record)
-        return records
+            return _complete(parse_scms_queue((yield "QUEUE")))
+        nodes = parse_scms_section((yield _SECTION[group]))
+        return _complete([{**nodes[node], "_node": node} for node in sorted(nodes)])

@@ -20,9 +20,8 @@ from typing import Any
 from repro.agents import snmp as wire
 from repro.dbapi.exceptions import SQLConnectionException, SQLException
 from repro.dbapi.url import JdbcUrl
-from repro.drivers.base import GridRmConnection, GridRmDriver
+from repro.drivers.base import GridRmDriver
 from repro.glue.mapping import GroupMapping, MappingRule, SchemaMapping
-from repro.simnet.errors import PortClosedError
 from repro.sql import ast_nodes as sql_ast
 
 #: GLUE group -> { glue field -> (native key, OID) }.
@@ -220,237 +219,121 @@ class SnmpDriver(GridRmDriver):
         )
 
     # ------------------------------------------------------------------
-    def _community(self, url: JdbcUrl) -> str:
-        return url.params.get("community", "public")
-
-    def _send(
-        self,
-        url: JdbcUrl,
-        msg: wire.SnmpMessage,
-        *,
-        timeout: float | None = None,
-        conn: GridRmConnection | None = None,
-    ) -> wire.SnmpMessage:
-        """One native SNMP round-trip.
-
-        Fetch-path callers pass the borrowing ``conn`` so the request is
-        routed through :meth:`GridRmConnection.request` and the native
-        timeout is clamped to the query's remaining deadline.  Probe-time
-        callers have no connection yet and go straight to the network.
-        """
-        if conn is not None:
-            raw = conn.request(msg.encode(), timeout=timeout)
-        else:
-            port = url.port if url.port is not None else self.default_port
-            raw = self.network.request(
-                self.gateway_host,
-                wire.Address(url.host, port),
-                msg.encode(),
-                timeout=timeout,
-            )
-        try:
-            return wire.SnmpMessage.decode(raw)
-        except wire.SnmpCodecError as exc:
-            raise SQLConnectionException(
-                f"undecodable SNMP response from {url.host}", cause=exc
-            ) from exc
-
-    def _get(
-        self,
-        url: JdbcUrl,
-        oids: list[wire.Oid],
-        *,
-        timeout: float | None = None,
-        conn: GridRmConnection | None = None,
-    ) -> wire.SnmpMessage:
+    def _ask(self, url: JdbcUrl, pdu_type: int, oids, *, bulk: int = 0):
+        """One SNMP round-trip as a sub-conversation: yield the encoded
+        request, return the decoded reply.  ``bulk`` is GETBULK's
+        max-repetitions (SNMPv2c; carried in the error-index slot)."""
         msg = wire.SnmpMessage(
-            version=0,
-            community=self._community(url),
-            pdu_type=wire.TAG_GET,
+            version=1 if bulk else 0,
+            community=url.params.get("community", "public"),
+            pdu_type=pdu_type,
             request_id=next(self._request_ids),
-            error_status=0,
-            error_index=0,
+            error_status=0,  # GETBULK: non-repeaters
+            error_index=bulk,
             varbinds=tuple(wire.VarBind(oid) for oid in oids),
         )
-        return self._send(url, msg, timeout=timeout, conn=conn)
+        return wire.SnmpMessage.decode((yield msg.encode()))
 
-    def _getnext(
-        self,
-        url: JdbcUrl,
-        oid: wire.Oid,
-        *,
-        timeout: float | None = None,
-        conn: GridRmConnection | None = None,
-    ) -> wire.SnmpMessage:
-        msg = wire.SnmpMessage(
-            version=0,
-            community=self._community(url),
-            pdu_type=wire.TAG_GETNEXT,
-            request_id=next(self._request_ids),
-            error_status=0,
-            error_index=0,
-            varbinds=(wire.VarBind(oid),),
-        )
-        return self._send(url, msg, timeout=timeout, conn=conn)
-
-    def walk(
-        self,
-        url: JdbcUrl,
-        base: wire.Oid,
-        *,
-        conn: GridRmConnection | None = None,
-    ) -> list[tuple[wire.Oid, Any]]:
-        """GETNEXT walk of one MIB subtree: [(suffix, value), ...].
-
-        This is how a real JDBC-SNMP driver enumerates conceptual table
-        rows — one round-trip per entry, the price of SNMP's fine grain.
-        """
+    def _walk(self, url: JdbcUrl, base: wire.Oid, *, bulk: int = 0):
+        """Walk one MIB subtree: [(suffix, value), ...], by GETNEXT (one
+        entry per round-trip) or, with ``bulk``, by GETBULK."""
         out: list[tuple[wire.Oid, Any]] = []
         current = base
         while True:
-            resp = self._getnext(url, current, conn=conn)
-            if resp.error_status != wire.ERR_NONE or not resp.varbinds:
-                break
-            vb = resp.varbinds[0]
-            if vb.oid[: len(base)] != base:
-                break  # walked past the subtree
-            out.append((vb.oid[len(base):], vb.value))
-            current = vb.oid
-        return out
-
-    def bulk_walk(
-        self,
-        url: JdbcUrl,
-        base: wire.Oid,
-        *,
-        max_repetitions: int = 16,
-        conn: GridRmConnection | None = None,
-    ) -> list[tuple[wire.Oid, Any]]:
-        """GETBULK walk: like :meth:`walk` but fetching ``max_repetitions``
-        entries per round-trip (SNMPv2c).  Ablation A2 measures the
-        round-trip saving on table enumeration."""
-        if max_repetitions < 1:
-            raise SQLException(f"max_repetitions must be >= 1: {max_repetitions!r}")
-        out: list[tuple[wire.Oid, Any]] = []
-        current = base
-        while True:
-            msg = wire.SnmpMessage(
-                version=1,
-                community=self._community(url),
-                pdu_type=wire.TAG_GETBULK,
-                request_id=next(self._request_ids),
-                error_status=0,  # non-repeaters
-                error_index=max_repetitions,
-                varbinds=(wire.VarBind(current),),
+            resp = yield from self._ask(
+                url, wire.TAG_GETBULK if bulk else wire.TAG_GETNEXT, [current], bulk=bulk
             )
-            resp = self._send(url, msg, conn=conn)
             if resp.error_status != wire.ERR_NONE or not resp.varbinds:
-                break
-            done = False
+                return out
             for vb in resp.varbinds:
                 if vb.oid[: len(base)] != base:
-                    done = True
-                    break
+                    return out  # walked past the subtree
+                if vb.oid <= current:
+                    raise ValueError(f"walk did not advance past {current!r}")
                 out.append((vb.oid[len(base):], vb.value))
                 current = vb.oid
-            if done or len(resp.varbinds) < max_repetitions:
-                break
-        return out
+            if len(resp.varbinds) < bulk:
+                return out
 
-    def probe(self, url: JdbcUrl, *, timeout: float = 1.0) -> bool:
-        self.stats["probes"] += 1
-        try:
-            resp = self._get(url, [wire.SYS_UPTIME], timeout=timeout)
-        except PortClosedError:
-            return False
-        except SQLException:
-            return False
+    def walk(self, url: JdbcUrl, base: wire.Oid) -> list[tuple[wire.Oid, Any]]:
+        """GETNEXT walk of one MIB subtree — how a real JDBC-SNMP driver
+        enumerates conceptual table rows, one round-trip per entry."""
+        return self.converse(url, self._walk(url, base))
+
+    def bulk_walk(
+        self, url: JdbcUrl, base: wire.Oid, *, max_repetitions: int = 16
+    ) -> list[tuple[wire.Oid, Any]]:
+        """Like :meth:`walk` but fetching ``max_repetitions`` entries per
+        round-trip.  Ablation A2 measures the round-trip saving."""
+        if max_repetitions < 1:
+            raise SQLException(f"max_repetitions must be >= 1: {max_repetitions!r}")
+        return self.converse(url, self._walk(url, base, bulk=max_repetitions))
+
+    def hello(self, url: JdbcUrl):
+        resp = yield from self._ask(url, wire.TAG_GET, [wire.SYS_UPTIME])
         return resp.error_status == wire.ERR_NONE
 
-    def fetch_group(
-        self,
-        connection: GridRmConnection,
-        group: str,
-        select: sql_ast.Select,
-    ) -> list[dict[str, Any]]:
-        self.stats["fetches"] += 1
-        url = connection.url
-        if group == "FileSystem":
-            return self._fetch_filesystems(connection)
-        if group == "Process":
-            return self._fetch_processes(connection)
-        field_map = _GROUP_OIDS.get(group, {})
-        group_fields = list(field_map) + sorted(_LOCAL_FIELDS)
-        needed = self.fields_needed(select, group_fields)
-
-        oid_by_key: dict[str, wire.Oid] = {}
-        for f in needed:
-            if f in field_map:
-                key, oid = field_map[f]
-                oid_by_key[key] = oid
-        record: dict[str, Any] = {
+    def exchange(self, url: JdbcUrl, group: str, select: sql_ast.Select):
+        origin = {
             "_host": url.host,
-            "_site": self.network.site_of(url.host)
-            if self.network.has_host(url.host)
-            else None,
-            "_time": self.network.clock.now(),
             "_unique_id": f"{url.host}#{self.protocol}",
             "_reachable": True,
         }
+        if group == "FileSystem":
+            return (yield from self._filesystems(url, origin))
+        if group == "Process":
+            return (yield from self._processes(url, origin))
+        field_map = _GROUP_OIDS.get(group, {})
+        group_fields = list(field_map) + sorted(_LOCAL_FIELDS)
+        oid_by_key: dict[str, wire.Oid] = {}
+        for f in self.fields_needed(select, group_fields):
+            if f in field_map:
+                key, oid = field_map[f]
+                oid_by_key[key] = oid
         if oid_by_key:
             keys = list(oid_by_key)
-            resp = self._get(url, [oid_by_key[k] for k in keys], conn=connection)
-            # (single-record groups; table groups are handled above)
+            resp = yield from self._ask(url, wire.TAG_GET, oid_by_key.values())
             if resp.error_status == wire.ERR_NO_SUCH_NAME:
                 # Partial MIB: retry one-by-one so present OIDs still land.
                 for key in keys:
-                    single = self._get(url, [oid_by_key[key]], conn=connection)
+                    single = yield from self._ask(url, wire.TAG_GET, [oid_by_key[key]])
                     if single.error_status == wire.ERR_NONE and single.varbinds:
-                        record[key] = single.varbinds[0].value
+                        origin[key] = single.varbinds[0].value
             elif resp.error_status != wire.ERR_NONE:
                 raise SQLConnectionException(
                     f"SNMP error {resp.error_status} from {url.host}"
                 )
             else:
                 for key, vb in zip(keys, resp.varbinds):
-                    record[key] = vb.value
-        return [record]
+                    origin[key] = vb.value
+        return [origin]
 
-    def _fetch_filesystems(self, connection: GridRmConnection) -> list[dict[str, Any]]:
+    def _filesystems(self, url: JdbcUrl, origin: dict[str, Any]):
         """One record per hrStorage table row, enumerated by a MIB walk."""
-        url = connection.url
-        base = {
-            "_host": url.host,
-            "_site": self.network.site_of(url.host)
-            if self.network.has_host(url.host)
-            else None,
-            "_time": self.network.clock.now(),
-            "_unique_id": f"{url.host}#{self.protocol}",
-            "_reachable": True,
-        }
-        descrs = self.walk(url, wire.HR_STORAGE_DESCR, conn=connection)
+        descrs = yield from self._walk(url, wire.HR_STORAGE_DESCR)
         if not descrs:
             return []
         # One batched GET for every size/used cell of the table.
         indices = [suffix for suffix, _ in descrs]
         oids = [wire.HR_STORAGE_SIZE_MB + s for s in indices]
         oids += [wire.HR_STORAGE_USED_MB + s for s in indices]
-        resp = self._get(url, oids, conn=connection)
+        resp = yield from self._ask(url, wire.TAG_GET, oids)
         if resp.error_status != wire.ERR_NONE:
             raise SQLConnectionException(
                 f"SNMP error {resp.error_status} walking storage on {url.host}"
             )
         n = len(indices)
-        records = []
-        for i, (suffix, descr) in enumerate(descrs):
-            record = dict(base)
-            record["hrStorageDescr"] = descr
-            record["hrStorageSizeMB"] = resp.varbinds[i].value
-            record["hrStorageUsedMB"] = resp.varbinds[n + i].value
-            records.append(record)
-        return records
+        return [
+            {
+                **origin,
+                "hrStorageDescr": descr,
+                "hrStorageSizeMB": resp.varbinds[i].value,
+                "hrStorageUsedMB": resp.varbinds[n + i].value,
+            }
+            for i, (_suffix, descr) in enumerate(descrs)
+        ]
 
-    def _fetch_processes(self, connection: GridRmConnection) -> list[dict[str, Any]]:
+    def _processes(self, url: JdbcUrl, origin: dict[str, Any]):
         """One record per hrSWRun table row (PID-indexed), via GETBULK.
 
         The process table can be large, so this uses the bulk walk rather
@@ -460,29 +343,19 @@ class SnmpDriver(GridRmDriver):
         fetched with one batched GET over the PIDs the name-column walk
         enumerated, exactly like the filesystem fetch.
         """
-        url = connection.url
-        base = {
-            "_host": url.host,
-            "_site": self.network.site_of(url.host)
-            if self.network.has_host(url.host)
-            else None,
-            "_time": self.network.clock.now(),
-            "_unique_id": f"{url.host}#{self.protocol}",
-            "_reachable": True,
-        }
-        names = self.bulk_walk(url, wire.HR_SWRUN_NAME, max_repetitions=16, conn=connection)
+        names = yield from self._walk(url, wire.HR_SWRUN_NAME, bulk=16)
         if not names:
             return []
         indices = [suffix for suffix, _ in names]
         oids = [wire.HR_SWRUN_STATUS + s for s in indices]
         oids += [wire.HR_SWRUN_CPU + s for s in indices]
         oids += [wire.HR_SWRUN_MEM + s for s in indices]
-        resp = self._get(url, oids, conn=connection)
+        resp = yield from self._ask(url, wire.TAG_GET, oids)
         records: list[dict[str, Any]] = []
         n = len(indices)
         ok = resp.error_status == wire.ERR_NONE
         for i, (suffix, name) in enumerate(names):
-            record = dict(base)
+            record = dict(origin)
             record["hrSWRunIndex"] = suffix[0] if suffix else None
             record["hrSWRunName"] = name
             if ok:

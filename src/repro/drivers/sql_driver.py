@@ -11,15 +11,11 @@ native table and filtering locally, which is always correct.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.agents.sqlagent import SQLAGENT_PORT
-from repro.dbapi.exceptions import SQLConnectionException, SQLException
+from repro.dbapi.exceptions import SQLException
 from repro.dbapi.url import JdbcUrl
-from repro.drivers.base import GridRmConnection, GridRmDriver
+from repro.drivers.base import GridRmDriver
 from repro.glue.mapping import GroupMapping, MappingRule, SchemaMapping
-from repro.simnet.errors import PortClosedError
-from repro.simnet.network import Address
 from repro.sql import ast_nodes as sql_ast
 from repro.sql.render import render_expr, rewrite_columns
 
@@ -89,27 +85,10 @@ class SqlDriver(GridRmDriver):
         return SchemaMapping(self.display_name, groups)
 
     # ------------------------------------------------------------------
-    def probe(self, url: JdbcUrl, *, timeout: float = 1.0) -> bool:
-        self.stats["probes"] += 1
-        port = url.port if url.port is not None else self.default_port
-        try:
-            response = self.network.request(
-                self.gateway_host,
-                Address(url.host, port),
-                "SELECT COUNT(*) FROM hosts",
-                timeout=timeout,
-            )
-        except PortClosedError:
-            return False
-        return isinstance(response, tuple) and response and response[0] == "ok"
+    def hello(self, url: JdbcUrl):
+        return (yield "SELECT COUNT(*) FROM hosts")[0] == "ok"
 
-    def fetch_group(
-        self,
-        connection: GridRmConnection,
-        group: str,
-        select: sql_ast.Select,
-    ) -> list[dict[str, Any]]:
-        self.stats["fetches"] += 1
+    def exchange(self, url: JdbcUrl, group: str, select: sql_ast.Select):
         entry = _NATIVE_TABLES.get(group)
         if entry is None:
             raise SQLException(f"{self.display_name} does not serve group {group!r}")
@@ -122,14 +101,10 @@ class SqlDriver(GridRmDriver):
                 native_sql += f" WHERE {render_expr(rewritten)}"
                 type(self).pushdowns += 1
 
-        response = connection.request(native_sql)
-        if not isinstance(response, tuple) or not response:
-            raise SQLConnectionException(
-                f"malformed response from SQL source at {connection.url.host}"
-            )
-        if response[0] == "error":
-            raise SQLException(f"native SQL error: {response[1]}")
-        if response[0] != "ok":
-            raise SQLException(f"unexpected native response kind {response[0]!r}")
-        _, cols, rows = response
+        kind, *body = yield native_sql
+        if kind == "error":
+            raise SQLException(f"native SQL error: {body[0]}")
+        if kind != "ok":
+            raise ValueError(f"unexpected native response kind {kind!r}")
+        cols, rows = body
         return [dict(zip(cols, r)) for r in rows]

@@ -17,10 +17,10 @@ process, so the driver answers liveness locally.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.dbapi.url import JdbcUrl
-from repro.drivers.base import GridRmConnection, GridRmDriver
+from repro.drivers.base import GridRmDriver
 from repro.glue.mapping import GroupMapping, MappingRule, SchemaMapping
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NO_TRACER
@@ -81,36 +81,23 @@ class GatewayMetricsDriver(GridRmDriver):
 
     # ------------------------------------------------------------------
     def probe(self, url: JdbcUrl, *, timeout: float = 1.0) -> bool:
-        """Liveness is local: the registry is in-process, so the probe
-        answers without any agent round-trip."""
+        """Liveness is local: the registry is in-process, so this driver
+        overrides :meth:`probe` itself (the escape for an agent with no
+        wire) and answers without any round-trip."""
         self.stats["probes"] += 1
         return url.host in ("localhost", self.gateway_host)
 
-    def fetch_group(
-        self,
-        connection: GridRmConnection,
-        group: str,
-        select: sql_ast.Select,
-    ) -> list[dict[str, Any]]:
-        self.stats["fetches"] += 1
+    def exchange(self, url: JdbcUrl, group: str, select: sql_ast.Select):
+        yield from ()  # no wire: the conversation asks nothing
         host = self.gateway_host
-        site = self.site or (
-            self.network.site_of(host) if self.network.has_host(host) else None
-        )
-        now = self.network.clock.now()
+        site = self.site or self.site_of(host)
         with self.tracer.span("metrics.scan", instruments=len(self.registry)) as span:
             rows = list(self.registry.as_rows())
             # Fabric-wide ``net.*`` counters live in the network's own
             # registry; fold them in unless they are one and the same.
             if self.network.metrics is not self.registry:
                 rows.extend(self.network.metrics.as_rows())
-            records = []
-            for row in rows:
-                record = dict(row)
-                record["_host"] = host
-                record["_site"] = site
-                record["_time"] = now
-                records.append(record)
+            records = [{**row, "_host": host, "_site": site} for row in rows]
             span["rows"] = len(records)
             self._self_scans.inc()
         return records

@@ -82,11 +82,15 @@ class TestParser:
             )
 
     def test_bad_numeric_val_rejected(self):
+        """Re-aimed (PR 21): the parser no longer re-types ``float()``'s own
+        ``ValueError`` as ``GangliaXmlError`` (itself a ``ValueError``) —
+        the DDK types whatever a decoder raises, once, at the driver
+        boundary (``tests/test_driver_bad_replies.py``)."""
         xml = (
             '<HOST NAME="a" IP="" REPORTED="0">'
             '<METRIC NAME="load_one" VAL="NaNope" TYPE="float"/></HOST>'
         )
-        with pytest.raises(GangliaXmlError):
+        with pytest.raises(ValueError):
             parse_ganglia_xml(xml)
 
     def test_empty_input_yields_no_records(self):

@@ -20,8 +20,8 @@ def fresh_cache():
 
 
 #: The acceptance fixture: one driver committing exactly three sins —
-#: a wall-clock call, a fetch_group signature missing `select`, and a
-#: non-SQL exception escaping an entry point.
+#: a wall-clock call, an exchange signature missing `select`, and a
+#: non-SQL exception escaping an entry point (its own `probe`).
 BAD_DRIVER = '''
 import time
 
@@ -38,8 +38,8 @@ class BadDriver(GridRmDriver):
         started = time.time()
         raise RuntimeError("native protocol blew up")
 
-    def fetch_group(self, connection, group):
-        return []
+    def exchange(self, url, group):
+        return [(yield "READ")]
 '''
 
 
@@ -56,7 +56,7 @@ class TestAcceptanceFixture:
     def test_finding_details(self):
         by_id = {f.rule_id: f for f in check_source(BAD_DRIVER, "bad_driver.py")}
         assert by_id["GRM101"].symbol == "time.time"
-        assert by_id["GRM104"].symbol == "BadDriver.fetch_group"
+        assert by_id["GRM104"].symbol == "BadDriver.exchange"
         assert "select" in by_id["GRM104"].message
         assert by_id["GRM105"].symbol == "BadDriver.probe:RuntimeError"
         assert all(f.severity is Severity.ERROR for f in by_id.values())
@@ -76,11 +76,13 @@ class CleanDriver(GridRmDriver):
     def build_mapping(self):
         return None
 
-    def probe(self, url, *, timeout=1.0):
-        return True
+    def hello(self, url):
+        return "PONG" in (yield "PING")
 
-    def fetch_group(self, connection, group, select):
-        raise SQLDataException("nothing to serve")
+    def exchange(self, url, group, select):
+        if group != "Thing":
+            raise SQLDataException("nothing to serve")
+        return [{"reading": float((yield "READ"))}]
 """
         assert check_source(clean, "clean.py") == []
 
@@ -185,8 +187,26 @@ class TestLiveIntrospection:
         class Hollow(GridRmDriver):
             protocol = "hollow"
 
-        ids = sorted(f.rule_id for f in check_driver_class(Hollow))
-        assert ids == ["GRM106", "GRM106", "GRM106"]
+        findings = check_driver_class(Hollow)
+        assert [f.rule_id for f in findings] == ["GRM106"] * 3
+        assert [f.symbol for f in findings] == [
+            "Hollow.build_mapping", "Hollow.hello", "Hollow.exchange",
+        ]
+
+    def test_own_probe_stands_in_for_hello(self):
+        """An agent with no wire (``grm://``) answers liveness itself."""
+        from repro.drivers.base import GridRmDriver
+        from repro.obs.driver import GatewayMetricsDriver
+
+        class Local(GridRmDriver):
+            protocol = "local"
+
+            def probe(self, url, *, timeout=1.0):
+                return True
+
+        symbols = [f.symbol for f in check_driver_class(Local)]
+        assert symbols == ["Local.build_mapping", "Local.exchange"]
+        assert check_driver_class(GatewayMetricsDriver) == []
 
     def test_missing_protocol_is_grm107(self):
         from repro.drivers.base import GridRmDriver
@@ -195,11 +215,11 @@ class TestLiveIntrospection:
             def build_mapping(self):
                 return None
 
-            def probe(self, url, *, timeout=1.0):
-                return False
+            def hello(self, url):
+                return bool((yield "PING"))
 
-            def fetch_group(self, connection, group, select):
-                return []
+            def exchange(self, url, group, select):
+                return [(yield "READ")]
 
         ids = [f.rule_id for f in check_driver_class(NoProto)]
         assert ids == ["GRM107"]
@@ -213,11 +233,11 @@ class TestLiveIntrospection:
             def build_mapping(self):
                 return None
 
-            def probe(self, target_url):
-                return False
+            def hello(self, target_url):
+                return bool((yield "PING"))
 
-            def fetch_group(self, connection, group, select):
-                return []
+            def exchange(self, url, group, select):
+                return [(yield "READ")]
 
         ids = [f.rule_id for f in check_driver_class(Crooked)]
         assert ids == ["GRM104"]

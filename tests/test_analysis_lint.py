@@ -15,6 +15,7 @@ from repro.analysis.linter import (
     summary_line,
     write_baseline,
 )
+from repro.analysis.rules import rules_by_id
 from repro.cli import main as cli_main
 
 DIRTY = "import socket\nimport time\nstarted = time.time()\n"
@@ -54,8 +55,6 @@ class TestLintPaths:
         ]
 
     def test_rule_subset(self, tree):
-        from repro.analysis.rules import rules_by_id
-
         report = lint_paths([str(tree)], rules=rules_by_id(["GRM102"]))
         assert [f.rule_id for f in report.findings] == ["GRM102"]
 
@@ -101,6 +100,61 @@ class TestLintPaths:
             path.write_text(self.LATE_LOOKUP)
         report = lint_paths([str(tmp_path)])
         assert report.files_scanned == 3 and report.findings == []
+
+    #: The DDK's trust boundary, in miniature: one method whose job is a
+    #: blanket ``except``, next to one that has no such excuse.
+    WRAPPER = (
+        "class GridRmDriver:\n"
+        "    def _typed(self, url, fn, *args):\n"
+        "        try:\n"
+        "            return fn(*args)\n"
+        "        except Exception as exc:\n"
+        "            raise ValueError(url) from exc\n"
+        "    def other(self, fn):\n"
+        "        try:\n"
+        "            return fn()\n"
+        "        except Exception:\n"
+        "            return None\n"
+    )
+
+    def test_grm103_exempts_the_trust_boundary_by_qualified_name(self, tmp_path):
+        (tmp_path / "repro" / "drivers").mkdir(parents=True)
+        (tmp_path / "repro" / "drivers" / "base.py").write_text(self.WRAPPER)
+        report = lint_paths([str(tmp_path)], rules=rules_by_id(["GRM103"]))
+        assert [(f.rule_id, f.line) for f in report.findings] == [("GRM103", 10)]
+
+    def test_grm103_exemption_is_not_a_name_anyone_can_take(self, tmp_path):
+        """The same source anywhere else — another module, or another
+        class of that module — is two findings."""
+        (tmp_path / "repro" / "drivers").mkdir(parents=True)
+        (tmp_path / "repro" / "drivers" / "mine_driver.py").write_text(self.WRAPPER)
+        (tmp_path / "repro" / "drivers" / "base.py").write_text(
+            self.WRAPPER.replace("class GridRmDriver", "class Helper")
+        )
+        report = lint_paths([str(tmp_path)], rules=rules_by_id(["GRM103"]))
+        assert sorted(f.line for f in report.findings) == [5, 5, 10, 10]
+
+    def test_driver_doing_its_own_io_is_grm102(self, tmp_path):
+        """A driver that defines fetch_group, or calls .request() anywhere
+        in its class body, bypasses the DDK's one I/O site."""
+        (tmp_path / "plugin.py").write_text(
+            "class D(GridRmDriver):\n"
+            "    def hello(self, url):\n"
+            "        return bool(self.network.request('gw', url, 'PING'))\n"
+            "    def exchange(self, url, group, select):\n"
+            "        return [(yield 'READ')]\n"
+            "    def fetch_group(self, connection, group, select):\n"
+            "        return [connection.request('READ')]\n"
+            "class NotADriver:\n"
+            "    def fetch_group(self, connection):\n"
+            "        return connection.request('x')\n"
+        )
+        report = lint_paths([str(tmp_path)], rules=rules_by_id(["GRM102"]))
+        assert [(f.symbol, f.line) for f in report.findings] == [
+            ("D.request", 3),
+            ("D.fetch_group", 6),
+            ("D.request", 7),
+        ]
 
     def test_unreadable_file_is_grm100(self, tmp_path):
         bad = tmp_path / "latin.py"

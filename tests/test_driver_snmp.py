@@ -225,6 +225,20 @@ class TestBulkWalk:
         assert oids == sorted(oids)
 
 
+class TestBadReplies:
+    def test_undecodable_response_is_a_bad_reply(self, network, agent, conn):
+        """Garbage where BER should be is ``SQLDataException`` — typed by
+        the DDK's one wrapper like any decoder failure (PR 21) — not the
+        ``SQLConnectionException`` the driver's private ``SnmpCodecError``
+        catch used to raise: the connection worked, the data did not."""
+        from repro.dbapi.exceptions import SQLDataException
+
+        network.close(agent.address)
+        network.listen(agent.address, lambda payload, src: b"\x30\x03junk")
+        with pytest.raises(SQLDataException, match="JDBC-SNMP: bad reply from"):
+            query(conn, "SELECT CPUCount FROM Processor")
+
+
 class TestCommunityAuth:
     def test_wrong_community_fails_connect(self, network, host):
         SnmpAgent(host, network, community="secret", port=1161)
