@@ -76,5 +76,19 @@ def test_quick_set_equals_the_committed_baseline():
     assert render(got) == render(want)
 
 
+def test_bench_policy_is_production_without_security():
+    """The harness's hand-spelled ``BENCH_POLICY`` is ``production()``
+    except for the security layers: it speaks ACIL without sessions."""
+    import dataclasses
+
+    from testbed import BENCH_POLICY
+
+    from repro.core.policy import production
+
+    assert dataclasses.asdict(BENCH_POLICY) == dataclasses.asdict(
+        production(security_enabled=False)
+    )
+
+
 if __name__ == "__main__":
     print(render(snapshot()))

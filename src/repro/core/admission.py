@@ -69,6 +69,10 @@ from repro.simnet.clock import VirtualClock
 #: dequeue p50 (matches the dispatcher's hedge-timer window size).
 _SERVICE_WINDOW = 64
 
+#: Starting concurrency limit of a gradient limiter nothing else seeds
+#: (the gateway-wide one; a per-source one over an unlimited static cap).
+INITIAL_LIMIT = 8
+
 
 class QueryClass(enum.Enum):
     """Priority class of one query (shed order: BATCH first)."""
@@ -231,14 +235,24 @@ class AdmissionController:
         on_transition: Optional[
             Callable[[PressureState, PressureState], None]
         ] = None,
+        initial_limit: int = INITIAL_LIMIT,
+        batch_queue_share: float = 0.5,
     ) -> None:
+        if initial_limit < 1 or not 0.0 < batch_queue_share <= 1.0:
+            raise PolicyError(
+                "admission needs initial_limit >= 1, 0 < batch_queue_share <= 1: "
+                f"{initial_limit!r}, {batch_queue_share!r}"
+            )
         self.clock = clock
         self.policy = policy
+        #: Fraction of the admission queue BATCH-class queries may occupy
+        #: before being shed (the priority bound that sheds batch first).
+        self.batch_queue_share = batch_queue_share
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NO_TRACER
         self.limiter = GradientLimiter(
             clock,
-            initial=policy.admission_initial_limit,
+            initial=initial_limit,
             registry=self.registry,
             key="gateway",
         )
@@ -333,7 +347,7 @@ class AdmissionController:
                 cap = self.policy.admission_queue_limit
                 bound = cap
                 if query_class is QueryClass.BATCH:
-                    bound = int(cap * self.policy.admission_batch_queue_share)
+                    bound = int(cap * self.batch_queue_share)
                 if query_class is not QueryClass.CRITICAL and depth >= bound:
                     self.shed(
                         query_class, f"admission queue full ({depth}/{cap})"

@@ -16,8 +16,8 @@ its normalised text down as ``key=`` and :func:`normalise_sql` is
 skipped — the serving path normalises a query text once, in
 ``PlanCache.get``, however many sources it reads.
 
-The cache is bounded: ``GatewayPolicy.query_cache_max_entries`` sets an
-LRU capacity (0 = unbounded).  Lookups refresh recency; inserting past
+The cache is bounded: ``max_entries`` is an LRU capacity (0 =
+unbounded).  Lookups refresh recency; inserting past
 capacity evicts the least recently used entry and counts it in
 ``evictions``, so a long-running gateway's memory footprint stays flat.
 """
@@ -126,7 +126,7 @@ class CacheController:
         clock: VirtualClock,
         *,
         ttl: float = 30.0,
-        max_entries: int = 0,
+        max_entries: int = 4096,
         registry: "MetricsRegistry | None" = None,
     ) -> None:
         if ttl < 0:

@@ -13,10 +13,10 @@ elapsed time is the *max* of branch delays, and adds two controls on top:
   question) share one agent round-trip.  Joiners wait until the shared
   flight completes, then reuse its rows (or its failure) without any
   agent traffic of their own.
-* **per-source concurrency caps** — at most
-  ``GatewayPolicy.max_concurrent_per_source`` requests may be in flight
-  to one data source (or remote gateway) at once; excess branches queue
-  in virtual time, so a gateway fan-out cannot stampede an agent.
+* **per-source concurrency caps** — at most ``max_concurrent_per_source``
+  requests (4; 0 = unlimited) may be in flight to one data source (or
+  remote gateway) at once; excess branches queue in virtual time, so a
+  gateway fan-out cannot stampede an agent.
 * **hedged requests** ("The Tail at Scale") — when a source's answer has
   not arrived within a high percentile of its recently observed
   latencies, a second identical request is fired at the same source and
@@ -38,10 +38,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.core.admission import GradientLimiter
+from repro.core.admission import INITIAL_LIMIT, GradientLimiter
 from repro.core.cache import normalise_sql
 from repro.core.deadline import Deadline
-from repro.core.errors import GridRmError
+from repro.core.errors import GridRmError, PolicyError
 from repro.core.policy import GatewayPolicy
 from repro.dbapi.exceptions import SQLException
 from repro.obs.metrics import MetricsRegistry, StatsView
@@ -118,9 +118,33 @@ class FanoutDispatcher:
         *,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
+        max_concurrent_per_source: int = 4,
+        hedge_percentile: float = 95.0,
+        hedge_min_samples: int = 8,
+        hedge_min_delay: float = 0.005,
     ) -> None:
+        if (
+            max_concurrent_per_source < 0
+            or not 0.0 < hedge_percentile <= 100.0
+            or hedge_min_samples < 1
+            or hedge_min_delay < 0
+        ):
+            raise PolicyError(
+                "dispatcher needs cap >= 0, 0 < hedge_percentile <= 100, "
+                "hedge_min_samples >= 1, hedge_min_delay >= 0: "
+                f"{max_concurrent_per_source!r}, {hedge_percentile!r}, "
+                f"{hedge_min_samples!r}, {hedge_min_delay!r}"
+            )
         self.clock = clock
         self.policy = policy
+        #: In-flight requests allowed per source (0 = unlimited).
+        self.max_concurrent_per_source = max_concurrent_per_source
+        #: Latency percentile that arms the hedge timer (95 = slowest 5%).
+        self.hedge_percentile = hedge_percentile
+        #: Successful samples a source needs before it is hedged at all.
+        self.hedge_min_samples = hedge_min_samples
+        #: Floor on the timer: micro-jitter must not double the traffic.
+        self.hedge_min_delay = hedge_min_delay
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NO_TRACER
         self._flights: dict[tuple[str, str], Flight] = {}
@@ -278,7 +302,7 @@ class FanoutDispatcher:
         flight_key = self.flight_key(source_key, sql, key)
         self._await_slot(source_key, deadline=deadline)
         started = self.clock.now()
-        delay = self._hedge_delay(source_key) if hedge else None
+        delay = self.hedge_delay(source_key) if hedge else None
         if delay is None:
             try:
                 value = fetch()
@@ -378,19 +402,16 @@ class FanoutDispatcher:
         if self.policy.adaptive_concurrency:
             self._source_limiter(source_key).observe(elapsed, congested=True)
 
-    def _hedge_delay(self, source_key: str) -> float | None:
-        """Arm the hedge timer, or None when hedging must not fire."""
+    def hedge_delay(self, source_key: str) -> float | None:
+        """The hedge timer to arm for a source, or None when hedging must
+        not fire (also the console's view of it)."""
         if not (self.policy.hedge_enabled and self.policy.fanout_enabled):
             return None
         window = self._latencies.get(source_key)
-        if window is None or len(window) < self.policy.hedge_min_samples:
+        if window is None or len(window) < self.hedge_min_samples:
             return None
-        delay = percentile(window, self.policy.hedge_percentile)
-        return max(delay, self.policy.hedge_min_delay)
-
-    def hedge_delay(self, source_key: str) -> float | None:
-        """The currently armed hedge timer for a source (console view)."""
-        return self._hedge_delay(source_key)
+        delay = percentile(window, self.hedge_percentile)
+        return max(delay, self.hedge_min_delay)
 
     def _finish_flight(
         self,
@@ -425,13 +446,9 @@ class FanoutDispatcher:
         """
         limiter = self._limiters.get(source_key)
         if limiter is None:
-            initial = (
-                self.policy.max_concurrent_per_source
-                or self.policy.admission_initial_limit
-            )
             limiter = self._limiters[source_key] = GradientLimiter(
                 self.clock,
-                initial=initial,
+                initial=self.max_concurrent_per_source or INITIAL_LIMIT,
                 registry=self.registry,
                 key=source_key,
             )
@@ -455,7 +472,7 @@ class FanoutDispatcher:
         if self.policy.adaptive_concurrency:
             cap = self._source_limiter(source_key).limit
         else:
-            cap = self.policy.max_concurrent_per_source
+            cap = self.max_concurrent_per_source
         if cap > 0 and len(live) >= cap:
             waited_from = now
             with self.tracer.span("cap_wait", source=source_key) as wspan:

@@ -141,11 +141,7 @@ class Gateway:
         # out as the GatewayMetrics GLUE group.
         self.metrics = MetricsRegistry(network.clock)
         self._query_elapsed = self.metrics.histogram("gateway.query_elapsed")
-        self.tracer = Tracer(
-            network.clock,
-            enabled=self.policy.tracing_enabled,
-            max_traces=self.policy.trace_max_traces,
-        )
+        self.tracer = Tracer(network.clock, enabled=self.policy.tracing_enabled)
         # Harnesses that run this gateway under the virtual-lane race
         # detector (chaos --race-detect, racecheck) attach it here so
         # analyze() folds GRM55x findings into the admin report.
@@ -177,7 +173,6 @@ class Gateway:
         self.cache = CacheController(
             network.clock,
             ttl=self.policy.query_cache_ttl,
-            max_entries=self.policy.query_cache_max_entries,
             registry=self.metrics,
         )
         # Durable history (policy.history_durable): the storage engine
@@ -236,8 +231,7 @@ class Gateway:
         # Overload protection: bounded admission queue + gateway-wide
         # adaptive concurrency + NORMAL/BROWNOUT/SHED pressure machine.
         # Inert unless policy.admission_enabled (decide/admit are only
-        # called on the admitted path), so replay signatures and golden
-        # traces of existing scenarios are untouched.
+        # called on the admitted path).
         self.overload = AdmissionController(
             network.clock,
             self.policy,
@@ -258,10 +252,9 @@ class Gateway:
             admission=self.overload,
         )
         # Continuous-SQL streaming plane (repro.gma.streams): built only
-        # when policy.streaming_enabled, so default gateways schedule no
-        # sweep timer and publish nothing — replay signatures and golden
-        # traces of existing scenarios are untouched.  Imported lazily
-        # (like AlertMonitor) to keep module import order acyclic.
+        # when policy.streaming_enabled, so the paper's gateway schedules
+        # no sweep timer and publishes nothing.  Imported lazily (like
+        # AlertMonitor) to keep module import order acyclic.
         self.streams: Any | None = None
         if self.policy.streaming_enabled:
             from repro.gma.streams import StreamHub
@@ -888,12 +881,7 @@ class Gateway:
         # Final checkpoint: seal the memtable so a successor recovers
         # from segments alone, with an empty WAL (no-op when not durable).
         self.history.checkpoint()
-        for rule in [r.name for r in self.alerts.rules()]:
-            self.alerts.remove_rule(rule)
-        self.events.stop()
-        if self.streams is not None:
-            self.streams.close()
-        self.connection_manager.close_all()
+        self._halt()
         self.cache.invalidate()
 
     def crash(self) -> None:
@@ -909,11 +897,18 @@ class Gateway:
         if self._checkpoint_task is not None:
             self._checkpoint_task.cancel()
             self._checkpoint_task = None
+        self._halt()
+
+    def _halt(self) -> None:
+        """What shutdown and crash share: stop background work, unbind
+        every port this gateway listens on, drop pooled connections."""
         for rule in [r.name for r in self.alerts.rules()]:
             self.alerts.remove_rule(rule)
         self.events.stop()
         if self.streams is not None:
             self.streams.close()
+        if self.global_layer is not None:
+            self.global_layer.producer.close()
         self.connection_manager.close_all()
 
     # ------------------------------------------------------------------

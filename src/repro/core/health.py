@@ -29,8 +29,8 @@ State machine::
   an exponential, jittered backoff (computed on the
   :class:`~repro.simnet.clock.VirtualClock`) decides when to probe.
 * ``HALF_OPEN`` — the backoff elapsed; trial requests are allowed.  One
-  failure re-opens with a doubled backoff; ``breaker_half_open_probes``
-  consecutive successes close the breaker.
+  failure re-opens with a doubled backoff; ``half_open_probes``
+  consecutive successes (1) close the breaker.
 
 The tracker is deliberately passive: callers ask :meth:`allow_request`
 before paying connect/retry cost and report outcomes with
@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.analysis import races
+from repro.core.errors import PolicyError
 from repro.core.policy import GatewayPolicy
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.simnet.clock import VirtualClock
@@ -132,9 +133,13 @@ class HealthTracker:
         on_transition: TransitionListener | None = None,
         jitter_seed: int = 0,
         registry: "MetricsRegistry | None" = None,
+        half_open_probes: int = 1,
     ) -> None:
+        if half_open_probes < 1:
+            raise PolicyError(f"half_open_probes must be >= 1: {half_open_probes!r}")
         self.clock = clock
         self.policy = policy
+        self.half_open_probes = half_open_probes
         self.on_transition = on_transition
         self._rng = random.Random(jitter_seed)
         self._sources: dict[str, SourceHealth] = {}
@@ -265,7 +270,7 @@ class HealthTracker:
             return
         if entry.state is not BreakerState.CLOSED:
             entry.half_open_successes += 1
-            if entry.half_open_successes >= self.policy.breaker_half_open_probes:
+            if entry.half_open_successes >= self.half_open_probes:
                 entry.current_backoff = 0.0
                 self.stats.inc("recoveries")
                 self._transition(entry, BreakerState.CLOSED)

@@ -184,6 +184,7 @@ class RequestManager:
         self.cache = cache
         self.history = history
         self.policy = policy
+        self.retry = RetryPolicy(attempts=policy.retry_attempts)
         #: Shared per-source circuit breakers (injected by the Gateway).
         self.health = health
         #: The gateway's admission controller (injected by the Gateway
@@ -279,10 +280,10 @@ class RequestManager:
         self.stats.inc("queries")
         if (
             retry_budget is None
-            and self.policy.retry_attempts > 1
-            and self.policy.retry_budget > 0
+            and self.retry.attempts > 1
+            and self.retry.budget > 0
         ):
-            retry_budget = RetryBudget(self.policy.retry_budget)
+            retry_budget = RetryBudget(self.retry.budget)
         if isinstance(urls, (str, JdbcUrl)):
             urls = [urls]
         parsed = [JdbcUrl.parse(u) if isinstance(u, str) else u for u in urls]
@@ -642,7 +643,6 @@ class RequestManager:
             else None
         )
         qc = QueryClass.parse((info or {}).get("query_class"))
-        retry = RetryPolicy.from_gateway_policy(self.policy)
         fetch_started = self.clock.now()
         attempt = 0
         # Admission was decided by the allow_request above; pin it for
@@ -710,8 +710,8 @@ class RequestManager:
                     transient = (
                         unhealthy or isinstance(exc, DataSourceError)
                     ) and not isinstance(exc, SourceQuarantinedError)
-                    if transient and reissuable and attempt < retry.attempts:
-                        pause = retry.backoff(attempt, self._retry_rng)
+                    if transient and reissuable and attempt < self.retry.attempts:
+                        pause = self.retry.backoff(attempt, self._retry_rng)
                         if adm is not None and not adm.allow_retry(qc):
                             # Re-check admission: retrying under pressure
                             # is extra offered load fighting our own
@@ -745,18 +745,17 @@ class RequestManager:
             url_text, sql, list(columns), [list(r) for r in rows],
             group=group, key=entry.key,
         )
-        if self.policy.history_enabled:
-            if self.history.schema.has_group(group):
-                canonical = self.history.schema.group(group)
-                # Only record rows that carry the group's fields (star
-                # queries); narrow projections are not representative.
-                if set(canonical.field_names()) <= set(columns):
-                    self.history.record(
-                        canonical.name,
-                        [dict(zip(columns, r)) for r in rows],
-                        source_url=url_text,
-                        recorded_at=self.clock.now(),
-                    )
+        if self.history.schema.has_group(group):
+            canonical = self.history.schema.group(group)
+            # Only record rows that carry the group's fields (star
+            # queries); narrow projections are not representative.
+            if set(canonical.field_names()) <= set(columns):
+                self.history.record(
+                    canonical.name,
+                    [dict(zip(columns, r)) for r in rows],
+                    source_url=url_text,
+                    recorded_at=self.clock.now(),
+                )
         if self.streams is not None:
             # Continuous queries see every real-time fetch at the moment
             # it is produced — predicate evaluation happens in the hub

@@ -25,28 +25,30 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.core.errors import PolicyError
 from repro.core.health import jittered_backoff
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Query-level retry tunables (derived from ``GatewayPolicy``)."""
+    """Query-level retry tunables; the request manager takes ``attempts``
+    from ``GatewayPolicy.retry_attempts`` and the rest from here."""
 
     #: Max attempts per source per query, including the first (1 = off).
     attempts: int = 1
     #: Tokens shared by all sources of one query (caps amplification).
     budget: int = 3
+    #: Jittered-exponential backoff base between attempts (s, virtual).
     base_backoff: float = 0.05
+    #: Ceiling on the per-attempt backoff.
     max_backoff: float = 2.0
 
-    @classmethod
-    def from_gateway_policy(cls, policy) -> "RetryPolicy":
-        return cls(
-            attempts=policy.retry_attempts,
-            budget=policy.retry_budget,
-            base_backoff=policy.retry_base_backoff,
-            max_backoff=policy.retry_max_backoff,
-        )
+    def __post_init__(self) -> None:
+        if self.budget < 0 or not 0 < self.base_backoff <= self.max_backoff:
+            raise PolicyError(
+                "retry needs budget >= 0, 0 < base_backoff <= max_backoff: "
+                f"{self.budget!r}, {self.base_backoff!r}, {self.max_backoff!r}"
+            )
 
     def backoff(self, attempt: int, rng: random.Random) -> float:
         """Jittered wait before retry number ``attempt`` (1-based)."""

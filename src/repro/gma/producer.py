@@ -45,6 +45,10 @@ class GatewayProducer:
         self.requests_served = 0
         gateway.network.listen(self.address, self._handle)
 
+    def close(self) -> None:
+        """Unbind the query endpoint (gateway shutdown / crash)."""
+        self.gateway.network.close(self.address)
+
     def _handle(self, payload: Any, src: Address) -> dict[str, Any]:
         self.requests_served += 1
         if not isinstance(payload, dict) or "op" not in payload:

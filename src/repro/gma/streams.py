@@ -67,7 +67,12 @@ from repro.analysis import races
 from repro.core.admission import QueryClass
 from repro.gma.archiver import EventArchiver
 from repro.core.deadline import Deadline
-from repro.core.errors import DeadlineExceededError, GridRmError, OverloadError
+from repro.core.errors import (
+    DeadlineExceededError,
+    GridRmError,
+    OverloadError,
+    PolicyError,
+)
 from repro.core.history import HistoryStore
 from repro.core.policy import GatewayPolicy
 from repro.core.shed import PressureState, ShedAction, shed_action
@@ -233,10 +238,16 @@ class StreamHub:
         overload: "AdmissionController | None" = None,
         tracer: "Tracer | None" = None,
         port: int = STREAM_PORT,
+        replay_limit: int = 256,
     ) -> None:
+        if replay_limit < 1:
+            raise PolicyError(f"replay_limit must be >= 1: {replay_limit!r}")
         self.network = network
         self.host = host
         self.plans = plans
+        #: Newest history rows an attach replay of a ``history``-flavour
+        #: subscription may ship.
+        self.replay_limit = replay_limit
         self.schema = schema
         self.policy = policy
         self.history = history
@@ -431,9 +442,7 @@ class StreamHub:
                 rows = self.history.since(cq.group, watermark)
                 # Cap at the newest rows: attach replay is a catch-up,
                 # not a full table scan shipped over the wire.
-                limit = self.policy.stream_replay_limit
-                if len(rows) > limit:
-                    rows = rows[-limit:]
+                rows = rows[-self.replay_limit :]
                 if rows:
                     # A stored row carries every column of its table, in
                     # table order: its keys are the layout to bind to.
@@ -658,10 +667,12 @@ class StreamHub:
         return len(dead)
 
     def close(self) -> None:
-        """Stop background sweeping (gateway shutdown/crash)."""
+        """Stop sweeping and unbind the control port (gateway shutdown /
+        crash: a successor hub must be able to listen on it)."""
         if self._sweep_task is not None:
             self._sweep_task.cancel()
             self._sweep_task = None
+        self.network.close(self.address)
 
     def subscription_count(self) -> int:
         return len(self._subs)

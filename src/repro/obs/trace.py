@@ -372,6 +372,8 @@ class Tracer:
         enabled: bool = True,
         max_traces: int = 256,
     ) -> None:
+        if max_traces < 1:
+            raise ValueError(f"max_traces must be >= 1: {max_traces!r}")
         self.clock = clock
         self.enabled = enabled
         self.max_traces = max_traces

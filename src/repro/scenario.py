@@ -6,15 +6,16 @@ schedule and holds it to executable checkers.  The five scenarios are
 declarations in :mod:`repro.scenarios`; the lifecycle is written once,
 here, in :func:`_run_once`:
 
-    build site (on a :class:`SimDisk` when the scenario is durable)
-    -> settle 60 s -> attach the race detector -> warm-up rounds
+    build site (on a :class:`SimDisk`) -> settle 60 s -> log the client
+    in -> attach the race detector -> warm-up rounds
     -> install faults -> measured steps, each step's payload folded into
     the digest -> drain -> collect evidence -> run checkers -> sign
 
-and a :class:`Scenario` declares only what differs: its
-:class:`GatewayPolicy`, its knobs with their defaults, its fault
-schedule, its ``step(ctx, i)`` returning the payloads to sign, its
-measurements and its checkers.
+and a :class:`Scenario` declares only what differs: its overrides on
+:func:`~repro.core.policy.production` (the one configuration every
+scenario runs in), its knobs with their defaults, its fault schedule, its
+``step(ctx, i)`` returning the payloads to sign, its measurements and its
+checkers.
 
 Everything is seeded and on the virtual clock: re-running with the same
 seed and knobs replays the same fault schedule, the same per-request
@@ -29,12 +30,11 @@ the scenario runs under the virtual-lane race detector
 (:mod:`repro.analysis.races`), then again without it, and
 :func:`compare` holds the two runs' evidence streams equal — per-step
 result digests (the client-visible surface), trace renders (the
-observability surface) and, when the scenario has a disk, WAL frame
-digests (the storage surface).  Matching streams prove both that the
-scenario is a pure function of its seed and that the detector's hooks
-are pure observers; on mismatch the comparator names the first diverging
-step, trace line or WAL frame — the instant replay identity broke, not
-just the fact that it did.  All timings are *virtual* seconds;
+observability surface) and WAL frame digests (the storage surface).
+Matching streams prove both that the scenario is a pure function of its
+seed and that the detector's hooks are pure observers; on mismatch the
+comparator names the first diverging step, trace line or WAL frame — the
+instant replay identity broke, not just the fact that it did.  All timings are *virtual* seconds;
 wall-clock measurement lives in the benchmark suite, not here.
 """
 
@@ -53,6 +53,7 @@ from repro.core.gateway import Gateway
 from repro.core.health import BreakerState
 from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import QueryMode, QueryResult
+from repro.core.security import Principal
 from repro.gma.streams import StreamHub
 from repro.obs.invariants import check_tracer
 from repro.simnet.clock import VirtualClock
@@ -63,6 +64,9 @@ from repro.storage.wal import read_frames
 from repro.testbed import AGENT_KINDS, Site, build_site
 
 SQL = "SELECT * FROM Processor"
+#: Who every scenario query runs as: one logged-in principal, so the
+#: CGSL / FGSL checks are on the path the checkers judge.
+CLIENT = Principal.with_roles("scenario", "operator")
 
 Knobs = Mapping[str, Any]
 
@@ -83,12 +87,13 @@ class Ctx:
     network: Network
     site: Site
     gw: Gateway
-    disk: SimDisk | None
+    disk: SimDisk
     #: Driver-spec persistence shared by every gateway built on the site.
     store: dict[str, str]
     detector: races.RaceDetector | None
     #: Built after warm-up (so warm-up is fault-free by construction).
     plane: FaultPlane = field(init=False)
+    principal: Principal = field(init=False)
     #: Accumulated by steps, completed by ``measure``; becomes
     #: ``report.measurements``.
     measurements: dict[str, Any] = field(default_factory=dict)
@@ -111,11 +116,15 @@ class Ctx:
 
     def poll(self, sql: str = SQL) -> QueryResult:
         """One REALTIME query over every source of the site."""
-        return self.gw.query(self.urls, sql, mode=QueryMode.REALTIME)
+        return self.gw.query(
+            self.urls, sql, mode=QueryMode.REALTIME, principal=self.principal
+        )
 
     def replace_gateway(self, gw: Gateway) -> None:
-        """Swap in a successor gateway (it inherits the race detector)."""
+        """Swap in a successor gateway: the client logs in again (sessions
+        die with a gateway) and the race detector carries over."""
         self.gw = gw
+        self.principal = gw.login(CLIENT).principal
         if self.detector is not None:
             gw.race_detector = self.detector
 
@@ -167,8 +176,6 @@ class Scenario:
     #: Periods advanced after the last step so fault heals, breaker
     #: re-probes, sweeps and renew timers settle before the checkers look.
     drain_periods: int = 10
-    #: Build the site on a SimDisk (``ctx.disk``), WAL frames compared.
-    durable: bool = False
     site_name: str = "site-a"
     #: Every run is the dual run, asked for or not.
     race_detect: bool = False
@@ -303,12 +310,8 @@ def _run_once(
     """The lifecycle: every scenario, every run, goes through here."""
     clock = VirtualClock()
     network = Network(clock, seed=seed)
-    disk = (
-        SimDisk(
-            clock=clock, write_latency=0.0002, fsync_latency=0.002, read_latency=0.0005
-        )
-        if scenario.durable
-        else None
+    disk = SimDisk(
+        clock=clock, write_latency=0.0002, fsync_latency=0.002, read_latency=0.0005
     )
     store: dict[str, str] = {}
     site = build_site(
@@ -367,7 +370,7 @@ def _run_once(
     gw = ctx.gw
     evidence.trace_renders = [t.render() for t in gw.tracer.traces()]
     engine = gw.history_engine
-    if disk is not None and engine is not None:
+    if engine is not None:
         engine.sync()
         frames, evidence.wal_tail, _ = read_frames(disk.read(engine.wal.path))
         evidence.wal_frames = [hashlib.sha256(f).hexdigest()[:16] for f in frames]

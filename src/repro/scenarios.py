@@ -4,6 +4,10 @@ Each is a :class:`~repro.scenario.Scenario`: what differs between
 ``chaos``, ``overload``, ``stream``, ``crashtest`` and ``racecheck``.
 The lifecycle they all run through, the report they all return and the
 dual run ``--race-detect`` means on each are in :mod:`repro.scenario`.
+
+Every scenario runs under :func:`repro.core.policy.production`; a
+``_<name>_policy`` spells only what that scenario varies or must pin,
+each with its reason.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Any, Sequence
 
 from repro.core.dispatch import percentile
 from repro.core.gateway import BatchQuery, Gateway
-from repro.core.policy import GatewayPolicy
+from repro.core.policy import GatewayPolicy, production
 from repro.core.request_manager import QueryMode
 from repro.gma.streams import FLAVOURS, Republisher, StreamConsumer
 from repro.scenario import (
@@ -63,11 +67,17 @@ def install_standard_faults(ctx: Ctx) -> None:
 
 
 def _chaos_policy(k: Knobs) -> GatewayPolicy:
-    return GatewayPolicy(
+    return production(
+        # The two A/B arms of E15/E16 (--no-fanout, --no-hedge).
         fanout_enabled=k["fanout"],
         hedge_enabled=k["hedging"],
+        # One query-level retry (the default, 1, never retries) inside an
+        # end-to-end deadline: what E15 measures.
         retry_attempts=2,
         default_deadline=k["deadline"],
+        # One WAL generation for the whole run, so the dual run compares
+        # every frame by index (a periodic checkpoint truncates the log).
+        history_checkpoint_interval=0.0,
     )
 
 
@@ -145,23 +155,13 @@ CHAOS = Scenario(
 )
 
 
-def _racecheck_policy(k: Knobs) -> GatewayPolicy:
-    # One WAL generation for the whole run: every frame stays comparable
-    # by index (rotation would reshuffle file names).
-    return dataclasses.replace(
-        _chaos_policy(k), history_durable=True, history_checkpoint_interval=0.0
-    )
-
-
-#: The chaos declaration on a durable history store, always dual-run: all
-#: three evidence streams (steps, traces, WAL frames) get compared.
+#: The chaos declaration, always dual-run: all three evidence streams
+#: (steps, traces, WAL frames) get compared.
 RACECHECK = dataclasses.replace(
     CHAOS,
     name="racecheck",
     help="dual-run divergence check + virtual-lane race detection",
     knobs={**CHAOS.knobs, "rounds": 15},
-    policy=_racecheck_policy,
-    durable=True,
     race_detect=True,
 )
 
@@ -196,11 +196,18 @@ def _member_sql(k: Knobs) -> list[str]:
 
 
 def _overload_policy(k: Knobs) -> GatewayPolicy:
-    return GatewayPolicy(
-        fanout_enabled=True,
+    return production(
+        # Hedging fights admission control (ROADMAP item 1, open): a hedge
+        # is a second copy of the work the limiter is shedding.  On a
+        # zero-latency history store, shedding on, spike goodput falls to
+        # 25-31 of 32 with 6-13 breaker trips (seeds 0-4; 29-32 and none
+        # unhedged) and E18's shape is lost; this disk's WAL latency
+        # happens to mask it, which the shape must not depend on.
         hedge_enabled=False,
+        # Goodput is "complete inside the deadline"; one retry as in chaos.
         retry_attempts=2,
         default_deadline=k["deadline"],
+        # --shed-off is the collapse arm: both overload planes off.
         admission_enabled=k["shedding"],
         adaptive_concurrency=k["shedding"],
         admission_queue_limit=QUEUE_LIMIT,
@@ -266,7 +273,7 @@ def _overload_step(ctx: Ctx, rnd: int) -> list[Any]:
     ]
     payloads: list[Any] = []
     good = 0
-    for i, out in enumerate(ctx.gw.query_batch(members)):
+    for i, out in enumerate(ctx.gw.query_batch(members, principal=ctx.principal)):
         if isinstance(out, Exception):
             payloads.append((rnd, i, type(out).__name__, str(out)))
             continue
@@ -367,12 +374,12 @@ OVERLOAD = Scenario(
 # stream: continuous queries x faults x lease recovery
 # ----------------------------------------------------------------------
 def _stream_policy(k: Knobs) -> GatewayPolicy:
-    return GatewayPolicy(
-        fanout_enabled=True,
-        hedge_enabled=False,
+    return production(
+        # As chaos: this scenario runs the standard fault schedule.
         retry_attempts=2,
         default_deadline=k["deadline"],
-        streaming_enabled=True,
+        # Leases and sweeps scaled to the poll period, so the consumer
+        # partition outlives lease + tombstone grace at any cadence.
         stream_sweep_period=k["period"],
         stream_default_lease=2.0 * k["period"],
     )
@@ -390,7 +397,7 @@ def _stream_faults(ctx: Ctx) -> None:
     k, gw, network = ctx.k, ctx.gw, ctx.network
     period = k["period"]
     lease = 2.0 * period
-    assert gw.streams is not None  # streaming_enabled in the policy
+    assert gw.streams is not None  # production() has the streaming plane
     consumer = StreamConsumer(network, "stream-client")
     hub_addr = gw.streams.address
     # Deterministic flavour x class mix; distinct predicates so the
@@ -542,8 +549,7 @@ STREAM = Scenario(
 # crashtest: kill / recover / verify over the durable history store
 # ----------------------------------------------------------------------
 def _crash_policy(k: Knobs) -> GatewayPolicy:
-    return GatewayPolicy(
-        history_durable=True,
+    return production(
         history_fsync_interval=k["fsync_interval"],
         # Checkpoints are driven explicitly by the step so every cycle's
         # sealing schedule is a pure function of the knobs.
@@ -585,7 +591,6 @@ def _crash_step(ctx: Ctx, cycle: int) -> list[Any]:
     serves exactly the pre-crash acknowledged prefix per GLUE group.
     """
     k, m, gw, disk = ctx.k, ctx.measurements, ctx.gw, ctx.disk
-    assert disk is not None
     violations = ctx.found["acked_prefix"]
     rng = ctx.fixtures.setdefault("rng", random.Random(ctx.seed ^ 0x5EED))
     for counter in _CRASH_COUNTERS:
@@ -740,7 +745,6 @@ CRASHTEST = Scenario(
     steps="cycles",
     paced=False,
     drain_periods=0,
-    durable=True,
     site_name="crash",
 )
 

@@ -10,7 +10,7 @@ and every benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.agents.ganglia import GangliaAgent
 from repro.agents.host_model import HostSpec, SimulatedHost
@@ -23,10 +23,6 @@ from repro.core.gateway import Gateway
 from repro.core.policy import GatewayPolicy
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
-
-#: Agent kinds :func:`build_site` understands.
-AGENT_KINDS = ("snmp", "ganglia", "nws", "netlogger", "scms", "sql")
-
 
 @dataclass
 class Site:
@@ -67,6 +63,59 @@ class Site:
         if host not in self.host_names() and host != self.gateway.host:
             raise KeyError(f"no host {host!r} in site {self.name!r}")
         self.network.set_host_up(host, True)
+
+
+def _snmp(site: Site, hosts: list[SimulatedHost], trap_threshold: float | None) -> Any:
+    agent = SnmpAgent(hosts[0], site.network, load_trap_threshold=trap_threshold)
+    if trap_threshold is not None:
+        agent.add_trap_sink(site.gateway.trap_sink_address)
+    return agent
+
+
+#: What :func:`build_site` can deploy, in deployment order: kind, agent
+#: factory ``(site, hosts, snmp trap threshold)``, source URL template,
+#: and whether the kind runs one agent per host (``hosts`` is then that
+#: one host) or one per site.  A new driver's agent is one row here.
+_AGENTS: tuple[tuple[str, Callable[..., Any], str, bool], ...] = (
+    ("snmp", _snmp, "jdbc:snmp://{host}/system", True),
+    (
+        "ganglia",
+        lambda site, hosts, _: GangliaAgent(site.name, hosts, site.network),
+        "jdbc:ganglia://{host}/cluster",
+        False,
+    ),
+    (
+        "nws",
+        lambda site, hosts, _: NwsAgent(
+            hosts[0], site.network, peers=[h.spec.name for h in hosts[1:3]]
+        ),
+        "jdbc:nws://{host}/forecast",
+        False,
+    ),
+    (
+        "netlogger",
+        lambda site, hosts, _: NetLoggerAgent(hosts[0], site.network),
+        "jdbc:netlogger://{host}/ulm",
+        True,
+    ),
+    (
+        "scms",
+        lambda site, hosts, _: ScmsAgent(site.name, hosts, site.network),
+        "jdbc:scms://{host}/cluster",
+        False,
+    ),
+    (
+        "sql",
+        lambda site, hosts, _: SqlAgent(
+            seed_site_database(hosts, site.network), site.network, hosts[-1].spec.name
+        ),
+        "jdbc:sql://{host}/sitedb",
+        False,
+    ),
+)
+
+#: Agent kinds :func:`build_site` understands.
+AGENT_KINDS = tuple(kind for kind, *_ in _AGENTS)
 
 
 def build_site(
@@ -126,55 +175,16 @@ def build_site(
 
     site = Site(name=name, network=network, hosts=hosts, gateway=gateway)
 
-    if "snmp" in agents:
-        snmp_agents = []
-        for h in hosts:
-            agent = SnmpAgent(
-                h, network, load_trap_threshold=snmp_trap_threshold
-            )
-            if snmp_trap_threshold is not None:
-                agent.add_trap_sink(gateway.trap_sink_address)
-            snmp_agents.append(agent)
-            url = f"jdbc:snmp://{h.spec.name}/system"
+    for kind, factory, template, per_host in _AGENTS:
+        if kind not in agents:
+            continue
+        built = site.agents[kind] = []
+        for group in ([h] for h in hosts) if per_host else [hosts]:
+            agent = factory(site, group, snmp_trap_threshold)
+            built.append(agent)
+            url = template.format(host=agent.address.host)
             gateway.add_source(url)
             site.source_urls.append(url)
-        site.agents["snmp"] = snmp_agents
-    if "ganglia" in agents:
-        agent = GangliaAgent(name, hosts, network)
-        url = f"jdbc:ganglia://{agent.address.host}/cluster"
-        gateway.add_source(url)
-        site.source_urls.append(url)
-        site.agents["ganglia"] = [agent]
-    if "nws" in agents:
-        sensor_host = hosts[0]
-        peers = [h.spec.name for h in hosts[1:3]]
-        agent = NwsAgent(sensor_host, network, peers=peers)
-        url = f"jdbc:nws://{sensor_host.spec.name}/forecast"
-        gateway.add_source(url)
-        site.source_urls.append(url)
-        site.agents["nws"] = [agent]
-    if "netlogger" in agents:
-        nl_agents = []
-        for h in hosts:
-            nl_agents.append(NetLoggerAgent(h, network))
-            url = f"jdbc:netlogger://{h.spec.name}/ulm"
-            gateway.add_source(url)
-            site.source_urls.append(url)
-        site.agents["netlogger"] = nl_agents
-    if "scms" in agents:
-        agent = ScmsAgent(name, hosts, network)
-        url = f"jdbc:scms://{agent.address.host}/cluster"
-        gateway.add_source(url)
-        site.source_urls.append(url)
-        site.agents["scms"] = [agent]
-    if "sql" in agents:
-        db = seed_site_database(hosts, network)
-        bind = hosts[-1].spec.name
-        agent = SqlAgent(db, network, bind)
-        url = f"jdbc:sql://{bind}/sitedb"
-        gateway.add_source(url)
-        site.source_urls.append(url)
-        site.agents["sql"] = [agent]
 
     return site
 

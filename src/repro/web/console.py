@@ -245,7 +245,7 @@ class Console:
             "Concurrent dispatch "
             f"(fan-out {'enabled' if gw.policy.fanout_enabled else 'DISABLED'}, "
             f"single-flight {'enabled' if gw.policy.singleflight_enabled else 'DISABLED'}, "
-            f"cap/source={gw.policy.max_concurrent_per_source or 'unlimited'})",
+            f"cap/source={gw.dispatcher.max_concurrent_per_source or 'unlimited'})",
             f"  fan-outs: {d.fanouts} ({d.branches} branches), "
             f"serial runs: {d.serial_runs}",
             f"  flights: {d.flights}, coalesced joins: {d.singleflight_joins}",

@@ -33,11 +33,15 @@ from repro.simnet.clock import VirtualClock
 from repro.testbed import build_testbed
 
 
-def make_controller(clock=None, **policy_kw):
+def make_controller(clock=None, initial_limit=8, batch_queue_share=0.5, **policy_kw):
+    """``initial_limit`` / ``batch_queue_share`` are the controller's own
+    keywords (no shipped caller varies them, so they are not policy)."""
     clock = clock or VirtualClock()
     policy_kw.setdefault("admission_enabled", True)
     policy = GatewayPolicy(**policy_kw)
-    return clock, AdmissionController(clock, policy)
+    return clock, AdmissionController(
+        clock, policy, initial_limit=initial_limit, batch_queue_share=batch_queue_share
+    )
 
 
 def make_limiter(clock, **kw):
@@ -221,9 +225,9 @@ class TestAdmissionController:
 
     def test_queue_overflow_sheds_batch_before_interactive(self):
         clock, adm = make_controller(
-            admission_initial_limit=1,
+            initial_limit=1,
             admission_queue_limit=4,
-            admission_batch_queue_share=0.5,
+            batch_queue_share=0.5,
         )
         # Saturate the service slots with work that never finishes soon.
         t = adm.admit(QueryClass.INTERACTIVE)
@@ -238,7 +242,7 @@ class TestAdmissionController:
 
     def test_critical_never_queue_shed(self):
         clock, adm = make_controller(
-            admission_initial_limit=1, admission_queue_limit=2
+            initial_limit=1, admission_queue_limit=2
         )
         adm._ends.append(clock.now() + 0.5)
         now = clock.now()
@@ -249,7 +253,7 @@ class TestAdmissionController:
         assert adm.sheds.counts()["critical"] == 0
 
     def test_doomed_on_dequeue(self):
-        clock, adm = make_controller(admission_initial_limit=1)
+        clock, adm = make_controller(initial_limit=1)
         # Observed service times: p50 = 1.0s.
         for _ in range(8):
             t = adm.admit(QueryClass.INTERACTIVE)
@@ -290,8 +294,11 @@ class TestAdmissionController:
 
 class TestPolicyValidation:
     """Bad knobs are refused where they are read: policy fields by
-    ``GatewayPolicy``, the limiter's and the pressure monitor's own
-    constants by their constructors — all with ``PolicyError``."""
+    ``GatewayPolicy``, the controller's, the limiter's and the pressure
+    monitor's own constants by their constructors — all with
+    ``PolicyError``."""
+
+    controller = functools.partial(AdmissionController, VirtualClock(), GatewayPolicy())
 
     limiter = functools.partial(GradientLimiter, VirtualClock(), initial=4)
     monitor = functools.partial(
@@ -302,9 +309,9 @@ class TestPolicyValidation:
         "kw",
         [
             (GatewayPolicy, {"admission_queue_limit": 0}),
-            (GatewayPolicy, {"admission_batch_queue_share": 0.0}),
-            (GatewayPolicy, {"admission_batch_queue_share": 1.5}),
-            (GatewayPolicy, {"admission_initial_limit": 0}),
+            (controller, {"batch_queue_share": 0.0}),
+            (controller, {"batch_queue_share": 1.5}),
+            (controller, {"initial_limit": 0}),
             (limiter, {"floor": 0}),
             (limiter, {"ceiling": 1, "floor": 2}),
             (limiter, {"tolerance": 1.0}),
@@ -544,7 +551,7 @@ class TestGatewayWiring:
         assert "pressure.shed" in names
 
     def test_history_mode_bypasses_admission(self):
-        policy = GatewayPolicy(admission_enabled=True, history_enabled=True)
+        policy = GatewayPolicy(admission_enabled=True)
         network, (site,) = build_testbed(
             n_hosts=1, agents=("snmp",), seed=0, policy=policy
         )

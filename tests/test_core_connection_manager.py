@@ -15,12 +15,12 @@ def agents(network, hosts):
     return [SnmpAgent(h, network) for h in hosts]
 
 
-def make_cm(network, policy=None):
+def make_cm(network, policy=None, **own):
     policy = policy or GatewayPolicy()
     registry = DriverRegistry()
     dm = GridRmDriverManager(registry, policy)
     dm.register(SnmpDriver(network, gateway_host="gateway"))
-    return ConnectionManager(dm, network.clock, policy)
+    return ConnectionManager(dm, network.clock, policy, **own)
 
 
 URL = "jdbc:snmp://n0/x"
@@ -138,7 +138,7 @@ class TestRevalidation:
         assert driver.stats["probes"] == probes
 
     def test_stale_idle_revalidated(self, network, agents):
-        cm = make_cm(network, GatewayPolicy(pool_idle_ttl=10.0))
+        cm = make_cm(network, idle_ttl=10.0)
         driver = cm.driver_manager.driver_by_name("JDBC-SNMP")
         cm.release(cm.acquire(URL))
         network.clock.advance(11.0)
@@ -149,7 +149,7 @@ class TestRevalidation:
         assert cm.stats["revalidated"] == 1
 
     def test_stale_invalid_replaced(self, network, agents):
-        cm = make_cm(network, GatewayPolicy(pool_idle_ttl=10.0))
+        cm = make_cm(network, idle_ttl=10.0)
         first = cm.acquire(URL)
         cm.release(first)
         network.clock.advance(11.0)

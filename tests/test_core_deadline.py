@@ -5,6 +5,8 @@ the dispatcher's hedging path, plus integration tests driving them
 through a live testbed gateway.
 """
 
+import dataclasses
+import functools
 import random
 
 import pytest
@@ -82,15 +84,12 @@ class TestRetryPolicy:
         assert waits[3] == 0.4  # 0.8 raw, capped
 
     def test_from_gateway_policy_maps_knobs(self):
-        gw = GatewayPolicy(
-            retry_attempts=3,
-            retry_budget=7,
-            retry_base_backoff=0.02,
-            retry_max_backoff=1.5,
-        )
-        policy = RetryPolicy.from_gateway_policy(gw)
-        assert policy == RetryPolicy(
-            attempts=3, budget=7, base_backoff=0.02, max_backoff=1.5
+        """The request manager takes ``attempts`` from the gateway policy;
+        budget and backoffs are ``RetryPolicy``'s own defaults (no shipped
+        caller varies them), replaceable on the manager."""
+        site = make_site(GatewayPolicy(retry_attempts=3))
+        assert site.gateway.request_manager.retry == RetryPolicy(
+            attempts=3, budget=3, base_backoff=0.05, max_backoff=2.0
         )
 
 
@@ -110,23 +109,28 @@ class TestRetryBudget:
 
 
 class TestPolicyValidation:
+    dispatcher = functools.partial(FanoutDispatcher, VirtualClock(), GatewayPolicy())
+
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"default_deadline": -1.0},
-            {"retry_attempts": 0},
-            {"retry_budget": -1},
-            {"retry_base_backoff": 0.0},
-            {"retry_base_backoff": 0.5, "retry_max_backoff": 0.1},
-            {"hedge_percentile": 0.0},
-            {"hedge_percentile": 101.0},
-            {"hedge_min_samples": 0},
-            {"hedge_min_delay": -0.1},
+            (GatewayPolicy, {"default_deadline": -1.0}),
+            (GatewayPolicy, {"retry_attempts": 0}),
+            (RetryPolicy, {"budget": -1}),
+            (RetryPolicy, {"base_backoff": 0.0}),
+            (RetryPolicy, {"base_backoff": 0.5, "max_backoff": 0.1}),
+            (dispatcher, {"hedge_percentile": 0.0}),
+            (dispatcher, {"hedge_percentile": 101.0}),
+            (dispatcher, {"hedge_min_samples": 0}),
+            (dispatcher, {"hedge_min_delay": -0.1}),
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
+        """Refused where they are read: policy fields by ``GatewayPolicy``,
+        the retry and hedge constants by their components."""
+        build, kw = kwargs
         with pytest.raises(PolicyError):
-            GatewayPolicy(**kwargs)
+            build(**kw)
 
 
 class TestDeadlineIntegration:
@@ -183,9 +187,12 @@ class TestDeadlineIntegration:
 
 
 class TestRetryIntegration:
-    def _closed_port_site(self, policy):
+    def _closed_port_site(self, policy, **retry):
+        """``retry``: budget / backoffs, set on the request manager (they
+        are ``RetryPolicy`` constants, not policy fields)."""
         site = make_site(policy)
         gw = site.gateway
+        gw.request_manager.retry = dataclasses.replace(gw.request_manager.retry, **retry)
         url = site.url_for("snmp")
         # Warm the driver cache with one good round-trip, then slam the
         # agent's port shut: every connect now fails deterministically.
@@ -197,9 +204,7 @@ class TestRetryIntegration:
 
     def test_transient_failures_retried_until_attempts_exhausted(self):
         site, url = self._closed_port_site(
-            GatewayPolicy(
-                retry_attempts=3, retry_budget=10, breaker_failure_threshold=10
-            )
+            GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10), budget=10
         )
         gw = site.gateway
         result = gw.query(url, SQL, mode=QueryMode.REALTIME)
@@ -208,9 +213,7 @@ class TestRetryIntegration:
 
     def test_retry_budget_caps_amplification(self):
         site, url = self._closed_port_site(
-            GatewayPolicy(
-                retry_attempts=3, retry_budget=1, breaker_failure_threshold=10
-            )
+            GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10), budget=1
         )
         gw = site.gateway
         gw.query(url, SQL, mode=QueryMode.REALTIME)
@@ -227,9 +230,7 @@ class TestRetryIntegration:
 
     def test_non_idempotent_driver_never_retried(self):
         site, url = self._closed_port_site(
-            GatewayPolicy(
-                retry_attempts=3, retry_budget=10, breaker_failure_threshold=10
-            )
+            GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10), budget=10
         )
         gw = site.gateway
         from repro.dbapi.url import JdbcUrl
@@ -242,13 +243,10 @@ class TestRetryIntegration:
 
     def test_no_retry_when_deadline_cannot_absorb_backoff(self):
         site, url = self._closed_port_site(
-            GatewayPolicy(
-                retry_attempts=3,
-                retry_budget=10,
-                retry_base_backoff=5.0,
-                retry_max_backoff=10.0,
-                breaker_failure_threshold=10,
-            )
+            GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10),
+            budget=10,
+            base_backoff=5.0,
+            max_backoff=10.0,
         )
         gw = site.gateway
         gw.query(url, SQL, mode=QueryMode.REALTIME, timeout=2.0)
@@ -257,17 +255,16 @@ class TestRetryIntegration:
 
 
 class TestHedging:
-    def _dispatcher(self, **overrides):
+    def _dispatcher(self, *, hedge_enabled=True, **overrides):
         kwargs = {
-            "hedge_enabled": True,
             "hedge_min_samples": 1,
             "hedge_min_delay": 0.0,
             "hedge_percentile": 95.0,
         }
         kwargs.update(overrides)
-        policy = GatewayPolicy(**kwargs)
+        policy = GatewayPolicy(hedge_enabled=hedge_enabled)
         clock = VirtualClock()
-        return clock, FanoutDispatcher(clock, policy)
+        return clock, FanoutDispatcher(clock, policy, **kwargs)
 
     def _seed_window(self, clock, dispatcher, latency=0.1, n=4):
         # hedge=False while seeding: with identical samples the p95 sits

@@ -15,8 +15,13 @@ def clock():
     return VirtualClock()
 
 
-def dispatcher(clock, **policy_kwargs):
-    return FanoutDispatcher(clock, GatewayPolicy(**policy_kwargs))
+def dispatcher(clock, max_concurrent_per_source=4, **policy_kwargs):
+    """The cap is the dispatcher's own keyword, not a policy field."""
+    return FanoutDispatcher(
+        clock,
+        GatewayPolicy(**policy_kwargs),
+        max_concurrent_per_source=max_concurrent_per_source,
+    )
 
 
 def work(clock, duration, value):

@@ -10,12 +10,14 @@ from repro.simnet.clock import VirtualClock
 KEY = "jdbc:snmp://n0/system"
 
 
-def make_tracker(clock=None, **policy_kwargs):
+def make_tracker(clock=None, half_open_probes=1, **policy_kwargs):
     policy_kwargs.setdefault("breaker_failure_threshold", 3)
     policy_kwargs.setdefault("breaker_base_backoff", 10.0)
     policy_kwargs.setdefault("breaker_max_backoff", 80.0)
     clock = clock or VirtualClock()
-    return clock, HealthTracker(clock, GatewayPolicy(**policy_kwargs))
+    return clock, HealthTracker(
+        clock, GatewayPolicy(**policy_kwargs), half_open_probes=half_open_probes
+    )
 
 
 def trip(clock, tracker, key=KEY, n=3):
@@ -104,7 +106,7 @@ class TestStateMachine:
         assert 10.0 <= wait <= 10.0 * (1 + BACKOFF_JITTER)
 
     def test_half_open_multi_probe_policy(self):
-        clock, tracker = make_tracker(breaker_half_open_probes=2)
+        clock, tracker = make_tracker(half_open_probes=2)
         trip(clock, tracker)
         clock.advance(15.0)
         assert tracker.allow_request(KEY)
@@ -192,4 +194,4 @@ class TestPolicyValidation:
 
     def test_half_open_probes_must_be_positive(self):
         with pytest.raises(PolicyError):
-            GatewayPolicy(breaker_half_open_probes=0)
+            make_tracker(half_open_probes=0)

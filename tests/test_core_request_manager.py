@@ -131,24 +131,24 @@ class TestHistory:
         assert h.rows[0][0] == 0
 
     def test_history_disabled_by_policy(self):
-        from repro.core.policy import GatewayPolicy
+        """Re-aimed: ``history_enabled`` is gone (no shipped caller ever
+        turned history off), so this id now holds that no configuration
+        does — the paper's gateway and ``production()`` both record."""
+        from repro.core.policy import GatewayPolicy, production
 
-        clock = VirtualClock()
-        network = Network(clock, seed=2)
-        site = build_site(
-            network,
-            name="nohist",
-            n_hosts=1,
-            agents=("snmp",),
-            policy=GatewayPolicy(history_enabled=False),
-        )
-        clock.advance(10.0)
-        rm = site.gateway.request_manager
-        rm.execute(site.url_for("snmp"), "SELECT * FROM Processor")
-        h = rm.execute(
-            site.url_for("snmp"), "SELECT * FROM Processor", mode=QueryMode.HISTORY
-        )
-        assert len(h.rows) == 0
+        for policy in (GatewayPolicy(), production()):
+            clock = VirtualClock()
+            network = Network(clock, seed=2)
+            site = build_site(
+                network, name="hist", n_hosts=1, agents=("snmp",), policy=policy
+            )
+            clock.advance(10.0)
+            rm = site.gateway.request_manager
+            rm.execute(site.url_for("snmp"), "SELECT * FROM Processor")
+            h = rm.execute(
+                site.url_for("snmp"), "SELECT * FROM Processor", mode=QueryMode.HISTORY
+            )
+            assert len(h.rows) == 1
 
     def test_mixed_columns_align_by_name(self, rig):
         """History results carry provenance columns; consolidation with a

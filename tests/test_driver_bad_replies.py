@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.agents import snmp as wire
-from repro.core.policy import GatewayPolicy
+from repro.core.policy import GatewayPolicy, production
 from repro.dbapi.exceptions import SQLException
 from repro.dbapi.url import JdbcUrl
 from repro.drivers import default_driver_set
@@ -31,15 +31,6 @@ from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
 from repro.sql.parser import parse_select
 from repro.testbed import build_site
-
-#: What every gateway of ``benchmarks/e2e`` runs (its ``BENCH_POLICY``).
-ALL_PLANES = dict(
-    history_durable=True,
-    streaming_enabled=True,
-    admission_enabled=True,
-    adaptive_concurrency=True,
-    hedge_enabled=True,
-)
 
 #: protocol -> the query the matrix and the recorder run against it.
 #: ``LIMIT 1`` keeps NetLogger's honest row count independent of how
@@ -58,10 +49,11 @@ DRIVERS = {driver.protocol: driver for driver in default_driver_set(None)}
 REGISTERED = list(DRIVERS)
 
 
-def _site(protocol, **policy):
+def _site(protocol):
     network = Network(VirtualClock(), seed=7)
-    policy = GatewayPolicy(query_cache_ttl=0.0, pool_idle_ttl=1e9, **policy)
+    policy = GatewayPolicy(query_cache_ttl=0.0)
     site = build_site(network, name="s", n_hosts=3, agents=(protocol,), policy=policy)
+    site.gateway.connection_manager.idle_ttl = 1e9
     return network, site
 
 
@@ -82,12 +74,14 @@ def _intercept(network, port, mutate):
 # ----------------------------------------------------------------------
 # The ROADMAP item-2 reproduction
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("policy", [{}, ALL_PLANES], ids=["default", "all-planes"])
+@pytest.mark.parametrize(
+    "policy", [GatewayPolicy, production], ids=["default", "all-planes"]
+)
 def test_half_a_gmond_dump_costs_the_ganglia_source_only(policy):
     network = Network(VirtualClock(), seed=7)
     site = build_site(
         network, name="s", n_hosts=3, agents=("snmp", "ganglia"),
-        policy=GatewayPolicy(**policy),
+        policy=policy(),
     )
     gateway, agent = site.gateway, site.agents["ganglia"][0]
     ganglia_url = site.source_urls[-1]

@@ -125,10 +125,9 @@ class TestAgentChurn:
 
     def test_pool_recovers_from_dead_connections(self):
         """Pooled connections to a bounced agent are evicted, not used."""
-        network, site = make(
-            "bounce", policy=GatewayPolicy(pool_idle_ttl=5.0)
-        )
+        network, site = make("bounce")
         gw = site.gateway
+        gw.connection_manager.idle_ttl = 5.0
         host = site.host_names()[0]
         url = site.url_for("snmp", host=host)
         gw.query(url, "SELECT HostName FROM Host")  # pool a connection

@@ -330,14 +330,18 @@ class TestPolicyKnobs:
     def test_negative_cap_rejected(self):
         from repro.core.errors import PolicyError
 
+        from repro.core.dispatch import FanoutDispatcher
+
         with pytest.raises(PolicyError):
-            GatewayPolicy(max_concurrent_per_source=-1)
+            FanoutDispatcher(
+                VirtualClock(), GatewayPolicy(), max_concurrent_per_source=-1
+            )
 
     def test_negative_cache_bound_rejected(self):
-        from repro.core.errors import PolicyError
+        from repro.core.cache import CacheController
 
-        with pytest.raises(PolicyError):
-            GatewayPolicy(query_cache_max_entries=-1)
+        with pytest.raises(ValueError):
+            CacheController(VirtualClock(), max_entries=-1)
 
     def test_gateway_stats_expose_dispatch_and_evictions(self):
         site = fresh_site()

@@ -190,3 +190,31 @@ class TestProducerEndpoint:
         with pytest.raises(RemoteQueryError) as err:
             gla.query_remote("locked", "SELECT * FROM Host", mode="realtime")
         assert "may not read" in str(err.value)
+
+    @pytest.mark.parametrize("stop", ["crash", "shutdown"])
+    def test_stopped_gateway_frees_its_ports_for_a_successor(self, fabric, stop):
+        """``crash()`` / ``shutdown()`` promise a successor can be built on
+        the same host: the producer (:8300) and the stream hub (:8500)
+        used to stay bound, so the rebuild died with ``port already
+        bound`` as soon as the gateway had joined the GMA or streamed."""
+        from repro.core.gateway import Gateway
+        from repro.core.policy import production
+
+        network, directory, a, _, gla, _ = fabric
+        b = build_site(
+            network, name="site-c", n_hosts=1, agents=("snmp",), policy=production()
+        )
+        GlobalLayer(b.gateway, directory)
+        getattr(b.gateway, stop)()
+        with pytest.raises(RemoteQueryError):
+            gla.query_remote("site-c", "SELECT * FROM Host", mode="realtime")
+        successor = Gateway(
+            network, b.gateway.host, site="site-c", policy=production(), disk=b.gateway.disk
+        )
+        for url in b.source_urls:
+            successor.add_source(url)
+        GlobalLayer(successor, directory)
+        assert len([p for p in directory.producers() if p.site == "site-c"]) == 1
+        network.clock.advance(60.0)  # past the gma://site-c breaker's backoff
+        result = gla.query_remote("site-c", "SELECT * FROM Host", mode="realtime")
+        assert len(result.rows) == 1

@@ -47,7 +47,7 @@ PROBE = GlueGroup(
 )
 
 
-def _fabric(policy=None, *, history=False, overload=None, tracer=None):
+def _fabric(policy=None, *, history=False, overload=None, tracer=None, **own):
     clock = VirtualClock()
     network = Network(clock, seed=0)
     network.add_host("hub-host", site="t")
@@ -63,6 +63,7 @@ def _fabric(policy=None, *, history=False, overload=None, tracer=None):
         history=store,
         overload=overload,
         tracer=tracer,
+        **own,
     )
     consumer = StreamConsumer(network, "client")
     return clock, network, hub, consumer, store
@@ -154,8 +155,7 @@ def test_history_flavour_replays_since_watermark():
 
 
 def test_history_replay_caps_at_replay_limit():
-    policy = GatewayPolicy(stream_replay_limit=2)
-    clock, network, hub, consumer, store = _fabric(policy, history=True)
+    clock, network, hub, consumer, store = _fabric(history=True, replay_limit=2)
     for i in range(5):
         store.record(
             "Probe",
