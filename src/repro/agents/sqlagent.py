@@ -22,7 +22,7 @@ from repro.agents.host_model import SimulatedHost, _stable_seed
 from repro.simnet.network import Address, Network
 from repro.sql.database import Database
 from repro.sql.errors import SqlError
-from repro.sql.executor import SelectResult
+from repro.sql.values import SelectResult
 
 SQLAGENT_PORT = 5432
 

@@ -41,7 +41,7 @@ from repro.analysis import races
 from repro.glue.schema import GlueSchema
 from repro.sql.ast_nodes import ColumnDef
 from repro.sql.database import Database, Table
-from repro.sql.executor import SelectResult
+from repro.sql.values import SelectResult
 from repro.sql.parser import parse_select
 from repro.sql.plan import CompiledPlan, compile_plan
 

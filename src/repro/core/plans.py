@@ -14,10 +14,12 @@ key across all three subsystems and the text is normalised once.
 Each entry carries that key, the parsed AST (``entry.select.tables`` is
 what the FGSL authorises), the compile-time GLUE validation findings,
 and (when the query validated cleanly) a
-:class:`~repro.sql.plan.CompiledPlan` — the only SELECT executor the
-gateway serves with.  The invariant is ``entry.plan`` is ``None`` ⇔
-``entry.findings``: compilation is total, so the one kind of entry
-without a plan is a query callers reject before executing anything.
+:class:`~repro.sql.plan.CompiledPlan` — compiled plans are the only
+SELECT executor under ``src/repro`` (the tree-walking reference the
+tests compare them with is ``tests/reference_sql.py``).  The invariant
+is ``entry.plan`` is ``None`` ⇔ ``entry.findings``: compilation is
+total, so the one kind of entry without a plan is a query callers
+reject before executing anything.
 Warm queries skip the lexer, the parser, the validator and all closure
 construction: the trace shows a single ``plan.cache_hit`` span where a
 cold query shows ``plan.compile`` with ``parse`` and ``validate``

@@ -20,7 +20,7 @@ from repro.core.events import Event
 from repro.gma.subscription import EventPublisher, EventSubscriber
 from repro.simnet.network import Address, Network
 from repro.sql.database import Database
-from repro.sql.executor import SelectResult
+from repro.sql.values import SelectResult
 
 
 class EventArchiver:

@@ -19,7 +19,6 @@ from repro.sql.errors import SqlError, SqlParseError, SqlExecutionError
 from repro.sql.lexer import Lexer, Token, TokenType
 from repro.sql.parser import parse_statement, parse_select
 from repro.sql.database import Database, Table
-from repro.sql.executor import evaluate_predicate
 from repro.sql import ast_nodes as ast
 
 __all__ = [
@@ -33,6 +32,5 @@ __all__ = [
     "parse_select",
     "Database",
     "Table",
-    "evaluate_predicate",
     "ast",
 ]

@@ -1,7 +1,8 @@
 """SQL abstract syntax tree.
 
-Plain frozen dataclasses; the executor pattern-matches on node type.
-Expressions evaluate against a row mapping (column name -> value).
+Plain frozen dataclasses; the plan compiler (:mod:`repro.sql.plan`)
+pattern-matches on node type, once per statement, and the closures it
+builds evaluate against a row (positional, or column name -> value).
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class FuncCall:
 
 Expr = Union[Literal, Column, Star, BinOp, UnaryOp, InList, Between, IsNull, FuncCall]
 
-#: Aggregate function names understood by the executor.
+#: Aggregate function names the plan compiler understands.
 AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 

@@ -12,9 +12,9 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.sql import ast_nodes as ast
 from repro.sql.errors import SqlExecutionError
-from repro.sql.executor import SelectResult, evaluate_expr, evaluate_predicate
 from repro.sql.parser import parse_statement
-from repro.sql.plan import compile_plan, join_rows
+from repro.sql.plan import RowFn, compile_expr, compile_plan, join_rows
+from repro.sql.values import SelectResult
 
 _COERCERS = {
     "INTEGER": lambda v: int(v),
@@ -47,7 +47,7 @@ class Table:
             return value
         try:
             return coercer(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SqlExecutionError(
                 f"cannot coerce {value!r} to {column.type} for "
                 f"{self.name}.{column.name}"
@@ -72,6 +72,14 @@ class Table:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+
+def _matcher(where: ast.Expr | None, table: Table) -> RowFn:
+    """An UPDATE / DELETE predicate compiled over ``table``'s rows:
+    truthy picks a row, NULL counts as false, no clause picks every row."""
+    if where is None:
+        return lambda row: True
+    return compile_expr(where, table.column_names)
 
 
 class Database:
@@ -147,16 +155,19 @@ class Database:
                 return plan.bind(tuple(columns)).execute(rows)
             table = self.table(stmt.table)
             return plan.bind_mapping(tuple(table.column_names)).execute(table.rows)
+        # DML builds everything it will write before it writes anything:
+        # a statement that raises leaves the table as it found it.
         if isinstance(stmt, ast.Insert):
             table = self.table(stmt.table)
-            empty: dict[str, Any] = {}
-            for values in stmt.rows:
-                mapping = {
-                    col: evaluate_expr(v, empty)
-                    for col, v in zip(stmt.columns, values)
-                }
-                table.insert_row(mapping)
-            return len(stmt.rows)
+            # VALUES sees no row: a column reference is an unknown column.
+            inserted = [
+                table.coerce_row(
+                    {c: compile_expr(v, ())({}) for c, v in zip(stmt.columns, values)}
+                )
+                for values in stmt.rows
+            ]
+            table.rows.extend(inserted)
+            return len(inserted)
         if isinstance(stmt, ast.Update):
             table = self.table(stmt.table)
             coldefs = {c.name: c for c in table.columns}
@@ -165,19 +176,26 @@ class Database:
                     raise SqlExecutionError(
                         f"unknown column {name!r} in UPDATE {stmt.table}"
                     )
-            n = 0
-            for row in table.rows:
-                if evaluate_predicate(stmt.where, row):
-                    for name, expr in stmt.assignments:
-                        row[name] = table.coerce(coldefs[name], evaluate_expr(expr, row))
-                    n += 1
-            return n
+            matches = _matcher(stmt.where, table)
+            assignments = [
+                (name, coldefs[name], compile_expr(expr, table.column_names))
+                for name, expr in stmt.assignments
+            ]
+            # Every right-hand side reads the row as the statement found
+            # it (``SET a = b, b = a`` swaps).
+            updated = [
+                (row, {n: table.coerce(c, value(row)) for n, c, value in assignments})
+                for row in table.rows
+                if matches(row)
+            ]
+            for row, values in updated:
+                row.update(values)
+            return len(updated)
         if isinstance(stmt, ast.Delete):
             table = self.table(stmt.table)
+            matches = _matcher(stmt.where, table)
             before = len(table.rows)
-            table.rows = [
-                r for r in table.rows if not evaluate_predicate(stmt.where, r)
-            ]
+            table.rows = [r for r in table.rows if not matches(r)]
             return before - len(table.rows)
         if isinstance(stmt, ast.CreateTable):
             self.create_table(

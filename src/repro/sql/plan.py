@@ -1,8 +1,7 @@
-"""Compiled query plans.
+"""Compiled query plans: the one expression evaluator under ``src/repro``.
 
-The interpreted executor (:mod:`repro.sql.executor`) re-walks the SELECT
-AST for every row: each column reference re-resolves its name against the
-row mapping, each LIKE recompiles (pre-memoisation) its regex, and every
+A tree-walking interpreter re-walks the AST for every row: each column
+reference re-resolves its name against the row mapping and every
 operator dispatch is an ``isinstance`` ladder.  This module compiles a
 parsed :class:`~repro.sql.ast_nodes.Select` **once**, into closures and,
 in front of them, column kernels:
@@ -17,7 +16,11 @@ in front of them, column kernels:
 * ``plan.bind_mapping(columns)`` is the same machinery bound over
   mapping rows (the history store's dict storage), with each column
   name resolved to its canonical key once at bind time instead of once
-  per row.
+  per row;
+* :func:`compile_expr` is that mapping-flavour compiler for one
+  expression on its own — what :class:`~repro.sql.database.Database`
+  runs INSERT values, UPDATE assignments and UPDATE / DELETE predicates
+  through.
 
 Bindings are cached per layout on the plan, so repeated queries pay the
 closure-construction cost once.
@@ -37,7 +40,7 @@ applies the native operator with no Python call per row.
   is a filter stage (:func:`_compile_filter`).  Its guard is the
   value's **exact class**: ``float`` / ``int`` against a numeric
   literal, ``str`` against a string literal — the pairs
-  ``_coerce_pair`` leaves alone, so the native operator *is* the
+  ``coerce_pair`` leaves alone, so the native operator *is* the
   closure's answer.  Never ``isinstance``: ``bool``, NULL, a numeric
   string, ``Decimal``, a missing key or a short row all go to the
   node's closure.
@@ -51,17 +54,16 @@ A kernel is chosen from the AST shape when the plan is bound (a few
 every plan-cache miss) and is only ever a guard in front of the closure
 ``_compile_expr`` built for the same node.
 
-Semantics are **byte-identical** to the interpreted executor — NULL
-tri-state logic, AND/OR short-circuiting, numeric-string coercion, the
-case-insensitive column fallback, alias-aware ORDER BY, error messages —
-and a differential property test (``tests/test_sql_plan.py``) enforces
-the equivalence over generated queries.  The interpreted path is the
-reference that oracle compares against; bound plans are the only SELECT
-executor any module under ``src/repro`` calls.
+Semantics are **byte-identical** to the reference interpreter the tests
+keep (``tests/reference_sql.py``) — NULL tri-state logic, AND/OR
+short-circuiting, numeric-string coercion, the case-insensitive column
+fallback, alias-aware ORDER BY, error messages — and a differential
+property test (``tests/test_sql_plan.py``) enforces the equivalence over
+generated SELECT, UPDATE and DELETE statements.  The value-level helpers
+both sides must share live in :mod:`repro.sql.values`.
 
-:func:`join_rows` is the positional mirror of
-:func:`~repro.sql.executor.natural_join` for the gateway's multi-group
-join path.
+:func:`join_rows` is the positional natural join of the gateway's
+multi-group join path (the reference has the dict-row one).
 """
 
 from __future__ import annotations
@@ -73,14 +75,14 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.sql import ast_nodes as ast
 from repro.sql.errors import SqlExecutionError
-from repro.sql.executor import (
+from repro.sql.values import (
     SelectResult,
-    _aggregate_values,
-    _apply_binop_values,
-    _coerce_pair,
-    _hashable,
-    _SortKey,
+    SortKey,
+    aggregate_values,
+    apply_binop_values,
+    coerce_pair,
     compile_like,
+    hashable,
 )
 
 #: A compiled accessor/evaluator over one row (positional or mapping).
@@ -91,15 +93,15 @@ GroupFn = Callable[[list[Any], Any], Any]
 #: extracted values out, as a fresh list.
 BatchFn = Callable[[Sequence[Any]], list[Any]]
 
-#: The exact classes of a row value that ``_coerce_pair`` leaves alone
+#: The exact classes of a row value that ``coerce_pair`` leaves alone
 #: against a numeric / a string literal: there the native operator is
 #: the closure's answer.  Subclasses (``bool``) are not in them.
 _NUMBERS = (float, int)
 _STRINGS = (str, str)
 
 #: Slot-flavour sample row for an empty implicit group: every accessor
-#: raises "unknown column" against it, matching the interpreted
-#: executor's empty-dict sample.
+#: raises "unknown column" against it, matching the reference
+#: interpreter's empty-dict sample.
 _EMPTY_SLOT_ROW: tuple[Any, ...] = ()
 
 
@@ -116,8 +118,8 @@ def _last_index(columns: Sequence[str], name: str) -> int:
 def _resolve_slot(columns: Sequence[str], column: ast.Column) -> int | None:
     """Resolve a column reference to a slot index, or None when absent.
 
-    Mirrors ``evaluate_expr``'s resolution against a dict row whose keys
-    are ``columns``: exact name, then qualified name, then a
+    Mirrors the reference interpreter's resolution against a dict row
+    whose keys are ``columns``: exact name, then qualified name, then a
     case-insensitive scan in key order (first distinct key that matches,
     reading the last duplicate occurrence's value).
     """
@@ -142,7 +144,7 @@ def _raise_unknown(qualified: str) -> Any:
 
 
 def _slow_mapping_lookup(row: Mapping[str, Any], name: str, qualified: str) -> Any:
-    """The interpreted executor's column resolution, verbatim — the
+    """The reference interpreter's column resolution, verbatim — the
     mapping-flavour fallback when a row lacks the bind-time key."""
     if name in row:
         return row[name]
@@ -267,7 +269,7 @@ def _literal(expr: ast.Expr) -> ast.Literal | None:
 def _compile_expr(expr: ast.Expr, flavour: _Flavour) -> RowFn:
     """Compile an expression to a closure over one row.
 
-    Compilation is total: anything the interpreted executor rejects at
+    Compilation is total: anything the reference interpreter rejects at
     evaluation time compiles to a closure raising the identical
     :class:`SqlExecutionError` when (and only when) evaluated.
     """
@@ -320,7 +322,7 @@ def _compile_expr(expr: ast.Expr, flavour: _Flavour) -> RowFn:
                 return None
             found = False
             for item in items:
-                a, b = _coerce_pair(val, item(row))
+                a, b = coerce_pair(val, item(row))
                 if a == b:
                     found = True
                     break
@@ -338,8 +340,8 @@ def _compile_expr(expr: ast.Expr, flavour: _Flavour) -> RowFn:
             hi = high(row)
             if val is None or lo is None or hi is None:
                 return None
-            a, l_ = _coerce_pair(val, lo)
-            a2, h = _coerce_pair(val, hi)
+            a, l_ = coerce_pair(val, lo)
+            a2, h = coerce_pair(val, hi)
             result = l_ <= a and a2 <= h
             return (not result) if negated else result
         return between_fn
@@ -431,14 +433,14 @@ def _compile_binop(expr: ast.BinOp, flavour: _Flavour) -> RowFn:
     fn = _DIRECT_OPS.get(op)
     if fn is not None:
         # Hot path: prebound operator function, no dispatch ladder.  The
-        # None / coercion / error behaviour mirrors _apply_binop_values
+        # None / coercion / error behaviour mirrors apply_binop_values
         # exactly (the differential oracle holds both to the letter).
         def direct_fn(row: Any) -> Any:
             lv = left(row)
             rv = right(row)
             if lv is None or rv is None:
                 return None
-            a, b = _coerce_pair(lv, rv)
+            a, b = coerce_pair(lv, rv)
             try:
                 return fn(a, b)
             except TypeError as exc:
@@ -455,7 +457,7 @@ def _compile_binop(expr: ast.BinOp, flavour: _Flavour) -> RowFn:
             rv = right(row)
             if lv is None or rv is None:
                 return None
-            a, b = _coerce_pair(lv, rv)
+            a, b = coerce_pair(lv, rv)
             try:
                 if b == 0:
                     return None
@@ -468,7 +470,7 @@ def _compile_binop(expr: ast.BinOp, flavour: _Flavour) -> RowFn:
         return div_fn
 
     def binop_fn(row: Any) -> Any:
-        return _apply_binop_values(op, left(row), right(row))
+        return apply_binop_values(op, left(row), right(row))
     return binop_fn
 
 
@@ -731,16 +733,16 @@ def _compile_aggregate(call: ast.FuncCall, flavour: _Flavour) -> GroupFn:
     distinct = call.distinct
 
     def aggregate(rows: list[Any], sample: Any) -> Any:
-        return _aggregate_values(name, _column_values(rows, key, arg), distinct)
+        return aggregate_values(name, _column_values(rows, key, arg), distinct)
     return aggregate
 
 
 def _compile_agg_expr(expr: ast.Expr, flavour: _Flavour) -> GroupFn:
     """Compile an expression that may contain aggregate calls.
 
-    Mirrors ``_eval_with_aggregates``: aggregates reduce the member
-    rows, BinOp/UnaryOp combine already-computed values (both operands
-    evaluated — no short-circuit, as in the interpreted path), and
+    Mirrors the reference's ``_eval_with_aggregates``: aggregates reduce
+    the member rows, BinOp/UnaryOp combine already-computed values (both
+    operands evaluated — no short-circuit, as in the reference), and
     anything else evaluates against the group's sample row.
     """
     if isinstance(expr, ast.FuncCall) and expr.name in ast.AGGREGATES:
@@ -751,7 +753,7 @@ def _compile_agg_expr(expr: ast.Expr, flavour: _Flavour) -> GroupFn:
         op = expr.op
 
         def binop(rows: list[Any], sample: Any) -> Any:
-            return _apply_binop_values(op, left(rows, sample), right(rows, sample))
+            return apply_binop_values(op, left(rows, sample), right(rows, sample))
         return binop
     if isinstance(expr, ast.UnaryOp):
         inner = _compile_agg_expr(expr.operand, flavour)
@@ -804,14 +806,14 @@ def _sort_values(rows: list[Any], key_fn: RowFn, key: Any) -> list[Any]:
 def _sort_payload(
     order_keys: list[OrderKey], key_rows: list[Any], payload: list[Any]
 ) -> list[Any]:
-    """The interpreted ``_ordered`` over compiled key closures: stable
+    """The reference's ``_ordered`` over compiled key closures: stable
     multi-key sort applied right-to-left, None-first, evaluation errors
     sorting as None."""
     indexed = list(range(len(payload)))
     for key_fn, descending, key in reversed(order_keys):
         values = _sort_values(key_rows, key_fn, key)
         # Homogeneous keys (all numbers, or all strings — no NULLs) sort
-        # identically raw, because _SortKey's total order reduces to the
+        # identically raw, because SortKey's total order reduces to the
         # native one when every pairwise comparison is defined.  That is
         # the overwhelmingly common case and skips one wrapper object +
         # one Python __lt__ frame per comparison.
@@ -821,7 +823,7 @@ def _sort_payload(
             indexed.sort(key=values.__getitem__, reverse=descending)
         else:
             indexed.sort(
-                key=lambda i: _SortKey(values[i]), reverse=descending
+                key=lambda i: SortKey(values[i]), reverse=descending
             )
     return [payload[i] for i in indexed]
 
@@ -1067,7 +1069,7 @@ class BoundPlan:
             seen: set[tuple[Any, ...]] = set()
             unique: list[list[Any]] = []
             for r in out_rows:
-                key = tuple(_hashable(v) for v in r)
+                key = tuple(hashable(v) for v in r)
                 if key not in seen:
                     seen.add(key)
                     unique.append(r)
@@ -1123,12 +1125,12 @@ class BoundPlan:
                 return fast
             except (LookupError, TypeError):
                 # A row the subscript fails on, or a value the dict
-                # cannot hash (``_hashable`` turns a list into a tuple).
+                # cannot hash (``hashable`` turns a list into a tuple).
                 pass
         groups: dict[tuple[Any, ...], list[Any]] = {}
         group_keys = self._group_keys
         for r in filtered:
-            key = tuple(_hashable(fn(r)) for fn in group_keys)
+            key = tuple(hashable(fn(r)) for fn in group_keys)
             groups.setdefault(key, []).append(r)
         return groups
 
@@ -1200,6 +1202,13 @@ def compile_plan(select: ast.Select) -> CompiledPlan:
     return CompiledPlan(select)
 
 
+def compile_expr(expr: ast.Expr, columns: Sequence[str]) -> RowFn:
+    """One expression as a closure over one mapping row keyed by
+    ``columns``: the compiler ``bind_mapping`` uses, for the statements
+    that are not a SELECT (DML values, assignments and predicates)."""
+    return _compile_expr(expr, _MappingFlavour(columns))
+
+
 # ----------------------------------------------------------------------
 # Positional natural join
 # ----------------------------------------------------------------------
@@ -1210,9 +1219,9 @@ def join_rows(
 ) -> tuple[list[str], list[list[Any]]]:
     """Inner natural join over positional rows.
 
-    The slot-level mirror of :func:`~repro.sql.executor.natural_join`
-    (same key selection, same output column order, same error) without
-    building a dict per intermediate row: join keys and carried columns
+    The slot-level mirror of the reference's dict-row join (same key
+    selection, same output column order, same error) without building
+    a dict per intermediate row: join keys and carried columns
     are resolved to indices once per relation.
     """
     if not relations:

@@ -1,110 +1,50 @@
-"""SQL execution.
+"""The reference SQL interpreter: the oracle the compiled plans answer to.
+
+A tree-walking evaluator that re-walks the AST for every row.  It was
+``repro.sql.executor`` until PR 23; nothing under ``src/repro`` ever ran
+a SELECT through it, so it lives here, where the differential tests
+(``test_sql_plan``, ``test_streaming_oracle``, ``test_properties``,
+``test_sql_executor``, ``test_multigroup_join``, ``test_cross_feature``,
+``test_sql_render`` and the DML sweep in ``test_sql_plan``) hold
+:mod:`repro.sql.plan` and :class:`repro.sql.database.Database` to it.
 
 :func:`execute_select` evaluates a parsed SELECT against an in-memory
-relation (column list + rows of dicts).  Drivers also reuse
-:func:`evaluate_predicate` directly to apply WHERE clauses to rows
-assembled from native agent data.
+relation (column list + rows of dicts); :func:`evaluate_expr` and
+:func:`evaluate_predicate` evaluate one expression / WHERE clause
+against one row; :func:`natural_join` is the dict-row natural join.
 
 NULL semantics are the pragmatic subset GridRM needs: any comparison or
 arithmetic touching NULL yields NULL, and a NULL predicate is treated as
 false; drivers signal "translation not possible" with NULL values (§3.2.3)
 so NULL handling is exercised constantly.
+
+It may import only the AST, the error types and the value helpers
+(:mod:`repro.sql.values`) that both sides share so that operator, NULL
+and coercion semantics cannot drift — never the parser, the planner or
+the database it judges (``test_sql_plan`` checks).
 """
 
 from __future__ import annotations
 
-import re
-from collections import OrderedDict
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.sql import ast_nodes as ast
+import repro.sql.ast_nodes as ast
 from repro.sql.errors import SqlExecutionError
+from repro.sql.values import (
+    SelectResult,
+    SortKey,
+    aggregate_values,
+    apply_binop_values,
+    coerce_pair,
+    hashable,
+)
 
 Row = Mapping[str, Any]
-
-
-class SelectResult:
-    """Materialised result of a SELECT: ordered columns plus row tuples."""
-
-    def __init__(self, columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-        self.columns = list(columns)
-        self.rows = [list(r) for r in rows]
-
-    @classmethod
-    def adopt(
-        cls, columns: Sequence[str], rows: list[list[Any]]
-    ) -> "SelectResult":
-        """Wrap freshly-built rows without the defensive per-row copy.
-
-        The caller transfers ownership: ``rows`` must be a list of lists
-        nothing else will mutate.  The compiled-plan executor uses this
-        so a projected result is materialised exactly once.
-        """
-        result = cls.__new__(cls)
-        result.columns = list(columns)
-        result.rows = rows
-        return result
-
-    def dicts(self) -> list[dict[str, Any]]:
-        """Rows as dicts keyed by column label."""
-        return [dict(zip(self.columns, r)) for r in self.rows]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SelectResult(columns={self.columns!r}, rows={len(self.rows)})"
 
 
 # ----------------------------------------------------------------------
 # Expression evaluation
 # ----------------------------------------------------------------------
-#: Memoised LIKE patterns: compiling the regex once per distinct pattern
-#: instead of once per row evaluation.  Bounded LRU so adversarial or
-#: data-driven patterns cannot grow it without limit; an OrderedDict keeps
-#: eviction order deterministic (insertion order, refreshed on hit).
-_LIKE_CACHE: "OrderedDict[str, re.Pattern[str]]" = OrderedDict()
-_LIKE_CACHE_MAX = 256
-
-
-def compile_like(pattern: str) -> re.Pattern[str]:
-    """The compiled regex for a SQL LIKE pattern (memoised, bounded)."""
-    cached = _LIKE_CACHE.get(pattern)
-    if cached is not None:
-        _LIKE_CACHE.move_to_end(pattern)
-        return cached
-    out = ["^"]
-    for ch in pattern:
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-    out.append("$")
-    compiled = re.compile("".join(out), re.IGNORECASE)
-    _LIKE_CACHE[pattern] = compiled
-    if len(_LIKE_CACHE) > _LIKE_CACHE_MAX:
-        _LIKE_CACHE.popitem(last=False)
-    return compiled
-
-
-def _coerce_pair(a: Any, b: Any) -> tuple[Any, Any]:
-    """Coerce operands for comparison: numbers compare numerically even if
-    one side arrived as a numeric string (native agents return text)."""
-    if isinstance(a, str) and isinstance(b, (int, float)) and not isinstance(b, bool):
-        try:
-            return float(a), float(b)
-        except ValueError:
-            return a, b
-    if isinstance(b, str) and isinstance(a, (int, float)) and not isinstance(a, bool):
-        try:
-            return float(a), float(b)
-        except ValueError:
-            return a, b
-    return a, b
-
-
 def evaluate_expr(expr: ast.Expr, row: Row) -> Any:
     """Evaluate ``expr`` against ``row``; missing columns are an error."""
     if isinstance(expr, ast.Literal):
@@ -143,7 +83,7 @@ def evaluate_expr(expr: ast.Expr, row: Row) -> Any:
         found = False
         for item in expr.items:
             iv = evaluate_expr(item, row)
-            a, b = _coerce_pair(val, iv)
+            a, b = coerce_pair(val, iv)
             if a == b:
                 found = True
                 break
@@ -154,8 +94,8 @@ def evaluate_expr(expr: ast.Expr, row: Row) -> Any:
         hi = evaluate_expr(expr.high, row)
         if val is None or lo is None or hi is None:
             return None
-        a, l = _coerce_pair(val, lo)
-        a2, h = _coerce_pair(val, hi)
+        a, l = coerce_pair(val, lo)
+        a2, h = coerce_pair(val, hi)
         result = l <= a and a2 <= h
         return (not result) if expr.negated else result
     if isinstance(expr, ast.IsNull):
@@ -193,72 +133,7 @@ def _eval_binop(expr: ast.BinOp, row: Row) -> Any:
 
     left = evaluate_expr(expr.left, row)
     right = evaluate_expr(expr.right, row)
-    return _apply_binop_values(op, left, right)
-
-
-def _apply_binop_values(op: str, left: Any, right: Any) -> Any:
-    """Apply a binary operator to two already-evaluated values.
-
-    Shared by the interpreted executor and the compiled-plan closures
-    (:mod:`repro.sql.plan`) so operator/NULL/coercion semantics cannot
-    drift between the two paths.  AND/OR here are the value-level
-    (post-evaluation) forms used in aggregate contexts — row-level
-    short-circuiting lives in the callers.
-    """
-    if op == "AND":
-        if left is not None and not left:
-            return False
-        if right is not None and not right:
-            return False
-        if left is None or right is None:
-            return None
-        return True
-    if op == "OR":
-        if left is not None and left:
-            return True
-        if right is not None and right:
-            return True
-        if left is None or right is None:
-            return None
-        return False
-    if left is None or right is None:
-        return None
-    if op == "LIKE":
-        return compile_like(str(right)).match(str(left)) is not None
-
-    a, b = _coerce_pair(left, right)
-    try:
-        if op == "=":
-            return a == b
-        if op == "!=":
-            return a != b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0:
-                return None
-            return a / b
-        if op == "%":
-            if b == 0:
-                return None
-            return a % b
-    except TypeError as exc:
-        raise SqlExecutionError(
-            f"type error in {op!r}: {type(left).__name__} vs {type(right).__name__}"
-        ) from exc
-    raise SqlExecutionError(f"unknown operator {op!r}")
+    return apply_binop_values(op, left, right)
 
 
 def evaluate_predicate(expr: ast.Expr | None, row: Row) -> bool:
@@ -280,48 +155,7 @@ def _aggregate(call: ast.FuncCall, rows: list[Row]) -> Any:
     if len(call.args) != 1:
         raise SqlExecutionError(f"{call.name} takes exactly one argument")
     values = [evaluate_expr(call.args[0], r) for r in rows]
-    return _aggregate_values(call.name, values, call.distinct)
-
-
-def _aggregate_values(name: str, values: list[Any], distinct: bool) -> Any:
-    """Reduce already-evaluated argument values with aggregate ``name``.
-
-    Shared by the interpreter and compiled plans: NULLs are dropped,
-    DISTINCT dedups by equality (list scan — values may be unhashable),
-    and empty input yields NULL for everything but COUNT.
-    """
-    values = [v for v in values if v is not None]
-    if distinct:
-        seen: list[Any] = []
-        for v in values:
-            if v not in seen:
-                seen.append(v)
-        values = seen
-    if name == "COUNT":
-        return len(values)
-    if not values:
-        return None
-    if name == "SUM":
-        return sum(_as_number(v) for v in values)
-    if name == "AVG":
-        return sum(_as_number(v) for v in values) / len(values)
-    if name == "MIN":
-        return min(values)
-    if name == "MAX":
-        return max(values)
-    raise SqlExecutionError(f"unknown aggregate {name!r}")
-
-
-def _as_number(v: Any) -> float | int:
-    if isinstance(v, bool):
-        return int(v)
-    if isinstance(v, (int, float)):
-        return v
-    try:
-        f = float(v)
-    except (TypeError, ValueError) as exc:
-        raise SqlExecutionError(f"cannot aggregate non-numeric value {v!r}") from exc
-    return f
+    return aggregate_values(call.name, values, call.distinct)
 
 
 def _eval_with_aggregates(expr: ast.Expr, rows: list[Row], sample: Row) -> Any:
@@ -456,7 +290,7 @@ def execute_select(
         seen: set[tuple[Any, ...]] = set()
         unique: list[list[Any]] = []
         for r in out_rows:
-            key = tuple(_hashable(v) for v in r)
+            key = tuple(hashable(v) for v in r)
             if key not in seen:
                 seen.add(key)
                 unique.append(r)
@@ -467,10 +301,6 @@ def execute_select(
     if stmt.limit is not None:
         out_rows = out_rows[: stmt.limit]
     return SelectResult(out_cols, out_rows)
-
-
-def _hashable(v: Any) -> Any:
-    return tuple(v) if isinstance(v, list) else v
 
 
 def _plain(
@@ -494,7 +324,7 @@ def _grouped(
     groups: dict[tuple[Any, ...], list[Row]] = {}
     if stmt.group_by:
         for r in rows:
-            key = tuple(_hashable(evaluate_expr(g, r)) for g in stmt.group_by)
+            key = tuple(hashable(evaluate_expr(g, r)) for g in stmt.group_by)
             groups.setdefault(key, []).append(r)
     else:
         # Implicit single group; aggregates over an empty input still
@@ -516,26 +346,6 @@ def _grouped(
     return cols, out
 
 
-class _SortKey:
-    """Total-order wrapper: None sorts first, mixed types sort by type name."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        a, b = self.value, other.value
-        if a is None:
-            return b is not None
-        if b is None:
-            return False
-        try:
-            return bool(a < b)
-        except TypeError:
-            return str(type(a).__name__) < str(type(b).__name__)
-
-
 def _ordered(
     stmt: ast.Select, key_rows: list[Row], payload: list[Any]
 ) -> list[Any]:
@@ -549,11 +359,11 @@ def _ordered(
     indexed = list(range(len(payload)))
     for item in reversed(stmt.order_by):
 
-        def single_key(i: int, it: ast.OrderItem = item) -> _SortKey:
+        def single_key(i: int, it: ast.OrderItem = item) -> SortKey:
             try:
-                return _SortKey(evaluate_expr(it.expr, key_rows[i]))
+                return SortKey(evaluate_expr(it.expr, key_rows[i]))
             except SqlExecutionError:
-                return _SortKey(None)
+                return SortKey(None)
 
         if item.descending:
             # Reverse sort must keep None-first overall ordering stable:

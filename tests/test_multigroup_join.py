@@ -6,9 +6,10 @@ import pytest
 from repro.core.errors import GridRmError
 from repro.core.request_manager import QueryMode
 from repro.dbapi.exceptions import SQLException
-from repro.sql.executor import SqlExecutionError, natural_join
+from repro.sql.errors import SqlExecutionError
 from repro.sql.parser import parse_select
 from repro.sql.render import render_select
+from tests.reference_sql import natural_join
 
 
 class TestParsing:

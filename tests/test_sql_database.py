@@ -104,3 +104,35 @@ class TestDml:
 
     def test_boolean_round_trip(self, db):
         assert db.query("SELECT up FROM m WHERE host = 'a'").rows == [[True]]
+
+
+class TestDmlIsAllOrNothing:
+    """A DML statement builds every value it will write before it writes
+    any: one that raises leaves ``table.rows`` as it found them, and an
+    assignment reads the row as the statement found it."""
+
+    def test_insert_that_raises_on_a_later_row_inserts_none(self, db):
+        before = [dict(r) for r in db.table("m").rows]
+        with pytest.raises(SqlExecutionError, match="cannot coerce 'x' to REAL"):
+            db.execute("INSERT INTO m (host, load, cpus) VALUES ('d', 4, 4), ('e', 'x', 5)")
+        assert db.table("m").rows == before
+
+    def test_update_that_raises_on_a_later_row_updates_none(self, db):
+        db.execute("CREATE TABLE t (k TEXT, n INTEGER, x REAL)")
+        db.execute("INSERT INTO t (k, n, x) VALUES ('1', 1, 1.5), ('2', 2, 2.5), ('x', 3, 3.5)")
+        before = [dict(r) for r in db.table("t").rows]
+        # The third matching row's k does not coerce to INTEGER.
+        with pytest.raises(SqlExecutionError, match="cannot coerce 'x' to INTEGER"):
+            db.execute("UPDATE t SET x = x + 1, n = k WHERE x > 1")
+        assert db.table("t").rows == before
+        # ... nor does a type error out of the predicate, past rows it matched.
+        with pytest.raises(SqlExecutionError, match="type error"):
+            db.execute("UPDATE t SET x = 0 WHERE k < 'x' OR k > 1")
+        assert db.table("t").rows == before
+
+    def test_update_assignments_read_the_row_as_found(self, db):
+        assert db.execute("UPDATE m SET load = cpus, cpus = load") == 2
+        assert db.query("SELECT host, load, cpus FROM m ORDER BY host").rows == [
+            ["a", 4.0, 0],
+            ["b", 8.0, 1],
+        ]

@@ -8,9 +8,9 @@ compiled plan that serves.
 import pytest
 
 from repro.sql.errors import SqlExecutionError
-from repro.sql.executor import evaluate_expr, evaluate_predicate, execute_select
 from repro.sql.parser import parse_select
 from repro.sql.plan import compile_plan
+from tests.reference_sql import evaluate_expr, evaluate_predicate, execute_select
 
 COLUMNS = ["host", "load", "cpus", "site"]
 ROWS = [

@@ -1,7 +1,9 @@
-"""Differential tests: compiled plans ≡ the interpreted executor.
+"""Differential tests: compiled plans ≡ the reference interpreter.
 
-The compiled path (:mod:`repro.sql.plan`) must be byte-identical to
-:func:`repro.sql.executor.execute_select` — same columns, same rows, same
+The interpreter is ``tests/reference_sql.py`` (``repro.sql.executor``
+until PR 23); the last test of this module keeps it out of ``src/`` and
+out of reach of the code it judges.  The compiled path (:mod:`repro.sql.plan`) must be byte-identical to
+:func:`tests.reference_sql.execute_select` — same columns, same rows, same
 row order, and the same exception type/message whenever the interpreter
 raises.  A seeded generator sweeps projections, aliases, LIKE, NULLs,
 aggregates, GROUP BY/HAVING, ORDER BY, DISTINCT and LIMIT/OFFSET over a
@@ -16,6 +18,16 @@ keyed in another case, one missing a middle key); and its positional
 twin, a slot row shorter than its layout.  The generator writes literals on either side of a
 comparison, negative literals, ``-'x'``, numeric ``IN`` lists, string
 ``BETWEEN`` and comparisons that raise behind conjuncts that are NULL.
+
+``Database`` DML runs the same closures (``plan.compile_expr``), so a
+second seeded sweep (``TestGeneratedDml``) loads the typed and the edge
+relation into a ``Table`` and holds 300 generated UPDATE / DELETE
+statements to the reference's ``evaluate_expr`` / ``evaluate_predicate``
+over a copy of the rows: same rows in the same order, same count, same
+exception, and nothing written by a statement that raises.  Seen to
+fail with UPDATE writing ``row[name]`` as it walks (the parent's
+behaviour): a swap reads the value it just wrote, and an error on a
+later row leaves the earlier ones updated.
 
 Hand mutations of ``sql/plan.py`` that must each fail this module (each
 was applied and seen to fail; the statement that catches it is in
@@ -41,6 +53,7 @@ was applied and seen to fail; the statement that catches it is in
   the wrong operand types / the wrong column.
 """
 
+import ast
 import random
 import re
 from pathlib import Path
@@ -49,9 +62,18 @@ import pytest
 
 import repro
 
-from repro.sql.executor import execute_select, natural_join
-from repro.sql.parser import parse_select
+from repro.sql import ast_nodes as sql_ast
+from repro.sql.database import Database
+from repro.sql.errors import SqlExecutionError
+from repro.sql.parser import parse_select, parse_statement
 from repro.sql.plan import CompiledPlan, compile_plan, join_rows
+from tests import reference_sql
+from tests.reference_sql import (
+    evaluate_expr,
+    evaluate_predicate,
+    execute_select,
+    natural_join,
+)
 
 COLUMNS = ["HostName", "SiteName", "Load", "MemMB", "Label"]
 
@@ -121,12 +143,13 @@ def positional(columns, dict_rows):
     return out
 
 
-def outcome(fn):
-    """Result triple or exception fingerprint — compared across paths.
+def outcome(fn, head=lambda result: (result.columns, result.rows)):
+    """Result triple or exception fingerprint — compared across paths:
+    a SELECT's ``(columns, rows)``, a DML statement's ``(count, rows)``.
     Rows compare by ``repr``: NaN equals NaN, 1 does not equal 1.0."""
     try:
-        result = fn()
-        return ("ok", result.columns, repr(result.rows))
+        first, rows = head(fn())
+        return ("ok", first, repr(rows))
     except Exception as exc:  # noqa: BLE001 - fingerprinting all failures
         return ("err", type(exc).__name__, str(exc))
 
@@ -334,58 +357,63 @@ class TestHandPicked:
             assert got == ref, sql
 
 
+NUMERIC = ["Load", "MemMB"]
+TEXTUAL = ["HostName", "SiteName", "Label"]
+
+
+def random_predicate(rng):
+    """One random predicate over the test relation's columns."""
+    roll = rng.randrange(13)
+    col = rng.choice(COLUMNS)
+    if roll == 0:
+        return f"{col} IS {'NOT ' if rng.random() < 0.5 else ''}NULL"
+    if roll == 1:
+        return f"{rng.choice(TEXTUAL)} LIKE '{rng.choice(['a%', '%a%', 'h_', '%', 'Beta'])}'"
+    if roll == 2:
+        return f"{rng.choice(NUMERIC)} BETWEEN {rng.randrange(-2, 3)} AND {rng.randrange(3, 3000)}"
+    if roll == 3:
+        return f"SiteName IN ('s1', 's{rng.randrange(2, 5)}')"
+    op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+    if roll == 4:
+        rhs = rng.choice(["0.5", "2", "512", "'1'"])
+        return f"{rng.choice(NUMERIC)} {op} {rhs}"
+    if roll == 5:
+        return f"{rng.choice(TEXTUAL)} {op} '{rng.choice(['h1', 'alpha', 's2', ''])}'"
+    if roll == 6:
+        return f"{rng.choice(NUMERIC)} {rng.choice(['+', '-', '*', '/', '%'])} {rng.randrange(0, 4)} {op} {rng.randrange(0, 1024)}"
+    if roll == 7:
+        return f"{rng.choice(COLUMNS)} {op} {rng.choice(COLUMNS)}"
+    # Column-kernel shapes the first eight never write.
+    if roll == 8:  # the literal on the left, signed
+        lhs = rng.choice(["0.5", "-1.5", "- -2", "512", "1e3", "'1'", "'alpha'", "-0"])
+        return f"{lhs} {op} {col}"
+    if roll == 9:  # a sign in front of anything
+        rhs = rng.choice(["-1", "-1.5", "-4096", "- - 7", "-'x'", "-TRUE", "-NULL"])
+        return f"{rng.choice(NUMERIC)} {op} {rhs}"
+    if roll == 10:  # numeric / mixed / negated membership
+        items = rng.sample(["512", "4096", "0.5", "-1.5", "7", "'1e3'", "'2.5'", "NULL"], 3)
+        return f"{rng.choice(NUMERIC)} {'NOT ' if rng.random() < 0.3 else ''}IN ({', '.join(items)})"
+    if roll == 11:  # string and ill-typed ranges
+        low, high = rng.choice([("'a'", "'h'"), ("''", "'s2'"), ("0", "'z'"), ("-1", "1")])
+        return f"{col} {'NOT ' if rng.random() < 0.3 else ''}BETWEEN {low} AND {high}"
+    # A type error unless something in front of it is false: the
+    # NULLs of the other conjuncts decide whether it is reached.
+    return f"{rng.choice(TEXTUAL)} {rng.choice(['<', '<=', '>', '>='])} {rng.randrange(0, 4)}"
+
+
+def random_where(rng):
+    """One to three predicates glued by AND / OR, some negated."""
+    parts = [random_predicate(rng) for _ in range(rng.randrange(1, 4))]
+    glue = [rng.choice([" AND ", " OR "]) for _ in parts[1:]]
+    out = parts[0]
+    for g, p in zip(glue, parts[1:]):
+        p = f"NOT ({p})" if rng.random() < 0.2 else p
+        out += g + p
+    return out
+
+
 def random_select(rng):
     """One random SELECT over the test relation (always parseable)."""
-    numeric = ["Load", "MemMB"]
-    textual = ["HostName", "SiteName", "Label"]
-
-    def predicate():
-        roll = rng.randrange(13)
-        col = rng.choice(COLUMNS)
-        if roll == 0:
-            return f"{col} IS {'NOT ' if rng.random() < 0.5 else ''}NULL"
-        if roll == 1:
-            return f"{rng.choice(textual)} LIKE '{rng.choice(['a%', '%a%', 'h_', '%', 'Beta'])}'"
-        if roll == 2:
-            return f"{rng.choice(numeric)} BETWEEN {rng.randrange(-2, 3)} AND {rng.randrange(3, 3000)}"
-        if roll == 3:
-            return f"SiteName IN ('s1', 's{rng.randrange(2, 5)}')"
-        op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
-        if roll == 4:
-            rhs = rng.choice(["0.5", "2", "512", "'1'"])
-            return f"{rng.choice(numeric)} {op} {rhs}"
-        if roll == 5:
-            return f"{rng.choice(textual)} {op} '{rng.choice(['h1', 'alpha', 's2', ''])}'"
-        if roll == 6:
-            return f"{rng.choice(numeric)} {rng.choice(['+', '-', '*', '/', '%'])} {rng.randrange(0, 4)} {op} {rng.randrange(0, 1024)}"
-        if roll == 7:
-            return f"{rng.choice(COLUMNS)} {op} {rng.choice(COLUMNS)}"
-        # Column-kernel shapes the first eight never write.
-        if roll == 8:  # the literal on the left, signed
-            lhs = rng.choice(["0.5", "-1.5", "- -2", "512", "1e3", "'1'", "'alpha'", "-0"])
-            return f"{lhs} {op} {col}"
-        if roll == 9:  # a sign in front of anything
-            rhs = rng.choice(["-1", "-1.5", "-4096", "- - 7", "-'x'", "-TRUE", "-NULL"])
-            return f"{rng.choice(numeric)} {op} {rhs}"
-        if roll == 10:  # numeric / mixed / negated membership
-            items = rng.sample(["512", "4096", "0.5", "-1.5", "7", "'1e3'", "'2.5'", "NULL"], 3)
-            return f"{rng.choice(numeric)} {'NOT ' if rng.random() < 0.3 else ''}IN ({', '.join(items)})"
-        if roll == 11:  # string and ill-typed ranges
-            low, high = rng.choice([("'a'", "'h'"), ("''", "'s2'"), ("0", "'z'"), ("-1", "1")])
-            return f"{col} {'NOT ' if rng.random() < 0.3 else ''}BETWEEN {low} AND {high}"
-        # A type error unless something in front of it is false: the
-        # NULLs of the other conjuncts decide whether it is reached.
-        return f"{rng.choice(textual)} {rng.choice(['<', '<=', '>', '>='])} {rng.randrange(0, 4)}"
-
-    def where():
-        parts = [predicate() for _ in range(rng.randrange(1, 4))]
-        glue = [rng.choice([" AND ", " OR "]) for _ in parts[1:]]
-        out = parts[0]
-        for g, p in zip(glue, parts[1:]):
-            p = f"NOT ({p})" if rng.random() < 0.2 else p
-            out += g + p
-        return out
-
     grouped = rng.random() < 0.4
     sql_parts = ["SELECT"]
     if rng.random() < 0.2:
@@ -399,7 +427,7 @@ def random_select(rng):
         sql_parts.append(", ".join(items))
         sql_parts.append("FROM Processor")
         if rng.random() < 0.6:
-            sql_parts.append("WHERE " + where())
+            sql_parts.append("WHERE " + random_where(rng))
         sql_parts.append("GROUP BY SiteName")
         if rng.random() < 0.4:
             sql_parts.append("HAVING COUNT(*) >= " + str(rng.randrange(0, 3)))
@@ -411,11 +439,11 @@ def random_select(rng):
         else:
             items = rng.sample(COLUMNS, rng.randrange(1, 4))
             if rng.random() < 0.4:
-                items.append(f"{rng.choice(numeric)} * 2 AS Scaled")
+                items.append(f"{rng.choice(NUMERIC)} * 2 AS Scaled")
             sql_parts.append(", ".join(items))
         sql_parts.append("FROM Processor")
         if rng.random() < 0.7:
-            sql_parts.append("WHERE " + where())
+            sql_parts.append("WHERE " + random_where(rng))
         if rng.random() < 0.5:
             keys = rng.sample(COLUMNS + ["Scaled"], rng.randrange(1, 3))
             sql_parts.append(
@@ -465,6 +493,145 @@ class TestGeneratedDifferential:
             for name, rows in RELATIONS.items()
         }
         assert ok["typed"] >= 280 and ok["edge"] >= 120 and ok["short"] >= 120, ok
+
+
+# ----------------------------------------------------------------------
+# DML: Database runs the compiled closures, held to the same reference
+# ----------------------------------------------------------------------
+#: The test relation's columns as a table declares them: assignments are
+#: coerced (``cannot coerce 'x' to INTEGER``), loaded rows are not.
+DML_COLUMNS = [("HostName", "TEXT"), ("SiteName", "TEXT"), ("Load", "REAL"),
+               ("MemMB", "INTEGER"), ("Label", "TEXT")]
+
+
+def recased(rng, text):
+    """``text`` with some column names spelt in another case: they
+    resolve through the case-insensitive fallback."""
+    return re.sub(
+        r"\b(%s)\b" % "|".join(COLUMNS),
+        lambda m: rng.choice([m[0], m[0], m[0].lower(), m[0].upper()]),
+        text,
+    )
+
+
+def random_dml(rng):
+    """One random ``UPDATE … SET … [WHERE …]`` / ``DELETE … [WHERE …]``
+    over the test relation (always parseable)."""
+    where = ""
+    if rng.random() < 0.85:
+        where = " WHERE " + random_where(rng)
+        if rng.random() < 0.3:
+            where = recased(rng, where)
+    if rng.random() < 0.35:
+        return "DELETE FROM Processor" + where
+
+    def value():
+        roll = rng.randrange(5)
+        if roll == 0:  # what a declared type takes, refuses, or overflows on
+            return rng.choice(["0", "7", "-1.5", "'9'", "'2.5'", "'x'", "NULL", "TRUE", "1e400"])
+        if roll == 1:
+            return recased(rng, rng.choice(COLUMNS))
+        if roll == 2:
+            op = rng.choice(["+", "-", "*", "/", "%"])
+            return f"{rng.choice(NUMERIC)} {op} {rng.randrange(0, 4)}"
+        if roll == 3:
+            return f"-{rng.choice(NUMERIC)}"
+        return f"{rng.choice(NUMERIC)} + {rng.choice(NUMERIC)}"
+
+    if rng.random() < 0.15:  # a swap reads the row as found
+        a, b = rng.sample(COLUMNS, 2)
+        assignments = [f"{a} = {b}", f"{b} = {a}"]
+    else:
+        # An assignment's target is spelt exactly or not known at all.
+        targets = COLUMNS + ["load"] if rng.random() < 0.05 else COLUMNS
+        assignments = [f"{rng.choice(targets)} = {value()}" for _ in range(rng.randrange(1, 4))]
+    return f"UPDATE Processor SET {', '.join(assignments)}" + where
+
+
+def loaded_table(dict_rows):
+    db = Database()
+    table = db.create_table("Processor", DML_COLUMNS)
+    table.rows = [dict(r) for r in dict_rows]  # as they are: edges stay edges
+    return db, table
+
+
+def reference_dml(stmt, table):
+    """``(count, rows)`` after ``stmt``, by the reference interpreter over
+    a copy of ``table``'s rows; only ``Table.coerce`` is the table's."""
+    rows = [dict(r) for r in table.rows]
+    if isinstance(stmt, sql_ast.Delete):
+        kept = [r for r in rows if not evaluate_predicate(stmt.where, r)]
+        return len(rows) - len(kept), kept
+    coldefs = {c.name: c for c in table.columns}
+    for name, _ in stmt.assignments:
+        if name not in coldefs:
+            raise SqlExecutionError(f"unknown column {name!r} in UPDATE {stmt.table}")
+    count = 0
+    for row in rows:
+        if evaluate_predicate(stmt.where, row):
+            row.update({
+                name: table.coerce(coldefs[name], evaluate_expr(expr, row))
+                for name, expr in stmt.assignments
+            })
+            count += 1
+    return count, rows
+
+
+def assert_dml_equivalent(sql, dict_rows):
+    stmt = parse_statement(sql)
+    db, table = loaded_table(dict_rows)
+    found = repr(table.rows)
+    ref = outcome(lambda: reference_dml(stmt, table), tuple)
+    got = outcome(lambda: (db.execute_ast(stmt), table.rows), tuple)
+    assert got == ref, f"Database diverged on {sql!r}:\n{got}\n{ref}"
+    if ref[0] == "err":
+        assert repr(table.rows) == found, f"{sql!r} raised and left the table changed"
+    return ref
+
+
+class TestGeneratedDml:
+    def test_seeded_sweep(self):
+        """300 generated UPDATE / DELETE statements over the typed and the
+        kernel-edge relation: same surviving rows in the same order, same
+        count, same exception type and message as the reference, and a
+        statement that raises leaves the table as it found it."""
+        rng = random.Random(20261003)
+        batch = [random_dml(rng) for _ in range(300)]
+        seen = {name: {"ok": 0, "err": 0, "touched": 0} for name in ("typed", "edge")}
+        for i, sql in enumerate(batch):
+            for name, tally in seen.items():
+                try:
+                    ref = assert_dml_equivalent(sql, RELATIONS[name])
+                except AssertionError:
+                    raise AssertionError(f"iteration {i} over {name}: {sql}") from None
+                tally[ref[0]] += 1
+                tally["touched"] += ref[0] == "ok" and ref[1] > 0
+        # The generator writes what the sweep is for ...
+        assert sum(s.startswith("DELETE") for s in batch) >= 60
+        assert sum(" WHERE " not in s for s in batch) >= 20
+        assert any(re.search(r" WHERE .*\b(load|memmb|LABEL|HOSTNAME)\b", s) for s in batch)
+        assert any(re.search(r"SET (\w+) = (\w+), \2 = \1\b", s) for s in batch)
+        assert any("IS NULL" in s for s in batch) and any("'1'" in s for s in batch)
+        # ... and the statements both change rows and raise, over both.
+        for name, tally in seen.items():
+            assert tally["touched"] >= 60 and tally["err"] >= 40, (name, tally)
+
+    def test_the_errors_are_the_typed_ones(self):
+        typed = ("err", "SqlExecutionError")
+        for sql, rows, expected in [
+            ("UPDATE Processor SET MemMB = Label", ROWS,
+             (*typed, "cannot coerce 'alpha' to INTEGER for Processor.MemMB")),
+            ("UPDATE Processor SET MemMB = 1e400", ROWS,
+             (*typed, "cannot coerce inf to INTEGER for Processor.MemMB")),
+            ("UPDATE Processor SET load = 1", ROWS,
+             (*typed, "unknown column 'load' in UPDATE Processor")),
+            ("DELETE FROM Processor WHERE nope = 1", ROWS,
+             (*typed, "unknown column: 'nope'")),
+            ("DELETE FROM Processor WHERE Load > 100 AND HostName > 3", EDGE_ROWS,
+             (*typed, "type error in '>': str vs int")),
+            ("DELETE FROM Processor WHERE load > '1'", ROWS, ("ok", 2)),
+        ]:
+            assert assert_dml_equivalent(sql, rows)[: len(expected)] == expected, sql
 
 
 class TestBindingCache:
@@ -541,14 +708,32 @@ class TestZeroCopy:
 
 
 def test_only_the_executor_module_names_the_interpreter():
-    """One SELECT engine serves: nothing under ``src/repro`` outside the
-    reference's own module (and the package that could re-export it)
-    may name ``execute_select``."""
+    """One expression evaluator serves.  (The id is from when the
+    reference was ``repro.sql.executor``; it lives in
+    ``tests/reference_sql.py`` now.)  No file under ``src/repro`` names
+    an interpreter entry point or imports from ``tests``, and the
+    reference imports nothing of ``repro`` but the AST, the error types
+    and the value helpers — never the code it judges."""
     root = Path(repro.__file__).parent
-    allowed = {root / "sql" / "executor.py", root / "sql" / "__init__.py"}
+    names = re.compile(
+        r"\b(execute_select|evaluate_expr|evaluate_predicate|natural_join)\b"
+        r"|^\s*(from|import)\s+tests\b",
+        re.MULTILINE,
+    )
     offenders = [
         str(path.relative_to(root))
         for path in sorted(root.rglob("*.py"))
-        if path not in allowed and re.search(r"\bexecute_select\b", path.read_text())
+        if names.search(path.read_text())
     ]
     assert offenders == []
+    imported = set()
+    for node in ast.walk(ast.parse(Path(reference_sql.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert {m for m in imported if m.split(".")[0] in ("repro", "tests")} == {
+        "repro.sql.ast_nodes",
+        "repro.sql.errors",
+        "repro.sql.values",
+    }

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.sql.executor import execute_select
 from repro.sql.parser import parse_select
 from repro.sql.render import render_expr, render_select, rewrite_columns
+from tests.reference_sql import execute_select
 
 ROWS = [
     {"a": 1, "b": "x", "c": None},

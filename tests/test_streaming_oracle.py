@@ -9,7 +9,7 @@ The two sides deliberately share no execution code —
   :class:`~repro.core.plans.PlanCache` and evaluates the bound slot plan
   (:mod:`repro.sql.plan`) at the hub on every publish;
 * the **oracle side** re-parses and interprets the same SQL with
-  :func:`repro.sql.executor.execute_select` over mapping rows —
+  :func:`tests.reference_sql.execute_select` over mapping rows —
 
 so any divergence in predicate semantics, projection order, NULL
 handling, aggregation, dedup or LIMIT clipping between the compiled and
@@ -54,9 +54,9 @@ from repro.gma.subscription import (
 )
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
-from repro.sql.executor import execute_select
 from repro.sql.parser import parse_select
 from repro.testbed import build_site
+from tests.reference_sql import execute_select
 
 SEEDS = range(10)
 CASES_PER_SEED = 20
