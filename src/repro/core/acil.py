@@ -57,19 +57,9 @@ class ClientResponse:
         return cls(
             columns=list(result.columns),
             rows=result.dicts(),
-            statuses=[
-                {
-                    "url": s.url,
-                    "ok": s.ok,
-                    "rows": s.rows,
-                    "from_cache": s.from_cache,
-                    "degraded": s.degraded,
-                    "coalesced": s.coalesced,
-                    "shed": s.shed,
-                    "error": s.error,
-                }
-                for s in result.statuses
-            ],
+            # One dict per SourceStatus, its fields in declaration order
+            # (``dataclasses.asdict`` spells the same dict 25x slower).
+            statuses=[dict(vars(s)) for s in result.statuses],
             elapsed=result.elapsed,
             mode=result.mode.value,
         )

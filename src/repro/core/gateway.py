@@ -631,39 +631,28 @@ class Gateway:
             "query_class": qc,
         }
         started = self.network.clock.now()
-        if not remote_by_site:
-            # Local-only fast path: the RequestManager fans out itself.
-            result = self.request_manager.execute(
+
+        def run_local() -> QueryResult:
+            return self.request_manager.execute(
                 local, sql, mode=mode, max_age=max_age, info=info,
                 deadline=deadline, entry=entry,
             )
+
+        if not remote_by_site:
+            # Local-only fast path: the RequestManager fans out itself.
+            result = run_local()
         else:
             # Scatter-gather: the local batch and each remote site's
             # batch are dispatched concurrently; partials merge in the
             # deterministic order local-first, then site order.
             result = QueryResult(columns=[], rows=[], mode=mode, started_at=started)
-            thunks = []
-            if local:
+            thunks = [run_local] if local else []
+            for site_name, site_urls in remote_by_site.items():
                 thunks.append(
-                    lambda: self.request_manager.execute(
-                        local, sql, mode=mode, max_age=max_age, info=info,
-                        deadline=deadline, entry=entry,
+                    lambda s=site_name, u=site_urls: self._query_remote_site(
+                        s, u, sql, mode, max_age, principal, deadline, qc
                     )
                 )
-
-            def remote_branch(site_name: str, site_urls: list[str]):
-                def run() -> QueryResult:
-                    partial = QueryResult(columns=[], rows=[], mode=mode)
-                    self._query_remote_site(
-                        site_name, site_urls, sql, mode, max_age, principal,
-                        partial, deadline, qc,
-                    )
-                    return partial
-
-                return run
-
-            for site_name, site_urls in remote_by_site.items():
-                thunks.append(remote_branch(site_name, site_urls))
             for outcome in self.dispatcher.run(thunks):
                 if outcome.error is not None:
                     raise outcome.error
@@ -725,12 +714,11 @@ class Gateway:
         mode: QueryMode,
         max_age: float | None,
         principal: Principal,
-        result,
         deadline: Deadline | None = None,
         qc: QueryClass = QueryClass.INTERACTIVE,
-    ) -> None:
-        """Forward one remote batch via the Global layer, merging the
-        remote answer (or failure) into ``result``."""
+    ) -> QueryResult:
+        """One remote batch via the Global layer: the remote answer, or
+        an ``ok=False`` status per URL saying why there is none."""
         from repro.gma.global_layer import RemoteQueryError
 
         try:
@@ -744,38 +732,20 @@ class Gateway:
                 deadline=deadline,
                 query_class=qc.value,
             )
-        except OverloadError as exc:
-            # The remote gateway shed the batch to protect itself: a
-            # typed per-source shed status, never a breaker failure
-            # against gma://<site> (the Global layer already skipped the
-            # health penalty for sheds).
-            for u in site_urls:
-                result.statuses.append(
-                    SourceStatus(url=u, ok=False, shed=True, error=str(exc))
-                )
-            return
-        except (RemoteQueryError, DeadlineExceededError) as exc:
-            degraded = self.health.state(f"gma://{site_name}") is BreakerState.OPEN
-            for u in site_urls:
-                result.statuses.append(
-                    SourceStatus(url=u, ok=False, degraded=degraded, error=str(exc))
-                )
-            return
-        result.columns, _ = merge_rows(
-            result.columns, result.rows, remote.columns, remote.rows
-        )
-        for s in remote.statuses:
-            result.statuses.append(
-                SourceStatus(
-                    url=s.get("url", f"gma://{site_name}"),
-                    ok=bool(s.get("ok")),
-                    rows=int(s.get("rows", 0) or 0),
-                    from_cache=bool(s.get("from_cache")),
-                    degraded=bool(s.get("degraded")),
-                    shed=bool(s.get("shed")),
-                    error=str(s.get("error", "") or ""),
-                )
+        except (OverloadError, RemoteQueryError, DeadlineExceededError) as exc:
+            # A shed is the remote gateway protecting itself: a typed
+            # per-source shed status, never a breaker failure against
+            # gma://<site> (the Global layer already skipped the penalty).
+            shed = isinstance(exc, OverloadError)
+            degraded = not shed and (
+                self.health.state(f"gma://{site_name}") is BreakerState.OPEN
             )
+            failed = [
+                SourceStatus(u, False, degraded=degraded, shed=shed, error=str(exc))
+                for u in site_urls
+            ]
+            return QueryResult([], [], failed, mode)
+        return remote
 
     def query_batch(
         self,

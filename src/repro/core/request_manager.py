@@ -35,8 +35,8 @@ from __future__ import annotations
 import enum
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, ClassVar, Iterable, Mapping, Sequence
 
 from repro.core.admission import AdmissionController, QueryClass
 from repro.core.cache import CacheController
@@ -96,6 +96,26 @@ class SourceStatus:
     #: to protect itself (load shed) — never a source-health signal.
     shed: bool = False
     error: str = ""
+
+    #: What of an outcome crosses a gateway-to-gateway wire, in order.
+    #: ``coalesced`` says how *this* hop got its answer and stays local.
+    WIRE_KEYS: ClassVar[tuple[str, ...]] = (
+        "url", "ok", "rows", "from_cache", "degraded", "shed", "error"
+    )
+
+    def to_wire(self) -> list[Any]:
+        return [getattr(self, key) for key in self.WIRE_KEYS]
+
+    @classmethod
+    def from_wire(cls, *values: Any) -> "SourceStatus":
+        """The status :meth:`to_wire` spelled, or ``ValueError`` for a
+        ragged row or a value that is not exactly its field's type
+        (annotations are strings here, so ``f.type`` is the type's name)."""
+        status = cls(**dict(zip(cls.WIRE_KEYS, values, strict=True)))
+        for f in fields(status):
+            if type(getattr(status, f.name)).__name__ != f.type:
+                raise ValueError(f"bad {f.name} {getattr(status, f.name)!r}")
+        return status
 
 
 @dataclass

@@ -4,6 +4,8 @@
 Organisation, interaction is based on the Global Grid Forum's Grid
 Monitoring Architecture (GMA)."  GMA's three parts are all here:
 
+* :mod:`repro.gma.records` — what crosses their wires: the one
+  envelope and trust boundary of every request and reply below;
 * :mod:`repro.gma.directory` — the directory service producers
   register with and consumers look them up in;
 * :mod:`repro.gma.producer` — a gateway-side producer answering remote

@@ -2,42 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
-
 from repro.core.deadline import Deadline
-from repro.core.errors import GridRmError, OverloadError
+from repro.core.errors import OverloadError
+from repro.core.request_manager import QueryMode, QueryResult
 from repro.gma.directory import DirectoryClient
-from repro.gma.records import ProducerRecord
-from repro.obs.trace import NO_TRACER, Tracer
-from repro.simnet.errors import NetworkError
+from repro.gma.records import (
+    Fields,
+    ProducerRecord,
+    RemoteQueryFailure,
+    call,
+    stamp,
+    unpack_statuses,
+)
+from repro.obs.trace import Tracer
 from repro.simnet.network import Address, Network
-
-
-class RemoteQueryFailure(GridRmError):
-    """The remote gateway rejected or failed the query.
-
-    A :class:`GridRmError` so the dispatch layer treats it as a
-    legitimate branch/flight outcome (captured and shared), not a
-    programming error.
-    """
-
-
-@dataclass
-class RemoteResult:
-    """A remote gateway's answer, mirroring QueryResult's shape."""
-
-    columns: list[str]
-    rows: list[list[Any]]
-    statuses: list[dict[str, Any]] = field(default_factory=list)
-    producer: ProducerRecord | None = None
-    #: Trace id of the query as executed at the *remote* gateway (its
-    #: tracer owns that trace; ours only records the wire span).
-    remote_trace_id: str = ""
-
-    def dicts(self) -> list[dict[str, Any]]:
-        return [dict(zip(self.columns, r)) for r in self.rows]
-
 
 class GatewayConsumer:
     """Looks producers up in the directory and queries them."""
@@ -48,108 +26,59 @@ class GatewayConsumer:
         from_host: str,
         directory: DirectoryClient,
         *,
-        from_site: str = "",
-        tracer: Tracer | None = None,
+        from_site: str,
+        tracer: Tracer,
     ) -> None:
         self.network = network
         self.from_host = from_host
         self.directory = directory
-        self.from_site = from_site or network.site_of(from_host)
-        self.tracer = tracer if tracer is not None else NO_TRACER
-        self.queries_sent = 0
-
-    # ------------------------------------------------------------------
-    def producers_for(self, site: str) -> list[ProducerRecord]:
-        return self.directory.lookup_site(site)
+        self.from_site = from_site
+        self.tracer = tracer
 
     def query_producer(
         self,
         producer: ProducerRecord,
-        sql: str,
+        request: dict[str, object],
         *,
-        urls: list[str] | None = None,
-        mode: str = "cached_ok",
-        max_age: float | None = None,
-        timeout: float | None = None,
         deadline: Deadline | None = None,
         query_class: str | None = None,
-    ) -> RemoteResult:
-        """Send one query to one producer.
-
-        A ``deadline`` clamps the network timeout to the remaining
-        budget and rides along on the wire as ``deadline_budget`` — a
-        relative number of seconds, because the producer's clock is not
-        ours to anchor an absolute instant against.  The producer
-        re-anchors it locally, so every hop sees only what is left.
-        ``query_class`` rides along too, so the remote gateway's
-        admission control sheds by the *originating* query's priority.
-        A remote shed comes back as :class:`OverloadError` — typed, so
-        callers never mistake a protecting gateway for a failing one.
+    ) -> QueryResult:
+        """Send one ``query`` request to one producer, under the hop
+        envelope of :mod:`repro.gma.records`; ``trace_id`` in the answer
+        is the query's trace at the *remote* gateway (ours holds the wire
+        span).  A shed is :class:`OverloadError`; every other failure, a
+        reply out of shape included, :class:`RemoteQueryFailure`.
         """
-        self.queries_sent += 1
-        payload = {
-            "op": "query",
-            "sql": sql,
-            "urls": urls,
-            "mode": mode,
-            "max_age": max_age,
-            "from_site": self.from_site,
-        }
-        if query_class is not None:
-            payload["query_class"] = query_class
-        if deadline is not None:
-            base = self.network.DEFAULT_TIMEOUT if timeout is None else timeout
-            timeout = deadline.clamp(base, f"remote query to {producer.key()}")
-            payload["deadline_budget"] = deadline.remaining()
-        # Span context rides the wire so the remote gateway re-parents
-        # its own query trace under this hop (see GatewayProducer._query).
-        ctx = self.tracer.context()
-        if ctx is not None:
-            payload["trace_ctx"] = ctx
-        with self.tracer.span("wire", producer=producer.key()) as span:
+        key = producer.key()
+        timeout = stamp(
+            request, tracer=self.tracer, deadline=deadline, query_class=query_class,
+            what=f"remote query to {key}",
+        )
+        address = Address(producer.gateway_host, producer.port)
+        with self.tracer.span("wire", producer=key) as span:
             try:
-                response = self.network.request(
-                    self.from_host,
-                    Address(producer.gateway_host, producer.port),
-                    payload,
-                    timeout=timeout,
+                reply = Fields(
+                    call(self.network, self.from_host, address, request, timeout=timeout)
+                ).accepted("refused")
+                trace_id = reply.opt("trace_id", str) or ""
+                if trace_id:
+                    span["remote_trace"] = trace_id
+                columns = reply.items("columns", str)
+                rows = reply.items("rows", list)
+                if any(len(row) != len(columns) for row in rows):
+                    raise reply.bad("rows")
+                return QueryResult(
+                    columns,
+                    [list(row) for row in rows],
+                    unpack_statuses(reply),
+                    QueryMode(request["mode"]),
+                    trace_id=trace_id,
                 )
-            except NetworkError as exc:
-                raise RemoteQueryFailure(
-                    f"producer {producer.key()} unreachable: {exc}"
-                ) from exc
-            if isinstance(response, dict) and response.get("shed"):
-                # The remote gateway refused the query to protect itself:
-                # propagate as the typed shed, not a producer failure
-                # (no failover to siblings, no breaker penalty upstream).
+            except OverloadError:
                 span["shed"] = True
-                raise OverloadError(
-                    f"producer {producer.key()} shed the query: "
-                    f"{response.get('error', 'overloaded')}",
-                    retry_after=float(response.get("retry_after", 0) or 0),
-                    query_class=str(response.get("query_class", "")),
-                )
-            if not isinstance(response, dict) or not response.get("ok"):
-                error = (
-                    response.get("error") if isinstance(response, dict) else "garbage"
-                )
-                raise RemoteQueryFailure(f"producer {producer.key()}: {error}")
-            remote_trace_id = str(response.get("trace_id", ""))
-            if remote_trace_id:
-                span["remote_trace"] = remote_trace_id
-            # Batched wire shape: status keys once, statuses positional.
-            if "status_keys" not in response or "status_rows" not in response:
-                raise RemoteQueryFailure(
-                    f"producer {producer.key()}: malformed reply (no statuses)"
-                )
-            keys = list(response["status_keys"])
-            return RemoteResult(
-                columns=list(response.get("columns", [])),
-                rows=[list(r) for r in response.get("rows", [])],
-                statuses=[dict(zip(keys, row)) for row in response["status_rows"]],
-                producer=producer,
-                remote_trace_id=remote_trace_id,
-            )
+                raise
+            except RemoteQueryFailure as exc:
+                raise RemoteQueryFailure(f"producer {key}: {exc}") from exc
 
     def query_site(
         self,
@@ -161,7 +90,7 @@ class GatewayConsumer:
         max_age: float | None = None,
         deadline: Deadline | None = None,
         query_class: str | None = None,
-    ) -> RemoteResult:
+    ) -> QueryResult:
         """Query a site via its first reachable registered producer.
 
         A ``deadline`` stops the failover loop: once the budget is gone,
@@ -172,15 +101,22 @@ class GatewayConsumer:
         hammering its siblings with the same query would amplify the
         overload.
         """
-        producers = self.producers_for(site)
+        producers = self.directory.lookup_site(site)
         if not producers:
             raise RemoteQueryFailure(f"no producer registered for site {site!r}")
+        request = {
+            "op": "query",
+            "sql": sql,
+            "urls": urls,
+            "mode": mode,
+            "max_age": max_age,
+            "from_site": self.from_site,
+        }
         last: Exception | None = None
         for producer in producers:
             try:
                 return self.query_producer(
-                    producer, sql, urls=urls, mode=mode, max_age=max_age,
-                    deadline=deadline, query_class=query_class,
+                    producer, dict(request), deadline=deadline, query_class=query_class
                 )
             except RemoteQueryFailure as exc:
                 last = exc

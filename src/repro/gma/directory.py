@@ -5,40 +5,36 @@ registering with a "GMA Directory"): it runs on its own host and answers
 register / unregister / lookup requests.  :class:`DirectoryClient` is the
 stub gateways and consumers use.
 
-Wire protocol (tuples over the simulated network):
+Wire protocol (tuples over the simulated network; a record crosses as
+the mapping :meth:`ProducerRecord.from_wire` reads, on both sides):
 
-* ``("register_producer", record_fields)`` -> ``("ok",)``
+* ``("register_producer", record)`` -> ``("ok",)``
 * ``("unregister_producer", key)`` -> ``("ok",)`` | ``("missing",)``
-* ``("lookup_site", site)`` -> ``("ok", [record_fields...])``
-* ``("list_producers",)`` -> ``("ok", [record_fields...])``
+* ``("lookup_site", site)`` -> ``("ok", [record...])``
+* ``("list_producers",)`` -> ``("ok", [record...])``
 
-A request of the wrong shape (arity, a record that is not a mapping of
-:class:`ProducerRecord` fields, a non-string site or key) is answered
-``("error", "malformed request")`` and changes nothing.
+A request of the wrong shape (arity, a record that is not one, a
+non-string site or key) is answered ``("error", "malformed request")``
+and changes nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
-from typing import Any, Mapping
+from dataclasses import asdict
+from typing import Any, Callable
 
-from repro.gma.records import ProducerRecord
+from repro.gma.records import ProducerRecord, RemoteQueryFailure, call
 from repro.simnet.network import Address, Network
 
 DIRECTORY_PORT = 8200
 
 _MALFORMED = ("error", "malformed request")
-_RECORD_FIELDS = frozenset(f.name for f in fields(ProducerRecord))
-_REQUIRED_FIELDS = frozenset({"site", "gateway_host", "port"})
 
 
-def _is_record(arg: Any) -> bool:
-    """A mapping carrying the required :class:`ProducerRecord` fields and
-    no key outside the record's own."""
-    return (
-        isinstance(arg, Mapping)
-        and _REQUIRED_FIELDS <= arg.keys() <= _RECORD_FIELDS
-    )
+def _text(arg: Any) -> str:
+    if type(arg) is not str:
+        raise RemoteQueryFailure(f"bad argument {arg!r}")
+    return arg
 
 
 class GMADirectory:
@@ -49,36 +45,45 @@ class GMADirectory:
     ) -> None:
         if not network.has_host(host):
             network.add_host(host, site="gma")
-        self.network = network
         self.address = Address(host, port)
         self._producers: dict[str, ProducerRecord] = {}
-        self.requests_served = 0
+        #: op -> (handler, one parser per argument); a parser refuses a
+        #: wrong-typed argument before the handler changes anything.
+        self._ops: dict[str, tuple[Callable[..., tuple], ...]] = {
+            "register_producer": (self._register, ProducerRecord.from_wire),
+            "unregister_producer": (self._unregister, _text),
+            "lookup_site": (self._listing, _text),
+            "list_producers": (self._listing,),
+        }
         network.listen(self.address, self._handle)
 
     # ------------------------------------------------------------------
     def _handle(self, payload: Any, src: Address) -> tuple:
-        self.requests_served += 1
         if not isinstance(payload, tuple) or not payload:
             return _MALFORMED
         op, args = payload[0], payload[1:]
-        if op == "register_producer":
-            if len(args) != 1 or not _is_record(args[0]):
-                return _MALFORMED
-            record = ProducerRecord(**args[0])
-            self._producers[record.key()] = record
-            return ("ok",)
-        if op in ("unregister_producer", "lookup_site"):
-            if len(args) != 1 or not isinstance(args[0], str):
-                return _MALFORMED
-            if op == "unregister_producer":
-                return ("ok",) if self._producers.pop(args[0], None) else ("missing",)
-            hits = [asdict(r) for r in self._producers.values() if r.site == args[0]]
-            return ("ok", hits)
-        if op == "list_producers":
-            if args:
-                return _MALFORMED
-            return ("ok", [asdict(r) for r in self._producers.values()])
-        return ("error", f"unknown op {op!r}")
+        if type(op) is not str or op not in self._ops:
+            return ("error", f"unknown op {op!r}")
+        handler, *parsers = self._ops[op]
+        if len(args) != len(parsers):
+            return _MALFORMED
+        try:
+            return handler(*(parse(arg) for parse, arg in zip(parsers, args)))
+        except RemoteQueryFailure:
+            return _MALFORMED
+
+    def _register(self, record: ProducerRecord) -> tuple:
+        self._producers[record.key()] = record
+        return ("ok",)
+
+    def _unregister(self, key: str) -> tuple:
+        return ("ok",) if self._producers.pop(key, None) else ("missing",)
+
+    def _listing(self, site: str | None = None) -> tuple:
+        return (
+            "ok",
+            [asdict(r) for r in self._producers.values() if site in (None, r.site)],
+        )
 
     # Direct (in-process) view, for tests and the console.
     def producers(self) -> list[ProducerRecord]:
@@ -86,7 +91,11 @@ class GMADirectory:
 
 
 class DirectoryClient:
-    """Network stub for the directory service."""
+    """Network stub for the directory service.
+
+    Every failure — directory unreachable, an ``error`` reply, a record
+    that is not one — is a :class:`RemoteQueryFailure`.
+    """
 
     def __init__(self, network: Network, from_host: str, directory: Address) -> None:
         self.network = network
@@ -94,12 +103,13 @@ class DirectoryClient:
         self.directory = directory
 
     def _call(self, *payload: Any) -> tuple:
-        response = self.network.request(self.from_host, self.directory, tuple(payload))
-        if not isinstance(response, tuple) or not response:
-            raise RuntimeError("malformed directory response")
-        if response[0] == "error":
-            raise RuntimeError(f"directory error: {response[1]}")
-        return response
+        return call(self.network, self.from_host, self.directory, payload)
+
+    def _records(self, *payload: Any) -> list[ProducerRecord]:
+        reply = self._call(*payload)
+        if len(reply) != 2 or type(reply[1]) is not list:
+            raise RemoteQueryFailure(f"{self.directory}: malformed reply")
+        return [ProducerRecord.from_wire(raw) for raw in reply[1]]
 
     def register_producer(self, record: ProducerRecord) -> None:
         self._call("register_producer", asdict(record))
@@ -108,7 +118,7 @@ class DirectoryClient:
         return self._call("unregister_producer", key)[0] == "ok"
 
     def lookup_site(self, site: str) -> list[ProducerRecord]:
-        return [ProducerRecord(**d) for d in self._call("lookup_site", site)[1]]
+        return self._records("lookup_site", site)
 
     def list_producers(self) -> list[ProducerRecord]:
-        return [ProducerRecord(**d) for d in self._call("list_producers")[1]]
+        return self._records("list_producers")

@@ -67,16 +67,20 @@ from repro.analysis import races
 from repro.core.admission import QueryClass
 from repro.gma.archiver import EventArchiver
 from repro.core.deadline import Deadline
-from repro.core.errors import (
-    DeadlineExceededError,
-    GridRmError,
-    OverloadError,
-    PolicyError,
-)
+from repro.core.errors import OverloadError, PolicyError
 from repro.core.history import HistoryStore
 from repro.core.policy import GatewayPolicy
 from repro.core.shed import PressureState, ShedAction, shed_action
 from repro.glue.schema import GlueField, GlueGroup, GlueSchema
+from repro.gma.records import (
+    Fields,
+    Handler,
+    RemoteQueryFailure,
+    call,
+    inherit,
+    serve,
+    stamp,
+)
 from repro.obs.trace import NO_TRACER, Tracer
 from repro.simnet.errors import NetworkError
 from repro.simnet.network import Address, Network
@@ -195,24 +199,18 @@ class _Continuous:
 class StreamHub:
     """Producing-gateway endpoint for continuous SQL subscriptions.
 
-    Control protocol (request/response on :data:`STREAM_PORT`, dict ops
-    like the GMA query wire):
+    Control protocol (request/response on :data:`STREAM_PORT`; envelope,
+    refusal and shed forms: :mod:`repro.gma.records`)::
 
-    * ``{"op": "register", "sql", "host", "port", "flavour", "lease",
-      "max_buffer", "overflow", "query_class", "watermark",
-      "deadline_budget", "trace_ctx"}`` ->
-      ``{"ok": True, "cq": id, "group": g, "replayed": n}``;
-      a shed registration returns the typed form
-      ``{"ok": False, "shed": True, "retry_after": s, ...}``; a
-      ``watermark`` that is not a finite instant >= 0 is refused
-      (``{"ok": False, "error": "bad watermark ..."}``)
-    * ``{"op": "renew", "cq": id, "lease": s}`` -> ``{"ok": True}`` |
-      ``{"ok": False, "error": "missing"}``
-    * ``{"op": "deregister", "cq": id}`` -> same shape as renew
-    * ``{"op": "pause", "cq": id}`` -> ``{"ok": True}``
-    * ``{"op": "resume", "cq": id}`` -> ``{"ok": True, "flushed": n}``;
-      the ``n`` buffered batches leave as one frame, in publish order
-    * ``{"op": "stats"}`` -> ``{"ok": True, "stats": {...}}``
+        register    sql, host, port, flavour, lease, max_buffer, overflow,
+                    watermark (a finite instant >= 0)
+                    -> cq, group, replayed
+        renew       cq, lease -> ok | "missing"
+        deregister  cq        -> ok | "missing"
+        pause       cq        -> ok | "missing"
+        resume      cq        -> flushed: the buffered batches leave as
+                                 one frame, in publish order
+        stats       -> stats
 
     Data plane (one-way datagrams to the registered ``host:port``):
     ``{"kind": "gridrm-frame", "batches": [batch, ...]}`` — one per
@@ -276,6 +274,14 @@ class StreamHub:
             "resurrected": 0,
             "unsatisfied": 0,
         }
+        self._ops: dict[str, Handler] = {
+            "register": self._register,
+            "renew": self._renew,
+            "deregister": self._deregister,
+            "pause": self._pause,
+            "resume": self._resume,
+            "stats": lambda _: {"ok": True, "stats": self.snapshot()},
+        }
         network.listen(self.address, self._handle_control)
         self._sweep_task = network.clock.call_every(
             policy.stream_sweep_period, self.sweep
@@ -285,127 +291,86 @@ class StreamHub:
     # Control plane
     # ------------------------------------------------------------------
     def _handle_control(self, payload: Any, src: Address) -> dict[str, Any]:
-        if not isinstance(payload, dict) or "op" not in payload:
-            return {"ok": False, "error": "malformed request"}
-        op = payload["op"]
-        try:
-            if op == "register":
-                return self._register(payload)
-            if op == "renew":
-                return self._renew(payload)
-            if op == "deregister":
-                return self._deregister(payload)
-            if op == "pause":
-                return self._pause(payload)
-            if op == "resume":
-                return self._resume(payload)
-            if op == "stats":
-                return {"ok": True, "stats": self.snapshot()}
-        except OverloadError as exc:
-            # Typed shed, same wire form as the GMA query path: the
-            # consumer raises OverloadError with the retry-after hint,
-            # never a breaker penalty against a merely-busy gateway.
-            self.stats["shed"] += 1
-            return {
-                "ok": False,
-                "shed": True,
-                "retry_after": exc.retry_after,
-                "query_class": exc.query_class,
-                "error": str(exc),
-            }
-        except (GridRmError, SqlError) as exc:
-            return {"ok": False, "error": str(exc)}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+        return serve(self._ops, payload)
 
-    def _register(self, payload: dict[str, Any]) -> dict[str, Any]:
-        budget = payload.get("deadline_budget")
-        if budget is not None and float(budget) <= 0:
-            raise DeadlineExceededError(
-                "deadline exhausted before continuous-query registration"
-            )
-        sql = str(payload.get("sql", ""))
-        flavour = str(payload.get("flavour", "stream"))
+    def _register(self, request: Fields) -> dict[str, Any]:
+        # Every field is read before the trace opens or an id is drawn:
+        # a refused registration leaves no trace and burns no cq id.
+        _, trace_parent, query_class = inherit(
+            request, self.network.clock, "continuous-query registration"
+        )
+        sql = request.opt("sql", str) or ""
+        flavour = request.opt("flavour", str) or "stream"
         if flavour not in FLAVOURS:
-            return {"ok": False, "error": f"unknown flavour {flavour!r}"}
-        overflow = str(payload.get("overflow") or "drop_oldest")
+            raise RemoteQueryFailure(f"unknown flavour {flavour!r}")
+        overflow = request.opt("overflow", str) or "drop_oldest"
         if overflow not in ("drop_oldest", "pause"):
-            return {"ok": False, "error": f"unknown overflow policy {overflow!r}"}
-        try:
-            watermark = float(payload.get("watermark") or 0.0)
-        except (TypeError, ValueError, OverflowError):
-            watermark = math.nan
-        if not (math.isfinite(watermark) and watermark >= 0):
-            return {
-                "ok": False,
-                "error": f"bad watermark {payload.get('watermark')!r}",
-            }
-        qc = QueryClass.parse(payload.get("query_class") or None)
-        trace_ctx = payload.get("trace_ctx")
+            raise RemoteQueryFailure(f"unknown overflow policy {overflow!r}")
+        watermark = request.opt("watermark", float) or 0.0
+        if watermark < 0:
+            raise request.bad("watermark")
+        consumer = Address(request.opt("host", str) or "", request.opt("port", int) or 0)
+        lease = request.opt("lease", float) or self.policy.stream_default_lease
+        max_buffer = request.opt("max_buffer", int) or DEFAULT_BUFFER
+        qc = QueryClass.parse(query_class)
         with self.tracer.start_trace(
             "subscribe",
-            remote_parent=trace_ctx if isinstance(trace_ctx, dict) else None,
+            remote_parent=trace_parent,
             sql=sql,
             flavour=flavour,
             query_class=qc.value,
         ) as root:
             self._admit_registration(qc)
-            if len(self._subs) >= self.policy.stream_max_subscriptions:
-                raise OverloadError(
-                    "continuous-query table full "
-                    f"({self.policy.stream_max_subscriptions} registrations)",
-                    retry_after=self.policy.stream_sweep_period,
-                    query_class=qc.value,
-                )
             entry = self.plans.get(sql)
             if entry.findings:
-                return {"ok": False, "error": entry.findings[0].message}
-            group = (
-                self.schema.group(entry.select.table).name
-                if self.schema.has_group(entry.select.table)
-                else entry.select.table
-            )
-            now = self.network.clock.now()
+                raise RemoteQueryFailure(entry.findings[0].message)
+            group = self._canonical(entry.select.table)
             cq = _Continuous(
                 cq_id=next(self._ids),
-                consumer=Address(
-                    str(payload.get("host", "")), int(payload.get("port", 0))
-                ),
+                consumer=consumer,
                 sql=sql,
                 flavour=flavour,
                 group=group,
                 plan=entry.compiled(),
                 query_class=qc.value,
-                expires_at=now
-                + float(payload.get("lease") or self.policy.stream_default_lease),
-                max_buffer=int(payload.get("max_buffer") or 0) or DEFAULT_BUFFER,
+                expires_at=self.network.clock.now() + lease,
+                max_buffer=max_buffer,
                 overflow=overflow,
             )
             self._subs[cq.cq_id] = cq
             self.stats["registered"] += 1
-            if races.ACTIVE is not None:
-                races.ACTIVE.note(
-                    "stream.subs", str(cq.cq_id), "w", site="StreamHub.register"
-                )
+            self._wrote(cq.cq_id, "register")
             replayed = self._replay(cq, watermark)
             root.annotate(cq=cq.cq_id, group=group, replayed=replayed)
             return {"ok": True, "cq": cq.cq_id, "group": group, "replayed": replayed}
 
+    def _wrote(self, cq_id: int, op: str) -> None:
+        if races.ACTIVE is not None:
+            races.ACTIVE.note("stream.subs", str(cq_id), "w", site=f"StreamHub.{op}")
+
+    def _canonical(self, group: str) -> str:
+        return self.schema.group(group).name if self.schema.has_group(group) else group
+
     def _admit_registration(self, qc: QueryClass) -> None:
-        """Refuse sheddable registrations while the gateway is shedding.
+        """Shed a registration the table has no room for, or a sheddable
+        one while the gateway is shedding.
 
         Only the hard-SHED fate refuses: a registration has no stale to
         serve, so the brownout fates degrade on the *push* side instead
         (see :meth:`publish`).
         """
         ov = self.overload
-        if ov is None or not ov.enabled:
+        full = self.policy.stream_max_subscriptions
+        if ov is not None and ov.enabled and shed_action(ov.state, qc) is ShedAction.SHED:
+            why = f"gateway is shedding {qc.value} registrations"
+            retry_after = ov.monitor.retry_after()
+        elif len(self._subs) >= full:
+            why = f"continuous-query table full ({full} registrations)"
+            retry_after = self.policy.stream_sweep_period
+        else:
             return
-        if shed_action(ov.state, qc) is ShedAction.SHED:
-            raise OverloadError(
-                f"gateway is shedding {qc.value} registrations",
-                retry_after=ov.monitor.retry_after(),
-                query_class=qc.value,
-            )
+        self.stats["shed"] += 1
+        raise OverloadError(why, retry_after=retry_after, query_class=qc.value)
 
     def _replay(self, cq: _Continuous, watermark: float) -> int:
         """Flavour-specific attach replay; returns tuples replayed."""
@@ -426,18 +391,10 @@ class StreamHub:
                         cq.unsatisfied += 1
                         self.stats["unsatisfied"] += 1
                         continue
-                    if not result.rows:
-                        continue
-                    batch = encode_batch(
-                        cq.cq_id,
-                        list(result.columns),
-                        [list(r) for r in result.rows],
-                        published_at=now,
-                        source_url=source_url,
-                        replay=True,
+                    replayed += self._owe(
+                        cq, result, outbox,
+                        published_at=now, source_url=source_url, replay=True,
                     )
-                    replayed += len(result.rows)
-                    self._offer(cq, batch, outbox)
             elif cq.flavour == "history" and self.history is not None:
                 rows = self.history.since(cq.group, watermark)
                 # Cap at the newest rows: attach replay is a catch-up,
@@ -446,25 +403,18 @@ class StreamHub:
                 if rows:
                     # A stored row carries every column of its table, in
                     # table order: its keys are the layout to bind to.
-                    result = cq.plan.bind_mapping(tuple(rows[0])).execute(rows)
-                    if result.rows:
-                        batch = encode_batch(
-                            cq.cq_id,
-                            list(result.columns),
-                            [list(r) for r in result.rows],
-                            published_at=now,
-                            source_url="history://" + cq.group,
-                            replay=True,
-                        )
-                        replayed = len(result.rows)
-                        self._offer(cq, batch, outbox)
+                    replayed = self._owe(
+                        cq, cq.plan.bind_mapping(tuple(rows[0])).execute(rows), outbox,
+                        published_at=now, source_url="history://" + cq.group,
+                        replay=True,
+                    )
             self._flush(outbox, cq.group)
         self.stats["replayed"] += replayed
         return replayed
 
-    def _renew(self, payload: dict[str, Any]) -> dict[str, Any]:
-        cq_id = int(payload.get("cq", 0))
-        now = self.network.clock.now()
+    def _renew(self, request: Fields) -> dict[str, Any]:
+        cq_id = request.opt("cq", int) or 0
+        lease = request.opt("lease", float) or self.policy.stream_default_lease
         cq = self._subs.get(cq_id)
         if cq is None:
             # Tombstone grace: this renewal may have been on the wire —
@@ -478,39 +428,28 @@ class StreamHub:
                 return {"ok": False, "error": "missing"}
             self._subs[cq_id] = cq
             self.stats["resurrected"] += 1
-        cq.expires_at = now + float(
-            payload.get("lease") or self.policy.stream_default_lease
-        )
-        if races.ACTIVE is not None:
-            races.ACTIVE.note(
-                "stream.subs", str(cq_id), "w", site="StreamHub.renew"
-            )
+        cq.expires_at = self.network.clock.now() + lease
+        self._wrote(cq_id, "renew")
         return {"ok": True}
 
-    def _deregister(self, payload: dict[str, Any]) -> dict[str, Any]:
-        cq_id = int(payload.get("cq", 0))
+    def _deregister(self, request: Fields) -> dict[str, Any]:
+        cq_id = request.opt("cq", int) or 0
         removed = self._subs.pop(cq_id, None) or self._tombstones.pop(cq_id, None)
         if removed is None:
             return {"ok": False, "error": "missing"}
-        if races.ACTIVE is not None:
-            races.ACTIVE.note(
-                "stream.subs", str(cq_id), "w", site="StreamHub.deregister"
-            )
+        self._wrote(cq_id, "deregister")
         return {"ok": True}
 
-    def _pause(self, payload: dict[str, Any]) -> dict[str, Any]:
-        cq = self._subs.get(int(payload.get("cq", 0)))
+    def _pause(self, request: Fields) -> dict[str, Any]:
+        cq = self._subs.get(request.opt("cq", int) or 0)
         if cq is None:
             return {"ok": False, "error": "missing"}
         cq.paused = True
-        if races.ACTIVE is not None:
-            races.ACTIVE.note(
-                "stream.subs", str(cq.cq_id), "w", site="StreamHub.pause"
-            )
+        self._wrote(cq.cq_id, "pause")
         return {"ok": True}
 
-    def _resume(self, payload: dict[str, Any]) -> dict[str, Any]:
-        cq = self._subs.get(int(payload.get("cq", 0)))
+    def _resume(self, request: Fields) -> dict[str, Any]:
+        cq = self._subs.get(request.opt("cq", int) or 0)
         if cq is None:
             return {"ok": False, "error": "missing"}
         cq.paused = False
@@ -520,10 +459,7 @@ class StreamHub:
             cq.delivered += len(batches)
             cq.tuples += sum(len(b["rows"]) for b in batches)
             self._flush({cq.consumer: batches}, cq.group)
-        if races.ACTIVE is not None:
-            races.ACTIVE.note(
-                "stream.subs", str(cq.cq_id), "w", site="StreamHub.resume"
-            )
+        self._wrote(cq.cq_id, "resume")
         return {"ok": True, "flushed": len(batches)}
 
     # ------------------------------------------------------------------
@@ -545,16 +481,13 @@ class StreamHub:
         window rolls.  Returns the number of subscriptions that received
         tuples.
         """
-        g = (
-            self.schema.group(group).name
-            if self.schema.has_group(group)
-            else group
-        )
+        g = self._canonical(group)
         cols = list(columns)
         snapshot = [list(r) for r in rows]
         self._latest.setdefault(g, {})[source_url] = (cols, snapshot)
         now = self.network.clock.now()
-        suppress = self._brownout()
+        ov = self.overload
+        suppress = ov is not None and ov.enabled and ov.state is not PressureState.NORMAL
         outbox: _Outbox = {}
         pushed = 0
         for cq in self._subs.values():
@@ -602,13 +535,17 @@ class StreamHub:
         self._flush(outbox, g)
         return pushed
 
-    def _brownout(self) -> bool:
-        ov = self.overload
-        return (
-            ov is not None
-            and ov.enabled
-            and ov.state is not PressureState.NORMAL
-        )
+    def _owe(
+        self, cq: _Continuous, result: Any, outbox: _Outbox, **stamps: Any
+    ) -> int:
+        """Offer ``cq`` the rows one plan run matched as a batch (none for
+        no rows); how many."""
+        if result.rows:
+            batch = encode_batch(
+                cq.cq_id, list(result.columns), [list(r) for r in result.rows], **stamps
+            )
+            self._offer(cq, batch, outbox)
+        return len(result.rows)
 
     def _offer(
         self, cq: _Continuous, batch: dict[str, Any], outbox: _Outbox
@@ -659,10 +596,7 @@ class StreamHub:
         dead = [cq_id for cq_id, s in self._subs.items() if s.expires_at < now]
         for cq_id in dead:
             self._tombstones[cq_id] = self._subs.pop(cq_id)
-            if races.ACTIVE is not None:
-                races.ACTIVE.note(
-                    "stream.subs", str(cq_id), "w", site="StreamHub.sweep"
-                )
+            self._wrote(cq_id, "sweep")
         self.stats["expired"] += len(dead)
         return len(dead)
 
@@ -711,13 +645,11 @@ class _Registration:
     """Consumer-side record of one continuous query (for renew/recover)."""
 
     hub: Address
-    cq_id: int
-    sql: str
-    flavour: str
-    lease: float
-    max_buffer: int | None
-    overflow: str | None
+    #: The ``register`` request as first sent, hop fields aside; a lease
+    #: recovery sends it again with ``last_published`` as the watermark.
+    request: dict[str, Any]
     query_class: str
+    cq_id: int = 0
     #: Newest published_at seen — the watermark a lease recovery passes
     #: so a ``history`` re-registration does not replay delivered rows.
     last_published: float = 0.0
@@ -815,103 +747,80 @@ class StreamConsumer:
         query_class: str = "",
         deadline: "Deadline | None" = None,
         watermark: float = 0.0,
-        timeout: float = 5.0,
     ) -> int:
         """Register a continuous query at a hub; returns the cq id.
 
-        ``deadline`` rides the registration hop exactly like a GMA
-        query: the remaining budget clamps the network timeout and
-        crosses the wire as ``deadline_budget``; an exhausted budget is
-        refused at the hub.  A shed registration raises
-        :class:`~repro.core.errors.OverloadError` with the hub's
-        retry-after hint.
+        ``deadline`` and ``query_class`` ride the registration hop like
+        a GMA query's (:mod:`repro.gma.records`).  A shed registration
+        raises :class:`~repro.core.errors.OverloadError` with the hub's
+        retry-after hint, a refused one :class:`NetworkError`.
         """
-        reg = _Registration(
-            hub=hub,
-            cq_id=0,
-            sql=sql,
-            flavour=flavour,
-            lease=lease,
-            max_buffer=max_buffer,
-            overflow=overflow,
-            query_class=query_class,
-        )
-        payload = self._register_payload(reg, watermark)
-        if deadline is not None:
-            timeout = deadline.clamp(timeout, "stream.register")
-            payload["deadline_budget"] = deadline.remaining()
-        ctx = self.tracer.context()
-        if ctx is not None:
-            payload["trace_ctx"] = ctx
-        with self.tracer.span("subscribe", hub=f"{hub.host}:{hub.port}"):
-            response = self.network.request(
-                self.host, hub, payload, timeout=timeout
-            )
-        response = response if isinstance(response, dict) else {}
-        if response.get("shed"):
+        request: dict[str, Any] = {
+            "op": "register",
+            "sql": sql,
+            "host": self.address.host,
+            "port": self.address.port,
+            "flavour": flavour,
+            "lease": lease,
+            "watermark": watermark,
+        }
+        if max_buffer is not None:
+            request["max_buffer"] = int(max_buffer)
+        if overflow is not None:
+            request["overflow"] = overflow
+        reg = _Registration(hub, request, query_class)
+        try:
+            reg.cq_id = self._register(reg, deadline=deadline, tracer=self.tracer)
+        except OverloadError:
             self.stats["shed"] += 1
-            raise OverloadError(
-                str(response.get("error", "shed")),
-                retry_after=float(response.get("retry_after", 0.0)),
-                query_class=str(response.get("query_class", "")),
-            )
-        if not response.get("ok"):
-            raise NetworkError(f"register rejected: {response!r}")
-        reg.cq_id = int(response["cq"])
+            raise
         self._regs.append(reg)
         self._ensure_renewals()
         return reg.cq_id
 
-    def _register_payload(
-        self, reg: _Registration, watermark: float
-    ) -> dict[str, Any]:
-        """The register request for ``reg`` — first registration and
-        lease recovery (with the last-seen watermark) send the same one."""
-        payload: dict[str, Any] = {
-            "op": "register",
-            "sql": reg.sql,
-            "host": self.address.host,
-            "port": self.address.port,
-            "flavour": reg.flavour,
-            "lease": reg.lease,
-            "watermark": watermark,
-        }
-        if reg.max_buffer is not None:
-            payload["max_buffer"] = int(reg.max_buffer)
-        if reg.overflow is not None:
-            payload["overflow"] = reg.overflow
-        if reg.query_class:
-            payload["query_class"] = reg.query_class
-        return payload
+    def _register(
+        self,
+        reg: _Registration,
+        *,
+        deadline: "Deadline | None" = None,
+        tracer: Tracer = NO_TRACER,
+    ) -> int:
+        """Send ``reg``'s request; the id the hub drew.  (A lease recovery
+        runs off a clock timer, outside any trace.)"""
+        payload = dict(reg.request)
+        timeout = stamp(
+            payload, tracer=tracer, deadline=deadline, query_class=reg.query_class,
+            what="stream.register",
+        )
+        with tracer.span("subscribe", hub=f"{reg.hub.host}:{reg.hub.port}"):
+            reply = call(self.network, self.host, reg.hub, payload, timeout=timeout)
+        return Fields(reply).accepted("register rejected").get("cq", int)
 
-    def _control(self, hub: Address, payload: dict[str, Any]) -> dict[str, Any]:
-        response = self.network.request(self.host, hub, payload)
-        return response if isinstance(response, dict) else {}
+    def _control(self, hub: Address, op: str, cq_id: int, **more: Any) -> Fields:
+        return Fields(call(self.network, self.host, hub, {"op": op, "cq": cq_id, **more}))
 
     def renew(self, hub: Address, cq_id: int, lease: float) -> bool:
-        return bool(
-            self._control(hub, {"op": "renew", "cq": cq_id, "lease": lease}).get(
-                "ok"
-            )
-        )
+        return self._control(hub, "renew", cq_id, lease=lease).ok
 
     def pause(self, hub: Address, cq_id: int) -> bool:
-        return bool(self._control(hub, {"op": "pause", "cq": cq_id}).get("ok"))
+        return self._control(hub, "pause", cq_id).ok
 
     def resume(self, hub: Address, cq_id: int) -> int:
-        response = self._control(hub, {"op": "resume", "cq": cq_id})
-        if not response.get("ok"):
-            raise NetworkError(f"resume rejected: {response!r}")
-        return int(response.get("flushed", 0))
+        reply = self._control(hub, "resume", cq_id)
+        return reply.accepted("resume rejected").opt("flushed", int) or 0
 
     def deregister(self, hub: Address, cq_id: int) -> bool:
-        ok = bool(self._control(hub, {"op": "deregister", "cq": cq_id}).get("ok"))
+        ok = self._control(hub, "deregister", cq_id).ok
         self._regs = [r for r in self._regs if (r.hub, r.cq_id) != (hub, cq_id)]
-        if not self._regs and self._renew_timer is not None:
+        if not self._regs:
+            self._disarm()
+        return ok
+
+    def _disarm(self) -> None:
+        if self._renew_timer is not None:
             self._renew_timer.cancel()
             self._renew_timer = None
             self._renew_period = 0.0
-        return ok
 
     # ------------------------------------------------------------------
     def _ensure_renewals(self) -> None:
@@ -923,7 +832,7 @@ class StreamConsumer:
         """
         if not self._regs:
             return
-        period = min(r.lease for r in self._regs) * self.RENEW_FRACTION
+        period = min(r.request["lease"] for r in self._regs) * self.RENEW_FRACTION
         if self._renew_timer is not None:
             if period >= self._renew_period:
                 return
@@ -934,42 +843,30 @@ class StreamConsumer:
     def _renew_all(self) -> None:
         for reg in self._regs:
             try:
-                ok = self.renew(reg.hub, reg.cq_id, reg.lease)
-            except NetworkError:
-                self.stats["renewal_failures"] += 1
-                continue
-            if ok:
-                self.stats["renewals"] += 1
-                continue
-            # The hub no longer knows this registration (lease lapsed
-            # beyond the tombstone grace — e.g. a healed partition):
-            # recover it with the last-seen watermark so a history
-            # flavour does not replay rows already delivered.
-            try:
-                response = self._control(
-                    reg.hub, self._register_payload(reg, reg.last_published)
-                )
-            except NetworkError:
-                self.stats["renewal_failures"] += 1
-                continue
-            if response.get("ok"):
-                reg.cq_id = int(response["cq"])
+                if self.renew(reg.hub, reg.cq_id, reg.request["lease"]):
+                    self.stats["renewals"] += 1
+                    continue
+                # The hub no longer knows this registration (lease lapsed
+                # beyond the tombstone grace — e.g. a healed partition):
+                # recover it with the last-seen watermark so a history
+                # flavour does not replay rows already delivered.
+                reg.request["watermark"] = reg.last_published
+                reg.cq_id = self._register(reg)
                 self.stats["reregisters"] += 1
-            else:
+            except (NetworkError, OverloadError):
+                # Unreachable, refused, shed or out of shape: try again
+                # next period; a clock timer has nobody to raise to.
                 self.stats["renewal_failures"] += 1
 
     def stop(self) -> None:
         """Deregister everything and stop renewing."""
         for reg in list(self._regs):
             try:
-                self._control(reg.hub, {"op": "deregister", "cq": reg.cq_id})
-            except NetworkError:
+                self._control(reg.hub, "deregister", reg.cq_id)
+            except (NetworkError, OverloadError):
                 pass
         self._regs.clear()
-        if self._renew_timer is not None:
-            self._renew_timer.cancel()
-            self._renew_timer = None
-            self._renew_period = 0.0
+        self._disarm()
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,9 @@ HTTP-style request handler bound to the gateway host that serves
 * ``GET /tree``         — plain-text tree view;
 * ``GET /drivers``      — driver registration panel;
 * ``GET /sources``      — the configured data-source URLs;
-* ``GET /query?url=<jdbc-url>&sql=<sql>[&mode=<mode>]`` — run a query,
-  answer rows as tab-separated text;
+* ``GET /query?url=<jdbc-url>&sql=<sql>[&mode=<mode>][&session=<token>]``
+  — run a query as the session's principal, answer rows as
+  tab-separated text;
 * ``GET /plot?group=G&field=F[&host=H]`` — ASCII history plot;
 * ``GET /health``       — per-source circuit-breaker scoreboard;
 * ``GET /analyze``      — static-analysis findings (driver conformance,
@@ -143,7 +144,10 @@ class GatewayServlet:
             mode = QueryMode(mode_text)
         except ValueError:
             return _status(400, f"unknown mode {mode_text!r}")
-        result = self.gateway.query([url], sql, mode=mode)
+        # The ACIL owns the session check for every client channel: a
+        # secured gateway refuses a tokenless request (SessionError).
+        principal = self.gateway.acil.resolve_principal(params.get("session"))
+        result = self.gateway.query([url], sql, mode=mode, principal=principal)
         lines = ["\t".join(result.columns)]
         for row in result.rows:
             lines.append("\t".join("" if v is None else str(v) for v in row))
