@@ -7,29 +7,34 @@ group table (the group's fields plus ``SourceUrl`` and ``RecordedAt``
 provenance columns), so a client's historical query is *the same SQL*
 executed against the same group name — only the mode flag differs.
 
-Tables are ring-bounded per group to keep long-running gateways at a
-fixed memory footprint.
-
 Every HISTORY-mode request names one data source and most name a time
 window, so each group keeps one ordered index (:class:`_GroupIndex`):
-its rows in stable ``(RecordedAt, arrival)`` order, group-wide
+its rows in stable ``(RecordedAt, arrival)`` order
+(:func:`~repro.storage.segments.recorded_key`), group-wide
 (``table.rows``) and per ``SourceUrl`` (lists of references to the same
 dicts).  Rows do *not* arrive in that order — fan-out siblings record
 the rows of one round a few microseconds out of ``RecordedAt`` order, and
-recovery hands rows back in WAL order — so the index places each batch
+recovery hands rows back in log order — so the index places each batch
 by bisection (an append when it is the newest, which it almost always
 is) and re-sorts stably when a group is rebuilt.  Readers then take a
 source's partition by dict lookup and a ``RecordedAt`` range by bisect
-instead of scanning the group.  The index is derived state: it is
-rebuilt from the engine's rows after recovery and never persisted.
+instead of scanning the group.
+
+This module is the one place that decides which rows a group keeps: the
+newest ``max_rows_per_group`` in index order (the ring), so
+long-running gateways stay at a fixed memory footprint.  Recording
+evicts from the low end of the index; a rebuild after recovery sorts
+every surviving row the same way and evicts the same rows, so a
+reopened store serves what one that had recorded only the acknowledged
+rows serves.  The index is derived state and never persisted.
 
 Durability is optional and delegated: when constructed with a
 :class:`~repro.storage.engine.HistoryEngine`, every recorded row is
-WAL-appended before it is served and every ``trim_older_than`` is
-durably logged, so the store's contents survive a gateway crash.  The
-engine holds *references to the same row dicts* the serving tables
-hold — the durable and serving copies cannot drift between checkpoints.
-Without an engine the store is the original pure in-memory ring.
+WAL-appended before it is served, so the store's contents survive a
+gateway crash.  The engine holds *references to the same row dicts* the
+serving tables hold — the durable and serving copies cannot drift
+between checkpoints.  Without an engine the store is the original pure
+in-memory ring.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from repro.sql.database import Database, Table
 from repro.sql.values import SelectResult
 from repro.sql.parser import parse_select
 from repro.sql.plan import CompiledPlan, compile_plan
+from repro.storage.segments import NULL_FIRST, recorded_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.engine import HistoryEngine
@@ -56,23 +62,14 @@ PROVENANCE = (
 
 Row = dict[str, Any]
 
-_NULL_FIRST = float("-inf")
-
-
-def _recorded(row: Row) -> float:
-    """Sort key of the index: a NULL ``RecordedAt`` sorts before every
-    instant, so such rows sit at the head of every list."""
-    at = row["RecordedAt"]
-    return _NULL_FIRST if at is None else at
-
 
 class _GroupIndex:
     """One group's rows in stable ``(RecordedAt, arrival)`` order.
 
     ``table.rows`` is the group-wide list and ``by_source`` one list per
     ``SourceUrl`` over the same dicts in the same relative order.  Every
-    row enters or leaves a history table through one of the four methods
-    below, which is what keeps the lists sorted and in step.
+    row enters or leaves a history table through one of the three
+    methods below, which is what keeps the lists sorted and in step.
     """
 
     __slots__ = ("table", "by_source")
@@ -85,11 +82,11 @@ class _GroupIndex:
         """Place one recorded batch (one source, one instant) after every
         row recorded at or before it — an append unless a sibling branch
         already recorded a later instant."""
-        at = _recorded(batch[0])
+        at = recorded_key(batch[0])
         partition = self.by_source.setdefault(batch[0]["SourceUrl"], [])
         for rows in (self.table.rows, partition):
-            if rows and _recorded(rows[-1]) > at:
-                i = bisect_right(rows, at, key=_recorded)
+            if rows and recorded_key(rows[-1]) > at:
+                i = bisect_right(rows, at, key=recorded_key)
                 rows[i:i] = batch
             else:
                 rows.extend(batch)
@@ -107,19 +104,12 @@ class _GroupIndex:
         for url, k in heads.items():
             del self.by_source[url][:k]
 
-    def trim(self, cutoff: float) -> int:
-        """Drop rows recorded before ``cutoff`` (NULL ``RecordedAt`` rows
-        stay); returns how many the group lost."""
-        before = len(self.table.rows)
-        for rows in (self.table.rows, *self.by_source.values()):
-            nulls = bisect_right(rows, _NULL_FIRST, key=_recorded)
-            del rows[nulls:bisect_left(rows, cutoff, key=_recorded)]
-        return before - len(self.table.rows)
-
-    def rebuild(self, rows: list[Row]) -> None:
-        """Replace the group's content with ``rows`` (any order; ties
-        keep the given order)."""
-        rows.sort(key=_recorded)
+    def rebuild(self, rows: list[Row], keep: int) -> None:
+        """Replace the group's content with the newest ``keep`` of
+        ``rows``, given in arrival order: the rows :meth:`insert` and
+        :meth:`evict_oldest` would have left, one batch at a time."""
+        rows.sort(key=recorded_key)
+        del rows[: max(0, len(rows) - keep)]
         self.table.rows = rows
         self.by_source = {}
         for row in rows:
@@ -136,17 +126,17 @@ def _window(rows: list[Row], bounds: tuple[tuple[str, float], ...]) -> list[Row]
     """The rows of a sorted list that can satisfy every ``RecordedAt
     <op> number`` bound: the NULL-``RecordedAt`` head (a bound is NULL
     there, not false) plus the bisected range."""
-    nulls = bisect_right(rows, _NULL_FIRST, key=_recorded)
+    nulls = bisect_right(rows, NULL_FIRST, key=recorded_key)
     lo, hi = nulls, len(rows)
     for op, value in bounds:
         if op == ">=":
-            lo = max(lo, bisect_left(rows, value, key=_recorded))
+            lo = max(lo, bisect_left(rows, value, key=recorded_key))
         elif op == ">":
-            lo = max(lo, bisect_right(rows, value, key=_recorded))
+            lo = max(lo, bisect_right(rows, value, key=recorded_key))
         elif op == "<":
-            hi = min(hi, bisect_left(rows, value, key=_recorded))
+            hi = min(hi, bisect_left(rows, value, key=recorded_key))
         else:
-            hi = min(hi, bisect_right(rows, value, key=_recorded))
+            hi = min(hi, bisect_right(rows, value, key=recorded_key))
     return rows[:nulls] + rows[lo:hi] if nulls else rows[lo:hi]
 
 
@@ -303,7 +293,7 @@ class HistoryStore:
         rows = index.rows(source_url)
         if watermark is None:
             return rows
-        return rows[bisect_left(rows, watermark, key=_recorded):]
+        return rows[bisect_left(rows, watermark, key=recorded_key):]
 
     def series(
         self,
@@ -363,21 +353,6 @@ class HistoryStore:
             )
         return out
 
-    def trim_older_than(self, cutoff: float) -> int:
-        """Time-based retention: drop rows recorded before ``cutoff``.
-
-        Complements the per-group ring bound: a site with bursty polling
-        can cap history by age instead of (or as well as) by count.
-        Returns the number of rows dropped.  With a durable engine the
-        trim is WAL-logged (and fsynced) *before* the serving tables
-        change, so a crash cannot resurrect trimmed rows.
-        """
-        if self.engine is not None:
-            self.engine.append_trim(cutoff)
-        dropped = sum(index.trim(cutoff) for index in self._index.values())
-        self.rows_evicted += dropped
-        return dropped
-
     # ------------------------------------------------------------------
     # Durability passthroughs (no-ops without an engine)
     # ------------------------------------------------------------------
@@ -387,34 +362,26 @@ class HistoryStore:
             self.engine.sync()
 
     def checkpoint(self) -> None:
-        """Seal the memtable and truncate the WAL; re-sync dirty groups."""
-        if self.engine is None:
-            return
-        result = self.engine.checkpoint()
-        for group_name in result.serving_dirty:
-            self._resync_group(group_name)
+        """Seal the memtable and truncate the WAL."""
+        if self.engine is not None:
+            self.engine.checkpoint()
 
     def _resync_group(self, group_name: str) -> None:
-        """Rebuild one group's serving rows (and index) from the engine.
-
-        Runs for every durable group when the store opens, and again
-        when checkpoint retention (``HistoryEngine(retention_age=)``) drops
-        sealed segments whose rows the serving table still held.  The
-        engine returns rows in WAL order; the rebuild re-sorts them.
-        """
+        """Load one group's serving rows (and index) from the engine when
+        the store opens: every surviving row, in log order, under the
+        ring :meth:`record` applies."""
         assert self.engine is not None
         if not self.schema.has_group(group_name):
             return
         index = self._group(group_name)
-        before = len(index.table.rows)
         columns = index.table.column_names
         index.rebuild(
             [
                 {name: row.get(name) for name in columns}
                 for row in self.engine.serving_rows(group_name)
-            ]
+            ],
+            self.max_rows_per_group,
         )
-        self.rows_evicted += max(0, before - len(index.table.rows))
 
     def row_count(self, group_name: str | None = None) -> int:
         if group_name is not None:

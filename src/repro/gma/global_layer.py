@@ -18,6 +18,7 @@ that owns the required data" (paper §1.1).  The GlobalLayer:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.deadline import Deadline
@@ -175,9 +176,11 @@ class GlobalLayer:
                 span["coalesced"] = True
                 if flight.error is not None:
                     raise flight.error
-                # (The statuses are not marked ``coalesced``: ROADMAP item 1.)
+                # The joiner's copy says how it got its answer; the
+                # flight owner's statuses stay as they are.
                 shared = flight.value
-                return _copy(shared, list(shared.statuses), mode=shared.mode)
+                joined = [replace(s, coalesced=True) for s in shared.statuses]
+                return _copy(shared, joined, mode=shared.mode)
             try:
                 result = gateway.dispatcher.run_flight(
                     cache_key_url,

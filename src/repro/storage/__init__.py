@@ -11,9 +11,10 @@ durability substrate underneath :class:`~repro.core.history.HistoryStore`:
 * :mod:`repro.storage.wal` — a checksummed, record-oriented write-ahead
   log with policy-tunable group commit;
 * :mod:`repro.storage.segments` — sealed, immutable, time-partitioned
-  history segments (one per GLUE group per checkpoint);
+  history segments (one per GLUE group per checkpoint) and the one
+  order history rows are kept in (``recorded_key``);
 * :mod:`repro.storage.checkpoint` — the manifest/CURRENT checkpoint
-  protocol that truncates the WAL and applies segment-granular retention;
+  protocol that truncates the WAL and drops segments the ring evicted;
 * :mod:`repro.storage.recovery` — crash recovery: load the manifest's
   segments (quarantining corrupt ones), replay the committed WAL suffix,
   stop cleanly at torn/corrupt tails;
@@ -21,8 +22,9 @@ durability substrate underneath :class:`~repro.core.history.HistoryStore`:
   the :class:`~repro.core.history.HistoryStore` talks to.
 
 The headline invariant (checked by ``python -m repro crashtest`` on every
-seeded crash): the recovered store equals the pre-crash *acknowledged*
-prefix — no acked row lost, no torn or corrupt record ever served.
+seeded crash): the recovered store serves exactly what a store that had
+recorded only the pre-crash *acknowledged* rows serves — no acked row
+lost, no evicted, torn or corrupt row ever served.
 """
 
 from repro.storage.engine import HistoryEngine

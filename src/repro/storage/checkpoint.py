@@ -6,8 +6,8 @@ be truncated.  The commit protocol is the classic LevelDB shape:
 1. seal every non-empty memtable into segment files and ``fsync`` them;
 2. rotate the WAL to a fresh generation file;
 3. write ``MANIFEST-<gen>`` — a single CRC-framed JSON document naming
-   the new WAL generation, the next LSN/segment sequence, the retention
-   cutoff and every live segment — and ``fsync`` it;
+   the new WAL generation, the next LSN/segment sequence and every live
+   segment — and ``fsync`` it;
 4. point the ``CURRENT`` file at the new manifest and ``fsync`` that;
 5. garbage-collect the old WAL generation, dropped segments and stale
    manifests.
@@ -17,12 +17,16 @@ manifest, whose WAL generation still holds every record the new
 segments were sealed from — recovery replays it and nothing is lost;
 the step-1/2 files are orphans the next checkpoint's GC removes.  After
 step 4 the new manifest is authoritative and step 5 is pure cleanup.
+
+A manifest is read as untrusted input: a document whose CRC holds but
+whose fields are not the types step 3 writes is a
+:class:`ManifestError`, like a torn one, and recovery skips it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.storage.wal import TAIL_CLEAN, frame, read_frames
@@ -50,22 +54,8 @@ class CheckpointResult:
     rows_sealed: int = 0
     segments_dropped: int = 0
     rows_dropped: int = 0
-    #: Groups whose serving tables must re-sync because age retention
-    #: dropped sealed rows that were still being served.
-    serving_dirty: set[str] = field(default_factory=set)
     manifest_path: str = ""
     wal_gen: int = 0
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "segments_written": self.segments_written,
-            "rows_sealed": self.rows_sealed,
-            "segments_dropped": self.segments_dropped,
-            "rows_dropped": self.rows_dropped,
-            "serving_dirty": sorted(self.serving_dirty),
-            "manifest_path": self.manifest_path,
-            "wal_gen": self.wal_gen,
-        }
 
 
 def write_manifest(disk: "SimDisk", gen: int, document: dict[str, Any]) -> str:
@@ -94,7 +84,29 @@ def read_manifest(disk: "SimDisk", path: str) -> dict[str, Any]:
         raise ManifestError(f"{path}: undecodable payload: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
         raise ManifestError(f"{path}: payload is not a manifest document")
+    for key in ("wal_gen", "next_lsn", "next_seg_seq"):
+        if not _is_int(doc.get(key)):
+            raise ManifestError(f"{path}: bad {key} {doc.get(key)!r}")
+    for entry in doc["segments"]:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("group"), str)
+            and _is_int(entry.get("seq"))
+            and _is_int(entry.get("rows"))
+            and _is_instant(entry.get("min_at"))
+            and _is_instant(entry.get("max_at"))
+        ):
+            raise ManifestError(f"{path}: bad segment entry {entry!r}")
     return doc
+
+
+def _is_int(value: Any) -> bool:
+    return type(value) is int
+
+
+def _is_instant(value: Any) -> bool:
+    """A ``RecordedAt`` bound as JSON spells one: a number or null."""
+    return value is None or type(value) in (int, float)
 
 
 def current_manifest(disk: "SimDisk") -> str | None:

@@ -2,23 +2,24 @@
 
 :class:`HistoryEngine` sits underneath
 :class:`~repro.core.history.HistoryStore` and owns everything that
-touches the :class:`~repro.storage.simdisk.SimDisk`:
+touches the :class:`~repro.storage.simdisk.SimDisk`.  It makes rows
+durable; which rows a group *keeps* is the store's ring, and the engine
+only declines to hold on disk what that ring can never serve again:
 
-* ``append_row`` — frame the row into the WAL (group commit per the
-  policy's fsync interval) and keep it in a per-group memtable;
-* ``append_trim`` — durably record a ``trim_older_than`` cutoff (synced
-  immediately, and persisted in every later manifest so a checkpoint
-  cannot resurrect trimmed rows);
+* ``append_rows`` — frame a recorded batch into the WAL (group commit
+  per the policy's fsync interval) and keep it in a per-group memtable;
 * ``checkpoint`` — seal memtables into immutable segments, truncate the
-  WAL, apply segment-granular retention, commit via the manifest
+  WAL, drop head segments below the ring, commit via the manifest
   protocol and garbage-collect;
 * construction — run :func:`~repro.storage.recovery.recover_state`, then
   finish with a checkpoint so replayed rows regain a sealed home and
   quarantined segments leave the manifest (recovery is self-healing).
 
 The acknowledgement boundary is ``wal.synced_lsn``: ``acked_rows`` is
-the exact set of rows the engine promises will survive a crash, and the
-crashtest harness holds recovery to it as an equality.
+the exact set of rows, in log order, the engine promises will survive a
+crash; ``serving_rows`` is every row it holds, in the same order.  The
+crashtest harness holds a reopened store to what the ring keeps of the
+acknowledged rows, as an equality.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.storage.checkpoint import CheckpointResult, write_manifest
 from repro.storage.recovery import RecoveryReport, recover_state
-from repro.storage.segments import Segment, seal_segment
+from repro.storage.segments import NULL_FIRST, Segment, recorded_key, seal_segment
 from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,18 +49,15 @@ class HistoryEngine:
         clock: "VirtualClock | None" = None,
         sync_interval: int = 8,
         max_rows_per_group: int = 100_000,
-        retention_age: float = 0.0,
         registry: "MetricsRegistry | None" = None,
         tracer: "Tracer | None" = None,
     ) -> None:
         if max_rows_per_group < 1:
             raise ValueError(f"max_rows_per_group must be >= 1: {max_rows_per_group!r}")
-        if retention_age < 0:
-            raise ValueError(f"retention_age must be >= 0: {retention_age!r}")
         self.disk = disk
         self.clock = clock
+        #: The disk bound: the store's ring, which segments are dropped by.
         self.max_rows_per_group = max_rows_per_group
-        self.retention_age = retention_age
         self.tracer = tracer
         # A standalone engine counts into a private registry.
         counters = registry if registry is not None else MetricsRegistry()
@@ -80,7 +78,6 @@ class HistoryEngine:
             state = recover_state(disk)
             self.segments: dict[str, list[Segment]] = state.segments
             self._memtable: dict[str, list[tuple[int, dict[str, Any]]]] = state.memtable
-            self.trim_cutoff = state.trim_cutoff
             self.next_seg_seq = state.next_seg_seq
             self._manifest_gen = self._parse_manifest_gen(state.report.manifest)
             self.wal = WriteAheadLog(
@@ -133,10 +130,6 @@ class HistoryEngine:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def append_row(self, group: str, row: dict[str, Any]) -> int:
-        """WAL-append one history row; returns its LSN."""
-        return self.append_rows(group, [row])
-
     def append_rows(self, group: str, rows: list[dict[str, Any]]) -> int:
         """WAL-append a batch of history rows as ONE framed record.
 
@@ -156,26 +149,6 @@ class HistoryEngine:
         entries = self._memtable.setdefault(group, [])
         for row in rows:
             entries.append((lsn, row))
-        return lsn
-
-    def append_trim(self, cutoff: float) -> int:
-        """Durably record a retention trim; synced immediately.
-
-        Immediate sync matters: the WAL record vanishes at the next
-        checkpoint's truncation, so the cutoff is also persisted in the
-        manifest (``trim_cutoff``) — but between now and then, only the
-        fsync keeps a crash from resurrecting trimmed rows.
-        """
-        lsn = self.wal.append({"kind": "trim", "cutoff": cutoff})
-        self.wal.sync()
-        if self.trim_cutoff is None or cutoff > self.trim_cutoff:
-            self.trim_cutoff = cutoff
-        for entries in self._memtable.values():
-            entries[:] = [
-                (lsn_, row)
-                for lsn_, row in entries
-                if row.get("RecordedAt") is None or row["RecordedAt"] >= cutoff
-            ]
         return lsn
 
     def sync(self) -> None:
@@ -224,8 +197,8 @@ class HistoryEngine:
             result.segments_written += 1
             result.rows_sealed += len(entries)
             entries.clear()
-        # 2. Segment-granular retention: drop whole head segments.
-        self._apply_retention(result)
+        # 2. Drop whole head segments the ring can never serve again.
+        self._apply_ring(result)
         # 3-4. Rotate the WAL and commit the new manifest.
         old_wal = self.wal.rotate()
         self._manifest_gen += 1
@@ -241,7 +214,6 @@ class HistoryEngine:
                 "wal_gen": self.wal.gen,
                 "next_lsn": self.wal.next_lsn,
                 "next_seg_seq": self.next_seg_seq,
-                "trim_cutoff": self.trim_cutoff,
                 "segments": live,
             },
         )
@@ -266,90 +238,55 @@ class HistoryEngine:
         self._checkpoints.inc("segments_dropped", float(result.segments_dropped))
         return result
 
-    def _apply_retention(self, result: CheckpointResult) -> None:
-        now = self.clock.now() if self.clock is not None else 0.0
-        age_cutoff = now - self.retention_age if self.retention_age > 0 else None
+    def _apply_ring(self, result: CheckpointResult) -> None:
+        """Drop a group's head segments while every row of one sorts, by
+        :func:`~repro.storage.segments.recorded_key`, strictly below the
+        group's ``max_rows_per_group``-th newest row: the store's ring
+        has evicted them and can never serve them again.  Ties are kept
+        (arrival decides between them, and the store decides that)."""
+        ring = self.max_rows_per_group
         for group in sorted(self.segments):
             segs = self.segments[group]
-            total = sum(s.row_count for s in segs)
-            while segs:
-                head = segs[0]
-                # Rows without RecordedAt are exempt from time retention
-                # (mirroring trim_older_than), so a segment holding any
-                # is only droppable by ring overflow.
-                time_droppable = head.max_at is not None and all(
-                    r.get("RecordedAt") is not None for r in head.rows
-                )
-                old_by_trim = (
-                    time_droppable
-                    and self.trim_cutoff is not None
-                    and head.max_at < self.trim_cutoff
-                )
-                old_by_age = (
-                    time_droppable
-                    and age_cutoff is not None
-                    and head.max_at < age_cutoff
-                )
-                ring_excess = total - head.row_count >= self.max_rows_per_group
-                if not (old_by_trim or old_by_age or ring_excess):
-                    break
-                if old_by_age and not (old_by_trim or ring_excess):
-                    # Serving tables still hold these rows — the store
-                    # must re-sync this group from serving_rows().
-                    result.serving_dirty.add(group)
-                segs.pop(0)
-                total -= head.row_count
+            if sum(seg.row_count for seg in segs) <= ring:
+                continue
+            floor = sorted(recorded_key(r) for seg in segs for r in seg.rows)[-ring]
+            while max(map(recorded_key, segs[0].rows), default=NULL_FIRST) < floor:
+                head = segs.pop(0)
                 result.segments_dropped += 1
                 result.rows_dropped += head.row_count
-            if not segs:
-                del self.segments[group]
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def _passes_cutoff(self, row: dict[str, Any]) -> bool:
-        if self.trim_cutoff is None:
-            return True
-        at = row.get("RecordedAt")
-        return at is None or at >= self.trim_cutoff
-
     def serving_rows(self, group: str) -> list[dict[str, Any]]:
-        """All rows the engine would serve for ``group``, oldest first.
-
-        Sealed segment rows (trim-cutoff filtered) then memtable rows,
-        bounded to the newest ``max_rows_per_group`` — the content a
-        fresh :class:`HistoryStore` loads after recovery.
-        """
-        rows = self._collect(group, lsn_bound=None, exclude=frozenset())
-        if len(rows) > self.max_rows_per_group:
-            rows = rows[-self.max_rows_per_group:]
-        return rows
+        """Every row the engine holds for ``group``, in log order: sealed
+        segments, then the memtable.  A
+        :class:`~repro.core.history.HistoryStore` opening on this engine
+        applies its ring to them."""
+        return self._collect(group, lsn_bound=None, exclude=frozenset())
 
     def acked_rows(
         self, group: str, *, exclude_segments: frozenset[str] = frozenset()
     ) -> list[dict[str, Any]]:
-        """The acknowledged prefix: rows guaranteed to survive a crash.
+        """The acknowledged prefix, in log order: rows guaranteed to
+        survive a crash.
 
         Memtable rows count only up to ``wal.synced_lsn``; sealed
         segments are durable by construction.  ``exclude_segments`` lets
         the crashtest oracle subtract segments it deliberately corrupted
         (their quarantine is the *expected* outcome, not a loss).
         """
-        rows = self._collect(
+        return self._collect(
             group, lsn_bound=self.wal.synced_lsn, exclude=exclude_segments
         )
-        if len(rows) > self.max_rows_per_group:
-            rows = rows[-self.max_rows_per_group:]
-        return rows
 
     def _collect(
         self, group: str, *, lsn_bound: int | None, exclude: frozenset[str]
     ) -> list[dict[str, Any]]:
         rows: list[dict[str, Any]] = []
         for seg in self.segments.get(group, ()):
-            if seg.path in exclude:
-                continue
-            rows.extend(r for r in seg.rows if self._passes_cutoff(r))
+            if seg.path not in exclude:
+                rows.extend(seg.rows)
         for lsn, row in self._memtable.get(group, ()):
             if lsn_bound is not None and lsn > lsn_bound:
                 break
@@ -386,7 +323,6 @@ class HistoryEngine:
                 },
             },
             "memtable_rows": memtable_rows,
-            "trim_cutoff": self.trim_cutoff,
             "checkpoints_run": self.checkpoints_run,
             "last_checkpoint_at": self.last_checkpoint_at,
             "recovery": self.recovery_report.as_dict(),

@@ -3,22 +3,24 @@
 On start-up the engine calls :func:`recover_state`, which rebuilds the
 durable picture of history from disk:
 
-1. follow ``CURRENT`` to the newest readable manifest (an unreadable one
-   is skipped with a GRM403 finding — the GC window means an older
-   manifest may still be present and consistent; a fresh disk yields an
-   empty state);
+1. follow ``CURRENT`` to the newest readable manifest (an unreadable or
+   ill-typed one is skipped with a GRM403 finding — the GC window means
+   an older manifest may still be present and consistent; a fresh disk
+   yields an empty state);
 2. load every segment the manifest names; a segment that fails its CRC
    or structural checks is *quarantined* — renamed aside, reported as a
    GRM401 degraded-serving finding — never served and never fatal;
-3. replay the manifest's WAL generation from the front, applying row and
-   trim records to an in-memory memtable, and stop at the first torn or
+3. replay the manifest's WAL generation from the front, appending row
+   records to an in-memory memtable, and stop at the first torn or
    corrupt frame (GRM402); everything from the bad frame on is dropped.
 
-The result is exactly the acknowledged prefix: rows the engine fsynced
-(directly or via a sealed segment) survive, un-fsynced tails die with
-the crash, and corrupt bytes are contained rather than served.  The
-engine finishes start-up with a fresh checkpoint, so quarantined
-segments leave the manifest and replayed rows regain a sealed home.
+The result is exactly the acknowledged prefix, in log order: rows the
+engine fsynced (directly or via a sealed segment) survive, un-fsynced
+tails die with the crash, and corrupt bytes are contained rather than
+served.  Which of them a group serves is the store's ring, applied when
+it opens.  The engine finishes start-up with a fresh checkpoint, so
+quarantined segments leave the manifest and replayed rows regain a
+sealed home.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ class RecoveredState:
     segments: dict[str, list[Segment]] = field(default_factory=dict)
     #: group -> [(lsn, row)] replayed from the WAL, append order.
     memtable: dict[str, list[tuple[int, dict[str, Any]]]] = field(default_factory=dict)
-    trim_cutoff: float | None = None
     next_lsn: int = 1
     next_seg_seq: int = 1
     wal_gen: int = 1
@@ -149,10 +150,10 @@ def _load_segments(
     disk: "SimDisk", doc: dict[str, Any], state: RecoveredState
 ) -> None:
     report = state.report
-    for entry in doc.get("segments", []):
-        group = str(entry.get("group", ""))
-        seq = int(entry.get("seq", 0))
-        path = segment_path(group, seq)
+    # read_manifest checked every entry's types.
+    for entry in doc["segments"]:
+        group = entry["group"]
+        path = segment_path(group, entry["seq"])
         try:
             seg = load_segment(disk, path)
         except FileNotFoundError:
@@ -162,7 +163,7 @@ def _load_segments(
             exc_msg = str(exc)
             seg = None
         if seg is None:
-            rows_lost = int(entry.get("rows", 0))
+            rows_lost = entry["rows"]
             report.segments_quarantined += 1
             report.rows_quarantined += rows_lost
             if disk.exists(path):
@@ -198,8 +199,7 @@ def _replay_wal(disk: "SimDisk", state: RecoveredState) -> None:
         lsn = record.get("lsn")
         if isinstance(lsn, int):
             state.next_lsn = max(state.next_lsn, lsn + 1)
-        kind = record.get("kind")
-        if kind == "rows":
+        if record.get("kind") == "rows":
             group = str(record.get("group", ""))
             rows = record.get("rows")
             if group and isinstance(rows, list):
@@ -208,21 +208,7 @@ def _replay_wal(disk: "SimDisk", state: RecoveredState) -> None:
                     if isinstance(row, dict):
                         entries.append((lsn if isinstance(lsn, int) else 0, row))
                 report.wal_records_replayed += 1
-        elif kind == "trim":
-            cutoff = record.get("cutoff")
-            if isinstance(cutoff, (int, float)) and not isinstance(cutoff, bool):
-                cutoff = float(cutoff)
-                if state.trim_cutoff is None or cutoff > state.trim_cutoff:
-                    state.trim_cutoff = cutoff
-                for entries in state.memtable.values():
-                    entries[:] = [
-                        (lsn_, row)
-                        for lsn_, row in entries
-                        if row.get("RecordedAt") is None
-                        or row["RecordedAt"] >= cutoff
-                    ]
-                report.wal_records_replayed += 1
-        # Unknown kinds are skipped: forward compatibility over refusal.
+        # Other kinds are skipped: forward compatibility over refusal.
     if tail != TAIL_CLEAN:
         report.findings.append(
             Finding(
@@ -242,12 +228,9 @@ def recover_state(disk: "SimDisk") -> RecoveredState:
     report = state.report
     doc = _pick_manifest(disk, report)
     if doc is not None:
-        state.wal_gen = max(1, int(doc.get("wal_gen", 1)))
-        state.next_lsn = max(1, int(doc.get("next_lsn", 1)))
-        state.next_seg_seq = max(1, int(doc.get("next_seg_seq", 1)))
-        cutoff = doc.get("trim_cutoff")
-        if isinstance(cutoff, (int, float)) and not isinstance(cutoff, bool):
-            state.trim_cutoff = float(cutoff)
+        state.wal_gen = max(1, doc["wal_gen"])
+        state.next_lsn = max(1, doc["next_lsn"])
+        state.next_seg_seq = max(1, doc["next_seg_seq"])
         _load_segments(disk, doc, state)
     report.wal_gen = state.wal_gen
     _replay_wal(disk, state)

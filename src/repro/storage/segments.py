@@ -3,11 +3,14 @@
 At checkpoint the engine seals each GLUE group's memtable into one
 segment file: a single CRC-framed pickled blob (see the codec note in
 :mod:`repro.storage.wal`) holding the rows plus the ``RecordedAt`` span
-they cover.  Segments are immutable after sealing —
-retention drops *whole* segments (ring overflow, ``trim_older_than``
-age, or the engine's ``retention_age``), never rewrites them,
-which keeps both the crash story and the recovery story trivial: a
-segment either decodes byte-perfect or it is quarantined.
+they cover.  Segments are immutable after sealing — the ring drops
+*whole* segments whose rows can never be served again, never rewrites
+them, which keeps both the crash story and the recovery story trivial:
+a segment either decodes byte-perfect or it is quarantined.
+
+This module also spells the one order history rows are kept in,
+:func:`recorded_key`: the serving index sorts by it and the ring evicts
+from its low end, and a checkpoint drops segments by the same key.
 """
 
 from __future__ import annotations
@@ -24,6 +27,18 @@ from repro.storage.wal import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.simdisk import SimDisk
+
+
+#: Where a NULL ``RecordedAt`` sorts: before every instant.
+NULL_FIRST = float("-inf")
+
+
+def recorded_key(row: dict[str, Any]) -> float:
+    """The retention order of a group's rows: NULL ``RecordedAt`` first,
+    then by instant; a stable sort breaks ties by arrival.  The ring
+    keeps a group's newest ``max_rows_per_group`` rows in this order."""
+    at = row.get("RecordedAt")
+    return NULL_FIRST if at is None else at
 
 
 class SegmentDecodeError(Exception):

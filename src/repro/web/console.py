@@ -369,19 +369,12 @@ class Console:
         wal, seg, disk = s["wal"], s["segments"], s["disk"]
         lines = [
             f"Durable history (fsync every {wal['sync_interval']} records, "
-            f"ring {engine.max_rows_per_group} rows/group"
-            + (
-                f", retention {engine.retention_age:g}s"
-                if engine.retention_age
-                else ""
-            )
-            + ")",
+            f"ring {engine.max_rows_per_group} rows/group)",
             f"  WAL: gen {wal['gen']}, next_lsn {wal['next_lsn']}, "
             f"synced {wal['synced_lsn']} "
             f"({wal['unsynced_records']} records unsynced)",
             f"  segments: {seg['count']} sealed holding {seg['rows']} rows; "
-            f"memtable {s['memtable_rows']} rows; "
-            f"trim cutoff {s['trim_cutoff'] if s['trim_cutoff'] is not None else '(none)'}",
+            f"memtable {s['memtable_rows']} rows",
             f"  checkpoints: {s['checkpoints_run']} run "
             + (
                 f"(last at t={s['last_checkpoint_at']:g}s)"

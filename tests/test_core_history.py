@@ -130,23 +130,35 @@ class TestRollup:
 
 
 class TestRetention:
-    def test_trim_older_than(self, store):
+    """Time-based trimming is gone; the ring is the one retention rule.
+    These ids are re-aimed at it."""
+
+    def test_trim_older_than(self):
+        """The ring drops the oldest instants and counts them."""
+        store = HistoryStore(standard_schema(), max_rows_per_group=2)
         for t in (1.0, 5.0, 9.0):
             store.record("Processor", [proc_row()], source_url="u", recorded_at=t)
-        assert store.trim_older_than(5.0) == 1
-        assert store.row_count("Processor") == 2
+        assert [r["RecordedAt"] for r in store.since("Processor", None)] == [5.0, 9.0]
         assert store.rows_evicted == 1
 
-    def test_trim_spans_all_groups(self, store):
-        store.record("Processor", [proc_row()], source_url="u", recorded_at=1.0)
+    def test_trim_spans_all_groups(self):
+        """The ring is per group: one group's overflow evicts nothing
+        from another."""
+        store = HistoryStore(standard_schema(), max_rows_per_group=1)
         host_row = {"HostName": "n0", "SiteName": "s", "Timestamp": 1.0,
                     "UniqueId": "x", "Reachable": True, "AgentName": "a"}
         store.record("Host", [host_row], source_url="u", recorded_at=1.0)
-        assert store.trim_older_than(2.0) == 2
+        for t in (1.0, 2.0):
+            store.record("Processor", [proc_row()], source_url="u", recorded_at=t)
+        assert (store.row_count("Host"), store.row_count("Processor")) == (1, 1)
+        assert store.rows_evicted == 1
 
     def test_trim_noop_when_all_fresh(self, store):
+        """Under capacity nothing is evicted, however old."""
+        store.record("Processor", [proc_row()], source_url="u", recorded_at=-1e9)
         store.record("Processor", [proc_row()], source_url="u", recorded_at=10.0)
-        assert store.trim_older_than(5.0) == 0
+        assert store.row_count("Processor") == 2
+        assert store.rows_evicted == 0
 
 
 class TestSeries:
@@ -172,8 +184,9 @@ class TestSeries:
 
 class TestRetentionEdgeCases:
     def test_ring_and_trim_interact(self, store):
-        # Fill past the ring bound, then trim by age: the two retention
-        # mechanisms must compose (no double counting, no resurrection).
+        """Re-aimed (no trim): the ring and late batches compose.  A late
+        row older than everything kept is evicted as it arrives; one
+        inside the window displaces the oldest instant."""
         for i in range(150):
             store.record(
                 "Processor",
@@ -182,23 +195,24 @@ class TestRetentionEdgeCases:
                 recorded_at=float(i),
             )
         assert store.row_count("Processor") == 100  # ring kept 50..149
-        dropped = store.trim_older_than(120.0)
-        assert dropped == 70
-        assert store.row_count("Processor") == 30
-        assert store.rows_evicted == 50 + 70
+        store.record("Processor", [proc_row(load=-1.0)], source_url="u", recorded_at=10.0)
+        assert store.rows_evicted == 51
         oldest = store.query("SELECT MIN(RecordedAt) FROM Processor").rows[0][0]
-        assert oldest == 120.0
-        # New records land on the trimmed table and the ring re-fills.
-        store.record(
-            "Processor", [proc_row(load=999.0)], source_url="u", recorded_at=200.0
-        )
-        assert store.row_count("Processor") == 31
+        assert oldest == 50.0
+        store.record("Processor", [proc_row(load=-2.0)], source_url="u", recorded_at=120.5)
+        assert store.row_count("Processor") == 100
+        assert store.rows_evicted == 52
+        oldest = store.query("SELECT MIN(RecordedAt) FROM Processor").rows[0][0]
+        assert oldest == 51.0
 
-    def test_recorded_at_none_rows_survive_trim(self, store):
+    def test_recorded_at_none_rows_survive_trim(self):
+        """Re-aimed (NULL rows are exempt from nothing): a NULL
+        ``RecordedAt`` sorts before every instant, so it is the first row
+        the ring evicts."""
+        store = HistoryStore(standard_schema(), max_rows_per_group=1)
         store.record("Processor", [proc_row()], source_url="u", recorded_at=None)
         store.record("Processor", [proc_row()], source_url="u", recorded_at=1.0)
-        assert store.trim_older_than(10.0) == 1
-        assert store.row_count("Processor") == 1  # the None row is exempt
+        assert [r["RecordedAt"] for r in store.since("Processor", None)] == [1.0]
 
     def test_series_since_skips_recorded_at_none(self, store):
         store.record("Processor", [proc_row(load=1.0)], source_url="u", recorded_at=None)
@@ -240,13 +254,11 @@ class TestRetentionEdgeCases:
 
 
 class TestDurableRoundTrip:
-    def _durable_store(self, disk, **kwargs):
+    def _durable_store(self, disk, ring=100):
         from repro.storage.engine import HistoryEngine
 
-        engine = HistoryEngine(disk, sync_interval=4, max_rows_per_group=100)
-        return HistoryStore(
-            standard_schema(), max_rows_per_group=100, engine=engine, **kwargs
-        )
+        engine = HistoryEngine(disk, sync_interval=4, max_rows_per_group=ring)
+        return HistoryStore(standard_schema(), max_rows_per_group=ring, engine=engine)
 
     def test_record_crash_recover_serves_identical_answers(self):
         from repro.storage.simdisk import SimDisk
@@ -290,22 +302,26 @@ class TestDurableRoundTrip:
         assert recovered.row_count("Processor") == 4
 
     def test_trim_not_resurrected_by_crash(self):
+        """Re-aimed (no trim): a row the ring evicted is not resurrected
+        by a crash.  The late batch (t=0.5) is older than everything the
+        ring keeps, so it is evicted as it arrives, yet it is among the
+        newest arrivals on disk; reopening must serve t=3 again, not it."""
         from repro.storage.simdisk import SimDisk
 
         disk = SimDisk()
-        store = self._durable_store(disk)
-        for i in range(8):
+        store = self._durable_store(disk, ring=4)
+        for i, at in enumerate((0.0, 1.0, 2.0, 3.0, 5.0, 6.0, 0.5, 7.0)):
             store.record(
-                "Processor",
-                [proc_row(load=float(i))],
-                source_url="u",
-                recorded_at=float(i),
+                "Processor", [proc_row(load=float(i))], source_url="u", recorded_at=at
             )
-        store.trim_older_than(4.0)
+            if i == 3:
+                store.checkpoint()
+        store.sync()
+        sql = "SELECT LoadAverage1Min, RecordedAt FROM Processor"
+        want = store.query(sql).rows
+        assert [r[1] for r in want] == [3.0, 5.0, 6.0, 7.0]
         disk.crash(None)
-        recovered = self._durable_store(disk)
-        oldest = recovered.query("SELECT MIN(RecordedAt) FROM Processor").rows[0][0]
-        assert oldest == 4.0
+        assert self._durable_store(disk, ring=4).query(sql).rows == want
 
     def test_checkpoint_then_recover_without_wal(self):
         from repro.storage.simdisk import SimDisk

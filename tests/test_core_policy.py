@@ -91,9 +91,7 @@ def test_every_field_is_varied_by_a_caller():
         for f in dataclasses.fields(GatewayPolicy)
         if not re.search(rf"\b{f.name}\s*=[^=]", text)
     ]
-    # Never set, but read by name: benchmarks/e2e/harness.py sizes its
-    # preload store from it.
-    assert never_set == ["history_max_rows_per_group"]
+    assert never_set == []
     assert len(dataclasses.fields(GatewayPolicy)) <= 32
 
 

@@ -133,6 +133,19 @@ class TestRemoteQueries:
         gl.query_remote("site-b", sql)
         assert gl.stats["remote_cache_hits"] == 0
 
+    def test_a_joined_flight_is_marked_coalesced_for_the_joiner_only(self, fabric):
+        """Two identical remote queries in flight at once share one
+        consumer round-trip.  The joiner's statuses say so; the flight
+        owner's, which it shares, do not.  (The join used to be counted
+        and traced but every status read ``coalesced=False``.)"""
+        _, _, a, _, gla, _ = fabric
+        ask = lambda: gla.query_remote("site-b", "SELECT HostName FROM Host", mode="realtime")
+        first, second = (o.value for o in a.gateway.dispatcher.run([ask, ask]))
+        assert gla.stats["remote_coalesced"] == 1
+        assert first.statuses and not any(s.coalesced for s in first.statuses)
+        assert second.statuses and all(s.coalesced for s in second.statuses)
+        assert first.rows == second.rows
+
     def test_known_sites(self, fabric):
         _, _, _, _, gla, _ = fabric
         assert gla.known_sites() == ["site-a", "site-b"]
