@@ -195,7 +195,7 @@ def test_e19_hub_fanout_1k_subscriptions(benchmark, report):
     ]
 
     def publish_once():
-        hub.publish("Processor", columns, rows, source_url="bench://src")
+        hub.publish("Processor", [("bench://src", columns, rows, clock.now())])
         clock.advance(1.0)  # drain the datagrams
 
     benchmark(publish_once)

@@ -183,6 +183,11 @@ def merge_rows(
     return dest_columns, len(rows)
 
 
+#: One query round's fetched sources, ``(source_url, columns, rows,
+#: published_at)`` in completion order: what ``StreamHub.publish`` takes.
+_Published = list[tuple[str, list[str], list[Any], float]]
+
+
 class RequestManager:
     """Coordinates real-time, cached and historical queries."""
 
@@ -398,13 +403,24 @@ class RequestManager:
                     str(url), sql, entry.key, partial, max_age, deadline
                 )
             ]
-        if len(pending) > 1 and self.policy.fanout_enabled:
-            self._fan_out(pending, sql, entry, mode, info, deadline, retry_budget)
-        else:
-            for url, partial in pending:
-                self._one_realtime(
-                    url, sql, entry, partial, mode, info, deadline, retry_budget
+        published: _Published = []
+        try:
+            if len(pending) > 1 and self.policy.fanout_enabled:
+                self._fan_out(
+                    pending, published, sql, entry, mode, info, deadline, retry_budget
                 )
+            else:
+                for url, partial in pending:
+                    self._one_realtime(
+                        url, sql, entry, partial, published, mode, info, deadline,
+                        retry_budget,
+                    )
+        finally:
+            if published:
+                # One publish per query round: continuous queries see each
+                # fetched source as its own snapshot, and every consumer
+                # address gets one frame once the fan-out is over.
+                self.streams.publish(entry.compiled().select.table, published)
         for partial in partials:
             result.statuses.extend(partial.statuses)
             if partial.columns:
@@ -443,6 +459,7 @@ class RequestManager:
     def _fan_out(
         self,
         pending: list[tuple[JdbcUrl, QueryResult]],
+        published: _Published,
         sql: str,
         entry: PlanEntry,
         mode: QueryMode,
@@ -451,12 +468,12 @@ class RequestManager:
         retry_budget: RetryBudget | None = None,
     ) -> None:
         """Dispatch one sub-request per pending source concurrently,
-        each branch filling that source's partial."""
+        each branch filling that source's partial (and ``published``)."""
         self.stats.inc("fanout_queries")
 
         def branch(url: JdbcUrl, partial: QueryResult):
             return lambda: self._one_realtime(
-                url, sql, entry, partial, mode, info, deadline, retry_budget
+                url, sql, entry, partial, published, mode, info, deadline, retry_budget
             )
 
         guarded = (
@@ -574,6 +591,7 @@ class RequestManager:
         sql: str,
         entry: PlanEntry,
         result: QueryResult,
+        published: _Published,
         mode: QueryMode,
         info: Mapping[str, Any] | None,
         deadline: Deadline | None = None,
@@ -583,7 +601,8 @@ class RequestManager:
         with self.tracer.span("source", url=url_text) as span:
             self._stamp_source(span, url_text, deadline)
             self._one_realtime_traced(
-                url, sql, entry, result, mode, info, deadline, retry_budget, span
+                url, sql, entry, result, published, mode, info, deadline,
+                retry_budget, span,
             )
 
     def _one_realtime_traced(
@@ -592,6 +611,7 @@ class RequestManager:
         sql: str,
         entry: PlanEntry,
         result: QueryResult,
+        published: _Published,
         mode: QueryMode,
         info: Mapping[str, Any] | None,
         deadline: Deadline | None,
@@ -777,13 +797,9 @@ class RequestManager:
                     recorded_at=self.clock.now(),
                 )
         if self.streams is not None:
-            # Continuous queries see every real-time fetch at the moment
-            # it is produced — predicate evaluation happens in the hub
-            # (at the producing gateway), inside this source's fan-out
-            # branch, so push spans nest under the live query trace.
-            self.streams.publish(
-                group, list(columns), rows, source_url=url_text
-            )
+            # Stamped at the instant the fetch produced it; the hub sees
+            # it when the round's fan-out is over (see ``_realtime``).
+            published.append((url_text, columns, rows, self.clock.now()))
 
     def _one_degraded(
         self, url_text: str, sql: str, key: str, result: QueryResult

@@ -24,16 +24,19 @@ consumer.  This module is that plane for GridRM:
   rows through its **own** hub, which downstream consumers subscribe to
   like any source.
 
-The push wire ships **one frame per consumer address per publish**:
+The push wire ships **one frame per consumer address per query round**:
 ``{"kind": "gridrm-frame", "batches": [...]}``, each member the
-:func:`encode_batch` form of what one subscription is owed, in the order
-the hub evaluated them.  A viewer holding thirty subscriptions costs the
-hub one datagram (and one ``push`` span) per publish, not thirty; what a
-consumer observes per subscription — batches, rows, callbacks — does not
-depend on how they were framed.  A lost datagram therefore loses that
-consumer's whole share of one publish; recovery is per flavour, as
-before.  A member carries its own ``published_at`` / ``source_url`` /
-``replay`` because a resume flush mixes publishes in one frame.
+:func:`encode_batch` form of what one subscription is owed by one
+source's snapshot, in the order the hub evaluated them.  A gateway query
+publishes its whole fan-out in one :meth:`StreamHub.publish` call once
+the fan-out is over, so a viewer holding thirty subscriptions over eight
+sources costs the hub one datagram (and one ``push`` span) per round,
+not one per source or per subscription; what a consumer observes per
+subscription — batches, rows, callbacks — does not depend on how they
+were framed.  A lost datagram therefore loses that consumer's whole
+share of one round; recovery is per flavour, as before.  A member
+carries its own ``published_at`` / ``source_url`` / ``replay`` because
+one frame mixes sources (and a resume flush mixes publishes).
 
 Flow control is a bounded buffer with pause/resume: while a subscription
 is paused its tuples buffer (bounded) at the hub, and overflow fates
@@ -166,7 +169,7 @@ def decode_frame(payload: Any) -> list[dict[str, Any]]:
     return [b for b in map(decode_batch, members) if b is not None]
 
 
-#: Encoded batches owed to each consumer address by one publish, in
+#: Encoded batches owed to each consumer address by one publish call, in
 #: first-offer order; :meth:`StreamHub._flush` ships one frame per key.
 _Outbox = dict[Address, list[dict[str, Any]]]
 
@@ -214,8 +217,9 @@ class StreamHub:
 
     Data plane (one-way datagrams to the registered ``host:port``):
     ``{"kind": "gridrm-frame", "batches": [batch, ...]}`` — one per
-    consumer address per publish, attach replay or resume.
-    ``stats["pushes"]`` counts batches owed to subscriptions,
+    consumer address per :meth:`publish` call (a gateway query round),
+    attach replay or resume.  ``stats["pushes"]`` counts batches
+    delivered to subscriptions, resume flushes included;
     ``stats["frames"]`` the datagrams that carried them.
 
     Constructible standalone (the :class:`Republisher` owns one with no
@@ -456,8 +460,11 @@ class StreamHub:
         batches = list(cq.buffer)
         cq.buffer.clear()
         if batches:
+            tuples = sum(len(b["rows"]) for b in batches)
             cq.delivered += len(batches)
-            cq.tuples += sum(len(b["rows"]) for b in batches)
+            cq.tuples += tuples
+            self.stats["pushes"] += len(batches)
+            self.stats["tuples"] += tuples
             self._flush({cq.consumer: batches}, cq.group)
         self._wrote(cq.cq_id, "resume")
         return {"ok": True, "flushed": len(batches)}
@@ -468,70 +475,68 @@ class StreamHub:
     def publish(
         self,
         group: str,
-        columns: list[str],
-        rows: list[Any],
-        *,
-        source_url: str = "",
+        sources: list[tuple[str, list[str], list[Any], float]],
     ) -> int:
-        """Evaluate every live continuous query against one publish.
+        """Evaluate every live continuous query against each source's
+        ``(source_url, columns, rows, published_at)`` snapshot.
 
-        Called by the RequestManager after each real-time fetch (inside
-        the fan-out branch, so the ``push`` spans — one per frame — nest
-        under the live query trace) and by the :class:`Republisher`'s
-        window rolls.  Returns the number of subscriptions that received
-        tuples.
+        Called once per query round by the RequestManager, after the
+        fan-out (so the ``push`` spans sit under ``execute``), and with
+        one snapshot per :class:`Republisher` window roll or event.  Each
+        snapshot is a publish of its own — LIMIT, ORDER BY and aggregates
+        see one source's rows — but every consumer address gets one frame
+        for the whole call.  Returns how many (subscription, source)
+        pairs matched rows.
         """
         g = self._canonical(group)
-        cols = list(columns)
-        snapshot = [list(r) for r in rows]
-        self._latest.setdefault(g, {})[source_url] = (cols, snapshot)
+        latest = self._latest.setdefault(g, {})
         now = self.network.clock.now()
         ov = self.overload
         suppress = ov is not None and ov.enabled and ov.state is not PressureState.NORMAL
         outbox: _Outbox = {}
         pushed = 0
-        for cq in self._subs.values():
-            if cq.group != g or cq.expires_at < now:
-                continue
-            if suppress and cq.query_class == QueryClass.BATCH.value:
-                # Admission interplay: a pressured gateway stops paying
-                # per-publish evaluation + wire cost for the batch tier
-                # first — the stream analogue of the brownout fate.
-                cq.suppressed += 1
-                self.stats["suppressed"] += 1
-                continue
-            try:
-                result = cq.plan.bind(tuple(cols)).execute(snapshot)
-            except SqlError:
-                # This publish does not carry every column the plan needs
-                # (a narrower real-time projection can acquire a subset of
-                # the group).  The subscription simply cannot be satisfied
-                # from this snapshot — skip it; a subscriber's plan must
-                # never fail the publisher's query.
-                cq.unsatisfied += 1
-                self.stats["unsatisfied"] += 1
-                continue
-            if not result.rows:
-                continue
-            batch = encode_batch(
-                cq.cq_id,
-                list(result.columns),
-                [list(r) for r in result.rows],
-                published_at=now,
-                source_url=source_url,
-                replay=False,
-            )
-            self._offer(cq, batch, outbox)
-            if races.ACTIVE is not None:
-                # Registered COMMUTATIVE: sibling fan-out branches
-                # (different sources) push to one subscription in launch
-                # order, but every batch carries its own source_url and
-                # published_at, so consumers are insensitive to the
-                # interleaving — the same argument as history appends.
-                races.ACTIVE.note(
-                    "stream.push", str(cq.cq_id), "w", site="StreamHub.publish"
-                )
-            pushed += 1
+        for source_url, columns, rows, published_at in sources:
+            cols = list(columns)
+            layout = tuple(cols)
+            snapshot = [list(r) for r in rows]
+            latest[source_url] = (cols, snapshot)
+            for cq in self._subs.values():
+                if cq.group != g or cq.expires_at < now:
+                    continue
+                if suppress and cq.query_class == QueryClass.BATCH.value:
+                    # Admission interplay: a pressured gateway stops paying
+                    # per-publish evaluation + wire cost for the batch tier
+                    # first — the stream analogue of the brownout fate.
+                    cq.suppressed += 1
+                    self.stats["suppressed"] += 1
+                    continue
+                try:
+                    result = cq.plan.bind(layout).execute(snapshot)
+                except SqlError:
+                    # This publish does not carry every column the plan
+                    # needs (a narrower real-time projection can acquire a
+                    # subset of the group).  The subscription simply cannot
+                    # be satisfied from this snapshot — skip it; a
+                    # subscriber's plan must never fail the publisher's
+                    # query.
+                    cq.unsatisfied += 1
+                    self.stats["unsatisfied"] += 1
+                    continue
+                if not self._owe(
+                    cq, result, outbox,
+                    published_at=published_at, source_url=source_url, replay=False,
+                ):
+                    continue
+                if races.ACTIVE is not None:
+                    # Registered COMMUTATIVE: the round's sources reach one
+                    # subscription in completion order, but every batch
+                    # carries its own source_url and published_at, so
+                    # consumers are insensitive to the interleaving — the
+                    # same argument as history appends.
+                    races.ACTIVE.note(
+                        "stream.push", str(cq.cq_id), "w", site="StreamHub.publish"
+                    )
+                pushed += 1
         self._flush(outbox, g)
         return pushed
 
@@ -541,9 +546,7 @@ class StreamHub:
         """Offer ``cq`` the rows one plan run matched as a batch (none for
         no rows); how many."""
         if result.rows:
-            batch = encode_batch(
-                cq.cq_id, list(result.columns), [list(r) for r in result.rows], **stamps
-            )
+            batch = encode_batch(cq.cq_id, result.columns, result.rows, **stamps)
             self._offer(cq, batch, outbox)
         return len(result.rows)
 
@@ -1049,12 +1052,8 @@ class Republisher(EventArchiver):
         ]
         derivation.windows_published += 1
         self.stats["windows"] += 1
-        self.hub.publish(
-            derivation.group,
-            columns,
-            rows,
-            source_url=f"republish://{self.host}/{derivation.group}",
-        )
+        source_url = f"republish://{self.host}/{derivation.group}"
+        self.hub.publish(derivation.group, [(source_url, columns, rows, now)])
 
     # ------------------------------------------------------------------
     def stop(self) -> None:

@@ -110,7 +110,8 @@ class EventPublisher:
         gateway.events.register_listener(self._on_event)
 
     def _on_event(self, event: Event) -> None:
-        self.hub.publish(EVENT_GROUP.name, EVENT_COLUMNS, [encode_event(event)])
+        now = self.hub.network.clock.now()
+        self.hub.publish(EVENT_GROUP.name, [("", EVENT_COLUMNS, [encode_event(event)], now)])
 
     def subscriber_count(self) -> int:
         return self.hub.subscription_count()

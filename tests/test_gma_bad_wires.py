@@ -13,7 +13,9 @@ Four views of the one envelope in :mod:`repro.gma.records`:
   wrong-typed rows;
 * honest traffic is byte-identical: ``python -m tests.test_gma_bad_wires``
   (repo root, ``PYTHONPATH`` on the reference commit's ``src``) prints
-  the golden ``tests/golden_gma_wires.json`` is compared against.
+  the golden ``tests/golden_gma_wires.json`` is compared against.  One
+  reply was re-recorded since: the hub's ``stats`` after a resume now
+  counts the flushed batches in ``pushes`` / ``tuples`` (2, not 0).
 """
 
 import json

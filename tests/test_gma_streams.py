@@ -70,7 +70,7 @@ def _fabric(policy=None, *, history=False, overload=None, tracer=None, **own):
 
 
 def _publish(hub, clock, rows, *, source="probe://h0"):
-    hub.publish("Probe", ["HostName", "Load", "Slot"], rows, source_url=source)
+    hub.publish("Probe", [(source, ["HostName", "Load", "Slot"], rows, clock.now())])
     clock.advance(1.0)
 
 
@@ -179,7 +179,7 @@ def test_narrow_publish_never_fails_the_publisher():
     wide = consumer.register(hub.address, "SELECT HostName, Load FROM Probe")
     narrow = consumer.register(hub.address, "SELECT HostName FROM Probe")
     # A real-time query that only acquired HostName publishes just that.
-    hub.publish("Probe", ["HostName"], [["n0"], ["n1"]], source_url="probe://h0")
+    hub.publish("Probe", [("probe://h0", ["HostName"], [["n0"], ["n1"]], clock.now())])
     clock.advance(1.0)
     assert consumer.rows(hub.address, narrow) == [["n0"], ["n1"]]
     assert consumer.delivered.get((hub.host, wide), []) == []

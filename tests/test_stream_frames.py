@@ -23,6 +23,8 @@ import dataclasses
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import QueryMode
 from repro.gma import streams
@@ -161,17 +163,21 @@ class TestSeededSite:
         assert any(b[5] for d in want["deliveries"] for b in d)
 
     def test_one_datagram_per_owed_consumer_address_per_publish(self):
+        """One datagram per owed consumer address per query *round*: a
+        query over all sources calls the hub once, after its fan-out, so
+        each of the 10 queries costs at most one frame per address where
+        per-source publishing cost up to one per address per source."""
         log = []
 
         def spy(hub):
             network = hub.network
             inner = hub.publish
 
-            def publish(group, columns, rows, *, source_url=""):
+            def publish(group, sources):
                 before = {cq.cq_id: cq.delivered for cq in hub._subs.values()}
                 datagrams = network.stats.datagrams
                 frames = hub.stats["frames"]
-                pushed = inner(group, columns, rows, source_url=source_url)
+                pushed = inner(group, sources)
                 owed = {
                     cq.consumer
                     for cq in hub._subs.values()
@@ -190,15 +196,16 @@ class TestSeededSite:
             hub.publish = publish
 
         site, consumers = scenario(spy)
-        assert len(log) == ROUNDS * 2 * len(site.source_urls)
+        assert len(log) == ROUNDS * 2  # one call per query, not per source
         for datagrams, frames, addresses, pushed in log:
             assert datagrams == frames == addresses
             assert pushed >= addresses
-        # Every shape occurs: all three addresses, and fewer.
-        assert {addresses for _, _, addresses, _ in log} >= {1, 2, 3}
-        # One datagram per subscription would have been 179, not 110.
+        # Every query of the scenario owes all three addresses something.
+        assert {addresses for _, _, addresses, _ in log} == {3}
+        # One datagram per subscription would have been 179; one per
+        # address per source fetch was 110; one per address per round is 30.
         assert sum(p for _, _, _, p in log) == 179
-        assert sum(d for d, _, _, _ in log) == 110
+        assert sum(d for d, _, _, _ in log) == 30
         hub = site.gateway.streams
         assert hub.stats["pushes"] == sum(
             len(c.batches) for c in consumers
@@ -212,12 +219,8 @@ class TestSeededSite:
 def publish(network, hub, slot, *, source="probe://h0"):
     """One publish of one row; returns the datagrams it cost."""
     before = network.stats.datagrams
-    hub.publish(
-        "Probe",
-        ["HostName", "Load", "Slot"],
-        [[f"n{slot}", 0.5, slot]],
-        source_url=source,
-    )
+    row = [f"n{slot}", 0.5, slot]
+    hub.publish("Probe", [(source, ["HostName", "Load", "Slot"], [row], network.clock.now())])
     network.clock.advance(1.0)
     return network.stats.datagrams - before
 
@@ -260,6 +263,20 @@ class TestPauseAndResume:
         before = network.stats.datagrams
         assert client.resume(hub.address, paused) == 0
         assert network.stats.datagrams == before
+
+    def test_a_resume_flush_is_counted_in_the_hubs_pushes_and_tuples(self):
+        _, network, hub, client, _ = _fabric()
+        paused = client.register(hub.address, "SELECT Slot FROM Probe")
+        client.register(hub.address, "SELECT HostName FROM Probe")
+        client.pause(hub.address, paused)
+        for slot in range(3):
+            publish(network, hub, slot)
+        assert client.resume(hub.address, paused) == 3
+        network.clock.advance(1.0)
+        per_cq = hub.buffer_stats().values()
+        assert hub.stats["pushes"] == sum(s["delivered"] for s in per_cq) == 6
+        assert hub.stats["tuples"] == sum(s["tuples"] for s in per_cq) == 6
+        assert hub.stats["pushes"] == len(client.batches)
 
     def test_overflow_fates_and_drop_counts_unchanged(self):
         for overflow, kept in (("drop_oldest", [[2], [3]]), ("pause", [[0], [1]])):
@@ -327,7 +344,7 @@ def test_a_lost_frame_costs_one_consumer_one_whole_publish():
 
 
 # ----------------------------------------------------------------------
-# (e) trace: one push span per frame, under the publishing source span
+# (e) trace: one push span per frame, under the publishing query's execute
 # ----------------------------------------------------------------------
 def traced_round():
     """The seeded site's last acquisition round, with its frames:
@@ -341,6 +358,9 @@ def traced_round():
 
 
 def test_one_push_span_per_frame_under_the_publishing_source():
+    """The name is kept, the parent moved: a query publishes its whole
+    round once, after the fan-out, so every push span sits under that
+    query's ``execute`` span rather than under one ``source`` branch."""
     traces, frames = traced_round()
     assert len(traces) == 2  # Processor, MainMemory
     pushes = []
@@ -351,18 +371,92 @@ def test_one_push_span_per_frame_under_the_publishing_source():
             if span.name != "push":
                 continue
             pushes.append(span)
-            source = parents[span.span_id]
-            assert source.name == "source"
+            assert parents[span.span_id].name == "execute"
             attrs = span.attrs
             assert attrs["group"] in ("Processor", "MainMemory")
             assert attrs["consumer"] in ADDRESSES
-            assert len(attrs["cqs"]) == len(set(attrs["cqs"])) >= 1
+            # One member per (subscription, source) the round owed it.
+            assert len(attrs["cqs"]) >= len(set(attrs["cqs"])) >= 1
             assert attrs["rows"] >= len(attrs["cqs"])
             # Everything in one frame belongs to one consumer address.
             owners = {ADDRESSES[SUBSCRIPTIONS[cq - 1][0]] for cq in attrs["cqs"]}
             assert owners == {attrs["consumer"]}
     assert len(pushes) == frames > 0
-    assert any(len(s.attrs["cqs"]) > 1 for s in pushes)
+    assert any(len(set(s.attrs["cqs"])) > 1 for s in pushes)
+    assert any(len(s.attrs["cqs"]) > len(set(s.attrs["cqs"])) for s in pushes)
+
+
+# ----------------------------------------------------------------------
+# (f) the query round is the unit of publishing
+# ----------------------------------------------------------------------
+def round_site():
+    """Three SNMP sources, one consumer following every Processor row."""
+    network = quiet_network(5)
+    site = build_site(
+        network, name="site-a", n_hosts=3, agents=("snmp",), seed=5,
+        policy=GatewayPolicy(streaming_enabled=True),
+    )
+    site.clock.advance(60.0)
+    consumer = StreamConsumer(network, "viewer")
+    consumer.register(
+        site.gateway.streams.address, "SELECT HostName, LoadAverage1Min FROM Processor"
+    )
+    return site, consumer
+
+
+def round_query(site):
+    return site.gateway.query(
+        list(site.source_urls), "SELECT * FROM Processor", mode=QueryMode.REALTIME
+    )
+
+
+def test_completed_sources_are_delivered_when_a_sibling_fails():
+    site, consumer = round_site()
+    site.fail_host("site-a-n01")
+    result = round_query(site)
+    site.clock.advance(1.0)
+    assert [s.ok for s in result.statuses] == [True, False, True]
+    assert [b["source_url"] for b in consumer.batches] == [
+        site.source_urls[0], site.source_urls[2]
+    ]
+    assert site.gateway.streams.stats["frames"] == 1
+
+
+def test_completed_sources_are_delivered_when_the_fan_out_raises(monkeypatch):
+    site, consumer = round_site()
+    dispatcher = site.gateway.request_manager.dispatcher
+    run = dispatcher.run
+
+    def run_then_raise(*args, **kwargs):
+        run(*args, **kwargs)
+        raise RuntimeError("fan-out bug")
+
+    monkeypatch.setattr(dispatcher, "run", run_then_raise)
+    with pytest.raises(RuntimeError, match="fan-out bug"):
+        round_query(site)
+    site.clock.advance(1.0)
+    assert sorted(b["source_url"] for b in consumer.batches) == sorted(site.source_urls)
+    assert site.gateway.streams.stats["frames"] == 1
+
+
+def test_a_slow_source_delays_its_siblings_frame_to_the_end_of_the_round():
+    """The declared cost of one frame per round: fast siblings leave
+    with the slowest source, yet each batch is stamped when its own fetch
+    produced it."""
+    site, consumer = round_site()
+    site.network.set_service_time("site-a-n02", 0.5)
+    started = site.clock.now()
+    round_query(site)
+    ended = site.clock.now()
+    site.clock.advance(1.0)
+    stamps = {b["source_url"]: b["published_at"] for b in consumer.batches}
+    fast, slow = site.source_urls[:2], site.source_urls[2]
+    assert set(stamps) == set(site.source_urls)
+    assert all(stamps[u] < started + 0.5 < stamps[slow] for u in fast)
+    assert stamps[slow] <= ended
+    # One frame: every batch arrived at the same instant, after the round.
+    assert len({b["received_at"] for b in consumer.batches}) == 1
+    assert consumer.batches[0]["received_at"] > ended
 
 
 def test_frame_helpers_are_the_wire_form():

@@ -185,7 +185,7 @@ def test_streaming_matches_polling_oracle(seed: int) -> None:
             source = sources[step % len(sources)]
             final_publish[source] = (columns, rows)
             before = len(consumer.delivered.get((hub.host, cq), []))
-            hub.publish("Probe", columns, rows, source_url=source)
+            hub.publish("Probe", [(source, columns, rows, network.clock.now())])
             clock.advance(1.0)
             delivered = consumer.delivered.get((hub.host, cq), [])[before:]
 

@@ -230,6 +230,9 @@ class TestCachedReads:
 # ----------------------------------------------------------------------
 class TestStreamFrames:
     def test_push_spans_sit_under_source_and_replay_and_nest_cleanly(self):
+        """The name is kept, the parent moved: a query round publishes
+        once, after its fan-out, so a publishing query's push spans sit
+        under ``execute``, not under a ``source`` branch."""
         site, _ = streaming_site()
         tracer = site.gateway.tracer
         assert_clean(tracer)
@@ -241,7 +244,7 @@ class TestStreamFrames:
                         cut_under.add((trace.name, span.name))
                         assert child.status == "ok" and child.attrs["cqs"]
         # A publishing fetch and an attach replay both cut frames.
-        assert cut_under == {("query", "source"), ("subscribe", "replay")}
+        assert cut_under == {("query", "execute"), ("subscribe", "replay")}
 
 
 # ----------------------------------------------------------------------
