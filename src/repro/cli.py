@@ -42,7 +42,7 @@ import argparse
 import sys
 
 from repro import scenario, scenarios
-from repro.core.request_manager import QueryMode
+from repro.core.request_manager import Cause, QueryMode
 from repro.testbed import AGENT_KINDS, build_testbed
 from repro.web.console import Console
 
@@ -154,8 +154,9 @@ def cmd_query(args) -> int:
         file=sys.stderr,
     )
     for s in result.statuses:
-        if not s.ok:
-            print(f"# failed {s.url}: {s.error}", file=sys.stderr)
+        if s.cause is not Cause.FRESH:
+            detail = f": {s.error}" if s.error else ""
+            print(f"# {s.cause.value} {s.url}{detail}", file=sys.stderr)
     return 0 if result.ok_sources else 1
 
 

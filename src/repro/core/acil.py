@@ -57,9 +57,7 @@ class ClientResponse:
         return cls(
             columns=list(result.columns),
             rows=result.dicts(),
-            # One dict per SourceStatus, its fields in declaration order
-            # (``dataclasses.asdict`` spells the same dict 25x slower).
-            statuses=[dict(vars(s)) for s in result.statuses],
+            statuses=[s.as_dict() for s in result.statuses],
             elapsed=result.elapsed,
             mode=result.mode.value,
         )

@@ -597,15 +597,7 @@ class Gateway:
                 result.columns, n = merge_rows(
                     result.columns, result.rows, stale.columns, stale.rows
                 )
-                result.statuses.append(
-                    SourceStatus(
-                        url=url_text,
-                        ok=True,
-                        rows=n,
-                        from_cache=True,
-                        degraded=True,
-                    )
-                )
+                result.statuses.append(SourceStatus.brownout(url_text, n))
         result.elapsed = self.network.clock.now() - started
         return result
 
@@ -664,9 +656,8 @@ class Gateway:
                     )
         result.elapsed = self.network.clock.now() - started
         root.annotate(
-            rows=len(result.rows),
-            sources_ok=sum(1 for s in result.statuses if s.ok),
-            sources_failed=sum(1 for s in result.statuses if not s.ok),
+            rows=len(result.rows), sources_ok=result.ok_sources,
+            sources_failed=result.failed_sources,
         )
         self._query_elapsed.record(result.elapsed)
         # Update per-source poll status for the tree view (Figure 9).
@@ -736,14 +727,8 @@ class Gateway:
             # A shed is the remote gateway protecting itself: a typed
             # per-source shed status, never a breaker failure against
             # gma://<site> (the Global layer already skipped the penalty).
-            shed = isinstance(exc, OverloadError)
-            degraded = not shed and (
-                self.health.state(f"gma://{site_name}") is BreakerState.OPEN
-            )
-            failed = [
-                SourceStatus(u, False, degraded=degraded, shed=shed, error=str(exc))
-                for u in site_urls
-            ]
+            tripped = self.health.state(f"gma://{site_name}") is BreakerState.OPEN
+            failed = [SourceStatus.failed(u, exc, breaker_open=tripped) for u in site_urls]
             return QueryResult([], [], failed, mode)
         return remote
 

@@ -18,7 +18,10 @@ Modes:
 
 Multi-source queries consolidate per-source results into one relation;
 sources that fail contribute a status entry rather than failing the whole
-request.
+request.  Every status carries its :class:`Cause`, from which its flags,
+its ``requests.*`` counters and a failed span's status follow (DESIGN §9).
+A source passes its stages in order — cache, deadline, breaker, coalesce,
+dispatch — and the stage that answers exits through ``_answer``.
 
 Dispatch is concurrent in virtual time (see :mod:`repro.core.dispatch`):
 a query over N sources fans one sub-request out per source, so the
@@ -35,7 +38,8 @@ from __future__ import annotations
 import enum
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, ClassVar, Iterable, Mapping, Sequence
 
 from repro.core.admission import AdmissionController, QueryClass
@@ -66,7 +70,7 @@ from repro.dbapi.exceptions import (
 from repro.dbapi.resultset import ListResultSet
 from repro.dbapi.url import JdbcUrl
 from repro.obs.metrics import MetricsRegistry, StatsView
-from repro.obs.trace import NO_TRACER, Tracer
+from repro.obs.trace import NO_TRACER, NULL_SPAN, Tracer
 from repro.sql.errors import SqlError
 from repro.sql.plan import CompiledPlan, join_rows
 
@@ -77,25 +81,61 @@ class QueryMode(enum.Enum):
     HISTORY = "history"
 
 
+class Cause(enum.Enum):
+    """Why one source's answer is what it is.  A row is the whole meaning
+    of its cause: the flags clients read, whether the GMA wire spells it
+    (one it does not crosses as the cause with the same flags) and the
+    ``requests.*`` counters it bumps.  A failed span's status is its value.
+    """
+
+    #                     ok     cache  degr.  shed   wire   counters
+    FRESH = "fresh",      True,  False, False, False, True,  ()
+    HISTORY = "history",  True,  False, False, False, False, ("history_served",)
+    CACHE = "cache",      True,  True,  False, False, True,  ("cache_served",)
+    #: The source's breaker is OPEN; served from the cache past its TTL.
+    STALE = "stale",      True,  True,  True,  False, True,  ("stale_served",)
+    #: The gateway is under pressure; served from the cache past its TTL.
+    BROWNOUT = "brownout", True, True,  True,  False, False, ()
+    #: The source's breaker is OPEN and nothing is cached to serve.
+    BREAKER = "breaker",  False, False, True,  False, True,  ()
+    #: A gateway (this one or a remote one) refused the work to protect
+    #: itself — never a source-health signal.
+    SHED = "shed",        False, False, False, True,  True,  ("sheds", "source_failures")
+    DEADLINE_EXCEEDED = ("deadline_exceeded", False, False, False, False, False,
+                         ("deadline_exceeded", "source_failures"))
+    ERROR = "error",      False, False, False, False, True,  ("source_failures",)
+
+    def __new__(cls, value, *row):
+        cause = object.__new__(cls)
+        cause._value_ = value
+        return cause
+
+    def __init__(self, _value, ok, from_cache, degraded, shed, wire, counters):
+        self.ok, self.from_cache, self.degraded, self.shed = ok, from_cache, degraded, shed
+        self.wire, self.counters = wire, counters
+
+
 @dataclass
 class SourceStatus:
-    """Outcome of one data source within a consolidated query."""
+    """Outcome of one data source within a consolidated query: ``cause``
+    says why, and ``ok``, ``from_cache``, ``degraded`` and ``shed`` are
+    read off it.  Each cause is constructed in one place, below."""
 
     url: str
-    ok: bool
+    cause: Cause
     rows: int = 0
-    from_cache: bool = False
-    #: True when the source's circuit breaker was OPEN and the answer is
-    #: a stale cached result (ok=True) or a short-circuited failure
-    #: (ok=False) — either way, the source itself was not touched.
-    degraded: bool = False
-    #: True when this answer shared another request's in-flight agent
+    #: True when this answer shared another request's in-flight
     #: round-trip (single-flight coalescing) instead of issuing its own.
+    #: Set by this hop only: a caller that joined a remote flight keeps
+    #: the owner's cause.
     coalesced: bool = False
-    #: True when a gateway (local or remote) refused this source's work
-    #: to protect itself (load shed) — never a source-health signal.
-    shed: bool = False
     error: str = ""
+
+    ok = property(attrgetter("cause.ok"))
+    from_cache = property(attrgetter("cause.from_cache"))
+    #: The source itself was not asked: stale rows or a breaker refusal.
+    degraded = property(attrgetter("cause.degraded"))
+    shed = property(attrgetter("cause.shed"))
 
     #: What of an outcome crosses a gateway-to-gateway wire, in order.
     #: ``coalesced`` says how *this* hop got its answer and stays local.
@@ -103,19 +143,71 @@ class SourceStatus:
         "url", "ok", "rows", "from_cache", "degraded", "shed", "error"
     )
 
+    @classmethod
+    def fresh(cls, url: str, rows: int, *, coalesced: bool = False) -> "SourceStatus":
+        return cls(url, Cause.FRESH, rows, coalesced)
+
+    @classmethod
+    def history(cls, url: str, rows: int) -> "SourceStatus":
+        return cls(url, Cause.HISTORY, rows)
+
+    @classmethod
+    def cache(cls, url: str, rows: int = 0) -> "SourceStatus":
+        return cls(url, Cause.CACHE, rows)
+
+    @classmethod
+    def stale(cls, url: str, rows: int = 0) -> "SourceStatus":
+        return cls(url, Cause.STALE, rows)
+
+    @classmethod
+    def brownout(cls, url: str, rows: int) -> "SourceStatus":
+        return cls(url, Cause.BROWNOUT, rows)
+
+    @classmethod
+    def failed(
+        cls, url: str, exc: BaseException | str, *, breaker_open: bool = False,
+        coalesced: bool = False,
+    ) -> "SourceStatus":
+        """A failed answer, its cause read off ``exc``: ``shed`` for a
+        gateway protecting itself, ``breaker`` for an open circuit,
+        ``deadline_exceeded`` for a spent budget, else ``error`` (always,
+        for a caller that joined another's failed flight)."""
+        error = str(exc)
+        if isinstance(exc, OverloadError) and not coalesced:
+            return cls(url, Cause.SHED, error=error)
+        if breaker_open:
+            return cls(url, Cause.BREAKER, error=error)
+        if isinstance(exc, DeadlineExceededError) and not coalesced:
+            return cls(url, Cause.DEADLINE_EXCEEDED, error=error)
+        return cls(url, Cause.ERROR, coalesced=coalesced, error=error)
+
     def to_wire(self) -> list[Any]:
         return [getattr(self, key) for key in self.WIRE_KEYS]
 
+    def as_dict(self) -> dict[str, Any]:
+        """The ACIL's form: the eight keys clients always had, then ``cause``."""
+        c = self.cause  # ``c._value_`` is ``c.value`` without a descriptor call
+        return {"url": self.url, "ok": c.ok, "rows": self.rows, "from_cache": c.from_cache,
+                "degraded": c.degraded, "coalesced": self.coalesced, "shed": c.shed,
+                "error": self.error, "cause": c._value_}
+
     @classmethod
     def from_wire(cls, *values: Any) -> "SourceStatus":
-        """The status :meth:`to_wire` spelled, or ``ValueError`` for a
-        ragged row or a value that is not exactly its field's type
-        (annotations are strings here, so ``f.type`` is the type's name)."""
-        status = cls(**dict(zip(cls.WIRE_KEYS, values, strict=True)))
-        for f in fields(status):
-            if type(getattr(status, f.name)).__name__ != f.type:
-                raise ValueError(f"bad {f.name} {getattr(status, f.name)!r}")
-        return status
+        """The status :meth:`to_wire` spelled, its cause read back from
+        the flags; ``ValueError`` for a ragged row, a value that is not
+        exactly its key's type, or flags no cause spells."""
+        if tuple(map(type, values)) != _WIRE_TYPES:
+            raise ValueError(f"bad status row {values!r}")
+        url, ok, rows, from_cache, degraded, shed, error = values
+        cause = _WIRE_CAUSES.get((ok, from_cache, degraded, shed))
+        if cause is None:
+            raise ValueError(f"no cause spells ok={ok} from_cache/degraded/shed={values[3:6]}")
+        return cls(url, cause, rows, error=error)
+
+
+_WIRE_TYPES = (str, bool, int, bool, bool, bool, str)
+#: (ok, from_cache, degraded, shed) -> the one cause the wire spells so.
+_WIRE_CAUSES = {(c.ok, c.from_cache, c.degraded, c.shed): c for c in Cause if c.wire}
 
 
 @dataclass
@@ -442,18 +534,13 @@ class RequestManager:
         cached = self.cache.lookup(url_text, sql, max_age=max_age, key=key)
         if cached is None:
             return False
-        self.stats.inc("cache_served")
         with self.tracer.span("source", url=url_text) as span:
             self._stamp_source(span, url_text, deadline)
             span["cache"] = "hit"
-        # Shared with the cache entry, not copied: the merge into the
-        # consolidated result copies every row it takes.
-        partial.columns, partial.rows = cached.columns, cached.rows
-        partial.statuses.append(
-            SourceStatus(
-                url=url_text, ok=True, rows=len(cached.rows), from_cache=True
-            )
-        )
+            # Shared with the cache entry, not copied: the merge into the
+            # consolidated result copies every row it takes.
+            partial.columns, partial.rows = cached.columns, cached.rows
+            self._answer(partial, span, SourceStatus.cache(url_text, len(cached.rows)))
         return True
 
     def _fan_out(
@@ -488,12 +575,8 @@ class RequestManager:
             if isinstance(outcome.error, DeadlineExceededError):
                 # The branch-launch guard fired: the budget ran out while
                 # this source's branch queued.  A per-source outcome, not
-                # a query failure — and no health penalty.
-                self.stats.inc("deadline_exceeded")
-                self.stats.inc("source_failures")
-                partial.statuses.append(
-                    SourceStatus(url=str(url), ok=False, error=str(outcome.error))
-                )
+                # a query failure — and no health penalty (and no span).
+                self._answer(partial, NULL_SPAN, SourceStatus.failed(str(url), outcome.error))
             elif outcome.error is not None:
                 # _one_realtime converts per-source failures to statuses;
                 # anything escaping it is a programming error worth
@@ -585,6 +668,17 @@ class RequestManager:
         if self.health is not None:
             span["breaker"] = self.health.state(url_text).value
 
+    def _answer(self, result: QueryResult, span, status: SourceStatus) -> None:
+        """The one exit of every per-source answer: bump its cause's
+        ``requests.*`` counters, fail its span with the cause when the
+        answer is not ok, and append the status."""
+        cause = status.cause
+        for counter in cause.counters:
+            self.stats.inc(counter)
+        if not cause.ok:
+            span.fail(status.error, status=cause.value)
+        result.statuses.append(status)
+
     def _one_realtime(
         self,
         url: JdbcUrl,
@@ -598,238 +692,165 @@ class RequestManager:
         retry_budget: RetryBudget | None = None,
     ) -> None:
         url_text = str(url)
+        plan = entry.compiled()
         with self.tracer.span("source", url=url_text) as span:
             self._stamp_source(span, url_text, deadline)
-            self._one_realtime_traced(
-                url, sql, entry, result, published, mode, info, deadline,
-                retry_budget, span,
-            )
-
-    def _one_realtime_traced(
-        self,
-        url: JdbcUrl,
-        sql: str,
-        entry: PlanEntry,
-        result: QueryResult,
-        published: _Published,
-        mode: QueryMode,
-        info: Mapping[str, Any] | None,
-        deadline: Deadline | None,
-        retry_budget: RetryBudget | None,
-        span,
-    ) -> None:
-        url_text = str(url)
-        plan = entry.compiled()
-        if deadline is not None and deadline.expired():
-            # Budget gone before this source was even dispatched (eaten
-            # by earlier hops): fail fast, no agent traffic, and no
-            # health penalty — the source did nothing wrong.
-            self.stats.inc("deadline_exceeded")
-            self.stats.inc("source_failures")
-            span.fail("deadline exceeded before dispatch",
-                      status="deadline_exceeded")
-            result.statuses.append(
-                SourceStatus(
-                    url=url_text, ok=False, error="deadline exceeded before dispatch"
-                )
-            )
-            return
-        # A CACHED_OK source only gets here after _serve_cached missed.
-        span["cache"] = "miss" if mode is QueryMode.CACHED_OK else "bypass"
-        if self.health is not None and not self.health.allow_request(url_text):
-            # Circuit OPEN: never touch the source (even in REALTIME —
-            # that is the breaker's whole point).  Serve the last cached
-            # answer past its TTL when the policy allows, else fail fast.
-            self.stats.inc("breaker_short_circuits")
-            span["breaker"] = "open"
-            span["short_circuited"] = True
-            self._one_degraded(url_text, sql, entry.key, result)
-            return
-        # Single-flight: an identical request already in the air to this
-        # source answers both of us with one agent round-trip.  The real
-        # flight already updated health, stats, cache and history — the
-        # joiner only waits for it and shares the outcome.
-        flight = self.dispatcher.join_flight(url_text, sql, key=entry.key)
-        if flight is not None:
-            self.stats.inc("singleflight_joins")
-            span["coalesced"] = True
-            if flight.error is not None:
-                self.stats.inc("source_failures")
-                result.statuses.append(
-                    SourceStatus(
-                        url=url_text,
-                        ok=False,
-                        coalesced=True,
-                        error=str(flight.error),
-                    )
-                )
+            if deadline is not None and deadline.expired():
+                # Budget gone before this source was even dispatched (eaten
+                # by earlier hops): fail fast, no agent traffic, and no
+                # health penalty — the source did nothing wrong.
+                spent = DeadlineExceededError("deadline exceeded before dispatch")
+                self._answer(result, span, SourceStatus.failed(url_text, spent))
                 return
-            columns, rows = flight.value
-            n = self._merge(result, columns, rows)
-            result.statuses.append(
-                SourceStatus(url=url_text, ok=True, rows=n, coalesced=True)
+            # A CACHED_OK source only gets here after _serve_cached missed.
+            span["cache"] = "miss" if mode is QueryMode.CACHED_OK else "bypass"
+            if self.health is not None and not self.health.allow_request(url_text):
+                status = self._breaker_open(url_text, sql, entry.key, result, span)
+                self._answer(result, span, status)
+                return
+            # Single-flight: an identical request already in the air to
+            # this source answers both of us with one agent round-trip.
+            # The real flight already updated health, stats, cache and
+            # history — the joiner only waits for it and shares the outcome.
+            flight = self.dispatcher.join_flight(url_text, sql, key=entry.key)
+            if flight is not None:
+                self.stats.inc("singleflight_joins")
+                span["coalesced"] = True
+                if flight.error is not None:
+                    status = SourceStatus.failed(url_text, flight.error, coalesced=True)
+                else:
+                    n = self._merge(result, *flight.value)
+                    status = SourceStatus.fresh(url_text, n, coalesced=True)
+                self._answer(result, span, status)
+                return
+            # Only idempotent drivers may have their fetch re-issued —
+            # whether by the retry loop below or by a dispatcher hedge.
+            reissuable = self._idempotent(url)
+            # Overload interplay (when the gateway's admission controller is
+            # on): hedges are suppressed under pressure, failed attempts
+            # re-check admission before retrying, and a shed costs neither a
+            # breaker penalty nor a retry token (nor does a spent deadline).
+            adm = (
+                self.admission
+                if self.admission is not None and self.admission.enabled
+                else None
             )
-            return
-        # Only idempotent drivers may have their fetch re-issued —
-        # whether by the retry loop below or by a dispatcher hedge.
-        reissuable = self._idempotent(url)
-        # Overload interplay (when the gateway's admission controller is
-        # on): hedges are suppressed under pressure, failed attempts
-        # re-check admission before retrying, and a shed is a typed
-        # status that costs neither a breaker penalty nor a retry token.
-        adm = (
-            self.admission
-            if self.admission is not None and self.admission.enabled
-            else None
-        )
-        qc = QueryClass.parse((info or {}).get("query_class"))
-        fetch_started = self.clock.now()
-        attempt = 0
-        # Admission was decided by the allow_request above; pin it for
-        # the whole operation so hedge siblings and retry attempts see
-        # the decision as of launch, not breaker state mid-mutation.
-        admission = (
-            self.health.pin(url_text, True)
-            if self.health is not None
-            else nullcontext()
-        )
-        with admission:
-            while True:
-                attempt += 1
-                try:
-                    with self.tracer.span("attempt", index=attempt):
-                        columns, rows = self.dispatcher.run_flight(
-                            url_text,
-                            sql,
-                            lambda: self._fetch(url, sql, info, deadline, plan),
-                            hedge=reissuable
-                            and not (adm is not None and adm.suppress_hedges()),
-                            deadline=deadline if adm is not None else None,
-                            key=entry.key,
-                        )
-                    break
-                except OverloadError as exc:
-                    # A gateway (this one, or a remote one on the GMA
-                    # wire) shed the work to protect itself.  That says
-                    # nothing about this source's health: no breaker
-                    # penalty, no retry token spent, no hedge — just a
-                    # typed per-source status with the retry-after hint.
-                    self.stats.inc("sheds")
-                    self.stats.inc("source_failures")
-                    span.annotate(attempts=attempt)
-                    span.fail(exc, status="shed")
-                    result.statuses.append(
-                        SourceStatus(url=url_text, ok=False, shed=True, error=str(exc))
+            qc = QueryClass.parse((info or {}).get("query_class"))
+            fetch_started = self.clock.now()
+            attempt = 0
+            # Admission was decided by the allow_request above; pin it for
+            # the whole operation so hedge siblings and retry attempts see
+            # the decision as of launch, not breaker state mid-mutation.
+            admission = (
+                self.health.pin(url_text, True)
+                if self.health is not None
+                else nullcontext()
+            )
+            try:
+                with admission:
+                    while True:
+                        attempt += 1
+                        try:
+                            with self.tracer.span("attempt", index=attempt):
+                                columns, rows = self.dispatcher.run_flight(
+                                    url_text,
+                                    sql,
+                                    lambda: self._fetch(url, sql, info, deadline, plan),
+                                    hedge=reissuable
+                                    and not (adm is not None and adm.suppress_hedges()),
+                                    deadline=deadline if adm is not None else None,
+                                    key=entry.key,
+                                )
+                            break
+                        except (DataSourceError, NoSuitableDriverError, SQLException) as exc:
+                            # Connect-stage failures (DataSourceError) were
+                            # already recorded by the driver manager;
+                            # post-connect transport failures and bad replies
+                            # (a source answering garbage is unhealthy; the
+                            # commonest cause is a connection closed
+                            # mid-reply) are recorded here.  Syntax errors
+                            # say nothing about source health.
+                            unhealthy = isinstance(
+                                exc,
+                                (SQLConnectionException, SQLTimeoutException, SQLDataException),
+                            )
+                            if self.health is not None and unhealthy:
+                                self.health.record_failure(url_text, str(exc))
+                            transient = (
+                                unhealthy or isinstance(exc, DataSourceError)
+                            ) and not isinstance(exc, SourceQuarantinedError)
+                            if transient and reissuable and attempt < self.retry.attempts:
+                                pause = self.retry.backoff(attempt, self._retry_rng)
+                                if adm is not None and not adm.allow_retry(qc):
+                                    # Re-check admission: retrying under
+                                    # pressure is extra offered load fighting
+                                    # our own limiter (only CRITICAL keeps
+                                    # its retries).
+                                    self.stats.inc("retry_giveups")
+                                elif deadline is not None and deadline.remaining() <= pause:
+                                    # No budget left to back off and try again.
+                                    self.stats.inc("retry_giveups")
+                                elif retry_budget is not None and retry_budget.take():
+                                    self.stats.inc("retries")
+                                    self.clock.advance(pause)
+                                    continue
+                                elif retry_budget is not None:
+                                    self.stats.inc("retry_giveups")
+                            raise
+            except (
+                OverloadError, DeadlineExceededError, DataSourceError,
+                NoSuitableDriverError, SQLException,
+            ) as exc:
+                span.annotate(attempts=attempt)
+                self._answer(result, span, SourceStatus.failed(url_text, exc))
+                return
+            if self.health is not None:
+                self.health.record_success(url_text)
+            self.stats.inc("realtime_fetches")
+            span.annotate(attempts=attempt)
+            self._source_latency.record(self.clock.now() - fetch_started)
+            n = self._merge(result, columns, rows)
+            self._answer(result, span, SourceStatus.fresh(url_text, n))
+            group = plan.select.table
+            self.cache.store(
+                url_text, sql, list(columns), [list(r) for r in rows],
+                group=group, key=entry.key,
+            )
+            if self.history.schema.has_group(group):
+                canonical = self.history.schema.group(group)
+                # Only record rows that carry the group's fields (star
+                # queries); narrow projections are not representative.
+                if set(canonical.field_names()) <= set(columns):
+                    self.history.record(
+                        canonical.name,
+                        [dict(zip(columns, r)) for r in rows],
+                        source_url=url_text,
+                        recorded_at=self.clock.now(),
                     )
-                    return
-                except DeadlineExceededError as exc:
-                    # The end-to-end budget ran out mid-fetch: report it as
-                    # this source's outcome.  No health penalty (the source
-                    # was not proven unhealthy) and never a retry.
-                    self.stats.inc("deadline_exceeded")
-                    self.stats.inc("source_failures")
-                    span.annotate(attempts=attempt)
-                    span.fail(exc, status="deadline_exceeded")
-                    result.statuses.append(
-                        SourceStatus(url=url_text, ok=False, error=str(exc))
-                    )
-                    return
-                except (DataSourceError, NoSuitableDriverError, SQLException) as exc:
-                    # Connect-stage failures (DataSourceError) were already
-                    # recorded into the health tracker by the driver manager;
-                    # post-connect transport failures and bad replies (a
-                    # source answering garbage is unhealthy; the commonest
-                    # cause is a connection closed mid-reply) are recorded
-                    # here.  Syntax errors say nothing about source health.
-                    unhealthy = isinstance(
-                        exc,
-                        (SQLConnectionException, SQLTimeoutException, SQLDataException),
-                    )
-                    if self.health is not None and unhealthy:
-                        self.health.record_failure(url_text, str(exc))
-                    transient = (
-                        unhealthy or isinstance(exc, DataSourceError)
-                    ) and not isinstance(exc, SourceQuarantinedError)
-                    if transient and reissuable and attempt < self.retry.attempts:
-                        pause = self.retry.backoff(attempt, self._retry_rng)
-                        if adm is not None and not adm.allow_retry(qc):
-                            # Re-check admission: retrying under pressure
-                            # is extra offered load fighting our own
-                            # limiter (only CRITICAL keeps its retries).
-                            self.stats.inc("retry_giveups")
-                        elif deadline is not None and deadline.remaining() <= pause:
-                            # No budget left to back off and try again.
-                            self.stats.inc("retry_giveups")
-                        elif retry_budget is not None and retry_budget.take():
-                            self.stats.inc("retries")
-                            self.clock.advance(pause)
-                            continue
-                        elif retry_budget is not None:
-                            self.stats.inc("retry_giveups")
-                    self.stats.inc("source_failures")
-                    span.annotate(attempts=attempt)
-                    span.fail(exc)
-                    result.statuses.append(
-                        SourceStatus(url=url_text, ok=False, error=str(exc))
-                    )
-                    return
-        if self.health is not None:
-            self.health.record_success(url_text)
-        self.stats.inc("realtime_fetches")
-        span.annotate(attempts=attempt)
-        self._source_latency.record(self.clock.now() - fetch_started)
-        n = self._merge(result, columns, rows)
-        result.statuses.append(SourceStatus(url=url_text, ok=True, rows=n))
-        group = plan.select.table
-        self.cache.store(
-            url_text, sql, list(columns), [list(r) for r in rows],
-            group=group, key=entry.key,
-        )
-        if self.history.schema.has_group(group):
-            canonical = self.history.schema.group(group)
-            # Only record rows that carry the group's fields (star
-            # queries); narrow projections are not representative.
-            if set(canonical.field_names()) <= set(columns):
-                self.history.record(
-                    canonical.name,
-                    [dict(zip(columns, r)) for r in rows],
-                    source_url=url_text,
-                    recorded_at=self.clock.now(),
-                )
-        if self.streams is not None:
-            # Stamped at the instant the fetch produced it; the hub sees
-            # it when the round's fan-out is over (see ``_realtime``).
-            published.append((url_text, columns, rows, self.clock.now()))
+            if self.streams is not None:
+                # Stamped at the instant the fetch produced it; the hub sees
+                # it when the round's fan-out is over (see ``_realtime``).
+                published.append((url_text, columns, rows, self.clock.now()))
 
-    def _one_degraded(
-        self, url_text: str, sql: str, key: str, result: QueryResult
-    ) -> None:
-        """Answer for a source whose breaker is OPEN: stale rows when the
-        policy allows and the cache still holds any, a fast failure
-        status otherwise — never an exception, never agent traffic."""
+    def _breaker_open(
+        self, url_text: str, sql: str, key: str, result: QueryResult, span
+    ) -> SourceStatus:
+        """The breaker stage, for a source whose circuit is OPEN: never
+        touch the source (even in REALTIME — that is the breaker's whole
+        point).  Stale rows when the policy allows and the cache still
+        holds any, a fast failure otherwise — never agent traffic."""
+        self.stats.inc("breaker_short_circuits")
+        span["breaker"] = "open"
+        span["short_circuited"] = True
         if self.policy.serve_stale_on_open:
             stale = self.cache.lookup_stale(url_text, sql, key=key)
             if stale is not None:
-                self.stats.inc("stale_served")
                 n = self._merge(result, stale.columns, stale.rows)
-                result.statuses.append(
-                    SourceStatus(
-                        url=url_text, ok=True, rows=n, from_cache=True, degraded=True
-                    )
-                )
-                return
+                return SourceStatus.stale(url_text, n)
         entry = self.health.health(url_text)
         detail = f": {entry.last_error}" if entry.last_error else ""
-        result.statuses.append(
-            SourceStatus(
-                url=url_text,
-                ok=False,
-                degraded=True,
-                error=(
-                    f"circuit open until t={entry.open_until:.1f}s{detail}"
-                ),
-            )
-        )
+        error = f"circuit open until t={entry.open_until:.1f}s{detail}"
+        return SourceStatus.failed(url_text, error, breaker_open=True)
 
     def _idempotent(self, url: JdbcUrl) -> bool:
         """May this source's fetch be safely re-issued (retry / hedge)?
@@ -868,20 +889,17 @@ class RequestManager:
             scanned_before = self.history.rows_scanned
             try:
                 sel = self.history.query(sql, source_url=url_text, plan=plan)
-            except SqlError as exc:
-                span.fail(exc)
-                result.statuses.append(
-                    SourceStatus(url=url_text, ok=False, error=str(exc))
+                status = SourceStatus.history(
+                    url_text, self._merge(result, sel.columns, sel.rows)
                 )
-                return
+                span["rows"] = status.rows
+            except SqlError as exc:
+                status = SourceStatus.failed(url_text, exc)
             finally:
                 # What the read touched (rows handed to the bound plan),
-                # next to what it returned (``rows`` below).
+                # next to what it returned (``rows`` above).
                 scanned = self.history.rows_scanned - scanned_before
                 span["scanned"] = scanned
                 self._history_queries.inc()
                 self._history_rows_scanned.add(scanned)
-            self.stats.inc("history_served")
-            n = self._merge(result, sel.columns, sel.rows)
-            span["rows"] = n
-            result.statuses.append(SourceStatus(url=url_text, ok=True, rows=n))
+            self._answer(result, span, status)

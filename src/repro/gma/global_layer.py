@@ -142,8 +142,7 @@ class GlobalLayer:
                 if cached is not None:
                     self.stats.inc("remote_cache_hits")
                     span["cache"] = "hit"
-                    hit = SourceStatus(cache_key_url, True, from_cache=True)
-                    return _copy(cached, [hit])
+                    return _copy(cached, [SourceStatus.cache(cache_key_url)])
             # The remote gateway has a circuit breaker in the local
             # gateway's health tracker: while it is OPEN a partitioned site
             # costs nothing instead of a full consumer timeout per query.
@@ -156,10 +155,7 @@ class GlobalLayer:
                     if stale is not None:
                         self.stats.inc("remote_stale_served")
                         span["stale"] = True
-                        hit = SourceStatus(
-                            cache_key_url, True, from_cache=True, degraded=True
-                        )
-                        return _copy(stale, [hit])
+                        return _copy(stale, [SourceStatus.stale(cache_key_url)])
                 entry = health.health(health_key)
                 raise RemoteQueryError(
                     f"circuit open for site {site!r} until t={entry.open_until:.1f}s "

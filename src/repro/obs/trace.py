@@ -41,9 +41,6 @@ def _is_deadline_error(exc: BaseException) -> bool:
         return False
     return isinstance(exc, DeadlineExceededError)
 
-#: Span statuses, in the order the renderer abbreviates them.
-STATUSES = ("ok", "error", "deadline_exceeded", "cancelled")
-
 
 class Span:
     """One hop of one query: a named, attributed time interval."""

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.health import BreakerState
 from repro.core.policy import GatewayPolicy
-from repro.core.request_manager import QueryMode
+from repro.core.request_manager import Cause, QueryMode
 from repro.gma.directory import GMADirectory
 from repro.gma.global_layer import GlobalLayer
 from repro.simnet.clock import VirtualClock
@@ -128,6 +128,7 @@ class TestStaleServing:
             assert result.rows == warm.rows
             (status,) = result.statuses
             assert status.ok and status.from_cache and status.degraded
+            assert status.cause is Cause.STALE
             assert result.degraded
         assert gw.request_manager.stats["stale_served"] == 2
 
@@ -136,7 +137,10 @@ class TestStaleServing:
         result = site.gateway.query(url, SQL, mode=QueryMode.REALTIME)
         (status,) = result.statuses
         assert not status.ok and status.degraded
+        assert status.cause is Cause.BREAKER
         assert "circuit open" in status.error
+        source = site.gateway.tracer.last().find_span("source")
+        assert (source.status, source.error) == ("breaker", status.error)
         assert result.elapsed == 0
         assert site.gateway.request_manager.stats["stale_served"] == 0
 
@@ -294,6 +298,7 @@ class TestRemoteSiteBreaker:
         assert network.clock.now() == t0  # fast fail: no timeout paid
         (status,) = result.statuses
         assert not status.ok and status.degraded
+        assert status.cause is Cause.BREAKER
         assert "circuit open for site 'brb'" in status.error
 
     def test_remote_site_recovers_after_heal(self, fabric):

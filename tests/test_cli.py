@@ -61,6 +61,34 @@ class TestQuery:
         assert code == 1
         assert "failed" in err
 
+    def test_breaker_stale_answer_is_explained(self, capsys, monkeypatch):
+        """A stale answer still exits 0, but says why on stderr."""
+        import repro.cli as cli
+        from repro.core.health import BreakerState
+
+        url, sql = "jdbc:snmp://site-a-n00/x", "SELECT HostName FROM Host"
+        build = cli.build_testbed
+
+        def tripped(**kwargs):
+            network, (site,) = build(**kwargs)
+            gw = site.gateway
+            network.clock.advance(5.0)
+            assert gw.query(url, sql).ok_sources == 1  # fills the cache
+            site.fail_host("site-a-n00")
+            network.clock.advance(gw.policy.query_cache_ttl + 1)
+            for _ in range(10):
+                if gw.health.state(url) is BreakerState.OPEN:
+                    break
+                gw.query(url, sql)
+            return network, (site,)
+
+        monkeypatch.setattr(cli, "build_testbed", tripped)
+        code, out, err = run(
+            capsys, "query", sql, "--url", url, "--hosts", "1", "--warmup", "0"
+        )
+        assert code == 0 and "site-a-n00" in out
+        assert f"# stale {url}" in err.splitlines()
+
     def test_unknown_agent_kind_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["query", "SELECT 1 FROM Host", "--agents", "carrierpigeon"])

@@ -21,7 +21,7 @@ from repro.core.errors import (
 from repro.core.gateway import BatchQuery, Gateway
 from repro.core.health import HealthTracker
 from repro.core.policy import GatewayPolicy
-from repro.core.request_manager import QueryMode
+from repro.core.request_manager import Cause, QueryMode
 from repro.core.shed import (
     PressureMonitor,
     PressureState,
@@ -413,6 +413,7 @@ class TestBreakerShedInterplay:
         )
         assert result.rows
         assert all(s.from_cache and s.degraded for s in result.statuses)
+        assert all(s.cause is Cause.BROWNOUT for s in result.statuses)
         assert gw.overload.snapshot()["brownout_served"] == 1
 
 

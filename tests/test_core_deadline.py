@@ -15,7 +15,7 @@ from repro.core.deadline import Deadline
 from repro.core.dispatch import FanoutDispatcher
 from repro.core.errors import DeadlineExceededError, GridRmError, PolicyError
 from repro.core.policy import GatewayPolicy
-from repro.core.request_manager import QueryMode
+from repro.core.request_manager import Cause, QueryMode
 from repro.core.retry import RetryBudget, RetryPolicy
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Address, Network
@@ -151,6 +151,7 @@ class TestDeadlineIntegration:
         s0, s1 = result.statuses
         assert not s0.ok  # timed out against the clamped budget
         assert s1.error == "deadline exceeded before dispatch"
+        assert s1.cause is Cause.DEADLINE_EXCEEDED
         assert gw.request_manager.stats["deadline_exceeded"] >= 1
         # The starved source was never touched, so its breaker stays clean.
         assert gw.health.health(url1).total_failures == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import GridRmError
-from repro.core.request_manager import QueryMode
+from repro.core.request_manager import Cause, QueryMode
 from repro.testbed import build_site
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
@@ -53,6 +53,7 @@ class TestRealtime:
         assert r.ok_sources == 2 and r.failed_sources == 1
         failed = [s for s in r.statuses if not s.ok][0]
         assert dead in failed.url and failed.error
+        assert failed.cause is Cause.ERROR
 
     def test_elapsed_uses_virtual_time(self, rig):
         network, site, rm = rig
@@ -74,6 +75,7 @@ class TestCachedOk:
         r = rm.execute(url, "SELECT * FROM Host", mode=QueryMode.CACHED_OK)
         assert rm.stats["realtime_fetches"] == before
         assert r.statuses[0].from_cache
+        assert r.statuses[0].cause is Cause.CACHE
 
     def test_realtime_mode_bypasses_cache(self, rig):
         network, site, rm = rig
@@ -106,6 +108,7 @@ class TestHistory:
         rm.execute(url, "SELECT * FROM Processor")
         h = rm.execute(url, "SELECT HostName FROM Processor", mode=QueryMode.HISTORY)
         assert h.ok_sources == 1 and len(h.rows) == 1
+        assert h.statuses[0].cause is Cause.HISTORY
 
     def test_narrow_projections_not_recorded(self, rig):
         network, site, rm = rig

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.agents import snmp as wire
 from repro.core.policy import GatewayPolicy, production
+from repro.core.request_manager import Cause
 from repro.dbapi.exceptions import SQLException
 from repro.dbapi.url import JdbcUrl
 from repro.drivers import default_driver_set
@@ -92,7 +93,7 @@ def test_half_a_gmond_dump_costs_the_ganglia_source_only(policy):
 
     assert sorted(r[0] for r in result.rows) == ["s-n00", "s-n01", "s-n02"]
     (bad,) = [s for s in result.statuses if not s.ok]
-    assert bad.url == ganglia_url
+    assert bad.url == ganglia_url and bad.cause is Cause.ERROR
     assert "JDBC-Ganglia" in bad.error and ganglia_url in bad.error
     assert gateway.health.health(ganglia_url).total_failures == 1
     assert gateway.driver_manager.driver_by_name("JDBC-Ganglia").cache.misses == 1

@@ -9,8 +9,9 @@ Four views of the one envelope in :mod:`repro.gma.records`:
 * one Hypothesis target that feeds every op registered in the
   producer's, the hub's and the directory's tables generated payloads
   with no ``Network.request`` in between;
-* ``SourceStatus``'s wire form round-trips and refuses ragged or
-  wrong-typed rows;
+* ``SourceStatus``'s wire form round-trips every cause's flags, refuses
+  ragged or wrong-typed rows and flags no cause spells, and each cause is
+  constructed at one call site under ``src/repro``;
 * honest traffic is byte-identical: ``python -m tests.test_gma_bad_wires``
   (repo root, ``PYTHONPATH`` on the reference commit's ``src``) prints
   the golden ``tests/golden_gma_wires.json`` is compared against.  One
@@ -18,6 +19,8 @@ Four views of the one envelope in :mod:`repro.gma.records`:
   counts the flushed batches in ``pushes`` / ``tuples`` (2, not 0).
 """
 
+import ast
+import itertools
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -31,7 +34,8 @@ from repro.core.deadline import Deadline
 from repro.core.errors import OverloadError
 from repro.core.plans import PlanCache
 from repro.core.policy import GatewayPolicy, production
-from repro.core.request_manager import QueryMode, SourceStatus
+import repro
+from repro.core.request_manager import Cause, QueryMode, SourceStatus
 from repro.core.security import Principal
 from repro.glue.schema import STANDARD_SCHEMA
 from repro.gma.directory import DIRECTORY_PORT, DirectoryClient, GMADirectory
@@ -152,6 +156,12 @@ def _bad_status_rows(reply):
     return {**reply, "status_rows": [[first[0], first[1], "many", *first[3:]], *rest]}
 
 
+def _unspelled_status_flags(reply):
+    """Well-typed, but ``ok`` and ``shed`` at once: no cause spells that."""
+    first, *rest = reply["status_rows"]
+    return {**reply, "status_rows": [[*first[:5], True, first[6]], *rest]}
+
+
 HOSTILE_SHED = {
     "ok": False, "shed": True, "retry_after": "soon", "query_class": "batch",
     "error": "busy",
@@ -168,6 +178,7 @@ QUERY_CLIENT_CASES = {
     "reply-status_rows-int": (PRODUCER_PORT, _edit(status_rows=[5]), False),
     "reply-rows-int": (PRODUCER_PORT, _edit(rows=7), False),
     "reply-status-rows-text": (PRODUCER_PORT, _bad_status_rows, False),
+    "reply-status-flags-unspelled": (PRODUCER_PORT, _unspelled_status_flags, False),
     "reply-shed-retry_after-text": (PRODUCER_PORT, lambda reply: HOSTILE_SHED, True),
 }
 
@@ -192,6 +203,7 @@ def test_hostile_reply_costs_the_remote_site_and_keeps_the_local_rows(
     by_url = {s.url: s for s in result.statuses}
     assert by_url[local].ok and not by_url[remote].ok and by_url[remote].error
     assert by_url[remote].shed == shed
+    assert by_url[remote].cause is (Cause.SHED if shed else Cause.ERROR)
     # A shed is the peer protecting itself; everything else is its failure.
     assert a.gateway.health.health("gma://site-b").total_failures == (0 if shed else 1)
 
@@ -228,8 +240,10 @@ def test_hostile_register_reply_is_the_documented_error(policy, mutate, error):
 
 
 def test_the_matrix_has_nineteen_cases():
+    """The id is from when it had nineteen; the unspelled-status-flags
+    reply was added since."""
     assert len(HUB_CASES) + len(PRODUCER_CASES) == 10
-    assert len(QUERY_CLIENT_CASES) + len(REGISTER_CLIENT_CASES) == 9
+    assert len(QUERY_CLIENT_CASES) + len(REGISTER_CLIENT_CASES) == 10
 
 
 def test_hostile_reregistration_reply_is_a_renewal_failure_not_a_timer_crash():
@@ -272,23 +286,62 @@ def test_a_secured_gateway_asks_the_http_channel_for_a_session_too():
 # ----------------------------------------------------------------------
 # SourceStatus: the one spelling of an outcome
 # ----------------------------------------------------------------------
-STATUS = SourceStatus("jdbc:snmp://h/x", True, rows=3, from_cache=True, coalesced=True)
+STATUS = SourceStatus("jdbc:snmp://h/x", Cause.CACHE, rows=3, coalesced=True)
 ROW = ["jdbc:snmp://h/x", True, 3, True, False, False, ""]
+#: cause -> (ok, from_cache, degraded, shed, the cause the wire reads back).
+CAUSES = {
+    "fresh": (True, False, False, False, "fresh"),
+    "history": (True, False, False, False, "fresh"),
+    "cache": (True, True, False, False, "cache"),
+    "stale": (True, True, True, False, "stale"),
+    "brownout": (True, True, True, False, "stale"),
+    "breaker": (False, False, True, False, "breaker"),
+    "shed": (False, False, False, True, "shed"),
+    "deadline_exceeded": (False, False, False, False, "error"),
+    "error": (False, False, False, False, "error"),
+}
+#: (ok, from_cache, degraded, shed) combinations no cause spells.
+UNSPELLED = sorted(
+    set(itertools.product((True, False), repeat=4)) - {row[:4] for row in CAUSES.values()}
+)
 
 
 def test_status_wire_form_round_trips_all_but_the_hop_local_flag():
     names = [f.name for f in fields(SourceStatus)]
-    assert [n for n in names if n not in SourceStatus.WIRE_KEYS] == ["coalesced"]
+    assert names == ["url", "cause", "rows", "coalesced", "error"]
     assert STATUS.to_wire() == ROW
     back = SourceStatus.from_wire(*STATUS.to_wire())
-    assert back == SourceStatus("jdbc:snmp://h/x", True, rows=3, from_cache=True)
+    assert back == SourceStatus("jdbc:snmp://h/x", Cause.CACHE, rows=3)
     assert back.to_wire() == STATUS.to_wire()
-    # ... and the client channel's dict is the dataclass, in field order.
+    # ... and the client channel's dict is the eight keys clients have
+    # always read, in their order, then the cause.
     (as_dict,) = ClientResponse.from_result(
         type("R", (), {"columns": [], "dicts": lambda self: [], "statuses": [STATUS],
                        "elapsed": 0.0, "mode": QueryMode.REALTIME})()
     ).statuses
-    assert list(as_dict) == names and SourceStatus(**as_dict) == STATUS
+    assert as_dict == {
+        "url": "jdbc:snmp://h/x", "ok": True, "rows": 3, "from_cache": True,
+        "degraded": False, "coalesced": True, "shed": False, "error": "", "cause": "cache",
+    }
+    assert list(as_dict) == [
+        "url", "ok", "rows", "from_cache", "degraded", "coalesced", "shed", "error", "cause",
+    ]
+
+
+@pytest.mark.parametrize("coalesced", [False, True])
+@pytest.mark.parametrize("cause", CAUSES)
+def test_each_cause_derives_its_flags_and_crosses_the_wire(cause, coalesced):
+    ok, from_cache, degraded, shed, on_wire = CAUSES[cause]
+    status = SourceStatus("u", Cause(cause), rows=2, coalesced=coalesced, error="e")
+    flags = (ok, from_cache, degraded, shed)
+    assert (status.ok, status.from_cache, status.degraded, status.shed) == flags
+    with pytest.raises(AttributeError):
+        status.ok = not ok  # derived, never set
+    assert status.to_wire() == ["u", ok, 2, from_cache, degraded, shed, "e"]
+    back = SourceStatus.from_wire(*status.to_wire())
+    assert (back.ok, back.from_cache, back.degraded, back.shed) == flags
+    assert back.cause.value == on_wire and back.coalesced is False
+    assert (back.url, back.rows, back.error) == ("u", 2, "e")
 
 
 @pytest.mark.parametrize(
@@ -302,11 +355,55 @@ def test_status_wire_form_round_trips_all_but_the_hop_local_flag():
         ["u", True, 0, False, False, False, None],
         [5, True, 0, False, False, False, ""],
         ["u", True, 0, False, "no", False, ""],
+        *(["u", ok, 0, cache, degraded, shed, ""] for ok, cache, degraded, shed in UNSPELLED),
     ],
 )
 def test_ragged_and_wrong_typed_status_rows_are_refused(row):
     with pytest.raises(ValueError):
         SourceStatus.from_wire(*row)
+
+
+class _Constructions(ast.NodeVisitor):
+    """Every ``SourceStatus(...)`` call in a module (and ``cls(...)``
+    inside the class), with the scope it sits in and its cause argument."""
+
+    def __init__(self):
+        self.scope, self.found = [], []
+
+    def visit_ClassDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_ClassDef
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name == "SourceStatus" or (name == "cls" and self.scope[:1] == ["SourceStatus"]):
+            cause = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "cause"), None
+            )
+            self.found.append((".".join(self.scope), cause))
+        self.generic_visit(node)
+
+
+def test_each_cause_is_constructed_at_one_call_site():
+    """Every status built under ``src/repro`` names its cause literally,
+    each cause at exactly one call site; the one construction from a
+    computed cause is ``from_wire`` rebuilding what a peer sent."""
+    root = Path(repro.__file__).parent
+    named, computed = {}, []
+    for path in sorted(root.rglob("*.py")):
+        visitor = _Constructions()
+        visitor.visit(ast.parse(path.read_text()))
+        for scope, cause in visitor.found:
+            site = f"{path.relative_to(root)}:{scope}"
+            if isinstance(cause, ast.Attribute) and getattr(cause.value, "id", "") == "Cause":
+                named.setdefault(cause.attr, []).append(site)
+            else:
+                computed.append(site)
+    assert {c.name: 1 for c in Cause} == {name: len(sites) for name, sites in named.items()}
+    assert computed == ["core/request_manager.py:SourceStatus.from_wire"]
 
 
 # ----------------------------------------------------------------------
