@@ -12,6 +12,13 @@ knots.  All other metrics derive from load plus their own noise channels,
 so CPU, memory, processes and network move plausibly together — which the
 GLUE-translation tests rely on (utilisation within [0, 100], counters
 monotone, free memory below total).
+
+Each knot value and each window's job is one draw from a
+``random.Random`` seeded by (host seed, key).  Those draws are pure in
+their key, so a host remembers them (at most :data:`DRAW_MEMO_SIZE`
+per host, oldest forgotten first) instead of re-seeding on every
+snapshot: a snapshot samples about sixty of them.  The memo changes no
+value, only what a snapshot costs; a fresh host starts with it empty.
 """
 
 from __future__ import annotations
@@ -40,6 +47,11 @@ _OSES = [
 _PLATFORMS = ["i686", "i686", "x86_64", "sparcv9", "ia64"]
 _FS_NAMES = [("/", "ext3"), ("/home", "ext3"), ("/scratch", "ext2"), ("/tmp", "ext2")]
 _PROGRAMS = ["gridftp", "mpirun", "condor_starter", "globus-job", "gatekeeper"]
+
+#: Seeded draws (noise knots and episode windows) one host remembers;
+#: beyond it the oldest is forgotten.  A 15 s ``realtime_fanout`` run
+#: makes about 2 600 over all its hosts.
+DRAW_MEMO_SIZE = 4096
 
 
 def _stable_seed(*parts: Any) -> int:
@@ -128,6 +140,15 @@ class SimulatedHost:
     def __init__(self, spec: HostSpec, clock: VirtualClock) -> None:
         self.spec = spec
         self.clock = clock
+        # (channel, i) -> knot value; w -> None or the window's job as
+        # (intensity per CPU, start, length) fractions.
+        self._draws: dict[Any, Any] = {}
+
+    def _remember(self, key: Any, value: Any) -> None:
+        draws = self._draws
+        if len(draws) >= DRAW_MEMO_SIZE:
+            del draws[next(iter(draws))]
+        draws[key] = value
 
     # ------------------------------------------------------------------
     # Noise and load primitives
@@ -136,24 +157,34 @@ class SimulatedHost:
         """Seeded value noise in [-1, 1], C0-interpolated between knots."""
         k = math.floor(t / knot)
         frac = (t / knot) - k
+        return self._knot(channel, k) * (1.0 - frac) + self._knot(channel, k + 1) * frac
 
-        def at(i: int) -> float:
-            rng = random.Random(_stable_seed(self.spec.seed, channel, i))
-            return rng.uniform(-1.0, 1.0)
-
-        return at(k) * (1.0 - frac) + at(k + 1) * frac
+    def _knot(self, channel: str, i: int) -> float:
+        key = (channel, i)
+        value = self._draws.get(key)
+        if value is None:
+            value = random.Random(_stable_seed(self.spec.seed, channel, i)).uniform(-1.0, 1.0)
+            self._remember(key, value)
+        return value
 
     def _episode(self, t: float, window: float = 600.0) -> float:
         """Pseudo-random workload bursts: each window may host a job."""
         w = math.floor(t / window)
-        rng = random.Random(_stable_seed(self.spec.seed, "episode", w))
-        if rng.random() < 0.35:  # a job lands in this window
-            intensity = rng.uniform(0.5, 2.0) * self.spec.cpu_count
-            start = rng.uniform(0.0, 0.3) * window
-            length = rng.uniform(0.3, 0.9) * window
+        if w in self._draws:
+            job = self._draws[w]
+        else:
+            rng = random.Random(_stable_seed(self.spec.seed, "episode", w))
+            job = None
+            if rng.random() < 0.35:  # a job lands in this window
+                job = (rng.uniform(0.5, 2.0), rng.uniform(0.0, 0.3), rng.uniform(0.3, 0.9))
+            self._remember(w, job)
+        if job is not None:
+            per_cpu, start_frac, length_frac = job
+            start = start_frac * window
+            length = length_frac * window
             offset = t - w * window
             if start <= offset <= start + length:
-                return intensity
+                return per_cpu * self.spec.cpu_count
         return 0.0
 
     def load_at(self, t: float) -> float:

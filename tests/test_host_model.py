@@ -1,8 +1,18 @@
-"""Unit tests for the synthetic host model."""
+"""Unit tests for the synthetic host model.
+
+``python -m tests.test_host_model`` (repo root, ``PYTHONPATH`` on the
+reference commit's ``src``) prints the digest :data:`GOLDEN_SNAPSHOTS`
+pins.
+"""
+
+import hashlib
+import math
+import random
 
 import pytest
 
-from repro.agents.host_model import HostSpec, SimulatedHost
+from repro.agents import host_model
+from repro.agents.host_model import DRAW_MEMO_SIZE, HostSpec, SimulatedHost
 from repro.simnet.clock import VirtualClock
 
 
@@ -110,3 +120,161 @@ class TestLoadDynamics:
         inst = [host.load_at(float(t)) for t in range(0, 3600, 60)]
         avg15 = [host._load_avg(float(t), 900.0) for t in range(0, 3600, 60)]
         assert statistics.pstdev(avg15) <= statistics.pstdev(inst) + 1e-9
+
+
+# ----------------------------------------------------------------------
+# The per-host draw memo: same values, each seeded draw made once
+# ----------------------------------------------------------------------
+#: Three hosts of different CPU counts and sites.
+SPECS = (("n0", "site-a", 42), ("site-b-n03", "site-b", 11), ("burst", "s", 3))
+
+
+def _instants() -> list[float]:
+    """500 distinct instants over two virtual hours: every knot and window
+    edge in them (``k*60``, ``k*600``, ``k*3600``, each also +-1e-9; the
+    last two are among the first) plus a seeded sweep."""
+    horizon = 2 * 3600.0
+    edges = {0.0}
+    for step in (60.0, 600.0, 3600.0):
+        for k in range(1, int(horizon / step) + 1):
+            edges.update((k * step - 1e-9, k * step, k * step + 1e-9))
+    rng = random.Random(2909)
+    sweep = [rng.uniform(0.0, horizon) for _ in range(500 - len(edges))]
+    return sorted(edges.union(sweep))
+
+
+INSTANTS = _instants()
+
+
+def snapshot_digest() -> str:
+    """SHA-256 over ``repr(host.snapshot(t))`` for every spec and instant,
+    each host fresh and sampled in instant order."""
+    h = hashlib.sha256()
+    for name, site, seed in SPECS:
+        host = SimulatedHost(HostSpec.generate(name, site, seed), VirtualClock())
+        for t in INSTANTS:
+            h.update(repr(host.snapshot(t)).encode())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+#: :func:`snapshot_digest` computed at commit ``a3fa139``, before hosts
+#: remembered their draws (every knot and window re-seeded on each
+#: snapshot).  The memo may change what a snapshot costs, never what it
+#: says.
+GOLDEN_SNAPSHOTS = "8e735cdfee23ea1b894773abc4483bd6f205a47e3feb7571577702d2e9d0755b"
+
+
+def _seed(*parts) -> int:
+    """Reference seed: the first 8 bytes of SHA-256 over the parts joined
+    by ``|``, big-endian (written out here, not imported)."""
+    text = "|".join(str(p) for p in parts)
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+
+def ref_knot(host_seed: int, channel: str, i: int) -> float:
+    return random.Random(_seed(host_seed, channel, i)).uniform(-1.0, 1.0)
+
+
+def ref_noise(host, channel: str, t: float, knot: float = 60.0) -> float:
+    k = math.floor(t / knot)
+    frac = t / knot - k
+    s = host.spec.seed
+    return ref_knot(s, channel, k) * (1.0 - frac) + ref_knot(s, channel, k + 1) * frac
+
+
+def ref_episode(host, t: float, window: float = 600.0) -> float:
+    w = math.floor(t / window)
+    rng = random.Random(_seed(host.spec.seed, "episode", w))
+    if rng.random() >= 0.35:
+        return 0.0
+    intensity = rng.uniform(0.5, 2.0) * host.spec.cpu_count
+    start = rng.uniform(0.0, 0.3) * window
+    length = rng.uniform(0.3, 0.9) * window
+    return intensity if start <= t - w * window <= start + length else 0.0
+
+
+def ref_load(host, t: float) -> float:
+    s = host.spec
+    diurnal = s.diurnal_amplitude * math.sin(
+        2 * math.pi * t / 3600.0 + (s.seed % 628) / 100.0
+    )
+    noise = 0.15 * s.cpu_count * ref_noise(host, "load", t)
+    return max(0.0, s.base_load + diurnal + ref_episode(host, t) + noise)
+
+
+@pytest.fixture
+def hosts():
+    return [
+        SimulatedHost(HostSpec.generate(name, site, seed), VirtualClock())
+        for name, site, seed in SPECS
+    ]
+
+
+class TestDrawMemo:
+    def test_snapshots_match_the_golden_digest(self):
+        """Every snapshot of three hosts over 500 instants, knot and window
+        edges included, is byte-equal to the pre-memo model."""
+        assert snapshot_digest() == GOLDEN_SNAPSHOTS
+
+    def test_draws_match_an_independent_reference(self, hosts):
+        """Knots, windows and load agree with a re-derivation that shares
+        no code with the model; asked twice, so the second answer comes
+        from the memo."""
+        for host in hosts:
+            for _ in range(2):
+                for t in INSTANTS:
+                    for channel in ("load", "mem", "proc", "users"):
+                        assert host._value_noise(channel, t) == ref_noise(host, channel, t)
+                    assert host._value_noise("fs:/", t, knot=3600.0) == ref_noise(
+                        host, "fs:/", t, knot=3600.0
+                    )
+                    assert host._episode(t) == ref_episode(host, t)
+                    assert host.load_at(t) == ref_load(host, t)
+
+    def test_each_seeded_draw_is_made_once_per_host(self, hosts, monkeypatch):
+        """A repeated snapshot seeds one RNG, its process list's; the knots
+        and windows it samples are all remembered."""
+        seeds = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, seed):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(host_model.random, "Random", CountingRandom)
+        host = hosts[0]
+        host.snapshot(1234.5)
+        first = len(seeds)
+        assert first == len(set(seeds)) == len(host._draws) + 1
+        host.snapshot(1234.5)
+        assert len(seeds) == first + 1
+
+    def test_memo_stays_within_its_bound(self, hosts):
+        """Past more distinct keys than the bound the memo holds at most
+        the bound, and an evicted draw is drawn again to the same value."""
+        host = hosts[1]
+        ts = [60.0 * i + 7.5 for i in range(DRAW_MEMO_SIZE + 500)]
+        for t in ts:
+            assert host._value_noise("load", t) == ref_noise(host, "load", t)
+            assert len(host._draws) <= DRAW_MEMO_SIZE
+        assert len(host._draws) == DRAW_MEMO_SIZE
+        for t in ts[:50] + ts[-50:]:
+            assert host._value_noise("load", t) == ref_noise(host, "load", t)
+            assert host._episode(t) == ref_episode(host, t)
+            assert len(host._draws) <= DRAW_MEMO_SIZE
+
+    def test_hosts_from_equal_specs_keep_separate_memos(self):
+        """Two hosts built from one spec share no memo: sampling one leaves
+        the other cold, and both then answer alike."""
+        spec = HostSpec.generate("twin", "s", 5)
+        a = SimulatedHost(spec, VirtualClock())
+        b = SimulatedHost(spec, VirtualClock())
+        snap = a.snapshot(900.0)
+        assert a._draws and not b._draws
+        assert b.snapshot(900.0) == snap
+        assert a._draws == b._draws and a._draws is not b._draws
+
+
+if __name__ == "__main__":
+    print(snapshot_digest())
