@@ -14,6 +14,17 @@ Implements enough of SNMPv1/v2c to exercise a real driver end-to-end:
 SNMP is the paper's canonical *fine-grained* source: one OID per request,
 "generally little or no parsing required" (§3.3) — experiment E3 measures
 exactly this against Ganglia's coarse XML dumps.
+
+The codec keeps that promise per OID as well as per request: a run asks
+for a few dozen distinct OIDs, so each OID is packed and parsed once.
+``encode_oid``, a GET's ``SEQUENCE(oid, NULL)`` varbind and
+``_decode_oid_body`` each read a module-level memo of at most
+:data:`OID_MEMO_SIZE` entries, keyed by the exact OID tuple or body
+bytes and holding successes only, so a memo changes no byte on the wire
+and hostile input can neither poison nor overgrow it.  OIDs follow X.690
+8.19: the first subidentifier is ``40 * first + second`` (base-128, so
+``2.x`` may have ``x >= 40``), and a body that ends inside an arc is
+refused.
 """
 
 from __future__ import annotations
@@ -72,6 +83,11 @@ ERR_READ_ONLY = 4
 ERR_GEN_ERR = 5
 
 
+_PDU_TYPES = frozenset(
+    (TAG_GET, TAG_GETNEXT, TAG_RESPONSE, TAG_SET, TAG_TRAP, TAG_GETBULK)
+)
+
+
 class SnmpCodecError(ValueError):
     """Malformed BER input."""
 
@@ -119,24 +135,53 @@ def encode_null() -> bytes:
     return _encode_tlv(TAG_NULL, b"")
 
 
+#: Entries each codec memo holds (OID -> TLV, OID -> NULL varbind, body
+#: -> OID); beyond it the oldest is forgotten.  The MIB serves a few
+#: dozen OIDs; GETNEXT walks of the process table add one per PID.
+OID_MEMO_SIZE = 1024
+_OID_TLVS: dict[Oid, bytes] = {}
+_NULL_VARBINDS: dict[Oid, bytes] = {}
+_OID_BODIES: dict[bytes, Oid] = {}
+
+
+def _remember(memo: dict, key: Any, value: Any) -> None:
+    if len(memo) >= OID_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
 def encode_oid(oid: Oid) -> bytes:
-    """X.690 OID packing: first two arcs combined, base-128 thereafter."""
-    if len(oid) < 2:
-        raise SnmpCodecError(f"OID needs >= 2 arcs: {oid!r}")
-    if oid[0] > 2 or oid[1] > 39:
-        raise SnmpCodecError(f"bad leading arcs in {oid!r}")
-    body = bytearray([oid[0] * 40 + oid[1]])
-    for arc in oid[2:]:
-        if arc < 0:
-            raise SnmpCodecError(f"negative arc in {oid!r}")
-        chunk = bytearray([arc & 0x7F])
-        arc >>= 7
-        while arc:
-            chunk.append(0x80 | (arc & 0x7F))
+    """X.690 OID packing: the first two arcs make one subidentifier
+    (``40 * first + second``), then every arc is base-128."""
+    tlv = _OID_TLVS.get(oid)
+    if tlv is None:
+        if len(oid) < 2:
+            raise SnmpCodecError(f"OID needs >= 2 arcs: {oid!r}")
+        if not 0 <= oid[0] <= 2 or oid[1] < 0 or (oid[0] < 2 and oid[1] > 39):
+            raise SnmpCodecError(f"bad leading arcs in {oid!r}")
+        body = bytearray()
+        for arc in (oid[0] * 40 + oid[1], *oid[2:]):
+            if arc < 0:
+                raise SnmpCodecError(f"negative arc in {oid!r}")
+            chunk = bytearray([arc & 0x7F])
             arc >>= 7
-        chunk.reverse()
-        body.extend(chunk)
-    return _encode_tlv(TAG_OID, bytes(body))
+            while arc:
+                chunk.append(0x80 | (arc & 0x7F))
+                arc >>= 7
+            chunk.reverse()
+            body.extend(chunk)
+        tlv = _encode_tlv(TAG_OID, bytes(body))
+        _remember(_OID_TLVS, oid, tlv)
+    return tlv
+
+
+def _encode_null_varbind(oid: Oid) -> bytes:
+    """``SEQUENCE(oid, NULL)``: every varbind of a GET or GETNEXT."""
+    varbind = _NULL_VARBINDS.get(oid)
+    if varbind is None:
+        varbind = encode_sequence(encode_oid(oid) + encode_null())
+        _remember(_NULL_VARBINDS, oid, varbind)
+    return varbind
 
 
 def encode_sequence(*parts: bytes, tag: int = TAG_SEQUENCE) -> bytes:
@@ -161,29 +206,34 @@ def encode_value(value: Any) -> bytes:
     raise SnmpCodecError(f"cannot encode {type(value).__name__}")
 
 
-def _read_tlv(data: bytes, pos: int) -> tuple[int, bytes, int]:
-    """Return (tag, payload, next_pos)."""
-    if pos >= len(data):
+def _read_header(data: bytes, pos: int, end: int) -> tuple[int, int, int]:
+    """Return (tag, payload_start, payload_end) of the TLV at ``pos``,
+    which must lie within ``data[:end]``."""
+    if pos >= end:
         raise SnmpCodecError("truncated TLV (no tag)")
     tag = data[pos]
     pos += 1
-    if pos >= len(data):
+    if pos >= end:
         raise SnmpCodecError("truncated TLV (no length)")
-    first = data[pos]
+    length = data[pos]
     pos += 1
-    if first < 0x80:
-        length = first
-    else:
-        n = first & 0x7F
+    if length >= 0x80:
+        n = length & 0x7F
         if n == 0 or n > 4:
             raise SnmpCodecError(f"unsupported length-of-length {n}")
-        if pos + n > len(data):
+        if pos + n > end:
             raise SnmpCodecError("truncated long length")
         length = int.from_bytes(data[pos : pos + n], "big")
         pos += n
-    if pos + length > len(data):
+    if pos + length > end:
         raise SnmpCodecError("TLV payload overruns buffer")
-    return tag, data[pos : pos + length], pos + length
+    return tag, pos, pos + length
+
+
+def _read_tlv(data: bytes, pos: int) -> tuple[int, bytes, int]:
+    """Return (tag, payload, next_pos)."""
+    tag, start, stop = _read_header(data, pos, len(data))
+    return tag, data[start:stop], stop
 
 
 def decode_value(tag: int, payload: bytes) -> Any:
@@ -199,18 +249,25 @@ def decode_value(tag: int, payload: bytes) -> Any:
 
 
 def _decode_oid_body(payload: bytes) -> Oid:
-    if not payload:
-        raise SnmpCodecError("empty OID body")
-    arcs = [payload[0] // 40, payload[0] % 40]
-    value = 0
-    for byte in payload[1:]:
-        value = (value << 7) | (byte & 0x7F)
-        if not byte & 0x80:
-            arcs.append(value)
-            value = 0
-    if value:
-        raise SnmpCodecError("truncated base-128 arc")
-    return tuple(arcs)
+    oid = _OID_BODIES.get(payload)
+    if oid is None:
+        if not payload:
+            raise SnmpCodecError("empty OID body")
+        if payload[-1] & 0x80:
+            raise SnmpCodecError("truncated base-128 arc")
+        arcs = []
+        value = 0
+        for byte in payload:
+            value = (value << 7) | (byte & 0x7F)
+            if not byte & 0x80:
+                arcs.append(value)
+                value = 0
+        # X.690 8.19.4: the first subidentifier is 40 * first + second,
+        # and only arc 2 may have a second arc of 40 or more.
+        first = min(arcs[0] // 40, 2)
+        oid = (first, arcs[0] - 40 * first, *arcs[1:])
+        _remember(_OID_BODIES, bytes(payload), oid)
+    return oid
 
 
 # ----------------------------------------------------------------------
@@ -235,11 +292,12 @@ class SnmpMessage:
     varbinds: tuple[VarBind, ...]
 
     def encode(self) -> bytes:
-        vb_parts = []
-        for vb in self.varbinds:
-            vb_parts.append(
-                encode_sequence(encode_oid(vb.oid) + encode_value(vb.value))
-            )
+        vb_parts = [
+            _encode_null_varbind(vb.oid)
+            if vb.value is None
+            else encode_sequence(encode_oid(vb.oid) + encode_value(vb.value))
+            for vb in self.varbinds
+        ]
         pdu = encode_sequence(
             encode_integer(self.request_id)
             + encode_integer(self.error_status)
@@ -253,46 +311,36 @@ class SnmpMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> "SnmpMessage":
-        tag, body, _ = _read_tlv(data, 0)
+        tag, pos, end = _read_header(data, 0, len(data))
         if tag != TAG_SEQUENCE:
             raise SnmpCodecError(f"message must be SEQUENCE, got 0x{tag:02x}")
-        pos = 0
-        tag, payload, pos = _read_tlv(body, pos)
-        version = decode_value(tag, payload)
-        tag, payload, pos = _read_tlv(body, pos)
-        community = decode_value(tag, payload)
-        pdu_type, pdu_body, _ = _read_tlv(body, pos)
-        if pdu_type not in (
-            TAG_GET,
-            TAG_GETNEXT,
-            TAG_RESPONSE,
-            TAG_SET,
-            TAG_TRAP,
-            TAG_GETBULK,
-        ):
+        tag, start, pos = _read_header(data, pos, end)
+        version = decode_value(tag, data[start:pos])
+        tag, start, pos = _read_header(data, pos, end)
+        community = decode_value(tag, data[start:pos])
+        pdu_type, pos, end = _read_header(data, pos, end)
+        if pdu_type not in _PDU_TYPES:
             raise SnmpCodecError(f"unknown PDU type 0x{pdu_type:02x}")
-        pos = 0
-        tag, payload, pos = _read_tlv(pdu_body, pos)
-        request_id = decode_value(tag, payload)
-        tag, payload, pos = _read_tlv(pdu_body, pos)
-        error_status = decode_value(tag, payload)
-        tag, payload, pos = _read_tlv(pdu_body, pos)
-        error_index = decode_value(tag, payload)
-        tag, vb_body, pos = _read_tlv(pdu_body, pos)
+        tag, start, pos = _read_header(data, pos, end)
+        request_id = decode_value(tag, data[start:pos])
+        tag, start, pos = _read_header(data, pos, end)
+        error_status = decode_value(tag, data[start:pos])
+        tag, start, pos = _read_header(data, pos, end)
+        error_index = decode_value(tag, data[start:pos])
+        tag, pos, end = _read_header(data, pos, end)
         if tag != TAG_SEQUENCE:
             raise SnmpCodecError("varbind list must be SEQUENCE")
         varbinds = []
-        vpos = 0
-        while vpos < len(vb_body):
-            tag, vb_item, vpos = _read_tlv(vb_body, vpos)
+        while pos < end:
+            tag, start, pos = _read_header(data, pos, end)
             if tag != TAG_SEQUENCE:
                 raise SnmpCodecError("varbind must be SEQUENCE")
-            tag, oid_payload, inner = _read_tlv(vb_item, 0)
+            tag, start, stop = _read_header(data, start, pos)
             if tag != TAG_OID:
                 raise SnmpCodecError("varbind name must be OID")
-            oid = _decode_oid_body(oid_payload)
-            tag, value_payload, _ = _read_tlv(vb_item, inner)
-            varbinds.append(VarBind(oid=oid, value=decode_value(tag, value_payload)))
+            oid = _decode_oid_body(data[start:stop])
+            tag, start, stop = _read_header(data, stop, pos)
+            varbinds.append(VarBind(oid=oid, value=decode_value(tag, data[start:stop])))
         return cls(
             version=version,
             community=community,

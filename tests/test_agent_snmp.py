@@ -79,6 +79,114 @@ class TestCodec:
             S.SnmpMessage.decode(b"\x99\x01\x00")
 
 
+#: OID bodies no X.690 encoder produces; each must raise, on a cold memo
+#: and on a warm one alike.
+HOSTILE_OID_BODIES = [
+    pytest.param(b"", id="empty"),
+    pytest.param(b"\x80", id="first-subidentifier-truncated"),
+    pytest.param(b"\x2b\x06\x81", id="last-arc-truncated"),
+    # The last arc's bits so far are all zero.
+    pytest.param(b"\x2b\x06\x80", id="last-arc-truncated-at-zero"),
+    pytest.param(b"\x2b\xff\xff", id="last-arc-truncated-long"),
+]
+
+#: Varbind names whose TLV header is hostile, each the whole varbind body.
+HOSTILE_VARBIND_NAMES = [
+    pytest.param(b"\x06", id="no-length"),
+    pytest.param(b"\x04\x01\x2b\x05\x00", id="name-not-oid"),
+    pytest.param(b"\x06\x80\x05\x00", id="length-of-length-zero"),
+    pytest.param(b"\x06\x85\x00\x00\x00\x00\x01\x2b\x05\x00", id="length-of-length-five"),
+    pytest.param(b"\x06\x82\x00", id="long-length-truncated"),
+    pytest.param(b"\x06\x05\x2b\x06\x05\x00", id="name-overruns-varbind"),
+    pytest.param(b"\x06\x81\x09\x2b\x06\x05\x00", id="long-name-overruns-varbind"),
+    pytest.param(b"\x06\x02\x2b\x06", id="no-value"),
+]
+
+
+def _message_with_varbind(varbind_body: bytes) -> bytes:
+    """A GET whose one varbind body is ``varbind_body``, all else honest."""
+    vb = bytes([S.TAG_SEQUENCE, len(varbind_body)]) + varbind_body
+    pdu = S.encode_sequence(
+        S.encode_integer(7), S.encode_integer(0), S.encode_integer(0),
+        S.encode_sequence(vb), tag=S.TAG_GET,
+    )
+    return S.encode_sequence(S.encode_integer(0), S.encode_string("public"), pdu)
+
+
+def _valid_prefix(body: bytes) -> bytes:
+    """The longest prefix of ``body`` that ends on a whole arc."""
+    ends = [i for i, byte in enumerate(body) if not byte & 0x80]
+    return body[: ends[-1] + 1] if ends else b""
+
+
+def _clear_memos() -> None:
+    for memo in (S._OID_TLVS, S._NULL_VARBINDS, S._OID_BODIES):
+        memo.clear()
+
+
+class TestBerCodecHostileOids:
+    @pytest.mark.parametrize("body", HOSTILE_OID_BODIES)
+    def test_hostile_body_raises_cold_and_warm_and_is_never_remembered(self, body):
+        _clear_memos()
+        with pytest.raises(S.SnmpCodecError):
+            S._decode_oid_body(body)
+        prefix = _valid_prefix(body)
+        if prefix:
+            S._decode_oid_body(prefix)
+            assert prefix in S._OID_BODIES
+        with pytest.raises(S.SnmpCodecError):
+            S._decode_oid_body(body)
+        assert body not in S._OID_BODIES
+        with pytest.raises(S.SnmpCodecError):
+            S.SnmpMessage.decode(_message_with_varbind(
+                bytes([S.TAG_OID, len(body)]) + body + S.encode_null()
+            ))
+        assert body not in S._OID_BODIES
+
+    @pytest.mark.parametrize("varbind", HOSTILE_VARBIND_NAMES)
+    def test_hostile_varbind_name_raises(self, varbind):
+        with pytest.raises(S.SnmpCodecError):
+            S.SnmpMessage.decode(_message_with_varbind(varbind))
+
+    def test_honest_varbind_decodes_inside_the_hostile_frame(self):
+        """The frame the tables above are embedded in is itself sound."""
+        msg = S.SnmpMessage.decode(_message_with_varbind(b"\x06\x02\x2b\x06\x05\x00"))
+        assert msg.varbinds == (S.VarBind((1, 3, 6)),)
+
+    def test_long_form_name_length_decodes_like_short_form(self):
+        short = _message_with_varbind(b"\x06\x03\x2b\x06\x01\x05\x00")
+        long_ = _message_with_varbind(b"\x06\x81\x03\x2b\x06\x01\x05\x00")
+        assert S.SnmpMessage.decode(long_) == S.SnmpMessage.decode(short)
+        assert S.SnmpMessage.decode(short).varbinds[0].oid == (1, 3, 6, 1)
+
+    @pytest.mark.parametrize(
+        "body, oid",
+        [
+            (b"\x27", (0, 39)),
+            (b"\x28", (1, 0)),
+            (b"\x4f", (1, 39)),
+            (b"\x50", (2, 0)),
+            # X.690 8.19.4: a first subidentifier of 80 or more is arc 2.
+            (b"\x78", (2, 40)),
+            (b"\x81\x00\x05", (2, 48, 5)),
+        ],
+    )
+    def test_first_subidentifier_splits_as_x690_says(self, body, oid):
+        _clear_memos()
+        assert S._decode_oid_body(body) == oid
+        assert S.encode_oid(oid) == bytes([S.TAG_OID, len(body)]) + body
+        assert S._decode_oid_body(body) == oid  # warm
+
+    @pytest.mark.parametrize("oid", [(3, 1), (1, 40), (0, 40), (1, -1), (-1, 3), (1, 3, -6)])
+    def test_bad_oids_are_refused_and_never_remembered(self, oid):
+        with pytest.raises(S.SnmpCodecError):
+            S.encode_oid(oid)
+        assert oid not in S._OID_TLVS
+        with pytest.raises(S.SnmpCodecError):
+            S.SnmpMessage(0, "public", S.TAG_GET, 1, 0, 0, (S.VarBind(oid),)).encode()
+        assert oid not in S._NULL_VARBINDS
+
+
 class TestMibTree:
     def test_get_constant_and_callable(self):
         mib = S.MibTree()

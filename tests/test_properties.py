@@ -17,6 +17,7 @@ from repro.simnet.clock import VirtualClock
 from repro.sql.parser import parse_select
 from repro.sql.render import render_select
 from tests.reference_sql import execute_select
+from tests.test_agent_snmp import _clear_memos
 
 # ----------------------------------------------------------------------
 # SNMP codec
@@ -77,6 +78,133 @@ def test_snmp_decoder_never_crashes_on_garbage(data):
         wire.SnmpMessage.decode(data)
     except wire.SnmpCodecError:
         pass  # rejecting is fine; crashing is not
+
+
+# ----------------------------------------------------------------------
+# SNMP codec vs an X.690 reference that shares only the tag numbers
+# ----------------------------------------------------------------------
+def ref_tlv(tag: int, body: bytes) -> bytes:
+    n = len(body)
+    if n < 0x80:
+        return bytes([tag, n]) + body
+    size = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    return bytes([tag, 0x80 | len(size)]) + size + body
+
+
+def ref_subidentifier(n: int) -> bytes:
+    groups = [n & 0x7F]
+    while n > 0x7F:
+        n >>= 7
+        groups.append(0x80 | (n & 0x7F))
+    return bytes(reversed(groups))
+
+
+def ref_oid(oid: tuple) -> bytes:
+    subids = (40 * oid[0] + oid[1],) + tuple(oid[2:])
+    return ref_tlv(wire.TAG_OID, b"".join(ref_subidentifier(n) for n in subids))
+
+
+def ref_integer(v: int) -> bytes:
+    size = 1
+    while not -(1 << (8 * size - 1)) <= v < 1 << (8 * size - 1):
+        size += 1
+    return ref_tlv(wire.TAG_INTEGER, v.to_bytes(size, "big", signed=True))
+
+
+def ref_value(v) -> bytes:
+    if v is None:
+        return ref_tlv(wire.TAG_NULL, b"")
+    if isinstance(v, int):
+        return ref_integer(v)
+    return ref_tlv(wire.TAG_OCTET_STRING, v.encode())
+
+
+def ref_message(version, community, pdu, request_id, status, index, varbinds) -> bytes:
+    vbs = b"".join(ref_tlv(wire.TAG_SEQUENCE, ref_oid(o) + ref_value(v)) for o, v in varbinds)
+    body = ref_integer(request_id) + ref_integer(status) + ref_integer(index)
+    head = ref_integer(version) + ref_value(community)
+    return ref_tlv(wire.TAG_SEQUENCE, head + ref_tlv(pdu, body + ref_tlv(wire.TAG_SEQUENCE, vbs)))
+
+
+settings.register_profile(
+    "ber-codec", max_examples=300, derandomize=True, deadline=None, database=None
+)
+
+ber_oids = st.one_of(
+    st.tuples(st.integers(0, 1), st.integers(0, 39)),
+    st.tuples(st.just(2), st.integers(0, 2**32)),
+).flatmap(
+    lambda head: st.lists(st.integers(0, 2**32), max_size=12).map(
+        lambda tail: head + tuple(tail)
+    )
+)
+
+ber_messages = st.tuples(
+    st.integers(0, 1),
+    st.text(max_size=32),
+    st.sampled_from(sorted(wire._PDU_TYPES)),
+    st.integers(0, 2**31 - 1),
+    st.integers(0, 5),
+    st.integers(0, 2**31 - 1),
+    st.lists(
+        st.tuples(
+            ber_oids,
+            st.one_of(st.none(), st.integers(-(2**63), 2**63), st.text(max_size=64)),
+        ),
+        max_size=8,
+    ),
+)
+
+
+@settings(settings.get_profile("ber-codec"))
+@given(oid=ber_oids)
+def test_ber_codec_oids_equal_the_reference_cold_and_warm(oid):
+    expected = ref_oid(oid)
+    _clear_memos()
+    for _ in ("cold", "warm"):
+        assert wire.encode_oid(oid) == expected
+        tag, body, _end = wire._read_tlv(expected, 0)
+        assert wire.decode_value(tag, body) == oid
+
+
+@settings(settings.get_profile("ber-codec"))
+@given(fields=ber_messages)
+def test_ber_codec_messages_equal_the_reference_cold_and_warm(fields):
+    *head, varbinds = fields
+    msg = wire.SnmpMessage(*head, tuple(wire.VarBind(o, v) for o, v in varbinds))
+    expected = ref_message(*head, varbinds)
+    _clear_memos()
+    for _ in ("cold", "warm"):
+        assert msg.encode() == expected
+        assert wire.SnmpMessage.decode(expected) == msg
+    _clear_memos()
+    assert wire.SnmpMessage.decode(expected) == msg  # decoded before encoded
+    assert msg.encode() == expected
+
+
+def test_ber_codec_memos_stay_bounded_and_equal_the_reference():
+    """More distinct OIDs than a memo holds: each memo stays at its bound,
+    and every entry it keeps still equals the reference."""
+    bound = wire.OID_MEMO_SIZE
+    _clear_memos()
+    for i in range(bound + 300):
+        oid = (1, 3, 6, 1, 4, 1, 42000, i)
+        raw = wire.SnmpMessage(0, "public", wire.TAG_GET, i, 0, 0, (wire.VarBind(oid),)).encode()
+        assert wire.SnmpMessage.decode(raw).varbinds[0].oid == oid
+    for memo in (wire._OID_TLVS, wire._NULL_VARBINDS, wire._OID_BODIES):
+        assert len(memo) == bound
+    null = ref_tlv(wire.TAG_NULL, b"")
+    assert all(tlv == ref_oid(oid) for oid, tlv in wire._OID_TLVS.items())
+    assert all(
+        vb == ref_tlv(wire.TAG_SEQUENCE, ref_oid(oid) + null)
+        for oid, vb in wire._NULL_VARBINDS.items()
+    )
+    assert all(
+        ref_oid(oid) == ref_tlv(wire.TAG_OID, body) for body, oid in wire._OID_BODIES.items()
+    )
+    # The oldest were forgotten first; the newest are still there.
+    assert (1, 3, 6, 1, 4, 1, 42000, 0) not in wire._OID_TLVS
+    assert (1, 3, 6, 1, 4, 1, 42000, bound + 299) in wire._OID_TLVS
 
 
 # ----------------------------------------------------------------------
