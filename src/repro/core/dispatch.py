@@ -197,19 +197,22 @@ class FanoutDispatcher:
         virtual round-trip completes first.  With ``fanout_enabled``
         off — or a single branch — execution is plain serial.
 
-        With a ``deadline``, every branch re-checks it at launch: a
-        request whose budget ran out while it sat behind earlier work is
-        failed as ``DeadlineExceededError`` (naming ``queue_wait`` as
-        the spending step) instead of being dispatched anyway.
+        With a ``deadline``, every fanned-out branch re-checks it at
+        launch: a request whose budget ran out while it sat behind
+        earlier work is failed as ``DeadlineExceededError`` (naming
+        ``queue_wait`` as the spending step) instead of being dispatched
+        anyway.  Serial branches launch unguarded, as the caller wrote
+        them (the request manager's source branches check their budget
+        first thing).
         """
         thunks = list(thunks)
         if not thunks:
             return []
-        if deadline is not None:
-            thunks = [self._launch_guard(thunk, deadline) for thunk in thunks]
         if not self.policy.fanout_enabled or len(thunks) == 1:
             self.stats.inc("serial_runs")
             return [self._run_one(thunk) for thunk in thunks]
+        if deadline is not None:
+            thunks = [self._launch_guard(thunk, deadline) for thunk in thunks]
         self.stats.inc("fanouts")
         self.stats.inc("branches", len(thunks))
         outcomes: list[BranchOutcome] = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Mapping, MutableMapping, Optional, Sequence
 
 from repro.analysis.conformance import check_driver
@@ -32,14 +33,14 @@ from repro.core.errors import DeadlineExceededError, GridRmError, OverloadError
 from repro.core.events import Event, EventManager, SnmpTrapEventDriver
 from repro.core.health import BreakerState, HealthTracker, SourceHealth
 from repro.core.history import HistoryStore
-from repro.core.plans import PlanCache, PlanEntry
+from repro.core.plans import PlanCache
 from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import (
     QueryMode,
     QueryResult,
     RequestManager,
     SourceStatus,
-    merge_rows,
+    consolidate,
 )
 from repro.core.shed import PressureState, ShedAction
 from repro.core.schema_manager import SchemaManager
@@ -488,6 +489,10 @@ class Gateway:
         Only the coarse-grained check runs before any SQL work and
         before the trace: an unparsable or FGSL-refused query leaves a
         failed trace, a CGSL-refused one leaves none.
+
+        The path is one straight line: authorise, trace, admit, route,
+        release.  Every per-source answer below it is built by the
+        request manager, the brownout answer included.
         """
         if isinstance(urls, (str, JdbcUrl)):
             urls = [urls]
@@ -515,159 +520,88 @@ class Gateway:
                 if budget > 0:
                     deadline = Deadline.after(self.network.clock, budget)
             qc = QueryClass.parse(query_class)
-            result = self._admitted_query(
-                parsed, sql, entry, mode, max_age, principal, deadline, root, qc
-            )
+            # Admission.  With it off (the default) — or for HISTORY
+            # queries, which cost no agent traffic — the query goes
+            # straight to routing, so traces and replay signatures are
+            # those of a gateway without the plane.
+            adm = self.overload
+            admitting = adm.enabled and mode is not QueryMode.HISTORY
+            result = None
+            if admitting:
+                root.annotate(query_class=qc.value)
+                action = adm.decide(qc)
+                if action in (ShedAction.STALE_THEN_DISPATCH, ShedAction.STALE_THEN_SHED):
+                    result = self.request_manager.brownout(parsed, sql, entry, mode)
+                    if result is not None:
+                        adm.note_brownout_serve()
+                    elif action is ShedAction.STALE_THEN_SHED:
+                        adm.shed(qc, "no stale coverage under pressure")
+                elif action is ShedAction.SHED:
+                    adm.shed(qc, "gateway shedding")
+            if result is None:
+                ticket = adm.admit(qc, deadline) if admitting else None
+                congested = True
+                try:
+                    # Transparent Global-layer routing (paper §1.1): URLs
+                    # whose host belongs to another site are forwarded to
+                    # the owning gateway when this gateway has joined the
+                    # GMA fabric.
+                    local, remote_by_site = self._partition_by_site(parsed)
+                    started = self.network.clock.now()
+                    run_local = partial(
+                        self.request_manager.execute, local, sql, mode=mode,
+                        max_age=max_age, deadline=deadline, entry=entry,
+                        query_class=qc,
+                        info={
+                            "schema_manager": self.schema_manager,
+                            "schema": self.schema_manager.schema,
+                        },
+                    )
+                    if not remote_by_site:
+                        # Local only: the RequestManager fans out itself.
+                        result = run_local()
+                    else:
+                        # Scatter-gather: the local batch and each remote
+                        # site's batch are dispatched concurrently;
+                        # partials merge in the deterministic order
+                        # local-first, then site order.
+                        result = QueryResult([], [], mode=mode, started_at=started)
+                        thunks = [run_local] if local else []
+                        thunks += [
+                            partial(
+                                self._query_remote_site, site_name, site_urls, sql,
+                                mode, max_age, principal, deadline, qc,
+                            )
+                            for site_name, site_urls in remote_by_site.items()
+                        ]
+                        outcomes = self.dispatcher.run(thunks)
+                        for outcome in outcomes:
+                            if outcome.error is not None:
+                                raise outcome.error
+                        consolidate(result, [o.value for o in outcomes])
+                    result.elapsed = self.network.clock.now() - started
+                    root.annotate(
+                        rows=len(result.rows), sources_ok=result.ok_sources,
+                        sources_failed=result.failed_sources,
+                    )
+                    self._query_elapsed.record(result.elapsed)
+                    # Update per-source poll status for the tree view
+                    # (Figure 9).
+                    now = self.network.clock.now()
+                    for status in result.statuses:
+                        source = self._sources.get(status.url)
+                        if source is not None and not status.from_cache:
+                            source.last_polled = now
+                            source.last_ok = status.ok
+                            source.last_error = status.error
+                    # A request that failed any source (deadline blowouts
+                    # included) is a congestion signal to the gateway
+                    # limiter.
+                    congested = result.failed_sources > 0
+                finally:
+                    if admitting:
+                        adm.release(ticket, congested=congested)
         result.trace_id = trace.trace_id if trace is not None else ""
-        return result
-
-    def _admitted_query(
-        self,
-        parsed: list[JdbcUrl],
-        sql: str,
-        entry: PlanEntry,
-        mode: QueryMode,
-        max_age: float | None,
-        principal: Principal,
-        deadline: Deadline | None,
-        root,
-        qc: QueryClass,
-    ) -> QueryResult:
-        """The overload-protected entry to the query path.
-
-        With admission off (the default) — or for HISTORY queries, which
-        cost no agent traffic — this is a transparent pass-through, so
-        existing traces and replay signatures are byte-identical.
-        """
-        adm = self.overload
-        if not adm.enabled or mode is QueryMode.HISTORY:
-            return self._traced_query(
-                parsed, sql, entry, mode, max_age, principal, deadline, root, qc
-            )
-        root.annotate(query_class=qc.value)
-        action = adm.decide(qc)
-        if action in (ShedAction.STALE_THEN_DISPATCH, ShedAction.STALE_THEN_SHED):
-            stale = self._brownout_result(parsed, sql, entry, mode)
-            if stale is not None:
-                adm.note_brownout_serve()
-                return stale
-            if action is ShedAction.STALE_THEN_SHED:
-                adm.shed(qc, "no stale coverage under pressure")
-        elif action is ShedAction.SHED:
-            adm.shed(qc, "gateway shedding")
-        ticket = adm.admit(qc, deadline)
-        congested = True
-        try:
-            result = self._traced_query(
-                parsed, sql, entry, mode, max_age, principal, deadline, root, qc
-            )
-            # A request that failed any source (deadline blowouts
-            # included) is a congestion signal to the gateway limiter.
-            congested = result.failed_sources > 0
-            return result
-        finally:
-            adm.release(ticket, congested=congested)
-
-    def _brownout_result(
-        self, parsed: list[JdbcUrl], sql: str, entry: PlanEntry, mode: QueryMode
-    ) -> QueryResult | None:
-        """A complete stale answer from the query cache, or None.
-
-        Brownout serving is all-or-nothing: every URL must still hold a
-        (possibly expired) cached relation for this SQL — a partial
-        stale answer would silently drop sources, so it falls through to
-        normal dispatch (or a shed) instead.
-        """
-        started = self.network.clock.now()
-        hits: list[tuple[str, Any]] = []
-        for url in parsed:
-            stale = self.cache.lookup_stale(str(url), sql, key=entry.key)
-            if stale is None:
-                return None
-            hits.append((str(url), stale))
-        with self.tracer.span(
-            "brownout_serve",
-            sources=len(hits),
-            state=self.overload.monitor.state.value,
-        ):
-            result = QueryResult(
-                columns=[], rows=[], mode=mode, started_at=started
-            )
-            for url_text, stale in hits:
-                result.columns, n = merge_rows(
-                    result.columns, result.rows, stale.columns, stale.rows
-                )
-                result.statuses.append(SourceStatus.brownout(url_text, n))
-        result.elapsed = self.network.clock.now() - started
-        return result
-
-    def _traced_query(
-        self,
-        parsed: list[JdbcUrl],
-        sql: str,
-        entry: PlanEntry,
-        mode: QueryMode,
-        max_age: float | None,
-        principal: Principal,
-        deadline: Deadline | None,
-        root,
-        qc: QueryClass = QueryClass.INTERACTIVE,
-    ) -> QueryResult:
-        # Transparent Global-layer routing (paper §1.1): URLs whose host
-        # belongs to another site are forwarded to the owning gateway
-        # when this gateway has joined the GMA fabric.
-        local, remote_by_site = self._partition_by_site(parsed)
-        info = {
-            "schema_manager": self.schema_manager,
-            "schema": self.schema_manager.schema,
-            "query_class": qc,
-        }
-        started = self.network.clock.now()
-
-        def run_local() -> QueryResult:
-            return self.request_manager.execute(
-                local, sql, mode=mode, max_age=max_age, info=info,
-                deadline=deadline, entry=entry,
-            )
-
-        if not remote_by_site:
-            # Local-only fast path: the RequestManager fans out itself.
-            result = run_local()
-        else:
-            # Scatter-gather: the local batch and each remote site's
-            # batch are dispatched concurrently; partials merge in the
-            # deterministic order local-first, then site order.
-            result = QueryResult(columns=[], rows=[], mode=mode, started_at=started)
-            thunks = [run_local] if local else []
-            for site_name, site_urls in remote_by_site.items():
-                thunks.append(
-                    lambda s=site_name, u=site_urls: self._query_remote_site(
-                        s, u, sql, mode, max_age, principal, deadline, qc
-                    )
-                )
-            for outcome in self.dispatcher.run(thunks):
-                if outcome.error is not None:
-                    raise outcome.error
-                partial = outcome.value
-                result.statuses.extend(partial.statuses)
-                if partial.columns:
-                    result.columns, _ = merge_rows(
-                        result.columns, result.rows, partial.columns, partial.rows
-                    )
-        result.elapsed = self.network.clock.now() - started
-        root.annotate(
-            rows=len(result.rows), sources_ok=result.ok_sources,
-            sources_failed=result.failed_sources,
-        )
-        self._query_elapsed.record(result.elapsed)
-        # Update per-source poll status for the tree view (Figure 9).
-        now = self.network.clock.now()
-        for status in result.statuses:
-            source = self._sources.get(status.url)
-            if source is not None and not status.from_cache:
-                source.last_polled = now
-                source.last_ok = status.ok
-                source.last_error = status.error
         return result
 
     def _partition_by_site(
@@ -689,8 +623,7 @@ class Gateway:
             try:
                 site = self.network.site_of(url.host)
             except KeyError:
-                local.append(url)  # unknown host: fail locally, visibly
-                continue
+                site = self.site  # unknown host: fail locally, visibly
             if site == self.site:
                 local.append(url)
             else:
@@ -747,18 +680,6 @@ class Gateway:
         in batch order; a member that fails contributes its exception in
         place rather than aborting its siblings.
         """
-
-        def member(q: BatchQuery):
-            return lambda: self.query(
-                q.urls,
-                q.sql,
-                mode=q.mode,
-                principal=principal,
-                max_age=q.max_age,
-                timeout=q.timeout,
-                query_class=q.query_class,
-            )
-
         # Batch members are virtually simultaneous, so each involved
         # source's breaker decision is frozen as of batch launch and
         # outcome recording deferred to the batch join — the same lane
@@ -771,7 +692,13 @@ class Gateway:
                 pins.enter_context(
                     self.health.pin(key, self.health.allow_request(key))
                 )
-            outcomes = self.dispatcher.run([member(q) for q in queries])
+            outcomes = self.dispatcher.run([
+                partial(
+                    self.query, q.urls, q.sql, mode=q.mode, principal=principal,
+                    max_age=q.max_age, timeout=q.timeout, query_class=q.query_class,
+                )
+                for q in queries
+            ])
         return [o.value if o.error is None else o.error for o in outcomes]
 
     def query_all_sources(

@@ -21,10 +21,13 @@ sources that fail contribute a status entry rather than failing the whole
 request.  Every status carries its :class:`Cause`, from which its flags,
 its ``requests.*`` counters and a failed span's status follow (DESIGN §9).
 A source passes its stages in order — cache, deadline, breaker, coalesce,
-dispatch — and the stage that answers exits through ``_answer``.
+dispatch — and the stage that answers exits through ``_answer``; every
+answer read from the query cache (CACHE, breaker STALE and the gateway's
+all-or-nothing BROWNOUT) is built by ``_from_cache``.
 
-Dispatch is concurrent in virtual time (see :mod:`repro.core.dispatch`):
-a query over N sources fans one sub-request out per source, so the
+Dispatch is concurrent in virtual time (see :mod:`repro.core.dispatch`,
+which alone decides serial or fan-out): a query over N sources fans one
+sub-request out per source, so the
 consolidated result costs the *slowest* source's round-trip rather than
 the sum of all N.  Results are always merged in the caller's URL order —
 never completion order — so consolidation stays deterministic.  Identical
@@ -36,14 +39,14 @@ fan-out from stampeding one agent.
 from __future__ import annotations
 
 import enum
+import functools
 import random
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, ClassVar, Iterable, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Mapping, Sequence
 
 from repro.core.admission import AdmissionController, QueryClass
-from repro.core.cache import CacheController
+from repro.core.cache import CachedResult, CacheController
 from repro.core.connection_manager import ConnectionManager
 from repro.core.deadline import Deadline
 from repro.core.dispatch import FanoutDispatcher
@@ -70,7 +73,7 @@ from repro.dbapi.exceptions import (
 from repro.dbapi.resultset import ListResultSet
 from repro.dbapi.url import JdbcUrl
 from repro.obs.metrics import MetricsRegistry, StatsView
-from repro.obs.trace import NO_TRACER, NULL_SPAN, Tracer
+from repro.obs.trace import NULL_SPAN, Tracer
 from repro.sql.errors import SqlError
 from repro.sql.plan import CompiledPlan, join_rows
 
@@ -257,8 +260,7 @@ def merge_rows(
     projections by column name (None-filling gaps — e.g. history results
     carry extra provenance columns).  Returns the destination columns
     (adopted from ``columns`` when the destination was empty) and the
-    number of rows appended.  Shared by the RequestManager's per-source
-    consolidation and the Gateway's remote-site scatter-gather.
+    number of rows appended.
     """
     rows = [list(r) for r in rows]
     if not dest_columns:
@@ -273,6 +275,19 @@ def merge_rows(
             [row[index[c]] if c in index else None for c in dest_columns]
         )
     return dest_columns, len(rows)
+
+
+def consolidate(result: QueryResult, partials: Iterable[QueryResult]) -> None:
+    """Merge partial answers into ``result`` in iteration order — never
+    completion order: statuses appended, rows aligned by :func:`merge_rows`.
+    Shared by the RequestManager's per-source consolidation and the
+    Gateway's remote-site scatter-gather."""
+    for partial in partials:
+        result.statuses.extend(partial.statuses)
+        if partial.columns:
+            result.columns, _ = merge_rows(
+                result.columns, result.rows, partial.columns, partial.rows
+            )
 
 
 #: One query round's fetched sources, ``(source_url, columns, rows,
@@ -290,23 +305,23 @@ class RequestManager:
         history: HistoryStore,
         policy: GatewayPolicy,
         *,
-        health: HealthTracker | None = None,
-        dispatcher: FanoutDispatcher | None = None,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        plans: "PlanCache | None" = None,
-        admission: AdmissionController | None = None,
+        health: HealthTracker,
+        dispatcher: FanoutDispatcher,
+        registry: MetricsRegistry,
+        tracer: Tracer,
+        plans: PlanCache,
+        admission: AdmissionController,
     ) -> None:
         self.connection_manager = connection_manager
         self.cache = cache
         self.history = history
         self.policy = policy
         self.retry = RetryPolicy(attempts=policy.retry_attempts)
-        #: Shared per-source circuit breakers (injected by the Gateway).
+        #: The gateway's shared per-source circuit breakers.
         self.health = health
-        #: The gateway's admission controller (injected by the Gateway
-        #: when overload protection is on); consulted by the retry and
-        #: hedge paths so they cannot fight the limiter.
+        #: The gateway's admission controller; when overload protection
+        #: is on, the retry and hedge paths consult it so they cannot
+        #: fight the limiter.
         self.admission = admission
         #: The gateway's continuous-query hub (injected by the Gateway
         #: when ``policy.streaming_enabled``): every real-time fetch is
@@ -314,30 +329,16 @@ class RequestManager:
         #: matching tuples at the moment they are produced.
         self.streams: "Any | None" = None
         self.clock = connection_manager.clock
-        #: Shared metrics registry (injected by the Gateway; standalone
-        #: construction gets a private one so the stats below behave the
-        #: same either way) and per-hop tracer.
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else NO_TRACER
-        #: Concurrent dispatch + single-flight + per-source caps.  The
-        #: Gateway injects its shared dispatcher so coalescing works
-        #: across every consumer of the same sources.
-        self.dispatcher = (
-            dispatcher
-            if dispatcher is not None
-            else FanoutDispatcher(self.clock, policy)
-        )
-        #: Parse + validate + compile each distinct query exactly once.
-        #: The Gateway injects a shared, schema-versioned cache; a
-        #: standalone manager gets a private one (no version polling —
-        #: its schema object never changes under it).
-        self.plans = (
-            plans
-            if plans is not None
-            else PlanCache(
-                history.schema, registry=self.registry, tracer=self.tracer
-            )
-        )
+        #: The gateway's metrics registry and per-hop tracer.
+        self.registry = registry
+        self.tracer = tracer
+        #: Concurrent dispatch + single-flight + per-source caps: the
+        #: gateway's one dispatcher, so coalescing works across every
+        #: consumer of the same sources.
+        self.dispatcher = dispatcher
+        #: Parse + validate + compile each distinct query exactly once:
+        #: the gateway's shared, schema-versioned plan cache.
+        self.plans = plans
         #: Seeded jitter source for retry backoffs — deterministic under
         #: replay (draws happen in deterministic branch order).
         self._retry_rng = random.Random(0)
@@ -382,6 +383,7 @@ class RequestManager:
         deadline: Deadline | None = None,
         retry_budget: RetryBudget | None = None,
         entry: PlanEntry | None = None,
+        query_class: QueryClass = QueryClass.INTERACTIVE,
     ) -> QueryResult:
         """Run ``sql`` against one or many data sources and consolidate.
 
@@ -393,6 +395,8 @@ class RequestManager:
         ``entry``: the plan entry of ``sql`` when the caller already
         resolved it (the Gateway authorises from it); direct callers and
         join sub-queries leave it out and it is resolved here.
+        ``query_class``: the priority class the Gateway parsed; under
+        pressure it decides whether a failed fetch may be retried.
         """
         self.stats.inc("queries")
         if (
@@ -434,7 +438,8 @@ class RequestManager:
         ):
             if select.is_join:
                 result = self._execute_join(
-                    parsed, plan, mode, max_age, info, deadline, retry_budget
+                    parsed, plan, mode, max_age, info, deadline, retry_budget,
+                    query_class,
                 )
                 result.started_at = started
             else:
@@ -449,7 +454,7 @@ class RequestManager:
                 else:
                     self._realtime(
                         parsed, sql, entry, result, mode, max_age, info,
-                        deadline, retry_budget,
+                        deadline, retry_budget, query_class,
                     )
         result.elapsed = self.clock.now() - started
         return result
@@ -475,6 +480,7 @@ class RequestManager:
         info: Mapping[str, Any] | None,
         deadline: Deadline | None,
         retry_budget: RetryBudget | None,
+        query_class: QueryClass,
     ) -> None:
         """REALTIME / CACHED_OK over one GLUE group.
 
@@ -482,106 +488,61 @@ class RequestManager:
         ``result`` in the caller's URL order, so rows and statuses come
         out identically however the sources were answered.  CACHED_OK
         probes the query cache for every source *before* anything is
-        dispatched: hits are answered in place and only the misses are
-        fetched — concurrently when there are two or more.
+        dispatched: hits are answered in place and only the misses go to
+        the dispatcher, which alone decides whether they run serially
+        (one miss, or ``fanout_enabled`` off) or fan out.
         """
         partials = [QueryResult(columns=[], rows=[], mode=mode) for _ in urls]
         pending = list(zip(urls, partials))
-        if mode is QueryMode.CACHED_OK:
-            pending = [
-                (url, partial)
-                for url, partial in pending
-                if not self._serve_cached(
-                    str(url), sql, entry.key, partial, max_age, deadline
-                )
-            ]
+        # A spent deadline probes nothing: _one_realtime fails each
+        # source fast instead.
+        if mode is QueryMode.CACHED_OK and not (deadline is not None and deadline.expired()):
+            misses = []
+            for url, partial in pending:
+                url_text = str(url)
+                hit = self.cache.lookup(url_text, sql, max_age=max_age, key=entry.key)
+                if hit is None:
+                    misses.append((url, partial))
+                    continue
+                with self.tracer.span("source", url=url_text) as span:
+                    self._stamp_source(span, url_text, deadline)
+                    span["cache"] = "hit"
+                    self._from_cache(partial, span, url_text, hit, SourceStatus.cache)
+            pending = misses
         published: _Published = []
         try:
-            if len(pending) > 1 and self.policy.fanout_enabled:
-                self._fan_out(
-                    pending, published, sql, entry, mode, info, deadline, retry_budget
-                )
-            else:
-                for url, partial in pending:
-                    self._one_realtime(
-                        url, sql, entry, partial, published, mode, info, deadline,
-                        retry_budget,
+            if pending:
+                if len(pending) > 1 and self.policy.fanout_enabled:
+                    self.stats.inc("fanout_queries")
+                branches = [
+                    functools.partial(
+                        self._one_realtime, url, sql, entry, partial, published,
+                        mode, info, deadline, retry_budget, query_class,
                     )
+                    for url, partial in pending
+                ]
+                guarded = deadline if self.admission.enabled else None
+                outcomes = self.dispatcher.run(branches, deadline=guarded)
+                for outcome, (url, partial) in zip(outcomes, pending):
+                    if isinstance(outcome.error, DeadlineExceededError):
+                        # The branch-launch guard fired: the budget ran out
+                        # while this source's branch queued.  A per-source
+                        # outcome, not a query failure — and no health
+                        # penalty (and no span).
+                        failed = SourceStatus.failed(str(url), outcome.error)
+                        self._answer(partial, NULL_SPAN, failed)
+                    elif outcome.error is not None:
+                        # _one_realtime converts per-source failures to
+                        # statuses; anything escaping it is a programming
+                        # error worth surfacing, not a source outcome.
+                        raise outcome.error
         finally:
             if published:
                 # One publish per query round: continuous queries see each
                 # fetched source as its own snapshot, and every consumer
                 # address gets one frame once the fan-out is over.
                 self.streams.publish(entry.compiled().select.table, published)
-        for partial in partials:
-            result.statuses.extend(partial.statuses)
-            if partial.columns:
-                self._merge(result, partial.columns, partial.rows)
-
-    def _serve_cached(
-        self,
-        url_text: str,
-        sql: str,
-        key: str,
-        partial: QueryResult,
-        max_age: float | None,
-        deadline: Deadline | None,
-    ) -> bool:
-        """Answer one source from the query cache; False on a miss (or
-        a spent deadline — ``_one_realtime`` fails that source fast)."""
-        if deadline is not None and deadline.expired():
-            return False
-        cached = self.cache.lookup(url_text, sql, max_age=max_age, key=key)
-        if cached is None:
-            return False
-        with self.tracer.span("source", url=url_text) as span:
-            self._stamp_source(span, url_text, deadline)
-            span["cache"] = "hit"
-            # Shared with the cache entry, not copied: the merge into the
-            # consolidated result copies every row it takes.
-            partial.columns, partial.rows = cached.columns, cached.rows
-            self._answer(partial, span, SourceStatus.cache(url_text, len(cached.rows)))
-        return True
-
-    def _fan_out(
-        self,
-        pending: list[tuple[JdbcUrl, QueryResult]],
-        published: _Published,
-        sql: str,
-        entry: PlanEntry,
-        mode: QueryMode,
-        info: Mapping[str, Any] | None,
-        deadline: Deadline | None = None,
-        retry_budget: RetryBudget | None = None,
-    ) -> None:
-        """Dispatch one sub-request per pending source concurrently,
-        each branch filling that source's partial (and ``published``)."""
-        self.stats.inc("fanout_queries")
-
-        def branch(url: JdbcUrl, partial: QueryResult):
-            return lambda: self._one_realtime(
-                url, sql, entry, partial, published, mode, info, deadline, retry_budget
-            )
-
-        guarded = (
-            deadline
-            if self.admission is not None and self.admission.enabled
-            else None
-        )
-        outcomes = self.dispatcher.run(
-            [branch(u, p) for u, p in pending], deadline=guarded
-        )
-        for outcome, (url, partial) in zip(outcomes, pending):
-            if isinstance(outcome.error, DeadlineExceededError):
-                # The branch-launch guard fired: the budget ran out while
-                # this source's branch queued.  A per-source outcome, not
-                # a query failure — and no health penalty (and no span).
-                self._answer(partial, NULL_SPAN, SourceStatus.failed(str(url), outcome.error))
-            elif outcome.error is not None:
-                # _one_realtime converts per-source failures to statuses;
-                # anything escaping it is a programming error worth
-                # surfacing, not a source outcome.
-                raise outcome.error
+        consolidate(result, partials)
 
     # ------------------------------------------------------------------
     def _execute_join(
@@ -591,8 +552,9 @@ class RequestManager:
         mode: QueryMode,
         max_age: float | None,
         info: Mapping[str, Any] | None,
-        deadline: Deadline | None = None,
-        retry_budget: RetryBudget | None = None,
+        deadline: Deadline | None,
+        retry_budget: RetryBudget | None,
+        query_class: QueryClass,
     ) -> QueryResult:
         """Multi-group query: "Clients select one or more GLUE group
         names to query" (paper §3.2.3).
@@ -609,21 +571,17 @@ class RequestManager:
         groups = plan.select.tables
         self.tracer.current_span().annotate(groups=len(groups))
 
-        def branch(group: str):
-            return lambda: self.execute(
-                urls,
-                f"SELECT * FROM {group}",
-                mode=mode,
-                max_age=max_age,
-                info=info,
-                deadline=deadline,
-                retry_budget=retry_budget,
-            )
-
         # One decomposed sub-query per GLUE group, dispatched
         # concurrently (each branch fans out over the sources in turn);
         # relations are consolidated in the statement's group order.
-        outcomes = self.dispatcher.run([branch(g) for g in groups])
+        outcomes = self.dispatcher.run([
+            functools.partial(
+                self.execute, urls, f"SELECT * FROM {group}", mode=mode,
+                max_age=max_age, info=info, deadline=deadline,
+                retry_budget=retry_budget, query_class=query_class,
+            )
+            for group in groups
+        ])
         relations = []
         for outcome in outcomes:
             if outcome.error is not None:
@@ -649,24 +607,13 @@ class RequestManager:
         return result
 
     # ------------------------------------------------------------------
-    def _merge(
-        self,
-        result: QueryResult,
-        columns: Sequence[str],
-        rows: Iterable[Sequence[Any]],
-    ) -> int:
-        """Append one source's rows, aligning columns by name."""
-        result.columns, n = merge_rows(result.columns, result.rows, columns, rows)
-        return n
-
     def _stamp_source(
         self, span, url_text: str, deadline: Deadline | None
     ) -> None:
         """What every ``source`` span records about how it was answered."""
         if deadline is not None:
             span["deadline_remaining"] = deadline.remaining()
-        if self.health is not None:
-            span["breaker"] = self.health.state(url_text).value
+        span["breaker"] = self.health.state(url_text).value
 
     def _answer(self, result: QueryResult, span, status: SourceStatus) -> None:
         """The one exit of every per-source answer: bump its cause's
@@ -679,6 +626,51 @@ class RequestManager:
             span.fail(status.error, status=cause.value)
         result.statuses.append(status)
 
+    def _from_cache(
+        self,
+        partial: QueryResult,
+        span,
+        url_text: str,
+        hit: CachedResult,
+        answer: Callable[[str, int], SourceStatus],
+    ) -> None:
+        """The cache exit: every answer served from the query cache —
+        ``SourceStatus.cache`` (fresh enough), ``.stale`` (breaker OPEN)
+        and ``.brownout`` (gateway under pressure) — is built here.
+
+        ``hit``'s relation becomes ``partial``'s: shared with the cache
+        entry, not copied, as the consolidation copies every row it takes.
+        """
+        partial.columns, partial.rows = hit.columns, hit.rows
+        self._answer(partial, span, answer(url_text, len(hit.rows)))
+
+    def brownout(
+        self, urls: list[JdbcUrl], sql: str, entry: PlanEntry, mode: QueryMode
+    ) -> QueryResult | None:
+        """The gateway is under pressure: a complete stale answer from the
+        query cache, or None.
+
+        Brownout serving is all-or-nothing: every URL must still hold a
+        (possibly expired) cached relation for this SQL — a partial
+        stale answer would silently drop sources, so it falls through to
+        normal dispatch (or a shed) instead.
+        """
+        started = self.clock.now()
+        texts = [str(url) for url in urls]
+        hits = [self.cache.lookup_stale(text, sql, key=entry.key) for text in texts]
+        if any(hit is None for hit in hits):
+            return None
+        result = QueryResult(columns=[], rows=[], mode=mode, started_at=started)
+        with self.tracer.span(
+            "brownout_serve", sources=len(hits), state=self.admission.state.value
+        ) as span:
+            partials = [QueryResult(columns=[], rows=[], mode=mode) for _ in hits]
+            for partial, text, hit in zip(partials, texts, hits):
+                self._from_cache(partial, span, text, hit, SourceStatus.brownout)
+            consolidate(result, partials)
+        result.elapsed = self.clock.now() - started
+        return result
+
     def _one_realtime(
         self,
         url: JdbcUrl,
@@ -688,8 +680,9 @@ class RequestManager:
         published: _Published,
         mode: QueryMode,
         info: Mapping[str, Any] | None,
-        deadline: Deadline | None = None,
-        retry_budget: RetryBudget | None = None,
+        deadline: Deadline | None,
+        retry_budget: RetryBudget | None,
+        query_class: QueryClass,
     ) -> None:
         url_text = str(url)
         plan = entry.compiled()
@@ -702,11 +695,10 @@ class RequestManager:
                 spent = DeadlineExceededError("deadline exceeded before dispatch")
                 self._answer(result, span, SourceStatus.failed(url_text, spent))
                 return
-            # A CACHED_OK source only gets here after _serve_cached missed.
+            # A CACHED_OK source only gets here after its cache probe missed.
             span["cache"] = "miss" if mode is QueryMode.CACHED_OK else "bypass"
-            if self.health is not None and not self.health.allow_request(url_text):
-                status = self._breaker_open(url_text, sql, entry.key, result, span)
-                self._answer(result, span, status)
+            if not self.health.allow_request(url_text):
+                self._breaker_open(url_text, sql, entry.key, result, span)
                 return
             # Single-flight: an identical request already in the air to
             # this source answers both of us with one agent round-trip.
@@ -719,35 +711,30 @@ class RequestManager:
                 if flight.error is not None:
                     status = SourceStatus.failed(url_text, flight.error, coalesced=True)
                 else:
-                    n = self._merge(result, *flight.value)
+                    result.columns, n = merge_rows(
+                        result.columns, result.rows, *flight.value
+                    )
                     status = SourceStatus.fresh(url_text, n, coalesced=True)
                 self._answer(result, span, status)
                 return
             # Only idempotent drivers may have their fetch re-issued —
             # whether by the retry loop below or by a dispatcher hedge.
-            reissuable = self._idempotent(url)
+            # Before any driver is allocated the answer is yes: monitoring
+            # reads are idempotent unless a driver says otherwise.
+            driver = self.connection_manager.driver_manager.cached_driver(url)
+            reissuable = driver is None or bool(getattr(driver, "idempotent", True))
             # Overload interplay (when the gateway's admission controller is
             # on): hedges are suppressed under pressure, failed attempts
             # re-check admission before retrying, and a shed costs neither a
             # breaker penalty nor a retry token (nor does a spent deadline).
-            adm = (
-                self.admission
-                if self.admission is not None and self.admission.enabled
-                else None
-            )
-            qc = QueryClass.parse((info or {}).get("query_class"))
+            adm = self.admission
             fetch_started = self.clock.now()
             attempt = 0
             # Admission was decided by the allow_request above; pin it for
             # the whole operation so hedge siblings and retry attempts see
             # the decision as of launch, not breaker state mid-mutation.
-            admission = (
-                self.health.pin(url_text, True)
-                if self.health is not None
-                else nullcontext()
-            )
             try:
-                with admission:
+                with self.health.pin(url_text, True):
                     while True:
                         attempt += 1
                         try:
@@ -756,9 +743,8 @@ class RequestManager:
                                     url_text,
                                     sql,
                                     lambda: self._fetch(url, sql, info, deadline, plan),
-                                    hedge=reissuable
-                                    and not (adm is not None and adm.suppress_hedges()),
-                                    deadline=deadline if adm is not None else None,
+                                    hedge=reissuable and not adm.suppress_hedges(),
+                                    deadline=deadline if adm.enabled else None,
                                     key=entry.key,
                                 )
                             break
@@ -774,14 +760,14 @@ class RequestManager:
                                 exc,
                                 (SQLConnectionException, SQLTimeoutException, SQLDataException),
                             )
-                            if self.health is not None and unhealthy:
+                            if unhealthy:
                                 self.health.record_failure(url_text, str(exc))
                             transient = (
                                 unhealthy or isinstance(exc, DataSourceError)
                             ) and not isinstance(exc, SourceQuarantinedError)
                             if transient and reissuable and attempt < self.retry.attempts:
                                 pause = self.retry.backoff(attempt, self._retry_rng)
-                                if adm is not None and not adm.allow_retry(qc):
+                                if not adm.allow_retry(query_class):
                                     # Re-check admission: retrying under
                                     # pressure is extra offered load fighting
                                     # our own limiter (only CRITICAL keeps
@@ -804,12 +790,11 @@ class RequestManager:
                 span.annotate(attempts=attempt)
                 self._answer(result, span, SourceStatus.failed(url_text, exc))
                 return
-            if self.health is not None:
-                self.health.record_success(url_text)
+            self.health.record_success(url_text)
             self.stats.inc("realtime_fetches")
             span.annotate(attempts=attempt)
             self._source_latency.record(self.clock.now() - fetch_started)
-            n = self._merge(result, columns, rows)
+            result.columns, n = merge_rows(result.columns, result.rows, columns, rows)
             self._answer(result, span, SourceStatus.fresh(url_text, n))
             group = plan.select.table
             self.cache.store(
@@ -834,7 +819,7 @@ class RequestManager:
 
     def _breaker_open(
         self, url_text: str, sql: str, key: str, result: QueryResult, span
-    ) -> SourceStatus:
+    ) -> None:
         """The breaker stage, for a source whose circuit is OPEN: never
         touch the source (even in REALTIME — that is the breaker's whole
         point).  Stale rows when the policy allows and the cache still
@@ -845,24 +830,12 @@ class RequestManager:
         if self.policy.serve_stale_on_open:
             stale = self.cache.lookup_stale(url_text, sql, key=key)
             if stale is not None:
-                n = self._merge(result, stale.columns, stale.rows)
-                return SourceStatus.stale(url_text, n)
+                self._from_cache(result, span, url_text, stale, SourceStatus.stale)
+                return
         entry = self.health.health(url_text)
         detail = f": {entry.last_error}" if entry.last_error else ""
         error = f"circuit open until t={entry.open_until:.1f}s{detail}"
-        return SourceStatus.failed(url_text, error, breaker_open=True)
-
-    def _idempotent(self, url: JdbcUrl) -> bool:
-        """May this source's fetch be safely re-issued (retry / hedge)?
-
-        Decided by the driver's ``idempotent`` declaration.  Before any
-        driver is allocated the answer defaults to True — monitoring
-        reads are idempotent unless a driver says otherwise.
-        """
-        driver = self.connection_manager.driver_manager.cached_driver(url)
-        if driver is None:
-            return True
-        return bool(getattr(driver, "idempotent", True))
+        self._answer(result, span, SourceStatus.failed(url_text, error, breaker_open=True))
 
     def _fetch(
         self,
@@ -889,9 +862,10 @@ class RequestManager:
             scanned_before = self.history.rows_scanned
             try:
                 sel = self.history.query(sql, source_url=url_text, plan=plan)
-                status = SourceStatus.history(
-                    url_text, self._merge(result, sel.columns, sel.rows)
+                result.columns, n = merge_rows(
+                    result.columns, result.rows, sel.columns, sel.rows
                 )
+                status = SourceStatus.history(url_text, n)
                 span["rows"] = status.rows
             except SqlError as exc:
                 status = SourceStatus.failed(url_text, exc)
