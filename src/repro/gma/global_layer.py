@@ -137,12 +137,16 @@ class GlobalLayer:
             self.stats.inc("remote_queries")
             health_key = f"gma://{site}"
             cache_key_url = health_key + (f"/{','.join(urls)}" if urls else "")
+            # A cached or stale answer keeps one status per requested URL,
+            # as the fresh answer it was cached from had (a whole-site
+            # query names the site).  Per-source row counts are not cached.
+            covered = urls or [cache_key_url]
             if self.cache_remote:
                 cached = gateway.cache.lookup(cache_key_url, sql, max_age=max_age)
                 if cached is not None:
                     self.stats.inc("remote_cache_hits")
                     span["cache"] = "hit"
-                    return _copy(cached, [SourceStatus.cache(cache_key_url)])
+                    return _copy(cached, [SourceStatus.cache(u) for u in covered])
             # The remote gateway has a circuit breaker in the local
             # gateway's health tracker: while it is OPEN a partitioned site
             # costs nothing instead of a full consumer timeout per query.
@@ -155,7 +159,7 @@ class GlobalLayer:
                     if stale is not None:
                         self.stats.inc("remote_stale_served")
                         span["stale"] = True
-                        return _copy(stale, [SourceStatus.stale(cache_key_url)])
+                        return _copy(stale, [SourceStatus.stale(u) for u in covered])
                 entry = health.health(health_key)
                 raise RemoteQueryError(
                     f"circuit open for site {site!r} until t={entry.open_until:.1f}s "

@@ -7,7 +7,7 @@ the gateway that owns the required data."
 
 import pytest
 
-from repro.core.request_manager import QueryMode
+from repro.core.request_manager import Cause, QueryMode
 from repro.core.security import AccessRule, Principal
 from repro.gma.directory import GMADirectory
 from repro.gma.global_layer import GlobalLayer
@@ -108,3 +108,40 @@ class TestRouting:
         result = a.gateway.query(a.url_for("snmp"), "SELECT HostName FROM Host")
         assert result.ok_sources == 1
         assert gla.stats["remote_queries"] == before
+
+
+class TestRemoteStatuses:
+    """A remote answer carries one status per requested URL, in request
+    order, however it was served: fresh over the wire, from this
+    gateway's cache of remote answers, or stale behind the remote
+    gateway's open breaker."""
+
+    SQL = "SELECT HostName FROM Host"
+
+    @pytest.mark.parametrize("served", ["fresh", "cached", "stale"])
+    def test_one_status_per_requested_url(self, fabric, served):
+        network, a, b, gla, _ = fabric
+        urls = [b.url_for("snmp", host=h) for h in b.host_names()]
+        fresh = a.gateway.query(urls, self.SQL, mode=QueryMode.CACHED_OK)
+        result = fresh
+        if served == "cached":
+            result = a.gateway.query(urls, self.SQL, mode=QueryMode.CACHED_OK)
+            assert gla.stats["remote_cache_hits"] == 1
+        elif served == "stale":
+            network.clock.advance(a.gateway.policy.query_cache_ttl + 1)
+            network.set_host_up(b.gateway.host, False)
+            for _ in range(a.gateway.policy.breaker_failure_threshold):
+                a.gateway.query(urls, self.SQL, mode=QueryMode.CACHED_OK)
+            result = a.gateway.query(urls, self.SQL, mode=QueryMode.CACHED_OK)
+            assert gla.stats["remote_stale_served"] == 1
+        assert [s.url for s in result.statuses] == urls
+        assert result.ok_sources == len(urls)
+        assert result.rows == fresh.rows
+        expected = {"fresh": Cause.FRESH, "cached": Cause.CACHE, "stale": Cause.STALE}
+        assert {s.cause for s in result.statuses} == {expected[served]}
+
+    def test_whole_site_answer_from_the_cache_names_the_site(self, fabric):
+        network, a, b, gla, _ = fabric
+        gla.query_remote("rb", self.SQL)
+        cached = gla.query_remote("rb", self.SQL)
+        assert [(s.url, s.cause) for s in cached.statuses] == [("gma://rb", Cause.CACHE)]
