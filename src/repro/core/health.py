@@ -122,7 +122,9 @@ class HealthTracker:
     One success/failure *observation* is recorded per native interaction
     (a connect, a fetch, a remote-gateway round trip), so
     ``total_successes``/``total_failures`` count observations, not
-    queries.  ``consecutive_failures`` resets on any success.
+    queries.  ``consecutive_failures`` resets on any success — except
+    one made inside a pinned operation that also failed, which is not
+    applied at all (see :meth:`pin`).
     """
 
     def __init__(
@@ -228,7 +230,11 @@ class HealthTracker:
 
         Observations made while pinned (connect failures from hedge
         siblings, retry attempts) are *deferred*: buffered, then applied
-        when the outermost pin exits, failures before successes.  Two
+        when the outermost pin exits.  An operation that observed any
+        failure applies its failures only: the success of an earlier
+        stage (the connect probe of a fetch whose reply was garbage)
+        does not vouch for the stage that failed, so it must not reset
+        the failure streak.  Otherwise its successes apply.  Two
         virtually-simultaneous attempts therefore contribute the same
         end state whatever order the dispatcher happened to launch them
         in — the write side of the same lane-race hazard.  Pins nest;
@@ -243,13 +249,14 @@ class HealthTracker:
             stack.pop()
             if not stack:
                 del self._pins[key]
-                for kind, error in sorted(
-                    self._deferred.pop(key, ()), key=lambda o: o[0] == "s"
-                ):
-                    if kind == "s":
-                        self.record_success(key)
-                    else:
+                outcomes = self._deferred.pop(key, [])
+                failures = [error for kind, error in outcomes if kind == "f"]
+                if failures:
+                    for error in failures:
                         self.record_failure(key, error)
+                else:
+                    for _ in outcomes:
+                        self.record_success(key)
 
     # ------------------------------------------------------------------
     # Outcome recording

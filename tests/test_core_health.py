@@ -126,6 +126,56 @@ class TestStateMachine:
         assert tracker.health(KEY).total_failures == 10
 
 
+class TestPinnedOutcomes:
+    """What one pinned operation observed is applied at its end, as one
+    unordered set: its virtually-simultaneous stages have no order."""
+
+    @staticmethod
+    def run(tracker, outcomes):
+        with tracker.pin(KEY, True):
+            for kind in outcomes:
+                if kind == "s":
+                    tracker.record_success(KEY)
+                else:
+                    tracker.record_failure(KEY, "bad reply")
+
+    def test_a_stage_success_does_not_reset_a_later_stage_failure(self):
+        ends = []
+        for outcomes in ("sf", "fs"):
+            _, tracker = make_tracker()
+            tracker.record_failure(KEY, "earlier")
+            self.run(tracker, outcomes)
+            ends.append(tracker.health(KEY).as_dict())
+        assert ends[0] == ends[1]
+        assert ends[0]["consecutive_failures"] == 2
+        assert ends[0]["total_successes"] == 0
+
+    def test_connect_then_garbage_trips_at_threshold(self):
+        _, tracker = make_tracker()
+        for _ in range(2):
+            self.run(tracker, "sf")
+        assert tracker.state(KEY) is BreakerState.CLOSED
+        self.run(tracker, "sf")
+        assert tracker.state(KEY) is BreakerState.OPEN
+
+    def test_an_operation_without_failures_applies_its_successes(self):
+        _, tracker = make_tracker()
+        tracker.record_failure(KEY, "earlier")
+        self.run(tracker, "ss")
+        entry = tracker.health(KEY)
+        assert entry.consecutive_failures == 0 and entry.total_successes == 2
+
+    def test_a_half_open_probe_that_connects_and_then_fails_reopens(self):
+        clock, tracker = make_tracker()
+        trip(clock, tracker)
+        clock.advance(100.0)
+        assert tracker.allow_request(KEY)
+        assert tracker.state(KEY) is BreakerState.HALF_OPEN
+        self.run(tracker, "sf")
+        assert tracker.state(KEY) is BreakerState.OPEN
+        assert tracker.health(KEY).trips == 2
+
+
 class TestAdministration:
     def test_is_quarantined_only_while_open(self):
         clock, tracker = make_tracker()

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.agents import snmp as wire
+from repro.core.health import BreakerState
 from repro.core.policy import GatewayPolicy, production
 from repro.core.request_manager import Cause
 from repro.dbapi.exceptions import SQLException
@@ -102,6 +103,39 @@ def test_half_a_gmond_dump_costs_the_ganglia_source_only(policy):
     network.clock.advance(20.0)  # past the query cache and the dump cache
     again = gateway.query(site.source_urls, "SELECT HostName FROM Processor")
     assert all(s.ok for s in again.statuses) and len(again.rows) == 6
+
+
+@pytest.mark.parametrize(
+    "policy", [GatewayPolicy, production], ids=["default", "all-planes"]
+)
+def test_half_a_gmond_dump_repeated_trips_the_ganglia_breaker(policy):
+    """Each query connects to gmond fine and then reads half a dump.  The
+    connect success and the fetch failure land in one pinned operation,
+    and the success must not reset the streak: ``breaker_failure_threshold``
+    such queries open the source's breaker, and the next one is refused
+    without asking it."""
+    network = Network(VirtualClock(), seed=7)
+    site = build_site(
+        network, name="s", n_hosts=3, agents=("snmp", "ganglia"),
+        policy=policy(),
+    )
+    gateway, agent = site.gateway, site.agents["ganglia"][0]
+    ganglia_url = site.source_urls[-1]
+    honest = agent.render_xml
+    agent.render_xml = lambda: honest()[: len(honest()) // 2]
+
+    for _ in range(gateway.policy.breaker_failure_threshold):
+        result = gateway.query(site.source_urls, "SELECT HostName FROM Processor")
+        assert [s.url for s in result.statuses if not s.ok] == [ganglia_url]
+        network.clock.advance(1.0)
+    assert gateway.health.state(ganglia_url) is BreakerState.OPEN
+
+    served = agent.requests_served
+    result = gateway.query(site.source_urls, "SELECT HostName FROM Processor")
+    (refused,) = [s for s in result.statuses if not s.ok]
+    assert refused.url == ganglia_url and refused.cause is Cause.BREAKER
+    assert agent.requests_served == served
+    assert sorted(r[0] for r in result.rows) == ["s-n00", "s-n01", "s-n02"]
 
 
 # ----------------------------------------------------------------------
