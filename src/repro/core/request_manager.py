@@ -27,13 +27,13 @@ all-or-nothing BROWNOUT) is built by ``_from_cache``.
 
 Dispatch is concurrent in virtual time (see :mod:`repro.core.dispatch`,
 which alone decides serial or fan-out): a query over N sources fans one
-sub-request out per source, so the
-consolidated result costs the *slowest* source's round-trip rather than
-the sum of all N.  Results are always merged in the caller's URL order —
-never completion order — so consolidation stays deterministic.  Identical
-concurrent requests to one source coalesce into a single agent
-round-trip (single-flight), and per-source concurrency caps stop a wide
-fan-out from stampeding one agent.
+sub-request out per source, so the consolidated result costs the
+*slowest* source's round-trip rather than the sum of all N.  Results
+are always merged in the caller's URL order — never completion order —
+so consolidation stays deterministic.  Identical concurrent requests to
+one source coalesce into a single agent round-trip (single-flight), and
+per-source concurrency caps stop a wide fan-out from stampeding one
+agent.
 """
 
 from __future__ import annotations
@@ -512,6 +512,8 @@ class RequestManager:
         published: _Published = []
         try:
             if pending:
+                # ``requests.fanout_queries`` counts the rounds the
+                # dispatcher will fan out.
                 if len(pending) > 1 and self.policy.fanout_enabled:
                     self.stats.inc("fanout_queries")
                 branches = [
