@@ -146,10 +146,11 @@ class HealthTracker:
         self._rng = random.Random(jitter_seed)
         self._sources: dict[str, SourceHealth] = {}
         # Admission decisions pinned for the duration of one dispatched
-        # operation (see :meth:`pin`): key -> stack of frozen decisions,
-        # plus the observations buffered until the outermost pin exits.
-        self._pins: dict[str, list[bool]] = {}
-        self._deferred: dict[str, list[tuple[str, str]]] = {}
+        # operation (see :meth:`pin`): key -> stack of (frozen decision,
+        # observations made in that pin itself), plus the outcomes the
+        # exited pins settled on, held until the outermost pin exits.
+        self._pins: dict[str, list[tuple[bool, list[tuple[str, str]]]]] = {}
+        self._settled: dict[str, list[tuple[str, str]]] = {}
         self.stats = StatsView(
             registry if registry is not None else MetricsRegistry(),
             "health",
@@ -198,7 +199,7 @@ class HealthTracker:
             # rather than breaker state a sibling branch may be mutating
             # — a pinned read is not a shared-state access, so no race
             # note either.
-            return pinned[-1]
+            return pinned[-1][0]
         if races.ACTIVE is not None:
             races.ACTIVE.note(
                 "health", key, "r", site="HealthTracker.allow_request"
@@ -230,40 +231,52 @@ class HealthTracker:
 
         Observations made while pinned (connect failures from hedge
         siblings, retry attempts) are *deferred*: buffered, then applied
-        when the outermost pin exits.  An operation that observed any
-        failure applies its failures only: the success of an earlier
-        stage (the connect probe of a fetch whose reply was garbage)
-        does not vouch for the stage that failed, so it must not reset
-        the failure streak.  Otherwise its successes apply.  Two
+        when the outermost pin exits, failures before successes.  Two
         virtually-simultaneous attempts therefore contribute the same
         end state whatever order the dispatcher happened to launch them
         in — the write side of the same lane-race hazard.  Pins nest;
         the innermost decision wins and deferral lasts until the
         outermost exit.
+
+        Each pin settles what was observed in it, not in a pin nested
+        inside it, when it exits: its failures only if it saw any, its
+        successes otherwise.  The success of an earlier stage (the
+        connect probe of a fetch whose reply was garbage) does not vouch
+        for the stage that failed in the same operation, so it must not
+        reset the failure streak.  What an inner pin settled is not
+        judged again by the pin around it: a batch's pin
+        (``Gateway.query_batch``) holds one operation pin per member
+        fetch, and each fetch's final success is recorded after its own
+        pin exits, so one member's failure discards neither that success
+        nor another member's.
         """
         stack = self._pins.setdefault(key, [])
-        stack.append(decision)
+        observed: list[tuple[str, str]] = []
+        stack.append((decision, observed))
         try:
             yield
         finally:
             stack.pop()
+            failures = [o for o in observed if o[0] == "f"]
+            settled = self._settled.setdefault(key, [])
+            settled.extend(failures or observed)
             if not stack:
                 del self._pins[key]
-                outcomes = self._deferred.pop(key, [])
-                failures = [error for kind, error in outcomes if kind == "f"]
-                if failures:
-                    for error in failures:
-                        self.record_failure(key, error)
-                else:
-                    for _ in outcomes:
+                for kind, error in sorted(
+                    self._settled.pop(key), key=lambda o: o[0] == "s"
+                ):
+                    if kind == "s":
                         self.record_success(key)
+                    else:
+                        self.record_failure(key, error)
 
     # ------------------------------------------------------------------
     # Outcome recording
     # ------------------------------------------------------------------
     def record_success(self, key: str) -> None:
-        if self._pins.get(key):
-            self._deferred.setdefault(key, []).append(("s", ""))
+        pinned = self._pins.get(key)
+        if pinned:
+            pinned[-1][1].append(("s", ""))
             return
         if races.ACTIVE is not None:
             races.ACTIVE.note(
@@ -283,8 +296,9 @@ class HealthTracker:
                 self._transition(entry, BreakerState.CLOSED)
 
     def record_failure(self, key: str, error: str = "") -> None:
-        if self._pins.get(key):
-            self._deferred.setdefault(key, []).append(("f", error))
+        pinned = self._pins.get(key)
+        if pinned:
+            pinned[-1][1].append(("f", error))
             return
         if races.ACTIVE is not None:
             races.ACTIVE.note(

@@ -165,6 +165,29 @@ class TestPinnedOutcomes:
         entry = tracker.health(KEY)
         assert entry.consecutive_failures == 0 and entry.total_successes == 2
 
+    def test_a_batch_pin_keeps_each_answer_beside_its_failed_attempt(self):
+        """Attempt 1 fails, the retry connects and answers; the answer is
+        recorded after the operation's pin, inside the batch's."""
+        _, tracker = make_tracker()
+        for _ in range(3):
+            with tracker.pin(KEY, True):
+                self.run(tracker, "fs")
+                tracker.record_success(KEY)
+        entry = tracker.health(KEY)
+        assert entry.state is BreakerState.CLOSED
+        assert entry.consecutive_failures == 0
+        assert (entry.total_failures, entry.total_successes) == (3, 3)
+
+    def test_one_failed_member_discards_no_other_members_success(self):
+        _, tracker = make_tracker()
+        with tracker.pin(KEY, True):
+            self.run(tracker, "sf")
+            self.run(tracker, "s")
+            tracker.record_success(KEY)
+        entry = tracker.health(KEY)
+        assert entry.consecutive_failures == 0
+        assert (entry.total_failures, entry.total_successes) == (1, 2)
+
     def test_a_half_open_probe_that_connects_and_then_fails_reopens(self):
         clock, tracker = make_tracker()
         trip(clock, tracker)

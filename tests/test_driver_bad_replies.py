@@ -22,9 +22,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.agents import snmp as wire
+from repro.core.gateway import BatchQuery
 from repro.core.health import BreakerState
 from repro.core.policy import GatewayPolicy, production
-from repro.core.request_manager import Cause
+from repro.core.request_manager import Cause, QueryMode
 from repro.dbapi.exceptions import SQLException
 from repro.dbapi.url import JdbcUrl
 from repro.drivers import default_driver_set
@@ -136,6 +137,55 @@ def test_half_a_gmond_dump_repeated_trips_the_ganglia_breaker(policy):
     assert refused.url == ganglia_url and refused.cause is Cause.BREAKER
     assert agent.requests_served == served
     assert sorted(r[0] for r in result.rows) == ["s-n00", "s-n01", "s-n02"]
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["query", "query_batch"])
+def test_half_a_gmond_dump_then_a_whole_one_on_retry_keeps_the_breaker_closed(
+    batched,
+):
+    """Each query reads half a dump, retries and reads a whole one.  The
+    failed attempt counts, but the answer resets the streak, also when a
+    batch's pin holds every outcome until the batch joins:
+    ``breaker_failure_threshold`` such queries leave the breaker CLOSED
+    and count one success each, exactly as ``Gateway.query`` does."""
+    network = Network(VirtualClock(), seed=7)
+    site = build_site(
+        network, name="s", n_hosts=1, agents=("ganglia",),
+        policy=GatewayPolicy(retry_attempts=2),
+    )
+    gateway, agent = site.gateway, site.agents["ganglia"][0]
+    (url,) = site.source_urls
+    sql = "SELECT HostName FROM Processor"
+    gateway.query(url, sql, mode=QueryMode.REALTIME)  # pool a connection
+    honest = agent.render_xml
+    cut = []
+
+    def cut_once():
+        whole = honest()
+        return whole[: len(whole) // 2] if cut and cut.pop() else whole
+
+    agent.render_xml = cut_once
+    threshold = gateway.policy.breaker_failure_threshold
+    for _ in range(threshold):
+        network.clock.advance(20.0)  # past the dump cache
+        cut.append(True)
+        served = agent.requests_served
+        if batched:
+            (result,) = gateway.query_batch(
+                [BatchQuery([url], sql, mode=QueryMode.REALTIME)]
+            )
+        else:
+            result = gateway.query(url, sql, mode=QueryMode.REALTIME)
+        assert [s.cause for s in result.statuses] == [Cause.FRESH]
+        # The pooled connection's fetch is cut, the retry reconnects and
+        # fetches a whole dump.
+        assert agent.requests_served - served == 3
+
+    entry = gateway.health.health(url)
+    assert entry.state is BreakerState.CLOSED
+    assert entry.consecutive_failures == 0
+    assert entry.total_failures == threshold
+    assert entry.total_successes == 2 + threshold  # the pooling query's two
 
 
 # ----------------------------------------------------------------------
