@@ -16,9 +16,11 @@ SHED is the one row that does not leave through the request manager.
 A gateway that sheds its own work raises ``OverloadError`` before any
 source is asked, so a SHED *status* only reaches a client from a remote
 site.  That answer is built by the gateway's remote exit, not by
-``RequestManager._answer``: the ``remote`` span it sits under fails as a
-plain ``error`` and no local ``requests.*`` counter moves.  The row pins
-that as it is.
+``RequestManager._answer``: today the ``remote`` span it sits under fails
+as a plain ``error`` and no local ``requests.*`` counter moves.  The row
+states what the Cause table asks for and is a strict ``xfail`` until the
+remote exit leaves through ``_answer`` (ROADMAP item 5): the fix turns
+it red, and the mark goes with the fix.
 """
 
 import pytest
@@ -151,7 +153,7 @@ EXITS = {
     Cause.STALE: (_stale, "source", "ok", ("requests.stale_served",)),
     Cause.BROWNOUT: (_brownout, "brownout_serve", "ok", ("admission.brownout_served",)),
     Cause.BREAKER: (_breaker, "source", "breaker", ()),
-    Cause.SHED: (_shed, "remote", "error", ()),
+    Cause.SHED: (_shed, "remote", "shed", ("requests.sheds", "requests.source_failures")),
     Cause.DEADLINE_EXCEEDED: (
         _deadline_exceeded, "source", "deadline_exceeded",
         ("requests.deadline_exceeded", "requests.source_failures"),
@@ -161,13 +163,11 @@ EXITS = {
 
 
 def test_the_table_is_the_cause_table():
-    """Every row but SHED's says what its Cause row says: a cause that is
-    not ok fails its span with its own value, and the counters are the
-    row's ``requests.*`` counters (BROWNOUT's is the admission count)."""
+    """Every row says what its Cause row says: a cause that is not ok
+    fails its span with its own value, and the counters are the row's
+    ``requests.*`` counters (BROWNOUT's is the admission count)."""
     assert list(EXITS) == list(Cause)
     for cause, (_, _, span_status, bumped) in EXITS.items():
-        if cause is Cause.SHED:
-            continue
         assert span_status == ("ok" if cause.ok else cause.value), cause
         counters = tuple(f"requests.{name}" for name in cause.counters)
         if cause is Cause.BROWNOUT:
@@ -175,7 +175,18 @@ def test_the_table_is_the_cause_table():
         assert bumped == counters, cause
 
 
-@pytest.mark.parametrize("cause", list(EXITS), ids=[c.value for c in EXITS])
+#: The remote exit builds SHED's status outside ``_answer``: its span
+#: fails as ``error`` and no counter moves (ROADMAP item 5).
+REMOTE_EXIT = pytest.mark.xfail(
+    strict=True, reason="the remote exit does not leave through _answer"
+)
+
+
+@pytest.mark.parametrize(
+    "cause",
+    [pytest.param(c, marks=REMOTE_EXIT) if c is Cause.SHED else c for c in EXITS],
+    ids=[c.value for c in EXITS],
+)
 def test_each_cause_leaves_gateway_query_through_its_exit(cause):
     testbed, span_name, span_status, bumped = EXITS[cause]
     network = Network(VirtualClock(), seed=29)
