@@ -208,7 +208,7 @@ class FanoutDispatcher:
         thunks = list(thunks)
         if not thunks:
             return []
-        if not self.policy.fanout_enabled or len(thunks) == 1:
+        if not self.fans_out(len(thunks)):
             self.stats.inc("serial_runs")
             return [self._run_one(thunk) for thunk in thunks]
         if deadline is not None:
@@ -222,6 +222,11 @@ class FanoutDispatcher:
                     with scope.branch():
                         outcomes.append(self._run_one(thunk))
         return outcomes
+
+    def fans_out(self, branches: int) -> bool:
+        """Whether :meth:`run` fans ``branches`` branches out; it runs
+        them serially otherwise."""
+        return self.policy.fanout_enabled and branches > 1
 
     def _launch_guard(
         self, thunk: Callable[[], Any], deadline: Deadline

@@ -514,7 +514,7 @@ class RequestManager:
             if pending:
                 # ``requests.fanout_queries`` counts the rounds the
                 # dispatcher will fan out.
-                if len(pending) > 1 and self.policy.fanout_enabled:
+                if self.dispatcher.fans_out(len(pending)):
                     self.stats.inc("fanout_queries")
                 branches = [
                     functools.partial(
