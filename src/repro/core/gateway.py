@@ -686,7 +686,11 @@ class Gateway:
         # discipline hedge siblings follow (HealthTracker.pin).  Without
         # this, member k's admission would read breaker state member
         # k-1's outcome just wrote: a launch-order dependence (GRM552).
-        keys = sorted({str(u) for q in queries for u in q.urls})
+        keys = sorted({
+            str(u)
+            for q in queries
+            for u in ([q.urls] if isinstance(q.urls, (str, JdbcUrl)) else q.urls)
+        })
         with ExitStack() as pins:
             for key in keys:
                 pins.enter_context(

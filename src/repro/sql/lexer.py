@@ -1,14 +1,15 @@
 """SQL lexer.
 
-Hand-written single-pass scanner producing a flat token list.  Keywords
-are case-insensitive; identifiers preserve case (GLUE group and attribute
-names are CamelCase, e.g. ``Processor.ClockSpeed``).
+One compiled pattern, read with ``finditer``, produces a flat token
+list.  Keywords are case-insensitive; identifiers preserve case (GLUE
+group and attribute names are CamelCase, e.g. ``Processor.ClockSpeed``).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.sql.errors import SqlParseError
 
@@ -34,12 +35,8 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-_OPERATORS = ("<=", ">=", "<>", "!=", "=", "<", ">", "+", "-", "*", "/", "%")
-_PUNCT = "(),.;"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token with its source position (for error messages).
 
     ``raw`` preserves the source spelling for keywords (``value`` is the
@@ -52,8 +49,33 @@ class Token:
     pos: int
     raw: str = ""
 
-    def is_keyword(self, *names: str) -> bool:
-        return self.type is TokenType.KEYWORD and self.value in names
+
+#: Whitespace, then exactly one alternative per token start; each group
+#: spans its whole token.  Numbers are read from decimal digits only
+#: (``\d`` is ``str.isdecimal``), so ``²`` or ``①`` is an unexpected
+#: character rather than a NUMBER ``int()`` cannot read.  A string ends at
+#: a quote that is not doubled; a quote that opens no complete string is
+#: unterminated.
+_TOKEN = re.compile(
+    r"""\s*(?:
+        ([^\W\d]\w*)                             # 1 word
+      | ((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)   # 2 number
+      | (<=|>=|<>|!=|[=<>+\-*/%])                # 3 operator
+      | ([(),.;])                                # 4 punctuation
+      | ('[^']*(?:''[^']*)*'(?!'))               # 5 single-quoted string
+      | ("[^"]*(?:""[^"]*)*"(?!"))               # 6 double-quoted string
+      | (\Z)                                     # 7 end of text
+      | (['"])                                   # 8 unterminated string
+      | (.)                                      # 9 anything else
+    )""",
+    re.VERBOSE | re.DOTALL,
+)
+_WORD, _NUMBER, _OPERATOR, _PUNCT, _SINGLE, _DOUBLE, _END, _QUOTE = range(1, 9)
+_KEYWORD, _IDENT, _STRING, _EOF = (
+    TokenType.KEYWORD, TokenType.IDENT, TokenType.STRING, TokenType.EOF
+)
+_FIXED = (None, None, TokenType.NUMBER, TokenType.OPERATOR, TokenType.PUNCT)
+_new = tuple.__new__  # builds a Token without a Python-level __new__ frame
 
 
 class Lexer:
@@ -65,90 +87,36 @@ class Lexer:
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.pos = 0
 
     def tokens(self) -> list[Token]:
         out: list[Token] = []
-        while True:
-            tok = self._next()
-            out.append(tok)
-            if tok.type is TokenType.EOF:
+        append = out.append
+        for m in _TOKEN.finditer(self.text):
+            kind = m.lastindex
+            text, pos = m[kind], m.start(kind)
+            if kind == _WORD:
+                upper = text.upper()
+                if upper in KEYWORDS:
+                    append(_new(Token, (_KEYWORD, upper, pos, text)))
+                elif text[0].isalpha() or text[0] == "_":
+                    append(_new(Token, (_IDENT, text, pos, "")))
+                else:  # a numeric character that is no decimal digit, e.g. ½
+                    _unexpected(text[0], pos)
+            elif kind <= _PUNCT:
+                append(_new(Token, (_FIXED[kind], text, pos, "")))
+            elif kind <= _DOUBLE:
+                quote = text[0]
+                value = text[1:-1].replace(quote + quote, quote)
+                append(_new(Token, (_STRING, value, pos, "")))
+            elif kind == _END:
+                append(_new(Token, (_EOF, "", pos, "")))
                 return out
-
-    # ------------------------------------------------------------------
-    def _next(self) -> Token:
-        text, n = self.text, len(self.text)
-        while self.pos < n and text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= n:
-            return Token(TokenType.EOF, "", self.pos)
-        start = self.pos
-        ch = text[start]
-
-        if ch == "'" or ch == '"':
-            return self._string(ch)
-        if ch.isdigit() or (ch == "." and start + 1 < n and text[start + 1].isdigit()):
-            return self._number()
-        if ch.isalpha() or ch == "_":
-            return self._word()
-        for op in _OPERATORS:
-            if text.startswith(op, start):
-                self.pos += len(op)
-                return Token(TokenType.OPERATOR, op, start)
-        if ch in _PUNCT:
-            self.pos += 1
-            return Token(TokenType.PUNCT, ch, start)
-        raise SqlParseError(f"unexpected character {ch!r} at position {start}", start)
-
-    def _string(self, quote: str) -> Token:
-        start = self.pos
-        self.pos += 1
-        buf: list[str] = []
-        text, n = self.text, len(self.text)
-        while self.pos < n:
-            ch = text[self.pos]
-            if ch == quote:
-                # Doubled quote is an escaped quote ('' -> ').
-                if self.pos + 1 < n and text[self.pos + 1] == quote:
-                    buf.append(quote)
-                    self.pos += 2
-                    continue
-                self.pos += 1
-                return Token(TokenType.STRING, "".join(buf), start)
-            buf.append(ch)
-            self.pos += 1
-        raise SqlParseError(f"unterminated string starting at {start}", start)
-
-    def _number(self) -> Token:
-        start = self.pos
-        text, n = self.text, len(self.text)
-        seen_dot = False
-        while self.pos < n and (text[self.pos].isdigit() or text[self.pos] == "."):
-            if text[self.pos] == ".":
-                if seen_dot:
-                    break
-                seen_dot = True
-            self.pos += 1
-        # Exponent suffix (1e-3).
-        if self.pos < n and text[self.pos] in "eE":
-            save = self.pos
-            self.pos += 1
-            if self.pos < n and text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < n and text[self.pos].isdigit():
-                while self.pos < n and text[self.pos].isdigit():
-                    self.pos += 1
+            elif kind == _QUOTE:
+                raise SqlParseError(f"unterminated string starting at {pos}", pos)
             else:
-                self.pos = save
-        return Token(TokenType.NUMBER, text[start : self.pos], start)
+                _unexpected(text, pos)
+        raise AssertionError("the pattern always matches the end of the text")
 
-    def _word(self) -> Token:
-        start = self.pos
-        text, n = self.text, len(self.text)
-        while self.pos < n and (text[self.pos].isalnum() or text[self.pos] == "_"):
-            self.pos += 1
-        word = text[start : self.pos]
-        upper = word.upper()
-        if upper in KEYWORDS:
-            return Token(TokenType.KEYWORD, upper, start, raw=word)
-        return Token(TokenType.IDENT, word, start)
+
+def _unexpected(ch: str, pos: int) -> None:
+    raise SqlParseError(f"unexpected character {ch!r} at position {pos}", pos)

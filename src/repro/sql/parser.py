@@ -1,4 +1,5 @@
-"""Recursive-descent SQL parser for the GridRM dialect."""
+"""SQL parser for the GridRM dialect: recursive descent over statements,
+one precedence-climbing loop over expressions."""
 
 from __future__ import annotations
 
@@ -8,9 +9,11 @@ from repro.sql.lexer import Lexer, Token, TokenType
 
 #: Deepest nesting one expression may have: parenthesised levels while
 #: parsing, operator levels in the tree that results.  The parser
-#: recurses nine frames per parenthesis, and validation, plan binding and
-#: evaluation recurse once or twice per tree level, so this bound is what
-#: keeps a hostile query a typed error instead of a ``RecursionError``.
+#: recurses three frames per parenthesis (``expr``, ``binary``,
+#: ``primary``) plus one per operator level it sits to the right of, nine
+#: at most, and validation, plan binding and evaluation recurse once or
+#: twice per tree level, so this bound is what keeps a hostile query a
+#: typed error instead of a ``RecursionError``.
 MAX_EXPR_DEPTH = 64
 
 #: Child expressions per node type, for the iterative depth walk.
@@ -22,6 +25,34 @@ _CHILDREN = {
     ast.IsNull: lambda e: (e.expr,),
     ast.FuncCall: lambda e: e.args,
 }
+
+_KEYWORD = TokenType.KEYWORD
+_OPERATOR = TokenType.OPERATOR
+_PUNCT = TokenType.PUNCT
+_IDENT = TokenType.IDENT
+_NUMBER = TokenType.NUMBER
+_STRING = TokenType.STRING
+_EOF = TokenType.EOF
+
+#: Binding levels, loosest first.  ``NOT`` is a prefix at its level; a
+#: comparison (``=``, ``IN``, ``LIKE``, ``BETWEEN``, ``IS``, ``NOT IN``, …)
+#: takes one right-hand side and does not chain.
+_OR, _AND, _NOT, _CMP, _ADD, _MUL = range(1, 7)
+#: Level of each infix keyword or operator, by its token value.
+_INFIX = {
+    "OR": _OR,
+    "AND": _AND,
+    **dict.fromkeys(("=", "!=", "<>", "<", "<=", ">", ">="), _CMP),
+    **dict.fromkeys(("IN", "LIKE", "BETWEEN", "IS", "NOT"), _CMP),
+    **dict.fromkeys(("+", "-"), _ADD),
+    **dict.fromkeys(("*", "/", "%"), _MUL),
+}
+_NEGATABLE = frozenset(("IN", "LIKE", "BETWEEN"))
+_AGGREGATES = frozenset(("COUNT", "SUM", "AVG", "MIN", "MAX"))
+_COLUMN_TYPES = frozenset(("INTEGER", "REAL", "TEXT", "BOOLEAN", "TIMESTAMP"))
+#: Keywords that may name a column (e.g. "Timestamp"); the name keeps
+#: its source spelling through the token's raw text.
+_SOFT_KEYWORDS = _COLUMN_TYPES | _AGGREGATES
 
 
 def parse_statement(text: str) -> ast.Statement:
@@ -42,24 +73,25 @@ class _Parser:
         self.text = text
         self.toks = Lexer(text).tokens()
         self.i = 0
+        self.tok = self.toks[0]
         self.depth = 0
 
     # ------------------------------------------------------------------
     # Token plumbing
     # ------------------------------------------------------------------
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.i]
-
+    # The EOF token is last, so any other token has a successor.
     def advance(self) -> Token:
-        tok = self.toks[self.i]
-        if tok.type is not TokenType.EOF:
+        tok = self.tok
+        if tok.type is not _EOF:
             self.i += 1
+            self.tok = self.toks[self.i]
         return tok
 
-    def accept_keyword(self, *names: str) -> bool:
-        if self.cur.is_keyword(*names):
-            self.advance()
+    def accept_keyword(self, name: str) -> bool:
+        tok = self.tok
+        if tok.type is _KEYWORD and tok.value == name:
+            self.i += 1
+            self.tok = self.toks[self.i]
             return True
         return False
 
@@ -68,8 +100,10 @@ class _Parser:
             self.fail(f"expected {name}")
 
     def accept_punct(self, ch: str) -> bool:
-        if self.cur.type is TokenType.PUNCT and self.cur.value == ch:
-            self.advance()
+        tok = self.tok
+        if tok.type is _PUNCT and tok.value == ch:
+            self.i += 1
+            self.tok = self.toks[self.i]
             return True
         return False
 
@@ -77,36 +111,19 @@ class _Parser:
         if not self.accept_punct(ch):
             self.fail(f"expected {ch!r}")
 
-    def accept_op(self, *ops: str) -> str | None:
-        if self.cur.type is TokenType.OPERATOR and self.cur.value in ops:
-            return self.advance().value
-        return None
-
     def expect_ident(self) -> str:
-        if self.cur.type is TokenType.IDENT:
-            return self.advance().value
-        # Permit non-reserved-looking keywords as identifiers where
-        # unambiguous (e.g. a column named "Timestamp"), preserving the
-        # source spelling via the token's raw text.
-        if self.cur.type is TokenType.KEYWORD and self.cur.value in (
-            "TIMESTAMP",
-            "TEXT",
-            "REAL",
-            "INTEGER",
-            "BOOLEAN",
-            "COUNT",
-            "SUM",
-            "AVG",
-            "MIN",
-            "MAX",
-        ):
-            tok = self.advance()
+        tok = self.tok
+        if tok.type is _IDENT:
+            self.advance()
+            return tok.value
+        if tok.type is _KEYWORD and tok.value in _SOFT_KEYWORDS:
+            self.advance()
             return tok.raw or tok.value
         self.fail("expected identifier")
         raise AssertionError  # unreachable
 
-    def fail(self, message: str) -> None:
-        tok = self.cur
+    def fail(self, message: str, tok: Token | None = None) -> None:
+        tok = tok or self.tok
         raise SqlParseError(
             f"{message} at position {tok.pos} (near {tok.value!r}) in {self.text!r}",
             tok.pos,
@@ -116,28 +133,31 @@ class _Parser:
     # Statements
     # ------------------------------------------------------------------
     def statement(self) -> ast.Statement:
-        if self.cur.is_keyword("SELECT"):
+        tok = self.tok
+        word = tok.value if tok.type is _KEYWORD else ""
+        if word == "SELECT":
             stmt: ast.Statement = self.select()
-        elif self.cur.is_keyword("INSERT"):
+        elif word == "INSERT":
             stmt = self.insert()
-        elif self.cur.is_keyword("UPDATE"):
+        elif word == "UPDATE":
             stmt = self.update()
-        elif self.cur.is_keyword("DELETE"):
+        elif word == "DELETE":
             stmt = self.delete()
-        elif self.cur.is_keyword("CREATE"):
+        elif word == "CREATE":
             stmt = self.create_table()
-        elif self.cur.is_keyword("DROP"):
+        elif word == "DROP":
             stmt = self.drop_table()
         else:
             self.fail("expected a statement keyword")
             raise AssertionError
         self.accept_punct(";")
-        if self.cur.type is not TokenType.EOF:
+        if self.tok.type is not _EOF:
             self.fail("unexpected trailing input")
         return stmt
 
+    # Each statement method starts on its (already checked) keyword.
     def select(self) -> ast.Select:
-        self.expect_keyword("SELECT")
+        self.advance()
         distinct = self.accept_keyword("DISTINCT")
         items = [self.select_item()]
         while self.accept_punct(","):
@@ -192,31 +212,30 @@ class _Parser:
         alias = None
         if self.accept_keyword("AS"):
             alias = self.expect_ident()
-        elif self.cur.type is TokenType.IDENT:
+        elif self.tok.type is _IDENT:
             alias = self.advance().value
         return ast.SelectItem(expr=expr, alias=alias)
 
     def order_item(self) -> ast.OrderItem:
         expr = self.expr()
-        descending = False
-        if self.accept_keyword("DESC"):
-            descending = True
-        else:
+        descending = self.accept_keyword("DESC")
+        if not descending:
             self.accept_keyword("ASC")
         return ast.OrderItem(expr=expr, descending=descending)
 
     def int_literal(self) -> int:
-        if self.cur.type is not TokenType.NUMBER:
+        tok = self.tok
+        if tok.type is not _NUMBER:
             self.fail("expected integer")
-        value = self.advance().value
+        self.advance()
         try:
-            return int(value)
+            return int(tok.value)
         except ValueError:
-            self.fail(f"expected integer, got {value!r}")
+            self.fail(f"expected integer, got {tok.value!r}", tok)
             raise AssertionError from None
 
     def insert(self) -> ast.Insert:
-        self.expect_keyword("INSERT")
+        self.advance()
         self.expect_keyword("INTO")
         table = self.expect_ident()
         columns: list[str] = []
@@ -244,14 +263,15 @@ class _Parser:
         return ast.Insert(table=table, columns=tuple(columns), rows=tuple(rows))
 
     def update(self) -> ast.Update:
-        self.expect_keyword("UPDATE")
+        self.advance()
         table = self.expect_ident()
         self.expect_keyword("SET")
         assignments: list[tuple[str, ast.Expr]] = []
         while True:
             col = self.expect_ident()
-            if not self.accept_op("="):
+            if self.tok.type is not _OPERATOR or self.tok.value != "=":
                 self.fail("expected '=' in SET clause")
+            self.advance()
             assignments.append((col, self.expr()))
             if not self.accept_punct(","):
                 break
@@ -259,14 +279,14 @@ class _Parser:
         return ast.Update(table=table, assignments=tuple(assignments), where=where)
 
     def delete(self) -> ast.Delete:
-        self.expect_keyword("DELETE")
+        self.advance()
         self.expect_keyword("FROM")
         table = self.expect_ident()
         where = self.expr() if self.accept_keyword("WHERE") else None
         return ast.Delete(table=table, where=where)
 
     def create_table(self) -> ast.CreateTable:
-        self.expect_keyword("CREATE")
+        self.advance()
         self.expect_keyword("TABLE")
         if_not_exists = False
         if self.accept_keyword("IF"):
@@ -279,7 +299,7 @@ class _Parser:
         while True:
             name = self.expect_ident()
             ctype = "TEXT"
-            if self.cur.is_keyword("INTEGER", "REAL", "TEXT", "BOOLEAN", "TIMESTAMP"):
+            if self.tok.type is _KEYWORD and self.tok.value in _COLUMN_TYPES:
                 ctype = self.advance().value
             columns.append(ast.ColumnDef(name=name, type=ctype))
             if not self.accept_punct(","):
@@ -290,7 +310,7 @@ class _Parser:
         )
 
     def drop_table(self) -> ast.DropTable:
-        self.expect_keyword("DROP")
+        self.advance()
         self.expect_keyword("TABLE")
         if_exists = False
         if self.accept_keyword("IF"):
@@ -306,10 +326,12 @@ class _Parser:
         if self.depth > MAX_EXPR_DEPTH:
             self.fail_too_deep()
         try:
-            node = self.or_expr()
+            node = self.binary(_OR)
         finally:
             self.depth -= 1
-        if self.depth == 0:
+        # Each tree level takes a token of its own, so a text of at most
+        # MAX_EXPR_DEPTH tokens cannot build a tree deeper than that.
+        if self.depth == 0 and len(self.toks) > MAX_EXPR_DEPTH:
             self.check_tree_depth(node)
         return node
 
@@ -329,140 +351,131 @@ class _Parser:
             if children is not None:
                 stack.extend((child, depth + 1) for child in children(node))
 
-    def or_expr(self) -> ast.Expr:
-        left = self.and_expr()
-        while self.accept_keyword("OR"):
-            left = ast.BinOp(op="OR", left=left, right=self.and_expr())
-        return left
-
-    def and_expr(self) -> ast.Expr:
-        left = self.not_expr()
-        while self.accept_keyword("AND"):
-            left = ast.BinOp(op="AND", left=left, right=self.not_expr())
-        return left
-
-    def not_expr(self) -> ast.Expr:
-        nots = 0
-        while self.accept_keyword("NOT"):
-            nots += 1
-        node = self.comparison()
-        for _ in range(nots):
-            node = ast.UnaryOp(op="NOT", operand=node)
-        return node
-
-    def comparison(self) -> ast.Expr:
-        left = self.additive()
-        op = self.accept_op("=", "!=", "<>", "<", "<=", ">", ">=")
-        if op is not None:
-            if op == "<>":
-                op = "!="
-            return ast.BinOp(op=op, left=left, right=self.additive())
-
-        negated = False
-        if self.cur.is_keyword("NOT"):
-            # Lookahead for NOT IN / NOT LIKE / NOT BETWEEN.
-            nxt = self.toks[self.i + 1]
-            if nxt.is_keyword("IN", "LIKE", "BETWEEN"):
+    def binary(self, floor: int) -> ast.Expr:
+        """An expression whose infix operators all bind at ``floor`` or
+        tighter.  A chain of one level loops here and each right-hand
+        side binds one level tighter, so ``a - b - c`` is ``(a - b) - c``;
+        ``ceiling`` stops what may follow a comparison or a NOT, or a
+        looser operator, from binding to it."""
+        tok = self.tok
+        if floor <= _NOT and tok.type is _KEYWORD and tok.value == "NOT":
+            nots = 0
+            while tok.type is _KEYWORD and tok.value == "NOT":
+                nots += 1
                 self.advance()
-                negated = True
+                tok = self.tok
+            left = self.binary(_CMP)
+            for _ in range(nots):
+                left = ast.UnaryOp("NOT", left)
+            ceiling = _AND
+        else:
+            negations = 0
+            while tok.type is _OPERATOR and (tok.value == "-" or tok.value == "+"):
+                negations += tok.value == "-"
+                self.advance()
+                tok = self.tok
+            left = self.primary()
+            for _ in range(negations):
+                left = ast.UnaryOp("-", left)
+            ceiling = _MUL
+        while True:
+            tok = self.tok
+            if tok.type is not _KEYWORD and tok.type is not _OPERATOR:
+                return left
+            level = _INFIX.get(tok.value)
+            if level is None or not floor <= level <= ceiling:
+                return left
+            if level == _CMP:
+                if tok.value == "NOT":  # only NOT IN / NOT LIKE / NOT BETWEEN
+                    nxt = self.toks[self.i + 1]
+                    if nxt.type is not _KEYWORD or nxt.value not in _NEGATABLE:
+                        return left
+                left = self.comparison(left)
+                ceiling = _AND
+                continue
+            self.advance()
+            left = ast.BinOp(tok.value, left, self.binary(level + 1))
+            ceiling = level
 
-        if self.accept_keyword("IN"):
+    def comparison(self, left: ast.Expr) -> ast.Expr:
+        """``left`` and one comparison, read from its operator on."""
+        tok = self.advance()
+        op = tok.value
+        if tok.type is _OPERATOR:
+            return ast.BinOp("!=" if op == "<>" else op, left, self.binary(_ADD))
+        negated = op == "NOT"
+        if negated:
+            op = self.advance().value
+        if op == "IN":
             self.expect_punct("(")
             items = [self.expr()]
             while self.accept_punct(","):
                 items.append(self.expr())
             self.expect_punct(")")
             return ast.InList(expr=left, items=tuple(items), negated=negated)
-        if self.accept_keyword("LIKE"):
-            node = ast.BinOp(op="LIKE", left=left, right=self.additive())
-            return ast.UnaryOp(op="NOT", operand=node) if negated else node
-        if self.accept_keyword("BETWEEN"):
-            low = self.additive()
+        if op == "LIKE":
+            node = ast.BinOp("LIKE", left, self.binary(_ADD))
+            return ast.UnaryOp("NOT", node) if negated else node
+        if op == "BETWEEN":
+            low = self.binary(_ADD)
             self.expect_keyword("AND")
-            high = self.additive()
+            high = self.binary(_ADD)
             return ast.Between(expr=left, low=low, high=high, negated=negated)
-        if self.accept_keyword("IS"):
-            is_not = self.accept_keyword("NOT")
-            self.expect_keyword("NULL")
-            return ast.IsNull(expr=left, negated=is_not)
-        return left
-
-    def additive(self) -> ast.Expr:
-        left = self.multiplicative()
-        while True:
-            op = self.accept_op("+", "-")
-            if op is None:
-                return left
-            left = ast.BinOp(op=op, left=left, right=self.multiplicative())
-
-    def multiplicative(self) -> ast.Expr:
-        left = self.unary()
-        while True:
-            op = self.accept_op("*", "/", "%")
-            if op is None:
-                return left
-            left = ast.BinOp(op=op, left=left, right=self.unary())
-
-    def unary(self) -> ast.Expr:
-        negations = 0
-        while (sign := self.accept_op("-", "+")) is not None:
-            negations += sign == "-"
-        node = self.primary()
-        for _ in range(negations):
-            node = ast.UnaryOp(op="-", operand=node)
-        return node
+        is_not = self.accept_keyword("NOT")  # IS [NOT] NULL
+        self.expect_keyword("NULL")
+        return ast.IsNull(expr=left, negated=is_not)
 
     def primary(self) -> ast.Expr:
-        tok = self.cur
-        if tok.type is TokenType.NUMBER:
+        tok = self.tok
+        kind = tok.type
+        if kind is _IDENT or (kind is _KEYWORD and tok.value in _COLUMN_TYPES):
+            name = self.expect_ident()
+            tok = self.tok
+            if tok.type is _PUNCT and tok.value == "(":  # a function call
+                return self.func_call(name.upper())
+            if tok.type is _PUNCT and tok.value == ".":  # table.column, table.*
+                self.advance()
+                tok = self.tok
+                if tok.type is _OPERATOR and tok.value == "*":
+                    self.advance()
+                    return ast.Star(table=name)
+                return ast.Column(self.expect_ident(), name)
+            return ast.Column(name)
+        if kind is _NUMBER:
             self.advance()
             text = tok.value
-            value: object
-            if "." in text or "e" in text or "E" in text:
-                value = float(text)
-            else:
-                value = int(text)
+            try:
+                value = float(text) if "." in text or "e" in text or "E" in text else int(text)
+            except ValueError:
+                self.fail("unreadable number", tok)
+                raise AssertionError from None
             return ast.Literal(value)
-        if tok.type is TokenType.STRING:
+        if kind is _STRING:
             self.advance()
             return ast.Literal(tok.value)
-        if tok.is_keyword("NULL"):
-            self.advance()
-            return ast.Literal(None)
-        if tok.is_keyword("TRUE"):
-            self.advance()
-            return ast.Literal(True)
-        if tok.is_keyword("FALSE"):
-            self.advance()
-            return ast.Literal(False)
-        if tok.is_keyword("COUNT", "SUM", "AVG", "MIN", "MAX"):
-            self.advance()
-            return self.func_call(tok.value)
-        if tok.type is TokenType.OPERATOR and tok.value == "*":
+        if kind is _KEYWORD:
+            word = tok.value
+            if word in _AGGREGATES:
+                self.advance()
+                return self.func_call(word)
+            if word == "NULL" or word == "TRUE" or word == "FALSE":
+                self.advance()
+                return ast.Literal(None if word == "NULL" else word == "TRUE")
+            self.fail("expected identifier")
+        if kind is _OPERATOR and tok.value == "*":
             self.advance()
             return ast.Star()
-        if self.accept_punct("("):
+        if kind is _PUNCT and tok.value == "(":
+            self.advance()
             inner = self.expr()
             self.expect_punct(")")
             return inner
-        if tok.type is TokenType.IDENT or tok.type is TokenType.KEYWORD:
-            name = self.expect_ident()
-            # Function call on a plain identifier.
-            if self.cur.type is TokenType.PUNCT and self.cur.value == "(":
-                return self.func_call(name.upper())
-            # Qualified name: table.column or table.*
-            if self.accept_punct("."):
-                if self.cur.type is TokenType.OPERATOR and self.cur.value == "*":
-                    self.advance()
-                    return ast.Star(table=name)
-                return ast.Column(name=self.expect_ident(), table=name)
-            return ast.Column(name=name)
         self.fail("expected expression")
         raise AssertionError
 
     def func_call(self, name: str) -> ast.FuncCall:
         self.expect_punct("(")
-        if self.cur.type is TokenType.OPERATOR and self.cur.value == "*":
+        if self.tok.type is _OPERATOR and self.tok.value == "*":
             self.advance()
             self.expect_punct(")")
             return ast.FuncCall(name=name, star=True)

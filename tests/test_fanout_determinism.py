@@ -297,6 +297,39 @@ class TestBatchSurfaces:
         (alone,) = fresh_site().gateway.acil.query_many([honest])
         assert replies[0].rows == replies[2].rows == alone.rows != []
 
+    def test_acil_query_many_survives_an_unreadable_number(self):
+        """A non-decimal digit in one member's SQL is that member's typed
+        parse error (it used to be a raw ValueError out of ``int()`` that
+        lost the honest member's answer too)."""
+        from repro.core.acil import ClientRequest
+
+        site = fresh_site()
+        urls = source_urls(site)
+        honest = ClientRequest(urls=urls, sql="SELECT * FROM Processor")
+        bad = ClientRequest(urls=urls, sql="SELECT * FROM Processor WHERE CPUCount > \u00b2")
+        replies = site.gateway.acil.query_many([honest, bad])
+        assert [r.ok for r in replies] == [True, False]
+        assert replies[0].rows
+        position = bad.sql.index("\u00b2")
+        assert f"unexpected character '\u00b2' at position {position}" in replies[1].error
+
+    def test_query_batch_pins_a_bare_string_url_as_one_url(self, monkeypatch):
+        """A member whose ``urls`` is one string pins that URL, not its
+        characters, and is answered like ``Gateway.query`` answers it."""
+        site = fresh_site()
+        gw = site.gateway
+        url = source_urls(site)[0]
+        pinned = []
+        pin = gw.health.pin
+        monkeypatch.setattr(
+            gw.health, "pin", lambda key, decision: pinned.append(key) or pin(key, decision)
+        )
+        (result,) = gw.query_batch([BatchQuery(urls=url, sql="SELECT * FROM Processor")])
+        assert pinned[0] == url
+        assert set(pinned) == {url}
+        assert [s.url for s in result.statuses] == [url]
+        assert result.statuses[0].ok and result.rows
+
     def test_console_poll_all_uses_one_fanout(self):
         from repro.web.console import Console
 

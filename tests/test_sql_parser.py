@@ -1,5 +1,7 @@
 """Unit tests for the SQL parser."""
 
+import sys
+
 import pytest
 
 from repro.sql import ast_nodes as ast
@@ -169,6 +171,53 @@ class TestDepthBound:
             "-", ast.UnaryOp("-", ast.Column("x"))
         )
         assert stmt.where == ast.UnaryOp("NOT", ast.UnaryOp("NOT", ast.Column("y")))
+
+
+class TestUnreadableNumbers:
+    """A number the interpreter cannot read is a typed parse error at the
+    literal, never a raw ``ValueError`` out of ``int`` / ``float``."""
+
+    PREFIX = "SELECT * FROM T WHERE x = "
+
+    @pytest.mark.parametrize(
+        "literal, message, offset",
+        [
+            ("\u00b2", "unexpected character '\u00b2'", 0),  # superscript two
+            ("\u2460", "unexpected character '\u2460'", 0),  # circled one
+            ("1e\u00b2", "unexpected trailing input", 1),  # 1, then identifier e\u00b2
+            ("7 + \u00b2", "unexpected character '\u00b2'", 4),
+        ],
+    )
+    def test_a_non_decimal_digit_is_an_unexpected_character(self, literal, message, offset):
+        with pytest.raises(SqlParseError, match=message) as err:
+            parse_select(self.PREFIX + literal)
+        assert err.value.position == len(self.PREFIX) + offset
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="this interpreter reads integers of any length",
+    )
+    def test_an_integer_past_the_int_string_limit_is_a_parse_error(self):
+        with pytest.raises(SqlParseError, match="unreadable number") as err:
+            parse_select(self.PREFIX + "1" * 5000 + " OR x = 2")
+        assert err.value.position == len(self.PREFIX)
+
+    def test_other_decimal_digits_still_read(self):
+        assert parse_select(self.PREFIX + "\u0663").where.right == ast.Literal(3)
+
+    @pytest.mark.parametrize(
+        "text, position, near",
+        [
+            ("SELECT * FROM T LIMIT 2.5", 22, "'2.5'"),
+            ("SELECT * FROM T LIMIT 2 OFFSET 1e3", 31, "'1e3'"),
+            ("SELECT * FROM T LIMIT x", 22, "'x'"),
+        ],
+    )
+    def test_limit_and_offset_errors_point_at_the_literal(self, text, position, near):
+        with pytest.raises(SqlParseError, match="expected integer") as err:
+            parse_select(text)
+        assert err.value.position == position
+        assert f"at position {position} (near {near})" in str(err.value)
 
 
 class TestClauses:

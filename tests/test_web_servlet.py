@@ -116,6 +116,16 @@ class TestQueryEndpoint:
         code, body = get(site, servlet, f"/query?url={url}&sql=SELEKT")
         assert code == 500
 
+    def test_unreadable_number_is_a_typed_500(self, site, servlet):
+        """A superscript digit passes ``str.isdigit`` and used to escape the
+        servlet as a raw ValueError out of ``int()``."""
+        url = site.url_for("snmp").replace(":", "%3A")
+        sql = "SELECT%20HostName%20FROM%20Host%20WHERE%20CPUCount%20%3E%20%C2%B2"
+        code, body = get(site, servlet, f"/query?url={url}&sql={sql}")
+        assert code == 500
+        position = len("SELECT HostName FROM Host WHERE CPUCount > ")
+        assert body.startswith(f"SqlParseError: unexpected character '\u00b2' at position {position}")
+
     def test_hostile_url_port_is_a_typed_500(self, site, servlet):
         """A port past Python's int-conversion limit used to escape the
         servlet as a raw ValueError, into the caller's stack."""
