@@ -79,7 +79,6 @@ class _Parser:
     # ------------------------------------------------------------------
     # Token plumbing
     # ------------------------------------------------------------------
-    # The EOF token is last, so any other token has a successor.
     def advance(self) -> Token:
         tok = self.tok
         if tok.type is not _EOF:
@@ -90,8 +89,7 @@ class _Parser:
     def accept_keyword(self, name: str) -> bool:
         tok = self.tok
         if tok.type is _KEYWORD and tok.value == name:
-            self.i += 1
-            self.tok = self.toks[self.i]
+            self.advance()
             return True
         return False
 
@@ -102,8 +100,7 @@ class _Parser:
     def accept_punct(self, ch: str) -> bool:
         tok = self.tok
         if tok.type is _PUNCT and tok.value == ch:
-            self.i += 1
-            self.tok = self.toks[self.i]
+            self.advance()
             return True
         return False
 
@@ -354,9 +351,10 @@ class _Parser:
     def binary(self, floor: int) -> ast.Expr:
         """An expression whose infix operators all bind at ``floor`` or
         tighter.  A chain of one level loops here and each right-hand
-        side binds one level tighter, so ``a - b - c`` is ``(a - b) - c``;
-        ``ceiling`` stops what may follow a comparison or a NOT, or a
-        looser operator, from binding to it."""
+        side binds one level tighter, so ``a - b - c`` is ``(a - b) - c``.
+        ``ceiling`` is the tightest level that may still extend ``left``:
+        after ``a + b`` no ``*``, and after a comparison or a NOT prefix
+        only AND and OR (comparisons do not chain)."""
         tok = self.tok
         if floor <= _NOT and tok.type is _KEYWORD and tok.value == "NOT":
             nots = 0
