@@ -182,11 +182,12 @@ class TestUnreadableNumbers:
     @pytest.mark.parametrize(
         "literal, message, offset",
         [
-            ("\u00b2", "unexpected character '\u00b2'", 0),  # superscript two
-            ("\u2460", "unexpected character '\u2460'", 0),  # circled one
+            ("\u00b2", "unexpected character '\u00b2'", 0),
+            ("\u2460", "unexpected character '\u2460'", 0),
             ("1e\u00b2", "unexpected trailing input", 1),  # 1, then identifier e\u00b2
             ("7 + \u00b2", "unexpected character '\u00b2'", 4),
         ],
+        ids=["superscript-two", "circled-one", "superscript-exponent", "after-an-operator"],
     )
     def test_a_non_decimal_digit_is_an_unexpected_character(self, literal, message, offset):
         with pytest.raises(SqlParseError, match=message) as err:
@@ -212,6 +213,7 @@ class TestUnreadableNumbers:
             ("SELECT * FROM T LIMIT 2 OFFSET 1e3", 31, "'1e3'"),
             ("SELECT * FROM T LIMIT x", 22, "'x'"),
         ],
+        ids=["limit-fraction", "offset-exponent", "limit-name"],
     )
     def test_limit_and_offset_errors_point_at_the_literal(self, text, position, near):
         with pytest.raises(SqlParseError, match="expected integer") as err:
