@@ -27,7 +27,7 @@ from repro.analysis.rules import (
     LintRule,
     ModuleContext,
     all_rules,
-    expected_signature,
+    signature_mismatch,
 )
 
 #: Members every concrete driver must supply (the GLUE implementation
@@ -73,27 +73,28 @@ def check_source(
     return sorted(findings, key=lambda f: (f.line, f.rule_id, f.message))
 
 
-#: Per-module memo for :func:`check_module`: a gateway conformance-checks
-#: its whole driver set at start-up, and test suites build many gateways
-#: over the same six shipped modules.
-_MODULE_CACHE: dict[str, list[Finding]] = {}
+#: Memo for :func:`check_module`, keyed by the exact (path, source text)
+#: it checked — a plug-in fixed and reloaded in place is checked afresh.
+#: A gateway conformance-checks its whole driver set at start-up, and
+#: test suites build many gateways over the same six shipped modules.
+MODULE_CACHE_SIZE = 64
+_MODULE_CACHE: dict[tuple[str, str], list[Finding]] = {}
 
 
 def check_module(module: Any) -> list[Finding]:
-    """AST-check an imported module object (memoised per module name)."""
-    name = getattr(module, "__name__", repr(module))
-    cached = _MODULE_CACHE.get(name)
-    if cached is not None:
-        return list(cached)
+    """AST-check an imported module object (memoised by its source)."""
     try:
         source = inspect.getsource(module)
-        path = inspect.getsourcefile(module) or name
+        path = inspect.getsourcefile(module) or getattr(module, "__name__", "")
     except (OSError, TypeError):
         # Built in REPL / exec'd source: nothing to inspect statically.
-        _MODULE_CACHE[name] = []
         return []
-    findings = check_source(source, path)
-    _MODULE_CACHE[name] = findings
+    findings = _MODULE_CACHE.get((path, source))
+    if findings is None:
+        findings = check_source(source, path)
+        if len(_MODULE_CACHE) >= MODULE_CACHE_SIZE:
+            del _MODULE_CACHE[next(iter(_MODULE_CACHE))]
+        _MODULE_CACHE[path, source] = findings
     return list(findings)
 
 
@@ -106,52 +107,26 @@ def clear_module_cache() -> None:
 # Introspection over live driver objects
 # ----------------------------------------------------------------------
 def _signature_finding(driver_cls: type, method_name: str) -> "Finding | None":
-    required = expected_signature(method_name)
-    if required is None:
-        return None
-    method = getattr(driver_cls, method_name, None)
-    if method is None or not callable(method):
-        return None
+    """GRM104 over the live class: the raw attribute's parameters go to
+    the same comparison the AST rule uses."""
+    raw = inspect.getattr_static(driver_cls, method_name, None)
     try:
-        sig = inspect.signature(method)
+        # A staticmethod / classmethod wraps the function it describes.
+        params = inspect.signature(getattr(raw, "__func__", raw)).parameters
     except (TypeError, ValueError):
         return None
-    positional = [
-        p.name
-        for p in sig.parameters.values()
-        if p.kind
-        in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        )
-    ]
-    # Unbound functions carry self; bound methods / C callables may not.
-    if positional and positional[0] == "self":
-        positional = positional[1:]
-    has_default = [
-        p.name
-        for p in sig.parameters.values()
-        if p.default is not inspect.Parameter.empty
-    ]
-    got = tuple(positional)
-    required_part = tuple(n for n in got if n not in has_default)
-    ok = (
-        got[: len(required)] == required
-        and len(required_part) <= len(required)
-        and not any(
-            p.kind is inspect.Parameter.VAR_POSITIONAL
-            for p in sig.parameters.values()
-        )
+    message = signature_mismatch(
+        driver_cls.__name__,
+        method_name,
+        list(params.values()),
+        static=isinstance(raw, staticmethod),
     )
-    if ok:
+    if not message:
         return None
     return Finding(
         rule_id="GRM104",
         severity=Severity.ERROR,
-        message=(
-            f"{driver_cls.__name__}.{method_name}{sig} does not match the "
-            f"DDK signature {method_name}({', '.join(('self',) + required)})"
-        ),
+        message=message,
         path=getattr(driver_cls, "__module__", ""),
         symbol=f"{driver_cls.__name__}.{method_name}",
     )
@@ -222,19 +197,14 @@ def check_driver(driver: Any) -> list[Finding]:
             and issubclass(obj, GridRmDriver)
             and name != driver_cls.__name__
         }
-        for f in check_module(module):
-            owner = f.symbol.partition(".")[0]
-            if owner in sibling_drivers:
-                continue
-            findings.append(f)
+        findings += [
+            f
+            for f in check_module(module)
+            if f.symbol.partition(".")[0] not in sibling_drivers
+        ]
     # De-duplicate: the AST signature rule and the introspection check
-    # can both flag the same method.
-    seen: set[tuple[str, str]] = set()
-    unique: list[Finding] = []
+    # flag the same method alike.
+    unique: dict[tuple[str, str], Finding] = {}
     for f in findings:
-        key = (f.rule_id, f.symbol)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(f)
-    return unique
+        unique.setdefault((f.rule_id, f.symbol), f)
+    return list(unique.values())

@@ -10,9 +10,9 @@ breakage shows up as an unreproducible benchmark, not as a test failure.
 
 These rules make the determinism contract a *checked* property:
 
-* **GRM501** — wall-clock sources beyond GRM101's canonical set
-  (``time.monotonic_ns``, ``time.process_time``, ``time.localtime`` /
-  ``gmtime`` / ``ctime`` / ``asctime``, ``os.times``, ``date.today``);
+* **GRM101** (:mod:`repro.analysis.rules`) — every stdlib wall-clock
+  read (``time.*`` clocks and ``sleep``, ``datetime.now`` / ``today``,
+  ``date.today``, ``os.times``);
 * **GRM502** — module-level ``random`` use (the shared global generator
   is seeded from OS entropy) and unseeded ``random.Random()``;
 * **GRM503** — iteration over ``set`` / ``frozenset`` expressions
@@ -20,8 +20,14 @@ These rules make the determinism contract a *checked* property:
   ``sorted(...)`` wrapper;
 * **GRM504** — ``id()`` / ``hash()``-dependent ordering: ``id(...)``
   calls, and ``id`` / ``hash`` used as a sort key;
-* **GRM505** — entropy sources: ``os.urandom``, ``uuid.uuid1`` /
-  ``uuid4``, the ``secrets`` module, ``random.SystemRandom``.
+* **GRM505** — entropy sources: ``os.urandom`` / ``getrandom``,
+  ``uuid.uuid1`` / ``uuid4``, the ``secrets`` module,
+  ``random.SystemRandom``.
+
+GRM101, GRM502 and GRM505 are rows of one table,
+:data:`repro.analysis.rules.STDLIB_HAZARDS`, read through the module's
+imports: ``import time as t; t.time()`` and ``from os import urandom``
+are caught, a parameter that happens to be named ``time`` is not.
 
 Deliberate escapes are annotated in place::
 
@@ -52,38 +58,9 @@ from repro.analysis.rules import (
     LintRule,
     ModuleContext,
     Severity,
+    StdlibRule,
     register_rule,
 )
-
-#: Wall-clock reads GRM101 does not already cover.  GRM501 extends the
-#: virtual-clock discipline to the long tail of stdlib clock accessors;
-#: both rules honour the same ``allow-wallclock`` escape.
-_EXTENDED_WALL_CLOCK = {
-    "time": {
-        "monotonic_ns",
-        "process_time",
-        "process_time_ns",
-        "thread_time",
-        "thread_time_ns",
-        "localtime",
-        "gmtime",
-        "ctime",
-        "asctime",
-    },
-    "os": {"times"},
-    "date": {"today"},
-}
-
-#: ``random`` module members that are *not* the module-level generator:
-#: constructing an explicitly seeded instance is the sanctioned idiom.
-_RANDOM_FACTORY = "Random"
-
-#: Entropy sources: reads of OS randomness that can never replay.
-_ENTROPY_CALLS = {
-    "os": {"urandom", "getrandom"},
-    "uuid": {"uuid1", "uuid4"},
-    "random": {"SystemRandom"},
-}
 
 #: Aggregating sinks for which iteration order genuinely does not
 #: matter: consuming a set through these is deterministic.
@@ -105,47 +82,8 @@ _ORDER_INSENSITIVE_SINKS = frozenset(
 _SORT_CALLS = frozenset({"sorted", "sort", "min", "max"})
 
 
-def _owner_name(func: ast.expr) -> str:
-    """The textual owner of an attribute access (``time`` in
-    ``time.monotonic_ns``; ``date`` in ``datetime.date.today``)."""
-    if isinstance(func, ast.Attribute):
-        owner = func.value
-        if isinstance(owner, ast.Name):
-            return owner.id
-        if isinstance(owner, ast.Attribute):
-            return owner.attr
-    return ""
-
-
 @register_rule
-class ExtendedWallClockRule(LintRule):
-    """Replay identity: the stdlib's long tail of clock accessors."""
-
-    rule_id = "GRM501"
-    severity = Severity.ERROR
-    title = "extended wall-clock read (breaks replay identity)"
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-                continue
-            if module.allowed(node, "wallclock"):
-                continue
-            owner = _owner_name(node.func)
-            bad = _EXTENDED_WALL_CLOCK.get(owner)
-            if bad and node.func.attr in bad:
-                yield self.finding(
-                    module,
-                    node,
-                    f"{owner}.{node.func.attr}() reads the wall clock; all "
-                    "timing must come from the virtual clock "
-                    "(# grm: allow-wallclock to escape)",
-                    symbol=f"{owner}.{node.func.attr}",
-                )
-
-
-@register_rule
-class UnseededRandomRule(LintRule):
+class UnseededRandomRule(StdlibRule):
     """Replay identity: no module-level or unseeded random generators.
 
     The module-level functions (``random.random()``, ``random.choice``,
@@ -158,85 +96,11 @@ class UnseededRandomRule(LintRule):
     rule_id = "GRM502"
     severity = Severity.ERROR
     title = "module-level or unseeded random (pass an explicit seed)"
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        random_names = self._random_aliases(module)
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "random":
-                bad = sorted(
-                    a.name
-                    for a in node.names
-                    if a.name not in (_RANDOM_FACTORY, "SystemRandom")
-                )
-                if bad and not module.allowed(node, "random"):
-                    yield self.finding(
-                        module,
-                        node,
-                        "imports module-level random function(s) "
-                        f"{', '.join(bad)}; use a seeded random.Random "
-                        "instance (# grm: allow-random to escape)",
-                        symbol=f"import-random-{'-'.join(bad)}",
-                    )
-                continue
-            if not isinstance(node, ast.Call):
-                continue
-            if module.allowed(node, "random"):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute) and _owner_name(func) in random_names:
-                if func.attr == "SystemRandom":
-                    continue  # entropy: GRM505's finding, not ours
-                if func.attr == _RANDOM_FACTORY:
-                    if not node.args and not node.keywords:
-                        yield self.finding(
-                            module,
-                            node,
-                            "random.Random() without a seed draws its seed "
-                            "from OS entropy; pass an explicit seed",
-                            symbol="random.Random",
-                        )
-                    continue
-                yield self.finding(
-                    module,
-                    node,
-                    f"random.{func.attr}() uses the shared module-level "
-                    "generator; draw from a seeded random.Random instead "
-                    "(# grm: allow-random to escape)",
-                    symbol=f"random.{func.attr}",
-                )
-            elif (
-                isinstance(func, ast.Name)
-                and func.id == _RANDOM_FACTORY
-                and _RANDOM_FACTORY in self._from_imports(module)
-                and not node.args
-                and not node.keywords
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    "Random() without a seed draws its seed from OS "
-                    "entropy; pass an explicit seed",
-                    symbol="random.Random",
-                )
-
-    @staticmethod
-    def _random_aliases(module: ModuleContext) -> set[str]:
-        """Names the ``random`` module is bound to (import aliases)."""
-        names = {"random"}
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random" and alias.asname:
-                        names.add(alias.asname)
-        return names
-
-    @staticmethod
-    def _from_imports(module: ModuleContext) -> set[str]:
-        out: set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "random":
-                out.update(a.asname or a.name for a in node.names)
-        return out
+    tag = "random"
+    hazard = (
+        "draws from a generator seeded by OS entropy; use an explicitly "
+        "seeded random.Random instance"
+    )
 
 
 class _SetTracker(ast.NodeVisitor):
@@ -508,78 +372,17 @@ class IdentityOrderRule(LintRule):
 
 
 @register_rule
-class EntropySourceRule(LintRule):
+class EntropySourceRule(StdlibRule):
     """Replay identity: no OS entropy in the simulation substrate."""
 
     rule_id = "GRM505"
     severity = Severity.ERROR
     title = "entropy source (os.urandom/uuid4/secrets cannot replay)"
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if (
-                        alias.name == "secrets"
-                        or alias.name.startswith("secrets.")
-                    ) and not module.allowed(node, "entropy"):
-                        yield self.finding(
-                            module,
-                            node,
-                            "imports the secrets module; OS entropy can "
-                            "never replay (# grm: allow-entropy to escape)",
-                            symbol="import-secrets",
-                        )
-                continue
-            if isinstance(node, ast.ImportFrom):
-                bad_from = {
-                    "os": {"urandom", "getrandom"},
-                    "uuid": {"uuid1", "uuid4"},
-                    "random": {"SystemRandom"},
-                }.get(node.module or "")
-                if bad_from:
-                    names = sorted(
-                        a.name for a in node.names if a.name in bad_from
-                    )
-                    if names and not module.allowed(node, "entropy"):
-                        yield self.finding(
-                            module,
-                            node,
-                            f"imports entropy source(s) {', '.join(names)} "
-                            f"from {node.module} "
-                            "(# grm: allow-entropy to escape)",
-                            symbol=f"import-{node.module}-{'-'.join(names)}",
-                        )
-                if (node.module or "") == "secrets" and not module.allowed(
-                    node, "entropy"
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        "imports from the secrets module; OS entropy can "
-                        "never replay (# grm: allow-entropy to escape)",
-                        symbol="import-secrets",
-                    )
-                continue
-            if not (
-                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            ):
-                continue
-            if module.allowed(node, "entropy"):
-                continue
-            owner = _owner_name(node.func)
-            bad = _ENTROPY_CALLS.get(owner)
-            if bad and node.func.attr in bad:
-                yield self.finding(
-                    module,
-                    node,
-                    f"{owner}.{node.func.attr}() draws OS entropy and can "
-                    "never replay; derive values from the seed "
-                    "(# grm: allow-entropy to escape)",
-                    symbol=f"{owner}.{node.func.attr}",
-                )
+    tag = "entropy"
+    hazard = "draws OS entropy, which can never replay; derive values from the seed"
 
 
-#: The family's ids, in rule order — used by the CLI's racecheck gate
-#: and the registry coverage tests.
-DETERMINISM_RULE_IDS = ("GRM501", "GRM502", "GRM503", "GRM504", "GRM505")
+#: The family's ids, in rule order (the registry coverage tests read it;
+#: CI's determinism gate spells its own list).  Wall-clock reads are
+#: GRM101, which belongs to the family too.
+DETERMINISM_RULE_IDS = ("GRM101", "GRM502", "GRM503", "GRM504", "GRM505")

@@ -10,9 +10,10 @@ module and decorating its own classes.
 Rule-id ranges:
 
 * ``GRM1xx`` — project invariants checked over any Python source
-  (virtual-clock discipline, simnet discipline, exception discipline,
-  instruments bound at construction) and DDK driver-contract checks
-  (signatures, exception families);
+  (virtual-clock discipline: GRM101 is every wall-clock read, the
+  determinism family's included; simnet discipline; exception
+  discipline; instruments bound at construction) and DDK
+  driver-contract checks (signatures, exception families);
 * ``GRM2xx`` — compile-time GLUE query validation
   (:mod:`repro.analysis.query_check`);
 * ``GRM3xx`` — gateway start-up findings
@@ -20,22 +21,28 @@ Rule-id ranges:
 * ``GRM4xx`` — storage recovery findings (quarantined segments, torn
   WAL tails — :mod:`repro.storage.recovery`);
 * ``GRM50x`` — determinism sanitizer
-  (:mod:`repro.analysis.determinism`): replay-identity hazards beyond
-  GRM101's wall-clock set (unseeded random, unordered set iteration,
+  (:mod:`repro.analysis.determinism`): the replay-identity hazards
+  other than the wall clock (unseeded random, unordered set iteration,
   id()/hash() ordering, entropy sources);
 * ``GRM55x`` — virtual-lane race findings
   (:mod:`repro.analysis.races`): unordered-branch access conflicts and
   dual-run divergence, reported by the runtime detector rather than an
   AST pass.
+
+The rules that ban stdlib names (GRM101, GRM102's socket half, GRM502,
+GRM505) are rows of one table, :data:`STDLIB_HAZARDS`, read through one
+import resolver (:meth:`ModuleContext.origin`).
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import PurePath
-from typing import Iterator, Type
+from typing import Iterator, NamedTuple, Sequence, Type
 
 from repro.analysis.findings import Finding, Severity
 
@@ -65,19 +72,57 @@ ALLOWED_DRIVER_RAISES = frozenset(
 #: reply decoder raises into ``SQLDataException``.
 TRUST_BOUNDARY = (("drivers", "base.py"), "GridRmDriver", "_typed")
 
-#: ``(module, attribute)`` call patterns that read or block on the wall
-#: clock.  All timing must flow through ``repro.simnet.clock`` so that
-#: experiments stay deterministic.
-_WALL_CLOCK_CALLS = {
-    "time": {"time", "sleep", "monotonic", "perf_counter", "time_ns"},
-    "datetime": {"now", "utcnow", "today"},
+#: The stdlib names a rule bans, keyed by dotted origin as
+#: :meth:`ModuleContext.origin` resolves it through the module's imports
+#: (``import m [as a]``, ``from m import n [as a]``).  ``m.*`` covers
+#: every member of ``m`` without a row of its own.  A :data:`CALL` row is
+#: reached by a call through a module binding (``t.time()``) or by a
+#: from-import (``from time import time``: one finding at the import, its
+#: calls are not flagged again); an :data:`UNSEEDED` row by a call with no
+#: arguments; an :data:`IMPORT` row by any import of the module.
+CALL, UNSEEDED, IMPORT = "call", "unseeded", "import"
+STDLIB_HAZARDS: dict[str, tuple[str, str]] = {
+    origin: (rule_id, kind)
+    for rule_id, kind, origins in (
+        (
+            "GRM101",
+            CALL,
+            "time.time time.time_ns time.sleep time.monotonic time.monotonic_ns "
+            "time.perf_counter time.perf_counter_ns time.process_time "
+            "time.process_time_ns time.thread_time time.thread_time_ns "
+            "time.clock_gettime time.clock_gettime_ns time.localtime "
+            "time.gmtime time.ctime time.asctime datetime.datetime.now "
+            "datetime.datetime.utcnow datetime.datetime.today "
+            "datetime.date.today os.times",
+        ),
+        ("GRM102", IMPORT, "socket"),
+        ("GRM502", CALL, "random.*"),
+        ("GRM502", UNSEEDED, "random.Random"),
+        (
+            "GRM505",
+            CALL,
+            "random.SystemRandom os.urandom os.getrandom uuid.uuid1 uuid.uuid4",
+        ),
+        ("GRM505", IMPORT, "secrets"),
+    )
+    for origin in origins.split()
 }
-_WALL_CLOCK_IMPORTS = {
-    ("time", "time"),
-    ("time", "sleep"),
-    ("time", "monotonic"),
-    ("time", "perf_counter"),
-}
+
+
+def _hazard_row(origin: str) -> "tuple[str, str] | None":
+    """The :data:`STDLIB_HAZARDS` row ``origin`` reaches, if any."""
+    return STDLIB_HAZARDS.get(origin) or STDLIB_HAZARDS.get(
+        origin.rpartition(".")[0] + ".*"
+    )
+
+
+class StdlibUse(NamedTuple):
+    """One place a module reaches a :data:`STDLIB_HAZARDS` row."""
+
+    node: ast.AST
+    rule_id: str
+    text: str  # how the source spells the use, opening the message
+    symbol: str
 
 
 #: ``# grm: allow-<tag>`` trailing (or immediately preceding, on a
@@ -94,10 +139,10 @@ class ModuleContext:
     path: str
     source: str
     tree: ast.Module
-    #: Lazily built 1-based line -> allow tags map (see :meth:`allowed`).
-    _allow_lines: "dict[int, set[str]] | None" = field(
-        default=None, repr=False, compare=False
-    )
+
+    @cached_property
+    def _lines(self) -> list[str]:
+        return self.source.splitlines()
 
     def allowed(self, node: ast.AST, tag: str) -> bool:
         """True when ``node``'s line carries ``# grm: allow-<tag>``.
@@ -105,29 +150,78 @@ class ModuleContext:
         A tag on the line itself or on a standalone comment line directly
         above it both count, so escapes survive black-style wrapping.
         """
-        if self._allow_lines is None:
-            lines: dict[int, set[str]] = {}
-            for lineno, text in enumerate(self.source.splitlines(), start=1):
-                tags = set(_ALLOW_COMMENT.findall(text))
-                if tags:
-                    lines[lineno] = tags
-            self._allow_lines = lines
         lineno = getattr(node, "lineno", 0)
-        if not lineno:
+        if not 1 <= lineno <= len(self._lines):
             return False
-        for candidate in (lineno, lineno - 1):
-            tags = self._allow_lines.get(candidate)
-            if tags and tag in tags:
-                # A preceding line only counts if it is comment-only.
-                if candidate == lineno or self._comment_only(candidate):
-                    return True
-        return False
+        above = self._lines[lineno - 2] if lineno > 1 else ""
+        return tag in _ALLOW_COMMENT.findall(self._lines[lineno - 1]) or (
+            above.lstrip().startswith("#") and tag in _ALLOW_COMMENT.findall(above)
+        )
 
-    def _comment_only(self, lineno: int) -> bool:
-        lines = self.source.splitlines()
-        if not 1 <= lineno <= len(lines):
-            return False
-        return lines[lineno - 1].lstrip().startswith("#")
+    @cached_property
+    def _imports(self) -> dict[str, str]:
+        """Local name -> the dotted module or member an import binds it to."""
+        bound: dict[str, str] = {}
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    head = alias.name.partition(".")[0]
+                    bound[alias.asname or head] = alias.name if alias.asname else head
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        return bound
+
+    def origin(self, node: ast.expr) -> str:
+        """Dotted origin of a Name/Attribute chain through this module's
+        imports (``t.time`` after ``import time as t`` is ``time.time``);
+        '' when the chain does not start at an imported name."""
+        if isinstance(node, ast.Attribute):
+            head = self.origin(node.value)
+            return f"{head}.{node.attr}" if head else ""
+        if isinstance(node, ast.Name):
+            return self._imports.get(node.id, "")
+        return ""
+
+    @cached_property
+    def stdlib_uses(self) -> list[StdlibUse]:
+        """Every call and import in the module that reaches a
+        :data:`STDLIB_HAZARDS` row, in walk order."""
+        uses: list[StdlibUse] = []
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    uses.extend(_module_import(node, alias.name))
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                uses.extend(_module_import(node, node.module))
+                named: dict[str, list[str]] = {}
+                for alias in node.names:
+                    row = _hazard_row(f"{node.module}.{alias.name}")
+                    if row is not None and row[1] == CALL:
+                        named.setdefault(row[0], []).append(alias.name)
+                for rule_id, names in named.items():
+                    names.sort()
+                    uses.append(
+                        StdlibUse(
+                            node,
+                            rule_id,
+                            f"importing {', '.join(names)} from {node.module}",
+                            f"import-{node.module}-{'-'.join(names)}",
+                        )
+                    )
+            elif isinstance(node, ast.Call):
+                origin = self.origin(node.func)
+                row = _hazard_row(origin) if origin else None
+                if row is None:
+                    continue
+                if (row[1] == CALL and isinstance(node.func, ast.Attribute)) or (
+                    row[1] == UNSEEDED and not node.args and not node.keywords
+                ):
+                    # The owner and the member: ``datetime.now`` for
+                    # ``datetime.datetime.now``, as the call reads.
+                    symbol = ".".join(origin.split(".")[-2:])
+                    uses.append(StdlibUse(node, row[0], f"{symbol}()", symbol))
+        return uses
 
     def driver_classes(self) -> dict[str, ast.ClassDef]:
         """Classes in this module that (transitively, within the module)
@@ -151,6 +245,15 @@ class ModuleContext:
                         changed = True
                         break
         return {n: c for n, c in classes.items() if n in driver_names}
+
+
+def _module_import(node: ast.AST, module: str) -> list[StdlibUse]:
+    """The use an import of ``module`` makes when an IMPORT row bans it."""
+    top = module.partition(".")[0]
+    row = STDLIB_HAZARDS.get(top)
+    if row is None or row[1] != IMPORT:
+        return []
+    return [StdlibUse(node, row[0], f"importing {top}", f"import-{top}")]
 
 
 def _base_name(node: ast.expr) -> str:
@@ -218,7 +321,8 @@ def rules_by_id(ids: "list[str] | None" = None) -> list[LintRule]:
 
 
 def rule_table() -> list[tuple[str, str, str]]:
-    """(id, severity, title) rows for docs and the CLI's --list-rules."""
+    """(id, severity, title) rows, one per registered rule (DRIVER_GUIDE's
+    rule table is tested against them)."""
     return [
         (rid, _REGISTRY[rid].severity.value, _REGISTRY[rid].title)
         for rid in sorted(_REGISTRY)
@@ -228,54 +332,37 @@ def rule_table() -> list[tuple[str, str, str]]:
 # ----------------------------------------------------------------------
 # Project-invariant rules (any source file)
 # ----------------------------------------------------------------------
+class StdlibRule(LintRule):
+    """A rule whose hazards are its rows of :data:`STDLIB_HAZARDS`: each
+    use is one finding, "<use> <hazard> (<escape>)"."""
+
+    #: ``# grm: allow-<tag>`` escapes a use ('' = no escape).
+    tag = ""
+    #: What a use does and what to do instead.
+    hazard = ""
+
+    def check(self, module: ModuleContext) -> Iterator[Finding]:
+        escape = f" (# grm: allow-{self.tag} to escape)" if self.tag else ""
+        for use in module.stdlib_uses:
+            if use.rule_id == self.rule_id and not module.allowed(use.node, self.tag):
+                message = f"{use.text} {self.hazard}{escape}"
+                yield self.finding(module, use.node, message, symbol=use.symbol)
+
+
 @register_rule
-class WallClockRule(LintRule):
-    """Virtual-clock discipline: all timing flows through simnet's clock."""
+class WallClockRule(StdlibRule):
+    """Virtual-clock discipline: all timing flows through simnet's clock,
+    so a seeded run replays identically."""
 
     rule_id = "GRM101"
     severity = Severity.ERROR
-    title = "wall-clock call (use repro.simnet.clock, not time/datetime)"
-
-    # The ``# grm: allow-wallclock`` escape (shared with the determinism
-    # family's GRM501) silences this rule on annotated lines.
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if module.allowed(node, "wallclock"):
-                continue
-            if isinstance(node, ast.ImportFrom) and node.module == "time":
-                names = {a.name for a in node.names}
-                bad = sorted(
-                    n for (m, n) in _WALL_CLOCK_IMPORTS if m == "time" and n in names
-                )
-                if bad:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"imports wall-clock function(s) {', '.join(bad)} "
-                        "from time",
-                        symbol=f"import-time-{'-'.join(bad)}",
-                    )
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                func = node.func
-                owner = func.value
-                owner_name = ""
-                if isinstance(owner, ast.Name):
-                    owner_name = owner.id
-                elif isinstance(owner, ast.Attribute):
-                    owner_name = owner.attr
-                bad_attrs = _WALL_CLOCK_CALLS.get(owner_name)
-                if bad_attrs and func.attr in bad_attrs:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"{owner_name}.{func.attr}() breaks the virtual clock; "
-                        "use the simnet clock instead",
-                        symbol=f"{owner_name}.{func.attr}",
-                    )
+    title = "wall-clock read (use repro.simnet.clock, not time/datetime/os.times)"
+    tag = "wallclock"
+    hazard = "reads the wall clock; take time from the simnet virtual clock"
 
 
 @register_rule
-class RawSocketRule(LintRule):
+class RawSocketRule(StdlibRule):
     """I/O discipline: no real network I/O bypassing the simulation, and
     no driver I/O bypassing the DDK — a driver describes its protocol as
     ``hello`` / ``exchange`` conversations; ``GridRmDriver.converse`` is
@@ -284,6 +371,10 @@ class RawSocketRule(LintRule):
     rule_id = "GRM102"
     severity = Severity.ERROR
     title = "I/O that bypasses the sanctioned path (repro.simnet; the DDK's converse)"
+    hazard = (
+        "bypasses the simulated network; drivers must use "
+        "connection.request() over repro.simnet"
+    )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         for cls_name, cls in module.driver_classes().items():
@@ -309,28 +400,7 @@ class RawSocketRule(LintRule):
                         "from a conversation instead",
                         symbol=f"{cls_name}.request",
                     )
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "socket" or alias.name.startswith("socket."):
-                        yield self.finding(
-                            module,
-                            node,
-                            "imports the socket module; drivers must use "
-                            "connection.request() over the simulated network",
-                            symbol="import-socket",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "socket" or (node.module or "").startswith(
-                    "socket."
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        "imports from the socket module; drivers must use "
-                        "connection.request() over the simulated network",
-                        symbol="import-socket",
-                    )
+        yield from super().check(module)
 
 
 @register_rule
@@ -460,7 +530,8 @@ class BoundInstrumentRule(LintRule):
 # ----------------------------------------------------------------------
 # DDK driver-contract rules (GridRmDriver subclasses only)
 # ----------------------------------------------------------------------
-#: method name -> names of the required positional parameters after self.
+#: method name -> names of the required positional parameters after the
+#: receiver.
 _REQUIRED_SIGNATURES = {
     "build_mapping": (),
     "hello": ("url",),
@@ -469,15 +540,66 @@ _REQUIRED_SIGNATURES = {
 }
 
 
-def expected_signature(method: str) -> "tuple[str, ...] | None":
-    """Required positional parameters (after self) of a DDK method."""
-    return _REQUIRED_SIGNATURES.get(method)
+def signature_mismatch(
+    cls_name: str,
+    method: str,
+    params: Sequence[inspect.Parameter],
+    *,
+    static: bool,
+) -> str:
+    """GRM104's one comparison, for both of its views (the AST rule below
+    and :func:`repro.analysis.conformance.check_driver_class`): what is
+    wrong with ``params`` as the DDK's ``method``, '' when nothing is (or
+    ``method`` has no DDK shape).
+
+    The receiver is the first positional parameter unless ``static``.
+    After it, the DDK's names must come first, in order; further
+    parameters need defaults; ``*args`` is refused.
+    """
+    required = _REQUIRED_SIGNATURES.get(method)
+    if required is None:
+        return ""
+    P = inspect.Parameter
+    positional = [
+        p for p in params if p.kind in (P.POSITIONAL_ONLY, P.POSITIONAL_OR_KEYWORD)
+    ]
+    after = positional[0 if static else 1 :]
+    got = tuple(p.name for p in after)
+    extra = [p.name for p in after[len(required) :] if p.default is P.empty]
+    if not static and not positional:
+        problem = "has no receiver (self)"
+    elif got[: len(required)] != required:
+        problem = f"takes positional parameters {got or '()'}"
+    elif extra:
+        problem = f"adds required positional parameter(s) {', '.join(extra)}"
+    elif any(p.kind is P.VAR_POSITIONAL for p in params):
+        problem = "uses *args"
+    else:
+        return ""
+    shape = ", ".join(required if static else ("self", *required))
+    return f"{cls_name}.{method} {problem}; the DDK requires {method}({shape})"
+
+
+def _ast_parameters(args: ast.arguments) -> list[inspect.Parameter]:
+    """A ``def``'s positional parameters and ``*args`` in :mod:`inspect`'s
+    terms (defaults are the AST nodes: only their presence matters)."""
+    P = inspect.Parameter
+    positional = [(a, P.POSITIONAL_ONLY) for a in args.posonlyargs] + [
+        (a, P.POSITIONAL_OR_KEYWORD) for a in args.args
+    ]
+    defaults: list[object] = [P.empty] * (len(positional) - len(args.defaults))
+    defaults += args.defaults
+    params = [P(a.arg, kind, default=d) for (a, kind), d in zip(positional, defaults)]
+    if args.vararg is not None:
+        params.append(P(args.vararg.arg, P.VAR_POSITIONAL))
+    return params
 
 
 @register_rule
 class DriverSignatureRule(LintRule):
     """DDK contract: ``build_mapping()`` / ``hello(url)`` /
-    ``exchange(url, group, select)`` (/ ``probe(url)``) positional shapes."""
+    ``exchange(url, group, select)`` (/ ``probe(url)``) shapes, read from
+    source (a live class is checked by the same comparison)."""
 
     rule_id = "GRM104"
     severity = Severity.ERROR
@@ -488,41 +610,16 @@ class DriverSignatureRule(LintRule):
             for node in cls.body:
                 if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
-                required = _REQUIRED_SIGNATURES.get(node.name)
-                if required is None:
-                    continue
-                problem = self._signature_problem(node, required)
-                if problem:
+                static = any(
+                    _base_name(d) == "staticmethod" for d in node.decorator_list
+                )
+                message = signature_mismatch(
+                    cls_name, node.name, _ast_parameters(node.args), static=static
+                )
+                if message:
                     yield self.finding(
-                        module,
-                        node,
-                        f"{cls_name}.{node.name} {problem}; the DDK requires "
-                        f"{node.name}({', '.join(('self',) + required)})",
-                        symbol=f"{cls_name}.{node.name}",
+                        module, node, message, symbol=f"{cls_name}.{node.name}"
                     )
-
-    @staticmethod
-    def _signature_problem(
-        node: "ast.FunctionDef | ast.AsyncFunctionDef", required: tuple[str, ...]
-    ) -> str:
-        args = node.args
-        positional = [a.arg for a in args.posonlyargs + args.args]
-        if not positional or positional[0] != "self":
-            return "is missing self"
-        got = tuple(positional[1:])
-        # Trailing positional parameters with defaults are optional
-        # extensions and tolerated; the required prefix must match.
-        n_required = len(got) - len(args.defaults)
-        if got[: len(required)] != required:
-            return f"takes positional parameters {got or '()'}"
-        if n_required > len(required):
-            return (
-                f"adds required positional parameter(s) "
-                f"{', '.join(got[len(required):n_required])}"
-            )
-        if args.vararg is not None:
-            return "uses *args"
-        return ""
 
 
 @register_rule

@@ -23,10 +23,6 @@ TYPE_CHECKS: dict[str, Callable[[Any], bool]] = {
     "TIMESTAMP": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
 }
 
-#: Backwards-compatible private alias.
-_TYPE_CHECKS = TYPE_CHECKS
-
-
 @dataclass(frozen=True)
 class ValidationIssue:
     """One schema-conformance problem in a row."""
@@ -62,7 +58,7 @@ def validate_row(group: GlueGroup, row: Mapping[str, Any]) -> list[ValidationIss
         value = row[fdef.name]
         if value is None:
             continue
-        check = _TYPE_CHECKS[fdef.type]
+        check = TYPE_CHECKS[fdef.type]
         if not check(value):
             issues.append(
                 ValidationIssue(

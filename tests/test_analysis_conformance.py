@@ -265,3 +265,89 @@ class TestRegistry:
             assert rid.startswith("GRM")
             assert severity in ("info", "warning", "error")
             assert title
+
+    def test_driver_guide_rules_table_lists_every_rule(self):
+        """DRIVER_GUIDE's §Rules table names every registered rule id."""
+        from pathlib import Path
+
+        guide = Path(__file__).parent.parent / "docs" / "DRIVER_GUIDE.md"
+        text = guide.read_text(encoding="utf-8")
+        table = text.split("### Rules", 1)[1].split("\n### ", 1)[0]
+        missing = [rid for rid, _, _ in rule_table() if rid not in table]
+        assert missing == []
+
+
+#: The four GRM104 fixtures: (method source, whether the DDK refuses it).
+#: Each sits in an otherwise complete driver.
+SIGNATURE_FIXTURES = {
+    "static_hello": ("    @staticmethod\n    def hello(url):\n", False),
+    "hello_without_self": ("    def hello(url):\n", True),
+    "hello_extra_required": ("    def hello(self, url, probe_id):\n", True),
+    "exchange_keyword_only_select": (
+        "    def exchange(self, url, group, *, select):\n",
+        True,
+    ),
+}
+
+
+def _fixture_driver(method: str) -> str:
+    name = method.split("def ", 1)[1].split("(", 1)[0]
+    members = {
+        "hello": "    def hello(self, url):\n",
+        "exchange": "    def exchange(self, url, group, select):\n",
+    }
+    members[name] = method
+    return (
+        "from repro.drivers.base import GridRmDriver\n\n\n"
+        "class Fixture(GridRmDriver):\n"
+        "    protocol = 'fixture'\n\n"
+        "    def build_mapping(self):\n"
+        "        return None\n\n"
+        + "".join(head + "        yield 'PING'\n\n" for head in members.values())
+    )
+
+
+class TestSignatureViewsAgree:
+    """GRM104's AST view (source that cannot be imported) and its
+    introspection view (live drivers) feed one comparison, so they flag
+    the same methods."""
+
+    @pytest.mark.parametrize("fixture", sorted(SIGNATURE_FIXTURES))
+    def test_views_give_the_same_grm104_symbols(self, fixture):
+        method, refused = SIGNATURE_FIXTURES[fixture]
+        source = _fixture_driver(method)
+        namespace: dict = {}
+        exec(compile(source, "<fixture>", "exec"), namespace)
+
+        def seen(findings):
+            return [(f.rule_id, f.symbol, f.message) for f in findings]
+
+        from_source = seen(check_source(source, "fixture.py"))
+        live = seen(check_driver_class(namespace["Fixture"]))
+        assert from_source == live
+        assert [f[0] for f in live] == (["GRM104"] if refused else [])
+
+
+class TestModuleMemo:
+    """``check_module`` memoises by the exact source text, so a plug-in
+    fixed and reloaded in place is checked afresh."""
+
+    def test_fixed_and_reloaded_module_is_rechecked(self, tmp_path, monkeypatch):
+        import importlib
+        import sys
+
+        from repro.analysis.conformance import check_module
+
+        plugin = tmp_path / "grm_reload_fixture.py"
+        plugin.write_text("import time\n\n\ndef stamp():\n    return time.time()\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        module = importlib.import_module("grm_reload_fixture")
+        try:
+            for _ in ("cold", "warm"):
+                assert [f.rule_id for f in check_module(module)] == ["GRM101"]
+            plugin.write_text("def stamp(clock):\n    return clock.now()\n")
+            module = importlib.reload(module)
+            for _ in ("cold", "warm"):
+                assert check_module(module) == []
+        finally:
+            sys.modules.pop("grm_reload_fixture", None)

@@ -5,19 +5,64 @@ import re
 
 import pytest
 
+from repro.analysis.conformance import check_source
 from repro.analysis.determinism import DETERMINISM_RULE_IDS
 from repro.analysis.races import RACE_RULE_DOCS, RACE_RULE_IDS
 from repro.analysis.rules import ModuleContext, all_rules, rule_table, rules_by_id
 
 
-def run_rule(rule_id, source):
-    module = ModuleContext(path="<test>", source=source, tree=ast.parse(source))
+def run_rule(rule_id, source, path="<test>"):
+    module = ModuleContext(path=path, source=source, tree=ast.parse(source))
     (rule,) = rules_by_id([rule_id])
     return list(rule.check(module))
 
 
-def rule_ids(rule_id, source):
-    return [f.rule_id for f in run_rule(rule_id, source)]
+def rule_ids(rule_id, source, path="<test>"):
+    return [f.rule_id for f in run_rule(rule_id, source, path)]
+
+
+#: A path inside a serving package, so GRM108 applies; no other rule
+#: reads the path outside ``drivers/base.py``.
+CENSUS_PATH = "src/repro/core/census.py"
+
+#: rule id -> (a source the rule flags exactly once, a near miss it
+#: passes).  Every registered rule has a row.
+CENSUS = {
+    "GRM101": (
+        "import time\nt = time.monotonic_ns()\n",
+        "def f(self, time):\n    return time.time()\n",
+    ),
+    "GRM102": ("import socket\n", "socket = make()\nsocket.connect(addr)\n"),
+    "GRM103": (
+        "try:\n    pass\nexcept Exception:\n    pass\n",
+        "try:\n    pass\nexcept Exception:\n    raise\n",
+    ),
+    "GRM104": (
+        "class D(GridRmDriver):\n    def hello(url):\n        yield 'PING'\n",
+        "class D(GridRmDriver):\n    @staticmethod\n"
+        "    def hello(url):\n        yield 'PING'\n",
+    ),
+    "GRM105": (
+        "class D(GridRmDriver):\n    def probe(self, url):\n"
+        "        raise RuntimeError(url)\n",
+        "class D(GridRmDriver):\n    def probe(self, url):\n"
+        "        raise SQLException(url)\n",
+    ),
+    "GRM108": (
+        "class M:\n    def serve(self):\n        registry.counter('m').inc()\n",
+        "class M:\n    def __init__(self):\n        registry.counter('m')\n",
+    ),
+    "GRM502": ("import random\nx = random.random()\n", "import random as r\nr.Random(7)\n"),
+    "GRM503": (
+        "s = {1, 2}\nfor x in s:\n    print(x)\n",
+        "s = {1, 2}\nfor x in sorted(s):\n    print(x)\n",
+    ),
+    "GRM504": ("k = id(object())\n", "out = sorted(xs, key=len)\n"),
+    "GRM505": (
+        "import os\nb = os.urandom(8)\n",
+        "import uuid\nu = uuid.UUID(int=rng.getrandbits(128))\n",
+    ),
+}
 
 
 class TestRegistryCoverage:
@@ -46,20 +91,31 @@ class TestRegistryCoverage:
             assert RACE_RULE_DOCS[rid].strip()
 
     def test_every_determinism_rule_is_reachable(self):
-        # One golden positive per rule proves the check body runs.
-        positives = {
-            "GRM501": "import time\nt = time.monotonic_ns()\n",
-            "GRM502": "import random\nx = random.random()\n",
-            "GRM503": "s = {1, 2}\nfor x in s:\n    print(x)\n",
-            "GRM504": "k = id(object())\n",
-            "GRM505": "import os\nb = os.urandom(8)\n",
-        }
-        assert set(positives) == set(DETERMINISM_RULE_IDS)
-        for rid, src in positives.items():
-            assert rule_ids(rid, src) == [rid]
+        """One golden positive per determinism rule proves the check body
+        runs.  The old GRM501 positive (``time.monotonic_ns``) is now
+        GRM101's: GRM101 absorbed GRM501, so one rule owns wall-clock
+        reads; the positives are the census rows below."""
+        assert set(DETERMINISM_RULE_IDS) <= set(CENSUS)
+        assert CENSUS["GRM101"][0] == "import time\nt = time.monotonic_ns()\n"
+        for rid in DETERMINISM_RULE_IDS:
+            assert rule_ids(rid, CENSUS[rid][0]) == [rid]
+
+    def test_census_covers_every_registered_rule(self):
+        """A rule registered without a census row fails here."""
+        assert set(CENSUS) == {rid for rid, _, _ in rule_table()}
+
+    @pytest.mark.parametrize("rid", sorted(CENSUS))
+    def test_census(self, rid):
+        positive, negative = CENSUS[rid]
+        assert rule_ids(rid, positive, CENSUS_PATH) == [rid]
+        assert run_rule(rid, negative, CENSUS_PATH) == []
 
 
 class TestExtendedWallClock:
+    """GRM501's old cases, re-aimed at GRM101: GRM101 absorbed GRM501,
+    so the stdlib's long tail of clock accessors is one wall-clock rule
+    with one ``allow-wallclock`` escape."""
+
     def test_long_tail_accessors_flagged(self):
         src = (
             "import time, os\n"
@@ -67,19 +123,19 @@ class TestExtendedWallClock:
             "b = time.localtime()\n"
             "c = os.times()\n"
         )
-        assert rule_ids("GRM501", src) == ["GRM501"] * 3
+        assert rule_ids("GRM101", src) == ["GRM101"] * 3
 
     def test_date_today_flagged(self):
         src = "from datetime import date\nd = date.today()\n"
-        assert rule_ids("GRM501", src) == ["GRM501"]
+        assert rule_ids("GRM101", src) == ["GRM101"]
 
     def test_virtual_clock_calls_pass(self):
         src = "t = clock.now()\nclock.advance(3.0)\n"
-        assert run_rule("GRM501", src) == []
+        assert run_rule("GRM101", src) == []
 
     def test_allowlist_escape_same_line(self):
         src = "import time\nt = time.monotonic_ns()  # grm: allow-wallclock\n"
-        assert run_rule("GRM501", src) == []
+        assert run_rule("GRM101", src) == []
 
     def test_allowlist_escape_preceding_comment(self):
         src = (
@@ -87,12 +143,52 @@ class TestExtendedWallClock:
             "# grm: allow-wallclock -- profiling only, not simulation input\n"
             "t = time.process_time()\n"
         )
-        assert run_rule("GRM501", src) == []
+        assert run_rule("GRM101", src) == []
 
     def test_wrong_tag_does_not_escape(self):
         src = "import time\nt = time.monotonic_ns()  # grm: allow-random\n"
-        assert rule_ids("GRM501", src) == ["GRM501"]
+        assert rule_ids("GRM101", src) == ["GRM101"]
 
+
+class TestImportResolver:
+    """GRM101 / GRM502 / GRM505 read one table through the module's
+    imports, so aliases and from-imports reach the same rows, and a name
+    that is not an import reaches none."""
+
+    @pytest.mark.parametrize(
+        "rid, src",
+        [
+            ("GRM101", "import time as t\nt.time()\n"),
+            ("GRM101", "import time as t\nt.perf_counter()\n"),
+            ("GRM101", "from time import time_ns\n"),
+            ("GRM101", "from time import monotonic_ns\n"),
+            ("GRM101", "from os import times\n"),
+            ("GRM505", "import os as o\no.urandom(4)\n"),
+            ("GRM505", "import uuid as u\nu.uuid4()\n"),
+            ("GRM505", "import random as r\nr.SystemRandom()\n"),
+            ("GRM502", "from random import Random as R\nR()\n"),
+        ],
+    )
+    def test_aliased_and_from_imported_uses_are_caught(self, rid, src):
+        assert [f.rule_id for f in check_source(src)] == [rid]
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "def f(self, time):\n    return time.time()\n",
+            "from random import Random as R\nR(7)\n",
+            "import random as r\nr.Random(7)\n",
+            "t = clock.now()\n",
+        ],
+    )
+    def test_non_imports_and_seeded_factories_pass(self, src):
+        assert check_source(src) == []
+
+    def test_from_import_is_one_finding_at_the_import(self):
+        src = "from time import perf_counter as pc\na = pc()\nb = pc()\n"
+        (finding,) = check_source(src)
+        assert (finding.rule_id, finding.line) == ("GRM101", 1)
+        assert finding.symbol == "import-time-perf_counter"
 
 class TestUnseededRandom:
     def test_module_level_call_flagged(self):
@@ -242,6 +338,7 @@ class TestInjectionAcceptance:
     source tree is caught by the lint side of the sanitizer."""
 
     def test_injected_wall_clock_call_is_caught(self, tmp_path):
+        """Once caught as GRM501; GRM101 now owns every wall-clock read."""
         from repro.analysis.linter import lint_paths
 
         bad = tmp_path / "driver_patch.py"
@@ -252,7 +349,7 @@ class TestInjectionAcceptance:
             "    return started\n"
         )
         report = lint_paths([str(tmp_path)])
-        assert "GRM501" in {f.rule_id for f in report.findings}
+        assert "GRM101" in {f.rule_id for f in report.findings}
 
     def test_repo_src_has_no_unallowlisted_grm5xx(self):
         from repro.analysis.linter import lint_paths, render_flat
