@@ -48,20 +48,16 @@ def _record(key: str, payload: dict) -> None:
     BENCH_JSON.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
 
 
-def proc_row(i: int) -> dict:
-    return {
-        "HostName": f"n{i % 8}",
-        "SiteName": "s",
-        "Timestamp": 1.0,
-        "CPUCount": 2,
-        "LoadAverage1Min": float(i),
-        "LoadAverage5Min": 1.0,
-        "LoadAverage15Min": 1.0,
-        "CPUUtilization": 50.0,
-        "CPUIdle": 50.0,
-        "CPUUser": 35.0,
-        "CPUSystem": 15.0,
-    }
+#: The relation a Processor poll hands ``HistoryStore.record``.
+PROC_COLUMNS = (
+    "HostName", "SiteName", "Timestamp", "CPUCount", "LoadAverage1Min",
+    "LoadAverage5Min", "LoadAverage15Min", "CPUUtilization", "CPUIdle", "CPUUser",
+    "CPUSystem",
+)
+
+
+def proc_row(i: int) -> list:
+    return [f"n{i % 8}", "s", 1.0, 2, float(i), 1.0, 1.0, 50.0, 50.0, 35.0, 15.0]
 
 
 def _record_run(engine: HistoryEngine | None, batch: int) -> float:
@@ -74,7 +70,7 @@ def _record_run(engine: HistoryEngine | None, batch: int) -> float:
     ]
     t0 = time.perf_counter()
     for i, rows in enumerate(batches):
-        store.record("Processor", rows, source_url="u", recorded_at=float(i))
+        store.record("Processor", PROC_COLUMNS, rows, source_url="u", recorded_at=float(i))
     return time.perf_counter() - t0
 
 
@@ -92,6 +88,7 @@ def _wal_counts(batch: int) -> dict:
     for i in range(0, N_ROWS, batch):
         store.record(
             "Processor",
+            PROC_COLUMNS,
             [proc_row(i + j) for j in range(batch)],
             source_url="u",
             recorded_at=float(i),
@@ -159,6 +156,7 @@ def test_e16_recovery_time_linear_and_fast():
         for i in range(0, n, 6):
             store.record(
                 "Processor",
+                PROC_COLUMNS,
                 [proc_row(i + j) for j in range(6)],
                 source_url="u",
                 recorded_at=float(i),
@@ -168,6 +166,7 @@ def test_e16_recovery_time_linear_and_fast():
         for i in range(n, n + n // 2, 6):
             store.record(
                 "Processor",
+                PROC_COLUMNS,
                 [proc_row(i + j) for j in range(6)],
                 source_url="u",
                 recorded_at=float(i),

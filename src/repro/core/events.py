@@ -27,6 +27,12 @@ from repro.core.history import HistoryStore
 from repro.core.policy import GatewayPolicy
 from repro.simnet.network import Address, Network
 
+#: The ``LogEvent`` fields an event fills, in the order ``_dispatch``
+#: records them.
+_LOG_EVENT_COLUMNS = (
+    "HostName", "Timestamp", "EventTime", "Program", "EventName", "Level", "Message",
+)
+
 #: Listener signature.
 Listener = Callable[["Event"], None]
 
@@ -270,16 +276,17 @@ class EventManager:
         if self.history is not None:
             self.history.record(
                 "LogEvent",
+                _LOG_EVENT_COLUMNS,
                 [
-                    {
-                        "HostName": event.source_host,
-                        "Timestamp": event.time,
-                        "EventTime": event.time,
-                        "Program": event.native_kind,
-                        "EventName": event.name,
-                        "Level": event.severity,
-                        "Message": repr(dict(event.fields)),
-                    }
+                    (
+                        event.source_host,
+                        event.time,
+                        event.time,
+                        event.native_kind,
+                        event.name,
+                        event.severity,
+                        repr(dict(event.fields)),
+                    )
                 ],
                 source_url=f"event://{event.source_host}",
                 recorded_at=event.time,

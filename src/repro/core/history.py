@@ -40,7 +40,7 @@ in-memory ring.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.analysis import races
 from repro.glue.schema import GlueSchema
@@ -59,6 +59,7 @@ PROVENANCE = (
     ColumnDef("SourceUrl", "TEXT"),
     ColumnDef("RecordedAt", "TIMESTAMP"),
 )
+_PROVENANCE_NAMES = tuple(c.name for c in PROVENANCE)
 
 Row = dict[str, Any]
 
@@ -187,12 +188,32 @@ class HistoryStore:
     def record(
         self,
         group_name: str,
-        rows: Iterable[Mapping[str, Any]],
+        columns: Sequence[str],
+        rows: Iterable[Sequence[Any]],
         *,
         source_url: str,
         recorded_at: float,
+        star_only: bool = False,
     ) -> int:
-        """Record GLUE rows for a group; returns the number stored."""
+        """Record a relation's rows for a group; returns the number stored.
+
+        ``rows`` hold one value per name of ``columns``, the relation a
+        fetch produced.  Names the group lacks are dropped and fields
+        the relation lacks are NULL; ``source_url`` and ``recorded_at``
+        fill the provenance columns.  With ``star_only`` — a REALTIME
+        fetch — a group the schema does not know, or a relation missing
+        any of the group's fields (a narrow projection is not
+        representative), records nothing.  The layout is compiled once:
+        the table memoises one row builder per ``columns``, which also
+        names the fields a layout lacks.
+        """
+        if star_only and not self.schema.has_group(group_name):
+            return 0
+        index = self._group(group_name)
+        table = index.table
+        build, missing = table.row_builder(tuple(columns), _PROVENANCE_NAMES)
+        if star_only and missing:
+            return 0
         if races.ACTIVE is not None:
             # Registered COMMUTATIVE: sibling-branch appends to one group
             # interleave by launch order, but every row carries its own
@@ -202,17 +223,9 @@ class HistoryStore:
             # racing the appends is still flagged (GRM552) — it would
             # see a launch-order prefix.
             races.ACTIVE.note(
-                "history", group_name, "w", site="HistoryStore.record"
+                "history", table.name, "w", site="HistoryStore.record"
             )
-        index = self._group(group_name)
-        table = index.table
-        known = set(table.column_names)
-        batch = []
-        for row in rows:
-            stored = {k: v for k, v in row.items() if k in known}
-            stored["SourceUrl"] = source_url
-            stored["RecordedAt"] = recorded_at
-            batch.append(table.coerce_row(stored))
+        batch = build(rows, (source_url, recorded_at))
         if not batch:
             return 0
         index.insert(batch)

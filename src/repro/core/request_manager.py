@@ -803,17 +803,10 @@ class RequestManager:
                 url_text, sql, list(columns), [list(r) for r in rows],
                 group=group, key=entry.key,
             )
-            if self.history.schema.has_group(group):
-                canonical = self.history.schema.group(group)
-                # Only record rows that carry the group's fields (star
-                # queries); narrow projections are not representative.
-                if set(canonical.field_names()) <= set(columns):
-                    self.history.record(
-                        canonical.name,
-                        [dict(zip(columns, r)) for r in rows],
-                        source_url=url_text,
-                        recorded_at=self.clock.now(),
-                    )
+            self.history.record(
+                group, columns, rows,
+                source_url=url_text, recorded_at=self.clock.now(), star_only=True,
+            )
             if self.streams is not None:
                 # Stamped at the instant the fetch produced it; the hub sees
                 # it when the round's fan-out is over (see ``_realtime``).

@@ -50,19 +50,30 @@ _UNIT_FACTORS: dict[tuple[str, str], float] = {
 }
 
 
-def convert_unit(value: float, from_unit: str, to_unit: str) -> float:
-    """Convert ``value`` between units; identity when units match/blank."""
+def unit_factor(from_unit: str, to_unit: str) -> float | None:
+    """The factor converting ``from_unit`` to ``to_unit``; None for the
+    identity (units match or either is blank)."""
     if from_unit == to_unit or not from_unit or not to_unit:
-        return value
+        return None
     factor = _UNIT_FACTORS.get((from_unit, to_unit))
     if factor is None:
         raise UnitConversionError(f"no conversion {from_unit!r} -> {to_unit!r}")
-    return value * factor
+    return factor
 
 
-@dataclass
+def convert_unit(value: float, from_unit: str, to_unit: str) -> float:
+    """Convert ``value`` between units; identity when units match/blank."""
+    factor = unit_factor(from_unit, to_unit)
+    return value if factor is None else value * factor
+
+
+@dataclass(frozen=True)
 class MappingRule:
     """How one GLUE field is produced from a native record.
+
+    A rule is an immutable value: to change a mapping, put a new rule in
+    its group's ``rules`` (``dataclasses.replace`` makes one), and the
+    group's compiled builders are rebuilt on next use.
 
     Attributes:
         glue_field: target GLUE field name.
@@ -88,21 +99,28 @@ class MappingRule:
     def compile(self, target: "GlueGroup") -> Callable[[Mapping[str, Any]], Any]:
         """The conversion closure for this rule with ``target`` prebound.
 
-        The field definition lookup (a linear scan) and the type
-        dispatch happen here, once, instead of once per record — the
-        hot translation loop then runs pure closures.
+        The field definition lookup (a linear scan), the type dispatch
+        and the unit conversion (identity, a factor from the table, or
+        none, which makes every numeric value None) are resolved here,
+        once, instead of once per record — the hot translation loop then
+        runs pure closures.
         """
         native_key = self.native_key
         transform = self.transform
         default = self.default
-        unit = self.unit
         try:
             fdef = target.field(self.glue_field)
         except KeyError:
             fdef = None
         ftype = fdef.type if fdef is not None else None
-        funit = fdef.unit if fdef is not None else ""
         numeric_type = ftype in ("REAL", "INTEGER", "TIMESTAMP")
+        factor: float | None = None
+        convertible = True
+        if fdef is not None:
+            try:
+                factor = unit_factor(self.unit, fdef.unit)
+            except UnitConversionError:
+                convertible = False
 
         def build(record: Mapping[str, Any]) -> Any:
             if native_key is not None:
@@ -120,14 +138,18 @@ class MappingRule:
                     # The target group has no such field: untranslatable.
                     return None
                 if numeric_type and not isinstance(raw, bool):
-                    numeric = convert_unit(float(raw), unit, funit)
+                    numeric = float(raw)
+                    if factor is not None:
+                        numeric = numeric * factor
+                    elif not convertible:
+                        return None
                     return int(numeric) if ftype == "INTEGER" else numeric
                 if ftype == "BOOLEAN":
                     if isinstance(raw, str):
                         return raw.strip().lower() in ("true", "t", "yes", "1", "on")
                     return bool(raw)
                 return str(raw) if ftype == "TEXT" else raw
-            except (TypeError, ValueError, KeyError, UnitConversionError):
+            except (TypeError, ValueError, KeyError):
                 # "drivers can return null values, indicating a translation
                 # was either not possible or currently not implemented"
                 return None
@@ -168,7 +190,8 @@ class GroupMapping:
         ``[[b(record) for b in builders] for record in records]`` is a
         batch of positional GLUE rows; a field with no rule builds None.
         Builders are cached; the cache is discarded when the target
-        group object or the rule list changes.
+        group object or the rule list changes (rules are immutable, so
+        an equal rule list compiles to equal builders).
         """
         target = schema.group(self.group)
         cached = getattr(self, "_builders_cache", None)

@@ -634,8 +634,8 @@ def _crash_step(ctx: Ctx, cycle: int) -> list[Any]:
         if reference.schema.has_group(group):
             for row in engine.acked_rows(group, exclude_segments=flipped):
                 reference.record(
-                    group, [row], source_url=row["SourceUrl"],
-                    recorded_at=row["RecordedAt"],
+                    group, tuple(row), [tuple(row.values())],
+                    source_url=row["SourceUrl"], recorded_at=row["RecordedAt"],
                 )
     synced_lsn = engine.wal.synced_lsn
 

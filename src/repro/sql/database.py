@@ -8,7 +8,7 @@ declared column list with light type coercion on insert.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.sql import ast_nodes as ast
 from repro.sql.errors import SqlExecutionError
@@ -16,13 +16,25 @@ from repro.sql.parser import parse_statement
 from repro.sql.plan import RowFn, compile_expr, compile_plan, join_rows
 from repro.sql.values import SelectResult
 
-_COERCERS = {
-    "INTEGER": lambda v: int(v),
-    "REAL": lambda v: float(v),
-    "TEXT": lambda v: str(v),
-    "BOOLEAN": lambda v: bool(v),
-    "TIMESTAMP": lambda v: float(v),
+#: Declared type -> the class a stored value has; coercing is calling
+#: it.  A value already of that exact class is stored as it is (the
+#: call would return the same object); a type not listed stores values
+#: as given.
+_CLASSES: dict[str, type] = {
+    "INTEGER": int,
+    "REAL": float,
+    "TEXT": str,
+    "BOOLEAN": bool,
+    "TIMESTAMP": float,
 }
+
+#: Row builders a table keeps, one per ``(layout, fixed)`` pair; beyond
+#: it the oldest is forgotten.  A history table sees one layout per
+#: driver mapping and statement shape.
+ROW_BUILDER_MEMO_SIZE = 64
+
+#: ``build(rows, fixed_values)`` -> the stored dicts of a batch.
+RowBuilder = Callable[[Iterable[Sequence[Any]], Sequence[Any]], list[dict[str, Any]]]
 
 
 class Table:
@@ -38,15 +50,21 @@ class Table:
         self.columns = list(columns)
         self.column_names = names
         self.rows: list[dict[str, Any]] = []
+        #: ``(name, column, class)`` per column in table order: the one
+        #: coercion table :meth:`coerce_row` and :meth:`row_builder` read.
+        self._casts = tuple((c.name, c, _CLASSES.get(c.type)) for c in self.columns)
+        self._builders: dict[
+            tuple[tuple[str, ...], tuple[str, ...]], tuple[RowBuilder, tuple[str, ...]]
+        ] = {}
 
     def coerce(self, column: ast.ColumnDef, value: Any) -> Any:
         if value is None:
             return None
-        coercer = _COERCERS.get(column.type)
-        if coercer is None:
+        cls = _CLASSES.get(column.type)
+        if cls is None:
             return value
         try:
-            return coercer(value)
+            return cls(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SqlExecutionError(
                 f"cannot coerce {value!r} to {column.type} for "
@@ -61,10 +79,66 @@ class Table:
             raise SqlExecutionError(
                 f"unknown column(s) {sorted(unknown)} for table {self.name!r}"
             )
+        coerce = self.coerce
         row: dict[str, Any] = {}
-        for col in self.columns:
-            row[col.name] = self.coerce(col, values.get(col.name))
+        for name, col, cls in self._casts:
+            value = values.get(name)
+            row[name] = value if value.__class__ is cls or value is None else coerce(col, value)
         return row
+
+    def row_builder(
+        self, layout: tuple[str, ...], fixed: tuple[str, ...] = ()
+    ) -> tuple[RowBuilder, tuple[str, ...]]:
+        """How to store rows laid out as ``layout``, and what they miss.
+
+        ``build(rows, fixed_values)`` returns, for each sequence of
+        ``rows`` (one value per ``layout`` column), the row
+        :meth:`coerce_row` makes of ``dict(zip(layout, values))`` with
+        the ``fixed`` columns set to ``fixed_values`` (over any layout
+        column of the same name) and layout columns this table lacks
+        left out; a repeated layout column takes its last value.  Each
+        stored dict is written once, in table column order.  The second
+        item names the table columns neither ``layout`` nor ``fixed``
+        supplies: they store NULL.
+
+        Builders are memoised by the exact ``(layout, fixed)`` pair, at
+        most :data:`ROW_BUILDER_MEMO_SIZE` of them.
+        """
+        key = (layout, fixed)
+        memo = self._builders.get(key)
+        if memo is not None:
+            return memo
+        # Index into a row, or ``~j`` into ``(*fixed_values, None)``.
+        where = {name: i for i, name in enumerate(layout)}
+        where.update((name, ~j) for j, name in enumerate(fixed))
+        absent = ~len(fixed)
+        steps = tuple(
+            (name, col, cls, where.get(name, absent)) for name, col, cls in self._casts
+        )
+        missing = tuple(name for name, _, _, i in steps if i == absent)
+        coerce = self.coerce
+
+        def build(
+            rows: Iterable[Sequence[Any]], fixed_values: Sequence[Any]
+        ) -> list[dict[str, Any]]:
+            extra = (*fixed_values, None)
+            batch = []
+            for values in rows:
+                row = {}
+                for name, col, cls, i in steps:
+                    value = values[i] if i >= 0 else extra[~i]
+                    row[name] = (
+                        value
+                        if value.__class__ is cls or value is None
+                        else coerce(col, value)
+                    )
+                batch.append(row)
+            return batch
+
+        if len(self._builders) >= ROW_BUILDER_MEMO_SIZE:
+            del self._builders[next(iter(self._builders))]
+        memo = self._builders[key] = (build, missing)
+        return memo
 
     def insert_row(self, values: Mapping[str, Any]) -> None:
         """Insert one row given as a column->value mapping."""

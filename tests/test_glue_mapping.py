@@ -1,15 +1,18 @@
 """Unit tests for native-to-GLUE mapping and unit conversion."""
 
+import dataclasses
+
 import pytest
 
 from repro.glue.mapping import (
+    _UNIT_FACTORS,
     GroupMapping,
     MappingRule,
     SchemaMapping,
     UnitConversionError,
     convert_unit,
 )
-from repro.glue.schema import STANDARD_SCHEMA
+from repro.glue.schema import STANDARD_SCHEMA, GlueField, GlueGroup
 
 
 class TestConvertUnit:
@@ -114,6 +117,68 @@ class TestMappingRule:
         target = STANDARD_SCHEMA.group(group)
         assert rule.apply(record, target) == rule.compile(target)(record)
         assert type(rule.apply(record, target)) is type(rule.compile(target)(record))
+
+
+class TestCompiledUnits:
+    """``compile`` resolves a rule's unit conversion once: identity, one
+    factor, or unconvertible (every numeric value NULL)."""
+
+    @pytest.mark.parametrize("ftype", ["REAL", "INTEGER", "TIMESTAMP"])
+    def test_factor_values_equal_convert_unit(self, ftype):
+        for frm, to in _UNIT_FACTORS:
+            group = GlueGroup("G", (GlueField("f", ftype, to),))
+            build = MappingRule("f", "v", unit=frm).compile(group)
+            for value in (0, 1, 3, 2048, 1.5, -7.25, 1e300, "12.5", float("inf")):
+                expected = convert_unit(float(value), frm, to)
+                if ftype == "INTEGER":
+                    if expected in (float("inf"), float("-inf")):
+                        continue
+                    expected = int(expected)
+                got = build({"v": value})
+                assert got == expected and type(got) is type(expected), (frm, to, value)
+
+    @pytest.mark.parametrize("frm, to", [("", "MB"), ("MB", ""), ("MB", "MB"), ("", "")])
+    def test_identity(self, frm, to):
+        group = GlueGroup("G", (GlueField("f", "REAL", to),))
+        build = MappingRule("f", "v", unit=frm).compile(group)
+        assert build({"v": 3}) == 3.0
+        assert build({"v": "x"}) is None
+
+    def test_unconvertible_units_give_null(self):
+        build = MappingRule("f", "v", unit="furlongs").compile(
+            GlueGroup("G", (GlueField("f", "REAL", "MB"),))
+        )
+        assert build({"v": 3}) is None
+        assert build({"v": True}) is True  # a bool skips the numeric path, as before
+        assert build({}) is None
+
+
+class TestRulesAreValues:
+    """Bugfix: ``row_builders`` caches on the rule tuple, so an in-place
+    edit of a rule used to leave the old conversion compiled."""
+
+    def test_in_place_edit_raises(self):
+        rule = MappingRule("RAMSizeMB", "mem_total", unit="KB")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rule.unit = "MB"
+
+    def test_replacing_a_rule_rebuilds_the_builders(self):
+        rule = MappingRule("RAMSizeMB", "mem_total", unit="KB")
+        gm = GroupMapping("MainMemory", [rule])
+        sm = SchemaMapping("d", [gm])
+        assert sm.translate("MainMemory", [{"mem_total": 2048}], STANDARD_SCHEMA)[0][
+            "RAMSizeMB"
+        ] == 2.0
+        gm.rules[0] = dataclasses.replace(rule, unit="MB")
+        assert sm.translate("MainMemory", [{"mem_total": 2048}], STANDARD_SCHEMA)[0][
+            "RAMSizeMB"
+        ] == 2048.0
+
+    def test_an_equal_rule_list_keeps_the_builders(self):
+        gm = GroupMapping("MainMemory", [MappingRule("RAMSizeMB", "mem_total", unit="KB")])
+        builders = gm.row_builders(STANDARD_SCHEMA)
+        gm.rules = [MappingRule("RAMSizeMB", "mem_total", unit="KB")]
+        assert gm.row_builders(STANDARD_SCHEMA) is builders
 
 
 class TestGroupMapping:

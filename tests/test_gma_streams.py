@@ -35,6 +35,7 @@ from repro.obs.trace import Tracer
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
 from repro.testbed import build_testbed
+from tests.history_rows import record_rows
 
 PROBE = GlueGroup(
     name="Probe",
@@ -135,8 +136,8 @@ def test_latest_flavour_replays_current_rows_on_attach():
 def test_history_flavour_replays_since_watermark():
     clock, network, hub, consumer, store = _fabric(history=True)
     for t, load in ((10.0, 0.1), (20.0, 0.2), (30.0, 0.3)):
-        store.record(
-            "Probe",
+        record_rows(
+            store, "Probe",
             [{"HostName": "n0", "Load": load, "Slot": 1}],
             source_url="probe://h0",
             recorded_at=t,
@@ -157,8 +158,8 @@ def test_history_flavour_replays_since_watermark():
 def test_history_replay_caps_at_replay_limit():
     clock, network, hub, consumer, store = _fabric(history=True, replay_limit=2)
     for i in range(5):
-        store.record(
-            "Probe",
+        record_rows(
+            store, "Probe",
             [{"HostName": f"n{i}", "Load": float(i), "Slot": i}],
             source_url="probe://h0",
             recorded_at=float(i),
@@ -359,8 +360,8 @@ def test_non_finite_instants_are_refused_on_both_wires(instant):
     watermark the hub's replay bisect: one unauthenticated datagram with
     ``inf`` would silence every later ``history`` catch-up."""
     clock, network, hub, consumer, store = _fabric(history=True)
-    store.record(
-        "Probe", [{"HostName": "n0", "Load": 0.1, "Slot": 1}],
+    record_rows(
+        store, "Probe", [{"HostName": "n0", "Load": 0.1, "Slot": 1}],
         source_url="probe://h0", recorded_at=5.0,
     )
     cq = consumer.register(hub.address, "SELECT Slot FROM Probe", flavour="history")

@@ -38,6 +38,7 @@ from repro.sql.plan import compile_plan
 from repro.storage.engine import HistoryEngine
 from repro.storage.segments import recorded_key
 from repro.storage.simdisk import SimDisk
+from tests.history_rows import record_rows
 
 from .test_core_history import proc_row
 
@@ -139,8 +140,8 @@ class _Fixture:
                 "null": None,
             }[when]
             rows = [proc_row(host=f"n{i}", load=float(source + i)) for i in range(n)]
-            self.store.record(
-                "Processor", rows, source_url=SOURCES[source], recorded_at=at
+            record_rows(
+                self.store, "Processor", rows, source_url=SOURCES[source], recorded_at=at
             )
             if self.store.engine is not None:
                 self.log.append((self.store.engine.wal.last_lsn, SOURCES[source], at, rows))
@@ -161,7 +162,7 @@ class _Fixture:
         reference = HistoryStore(standard_schema(), max_rows_per_group=self.ring)
         for _, url, at, rows in self.log:
             for row in rows:
-                reference.record("Processor", [row], source_url=url, recorded_at=at)
+                record_rows(reference, "Processor", [row], source_url=url, recorded_at=at)
         return reference.since("Processor", None)
 
 
@@ -279,7 +280,7 @@ def test_indexed_reads_equal_the_linear_scan(durable, ring, ops, a, b):
 def test_ring_overflow_takes_the_oldest_instants_not_the_oldest_arrivals():
     store = HistoryStore(standard_schema(), max_rows_per_group=3)
     for at, url in ((5.0, "u"), (6.0, "v"), (7.0, "u"), (1.0, "v")):
-        store.record("Processor", [proc_row()], source_url=url, recorded_at=at)
+        record_rows(store, "Processor", [proc_row()], source_url=url, recorded_at=at)
     # The late batch (t=1) was the oldest instant the moment it arrived.
     assert [r["RecordedAt"] for r in store.since("Processor", None)] == [5.0, 6.0, 7.0]
     assert [r["RecordedAt"] for r in store.since("Processor", None, source_url="v")] == [6.0]
@@ -294,8 +295,8 @@ def test_one_source_window_scans_the_window_not_the_group():
     urls = [f"jdbc:snmp://n{i}/system" for i in range(8)]
     for round_ in range(256):
         for i, url in enumerate(urls):
-            store.record(
-                "Processor",
+            record_rows(
+                store, "Processor",
                 [proc_row(host=f"n{i}", load=float(round_))],
                 source_url=url,
                 recorded_at=1000.0 + round_ + i * 1e-5,

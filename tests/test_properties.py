@@ -18,6 +18,7 @@ from repro.sql.parser import parse_select
 from repro.sql.render import render_select
 from tests.reference_sql import execute_select
 from tests.test_agent_snmp import _clear_memos
+from tests.history_rows import record_rows
 
 # ----------------------------------------------------------------------
 # SNMP codec
@@ -702,8 +703,8 @@ def test_durable_history_recovers_acked_prefix(ops, sync_interval, torn_seed):
             # A record moves the newest instant forward; a late one lands
             # at or before it.
             at = max(at, stamp) if op == "record" else at
-            store.record(
-                "Processor",
+            record_rows(
+                store, "Processor",
                 [{"HostName": "n0", "LoadAverage1Min": load}],
                 source_url="u",
                 recorded_at=at if op == "record" else min(stamp, at),
@@ -714,8 +715,8 @@ def test_durable_history_recovers_acked_prefix(ops, sync_interval, torn_seed):
             store.checkpoint()
     reference = HistoryStore(standard_schema(), max_rows_per_group=ring)
     for row in store.engine.acked_rows("Processor"):
-        reference.record(
-            "Processor", [row], source_url="u", recorded_at=row["RecordedAt"]
+        record_rows(
+            reference, "Processor", [row], source_url="u", recorded_at=row["RecordedAt"]
         )
     expected = list(reference.since("Processor", None))
 

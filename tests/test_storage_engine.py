@@ -26,6 +26,7 @@ from repro.storage.recovery import (
 from repro.storage.segments import load_segment, seal_segment, segment_path
 from repro.storage.simdisk import SimDisk
 from repro.testbed import build_site
+from tests.history_rows import record_rows
 
 from .test_core_history import proc_row
 
@@ -212,7 +213,7 @@ class TestRetention:
         disk = SimDisk()
         store = _durable_store(disk, ring=3)
         for host, at in (("a", 10.0), ("b", 5.0), ("c", 11.0), ("d", 12.0)):
-            store.record("Processor", [proc_row(host=host)], source_url="u", recorded_at=at)
+            record_rows(store, "Processor", [proc_row(host=host)], source_url="u", recorded_at=at)
         store.sync()
         assert _hosts(store) == ["a", "c", "d"]
         disk.crash(None)
@@ -337,7 +338,7 @@ def test_ill_typed_manifest_is_skipped_and_the_gateway_boots(mutate):
     )
     gw = site.gateway
     assert RULE_MANIFEST_SKIPPED in [f.rule_id for f in gw.startup_findings]
-    gw.history.record("Processor", [proc_row(host="new")], source_url="u", recorded_at=9.0)
+    record_rows(gw.history, "Processor", [proc_row(host="new")], source_url="u", recorded_at=9.0)
     assert [r["HostName"] for r in gw.history.since("Processor", 9.0)] == ["new"]
     gw.history.sync()
     disk.crash(None)
