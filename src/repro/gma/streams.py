@@ -117,7 +117,7 @@ def encode_batch(
         "kind": "gridrm-tuples",
         "cq": cq_id,
         "columns": list(columns),
-        "rows": [list(r) for r in rows],
+        "rows": list(map(list, rows)),
         "published_at": published_at,
         "source_url": source_url,
         "replay": replay,
@@ -485,34 +485,49 @@ class StreamHub:
         one snapshot per :class:`Republisher` window roll or event.  Each
         snapshot is a publish of its own — LIMIT, ORDER BY and aggregates
         see one source's rows — but every consumer address gets one frame
-        for the whole call.  Returns how many (subscription, source)
-        pairs matched rows.
+        for the whole call.  A subscription's WHERE runs once per call
+        and layout (:meth:`~repro.sql.plan.BoundPlan.execute_each`); a
+        (subscription, source) pair that keeps no rows costs nothing
+        more.  Returns how many (subscription, source) pairs matched rows.
         """
         g = self._canonical(group)
         latest = self._latest.setdefault(g, {})
-        now = self.network.clock.now()
-        ov = self.overload
-        suppress = ov is not None and ov.enabled and ov.state is not PressureState.NORMAL
-        outbox: _Outbox = {}
-        pushed = 0
-        for source_url, columns, rows, published_at in sources:
-            cols = list(columns)
-            layout = tuple(cols)
+        snapshots = []
+        for source_url, columns, rows, _ in sources:
             snapshot = [list(r) for r in rows]
-            latest[source_url] = (cols, snapshot)
-            for cq in self._subs.values():
-                if cq.group != g or cq.expires_at < now:
-                    continue
-                if suppress and cq.query_class == QueryClass.BATCH.value:
-                    # Admission interplay: a pressured gateway stops paying
-                    # per-publish evaluation + wire cost for the batch tier
-                    # first — the stream analogue of the brownout fate.
-                    cq.suppressed += 1
-                    self.stats["suppressed"] += 1
-                    continue
-                try:
-                    result = cq.plan.bind(layout).execute(snapshot)
-                except SqlError:
+            latest[source_url] = (list(columns), snapshot)
+            snapshots.append(snapshot)
+        now = self.network.clock.now()
+        live = [
+            cq for cq in self._subs.values() if cq.group == g and cq.expires_at >= now
+        ]
+        ov = self.overload
+        if live and ov is not None and ov.enabled and ov.state is not PressureState.NORMAL:
+            # Admission interplay: a pressured gateway stops paying
+            # per-publish evaluation + wire cost for the batch tier first
+            # — the stream analogue of the brownout fate.  Counted per
+            # (subscription, source), as every skip is.
+            batch_tier = QueryClass.BATCH.value
+            for cq in live:
+                if cq.query_class == batch_tier:
+                    cq.suppressed += len(sources)
+                    self.stats["suppressed"] += len(sources)
+            live = [cq for cq in live if cq.query_class != batch_tier]
+        if not live:
+            return 0
+        # Each subscription's WHERE runs once per layout over the whole
+        # round (``execute_each``); the rest of its plan runs only for the
+        # snapshots that kept rows, each on its own — LIMIT, ORDER BY and
+        # aggregates still see one source's rows.  A batch is encoded as
+        # soon as its subscription's plan has run: holding every result
+        # of the round until the walk below cost extra collector passes.
+        layouts: dict[tuple[str, ...], list[int]] = {}
+        for index, (_, columns, _, _) in enumerate(sources):
+            layouts.setdefault(tuple(columns), []).append(index)
+        owed: list[list[tuple[_Continuous, dict[str, Any]]]] = [[] for _ in sources]
+        for cq in live:
+            for index, result in enumerate(self._outcomes(cq, layouts, snapshots)):
+                if isinstance(result, SqlError):
                     # This publish does not carry every column the plan
                     # needs (a narrower real-time projection can acquire a
                     # subset of the group).  The subscription simply cannot
@@ -521,12 +536,20 @@ class StreamHub:
                     # query.
                     cq.unsatisfied += 1
                     self.stats["unsatisfied"] += 1
-                    continue
-                if not self._owe(
-                    cq, result, outbox,
-                    published_at=published_at, source_url=source_url, replay=False,
-                ):
-                    continue
+                elif result.rows:
+                    source_url, _, _, published_at = sources[index]
+                    batch = encode_batch(
+                        cq.cq_id, result.columns, result.rows,
+                        published_at=published_at, source_url=source_url, replay=False,
+                    )
+                    owed[index].append((cq, batch))
+        # Offers keep the publish order: source by source, and within a
+        # source in registration order.
+        outbox: _Outbox = {}
+        pushed = 0
+        for batches in owed:
+            for cq, batch in batches:
+                self._offer(cq, batch, outbox)
                 if races.ACTIVE is not None:
                     # Registered COMMUTATIVE: the round's sources reach one
                     # subscription in completion order, but every batch
@@ -539,6 +562,24 @@ class StreamHub:
                 pushed += 1
         self._flush(outbox, g)
         return pushed
+
+    @staticmethod
+    def _outcomes(
+        cq: _Continuous,
+        layouts: dict[tuple[str, ...], list[int]],
+        snapshots: list[list[list[Any]]],
+    ) -> list[Any]:
+        """``cq``'s plan over every snapshot of one publish, in source
+        order: a result or the :class:`SqlError` that snapshot raised."""
+        if len(layouts) == 1:
+            (layout,) = layouts
+            return cq.plan.bind(layout).execute_each(snapshots)
+        each: list[Any] = [None] * len(snapshots)
+        for layout, indices in layouts.items():
+            parts = [snapshots[i] for i in indices]
+            for i, outcome in zip(indices, cq.plan.bind(layout).execute_each(parts)):
+                each[i] = outcome
+        return each
 
     def _owe(
         self, cq: _Continuous, result: Any, outbox: _Outbox, **stamps: Any
@@ -665,8 +706,11 @@ class StreamConsumer:
     are retained in arrival order (``batches``, and per-query under
     ``delivered``) and handed one by one to any registered callbacks.
     Continuous-query ids are per-hub counters, so one consumer following
-    several hubs holds equal ids: a registration is (hub, id) and
-    ``delivered`` is keyed by (sending host, id).  A renew timer keeps
+    several hubs holds equal ids: a registration is (hub, id),
+    ``delivered`` is keyed by (sending host, id), and every batch is
+    stamped with that host (``received_from``) beside ``received_at``.
+    Two hubs on one host stay indistinguishable (a datagram carries no
+    source port).  A renew timer keeps
     every registration's lease alive at half-lease cadence; a renewal
     answered ``missing`` (the lease lapsed beyond the hub's tombstone
     grace, e.g. across a long partition) triggers an automatic
@@ -713,6 +757,7 @@ class StreamConsumer:
         newest: dict[int, float] = {}
         for batch in batches:
             batch["received_at"] = now
+            batch["received_from"] = src.host
             cq = batch["cq"]
             newest[cq] = max(newest.get(cq, 0.0), batch["published_at"])
         for reg in self._regs:
@@ -1010,7 +1055,12 @@ class Republisher(EventArchiver):
 
     def _on_batch(self, batch: dict[str, Any]) -> None:
         for derivation in self._derivations:
-            if derivation.cq_id != batch["cq"]:
+            # Continuous-query ids are per hub: a batch is this
+            # derivation's only when its upstream hub's host sent it.
+            if (
+                derivation.cq_id != batch["cq"]
+                or derivation.hub.host != batch["received_from"]
+            ):
                 continue
             columns = batch["columns"]
             try:

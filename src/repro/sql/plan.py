@@ -12,7 +12,9 @@ in front of them, column kernels:
   against a concrete column layout and returns a :class:`BoundPlan`
   whose ``execute(rows)`` evaluates predicate/projection/ordering/
   aggregation over **positional rows** (lists), building no per-row
-  dicts;
+  dicts, and whose ``execute_each(parts)`` answers several relations
+  of that layout at once — one WHERE pass over all their rows, the rest
+  of the plan per relation that kept any (the stream hub's round);
 * ``plan.bind_mapping(columns)`` is the same machinery bound over
   mapping rows (the history store's dict storage), with each column
   name resolved to its canonical key once at bind time instead of once
@@ -71,10 +73,11 @@ from __future__ import annotations
 import operator
 from collections import defaultdict
 from functools import partial
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.sql import ast_nodes as ast
-from repro.sql.errors import SqlExecutionError
+from repro.sql.errors import SqlError, SqlExecutionError
 from repro.sql.values import (
     SelectResult,
     SortKey,
@@ -673,6 +676,46 @@ def _compile_filter(where: ast.Expr | None, flavour: _Flavour) -> list[BatchFn]:
     return stages
 
 
+def _owned(kept: list[Any], parts: Sequence[Sequence[Any]]) -> dict[int, list[Any]]:
+    """``kept`` — what the WHERE stages kept of ``parts`` concatenated —
+    cut back into each part's survivors: part index -> its kept rows, in
+    order, for the parts that kept any.
+
+    Sound because every stage passes on its input row *objects*, in
+    order (``_guarded_stage``, ``_null_stage``, ``_closure_stage``, and
+    ``BoundPlan._filter``'s copy when there are none), and a conjunct
+    reads its own row only (the dialect has no subquery and no scalar
+    function): ``kept`` is a subsequence of the concatenation, a part
+    keeps alone exactly the kept rows it owns, and one walk matching
+    by identity finds them.  A row object met twice is judged twice
+    alike, so it is kept at both places or at neither."""
+    owned: dict[int, list[Any]] = {}
+    ahead = iter(kept)
+    wanted = next(ahead, _MISSING)
+    for index, part in enumerate(parts):
+        if wanted is _MISSING:
+            break
+        for row in part:
+            if row is wanted:
+                owned.setdefault(index, []).append(row)
+                wanted = next(ahead, _MISSING)
+    return owned
+
+
+def _detached(exc: SqlError) -> SqlError:
+    """``exc``, and every error it was raised from, without tracebacks.
+
+    An error returned as a value outlives the frames it passed through,
+    and a traceback keeps them — and, through ``f_back``, every caller,
+    down to the one that holds the value: a cycle that only the garbage
+    collector frees."""
+    link: BaseException | None = exc
+    while link is not None:
+        link.__traceback__ = None
+        link = link.__cause__ or link.__context__
+    return exc
+
+
 def _plain_key(expr: ast.Expr, flavour: _Flavour) -> Any:
     """The subscript that reads ``expr`` when it is a plain column the
     layout has; None when it needs its closure."""
@@ -1042,7 +1085,52 @@ class BoundPlan:
     # -- execution -----------------------------------------------------
     def execute(self, rows: Sequence[Any]) -> SelectResult:
         """Run the bound plan over ``rows``."""
-        filtered = self._filter(rows)
+        return self._finish(self._filter(rows))
+
+    def execute_each(
+        self, parts: Sequence[Sequence[Any]]
+    ) -> list[SelectResult | SqlError]:
+        """``[execute(part) for part in parts]``, except that a part's
+        :class:`SqlError` is returned in that part's slot instead of
+        raised, without tracebacks (:func:`_detached`); any other
+        exception propagates.
+
+        The WHERE stages run once, over every part's rows together, and
+        only the parts with surviving rows are ordered, projected, de-
+        duplicated and sliced — every part of an aggregating plan, whose
+        answer over no rows is still a row; the parts of any other plan
+        that keep nothing share one empty result, which nobody may
+        mutate.  If the one pass raises, each part runs on its own, so an
+        error is the one its part alone would raise.
+        """
+        rows = parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
+        try:
+            kept = self._filter(rows)
+        except SqlError as exc:
+            if len(parts) == 1:
+                return [_detached(exc)]
+            return [self._settled(part) for part in parts]
+        owned = _owned(kept, parts)
+        empty = SelectResult.adopt(self._out_cols, [])
+        out: list[SelectResult | SqlError] = [empty] * len(parts)
+        # An aggregating plan answers a part that kept nothing, too.
+        finished: Iterable[int] = range(len(parts)) if self._grouped else owned
+        for index in finished:
+            try:
+                out[index] = self._finish(owned.get(index, []))
+            except SqlError as exc:
+                out[index] = _detached(exc)
+        return out
+
+    def _settled(self, part: Sequence[Any]) -> SelectResult | SqlError:
+        """``execute(part)``, its :class:`SqlError` returned, not raised."""
+        try:
+            return self._finish(self._filter(part))
+        except SqlError as exc:
+            return _detached(exc)
+
+    def _finish(self, filtered: list[Any]) -> SelectResult:
+        """Everything after the WHERE clause, over the rows it kept."""
         if self._grouped:
             out_cols, out_rows = self._execute_grouped(filtered)
         elif not filtered:

@@ -196,10 +196,13 @@ def aggregate_values(name: str, values: list[Any], distinct: bool) -> Any:
         return sum(as_number(v) for v in values)
     if name == "AVG":
         return sum(as_number(v) for v in values) / len(values)
-    if name == "MIN":
-        return min(values)
-    if name == "MAX":
-        return max(values)
+    if name in ("MIN", "MAX"):
+        try:
+            return min(values) if name == "MIN" else max(values)
+        except TypeError as exc:
+            # A TEXT value among numbers: a typed error, like every
+            # other comparison that cannot be made.
+            raise SqlExecutionError(f"type error in {name}: {exc}") from exc
     raise SqlExecutionError(f"unknown aggregate {name!r}")
 
 

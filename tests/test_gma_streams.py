@@ -34,7 +34,7 @@ from repro.gma.streams import (
 from repro.obs.trace import Tracer
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
-from repro.testbed import build_testbed
+from repro.testbed import build_site, build_testbed
 from tests.history_rows import record_rows
 
 PROBE = GlueGroup(
@@ -529,6 +529,23 @@ def test_expired_subscription_receives_no_pushes():
     assert consumer.rows(hub.address, cq) == []
 
 
+def test_an_aggregate_over_a_text_value_leaves_its_snapshot_unsatisfied():
+    """``MAX`` over a TEXT value among numbers is a typed SQL error: the
+    subscription skips that snapshot and the round goes on."""
+    clock, network, hub, consumer, _ = _fabric()
+    cq = consumer.register(hub.address, "SELECT MAX(Load) AS Top FROM Probe")
+    columns = ["HostName", "Load", "Slot"]
+    now = clock.now()
+    hub.publish("Probe", [
+        ("probe://h0", columns, [["n0", 0.5, 1], ["n1", "n/a", 2]], now),
+        ("probe://h1", columns, [["n2", 0.7, 3]], now),
+    ])
+    clock.advance(1.0)
+    assert hub.stats["unsatisfied"] == 1
+    assert [b["source_url"] for b in consumer.delivered[hub.host, cq]] == ["probe://h1"]
+    assert consumer.rows(hub.address, cq) == [[0.7]]
+
+
 # ----------------------------------------------------------------------
 # Republisher: derived streams over an upstream hub
 # ----------------------------------------------------------------------
@@ -568,6 +585,48 @@ def test_republisher_derives_windowed_aggregates_downstream():
     assert rep.stats["windows"] == 1
     rep.stop()
     downstream.stop()
+
+
+def test_republisher_keeps_two_hubs_derivations_apart():
+    """Continuous-query ids are per hub, so two upstream gateways both
+    hand out cq 1: a derivation folds only the batches its own hub's
+    host sent."""
+    network = Network(VirtualClock(), seed=3)
+    policy = GatewayPolicy(streaming_enabled=True)
+    sites = [
+        build_site(network, name=name, n_hosts=2, agents=("snmp",), seed=3, policy=policy)
+        for name in ("site-a", "site-b")
+    ]
+    network.clock.advance(60.0)
+    rep = Republisher(network, "rep-host")
+    derivations = [
+        rep.derive(
+            site.gateway.streams.address,
+            "SELECT HostName, LoadAverage1Min FROM Processor",
+            key_column="HostName",
+            value_column="LoadAverage1Min",
+            window=600.0,
+            group=f"Load-{site.name}",
+        )
+        for site in sites
+    ]
+    assert [d.cq_id for d in derivations] == [1, 1]
+    site_a, site_b = sites
+    site_a.gateway.query(
+        list(site_a.source_urls), "SELECT * FROM Processor", mode=QueryMode.REALTIME
+    )
+    network.clock.advance(1.0)
+    assert sorted(key for key, _ in derivations[0].pending) == ["site-a-n00", "site-a-n01"]
+    assert derivations[1].pending == []
+    site_b.gateway.query(
+        list(site_b.source_urls), "SELECT * FROM Processor", mode=QueryMode.REALTIME
+    )
+    network.clock.advance(1.0)
+    for site, derivation in zip(sites, derivations):
+        hosts = {key for key, _ in derivation.pending}
+        assert hosts == {f"{site.name}-n00", f"{site.name}-n01"}, site.name
+    assert rep.stats["samples"] == 4
+    rep.stop()
 
 
 def test_republisher_rejects_nonpositive_window():

@@ -19,6 +19,15 @@ twin, a slot row shorter than its layout.  The generator writes literals on eith
 comparison, negative literals, ``-'x'``, numeric ``IN`` lists, string
 ``BETWEEN`` and comparisons that raise behind conjuncts that are NULL.
 
+Every ``assert_equivalent`` also runs ``BoundPlan.execute_each`` (the
+stream hub's round: one WHERE pass over several relations) over the
+rows cut into 2-3 seeded parts, in both flavours: each part's outcome
+must be the reference over that part alone — same result, or the same
+exception type and message in that part's slot.  Hand mutations seen to
+fail here: every survivor credited to the first part, an aggregating
+plan skipping the parts that kept nothing, one part's error copied into
+every slot.
+
 ``Database`` DML runs the same closures (``plan.compile_expr``), so a
 second seeded sweep (``TestGeneratedDml``) loads the typed and the edge
 relation into a ``Table`` and holds 300 generated UPDATE / DELETE
@@ -64,7 +73,7 @@ import repro
 
 from repro.sql import ast_nodes as sql_ast
 from repro.sql.database import Database
-from repro.sql.errors import SqlExecutionError
+from repro.sql.errors import SqlError, SqlExecutionError, SqlParseError
 from repro.sql.parser import parse_select, parse_statement
 from repro.sql.plan import CompiledPlan, compile_plan, join_rows
 from tests import reference_sql
@@ -162,6 +171,7 @@ def assert_equivalent(sql, columns=COLUMNS, dict_rows=ROWS):
     assert got_map == ref, f"mapping flavour diverged on {sql!r}:\n{got_map}\n{ref}"
     rows = positional(columns, dict_rows)
     if rows is None:
+        assert_each_equivalent(sql, columns, dict_rows)
         return ref
     if any(len(r) < len(columns) for r in rows) and (
         select.is_star or (select.order_by and any(i.alias for i in select.items))
@@ -170,10 +180,72 @@ def assert_equivalent(sql, columns=COLUMNS, dict_rows=ROWS):
         # the alias-extended sort rows) as it is, where the interpreter
         # pads a dict row's missing keys with NULL: not a kernel's doing
         # and not comparable.
+        assert_each_equivalent(sql, columns, dict_rows)
         return ref
     got_slot = outcome(lambda: plan.bind(tuple(columns)).execute(rows))
     assert got_slot == ref, f"slot flavour diverged on {sql!r}:\n{got_slot}\n{ref}"
+    assert_each_equivalent(sql, columns, dict_rows, rows)
     return ref
+
+
+def cut(rng, rows):
+    """``rows`` in 2-3 consecutive parts, any of which may be empty."""
+    bounds = sorted(rng.randint(0, len(rows)) for _ in range(rng.randint(1, 2)))
+    edges = [0, *bounds, len(rows)]
+    return [rows[a:b] for a, b in zip(edges, edges[1:])]
+
+
+#: The errors ``execute_each`` returns in a slot; any other propagates.
+SQL_ERRORS = {cls.__name__ for cls in (SqlError, SqlExecutionError, SqlParseError)}
+
+
+def each_outcome(run):
+    """``execute_each``'s answer: every slot's fingerprint (a result's,
+    or its :class:`SqlError`'s), or the exception it raised."""
+    return outcome(
+        run,
+        head=lambda results: ("each", [
+            ("err", type(r).__name__, str(r)) if isinstance(r, SqlError)
+            else ("ok", r.columns, repr(r.rows))
+            for r in results
+        ]),
+    )
+
+
+def each_reference(select, columns, parts):
+    """What ``each_outcome`` must read: the reference over each part
+    alone — up to the first failure that is not a :class:`SqlError`,
+    which ``[execute(p) for p in parts]`` raises."""
+    slots = [outcome(lambda p=part: execute_select(select, columns, p)) for part in parts]
+    for slot in slots:
+        if slot[0] == "err" and slot[1] not in SQL_ERRORS:
+            return slot
+    return ("ok", "each", repr(slots))
+
+
+def assert_each_equivalent(sql, columns, dict_rows, slot_rows=None):
+    """``execute_each`` over ``dict_rows`` (and their positional twin
+    ``slot_rows``) cut into seeded parts: each part's outcome is the
+    reference over that part's rows alone."""
+    select = parse_select(sql)
+    plan = compile_plan(select)
+    rng = random.Random(f"{sql}/{len(dict_rows)}")
+    indices = cut(rng, list(range(len(dict_rows))))
+    want = each_reference(select, columns, [[dict_rows[i] for i in p] for p in indices])
+    got = each_outcome(
+        lambda: plan.bind_mapping(tuple(columns)).execute_each(
+            [[dict_rows[i] for i in p] for p in indices]
+        )
+    )
+    assert got == want, f"mapping execute_each diverged on {sql!r} cut {indices}:\n{got}\n{want}"
+    if slot_rows is None:
+        return
+    got = each_outcome(
+        lambda: plan.bind(tuple(columns)).execute_each(
+            [[slot_rows[i] for i in p] for p in indices]
+        )
+    )
+    assert got == want, f"slot execute_each diverged on {sql!r} cut {indices}:\n{got}\n{want}"
 
 
 HAND_PICKED = [
@@ -355,6 +427,40 @@ class TestHandPicked:
             positional = [[1, 2, 3], [4, 5, 6]]
             got = outcome(lambda: plan.bind(tuple(columns)).execute(positional))
             assert got == ref, sql
+
+
+class TestExecuteEach:
+    """``execute_each`` cases the seeded cuts of the sweep need not draw."""
+
+    def test_a_row_object_in_two_parts_is_kept_in_both(self):
+        select = parse_select("SELECT HostName FROM Processor WHERE MemMB >= 512")
+        plan = compile_plan(select).bind(tuple(COLUMNS))
+        first, second, third = slot_rows()[:3]
+        parts = [[first, second], [third, first], [first]]
+        got = plan.execute_each(parts)
+        assert [r.rows for r in got] == [[["h1"], ["h2"]], [["h1"]], [["h1"]]]
+
+    def test_an_error_stays_in_its_part(self):
+        sql = "SELECT HostName FROM Processor WHERE Load > 1"
+        parts = [ROWS[:2], [EDGE_ROWS[8]], ROWS[3:]]  # h9's Load is 'n/a'
+        plan = compile_plan(parse_select(sql)).bind_mapping(tuple(COLUMNS))
+        first, error, last = plan.execute_each(parts)
+        assert isinstance(error, SqlExecutionError) and error.__traceback__ is None
+        assert (first.rows, last.rows) == ([], [["h4"]])
+        assert each_outcome(lambda: plan.execute_each(parts)) == each_reference(
+            parse_select(sql), COLUMNS, parts
+        )
+
+    def test_an_aggregate_answers_every_part(self):
+        plan = compile_plan(
+            parse_select("SELECT COUNT(*) FROM Processor WHERE Load > 100")
+        ).bind(tuple(COLUMNS))
+        got = plan.execute_each([slot_rows()[:2], [], slot_rows()[2:]])
+        assert [r.rows for r in got] == [[[0]], [[0]], [[0]]]
+
+    def test_no_parts(self):
+        plan = compile_plan(parse_select("SELECT * FROM Processor WHERE Load > 1"))
+        assert plan.bind(tuple(COLUMNS)).execute_each([]) == []
 
 
 NUMERIC = ["Load", "MemMB"]

@@ -33,6 +33,7 @@ from repro.obs import check_trace
 from repro.simnet.clock import VirtualClock
 from repro.simnet.link import LAN, WAN
 from repro.simnet.network import Network
+from repro.sql.plan import BoundPlan
 from repro.testbed import build_site
 
 from .test_gma_streams import _fabric
@@ -211,6 +212,40 @@ class TestSeededSite:
             len(c.batches) for c in consumers
         )
         assert hub.snapshot()["frames"] == hub.stats["frames"]
+
+
+    def test_a_round_runs_each_subscription_once_per_layout(self, monkeypatch):
+        """Counts, not clocks: the Processor round publishes 5 snapshots
+        of one layout, and its 9 live Processor subscriptions cost the
+        hub 9 ``execute_each`` calls and no ``execute`` (one per
+        subscription per source, 45, before the WHERE ran once per
+        round)."""
+        site, _ = scenario()
+        hub = site.gateway.streams
+        counts = {"execute": 0, "execute_each": 0, "snapshots": 0, "layouts": 0}
+        inner = hub.publish
+
+        def publish(group, sources):
+            counts["snapshots"] += len(sources)
+            counts["layouts"] += len({tuple(columns) for _, columns, _, _ in sources})
+            with monkeypatch.context() as m:
+                for name in ("execute", "execute_each"):
+                    real = getattr(BoundPlan, name)
+
+                    def counted(plan, arg, real=real, name=name):
+                        counts[name] += 1
+                        return real(plan, arg)
+
+                    m.setattr(BoundPlan, name, counted)
+                return inner(group, sources)
+
+        hub.publish = publish
+        live = [cq for cq in hub._subs.values() if cq.group == "Processor"]
+        site.gateway.query(
+            list(site.source_urls), "SELECT * FROM Processor", mode=QueryMode.REALTIME
+        )
+        assert len(live) == 9
+        assert counts == {"execute": 0, "execute_each": 9, "snapshots": 5, "layouts": 1}
 
 
 # ----------------------------------------------------------------------

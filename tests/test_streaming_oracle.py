@@ -27,6 +27,16 @@ oracle over each source's final publish.
 Case budget: ``len(SEEDS) * CASES_PER_SEED`` >= 200, enforced by
 ``test_case_budget``.
 
+A gateway query publishes its whole fan-out in one ``publish`` call, and
+the hub runs each subscription's WHERE once over all of the round's
+snapshots before finishing each snapshot on its own.  The round cases
+(``test_multi_source_rounds_match_the_reference_per_snapshot``) hold
+that to the same oracle: 2-8 snapshots per call, each with its own
+column order, some lacking a column and some holding a TEXT value where
+a number is compared; every (subscription, source) delivery must be the
+reference over that snapshot alone and every snapshot the reference
+raises on one ``unsatisfied``.  Budget: ``test_round_case_budget``.
+
 Events are tuples too: the event plane (:mod:`repro.gma.subscription`)
 is a hub over the ``Event`` group, so the same oracle holds every event
 subscription's ``where`` predicate to the interpreted executor
@@ -54,6 +64,7 @@ from repro.gma.subscription import (
 )
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
+from repro.sql.errors import SqlError
 from repro.sql.parser import parse_select
 from repro.testbed import build_site
 from tests.reference_sql import execute_select
@@ -244,6 +255,108 @@ def test_streaming_matches_polling_oracle(seed: int) -> None:
 def test_case_budget() -> None:
     """The differential oracle covers at least 200 query x schedule cases."""
     assert len(SEEDS) * CASES_PER_SEED >= 200
+
+
+# ----------------------------------------------------------------------
+# Multi-source rounds: one publish call carries a gateway query's fan-out
+# ----------------------------------------------------------------------
+ROUND_SEEDS = range(10)
+ROUND_CASES_PER_SEED = 12
+#: Subscriptions registered per round case, all on one consumer.
+ROUND_SUBSCRIPTIONS = 4
+NUMERIC_COLUMNS = ("Load", "Temp", "Slot")
+
+
+def _gen_snapshot(rng: random.Random) -> tuple[list[str], list[list[object]]]:
+    """One source's snapshot in a round: its own column order, and now
+    and then a column missing or a TEXT value in a numeric column."""
+    columns, rows = _gen_publish(rng)
+    roll = rng.random()
+    if roll < 0.2:
+        gone = columns.index(rng.choice(columns))
+        columns = columns[:gone] + columns[gone + 1:]
+        rows = [row[:gone] + row[gone + 1:] for row in rows]
+    elif roll < 0.4:
+        row = rng.choice(rows)
+        row[columns.index(rng.choice(NUMERIC_COLUMNS))] = rng.choice(("n/a", "", "2.5"))
+    return columns, rows
+
+
+def _reference_or_error(sql: str, columns: list[str], rows: list[list[object]]):
+    try:
+        return _oracle(sql, columns, rows)
+    except SqlError:
+        return None
+
+
+@pytest.mark.parametrize("seed", ROUND_SEEDS)
+def test_multi_source_rounds_match_the_reference_per_snapshot(seed: int) -> None:
+    """A round of 2-8 snapshots in one ``publish`` call: every
+    (subscription, source) delivery is the reference over that snapshot
+    alone, in source order, and each snapshot the reference raises on
+    is one ``unsatisfied``."""
+    rng = random.Random(0x5EED + seed)
+    layouts_per_round = []
+    raised = delivered_batches = 0
+    for case in range(ROUND_CASES_PER_SEED):
+        clock, network, hub, consumer = _fresh()
+        sqls = [_gen_sql(rng) for _ in range(ROUND_SUBSCRIPTIONS)]
+        cqs = [consumer.register(hub.address, sql, lease=1e6) for sql in sqls]
+        clock.advance(1.0)
+        for step in range(rng.randint(1, 3)):
+            sources = [f"probe://case{case}/src{i}" for i in range(rng.randint(2, 8))]
+            snapshots = [_gen_snapshot(rng) for _ in sources]
+            layouts_per_round.append(len({tuple(c) for c, _ in snapshots}))
+            before = {cq: len(consumer.delivered.get((hub.host, cq), [])) for cq in cqs}
+            arrived = len(consumer.batches)
+            unsatisfied = hub.stats["unsatisfied"]
+            now = network.clock.now()
+            hub.publish(
+                "Probe",
+                [(url, columns, rows, now) for url, (columns, rows) in zip(sources, snapshots)],
+            )
+            clock.advance(1.0)
+            want_unsatisfied = 0
+            owed = []
+            for sql, cq in zip(sqls, cqs):
+                got = consumer.delivered.get((hub.host, cq), [])[before[cq]:]
+                want = []
+                for url, (columns, rows) in zip(sources, snapshots):
+                    expected = _reference_or_error(sql, columns, rows)
+                    if expected is None:
+                        want_unsatisfied += 1
+                    elif expected.rows:
+                        want.append(
+                            repr((url, list(expected.columns), list(expected.rows)))
+                        )
+                        owed.append((sources.index(url), cq))
+                assert [
+                    repr((b["source_url"], b["columns"], b["rows"])) for b in got
+                ] == want, (
+                    f"seed={seed} case={case} step={step} sql={sql!r}: round "
+                    f"{snapshots!r} delivered {got!r}"
+                )
+                delivered_batches += len(want)
+            assert hub.stats["unsatisfied"] - unsatisfied == want_unsatisfied, (
+                f"seed={seed} case={case} step={step}"
+            )
+            # One frame, its members source by source and, within a
+            # source, in registration order.
+            assert [
+                (sources.index(b["source_url"]), b["cq"])
+                for b in consumer.batches[arrived:]
+            ] == sorted(owed)
+            raised += want_unsatisfied
+        hub.close()
+    # The schedule is worth running: rounds mix layouts, some snapshots
+    # cannot satisfy a subscription, and batches do flow.
+    assert max(layouts_per_round) > 1 and raised and delivered_batches
+
+
+def test_round_case_budget() -> None:
+    """The round oracle covers at least 100 multi-source cases, each
+    holding several subscriptions over one or more rounds."""
+    assert len(ROUND_SEEDS) * ROUND_CASES_PER_SEED >= 100
 
 
 # ----------------------------------------------------------------------
