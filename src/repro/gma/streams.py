@@ -117,7 +117,7 @@ def encode_batch(
         "kind": "gridrm-tuples",
         "cq": cq_id,
         "columns": list(columns),
-        "rows": list(map(list, rows)),
+        "rows": [list(r) for r in rows],
         "published_at": published_at,
         "source_url": source_url,
         "replay": replay,
