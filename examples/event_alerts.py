@@ -29,8 +29,11 @@ def main() -> None:
     )
     gateway = site.gateway
 
+    # A listener hears every event and keeps the ones it wants.
     alerts: list[Event] = []
-    gateway.events.register_listener(alerts.append, name_prefix="load.")
+    gateway.events.register_listener(
+        lambda event: alerts.append(event) if event.name.startswith("load.") else None
+    )
 
     print("=== monitoring for 30 virtual minutes (threshold: load > 0.8) ===")
     clock.advance(1800.0)

@@ -76,6 +76,9 @@ RACE_RULE_DOCS = {
 
 RACE_RULE_IDS = tuple(sorted(RACE_RULE_DOCS))
 
+#: Accesses a cell keeps between sequential touches, oldest forgotten.
+MAX_CELL_HISTORY = 64
+
 
 class Discipline(enum.Enum):
     """How much cross-branch sharing a piece of state tolerates."""
@@ -122,13 +125,12 @@ class RaceDetector:
     recorded before it, so it resets the cell.
     """
 
-    def __init__(self, clock: "VirtualClock", *, max_cell_history: int = 64) -> None:
+    def __init__(self, clock: "VirtualClock") -> None:
         self._clock = clock
         self._disciplines: dict[str, Discipline] = {}
         self._cells: dict[tuple[str, str], deque[_Access]] = {}
         self._findings: list[Finding] = []
         self._seen: set[str] = set()
-        self._max_cell_history = max_cell_history
         self.accesses_noted = 0
 
     # ------------------------------------------------------------------
@@ -200,7 +202,7 @@ class RaceDetector:
                 cell.clear()
             return
         if cell is None:
-            cell = self._cells[cell_key] = deque(maxlen=self._max_cell_history)
+            cell = self._cells[cell_key] = deque(maxlen=MAX_CELL_HISTORY)
         access = _Access(
             lane=lane, kind=kind, digest=digest, site=site, at=self._clock.now()
         )

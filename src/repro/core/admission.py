@@ -19,8 +19,8 @@ The serving plane's overload protection (with :mod:`repro.core.shed`):
 * **GradientLimiter** — an AIMD concurrency limiter (in the spirit of
   TCP-Vegas-style limiters): probe the limit up by one when an epoch's
   latencies sit near the observed baseline, multiplicatively back off
-  when the epoch mean inflates past ``tolerance`` x baseline or any
-  attempt ended congested (timeout / failure).  Observations fold into
+  when the epoch mean inflates past :data:`LIMITER_TOLERANCE` x baseline
+  or any attempt ended congested (timeout / failure).  Observations fold into
   commutative epoch aggregates (count / sum / min / congested-count) so
   unordered virtual-lane branches can feed one limiter without
   launch-order races; the folds are annotated for the PR 7 race
@@ -51,7 +51,6 @@ from repro.core.errors import (
     DeadlineExceededError,
     GridRmError,
     OverloadError,
-    PolicyError,
 )
 from repro.core.policy import GatewayPolicy
 from repro.core.shed import (
@@ -69,9 +68,26 @@ from repro.simnet.clock import VirtualClock
 #: dequeue p50 (matches the dispatcher's hedge-timer window size).
 _SERVICE_WINDOW = 64
 
-#: Starting concurrency limit of a gradient limiter nothing else seeds
-#: (the gateway-wide one; a per-source one over an unlimited static cap).
+#: Starting concurrency limit of the gateway-wide gradient limiter.
 INITIAL_LIMIT = 8
+
+#: Bounds every gradient limiter's concurrency limit stays within.
+LIMIT_FLOOR = 1
+LIMIT_CEILING = 64
+
+#: An epoch whose mean latency exceeds this multiple of the baseline
+#: reads as congestion.
+LIMITER_TOLERANCE = 2.0
+
+#: Multiplicative back-off of the limit on a congested epoch.
+LIMITER_BACKOFF = 0.8
+
+#: Observations per limiter epoch.
+LIMITER_WINDOW = 16
+
+#: Fraction of the admission queue BATCH-class queries may occupy before
+#: being shed (the priority bound that sheds batch first).
+BATCH_QUEUE_SHARE = 0.5
 
 
 class QueryClass(enum.Enum):
@@ -110,34 +126,15 @@ class GradientLimiter:
         clock: VirtualClock,
         *,
         initial: int,
-        floor: int = 1,
-        ceiling: int = 64,
-        tolerance: float = 2.0,
-        backoff: float = 0.8,
-        window: int = 16,
         registry: Optional[MetricsRegistry] = None,
         key: str = "",
     ) -> None:
-        if not 1 <= floor <= ceiling:
-            raise PolicyError(
-                f"limiter needs 1 <= floor <= ceiling: {floor!r}, {ceiling!r}"
-            )
-        if tolerance <= 1.0 or not 0.0 < backoff < 1.0 or window < 1:
-            raise PolicyError(
-                "limiter needs tolerance > 1, 0 < backoff < 1, window >= 1: "
-                f"{tolerance!r}, {backoff!r}, {window!r}"
-            )
         self._clock = clock
         self.key = key
-        self.floor = floor
-        self.ceiling = ceiling
-        self.tolerance = tolerance
-        self.backoff = backoff
-        self.window = window
         registry = registry if registry is not None else MetricsRegistry()
         self._backoffs = registry.counter("limiter.backoffs")
         self._probes = registry.counter("limiter.probes")
-        self._limit = float(min(max(initial, floor), ceiling))
+        self._limit = float(min(max(initial, LIMIT_FLOOR), LIMIT_CEILING))
         #: Long-run latency floor the epoch mean is judged against.
         self._baseline: Optional[float] = None
         # Epoch accumulators: every fold is commutative (count, sum,
@@ -151,7 +148,7 @@ class GradientLimiter:
     @property
     def limit(self) -> int:
         """The current integer concurrency limit."""
-        return max(self.floor, int(self._limit))
+        return max(LIMIT_FLOOR, int(self._limit))
 
     @property
     def baseline(self) -> Optional[float]:
@@ -167,7 +164,7 @@ class GradientLimiter:
             self._min = latency
         if congested:
             self._congested += 1
-        if self._count >= self.window:
+        if self._count >= LIMITER_WINDOW:
             self._roll()
 
     def _roll(self) -> None:
@@ -187,11 +184,11 @@ class GradientLimiter:
             self._baseline = (
                 0.95 * min(self._baseline, epoch_min) + 0.05 * epoch_min
             )
-        if congested > 0 or mean > self._baseline * self.tolerance:
-            self._limit = max(float(self.floor), self._limit * self.backoff)
+        if congested > 0 or mean > self._baseline * LIMITER_TOLERANCE:
+            self._limit = max(float(LIMIT_FLOOR), self._limit * LIMITER_BACKOFF)
             self._backoffs.add(1)
         else:
-            self._limit = min(float(self.ceiling), self._limit + 1.0)
+            self._limit = min(float(LIMIT_CEILING), self._limit + 1.0)
             self._probes.add(1)
         if races.ACTIVE is not None:
             # VALUE discipline: two unordered rolls only conflict when
@@ -235,24 +232,14 @@ class AdmissionController:
         on_transition: Optional[
             Callable[[PressureState, PressureState], None]
         ] = None,
-        initial_limit: int = INITIAL_LIMIT,
-        batch_queue_share: float = 0.5,
     ) -> None:
-        if initial_limit < 1 or not 0.0 < batch_queue_share <= 1.0:
-            raise PolicyError(
-                "admission needs initial_limit >= 1, 0 < batch_queue_share <= 1: "
-                f"{initial_limit!r}, {batch_queue_share!r}"
-            )
         self.clock = clock
         self.policy = policy
-        #: Fraction of the admission queue BATCH-class queries may occupy
-        #: before being shed (the priority bound that sheds batch first).
-        self.batch_queue_share = batch_queue_share
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NO_TRACER
         self.limiter = GradientLimiter(
             clock,
-            initial=initial_limit,
+            initial=INITIAL_LIMIT,
             registry=self.registry,
             key="gateway",
         )
@@ -347,7 +334,7 @@ class AdmissionController:
                 cap = self.policy.admission_queue_limit
                 bound = cap
                 if query_class is QueryClass.BATCH:
-                    bound = int(cap * self.batch_queue_share)
+                    bound = int(cap * BATCH_QUEUE_SHARE)
                 if query_class is not QueryClass.CRITICAL and depth >= bound:
                     self.shed(
                         query_class, f"admission queue full ({depth}/{cap})"

@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, TYPE_CHECKING
 
-from repro.analysis.query_check import validate_sql
 from repro.core.errors import QueryValidationError
 from repro.core.events import Event
 from repro.core.request_manager import QueryMode
@@ -108,12 +107,12 @@ class AlertMonitor:
         # Compile-time GLUE validation: a rule naming an unknown group or
         # attribute would poll forever and never match — reject it at
         # install time, exactly like the RequestManager rejects ad-hoc
-        # queries, instead of burning a poll period per mistake.
-        findings = validate_sql(
-            rule.sql,
-            self.gateway.schema_manager.schema,
-            path=f"<alert:{rule.name}>",
-        )
+        # queries, instead of burning a poll period per mistake.  The
+        # findings are those of the plan-cache entry the polls are served
+        # from, so the text is analysed once.
+        findings = self.gateway.request_manager.plan_entry(
+            rule.sql, self._mode(rule)
+        ).findings
         if findings:
             raise QueryValidationError(
                 f"alert rule {rule.name!r} SQL is invalid: "
@@ -142,12 +141,15 @@ class AlertMonitor:
         return [self._rules[k] for k in sorted(self._rules)]
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _mode(rule: AlertRule) -> QueryMode:
+        return QueryMode.CACHED_OK if rule.use_cache else QueryMode.REALTIME
+
     def poll_rule(self, rule: AlertRule) -> int:
         """Execute one poll of ``rule``; returns events emitted."""
         self.stats["polls"] += 1
         gw = self.gateway
-        mode = QueryMode.CACHED_OK if rule.use_cache else QueryMode.REALTIME
-        result = gw.query(rule.urls, rule.sql, mode=mode, max_age=rule.period)
+        result = gw.query(rule.urls, rule.sql, mode=self._mode(rule), max_age=rule.period)
         now = gw.network.clock.now()
         emitted = 0
         hosts_in_violation = set()

@@ -16,10 +16,10 @@ its normalised text down as ``key=`` and :func:`normalise_sql` is
 skipped — the serving path normalises a query text once, in
 ``PlanCache.get``, however many sources it reads.
 
-The cache is bounded: ``max_entries`` is an LRU capacity (0 =
-unbounded).  Lookups refresh recency; inserting past
-capacity evicts the least recently used entry and counts it in
-``evictions``, so a long-running gateway's memory footprint stays flat.
+The cache is bounded: :data:`MAX_ENTRIES` is an LRU capacity.  Lookups
+refresh recency; inserting past capacity evicts the least recently used
+entry and counts it in ``evictions``, so a long-running gateway's memory
+footprint stays flat.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from typing import Any, Optional
 from repro.analysis import races
 from repro.obs.metrics import MetricsRegistry
 from repro.simnet.clock import VirtualClock
+
+#: LRU capacity of a gateway's query cache (entries).
+MAX_ENTRIES = 4096
 
 
 @dataclass
@@ -126,20 +129,16 @@ class CacheController:
         clock: VirtualClock,
         *,
         ttl: float = 30.0,
-        max_entries: int = 4096,
         registry: "MetricsRegistry | None" = None,
     ) -> None:
         if ttl < 0:
             raise ValueError(f"negative ttl: {ttl!r}")
-        if max_entries < 0:
-            raise ValueError(f"negative max_entries: {max_entries!r}")
         self.clock = clock
         self.ttl = ttl
-        self.max_entries = max_entries
         self._entries: dict[tuple[str, str], CachedResult] = {}
         # Counters live in the shared registry (prefix ``cache.``) so the
-        # self-monitoring driver sees them; the ``hits``/``misses``/
-        # ``evictions`` attribute reads below stay source-compatible.
+        # self-monitoring driver sees them; ``hits`` / ``misses`` /
+        # ``evictions`` below read them.
         reg = registry if registry is not None else MetricsRegistry()
         self._hits = reg.counter("cache.hits")
         self._misses = reg.counter("cache.misses")
@@ -148,10 +147,6 @@ class CacheController:
     @property
     def hits(self) -> int:
         return self._hits.value
-
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.add(value - self._hits.value)
 
     @property
     def misses(self) -> int:
@@ -251,11 +246,9 @@ class CacheController:
             )
         self._entries.pop(key, None)
         self._entries[key] = entry
-        if self.max_entries:
-            while len(self._entries) > self.max_entries:
-                oldest = next(iter(self._entries))
-                del self._entries[oldest]
-                self._evictions.add(1)
+        while len(self._entries) > MAX_ENTRIES:
+            del self._entries[next(iter(self._entries))]
+            self._evictions.add(1)
         return entry
 
     def invalidate(self, source_url: str | None = None) -> int:

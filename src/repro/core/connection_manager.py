@@ -7,7 +7,7 @@ connections to reduce the overhead effects."
 
 The pool is per data source (URL key).  Acquire pops an idle connection
 when one exists — revalidating it first if it has been idle longer than
-``idle_ttl`` — and otherwise asks the
+:data:`IDLE_TTL` — and otherwise asks the
 GridRMDriverManager for a new one (which pays driver selection + native
 probe + schema fetch).  Release returns the connection for reuse, or
 closes it when the pool is at capacity.  Experiment E1 measures the
@@ -22,7 +22,6 @@ from typing import Any, Iterator, Mapping
 
 from repro.core.deadline import Deadline
 from repro.core.driver_manager import GridRmDriverManager
-from repro.core.errors import PolicyError
 from repro.core.health import BreakerState, HealthTracker
 from repro.core.policy import GatewayPolicy
 from repro.dbapi.url import JdbcUrl
@@ -30,6 +29,10 @@ from repro.drivers.base import GridRmConnection
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.obs.trace import NO_TRACER, Tracer
 from repro.simnet.clock import VirtualClock
+
+#: Pooled connections idle longer than this are revalidated before
+#: reuse (s, virtual).
+IDLE_TTL = 120.0
 
 
 @dataclass
@@ -64,16 +67,10 @@ class ConnectionManager:
         health: HealthTracker | None = None,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        idle_ttl: float = 120.0,
     ) -> None:
-        if idle_ttl <= 0:
-            raise PolicyError(f"idle_ttl must be > 0: {idle_ttl!r}")
         self.driver_manager = driver_manager
         self.clock = clock
         self.policy = policy
-        #: Pooled connections idle longer than this are revalidated
-        #: before reuse (s, virtual).
-        self.idle_ttl = idle_ttl
         #: Shared per-source circuit breakers (injected by the Gateway).
         self.health = health
         self.tracer = tracer if tracer is not None else NO_TRACER
@@ -128,7 +125,7 @@ class ConnectionManager:
                     if conn.is_closed():
                         self.stats.inc("evicted_invalid")
                         continue
-                    if now - entry.idle_since > self.idle_ttl:
+                    if now - entry.idle_since > IDLE_TTL:
                         # Stale: pay one probe to revalidate before reuse,
                         # bounded by the borrowing query's remaining budget.
                         self.stats.inc("revalidated")

@@ -13,10 +13,10 @@ elapsed time is the *max* of branch delays, and adds two controls on top:
   question) share one agent round-trip.  Joiners wait until the shared
   flight completes, then reuse its rows (or its failure) without any
   agent traffic of their own.
-* **per-source concurrency caps** — at most ``max_concurrent_per_source``
-  requests (4; 0 = unlimited) may be in flight to one data source (or
-  remote gateway) at once; excess branches queue in virtual time, so a
-  gateway fan-out cannot stampede an agent.
+* **per-source concurrency caps** — at most
+  :data:`MAX_CONCURRENT_PER_SOURCE` requests may be in flight to one data
+  source (or remote gateway) at once; excess branches queue in virtual
+  time, so a gateway fan-out cannot stampede an agent.
 * **hedged requests** ("The Tail at Scale") — when a source's answer has
   not arrived within a high percentile of its recently observed
   latencies, a second identical request is fired at the same source and
@@ -38,10 +38,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.core.admission import INITIAL_LIMIT, GradientLimiter
+from repro.core.admission import GradientLimiter
 from repro.core.cache import normalise_sql
 from repro.core.deadline import Deadline
-from repro.core.errors import GridRmError, PolicyError
+from repro.core.errors import GridRmError
 from repro.core.policy import GatewayPolicy
 from repro.dbapi.exceptions import SQLException
 from repro.obs.metrics import MetricsRegistry, StatsView
@@ -57,6 +57,20 @@ _FLIGHT_SWEEP_THRESHOLD = 512
 #: timer (successful attempts only; failures would inflate the
 #: percentile toward the timeout and disarm hedging when it matters).
 _LATENCY_WINDOW = 64
+
+#: In-flight requests allowed per source (the static cap, and the seed
+#: of each source's adaptive limiter).
+MAX_CONCURRENT_PER_SOURCE = 4
+
+#: Latency percentile that arms the hedge timer (95 = slowest 5%).
+HEDGE_PERCENTILE = 95.0
+
+#: Successful samples a source needs before it is hedged at all.
+HEDGE_MIN_SAMPLES = 8
+
+#: Floor on the hedge timer (s, virtual): micro-jitter must not double
+#: the traffic.
+HEDGE_MIN_DELAY = 0.005
 
 #: Failures a branch may legitimately end in; captured per-branch so one
 #: failing branch cannot abort its siblings mid-flight.  Programming
@@ -118,33 +132,9 @@ class FanoutDispatcher:
         *,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        max_concurrent_per_source: int = 4,
-        hedge_percentile: float = 95.0,
-        hedge_min_samples: int = 8,
-        hedge_min_delay: float = 0.005,
     ) -> None:
-        if (
-            max_concurrent_per_source < 0
-            or not 0.0 < hedge_percentile <= 100.0
-            or hedge_min_samples < 1
-            or hedge_min_delay < 0
-        ):
-            raise PolicyError(
-                "dispatcher needs cap >= 0, 0 < hedge_percentile <= 100, "
-                "hedge_min_samples >= 1, hedge_min_delay >= 0: "
-                f"{max_concurrent_per_source!r}, {hedge_percentile!r}, "
-                f"{hedge_min_samples!r}, {hedge_min_delay!r}"
-            )
         self.clock = clock
         self.policy = policy
-        #: In-flight requests allowed per source (0 = unlimited).
-        self.max_concurrent_per_source = max_concurrent_per_source
-        #: Latency percentile that arms the hedge timer (95 = slowest 5%).
-        self.hedge_percentile = hedge_percentile
-        #: Successful samples a source needs before it is hedged at all.
-        self.hedge_min_samples = hedge_min_samples
-        #: Floor on the timer: micro-jitter must not double the traffic.
-        self.hedge_min_delay = hedge_min_delay
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NO_TRACER
         self._flights: dict[tuple[str, str], Flight] = {}
@@ -304,7 +294,7 @@ class FanoutDispatcher:
         With hedging armed (policy enabled, enough latency history, and
         ``hedge`` true — callers pass false for non-idempotent drivers),
         the fetch runs on the hedged path: if it has not answered within
-        the source's ``hedge_percentile`` latency, a second fetch fires
+        the source's :data:`HEDGE_PERCENTILE` latency, a second fetch fires
         and the first usable response wins.
         """
         flight_key = self.flight_key(source_key, sql, key)
@@ -416,10 +406,9 @@ class FanoutDispatcher:
         if not (self.policy.hedge_enabled and self.policy.fanout_enabled):
             return None
         window = self._latencies.get(source_key)
-        if window is None or len(window) < self.hedge_min_samples:
+        if window is None or len(window) < HEDGE_MIN_SAMPLES:
             return None
-        delay = percentile(window, self.hedge_percentile)
-        return max(delay, self.hedge_min_delay)
+        return max(percentile(window, HEDGE_PERCENTILE), HEDGE_MIN_DELAY)
 
     def _finish_flight(
         self,
@@ -456,7 +445,7 @@ class FanoutDispatcher:
         if limiter is None:
             limiter = self._limiters[source_key] = GradientLimiter(
                 self.clock,
-                initial=self.max_concurrent_per_source or INITIAL_LIMIT,
+                initial=MAX_CONCURRENT_PER_SOURCE,
                 registry=self.registry,
                 key=source_key,
             )
@@ -480,8 +469,8 @@ class FanoutDispatcher:
         if self.policy.adaptive_concurrency:
             cap = self._source_limiter(source_key).limit
         else:
-            cap = self.max_concurrent_per_source
-        if cap > 0 and len(live) >= cap:
+            cap = MAX_CONCURRENT_PER_SOURCE
+        if len(live) >= cap:
             waited_from = now
             with self.tracer.span("cap_wait", source=source_key) as wspan:
                 while len(live) >= cap:

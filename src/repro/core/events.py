@@ -17,7 +17,6 @@ rate versus arrival rate trade-off is experiment E6.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Mapping, Optional
@@ -121,20 +120,6 @@ class SnmpTrapEventDriver(EventDriver):
         ).encode()
 
 
-@dataclass
-class _Registration:
-    listener: Listener
-    source_host: Optional[str]
-    name_prefix: Optional[str]
-
-    def wants(self, event: Event) -> bool:
-        if self.source_host is not None and event.source_host != self.source_host:
-            return False
-        if self.name_prefix is not None and not event.name.startswith(self.name_prefix):
-            return False
-        return True
-
-
 class EventManager:
     """Fast buffer -> disk buffer -> translate -> record + fan out."""
 
@@ -162,8 +147,7 @@ class EventManager:
         self._drivers: dict[int, EventDriver] = {}
         self._fast: Deque[tuple[int, Any, Address, float]] = deque()
         self._disk: Deque[tuple[int, Any, Address, float]] = deque()
-        self._registrations: list[_Registration] = []
-        self._reg_ids = itertools.count(1)
+        self._listeners: list[Listener] = []
         self.recent: Deque[Event] = deque(maxlen=256)
         self.stats = {
             "received": 0,
@@ -212,23 +196,17 @@ class EventManager:
     # ------------------------------------------------------------------
     # Listeners
     # ------------------------------------------------------------------
-    def register_listener(
-        self,
-        listener: Listener,
-        *,
-        source_host: str | None = None,
-        name_prefix: str | None = None,
-    ) -> _Registration:
-        """Register for events, optionally filtered by source or name."""
-        reg = _Registration(
-            listener=listener, source_host=source_host, name_prefix=name_prefix
-        )
-        self._registrations.append(reg)
-        return reg
+    def register_listener(self, listener: Listener) -> Listener:
+        """Register for every event; returns what
+        :meth:`unregister_listener` takes.  A listener that wants some
+        events filters in its callback (a remote consumer filters with
+        ``EventSubscriber.subscribe(where=)``)."""
+        self._listeners.append(listener)
+        return listener
 
-    def unregister_listener(self, registration: _Registration) -> bool:
+    def unregister_listener(self, listener: Listener) -> bool:
         try:
-            self._registrations.remove(registration)
+            self._listeners.remove(listener)
             return True
         except ValueError:
             return False
@@ -291,10 +269,9 @@ class EventManager:
                 source_url=f"event://{event.source_host}",
                 recorded_at=event.time,
             )
-        for reg in list(self._registrations):
-            if reg.wants(event):
-                self.stats["delivered"] += 1
-                reg.listener(event)
+        for listener in list(self._listeners):
+            self.stats["delivered"] += 1
+            listener(event)
 
     # ------------------------------------------------------------------
     # Outbound

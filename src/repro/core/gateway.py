@@ -24,12 +24,12 @@ from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.analysis.query_check import validate_sql
 from repro.core.acil import AbstractClientInterface
 from repro.core.admission import AdmissionController, QueryClass
-from repro.core.cache import CacheController
+from repro.core.cache import MAX_ENTRIES as CACHE_MAX_ENTRIES, CacheController
 from repro.core.connection_manager import ConnectionManager
 from repro.core.deadline import Deadline
 from repro.core.dispatch import FanoutDispatcher
 from repro.core.driver_manager import GridRmDriverManager
-from repro.core.errors import DeadlineExceededError, GridRmError, OverloadError
+from repro.core.errors import GridRmError
 from repro.core.events import Event, EventManager, SnmpTrapEventDriver
 from repro.core.health import BreakerState, HealthTracker, SourceHealth
 from repro.core.history import HistoryStore
@@ -643,27 +643,32 @@ class Gateway:
     ) -> QueryResult:
         """One remote batch via the Global layer: the remote answer, or
         an ``ok=False`` status per URL saying why there is none."""
-        from repro.gma.global_layer import RemoteQueryError
 
-        try:
-            remote = self.global_layer.query_remote(
-                site_name,
-                sql,
-                urls=site_urls,
-                mode=mode.value,
-                max_age=max_age,
-                principal=principal,
-                deadline=deadline,
-                query_class=qc.value,
-            )
-        except (OverloadError, RemoteQueryError, DeadlineExceededError) as exc:
+        def remote_exit(span, exc: Exception) -> QueryResult:
+            # Each failed status leaves through the request manager's one
+            # exit: its cause's counters, ``span`` failed with the cause.
             # A shed is the remote gateway protecting itself: a typed
             # per-source shed status, never a breaker failure against
             # gma://<site> (the Global layer already skipped the penalty).
             tripped = self.health.state(f"gma://{site_name}") is BreakerState.OPEN
-            failed = [SourceStatus.failed(u, exc, breaker_open=tripped) for u in site_urls]
-            return QueryResult([], [], failed, mode)
-        return remote
+            failed = QueryResult([], [], mode=mode)
+            for url in site_urls:
+                self.request_manager.answer(
+                    failed, span, SourceStatus.failed(url, exc, breaker_open=tripped)
+                )
+            return failed
+
+        return self.global_layer.query_remote(
+            site_name,
+            sql,
+            urls=site_urls,
+            mode=mode.value,
+            max_age=max_age,
+            principal=principal,
+            deadline=deadline,
+            query_class=qc.value,
+            on_failure=remote_exit,
+        )
 
     def query_batch(
         self,
@@ -849,7 +854,7 @@ class Gateway:
                 "misses": self.cache.misses,
                 "entries": len(self.cache),
                 "evictions": self.cache.evictions,
-                "max_entries": self.cache.max_entries,
+                "max_entries": CACHE_MAX_ENTRIES,
             },
             "dispatch": self.dispatcher.stats.as_dict(),
             "overload": self.overload.snapshot(),

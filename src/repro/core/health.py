@@ -29,8 +29,8 @@ State machine::
   an exponential, jittered backoff (computed on the
   :class:`~repro.simnet.clock.VirtualClock`) decides when to probe.
 * ``HALF_OPEN`` — the backoff elapsed; trial requests are allowed.  One
-  failure re-opens with a doubled backoff; ``half_open_probes``
-  consecutive successes (1) close the breaker.
+  failure re-opens with a doubled backoff; the first success closes the
+  breaker.
 
 The tracker is deliberately passive: callers ask :meth:`allow_request`
 before paying connect/retry cost and report outcomes with
@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.analysis import races
-from repro.core.errors import PolicyError
 from repro.core.policy import GatewayPolicy
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.simnet.clock import VirtualClock
@@ -60,6 +59,9 @@ from repro.simnet.clock import VirtualClock
 #: the configured maximum, while a fleet of breakers tripped by one
 #: outage does not probe in lock-step when it heals.
 BACKOFF_JITTER = 0.25
+
+#: Seed of the tracker's jitter stream: breaker waits replay exactly.
+JITTER_SEED = 0
 
 
 def jittered_backoff(raw: float, cap: float, rng: random.Random) -> float:
@@ -85,7 +87,6 @@ class SourceHealth:
     key: str
     state: BreakerState = BreakerState.CLOSED
     consecutive_failures: int = 0
-    half_open_successes: int = 0
     total_failures: int = 0
     total_successes: int = 0
     trips: int = 0
@@ -133,17 +134,12 @@ class HealthTracker:
         policy: GatewayPolicy,
         *,
         on_transition: TransitionListener | None = None,
-        jitter_seed: int = 0,
         registry: "MetricsRegistry | None" = None,
-        half_open_probes: int = 1,
     ) -> None:
-        if half_open_probes < 1:
-            raise PolicyError(f"half_open_probes must be >= 1: {half_open_probes!r}")
         self.clock = clock
         self.policy = policy
-        self.half_open_probes = half_open_probes
         self.on_transition = on_transition
-        self._rng = random.Random(jitter_seed)
+        self._rng = random.Random(JITTER_SEED)
         self._sources: dict[str, SourceHealth] = {}
         # Admission decisions pinned for the duration of one dispatched
         # operation (see :meth:`pin`): key -> stack of (frozen decision,
@@ -209,7 +205,6 @@ class HealthTracker:
             return True
         if entry.state is BreakerState.OPEN:
             if self.clock.now() >= entry.open_until:
-                entry.half_open_successes = 0
                 self._transition(entry, BreakerState.HALF_OPEN)
                 return True
             entry.short_circuits += 1
@@ -289,11 +284,9 @@ class HealthTracker:
         if not self.policy.breaker_enabled:
             return
         if entry.state is not BreakerState.CLOSED:
-            entry.half_open_successes += 1
-            if entry.half_open_successes >= self.half_open_probes:
-                entry.current_backoff = 0.0
-                self.stats.inc("recoveries")
-                self._transition(entry, BreakerState.CLOSED)
+            entry.current_backoff = 0.0
+            self.stats.inc("recoveries")
+            self._transition(entry, BreakerState.CLOSED)
 
     def record_failure(self, key: str, error: str = "") -> None:
         pinned = self._pins.get(key)
@@ -331,7 +324,6 @@ class HealthTracker:
         entry.trips += 1
         entry.opened_at = now
         entry.open_until = now + wait
-        entry.half_open_successes = 0
         self.stats.inc("trips")
         self._transition(entry, BreakerState.OPEN)
 

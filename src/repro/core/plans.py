@@ -28,7 +28,8 @@ children.
 Invalidation is versioned: the cache polls ``version_fn`` (wired to
 ``SchemaManager.version``, which bumps on every GLUE mapping change) and
 drops every entry when the schema moves — a plan compiled against an old
-schema must never serve a new one.  Capacity is a deterministic LRU.
+schema must never serve a new one.  Capacity is a deterministic LRU of
+:data:`MAX_ENTRIES` entries.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ from repro.sql import ast_nodes as ast
 from repro.sql.parser import parse_select
 from repro.sql.plan import CompiledPlan, compile_plan
 
+#: LRU capacity of a gateway's plan cache (entries).
+MAX_ENTRIES = 128
 
 class PlanEntry:
     """One cached compilation: key + AST + validation findings + plan.
@@ -91,15 +94,11 @@ class PlanCache:
         schema: GlueSchema,
         *,
         version_fn: "Callable[[], Any] | None" = None,
-        max_entries: int = 128,
         registry: "MetricsRegistry | None" = None,
         tracer: "Tracer | None" = None,
     ) -> None:
-        if max_entries < 0:
-            raise ValueError(f"negative max_entries: {max_entries!r}")
         self.schema = schema
         self.version_fn = version_fn
-        self.max_entries = max_entries
         self.tracer = tracer if tracer is not None else NO_TRACER
         self._entries: dict[tuple[str, tuple[str, ...]], PlanEntry] = {}
         self._version: Any = version_fn() if version_fn is not None else None
@@ -177,11 +176,9 @@ class PlanCache:
                 site="PlanCache.get",
             )
         self._entries[key] = entry
-        if self.max_entries:
-            while len(self._entries) > self.max_entries:
-                oldest = next(iter(self._entries))
-                del self._entries[oldest]
-                self._evictions.add(1)
+        while len(self._entries) > MAX_ENTRIES:
+            del self._entries[next(iter(self._entries))]
+            self._evictions.add(1)
         return entry
 
     def _check_version(self) -> None:

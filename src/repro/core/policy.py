@@ -12,7 +12,7 @@ gateway (what experiments E1-E12 run under); :func:`production` is every
 later plane switched on together, and is what the five scenarios and the
 end-to-end benchmark run — the one configuration everything is tested
 in.  A value only one caller ever chose is not a field here: it is a
-constant or keyword default at its one reader.
+constant at its one reader.
 """
 
 from __future__ import annotations

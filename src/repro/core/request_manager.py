@@ -21,9 +21,11 @@ sources that fail contribute a status entry rather than failing the whole
 request.  Every status carries its :class:`Cause`, from which its flags,
 its ``requests.*`` counters and a failed span's status follow (DESIGN §9).
 A source passes its stages in order — cache, deadline, breaker, coalesce,
-dispatch — and the stage that answers exits through ``_answer``; every
-answer read from the query cache (CACHE, breaker STALE and the gateway's
-all-or-nothing BROWNOUT) is built by ``_from_cache``.
+dispatch — and the stage that answers exits through
+:meth:`RequestManager.answer` (so does a remote batch's failure, from the
+gateway's remote exit); every answer read from the query cache (CACHE,
+breaker STALE and the gateway's all-or-nothing BROWNOUT) is built by
+``_from_cache``.
 
 Dispatch is concurrent in virtual time (see :mod:`repro.core.dispatch`,
 which alone decides serial or fan-out): a query over N sources fans one
@@ -532,7 +534,7 @@ class RequestManager:
                         # outcome, not a query failure — and no health
                         # penalty (and no span).
                         failed = SourceStatus.failed(str(url), outcome.error)
-                        self._answer(partial, NULL_SPAN, failed)
+                        self.answer(partial, NULL_SPAN, failed)
                     elif outcome.error is not None:
                         # _one_realtime converts per-source failures to
                         # statuses; anything escaping it is a programming
@@ -617,7 +619,7 @@ class RequestManager:
             span["deadline_remaining"] = deadline.remaining()
         span["breaker"] = self.health.state(url_text).value
 
-    def _answer(self, result: QueryResult, span, status: SourceStatus) -> None:
+    def answer(self, result: QueryResult, span, status: SourceStatus) -> None:
         """The one exit of every per-source answer: bump its cause's
         ``requests.*`` counters, fail its span with the cause when the
         answer is not ok, and append the status."""
@@ -644,7 +646,7 @@ class RequestManager:
         entry, not copied, as the consolidation copies every row it takes.
         """
         partial.columns, partial.rows = hit.columns, hit.rows
-        self._answer(partial, span, answer(url_text, len(hit.rows)))
+        self.answer(partial, span, answer(url_text, len(hit.rows)))
 
     def brownout(
         self, urls: list[JdbcUrl], sql: str, entry: PlanEntry, mode: QueryMode
@@ -695,7 +697,7 @@ class RequestManager:
                 # by earlier hops): fail fast, no agent traffic, and no
                 # health penalty — the source did nothing wrong.
                 spent = DeadlineExceededError("deadline exceeded before dispatch")
-                self._answer(result, span, SourceStatus.failed(url_text, spent))
+                self.answer(result, span, SourceStatus.failed(url_text, spent))
                 return
             # A CACHED_OK source only gets here after its cache probe missed.
             span["cache"] = "miss" if mode is QueryMode.CACHED_OK else "bypass"
@@ -717,7 +719,7 @@ class RequestManager:
                         result.columns, result.rows, *flight.value
                     )
                     status = SourceStatus.fresh(url_text, n, coalesced=True)
-                self._answer(result, span, status)
+                self.answer(result, span, status)
                 return
             # Only idempotent drivers may have their fetch re-issued —
             # whether by the retry loop below or by a dispatcher hedge.
@@ -790,14 +792,14 @@ class RequestManager:
                 NoSuitableDriverError, SQLException,
             ) as exc:
                 span.annotate(attempts=attempt)
-                self._answer(result, span, SourceStatus.failed(url_text, exc))
+                self.answer(result, span, SourceStatus.failed(url_text, exc))
                 return
             self.health.record_success(url_text)
             self.stats.inc("realtime_fetches")
             span.annotate(attempts=attempt)
             self._source_latency.record(self.clock.now() - fetch_started)
             result.columns, n = merge_rows(result.columns, result.rows, columns, rows)
-            self._answer(result, span, SourceStatus.fresh(url_text, n))
+            self.answer(result, span, SourceStatus.fresh(url_text, n))
             group = plan.select.table
             self.cache.store(
                 url_text, sql, list(columns), [list(r) for r in rows],
@@ -830,7 +832,7 @@ class RequestManager:
         entry = self.health.health(url_text)
         detail = f": {entry.last_error}" if entry.last_error else ""
         error = f"circuit open until t={entry.open_until:.1f}s{detail}"
-        self._answer(result, span, SourceStatus.failed(url_text, error, breaker_open=True))
+        self.answer(result, span, SourceStatus.failed(url_text, error, breaker_open=True))
 
     def _fetch(
         self,
@@ -871,4 +873,4 @@ class RequestManager:
                 span["scanned"] = scanned
                 self._history_queries.inc()
                 self._history_rows_scanned.add(scanned)
-            self._answer(result, span, status)
+            self.answer(result, span, status)

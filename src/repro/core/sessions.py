@@ -1,8 +1,8 @@
 """Session management (paper Figure 2: "Session Management").
 
 Clients authenticate once against the gateway and receive a token; every
-subsequent ACIL call carries it.  Sessions expire after a policy-defined
-idle TTL measured on the virtual clock.
+subsequent ACIL call carries it.  Sessions expire after :data:`SESSION_TTL`
+idle seconds, measured on the virtual clock.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from repro.core.errors import SessionError
 from repro.core.security import Principal
 from repro.simnet.clock import VirtualClock
+
+#: Idle time after which a session expires (s, virtual).
+SESSION_TTL = 3600.0
 
 
 @dataclass
@@ -31,11 +34,8 @@ class Session:
 class SessionManager:
     """Creates, validates and expires sessions."""
 
-    def __init__(self, clock: VirtualClock, *, ttl: float = 3600.0) -> None:
-        if ttl <= 0:
-            raise ValueError(f"session ttl must be > 0: {ttl!r}")
+    def __init__(self, clock: VirtualClock) -> None:
         self.clock = clock
-        self.ttl = ttl
         self._sessions: dict[str, Session] = {}
         self._counter = itertools.count(1)
 
@@ -55,7 +55,7 @@ class SessionManager:
         if session is None:
             raise SessionError(f"no such session: {token!r}")
         now = self.clock.now()
-        if now - session.last_used > self.ttl:
+        if now - session.last_used > SESSION_TTL:
             del self._sessions[token]
             raise SessionError(f"session expired: {token!r}")
         session.touch(now)
@@ -68,7 +68,7 @@ class SessionManager:
         """Drop all expired sessions; returns how many were removed."""
         now = self.clock.now()
         dead = [
-            t for t, s in self._sessions.items() if now - s.last_used > self.ttl
+            t for t, s in self._sessions.items() if now - s.last_used > SESSION_TTL
         ]
         for t in dead:
             del self._sessions[t]

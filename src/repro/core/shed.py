@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Optional
 
-from repro.core.errors import PolicyError
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.simnet.clock import VirtualClock
 
@@ -43,6 +42,11 @@ class PressureState(enum.Enum):
     BROWNOUT = "brownout"
     SHED = "shed"
 
+
+#: Queue fill fractions at which the raw pressure signal reads BROWNOUT
+#: and SHED.
+BROWNOUT_ENTER = 0.25
+SHED_ENTER = 0.75
 
 #: Severity rank used for the hysteresis comparison.
 _RANK = {PressureState.NORMAL: 0, PressureState.BROWNOUT: 1, PressureState.SHED: 2}
@@ -99,23 +103,14 @@ class PressureMonitor:
         clock: VirtualClock,
         *,
         queue_capacity: int,
-        brownout_enter: float = 0.25,
-        shed_enter: float = 0.75,
         min_dwell: float,
         registry: Optional[MetricsRegistry] = None,
         on_transition: Optional[
             Callable[[PressureState, PressureState], None]
         ] = None,
     ) -> None:
-        if not 0.0 < brownout_enter <= shed_enter <= 1.0:
-            raise PolicyError(
-                "pressure needs 0 < brownout_enter <= shed_enter <= 1: "
-                f"{brownout_enter!r}, {shed_enter!r}"
-            )
         self._clock = clock
         self.queue_capacity = max(1, queue_capacity)
-        self.brownout_enter = brownout_enter
-        self.shed_enter = shed_enter
         self.min_dwell = min_dwell
         registry = registry if registry is not None else MetricsRegistry()
         self._transitions = registry.counter("admission.transitions")
@@ -128,9 +123,9 @@ class PressureMonitor:
     def observe(self, queue_depth: int, headroom: int) -> PressureState:
         """Fold one observation in; returns the (possibly new) state."""
         pressure = queue_depth / self.queue_capacity
-        if pressure >= self.shed_enter:
+        if pressure >= SHED_ENTER:
             raw = PressureState.SHED
-        elif pressure >= self.brownout_enter or (headroom <= 0 and queue_depth > 0):
+        elif pressure >= BROWNOUT_ENTER or (headroom <= 0 and queue_depth > 0):
             raw = PressureState.BROWNOUT
         else:
             raw = PressureState.NORMAL

@@ -22,6 +22,9 @@ from repro.simnet.network import Address, Network
 from repro.sql.database import Database
 from repro.sql.values import SelectResult
 
+#: Archived events kept, newest last; older rows are dropped first.
+MAX_ROWS = 100_000
+
 
 class EventArchiver:
     """Subscribes to gateways and archives their event streams."""
@@ -32,13 +35,11 @@ class EventArchiver:
         host: str,
         *,
         port: int = 8450,
-        max_rows: int = 100_000,
     ) -> None:
         if not network.has_host(host):
             network.add_host(host, site="archiver")
         self.network = network
         self.host = host
-        self.max_rows = max_rows
         self.subscriber = EventSubscriber(network, host, port=port)
         self.subscriber.on_event(self._archive)
         self.db = Database()
@@ -86,7 +87,7 @@ class EventArchiver:
                 "received_at": self.network.clock.now(),
             }
         )
-        overflow = len(table.rows) - self.max_rows
+        overflow = len(table.rows) - MAX_ROWS
         if overflow > 0:
             del table.rows[:overflow]
         self.stats["archived"] += 1

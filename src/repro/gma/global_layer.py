@@ -19,10 +19,10 @@ that owns the required data" (paper §1.1).  The GlobalLayer:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.deadline import Deadline
-from repro.core.errors import OverloadError
+from repro.core.errors import DeadlineExceededError, OverloadError
 from repro.core.request_manager import QueryResult, SourceStatus
 from repro.core.security import ANONYMOUS, Principal
 from repro.gma.consumer import GatewayConsumer, RemoteQueryFailure
@@ -30,10 +30,12 @@ from repro.gma.directory import DirectoryClient, GMADirectory
 from repro.gma.producer import PRODUCER_PORT, GatewayProducer
 from repro.gma.records import ProducerRecord
 from repro.obs.metrics import StatsView
+from repro.obs.trace import NULL_SPAN
 from repro.simnet.network import Address
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.gateway import Gateway
+    from repro.obs.trace import Span, _NullSpan
 
 
 #: A remote (inter-site) query could not be served: unreachable, refused,
@@ -119,6 +121,7 @@ class GlobalLayer:
         principal: Principal = ANONYMOUS,
         deadline: Deadline | None = None,
         query_class: str | None = None,
+        on_failure: "Callable[[Span | _NullSpan, Exception], QueryResult] | None" = None,
     ) -> QueryResult:
         """Route a query to the gateway owning ``site``'s resources.
 
@@ -128,83 +131,112 @@ class GlobalLayer:
         ``query_class`` ride the hop envelope (:mod:`repro.gma.records`).
         A remote shed propagates as :class:`OverloadError` and is *not*
         a breaker failure against ``gma://<site>``.
+
+        With ``on_failure``, a typed failure (a shed, an open or failing
+        circuit, a spent budget) is not raised: ``on_failure(span, exc)``
+        answers instead, ``span`` being this query's ``remote`` span
+        (:data:`NULL_SPAN` when the budget was spent before it opened).
+        The gateway's remote exit is that callback.
         """
         gateway = self.gateway
         gateway.cgsl.check(principal, "query_remote")
-        if deadline is not None:
-            deadline.check(f"remote query to site {site!r}")
-        with gateway.tracer.span("remote", site=site) as span:
-            self.stats.inc("remote_queries")
-            health_key = f"gma://{site}"
-            cache_key_url = health_key + (f"/{','.join(urls)}" if urls else "")
-            # A cached or stale answer keeps one status per requested URL,
-            # as the fresh answer it was cached from had (a whole-site
-            # query names the site).  Per-source row counts are not cached.
-            covered = urls or [cache_key_url]
-            if self.cache_remote:
-                cached = gateway.cache.lookup(cache_key_url, sql, max_age=max_age)
-                if cached is not None:
-                    self.stats.inc("remote_cache_hits")
-                    span["cache"] = "hit"
-                    return _copy(cached, [SourceStatus.cache(u) for u in covered])
-            # The remote gateway has a circuit breaker in the local
-            # gateway's health tracker: while it is OPEN a partitioned site
-            # costs nothing instead of a full consumer timeout per query.
-            health = gateway.health
-            if not health.allow_request(health_key):
-                self.stats.inc("remote_short_circuits")
-                span["short_circuited"] = True
-                if self.cache_remote and gateway.policy.serve_stale_on_open:
-                    stale = gateway.cache.lookup_stale(cache_key_url, sql)
-                    if stale is not None:
-                        self.stats.inc("remote_stale_served")
-                        span["stale"] = True
-                        return _copy(stale, [SourceStatus.stale(u) for u in covered])
-                entry = health.health(health_key)
-                raise RemoteQueryError(
-                    f"circuit open for site {site!r} until t={entry.open_until:.1f}s "
-                    f"(last error: {entry.last_error or 'unknown'})"
+        span = NULL_SPAN
+        try:
+            if deadline is not None:
+                deadline.check(f"remote query to site {site!r}")
+            with gateway.tracer.span("remote", site=site) as span:
+                return self._ask(
+                    span, site, sql, urls, mode, max_age, deadline, query_class
                 )
-            # Single-flight: an identical query to this site already in
-            # the air answers both callers with one consumer round-trip
-            # (a shared shed stays the typed shed); the per-source
-            # concurrency cap queues excess requests to one remote
-            # gateway in virtual time.
-            flight = gateway.dispatcher.join_flight(cache_key_url, sql)
-            if flight is not None:
-                self.stats.inc("remote_coalesced")
-                span["coalesced"] = True
-                if flight.error is not None:
-                    raise flight.error
-                # The joiner's copy says how it got its answer; the
-                # flight owner's statuses stay as they are.
-                shared = flight.value
-                joined = [replace(s, coalesced=True) for s in shared.statuses]
-                return _copy(shared, joined, mode=shared.mode)
-            try:
-                result = gateway.dispatcher.run_flight(
-                    cache_key_url,
-                    sql,
-                    lambda: self.consumer.query_site(
-                        site, sql, urls=urls, mode=mode, max_age=max_age,
-                        deadline=deadline, query_class=query_class,
-                    ),
-                )
-            except OverloadError:
-                # A shed says nothing about the remote site's health: no
-                # record_failure (the breaker must not trip on a gateway
-                # protecting itself), just the typed error to the caller.
-                self.stats.inc("remote_sheds")
+        except (OverloadError, RemoteQueryError, DeadlineExceededError) as exc:
+            if on_failure is None:
                 raise
-            except RemoteQueryError as exc:
-                health.record_failure(health_key, str(exc))
-                raise
-            health.record_success(health_key)
-            if result.trace_id:
-                span["remote_trace"] = result.trace_id
-            if self.cache_remote:
-                gateway.cache.store(cache_key_url, sql, result.columns, result.rows)
-            return result
+            return on_failure(span, exc)
+
+    def _ask(
+        self,
+        span: "Span | _NullSpan",
+        site: str,
+        sql: str,
+        urls: list[str] | None,
+        mode: str,
+        max_age: float | None,
+        deadline: Deadline | None,
+        query_class: str | None,
+    ) -> QueryResult:
+        """The body of :meth:`query_remote`, inside its ``remote`` span."""
+        gateway = self.gateway
+        self.stats.inc("remote_queries")
+        health_key = f"gma://{site}"
+        cache_key_url = health_key + (f"/{','.join(urls)}" if urls else "")
+        # A cached or stale answer keeps one status per requested URL,
+        # as the fresh answer it was cached from had (a whole-site
+        # query names the site).  Per-source row counts are not cached.
+        covered = urls or [cache_key_url]
+        if self.cache_remote:
+            cached = gateway.cache.lookup(cache_key_url, sql, max_age=max_age)
+            if cached is not None:
+                self.stats.inc("remote_cache_hits")
+                span["cache"] = "hit"
+                return _copy(cached, [SourceStatus.cache(u) for u in covered])
+        # The remote gateway has a circuit breaker in the local
+        # gateway's health tracker: while it is OPEN a partitioned site
+        # costs nothing instead of a full consumer timeout per query.
+        health = gateway.health
+        if not health.allow_request(health_key):
+            self.stats.inc("remote_short_circuits")
+            span["short_circuited"] = True
+            if self.cache_remote and gateway.policy.serve_stale_on_open:
+                stale = gateway.cache.lookup_stale(cache_key_url, sql)
+                if stale is not None:
+                    self.stats.inc("remote_stale_served")
+                    span["stale"] = True
+                    return _copy(stale, [SourceStatus.stale(u) for u in covered])
+            entry = health.health(health_key)
+            raise RemoteQueryError(
+                f"circuit open for site {site!r} until t={entry.open_until:.1f}s "
+                f"(last error: {entry.last_error or 'unknown'})"
+            )
+        # Single-flight: an identical query to this site already in
+        # the air answers both callers with one consumer round-trip
+        # (a shared shed stays the typed shed); the per-source
+        # concurrency cap queues excess requests to one remote
+        # gateway in virtual time.
+        flight = gateway.dispatcher.join_flight(cache_key_url, sql)
+        if flight is not None:
+            self.stats.inc("remote_coalesced")
+            span["coalesced"] = True
+            if flight.error is not None:
+                raise flight.error
+            # The joiner's copy says how it got its answer; the
+            # flight owner's statuses stay as they are.
+            shared = flight.value
+            joined = [replace(s, coalesced=True) for s in shared.statuses]
+            return _copy(shared, joined, mode=shared.mode)
+        try:
+            result = gateway.dispatcher.run_flight(
+                cache_key_url,
+                sql,
+                lambda: self.consumer.query_site(
+                    site, sql, urls=urls, mode=mode, max_age=max_age,
+                    deadline=deadline, query_class=query_class,
+                ),
+            )
+        except OverloadError:
+            # A shed says nothing about the remote site's health: no
+            # record_failure (the breaker must not trip on a gateway
+            # protecting itself), just the typed error to the caller.
+            self.stats.inc("remote_sheds")
+            raise
+        except RemoteQueryError as exc:
+            health.record_failure(health_key, str(exc))
+            raise
+        health.record_success(health_key)
+        if result.trace_id:
+            span["remote_trace"] = result.trace_id
+        if self.cache_remote:
+            gateway.cache.store(cache_key_url, sql, result.columns, result.rows)
+        return result
 
     def query_remote_all(
         self,

@@ -70,7 +70,7 @@ from repro.analysis import races
 from repro.core.admission import QueryClass
 from repro.gma.archiver import EventArchiver
 from repro.core.deadline import Deadline
-from repro.core.errors import OverloadError, PolicyError
+from repro.core.errors import OverloadError
 from repro.core.history import HistoryStore
 from repro.core.policy import GatewayPolicy
 from repro.core.shed import PressureState, ShedAction, shed_action
@@ -98,6 +98,9 @@ STREAM_PORT = 8500
 CONSUMER_PORT = 8501
 #: Per-subscription buffer bound for registrations that name none.
 DEFAULT_BUFFER = 256
+#: Newest history rows an attach replay of a ``history``-flavour
+#: subscription may ship.
+REPLAY_LIMIT = 256
 
 #: Producer flavours, R-GMA's vocabulary (see module docstring).
 FLAVOURS = ("stream", "latest", "history")
@@ -240,16 +243,10 @@ class StreamHub:
         overload: "AdmissionController | None" = None,
         tracer: "Tracer | None" = None,
         port: int = STREAM_PORT,
-        replay_limit: int = 256,
     ) -> None:
-        if replay_limit < 1:
-            raise PolicyError(f"replay_limit must be >= 1: {replay_limit!r}")
         self.network = network
         self.host = host
         self.plans = plans
-        #: Newest history rows an attach replay of a ``history``-flavour
-        #: subscription may ship.
-        self.replay_limit = replay_limit
         self.schema = schema
         self.policy = policy
         self.history = history
@@ -403,7 +400,7 @@ class StreamHub:
                 rows = self.history.since(cq.group, watermark)
                 # Cap at the newest rows: attach replay is a catch-up,
                 # not a full table scan shipped over the wire.
-                rows = rows[-self.replay_limit :]
+                rows = rows[-REPLAY_LIMIT:]
                 if rows:
                     # A stored row carries every column of its table, in
                     # table order: its keys are the layout to bind to.
@@ -974,11 +971,10 @@ class Republisher(EventArchiver):
         archive_port: int = 8450,
         hub_port: int = STREAM_PORT,
         consumer_port: int = CONSUMER_PORT,
-        max_rows: int = 100_000,
         policy: GatewayPolicy | None = None,
         tracer: "Tracer | None" = None,
     ) -> None:
-        super().__init__(network, host, port=archive_port, max_rows=max_rows)
+        super().__init__(network, host, port=archive_port)
         self.policy = policy if policy is not None else GatewayPolicy()
         self.tracer = tracer if tracer is not None else NO_TRACER
         self.schema = GlueSchema("derived-1")

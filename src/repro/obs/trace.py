@@ -4,7 +4,7 @@ A :class:`Tracer` rides the same path the ``Deadline`` already travels:
 the gateway opens a trace per query, every hop (fan-out, source fetch,
 retry attempt, hedge, pool acquire, driver connect, native round-trip,
 GMA wire) opens a child span, and the finished trace trees are kept in
-a bounded ring for the console ``trace_panel``, the servlet
+a ring of :data:`MAX_TRACES` for the console ``trace_panel``, the servlet
 ``GET /trace/<qid>``, and the ``python -m repro trace`` CLI.
 
 Everything is deterministic: trace ids are ``q1, q2, ...`` in start
@@ -29,6 +29,9 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.clock import VirtualClock
+
+#: Finished traces a tracer keeps, oldest forgotten first.
+MAX_TRACES = 256
 
 
 def _is_deadline_error(exc: BaseException) -> bool:
@@ -367,15 +370,11 @@ class Tracer:
         clock: "VirtualClock | None" = None,
         *,
         enabled: bool = True,
-        max_traces: int = 256,
     ) -> None:
-        if max_traces < 1:
-            raise ValueError(f"max_traces must be >= 1: {max_traces!r}")
         self.clock = clock
         self.enabled = enabled
-        self.max_traces = max_traces
         self._frames: list[_Frame] = []
-        self._finished: deque[Trace] = deque(maxlen=max_traces)
+        self._finished: deque[Trace] = deque(maxlen=MAX_TRACES)
         self._next_trace = 1
 
     def _now(self) -> float:

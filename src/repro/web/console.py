@@ -20,8 +20,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.cache import MAX_ENTRIES as CACHE_MAX_ENTRIES
+from repro.core.dispatch import MAX_CONCURRENT_PER_SOURCE
 from repro.core.health import BreakerState
 from repro.core.request_manager import QueryMode, QueryResult
+from repro.obs.trace import MAX_TRACES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.gateway import Gateway
@@ -35,13 +38,15 @@ ICON_EVENT = "[!!]"     # event received in the last n minutes
 ICON_QUARANTINED = "[--]"  # circuit breaker OPEN: source not being polled
 ICON_PROBING = "[~~]"   # circuit breaker HALF_OPEN: probing for recovery
 
+#: How recent an event must be to mark its source with ICON_EVENT (s).
+EVENT_WINDOW = 300.0
+
 
 class Console:
     """Stateless renderer over one gateway."""
 
-    def __init__(self, gateway: "Gateway", *, event_window: float = 300.0) -> None:
+    def __init__(self, gateway: "Gateway") -> None:
         self.gateway = gateway
-        self.event_window = event_window
 
     # ------------------------------------------------------------------
     # Tree view (Figures 6 and 9)
@@ -55,7 +60,7 @@ class Console:
             return ICON_PROBING
         recent_event = any(
             e.source_host == source.url.host
-            and now - e.time <= self.event_window
+            and now - e.time <= EVENT_WINDOW
             for e in self.gateway.events.recent
         )
         if recent_event:
@@ -245,13 +250,13 @@ class Console:
             "Concurrent dispatch "
             f"(fan-out {'enabled' if gw.policy.fanout_enabled else 'DISABLED'}, "
             f"single-flight {'enabled' if gw.policy.singleflight_enabled else 'DISABLED'}, "
-            f"cap/source={gw.dispatcher.max_concurrent_per_source or 'unlimited'})",
+            f"cap/source={MAX_CONCURRENT_PER_SOURCE})",
             f"  fan-outs: {d.fanouts} ({d.branches} branches), "
             f"serial runs: {d.serial_runs}",
             f"  flights: {d.flights}, coalesced joins: {d.singleflight_joins}",
             f"  cap waits: {d.cap_waits} "
             f"(total queued {d.cap_wait_time:.2f}s virtual)",
-            f"Query cache: {len(gw.cache)}/{gw.cache.max_entries or 'unbounded'} "
+            f"Query cache: {len(gw.cache)}/{CACHE_MAX_ENTRIES} "
             f"entries, {gw.cache.evictions} evicted "
             f"(hit ratio {gw.cache.hit_ratio:.0%})",
         ]
@@ -413,7 +418,7 @@ class Console:
         if trace_id is not None:
             trace = tracer.get(trace_id)
             if trace is None:
-                return f"trace {trace_id!r}: not found (retention {tracer.max_traces})"
+                return f"trace {trace_id!r}: not found (retention {MAX_TRACES})"
             return trace.render().rstrip("\n")
         traces = tracer.traces()
         lines = [

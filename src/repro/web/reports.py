@@ -22,6 +22,9 @@ from typing import Optional, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.gateway import Gateway
 
+#: How often an :class:`AvailabilityTracker` samples poll outcomes (s).
+SAMPLE_PERIOD = 30.0
+
 
 @dataclass
 class HostUtilisation:
@@ -174,11 +177,11 @@ class AvailabilityTracker:
     calls).
     """
 
-    def __init__(self, gateway: "Gateway", *, sample_period: float = 30.0) -> None:
+    def __init__(self, gateway: "Gateway") -> None:
         self.gateway = gateway
         self._counts: dict[str, list[int]] = {}  # url -> [ok, polls]
         self._last_seen: dict[str, float] = {}
-        gateway.network.clock.call_every(sample_period, self.sample)
+        gateway.network.clock.call_every(SAMPLE_PERIOD, self.sample)
 
     def sample(self) -> None:
         """Record each source's latest poll outcome (at most once per poll)."""

@@ -1,11 +1,15 @@
 """Unit tests for the overload-protection layer (admission, shedding,
 brownout, adaptive concurrency) and its breaker interplay."""
 
-import functools
-
 import pytest
 
+from repro.core import admission, shed
 from repro.core.admission import (
+    INITIAL_LIMIT,
+    LIMIT_CEILING,
+    LIMIT_FLOOR,
+    LIMITER_BACKOFF,
+    LIMITER_WINDOW,
     AdmissionController,
     AdmissionTicket,
     GradientLimiter,
@@ -33,25 +37,22 @@ from repro.simnet.clock import VirtualClock
 from repro.testbed import build_testbed
 
 
-def make_controller(clock=None, initial_limit=8, batch_queue_share=0.5, **policy_kw):
-    """``initial_limit`` / ``batch_queue_share`` are the controller's own
-    keywords (no shipped caller varies them, so they are not policy)."""
+def make_controller(clock=None, **policy_kw):
+    """A controller at the shipped limit (``INITIAL_LIMIT``) and batch
+    share (``BATCH_QUEUE_SHARE``): module constants, not keywords."""
     clock = clock or VirtualClock()
     policy_kw.setdefault("admission_enabled", True)
     policy = GatewayPolicy(**policy_kw)
-    return clock, AdmissionController(
-        clock, policy, initial_limit=initial_limit, batch_queue_share=batch_queue_share
-    )
+    return clock, AdmissionController(clock, policy)
 
 
-def make_limiter(clock, **kw):
-    kw.setdefault("initial", 4)
-    kw.setdefault("floor", 1)
-    kw.setdefault("ceiling", 8)
-    kw.setdefault("tolerance", 2.0)
-    kw.setdefault("backoff", 0.5)
-    kw.setdefault("window", 4)
-    return GradientLimiter(clock, **kw)
+def make_limiter(clock, initial=4):
+    return GradientLimiter(clock, initial=initial)
+
+
+def saturate(clock, adm, busy_for):
+    """Hold every gateway-wide slot busy for ``busy_for`` seconds."""
+    adm._ends.extend([clock.now() + busy_for] * INITIAL_LIMIT)
 
 
 class TestQueryClass:
@@ -72,46 +73,45 @@ class TestQueryClass:
 
 
 class TestGradientLimiter:
+    """The shipped limiter: epochs of ``LIMITER_WINDOW`` observations,
+    limits within ``[LIMIT_FLOOR, LIMIT_CEILING]``."""
+
     def test_probes_upward_when_healthy(self):
-        limiter = make_limiter(VirtualClock(), window=4)
-        for _ in range(12):
+        limiter = make_limiter(VirtualClock())
+        for _ in range(3 * LIMITER_WINDOW):
             limiter.observe(0.1)
         assert limiter.limit > 4
 
     def test_ceiling_clamps_probing(self):
-        limiter = make_limiter(VirtualClock(), ceiling=5, window=2)
-        for _ in range(40):
+        limiter = make_limiter(VirtualClock(), initial=LIMIT_CEILING - 2)
+        for _ in range(10 * LIMITER_WINDOW):
             limiter.observe(0.1)
-        assert limiter.limit == 5
+        assert limiter.limit == LIMIT_CEILING
 
     def test_congestion_backs_off_multiplicatively(self):
-        limiter = make_limiter(
-            VirtualClock(), initial=8, ceiling=16, window=4, backoff=0.5
-        )
-        for _ in range(4):
+        limiter = make_limiter(VirtualClock(), initial=8)
+        for _ in range(LIMITER_WINDOW):
             limiter.observe(0.1)  # establish the baseline
         before = limiter.limit
-        for _ in range(4):
+        for _ in range(LIMITER_WINDOW):
             limiter.observe(0.1, congested=True)
-        assert limiter.limit <= max(1, int(before * 0.5) + 1)
+        assert limiter.limit <= max(1, int(before * LIMITER_BACKOFF) + 1)
         assert limiter.limit < before
 
     def test_latency_gradient_backs_off_without_errors(self):
-        limiter = make_limiter(
-            VirtualClock(), initial=8, ceiling=16, window=4, tolerance=2.0
-        )
-        for _ in range(4):
+        limiter = make_limiter(VirtualClock(), initial=8)
+        for _ in range(LIMITER_WINDOW):
             limiter.observe(0.1)
         before = limiter.limit
-        for _ in range(4):
+        for _ in range(LIMITER_WINDOW):
             limiter.observe(1.0)  # 10x the baseline: congestion signal
         assert limiter.limit < before
 
     def test_floor_holds_under_sustained_congestion(self):
-        limiter = make_limiter(VirtualClock(), floor=2, window=2)
-        for _ in range(40):
+        limiter = make_limiter(VirtualClock())
+        for _ in range(20 * LIMITER_WINDOW):
             limiter.observe(1.0, congested=True)
-        assert limiter.limit == 2
+        assert limiter.limit == LIMIT_FLOOR
 
     def test_snapshot_shape(self):
         limiter = make_limiter(VirtualClock())
@@ -122,10 +122,11 @@ class TestGradientLimiter:
 
 
 class TestPressureMonitor:
+    """The shipped thresholds: BROWNOUT from a quarter of the queue,
+    SHED from three quarters."""
+
     def monitor(self, clock, **kw):
         kw.setdefault("queue_capacity", 10)
-        kw.setdefault("brownout_enter", 0.3)
-        kw.setdefault("shed_enter", 0.8)
         kw.setdefault("min_dwell", 5.0)
         return PressureMonitor(clock, **kw)
 
@@ -224,27 +225,22 @@ class TestAdmissionController:
         assert snap["limiter"]["pending_samples"] == 1
 
     def test_queue_overflow_sheds_batch_before_interactive(self):
-        clock, adm = make_controller(
-            initial_limit=1,
-            admission_queue_limit=4,
-            batch_queue_share=0.5,
-        )
+        clock, adm = make_controller(admission_queue_limit=4)
         # Saturate the service slots with work that never finishes soon.
         t = adm.admit(QueryClass.INTERACTIVE)
-        adm._ends.append(clock.now() + 1000.0)
+        saturate(clock, adm, 1000.0)
         adm.release(t)
-        # Fill the queue spans to batch's bound (0.5 * 4 = 2).
+        # Fill the queue spans to batch's bound (BATCH_QUEUE_SHARE * 4).
         now = clock.now()
-        adm._queue_spans.extend([(now, now + 1000.0)] * 2)
+        bound = int(4 * admission.BATCH_QUEUE_SHARE)
+        adm._queue_spans.extend([(now, now + 1000.0)] * bound)
         with pytest.raises(OverloadError, match="shed"):
             adm.admit(QueryClass.BATCH)
         assert adm.sheds.counts()["batch"] == 1
 
     def test_critical_never_queue_shed(self):
-        clock, adm = make_controller(
-            initial_limit=1, admission_queue_limit=2
-        )
-        adm._ends.append(clock.now() + 0.5)
+        clock, adm = make_controller(admission_queue_limit=2)
+        saturate(clock, adm, 0.5)
         now = clock.now()
         adm._queue_spans.extend([(now, now + 1000.0)] * 10)
         # The queue is far past capacity, yet CRITICAL still queues.
@@ -253,15 +249,15 @@ class TestAdmissionController:
         assert adm.sheds.counts()["critical"] == 0
 
     def test_doomed_on_dequeue(self):
-        clock, adm = make_controller(initial_limit=1)
+        clock, adm = make_controller()
         # Observed service times: p50 = 1.0s.
         for _ in range(8):
             t = adm.admit(QueryClass.INTERACTIVE)
             clock.advance(1.0)
             adm.release(t)
-        # One slot busy for 2 more seconds; a query with a 1.5s budget
+        # Every slot busy for 2 more seconds; a query with a 1.5s budget
         # will wait ~2s in the queue and emerge with < p50 remaining.
-        adm._ends.append(clock.now() + 2.0)
+        saturate(clock, adm, 2.0)
         deadline = Deadline.after(clock, 1.5)
         with pytest.raises(DeadlineExceededError, match="doomed on dequeue"):
             adm.admit(QueryClass.INTERACTIVE, deadline)
@@ -293,34 +289,28 @@ class TestAdmissionController:
 
 
 class TestPolicyValidation:
-    """Bad knobs are refused where they are read: policy fields by
-    ``GatewayPolicy``, the controller's, the limiter's and the pressure
-    monitor's own constants by their constructors — all with
-    ``PolicyError``."""
-
-    controller = functools.partial(AdmissionController, VirtualClock(), GatewayPolicy())
-
-    limiter = functools.partial(GradientLimiter, VirtualClock(), initial=4)
-    monitor = functools.partial(
-        PressureMonitor, VirtualClock(), queue_capacity=8, min_dwell=5.0
-    )
+    """Bad policy fields are refused by ``GatewayPolicy`` with
+    ``PolicyError``.  The controller's, the limiter's and the pressure
+    monitor's values are module constants, not keywords: their rows
+    assert that each constant meets the bound its constructor used to
+    check."""
 
     @pytest.mark.parametrize(
         "kw",
         [
             (GatewayPolicy, {"admission_queue_limit": 0}),
-            (controller, {"batch_queue_share": 0.0}),
-            (controller, {"batch_queue_share": 1.5}),
-            (controller, {"initial_limit": 0}),
-            (limiter, {"floor": 0}),
-            (limiter, {"ceiling": 1, "floor": 2}),
-            (limiter, {"tolerance": 1.0}),
-            (limiter, {"backoff": 1.0}),
-            (limiter, {"backoff": 0.0}),
-            (limiter, {"window": 0}),
-            (monitor, {"brownout_enter": 0.0}),
-            (monitor, {"brownout_enter": 0.9, "shed_enter": 0.5}),
-            (monitor, {"shed_enter": 1.5}),
+            (None, lambda: 0.0 < admission.BATCH_QUEUE_SHARE),
+            (None, lambda: admission.BATCH_QUEUE_SHARE <= 1.0),
+            (None, lambda: INITIAL_LIMIT >= 1),
+            (None, lambda: LIMIT_FLOOR >= 1),
+            (None, lambda: LIMIT_FLOOR <= LIMIT_CEILING),
+            (None, lambda: admission.LIMITER_TOLERANCE > 1.0),
+            (None, lambda: LIMITER_BACKOFF < 1.0),
+            (None, lambda: LIMITER_BACKOFF > 0.0),
+            (None, lambda: LIMITER_WINDOW >= 1),
+            (None, lambda: shed.BROWNOUT_ENTER > 0.0),
+            (None, lambda: shed.BROWNOUT_ENTER <= shed.SHED_ENTER),
+            (None, lambda: shed.SHED_ENTER <= 1.0),
             (GatewayPolicy, {"pressure_min_dwell": -1.0}),
             (GatewayPolicy, {"stream_max_subscriptions": 0}),
             (GatewayPolicy, {"stream_default_lease": 0.0}),
@@ -328,15 +318,17 @@ class TestPolicyValidation:
     )
     def test_bad_knobs_rejected(self, kw):
         build, kwargs = kw
+        if build is None:
+            assert kwargs()
+            return
         with pytest.raises(PolicyError):
             build(**kwargs)
 
     def test_limiter_and_monitor_defaults(self):
-        limiter = self.limiter()
-        assert (limiter.floor, limiter.ceiling, limiter.window) == (1, 64, 16)
-        assert (limiter.tolerance, limiter.backoff) == (2.0, 0.8)
-        monitor = self.monitor()
-        assert (monitor.brownout_enter, monitor.shed_enter) == (0.25, 0.75)
+        """The shipped values DESIGN §13 quotes, now module constants."""
+        assert (LIMIT_FLOOR, LIMIT_CEILING, LIMITER_WINDOW) == (1, 64, 16)
+        assert (admission.LIMITER_TOLERANCE, LIMITER_BACKOFF) == (2.0, 0.8)
+        assert (shed.BROWNOUT_ENTER, shed.SHED_ENTER) == (0.25, 0.75)
 
 
 class TestBreakerShedInterplay:

@@ -18,6 +18,11 @@ def rig():
     return network, site, site.gateway
 
 
+def alerts_into(got):
+    """A gateway-event listener keeping only the alerts."""
+    return lambda event: got.append(event) if event.name.startswith("alert.") else None
+
+
 def always_rule(urls, **kw):
     defaults = dict(
         name="load-any",
@@ -62,7 +67,7 @@ class TestFiring:
     def test_violation_emits_event(self, rig):
         network, site, gw = rig
         got = []
-        gw.events.register_listener(got.append, name_prefix="alert.")
+        gw.events.register_listener(alerts_into(got))
         gw.alerts.add_rule(always_rule([site.url_for("snmp")]))
         network.clock.advance(10.5)
         assert len(got) == 1
@@ -75,7 +80,7 @@ class TestFiring:
     def test_no_violation_no_event(self, rig):
         network, site, gw = rig
         got = []
-        gw.events.register_listener(got.append, name_prefix="alert.")
+        gw.events.register_listener(alerts_into(got))
         gw.alerts.add_rule(never_rule([site.url_for("snmp")]))
         network.clock.advance(50.0)
         assert got == []
@@ -84,7 +89,7 @@ class TestFiring:
     def test_rule_fires_per_host(self, rig):
         network, site, gw = rig
         got = []
-        gw.events.register_listener(got.append, name_prefix="alert.")
+        gw.events.register_listener(alerts_into(got))
         gw.alerts.add_rule(always_rule(site.source_urls))
         network.clock.advance(10.5)
         assert {e.source_host for e in got} == set(site.host_names())
@@ -113,7 +118,7 @@ class TestHysteresis:
     def test_sustained_condition_fires_once(self, rig):
         network, site, gw = rig
         got = []
-        gw.events.register_listener(got.append, name_prefix="alert.")
+        gw.events.register_listener(alerts_into(got))
         gw.alerts.add_rule(
             always_rule([site.url_for("snmp")], rearm_after=1e9)
         )
@@ -124,7 +129,7 @@ class TestHysteresis:
     def test_zero_rearm_fires_every_poll(self, rig):
         network, site, gw = rig
         got = []
-        gw.events.register_listener(got.append, name_prefix="alert.")
+        gw.events.register_listener(alerts_into(got))
         gw.alerts.add_rule(always_rule([site.url_for("snmp")], rearm_after=0.0))
         network.clock.advance(50.0)
         assert len(got) == 5

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cache import CacheController, normalise_sql
+from repro.core.cache import MAX_ENTRIES, CacheController, normalise_sql
 from repro.simnet.clock import VirtualClock
 
 
@@ -141,46 +141,52 @@ class TestEntriesFor:
         assert cache.hit_ratio == 0.5
 
 
+def full_cache(clock):
+    """A cache holding exactly its shipped capacity, ``q0`` oldest."""
+    cache = CacheController(clock, ttl=1000.0)
+    for i in range(MAX_ENTRIES):
+        cache.store("u", f"q{i}", ["a"], [])
+    return cache
+
+
 class TestLruBound:
+    """The shipped bound, ``cache.MAX_ENTRIES`` entries."""
+
     def test_insert_past_capacity_evicts_oldest(self, clock):
-        cache = CacheController(clock, ttl=1000.0, max_entries=2)
-        cache.store("u", "q1", ["a"], [])
-        cache.store("u", "q2", ["a"], [])
-        cache.store("u", "q3", ["a"], [])
-        assert len(cache) == 2
+        cache = full_cache(clock)
+        cache.store("u", "new", ["a"], [])
+        assert len(cache) == MAX_ENTRIES
         assert cache.evictions == 1
-        assert cache.lookup("u", "q1") is None
-        assert cache.lookup("u", "q2") is not None
-        assert cache.lookup("u", "q3") is not None
+        assert cache.lookup("u", "q0") is None
+        assert cache.lookup("u", "q1") is not None
+        assert cache.lookup("u", "new") is not None
 
     def test_lookup_refreshes_recency(self, clock):
-        cache = CacheController(clock, ttl=1000.0, max_entries=2)
-        cache.store("u", "q1", ["a"], [])
-        cache.store("u", "q2", ["a"], [])
-        cache.lookup("u", "q1")          # q1 is now most recently used
-        cache.store("u", "q3", ["a"], [])
-        assert cache.lookup("u", "q1") is not None
-        assert cache.lookup("u", "q2") is None   # evicted instead
+        cache = full_cache(clock)
+        cache.lookup("u", "q0")          # q0 is now most recently used
+        cache.store("u", "new", ["a"], [])
+        assert cache.lookup("u", "q0") is not None
+        assert cache.lookup("u", "q1") is None   # evicted instead
 
     def test_restore_refreshes_recency(self, clock):
-        cache = CacheController(clock, ttl=1000.0, max_entries=2)
-        cache.store("u", "q1", ["a"], [])
-        cache.store("u", "q2", ["a"], [])
-        cache.store("u", "q1", ["a"], [])        # re-store moves to back
-        cache.store("u", "q3", ["a"], [])
-        assert cache.lookup("u", "q1") is not None
-        assert cache.lookup("u", "q2") is None
+        cache = full_cache(clock)
+        cache.store("u", "q0", ["a"], [])        # re-store moves to back
+        cache.store("u", "new", ["a"], [])
+        assert cache.lookup("u", "q0") is not None
+        assert cache.lookup("u", "q1") is None
 
     def test_zero_capacity_means_unbounded(self, clock):
-        cache = CacheController(clock, ttl=1000.0, max_entries=0)
-        for i in range(500):
-            cache.store("u", f"q{i}", ["a"], [])
-        assert len(cache) == 500
+        """No capacity means unbounded any more (the "0 = unbounded"
+        branch went with the keyword): a cache at its bound holds every
+        entry and has evicted none."""
+        cache = full_cache(clock)
+        assert len(cache) == MAX_ENTRIES
         assert cache.evictions == 0
 
     def test_negative_capacity_rejected(self, clock):
-        with pytest.raises(ValueError):
-            CacheController(clock, max_entries=-1)
+        """The capacity is a constant now, not a keyword to refuse: it
+        meets the bound the constructor checked, and holds an entry."""
+        assert MAX_ENTRIES >= 1
 
     def test_future_stamped_entry_is_a_miss(self, clock):
         # An entry stored by a concurrent sibling branch can carry a

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.agents.snmp import SnmpAgent
-from repro.core.connection_manager import ConnectionManager
+from repro.core.connection_manager import IDLE_TTL, ConnectionManager
 from repro.core.driver_manager import GridRmDriverManager
 from repro.core.policy import GatewayPolicy
 from repro.dbapi.registry import DriverRegistry
@@ -15,12 +15,12 @@ def agents(network, hosts):
     return [SnmpAgent(h, network) for h in hosts]
 
 
-def make_cm(network, policy=None, **own):
+def make_cm(network, policy=None):
     policy = policy or GatewayPolicy()
     registry = DriverRegistry()
     dm = GridRmDriverManager(registry, policy)
     dm.register(SnmpDriver(network, gateway_host="gateway"))
-    return ConnectionManager(dm, network.clock, policy, **own)
+    return ConnectionManager(dm, network.clock, policy)
 
 
 URL = "jdbc:snmp://n0/x"
@@ -138,10 +138,10 @@ class TestRevalidation:
         assert driver.stats["probes"] == probes
 
     def test_stale_idle_revalidated(self, network, agents):
-        cm = make_cm(network, idle_ttl=10.0)
+        cm = make_cm(network)
         driver = cm.driver_manager.driver_by_name("JDBC-SNMP")
         cm.release(cm.acquire(URL))
-        network.clock.advance(11.0)
+        network.clock.advance(IDLE_TTL + 1.0)
         probes = driver.stats["probes"]
         conn = cm.acquire(URL)
         assert driver.stats["probes"] == probes + 1
@@ -149,10 +149,10 @@ class TestRevalidation:
         assert cm.stats["revalidated"] == 1
 
     def test_stale_invalid_replaced(self, network, agents):
-        cm = make_cm(network, idle_ttl=10.0)
+        cm = make_cm(network)
         first = cm.acquire(URL)
         cm.release(first)
-        network.clock.advance(11.0)
+        network.clock.advance(IDLE_TTL + 1.0)
         network.close(agents[0].address)  # agent gone
         # Revalidation fails; a new connect is attempted and also fails.
         from repro.core.errors import DataSourceError

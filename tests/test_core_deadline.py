@@ -6,11 +6,11 @@ through a live testbed gateway.
 """
 
 import dataclasses
-import functools
 import random
 
 import pytest
 
+from repro.core import dispatch
 from repro.core.deadline import Deadline
 from repro.core.dispatch import FanoutDispatcher
 from repro.core.errors import DeadlineExceededError, GridRmError, PolicyError
@@ -109,8 +109,6 @@ class TestRetryBudget:
 
 
 class TestPolicyValidation:
-    dispatcher = functools.partial(FanoutDispatcher, VirtualClock(), GatewayPolicy())
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -119,16 +117,22 @@ class TestPolicyValidation:
             (RetryPolicy, {"budget": -1}),
             (RetryPolicy, {"base_backoff": 0.0}),
             (RetryPolicy, {"base_backoff": 0.5, "max_backoff": 0.1}),
-            (dispatcher, {"hedge_percentile": 0.0}),
-            (dispatcher, {"hedge_percentile": 101.0}),
-            (dispatcher, {"hedge_min_samples": 0}),
-            (dispatcher, {"hedge_min_delay": -0.1}),
+            (None, lambda: 0.0 < dispatch.HEDGE_PERCENTILE),
+            (None, lambda: dispatch.HEDGE_PERCENTILE <= 100.0),
+            (None, lambda: dispatch.HEDGE_MIN_SAMPLES >= 1),
+            (None, lambda: dispatch.HEDGE_MIN_DELAY >= 0.0),
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
         """Refused where they are read: policy fields by ``GatewayPolicy``,
-        the retry and hedge constants by their components."""
+        the retry values by ``RetryPolicy``.  The hedge parameters are
+        module constants of :mod:`repro.core.dispatch`, not keywords any
+        more; their rows assert that each constant meets the bound the
+        dispatcher's constructor used to check."""
         build, kw = kwargs
+        if build is None:
+            assert kw()
+            return
         with pytest.raises(PolicyError):
             build(**kw)
 
@@ -256,18 +260,16 @@ class TestRetryIntegration:
 
 
 class TestHedging:
-    def _dispatcher(self, *, hedge_enabled=True, **overrides):
-        kwargs = {
-            "hedge_min_samples": 1,
-            "hedge_min_delay": 0.0,
-            "hedge_percentile": 95.0,
-        }
-        kwargs.update(overrides)
+    """The shipped hedge parameters: armed after
+    ``dispatch.HEDGE_MIN_SAMPLES`` successes, at the
+    ``HEDGE_PERCENTILE`` latency, never below ``HEDGE_MIN_DELAY``."""
+
+    def _dispatcher(self, *, hedge_enabled=True):
         policy = GatewayPolicy(hedge_enabled=hedge_enabled)
         clock = VirtualClock()
-        return clock, FanoutDispatcher(clock, policy, **kwargs)
+        return clock, FanoutDispatcher(clock, policy)
 
-    def _seed_window(self, clock, dispatcher, latency=0.1, n=4):
+    def _seed_window(self, clock, dispatcher, latency=0.1, n=dispatch.HEDGE_MIN_SAMPLES):
         # hedge=False while seeding: with identical samples the p95 sits
         # exactly on the observed latency, and float noise must not let
         # the warm-up flights themselves fire hedges.
@@ -367,8 +369,9 @@ class TestHedging:
         assert dispatcher.stats.hedges_fired == 0
 
     def test_cold_source_never_hedged(self):
-        clock, dispatcher = self._dispatcher(hedge_min_samples=8)
-        self._seed_window(clock, dispatcher, n=3)  # below min_samples
+        clock, dispatcher = self._dispatcher()
+        # One success short of arming the timer.
+        self._seed_window(clock, dispatcher, n=dispatch.HEDGE_MIN_SAMPLES - 1)
 
         def fetch():
             clock.advance(5.0)
@@ -400,15 +403,15 @@ class TestHedging:
         assert dispatcher.stats.hedges_fired == 0
 
     def test_hedge_delay_reads_latency_percentile(self):
-        clock, dispatcher = self._dispatcher(hedge_min_delay=0.0)
+        clock, dispatcher = self._dispatcher()
         assert dispatcher.hedge_delay("src") is None  # no history yet
         self._seed_window(clock, dispatcher, latency=0.1)
         assert dispatcher.hedge_delay("src") == pytest.approx(0.1)
 
     def test_min_delay_floors_the_timer(self):
-        clock, dispatcher = self._dispatcher(hedge_min_delay=0.5)
-        self._seed_window(clock, dispatcher, latency=0.001)
-        assert dispatcher.hedge_delay("src") == 0.5
+        clock, dispatcher = self._dispatcher()
+        self._seed_window(clock, dispatcher, latency=dispatch.HEDGE_MIN_DELAY / 5)
+        assert dispatcher.hedge_delay("src") == dispatch.HEDGE_MIN_DELAY
 
 
 class TestGmaWirePropagation:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.dispatch import FanoutDispatcher
+from repro.core.dispatch import MAX_CONCURRENT_PER_SOURCE, FanoutDispatcher
 from repro.core.errors import GridRmError
 from repro.core.policy import GatewayPolicy
 from repro.simnet.clock import VirtualClock
@@ -15,13 +15,8 @@ def clock():
     return VirtualClock()
 
 
-def dispatcher(clock, max_concurrent_per_source=4, **policy_kwargs):
-    """The cap is the dispatcher's own keyword, not a policy field."""
-    return FanoutDispatcher(
-        clock,
-        GatewayPolicy(**policy_kwargs),
-        max_concurrent_per_source=max_concurrent_per_source,
-    )
+def dispatcher(clock, **policy_kwargs):
+    return FanoutDispatcher(clock, GatewayPolicy(**policy_kwargs))
 
 
 def work(clock, duration, value):
@@ -155,7 +150,8 @@ class TestSingleFlight:
 
 class TestConcurrencyCap:
     def test_cap_queues_excess_requests(self, clock):
-        d = dispatcher(clock, max_concurrent_per_source=2)
+        """One branch past the shipped cap (4) waits for the first slot."""
+        d = dispatcher(clock)
         starts = []
 
         def fetch(i):
@@ -167,27 +163,29 @@ class TestConcurrencyCap:
             return run
 
         with clock.concurrent() as scope:
-            for i in range(3):
+            for i in range(MAX_CONCURRENT_PER_SOURCE + 1):
                 with scope.branch():
                     # Distinct SQL per branch: no single-flight, so the
-                    # third request must wait for a slot.
+                    # fifth request must wait for a slot.
                     d.run_flight("src", f"SELECT {i}", fetch(i))
-        assert starts == [0.0, 0.0, 4.0]
+        assert starts == [0.0] * MAX_CONCURRENT_PER_SOURCE + [4.0]
         assert clock.now() == 8.0
         assert d.stats.cap_waits == 1
         assert d.stats.cap_wait_time == 4.0
 
     def test_unlimited_when_cap_zero(self, clock):
-        d = dispatcher(clock, max_concurrent_per_source=0)
+        """There is no unlimited cap any more ("0 = unlimited" went with
+        the keyword): branches up to the shipped cap never wait."""
+        d = dispatcher(clock)
         with clock.concurrent() as scope:
-            for i in range(6):
+            for i in range(MAX_CONCURRENT_PER_SOURCE):
                 with scope.branch():
                     d.run_flight("src", f"SELECT {i}", work(clock, 4.0, i))
         assert clock.now() == 4.0
         assert d.stats.cap_waits == 0
 
     def test_inflight_counts_live_requests(self, clock):
-        d = dispatcher(clock, max_concurrent_per_source=0)
+        d = dispatcher(clock)
         with clock.concurrent() as scope:
             with scope.branch():
                 d.run_flight("src", "SELECT 1", work(clock, 5.0, None))

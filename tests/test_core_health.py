@@ -10,14 +10,12 @@ from repro.simnet.clock import VirtualClock
 KEY = "jdbc:snmp://n0/system"
 
 
-def make_tracker(clock=None, half_open_probes=1, **policy_kwargs):
+def make_tracker(clock=None, **policy_kwargs):
     policy_kwargs.setdefault("breaker_failure_threshold", 3)
     policy_kwargs.setdefault("breaker_base_backoff", 10.0)
     policy_kwargs.setdefault("breaker_max_backoff", 80.0)
     clock = clock or VirtualClock()
-    return clock, HealthTracker(
-        clock, GatewayPolicy(**policy_kwargs), half_open_probes=half_open_probes
-    )
+    return clock, HealthTracker(clock, GatewayPolicy(**policy_kwargs))
 
 
 def trip(clock, tracker, key=KEY, n=3):
@@ -106,13 +104,13 @@ class TestStateMachine:
         assert 10.0 <= wait <= 10.0 * (1 + BACKOFF_JITTER)
 
     def test_half_open_multi_probe_policy(self):
-        clock, tracker = make_tracker(half_open_probes=2)
+        """There is one probe policy now: the first half-open success
+        closes the breaker (no success count is kept)."""
+        clock, tracker = make_tracker()
         trip(clock, tracker)
         clock.advance(15.0)
         assert tracker.allow_request(KEY)
-        tracker.record_success(KEY)
-        assert tracker.state(KEY) is BreakerState.HALF_OPEN  # 1 of 2
-        assert tracker.allow_request(KEY)
+        assert tracker.state(KEY) is BreakerState.HALF_OPEN
         tracker.record_success(KEY)
         assert tracker.state(KEY) is BreakerState.CLOSED
 
@@ -266,5 +264,17 @@ class TestPolicyValidation:
             GatewayPolicy(breaker_base_backoff=60.0, breaker_max_backoff=5.0)
 
     def test_half_open_probes_must_be_positive(self):
-        with pytest.raises(PolicyError):
-            make_tracker(half_open_probes=0)
+        """The probe count is no longer a keyword to refuse; its bound (at
+        least one probe) is what every half-open period now asks: a
+        failed probe re-opens, and after the next backoff one success
+        still closes the breaker."""
+        clock, tracker = make_tracker()
+        trip(clock, tracker)
+        clock.advance(15.0)
+        assert tracker.allow_request(KEY)
+        tracker.record_failure(KEY, "probe failed")
+        assert tracker.state(KEY) is BreakerState.OPEN
+        clock.advance(30.0)
+        assert tracker.allow_request(KEY)
+        tracker.record_success(KEY)
+        assert tracker.state(KEY) is BreakerState.CLOSED

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.plans import PlanCache
+from repro.core.plans import MAX_ENTRIES, PlanCache
 from repro.core.request_manager import QueryMode
 from repro.glue.schema import standard_schema
 from repro.obs.metrics import MetricsRegistry
@@ -114,36 +114,48 @@ class TestInvalidation:
         assert cache.invalidations == 0
 
 
+def nth(i):
+    """The ``i``-th of as many distinct query texts as a test needs."""
+    return f"SELECT HostName FROM Host LIMIT {i}"
+
+
 class TestLru:
+    """The shipped bound, ``plans.MAX_ENTRIES`` entries."""
+
     def test_eviction_past_capacity(self, schema):
-        cache = PlanCache(schema, max_entries=2)
-        cache.get("SELECT HostName FROM Host")
-        cache.get("SELECT SiteName FROM Host")
-        cache.get("SELECT * FROM Host")
-        assert len(cache) == 2
+        cache = PlanCache(schema)
+        for i in range(MAX_ENTRIES + 1):
+            cache.get(nth(i))
+        assert len(cache) == MAX_ENTRIES
         assert cache.evictions == 1
-        cache.get("SELECT HostName FROM Host")  # evicted: a fresh miss
-        assert cache.misses == 4
+        cache.get(nth(0))  # evicted: a fresh miss
+        assert cache.misses == MAX_ENTRIES + 2
 
     def test_hit_refreshes_recency(self, schema):
-        cache = PlanCache(schema, max_entries=2)
-        first = cache.get("SELECT HostName FROM Host")
-        cache.get("SELECT SiteName FROM Host")
-        cache.get("SELECT HostName FROM Host")  # refresh
-        cache.get("SELECT * FROM Host")          # evicts SiteName instead
-        assert cache.get("SELECT HostName FROM Host") is first
+        cache = PlanCache(schema)
+        first = cache.get(nth(0))
+        for i in range(1, MAX_ENTRIES):
+            cache.get(nth(i))
+        cache.get(nth(0))                      # refresh
+        cache.get(nth(MAX_ENTRIES))            # evicts nth(1) instead
+        assert cache.get(nth(0)) is first
         assert cache.hits == 2
+        assert len(cache) == MAX_ENTRIES
 
     def test_zero_capacity_means_unbounded(self, schema):
-        cache = PlanCache(schema, max_entries=0)
-        for i in range(200):
-            cache.get(f"SELECT HostName FROM Host LIMIT {i}")
-        assert len(cache) == 200
+        """No capacity means unbounded any more (the "0 = unbounded"
+        branch went with the keyword): a cache at its bound holds every
+        entry and has evicted none."""
+        cache = PlanCache(schema)
+        for i in range(MAX_ENTRIES):
+            cache.get(nth(i))
+        assert len(cache) == MAX_ENTRIES
         assert cache.evictions == 0
 
     def test_negative_capacity_rejected(self, schema):
-        with pytest.raises(ValueError):
-            PlanCache(schema, max_entries=-1)
+        """The capacity is a constant now, not a keyword to refuse: it
+        meets the bound the constructor checked, and holds an entry."""
+        assert MAX_ENTRIES >= 1
 
 
 class TestTraceSpans:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.errors import SessionError
 from repro.core.security import Principal
-from repro.core.sessions import SessionManager
+from repro.core.sessions import SESSION_TTL, SessionManager
 from repro.simnet.clock import VirtualClock
 
 USER = Principal.with_roles("u", "user")
@@ -17,7 +17,7 @@ def clock():
 
 @pytest.fixture
 def sm(clock):
-    return SessionManager(clock, ttl=100.0)
+    return SessionManager(clock)
 
 
 class TestLifecycle:
@@ -40,28 +40,29 @@ class TestLifecycle:
             sm.validate(s.token)
 
     def test_invalid_ttl_rejected(self, clock):
-        with pytest.raises(ValueError):
-            SessionManager(clock, ttl=0.0)
+        """The idle TTL is a constant now, not a keyword to refuse: it
+        meets the bound the constructor checked."""
+        assert SESSION_TTL > 0
 
 
 class TestExpiry:
     def test_expires_after_idle_ttl(self, sm, clock):
         s = sm.open(USER)
-        clock.advance(101.0)
+        clock.advance(SESSION_TTL + 1.0)
         with pytest.raises(SessionError):
             sm.validate(s.token)
 
     def test_validation_touches_idle_timer(self, sm, clock):
         s = sm.open(USER)
-        clock.advance(90.0)
+        clock.advance(0.9 * SESSION_TTL)
         sm.validate(s.token)
-        clock.advance(90.0)
-        sm.validate(s.token)  # still alive: touched at t=90
+        clock.advance(0.9 * SESSION_TTL)
+        sm.validate(s.token)  # still alive: touched at 0.9 TTL
 
     def test_sweep_removes_expired(self, sm, clock):
         sm.open(USER)
         sm.open(USER)
-        clock.advance(101.0)
+        clock.advance(SESSION_TTL + 1.0)
         live = sm.open(USER)
         assert sm.sweep() == 2
         assert sm.active_count() == 1

@@ -69,7 +69,9 @@ class TestAlertsOnJoins:
         load needs Processor AND MainMemory."""
         network, a, *_ = fabric
         got = []
-        a.gateway.events.register_listener(got.append, name_prefix="alert.")
+        a.gateway.events.register_listener(
+            lambda e: got.append(e) if e.name.startswith("alert.") else None
+        )
         a.gateway.alerts.add_rule(
             AlertRule(
                 name="mem-per-load",

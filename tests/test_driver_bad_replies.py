@@ -56,7 +56,9 @@ def _site(protocol):
     network = Network(VirtualClock(), seed=7)
     policy = GatewayPolicy(query_cache_ttl=0.0)
     site = build_site(network, name="s", n_hosts=3, agents=(protocol,), policy=policy)
-    site.gateway.connection_manager.idle_ttl = 1e9
+    # Every use of this site ends well inside the pool's idle TTL
+    # (``connection_manager.IDLE_TTL``, 120 s), so a pooled connection
+    # is reused without a revalidation probe through the intercept.
     return network, site
 
 

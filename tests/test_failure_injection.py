@@ -7,6 +7,7 @@ precisely to keep working while the things it watches are failing.
 
 import pytest
 
+from repro.core.connection_manager import IDLE_TTL
 from repro.core.policy import FailureAction, GatewayPolicy
 from repro.core.request_manager import QueryMode
 from repro.gma.directory import GMADirectory
@@ -127,13 +128,12 @@ class TestAgentChurn:
         """Pooled connections to a bounced agent are evicted, not used."""
         network, site = make("bounce")
         gw = site.gateway
-        gw.connection_manager.idle_ttl = 5.0
         host = site.host_names()[0]
         url = site.url_for("snmp", host=host)
         gw.query(url, "SELECT HostName FROM Host")  # pool a connection
         # Agent's host bounces while the connection idles past the TTL.
         network.set_host_up(host, False)
-        network.clock.advance(10.0)
+        network.clock.advance(IDLE_TTL + 5.0)
         network.set_host_up(host, True)
         result = gw.query(url, "SELECT HostName FROM Host")
         assert result.ok_sources == 1

@@ -7,6 +7,7 @@ counters) is the state of ``archiver.subscriber.consumer``.
 import pytest
 
 from repro.core.alerts import AlertRule
+from repro.gma import archiver as archiver_module
 from repro.gma.archiver import EventArchiver
 from repro.gma.subscription import EventPublisher
 from repro.simnet.clock import VirtualClock
@@ -58,9 +59,12 @@ class TestArchiving:
         network.clock.advance(120.0)
         assert archiver.event_count() == 0
 
-    def test_ring_bound(self, fabric):
+    def test_ring_bound(self, fabric, monkeypatch):
+        """The shipped bound (``archiver.MAX_ROWS``, 100 000 rows) takes
+        far more events than a unit test should make, so the constant is
+        patched down to 10."""
         network, a, b, pa, pb, archiver = fabric
-        archiver.max_rows = 10
+        monkeypatch.setattr(archiver_module, "MAX_ROWS", 10)
         archiver.follow(pa)
         archiver.follow(pb)
         network.clock.advance(300.0)

@@ -24,6 +24,7 @@ from repro.glue.schema import GlueField, GlueGroup, GlueSchema
 from repro.gma.archiver import EventArchiver
 from repro.gma.streams import (
     FLAVOURS,
+    REPLAY_LIMIT,
     Republisher,
     StreamConsumer,
     StreamHub,
@@ -48,7 +49,7 @@ PROBE = GlueGroup(
 )
 
 
-def _fabric(policy=None, *, history=False, overload=None, tracer=None, **own):
+def _fabric(policy=None, *, history=False, overload=None, tracer=None):
     clock = VirtualClock()
     network = Network(clock, seed=0)
     network.add_host("hub-host", site="t")
@@ -64,7 +65,6 @@ def _fabric(policy=None, *, history=False, overload=None, tracer=None, **own):
         history=store,
         overload=overload,
         tracer=tracer,
-        **own,
     )
     consumer = StreamConsumer(network, "client")
     return clock, network, hub, consumer, store
@@ -156,8 +156,10 @@ def test_history_flavour_replays_since_watermark():
 
 
 def test_history_replay_caps_at_replay_limit():
-    clock, network, hub, consumer, store = _fabric(history=True, replay_limit=2)
-    for i in range(5):
+    """The shipped cap, ``streams.REPLAY_LIMIT`` rows, three short of
+    the recorded history."""
+    clock, network, hub, consumer, store = _fabric(history=True)
+    for i in range(REPLAY_LIMIT + 3):
         record_rows(
             store, "Probe",
             [{"HostName": f"n{i}", "Load": float(i), "Slot": i}],
@@ -170,7 +172,7 @@ def test_history_replay_caps_at_replay_limit():
     clock.advance(1.0)
     (batch,) = consumer.delivered[hub.host, cq]
     # Newest rows win the cap: catch-up, not a full table scan.
-    assert batch["rows"] == [["n3"], ["n4"]]
+    assert batch["rows"] == [[f"n{i}"] for i in range(3, REPLAY_LIMIT + 3)]
 
 
 def test_narrow_publish_never_fails_the_publisher():

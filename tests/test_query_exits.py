@@ -12,15 +12,13 @@ nine causes and checks what a client and an operator see of it:
 * the counters it bumps: its Cause row's ``requests.*`` counters (or
   ``admission.brownout_served`` for BROWNOUT), and no other.
 
-SHED is the one row that does not leave through the request manager.
+SHED is the one row that does not start at the request manager.
 A gateway that sheds its own work raises ``OverloadError`` before any
 source is asked, so a SHED *status* only reaches a client from a remote
-site.  That answer is built by the gateway's remote exit, not by
-``RequestManager._answer``: today the ``remote`` span it sits under fails
-as a plain ``error`` and no local ``requests.*`` counter moves.  The row
-states what the Cause table asks for and is a strict ``xfail`` until the
-remote exit leaves through ``_answer`` (ROADMAP item 5): the fix turns
-it red, and the mark goes with the fix.
+site.  The gateway's remote exit builds it and sends it through
+``RequestManager.answer``, the exit every local answer takes: the
+``remote`` span it sits under fails as ``shed`` and the SHED row's
+``requests.*`` counters move.
 """
 
 import pytest
@@ -175,18 +173,7 @@ def test_the_table_is_the_cause_table():
         assert bumped == counters, cause
 
 
-#: The remote exit builds SHED's status outside ``_answer``: its span
-#: fails as ``error`` and no counter moves (ROADMAP item 5).
-REMOTE_EXIT = pytest.mark.xfail(
-    strict=True, reason="the remote exit does not leave through _answer"
-)
-
-
-@pytest.mark.parametrize(
-    "cause",
-    [pytest.param(c, marks=REMOTE_EXIT) if c is Cause.SHED else c for c in EXITS],
-    ids=[c.value for c in EXITS],
-)
+@pytest.mark.parametrize("cause", list(EXITS), ids=[c.value for c in EXITS])
 def test_each_cause_leaves_gateway_query_through_its_exit(cause):
     testbed, span_name, span_status, bumped = EXITS[cause]
     network = Network(VirtualClock(), seed=29)

@@ -22,11 +22,11 @@ render byte-identical across runs.
 
 import pytest
 
-from repro.core.dispatch import FanoutDispatcher
+from repro.core.dispatch import HEDGE_MIN_SAMPLES, FanoutDispatcher
 from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import QueryMode
 from repro.obs import Tracer, check_trace, check_tracer
-from repro.obs.trace import Span
+from repro.obs.trace import MAX_TRACES, Span
 from repro.simnet.clock import VirtualClock
 from repro.testbed import build_site, build_testbed
 
@@ -196,11 +196,11 @@ class TestEndToEnd:
         assert gw.tracer.traces() == []
 
     def test_trace_retention_bounded(self):
-        # The ring's size is the Tracer's own default (no shipped caller
-        # varies it), so the gateway's tracer is driven past that.
+        # The ring's size is a constant of the tracer module, so the
+        # gateway's tracer is driven past that.
         site = make_site()
         gw = site.gateway
-        keep = gw.tracer.max_traces
+        keep = MAX_TRACES
         url = site.url_for("snmp")
         for _ in range(keep + 3):
             gw.query(url, SQL, mode=QueryMode.CACHED_OK)
@@ -361,17 +361,15 @@ class TestHedgeSpans:
         clock = VirtualClock()
         tracer = Tracer(clock)
         dispatcher = FanoutDispatcher(
-            clock,
-            GatewayPolicy(hedge_enabled=True),
-            tracer=tracer,
-            hedge_min_samples=1,
-            hedge_min_delay=0.0,
+            clock, GatewayPolicy(hedge_enabled=True), tracer=tracer
         )
+        # Arm the hedge timer at 0.1 s, as the shipped sample count asks.
+        for _ in range(HEDGE_MIN_SAMPLES):
+            dispatcher._note_latency("src", 0.1)
         return clock, tracer, dispatcher
 
     def test_losing_hedge_marked_cancelled(self):
         clock, tracer, dispatcher = self._dispatcher()
-        dispatcher._note_latency("src", 0.1)
 
         def fetch():
             clock.advance(1.0)
@@ -389,7 +387,6 @@ class TestHedgeSpans:
 
     def test_no_hedge_no_hedge_spans(self):
         clock, tracer, dispatcher = self._dispatcher()
-        dispatcher._note_latency("src", 0.1)
         with tracer.start_trace("query"):
             dispatcher.run_flight("src", SQL, lambda: "fast")
         assert dispatcher.stats.hedges_fired == 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.web.reports import (
+    SAMPLE_PERIOD,
     AvailabilityTracker,
     availability_report,
     capacity_report,
@@ -122,36 +123,38 @@ class TestReadsGoThroughTheStore:
 
 
 class TestAvailability:
+    """The tracker samples every ``reports.SAMPLE_PERIOD`` seconds."""
+
     def test_counts_poll_outcomes(self, site):
         gw = site.gateway
-        tracker = AvailabilityTracker(gw, sample_period=5.0)
+        tracker = AvailabilityTracker(gw)
         url = site.url_for("snmp")
         gw.query(url, "SELECT * FROM Host")
-        site.clock.advance(6.0)
+        site.clock.advance(SAMPLE_PERIOD + 1.0)
         site.network.set_host_up(site.host_names()[0], False)
         gw.query(url, "SELECT * FROM Host")
-        site.clock.advance(6.0)
+        site.clock.advance(SAMPLE_PERIOD + 1.0)
         report = availability_report(tracker)
         entry = next(e for e in report if e.url == url)
         assert entry.polls == 2 and entry.ok == 1
         assert entry.ratio == 0.5
 
     def test_unpolled_sources_absent(self, site):
-        tracker = AvailabilityTracker(site.gateway, sample_period=5.0)
-        site.clock.advance(20.0)
+        tracker = AvailabilityTracker(site.gateway)
+        site.clock.advance(4 * SAMPLE_PERIOD)
         assert tracker.report() == []
 
     def test_same_poll_not_double_counted(self, site):
         gw = site.gateway
-        tracker = AvailabilityTracker(gw, sample_period=5.0)
+        tracker = AvailabilityTracker(gw)
         gw.query(site.url_for("snmp"), "SELECT * FROM Host")
-        site.clock.advance(30.0)  # many sample ticks, one poll
+        site.clock.advance(4 * SAMPLE_PERIOD)  # many sample ticks, one poll
         entry = tracker.report()[0]
         assert entry.polls == 1
 
     def test_format(self, site):
         gw = site.gateway
-        tracker = AvailabilityTracker(gw, sample_period=5.0)
+        tracker = AvailabilityTracker(gw)
         gw.query(site.url_for("snmp"), "SELECT * FROM Host")
-        site.clock.advance(6.0)
+        site.clock.advance(SAMPLE_PERIOD + 1.0)
         assert "100.0%" in tracker.report()[0].format()
