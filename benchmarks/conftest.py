@@ -1,16 +1,17 @@
-"""Shared infrastructure for the experiment benchmarks (E1-E12).
+"""Shared infrastructure for the experiment benchmarks (E1-E19, E26, A1-A2).
 
 Each benchmark file reproduces one experiment from DESIGN.md §5.  Because
-the paper publishes no measured numbers, every benchmark both
+the paper publishes no measured numbers, every benchmark measures the
+*virtual-time / protocol-level* quantity the claim is about (connection
+setup RTTs saved, agent polls suppressed, events lost, ...), printing a
+small table and asserting the expected shape.  E1-E13 and A1-A2 also
+feed their CPU-bound kernel to pytest-benchmark for wall-time numbers;
+E14-E19 and E26 time nothing, their wall costs being per-layer columns
+of the one e2e harness (``benchmarks/e2e/run.py``).
 
-* measures the *virtual-time / protocol-level* quantity the claim is
-  about (connection setup RTTs saved, agent polls suppressed, events
-  lost, ...), printing a small table and asserting the expected shape; and
-* feeds the CPU-bound kernel to pytest-benchmark for wall-time numbers.
-
-The printed tables are emitted through ``report`` (bypassing capture) so
-``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` records
-them alongside pytest-benchmark's own table.
+The printed tables are emitted through ``report`` (bypassing capture), so
+``python -m pytest benchmarks/ -q --benchmark-disable`` prints every
+table; the run writes no tracked file.
 """
 
 from __future__ import annotations

@@ -14,14 +14,8 @@ gateway polls.  The claims to measure:
   rescues rounds whose primary drew a spike — cutting the mean round
   latency with a bounded extra-request overhead.
 
-The measured numbers are recorded in ``BENCH_chaos.json`` at the repo
-root so CI archives them run over run (the ``chaos-smoke`` job).
+Every latency here is virtual time, so each run prints the same table.
 """
-
-import json
-import pathlib
-
-import pytest
 
 from repro.scenario import run
 from repro.scenarios import CHAOS
@@ -31,19 +25,9 @@ from repro.simnet.faults import FaultPlane
 from conftest import fresh_site, fmt_table
 
 SQL = "SELECT * FROM Processor"
-BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
-
-_RESULTS: dict = {}
 
 
-def _record(key: str, payload: dict) -> None:
-    """Accumulate one section of BENCH_chaos.json and (re)write it."""
-    _RESULTS[key] = payload
-    BENCH_JSON.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
-
-
-@pytest.mark.benchmark(group="E15-chaos")
-def test_e15_deadlines_and_hedging_cap_p99(benchmark, report):
+def test_e15_deadlines_and_hedging_cap_p99(report):
     """Hedging + a 2.5s deadline cut p99 under the standard fault mix."""
     baseline_run = run(
         CHAOS, seed=0, rounds=30, warmup_rounds=10, hedging=False, deadline=0.0
@@ -82,21 +66,6 @@ def test_e15_deadlines_and_hedging_cap_p99(benchmark, report):
         f"deadline-exceeded rounds "
         f"{treated['requests']['deadline_exceeded']}",
     )
-    _record(
-        "tail_latency",
-        {
-            "rounds": rounds,
-            "baseline_p50_s": baseline["p50"],
-            "baseline_p99_s": baseline["p99"],
-            "baseline_mean_s": sum(baseline["latencies"]) / rounds,
-            "treated_p50_s": treated["p50"],
-            "treated_p99_s": treated["p99"],
-            "treated_mean_s": sum(treated["latencies"]) / rounds,
-            "deadline_s": deadline,
-            "hedges_fired": treated["dispatch"]["hedges_fired"],
-            "p99_cut_ratio": treated["p99"] / baseline["p99"],
-        },
-    )
     # The acceptance shape: the deadline genuinely caps the tail (every
     # hop honours the remaining budget, so no round can cost more), and
     # the cap sits well below the native-timeout plateau of the baseline.
@@ -106,10 +75,6 @@ def test_e15_deadlines_and_hedging_cap_p99(benchmark, report):
     # Structural invariants held for both runs.
     for arm in (baseline_run, treated_run):
         assert arm.violations["breaker_invariants"] == []
-
-    benchmark(
-        run, CHAOS, seed=0, rounds=5, warmup_rounds=2, hedging=True, deadline=2.5
-    )
 
 
 def _spike_run(seed: int, *, hedging: bool, rounds: int = 60):
@@ -133,18 +98,17 @@ def _spike_run(seed: int, *, hedging: bool, rounds: int = 60):
     for _ in range(rounds):
         latencies.append(gw.query(urls, SQL, mode=QueryMode.REALTIME).elapsed)
         site.clock.advance(30.0)
-    return latencies, gw.dispatcher.stats, plane.stats
+    return latencies, gw.dispatcher.stats
 
 
-@pytest.mark.benchmark(group="E15-chaos")
-def test_e15_hedging_rescues_spiked_rounds(benchmark, report):
+def test_e15_hedging_rescues_spiked_rounds(report):
     """Hedged requests cut the mean latency of a spike-dominated workload."""
     rows = []
     means = {True: [], False: []}
     fired = won = 0
     for seed in (0, 1, 2):
-        lat_h, stats_h, faults_h = _spike_run(seed, hedging=True)
-        lat_u, _, _ = _spike_run(seed, hedging=False)
+        lat_h, stats_h = _spike_run(seed, hedging=True)
+        lat_u, _ = _spike_run(seed, hedging=False)
         mean_h = sum(lat_h) / len(lat_h)
         mean_u = sum(lat_u) / len(lat_u)
         means[True].append(mean_h)
@@ -161,20 +125,7 @@ def test_e15_hedging_rescues_spiked_rounds(benchmark, report):
         ),
         f"hedges fired {fired}, won {won} across 3 seeds",
     )
-    _record(
-        "hedging_spikes",
-        {
-            "seeds": 3,
-            "rounds_per_seed": 60,
-            "unhedged_mean_s": sum(means[False]) / 3,
-            "hedged_mean_s": sum(means[True]) / 3,
-            "hedges_fired": fired,
-            "hedges_won": won,
-        },
-    )
     # Hedging must engage and win, and beat the unhedged mean per seed.
     assert fired > 0 and won > 0
     for mean_h, mean_u in zip(means[True], means[False]):
         assert mean_h < mean_u
-
-    benchmark(_spike_run, 0, hedging=True, rounds=10)

@@ -1,4 +1,4 @@
-"""E16 — Durability overhead: WAL-on vs WAL-off record throughput.
+"""E16 — Durability overhead: what the WAL costs, in counts.
 
 The durable history engine promises crash safety for the price of one
 encoded frame + CRC per recorded batch and one fsync per group-commit
@@ -14,39 +14,20 @@ interval.  What is asserted is that price, in counts:
 * **recovery replays the WAL half and serves the ring**: rebuilding from
   segments + WAL replays one record per unsealed batch and serves n rows.
 
-The wall-clock numbers (WAL-on / WAL-off ratio, recovery seconds) are
-reported in ``BENCH_durability.json`` at the repo root, not asserted:
-they depend on the runner, and a ratio gate on a loaded machine flaked.
-Each sample is a best-of-N minimum.  Wall-clock timing lives here
-(benchmarks/, not src/ — the GRM101 lint keeps ``time`` out of the
-simulation).
+The wall-clock costs are the e2e harness's (``benchmarks/e2e``):
+``storage.wal.self_us_per_record`` per recorded batch and
+``storage.engine.recovery_ms`` per recovery.
 """
-
-import json
-import pathlib
-import time
 
 from repro.core.history import HistoryStore
 from repro.glue.schema import standard_schema
 from repro.storage.engine import HistoryEngine
 from repro.storage.simdisk import SimDisk
 
-BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_durability.json"
-
 N_ROWS = 6000
-BEST_OF = 5
 SYNC_INTERVAL = 8
 #: Upper bound on WAL bytes per row by batch size (measured: 382 and 173).
 WAL_BYTES_PER_ROW = {1: 400, 6: 200}
-
-_RESULTS: dict = {}
-
-
-def _record(key: str, payload: dict) -> None:
-    """Accumulate one section of BENCH_durability.json and (re)write it."""
-    _RESULTS[key] = payload
-    BENCH_JSON.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
-
 
 #: The relation a Processor poll hands ``HistoryStore.record``.
 PROC_COLUMNS = (
@@ -58,24 +39,6 @@ PROC_COLUMNS = (
 
 def proc_row(i: int) -> list:
     return [f"n{i % 8}", "s", 1.0, 2, float(i), 1.0, 1.0, 50.0, 50.0, 35.0, 15.0]
-
-
-def _record_run(engine: HistoryEngine | None, batch: int) -> float:
-    """Wall seconds to record N_ROWS rows in ``batch``-row calls."""
-    store = HistoryStore(
-        standard_schema(), max_rows_per_group=N_ROWS, engine=engine
-    )
-    batches = [
-        [proc_row(i + j) for j in range(batch)] for i in range(0, N_ROWS, batch)
-    ]
-    t0 = time.perf_counter()
-    for i, rows in enumerate(batches):
-        store.record("Processor", PROC_COLUMNS, rows, source_url="u", recorded_at=float(i))
-    return time.perf_counter() - t0
-
-
-def _best(thunk) -> float:
-    return min(thunk() for _ in range(BEST_OF))
 
 
 def _wal_counts(batch: int) -> dict:
@@ -105,50 +68,20 @@ def _wal_counts(batch: int) -> dict:
 def test_e16_wal_overhead_within_budget():
     """Durable recording costs one frame per batch and one fsync per group
     commit.  The name is kept from when this asserted a wall-time ratio
-    (<= 2x in-memory); that ratio is now only reported, because it
-    depends on the runner and flaked on a loaded one."""
-    _record_run(None, 1)  # warm caches before timing
-    ratios = {}
+    (<= 2x in-memory); the wall cost of a record is now the e2e
+    harness's ``storage.wal.self_us_per_record``."""
     for batch in (1, 6):
         counts = _wal_counts(batch)
         assert counts["lsns"] == counts["records"] == N_ROWS // batch, counts
         assert counts["fsyncs"] == counts["records"] // SYNC_INTERVAL, counts
         assert counts["wal_bytes_per_row"] <= WAL_BYTES_PER_ROW[batch], counts
-        off = _best(lambda b=batch: _record_run(None, b))
-        on = _best(
-            lambda b=batch: _record_run(
-                HistoryEngine(
-                    SimDisk(), sync_interval=SYNC_INTERVAL, max_rows_per_group=N_ROWS
-                ),
-                b,
-            )
-        )
-        ratios[batch] = {
-            **counts,
-            "wal_off_s": off,
-            "wal_on_s": on,
-            "ratio": on / off,
-            "rows_per_s_wal_on": N_ROWS / on,
-        }
-    _record(
-        "record_throughput",
-        {
-            "rows": N_ROWS,
-            "fsync_interval": SYNC_INTERVAL,
-            "single_row_batches": ratios[1],
-            "poll_batches_of_6": ratios[6],
-            "wal_overhead_ratio": ratios[6]["ratio"],
-            "reported_only": ["ratio", "rows_per_s_wal_on", "wal_off_s", "wal_on_s"],
-        },
-    )
 
 
 def test_e16_recovery_time_linear_and_fast():
     """Recovery replays one record per unsealed batch and serves the ring.
-    The name is kept from when this asserted recovery under 2 s; the wall
-    time is now only reported, the replayed-record count (linear in the
-    WAL half) is asserted."""
-    samples = {}
+    The name is kept from when this asserted recovery under 2 s; the
+    replayed-record count (linear in the WAL half) is asserted, and the
+    wall time is the e2e harness's ``storage.engine.recovery_ms``."""
     for n in (1000, 4000):
         disk = SimDisk()
         engine = HistoryEngine(disk, sync_interval=SYNC_INTERVAL, max_rows_per_group=n)
@@ -175,9 +108,7 @@ def test_e16_recovery_time_linear_and_fast():
         store.sync()  # ...half live in the WAL
         disk.crash(None)
 
-        t0 = time.perf_counter()
         recovered = HistoryEngine(disk, sync_interval=SYNC_INTERVAL, max_rows_per_group=n)
-        elapsed = time.perf_counter() - t0
         assert recovered.recovery_report.wal_records_replayed == live
         assert recovered.recovery_report.wal_tail == "clean"
         # The engine keeps every row the ring might still serve; the
@@ -186,11 +117,3 @@ def test_e16_recovery_time_linear_and_fast():
             standard_schema(), max_rows_per_group=n, engine=recovered
         ).row_count()
         assert rows == n
-        samples[n] = {
-            "recovery_s": elapsed,
-            "rows": rows,
-            "rows_per_s": rows / elapsed,
-            "wal_records_replayed": live,
-            "reported_only": ["recovery_s", "rows_per_s"],
-        }
-    _record("recovery_time", samples)

@@ -14,7 +14,8 @@ What is asserted is what repeats exactly: the warm path is one
 plan-cache miss and then only hits, it never calls the parser again, and
 (PR 17) over typed rows its column kernels never reach ``coerce_pair`` —
 a numeric-string row costs exactly the one coercion that row needs.  Its
-throughput is recorded to BENCH_hotpath.json, not gated.  There is no
+wall cost is the e2e harness's ``sql.plan.self_us_per_execute``
+(``benchmarks/e2e``), not a number this file times.  There is no
 interpreted arm: the tree-walking interpreter is the tests' reference
 (``tests/reference_sql.py``), that the plans answer as it does is
 ``tests/test_sql_plan.py``'s job, and the last recorded wall ratio
@@ -22,11 +23,6 @@ against it is dated prose in EXPERIMENTS.md (E17).
 """
 
 import collections
-import json
-import pathlib
-import time
-
-import pytest
 
 from repro.core.plans import PlanCache
 from repro.core.policy import GatewayPolicy
@@ -34,16 +30,10 @@ from repro.core.request_manager import QueryMode
 from repro.dbapi import url as url_module
 from repro.dbapi.url import JdbcUrl
 from repro.glue.schema import standard_schema
-from repro.obs.metrics import MetricsRegistry, StatsView
-from repro.obs.trace import Tracer
-from repro.simnet.clock import VirtualClock
+from repro.obs.metrics import MetricsRegistry
 from repro.sql.parser import parse_select
 from repro.sql.values import coerce_pair
 from conftest import fresh_site, fmt_table
-
-BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
-
-_RESULTS: dict = {}
 
 SQL = (
     "SELECT HostName, LoadAverage1Min, CPUCount FROM Processor "
@@ -52,12 +42,6 @@ SQL = (
 )
 N_ROWS = 16
 REPEAT = 400
-
-
-def _record(key: str, payload: dict) -> None:
-    """Accumulate one section of BENCH_hotpath.json and (re)write it."""
-    _RESULTS[key] = payload
-    BENCH_JSON.write_text(json.dumps(_RESULTS, indent=2, sort_keys=True) + "\n")
 
 
 def make_relation():
@@ -76,16 +60,7 @@ def make_relation():
     return schema, columns, slot_rows
 
 
-def _throughput(fn, repeat=REPEAT):
-    fn()  # warm caches (plan compile, LIKE regex, interning) outside timing
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        fn()
-    return repeat / (time.perf_counter() - t0)
-
-
-@pytest.mark.benchmark(group="E17-hotpath")
-def test_e17_warm_queries_replay_one_compiled_plan(benchmark, report, monkeypatch):
+def test_e17_warm_queries_replay_one_compiled_plan(report, monkeypatch):
     schema, columns, slot_rows = make_relation()
     cols = tuple(columns)
     parses = []
@@ -97,33 +72,15 @@ def test_e17_warm_queries_replay_one_compiled_plan(benchmark, report, monkeypatc
     monkeypatch.setattr("repro.core.plans.parse_select", counting_parse)
 
     plans = PlanCache(schema)
-
-    def compiled():
-        entry = plans.get(SQL)
-        return entry.plan.bind(cols).execute(slot_rows)
-
-    comp_qps = _throughput(compiled)
+    for _ in range(1 + REPEAT):  # one cold compile, then REPEAT warm replays
+        plans.get(SQL).plan.bind(cols).execute(slot_rows)
 
     report(
         f"E17: repeated query over {N_ROWS} rows ({REPEAT} iterations)",
-        *fmt_table(["path", "queries/s"], [["compiled", f"{comp_qps:,.0f}"]]),
         f"plan cache: {plans.hits} hits / {plans.misses} miss",
-    )
-    _record(
-        "hotpath",
-        {
-            "rows": N_ROWS,
-            "repeat": REPEAT,
-            "sql": SQL,
-            "compiled_qps": comp_qps,
-            "plan_cache_hits": plans.hits,
-            "plan_cache_misses": plans.misses,
-        },
     )
     assert plans.misses == 1 and plans.hits >= REPEAT
     assert parses == [SQL], "the warm path parsed again"
-
-    benchmark(compiled)
 
 
 def test_e17_typed_rows_take_the_kernels_fast_path(monkeypatch):
@@ -155,8 +112,7 @@ def test_e17_typed_rows_take_the_kernels_fast_path(monkeypatch):
     assert [f"host-{odd:03d}", 8.5, "6"] in got.rows
 
 
-@pytest.mark.benchmark(group="E17-hotpath")
-def test_e17_gateway_warm_queries_hit_plan_cache(benchmark, report):
+def test_e17_gateway_warm_queries_hit_plan_cache(report):
     """End-to-end: the gateway's own repeated queries ride the cache."""
     site = fresh_site(name="e17", n_hosts=4, agents=("snmp",))
     gw = site.gateway
@@ -168,46 +124,24 @@ def test_e17_gateway_warm_queries_hit_plan_cache(benchmark, report):
     first = query()
     assert first.ok_sources == 1, first.statuses
     repeat = 50
-    t0 = time.perf_counter()
     for _ in range(repeat):
         query()
-    wall = time.perf_counter() - t0
 
     hits, misses = gw.plans.hits, gw.plans.misses
     report(
         f"E17: end-to-end warm gateway query ({repeat} iterations)",
-        f"wall: {wall*1000:.1f} ms total, {wall/repeat*1e6:.0f} us/query",
         f"plan cache: {hits} hits / {misses} misses",
-    )
-    _record(
-        "gateway_warm",
-        {
-            "repeat": repeat,
-            "wall_s": wall,
-            "plan_cache_hits": hits,
-            "plan_cache_misses": misses,
-        },
     )
     # Every query after the first is a plan-cache hit; the driver-side
     # execution reuses the same compiled plan (no per-source recompile).
     assert misses <= 2  # realtime + at most one history/extra variant
     assert hits >= repeat
 
-    benchmark(query)
-
 
 # ----------------------------------------------------------------------
 # E26 — the envelope of a warm dashboard read (the cost of observing)
 # ----------------------------------------------------------------------
 DASHBOARD_SQL = "SELECT HostName, LoadAverage1Min FROM Processor"
-
-
-def _us_per_call(fn, repeat):
-    fn()
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        fn()
-    return (time.perf_counter() - t0) / repeat * 1e6
 
 
 def _nine_sources(*, tracing):
@@ -224,9 +158,9 @@ def test_e26_envelope_of_a_warm_dashboard_read(report, monkeypatch):
     its cost is the gateway's fixed per-query work.  Counted: a warm
     nine-source ``CACHED_OK`` read matches no URL regex, renders no URL
     text, looks no instrument up by name and opens 12 spans (3 + one per
-    source), and returns the rows the cold read fetched.  Recorded, not
-    gated: what one span, one counter bump and one warm URL parse cost,
-    and the tracer's share of the warm read."""
+    source), and returns the rows the cold read fetched; with tracing off
+    it answers all nine as well.  What tracing costs is the e2e harness's
+    ``obs.trace.overhead_ratio`` (``benchmarks/e2e``)."""
     site = _nine_sources(tracing=True)
     gw, urls = site.gateway, site.source_urls
 
@@ -264,33 +198,11 @@ def test_e26_envelope_of_a_warm_dashboard_read(report, monkeypatch):
     assert counts == {}
     assert len(gw.tracer.get(warm.trace_id).spans) == 12
 
-    # Wall numbers from here on: recorded, never asserted.
-    repeat = 2000
-    traced_us = _us_per_call(read, repeat)
     untraced_site = _nine_sources(tracing=False)
-
-    def untraced_read():
-        return untraced_site.gateway.query(
-            untraced_site.source_urls, DASHBOARD_SQL, mode=QueryMode.CACHED_OK
-        )
-
-    assert untraced_read().ok_sources == 9
-    untraced_us = _us_per_call(untraced_read, repeat)
-
-    tracer = Tracer(VirtualClock())
-    stats = StatsView(MetricsRegistry(), "e26", ("bumps",))
-    text = urls[0]
-
-    def one_span():
-        with tracer.span("source", url=text):
-            pass
-
-    with tracer.start_trace("bench"):
-        span_us = _us_per_call(one_span, 20_000)
-    bump_us = _us_per_call(lambda: stats.inc("bumps"), 50_000)
-    parse_us = _us_per_call(lambda: JdbcUrl.parse(text), 50_000)
-
-    share = 1.0 - untraced_us / traced_us
+    untraced = untraced_site.gateway.query(
+        untraced_site.source_urls, DASHBOARD_SQL, mode=QueryMode.CACHED_OK
+    )
+    assert untraced.ok_sources == 9
     report(
         "E26: envelope of a warm nine-source CACHED_OK read",
         *fmt_table(
@@ -298,29 +210,6 @@ def test_e26_envelope_of_a_warm_dashboard_read(report, monkeypatch):
             [
                 ["URL regex matches / renders / by-name lookups", "0 / 0 / 0"],
                 ["spans per read", 12],
-                ["gateway.query, tracing on (us)", traced_us],
-                ["gateway.query, tracing off (us)", untraced_us],
-                ["tracer's share of the read", share],
-                ["one span open+close (us)", span_us],
-                ["one counter bump (us)", bump_us],
-                ["one warm JdbcUrl.parse (us)", parse_us],
             ],
         ),
-    )
-    _record(
-        "envelope",
-        {
-            "sources": 9,
-            "spans_per_read": 12,
-            "url_regex_matches": 0,
-            "url_renders": 0,
-            "instrument_lookups": 0,
-            "repeat": repeat,
-            "query_us_tracing_on": traced_us,
-            "query_us_tracing_off": untraced_us,
-            "tracer_share": share,
-            "span_us": span_us,
-            "counter_bump_us": bump_us,
-            "warm_url_parse_us": parse_us,
-        },
     )

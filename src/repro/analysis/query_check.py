@@ -101,28 +101,29 @@ def validate_select(
 
     # -- unknown attributes --------------------------------------------
     seen: set[str] = set()
-    for expr in _all_expressions(select):
-        for column in _columns(expr):
-            name = column.name.lower()
-            if name in known or name in seen:
-                continue
-            seen.add(name)
-            findings.append(
-                Finding(
-                    rule_id="GRM202",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"unknown attribute {column.qualified!r} — no group "
-                        f"in FROM ({', '.join(select.tables)}) defines it"
-                    ),
-                    path=path,
-                    symbol=column.name,
-                )
+    nodes = sql_ast.walk(*select.expressions())
+    for column in nodes:
+        if not isinstance(column, sql_ast.Column):
+            continue
+        name = column.name.lower()
+        if name in known or name in seen:
+            continue
+        seen.add(name)
+        findings.append(
+            Finding(
+                rule_id="GRM202",
+                severity=Severity.ERROR,
+                message=(
+                    f"unknown attribute {column.qualified!r} — no group "
+                    f"in FROM ({', '.join(select.tables)}) defines it"
+                ),
+                path=path,
+                symbol=column.name,
             )
+        )
 
     # -- type-incompatible predicates ----------------------------------
-    for expr in _all_expressions(select):
-        findings.extend(_check_predicates(expr, known, path))
+    findings.extend(_check_predicates(nodes, known, path))
     return findings
 
 
@@ -153,46 +154,6 @@ def validate_sql(
 
 
 # ----------------------------------------------------------------------
-def _all_expressions(select: sql_ast.Select) -> "list[sql_ast.Expr]":
-    out: list[sql_ast.Expr] = [item.expr for item in select.items]
-    if select.where is not None:
-        out.append(select.where)
-    out.extend(select.group_by)
-    if select.having is not None:
-        out.append(select.having)
-    out.extend(o.expr for o in select.order_by)
-    return out
-
-
-def _columns(expr: sql_ast.Expr) -> "list[sql_ast.Column]":
-    out: list[sql_ast.Column] = []
-
-    def walk(e: sql_ast.Expr) -> None:
-        if isinstance(e, sql_ast.Column):
-            out.append(e)
-        elif isinstance(e, sql_ast.BinOp):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, sql_ast.UnaryOp):
-            walk(e.operand)
-        elif isinstance(e, sql_ast.InList):
-            walk(e.expr)
-            for item in e.items:
-                walk(item)
-        elif isinstance(e, sql_ast.Between):
-            walk(e.expr)
-            walk(e.low)
-            walk(e.high)
-        elif isinstance(e, sql_ast.IsNull):
-            walk(e.expr)
-        elif isinstance(e, sql_ast.FuncCall):
-            for a in e.args:
-                walk(a)
-
-    walk(expr)
-    return out
-
-
 def _mismatch(
     column: sql_ast.Column,
     field_type: str,
@@ -214,8 +175,9 @@ def _mismatch(
 
 
 def _check_predicates(
-    expr: sql_ast.Expr, known: Mapping[str, "str | None"], path: str
+    nodes: "list[sql_ast.Expr]", known: Mapping[str, "str | None"], path: str
 ) -> "list[Finding]":
+    """GRM203 findings over ``nodes``, a statement's :func:`~repro.sql.ast_nodes.walk`."""
     findings: list[Finding] = []
 
     def check_pair(
@@ -234,30 +196,14 @@ def _check_predicates(
         if not literal_compatible(field_type, literal.value):
             findings.append(_mismatch(column, field_type, literal, op, path))
 
-    def walk(e: sql_ast.Expr) -> None:
+    for e in nodes:
         if isinstance(e, sql_ast.BinOp):
             if e.op.upper() in _COMPARISONS or e.op in _COMPARISONS:
                 check_pair(e.left, e.right, e.op)
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, sql_ast.UnaryOp):
-            walk(e.operand)
         elif isinstance(e, sql_ast.InList):
             for item in e.items:
                 check_pair(e.expr, item, "IN")
-                walk(item)
-            walk(e.expr)
         elif isinstance(e, sql_ast.Between):
             check_pair(e.expr, e.low, "BETWEEN")
             check_pair(e.expr, e.high, "BETWEEN")
-            walk(e.expr)
-            walk(e.low)
-            walk(e.high)
-        elif isinstance(e, sql_ast.IsNull):
-            walk(e.expr)
-        elif isinstance(e, sql_ast.FuncCall):
-            for a in e.args:
-                walk(a)
-
-    walk(expr)
     return findings

@@ -323,8 +323,8 @@ def cmd_experiments(args) -> int:
         "The experiment index in DESIGN.md section 5 maps every claim in "
         "the paper to a benchmark (measured results: EXPERIMENTS.md).\n"
         "Run them with:\n\n"
-        "    pytest benchmarks/ --benchmark-only\n"
-        "    python3 benchmarks/e2e/run.py          # the end-to-end rows\n"
+        "    python -m pytest benchmarks/ -q --benchmark-disable  # every asserted shape\n"
+        "    python3 benchmarks/e2e/run.py                        # the one wall-clock yardstick\n"
     )
     return 0
 

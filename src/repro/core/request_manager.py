@@ -62,7 +62,7 @@ from repro.core.errors import (
     SourceQuarantinedError,
 )
 from repro.core.health import HealthTracker
-from repro.core.retry import RetryBudget, RetryPolicy
+from repro.core.retry import RETRY_BUDGET, RetryBudget, RetryPolicy
 from repro.core.history import HistoryStore
 from repro.core.plans import PlanCache, PlanEntry
 from repro.core.policy import GatewayPolicy
@@ -401,12 +401,8 @@ class RequestManager:
         pressure it decides whether a failed fetch may be retried.
         """
         self.stats.inc("queries")
-        if (
-            retry_budget is None
-            and self.retry.attempts > 1
-            and self.retry.budget > 0
-        ):
-            retry_budget = RetryBudget(self.retry.budget)
+        if retry_budget is None and self.retry.attempts > 1:
+            retry_budget = RetryBudget(RETRY_BUDGET)
         if isinstance(urls, (str, JdbcUrl)):
             urls = [urls]
         parsed = [JdbcUrl.parse(u) if isinstance(u, str) else u for u in urls]
@@ -780,11 +776,11 @@ class RequestManager:
                                 elif deadline is not None and deadline.remaining() <= pause:
                                     # No budget left to back off and try again.
                                     self.stats.inc("retry_giveups")
-                                elif retry_budget is not None and retry_budget.take():
+                                elif retry_budget.take():
                                     self.stats.inc("retries")
                                     self.clock.advance(pause)
                                     continue
-                                elif retry_budget is not None:
+                                else:
                                     self.stats.inc("retry_giveups")
                             raise
             except (

@@ -25,35 +25,31 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.core.errors import PolicyError
 from repro.core.health import jittered_backoff
+
+#: Tokens shared by all sources of one query (caps amplification).
+RETRY_BUDGET = 3
+
+#: Jittered-exponential backoff base between attempts (s, virtual).
+BASE_BACKOFF = 0.05
+
+#: Ceiling on the per-attempt backoff (reached at attempt 7).
+MAX_BACKOFF = 2.0
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Query-level retry tunables; the request manager takes ``attempts``
-    from ``GatewayPolicy.retry_attempts`` and the rest from here."""
+    """Query-level retries; the request manager takes ``attempts`` from
+    ``GatewayPolicy.retry_attempts``, budget and backoffs are the module
+    constants above."""
 
     #: Max attempts per source per query, including the first (1 = off).
     attempts: int = 1
-    #: Tokens shared by all sources of one query (caps amplification).
-    budget: int = 3
-    #: Jittered-exponential backoff base between attempts (s, virtual).
-    base_backoff: float = 0.05
-    #: Ceiling on the per-attempt backoff.
-    max_backoff: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.budget < 0 or not 0 < self.base_backoff <= self.max_backoff:
-            raise PolicyError(
-                "retry needs budget >= 0, 0 < base_backoff <= max_backoff: "
-                f"{self.budget!r}, {self.base_backoff!r}, {self.max_backoff!r}"
-            )
 
     def backoff(self, attempt: int, rng: random.Random) -> float:
         """Jittered wait before retry number ``attempt`` (1-based)."""
-        raw = min(self.max_backoff, self.base_backoff * (2 ** (attempt - 1)))
-        return jittered_backoff(raw, self.max_backoff, rng)
+        raw = min(MAX_BACKOFF, BASE_BACKOFF * (2 ** (attempt - 1)))
+        return jittered_backoff(raw, MAX_BACKOFF, rng)
 
 
 class RetryBudget:

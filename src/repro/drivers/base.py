@@ -582,19 +582,12 @@ class GridRmDriver(Driver):
     def fields_needed(
         self, select: sql_ast.Select, group_fields: Sequence[str]
     ) -> list[str]:
-        """GLUE fields a query actually touches (projection + WHERE +
-        ORDER BY + GROUP BY); all fields for ``SELECT *``."""
+        """GLUE fields a query actually touches (every expression of
+        :meth:`~repro.sql.ast_nodes.Select.expressions`, HAVING included);
+        all fields for ``SELECT *``."""
         if select.is_star:
             return list(group_fields)
-        needed: set[str] = set()
-        for item in select.items:
-            needed |= sql_ast.columns_in(item.expr)
-        if select.where is not None:
-            needed |= sql_ast.columns_in(select.where)
-        for g in select.group_by:
-            needed |= sql_ast.columns_in(g)
-        for o in select.order_by:
-            needed |= sql_ast.columns_in(o.expr)
+        needed = sql_ast.columns_in(*select.expressions())
         # Normalise case against the group's canonical field names.
         canonical = {f.lower(): f for f in group_fields}
         out = []

@@ -100,59 +100,41 @@ Expr = Union[Literal, Column, Star, BinOp, UnaryOp, InList, Between, IsNull, Fun
 AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 
+def walk(*roots: Expr) -> list[Expr]:
+    """Every node of ``roots``, each node before its operands, left to
+    right.  One explicit stack, not a generator per node: the SNMP driver
+    walks a statement on every fetch (:meth:`Select.expressions`)."""
+    out: list[Expr] = []
+    stack = list(reversed(roots))
+    while stack:
+        e = stack.pop()
+        out.append(e)
+        if isinstance(e, (Column, Literal, Star)):
+            continue
+        if isinstance(e, BinOp):
+            stack += (e.right, e.left)
+        elif isinstance(e, UnaryOp):
+            stack.append(e.operand)
+        elif isinstance(e, InList):
+            stack += reversed(e.items)
+            stack.append(e.expr)
+        elif isinstance(e, Between):
+            stack += (e.high, e.low, e.expr)
+        elif isinstance(e, IsNull):
+            stack.append(e.expr)
+        elif isinstance(e, FuncCall):
+            stack += reversed(e.args)
+    return out
+
+
 def contains_aggregate(expr: Expr) -> bool:
     """Whether any aggregate call appears anywhere in ``expr``."""
-    if isinstance(expr, FuncCall):
-        if expr.name in AGGREGATES:
-            return True
-        return any(contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, BinOp):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, UnaryOp):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, InList):
-        return contains_aggregate(expr.expr) or any(
-            contains_aggregate(i) for i in expr.items
-        )
-    if isinstance(expr, Between):
-        return (
-            contains_aggregate(expr.expr)
-            or contains_aggregate(expr.low)
-            or contains_aggregate(expr.high)
-        )
-    if isinstance(expr, IsNull):
-        return contains_aggregate(expr.expr)
-    return False
+    return any(isinstance(e, FuncCall) and e.name in AGGREGATES for e in walk(expr))
 
 
-def columns_in(expr: Expr) -> set[str]:
-    """All column names referenced anywhere in ``expr`` (unqualified)."""
-    out: set[str] = set()
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, Column):
-            out.add(e.name)
-        elif isinstance(e, BinOp):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, UnaryOp):
-            walk(e.operand)
-        elif isinstance(e, InList):
-            walk(e.expr)
-            for i in e.items:
-                walk(i)
-        elif isinstance(e, Between):
-            walk(e.expr)
-            walk(e.low)
-            walk(e.high)
-        elif isinstance(e, IsNull):
-            walk(e.expr)
-        elif isinstance(e, FuncCall):
-            for a in e.args:
-                walk(a)
-
-    walk(expr)
-    return out
+def columns_in(*exprs: Expr) -> set[str]:
+    """All column names referenced anywhere in ``exprs`` (unqualified)."""
+    return {e.name for e in walk(*exprs) if isinstance(e, Column)}
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +190,18 @@ class Select:
     @property
     def is_star(self) -> bool:
         return len(self.items) == 1 and isinstance(self.items[0].expr, Star)
+
+    def expressions(self) -> list[Expr]:
+        """Every top-level expression of the statement: projection, WHERE,
+        GROUP BY, HAVING and ORDER BY, in that order."""
+        out = [item.expr for item in self.items]
+        if self.where is not None:
+            out.append(self.where)
+        out += self.group_by
+        if self.having is not None:
+            out.append(self.having)
+        out += [o.expr for o in self.order_by]
+        return out
 
     def projected_names(self) -> list[str]:
         """Output column labels for non-star projections."""

@@ -12,8 +12,8 @@ JSON.  Pickle is the deliberate choice for the hot path: the log is only
 ever read back by the process family that wrote it, every frame passes
 its CRC before a single byte is unpickled, the rows are plain scalar
 dicts that round-trip exactly — and pickling is several times faster per
-row than JSON, which is what keeps the durable record path inside its
-2x-overhead budget (see ``BENCH_durability.json``).
+row than JSON, which is what keeps the durable record path cheap (the
+e2e harness's ``storage.wal.self_us_per_record`` measures it).
 
 Recovery walks frames from the front and stops at the first one that is
 *torn* (truncated header or payload — the expected shape after a crash

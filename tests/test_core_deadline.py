@@ -5,12 +5,11 @@ the dispatcher's hedging path, plus integration tests driving them
 through a live testbed gateway.
 """
 
-import dataclasses
 import random
 
 import pytest
 
-from repro.core import dispatch
+from repro.core import dispatch, retry
 from repro.core.deadline import Deadline
 from repro.core.dispatch import FanoutDispatcher
 from repro.core.errors import DeadlineExceededError, GridRmError, PolicyError
@@ -74,23 +73,25 @@ class TestDeadline:
 
 class TestRetryPolicy:
     def test_backoff_grows_exponentially_and_caps(self):
-        policy = RetryPolicy(attempts=5, base_backoff=0.1, max_backoff=0.4)
+        """The shipped 0.05 s base doubles per attempt; 3.2 s raw at
+        attempt 7 is the first wait past the 2.0 s cap."""
+        policy = RetryPolicy(attempts=8)
         rng = random.Random(0)
-        waits = [policy.backoff(a, rng) for a in (1, 2, 3, 4)]
+        waits = [policy.backoff(a, rng) for a in range(1, 8)]
         # Jitter only inflates, never shrinks; the cap always holds.
-        assert waits[0] >= 0.1
-        assert waits[1] >= 0.2
-        assert all(w <= 0.4 for w in waits)
-        assert waits[3] == 0.4  # 0.8 raw, capped
+        assert waits[0] >= retry.BASE_BACKOFF == 0.05
+        assert waits[1] >= 0.1
+        assert all(w <= retry.MAX_BACKOFF == 2.0 for w in waits)
+        assert waits[5] < retry.MAX_BACKOFF  # 1.6 raw, jittered below the cap
+        assert waits[6] == retry.MAX_BACKOFF  # 3.2 raw, capped
 
     def test_from_gateway_policy_maps_knobs(self):
         """The request manager takes ``attempts`` from the gateway policy;
-        budget and backoffs are ``RetryPolicy``'s own defaults (no shipped
-        caller varies them), replaceable on the manager."""
+        budget and backoffs are constants of :mod:`repro.core.retry` (no
+        shipped caller varies them)."""
         site = make_site(GatewayPolicy(retry_attempts=3))
-        assert site.gateway.request_manager.retry == RetryPolicy(
-            attempts=3, budget=3, base_backoff=0.05, max_backoff=2.0
-        )
+        assert site.gateway.request_manager.retry == RetryPolicy(attempts=3)
+        assert (retry.RETRY_BUDGET, retry.BASE_BACKOFF, retry.MAX_BACKOFF) == (3, 0.05, 2.0)
 
 
 class TestRetryBudget:
@@ -114,9 +115,9 @@ class TestPolicyValidation:
         [
             (GatewayPolicy, {"default_deadline": -1.0}),
             (GatewayPolicy, {"retry_attempts": 0}),
-            (RetryPolicy, {"budget": -1}),
-            (RetryPolicy, {"base_backoff": 0.0}),
-            (RetryPolicy, {"base_backoff": 0.5, "max_backoff": 0.1}),
+            (None, lambda: retry.RETRY_BUDGET > 0),
+            (None, lambda: 0.0 < retry.BASE_BACKOFF),
+            (None, lambda: retry.BASE_BACKOFF <= retry.MAX_BACKOFF),
             (None, lambda: 0.0 < dispatch.HEDGE_PERCENTILE),
             (None, lambda: dispatch.HEDGE_PERCENTILE <= 100.0),
             (None, lambda: dispatch.HEDGE_MIN_SAMPLES >= 1),
@@ -124,11 +125,13 @@ class TestPolicyValidation:
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
-        """Refused where they are read: policy fields by ``GatewayPolicy``,
-        the retry values by ``RetryPolicy``.  The hedge parameters are
-        module constants of :mod:`repro.core.dispatch`, not keywords any
-        more; their rows assert that each constant meets the bound the
-        dispatcher's constructor used to check."""
+        """Refused where they are read: policy fields by ``GatewayPolicy``.
+        The retry budget and backoffs (:mod:`repro.core.retry`) and the
+        hedge parameters (:mod:`repro.core.dispatch`) are module
+        constants, not keywords any more; their rows assert that each
+        constant meets the bound its constructor used to check.  The
+        budget's bound is now strict: a positive budget is what lets the
+        request manager build one for every retrying query."""
         build, kw = kwargs
         if build is None:
             assert kw()
@@ -192,12 +195,11 @@ class TestDeadlineIntegration:
 
 
 class TestRetryIntegration:
-    def _closed_port_site(self, policy, **retry):
-        """``retry``: budget / backoffs, set on the request manager (they
-        are ``RetryPolicy`` constants, not policy fields)."""
+    def _closed_port_site(self, policy):
+        """Budget and backoffs are the shipped :mod:`repro.core.retry`
+        constants (3 tokens, 0.05 s base, 2.0 s cap)."""
         site = make_site(policy)
         gw = site.gateway
-        gw.request_manager.retry = dataclasses.replace(gw.request_manager.retry, **retry)
         url = site.url_for("snmp")
         # Warm the driver cache with one good round-trip, then slam the
         # agent's port shut: every connect now fails deterministically.
@@ -209,7 +211,7 @@ class TestRetryIntegration:
 
     def test_transient_failures_retried_until_attempts_exhausted(self):
         site, url = self._closed_port_site(
-            GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10), budget=10
+            GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10)
         )
         gw = site.gateway
         result = gw.query(url, SQL, mode=QueryMode.REALTIME)
@@ -217,12 +219,14 @@ class TestRetryIntegration:
         assert gw.request_manager.stats["retries"] == 2  # attempts 2 and 3
 
     def test_retry_budget_caps_amplification(self):
+        """Five attempts want four retries; the query's three tokens
+        allow three, and the fourth is a give-up."""
         site, url = self._closed_port_site(
-            GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10), budget=1
+            GatewayPolicy(retry_attempts=5, breaker_failure_threshold=10)
         )
         gw = site.gateway
         gw.query(url, SQL, mode=QueryMode.REALTIME)
-        assert gw.request_manager.stats["retries"] == 1
+        assert gw.request_manager.stats["retries"] == retry.RETRY_BUDGET == 3
         assert gw.request_manager.stats["retry_giveups"] == 1
 
     def test_retries_disabled_by_default(self):
@@ -235,7 +239,7 @@ class TestRetryIntegration:
 
     def test_non_idempotent_driver_never_retried(self):
         site, url = self._closed_port_site(
-            GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10), budget=10
+            GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10)
         )
         gw = site.gateway
         from repro.dbapi.url import JdbcUrl
@@ -247,14 +251,13 @@ class TestRetryIntegration:
         assert gw.request_manager.stats["retries"] == 0
 
     def test_no_retry_when_deadline_cannot_absorb_backoff(self):
+        """A refused connect costs well under a millisecond, so a 40 ms
+        deadline still has time left but not the first 50 ms backoff."""
         site, url = self._closed_port_site(
-            GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10),
-            budget=10,
-            base_backoff=5.0,
-            max_backoff=10.0,
+            GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10)
         )
         gw = site.gateway
-        gw.query(url, SQL, mode=QueryMode.REALTIME, timeout=2.0)
+        gw.query(url, SQL, mode=QueryMode.REALTIME, timeout=0.04)
         assert gw.request_manager.stats["retries"] == 0
         assert gw.request_manager.stats["retry_giveups"] >= 1
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.request_manager import Cause, QueryMode
 from repro.dbapi.exceptions import (
     SQLConnectionException,
     SQLException,
@@ -11,7 +12,10 @@ from repro.dbapi.url import JdbcUrl
 from repro.drivers.base import GridRmDriver, ResponseCache
 from repro.drivers.snmp_driver import SnmpDriver
 from repro.agents.snmp import SnmpAgent
+from repro.simnet.clock import VirtualClock
+from repro.simnet.network import Network
 from repro.sql.parser import parse_select
+from repro.testbed import build_site
 
 
 @pytest.fixture
@@ -190,3 +194,32 @@ class TestFieldsNeeded:
     def test_unknown_columns_ignored(self, driver):
         sel = parse_select("SELECT Bogus FROM Processor")
         assert driver.fields_needed(sel, self.FIELDS) == []
+
+    def test_having_included(self, driver):
+        sel = parse_select(
+            "SELECT HostName FROM Processor GROUP BY HostName "
+            "HAVING MAX(LoadAverage1Min) >= 0"
+        )
+        assert driver.fields_needed(sel, self.FIELDS) == ["HostName", "LoadAverage1Min"]
+
+    def test_a_column_only_in_having_is_fetched_from_snmp(self):
+        """End to end: an SNMP source is asked for the OIDs a HAVING
+        clause reads, so the group survives its filter.  Before, the OID
+        was never fetched, the aggregate saw NULL and the answer was an
+        empty ``fresh`` one."""
+        network = Network(VirtualClock(), seed=0)
+        site = build_site(network, name="t", n_hosts=1, agents=("snmp",), seed=0)
+        site.clock.advance(30.0)
+        having = "GROUP BY HostName HAVING MAX(LoadAverage1Min) >= 0"
+        bare = site.gateway.query(
+            site.source_urls, f"SELECT HostName FROM Processor {having}",
+            mode=QueryMode.REALTIME,
+        )
+        projected = site.gateway.query(
+            site.source_urls,
+            f"SELECT HostName, MAX(LoadAverage1Min) FROM Processor {having}",
+            mode=QueryMode.REALTIME,
+        )
+        assert projected.rows == [["t-n00", 0.4]]
+        assert bare.rows == [["t-n00"]]
+        assert [s.cause for s in bare.statuses] == [Cause.FRESH]

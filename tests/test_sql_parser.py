@@ -320,3 +320,10 @@ class TestAstHelpers:
     def test_no_aggregate(self):
         stmt = parse_select("SELECT a + 1 FROM m")
         assert not ast.contains_aggregate(stmt.items[0].expr)
+
+    def test_walk_visits_each_node_before_its_operands(self):
+        stmt = parse_select("SELECT a FROM m WHERE b IN (1, c) AND NOT d BETWEEN e AND SUM(f)")
+        assert [
+            e.name if isinstance(e, (ast.Column, ast.FuncCall)) else type(e).__name__
+            for e in ast.walk(stmt.where)
+        ] == ["BinOp", "InList", "b", "Literal", "c", "UnaryOp", "Between", "d", "e", "SUM", "f"]

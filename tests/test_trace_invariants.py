@@ -145,7 +145,7 @@ class TestEndToEnd:
         assert_clean(gw.tracer)
 
     def test_span_count_equals_retry_attempts(self):
-        # Two retries: within RetryPolicy's default budget of 3.
+        # Two retries: within retry.RETRY_BUDGET's 3 tokens.
         site = make_site(GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10))
         gw = site.gateway
         url = site.url_for("snmp")
