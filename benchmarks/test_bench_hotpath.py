@@ -157,8 +157,10 @@ def test_e26_envelope_of_a_warm_dashboard_read(report, monkeypatch):
     """A cache-backed dashboard read costs the agents nothing, so all of
     its cost is the gateway's fixed per-query work.  Counted: a warm
     nine-source ``CACHED_OK`` read matches no URL regex, renders no URL
-    text, looks no instrument up by name and opens 12 spans (3 + one per
-    source), and returns the rows the cold read fetched; with tracing off
+    text, looks no instrument up by name and opens 13 spans (4 + one per
+    source: ``admit`` joined ``query``, ``plan.cache_hit`` and ``execute``
+    when admission control became a default), and returns the rows the
+    cold read fetched; with tracing off
     it answers all nine as well.  What tracing costs is the e2e harness's
     ``obs.trace.overhead_ratio`` (``benchmarks/e2e``)."""
     site = _nine_sources(tracing=True)
@@ -196,7 +198,7 @@ def test_e26_envelope_of_a_warm_dashboard_read(report, monkeypatch):
     assert [s.from_cache for s in warm.statuses] == [True] * 9
     assert (warm.columns, warm.rows) == (cold.columns, cold.rows)
     assert counts == {}
-    assert len(gw.tracer.get(warm.trace_id).spans) == 12
+    assert len(gw.tracer.get(warm.trace_id).spans) == 13
 
     untraced_site = _nine_sources(tracing=False)
     untraced = untraced_site.gateway.query(
@@ -209,7 +211,7 @@ def test_e26_envelope_of_a_warm_dashboard_read(report, monkeypatch):
             ["quantity", "value"],
             [
                 ["URL regex matches / renders / by-name lookups", "0 / 0 / 0"],
-                ["spans per read", 12],
+                ["spans per read", 13],
             ],
         ),
     )

@@ -59,10 +59,7 @@ def run_poll(m: int) -> dict:
 
 
 def run_continuous(m: int) -> dict:
-    policy = GatewayPolicy(streaming_enabled=True)
-    site = fresh_site(
-        name="e19", n_hosts=4, agents=("snmp",), seed=3, policy=policy
-    )
+    site = fresh_site(name="e19", n_hosts=4, agents=("snmp",), seed=3)
     gw = site.gateway
     network = gw.network
     urls = list(site.source_urls)

@@ -77,17 +77,19 @@ def test_quick_set_equals_the_committed_baseline():
 
 
 def test_bench_policy_is_production_without_security():
-    """The harness's hand-spelled ``BENCH_POLICY`` is ``production()``
-    except for the security layers: it speaks ACIL without sessions."""
+    """The harness's hand-spelled ``BENCH_POLICY`` is the default
+    ``GatewayPolicy()`` field for field: the benchmark measures the
+    deployed gateway, which is the one tier-1 tests.  (The id is from
+    when the deployed gateway was a separate ``production`` policy, CGSL /
+    FGSL on; the harness speaks ACIL without sessions, and security stays
+    off by default.)"""
     import dataclasses
 
     from testbed import BENCH_POLICY
 
-    from repro.core.policy import production
+    from repro.core.policy import GatewayPolicy
 
-    assert dataclasses.asdict(BENCH_POLICY) == dataclasses.asdict(
-        production(security_enabled=False)
-    )
+    assert dataclasses.asdict(BENCH_POLICY) == dataclasses.asdict(GatewayPolicy())
 
 
 if __name__ == "__main__":

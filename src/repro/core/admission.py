@@ -32,10 +32,9 @@ the race detector: like the dispatcher's per-source cap machinery they
 are launch-order-coupled by design (member k of a batch observes members
 0..k-1's completion instants), which is deterministic under replay.
 
-Everything is disabled by default (``GatewayPolicy.admission_enabled``)
-so seeded replay signatures and golden traces of existing scenarios are
-untouched; the overload chaos scenario, benchmark E18 and the console
-turn it on.
+It is on by default (``GatewayPolicy.admission_enabled``); the overload
+scenario's ``--shed-off`` arm (E18's collapse arm) turns it off to show
+what it prevents.
 """
 
 from __future__ import annotations
@@ -149,10 +148,6 @@ class GradientLimiter:
     def limit(self) -> int:
         """The current integer concurrency limit."""
         return max(LIMIT_FLOOR, int(self._limit))
-
-    @property
-    def baseline(self) -> Optional[float]:
-        return self._baseline
 
     def observe(self, latency: float, *, congested: bool = False) -> None:
         """Fold one attempt's latency into the current epoch."""

@@ -176,11 +176,11 @@ class Gateway:
             ttl=self.policy.query_cache_ttl,
             registry=self.metrics,
         )
-        # Durable history (policy.history_durable): the storage engine
-        # recovers from the shared disk *before* the serving store is
-        # built, so the HistoryStore's tables start populated with every
-        # acknowledged pre-crash row.  Without the flag the store is the
-        # original in-memory ring and the disk is untouched.
+        # Durable history (policy.history_durable, on by default): the
+        # storage engine recovers from the shared disk *before* the serving
+        # store is built, so the HistoryStore's tables start populated with
+        # every acknowledged pre-crash row.  Without the flag the store is
+        # the in-memory ring and the disk is untouched.
         self.history_engine: HistoryEngine | None = None
         self.recovery_report: RecoveryReport | None = None
         if self.policy.history_durable:
@@ -231,7 +231,7 @@ class Gateway:
         )
         # Overload protection: bounded admission queue + gateway-wide
         # adaptive concurrency + NORMAL/BROWNOUT/SHED pressure machine.
-        # Inert unless policy.admission_enabled (decide/admit are only
+        # Inert when policy.admission_enabled is off (decide/admit are only
         # called on the admitted path).
         self.overload = AdmissionController(
             network.clock,
@@ -253,7 +253,7 @@ class Gateway:
             admission=self.overload,
         )
         # Continuous-SQL streaming plane (repro.gma.streams): built only
-        # when policy.streaming_enabled, so the paper's gateway schedules
+        # when policy.streaming_enabled, so a gateway with it off schedules
         # no sweep timer and publishes nothing.  Imported lazily (like
         # AlertMonitor) to keep module import order acyclic.
         self.streams: Any | None = None

@@ -7,19 +7,18 @@ preferred driver fails (retry / try another / report the error), cache
 lifetimes, and connection pooling.  :class:`GatewayPolicy` gathers them
 in one validated value object.
 
-There are two configurations.  ``GatewayPolicy()`` is the paper's 2003
-gateway (what experiments E1-E12 run under); :func:`production` is every
-later plane switched on together, and is what the five scenarios and the
-end-to-end benchmark run — the one configuration everything is tested
-in.  A value only one caller ever chose is not a field here: it is a
-constant at its one reader.
+There is one configuration: ``GatewayPolicy()`` is the deployed gateway,
+every plane on except CGSL/FGSL enforcement (``security_enabled``), which
+a deployment turns on with its session front end.  It is what tier-1, the
+experiments and the end-to-end benchmark run; the scenarios add only
+``security_enabled`` and what each varies or pins.  A value only one
+caller ever chose is not a field here: it is a constant at its one reader.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
 
 from repro.core.errors import PolicyError
 
@@ -34,9 +33,30 @@ class FailureAction(enum.Enum):
     DYNAMIC = "dynamic"
 
 
+#: Each numeric field's inclusive lower bound.
+_AT_LEAST = dict(
+    query_cache_ttl=0,
+    pool_max_per_source=1,
+    failure_retries=0,
+    event_fast_buffer_size=1,
+    event_disk_buffer_size=0,
+    history_max_rows_per_group=1,
+    breaker_failure_threshold=1,
+    default_deadline=0,
+    retry_attempts=1,
+    history_fsync_interval=1,
+    history_checkpoint_interval=0,
+    admission_queue_limit=1,
+    pressure_min_dwell=0,
+    stream_max_subscriptions=1,
+)
+#: The numeric fields that must be strictly positive.
+_POSITIVE = ("breaker_base_backoff", "stream_default_lease", "stream_sweep_period")
+
+
 @dataclass
 class GatewayPolicy:
-    """All tunables of one gateway; the defaults are the paper's gateway.
+    """All tunables of one gateway; the defaults are the deployed gateway.
 
     Attributes:
         query_cache_ttl: lifetime of gateway-level query results backing
@@ -143,102 +163,33 @@ class GatewayPolicy:
     serve_stale_on_open: bool = True
     default_deadline: float = 0.0
     retry_attempts: int = 1
-    hedge_enabled: bool = False
+    hedge_enabled: bool = True
     tracing_enabled: bool = True
-    history_durable: bool = False
+    history_durable: bool = True
     history_fsync_interval: int = 8
     history_checkpoint_interval: float = 600.0
-    admission_enabled: bool = False
+    admission_enabled: bool = True
     admission_queue_limit: int = 32
-    adaptive_concurrency: bool = False
+    adaptive_concurrency: bool = True
     pressure_min_dwell: float = 5.0
-    streaming_enabled: bool = False
+    streaming_enabled: bool = True
     stream_max_subscriptions: int = 1024
     stream_default_lease: float = 300.0
     stream_sweep_period: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.query_cache_ttl < 0:
-            raise PolicyError(f"query_cache_ttl < 0: {self.query_cache_ttl!r}")
-        if self.pool_max_per_source < 1:
-            raise PolicyError(
-                f"pool_max_per_source must be >= 1: {self.pool_max_per_source!r}"
-            )
-        if self.failure_retries < 0:
-            raise PolicyError(f"failure_retries < 0: {self.failure_retries!r}")
-        if self.event_fast_buffer_size < 1:
-            raise PolicyError(
-                f"event_fast_buffer_size must be >= 1: {self.event_fast_buffer_size!r}"
-            )
-        if self.event_disk_buffer_size < 0:
-            raise PolicyError(
-                f"event_disk_buffer_size < 0: {self.event_disk_buffer_size!r}"
-            )
-        if self.history_max_rows_per_group < 1:
-            raise PolicyError(
-                "history_max_rows_per_group must be >= 1: "
-                f"{self.history_max_rows_per_group!r}"
-            )
-        if self.breaker_failure_threshold < 1:
-            raise PolicyError(
-                "breaker_failure_threshold must be >= 1: "
-                f"{self.breaker_failure_threshold!r}"
-            )
-        if self.breaker_base_backoff <= 0:
-            raise PolicyError(
-                f"breaker_base_backoff must be > 0: {self.breaker_base_backoff!r}"
-            )
-        if self.breaker_max_backoff < self.breaker_base_backoff:
+        # ``not value >= bound`` rather than ``value < bound``: NaN fails it.
+        for name, bound in _AT_LEAST.items():
+            value = getattr(self, name)
+            if not value >= bound:
+                raise PolicyError(f"{name} must be >= {bound}: {value!r}")
+        for name in _POSITIVE:
+            value = getattr(self, name)
+            if not value > 0:
+                raise PolicyError(f"{name} must be > 0: {value!r}")
+        if not self.breaker_max_backoff >= self.breaker_base_backoff:
             raise PolicyError(
                 "breaker_max_backoff must be >= breaker_base_backoff: "
                 f"{self.breaker_max_backoff!r} < {self.breaker_base_backoff!r}"
             )
-        if self.default_deadline < 0:
-            raise PolicyError(f"default_deadline < 0: {self.default_deadline!r}")
-        if self.retry_attempts < 1:
-            raise PolicyError(f"retry_attempts must be >= 1: {self.retry_attempts!r}")
-        if self.history_fsync_interval < 1:
-            raise PolicyError(
-                f"history_fsync_interval must be >= 1: {self.history_fsync_interval!r}"
-            )
-        if self.history_checkpoint_interval < 0:
-            raise PolicyError(
-                "history_checkpoint_interval < 0: "
-                f"{self.history_checkpoint_interval!r}"
-            )
-        if self.admission_queue_limit < 1:
-            raise PolicyError(
-                f"admission_queue_limit must be >= 1: {self.admission_queue_limit!r}"
-            )
-        if self.pressure_min_dwell < 0:
-            raise PolicyError(
-                f"pressure_min_dwell < 0: {self.pressure_min_dwell!r}"
-            )
-        if self.stream_max_subscriptions < 1:
-            raise PolicyError(
-                "stream_max_subscriptions must be >= 1: "
-                f"{self.stream_max_subscriptions!r}"
-            )
-        if self.stream_default_lease <= 0:
-            raise PolicyError(
-                f"stream_default_lease must be > 0: {self.stream_default_lease!r}"
-            )
-        if self.stream_sweep_period <= 0:
-            raise PolicyError(
-                f"stream_sweep_period must be > 0: {self.stream_sweep_period!r}"
-            )
 
-
-def production(**overrides: Any) -> GatewayPolicy:
-    """Every plane on: the configuration the scenarios and the e2e
-    benchmark run.  ``overrides`` are what one caller varies or must pin;
-    each should carry its reason where it is spelled."""
-    planes = dict(
-        history_durable=True,
-        streaming_enabled=True,
-        admission_enabled=True,
-        adaptive_concurrency=True,
-        hedge_enabled=True,
-        security_enabled=True,
-    )
-    return GatewayPolicy(**(planes | overrides))

@@ -25,7 +25,7 @@ containment.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simnet.clock import VirtualClock
@@ -171,18 +171,6 @@ class Trace:
             if span.span_id == ref or span.name == ref:
                 return span
         return None
-
-    def walk(self) -> Iterator[tuple[Span, int]]:
-        """Depth-first (span, depth) pairs from the root."""
-        root = self.root
-        if root is None:
-            return
-        stack: list[tuple[Span, int]] = [(root, 0)]
-        while stack:
-            span, depth = stack.pop()
-            yield span, depth
-            for child in reversed(span.children):
-                stack.append((child, depth + 1))
 
     @staticmethod
     def _fmt_value(value: Any) -> str:
@@ -380,10 +368,6 @@ class Tracer:
     def _now(self) -> float:
         return self.clock.now() if self.clock is not None else 0.0
 
-    @property
-    def active(self) -> bool:
-        return self.enabled and bool(self._frames)
-
     def current_span(self) -> "Span | _NullSpan":
         if not self._frames or not self._frames[-1].stack:
             return NULL_SPAN
@@ -439,9 +423,6 @@ class Tracer:
             if trace.trace_id == trace_id:
                 return trace
         return None
-
-    def clear(self) -> None:
-        self._finished.clear()
 
 
 #: Shared disabled tracer for components constructed standalone.

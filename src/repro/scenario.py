@@ -12,10 +12,10 @@ here, in :func:`_run_once`:
     the digest -> drain -> collect evidence -> run checkers -> sign
 
 and a :class:`Scenario` declares only what differs: its overrides on
-:func:`~repro.core.policy.production` (the one configuration every
-scenario runs in), its knobs with their defaults, its fault schedule, its
-``step(ctx, i)`` returning the payloads to sign, its measurements and its
-checkers.
+the default :class:`~repro.core.policy.GatewayPolicy` (the one
+configuration everything runs in), its knobs with their defaults, its
+fault schedule, its ``step(ctx, i)`` returning the payloads to sign, its
+measurements and its checkers.
 
 Everything is seeded and on the virtual clock: re-running with the same
 seed and knobs replays the same fault schedule, the same per-request
@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from repro.analysis import races
+from repro.core.errors import PolicyError
 from repro.core.gateway import Gateway
 from repro.core.health import BreakerState
 from repro.core.policy import GatewayPolicy
@@ -283,8 +284,11 @@ class Evidence:
     wal_tail: str = ""
 
 
-def _validated(scenario: Scenario, overrides: Knobs) -> dict[str, Any]:
-    """The scenario's knobs with ``overrides`` applied, or ScenarioError."""
+def _validated(
+    scenario: Scenario, overrides: Knobs
+) -> tuple[dict[str, Any], GatewayPolicy]:
+    """The scenario's knobs with ``overrides`` applied and the policy they
+    build, or ScenarioError (a knob the policy refuses included)."""
     unknown = sorted(set(overrides) - set(scenario.knobs))
     if unknown:
         raise ScenarioError(f"{scenario.name}: unknown knob(s): {unknown}")
@@ -293,7 +297,7 @@ def _validated(scenario: Scenario, overrides: Knobs) -> dict[str, Any]:
     for name in ("rounds", "cycles", "hosts", "subscriptions", "spike_load"):
         if name in k and k[name] < 1:
             raise ScenarioError(f"{name} must be >= 1: {k[name]!r}")
-    if k["period"] <= 0:
+    if not k["period"] > 0:  # NaN too
         raise ScenarioError(f"period must be > 0: {k['period']!r}")
     bogus = sorted(set(k["agents"]) - set(AGENT_KINDS))
     if bogus or not k["agents"]:
@@ -301,11 +305,14 @@ def _validated(scenario: Scenario, overrides: Knobs) -> dict[str, Any]:
             f"agents must name kinds from {', '.join(AGENT_KINDS)}; "
             f"unknown agent kind(s): {bogus}"
         )
-    return k
+    try:
+        return k, scenario.policy(k)
+    except PolicyError as exc:
+        raise ScenarioError(f"{scenario.name}: {exc}") from None
 
 
 def _run_once(
-    scenario: Scenario, seed: int, k: Knobs, *, detect: bool
+    scenario: Scenario, seed: int, k: Knobs, policy: GatewayPolicy, *, detect: bool
 ) -> tuple[ScenarioReport, Evidence]:
     """The lifecycle: every scenario, every run, goes through here."""
     clock = VirtualClock()
@@ -320,7 +327,7 @@ def _run_once(
         n_hosts=k["hosts"],
         agents=k["agents"],
         seed=seed,
-        policy=scenario.policy(k),
+        policy=policy,
         disk=disk,
         persistent_store=store,
     )
@@ -457,11 +464,11 @@ def run(
     never raised — the caller (CLI, CI) decides what a red report means;
     only knobs the runner refuses raise (:class:`ScenarioError`).
     """
-    k = _validated(scenario, knobs)
+    k, policy = _validated(scenario, knobs)
     if not (race_detect or scenario.race_detect):
-        return _run_once(scenario, seed, k, detect=False)[0]
-    report, watched = _run_once(scenario, seed, k, detect=True)
-    _, plain = _run_once(scenario, seed, k, detect=False)
+        return _run_once(scenario, seed, k, policy, detect=False)[0]
+    report, watched = _run_once(scenario, seed, k, policy, detect=True)
+    _, plain = _run_once(scenario, seed, k, policy, detect=False)
     report.compared, report.violations["replay_identity"] = compare(watched, plain)
     return report
 

@@ -5,9 +5,10 @@ Each is a :class:`~repro.scenario.Scenario`: what differs between
 The lifecycle they all run through, the report they all return and the
 dual run ``--race-detect`` means on each are in :mod:`repro.scenario`.
 
-Every scenario runs under :func:`repro.core.policy.production`; a
-``_<name>_policy`` spells only what that scenario varies or must pin,
-each with its reason.
+Every scenario runs the default ``GatewayPolicy()`` with CGSL/FGSL on
+(``security_enabled``, so the checkers judge the authorised path); a
+``_<name>_policy`` spells only that and what the scenario varies or
+must pin, each with its reason.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any, Sequence
 from repro.core.dispatch import percentile
 from repro.core.gateway import BatchQuery, Gateway
 from repro.core.history import HistoryStore
-from repro.core.policy import GatewayPolicy, production
+from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import QueryMode
 from repro.gma.streams import FLAVOURS, Republisher, StreamConsumer
 from repro.scenario import (
@@ -68,7 +69,8 @@ def install_standard_faults(ctx: Ctx) -> None:
 
 
 def _chaos_policy(k: Knobs) -> GatewayPolicy:
-    return production(
+    return GatewayPolicy(
+        security_enabled=True,
         # The two A/B arms of E15/E16 (--no-fanout, --no-hedge).
         fanout_enabled=k["fanout"],
         hedge_enabled=k["hedging"],
@@ -197,7 +199,8 @@ def _member_sql(k: Knobs) -> list[str]:
 
 
 def _overload_policy(k: Knobs) -> GatewayPolicy:
-    return production(
+    return GatewayPolicy(
+        security_enabled=True,
         # Hedging fights admission control (ROADMAP item 1, open): a hedge
         # is a second copy of the work the limiter is shedding.  On a
         # zero-latency history store, shedding on, spike goodput falls to
@@ -375,7 +378,8 @@ OVERLOAD = Scenario(
 # stream: continuous queries x faults x lease recovery
 # ----------------------------------------------------------------------
 def _stream_policy(k: Knobs) -> GatewayPolicy:
-    return production(
+    return GatewayPolicy(
+        security_enabled=True,
         # As chaos: this scenario runs the standard fault schedule.
         retry_attempts=2,
         default_deadline=k["deadline"],
@@ -398,7 +402,7 @@ def _stream_faults(ctx: Ctx) -> None:
     k, gw, network = ctx.k, ctx.gw, ctx.network
     period = k["period"]
     lease = 2.0 * period
-    assert gw.streams is not None  # production() has the streaming plane
+    assert gw.streams is not None  # the default policy has the streaming plane
     consumer = StreamConsumer(network, "stream-client")
     hub_addr = gw.streams.address
     # Deterministic flavour x class mix; distinct predicates so the
@@ -550,7 +554,8 @@ STREAM = Scenario(
 # crashtest: kill / recover / verify over the durable history store
 # ----------------------------------------------------------------------
 def _crash_policy(k: Knobs) -> GatewayPolicy:
-    return production(
+    return GatewayPolicy(
+        security_enabled=True,
         history_fsync_interval=k["fsync_interval"],
         # Checkpoints are driven explicitly by the step so every cycle's
         # sealing schedule is a pure function of the knobs.

@@ -5,9 +5,28 @@ from __future__ import annotations
 import pytest
 
 from repro.agents.host_model import HostSpec, SimulatedHost
+from repro.core.policy import GatewayPolicy
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
 from repro.testbed import build_site
+
+#: The five planes the deployed ``GatewayPolicy()`` has on and the paper's
+#: 2003 gateway did not have.
+PLANES = (
+    "history_durable",
+    "streaming_enabled",
+    "admission_enabled",
+    "adaptive_concurrency",
+    "hedge_enabled",
+)
+
+
+def paper_policy(**overrides) -> GatewayPolicy:
+    """The planes-off ablation: the paper's gateway, which tests compare
+    the deployed one against (``test_scenario.PAPER``, the ``default``
+    arm of the bad-reply and bad-wire matrices).  No shipped caller
+    builds it, so it lives here and not under ``src/``."""
+    return GatewayPolicy(**(dict.fromkeys(PLANES, False) | overrides))
 
 
 @pytest.fixture

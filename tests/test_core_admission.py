@@ -41,7 +41,6 @@ def make_controller(clock=None, **policy_kw):
     """A controller at the shipped limit (``INITIAL_LIMIT``) and batch
     share (``BATCH_QUEUE_SHARE``): module constants, not keywords."""
     clock = clock or VirtualClock()
-    policy_kw.setdefault("admission_enabled", True)
     policy = GatewayPolicy(**policy_kw)
     return clock, AdmissionController(clock, policy)
 
@@ -337,7 +336,7 @@ class TestBreakerShedInterplay:
         HealthTracker — a gateway protecting itself is not a failing
         source."""
         clock = VirtualClock()
-        policy = GatewayPolicy(admission_enabled=True)
+        policy = GatewayPolicy()
         health = HealthTracker(clock, policy)
         _, adm = make_controller(clock)
         adm.monitor.observe(100, 0)
@@ -348,9 +347,7 @@ class TestBreakerShedInterplay:
     def test_local_shed_status_no_breaker_penalty(self):
         """End-to-end at one gateway: a SHED-state gateway sheds a batch
         query as a typed per-source status and the breakers stay clean."""
-        policy = GatewayPolicy(
-            admission_enabled=True, adaptive_concurrency=True
-        )
+        policy = GatewayPolicy()
         network, (site,) = build_testbed(
             n_hosts=2, agents=("snmp",), seed=0, policy=policy
         )
@@ -370,7 +367,7 @@ class TestBreakerShedInterplay:
         assert gw.overload.sheds.counts()["batch"] == 1
 
     def test_critical_dispatches_even_in_shed_state(self):
-        policy = GatewayPolicy(admission_enabled=True)
+        policy = GatewayPolicy()
         network, (site,) = build_testbed(
             n_hosts=2, agents=("snmp",), seed=0, policy=policy
         )
@@ -387,7 +384,7 @@ class TestBreakerShedInterplay:
         assert gw.overload.sheds.counts()["critical"] == 0
 
     def test_brownout_serves_stale_with_degraded_marker(self):
-        policy = GatewayPolicy(admission_enabled=True)
+        policy = GatewayPolicy()
         network, (site,) = build_testbed(
             n_hosts=2, agents=("snmp",), seed=0, policy=policy
         )
@@ -426,7 +423,7 @@ class TestRemoteShed:
             n_hosts=1,
             agents=("snmp",),
             seed=2,
-            policy=GatewayPolicy(admission_enabled=True),
+            policy=GatewayPolicy(),
         )
         clock.advance(20.0)
         directory = GMADirectory(network)
@@ -496,7 +493,7 @@ class TestShedLedger:
 
 class TestGatewayWiring:
     def test_stats_expose_overload_snapshot(self):
-        policy = GatewayPolicy(admission_enabled=True)
+        policy = GatewayPolicy()
         network, (site,) = build_testbed(
             n_hosts=1, agents=("snmp",), seed=0, policy=policy
         )
@@ -506,7 +503,7 @@ class TestGatewayWiring:
         assert stats["overload"]["state"] == "normal"
 
     def test_batch_query_carries_query_class(self):
-        policy = GatewayPolicy(admission_enabled=True)
+        policy = GatewayPolicy()
         network, (site,) = build_testbed(
             n_hosts=1, agents=("snmp",), seed=0, policy=policy
         )
@@ -533,7 +530,7 @@ class TestGatewayWiring:
         assert not isinstance(outcomes[1], Exception)
 
     def test_pressure_transition_emits_event(self):
-        policy = GatewayPolicy(admission_enabled=True)
+        policy = GatewayPolicy()
         network, (site,) = build_testbed(
             n_hosts=1, agents=("snmp",), seed=0, policy=policy
         )
@@ -544,7 +541,7 @@ class TestGatewayWiring:
         assert "pressure.shed" in names
 
     def test_history_mode_bypasses_admission(self):
-        policy = GatewayPolicy(admission_enabled=True)
+        policy = GatewayPolicy()
         network, (site,) = build_testbed(
             n_hosts=1, agents=("snmp",), seed=0, policy=policy
         )

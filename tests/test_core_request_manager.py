@@ -136,10 +136,11 @@ class TestHistory:
     def test_history_disabled_by_policy(self):
         """Re-aimed: ``history_enabled`` is gone (no shipped caller ever
         turned history off), so this id now holds that no configuration
-        does — the paper's gateway and ``production()`` both record."""
-        from repro.core.policy import GatewayPolicy, production
+        does — the paper's gateway and the deployed one both record."""
+        from repro.core.policy import GatewayPolicy
+        from tests.conftest import paper_policy
 
-        for policy in (GatewayPolicy(), production()):
+        for policy in (paper_policy(), GatewayPolicy()):
             clock = VirtualClock()
             network = Network(clock, seed=2)
             site = build_site(

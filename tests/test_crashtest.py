@@ -18,7 +18,7 @@ job sweeps 20 seeds through the CLI.
 
 The ring across a crash, at the gateway: ``python -m tests.test_crashtest``
 (repo root, ``PYTHONPATH=src``) runs the 80-run sweep — seeds 0-4 x
-rings 41-56, ``production()``, 4 hosts x snmp + ganglia, 12 REALTIME
+rings 41-56, CGSL/FGSL on, 4 hosts x snmp + ganglia, 12 REALTIME
 rounds 30 s apart, sync, power failure, successor on the same disk —
 without and with a checkpoint after every round, and prints how many
 runs serve different rows after the crash than before it.  The pytest
@@ -29,7 +29,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.gateway import Gateway
-from repro.core.policy import production
+from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import QueryMode
 from repro.scenario import CLIENT, run
 from repro.scenarios import CRASHTEST
@@ -113,7 +113,8 @@ class TestCli:
 # ----------------------------------------------------------------------
 def served_across_a_crash(seed, ring, *, checkpoint_each_round=False):
     """Every group's served rows before and after one power failure of a
-    ``production()`` gateway whose every row was acknowledged."""
+    gateway (the crashtest scenario's configuration) whose every row was
+    acknowledged."""
     clock = VirtualClock()
     network = Network(clock, seed=seed)
     disk = SimDisk(
@@ -122,7 +123,8 @@ def served_across_a_crash(seed, ring, *, checkpoint_each_round=False):
     specs: dict[str, str] = {}
     site = build_site(
         network, name="site-a", n_hosts=4, agents=("snmp", "ganglia"), seed=seed,
-        policy=production(history_max_rows_per_group=ring), disk=disk,
+        policy=GatewayPolicy(security_enabled=True, history_max_rows_per_group=ring),
+        disk=disk,
         persistent_store=specs,
     )
     gw = site.gateway

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.agents import snmp as wire
 from repro.core.gateway import BatchQuery
 from repro.core.health import BreakerState
-from repro.core.policy import GatewayPolicy, production
+from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import Cause, QueryMode
 from repro.dbapi.exceptions import SQLException
 from repro.dbapi.url import JdbcUrl
@@ -34,6 +34,7 @@ from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
 from repro.sql.parser import parse_select
 from repro.testbed import build_site
+from tests.conftest import paper_policy
 
 #: protocol -> the query the matrix and the recorder run against it.
 #: ``LIMIT 1`` keeps NetLogger's honest row count independent of how
@@ -79,9 +80,18 @@ def _intercept(network, port, mutate):
 # ----------------------------------------------------------------------
 # The ROADMAP item-2 reproduction
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "policy", [GatewayPolicy, production], ids=["default", "all-planes"]
+#: Both reproductions run in both configurations.  ``default`` is the
+#: planes-off paper gateway (the id dates from when that was the default
+#: policy); ``all-planes`` is the deployed ``GatewayPolicy()`` with
+#: CGSL/FGSL on as well.
+configurations = pytest.mark.parametrize(
+    "policy",
+    [paper_policy, functools.partial(GatewayPolicy, security_enabled=True)],
+    ids=["default", "all-planes"],
 )
+
+
+@configurations
 def test_half_a_gmond_dump_costs_the_ganglia_source_only(policy):
     network = Network(VirtualClock(), seed=7)
     site = build_site(
@@ -108,9 +118,7 @@ def test_half_a_gmond_dump_costs_the_ganglia_source_only(policy):
     assert all(s.ok for s in again.statuses) and len(again.rows) == 6
 
 
-@pytest.mark.parametrize(
-    "policy", [GatewayPolicy, production], ids=["default", "all-planes"]
-)
+@configurations
 def test_half_a_gmond_dump_repeated_trips_the_ganglia_breaker(policy):
     """Each query connects to gmond fine and then reads half a dump.  The
     connect success and the fetch failure land in one pinned operation,

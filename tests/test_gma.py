@@ -211,19 +211,14 @@ class TestProducerEndpoint:
         used to stay bound, so the rebuild died with ``port already
         bound`` as soon as the gateway had joined the GMA or streamed."""
         from repro.core.gateway import Gateway
-        from repro.core.policy import production
 
         network, directory, a, _, gla, _ = fabric
-        b = build_site(
-            network, name="site-c", n_hosts=1, agents=("snmp",), policy=production()
-        )
+        b = build_site(network, name="site-c", n_hosts=1, agents=("snmp",))
         GlobalLayer(b.gateway, directory)
         getattr(b.gateway, stop)()
         with pytest.raises(RemoteQueryError):
             gla.query_remote("site-c", "SELECT * FROM Host", mode="realtime")
-        successor = Gateway(
-            network, b.gateway.host, site="site-c", policy=production(), disk=b.gateway.disk
-        )
+        successor = Gateway(network, b.gateway.host, site="site-c", disk=b.gateway.disk)
         for url in b.source_urls:
             successor.add_source(url)
         GlobalLayer(successor, directory)

@@ -5,7 +5,7 @@ Four views of the one envelope in :mod:`repro.gma.records`:
 
 * the 19-case matrix of hostile-but-plausible messages — ten requests
   at the hub's and the producer's listeners, nine replies at their
-  clients — under the paper's policy and under ``production()``;
+  clients — under the paper's policy and under the deployed one;
 * one Hypothesis target that feeds every op registered in the
   producer's, the hub's and the directory's tables generated payloads
   with no ``Network.request`` in between;
@@ -33,7 +33,7 @@ from repro.core.acil import ClientResponse
 from repro.core.deadline import Deadline
 from repro.core.errors import OverloadError
 from repro.core.plans import PlanCache
-from repro.core.policy import GatewayPolicy, production
+from repro.core.policy import GatewayPolicy
 import repro
 from repro.core.request_manager import Cause, QueryMode, SourceStatus
 from repro.core.security import Principal
@@ -48,13 +48,17 @@ from repro.simnet.clock import VirtualClock
 from repro.simnet.errors import NetworkError
 from repro.simnet.network import Address, Network
 from repro.testbed import build_site
+from tests.conftest import paper_policy
 
 SQL = "SELECT HostName FROM Host"
 CQ = "SELECT HostName FROM Processor"
+#: ``default`` is the planes-off paper gateway (the id dates from when
+#: that was the default policy) with streaming on: without it a gateway
+#: has no hub to be hostile to.  ``all-planes`` is the deployed
+#: ``GatewayPolicy()`` with CGSL/FGSL on as well.
 POLICIES = {
-    # Streaming on in both: without it a gateway has no hub to be hostile to.
-    "default": lambda **kw: GatewayPolicy(streaming_enabled=True, **kw),
-    "all-planes": production,
+    "default": lambda **kw: paper_policy(streaming_enabled=True, **kw),
+    "all-planes": lambda **kw: GatewayPolicy(security_enabled=True, **kw),
 }
 policies = pytest.mark.parametrize("policy", POLICIES.values(), ids=POLICIES)
 
@@ -271,7 +275,10 @@ def test_a_secured_gateway_asks_the_http_channel_for_a_session_too():
     from repro.web.servlet import GatewayServlet, http_get
 
     network = Network(VirtualClock(), seed=7)
-    site = build_site(network, name="s", n_hosts=1, agents=("snmp",), policy=production())
+    site = build_site(
+        network, name="s", n_hosts=1, agents=("snmp",),
+        policy=GatewayPolicy(security_enabled=True),
+    )
     servlet = GatewayServlet(site.gateway)
     target = f"/query?url={quote(site.source_urls[0])}&sql={quote(SQL)}"
     code, body = http_get(network, site.gateway.host, servlet.address, target)
@@ -525,7 +532,7 @@ def test_every_registered_op_answers_in_shape_and_keeps_serving(case):
     if wire == "hub":
         hub = StreamHub(
             network, "hub-host", plans=PlanCache(STANDARD_SCHEMA), schema=STANDARD_SCHEMA,
-            policy=production(), tracer=Tracer(network.clock),
+            policy=GatewayPolicy(), tracer=Tracer(network.clock),
         )
         handle, ops = hub._handle_control, hub._ops
         state = lambda: (hub.subscription_count(), hub.stats["registered"])
@@ -580,7 +587,7 @@ def honest_conversation():
     """``repr`` of every request and reply of a scripted honest session
     on the three wires, each op (and the shed and refusal forms) once."""
     network, directory, a, b = _grid(
-        lambda: production(stream_max_subscriptions=1, security_enabled=False)
+        lambda: GatewayPolicy(stream_max_subscriptions=1)
     )
     seen = []
     honest = network.request

@@ -36,6 +36,7 @@ from repro.obs.trace import Tracer
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
 from repro.testbed import build_site, build_testbed
+from tests.conftest import paper_policy
 from tests.history_rows import record_rows
 
 PROBE = GlueGroup(
@@ -594,9 +595,8 @@ def test_republisher_keeps_two_hubs_derivations_apart():
     hand out cq 1: a derivation folds only the batches its own hub's
     host sent."""
     network = Network(VirtualClock(), seed=3)
-    policy = GatewayPolicy(streaming_enabled=True)
     sites = [
-        build_site(network, name=name, n_hosts=2, agents=("snmp",), seed=3, policy=policy)
+        build_site(network, name=name, n_hosts=2, agents=("snmp",), seed=3)
         for name in ("site-a", "site-b")
     ]
     network.clock.advance(60.0)
@@ -683,10 +683,7 @@ def test_subscribe_trace_reparents_remote_context():
 
 
 def test_push_spans_nest_under_the_live_query_trace():
-    policy = GatewayPolicy(streaming_enabled=True)
-    network, (site,) = build_testbed(
-        n_hosts=2, agents=("snmp",), seed=0, policy=policy
-    )
+    network, (site,) = build_testbed(n_hosts=2, agents=("snmp",), seed=0)
     gw = site.gateway
     network.clock.advance(60.0)
     consumer = StreamConsumer(network, "viewer")
@@ -709,9 +706,13 @@ def test_push_spans_nest_under_the_live_query_trace():
 # Gateway wiring, console and servlet surfaces
 # ----------------------------------------------------------------------
 def test_streaming_default_off_and_gateway_wiring():
-    network, (site,) = build_testbed(n_hosts=2, agents=("snmp",), seed=0)
+    """Re-aimed: streaming is on by default; this id pins the wiring of a
+    gateway with it off, the paper's (``paper_policy``)."""
+    assert GatewayPolicy().streaming_enabled
+    network, (site,) = build_testbed(
+        n_hosts=2, agents=("snmp",), seed=0, policy=paper_policy()
+    )
     gw = site.gateway
-    assert gw.policy.streaming_enabled is False
     assert gw.streams is None
     assert gw.stats()["streams"] == {"enabled": False}
     from repro.web.console import Console
@@ -720,10 +721,7 @@ def test_streaming_default_off_and_gateway_wiring():
 
 
 def test_console_and_servlet_render_stream_state():
-    policy = GatewayPolicy(streaming_enabled=True)
-    network, (site,) = build_testbed(
-        n_hosts=2, agents=("snmp",), seed=0, policy=policy
-    )
+    network, (site,) = build_testbed(n_hosts=2, agents=("snmp",), seed=0)
     gw = site.gateway
     network.clock.advance(60.0)
     consumer = StreamConsumer(network, "viewer")

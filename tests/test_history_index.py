@@ -325,7 +325,7 @@ def test_history_reregistration_replays_exactly_the_rows_since_its_watermark(mon
     arrival order returned an arbitrary share of that round (none of it
     on this seed).
 
-    Run on the in-memory ring: ``production()``'s durable store charges
+    Run on the in-memory ring: the default durable store charges
     the WAL append (0.2 ms on the scenario disk) between recording a row
     and publishing it, so there every ``published_at`` — hence every
     watermark — is later than the whole round and the case cannot arise."""

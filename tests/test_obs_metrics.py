@@ -252,7 +252,6 @@ class TestSelfMonitoringDriver:
         """``history.queries`` / ``history.rows_scanned`` (rows handed to
         the bound plan) on every surface: registry, ``stats()``, the
         ``grm://`` relation, the durability panel and the trace."""
-        from repro.core.policy import GatewayPolicy
         from repro.simnet.clock import VirtualClock
         from repro.simnet.network import Network
         from repro.testbed import build_site
@@ -260,8 +259,7 @@ class TestSelfMonitoringDriver:
 
         network = Network(VirtualClock(), seed=5)
         site = build_site(
-            network, name="site-a", n_hosts=3, agents=("snmp",),
-            policy=GatewayPolicy(history_durable=True),
+            network, name="site-a", n_hosts=3, agents=("snmp",)
         )
         gw = site.gateway
         urls = list(site.source_urls)

@@ -218,7 +218,8 @@ def span_names(site, result):
 
 
 class TestEnvelope:
-    """The fixed cost of a warm query, under the default policy."""
+    """The fixed cost of a warm query, under the default policy (the
+    span lists gained ``admit`` when admission control became a default)."""
 
     def test_warm_dashboard_read(self, calls, envelope):
         site = warm_site()
@@ -234,9 +235,9 @@ class TestEnvelope:
         # repeated raw text does not re-run its body.
         assert calls == {"normalise_sql": 1, "PlanCache.get": 1}
         assert NORMALISE_SQL.cache_info().misses == bodies_run
-        # The span budget of a dashboard read: 3 + one per source.
+        # The span budget of a dashboard read: 4 + one per source.
         assert span_names(site, result) == (
-            ["query", "plan.cache_hit", "execute"] + ["source"] * 9
+            ["query", "plan.cache_hit", "admit", "execute"] + ["source"] * 9
         )
 
     def test_warm_single_source_realtime_read(self, envelope):
@@ -249,7 +250,7 @@ class TestEnvelope:
         assert result.ok_sources == 1
         assert envelope == {}
         assert span_names(site, result) == [
-            "query", "plan.cache_hit", "execute",
+            "query", "plan.cache_hit", "admit", "execute",
             "source", "attempt", "conn.acquire", "native",
         ]
 

@@ -3,8 +3,8 @@
 The behavioural twin of
 ``tests/test_gma_bad_wires.py::test_each_cause_is_constructed_at_one_call_site``:
 that test reads the source and finds each :class:`Cause` built at one
-call site; this one runs a ``production()`` gateway into each of the
-nine causes and checks what a client and an operator see of it:
+call site; this one runs the deployed gateway, CGSL/FGSL on, into each
+of the nine causes and checks what a client and an operator see of it:
 
 * the status's cause;
 * the one span that carries it — for a cause that is not ok, failed
@@ -25,7 +25,7 @@ import pytest
 
 from repro.core.deadline import Deadline
 from repro.core.health import BreakerState
-from repro.core.policy import production
+from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import Cause, QueryMode
 from repro.gma.directory import GMADirectory
 from repro.gma.global_layer import GlobalLayer
@@ -44,7 +44,8 @@ COUNTERS = sorted({name for cause in Cause for name in cause.counters})
 
 def _site(network, name="site-a", seed=1):
     return build_site(
-        network, name=name, n_hosts=2, agents=("snmp",), seed=seed, policy=production()
+        network, name=name, n_hosts=2, agents=("snmp",), seed=seed,
+        policy=GatewayPolicy(security_enabled=True),
     )
 
 

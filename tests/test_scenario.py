@@ -31,12 +31,14 @@ to advance the gateway registration's watermark too, so its
 post-partition re-register request carried another float (a few bytes
 of virtual transfer time; every counter and measurement is equal).
 The ``chaos`` (2), ``overload`` (5) and ``stream`` (5) signatures were
-re-recorded once more when every scenario moved under
-``repro.core.policy.production()`` (durable history, streaming,
-admission, adaptive concurrency, hedging and security all on, plus each
-scenario's declared overrides): hedges and admission queueing shift
-request instants.  The 20 ``crashtest`` signatures did not move — they
-sign the acked and recovered rows, which the extra planes do not touch.
+re-recorded once more when every scenario moved under the all-planes
+policy (durable history, streaming, admission, adaptive concurrency,
+hedging and security all on, plus each scenario's declared overrides):
+hedges and admission queueing shift request instants.  The 20
+``crashtest`` signatures did not move — they sign the acked and
+recovered rows, which the extra planes do not touch.  That policy is now
+the default ``GatewayPolicy()`` plus ``security_enabled``; no signature
+moved when it became the default.
 """
 
 from __future__ import annotations
@@ -91,9 +93,9 @@ if __name__ == "__main__":
 
 from repro import scenario  # noqa: E402
 from repro.cli import main  # noqa: E402
-from repro.core.policy import GatewayPolicy  # noqa: E402
 from repro.scenario import ScenarioError, ScenarioReport, run  # noqa: E402
 from repro.scenarios import CHAOS, SCENARIOS, critical_never_shed  # noqa: E402
+from tests.conftest import paper_policy  # noqa: E402
 
 #: Small enough to run a dozen times per scenario, big enough to be green
 #: (the stream partition needs rounds to lapse a lease and re-register).
@@ -186,6 +188,7 @@ def test_cli_exits_zero(sc, capsys):
         (["--agents", "bogus"], "unknown agent kind(s): ['bogus']"),
         (["--period", "0"], "period must be > 0"),
         (["--seeds", "0,x"], "--seeds"),
+        (["--period", "nan"], "period must be > 0"),
     ],
 )
 def test_cli_refuses_bad_knobs_with_exit_2(sc, argv, message, capsys):
@@ -220,6 +223,9 @@ def test_cli_scenarios_do_not_offer_the_ignored_warmup_seconds(sc):
         (dict(agents=("snmp", "carrier-pigeon")), "carrier-pigeon"),
         (dict(agents=()), "agents must name kinds from snmp"),
         (dict(sql="SELECT 1"), "unknown knob(s): ['sql']"),
+        (dict(period=float("nan")), "period must be > 0: nan"),
+        (dict(deadline=-1.0), "chaos: default_deadline must be >= 0: -1.0"),
+        (dict(deadline=float("nan")), "chaos: default_deadline must be >= 0: nan"),
     ],
 )
 def test_runner_refuses_with_one_typed_error(knobs, message):
@@ -229,7 +235,12 @@ def test_runner_refuses_with_one_typed_error(knobs, message):
 
 @pytest.mark.parametrize(
     "name, knob",
-    [("crashtest", "cycles"), ("stream", "subscriptions"), ("overload", "spike_load")],
+    [
+        ("crashtest", "cycles"),
+        ("stream", "subscriptions"),
+        ("overload", "spike_load"),
+        ("crashtest", "fsync_interval"),  # the policy's history_fsync_interval
+    ],
 )
 def test_runner_refuses_zero_counts(name, knob):
     (sc,) = (s for s in SCENARIOS if s.name == name)
@@ -287,10 +298,10 @@ def test_golden_covers_the_ci_matrix():
 # The 30-line claim: a sixth scenario is a declaration, not a clone
 # ----------------------------------------------------------------------
 STOCK = (*CHAOS.checkers, scenario.no_stuck_buffers, critical_never_shed)
-#: CHAOS is all-planes by itself (``production()``); the planes-off
-#: configuration — the paper's gateway — stays checked beside it.
+#: CHAOS is all-planes by itself (the default policy); the planes-off
+#: ablation — the paper's gateway — stays checked beside it.
 PAPER = dataclasses.replace(
-    CHAOS, name="paper", policy=lambda k: GatewayPolicy(), checkers=STOCK
+    CHAOS, name="paper", policy=lambda k: paper_policy(), checkers=STOCK
 )
 
 

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.core.history import HistoryStore
-from repro.core.policy import production
 from repro.glue.schema import standard_schema
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
@@ -333,9 +332,7 @@ def test_ill_typed_manifest_is_skipped_and_the_gateway_boots(mutate):
     write_manifest(disk, int(path.rpartition("-")[2]), doc)
 
     network = Network(VirtualClock(), seed=3)
-    site = build_site(
-        network, name="m", n_hosts=1, agents=("snmp",), policy=production(), disk=disk
-    )
+    site = build_site(network, name="m", n_hosts=1, agents=("snmp",), disk=disk)
     gw = site.gateway
     assert RULE_MANIFEST_SKIPPED in [f.rule_id for f in gw.startup_findings]
     record_rows(gw.history, "Processor", [proc_row(host="new")], source_url="u", recorded_at=9.0)

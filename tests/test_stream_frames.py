@@ -25,7 +25,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import QueryMode
 from repro.gma import streams
 from repro.gma.streams import StreamConsumer
@@ -92,7 +91,6 @@ def scenario(spy=None):
         n_hosts=4,
         agents=("snmp", "ganglia"),
         seed=23,
-        policy=GatewayPolicy(streaming_enabled=True),
     )
     site.clock.advance(60.0)
     acquire(site)
@@ -428,8 +426,7 @@ def round_site():
     """Three SNMP sources, one consumer following every Processor row."""
     network = quiet_network(5)
     site = build_site(
-        network, name="site-a", n_hosts=3, agents=("snmp",), seed=5,
-        policy=GatewayPolicy(streaming_enabled=True),
+        network, name="site-a", n_hosts=3, agents=("snmp",), seed=5
     )
     site.clock.advance(60.0)
     consumer = StreamConsumer(network, "viewer")

@@ -65,11 +65,7 @@ class TestOverloadEndpoint:
             n_hosts=2,
             agents=("snmp",),
             seed=7,
-            policy=GatewayPolicy(
-                admission_enabled=True,
-                adaptive_concurrency=True,
-                admission_queue_limit=12,
-            ),
+            policy=GatewayPolicy(admission_queue_limit=12),
         )
         network.clock.advance(30)
         servlet = GatewayServlet(site.gateway)
@@ -85,7 +81,14 @@ class TestOverloadEndpoint:
         for url in site.source_urls:
             assert f"  - {url}: limit=4, baseline=" in body
 
-    def test_overload_panel_says_so_when_admission_is_off(self, site, servlet):
+    def test_overload_panel_says_so_when_admission_is_off(self):
+        """Re-aimed: admission is on by default, so the site turns it off."""
+        network = Network(VirtualClock(), seed=7)
+        site = build_site(
+            network, name="site-o", n_hosts=2, agents=("snmp",), seed=7,
+            policy=GatewayPolicy(admission_enabled=False),
+        )
+        servlet = GatewayServlet(site.gateway)
         code, body = get(site, servlet, "/overload")
         assert code == 200
         assert "DISABLED" in body and "admission_enabled=False" in body
