@@ -32,6 +32,8 @@ from typing import Any, Optional
 from repro.analysis import races
 from repro.obs.metrics import MetricsRegistry
 from repro.simnet.clock import VirtualClock
+from repro.sql.lexer import KEYWORDS
+from repro.sql.parser import SOFT_KEYWORDS
 
 #: LRU capacity of a gateway's query cache (entries).
 MAX_ENTRIES = 4096
@@ -58,21 +60,32 @@ class CachedResult:
 NORMALISE_MEMO_SIZE = 1024
 
 
+#: Keywords whose spelling never reaches an answer.  The soft keywords
+#: (column types and aggregate names) may name a column or an alias —
+#: ``SELECT Timestamp`` is labelled ``Timestamp`` — so they keep theirs.
+_FOLDED = KEYWORDS - SOFT_KEYWORDS
+
+
 @lru_cache(maxsize=NORMALISE_MEMO_SIZE)
 def normalise_sql(sql: str) -> str:
-    """Collapse whitespace and case-fold keywords/identifiers for cache keying.
+    """Collapse whitespace and case-fold keywords for cache keying.
 
     A pure function of its text, and dashboards resend byte-identical
     texts, so results are memoised (bounded: query texts come from
     clients).
 
     Deliberately cheap: semantically equal but textually different
-    queries may miss, which only costs a refetch.  Quoted string
-    literals are preserved **verbatim** (case and internal whitespace):
-    ``WHERE Name = 'A'`` and ``WHERE Name = 'a'`` select different rows,
-    so they must not collide on one cache/single-flight key.  Doubled
-    quotes inside a literal (``'it''s'``) stay inside it; an
-    unterminated literal is kept verbatim to the end of the string.
+    queries may miss, which only costs a refetch.  A keyword is folded
+    to lower case where whitespace (or a quote) delimits it on both
+    sides — there the lexer reads it as that keyword too.  What an
+    answer shows is never folded.  Identifiers keep their case, because
+    a column's label is its spelling in the query (``SELECT hostname``
+    answers ``hostname``, ``SELECT HostName`` answers ``HostName``).
+    Quoted string literals are preserved **verbatim** (case and internal
+    whitespace): ``WHERE Name = 'A'`` and ``WHERE Name = 'a'`` select
+    different rows, so they must not collide on one cache/single-flight
+    key.  Doubled quotes inside a literal (``'it''s'``) stay inside it;
+    an unterminated literal is kept verbatim to the end of the string.
     """
     out: list[str] = []
     i, n = 0, len(sql)
@@ -96,7 +109,9 @@ def normalise_sql(sql: str) -> str:
         while j < n and sql[j] not in ("'", '"'):
             j += 1
         segment = sql[i:j]
-        collapsed = " ".join(segment.split()).lower()
+        collapsed = " ".join(
+            [w.lower() if w.upper() in _FOLDED else w for w in segment.split()]
+        )
         if collapsed:
             # Keep a single space where the raw text separated this
             # segment from an adjacent literal.

@@ -294,9 +294,14 @@ def _validated(
         raise ScenarioError(f"{scenario.name}: unknown knob(s): {unknown}")
     k = {**scenario.knobs, **overrides}
     k["agents"] = tuple(k["agents"])
-    for name in ("rounds", "cycles", "hosts", "subscriptions", "spike_load"):
-        if name in k and k[name] < 1:
+    # ``not x >= n`` rather than ``x < n``: NaN fails too.
+    for name in (
+        "rounds", "cycles", "hosts", "subscriptions", "spike_load", "checkpoint_every"
+    ):
+        if name in k and not k[name] >= 1:
             raise ScenarioError(f"{name} must be >= 1: {k[name]!r}")
+    if "warmup_rounds" in k and not k["warmup_rounds"] >= 0:
+        raise ScenarioError(f"warmup_rounds must be >= 0: {k['warmup_rounds']!r}")
     if not k["period"] > 0:  # NaN too
         raise ScenarioError(f"period must be > 0: {k['period']!r}")
     bogus = sorted(set(k["agents"]) - set(AGENT_KINDS))

@@ -615,7 +615,7 @@ def _crash_step(ctx: Ctx, cycle: int) -> list[Any]:
         ctx.clock.advance(k["period"])
         # Never checkpoint on the cycle's last round: the crash must
         # land on a live WAL tail (that's the case under test).
-        if every and (r + 1) % every == 0 and r + 1 < k["rounds"]:
+        if (r + 1) % every == 0 and r + 1 < k["rounds"]:
             gw.history.checkpoint()
 
     engine = gw.history_engine
@@ -741,7 +741,7 @@ CRASHTEST = Scenario(
         ),
         "checkpoint_every": (
             "--checkpoint-every",
-            "checkpoint every N rounds (0 = only at recovery)",
+            "checkpoint every N rounds (N >= 1)",
         ),
     },
     policy=_crash_policy,

@@ -120,3 +120,59 @@ class Lexer:
 
 def _unexpected(ch: str, pos: int) -> None:
     raise SqlParseError(f"unexpected character {ch!r} at position {pos}", pos)
+
+
+def number(text: str) -> int | float:
+    """The value of a NUMBER token's text: ``float`` when it has a point
+    or an exponent, else ``int`` (``ValueError`` past the int-string
+    limit)."""
+    return float(text) if "." in text or "e" in text or "E" in text else int(text)
+
+
+#: A statement's shape: its tokens' source texts, with the class of the
+#: value (``int``, ``float`` or ``str``) where a literal stood.
+Shape = tuple[object, ...]
+
+
+def literal_shape(text: str) -> tuple[Shape, tuple[object, ...]] | None:
+    """``text``'s shape and its literal values, in source order.
+
+    One pass of the lexer's own pattern, so a literal starts and ends
+    where the lexer says it does (a double-quoted string holding digits
+    is one STRING).  Each NUMBER and STRING token becomes a slot typed
+    by the value the parser builds from it (:func:`number`; quotes and
+    doubled quotes resolved for ``str``).  Every other token stays in
+    the shape as it was spelt, TRUE, FALSE and NULL included, so two
+    texts of one shape parse to one tree up to the literals in it.
+
+    ``None`` when the lexer would refuse the text, or the parser one of
+    its literals (an integer past the int-string limit): the caller
+    takes the full path and raises the error from there.
+    """
+    shape: list[object] = []
+    values: list[object] = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        token = m[kind]
+        if kind == _NUMBER:
+            try:
+                value = number(token)
+            except ValueError:
+                return None
+            values.append(value)
+            shape.append(value.__class__)
+        elif kind == _SINGLE or kind == _DOUBLE:
+            quote = token[0]
+            values.append(token[1:-1].replace(quote + quote, quote))
+            shape.append(str)
+        elif kind == _WORD:
+            if not (token[0].isalpha() or token[0] == "_"):
+                return None
+            shape.append(token)
+        elif kind <= _PUNCT:
+            shape.append(token)
+        elif kind == _END:
+            return tuple(shape), tuple(values)
+        else:
+            return None
+    raise AssertionError("the pattern always matches the end of the text")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from repro.sql import ast_nodes as ast
 from repro.sql.errors import SqlParseError
-from repro.sql.lexer import Lexer, Token, TokenType
+from repro.sql.lexer import Lexer, Token, TokenType, number
 
 #: Deepest nesting one expression may have: parenthesised levels while
 #: parsing, operator levels in the tree that results.  The parser
@@ -52,7 +52,7 @@ _AGGREGATES = frozenset(("COUNT", "SUM", "AVG", "MIN", "MAX"))
 _COLUMN_TYPES = frozenset(("INTEGER", "REAL", "TEXT", "BOOLEAN", "TIMESTAMP"))
 #: Keywords that may name a column (e.g. "Timestamp"); the name keeps
 #: its source spelling through the token's raw text.
-_SOFT_KEYWORDS = _COLUMN_TYPES | _AGGREGATES
+SOFT_KEYWORDS = _COLUMN_TYPES | _AGGREGATES
 
 
 def parse_statement(text: str) -> ast.Statement:
@@ -113,7 +113,7 @@ class _Parser:
         if tok.type is _IDENT:
             self.advance()
             return tok.value
-        if tok.type is _KEYWORD and tok.value in _SOFT_KEYWORDS:
+        if tok.type is _KEYWORD and tok.value in SOFT_KEYWORDS:
             self.advance()
             return tok.raw or tok.value
         self.fail("expected identifier")
@@ -441,9 +441,8 @@ class _Parser:
             return ast.Column(name)
         if kind is _NUMBER:
             self.advance()
-            text = tok.value
             try:
-                value = float(text) if "." in text or "e" in text or "E" in text else int(text)
+                value = number(tok.value)
             except ValueError:
                 self.fail("unreadable number", tok)
                 raise AssertionError from None

@@ -1082,6 +1082,19 @@ class BoundPlan:
             bounds.append((op, value))  # type: ignore[arg-type]
         return bounds
 
+    def refiltered(self, select: ast.Select) -> BoundPlan:
+        """This binding for ``select``, a statement that differs from this
+        one's at most in the literals of its WHERE, LIMIT and OFFSET:
+        the WHERE stages are compiled afresh, every other closure and
+        kernel (projection, grouping, HAVING, ordering) is shared."""
+        bound = object.__new__(BoundPlan)
+        for name in BoundPlan.__slots__:
+            setattr(bound, name, getattr(self, name))
+        bound.select = select
+        bound._stages = _compile_filter(select.where, self._flavour)
+        bound._leading_bounds = {}
+        return bound
+
     # -- execution -----------------------------------------------------
     def execute(self, rows: Sequence[Any]) -> SelectResult:
         """Run the bound plan over ``rows``."""
@@ -1249,29 +1262,40 @@ class BoundPlan:
         return self._out_cols, out
 
 
+#: Bindings the plans of one statement shape share: (flavour, layout) ->
+#: the first :class:`BoundPlan` any of them built (see
+#: :meth:`BoundPlan.refiltered`).
+ShapeBindings = dict[tuple[type, tuple[str, ...]], BoundPlan]
+
+
 class CompiledPlan:
     """A SELECT compiled once, bindable to any column layout.
 
     Layout bindings (the expensive closure construction) are cached on
     the plan, keyed by the column tuple, so a plan held in the
     :class:`~repro.core.plans.PlanCache` pays compilation exactly once
-    per (query, layout) pair.
+    per (query, layout) pair.  Plans of statements that differ only in
+    the literals of their WHERE, LIMIT and OFFSET may also share
+    ``shape_bindings``: a layout one of them bound is only re-filtered
+    for the next.
     """
 
-    __slots__ = ("select", "_slot_bindings", "_mapping_bindings")
+    __slots__ = ("select", "_slot_bindings", "_mapping_bindings", "_shape_bindings")
 
-    def __init__(self, select: ast.Select) -> None:
+    def __init__(
+        self, select: ast.Select, shape_bindings: ShapeBindings | None = None
+    ) -> None:
         self.select = select
         self._slot_bindings: dict[tuple[str, ...], BoundPlan] = {}
         self._mapping_bindings: dict[tuple[str, ...], BoundPlan] = {}
+        self._shape_bindings = shape_bindings
 
     def bind(self, columns: Sequence[str]) -> BoundPlan:
         """Bind to a positional-row layout (rows are lists of values)."""
         key = tuple(columns)
         bound = self._slot_bindings.get(key)
         if bound is None:
-            bound = BoundPlan(self.select, _SlotFlavour(key))
-            self._slot_bindings[key] = bound
+            bound = self._slot_bindings[key] = self._bound(_SlotFlavour, key)
         return bound
 
     def bind_mapping(self, columns: Sequence[str]) -> BoundPlan:
@@ -1280,14 +1304,25 @@ class CompiledPlan:
         key = tuple(columns)
         bound = self._mapping_bindings.get(key)
         if bound is None:
-            bound = BoundPlan(self.select, _MappingFlavour(key))
-            self._mapping_bindings[key] = bound
+            bound = self._mapping_bindings[key] = self._bound(_MappingFlavour, key)
+        return bound
+
+    def _bound(self, flavour: type[_Flavour], key: tuple[str, ...]) -> BoundPlan:
+        shared = self._shape_bindings
+        if shared is None:
+            return BoundPlan(self.select, flavour(key))
+        sibling = shared.get((flavour, key))
+        if sibling is not None:
+            return sibling.refiltered(self.select)
+        bound = shared[flavour, key] = BoundPlan(self.select, flavour(key))
         return bound
 
 
-def compile_plan(select: ast.Select) -> CompiledPlan:
+def compile_plan(
+    select: ast.Select, shape_bindings: ShapeBindings | None = None
+) -> CompiledPlan:
     """Compile a parsed SELECT into a reusable :class:`CompiledPlan`."""
-    return CompiledPlan(select)
+    return CompiledPlan(select, shape_bindings)
 
 
 def compile_expr(expr: ast.Expr, columns: Sequence[str]) -> RowFn:

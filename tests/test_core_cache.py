@@ -33,7 +33,23 @@ class TestNormalise:
         upper = normalise_sql("SELECT * FROM t WHERE Name = 'A'")
         lower = normalise_sql("SELECT * FROM t WHERE Name = 'a'")
         assert upper != lower
-        assert upper == "select * from t where name = 'A'"
+        assert upper == "select * from t where Name = 'A'"
+
+    def test_identifier_case_preserved(self):
+        # A column's label is its spelling in the query, so texts that
+        # differ in an identifier's case must not share a key.
+        assert normalise_sql("SELECT hostname FROM Processor") != normalise_sql(
+            "SELECT HostName FROM Processor"
+        )
+        assert normalise_sql("SELECT Timestamp FROM t") != normalise_sql(
+            "SELECT TIMESTAMP FROM t"
+        )
+        assert normalise_sql("SELECT a AS Count FROM t") == "select a as Count from t"
+
+    def test_keywords_folded_outside_numbers(self):
+        assert normalise_sql("SELECT a FROM t WHERE b > 1E5 ORDER BY a DESC") == (
+            "select a from t where b > 1E5 order by a desc"
+        )
 
     def test_literal_whitespace_preserved(self):
         assert (

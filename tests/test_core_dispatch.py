@@ -129,7 +129,7 @@ class TestSingleFlight:
             with scope.branch():
                 d.run_flight("src", "SELECT * FROM Host", work(clock, 1.0, "rows"))
             with scope.branch():
-                assert d.join_flight("src", "select  *  from host;") is not None
+                assert d.join_flight("src", "select  *  from Host;") is not None
 
     def test_different_sources_do_not_coalesce(self, clock):
         d = dispatcher(clock)

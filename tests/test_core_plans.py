@@ -9,6 +9,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
+from repro.sql import ast_nodes as ast
 from repro.sql.errors import SqlError
 from repro.testbed import build_site
 
@@ -31,7 +32,7 @@ class TestHitMiss:
     def test_key_is_normalised_sql(self, schema):
         cache = PlanCache(schema)
         a = cache.get("SELECT  HostName\nFROM   Host")
-        b = cache.get("select hostname from host")
+        b = cache.get("select HostName from Host;")
         assert b is a
         assert cache.misses == 1 and cache.hits == 1
 
@@ -40,7 +41,10 @@ class TestHitMiss:
         a = cache.get("SELECT * FROM Host WHERE HostName = 'A'")
         b = cache.get("SELECT * FROM Host WHERE HostName = 'a'")
         assert b is not a
-        assert cache.misses == 2
+        assert b.select.where == ast.BinOp(
+            "=", ast.Column("HostName"), ast.Literal("a")
+        )
+        assert len(cache) == 2
 
     def test_extra_fields_split_entries(self, schema):
         cache = PlanCache(schema)
@@ -115,8 +119,10 @@ class TestInvalidation:
 
 
 def nth(i):
-    """The ``i``-th of as many distinct query texts as a test needs."""
-    return f"SELECT HostName FROM Host LIMIT {i}"
+    """The ``i``-th of as many distinct query texts as a test needs, each
+    of a shape of its own (a text that differed from another only in a
+    literal would be instantiated, not compiled)."""
+    return f"SELECT HostName AS h{i} FROM Host"
 
 
 class TestLru:
@@ -201,6 +207,19 @@ class TestGatewayEndToEnd:
         assert "plan.cache_hit" in warm
         assert "parse" not in warm and "validate" not in warm
         assert gw.plans.hits >= 1
+
+    @pytest.mark.parametrize("mode", [QueryMode.REALTIME, QueryMode.CACHED_OK])
+    def test_labels_do_not_depend_on_what_another_client_asked_first(
+        self, rig, mode
+    ):
+        """A column's label is its spelling in the query: an earlier
+        ``hostname`` must not name a later ``HostName``'s column, neither
+        through the plan cache nor through the result cache."""
+        site, gw = rig
+        url = site.url_for("snmp")
+        gw.query(url, "SELECT hostname FROM Processor", mode=mode)
+        result = gw.query(url, "SELECT HostName FROM Processor", mode=mode)
+        assert result.columns == ["HostName"]
 
     def test_schema_change_invalidates_plans(self, rig):
         site, gw = rig

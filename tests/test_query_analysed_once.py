@@ -49,7 +49,7 @@ SQL = "SELECT HostName, LoadAverage1Min FROM Processor"
 #: What a dashboard keeps warm: several texts over three groups.
 DASHBOARD = (
     SQL,
-    "select  hostname, loadaverage1min from processor;",  # same cache key
+    "select  HostName, LoadAverage1Min from Processor;",  # same cache key
     "SELECT * FROM Processor",
     "SELECT HostName, RAMSizeMB, RAMAvailableMB FROM MainMemory",
     "SELECT HostName, Name, Release FROM OperatingSystem",
@@ -179,6 +179,45 @@ class TestCounts:
         result = gw.query(url, history, mode=QueryMode.HISTORY)
         assert result.rows
         assert calls == {"normalise_sql": 1, "PlanCache.get": 1}
+
+    def test_texts_of_one_shape_are_parsed_and_validated_once(
+        self, calls, monkeypatch
+    ):
+        """A console that moves a time window sends a new text each
+        refresh; only the first of a shape is lexed, parsed, validated
+        and bound, the rest are instantiated from it."""
+        from repro.core import plans as plans_module
+        from repro.sql.plan import BoundPlan
+
+        validate = plans_module.validate_select
+        monkeypatch.setattr(
+            plans_module,
+            "validate_select",
+            counting(calls, "validate_select", validate),
+        )
+        monkeypatch.setattr(
+            BoundPlan, "__init__", counting(calls, "BoundPlan", BoundPlan.__init__)
+        )
+        site = nine_sources()
+        gw = site.gateway
+        url = site.url_for("snmp")
+        gw.query(url, "SELECT * FROM Processor", mode=QueryMode.REALTIME)
+        calls.clear()
+        texts = [
+            f"SELECT HostName, RecordedAt FROM Processor WHERE RecordedAt >= {t}"
+            for t in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+        ]
+        for sql in texts:
+            assert gw.query(url, sql, mode=QueryMode.HISTORY).rows
+        # One layout, one binding: the others re-filter it.
+        assert calls == {
+            "parse_select": 1,
+            "validate_select": 1,
+            "BoundPlan": 1,
+            "normalise_sql": len(texts),
+            "PlanCache.get": len(texts),
+        }
+        assert gw.plans.instantiations == len(texts) - 1
 
     def test_plan_counters_count_each_query_once(self):
         site = warm_site()

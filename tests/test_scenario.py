@@ -226,11 +226,24 @@ def test_cli_scenarios_do_not_offer_the_ignored_warmup_seconds(sc):
         (dict(period=float("nan")), "period must be > 0: nan"),
         (dict(deadline=-1.0), "chaos: default_deadline must be >= 0: -1.0"),
         (dict(deadline=float("nan")), "chaos: default_deadline must be >= 0: nan"),
+        (dict(warmup_rounds=-2), "warmup_rounds must be >= 0: -2"),
+        (dict(warmup_rounds=float("nan")), "warmup_rounds must be >= 0: nan"),
+        (dict(scenario="crashtest", checkpoint_every=-3), "checkpoint_every must be >= 1: -3"),
+        (dict(scenario="crashtest", checkpoint_every=0), "checkpoint_every must be >= 1: 0"),
+        (
+            dict(scenario="crashtest", checkpoint_every=float("nan")),
+            "checkpoint_every must be >= 1: nan",
+        ),
     ],
 )
 def test_runner_refuses_with_one_typed_error(knobs, message):
+    """``scenario`` names the declaration the knobs go to (chaos when
+    absent)."""
+    knobs = dict(knobs)
+    name = knobs.pop("scenario", "chaos")
+    (sc,) = (s for s in SCENARIOS if s.name == name)
     with pytest.raises(ScenarioError, match=re.escape(message)):
-        run(CHAOS, **knobs)
+        run(sc, **knobs)
 
 
 @pytest.mark.parametrize(

@@ -170,6 +170,29 @@ class TestEndToEnd:
         assert trace.find_span("source").attrs["cache"] == "hit"
         assert_clean(gw.tracer)
 
+    def test_a_literal_variant_opens_plan_instantiate_first(self):
+        """The root's first child names how the plan was found: a cold
+        text compiles, a text that differs from it only in a literal is
+        instantiated (one span, no children), a repeat is a hit."""
+        site = make_site()
+        gw = site.gateway
+        url = site.url_for("snmp")
+        firsts = []
+        for sql in (
+            "SELECT HostName FROM Processor WHERE CPUCount >= 0",
+            "SELECT HostName FROM Processor WHERE CPUCount >= 1",
+            "SELECT HostName FROM Processor WHERE CPUCount >= 1",
+        ):
+            gw.query(url, sql, mode=QueryMode.REALTIME)
+            first = gw.tracer.last().root.children[0]
+            firsts.append((first.name, [c.name for c in first.children]))
+        assert firsts == [
+            ("plan.compile", ["parse", "validate"]),
+            ("plan.instantiate", []),
+            ("plan.cache_hit", []),
+        ]
+        assert_clean(gw.tracer)
+
     def test_deadline_exceeded_names_spending_span(self):
         site = make_site(n_hosts=3)
         gw = site.gateway
