@@ -3,7 +3,7 @@
 Claim (robustness extension): without per-source health tracking, every
 query against a dead source pays the full native connect timeout — the
 paper's failure policies are stateless across queries.  With breakers,
-the cost is paid ``breaker_failure_threshold`` times, after which the
+the cost is paid ``health.FAILURE_THRESHOLD`` times, after which the
 source is quarantined and queries short-circuit (optionally serving
 stale cached rows) until the backoff elapses.
 
@@ -28,7 +28,6 @@ SQL = "SELECT HostName FROM Host"
 def run(breaker_enabled: bool):
     policy = GatewayPolicy(
         breaker_enabled=breaker_enabled,
-        breaker_failure_threshold=3,
         breaker_base_backoff=900.0,  # stays OPEN for the whole run
         breaker_max_backoff=1800.0,
         query_cache_ttl=0.0,  # disable fresh-cache hits: isolate the breaker

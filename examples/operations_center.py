@@ -10,10 +10,15 @@ Combines the pieces a real 2003 operations team would have wired up:
 * **multi-group queries** joining Processor and MainMemory per host
   ("Clients select one or more GLUE group names to query", §3.2.3);
 * the **servlet** endpoint (Figure 1's "GridRM Gateway (Servlet)") the
-  NOC's dashboards would scrape.
+  NOC's dashboards would scrape, every page of it (the JSP console of
+  Figures 6-9);
+* the gateway **monitoring itself**: its own metrics are one more GLUE
+  group, ``GatewayMetrics``, queried over ``grm://`` like any source.
 
 Run:  python examples/operations_center.py
 """
+
+from urllib.parse import quote
 
 from repro import build_testbed
 from repro.core.alerts import AlertRule
@@ -88,14 +93,33 @@ def main() -> None:
             f"{worst['RAMAvailableMB']:.0f} MB free)"
         )
 
-    print("\n=== the NOC dashboard scrapes the servlet ===")
-    servlet = GatewayServlet(sites[0].gateway)
-    code, body = http_get(
-        network, "noc-archive", servlet.address, "/alerts"
+    print("\n=== the NOC dashboard scrapes every servlet page ===")
+    gw = sites[0].gateway
+    servlet = GatewayServlet(gw)
+    snmp = quote(sites[0].url_for("snmp"), safe="")
+    pages = [
+        "/", "/tree", "/drivers", "/sources", "/stats", "/alerts", "/health",
+        "/dispatch", "/analyze", "/metrics", "/trace", f"/trace/{gw.tracer.last().trace_id}",
+        "/durability", "/overload", "/streams", "/report",
+        f"/query?url={snmp}&sql=SELECT+Name,+CPUPercent+FROM+Process"
+        "+ORDER+BY+CPUPercent+DESC+LIMIT+3",
+        "/plot?group=Processor&field=LoadAverage1Min",
+    ]
+    for page in pages:
+        code, body = http_get(network, "noc-archive", servlet.address, page)
+        print(f"   GET {page.partition('?')[0]} -> {code} ({len(body.splitlines())} lines)")
+        if page == "/alerts":
+            for line in body.splitlines()[:6]:
+                print("     " + line)
+
+    print("\n=== the gateway answers SQL about itself ===")
+    metrics = gw.query(
+        "jdbc:grm://localhost/gateway", "SELECT Name, Kind, Value FROM GatewayMetrics"
     )
-    print(f"   GET /alerts -> {code}")
-    for line in body.splitlines()[:6]:
-        print("   " + line)
+    print(f"   GatewayMetrics: {len(metrics.rows)} instruments")
+    for name, kind, value in metrics.rows:
+        if name in ("requests.queries", "plans.hits", "history.rows_scanned"):
+            print(f"     {name} ({kind}) = {value:g}")
 
 
 if __name__ == "__main__":

@@ -14,20 +14,11 @@ from typing import Iterable, Iterator
 
 
 class Severity(enum.Enum):
-    """How bad a finding is; orders INFO < WARNING < ERROR."""
+    """How bad a finding is."""
 
     INFO = "info"
     WARNING = "warning"
     ERROR = "error"
-
-    @property
-    def rank(self) -> int:
-        return ("info", "warning", "error").index(self.value)
-
-    def __lt__(self, other: "Severity") -> bool:
-        if not isinstance(other, Severity):
-            return NotImplemented
-        return self.rank < other.rank
 
 
 @dataclass(frozen=True)

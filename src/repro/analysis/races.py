@@ -146,14 +146,12 @@ class RaceDetector:
 
         The discipline assignments document the system's concurrency
         contract: counters/histograms/history appends commute, cache
-        puts are idempotent by value, gauges and health transitions are
+        puts are idempotent by value, health transitions are
         last-write-wins and must not race.
         """
         det = cls(clock)
         det.register("metrics.counter", Discipline.COMMUTATIVE)
         det.register("metrics.histogram", Discipline.COMMUTATIVE)
-        det.register("metrics.gauge", Discipline.EXCLUSIVE)
-        det.register("metrics.gauge.delta", Discipline.COMMUTATIVE)
         det.register("cache", Discipline.VALUE)
         # Plan-cache puts are idempotent by construction: one normalised
         # SQL key always compiles to the same plan.

@@ -513,7 +513,7 @@ class BoundInstrumentRule(LintRule):
                 function not in (None, "__init__")
                 and isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Attribute)
-                and child.func.attr in ("counter", "histogram", "gauge")
+                and child.func.attr in ("counter", "histogram")
                 and child.args
                 and _base_name(child.func.value) in _REGISTRY_NAMES
             ):

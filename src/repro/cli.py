@@ -275,9 +275,12 @@ def cmd_report(args) -> int:
     gw = site.gateway
     # Take a few samples so the report has history to chew on.
     urls = [u for u in site.source_urls if u.startswith(("jdbc:snmp", "jdbc:ganglia"))]
+    snmp = [u for u in urls if u.startswith("jdbc:snmp")]
     for _ in range(3):
         gw.query(urls, "SELECT * FROM Processor")
         gw.query(urls, "SELECT * FROM MainMemory")
+        # Disk totals come from SNMP's hrStorage table.
+        gw.query(snmp, "SELECT * FROM FileSystem")
         network.clock.advance(30.0)
     print("Site capacity:")
     print("  " + capacity_report(gw).format())

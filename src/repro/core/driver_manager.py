@@ -77,8 +77,7 @@ def load_driver(spec: str, network: Network, *, gateway_host: str) -> GridRmDriv
 class RestoreReport:
     """Outcome of :meth:`GridRmDriverManager.restore_persisted`.
 
-    Iterating the report iterates the restored drivers, so callers that
-    only care about the happy path can treat it as a list.
+    Iterating the report iterates the restored drivers.
     """
 
     restored: list[GridRmDriver] = field(default_factory=list)
@@ -86,9 +85,6 @@ class RestoreReport:
 
     def __iter__(self):
         return iter(self.restored)
-
-    def __len__(self) -> int:
-        return len(self.restored)
 
 
 @dataclass

@@ -63,6 +63,9 @@ BACKOFF_JITTER = 0.25
 #: Seed of the tracker's jitter stream: breaker waits replay exactly.
 JITTER_SEED = 0
 
+#: Consecutive failure observations that trip a CLOSED breaker OPEN.
+FAILURE_THRESHOLD = 3
+
 
 def jittered_backoff(raw: float, cap: float, rng: random.Random) -> float:
     """One jittered wait: uniform in ``[raw, raw * (1 + jitter)]``, capped.
@@ -307,7 +310,7 @@ class HealthTracker:
             self._trip(entry)  # the probe failed: re-open, backoff doubles
         elif (
             entry.state is BreakerState.CLOSED
-            and entry.consecutive_failures >= self.policy.breaker_failure_threshold
+            and entry.consecutive_failures >= FAILURE_THRESHOLD
         ):
             self._trip(entry)
 

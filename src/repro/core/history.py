@@ -218,8 +218,8 @@ class HistoryStore:
             # Registered COMMUTATIVE: sibling-branch appends to one group
             # interleave by launch order, but every row carries its own
             # SourceUrl/RecordedAt provenance and the index orders rows
-            # by it, so time-windowed readers (query, since, series,
-            # rollup) are insensitive to the interleaving.  A read
+            # by it, so time-windowed readers (query, since, series)
+            # are insensitive to the interleaving.  A read
             # racing the appends is still flagged (GRM552) — it would
             # see a launch-order prefix.
             races.ACTIVE.note(
@@ -323,48 +323,6 @@ class HistoryStore:
             for row in self.since(group_name, since, source_url=source_url)
             if host is None or row.get("HostName") == host
         ]
-
-    def rollup(
-        self,
-        group_name: str,
-        field: str,
-        *,
-        bucket: float,
-        host: str | None = None,
-        source_url: str | None = None,
-        since: float | None = None,
-    ) -> list[dict[str, Any]]:
-        """Downsample one field's history into fixed time buckets.
-
-        Returns one dict per non-empty bucket with ``bucket_start``,
-        ``n``, ``min``, ``avg`` and ``max`` — what the console's plots
-        and capacity reports consume when the raw series outgrows the
-        screen (a long-running gateway records thousands of samples per
-        day even with caching).
-        """
-        if bucket <= 0:
-            raise ValueError(f"bucket must be > 0: {bucket!r}")
-        series = self.series(
-            group_name, field, host=host, source_url=source_url, since=since
-        )
-        buckets: dict[int, list[float]] = {}
-        for t, value in series:
-            if t is None or not isinstance(value, (int, float)) or isinstance(value, bool):
-                continue
-            buckets.setdefault(int(t // bucket), []).append(float(value))
-        out = []
-        for index in sorted(buckets):
-            values = buckets[index]
-            out.append(
-                {
-                    "bucket_start": index * bucket,
-                    "n": len(values),
-                    "min": min(values),
-                    "avg": sum(values) / len(values),
-                    "max": max(values),
-                }
-            )
-        return out
 
     # ------------------------------------------------------------------
     # Durability passthroughs (no-ops without an engine)

@@ -320,6 +320,8 @@ class PlanCache:
                 findings = validate_select(
                     select, self.schema, extra_fields=extra_fields
                 )
+            if not findings:
+                select = self._canonical(select)
             template = None
             if shape_key is not None and not findings:
                 template = _template(select, values)
@@ -329,6 +331,19 @@ class PlanCache:
             while len(self._shapes) > MAX_SHAPES:
                 del self._shapes[next(iter(self._shapes))]
             return PlanEntry(key, select, findings, template.bindings)
+
+    def _canonical(self, select: ast.Select) -> ast.Select:
+        """``select`` with each FROM group in its GLUE spelling.
+
+        The validator resolves a group name case-insensitively, while
+        drivers, the history store and the stream hub key on the exact
+        name; the entry (and every plan instantiated from its shape)
+        carries the schema's spelling, so they never see the client's.
+        """
+        tables = tuple(self.schema.group(table).name for table in select.tables)
+        if tables == select.tables:
+            return select
+        return dataclasses.replace(select, table=tables[0], extra_tables=tables[1:])
 
     def _check_version(self) -> None:
         """Drop everything when the GLUE schema version moved."""

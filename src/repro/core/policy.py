@@ -41,7 +41,6 @@ _AT_LEAST = dict(
     event_fast_buffer_size=1,
     event_disk_buffer_size=0,
     history_max_rows_per_group=1,
-    breaker_failure_threshold=1,
     default_deadline=0,
     retry_attempts=1,
     history_fsync_interval=1,
@@ -75,8 +74,6 @@ class GatewayPolicy:
         breaker_enabled: per-source circuit breakers — remember failures
             across queries and short-circuit requests to sources that
             keep failing (see :mod:`repro.core.health`).
-        breaker_failure_threshold: consecutive failure observations that
-            trip a CLOSED breaker OPEN.
         breaker_base_backoff: OPEN duration after the first trip
             (s, virtual); doubles per consecutive trip, with jitter.
         breaker_max_backoff: ceiling on the (jittered) backoff — a
@@ -157,7 +154,6 @@ class GatewayPolicy:
     event_fast_buffer_size: int = 1024
     event_disk_buffer_size: int = 65536
     breaker_enabled: bool = True
-    breaker_failure_threshold: int = 3
     breaker_base_backoff: float = 5.0
     breaker_max_backoff: float = 300.0
     serve_stale_on_open: bool = True

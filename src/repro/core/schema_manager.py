@@ -55,15 +55,3 @@ class SchemaManager:
 
     def group_names(self) -> list[str]:
         return self.schema.group_names()
-
-    def validate_sql(self, sql: str, *, path: str = "<query>") -> list:
-        """Compile-time GLUE validation of ``sql`` against this schema.
-
-        Returns the :class:`repro.analysis.findings.Finding` list the
-        query validator produces (empty when the query is well-formed) —
-        the translation-service face of the same check the
-        RequestManager enforces before driver dispatch.
-        """
-        from repro.analysis.query_check import validate_sql
-
-        return validate_sql(sql, self.schema, path=path)

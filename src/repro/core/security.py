@@ -135,9 +135,6 @@ class FineGrainedSecurity:
         for r in rules:
             self.add_rule(r)
 
-    def rules(self) -> list[AccessRule]:
-        return list(self._rules)
-
     def permits(self, principal: Principal, host: str, group: str) -> bool:
         if not self.enabled:
             return True

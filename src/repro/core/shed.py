@@ -29,7 +29,7 @@ replay; the per-class shed counters are plain registry counters
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.simnet.clock import VirtualClock
@@ -150,14 +150,6 @@ class PressureMonitor:
             return 0.0
         remaining = (self.since + self.min_dwell) - self._clock.now()
         return max(0.1, remaining)
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "state": self.state.value,
-            "since": self.since,
-            "transitions": self.transitions,
-            "queue_capacity": self.queue_capacity,
-        }
 
 
 class ShedLedger:

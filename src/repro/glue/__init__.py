@@ -24,7 +24,6 @@ from repro.glue.mapping import (
     GroupMapping,
     SchemaMapping,
     UnitConversionError,
-    convert_unit,
 )
 from repro.glue.validation import ValidationIssue, validate_row
 from repro.glue.render import (
@@ -45,7 +44,6 @@ __all__ = [
     "GroupMapping",
     "SchemaMapping",
     "UnitConversionError",
-    "convert_unit",
     "ValidationIssue",
     "validate_row",
     "schema_to_xml",

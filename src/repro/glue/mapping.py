@@ -61,12 +61,6 @@ def unit_factor(from_unit: str, to_unit: str) -> float | None:
     return factor
 
 
-def convert_unit(value: float, from_unit: str, to_unit: str) -> float:
-    """Convert ``value`` between units; identity when units match/blank."""
-    factor = unit_factor(from_unit, to_unit)
-    return value if factor is None else value * factor
-
-
 @dataclass(frozen=True)
 class MappingRule:
     """How one GLUE field is produced from a native record.
@@ -91,10 +85,6 @@ class MappingRule:
     unit: str = ""
     transform: Optional[Callable[[Any], Any]] = None
     default: Any = None
-
-    def apply(self, record: Mapping[str, Any], target: "GlueGroup") -> Any:
-        """Produce the GLUE value, or None on any failure (paper §3.2.3)."""
-        return self.compile(target)(record)
 
     def compile(self, target: "GlueGroup") -> Callable[[Mapping[str, Any]], Any]:
         """The conversion closure for this rule with ``target`` prebound.
@@ -164,24 +154,6 @@ class GroupMapping:
     group: str
     rules: list[MappingRule] = field(default_factory=list)
 
-    def rule_for(self, glue_field: str) -> Optional[MappingRule]:
-        for r in self.rules:
-            if r.glue_field == glue_field:
-                return r
-        return None
-
-    def translate(
-        self, record: Mapping[str, Any], schema: GlueSchema
-    ) -> dict[str, Any]:
-        """Translate one native record into a full GLUE row.
-
-        Every field of the group is present in the output; unmapped or
-        failed fields are None.
-        """
-        builders = self.row_builders(schema)
-        names = schema.group(self.group).field_names()
-        return {name: b(record) for name, b in zip(names, builders)}
-
     def row_builders(
         self, schema: GlueSchema
     ) -> list[Callable[[Mapping[str, Any]], Any]]:
@@ -212,14 +184,6 @@ class GroupMapping:
                 builders.append(rule.compile(target))
         self._builders_cache = (target, tuple(self.rules), builders)
         return builders
-
-    def coverage(self, schema: GlueSchema) -> float:
-        """Fraction of the group's fields that have a mapping rule."""
-        target = schema.group(self.group)
-        if not target.fields:
-            return 1.0
-        mapped = sum(1 for f in target.fields if self.rule_for(f.name))
-        return mapped / len(target.fields)
 
 
 class SchemaMapping:

@@ -276,8 +276,8 @@ def standard_schema() -> GlueSchema:
             host_key
             + (
                 _f("Name", "TEXT", "", "dotted instrument name"),
-                _f("Kind", "TEXT", "", "counter / gauge / histogram"),
-                _f("Value", "REAL", "", "counter/gauge value; histogram mean"),
+                _f("Kind", "TEXT", "", "counter / histogram"),
+                _f("Value", "REAL", "", "counter value; histogram mean"),
                 _f("Count", "INTEGER", "count", "histogram sample count"),
                 _f("P50", "REAL", "", "50th percentile (histograms)"),
                 _f("P95", "REAL", "", "95th percentile (histograms)"),

@@ -325,7 +325,7 @@ class StreamHub:
             entry = self.plans.get(sql)
             if entry.findings:
                 raise RemoteQueryFailure(entry.findings[0].message)
-            group = self._canonical(entry.select.table)
+            group = entry.select.table
             cq = _Continuous(
                 cq_id=next(self._ids),
                 consumer=consumer,
@@ -348,9 +348,6 @@ class StreamHub:
     def _wrote(self, cq_id: int, op: str) -> None:
         if races.ACTIVE is not None:
             races.ACTIVE.note("stream.subs", str(cq_id), "w", site=f"StreamHub.{op}")
-
-    def _canonical(self, group: str) -> str:
-        return self.schema.group(group).name if self.schema.has_group(group) else group
 
     def _admit_registration(self, qc: QueryClass) -> None:
         """Shed a registration the table has no room for, or a sheddable
@@ -475,7 +472,9 @@ class StreamHub:
         sources: list[tuple[str, list[str], list[Any], float]],
     ) -> int:
         """Evaluate every live continuous query against each source's
-        ``(source_url, columns, rows, published_at)`` snapshot.
+        ``(source_url, columns, rows, published_at)`` snapshot of
+        ``group``, spelled as the GLUE schema spells it (a plan entry's
+        ``select.table`` is).
 
         Called once per query round by the RequestManager, after the
         fan-out (so the ``push`` spans sit under ``execute``), and with
@@ -487,8 +486,7 @@ class StreamHub:
         (subscription, source) pair that keeps no rows costs nothing
         more.  Returns how many (subscription, source) pairs matched rows.
         """
-        g = self._canonical(group)
-        latest = self._latest.setdefault(g, {})
+        latest = self._latest.setdefault(group, {})
         snapshots = []
         for source_url, columns, rows, _ in sources:
             snapshot = [list(r) for r in rows]
@@ -496,7 +494,7 @@ class StreamHub:
             snapshots.append(snapshot)
         now = self.network.clock.now()
         live = [
-            cq for cq in self._subs.values() if cq.group == g and cq.expires_at >= now
+            cq for cq in self._subs.values() if cq.group == group and cq.expires_at >= now
         ]
         ov = self.overload
         if live and ov is not None and ov.enabled and ov.state is not PressureState.NORMAL:
@@ -557,7 +555,7 @@ class StreamHub:
                         "stream.push", str(cq.cq_id), "w", site="StreamHub.publish"
                     )
                 pushed += 1
-        self._flush(outbox, g)
+        self._flush(outbox, group)
         return pushed
 
     @staticmethod
@@ -1037,7 +1035,7 @@ class Republisher(EventArchiver):
         derivation = _Derivation(
             hub=upstream,
             cq_id=cq_id,
-            group=group,
+            group=self.schema.group(group).name,
             key_column=key_column,
             value_column=value_column,
             window=window,

@@ -3,8 +3,8 @@
 The paper's premise is homogeneous visibility into heterogeneous
 resources; this package turns that lens back on the gateway itself:
 
-* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
-  gauges and virtual-clock histograms; every instrument is bound where
+* :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters
+  and virtual-clock histograms; every instrument is bound where
   its owner is constructed, and each manager's ``stats`` is a read-only
   :class:`StatsView` over its bound counters;
 * :mod:`repro.obs.trace` — a :class:`Tracer` producing one span per hop
@@ -20,13 +20,7 @@ resources; this package turns that lens back on the gateway itself:
 """
 
 from repro.obs.invariants import check_trace, check_tracer
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    StatsView,
-)
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry, StatsView
 from repro.obs.trace import NO_TRACER, NULL_SPAN, Span, Trace, Tracer
 
 # NOTE: repro.obs.driver (GatewayMetricsDriver) is deliberately NOT
@@ -35,7 +29,6 @@ from repro.obs.trace import NO_TRACER, NULL_SPAN, Span, Trace, Tracer
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "StatsView",

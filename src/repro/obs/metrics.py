@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and virtual-clock histograms.
+"""Metrics registry: counters and virtual-clock histograms.
 
 One :class:`MetricsRegistry` per gateway gathers every manager's
 telemetry under dotted names (``requests.queries``, ``pool.reused``,
@@ -12,14 +12,11 @@ tests and console panels read the keys they always did while the
 self-monitoring driver (:mod:`repro.obs.driver`) serves the very same
 instruments as the ``GatewayMetrics`` GLUE group.
 
-Histograms are geometric-bucketed (four buckets per doubling), which
-buys two properties the test suite leans on:
-
-* **merge associativity** — merging is bucket-wise addition, so
-  ``(a | b) | c`` and ``a | (b | c)`` agree exactly on every quantile;
-* **bounded quantiles** — a reported quantile is a bucket upper bound
-  clamped into ``[min, max]``, so ``min <= p50 <= p95 <= p99 <= max``
-  always holds and ``quantile(100) == max`` exactly.
+Histograms are geometric-bucketed (four buckets per doubling), so
+recording is O(1) and quantiles are **bounded**: a reported quantile is
+a bucket upper bound clamped into ``[min, max]``, so
+``min <= p50 <= p95 <= p99 <= max`` always holds and
+``quantile(100) == max`` exactly.
 """
 
 from __future__ import annotations
@@ -72,46 +69,11 @@ class Counter:
         return f"Counter({self.name!r}, value={self._value!r})"
 
 
-class Gauge:
-    """A point-in-time value (pool size, breaker count, ...)."""
-
-    __slots__ = ("name", "_value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._value: float = 0
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def set(self, value: float) -> None:
-        self._value = value
-        if races.ACTIVE is not None:
-            races.ACTIVE.note(
-                "metrics.gauge", self.name, "w",
-                digest=repr(value), site="Gauge.set",
-            )
-
-    def add(self, delta: float) -> None:
-        self._value += delta
-        if races.ACTIVE is not None:
-            # Deltas commute (in-flight up/down ticks from sibling
-            # branches are fine); only absolute set() is last-write-wins.
-            races.ACTIVE.note(
-                "metrics.gauge.delta", self.name, "w", site="Gauge.add"
-            )
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name!r}, value={self._value!r})"
-
-
 class Histogram:
     """Geometric-bucketed histogram of non-negative samples.
 
     Samples land in bucket ``ceil(log(v) / log(growth))`` (zeros in a
-    dedicated bucket), so recording is O(1) and merging two histograms
-    is exact bucket-wise addition.  Quantiles walk the buckets to the
+    dedicated bucket), so recording is O(1).  Quantiles walk the buckets to the
     requested rank and report that bucket's upper bound, clamped into
     ``[min, max]`` of the observed samples.
     """
@@ -192,19 +154,6 @@ class Histogram:
     def p99(self) -> float:
         return self.quantile(99)
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """A new histogram holding both sides' samples (exact)."""
-        out = Histogram(self.name)
-        out._zeros = self._zeros + other._zeros
-        out.count = self.count + other.count
-        out.total = self.total + other.total
-        out.min = min(self.min, other.min)
-        out.max = max(self.max, other.max)
-        out._buckets = dict(self._buckets)
-        for index, n in other._buckets.items():
-            out._buckets[index] = out._buckets.get(index, 0) + n
-        return out
-
     def __repr__(self) -> str:
         return f"Histogram({self.name!r}, count={self.count})"
 
@@ -214,7 +163,7 @@ class MetricsRegistry:
 
     def __init__(self, clock: "VirtualClock | None" = None) -> None:
         self.clock = clock
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[str, Counter | Histogram] = {}
 
     def _instrument(self, name: str, cls: type) -> Any:
         metric = self._metrics.get(name)
@@ -230,14 +179,8 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._instrument(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._instrument(name, Gauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._instrument(name, Histogram)
-
-    def get(self, name: str) -> "Counter | Gauge | Histogram | None":
-        return self._metrics.get(name)
 
     def names(self) -> list[str]:
         return sorted(self._metrics)
@@ -284,7 +227,7 @@ class MetricsRegistry:
                 rows.append(
                     {
                         "name": name,
-                        "kind": "gauge" if isinstance(metric, Gauge) else "counter",
+                        "kind": "counter",
                         "value": metric.value,
                         "count": None,
                         "p50": None,

@@ -120,14 +120,6 @@ class _NullSpan:
     closed = True
     duration = 0.0
 
-    @property
-    def attrs(self) -> dict[str, Any]:
-        return {}
-
-    @property
-    def children(self) -> "list[Span]":
-        return []
-
     def annotate(self, **attrs: Any) -> None:
         pass
 

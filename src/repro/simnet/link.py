@@ -50,10 +50,6 @@ class LinkModel:
             d += payload_size / self.bandwidth
         return d
 
-    def dropped(self, rng: random.Random) -> bool:
-        """Whether a datagram on this link is lost."""
-        return self.loss > 0.0 and rng.random() < self.loss
-
 
 #: Link preset for hosts inside one Grid site (same LAN as the gateway).
 LAN = LinkModel(base_latency=0.0002, jitter=0.0001, loss=0.0, bandwidth=100e6 / 8)

@@ -299,19 +299,13 @@ def _compile_expr(expr: ast.Expr, flavour: _Flavour) -> RowFn:
                     return None
                 return not bool(val)
             return not_fn
-        if expr.op == "-":
-            def neg_fn(row: Any) -> Any:
-                val = inner(row)
-                if val is None:
-                    return None
-                return -val
-            return neg_fn
-        bad_op = expr.op
-
-        def unary_error(row: Any) -> Any:
-            inner(row)
-            raise SqlExecutionError(f"unknown unary operator {bad_op!r}")
-        return unary_error
+        # The parser builds no unary operator but NOT and minus.
+        def neg_fn(row: Any) -> Any:
+            val = inner(row)
+            if val is None:
+                return None
+            return -val
+        return neg_fn
     if isinstance(expr, ast.BinOp):
         return _compile_binop(expr, flavour)
     if isinstance(expr, ast.InList):
@@ -356,19 +350,15 @@ def _compile_expr(expr: ast.Expr, flavour: _Flavour) -> RowFn:
             val = target(row)
             return (val is not None) if negated else (val is None)
         return isnull_fn
-    if isinstance(expr, ast.FuncCall):
-        func_name = expr.name
+    # Every other node is a function call: the parser builds no other
+    # expression (``ast.Expr``).
+    func_name = expr.name
 
-        def agg_error(row: Any) -> Any:
-            raise SqlExecutionError(
-                f"aggregate {func_name} used outside an aggregating query"
-            )
-        return agg_error
-    type_name = type(expr).__name__
-
-    def unknown_error(row: Any) -> Any:
-        raise SqlExecutionError(f"cannot evaluate {type_name}")
-    return unknown_error
+    def agg_error(row: Any) -> Any:
+        raise SqlExecutionError(
+            f"aggregate {func_name} used outside an aggregating query"
+        )
+    return agg_error
 
 
 #: Operators whose value-level form is a plain binary function (the
@@ -806,9 +796,7 @@ def _compile_agg_expr(expr: ast.Expr, flavour: _Flavour) -> GroupFn:
             val = inner(rows, sample)
             if op == "NOT":
                 return None if val is None else (not bool(val))
-            if op == "-":
-                return None if val is None else -val
-            raise SqlExecutionError(f"unknown unary operator {op!r}")
+            return None if val is None else -val
         return unary
     plain = _compile_expr(expr, flavour)
     return lambda rows, sample: plain(sample)

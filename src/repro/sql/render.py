@@ -1,8 +1,7 @@
 """Render SQL AST nodes back to SQL text.
 
 Used by the JDBC-SQL driver to push translated WHERE clauses down to
-native relational sources, and by the gateway when forwarding client
-queries to remote gateways verbatim.
+native relational sources.
 """
 
 from __future__ import annotations
@@ -56,37 +55,6 @@ def render_expr(expr: ast.Expr) -> str:
         distinct = "DISTINCT " if expr.distinct else ""
         return f"{expr.name}({distinct}{inner})"
     raise SqlError(f"cannot render {type(expr).__name__}")
-
-
-def render_select(stmt: ast.Select) -> str:
-    """SQL text for a SELECT statement."""
-    parts = ["SELECT"]
-    if stmt.distinct:
-        parts.append("DISTINCT")
-    items = []
-    for item in stmt.items:
-        text = render_expr(item.expr)
-        if item.alias:
-            text += f" AS {item.alias}"
-        items.append(text)
-    parts.append(", ".join(items))
-    parts.append("FROM " + ", ".join(stmt.tables))
-    if stmt.where is not None:
-        parts.append(f"WHERE {render_expr(stmt.where)}")
-    if stmt.group_by:
-        parts.append("GROUP BY " + ", ".join(render_expr(g) for g in stmt.group_by))
-    if stmt.having is not None:
-        parts.append(f"HAVING {render_expr(stmt.having)}")
-    if stmt.order_by:
-        keys = []
-        for o in stmt.order_by:
-            keys.append(render_expr(o.expr) + (" DESC" if o.descending else " ASC"))
-        parts.append("ORDER BY " + ", ".join(keys))
-    if stmt.limit is not None:
-        parts.append(f"LIMIT {stmt.limit}")
-    if stmt.offset is not None:
-        parts.append(f"OFFSET {stmt.offset}")
-    return " ".join(parts)
 
 
 def rewrite_columns(expr: ast.Expr, renames: dict[str, str]) -> ast.Expr | None:

@@ -11,11 +11,7 @@ they can be configured selectively").
 from repro.web.discovery import discover_sources, DiscoveredSource
 from repro.web.console import Console
 from repro.web.servlet import GatewayServlet, http_get, SERVLET_PORT
-from repro.web.reports import (
-    AvailabilityTracker,
-    capacity_report,
-    utilisation_report,
-)
+from repro.web.reports import capacity_report, utilisation_report
 
 __all__ = [
     "discover_sources",
@@ -24,7 +20,6 @@ __all__ = [
     "GatewayServlet",
     "http_get",
     "SERVLET_PORT",
-    "AvailabilityTracker",
     "capacity_report",
     "utilisation_report",
 ]

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.cache import MAX_ENTRIES as CACHE_MAX_ENTRIES
 from repro.core.dispatch import MAX_CONCURRENT_PER_SOURCE
-from repro.core.health import BreakerState
+from repro.core.health import FAILURE_THRESHOLD, BreakerState
 from repro.core.request_manager import QueryMode, QueryResult
 from repro.obs.trace import MAX_TRACES
 
@@ -202,7 +202,7 @@ class Console:
         lines = [
             f"Source health @ t={now:.1f}s  "
             f"(breaker {'enabled' if gw.policy.breaker_enabled else 'DISABLED'}, "
-            f"threshold={gw.policy.breaker_failure_threshold}, "
+            f"threshold={FAILURE_THRESHOLD}, "
             f"backoff={gw.policy.breaker_base_backoff:g}s.."
             f"{gw.policy.breaker_max_backoff:g}s)"
         ]

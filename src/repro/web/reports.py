@@ -10,8 +10,10 @@ the group web page:
 
 * :func:`utilisation_report` — per-host load/CPU statistics over a window;
 * :func:`capacity_report` — site totals (CPUs, memory, disk) from the
-  latest sample per host;
-* :func:`availability_report` — per-source reachability from poll history.
+  latest sample per host.
+
+Per-source reachability is the health tracker's scoreboard
+(``Gateway.health``), not a report.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.gateway import Gateway
-
-#: How often an :class:`AvailabilityTracker` samples poll outcomes (s).
-SAMPLE_PERIOD = 30.0
-
 
 @dataclass
 class HostUtilisation:
@@ -148,62 +146,3 @@ def capacity_report(gateway: "Gateway") -> CapacitySummary:
         total_disk_mb=total_disk,
         free_disk_mb=free_disk,
     )
-
-
-@dataclass
-class SourceAvailability:
-    """One data source's polled reachability."""
-
-    url: str
-    polls: int
-    ok: int
-
-    @property
-    def ratio(self) -> float:
-        return self.ok / self.polls if self.polls else 0.0
-
-    def format(self) -> str:
-        return f"{self.url:45s} {self.ok}/{self.polls} ({self.ratio:6.1%})"
-
-
-class AvailabilityTracker:
-    """Counts per-source poll outcomes as queries flow through a gateway.
-
-    Attach once; it wraps the gateway's query result handling by
-    observing SourceStatus entries (install registers a listener on the
-    RequestManager via monkey-free composition: the gateway exposes the
-    statuses of every query through its per-source DataSource record, so
-    the tracker polls those records on a schedule instead of intercepting
-    calls).
-    """
-
-    def __init__(self, gateway: "Gateway") -> None:
-        self.gateway = gateway
-        self._counts: dict[str, list[int]] = {}  # url -> [ok, polls]
-        self._last_seen: dict[str, float] = {}
-        gateway.network.clock.call_every(SAMPLE_PERIOD, self.sample)
-
-    def sample(self) -> None:
-        """Record each source's latest poll outcome (at most once per poll)."""
-        for source in self.gateway.sources():
-            if source.last_polled is None:
-                continue
-            url = str(source.url)
-            if self._last_seen.get(url) == source.last_polled:
-                continue
-            self._last_seen[url] = source.last_polled
-            counts = self._counts.setdefault(url, [0, 0])
-            counts[1] += 1
-            if source.last_ok:
-                counts[0] += 1
-
-    def report(self) -> list[SourceAvailability]:
-        return [
-            SourceAvailability(url=url, polls=polls, ok=ok)
-            for url, (ok, polls) in sorted(self._counts.items())
-        ]
-
-
-def availability_report(tracker: AvailabilityTracker) -> list[SourceAvailability]:
-    """Convenience alias matching the other report entry points."""
-    return tracker.report()

@@ -109,6 +109,8 @@ class GatewayServlet:
             return _status(200, self.console.alerts_panel())
         if path == "/health":
             return _status(200, self.console.health_panel())
+        if path == "/dispatch":
+            return _status(200, self.console.dispatch_panel())
         if path == "/analyze":
             return _status(200, self.console.analysis_panel())
         if path == "/metrics":

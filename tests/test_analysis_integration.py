@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.query_check import validate_sql
 from repro.core.alerts import AlertRule
 from repro.core.errors import QueryValidationError
 from repro.core.gateway import Gateway
@@ -146,9 +147,12 @@ class TestGatewayAnalyze:
         assert any(f.path == "<alert:legacy>" for f in report.findings)
 
     def test_schema_manager_convenience(self, rig):
+        """``SchemaManager.validate_sql`` was a wrapper and is gone; the
+        check runs against the schema the manager holds."""
         _, _, gw = rig
-        assert gw.schema_manager.validate_sql("SELECT * FROM Host") == []
-        findings = gw.schema_manager.validate_sql("SELECT * FROM Nope")
+        schema = gw.schema_manager.schema
+        assert validate_sql("SELECT * FROM Host", schema) == []
+        findings = validate_sql("SELECT * FROM Nope", schema)
         assert [f.rule_id for f in findings] == ["GRM201"]
 
 

@@ -215,20 +215,22 @@ class TestInjectionAcceptance:
     write is caught by the detector through the real ambient hooks."""
 
     def test_injected_unordered_gauge_writes_are_caught(self, clock):
-        from repro.obs.metrics import MetricsRegistry
+        """The registry has no gauge any more; the last-write-wins state
+        this injects into is a breaker's, written from two branches."""
+        from repro.core.health import HealthTracker
+        from repro.core.policy import GatewayPolicy
 
-        registry = MetricsRegistry(clock)
-        gauge = registry.gauge("test.gauge")
+        health = HealthTracker(clock, GatewayPolicy())
         det = RaceDetector.standard(clock)
         with races.activate(det):
             with clock.concurrent() as scope:
                 with scope.branch():
-                    gauge.set(1.0)
+                    health.record_failure("jdbc:snmp://h1", "timeout")
                 with scope.branch():
-                    gauge.set(2.0)
+                    health.record_failure("jdbc:snmp://h1", "refused")
         assert [f.rule_id for f in det.findings] == ["GRM551"]
-        assert det.findings[0].path == "state://metrics.gauge"
-        assert det.findings[0].symbol == "test.gauge"
+        assert det.findings[0].path == "state://health"
+        assert det.findings[0].symbol == "jdbc:snmp://h1"
 
     def test_injected_unordered_health_write_read_is_caught(self, clock):
         from repro.core.health import HealthTracker

@@ -11,11 +11,15 @@ c. ``serve_stale_on_open=True`` answers from the stale query cache with
    ``degraded=True`` instead of raising;
 d. a partitioned remote site stops adding its timeout to every
    Global-layer multi-site query.
+
+Every breaker here trips at ``health.FAILURE_THRESHOLD`` (3) consecutive
+failures.  Tests that set a threshold of 2 before it became a constant
+now take one more failing query (``n=FAILURE_THRESHOLD``).
 """
 
 import pytest
 
-from repro.core.health import BreakerState
+from repro.core.health import FAILURE_THRESHOLD, BreakerState
 from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import Cause, QueryMode
 from repro.gma.directory import GMADirectory
@@ -49,7 +53,6 @@ class TestDeadSourceFastFail:
     def test_breaker_stops_connect_attempts(self):
         site = make_site(
             GatewayPolicy(
-                breaker_failure_threshold=3,
                 breaker_base_backoff=60.0,
                 breaker_max_backoff=120.0,
             )
@@ -73,9 +76,9 @@ class TestDeadSourceFastFail:
         assert gw.request_manager.stats["breaker_short_circuits"] == 5
 
     def test_healed_source_recovers_within_backoff(self):
+        """Trips after ``FAILURE_THRESHOLD`` failing queries (was 2)."""
         site = make_site(
             GatewayPolicy(
-                breaker_failure_threshold=2,
                 breaker_base_backoff=30.0,
                 breaker_max_backoff=60.0,
             )
@@ -84,7 +87,7 @@ class TestDeadSourceFastFail:
         host = site.host_names()[0]
         url = site.url_for("snmp", host=host)
         site.fail_host(host)
-        trip_source(site, url, n=2)
+        trip_source(site, url, n=FAILURE_THRESHOLD)
         assert gw.health.state(url) is BreakerState.OPEN
 
         site.heal_host(host)
@@ -100,9 +103,9 @@ class TestDeadSourceFastFail:
 
 class TestStaleServing:
     def _tripped_site_with_cache(self, serve_stale):
+        """Trips after ``FAILURE_THRESHOLD`` failing queries (was 2)."""
         site = make_site(
             GatewayPolicy(
-                breaker_failure_threshold=2,
                 breaker_base_backoff=300.0,
                 breaker_max_backoff=600.0,
                 serve_stale_on_open=serve_stale,
@@ -116,7 +119,7 @@ class TestStaleServing:
         site.fail_host(host)
         # Let the cache entry expire so only the *stale* path can answer.
         site.clock.advance(gw.policy.query_cache_ttl + 1)
-        trip_source(site, url, n=2)
+        trip_source(site, url, n=FAILURE_THRESHOLD)
         assert gw.health.state(url) is BreakerState.OPEN
         return site, url, warm
 
@@ -147,13 +150,14 @@ class TestStaleServing:
 
 class TestObservability:
     def _site_with_open_breaker(self):
+        """Trips after ``FAILURE_THRESHOLD`` failing queries (was 2)."""
         site = make_site(
-            GatewayPolicy(breaker_failure_threshold=2, breaker_base_backoff=50.0)
+            GatewayPolicy(breaker_base_backoff=50.0)
         )
         host = site.host_names()[0]
         url = site.url_for("snmp", host=host)
         site.fail_host(host)
-        trip_source(site, url, n=2)
+        trip_source(site, url, n=FAILURE_THRESHOLD)
         return site, url, host
 
     def test_transitions_emitted_as_events(self):
@@ -184,7 +188,7 @@ class TestObservability:
         assert health["open"] == 1
         assert health["trips"] == 1
         assert health["scoreboard"][url]["state"] == "open"
-        assert health["scoreboard"][url]["consecutive_failures"] == 2
+        assert health["scoreboard"][url]["consecutive_failures"] == FAILURE_THRESHOLD
 
     def test_console_tree_and_health_panel(self):
         from repro.web.console import Console, ICON_QUARANTINED
@@ -241,10 +245,11 @@ class TestObservability:
 class TestRemoteSiteBreaker:
     @pytest.fixture
     def fabric(self):
+        """Site ``bra``'s breaker on ``gma://brb`` trips after
+        ``FAILURE_THRESHOLD`` failing queries (was 2)."""
         clock = VirtualClock()
         network = Network(clock, seed=21)
         policy = GatewayPolicy(
-            breaker_failure_threshold=2,
             breaker_base_backoff=100.0,
             breaker_max_backoff=200.0,
         )
@@ -271,7 +276,8 @@ class TestRemoteSiteBreaker:
         # Until the breaker trips, every multi-site query eats the remote
         # timeout on top of the local work.
         failing = [
-            a.gateway.query(urls, SQL, mode=QueryMode.REALTIME) for _ in range(2)
+            a.gateway.query(urls, SQL, mode=QueryMode.REALTIME)
+            for _ in range(FAILURE_THRESHOLD)
         ]
         assert all(r.failed_sources == 1 for r in failing)
         slow = min(r.elapsed for r in failing)
@@ -291,7 +297,7 @@ class TestRemoteSiteBreaker:
         a.gateway.policy.serve_stale_on_open = False
         remote_url = b.url_for("snmp", host=b.host_names()[0])
         network.set_host_up(b.gateway.host, False)
-        for _ in range(2):
+        for _ in range(FAILURE_THRESHOLD):
             a.gateway.query(remote_url, SQL, mode=QueryMode.REALTIME)
         t0 = network.clock.now()
         result = a.gateway.query(remote_url, SQL, mode=QueryMode.REALTIME)
@@ -305,7 +311,7 @@ class TestRemoteSiteBreaker:
         network, a, b, gla = fabric
         remote_url = b.url_for("snmp", host=b.host_names()[0])
         network.set_host_up(b.gateway.host, False)
-        for _ in range(2):
+        for _ in range(FAILURE_THRESHOLD):
             a.gateway.query(remote_url, SQL, mode=QueryMode.REALTIME)
         assert a.gateway.health.state("gma://brb") is BreakerState.OPEN
 
@@ -325,9 +331,9 @@ class TestPartitionHealVsHalfOpenProbe:
     """
 
     def _partitioned_site(self):
+        """Trips after ``FAILURE_THRESHOLD`` failing queries (was 2)."""
         site = make_site(
             GatewayPolicy(
-                breaker_failure_threshold=2,
                 breaker_base_backoff=30.0,
                 breaker_max_backoff=60.0,
             )
@@ -338,7 +344,7 @@ class TestPartitionHealVsHalfOpenProbe:
         site.network.partition(
             {gw.host, site.host_names()[1]}, {host}
         )
-        trip_source(site, url, n=2)
+        trip_source(site, url, n=FAILURE_THRESHOLD)
         assert gw.health.state(url) is BreakerState.OPEN
         return site, url, host
 

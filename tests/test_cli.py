@@ -125,6 +125,7 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "report", "--hosts", "2", "--warmup", "10")
         assert code == 0
         assert "Site capacity:" in out and "hosts=2" in out
+        assert "disk=0/0 MB" not in out  # FileSystem history is sampled too
         assert "Host utilisation:" in out
 
     def test_experiments(self, capsys):

@@ -5,6 +5,7 @@ import pytest
 from repro.agents.snmp import SnmpAgent
 from repro.core.connection_manager import IDLE_TTL, ConnectionManager
 from repro.core.driver_manager import GridRmDriverManager
+from repro.core.health import FAILURE_THRESHOLD
 from repro.core.policy import GatewayPolicy
 from repro.dbapi.registry import DriverRegistry
 from repro.drivers.snmp_driver import SnmpDriver
@@ -167,7 +168,6 @@ def make_health_cm(network, policy=None):
     from repro.core.health import HealthTracker
 
     policy = policy or GatewayPolicy(
-        breaker_failure_threshold=2,
         breaker_base_backoff=30.0,
         breaker_max_backoff=60.0,
     )
@@ -180,10 +180,12 @@ def make_health_cm(network, policy=None):
 
 class TestReleaseValidation:
     def test_release_quarantined_source_closes(self, network, agents):
+        """The breaker trips at ``health.FAILURE_THRESHOLD`` failures (this
+        rig set a threshold of 2 before it became a constant)."""
         cm, health = make_health_cm(network)
         conn = cm.acquire(URL)
-        health.record_failure(URL)
-        health.record_failure(URL)  # trips the breaker
+        for _ in range(FAILURE_THRESHOLD):  # trips the breaker
+            health.record_failure(URL)
         cm.release(conn)
         assert conn.is_closed()
         assert cm.idle_count(URL) == 0
@@ -222,8 +224,10 @@ class TestReleaseValidation:
         cm, health = make_health_cm(network)
         cm.release(cm.acquire(URL))
         assert cm.idle_count(URL) == 1
-        health.record_failure(URL)
-        health.record_failure(URL)
+        # ``health.FAILURE_THRESHOLD`` failures trip it (this rig set a
+        # threshold of 2 before it became a constant).
+        for _ in range(FAILURE_THRESHOLD):
+            health.record_failure(URL)
         with pytest.raises(SourceQuarantinedError):
             cm.acquire(URL)
 
@@ -247,7 +251,6 @@ class TestPoolChurn:
 
         policy = GatewayPolicy(
             pool_max_per_source=2,
-            breaker_failure_threshold=3,
             breaker_base_backoff=10.0,
             breaker_max_backoff=20.0,
         )

@@ -142,11 +142,14 @@ class TestPolicyValidation:
 
 class TestDeadlineIntegration:
     def test_serial_expiry_fails_remaining_sources_fast(self):
+        """The breaker is off so it cannot open mid-test (this
+        test set a threshold of 10 before the threshold became
+        a constant)."""
         # Serial dispatch, two sources: the first eats the whole budget,
         # so the second must be failed *before dispatch* — no agent
         # traffic, no health penalty.
         site = make_site(
-            GatewayPolicy(fanout_enabled=False, breaker_failure_threshold=10)
+            GatewayPolicy(fanout_enabled=False, breaker_enabled=False)
         )
         gw = site.gateway
         h0, h1 = site.host_names()[:2]
@@ -167,11 +170,14 @@ class TestDeadlineIntegration:
         assert result.elapsed <= 1.0 + 1e-6
 
     def test_default_deadline_stamped_from_policy(self):
+        """The breaker is off so it cannot open mid-test (this
+        test set a threshold of 10 before the threshold became
+        a constant)."""
         site = make_site(
             GatewayPolicy(
                 fanout_enabled=False,
                 default_deadline=1.0,
-                breaker_failure_threshold=10,
+                breaker_enabled=False,
             )
         )
         gw = site.gateway
@@ -210,8 +216,11 @@ class TestRetryIntegration:
         return site, url
 
     def test_transient_failures_retried_until_attempts_exhausted(self):
+        """The breaker is off so it cannot open mid-test (this
+        test set a threshold of 10 before the threshold became
+        a constant)."""
         site, url = self._closed_port_site(
-            GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10)
+            GatewayPolicy(retry_attempts=3, breaker_enabled=False)
         )
         gw = site.gateway
         result = gw.query(url, SQL, mode=QueryMode.REALTIME)
@@ -220,9 +229,12 @@ class TestRetryIntegration:
 
     def test_retry_budget_caps_amplification(self):
         """Five attempts want four retries; the query's three tokens
-        allow three, and the fourth is a give-up."""
+        allow three, and the fourth is a give-up.
+        The breaker is off so it cannot open mid-test (this
+        test set a threshold of 10 before the threshold
+        became a constant)."""
         site, url = self._closed_port_site(
-            GatewayPolicy(retry_attempts=5, breaker_failure_threshold=10)
+            GatewayPolicy(retry_attempts=5, breaker_enabled=False)
         )
         gw = site.gateway
         gw.query(url, SQL, mode=QueryMode.REALTIME)
@@ -230,16 +242,22 @@ class TestRetryIntegration:
         assert gw.request_manager.stats["retry_giveups"] == 1
 
     def test_retries_disabled_by_default(self):
+        """The breaker is off so it cannot open mid-test (this
+        test set a threshold of 10 before the threshold became
+        a constant)."""
         site, url = self._closed_port_site(
-            GatewayPolicy(breaker_failure_threshold=10)
+            GatewayPolicy(breaker_enabled=False)
         )
         gw = site.gateway
         gw.query(url, SQL, mode=QueryMode.REALTIME)
         assert gw.request_manager.stats["retries"] == 0
 
     def test_non_idempotent_driver_never_retried(self):
+        """The breaker is off so it cannot open mid-test (this
+        test set a threshold of 10 before the threshold became
+        a constant)."""
         site, url = self._closed_port_site(
-            GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10)
+            GatewayPolicy(retry_attempts=3, breaker_enabled=False)
         )
         gw = site.gateway
         from repro.dbapi.url import JdbcUrl
@@ -252,9 +270,12 @@ class TestRetryIntegration:
 
     def test_no_retry_when_deadline_cannot_absorb_backoff(self):
         """A refused connect costs well under a millisecond, so a 40 ms
-        deadline still has time left but not the first 50 ms backoff."""
+        deadline still has time left but not the first 50 ms backoff.
+        The breaker is off so it cannot open mid-test (this
+        test set a threshold of 10 before the threshold
+        became a constant)."""
         site, url = self._closed_port_site(
-            GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10)
+            GatewayPolicy(retry_attempts=3, breaker_enabled=False)
         )
         gw = site.gateway
         gw.query(url, SQL, mode=QueryMode.REALTIME, timeout=0.04)

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.dispatch import MAX_CONCURRENT_PER_SOURCE, FanoutDispatcher
+from repro.core.dispatch import (
+    _FLIGHT_SWEEP_THRESHOLD,
+    MAX_CONCURRENT_PER_SOURCE,
+    FanoutDispatcher,
+)
 from repro.core.errors import GridRmError
 from repro.core.policy import GatewayPolicy
 from repro.simnet.clock import VirtualClock
@@ -116,6 +120,16 @@ class TestSingleFlight:
                 flight = d.join_flight("src", "SELECT 1")
                 assert flight is not None
                 assert isinstance(flight.error, GridRmError)
+
+    def test_remembered_flights_stay_bounded(self, clock):
+        """Each distinct (source, SQL) leaves a flight holding its answer;
+        landed ones are swept once more than ``_FLIGHT_SWEEP_THRESHOLD``
+        are remembered, so a gateway that keeps seeing new texts does not
+        keep every answer it ever fetched."""
+        d = dispatcher(clock)
+        for i in range(3 * _FLIGHT_SWEEP_THRESHOLD):
+            d.run_flight("src", f"SELECT {i}", work(clock, 0.01, [i]))
+        assert len(d._flights) <= _FLIGHT_SWEEP_THRESHOLD + 1
 
     def test_landed_flight_not_joinable(self, clock):
         d = dispatcher(clock)

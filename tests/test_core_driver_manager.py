@@ -237,7 +237,6 @@ class TestBreakerShortCircuit:
         policy = GatewayPolicy(
             failure_action=FailureAction.RETRY,
             failure_retries=2,
-            breaker_failure_threshold=2,
             breaker_base_backoff=30.0,
             breaker_max_backoff=60.0,
             **policy_kwargs,
@@ -249,18 +248,20 @@ class TestBreakerShortCircuit:
 
     def test_open_breaker_skips_retry_budget(self, network, agents):
         """An OPEN breaker short-circuits before RETRY spends a single
-        connect attempt — the whole point of remembering failures."""
+        connect attempt — the whole point of remembering failures.  It
+        trips after ``FAILURE_THRESHOLD`` failed opens (this rig set a
+        threshold of 2 before it became a constant)."""
         from repro.core.errors import SourceQuarantinedError
-        from repro.core.health import BreakerState
+        from repro.core.health import FAILURE_THRESHOLD, BreakerState
 
         manager, health = self.make_health_manager(network)
         network.set_host_up("n0", False)
-        for _ in range(2):
+        for _ in range(FAILURE_THRESHOLD):
             with pytest.raises(DataSourceError):
                 manager.open_connection(self.URL)
         assert health.state(self.URL) is BreakerState.OPEN
         failures = manager.stats["connect_failures"]
-        assert failures == 6  # 2 queries x (1 + 2 retries)
+        assert failures == 3 * FAILURE_THRESHOLD  # each open: 1 + 2 retries
 
         with pytest.raises(SourceQuarantinedError):
             manager.open_connection(self.URL)
@@ -270,13 +271,14 @@ class TestBreakerShortCircuit:
     def test_half_open_probe_success_restores_cached_driver_path(
         self, network, agents
     ):
-        from repro.core.health import BreakerState
+        """Trips after ``FAILURE_THRESHOLD`` failed opens (was 2)."""
+        from repro.core.health import FAILURE_THRESHOLD, BreakerState
 
         manager, health = self.make_health_manager(network)
         url = JdbcUrl.parse(self.URL)
         manager.open_connection(url).close()  # populate the driver cache
         network.set_host_up("n0", False)
-        for _ in range(2):
+        for _ in range(FAILURE_THRESHOLD):
             with pytest.raises(DataSourceError):
                 manager.open_connection(url)
         assert health.state(self.URL) is BreakerState.OPEN

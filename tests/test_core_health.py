@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import PolicyError
-from repro.core.health import BACKOFF_JITTER, BreakerState, HealthTracker
+from repro.core.health import BACKOFF_JITTER, FAILURE_THRESHOLD, BreakerState, HealthTracker
 from repro.core.policy import GatewayPolicy
 from repro.simnet.clock import VirtualClock
 
@@ -11,7 +11,6 @@ KEY = "jdbc:snmp://n0/system"
 
 
 def make_tracker(clock=None, **policy_kwargs):
-    policy_kwargs.setdefault("breaker_failure_threshold", 3)
     policy_kwargs.setdefault("breaker_base_backoff", 10.0)
     policy_kwargs.setdefault("breaker_max_backoff", 80.0)
     clock = clock or VirtualClock()
@@ -231,15 +230,17 @@ class TestAdministration:
         assert summary["trips"] == 1
 
     def test_transition_callback_sequence(self):
+        """Trips at ``FAILURE_THRESHOLD`` (3) failures; this test set a
+        threshold of 2 before the threshold became a constant."""
         clock = VirtualClock()
         seen = []
         tracker = HealthTracker(
             clock,
-            GatewayPolicy(breaker_failure_threshold=2, breaker_base_backoff=5.0),
+            GatewayPolicy(breaker_base_backoff=5.0),
             on_transition=lambda key, old, new, e: seen.append((key, old, new)),
         )
-        tracker.record_failure(KEY)
-        tracker.record_failure(KEY)
+        for _ in range(FAILURE_THRESHOLD):
+            tracker.record_failure(KEY)
         clock.advance(10.0)
         tracker.allow_request(KEY)
         tracker.record_success(KEY)
@@ -252,8 +253,12 @@ class TestAdministration:
 
 class TestPolicyValidation:
     def test_threshold_must_be_positive(self):
-        with pytest.raises(PolicyError):
+        """The threshold is ``health.FAILURE_THRESHOLD``, not a policy
+        field (its one shipped setter passed the default): the policy
+        refuses the keyword, and the constant meets the field's bound."""
+        with pytest.raises(TypeError):
             GatewayPolicy(breaker_failure_threshold=0)
+        assert FAILURE_THRESHOLD >= 1
 
     def test_base_backoff_must_be_positive(self):
         with pytest.raises(PolicyError):

@@ -98,28 +98,36 @@ class TestQuery:
 
 
 class TestRollup:
+    """``HistoryStore.rollup`` is gone: no shipped caller downsampled a
+    series.  A window's min / avg / max is a HISTORY query with the window
+    in its WHERE, and these tests keep their ids against it."""
+
+    AGG = (
+        "SELECT COUNT(LoadAverage1Min), MIN(LoadAverage1Min), "
+        "AVG(LoadAverage1Min), MAX(LoadAverage1Min) FROM Processor"
+    )
+
     def test_buckets_aggregate(self, store):
         for t, load in [(1.0, 1.0), (5.0, 3.0), (12.0, 10.0)]:
             record_rows(store, "Processor", [proc_row(load=load)], source_url="u", recorded_at=t)
-        out = store.rollup("Processor", "LoadAverage1Min", bucket=10.0)
-        assert len(out) == 2
-        first = out[0]
-        assert first["bucket_start"] == 0.0
-        assert first["n"] == 2
-        assert first["min"] == 1.0 and first["max"] == 3.0
-        assert first["avg"] == pytest.approx(2.0)
-        assert out[1]["avg"] == 10.0
+        first = store.query(self.AGG + " WHERE RecordedAt >= 0 AND RecordedAt < 10").rows
+        assert first[0][0] == 2
+        assert first[0][1] == 1.0 and first[0][3] == 3.0
+        assert first[0][2] == pytest.approx(2.0)
+        second = store.query(self.AGG + " WHERE RecordedAt >= 10 AND RecordedAt < 20").rows
+        assert second[0][2] == 10.0
 
     def test_empty_buckets_omitted(self, store):
+        """A series holds the recorded instants only."""
         record_rows(store, "Processor", [proc_row()], source_url="u", recorded_at=0.0)
         record_rows(store, "Processor", [proc_row()], source_url="u", recorded_at=100.0)
-        out = store.rollup("Processor", "LoadAverage1Min", bucket=10.0)
-        assert [b["bucket_start"] for b in out] == [0.0, 100.0]
+        out = store.series("Processor", "LoadAverage1Min")
+        assert [t for t, _ in out] == [0.0, 100.0]
 
     def test_non_numeric_values_skipped(self, store):
-        record_rows(store, "Processor", [proc_row(Vendor="Intel")], source_url="u", recorded_at=1.0)
-        out = store.rollup("Processor", "Vendor", bucket=10.0)
-        assert out == []
+        """Aggregates skip NULLs."""
+        record_rows(store, "Processor", [proc_row(load=None)], source_url="u", recorded_at=1.0)
+        assert store.query(self.AGG).rows == [[0, None, None, None]]
 
     def test_host_filter(self, store):
         record_rows(
@@ -130,12 +138,14 @@ class TestRollup:
             store, "Processor", [proc_row(host="b", load=9.0)], source_url="u",
             recorded_at=2.0,
         )
-        out = store.rollup("Processor", "LoadAverage1Min", bucket=10.0, host="a")
-        assert out[0]["max"] == 1.0
+        out = store.query(self.AGG + " WHERE HostName = 'a'").rows
+        assert out[0][3] == 1.0
 
     def test_bad_bucket_rejected(self, store):
-        with pytest.raises(ValueError):
-            store.rollup("Processor", "LoadAverage1Min", bucket=0.0)
+        """A window over a column the group lacks is refused."""
+        record_rows(store, "Processor", [proc_row()], source_url="u", recorded_at=1.0)
+        with pytest.raises(SqlExecutionError):
+            store.query(self.AGG + " WHERE NoSuchField >= 0")
 
 
 class TestRetention:
@@ -248,18 +258,19 @@ class TestRetentionEdgeCases:
             assert got == want, f"since={since}"
 
     def test_bool_values_excluded_from_rollup(self, store):
+        """With ``rollup`` gone, what is left to check is that a BOOLEAN
+        stays a ``bool`` in the series (never coerced to a number)."""
         record_rows(
             store, "Host",
             [{"HostName": "n0", "SiteName": "s", "Reachable": True}],
             source_url="u",
             recorded_at=1.0,
         )
-        assert store.rollup("Host", "Reachable", bucket=10.0) == []
-        # Sanity: the same row does roll up on a numeric field.
+        assert [type(v) for _, v in store.series("Host", "Reachable")] == [bool]
         record_rows(
             store, "Processor", [proc_row(load=3.0)], source_url="u", recorded_at=1.0
         )
-        assert store.rollup("Processor", "LoadAverage1Min", bucket=10.0)[0]["n"] == 1
+        assert store.series("Processor", "LoadAverage1Min") == [(1.0, 3.0)]
 
 
 class TestDurableRoundTrip:
@@ -285,14 +296,15 @@ class TestDurableRoundTrip:
         sql = "SELECT HostName, LoadAverage1Min, RecordedAt FROM Processor"
         want_query = store.query(sql).rows
         want_series = store.series("Processor", "LoadAverage1Min", since=3.0)
-        want_rollup = store.rollup("Processor", "LoadAverage1Min", bucket=5.0)
+        window = "SELECT COUNT(*), AVG(LoadAverage1Min) FROM Processor WHERE RecordedAt >= 5"
+        want_window = store.query(window).rows
 
         disk.crash(None)
         recovered = self._durable_store(disk)
         assert recovered.rows_recovered == 12
         assert recovered.query(sql).rows == want_query
         assert recovered.series("Processor", "LoadAverage1Min", since=3.0) == want_series
-        assert recovered.rollup("Processor", "LoadAverage1Min", bucket=5.0) == want_rollup
+        assert recovered.query(window).rows == want_window
 
     def test_unacked_suffix_lost_on_crash(self):
         from repro.storage.simdisk import SimDisk

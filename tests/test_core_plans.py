@@ -11,7 +11,7 @@ from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
 from repro.sql import ast_nodes as ast
 from repro.sql.errors import SqlError
-from repro.testbed import build_site
+from repro.testbed import build_site, build_testbed
 
 SQL = "SELECT HostName FROM Host"
 
@@ -220,6 +220,35 @@ class TestGatewayEndToEnd:
         gw.query(url, "SELECT hostname FROM Processor", mode=mode)
         result = gw.query(url, "SELECT HostName FROM Processor", mode=mode)
         assert result.columns == ["HostName"]
+
+    @pytest.mark.parametrize("kind", ["snmp", "ganglia"])
+    @pytest.mark.parametrize(
+        "mode", [QueryMode.REALTIME, QueryMode.CACHED_OK, QueryMode.HISTORY]
+    )
+    def test_a_group_name_in_any_case_is_served(self, kind, mode):
+        """The validator resolves a group name case-insensitively, so the
+        serving path must too: ``processor`` answers the rows ``Processor``
+        does, from the SNMP and the Ganglia driver and in every mode, and
+        the labels keep the client's spelling."""
+
+        def answer(sql):
+            _, (site,) = build_testbed(seed=11)
+            gw, url = site.gateway, site.url_for(kind)
+            if mode is QueryMode.HISTORY:
+                gw.query(url, "SELECT * FROM Processor", mode=QueryMode.REALTIME)
+            result = gw.query(url, sql, mode=mode)
+            assert result.failed_sources == 0, [s.error for s in result.statuses]
+            return result
+
+        want = answer("SELECT HostName, CPUCount FROM Processor")
+        assert want.rows
+        for sql, labels in [
+            ("select hostname, cpucount from processor", ["hostname", "cpucount"]),
+            ("SELECT HostName, CPUCount FROM processor", ["HostName", "CPUCount"]),
+        ]:
+            got = answer(sql)
+            assert got.rows == want.rows
+            assert got.columns == labels
 
     def test_schema_change_invalidates_plans(self, rig):
         site, gw = rig

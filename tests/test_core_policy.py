@@ -131,7 +131,7 @@ def test_every_field_is_varied_by_a_caller():
     ]
     assert never_set == []
     assert sorted(never_flipped) == sorted(ALWAYS_ON)
-    assert len(dataclasses.fields(GatewayPolicy)) <= 32
+    assert len(dataclasses.fields(GatewayPolicy)) <= 31
 
 
 #: Every numeric or boolean constructor default left under the serving

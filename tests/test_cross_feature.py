@@ -114,12 +114,16 @@ class TestHistoryJoinRollup:
         for _ in range(6):
             gw.query(a.url_for("ganglia"), "SELECT * FROM Processor")
             network.clock.advance(10.0)
-        rolled = gw.history.rollup(
-            "Processor", "LoadAverage1Min", bucket=30.0
-        )
-        # 6 polls x 2 hosts = 12 samples, distributed over the buckets.
-        assert sum(b["n"] for b in rolled) == 12
-        assert all(b["min"] <= b["avg"] <= b["max"] for b in rolled)
+        # ``HistoryStore.rollup`` is gone; the window aggregate is a
+        # HISTORY query.  6 polls x 2 hosts = 12 samples.
+        [[n, low, avg, high]] = gw.query(
+            a.url_for("ganglia"),
+            "SELECT COUNT(*), MIN(LoadAverage1Min), AVG(LoadAverage1Min), "
+            "MAX(LoadAverage1Min) FROM Processor",
+            mode=QueryMode.HISTORY,
+        ).rows
+        assert n == 12
+        assert low <= avg <= high
 
 
 class TestNaturalJoinLaws:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.agents import snmp as wire
 from repro.core.gateway import BatchQuery
-from repro.core.health import BreakerState
+from repro.core.health import FAILURE_THRESHOLD, BreakerState
 from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import Cause, QueryMode
 from repro.dbapi.exceptions import SQLException
@@ -122,7 +122,7 @@ def test_half_a_gmond_dump_costs_the_ganglia_source_only(policy):
 def test_half_a_gmond_dump_repeated_trips_the_ganglia_breaker(policy):
     """Each query connects to gmond fine and then reads half a dump.  The
     connect success and the fetch failure land in one pinned operation,
-    and the success must not reset the streak: ``breaker_failure_threshold``
+    and the success must not reset the streak: ``health.FAILURE_THRESHOLD``
     such queries open the source's breaker, and the next one is refused
     without asking it."""
     network = Network(VirtualClock(), seed=7)
@@ -135,7 +135,7 @@ def test_half_a_gmond_dump_repeated_trips_the_ganglia_breaker(policy):
     honest = agent.render_xml
     agent.render_xml = lambda: honest()[: len(honest()) // 2]
 
-    for _ in range(gateway.policy.breaker_failure_threshold):
+    for _ in range(FAILURE_THRESHOLD):
         result = gateway.query(site.source_urls, "SELECT HostName FROM Processor")
         assert [s.url for s in result.statuses if not s.ok] == [ganglia_url]
         network.clock.advance(1.0)
@@ -156,7 +156,7 @@ def test_half_a_gmond_dump_then_a_whole_one_on_retry_keeps_the_breaker_closed(
     """Each query reads half a dump, retries and reads a whole one.  The
     failed attempt counts, but the answer resets the streak, also when a
     batch's pin holds every outcome until the batch joins:
-    ``breaker_failure_threshold`` such queries leave the breaker CLOSED
+    ``health.FAILURE_THRESHOLD`` such queries leave the breaker CLOSED
     and count one success each, exactly as ``Gateway.query`` does."""
     network = Network(VirtualClock(), seed=7)
     site = build_site(
@@ -175,7 +175,7 @@ def test_half_a_gmond_dump_then_a_whole_one_on_retry_keeps_the_breaker_closed(
         return whole[: len(whole) // 2] if cut and cut.pop() else whole
 
     agent.render_xml = cut_once
-    threshold = gateway.policy.breaker_failure_threshold
+    threshold = FAILURE_THRESHOLD
     for _ in range(threshold):
         network.clock.advance(20.0)  # past the dump cache
         cut.append(True)

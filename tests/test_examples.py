@@ -65,6 +65,12 @@ def test_operations_center(capsys):
     assert "events archived centrally:" in out
     assert "noisiest hosts" in out
     assert "GET /alerts -> 200" in out
+    # Every servlet route answers, and the grm:// driver serves the
+    # gateway's own metrics as a GLUE group.
+    pages = [line.split()[1] for line in out.splitlines() if line.strip().startswith("GET ")]
+    assert len(pages) == 18 and {"/", "/report", "/plot", "/query"} <= set(pages)
+    assert all(" -> 200 (" in line for line in out.splitlines() if "GET /" in line)
+    assert "requests.queries (counter) =" in out
 
 
 def test_scheduler_integration(capsys):

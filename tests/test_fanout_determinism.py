@@ -142,7 +142,10 @@ class TestDeterminism:
 class TestDegradationParity:
     @staticmethod
     def _breaker_rig(fanout):
-        site = fresh_site(fanout=fanout, breaker_failure_threshold=2)
+        """The victim's breakers trip at ``health.FAILURE_THRESHOLD`` (3);
+        the three failing rounds each test runs reach it (this rig set a
+        threshold of 2 before it became a constant)."""
+        site = fresh_site(fanout=fanout)
         gw = site.gateway
         urls = source_urls(site)
         victim_host = site.host_names()[0]

@@ -10,9 +10,23 @@ from repro.glue.mapping import (
     MappingRule,
     SchemaMapping,
     UnitConversionError,
-    convert_unit,
+    unit_factor,
 )
 from repro.glue.schema import STANDARD_SCHEMA, GlueField, GlueGroup
+
+
+def convert_unit(value, frm, to):
+    """``value`` in ``to`` by the factor the rule compiler reads
+    (``glue.mapping.convert_unit`` is gone: every conversion is a factor
+    compiled into a builder)."""
+    factor = unit_factor(frm, to)
+    return value if factor is None else value * factor
+
+
+def apply(rule, record, group):
+    """One record through the rule's compiled builder (what the deleted
+    ``MappingRule.apply`` did)."""
+    return rule.compile(group)(record)
 
 
 class TestConvertUnit:
@@ -52,45 +66,45 @@ class TestMappingRule:
 
     def test_basic_mapping_with_unit_conversion(self):
         rule = MappingRule("RAMSizeMB", "memTotal", unit="KB")
-        assert rule.apply({"memTotal": 2048}, self.GROUP) == pytest.approx(2.0)
+        assert apply(rule, {"memTotal": 2048}, self.GROUP) == pytest.approx(2.0)
 
     def test_missing_key_yields_default_none(self):
         rule = MappingRule("RAMSizeMB", "absent")
-        assert rule.apply({}, self.GROUP) is None
+        assert apply(rule, {}, self.GROUP) is None
 
     def test_explicit_default(self):
         rule = MappingRule("RAMSizeMB", "absent", default=0.0)
-        assert rule.apply({}, self.GROUP) == 0.0
+        assert apply(rule, {}, self.GROUP) == 0.0
 
     def test_transform_applied_before_conversion(self):
         rule = MappingRule("RAMSizeMB", "raw", unit="KB", transform=lambda v: float(v) * 2)
-        assert rule.apply({"raw": "512"}, self.GROUP) == pytest.approx(1.0)
+        assert apply(rule, {"raw": "512"}, self.GROUP) == pytest.approx(1.0)
 
     def test_transform_failure_yields_null(self):
         rule = MappingRule("RAMSizeMB", "raw", transform=lambda v: float(v))
-        assert rule.apply({"raw": "garbage"}, self.GROUP) is None
+        assert apply(rule, {"raw": "garbage"}, self.GROUP) is None
 
     def test_record_level_rule(self):
         host_group = STANDARD_SCHEMA.group("Host")
         rule = MappingRule("UniqueId", None, transform=lambda r: f"{r['h']}#x")
-        assert rule.apply({"h": "n0"}, host_group) == "n0#x"
+        assert apply(rule, {"h": "n0"}, host_group) == "n0#x"
 
     def test_integer_coercion(self):
         proc = STANDARD_SCHEMA.group("Processor")
         rule = MappingRule("CPUCount", "ncpu")
-        assert rule.apply({"ncpu": "4"}, proc) == 4
-        assert isinstance(rule.apply({"ncpu": "4"}, proc), int)
+        assert apply(rule, {"ncpu": "4"}, proc) == 4
+        assert isinstance(apply(rule, {"ncpu": "4"}, proc), int)
 
     def test_boolean_string_coercion(self):
         host_group = STANDARD_SCHEMA.group("Host")
         rule = MappingRule("Reachable", "alive")
-        assert rule.apply({"alive": "yes"}, host_group) is True
-        assert rule.apply({"alive": "0"}, host_group) is False
+        assert apply(rule, {"alive": "yes"}, host_group) is True
+        assert apply(rule, {"alive": "0"}, host_group) is False
 
     def test_text_coercion(self):
         proc = STANDARD_SCHEMA.group("Processor")
         rule = MappingRule("Vendor", "v")
-        assert rule.apply({"v": 123}, proc) == "123"
+        assert apply(rule, {"v": 123}, proc) == "123"
 
     #: (rule, record, group name): every record the tests above translate.
     CASES = [
@@ -114,9 +128,19 @@ class TestMappingRule:
 
     @pytest.mark.parametrize("rule,record,group", CASES)
     def test_apply_is_the_compiled_builder(self, rule, record, group):
+        """The builder ``row_builders`` serves for a rule's field is the
+        rule's compiled builder; a rule for a field the group lacks
+        builds nothing, and every field without a rule is NULL."""
         target = STANDARD_SCHEMA.group(group)
-        assert rule.apply(record, target) == rule.compile(target)(record)
-        assert type(rule.apply(record, target)) is type(rule.compile(target)(record))
+        names = target.field_names()
+        row = [b(record) for b in GroupMapping(group, [rule]).row_builders(STANDARD_SCHEMA)]
+        want = rule.compile(target)(record)
+        if rule.glue_field in names:
+            got = row.pop(names.index(rule.glue_field))
+            assert got == want and type(got) is type(want)
+        else:
+            assert want is None
+        assert row == [None] * len(row)
 
 
 class TestCompiledUnits:
@@ -129,7 +153,7 @@ class TestCompiledUnits:
             group = GlueGroup("G", (GlueField("f", ftype, to),))
             build = MappingRule("f", "v", unit=frm).compile(group)
             for value in (0, 1, 3, 2048, 1.5, -7.25, 1e300, "12.5", float("inf")):
-                expected = convert_unit(float(value), frm, to)
+                expected = float(value) * _UNIT_FACTORS[frm, to]
                 if ftype == "INTEGER":
                     if expected in (float("inf"), float("-inf")):
                         continue
@@ -182,24 +206,33 @@ class TestRulesAreValues:
 
 
 class TestGroupMapping:
+    """``GroupMapping.translate`` / ``coverage`` / ``rule_for`` are gone
+    (the per-record path the compiled row builders replaced); these ids
+    check the same facts through ``SchemaMapping.translate`` and
+    ``row_builders``."""
+
     def test_translate_fills_all_fields(self):
         gm = GroupMapping("MainMemory", [MappingRule("RAMSizeMB", "total", unit="KB")])
-        row = gm.translate({"total": 1024}, STANDARD_SCHEMA)
+        [row] = SchemaMapping("d", [gm]).translate("MainMemory", [{"total": 1024}], STANDARD_SCHEMA)
         group = STANDARD_SCHEMA.group("MainMemory")
         assert set(row) == set(group.field_names())
         assert row["RAMSizeMB"] == 1.0
         assert row["RAMAvailableMB"] is None  # unmapped -> NULL (§3.2.3)
 
     def test_coverage(self):
+        """One rule fills one of the group's fields; the rest are NULL."""
         gm = GroupMapping("Host", [MappingRule("HostName", "h")])
-        cov = gm.coverage(STANDARD_SCHEMA)
-        assert 0 < cov < 1
+        row = [b({"h": "n0"}) for b in gm.row_builders(STANDARD_SCHEMA)]
+        assert [v for v in row if v is not None] == ["n0"]
+        assert len(row) == len(STANDARD_SCHEMA.group("Host").fields) > 1
 
     def test_rule_for(self):
-        rule = MappingRule("HostName", "h")
-        gm = GroupMapping("Host", [rule])
-        assert gm.rule_for("HostName") is rule
-        assert gm.rule_for("SiteName") is None
+        """A field's builder comes from the rule naming it."""
+        gm = GroupMapping("Host", [MappingRule("HostName", "h")])
+        names = STANDARD_SCHEMA.group("Host").field_names()
+        builders = dict(zip(names, gm.row_builders(STANDARD_SCHEMA)))
+        assert builders["HostName"]({"h": "n0"}) == "n0"
+        assert builders["SiteName"]({"h": "n0"}) is None
 
 
 class TestSchemaMapping:
@@ -232,4 +265,4 @@ class TestSchemaMapping:
         assert sm.translate("Host", records, STANDARD_SCHEMA) == [
             dict(zip(names, row)) for row in slot_rows
         ]
-        assert gm.translate(records[0], STANDARD_SCHEMA) == dict(zip(names, slot_rows[0]))
+        assert [b(records[0]) for b in gm.row_builders(STANDARD_SCHEMA)] == slot_rows[0]

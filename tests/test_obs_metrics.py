@@ -1,7 +1,7 @@
 """Observability plane: registry, compat views, self-monitoring driver.
 
 The contract under test is threefold: the :class:`MetricsRegistry` is a
-correct home for counters/gauges/histograms; the managers' historical
+correct home for counters and histograms; the managers' historical
 ``stats`` surfaces still read and write the exact keys they always did
 (now as views over registry instruments); and ``SELECT * FROM
 GatewayMetrics`` through the *normal* driver stack returns the same live
@@ -14,13 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.request_manager import QueryMode
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    StatsView,
-)
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry, StatsView
 from repro.web.servlet import GatewayServlet, http_get
 
 GRM_URL = "jdbc:grm://localhost/gateway"
@@ -41,16 +35,13 @@ class TestRegistry:
     def test_instruments_minted_once(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("b") is reg.gauge("b")
         assert reg.histogram("c") is reg.histogram("c")
-        assert len(reg) == 3
+        assert len(reg) == 2
 
     def test_kind_mismatch_raises(self):
         reg = MetricsRegistry()
         reg.counter("x")
         with pytest.raises(TypeError, match="Counter"):
-            reg.gauge("x")
-        with pytest.raises(TypeError):
             reg.histogram("x")
 
     def test_names_sorted(self):
@@ -60,18 +51,21 @@ class TestRegistry:
         assert reg.names() == ["a.first", "m.mid", "z.last"]
 
     def test_get_returns_none_for_unknown(self):
-        assert MetricsRegistry().get("nope") is None
+        """There is no lookup by name (``get`` is gone: a serving path
+        holds its instruments); an instrument nobody bound is not listed."""
+        reg = MetricsRegistry()
+        reg.counter("a")
+        assert "nope" not in reg.names()
+        assert "nope" not in reg.snapshot()
 
     def test_snapshot_shapes(self):
         reg = MetricsRegistry()
         reg.counter("c").add(3)
-        reg.gauge("g").set(-2.5)
         h = reg.histogram("h")
         for v in (1.0, 2.0, 3.0):
             h.record(v)
         snap = reg.snapshot()
         assert snap["c"] == 3
-        assert snap["g"] == -2.5
         assert snap["h"]["count"] == 3
         assert snap["h"]["mean"] == pytest.approx(2.0)
         assert set(snap["h"]) == {"count", "mean", "p50", "p95", "p99"}
@@ -101,10 +95,12 @@ class TestInstruments:
         assert c.value == 0
 
     def test_gauge_moves_both_ways(self):
-        g = Gauge("g")
-        g.set(10)
-        g.add(-4)
-        assert g.value == 6
+        """The registry has no gauge; a value that moves both ways is
+        recorded as histogram samples, whose extremes follow it."""
+        h = Histogram("h")
+        h.record(10)
+        h.record(6)
+        assert (h.min, h.max, h.mean) == (6, 10, 8)
 
     def test_histogram_rejects_negative(self):
         with pytest.raises(ValueError):

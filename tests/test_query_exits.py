@@ -24,7 +24,7 @@ site.  The gateway's remote exit builds it and sends it through
 import pytest
 
 from repro.core.deadline import Deadline
-from repro.core.health import BreakerState
+from repro.core.health import FAILURE_THRESHOLD, BreakerState
 from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import Cause, QueryMode
 from repro.gma.directory import GMADirectory
@@ -60,7 +60,7 @@ def _trip(site, url):
     gw = site.gateway
     site.fail_host(site.host_names()[0])
     site.network.clock.advance(STALE_AFTER)
-    for _ in range(gw.policy.breaker_failure_threshold):
+    for _ in range(FAILURE_THRESHOLD):
         gw.query(url, SQL, mode=QueryMode.REALTIME)
         if gw.health.state(url) is BreakerState.OPEN:
             return

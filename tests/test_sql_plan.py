@@ -267,6 +267,7 @@ HAND_PICKED = [
     "SELECT * FROM Processor ORDER BY Load, HostName DESC",
     "SELECT * FROM Processor ORDER BY Missing",
     "SELECT COUNT(*) FROM Processor",
+    "SELECT SUM(*) FROM Processor",
     "SELECT COUNT(Load), SUM(Load), AVG(Load), MIN(Load), MAX(MemMB) FROM Processor",
     "SELECT COUNT(DISTINCT Label) FROM Processor",
     "SELECT SiteName, COUNT(*) FROM Processor GROUP BY SiteName",

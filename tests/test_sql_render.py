@@ -1,9 +1,11 @@
 """Unit tests for SQL AST rendering (render = parse^-1 semantically)."""
 
+import dataclasses
+
 import pytest
 
 from repro.sql.parser import parse_select
-from repro.sql.render import render_expr, render_select, rewrite_columns
+from repro.sql.render import render_expr, rewrite_columns
 from tests.reference_sql import execute_select
 
 ROWS = [
@@ -27,10 +29,22 @@ ROWS = [
     ],
 )
 def test_render_round_trip_semantics(sql):
-    """Rendered text re-parses and produces identical results."""
+    """Every expression rendered by ``render_expr`` (the push-down's
+    renderer; ``render_select`` is gone) re-parses, and the statement
+    rebuilt from the re-parsed expressions produces identical results."""
     original = parse_select(sql)
-    rendered = render_select(original)
-    reparsed = parse_select(rendered)
+
+    def again(expr):
+        return parse_select(f"SELECT {render_expr(expr)} FROM t").items[0].expr
+
+    reparsed = dataclasses.replace(
+        original,
+        items=tuple(dataclasses.replace(i, expr=again(i.expr)) for i in original.items),
+        where=None if original.where is None else again(original.where),
+        group_by=tuple(again(g) for g in original.group_by),
+        having=None if original.having is None else again(original.having),
+        order_by=tuple(dataclasses.replace(o, expr=again(o.expr)) for o in original.order_by),
+    )
     r1 = execute_select(original, ["a", "b", "c"], ROWS)
     r2 = execute_select(reparsed, ["a", "b", "c"], ROWS)
     assert r1.columns == r2.columns

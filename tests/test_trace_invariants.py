@@ -133,7 +133,10 @@ class TestEndToEnd:
         assert_clean(gw.tracer)
 
     def test_every_span_closed_even_after_failure(self):
-        site = make_site(GatewayPolicy(breaker_failure_threshold=10))
+        """The breaker is off so it cannot open mid-test (this
+        test set a threshold of 10 before the threshold became
+        a constant)."""
+        site = make_site(GatewayPolicy(breaker_enabled=False))
         gw = site.gateway
         url = site.url_for("snmp")
         gw.query(url, SQL, mode=QueryMode.REALTIME)  # warm driver cache
@@ -145,8 +148,11 @@ class TestEndToEnd:
         assert_clean(gw.tracer)
 
     def test_span_count_equals_retry_attempts(self):
+        """The breaker is off so it cannot open mid-test (this
+        test set a threshold of 10 before the threshold became
+        a constant)."""
         # Two retries: within retry.RETRY_BUDGET's 3 tokens.
-        site = make_site(GatewayPolicy(retry_attempts=3, breaker_failure_threshold=10))
+        site = make_site(GatewayPolicy(retry_attempts=3, breaker_enabled=False))
         gw = site.gateway
         url = site.url_for("snmp")
         gw.query(url, SQL, mode=QueryMode.REALTIME)

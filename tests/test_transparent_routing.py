@@ -7,6 +7,7 @@ the gateway that owns the required data."
 
 import pytest
 
+from repro.core.health import FAILURE_THRESHOLD
 from repro.core.request_manager import Cause, QueryMode
 from repro.core.security import AccessRule, Principal
 from repro.gma.directory import GMADirectory
@@ -130,7 +131,7 @@ class TestRemoteStatuses:
         elif served == "stale":
             network.clock.advance(a.gateway.policy.query_cache_ttl + 1)
             network.set_host_up(b.gateway.host, False)
-            for _ in range(a.gateway.policy.breaker_failure_threshold):
+            for _ in range(FAILURE_THRESHOLD):
                 a.gateway.query(urls, self.SQL, mode=QueryMode.CACHED_OK)
             result = a.gateway.query(urls, self.SQL, mode=QueryMode.CACHED_OK)
             assert gla.stats["remote_stale_served"] == 1

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.web.reports import (
-    SAMPLE_PERIOD,
-    AvailabilityTracker,
-    availability_report,
-    capacity_report,
-    utilisation_report,
-)
+from repro.web.console import Console
+from repro.web.reports import capacity_report, utilisation_report
 
 
 @pytest.fixture
@@ -123,38 +118,47 @@ class TestReadsGoThroughTheStore:
 
 
 class TestAvailability:
-    """The tracker samples every ``reports.SAMPLE_PERIOD`` seconds."""
+    """Per-source reachability is the health tracker's scoreboard and the
+    source record's last poll.  The sampling ``AvailabilityTracker`` was a
+    second per-source poll counter beside them and is gone; these tests
+    keep their ids and check the same questions against the survivors."""
 
     def test_counts_poll_outcomes(self, site):
+        """One good poll, then one against a dead host: the source record
+        keeps the latest outcome, the scoreboard counts both kinds."""
         gw = site.gateway
-        tracker = AvailabilityTracker(gw)
         url = site.url_for("snmp")
         gw.query(url, "SELECT * FROM Host")
-        site.clock.advance(SAMPLE_PERIOD + 1.0)
+        source = next(s for s in gw.sources() if str(s.url) == url)
+        assert source.last_ok is True
         site.network.set_host_up(site.host_names()[0], False)
         gw.query(url, "SELECT * FROM Host")
-        site.clock.advance(SAMPLE_PERIOD + 1.0)
-        report = availability_report(tracker)
-        entry = next(e for e in report if e.url == url)
-        assert entry.polls == 2 and entry.ok == 1
-        assert entry.ratio == 0.5
+        assert source.last_ok is False
+        entry = gw.health.scoreboard()[url]
+        assert entry["total_successes"] >= 1 and entry["total_failures"] >= 1
 
     def test_unpolled_sources_absent(self, site):
-        tracker = AvailabilityTracker(site.gateway)
-        site.clock.advance(4 * SAMPLE_PERIOD)
-        assert tracker.report() == []
+        """Time alone observes nothing."""
+        site.clock.advance(120.0)
+        assert site.gateway.health.scoreboard() == {}
+        assert all(s.last_polled is None for s in site.gateway.sources())
 
     def test_same_poll_not_double_counted(self, site):
+        """One poll is one set of observations, however long ago it was."""
         gw = site.gateway
-        tracker = AvailabilityTracker(gw)
-        gw.query(site.url_for("snmp"), "SELECT * FROM Host")
-        site.clock.advance(4 * SAMPLE_PERIOD)  # many sample ticks, one poll
-        entry = tracker.report()[0]
-        assert entry.polls == 1
+        url = site.url_for("snmp")
+        gw.query(url, "SELECT * FROM Host")
+        before = gw.health.scoreboard()[url]
+        site.clock.advance(120.0)
+        assert gw.health.scoreboard()[url] == before
 
     def test_format(self, site):
+        """The console's health panel shows a polled source as up, with no
+        failure."""
         gw = site.gateway
-        tracker = AvailabilityTracker(gw)
-        gw.query(site.url_for("snmp"), "SELECT * FROM Host")
-        site.clock.advance(SAMPLE_PERIOD + 1.0)
-        assert "100.0%" in tracker.report()[0].format()
+        url = site.url_for("snmp")
+        gw.query(url, "SELECT * FROM Host")
+        line = next(
+            line for line in Console(gw).health_panel().splitlines() if url in line
+        )
+        assert ": up" in line and "fail=0" in line

@@ -41,6 +41,10 @@ class TestRouting:
         code, body = get(site, servlet, "/stats")
         assert code == 200 and "requests" in body
 
+    def test_dispatch(self, site, servlet):
+        code, body = get(site, servlet, "/dispatch")
+        assert code == 200 and body.startswith("Concurrent dispatch")
+
     def test_unknown_path_404(self, site, servlet):
         code, _ = get(site, servlet, "/nope")
         assert code == 404
