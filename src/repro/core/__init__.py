@@ -34,7 +34,6 @@ from repro.core.errors import (
     SessionError,
     NoSuitableDriverError,
     DataSourceError,
-    SourceQuarantinedError,
     DeadlineExceededError,
 )
 from repro.core.retry import RetryBudget, RetryPolicy
@@ -68,7 +67,6 @@ __all__ = [
     "SessionError",
     "NoSuitableDriverError",
     "DataSourceError",
-    "SourceQuarantinedError",
     "Deadline",
     "DeadlineExceededError",
     "RetryBudget",

@@ -71,7 +71,8 @@ class ConnectionManager:
         self.driver_manager = driver_manager
         self.clock = clock
         self.policy = policy
-        #: Shared per-source circuit breakers (injected by the Gateway).
+        #: Shared per-source circuit breakers (injected by the Gateway),
+        #: read by :meth:`release`'s probe rule and never written here.
         self.health = health
         self.tracer = tracer if tracer is not None else NO_TRACER
         self._idle: dict[str, list[PooledConnection]] = {}
@@ -112,10 +113,7 @@ class ConnectionManager:
                 # as the spending step rather than blaming the pool.
                 deadline.check(f"queue_wait before connection acquire for {url}")
             self.stats.inc("acquires")
-            quarantined = self.health is not None and self.health.is_quarantined(
-                _pool_key(url)
-            )
-            if self.policy.pool_enabled and not quarantined:
+            if self.policy.pool_enabled:
                 key = _pool_key(url)
                 idle = self._idle.get(key, [])
                 now = self.clock.now()
@@ -154,11 +152,12 @@ class ConnectionManager:
     def release(self, connection: GridRmConnection) -> None:
         """Return a connection to its pool (or close it).
 
-        Connections are validated before pooling: a connection whose
-        source just failed — breaker OPEN, or any recent failure on
-        record and the live probe now fails — is closed rather than
-        handed to the next caller.  Healthy sources skip the probe, so
-        the pool's whole point (no per-query native traffic) survives.
+        Health is only read here: a connection whose source has a recent
+        failure on record (or a breaker not CLOSED) pays one live probe
+        and is closed if it fails, rather than handed to the next caller.
+        Healthy sources skip the probe, so the pool's whole point (no
+        per-query native traffic) survives.  A tripping breaker drains
+        the pool through :meth:`quarantine`, not here.
         """
         connection.deadline = None  # deadlines are per-query, not per-session
         connection.tracer = None  # spans are per-query too
@@ -170,10 +169,6 @@ class ConnectionManager:
         key = _pool_key(connection.url)
         if self.health is not None:
             entry = self.health.health(key)
-            if self.health.is_quarantined(key):
-                self.stats.inc("quarantined")
-                connection.close()
-                return
             if entry.state is not BreakerState.CLOSED or entry.consecutive_failures:
                 # Source recently misbehaved: pay one probe before pooling.
                 if not connection.is_valid():

@@ -28,13 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, MutableMapping, Optional
 
 from repro.core.deadline import Deadline
-from repro.core.errors import (
-    DataSourceError,
-    GridRmError,
-    NoSuitableDriverError,
-    SourceQuarantinedError,
-)
-from repro.core.health import HealthTracker
+from repro.core.errors import DataSourceError, GridRmError, NoSuitableDriverError
 from repro.core.policy import FailureAction, GatewayPolicy
 from repro.dbapi.exceptions import SQLException
 from repro.dbapi.interfaces import Driver
@@ -110,7 +104,6 @@ class GridRmDriverManager:
         policy: GatewayPolicy,
         *,
         persistent_store: MutableMapping[str, str] | None = None,
-        health: HealthTracker | None = None,
         metrics: "MetricsRegistry | None" = None,
         tracer: "Tracer | None" = None,
     ) -> None:
@@ -119,9 +112,6 @@ class GridRmDriverManager:
         #: spec string -> display name; survives "restarts" when the
         #: caller passes the same mapping back in (paper §3.2.2).
         self.persistent_store = persistent_store if persistent_store is not None else {}
-        #: Shared per-source circuit breakers (the Gateway injects one
-        #: tracker across all managers); None disables health tracking.
-        self.health = health
         self.tracer = tracer if tracer is not None else NO_TRACER
         self._preferences: dict[str, DriverPreference] = {}
         self._last_driver: dict[str, Driver] = {}
@@ -134,7 +124,6 @@ class GridRmDriverManager:
                 "dynamic_scans",
                 "failovers",
                 "connect_failures",
-                "breaker_fast_fails",
             ),
         )
 
@@ -259,12 +248,6 @@ class GridRmDriverManager:
         """Allocate a driver for ``url`` and open a connection, applying
         the configured failure policy on the way.
 
-        When a health tracker is attached, the source's circuit breaker
-        is consulted first: an OPEN breaker short-circuits the whole
-        selection/retry machinery with :class:`SourceQuarantinedError`
-        (no connect attempts, no retry budget spent), and connect
-        outcomes are recorded back into the tracker.
-
         A ``deadline`` is re-checked before every connect attempt: a
         budget already eaten by earlier candidates (each costing a native
         probe timeout) stops the selection loop instead of trying ever
@@ -281,17 +264,8 @@ class GridRmDriverManager:
         deadline: Deadline | None,
         span: Any,
     ) -> GridRmConnection:
-        source_key = str(url)
         if deadline is not None:
             deadline.check(f"driver selection for {url}")
-        if self.health is not None and not self.health.allow_request(source_key):
-            self.stats.inc("breaker_fast_fails")
-            span["fast_failed"] = True
-            entry = self.health.health(source_key)
-            raise SourceQuarantinedError(
-                f"circuit open for {url} until t={entry.open_until:.1f}s "
-                f"(last error: {entry.last_error or 'unknown'})"
-            )
         self.stats.inc("selections")
         candidates, only_cached = self._candidates(url)
         span["candidates"] = len(candidates)
@@ -326,8 +300,6 @@ class GridRmDriverManager:
                     continue
                 if self.policy.driver_cache_enabled:
                     self._last_driver[_url_key(url)] = driver
-                if self.health is not None:
-                    self.health.record_success(source_key)
                 try:
                     span["driver"] = driver.name()
                 except SQLException:
@@ -341,8 +313,6 @@ class GridRmDriverManager:
             if conn is not None:
                 return conn
             if action is FailureAction.REPORT:
-                if self.health is not None:
-                    self.health.record_failure(source_key, str(last_error))
                 raise DataSourceError(
                     f"driver {driver.name()!r} failed for {url}: {last_error}"
                 ) from last_error
@@ -370,8 +340,6 @@ class GridRmDriverManager:
                 if conn is not None:
                     return conn
 
-        if self.health is not None:
-            self.health.record_failure(source_key, str(last_error))
         raise DataSourceError(
             f"all {len(tried)} driver(s) failed for {url} "
             f"(policy {action.value}): {last_error}"

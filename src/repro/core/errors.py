@@ -24,12 +24,6 @@ class DataSourceError(GridRmError):
     exhausted (connect errors, timeouts, driver errors)."""
 
 
-class SourceQuarantinedError(DataSourceError):
-    """The source's circuit breaker is OPEN: the request was
-    short-circuited without touching the source (no connect attempts,
-    no retry budget spent).  Cleared by a successful HALF_OPEN probe."""
-
-
 class DeadlineExceededError(GridRmError):
     """The query's end-to-end deadline ran out.
 

@@ -56,6 +56,7 @@ from repro.dbapi.interfaces import Driver
 from repro.dbapi.registry import DriverRegistry
 from repro.dbapi.url import JdbcUrl
 from repro.drivers import default_driver_set
+from repro.gma.global_layer import SiteCircuitOpen
 from repro.obs.driver import GatewayMetricsDriver
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -159,7 +160,6 @@ class Gateway:
             self.registry,
             self.policy,
             persistent_store=persistent_store,
-            health=self.health,
             metrics=self.metrics,
             tracer=self.tracer,
         )
@@ -650,7 +650,9 @@ class Gateway:
             # A shed is the remote gateway protecting itself: a typed
             # per-source shed status, never a breaker failure against
             # gma://<site> (the Global layer already skipped the penalty).
-            tripped = self.health.state(f"gma://{site_name}") is BreakerState.OPEN
+            # Only a query the open breaker short-circuited is ``breaker``:
+            # a failed round trip is ``error`` even when it tripped it.
+            tripped = isinstance(exc, SiteCircuitOpen)
             failed = QueryResult([], [], mode=mode)
             for url in site_urls:
                 self.request_manager.answer(

@@ -123,12 +123,12 @@ TransitionListener = Callable[[str, BreakerState, BreakerState, SourceHealth], N
 class HealthTracker:
     """Per-source circuit breakers over the virtual clock.
 
-    One success/failure *observation* is recorded per native interaction
-    (a connect, a fetch, a remote-gateway round trip), so
-    ``total_successes``/``total_failures`` count observations, not
-    queries.  ``consecutive_failures`` resets on any success — except
-    one made inside a pinned operation that also failed, which is not
-    applied at all (see :meth:`pin`).
+    The request manager records one success per answered fetch and one
+    failure per failed attempt (a failed connect, a transport error, a
+    bad reply); the Global layer does the same per remote-gateway round
+    trip.  ``total_successes``/``total_failures`` therefore count fetches
+    and attempts, not queries, and ``consecutive_failures`` resets on any
+    success.
     """
 
     def __init__(
@@ -145,11 +145,11 @@ class HealthTracker:
         self._rng = random.Random(JITTER_SEED)
         self._sources: dict[str, SourceHealth] = {}
         # Admission decisions pinned for the duration of one dispatched
-        # operation (see :meth:`pin`): key -> stack of (frozen decision,
-        # observations made in that pin itself), plus the outcomes the
-        # exited pins settled on, held until the outermost pin exits.
-        self._pins: dict[str, list[tuple[bool, list[tuple[str, str]]]]] = {}
-        self._settled: dict[str, list[tuple[str, str]]] = {}
+        # operation (see :meth:`pin`): key -> stack of frozen decisions,
+        # and the outcomes recorded meanwhile, held until the outermost
+        # pin exits.
+        self._pins: dict[str, list[bool]] = {}
+        self._deferred: dict[str, list[tuple[str, str]]] = {}
         self.stats = StatsView(
             registry if registry is not None else MetricsRegistry(),
             "health",
@@ -173,14 +173,6 @@ class HealthTracker:
         entry = self._sources.get(key)
         return entry.state if entry is not None else BreakerState.CLOSED
 
-    def is_quarantined(self, key: str) -> bool:
-        """True while the breaker is OPEN — pooled connections to the
-        source must be discarded, not reused (backoff expiry does not
-        clear this; only a successful probe does)."""
-        if not self.policy.breaker_enabled:
-            return False
-        return self.state(key) is BreakerState.OPEN
-
     def allow_request(self, key: str) -> bool:
         """Consult the breaker before paying connect/retry cost.
 
@@ -198,7 +190,7 @@ class HealthTracker:
             # rather than breaker state a sibling branch may be mutating
             # — a pinned read is not a shared-state access, so no race
             # note either.
-            return pinned[-1][0]
+            return pinned[-1]
         if races.ACTIVE is not None:
             races.ACTIVE.note(
                 "health", key, "r", site="HealthTracker.allow_request"
@@ -221,47 +213,31 @@ class HealthTracker:
 
         The request manager decides admission once, sequentially, before
         handing the fetch to the (possibly hedged, possibly retried)
-        dispatch path; every breaker consult inside that operation then
-        sees the decision as it stood at launch.  Without this, a hedge
-        attempt's ``allow_request`` would read breaker state its
-        virtually-simultaneous sibling just wrote — admission would
+        dispatch path, and ``Gateway.query_batch`` decides it once per
+        source for all its members; every breaker consult inside the
+        block then sees the decision as it stood at launch.  Without
+        this, a batch member's ``allow_request`` would read breaker state
+        its virtually-simultaneous sibling just wrote — admission would
         depend on branch launch order (a GRM552 lane race).
 
-        Observations made while pinned (connect failures from hedge
-        siblings, retry attempts) are *deferred*: buffered, then applied
-        when the outermost pin exits, failures before successes.  Two
-        virtually-simultaneous attempts therefore contribute the same
-        end state whatever order the dispatcher happened to launch them
-        in — the write side of the same lane-race hazard.  Pins nest;
-        the innermost decision wins and deferral lasts until the
-        outermost exit.
-
-        Each pin settles what was observed in it, not in a pin nested
-        inside it, when it exits: its failures only if it saw any, its
-        successes otherwise.  The success of an earlier stage (the
-        connect probe of a fetch whose reply was garbage) does not vouch
-        for the stage that failed in the same operation, so it must not
-        reset the failure streak.  What an inner pin settled is not
-        judged again by the pin around it: a batch's pin
-        (``Gateway.query_batch``) holds one operation pin per member
-        fetch, and each fetch's final success is recorded after its own
-        pin exits, so one member's failure discards neither that success
-        nor another member's.
+        Outcomes recorded while pinned (the failed attempts of hedge
+        siblings and retries, a batch member's answer) are *deferred*:
+        buffered, then applied when the outermost pin exits, failures
+        before successes.  Two virtually-simultaneous attempts therefore
+        contribute the same end state whatever order the dispatcher
+        happened to launch them in — the write side of the same
+        lane-race hazard.  Pins nest; the innermost decision wins.
         """
         stack = self._pins.setdefault(key, [])
-        observed: list[tuple[str, str]] = []
-        stack.append((decision, observed))
+        stack.append(decision)
         try:
             yield
         finally:
             stack.pop()
-            failures = [o for o in observed if o[0] == "f"]
-            settled = self._settled.setdefault(key, [])
-            settled.extend(failures or observed)
             if not stack:
                 del self._pins[key]
                 for kind, error in sorted(
-                    self._settled.pop(key), key=lambda o: o[0] == "s"
+                    self._deferred.pop(key, ()), key=lambda o: o[0] == "s"
                 ):
                     if kind == "s":
                         self.record_success(key)
@@ -272,9 +248,8 @@ class HealthTracker:
     # Outcome recording
     # ------------------------------------------------------------------
     def record_success(self, key: str) -> None:
-        pinned = self._pins.get(key)
-        if pinned:
-            pinned[-1][1].append(("s", ""))
+        if key in self._pins:
+            self._deferred.setdefault(key, []).append(("s", ""))
             return
         if races.ACTIVE is not None:
             races.ACTIVE.note(
@@ -292,9 +267,8 @@ class HealthTracker:
             self._transition(entry, BreakerState.CLOSED)
 
     def record_failure(self, key: str, error: str = "") -> None:
-        pinned = self._pins.get(key)
-        if pinned:
-            pinned[-1][1].append(("f", error))
+        if key in self._pins:
+            self._deferred.setdefault(key, []).append(("f", error))
             return
         if races.ACTIVE is not None:
             races.ACTIVE.note(

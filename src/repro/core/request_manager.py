@@ -59,7 +59,6 @@ from repro.core.errors import (
     NoSuitableDriverError,
     OverloadError,
     QueryValidationError,
-    SourceQuarantinedError,
 )
 from repro.core.health import HealthTracker
 from repro.core.retry import RETRY_BUDGET, RetryBudget, RetryPolicy
@@ -731,8 +730,8 @@ class RequestManager:
             fetch_started = self.clock.now()
             attempt = 0
             # Admission was decided by the allow_request above; pin it for
-            # the whole operation so hedge siblings and retry attempts see
-            # the decision as of launch, not breaker state mid-mutation.
+            # the whole operation, so what its hedge siblings and retry
+            # attempts record is applied when it ends, whatever their order.
             try:
                 with self.health.pin(url_text, True):
                     while True:
@@ -750,7 +749,7 @@ class RequestManager:
                             break
                         except (DataSourceError, NoSuitableDriverError, SQLException) as exc:
                             # Connect-stage failures (DataSourceError) were
-                            # already recorded by the driver manager;
+                            # already recorded by the attempt (``_fetch``);
                             # post-connect transport failures and bad replies
                             # (a source answering garbage is unhealthy; the
                             # commonest cause is a connection closed
@@ -762,9 +761,7 @@ class RequestManager:
                             )
                             if unhealthy:
                                 self.health.record_failure(url_text, str(exc))
-                            transient = (
-                                unhealthy or isinstance(exc, DataSourceError)
-                            ) and not isinstance(exc, SourceQuarantinedError)
+                            transient = unhealthy or isinstance(exc, DataSourceError)
                             if transient and reissuable and attempt < self.retry.attempts:
                                 pause = self.retry.backoff(attempt, self._retry_rng)
                                 if not adm.allow_retry(query_class):
@@ -838,10 +835,17 @@ class RequestManager:
         deadline: Deadline | None,
         plan: CompiledPlan,
     ) -> tuple[list[str], list[list[Any]]]:
-        with self.connection_manager.connection(url, info, deadline=deadline) as conn:
-            rs = conn.create_statement().execute_query(sql, plan=plan)
-            assert isinstance(rs, ListResultSet)
-            return rs.columns, rs.take_rows()
+        """One attempt.  A failed connect (only the driver manager raises
+        :class:`DataSourceError`) is one health failure per attempt, hedge
+        siblings included, under the driver's own error text."""
+        try:
+            with self.connection_manager.connection(url, info, deadline=deadline) as conn:
+                rs = conn.create_statement().execute_query(sql, plan=plan)
+                assert isinstance(rs, ListResultSet)
+                return rs.columns, rs.take_rows()
+        except DataSourceError as exc:
+            self.health.record_failure(str(url), str(exc.__cause__))
+            raise
 
     def _one_history(
         self,

@@ -43,6 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover
 RemoteQueryError = RemoteQueryFailure
 
 
+class SiteCircuitOpen(RemoteQueryFailure):
+    """The ``gma://<site>`` breaker was already OPEN: the query never
+    left this gateway.  The one remote failure whose cause is ``breaker``;
+    a round trip that failed (and perhaps tripped the breaker) is not."""
+
+
 def _copy(relation, statuses: list[SourceStatus], **more) -> QueryResult:
     """A cached or shared relation as this caller's own answer."""
     return QueryResult(
@@ -193,7 +199,7 @@ class GlobalLayer:
                     span["stale"] = True
                     return _copy(stale, [SourceStatus.stale(u) for u in covered])
             entry = health.health(health_key)
-            raise RemoteQueryError(
+            raise SiteCircuitOpen(
                 f"circuit open for site {site!r} until t={entry.open_until:.1f}s "
                 f"(last error: {entry.last_error or 'unknown'})"
             )

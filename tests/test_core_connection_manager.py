@@ -7,8 +7,10 @@ from repro.core.connection_manager import IDLE_TTL, ConnectionManager
 from repro.core.driver_manager import GridRmDriverManager
 from repro.core.health import FAILURE_THRESHOLD
 from repro.core.policy import GatewayPolicy
+from repro.core.request_manager import Cause, QueryMode
 from repro.dbapi.registry import DriverRegistry
 from repro.drivers.snmp_driver import SnmpDriver
+from repro.testbed import build_testbed
 
 
 @pytest.fixture
@@ -173,22 +175,37 @@ def make_health_cm(network, policy=None):
     )
     registry = DriverRegistry()
     health = HealthTracker(network.clock, policy)
-    dm = GridRmDriverManager(registry, policy, health=health)
+    dm = GridRmDriverManager(registry, policy)
     dm.register(SnmpDriver(network, gateway_host="gateway"))
     return ConnectionManager(dm, network.clock, policy, health=health), health
 
 
+def pooled_gateway():
+    """A gateway over one SNMP source whose pool holds one connection."""
+    network, (site,) = build_testbed(
+        n_hosts=1, agents=("snmp",), seed=3,
+        policy=GatewayPolicy(breaker_base_backoff=30.0, breaker_max_backoff=60.0),
+    )
+    gateway, url = site.gateway, site.source_urls[0]
+    gateway.query(url, "SELECT * FROM Processor", mode=QueryMode.REALTIME)
+    (entry,) = gateway.connection_manager._idle[url]
+    return network, site, url, entry.connection
+
+
 class TestReleaseValidation:
-    def test_release_quarantined_source_closes(self, network, agents):
-        """The breaker trips at ``health.FAILURE_THRESHOLD`` failures (this
-        rig set a threshold of 2 before it became a constant)."""
-        cm, health = make_health_cm(network)
-        conn = cm.acquire(URL)
+    def test_release_quarantined_source_closes(self):
+        """An OPEN source's idle connections are closed and never reused.
+        A query's connection is released inside the operation that holds
+        the source's breaker pinned, so release never sees it OPEN; the
+        connection released *before* the trip is closed by the trip-time
+        purge (``Gateway._on_breaker_transition`` -> ``quarantine``)."""
+        network, site, url, conn = pooled_gateway()
+        gateway = site.gateway
         for _ in range(FAILURE_THRESHOLD):  # trips the breaker
-            health.record_failure(URL)
-        cm.release(conn)
+            gateway.health.record_failure(url)
         assert conn.is_closed()
-        assert cm.idle_count(URL) == 0
+        cm = gateway.connection_manager
+        assert cm.idle_count(url) == 0
         assert cm.stats["quarantined"] == 1
 
     def test_release_after_failure_probes_and_evicts_dead(self, network, agents):
@@ -218,18 +235,31 @@ class TestReleaseValidation:
         cm.release(cm.acquire(URL))
         assert network.clock.now() == t0
 
-    def test_acquire_skips_pool_while_quarantined(self, network, agents):
-        from repro.core.errors import SourceQuarantinedError
-
-        cm, health = make_health_cm(network)
-        cm.release(cm.acquire(URL))
-        assert cm.idle_count(URL) == 1
-        # ``health.FAILURE_THRESHOLD`` failures trip it (this rig set a
-        # threshold of 2 before it became a constant).
+    def test_acquire_skips_pool_while_quarantined(self):
+        """Through ``Gateway.query``: while the breaker is OPEN the pool
+        is not asked at all (the request manager's breaker exit answers
+        first, no acquire, no agent request), and the HALF_OPEN probe
+        opens a new connection instead of reusing a purged one."""
+        network, site, url, conn = pooled_gateway()
+        gateway, cm = site.gateway, site.gateway.connection_manager
+        (agent,) = site.agents["snmp"]
         for _ in range(FAILURE_THRESHOLD):
-            health.record_failure(URL)
-        with pytest.raises(SourceQuarantinedError):
-            cm.acquire(URL)
+            gateway.health.record_failure(url)
+        acquires, served = cm.stats["acquires"], agent.requests_served
+        network.clock.advance(1.0)
+        (status,) = gateway.query(
+            url, "SELECT * FROM Processor", mode=QueryMode.REALTIME
+        ).statuses
+        assert status.cause is Cause.STALE  # the pooling query's answer
+        assert cm.stats["acquires"] == acquires
+        assert agent.requests_served == served
+        network.clock.advance(60.0)  # past the (jitter-capped) backoff
+        (status,) = gateway.query(
+            url, "SELECT * FROM Processor", mode=QueryMode.REALTIME
+        ).statuses
+        assert status.cause is Cause.FRESH
+        assert (cm.stats["created"], cm.stats["reused"]) == (2, 0)
+        assert conn.is_closed()
 
     def test_quarantine_drains_idle_pool(self, network, agents):
         cm, health = make_health_cm(network)

@@ -229,10 +229,14 @@ class TestFailurePolicies:
 
 
 class TestBreakerShortCircuit:
-    URL = "jdbc:snmp://n0/x"
+    """The breaker stage belongs to the request manager: the driver
+    manager is never asked while a source's breaker is OPEN.  These
+    tests drove ``open_connection`` with a tracker attached; they now
+    drive ``Gateway.query`` and read the driver manager's counters."""
 
-    def make_health_manager(self, network, **policy_kwargs):
-        from repro.core.health import HealthTracker
+    @staticmethod
+    def make_gateway(**policy_kwargs):
+        from repro.testbed import build_testbed
 
         policy = GatewayPolicy(
             failure_action=FailureAction.RETRY,
@@ -241,56 +245,70 @@ class TestBreakerShortCircuit:
             breaker_max_backoff=60.0,
             **policy_kwargs,
         )
-        health = HealthTracker(network.clock, policy)
-        manager = make_manager(network, policy)
-        manager.health = health
-        return manager, health
+        network, (site,) = build_testbed(
+            n_hosts=1, agents=("snmp",), seed=3, policy=policy
+        )
+        return network, site, site.source_urls[0]
 
-    def test_open_breaker_skips_retry_budget(self, network, agents):
+    @staticmethod
+    def realtime(network, site, url):
+        from repro.core.request_manager import QueryMode
+
+        network.clock.advance(1.0)
+        (status,) = site.gateway.query(
+            url, "SELECT * FROM Processor", mode=QueryMode.REALTIME
+        ).statuses
+        return status
+
+    def test_open_breaker_skips_retry_budget(self):
         """An OPEN breaker short-circuits before RETRY spends a single
         connect attempt — the whole point of remembering failures.  It
-        trips after ``FAILURE_THRESHOLD`` failed opens (this rig set a
-        threshold of 2 before it became a constant)."""
-        from repro.core.errors import SourceQuarantinedError
+        trips after ``FAILURE_THRESHOLD`` failed queries, each one failed
+        open (1 + 2 retries) counted once."""
         from repro.core.health import FAILURE_THRESHOLD, BreakerState
+        from repro.core.request_manager import Cause
 
-        manager, health = self.make_health_manager(network)
-        network.set_host_up("n0", False)
+        network, site, url = self.make_gateway()
+        manager = site.gateway.driver_manager
+        site.fail_host(site.host_names()[0])
         for _ in range(FAILURE_THRESHOLD):
-            with pytest.raises(DataSourceError):
-                manager.open_connection(self.URL)
-        assert health.state(self.URL) is BreakerState.OPEN
+            assert self.realtime(network, site, url).cause is Cause.ERROR
+        health = site.gateway.health
+        assert health.state(url) is BreakerState.OPEN
+        assert health.health(url).total_failures == FAILURE_THRESHOLD
         failures = manager.stats["connect_failures"]
         assert failures == 3 * FAILURE_THRESHOLD  # each open: 1 + 2 retries
 
-        with pytest.raises(SourceQuarantinedError):
-            manager.open_connection(self.URL)
+        selections = manager.stats["selections"]
+        assert self.realtime(network, site, url).cause is Cause.BREAKER
         assert manager.stats["connect_failures"] == failures  # no budget spent
-        assert manager.stats["breaker_fast_fails"] == 1
+        assert manager.stats["selections"] == selections
+        assert site.gateway.request_manager.stats["breaker_short_circuits"] == 1
 
-    def test_half_open_probe_success_restores_cached_driver_path(
-        self, network, agents
-    ):
-        """Trips after ``FAILURE_THRESHOLD`` failed opens (was 2)."""
+    def test_half_open_probe_success_restores_cached_driver_path(self):
+        """Trips after ``FAILURE_THRESHOLD`` failed queries; unpooled, so
+        every query opens a connection through the driver manager."""
         from repro.core.health import FAILURE_THRESHOLD, BreakerState
+        from repro.core.request_manager import Cause
 
-        manager, health = self.make_health_manager(network)
-        url = JdbcUrl.parse(self.URL)
-        manager.open_connection(url).close()  # populate the driver cache
-        network.set_host_up("n0", False)
+        network, site, url = self.make_gateway(pool_enabled=False)
+        manager, health = site.gateway.driver_manager, site.gateway.health
+        self.realtime(network, site, url)  # populate the driver cache
+        site.fail_host(site.host_names()[0])
         for _ in range(FAILURE_THRESHOLD):
-            with pytest.raises(DataSourceError):
-                manager.open_connection(url)
-        assert health.state(self.URL) is BreakerState.OPEN
+            self.realtime(network, site, url)
+        assert health.state(url) is BreakerState.OPEN
 
-        network.set_host_up("n0", True)
+        site.heal_host(site.host_names()[0])
         network.clock.advance(60.0)  # past the max (jitter-capped) backoff
-        conn = manager.open_connection(url)  # the HALF_OPEN probe
-        assert not conn.is_closed()
-        assert health.state(self.URL) is BreakerState.CLOSED
-        assert manager.cached_driver(url) is conn.driver
+        assert self.realtime(network, site, url).cause is Cause.FRESH  # the probe
+        assert health.state(url) is BreakerState.CLOSED
+        assert manager.cached_driver(JdbcUrl.parse(url)) is manager.driver_by_name(
+            "JDBC-SNMP"
+        )
         # Subsequent opens ride the last-driver cache again, no rescans.
-        scans = manager.stats["dynamic_scans"]
-        manager.open_connection(url).close()
+        scans, hits = manager.stats["dynamic_scans"], manager.stats["cache_hits"]
+        network.clock.advance(20.0)  # past the response caches
+        assert self.realtime(network, site, url).cause is Cause.FRESH
         assert manager.stats["dynamic_scans"] == scans
-        assert manager.stats["cache_hits"] >= 1
+        assert manager.stats["cache_hits"] == hits + 1

@@ -5,9 +5,34 @@ import pytest
 from repro.core.errors import PolicyError
 from repro.core.health import BACKOFF_JITTER, FAILURE_THRESHOLD, BreakerState, HealthTracker
 from repro.core.policy import GatewayPolicy
+from repro.core.request_manager import Cause, QueryMode
 from repro.simnet.clock import VirtualClock
+from repro.testbed import build_testbed
 
 KEY = "jdbc:snmp://n0/system"
+#: A query each Ganglia fetch answers (or fails) in full.
+GANGLIA_SQL = "SELECT HostName FROM Processor"
+
+
+def garbled_ganglia(**policy_kwargs):
+    """One Ganglia source whose gmond serves half a dump from now on:
+    every fetch connects (gmond answers the probe) and then fails."""
+    policy_kwargs.setdefault("breaker_base_backoff", 10.0)
+    policy_kwargs.setdefault("breaker_max_backoff", 80.0)
+    network, (site,) = build_testbed(
+        n_hosts=1, agents=("ganglia",), seed=3, policy=GatewayPolicy(**policy_kwargs)
+    )
+    agent = site.agents["ganglia"][0]
+    honest = agent.render_xml
+    agent.render_xml = lambda: honest()[: len(honest()) // 2]
+    (url,) = site.source_urls
+    return network, site.gateway, url
+
+
+def realtime(network, gateway, url):
+    network.clock.advance(20.0)  # past the query cache and the dump cache
+    (status,) = gateway.query(url, GANGLIA_SQL, mode=QueryMode.REALTIME).statuses
+    return status
 
 
 def make_tracker(clock=None, **policy_kwargs):
@@ -118,14 +143,17 @@ class TestStateMachine:
         trip(clock, tracker, n=10)
         assert tracker.state(KEY) is BreakerState.CLOSED
         assert tracker.allow_request(KEY)
-        assert not tracker.is_quarantined(KEY)
         # Totals still observed, for the scoreboard.
         assert tracker.health(KEY).total_failures == 10
 
 
 class TestPinnedOutcomes:
     """What one pinned operation observed is applied at its end, as one
-    unordered set: its virtually-simultaneous stages have no order."""
+    unordered set: its virtually-simultaneous stages have no order.
+    Inside an operation only failures are recorded (a connect is no
+    health observation), its answer after the pin; the tests that drove
+    a connect success into the pin now drive a gateway whose fetches
+    connect and then read garbage."""
 
     @staticmethod
     def run(tracker, outcomes):
@@ -137,23 +165,26 @@ class TestPinnedOutcomes:
                     tracker.record_failure(KEY, "bad reply")
 
     def test_a_stage_success_does_not_reset_a_later_stage_failure(self):
-        ends = []
-        for outcomes in ("sf", "fs"):
-            _, tracker = make_tracker()
-            tracker.record_failure(KEY, "earlier")
-            self.run(tracker, outcomes)
-            ends.append(tracker.health(KEY).as_dict())
-        assert ends[0] == ends[1]
-        assert ends[0]["consecutive_failures"] == 2
-        assert ends[0]["total_successes"] == 0
+        """A fetch that connects and then reads half a dump counts one
+        failure and no success, so it does not reset an earlier streak:
+        the connect success that used to enter the pin is gone."""
+        network, gateway, url = garbled_ganglia()
+        gateway.health.record_failure(url, "earlier")
+        assert realtime(network, gateway, url).cause is Cause.ERROR
+        entry = gateway.health.health(url).as_dict()
+        assert entry["consecutive_failures"] == 2
+        assert (entry["total_failures"], entry["total_successes"]) == (2, 0)
 
     def test_connect_then_garbage_trips_at_threshold(self):
-        _, tracker = make_tracker()
-        for _ in range(2):
-            self.run(tracker, "sf")
-        assert tracker.state(KEY) is BreakerState.CLOSED
-        self.run(tracker, "sf")
-        assert tracker.state(KEY) is BreakerState.OPEN
+        """Through ``Gateway.query``: ``FAILURE_THRESHOLD`` fetches that
+        connect and then fail open the breaker, one failure each."""
+        network, gateway, url = garbled_ganglia()
+        for _ in range(FAILURE_THRESHOLD - 1):
+            assert realtime(network, gateway, url).cause is Cause.ERROR
+        assert gateway.health.state(url) is BreakerState.CLOSED
+        assert realtime(network, gateway, url).cause is Cause.ERROR
+        assert gateway.health.state(url) is BreakerState.OPEN
+        assert gateway.health.health(url).total_failures == FAILURE_THRESHOLD
 
     def test_an_operation_without_failures_applies_its_successes(self):
         _, tracker = make_tracker()
@@ -164,11 +195,12 @@ class TestPinnedOutcomes:
 
     def test_a_batch_pin_keeps_each_answer_beside_its_failed_attempt(self):
         """Attempt 1 fails, the retry connects and answers; the answer is
-        recorded after the operation's pin, inside the batch's."""
+        recorded after the operation's pin, inside the batch's.  The
+        retry's connect records nothing."""
         _, tracker = make_tracker()
         for _ in range(3):
             with tracker.pin(KEY, True):
-                self.run(tracker, "fs")
+                self.run(tracker, "f")
                 tracker.record_success(KEY)
         entry = tracker.health(KEY)
         assert entry.state is BreakerState.CLOSED
@@ -176,35 +208,71 @@ class TestPinnedOutcomes:
         assert (entry.total_failures, entry.total_successes) == (3, 3)
 
     def test_one_failed_member_discards_no_other_members_success(self):
+        """One batch member's fetch fails, another's answers: both are
+        applied when the batch joins, the failure first."""
         _, tracker = make_tracker()
         with tracker.pin(KEY, True):
-            self.run(tracker, "sf")
-            self.run(tracker, "s")
+            self.run(tracker, "f")
+            self.run(tracker, "")
             tracker.record_success(KEY)
         entry = tracker.health(KEY)
         assert entry.consecutive_failures == 0
-        assert (entry.total_failures, entry.total_successes) == (1, 2)
+        assert (entry.total_failures, entry.total_successes) == (1, 1)
 
     def test_a_half_open_probe_that_connects_and_then_fails_reopens(self):
-        clock, tracker = make_tracker()
-        trip(clock, tracker)
-        clock.advance(100.0)
-        assert tracker.allow_request(KEY)
-        assert tracker.state(KEY) is BreakerState.HALF_OPEN
-        self.run(tracker, "sf")
-        assert tracker.state(KEY) is BreakerState.OPEN
-        assert tracker.health(KEY).trips == 2
+        """Through ``Gateway.query``: the HALF_OPEN probe connects, reads
+        half a dump and re-opens the breaker with a doubled backoff."""
+        network, gateway, url = garbled_ganglia()
+        for _ in range(FAILURE_THRESHOLD):
+            realtime(network, gateway, url)
+        assert gateway.health.state(url) is BreakerState.OPEN
+        network.clock.advance(100.0)  # past the (jitter-capped) backoff
+        assert realtime(network, gateway, url).cause is Cause.ERROR
+        entry = gateway.health.health(url)
+        assert entry.state is BreakerState.OPEN
+        assert entry.trips == 2 and entry.current_backoff == 20.0
+
+
+def test_one_fetch_counts_one_success():
+    """N REALTIME queries to one source, the first on a new connection
+    and the rest on the pooled one, count N successes: a connect is not
+    a second observation of the same fetch."""
+    network, (site,) = build_testbed(n_hosts=1, agents=("snmp",), seed=3)
+    gateway, url = site.gateway, site.source_urls[0]
+    for n in range(1, 4):
+        network.clock.advance(20.0)
+        (status,) = gateway.query(url, "SELECT * FROM Processor", mode=QueryMode.REALTIME).statuses
+        assert status.cause is Cause.FRESH
+        assert gateway.health.health(url).total_successes == n
+    pool = gateway.connection_manager.stats
+    assert (pool["created"], pool["reused"]) == (1, 2)
 
 
 class TestAdministration:
     def test_is_quarantined_only_while_open(self):
-        clock, tracker = make_tracker()
-        assert not tracker.is_quarantined(KEY)
-        trip(clock, tracker)
-        assert tracker.is_quarantined(KEY)
-        clock.advance(15.0)
-        tracker.allow_request(KEY)  # -> HALF_OPEN
-        assert not tracker.is_quarantined(KEY)
+        """The pool is drained when the breaker trips OPEN (the
+        ``Gateway._on_breaker_transition`` purge), and only then: nothing
+        reads a quarantine flag any more.  The HALF_OPEN probe opens a
+        new connection, which is pooled again once the breaker closes."""
+        network, (site,) = build_testbed(
+            n_hosts=1, agents=("snmp",), seed=3,
+            policy=GatewayPolicy(breaker_base_backoff=10.0, breaker_max_backoff=80.0),
+        )
+        gateway, url = site.gateway, site.source_urls[0]
+        pool = gateway.connection_manager
+        gateway.query(url, "SELECT * FROM Processor", mode=QueryMode.REALTIME)
+        assert pool.idle_count(url) == 1 and pool.stats["quarantined"] == 0
+        trip(network.clock, gateway.health, key=url)
+        assert pool.idle_count(url) == 0 and pool.stats["quarantined"] == 1
+        network.clock.advance(15.0)
+        assert gateway.health.allow_request(url)  # -> HALF_OPEN: no purge
+        assert pool.stats["quarantined"] == 1
+        (status,) = gateway.query(
+            url, "SELECT * FROM Processor", mode=QueryMode.REALTIME
+        ).statuses
+        assert status.cause is Cause.FRESH
+        assert gateway.health.state(url) is BreakerState.CLOSED
+        assert pool.idle_count(url) == 1 and pool.stats["created"] == 2
 
     def test_reset_one_and_all(self):
         clock, tracker = make_tracker()

@@ -120,11 +120,10 @@ def test_half_a_gmond_dump_costs_the_ganglia_source_only(policy):
 
 @configurations
 def test_half_a_gmond_dump_repeated_trips_the_ganglia_breaker(policy):
-    """Each query connects to gmond fine and then reads half a dump.  The
-    connect success and the fetch failure land in one pinned operation,
-    and the success must not reset the streak: ``health.FAILURE_THRESHOLD``
-    such queries open the source's breaker, and the next one is refused
-    without asking it."""
+    """Each query connects to gmond fine and then reads half a dump.  A
+    connect is no health observation, so each query counts the one
+    fetch failure: ``health.FAILURE_THRESHOLD`` such queries open the
+    source's breaker, and the next one is refused without asking it."""
     network = Network(VirtualClock(), seed=7)
     site = build_site(
         network, name="s", n_hosts=3, agents=("snmp", "ganglia"),
@@ -195,7 +194,7 @@ def test_half_a_gmond_dump_then_a_whole_one_on_retry_keeps_the_breaker_closed(
     assert entry.state is BreakerState.CLOSED
     assert entry.consecutive_failures == 0
     assert entry.total_failures == threshold
-    assert entry.total_successes == 2 + threshold  # the pooling query's two
+    assert entry.total_successes == 1 + threshold  # the pooling query's one
 
 
 # ----------------------------------------------------------------------

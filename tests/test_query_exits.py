@@ -196,3 +196,42 @@ def test_each_cause_leaves_gateway_query_through_its_exit(cause):
     assert {name: after[name] - before[name] for name in after if after[name] != before[name]} == {
         name: 1 for name in bumped
     }
+
+
+def test_a_tripping_remote_failure_is_an_error_like_a_local_one():
+    """A dead source and a dead remote gateway, queried side by side,
+    leave the same way every round: ``error`` (counted in
+    ``source_failures``) while the round trip is paid — the round that
+    trips the breaker included — and ``breaker`` (not counted) once the
+    open breaker short-circuits the query.  The remote exit used to read
+    the breaker *after* the failed round trip had tripped it."""
+    network = Network(VirtualClock(), seed=29)
+    network.clock.advance(20.0)
+    # A backoff longer than the four rounds, so round 3 is short-circuited.
+    policy = GatewayPolicy(security_enabled=True, breaker_base_backoff=60.0)
+    a, b = (
+        build_site(network, name=name, n_hosts=2, agents=("snmp",), seed=seed, policy=policy)
+        for name, seed in (("site-a", 1), ("site-b", 2))
+    )
+    directory = GMADirectory(network)
+    GlobalLayer(a.gateway, directory)
+    GlobalLayer(b.gateway, directory)
+    gw, local, remote = a.gateway, a.source_urls[0], b.source_urls[0]
+    a.fail_host(a.host_names()[0])
+    network.set_host_up(b.gateway.host, False)
+
+    rounds = {local: [], remote: []}
+    for _ in range(FAILURE_THRESHOLD + 1):
+        network.clock.advance(1.0)
+        for url in (local, remote):
+            before = _counters(gw)
+            (status,) = gw.query(url, SQL, mode=QueryMode.REALTIME).statuses
+            after = _counters(gw)
+            moved = {k: after[k] - before[k] for k in after if after[k] != before[k]}
+            rounds[url].append((status.cause, moved))
+
+    assert rounds[remote] == rounds[local]
+    failed = (Cause.ERROR, {"requests.source_failures": 1})
+    assert rounds[local] == [failed] * FAILURE_THRESHOLD + [(Cause.BREAKER, {})]
+    assert gw.health.state(local) is BreakerState.OPEN
+    assert gw.health.state("gma://site-b") is BreakerState.OPEN
