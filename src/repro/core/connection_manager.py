@@ -11,7 +11,8 @@ when one exists — revalidating it first if it has been idle longer than
 GridRMDriverManager for a new one (which pays driver selection + native
 probe + schema fetch).  Release returns the connection for reuse, or
 closes it when the pool is at capacity.  Experiment E1 measures the
-saving.
+saving.  The pool reads no breaker state: a tripping breaker drains a
+source's idle connections through :meth:`ConnectionManager.quarantine`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Any, Iterator, Mapping
 
 from repro.core.deadline import Deadline
 from repro.core.driver_manager import GridRmDriverManager
-from repro.core.health import BreakerState, HealthTracker
 from repro.core.policy import GatewayPolicy
 from repro.dbapi.url import JdbcUrl
 from repro.drivers.base import GridRmConnection
@@ -56,7 +56,7 @@ def _pool_key(url: JdbcUrl) -> str:
 
 
 class ConnectionManager:
-    """Per-source JDBC connection pool."""
+    """Per-source JDBC connection pool; knows nothing of breakers."""
 
     def __init__(
         self,
@@ -64,16 +64,15 @@ class ConnectionManager:
         clock: VirtualClock,
         policy: GatewayPolicy,
         *,
-        health: HealthTracker | None = None,
+        info: Mapping[str, Any] | None = None,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         self.driver_manager = driver_manager
         self.clock = clock
         self.policy = policy
-        #: Shared per-source circuit breakers (injected by the Gateway),
-        #: read by :meth:`release`'s probe rule and never written here.
-        self.health = health
+        #: Properties every new connection is opened with (the gateway's schema).
+        self.info = info
         self.tracer = tracer if tracer is not None else NO_TRACER
         self._idle: dict[str, list[PooledConnection]] = {}
         self.stats = StatsView(
@@ -86,18 +85,13 @@ class ConnectionManager:
                 "revalidated",
                 "evicted_invalid",
                 "evicted_capacity",
-                "evicted_unhealthy",
                 "quarantined",
             ),
         )
 
     # ------------------------------------------------------------------
     def acquire(
-        self,
-        url: JdbcUrl | str,
-        info: Mapping[str, Any] | None = None,
-        *,
-        deadline: Deadline | None = None,
+        self, url: JdbcUrl | str, *, deadline: Deadline | None = None
     ) -> GridRmConnection:
         """An open connection to ``url`` — pooled when possible.
 
@@ -144,7 +138,7 @@ class ConnectionManager:
                     return conn
             self.stats.inc("created")
             span["pooled"] = False
-            conn = self.driver_manager.open_connection(url, info, deadline=deadline)
+            conn = self.driver_manager.open_connection(url, self.info, deadline=deadline)
             conn.deadline = deadline
             conn.tracer = self.tracer
             return conn
@@ -152,12 +146,10 @@ class ConnectionManager:
     def release(self, connection: GridRmConnection) -> None:
         """Return a connection to its pool (or close it).
 
-        Health is only read here: a connection whose source has a recent
-        failure on record (or a breaker not CLOSED) pays one live probe
-        and is closed if it fails, rather than handed to the next caller.
-        Healthy sources skip the probe, so the pool's whole point (no
-        per-query native traffic) survives.  A tripping breaker drains
-        the pool through :meth:`quarantine`, not here.
+        No probe: the connection has just answered its query (a body that
+        raised is discarded instead, see :meth:`connection`), so the pool
+        keeps its whole point — no per-query native traffic.  A tripping
+        breaker drains the pool through :meth:`quarantine`, not here.
         """
         connection.deadline = None  # deadlines are per-query, not per-session
         connection.tracer = None  # spans are per-query too
@@ -166,16 +158,7 @@ class ConnectionManager:
         if not self.policy.pool_enabled:
             connection.close()
             return
-        key = _pool_key(connection.url)
-        if self.health is not None:
-            entry = self.health.health(key)
-            if entry.state is not BreakerState.CLOSED or entry.consecutive_failures:
-                # Source recently misbehaved: pay one probe before pooling.
-                if not connection.is_valid():
-                    self.stats.inc("evicted_unhealthy")
-                    connection.close()
-                    return
-        idle = self._idle.setdefault(key, [])
+        idle = self._idle.setdefault(_pool_key(connection.url), [])
         if len(idle) >= self.policy.pool_max_per_source:
             self.stats.inc("evicted_capacity")
             connection.close()
@@ -197,8 +180,7 @@ class ConnectionManager:
         to a source known to be failing must never be handed to the next
         caller.  Returns the number of connections quarantined.
         """
-        key = str(url) if isinstance(url, str) else _pool_key(url)
-        entries = self._idle.pop(key, [])
+        entries = self._idle.pop(str(url), [])
         n = 0
         for entry in entries:
             if not entry.connection.is_closed():
@@ -209,18 +191,14 @@ class ConnectionManager:
 
     @contextmanager
     def connection(
-        self,
-        url: JdbcUrl | str,
-        info: Mapping[str, Any] | None = None,
-        *,
-        deadline: Deadline | None = None,
+        self, url: JdbcUrl | str, *, deadline: Deadline | None = None
     ) -> Iterator[GridRmConnection]:
         """``with cm.connection(url) as conn:`` acquire/release guard.
 
         A body that raises discards the connection (it may be mid-protocol
         or pointing at a dead agent) rather than pooling it.
         """
-        conn = self.acquire(url, info, deadline=deadline)
+        conn = self.acquire(url, deadline=deadline)
         try:
             yield conn
         except BaseException:

@@ -148,8 +148,8 @@ class Gateway:
         # detector (chaos --race-detect, racecheck) attach it here so
         # analyze() folds GRM55x findings into the admin report.
         self.race_detector: Any | None = None
-        # One health tracker shared by every manager: local sources are
-        # keyed by their full JDBC URL, remote gateways by gma://<site>.
+        # One health tracker for the request manager and the Global layer:
+        # local sources keyed by full JDBC URL, remote gateways by gma://<site>.
         self.health = HealthTracker(
             network.clock,
             self.policy,
@@ -167,7 +167,7 @@ class Gateway:
             self.driver_manager,
             network.clock,
             self.policy,
-            health=self.health,
+            info={"schema_manager": self.schema_manager, "schema": self.schema_manager.schema},
             registry=self.metrics,
             tracer=self.tracer,
         )
@@ -552,10 +552,6 @@ class Gateway:
                         self.request_manager.execute, local, sql, mode=mode,
                         max_age=max_age, deadline=deadline, entry=entry,
                         query_class=qc,
-                        info={
-                            "schema_manager": self.schema_manager,
-                            "schema": self.schema_manager.schema,
-                        },
                     )
                     if not remote_by_site:
                         # Local only: the RequestManager fans out itself.

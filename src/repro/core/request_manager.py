@@ -21,11 +21,11 @@ sources that fail contribute a status entry rather than failing the whole
 request.  Every status carries its :class:`Cause`, from which its flags,
 its ``requests.*`` counters and a failed span's status follow (DESIGN §9).
 A source passes its stages in order — cache, deadline, breaker, coalesce,
-dispatch — and the stage that answers exits through
-:meth:`RequestManager.answer` (so does a remote batch's failure, from the
-gateway's remote exit); every answer read from the query cache (CACHE,
-breaker STALE and the gateway's all-or-nothing BROWNOUT) is built by
-``_from_cache``.
+dispatch — each returning the status it exits with (None passes it on),
+and leaves through one :meth:`RequestManager.answer` call, as a remote
+batch's failure and the Global layer's own cache answers do.  Answers read
+from the query cache (CACHE, STALE, BROWNOUT) are built by ``_from_cache``;
+each fetch attempt (``_fetch``, hedge siblings too) records its failure.
 
 Dispatch is concurrent in virtual time (see :mod:`repro.core.dispatch`,
 which alone decides serial or fan-out): a query over N sources fans one
@@ -45,7 +45,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, ClassVar, Iterable, Mapping, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Sequence
 
 from repro.core.admission import AdmissionController, QueryClass
 from repro.core.cache import CachedResult, CacheController
@@ -295,6 +295,24 @@ def consolidate(result: QueryResult, partials: Iterable[QueryResult]) -> None:
 #: published_at)`` in completion order: what ``StreamHub.publish`` takes.
 _Published = list[tuple[str, list[str], list[Any], float]]
 
+#: What a failed attempt says about its source: a failed connect, a
+#: transport error or a bad reply (a syntax error says nothing).
+_UNHEALTHY = (DataSourceError, SQLConnectionException, SQLTimeoutException, SQLDataException)
+
+
+@dataclass(frozen=True)
+class _Query:
+    """One query as every stage of every source sees it."""
+
+    sql: str
+    entry: PlanEntry
+    plan: CompiledPlan
+    mode: QueryMode
+    max_age: float | None
+    deadline: Deadline | None
+    retry_budget: RetryBudget | None
+    query_class: QueryClass
+
 
 class RequestManager:
     """Coordinates real-time, cached and historical queries."""
@@ -380,7 +398,6 @@ class RequestManager:
         *,
         mode: QueryMode = QueryMode.REALTIME,
         max_age: float | None = None,
-        info: Mapping[str, Any] | None = None,
         deadline: Deadline | None = None,
         retry_budget: RetryBudget | None = None,
         entry: PlanEntry | None = None,
@@ -426,18 +443,16 @@ class RequestManager:
                 + "; ".join(f.message for f in entry.findings),
                 findings=entry.findings,
             )
-        plan = entry.compiled()
-        select = plan.select
+        query = _Query(
+            sql, entry, entry.compiled(), mode, max_age, deadline, retry_budget, query_class
+        )
 
         started = self.clock.now()
         with self.tracer.span(
-            "execute", mode=mode.value, sources=len(parsed), join=select.is_join
+            "execute", mode=mode.value, sources=len(parsed), join=query.plan.select.is_join
         ):
-            if select.is_join:
-                result = self._execute_join(
-                    parsed, plan, mode, max_age, info, deadline, retry_budget,
-                    query_class,
-                )
+            if query.plan.select.is_join:
+                result = self._execute_join(parsed, query)
                 result.started_at = started
             else:
                 result = QueryResult(
@@ -447,12 +462,9 @@ class RequestManager:
                     # Historical queries hit the gateway-local store: no
                     # network round-trips, nothing to overlap.
                     for url in parsed:
-                        self._one_history(url, sql, result, plan)
+                        self._one_history(url, query, result)
                 else:
-                    self._realtime(
-                        parsed, sql, entry, result, mode, max_age, info,
-                        deadline, retry_budget, query_class,
-                    )
+                    self._realtime(parsed, query, result)
         result.elapsed = self.clock.now() - started
         return result
 
@@ -466,19 +478,7 @@ class RequestManager:
         extra = ("SourceUrl", "RecordedAt") if mode is QueryMode.HISTORY else ()
         return self.plans.get(sql, extra_fields=extra)
 
-    def _realtime(
-        self,
-        urls: list[JdbcUrl],
-        sql: str,
-        entry: PlanEntry,
-        result: QueryResult,
-        mode: QueryMode,
-        max_age: float | None,
-        info: Mapping[str, Any] | None,
-        deadline: Deadline | None,
-        retry_budget: RetryBudget | None,
-        query_class: QueryClass,
-    ) -> None:
+    def _realtime(self, urls: list[JdbcUrl], query: _Query, result: QueryResult) -> None:
         """REALTIME / CACHED_OK over one GLUE group.
 
         Every source fills a private partial; partials are merged into
@@ -489,22 +489,26 @@ class RequestManager:
         the dispatcher, which alone decides whether they run serially
         (one miss, or ``fanout_enabled`` off) or fan out.
         """
-        partials = [QueryResult(columns=[], rows=[], mode=mode) for _ in urls]
+        deadline = query.deadline
+        partials = [QueryResult(columns=[], rows=[], mode=query.mode) for _ in urls]
         pending = list(zip(urls, partials))
         # A spent deadline probes nothing: _one_realtime fails each
         # source fast instead.
-        if mode is QueryMode.CACHED_OK and not (deadline is not None and deadline.expired()):
+        if query.mode is QueryMode.CACHED_OK and not (deadline is not None and deadline.expired()):
             misses = []
             for url, partial in pending:
                 url_text = str(url)
-                hit = self.cache.lookup(url_text, sql, max_age=max_age, key=entry.key)
+                hit = self.cache.lookup(
+                    url_text, query.sql, max_age=query.max_age, key=query.entry.key
+                )
                 if hit is None:
                     misses.append((url, partial))
                     continue
                 with self.tracer.span("source", url=url_text) as span:
                     self._stamp_source(span, url_text, deadline)
                     span["cache"] = "hit"
-                    self._from_cache(partial, span, url_text, hit, SourceStatus.cache)
+                    status = self._from_cache(partial, url_text, hit, SourceStatus.cache)
+                    self.answer(partial, span, status)
             pending = misses
         published: _Published = []
         try:
@@ -514,10 +518,7 @@ class RequestManager:
                 if self.dispatcher.fans_out(len(pending)):
                     self.stats.inc("fanout_queries")
                 branches = [
-                    functools.partial(
-                        self._one_realtime, url, sql, entry, partial, published,
-                        mode, info, deadline, retry_budget, query_class,
-                    )
+                    functools.partial(self._one_realtime, url, query, partial, published)
                     for url, partial in pending
                 ]
                 guarded = deadline if self.admission.enabled else None
@@ -540,21 +541,11 @@ class RequestManager:
                 # One publish per query round: continuous queries see each
                 # fetched source as its own snapshot, and every consumer
                 # address gets one frame once the fan-out is over.
-                self.streams.publish(entry.compiled().select.table, published)
+                self.streams.publish(query.plan.select.table, published)
         consolidate(result, partials)
 
     # ------------------------------------------------------------------
-    def _execute_join(
-        self,
-        urls: list[JdbcUrl],
-        plan: CompiledPlan,
-        mode: QueryMode,
-        max_age: float | None,
-        info: Mapping[str, Any] | None,
-        deadline: Deadline | None,
-        retry_budget: RetryBudget | None,
-        query_class: QueryClass,
-    ) -> QueryResult:
+    def _execute_join(self, urls: list[JdbcUrl], query: _Query) -> QueryResult:
         """Multi-group query: "Clients select one or more GLUE group
         names to query" (paper §3.2.3).
 
@@ -566,8 +557,8 @@ class RequestManager:
         WHERE / ORDER BY / aggregation over the joined relation.
         """
         self.stats.inc("join_queries")
-        result = QueryResult(columns=[], rows=[], mode=mode)
-        groups = plan.select.tables
+        result = QueryResult(columns=[], rows=[], mode=query.mode)
+        groups = query.plan.select.tables
         self.tracer.current_span().annotate(groups=len(groups))
 
         # One decomposed sub-query per GLUE group, dispatched
@@ -575,9 +566,9 @@ class RequestManager:
         # relations are consolidated in the statement's group order.
         outcomes = self.dispatcher.run([
             functools.partial(
-                self.execute, urls, f"SELECT * FROM {group}", mode=mode,
-                max_age=max_age, info=info, deadline=deadline,
-                retry_budget=retry_budget, query_class=query_class,
+                self.execute, urls, f"SELECT * FROM {group}", mode=query.mode,
+                max_age=query.max_age, deadline=query.deadline,
+                retry_budget=query.retry_budget, query_class=query.query_class,
             )
             for group in groups
         ])
@@ -598,7 +589,7 @@ class RequestManager:
             columns, rows = join_rows(
                 relations, key_columns=("HostName", "SiteName")
             )
-            sel = plan.bind(tuple(columns)).execute(rows)
+            sel = query.plan.bind(tuple(columns)).execute(rows)
         except SqlError as exc:
             raise GridRmError(f"join failed: {exc}") from exc
         result.columns = sel.columns
@@ -625,23 +616,23 @@ class RequestManager:
             span.fail(status.error, status=cause.value)
         result.statuses.append(status)
 
+    @staticmethod
     def _from_cache(
-        self,
         partial: QueryResult,
-        span,
         url_text: str,
         hit: CachedResult,
         answer: Callable[[str, int], SourceStatus],
-    ) -> None:
-        """The cache exit: every answer served from the query cache —
+    ) -> SourceStatus:
+        """Every answer served from the query cache —
         ``SourceStatus.cache`` (fresh enough), ``.stale`` (breaker OPEN)
-        and ``.brownout`` (gateway under pressure) — is built here.
+        and ``.brownout`` (gateway under pressure) — is built here; the
+        caller sends it through :meth:`answer`.
 
         ``hit``'s relation becomes ``partial``'s: shared with the cache
         entry, not copied, as the consolidation copies every row it takes.
         """
         partial.columns, partial.rows = hit.columns, hit.rows
-        self.answer(partial, span, answer(url_text, len(hit.rows)))
+        return answer(url_text, len(hit.rows))
 
     def brownout(
         self, urls: list[JdbcUrl], sql: str, entry: PlanEntry, mode: QueryMode
@@ -665,200 +656,186 @@ class RequestManager:
         ) as span:
             partials = [QueryResult(columns=[], rows=[], mode=mode) for _ in hits]
             for partial, text, hit in zip(partials, texts, hits):
-                self._from_cache(partial, span, text, hit, SourceStatus.brownout)
+                status = self._from_cache(partial, text, hit, SourceStatus.brownout)
+                self.answer(partial, span, status)
             consolidate(result, partials)
         result.elapsed = self.clock.now() - started
         return result
 
     def _one_realtime(
-        self,
-        url: JdbcUrl,
-        sql: str,
-        entry: PlanEntry,
-        result: QueryResult,
-        published: _Published,
-        mode: QueryMode,
-        info: Mapping[str, Any] | None,
-        deadline: Deadline | None,
-        retry_budget: RetryBudget | None,
-        query_class: QueryClass,
+        self, url: JdbcUrl, query: _Query, result: QueryResult, published: _Published
     ) -> None:
+        """One source's stages in order — deadline, breaker, coalesce, dispatch —
+        each returning its exit status or None; the one exit is the last line."""
         url_text = str(url)
-        plan = entry.compiled()
         with self.tracer.span("source", url=url_text) as span:
-            self._stamp_source(span, url_text, deadline)
-            if deadline is not None and deadline.expired():
-                # Budget gone before this source was even dispatched (eaten
-                # by earlier hops): fail fast, no agent traffic, and no
-                # health penalty — the source did nothing wrong.
-                spent = DeadlineExceededError("deadline exceeded before dispatch")
-                self.answer(result, span, SourceStatus.failed(url_text, spent))
-                return
-            # A CACHED_OK source only gets here after its cache probe missed.
-            span["cache"] = "miss" if mode is QueryMode.CACHED_OK else "bypass"
-            if not self.health.allow_request(url_text):
-                self._breaker_open(url_text, sql, entry.key, result, span)
-                return
-            # Single-flight: an identical request already in the air to
-            # this source answers both of us with one agent round-trip.
-            # The real flight already updated health, stats, cache and
-            # history — the joiner only waits for it and shares the outcome.
-            flight = self.dispatcher.join_flight(url_text, sql, key=entry.key)
-            if flight is not None:
-                self.stats.inc("singleflight_joins")
-                span["coalesced"] = True
-                if flight.error is not None:
-                    status = SourceStatus.failed(url_text, flight.error, coalesced=True)
-                else:
-                    result.columns, n = merge_rows(
-                        result.columns, result.rows, *flight.value
-                    )
-                    status = SourceStatus.fresh(url_text, n, coalesced=True)
-                self.answer(result, span, status)
-                return
-            # Only idempotent drivers may have their fetch re-issued —
-            # whether by the retry loop below or by a dispatcher hedge.
-            # Before any driver is allocated the answer is yes: monitoring
-            # reads are idempotent unless a driver says otherwise.
-            driver = self.connection_manager.driver_manager.cached_driver(url)
-            reissuable = driver is None or bool(getattr(driver, "idempotent", True))
-            # Overload interplay (when the gateway's admission controller is
-            # on): hedges are suppressed under pressure, failed attempts
-            # re-check admission before retrying, and a shed costs neither a
-            # breaker penalty nor a retry token (nor does a spent deadline).
-            adm = self.admission
-            fetch_started = self.clock.now()
-            attempt = 0
-            # Admission was decided by the allow_request above; pin it for
-            # the whole operation, so what its hedge siblings and retry
-            # attempts record is applied when it ends, whatever their order.
-            try:
-                with self.health.pin(url_text, True):
-                    while True:
-                        attempt += 1
-                        try:
-                            with self.tracer.span("attempt", index=attempt):
-                                columns, rows = self.dispatcher.run_flight(
-                                    url_text,
-                                    sql,
-                                    lambda: self._fetch(url, sql, info, deadline, plan),
-                                    hedge=reissuable and not adm.suppress_hedges(),
-                                    deadline=deadline if adm.enabled else None,
-                                    key=entry.key,
-                                )
-                            break
-                        except (DataSourceError, NoSuitableDriverError, SQLException) as exc:
-                            # Connect-stage failures (DataSourceError) were
-                            # already recorded by the attempt (``_fetch``);
-                            # post-connect transport failures and bad replies
-                            # (a source answering garbage is unhealthy; the
-                            # commonest cause is a connection closed
-                            # mid-reply) are recorded here.  Syntax errors
-                            # say nothing about source health.
-                            unhealthy = isinstance(
-                                exc,
-                                (SQLConnectionException, SQLTimeoutException, SQLDataException),
-                            )
-                            if unhealthy:
-                                self.health.record_failure(url_text, str(exc))
-                            transient = unhealthy or isinstance(exc, DataSourceError)
-                            if transient and reissuable and attempt < self.retry.attempts:
-                                pause = self.retry.backoff(attempt, self._retry_rng)
-                                if not adm.allow_retry(query_class):
-                                    # Re-check admission: retrying under
-                                    # pressure is extra offered load fighting
-                                    # our own limiter (only CRITICAL keeps
-                                    # its retries).
-                                    self.stats.inc("retry_giveups")
-                                elif deadline is not None and deadline.remaining() <= pause:
-                                    # No budget left to back off and try again.
-                                    self.stats.inc("retry_giveups")
-                                elif retry_budget.take():
-                                    self.stats.inc("retries")
-                                    self.clock.advance(pause)
-                                    continue
-                                else:
-                                    self.stats.inc("retry_giveups")
-                            raise
-            except (
-                OverloadError, DeadlineExceededError, DataSourceError,
-                NoSuitableDriverError, SQLException,
-            ) as exc:
-                span.annotate(attempts=attempt)
-                self.answer(result, span, SourceStatus.failed(url_text, exc))
-                return
-            self.health.record_success(url_text)
-            self.stats.inc("realtime_fetches")
-            span.annotate(attempts=attempt)
-            self._source_latency.record(self.clock.now() - fetch_started)
-            result.columns, n = merge_rows(result.columns, result.rows, columns, rows)
-            self.answer(result, span, SourceStatus.fresh(url_text, n))
-            group = plan.select.table
-            self.cache.store(
-                url_text, sql, list(columns), [list(r) for r in rows],
-                group=group, key=entry.key,
-            )
-            self.history.record(
-                group, columns, rows,
-                source_url=url_text, recorded_at=self.clock.now(), star_only=True,
-            )
-            if self.streams is not None:
-                # Stamped at the instant the fetch produced it; the hub sees
-                # it when the round's fan-out is over (see ``_realtime``).
-                published.append((url_text, columns, rows, self.clock.now()))
+            self._stamp_source(span, url_text, query.deadline)
+            status = self._deadline_spent(url_text, query.deadline)
+            if status is None:
+                # A CACHED_OK source only gets here after its cache probe missed.
+                span["cache"] = "miss" if query.mode is QueryMode.CACHED_OK else "bypass"
+                status = (
+                    self._breaker_open(url_text, query, result, span)
+                    or self._coalesce(url_text, query, result, span)
+                    or self._dispatch(url, query, result, span, published)
+                )
+            self.answer(result, span, status)
+
+    @staticmethod
+    def _deadline_spent(url_text: str, deadline: Deadline | None) -> SourceStatus | None:
+        """The deadline stage.  Budget gone before this source was even
+        dispatched (eaten by earlier hops): fail fast, no agent traffic,
+        and no health penalty — the source did nothing wrong."""
+        if deadline is not None and deadline.expired():
+            spent = DeadlineExceededError("deadline exceeded before dispatch")
+            return SourceStatus.failed(url_text, spent)
+        return None
 
     def _breaker_open(
-        self, url_text: str, sql: str, key: str, result: QueryResult, span
-    ) -> None:
+        self, url_text: str, query: _Query, result: QueryResult, span
+    ) -> SourceStatus | None:
         """The breaker stage, for a source whose circuit is OPEN: never
         touch the source (even in REALTIME — that is the breaker's whole
         point).  Stale rows when the policy allows and the cache still
         holds any, a fast failure otherwise — never agent traffic."""
+        if self.health.allow_request(url_text):
+            return None
         self.stats.inc("breaker_short_circuits")
         span["breaker"] = "open"
         span["short_circuited"] = True
         if self.policy.serve_stale_on_open:
-            stale = self.cache.lookup_stale(url_text, sql, key=key)
+            stale = self.cache.lookup_stale(url_text, query.sql, key=query.entry.key)
             if stale is not None:
-                self._from_cache(result, span, url_text, stale, SourceStatus.stale)
-                return
+                return self._from_cache(result, url_text, stale, SourceStatus.stale)
         entry = self.health.health(url_text)
         detail = f": {entry.last_error}" if entry.last_error else ""
         error = f"circuit open until t={entry.open_until:.1f}s{detail}"
-        self.answer(result, span, SourceStatus.failed(url_text, error, breaker_open=True))
+        return SourceStatus.failed(url_text, error, breaker_open=True)
 
-    def _fetch(
-        self,
-        url: JdbcUrl,
-        sql: str,
-        info: Mapping[str, Any] | None,
-        deadline: Deadline | None,
-        plan: CompiledPlan,
-    ) -> tuple[list[str], list[list[Any]]]:
-        """One attempt.  A failed connect (only the driver manager raises
-        :class:`DataSourceError`) is one health failure per attempt, hedge
-        siblings included, under the driver's own error text."""
+    def _coalesce(
+        self, url_text: str, query: _Query, result: QueryResult, span
+    ) -> SourceStatus | None:
+        """The coalesce stage.  Single-flight: an identical request already
+        in the air to this source answers both of us with one agent
+        round-trip.  The real flight already updated health, stats, cache
+        and history — the joiner only waits for it and shares the outcome."""
+        flight = self.dispatcher.join_flight(url_text, query.sql, key=query.entry.key)
+        if flight is None:
+            return None
+        self.stats.inc("singleflight_joins")
+        span["coalesced"] = True
+        if flight.error is not None:
+            return SourceStatus.failed(url_text, flight.error, coalesced=True)
+        result.columns, n = merge_rows(result.columns, result.rows, *flight.value)
+        return SourceStatus.fresh(url_text, n, coalesced=True)
+
+    def _dispatch(
+        self, url: JdbcUrl, query: _Query, result: QueryResult, span, published: _Published
+    ) -> SourceStatus:
+        """The dispatch stage: fetch (retried, hedged), then cache, record
+        and publish what it answered."""
+        url_text = str(url)
+        # Only idempotent drivers may have their fetch re-issued —
+        # whether by the retry loop below or by a dispatcher hedge.
+        # Before any driver is allocated the answer is yes: monitoring
+        # reads are idempotent unless a driver says otherwise.
+        driver = self.connection_manager.driver_manager.cached_driver(url)
+        reissuable = driver is None or bool(getattr(driver, "idempotent", True))
+        # Overload interplay (when the gateway's admission controller is
+        # on): hedges are suppressed under pressure, failed attempts
+        # re-check admission before retrying, and a shed costs neither a
+        # breaker penalty nor a retry token (nor does a spent deadline).
+        adm = self.admission
+        fetch_started = self.clock.now()
+        attempt = 0
+        # Admission was decided by the breaker stage; pin it for the whole
+        # operation, so what its hedge siblings and retry attempts record
+        # is applied when it ends, whatever their order.
         try:
-            with self.connection_manager.connection(url, info, deadline=deadline) as conn:
-                rs = conn.create_statement().execute_query(sql, plan=plan)
+            with self.health.pin(url_text, True):
+                while True:
+                    attempt += 1
+                    try:
+                        with self.tracer.span("attempt", index=attempt):
+                            columns, rows = self.dispatcher.run_flight(
+                                url_text,
+                                query.sql,
+                                lambda: self._fetch(url, query),
+                                hedge=reissuable and not adm.suppress_hedges(),
+                                deadline=query.deadline if adm.enabled else None,
+                                key=query.entry.key,
+                            )
+                        break
+                    except _UNHEALTHY:
+                        # The attempt (``_fetch``) recorded it.  Syntax
+                        # errors say nothing about source health and are
+                        # not retried.
+                        if reissuable and attempt < self.retry.attempts:
+                            pause = self.retry.backoff(attempt, self._retry_rng)
+                            if not adm.allow_retry(query.query_class):
+                                # Re-check admission: retrying under
+                                # pressure is extra offered load fighting
+                                # our own limiter (only CRITICAL keeps
+                                # its retries).
+                                self.stats.inc("retry_giveups")
+                            elif query.deadline is not None and query.deadline.remaining() <= pause:
+                                # No budget left to back off and try again.
+                                self.stats.inc("retry_giveups")
+                            elif query.retry_budget.take():
+                                self.stats.inc("retries")
+                                self.clock.advance(pause)
+                                continue
+                            else:
+                                self.stats.inc("retry_giveups")
+                        raise
+        except (
+            OverloadError, DeadlineExceededError, DataSourceError,
+            NoSuitableDriverError, SQLException,
+        ) as exc:
+            span.annotate(attempts=attempt)
+            return SourceStatus.failed(url_text, exc)
+        self.health.record_success(url_text)
+        self.stats.inc("realtime_fetches")
+        span.annotate(attempts=attempt)
+        self._source_latency.record(self.clock.now() - fetch_started)
+        result.columns, n = merge_rows(result.columns, result.rows, columns, rows)
+        group = query.plan.select.table
+        self.cache.store(
+            url_text, query.sql, list(columns), [list(r) for r in rows],
+            group=group, key=query.entry.key,
+        )
+        self.history.record(
+            group, columns, rows,
+            source_url=url_text, recorded_at=self.clock.now(), star_only=True,
+        )
+        if self.streams is not None:
+            # Stamped at the instant the fetch produced it; the hub sees
+            # it when the round's fan-out is over (see ``_realtime``).
+            published.append((url_text, columns, rows, self.clock.now()))
+        return SourceStatus.fresh(url_text, n)
+
+    def _fetch(self, url: JdbcUrl, query: _Query) -> tuple[list[str], list[list[Any]]]:
+        """One attempt, hedge siblings included: it records its own
+        failure — a failed connect (only the driver manager raises
+        :class:`DataSourceError`, under the driver's own error text), a
+        transport error or a bad reply (a source answering garbage is
+        unhealthy; the commonest cause is a connection closed mid-reply)."""
+        try:
+            with self.connection_manager.connection(url, deadline=query.deadline) as conn:
+                rs = conn.create_statement().execute_query(query.sql, plan=query.plan)
                 assert isinstance(rs, ListResultSet)
                 return rs.columns, rs.take_rows()
-        except DataSourceError as exc:
-            self.health.record_failure(str(url), str(exc.__cause__))
+        except _UNHEALTHY as exc:
+            reason = exc.__cause__ if isinstance(exc, DataSourceError) else exc
+            self.health.record_failure(str(url), str(reason))
             raise
 
-    def _one_history(
-        self,
-        url: JdbcUrl,
-        sql: str,
-        result: QueryResult,
-        plan: CompiledPlan,
-    ) -> None:
+    def _one_history(self, url: JdbcUrl, query: _Query, result: QueryResult) -> None:
         url_text = str(url)
         with self.tracer.span("history", url=url_text) as span:
             scanned_before = self.history.rows_scanned
             try:
-                sel = self.history.query(sql, source_url=url_text, plan=plan)
+                sel = self.history.query(query.sql, source_url=url_text, plan=query.plan)
                 result.columns, n = merge_rows(
                     result.columns, result.rows, sel.columns, sel.rows
                 )

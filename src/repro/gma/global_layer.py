@@ -184,7 +184,7 @@ class GlobalLayer:
             if cached is not None:
                 self.stats.inc("remote_cache_hits")
                 span["cache"] = "hit"
-                return _copy(cached, [SourceStatus.cache(u) for u in covered])
+                return self._serve(span, cached, covered, SourceStatus.cache)
         # The remote gateway has a circuit breaker in the local
         # gateway's health tracker: while it is OPEN a partitioned site
         # costs nothing instead of a full consumer timeout per query.
@@ -197,7 +197,7 @@ class GlobalLayer:
                 if stale is not None:
                     self.stats.inc("remote_stale_served")
                     span["stale"] = True
-                    return _copy(stale, [SourceStatus.stale(u) for u in covered])
+                    return self._serve(span, stale, covered, SourceStatus.stale)
             entry = health.health(health_key)
             raise SiteCircuitOpen(
                 f"circuit open for site {site!r} until t={entry.open_until:.1f}s "
@@ -243,6 +243,14 @@ class GlobalLayer:
         if self.cache_remote:
             gateway.cache.store(cache_key_url, sql, result.columns, result.rows)
         return result
+
+    def _serve(self, span, relation, urls: list[str], answer) -> QueryResult:
+        """A relation served from the local cache: each URL's status leaves
+        through the request manager's one exit, as a local answer's does."""
+        served = _copy(relation, [])
+        for url in urls:
+            self.gateway.request_manager.answer(served, span, answer(url))
+        return served
 
     def query_remote_all(
         self,

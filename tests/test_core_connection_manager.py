@@ -167,17 +167,25 @@ class TestRevalidation:
 
 
 def make_health_cm(network, policy=None):
-    from repro.core.health import HealthTracker
+    """A pool beside a health tracker, wired as ``Gateway`` wires them:
+    the pool takes no health, and a trip to OPEN drains the source's idle
+    connections (``Gateway._on_breaker_transition`` -> ``quarantine``)."""
+    from repro.core.health import BreakerState, HealthTracker
 
     policy = policy or GatewayPolicy(
         breaker_base_backoff=30.0,
         breaker_max_backoff=60.0,
     )
     registry = DriverRegistry()
-    health = HealthTracker(network.clock, policy)
     dm = GridRmDriverManager(registry, policy)
     dm.register(SnmpDriver(network, gateway_host="gateway"))
-    return ConnectionManager(dm, network.clock, policy, health=health), health
+    cm = ConnectionManager(dm, network.clock, policy)
+
+    def drain_on_trip(key, old, new, entry):
+        if new is BreakerState.OPEN:
+            cm.quarantine(key)
+
+    return cm, HealthTracker(network.clock, policy, on_transition=drain_on_trip)
 
 
 def pooled_gateway():
@@ -209,26 +217,58 @@ class TestReleaseValidation:
         assert cm.stats["quarantined"] == 1
 
     def test_release_after_failure_probes_and_evicts_dead(self, network, agents):
+        """An OPEN trip still closes idle connections.  Release reads no
+        health: a connection released after its source's first failure,
+        with the host since gone, is pooled without a probe (the clock
+        does not move); the trip to OPEN is what closes it."""
         cm, health = make_health_cm(network)
         conn = cm.acquire(URL)
-        health.record_failure(URL)  # one failure: not tripped, but suspect
+        health.record_failure(URL)  # one failure: not tripped
         network.set_host_up("n0", False)
+        t0 = network.clock.now()
         cm.release(conn)
+        assert network.clock.now() == t0
+        assert not conn.is_closed() and cm.idle_count(URL) == 1
+        for _ in range(FAILURE_THRESHOLD - 1):
+            health.record_failure(URL)
         assert conn.is_closed()
-        assert cm.idle_count(URL) == 0
-        assert cm.stats["evicted_unhealthy"] == 1
+        assert cm.idle_count(URL) == 0 and cm.stats["quarantined"] == 1
+        assert "evicted_unhealthy" not in dict(cm.stats)
 
     def test_release_after_failure_pools_if_probe_passes(self, network, agents):
+        """A recovering source's answered connection is pooled with no
+        extra agent request: a failure on record buys no release probe."""
         cm, health = make_health_cm(network)
         conn = cm.acquire(URL)
         health.record_failure(URL)
-        cm.release(conn)  # the validation probe succeeds: pool it
+        served = agents[0].requests_served
+        cm.release(conn)
+        assert agents[0].requests_served == served
         assert not conn.is_closed()
         assert cm.idle_count(URL) == 1
 
+    def test_a_fetch_after_a_failure_costs_one_native_request(self):
+        """Through ``Gateway.query``: one failure on record, then a
+        successful REALTIME fetch on the pooled connection costs exactly
+        one native request, the fetch itself; the connection that
+        answered is pooled again without a probe."""
+        network, site, url, conn = pooled_gateway()
+        gateway = site.gateway
+        (agent,) = site.agents["snmp"]
+        gateway.health.record_failure(url, "earlier")
+        network.clock.advance(20.0)  # past the query and driver caches
+        served = agent.requests_served
+        (status,) = gateway.query(
+            url, "SELECT * FROM Processor", mode=QueryMode.REALTIME
+        ).statuses
+        assert status.cause is Cause.FRESH
+        assert agent.requests_served - served == 1
+        assert gateway.connection_manager.idle_count(url) == 1
+        assert not conn.is_closed()
+
     def test_healthy_release_skips_probe(self, network, agents):
-        """The zero-traffic pooling fast path survives: a healthy source
-        pays no validation probe on release."""
+        """The zero-traffic pooling fast path: a healthy source pays no
+        validation probe on release (no source does)."""
         cm, health = make_health_cm(network)
         cm.release(cm.acquire(URL))
         t0 = network.clock.now()

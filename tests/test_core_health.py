@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core import dispatch
 from repro.core.errors import PolicyError
 from repro.core.health import BACKOFF_JITTER, FAILURE_THRESHOLD, BreakerState, HealthTracker
 from repro.core.policy import GatewayPolicy
 from repro.core.request_manager import Cause, QueryMode
 from repro.simnet.clock import VirtualClock
+from repro.simnet.errors import TimeoutError_
 from repro.testbed import build_testbed
 
 KEY = "jdbc:snmp://n0/system"
@@ -231,6 +233,53 @@ class TestPinnedOutcomes:
         entry = gateway.health.health(url)
         assert entry.state is BreakerState.OPEN
         assert entry.trips == 2 and entry.current_backoff == 20.0
+
+    def test_a_losing_hedge_sibling_records_its_own_failure(self):
+        """Hedge siblings each record their own failure: a losing attempt
+        that connects and then reads half a dump counts one failure, as a
+        losing attempt whose connect times out does.  In both races the
+        query is FRESH and its one success lands after the failure."""
+        for losing, sabotaged in (("reply", "dump"), ("connect", "probe")):
+            cause, before, after, seen, hedges = lose_a_hedge(losing)
+            assert cause is Cause.FRESH and seen == [sabotaged] and hedges == 1, losing
+            assert after["total_failures"] == before["total_failures"] + 1, losing
+            assert after["total_successes"] == before["total_successes"] + 1, losing
+            assert after["consecutive_failures"] == 0, losing
+
+
+def lose_a_hedge(losing):
+    """One REALTIME query to a Ganglia source whose hedge timer is armed
+    (``HEDGE_MIN_SAMPLES`` answered fetches).  The primary's first request
+    is slow, so the hedge fires and answers, and then fails: ``"reply"``
+    cuts its dump in half (it reused the pooled connection),
+    ``"connect"`` times its connect probe out (the pool was emptied).
+    Returns the cause, the source's health before and after, what the
+    sabotaged request asked and the hedges fired."""
+    network, (site,) = build_testbed(n_hosts=1, agents=("ganglia",), seed=3)
+    gateway, (url,) = site.gateway, site.source_urls
+    agent = site.agents["ganglia"][0]
+    for _ in range(dispatch.HEDGE_MIN_SAMPLES):
+        assert realtime(network, gateway, url).cause is Cause.FRESH
+    if losing == "connect":
+        gateway.connection_manager.quarantine(url)
+    honest, seen = network.request, []
+
+    def request(src, dst, payload, **kw):
+        reply = honest(src, dst, payload, **kw)
+        if dst != agent.address or seen:
+            return reply
+        seen.append(payload)
+        network.clock.advance(1.0)
+        if payload == "probe":
+            raise TimeoutError_(f"probe to {dst} timed out")
+        return reply[: len(reply) // 2]
+
+    network.request = request
+    before = gateway.health.health(url).as_dict()
+    hedges = gateway.dispatcher.stats["hedges_fired"]
+    cause = realtime(network, gateway, url).cause
+    hedges = gateway.dispatcher.stats["hedges_fired"] - hedges
+    return cause, before, gateway.health.health(url).as_dict(), seen, hedges
 
 
 def test_one_fetch_counts_one_success():

@@ -235,3 +235,46 @@ def test_a_tripping_remote_failure_is_an_error_like_a_local_one():
     assert rounds[local] == [failed] * FAILURE_THRESHOLD + [(Cause.BREAKER, {})]
     assert gw.health.state(local) is BreakerState.OPEN
     assert gw.health.state("gma://site-b") is BreakerState.OPEN
+
+
+def test_a_remote_cache_or_stale_answer_moves_the_counters_a_local_one_does():
+    """A local source and a remote site's source, read side by side: a
+    CACHED_OK re-read answers both CACHE and moves ``cache_served`` by
+    one, and once both breakers are OPEN a REALTIME read answers both
+    STALE and moves ``stale_served`` by one.  The Global layer used to
+    build its own CACHE and STALE answers without the request manager's
+    exit, so the remote reads moved no ``requests.*`` counter."""
+    network = Network(VirtualClock(), seed=29)
+    network.clock.advance(20.0)
+    policy = GatewayPolicy(security_enabled=True, breaker_base_backoff=60.0)
+    a, b = (
+        build_site(network, name=name, n_hosts=2, agents=("snmp",), seed=seed, policy=policy)
+        for name, seed in (("site-a", 1), ("site-b", 2))
+    )
+    directory = GMADirectory(network)
+    GlobalLayer(a.gateway, directory)
+    GlobalLayer(b.gateway, directory)
+    gw, local, remote = a.gateway, a.source_urls[0], b.source_urls[0]
+
+    def read(url, mode):
+        before = _counters(gw)
+        (status,) = gw.query(url, SQL, mode=mode).statuses
+        after = _counters(gw)
+        return status.cause, {k: after[k] - before[k] for k in after if after[k] != before[k]}
+
+    for url in (local, remote):
+        assert read(url, QueryMode.CACHED_OK) == (Cause.FRESH, {})
+    network.clock.advance(1.0)
+    for url in (local, remote):
+        assert read(url, QueryMode.CACHED_OK) == (Cause.CACHE, {"requests.cache_served": 1})
+
+    a.fail_host(a.host_names()[0])
+    network.set_host_up(b.gateway.host, False)
+    network.clock.advance(policy.query_cache_ttl + STALE_AFTER)
+    for _ in range(FAILURE_THRESHOLD):
+        for url in (local, remote):
+            assert gw.query(url, SQL, mode=QueryMode.REALTIME).statuses[0].cause is Cause.ERROR
+    assert gw.health.state(local) is BreakerState.OPEN
+    assert gw.health.state("gma://site-b") is BreakerState.OPEN
+    for url in (local, remote):
+        assert read(url, QueryMode.REALTIME) == (Cause.STALE, {"requests.stale_served": 1})
