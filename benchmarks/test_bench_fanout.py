@@ -106,13 +106,14 @@ def test_e14_three_site_scatter_gather(report):
     t0 = network.clock.now()
     out = layers[0].query_remote_all(remote_sites, SQL, mode="realtime")
     concurrent = network.clock.now() - t0
-    assert not any(isinstance(r, Exception) for r in out.values())
+    # A site that cannot answer is a failed status, not an exception.
+    assert all(s.ok for r in out.values() for s in r.statuses)
 
     network, _, layers = _gma_rig(GatewayPolicy(fanout_enabled=False))
     t0 = network.clock.now()
     out_serial = layers[0].query_remote_all(remote_sites, SQL, mode="realtime")
     serial = network.clock.now() - t0
-    assert not any(isinstance(r, Exception) for r in out_serial.values())
+    assert all(s.ok for r in out_serial.values() for s in r.statuses)
 
     speedup = serial / concurrent
     report(

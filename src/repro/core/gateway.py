@@ -39,7 +39,6 @@ from repro.core.request_manager import (
     QueryMode,
     QueryResult,
     RequestManager,
-    SourceStatus,
     consolidate,
 )
 from repro.core.shed import PressureState, ShedAction
@@ -56,7 +55,6 @@ from repro.dbapi.interfaces import Driver
 from repro.dbapi.registry import DriverRegistry
 from repro.dbapi.url import JdbcUrl
 from repro.drivers import default_driver_set
-from repro.gma.global_layer import SiteCircuitOpen
 from repro.obs.driver import GatewayMetricsDriver
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -565,8 +563,9 @@ class Gateway:
                         thunks = [run_local] if local else []
                         thunks += [
                             partial(
-                                self._query_remote_site, site_name, site_urls, sql,
-                                mode, max_age, principal, deadline, qc,
+                                self.global_layer.query_remote, site_name, sql,
+                                urls=site_urls, mode=mode.value, max_age=max_age,
+                                principal=principal, deadline=deadline, query_class=qc.value,
                             )
                             for site_name, site_urls in remote_by_site.items()
                         ]
@@ -625,48 +624,6 @@ class Gateway:
             else:
                 remote.setdefault(site, []).append(str(url))
         return local, remote
-
-    def _query_remote_site(
-        self,
-        site_name: str,
-        site_urls: list[str],
-        sql: str,
-        mode: QueryMode,
-        max_age: float | None,
-        principal: Principal,
-        deadline: Deadline | None = None,
-        qc: QueryClass = QueryClass.INTERACTIVE,
-    ) -> QueryResult:
-        """One remote batch via the Global layer: the remote answer, or
-        an ``ok=False`` status per URL saying why there is none."""
-
-        def remote_exit(span, exc: Exception) -> QueryResult:
-            # Each failed status leaves through the request manager's one
-            # exit: its cause's counters, ``span`` failed with the cause.
-            # A shed is the remote gateway protecting itself: a typed
-            # per-source shed status, never a breaker failure against
-            # gma://<site> (the Global layer already skipped the penalty).
-            # Only a query the open breaker short-circuited is ``breaker``:
-            # a failed round trip is ``error`` even when it tripped it.
-            tripped = isinstance(exc, SiteCircuitOpen)
-            failed = QueryResult([], [], mode=mode)
-            for url in site_urls:
-                self.request_manager.answer(
-                    failed, span, SourceStatus.failed(url, exc, breaker_open=tripped)
-                )
-            return failed
-
-        return self.global_layer.query_remote(
-            site_name,
-            sql,
-            urls=site_urls,
-            mode=mode.value,
-            max_age=max_age,
-            principal=principal,
-            deadline=deadline,
-            query_class=qc.value,
-            on_failure=remote_exit,
-        )
 
     def query_batch(
         self,

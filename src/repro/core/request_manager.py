@@ -22,10 +22,12 @@ request.  Every status carries its :class:`Cause`, from which its flags,
 its ``requests.*`` counters and a failed span's status follow (DESIGN §9).
 A source passes its stages in order — cache, deadline, breaker, coalesce,
 dispatch — each returning the status it exits with (None passes it on),
-and leaves through one :meth:`RequestManager.answer` call, as a remote
-batch's failure and the Global layer's own cache answers do.  Answers read
-from the query cache (CACHE, STALE, BROWNOUT) are built by ``_from_cache``;
-each fetch attempt (``_fetch``, hedge siblings too) records its failure.
+and leaves through one :meth:`RequestManager.answer` call.  A remote
+site's share of a query (``gma://<site>``, :meth:`RequestManager.remote`)
+is a source too: the Global layer's consumer round trip is its fetch.
+Answers read from the query cache (CACHE, STALE, BROWNOUT) are built by
+``_from_cache``; each fetch attempt (``_fetch``, hedge siblings and remote
+round trips too) records its failure.
 
 Dispatch is concurrent in virtual time (see :mod:`repro.core.dispatch`,
 which alone decides serial or fan-out): a query over N sources fans one
@@ -43,9 +45,9 @@ from __future__ import annotations
 import enum
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Any, Callable, ClassVar, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Sequence
 
 from repro.core.admission import AdmissionController, QueryClass
 from repro.core.cache import CachedResult, CacheController
@@ -75,8 +77,12 @@ from repro.dbapi.resultset import ListResultSet
 from repro.dbapi.url import JdbcUrl
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.obs.trace import NULL_SPAN, Tracer
+from repro.simnet.errors import NetworkError
 from repro.sql.errors import SqlError
 from repro.sql.plan import CompiledPlan, join_rows
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.gma.global_layer import GlobalLayer
 
 
 class QueryMode(enum.Enum):
@@ -297,21 +303,24 @@ _Published = list[tuple[str, list[str], list[Any], float]]
 
 #: What a failed attempt says about its source: a failed connect, a
 #: transport error or a bad reply (a syntax error says nothing).
-_UNHEALTHY = (DataSourceError, SQLConnectionException, SQLTimeoutException, SQLDataException)
+_UNHEALTHY = (
+    DataSourceError, SQLConnectionException, SQLTimeoutException, SQLDataException, NetworkError
+)
 
 
 @dataclass(frozen=True)
-class _Query:
-    """One query as every stage of every source sees it."""
+class Query:
+    """One query as every stage of every source sees it; a remote site's
+    share has no ``key`` and no plan (its own gateway compiles it)."""
 
     sql: str
-    entry: PlanEntry
-    plan: CompiledPlan
     mode: QueryMode
     max_age: float | None
     deadline: Deadline | None
-    retry_budget: RetryBudget | None
-    query_class: QueryClass
+    key: str | None = None
+    plan: CompiledPlan | None = None
+    retry_budget: RetryBudget | None = None
+    query_class: QueryClass = QueryClass.INTERACTIVE
 
 
 class RequestManager:
@@ -443,8 +452,8 @@ class RequestManager:
                 + "; ".join(f.message for f in entry.findings),
                 findings=entry.findings,
             )
-        query = _Query(
-            sql, entry, entry.compiled(), mode, max_age, deadline, retry_budget, query_class
+        query = Query(
+            sql, mode, max_age, deadline, entry.key, entry.compiled(), retry_budget, query_class
         )
 
         started = self.clock.now()
@@ -478,7 +487,7 @@ class RequestManager:
         extra = ("SourceUrl", "RecordedAt") if mode is QueryMode.HISTORY else ()
         return self.plans.get(sql, extra_fields=extra)
 
-    def _realtime(self, urls: list[JdbcUrl], query: _Query, result: QueryResult) -> None:
+    def _realtime(self, urls: list[JdbcUrl], query: Query, result: QueryResult) -> None:
         """REALTIME / CACHED_OK over one GLUE group.
 
         Every source fills a private partial; partials are merged into
@@ -499,7 +508,7 @@ class RequestManager:
             for url, partial in pending:
                 url_text = str(url)
                 hit = self.cache.lookup(
-                    url_text, query.sql, max_age=query.max_age, key=query.entry.key
+                    url_text, query.sql, max_age=query.max_age, key=query.key
                 )
                 if hit is None:
                     misses.append((url, partial))
@@ -545,7 +554,7 @@ class RequestManager:
         consolidate(result, partials)
 
     # ------------------------------------------------------------------
-    def _execute_join(self, urls: list[JdbcUrl], query: _Query) -> QueryResult:
+    def _execute_join(self, urls: list[JdbcUrl], query: Query) -> QueryResult:
         """Multi-group query: "Clients select one or more GLUE group
         names to query" (paper §3.2.3).
 
@@ -663,7 +672,7 @@ class RequestManager:
         return result
 
     def _one_realtime(
-        self, url: JdbcUrl, query: _Query, result: QueryResult, published: _Published
+        self, url: JdbcUrl, query: Query, result: QueryResult, published: _Published
     ) -> None:
         """One source's stages in order — deadline, breaker, coalesce, dispatch —
         each returning its exit status or None; the one exit is the last line."""
@@ -675,7 +684,7 @@ class RequestManager:
                 # A CACHED_OK source only gets here after its cache probe missed.
                 span["cache"] = "miss" if query.mode is QueryMode.CACHED_OK else "bypass"
                 status = (
-                    self._breaker_open(url_text, query, result, span)
+                    self._breaker_open(url_text, url_text, query, result, span)
                     or self._coalesce(url_text, query, result, span)
                     or self._dispatch(url, query, result, span, published)
                 )
@@ -692,45 +701,52 @@ class RequestManager:
         return None
 
     def _breaker_open(
-        self, url_text: str, query: _Query, result: QueryResult, span
+        self, key: str, cached: str | None, query: Query, result: QueryResult, span
     ) -> SourceStatus | None:
-        """The breaker stage, for a source whose circuit is OPEN: never
-        touch the source (even in REALTIME — that is the breaker's whole
-        point).  Stale rows when the policy allows and the cache still
-        holds any, a fast failure otherwise — never agent traffic."""
-        if self.health.allow_request(url_text):
+        """The breaker stage, for a source whose circuit ``key`` is OPEN:
+        never touch the source (even in REALTIME — that is the breaker's
+        whole point).  Stale rows when the policy allows and the cache
+        still holds any under ``cached`` (None: nothing may be served from
+        the cache), a fast failure otherwise — never agent traffic."""
+        if self.health.allow_request(key):
             return None
         self.stats.inc("breaker_short_circuits")
         span["breaker"] = "open"
         span["short_circuited"] = True
-        if self.policy.serve_stale_on_open:
-            stale = self.cache.lookup_stale(url_text, query.sql, key=query.entry.key)
+        if self.policy.serve_stale_on_open and cached is not None:
+            stale = self.cache.lookup_stale(cached, query.sql, key=query.key)
             if stale is not None:
-                return self._from_cache(result, url_text, stale, SourceStatus.stale)
-        entry = self.health.health(url_text)
+                return self._from_cache(result, key, stale, SourceStatus.stale)
+        entry = self.health.health(key)
         detail = f": {entry.last_error}" if entry.last_error else ""
         error = f"circuit open until t={entry.open_until:.1f}s{detail}"
-        return SourceStatus.failed(url_text, error, breaker_open=True)
+        return SourceStatus.failed(key, error, breaker_open=True)
 
     def _coalesce(
-        self, url_text: str, query: _Query, result: QueryResult, span
+        self, url_text: str, query: Query, result: QueryResult, span
     ) -> SourceStatus | None:
         """The coalesce stage.  Single-flight: an identical request already
         in the air to this source answers both of us with one agent
         round-trip.  The real flight already updated health, stats, cache
         and history — the joiner only waits for it and shares the outcome."""
-        flight = self.dispatcher.join_flight(url_text, query.sql, key=query.entry.key)
+        flight = self.dispatcher.join_flight(url_text, query.sql, key=query.key)
         if flight is None:
             return None
         self.stats.inc("singleflight_joins")
         span["coalesced"] = True
         if flight.error is not None:
             return SourceStatus.failed(url_text, flight.error, coalesced=True)
-        result.columns, n = merge_rows(result.columns, result.rows, *flight.value)
+        shared = flight.value
+        if isinstance(shared, QueryResult):
+            # A remote site's answer: the joiner keeps its wire statuses,
+            # marked joined; the owner's stay as they are.
+            result.statuses += [replace(s, coalesced=True) for s in shared.statuses]
+            shared = shared.columns, shared.rows
+        result.columns, n = merge_rows(result.columns, result.rows, *shared)
         return SourceStatus.fresh(url_text, n, coalesced=True)
 
     def _dispatch(
-        self, url: JdbcUrl, query: _Query, result: QueryResult, span, published: _Published
+        self, url: JdbcUrl, query: Query, result: QueryResult, span, published: _Published
     ) -> SourceStatus:
         """The dispatch stage: fetch (retried, hedged), then cache, record
         and publish what it answered."""
@@ -760,10 +776,10 @@ class RequestManager:
                             columns, rows = self.dispatcher.run_flight(
                                 url_text,
                                 query.sql,
-                                lambda: self._fetch(url, query),
+                                lambda: self._fetch(url_text, lambda: self._read(url, query)),
                                 hedge=reissuable and not adm.suppress_hedges(),
                                 deadline=query.deadline if adm.enabled else None,
-                                key=query.entry.key,
+                                key=query.key,
                             )
                         break
                     except _UNHEALTHY:
@@ -802,7 +818,7 @@ class RequestManager:
         group = query.plan.select.table
         self.cache.store(
             url_text, query.sql, list(columns), [list(r) for r in rows],
-            group=group, key=query.entry.key,
+            group=group, key=query.key,
         )
         self.history.record(
             group, columns, rows,
@@ -814,23 +830,105 @@ class RequestManager:
             published.append((url_text, columns, rows, self.clock.now()))
         return SourceStatus.fresh(url_text, n)
 
-    def _fetch(self, url: JdbcUrl, query: _Query) -> tuple[list[str], list[list[Any]]]:
+    def _fetch(self, key: str, read: Callable[[], Any]) -> Any:
         """One attempt, hedge siblings included: it records its own
-        failure — a failed connect (only the driver manager raises
-        :class:`DataSourceError`, under the driver's own error text), a
-        transport error or a bad reply (a source answering garbage is
+        failure against ``key`` — a failed connect (only the driver
+        manager raises :class:`DataSourceError`, under the driver's own
+        error text), a transport error (a remote site's failed round trip
+        among them) or a bad reply (a source answering garbage is
         unhealthy; the commonest cause is a connection closed mid-reply)."""
         try:
-            with self.connection_manager.connection(url, deadline=query.deadline) as conn:
-                rs = conn.create_statement().execute_query(query.sql, plan=query.plan)
-                assert isinstance(rs, ListResultSet)
-                return rs.columns, rs.take_rows()
+            return read()
         except _UNHEALTHY as exc:
             reason = exc.__cause__ if isinstance(exc, DataSourceError) else exc
-            self.health.record_failure(str(url), str(reason))
+            self.health.record_failure(key, str(reason))
             raise
 
-    def _one_history(self, url: JdbcUrl, query: _Query, result: QueryResult) -> None:
+    def _read(self, url: JdbcUrl, query: Query) -> tuple[list[str], list[list[Any]]]:
+        """One read of a local source over a pooled connection."""
+        with self.connection_manager.connection(url, deadline=query.deadline) as conn:
+            rs = conn.create_statement().execute_query(query.sql, plan=query.plan)
+            assert isinstance(rs, ListResultSet)
+            return rs.columns, rs.take_rows()
+
+    def remote(
+        self, layer: "GlobalLayer", site: str, urls: list[str] | None, query: Query,
+        fetch: Callable[[], QueryResult],
+    ) -> QueryResult:
+        """A remote site's share of a query as one source (breaker key
+        ``gma://<site>``, cache and flight key ``gma://<site>/<urls>``)
+        through a local source's stages: deadline, cache, breaker (stale
+        included), coalesce and dispatch, whose fetch is ``fetch`` (the
+        consumer's round trip).  A site that cannot answer gives an
+        ``ok=False`` status per URL; no per-source failure is raised.
+        ``layer.cache_remote`` turns the cache stage on; ``layer.stats``
+        keeps the per-scheme tallies.  A remote source's own outcomes:
+
+        * the cache stage runs in REALTIME too (a warm real-time fan-out
+          costs no request, E7); HISTORY neither reads nor writes it;
+        * a status a stage builds leaves once per URL asked for (a
+          whole-site query names the site), with ``rows=0``;
+        * a fetched or joined answer keeps the remote's wire statuses, and
+          is cached only when every one of them is ok;
+        * no retry loop (the consumer's producer failover plays that
+          part), no history, no publish.
+        """
+        site_key = f"gma://{site}"
+        key = site_key + (f"/{','.join(urls)}" if urls else "")
+        cached = key if layer.cache_remote and query.mode is not QueryMode.HISTORY else None
+        partial = QueryResult([], [], mode=query.mode)
+        status = self._deadline_spent(key, query.deadline)
+        if status is not None:
+            return self._spread(partial, NULL_SPAN, status, urls or [key])
+        with self.tracer.span("remote", site=site) as span:
+            layer.stats.inc("remote_queries")
+            hit = self.cache.lookup(cached, query.sql, max_age=query.max_age) if cached else None
+            if hit is not None:
+                layer.stats.inc("remote_cache_hits")
+                span["cache"] = "hit"
+                status = self._from_cache(partial, key, hit, SourceStatus.cache)
+            status = (
+                status
+                or self._breaker_open(site_key, cached, query, partial, span)
+                or self._coalesce(key, query, partial, span)
+                or self._remote_fetch(site_key, key, query, partial, fetch)
+            )
+            if status.cause is not Cause.FRESH:
+                return self._spread(partial, span, status, urls or [key])
+            if cached and not status.coalesced and all(s.ok for s in partial.statuses):
+                self.cache.store(cached, query.sql, partial.columns, partial.rows)
+            return partial
+
+    def _remote_fetch(
+        self, site_key: str, key: str, query: Query, result: QueryResult, fetch: Callable
+    ) -> SourceStatus:
+        """A remote source's dispatch stage: the fetched answer, its wire
+        statuses included, becomes ``result``.  A shed is ``shed`` and a
+        spent budget ``deadline_exceeded``, neither a health failure; a
+        failed round trip is recorded by ``_fetch``."""
+        adm = self.admission
+        try:
+            answer = self.dispatcher.run_flight(
+                key, query.sql, lambda: self._fetch(site_key, fetch),
+                hedge=not adm.suppress_hedges(), deadline=query.deadline if adm.enabled else None,
+            )
+        except (OverloadError, DeadlineExceededError, NetworkError) as exc:
+            return SourceStatus.failed(key, exc)
+        self.health.record_success(site_key)
+        if answer.trace_id:
+            self.tracer.current_span()["remote_trace"] = answer.trace_id
+        consolidate(result, [answer])
+        return SourceStatus.fresh(key, len(answer.rows))
+
+    def _spread(self, partial: QueryResult, span, status: SourceStatus, urls: list[str]):
+        """A remote source's stage-built answer: ``partial``'s relation,
+        copied, and ``status`` leaving once per URL, with ``rows=0``."""
+        result = QueryResult(list(partial.columns), [list(r) for r in partial.rows], mode=partial.mode)
+        for url in urls:
+            self.answer(result, span, replace(status, url=url, rows=0))
+        return result
+
+    def _one_history(self, url: JdbcUrl, query: Query, result: QueryResult) -> None:
         url_text = str(url)
         with self.tracer.span("history", url=url_text) as span:
             scanned_before = self.history.rows_scanned

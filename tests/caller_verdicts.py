@@ -128,9 +128,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.core.events:EventManager.unregister_listener": (
         "paper", "§3.1.5 / Figure 4: listeners register and unregister with the "
         "EventManager"),
-    "repro.core.gateway:Gateway._query_remote_site.<locals>.remote_exit": (
-        "wanted", "a remote site's failure or shed leaves through the one exit; "
-        "ROADMAP item 3 (corruption as a scenario) drives it"),
     "repro.core.gateway:Gateway.remove_source": (
         "paper", "§4 / Figure 9: data sources are added to and removed from the list"),
     "repro.core.gateway:Gateway.set_driver_preference": (

@@ -15,6 +15,8 @@ from tests.caller_verdicts import KINDS, VERDICTS
 
 
 def test_every_row_resolves_to_a_def_under_src():
+    """A deleted function takes its row with it: the gateway's remote exit
+    closure went when a remote site became a source, and so did its row."""
     defs, classes = functions()
     assert [key for key in VERDICTS if key not in defs and key not in classes] == []
     assert [key for key in VERDICTS if key in classes and not covered_by(key, defs)] == []
@@ -41,13 +43,14 @@ def test_no_function_is_covered_twice():
 def test_the_qualname_format_is_the_interpreters():
     """The AST walk names a method, a closure and a class the way the
     interpreter's ``__qualname__`` (``co_qualname``) does, so a census key
-    and a row key can be compared."""
+    and a row key can be compared.  The method closure it names is the
+    dispatcher's launch guard, since the gateway's remote exit is gone."""
     from repro.core.plans import PlanCache
     from repro.sql import plan
 
     defs, classes = functions()
     assert "repro.sql.plan:_compile_expr.<locals>.neg_fn" in defs
-    assert "repro.core.gateway:Gateway._query_remote_site.<locals>.remote_exit" in defs
+    assert "repro.core.dispatch:FanoutDispatcher._launch_guard.<locals>.run" in defs
     assert "repro.dbapi.resultset:ListResultSet" in classes
     assert f"repro.core.plans:{PlanCache._canonical.__qualname__}" in defs
     assert f"repro.sql.plan:{plan.compile_expr.__qualname__}" in defs

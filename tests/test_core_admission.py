@@ -432,31 +432,37 @@ class TestRemoteShed:
         return network, a, b, gla
 
     def test_remote_shed_propagates_typed(self, fabric):
+        """The remote shed arrives typed: a ``shed`` status carrying the
+        remote's refusal, as a local source's answer would, not a raise."""
         network, a, b, gla = fabric
         b.gateway.overload.monitor.observe(100, 0)  # site-b sheds
-        with pytest.raises(OverloadError, match="shed"):
-            gla.query_remote(
+        result = gla.query_remote(
+            "site-b",
+            "SELECT * FROM Processor",
+            mode="realtime",
+            query_class="batch",
+        )
+        (status,) = result.statuses
+        assert status.cause is Cause.SHED and status.shed and "shed" in status.error
+
+    def test_remote_shed_is_not_a_breaker_failure(self, fabric):
+        """Five remote sheds record no failure against ``gma://site-b``;
+        they are counted by the request manager's ``requests.sheds``."""
+        network, a, b, gla = fabric
+        b.gateway.overload.monitor.observe(100, 0)
+        sheds = a.gateway.request_manager.stats["sheds"]
+        for _ in range(5):
+            result = gla.query_remote(
                 "site-b",
                 "SELECT * FROM Processor",
                 mode="realtime",
                 query_class="batch",
             )
-
-    def test_remote_shed_is_not_a_breaker_failure(self, fabric):
-        network, a, b, gla = fabric
-        b.gateway.overload.monitor.observe(100, 0)
-        for _ in range(5):
-            with pytest.raises(OverloadError):
-                gla.query_remote(
-                    "site-b",
-                    "SELECT * FROM Processor",
-                    mode="realtime",
-                    query_class="batch",
-                )
+            assert [s.cause for s in result.statuses] == [Cause.SHED]
         entry = a.gateway.health.scoreboard().get("gma://site-b")
         if entry is not None:
             assert entry["total_failures"] == 0
-        assert gla.stats["remote_sheds"] == 5
+        assert a.gateway.request_manager.stats["sheds"] - sheds == 5
         # The breaker never opened: a real query flows once pressure ends.
         b.gateway.overload.monitor.observe(0, 8)
         network.clock.advance(30.0)

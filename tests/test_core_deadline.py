@@ -467,12 +467,15 @@ class TestGmaWirePropagation:
         assert not deadline.expired()
 
     def test_expired_budget_fails_before_any_wire_traffic(self, fabric):
+        """A spent budget is the deadline stage's ``deadline_exceeded``
+        status, answered before any wire traffic, not a raise."""
         network, _, _, gla = fabric
         deadline = Deadline.after(network.clock, 0.001)
         network.clock.advance(0.002)
         requests_before = network.stats.requests
-        with pytest.raises(DeadlineExceededError):
-            gla.query_remote("site-b", SQL, mode="realtime", deadline=deadline)
+        result = gla.query_remote("site-b", SQL, mode="realtime", deadline=deadline)
+        (status,) = result.statuses
+        assert status.cause is Cause.DEADLINE_EXCEEDED and "deadline exceeded" in status.error
         assert network.stats.requests == requests_before
 
     def test_producer_rejects_exhausted_budget_on_arrival(self, fabric):
@@ -498,15 +501,16 @@ class TestGmaWirePropagation:
         assert "no budget left" in response["error"]
 
     def test_tight_budget_clamps_native_timeout(self, fabric):
+        """The failure is a status (``error`` or ``deadline_exceeded``, by
+        where the budget ran out), not a raise."""
         # A budget smaller than the WAN round-trip: the consumer clamps
         # the native timeout to the remaining budget, so the remote query
         # fails at the deadline rather than the transport's own 5 s.
         network, _, _, gla = fabric
-        from repro.gma.global_layer import RemoteQueryError
-
         deadline = Deadline.after(network.clock, 0.01)  # < one WAN RTT
         t0 = network.clock.now()
-        with pytest.raises((RemoteQueryError, DeadlineExceededError)):
-            gla.query_remote("site-b", SQL, mode="realtime", deadline=deadline)
+        result = gla.query_remote("site-b", SQL, mode="realtime", deadline=deadline)
+        (status,) = result.statuses
+        assert status.cause in (Cause.ERROR, Cause.DEADLINE_EXCEEDED)
         # Never waited past the end-to-end deadline, let alone 5 s.
         assert network.clock.now() - t0 <= 0.15

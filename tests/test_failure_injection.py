@@ -5,13 +5,11 @@ degraded behaviour and the recovery — a monitoring system's job is
 precisely to keep working while the things it watches are failing.
 """
 
-import pytest
-
 from repro.core.connection_manager import IDLE_TTL
 from repro.core.policy import FailureAction, GatewayPolicy
-from repro.core.request_manager import QueryMode
+from repro.core.request_manager import Cause, QueryMode
 from repro.gma.directory import GMADirectory
-from repro.gma.global_layer import GlobalLayer, RemoteQueryError
+from repro.gma.global_layer import GlobalLayer
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
 from repro.testbed import build_site
@@ -68,6 +66,8 @@ class TestLossyNetwork:
 
 class TestPartitions:
     def test_remote_queries_fail_then_recover_after_heal(self):
+        """The partitioned site answers an ``error`` status (not a raise),
+        and a real answer once the partition heals."""
         clock = VirtualClock()
         network = Network(clock, seed=91)
         a = build_site(network, name="pa", n_hosts=2, agents=("snmp",), seed=1)
@@ -81,8 +81,8 @@ class TestPartitions:
             set(network.hosts(site="pa")) | {"gma-directory"},
             set(network.hosts(site="pb")),
         )
-        with pytest.raises(RemoteQueryError):
-            gla.query_remote("pb", "SELECT * FROM Host", mode="realtime")
+        failed = gla.query_remote("pb", "SELECT * FROM Host", mode="realtime")
+        assert [s.cause for s in failed.statuses] == [Cause.ERROR] and not failed.rows
         network.heal()
         result = gla.query_remote("pb", "SELECT * FROM Host", mode="realtime")
         assert result.rows

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core.policy import GatewayPolicy
-from repro.core.request_manager import QueryMode
+from repro.core.request_manager import Cause, QueryMode
 from repro.core.security import AccessRule
 from repro.gma.consumer import GatewayConsumer, RemoteQueryFailure
 from repro.gma.directory import DirectoryClient, GMADirectory
-from repro.gma.global_layer import GlobalLayer, RemoteQueryError
+from repro.gma.global_layer import GlobalLayer
 from repro.gma.records import ProducerRecord
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
@@ -100,20 +100,30 @@ class TestRemoteQueries:
         assert len(result.rows) == 1
 
     def test_unknown_site_fails(self, fabric):
+        """A site with no producer is an ``error`` status naming the site,
+        as a local source that cannot answer is: ``query_remote`` raises
+        no per-source failure."""
         _, _, _, _, gla, _ = fabric
-        with pytest.raises(RemoteQueryError):
-            gla.query_remote("site-z", "SELECT * FROM Host")
+        (status,) = gla.query_remote("site-z", "SELECT * FROM Host").statuses
+        assert (status.url, status.cause) == ("gma://site-z", Cause.ERROR)
+        assert "no producer registered for site 'site-z'" in status.error
 
     def test_dead_remote_gateway_fails(self, fabric):
+        """An unreachable gateway is an ``error`` status, not a raise."""
         network, _, a, b, gla, _ = fabric
         network.set_host_up(b.gateway.host, False)
-        with pytest.raises(RemoteQueryError):
-            gla.query_remote("site-b", "SELECT * FROM Host", mode="realtime")
+        result = gla.query_remote("site-b", "SELECT * FROM Host", mode="realtime")
+        (status,) = result.statuses
+        assert status.cause is Cause.ERROR and "unreachable" in status.error
+        assert result.rows == []
 
     def test_remote_error_surfaces(self, fabric):
+        """The remote gateway's refusal reaches the caller as the status's
+        error text, not as a raise."""
         _, _, _, _, gla, _ = fabric
-        with pytest.raises(RemoteQueryError):
-            gla.query_remote("site-b", "SELEKT broken")
+        (status,) = gla.query_remote("site-b", "SELEKT broken").statuses
+        assert status.cause is Cause.ERROR
+        assert "refused: expected a statement keyword" in status.error
 
     def test_gateway_to_gateway_cache(self, fabric):
         network, _, a, b, gla, _ = fabric
@@ -136,12 +146,14 @@ class TestRemoteQueries:
     def test_a_joined_flight_is_marked_coalesced_for_the_joiner_only(self, fabric):
         """Two identical remote queries in flight at once share one
         consumer round-trip.  The joiner's statuses say so; the flight
-        owner's, which it shares, do not.  (The join used to be counted
-        and traced but every status read ``coalesced=False``.)"""
+        owner's, which it shares, do not.  The join is the coalesce
+        stage's, counted in ``requests.singleflight_joins`` as a local
+        join is.  (The join used to be counted and traced but every status
+        read ``coalesced=False``.)"""
         _, _, a, _, gla, _ = fabric
         ask = lambda: gla.query_remote("site-b", "SELECT HostName FROM Host", mode="realtime")
         first, second = (o.value for o in a.gateway.dispatcher.run([ask, ask]))
-        assert gla.stats["remote_coalesced"] == 1
+        assert a.gateway.request_manager.stats["singleflight_joins"] == 1
         assert first.statuses and not any(s.coalesced for s in first.statuses)
         assert second.statuses and all(s.coalesced for s in second.statuses)
         assert first.rows == second.rows
@@ -200,9 +212,9 @@ class TestProducerEndpoint:
         directory = GMADirectory(network)
         gla = GlobalLayer(a.gateway, directory)
         GlobalLayer(b.gateway, directory)
-        with pytest.raises(RemoteQueryError) as err:
-            gla.query_remote("locked", "SELECT * FROM Host", mode="realtime")
-        assert "may not read" in str(err.value)
+        # The owner's refusal is the status's error, not a raise.
+        (status,) = gla.query_remote("locked", "SELECT * FROM Host", mode="realtime").statuses
+        assert status.cause is Cause.ERROR and "may not read" in status.error
 
     @pytest.mark.parametrize("stop", ["crash", "shutdown"])
     def test_stopped_gateway_frees_its_ports_for_a_successor(self, fabric, stop):
@@ -216,8 +228,9 @@ class TestProducerEndpoint:
         b = build_site(network, name="site-c", n_hosts=1, agents=("snmp",))
         GlobalLayer(b.gateway, directory)
         getattr(b.gateway, stop)()
-        with pytest.raises(RemoteQueryError):
-            gla.query_remote("site-c", "SELECT * FROM Host", mode="realtime")
+        # The stopped gateway is an ``error`` status, not a raise.
+        (status,) = gla.query_remote("site-c", "SELECT * FROM Host", mode="realtime").statuses
+        assert status.cause is Cause.ERROR
         successor = Gateway(network, b.gateway.host, site="site-c", disk=b.gateway.disk)
         for url in b.source_urls:
             successor.add_source(url)

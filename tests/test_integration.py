@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.request_manager import QueryMode
+from repro.core.request_manager import Cause, QueryMode
 from repro.gma.directory import GMADirectory
 from repro.gma.global_layer import GlobalLayer
 from repro.glue.schema import STANDARD_SCHEMA
@@ -177,6 +177,9 @@ class TestMultiSite:
         assert warm == 0.0 and cold > 0.0
 
     def test_partition_isolates_site_but_local_queries_work(self):
+        """Local queries still answer; the partitioned remote site answers
+        an ``error`` status, since a site that cannot answer is a failed
+        source, not a raise."""
         network, sites = build_testbed(n_sites=2, n_hosts=2, agents=("snmp",), seed=7)
         network.clock.advance(20.0)
         directory = GMADirectory(network)
@@ -188,11 +191,9 @@ class TestMultiSite:
         r = sites[0].gateway.query(sites[0].url_for("snmp"), "SELECT * FROM Host")
         assert r.ok_sources == 1
         # Remote realtime fails (cache may still answer, so disable it).
-        from repro.gma.global_layer import RemoteQueryError
-
         gla.cache_remote = False
-        with pytest.raises(RemoteQueryError):
-            gla.query_remote(sites[1].name, "SELECT * FROM Host", mode="realtime")
+        failed = gla.query_remote(sites[1].name, "SELECT * FROM Host", mode="realtime")
+        assert [s.cause for s in failed.statuses] == [Cause.ERROR] and not failed.rows
 
 
 class TestFailoverEndToEnd:

@@ -12,13 +12,17 @@ of the nine causes and checks what a client and an operator see of it:
 * the counters it bumps: its Cause row's ``requests.*`` counters (or
   ``admission.brownout_served`` for BROWNOUT), and no other.
 
-SHED is the one row that does not start at the request manager.
-A gateway that sheds its own work raises ``OverloadError`` before any
-source is asked, so a SHED *status* only reaches a client from a remote
-site.  The gateway's remote exit builds it and sends it through
+SHED is the one row a local source cannot give.  A gateway that sheds
+its own work raises ``OverloadError`` before any source is asked, so a
+SHED *status* only reaches a client from a remote site.  A remote site's
+share of a query is a source of its own (``gma://<site>``), so its
+dispatch stage builds the status and sends it through
 ``RequestManager.answer``, the exit every local answer takes: the
 ``remote`` span it sits under fails as ``shed`` and the SHED row's
 ``requests.*`` counters move.
+
+The side-by-side tests at the end query a local source and a remote
+site's source under the same fault and require the same outcome.
 """
 
 import pytest
@@ -47,6 +51,22 @@ def _site(network, name="site-a", seed=1):
         network, name=name, n_hosts=2, agents=("snmp",), seed=seed,
         policy=GatewayPolicy(security_enabled=True),
     )
+
+
+def _two_sites(**policy):
+    """Sites ``site-a`` and ``site-b`` joined through one directory; the
+    queries go to ``site-a``'s gateway."""
+    network = Network(VirtualClock(), seed=29)
+    network.clock.advance(20.0)
+    policy = GatewayPolicy(security_enabled=True, **policy)
+    a, b = (
+        build_site(network, name=name, n_hosts=2, agents=("snmp",), seed=seed, policy=policy)
+        for name, seed in (("site-a", 1), ("site-b", 2))
+    )
+    directory = GMADirectory(network)
+    GlobalLayer(a.gateway, directory)
+    GlobalLayer(b.gateway, directory)
+    return network, a, b
 
 
 def _counters(gw):
@@ -278,3 +298,110 @@ def test_a_remote_cache_or_stale_answer_moves_the_counters_a_local_one_does():
     assert gw.health.state("gma://site-b") is BreakerState.OPEN
     for url in (local, remote):
         assert read(url, QueryMode.REALTIME) == (Cause.STALE, {"requests.stale_served": 1})
+
+
+def test_a_history_read_never_takes_a_remote_realtime_answer_from_the_cache():
+    """The same text in REALTIME, then in HISTORY half a second later: the
+    local and the remote HISTORY answers both come from history, and
+    agree.  The remote-answer cache was keyed without the mode, so the
+    remote HISTORY read answered ``cache`` with the realtime relation."""
+    network, a, b = _two_sites()
+    gw, urls = a.gateway, (a.source_urls[0], b.source_urls[0])
+    for _ in range(3):
+        for url in urls:
+            gw.query(url, "SELECT * FROM Processor", mode=QueryMode.REALTIME)
+        network.clock.advance(gw.policy.query_cache_ttl + 1)
+    sql = "SELECT HostName, COUNT(*) FROM Processor GROUP BY HostName"
+    for url in urls:
+        assert gw.query(url, sql, mode=QueryMode.REALTIME).rows[0][1] == 1
+    network.clock.advance(0.5)
+    local, remote = (gw.query(url, sql, mode=QueryMode.HISTORY) for url in urls)
+    assert local.statuses[0].cause is Cause.HISTORY
+    # HISTORY crosses the wire spelled as ``fresh``; it is never ``cache``.
+    assert remote.statuses[0].cause is Cause.FRESH
+    assert [row[1] for row in local.rows] == [row[1] for row in remote.rows] == [3]
+
+
+def test_a_partly_failed_remote_answer_is_not_cached():
+    """A pair of sources whose second host is down, at each site: the
+    CACHED_OK re-read a second later says ``error`` for the dead host at
+    both.  A partly failed remote answer used to be cached whole, so the
+    remote re-read reported the dead host as a ``cache`` hit."""
+    network, a, b = _two_sites()
+    gw = a.gateway
+    a.fail_host(a.host_names()[1])
+    b.fail_host(b.host_names()[1])
+    causes = lambda site: [
+        s.cause for s in gw.query(site.source_urls, SQL, mode=QueryMode.CACHED_OK).statuses
+    ]
+    assert causes(a) == causes(b) == [Cause.FRESH, Cause.ERROR]
+    network.clock.advance(1.0)
+    assert causes(a) == causes(b) == [Cause.CACHE, Cause.ERROR]
+
+
+def test_a_joiner_of_a_remote_shed_is_an_error_like_a_local_joiner():
+    """Two concurrent batch queries to a shedding site share one round
+    trip: the owner answers ``shed``, the joiner ``error`` with
+    ``coalesced`` (DESIGN §9), so ``requests.sheds`` counts the one
+    refusal once.  The joiner used to answer ``shed`` uncoalesced."""
+    network, a, b = _two_sites()
+    gw = a.gateway
+    b.gateway.overload.monitor.observe(100, 0)  # site-b sheds batch work
+    before = _counters(gw)
+    ask = lambda: gw.query(b.source_urls[0], SQL, mode=QueryMode.REALTIME, query_class="batch")
+    owner, joiner = (o.value.statuses for o in gw.dispatcher.run([ask, ask]))
+    assert [(s.cause, s.coalesced) for s in owner + joiner] == [
+        (Cause.SHED, False), (Cause.ERROR, True)
+    ]
+    after = _counters(gw)
+    assert after["requests.sheds"] - before["requests.sheds"] == 1
+    assert after["requests.source_failures"] - before["requests.source_failures"] == 2
+
+
+def test_no_hedge_fires_under_pressure_for_a_remote_source_as_for_a_local_one():
+    """A slowed local source and a slowed remote site, both with enough
+    latency samples to arm a hedge, queried under BROWNOUT: neither
+    fires one (hedges are suppressed outside NORMAL).  The remote flight
+    used to be hedged whatever the pressure."""
+    network, a, b = _two_sites()
+    gw, local, remote = a.gateway, a.source_urls[0], b.source_urls[0]
+    for _ in range(10):
+        for url in (local, remote):
+            gw.query(url, SQL, mode=QueryMode.REALTIME)
+        network.clock.advance(gw.policy.query_cache_ttl + 1)
+    assert gw.dispatcher.hedge_delay(local) is not None
+    assert gw.dispatcher.hedge_delay(f"gma://site-b/{remote}") is not None
+    network.set_service_time(a.host_names()[0], 1.0)
+    network.set_service_time(b.gateway.host, 1.0)
+    gw.overload.monitor.observe(2, 0)  # no headroom, work queued: BROWNOUT
+    for url in (local, remote):
+        fired = gw.dispatcher.stats["hedges_fired"]
+        result = gw.query(url, SQL, mode=QueryMode.REALTIME, query_class="critical")
+        assert [s.cause for s in result.statuses] == [Cause.FRESH]
+        assert gw.dispatcher.stats["hedges_fired"] == fired, url
+
+
+def test_remote_short_circuits_and_joins_move_the_local_counters():
+    """Two concurrent reads of a local source and of a remote site's
+    source each join one flight, and once both breakers are OPEN a read
+    of each is short-circuited: ``requests.singleflight_joins`` and
+    ``requests.breaker_short_circuits`` move alike.  The remote ones used
+    to move only the Global layer's own twins of these counters."""
+    network, a, b = _two_sites(breaker_base_backoff=60.0)
+    gw, local, remote = a.gateway, a.source_urls[0], b.source_urls[0]
+    stats = gw.request_manager.stats
+    for url in (local, remote):
+        joins = stats["singleflight_joins"]
+        ask = lambda: gw.query(url, SQL, mode=QueryMode.REALTIME)
+        gw.dispatcher.run([ask, ask])
+        assert stats["singleflight_joins"] - joins == 1, url
+    a.fail_host(a.host_names()[0])
+    network.set_host_up(b.gateway.host, False)
+    network.clock.advance(gw.policy.query_cache_ttl + STALE_AFTER)
+    for _ in range(FAILURE_THRESHOLD):
+        for url in (local, remote):
+            gw.query(url, SQL, mode=QueryMode.REALTIME)
+    for url in (local, remote):
+        short_circuits = stats["breaker_short_circuits"]
+        gw.query(url, SQL, mode=QueryMode.REALTIME)
+        assert stats["breaker_short_circuits"] - short_circuits == 1, url
