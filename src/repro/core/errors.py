@@ -24,6 +24,11 @@ class DataSourceError(GridRmError):
     exhausted (connect errors, timeouts, driver errors)."""
 
 
+class RefusedError(GridRmError):
+    """A source answered, and its answer refuses the query (an access
+    deny, a syntax error): it says nothing about the source's health."""
+
+
 class DeadlineExceededError(GridRmError):
     """The query's end-to-end deadline ran out.
 

@@ -6,13 +6,16 @@ real-time result the RequestManager produces is recorded into a per-GLUE-
 group table (the group's fields plus ``SourceUrl`` and ``RecordedAt``
 provenance columns), so a client's historical query is *the same SQL*
 executed against the same group name — only the mode flag differs.
+A stored row is a tuple in that column order (:meth:`HistoryStore.layout`);
+readers outside the store read it through :meth:`HistoryStore.query` or
+:meth:`HistoryStore.since` plus that layout.
 
 Every HISTORY-mode request names one data source and most name a time
 window, so each group keeps one ordered index (:class:`_GroupIndex`):
 its rows in stable ``(RecordedAt, arrival)`` order
 (:func:`~repro.storage.segments.recorded_key`), group-wide
 (``table.rows``) and per ``SourceUrl`` (lists of references to the same
-dicts).  Rows do *not* arrive in that order — fan-out siblings record
+tuples).  Rows do *not* arrive in that order — fan-out siblings record
 the rows of one round a few microseconds out of ``RecordedAt`` order, and
 recovery hands rows back in log order — so the index places each batch
 by bisection (an append when it is the newest, which it almost always
@@ -31,8 +34,8 @@ rows serves.  The index is derived state and never persisted.
 Durability is optional and delegated: when constructed with a
 :class:`~repro.storage.engine.HistoryEngine`, every recorded row is
 WAL-appended before it is served, so the store's contents survive a
-gateway crash.  The engine holds *references to the same row dicts* the
-serving tables hold — the durable and serving copies cannot drift
+gateway crash.  The engine holds *references to the same row tuples*
+the serving tables hold — the durable and serving copies cannot drift
 between checkpoints.  Without an engine the store is the original pure
 in-memory ring.
 """
@@ -45,38 +48,34 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 from repro.analysis import races
 from repro.glue.schema import GlueSchema
 from repro.sql.ast_nodes import ColumnDef
-from repro.sql.database import Database, Table
+from repro.sql.database import Database, Row, Table
 from repro.sql.values import SelectResult
 from repro.sql.parser import parse_select
 from repro.sql.plan import CompiledPlan, compile_plan
-from repro.storage.segments import NULL_FIRST, recorded_key
+from repro.storage.segments import NULL_FIRST, PROVENANCE_NAMES, recorded_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.engine import HistoryEngine
 
 #: Provenance columns appended to every history table.
-PROVENANCE = (
-    ColumnDef("SourceUrl", "TEXT"),
-    ColumnDef("RecordedAt", "TIMESTAMP"),
-)
-_PROVENANCE_NAMES = tuple(c.name for c in PROVENANCE)
-
-Row = dict[str, Any]
+PROVENANCE = tuple(map(ColumnDef, PROVENANCE_NAMES, ("TEXT", "TIMESTAMP")))
 
 
 class _GroupIndex:
     """One group's rows in stable ``(RecordedAt, arrival)`` order.
 
     ``table.rows`` is the group-wide list and ``by_source`` one list per
-    ``SourceUrl`` over the same dicts in the same relative order.  Every
-    row enters or leaves a history table through one of the three
-    methods below, which is what keeps the lists sorted and in step.
+    ``SourceUrl`` (a row's last slot but one) over the same tuples in the
+    same relative order.  Every row enters or leaves a history table
+    through one of the three methods below, which is what keeps the
+    lists sorted and in step.
     """
 
-    __slots__ = ("table", "by_source")
+    __slots__ = ("table", "columns", "by_source")
 
     def __init__(self, table: Table) -> None:
         self.table = table
+        self.columns = tuple(table.column_names)
         self.by_source: dict[Any, list[Row]] = {}
 
     def insert(self, batch: list[Row]) -> None:
@@ -84,7 +83,7 @@ class _GroupIndex:
         row recorded at or before it — an append unless a sibling branch
         already recorded a later instant."""
         at = recorded_key(batch[0])
-        partition = self.by_source.setdefault(batch[0]["SourceUrl"], [])
+        partition = self.by_source.setdefault(batch[0][-2], [])
         for rows in (self.table.rows, partition):
             if rows and recorded_key(rows[-1]) > at:
                 i = bisect_right(rows, at, key=recorded_key)
@@ -99,7 +98,7 @@ class _GroupIndex:
         rows = self.table.rows
         heads: dict[Any, int] = {}
         for row in rows[:n]:
-            url = row["SourceUrl"]
+            url = row[-2]
             heads[url] = heads.get(url, 0) + 1
         del rows[:n]
         for url, k in heads.items():
@@ -114,7 +113,7 @@ class _GroupIndex:
         self.table.rows = rows
         self.by_source = {}
         for row in rows:
-            self.by_source.setdefault(row["SourceUrl"], []).append(row)
+            self.by_source.setdefault(row[-2], []).append(row)
 
     def rows(self, source_url: str | None) -> list[Row]:
         """The group-wide list, or one source's partition."""
@@ -211,7 +210,7 @@ class HistoryStore:
             return 0
         index = self._group(group_name)
         table = index.table
-        build, missing = table.row_builder(tuple(columns), _PROVENANCE_NAMES)
+        build, missing = table.row_builder(tuple(columns), PROVENANCE_NAMES)
         if star_only and missing:
             return 0
         if races.ACTIVE is not None:
@@ -231,8 +230,8 @@ class HistoryStore:
         index.insert(batch)
         if self.engine is not None:
             # One WAL record for the whole batch, referencing the coerced
-            # dicts the table holds (atomic ack, one frame per call).
-            self.engine.append_rows(table.name, batch)
+            # tuples the table holds (atomic ack, one frame per call).
+            self.engine.append_rows(table.name, batch, index.columns)
         self.rows_recorded += len(batch)
         overflow = len(table.rows) - self.max_rows_per_group
         if overflow > 0:
@@ -272,7 +271,7 @@ class HistoryStore:
                 "history", select.table, "r", site="HistoryStore.query"
             )
         index = self._group(select.table)
-        bound = plan.bind_mapping(tuple(index.table.column_names))
+        bound = plan.bind(index.columns)
         rows = index.rows(source_url)
         bounds = bound.leading_bounds("RecordedAt")
         if bounds:
@@ -289,7 +288,8 @@ class HistoryStore:
         source_url: str | None = None,
     ) -> list[Row]:
         """A group's rows (one source's with ``source_url``) recorded at
-        or after ``watermark``, oldest first.
+        or after ``watermark``, oldest first, as stored: tuples laid out
+        as :meth:`layout`.
 
         A row with a NULL ``RecordedAt`` is at no instant (it sorts
         before every finite one) and is never returned for a watermark;
@@ -308,6 +308,11 @@ class HistoryStore:
             return rows
         return rows[bisect_left(rows, watermark, key=recorded_key):]
 
+    def layout(self, group_name: str) -> tuple[str, ...]:
+        """The column order of a group's stored rows: its GLUE fields,
+        then ``SourceUrl`` and ``RecordedAt``."""
+        return (*self.schema.group(group_name).field_names(), *PROVENANCE_NAMES)
+
     def series(
         self,
         group_name: str,
@@ -317,11 +322,17 @@ class HistoryStore:
         host: str | None = None,
         since: float | None = None,
     ) -> list[tuple[float, Any]]:
-        """(RecordedAt, value) pairs for one field — the console's plots."""
+        """(RecordedAt, value) pairs for one field — the console's plots.
+        A field the group lacks reads NULL."""
+        rows = self.since(group_name, since, source_url=source_url)
+        if not rows:
+            return []
+        at = {name: i for i, name in enumerate(self.layout(group_name))}
+        value, host_at = at.get(field), at.get("HostName")
         return [
-            (row["RecordedAt"], row.get(field))
-            for row in self.since(group_name, since, source_url=source_url)
-            if host is None or row.get("HostName") == host
+            (row[-1], None if value is None else row[value])
+            for row in rows
+            if host is None or (host_at is not None and row[host_at] == host)
         ]
 
     # ------------------------------------------------------------------
@@ -345,13 +356,8 @@ class HistoryStore:
         if not self.schema.has_group(group_name):
             return
         index = self._group(group_name)
-        columns = index.table.column_names
         index.rebuild(
-            [
-                {name: row.get(name) for name in columns}
-                for row in self.engine.serving_rows(group_name)
-            ],
-            self.max_rows_per_group,
+            self.engine.serving_rows(group_name, index.columns), self.max_rows_per_group
         )
 
     def row_count(self, group_name: str | None = None) -> int:

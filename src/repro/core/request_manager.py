@@ -50,7 +50,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Sequence
 
 from repro.core.admission import AdmissionController, QueryClass
-from repro.core.cache import CachedResult, CacheController
+from repro.core.cache import CachedResult, CacheController, normalise_sql
 from repro.core.connection_manager import ConnectionManager
 from repro.core.deadline import Deadline
 from repro.core.dispatch import FanoutDispatcher
@@ -61,6 +61,7 @@ from repro.core.errors import (
     NoSuitableDriverError,
     OverloadError,
     QueryValidationError,
+    RefusedError,
 )
 from repro.core.health import HealthTracker
 from repro.core.retry import RETRY_BUDGET, RetryBudget, RetryPolicy
@@ -685,7 +686,7 @@ class RequestManager:
                 span["cache"] = "miss" if query.mode is QueryMode.CACHED_OK else "bypass"
                 status = (
                     self._breaker_open(url_text, url_text, query, result, span)
-                    or self._coalesce(url_text, query, result, span)
+                    or self._coalesce(url_text, query.key, query, result, span)
                     or self._dispatch(url, query, result, span, published)
                 )
             self.answer(result, span, status)
@@ -723,13 +724,13 @@ class RequestManager:
         return SourceStatus.failed(key, error, breaker_open=True)
 
     def _coalesce(
-        self, url_text: str, query: Query, result: QueryResult, span
+        self, url_text: str, key: str | None, query: Query, result: QueryResult, span
     ) -> SourceStatus | None:
         """The coalesce stage.  Single-flight: an identical request already
         in the air to this source answers both of us with one agent
         round-trip.  The real flight already updated health, stats, cache
         and history — the joiner only waits for it and shares the outcome."""
-        flight = self.dispatcher.join_flight(url_text, query.sql, key=query.key)
+        flight = self.dispatcher.join_flight(url_text, query.sql, key=key)
         if flight is None:
             return None
         self.stats.inc("singleflight_joins")
@@ -836,12 +837,15 @@ class RequestManager:
         manager raises :class:`DataSourceError`, under the driver's own
         error text), a transport error (a remote site's failed round trip
         among them) or a bad reply (a source answering garbage is
-        unhealthy; the commonest cause is a connection closed mid-reply)."""
+        unhealthy; the commonest cause is a connection closed mid-reply).
+        A refusal (a remote site's deny or syntax error) is an answer and
+        is not recorded."""
         try:
             return read()
         except _UNHEALTHY as exc:
-            reason = exc.__cause__ if isinstance(exc, DataSourceError) else exc
-            self.health.record_failure(key, str(reason))
+            if not isinstance(exc, RefusedError):
+                reason = exc.__cause__ if isinstance(exc, DataSourceError) else exc
+                self.health.record_failure(key, str(reason))
             raise
 
     def _read(self, url: JdbcUrl, query: Query) -> tuple[list[str], list[list[Any]]]:
@@ -875,6 +879,9 @@ class RequestManager:
         """
         site_key = f"gma://{site}"
         key = site_key + (f"/{','.join(urls)}" if urls else "")
+        # The owner answers a HISTORY and a REALTIME share of one text
+        # differently: the flight keys on the mode too.
+        flight = f"{query.mode.value}:{normalise_sql(query.sql)}"
         cached = key if layer.cache_remote and query.mode is not QueryMode.HISTORY else None
         partial = QueryResult([], [], mode=query.mode)
         status = self._deadline_spent(key, query.deadline)
@@ -890,8 +897,8 @@ class RequestManager:
             status = (
                 status
                 or self._breaker_open(site_key, cached, query, partial, span)
-                or self._coalesce(key, query, partial, span)
-                or self._remote_fetch(site_key, key, query, partial, fetch)
+                or self._coalesce(key, flight, query, partial, span)
+                or self._remote_fetch(site_key, key, flight, query, partial, fetch)
             )
             if status.cause is not Cause.FRESH:
                 return self._spread(partial, span, status, urls or [key])
@@ -900,17 +907,20 @@ class RequestManager:
             return partial
 
     def _remote_fetch(
-        self, site_key: str, key: str, query: Query, result: QueryResult, fetch: Callable
+        self, site_key: str, key: str, flight: str, query: Query, result: QueryResult,
+        fetch: Callable,
     ) -> SourceStatus:
         """A remote source's dispatch stage: the fetched answer, its wire
         statuses included, becomes ``result``.  A shed is ``shed`` and a
         spent budget ``deadline_exceeded``, neither a health failure; a
+        refusal is ``error`` with the owner's message, and neither; a
         failed round trip is recorded by ``_fetch``."""
         adm = self.admission
         try:
             answer = self.dispatcher.run_flight(
                 key, query.sql, lambda: self._fetch(site_key, fetch),
                 hedge=not adm.suppress_hedges(), deadline=query.deadline if adm.enabled else None,
+                key=flight,
             )
         except (OverloadError, DeadlineExceededError, NetworkError) as exc:
             return SourceStatus.failed(key, exc)

@@ -78,7 +78,8 @@ class GatewayConsumer:
                 span["shed"] = True
                 raise
             except RemoteQueryFailure as exc:
-                raise RemoteQueryFailure(f"producer {key}: {exc}") from exc
+                # A refusal stays one (:class:`RemoteRefusal`).
+                raise type(exc)(f"producer {key}: {exc}") from exc
 
     def query_site(
         self,
@@ -112,7 +113,7 @@ class GatewayConsumer:
             "max_age": max_age,
             "from_site": self.from_site,
         }
-        last: Exception | None = None
+        last = RemoteQueryFailure("")
         for producer in producers:
             try:
                 return self.query_producer(
@@ -120,6 +121,5 @@ class GatewayConsumer:
                 )
             except RemoteQueryFailure as exc:
                 last = exc
-        raise RemoteQueryFailure(
-            f"all {len(producers)} producer(s) for {site!r} failed: {last}"
-        )
+        # The last producer's refusal is the site's (:class:`RemoteRefusal`).
+        raise type(last)(f"all {len(producers)} producer(s) for {site!r} failed: {last}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, Mapping, TypeVar, cast
 
 from repro.core.deadline import Deadline
-from repro.core.errors import DeadlineExceededError, GridRmError, OverloadError
+from repro.core.errors import DeadlineExceededError, GridRmError, OverloadError, RefusedError
 from repro.core.request_manager import SourceStatus
 from repro.dbapi.exceptions import SQLException
 from repro.obs.trace import Tracer
@@ -46,6 +46,12 @@ class RemoteQueryFailure(GridRmError, NetworkError):
     it as a flight outcome and a listener encodes it as a refusal; a
     :class:`NetworkError`, because that is what stream consumers have
     always been told a rejected registration raises."""
+
+
+class RemoteRefusal(RemoteQueryFailure, RefusedError):
+    """The peer answered and refused the request (``{"ok": False,
+    "error": text}``): an access deny or a syntax error at the owner,
+    never a sign of the peer's health."""
 
 
 class Fields:
@@ -95,7 +101,7 @@ class Fields:
     def accepted(self, what: str) -> "Fields":
         """This reply, unless the peer refused the request."""
         if not self.ok:
-            raise RemoteQueryFailure(f"{what}: {self.raw.get('error')}")
+            raise RemoteRefusal(f"{what}: {self.raw.get('error')}")
         return self
 
 

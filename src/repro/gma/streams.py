@@ -399,10 +399,9 @@ class StreamHub:
                 # not a full table scan shipped over the wire.
                 rows = rows[-REPLAY_LIMIT:]
                 if rows:
-                    # A stored row carries every column of its table, in
-                    # table order: its keys are the layout to bind to.
+                    layout = self.history.layout(cq.group)
                     replayed = self._owe(
-                        cq, cq.plan.bind_mapping(tuple(rows[0])).execute(rows), outbox,
+                        cq, cq.plan.bind(layout).execute(rows), outbox,
                         published_at=now, source_url="history://" + cq.group,
                         replay=True,
                     )

@@ -33,6 +33,7 @@ from repro.scenario import (
     stuck_buffers,
     trace_invariants,
 )
+from repro.sql.database import Row
 from repro.storage.recovery import RULE_SEGMENT_QUARANTINED
 
 
@@ -569,14 +570,14 @@ def _crash_policy(k: Knobs) -> GatewayPolicy:
     )
 
 
-def _diff(expected: list[dict[str, Any]], got: list[dict[str, Any]]) -> str:
-    """First divergence between two row lists, for a violation message."""
+def _diff(expected: list[Row], got: list[Row]) -> str:
+    """First divergence between two lists of stored rows, for a
+    violation message."""
     if len(expected) != len(got):
         return f"expected {len(expected)} rows, recovered {len(got)}"
     for i, (e, g) in enumerate(zip(expected, got)):
         if e != g:
-            keys = sorted(k for k in set(e) | set(g) if e.get(k) != g.get(k))
-            return f"row {i} differs on {keys}"
+            return f"row {i}: expected {e!r}, recovered {g!r}"
     return ""
 
 
@@ -637,10 +638,10 @@ def _crash_step(ctx: Ctx, cycle: int) -> list[Any]:
     )
     for group in engine.groups():
         if reference.schema.has_group(group):
-            for row in engine.acked_rows(group, exclude_segments=flipped):
+            layout = reference.layout(group)
+            for row in engine.acked_rows(group, layout, exclude_segments=flipped):
                 reference.record(
-                    group, tuple(row), [tuple(row.values())],
-                    source_url=row["SourceUrl"], recorded_at=row["RecordedAt"],
+                    group, layout, [row], source_url=row[-2], recorded_at=row[-1]
                 )
     synced_lsn = engine.wal.synced_lsn
 
@@ -665,8 +666,8 @@ def _crash_step(ctx: Ctx, cycle: int) -> list[Any]:
         m["torn_tails"] += 1
     m["segments_quarantined"] += recovery.segments_quarantined
 
-    expected: dict[str, list[dict[str, Any]]] = {}
-    recovered: dict[str, list[dict[str, Any]]] = {}
+    expected: dict[str, list[Row]] = {}
+    recovered: dict[str, list[Row]] = {}
     groups = set(reference.groups_recorded()) | set(gw.history.groups_recorded())
     for group in sorted(groups):
         want = expected[group] = list(reference.since(group, None))

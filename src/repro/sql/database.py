@@ -3,7 +3,8 @@
 Backs three things in the reproduction: the gateway's historical store
 (paper §3.1.1 routes historical queries to "the Gateway's internal
 database"), the SQL data-source agent, and assorted tests.  Tables carry a
-declared column list with light type coercion on insert.
+declared column list with light type coercion on insert, and store each
+row as a tuple in that column order.
 """
 
 from __future__ import annotations
@@ -33,8 +34,11 @@ _CLASSES: dict[str, type] = {
 #: driver mapping and statement shape.
 ROW_BUILDER_MEMO_SIZE = 64
 
-#: ``build(rows, fixed_values)`` -> the stored dicts of a batch.
-RowBuilder = Callable[[Iterable[Sequence[Any]], Sequence[Any]], list[dict[str, Any]]]
+#: One stored row: a value per table column, in table column order.
+Row = tuple[Any, ...]
+
+#: ``build(rows, fixed_values)`` -> the stored rows of a batch.
+RowBuilder = Callable[[Iterable[Sequence[Any]], Sequence[Any]], list[Row]]
 
 
 class Table:
@@ -49,9 +53,9 @@ class Table:
         self.name = name
         self.columns = list(columns)
         self.column_names = names
-        self.rows: list[dict[str, Any]] = []
+        self.rows: list[Row] = []
         #: ``(name, column, class)`` per column in table order: the one
-        #: coercion table :meth:`coerce_row` and :meth:`row_builder` read.
+        #: coercion table, which :meth:`row_builder` compiles.
         self._casts = tuple((c.name, c, _CLASSES.get(c.type)) for c in self.columns)
         self._builders: dict[
             tuple[tuple[str, ...], tuple[str, ...]], tuple[RowBuilder, tuple[str, ...]]
@@ -71,19 +75,16 @@ class Table:
                 f"{self.name}.{column.name}"
             ) from exc
 
-    def coerce_row(self, values: Mapping[str, Any]) -> dict[str, Any]:
+    def coerce_row(self, values: Mapping[str, Any]) -> Row:
         """A column->value mapping as the row this table would store:
-        every declared column present, each value coerced to its type."""
+        every declared column in order, each value coerced to its type."""
         unknown = set(values) - set(self.column_names)
         if unknown:
             raise SqlExecutionError(
                 f"unknown column(s) {sorted(unknown)} for table {self.name!r}"
             )
-        coerce = self.coerce
-        row: dict[str, Any] = {}
-        for name, col, cls in self._casts:
-            value = values.get(name)
-            row[name] = value if value.__class__ is cls or value is None else coerce(col, value)
+        build, _ = self.row_builder(tuple(values))
+        (row,) = build([tuple(values.values())], ())
         return row
 
     def row_builder(
@@ -97,9 +98,9 @@ class Table:
         the ``fixed`` columns set to ``fixed_values`` (over any layout
         column of the same name) and layout columns this table lacks
         left out; a repeated layout column takes its last value.  Each
-        stored dict is written once, in table column order.  The second
-        item names the table columns neither ``layout`` nor ``fixed``
-        supplies: they store NULL.
+        stored row is built once, as a tuple in table column order.  The
+        second item names the table columns neither ``layout`` nor
+        ``fixed`` supplies: they store NULL.
 
         Builders are memoised by the exact ``(layout, fixed)`` pair, at
         most :data:`ROW_BUILDER_MEMO_SIZE` of them.
@@ -112,27 +113,23 @@ class Table:
         where = {name: i for i, name in enumerate(layout)}
         where.update((name, ~j) for j, name in enumerate(fixed))
         absent = ~len(fixed)
-        steps = tuple(
-            (name, col, cls, where.get(name, absent)) for name, col, cls in self._casts
-        )
-        missing = tuple(name for name, _, _, i in steps if i == absent)
+        steps = tuple((col, cls, where.get(name, absent)) for name, col, cls in self._casts)
+        missing = tuple(col.name for col, _, i in steps if i == absent)
         coerce = self.coerce
 
-        def build(
-            rows: Iterable[Sequence[Any]], fixed_values: Sequence[Any]
-        ) -> list[dict[str, Any]]:
+        def build(rows: Iterable[Sequence[Any]], fixed_values: Sequence[Any]) -> list[Row]:
             extra = (*fixed_values, None)
             batch = []
             for values in rows:
-                row = {}
-                for name, col, cls, i in steps:
+                row = []
+                for col, cls, i in steps:
                     value = values[i] if i >= 0 else extra[~i]
-                    row[name] = (
+                    row.append(
                         value
                         if value.__class__ is cls or value is None
                         else coerce(col, value)
                     )
-                batch.append(row)
+                batch.append(tuple(row))
             return batch
 
         if len(self._builders) >= ROW_BUILDER_MEMO_SIZE:
@@ -149,7 +146,7 @@ class Table:
 
 
 def _matcher(where: ast.Expr | None, table: Table) -> RowFn:
-    """An UPDATE / DELETE predicate compiled over ``table``'s rows:
+    """An UPDATE / DELETE predicate compiled over ``table``'s stored rows:
     truthy picks a row, NULL counts as false, no clause picks every row."""
     if where is None:
         return lambda row: True
@@ -221,14 +218,11 @@ class Database:
             plan = compile_plan(stmt)
             if stmt.is_join:
                 columns, rows = join_rows(
-                    [
-                        (t.column_names, [[r.get(c) for c in t.column_names] for r in t.rows])
-                        for t in map(self.table, stmt.tables)
-                    ]
+                    [(t.column_names, t.rows) for t in map(self.table, stmt.tables)]
                 )
                 return plan.bind(tuple(columns)).execute(rows)
             table = self.table(stmt.table)
-            return plan.bind_mapping(tuple(table.column_names)).execute(table.rows)
+            return plan.bind(tuple(table.column_names)).execute(table.rows)
         # DML builds everything it will write before it writes anything:
         # a statement that raises leaves the table as it found it.
         if isinstance(stmt, ast.Insert):
@@ -236,7 +230,7 @@ class Database:
             # VALUES sees no row: a column reference is an unknown column.
             inserted = [
                 table.coerce_row(
-                    {c: compile_expr(v, ())({}) for c, v in zip(stmt.columns, values)}
+                    {c: compile_expr(v, ())(()) for c, v in zip(stmt.columns, values)}
                 )
                 for values in stmt.rows
             ]
@@ -244,26 +238,28 @@ class Database:
             return len(inserted)
         if isinstance(stmt, ast.Update):
             table = self.table(stmt.table)
-            coldefs = {c.name: c for c in table.columns}
+            slots = {c.name: (i, c) for i, c in enumerate(table.columns)}
             for name, _ in stmt.assignments:
-                if name not in coldefs:
+                if name not in slots:
                     raise SqlExecutionError(
                         f"unknown column {name!r} in UPDATE {stmt.table}"
                     )
             matches = _matcher(stmt.where, table)
             assignments = [
-                (name, coldefs[name], compile_expr(expr, table.column_names))
+                (*slots[name], compile_expr(expr, table.column_names))
                 for name, expr in stmt.assignments
             ]
             # Every right-hand side reads the row as the statement found
-            # it (``SET a = b, b = a`` swaps).
-            updated = [
-                (row, {n: table.coerce(c, value(row)) for n, c, value in assignments})
-                for row in table.rows
-                if matches(row)
-            ]
-            for row, values in updated:
-                row.update(values)
+            # it (``SET a = b, b = a`` swaps); each matched row is replaced.
+            updated: dict[int, Row] = {}
+            for at, row in enumerate(table.rows):
+                if matches(row):
+                    new = list(row)
+                    for i, c, value in assignments:
+                        new[i] = table.coerce(c, value(row))
+                    updated[at] = tuple(new)
+            for at, row in updated.items():
+                table.rows[at] = row
             return len(updated)
         if isinstance(stmt, ast.Delete):
             table = self.table(stmt.table)

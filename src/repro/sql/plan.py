@@ -11,18 +11,14 @@ in front of them, column kernels:
 * ``plan.bind(columns)`` resolves every column name to a tuple-slot index
   against a concrete column layout and returns a :class:`BoundPlan`
   whose ``execute(rows)`` evaluates predicate/projection/ordering/
-  aggregation over **positional rows** (lists), building no per-row
+  aggregation over **positional rows** — a driver's lists or the
+  tuples a table stores, in its column order — building no per-row
   dicts, and whose ``execute_each(parts)`` answers several relations
   of that layout at once — one WHERE pass over all their rows, the rest
   of the plan per relation that kept any (the stream hub's round);
-* ``plan.bind_mapping(columns)`` is the same machinery bound over
-  mapping rows (the history store's dict storage), with each column
-  name resolved to its canonical key once at bind time instead of once
-  per row;
-* :func:`compile_expr` is that mapping-flavour compiler for one
-  expression on its own — what :class:`~repro.sql.database.Database`
-  runs INSERT values, UPDATE assignments and UPDATE / DELETE predicates
-  through.
+* :func:`compile_expr` is that compiler for one expression on its own
+  — what :class:`~repro.sql.database.Database` runs INSERT values,
+  UPDATE assignments and UPDATE / DELETE predicates through.
 
 Bindings are cached per layout on the plan, so repeated queries pay the
 closure-construction cost once.
@@ -33,8 +29,8 @@ tri-state, numeric-string coercion, the case-insensitive column
 fallback and every error message are defined there and nowhere else.
 The shapes that make up almost every monitoring query also get a
 **column kernel**: a loop over the whole batch that subscripts the row
-once (slot index or mapping key — both flavours share the kernels) and
-applies the native operator with no Python call per row.
+once, by slot index, and applies the native operator with no Python
+call per row.
 
 * A top-level WHERE conjunct ``column <op> literal`` (either order, a
   sign folded into a numeric literal), ``column LIKE 'pattern'``,
@@ -44,12 +40,12 @@ applies the native operator with no Python call per row.
   literal, ``str`` against a string literal — the pairs
   ``coerce_pair`` leaves alone, so the native operator *is* the
   closure's answer.  Never ``isinstance``: ``bool``, NULL, a numeric
-  string, ``Decimal``, a missing key or a short row all go to the
-  node's closure.
+  string, ``Decimal`` or a short row all go to the node's closure.
 * A projection, GROUP BY key list, ORDER BY key or aggregate argument
   made only of plain columns is one ``itemgetter`` / comprehension per
-  batch; a ``LookupError`` sends the whole batch back through the
-  per-row closures, so the first error raised is the same one.
+  batch; an ``IndexError`` (a short row) sends the whole batch back
+  through the per-row closures, so the first error raised is the same
+  one.
 
 A kernel is chosen from the AST shape when the plan is bound (a few
 ``isinstance`` checks — no generated source, because a bind happens on
@@ -88,7 +84,7 @@ from repro.sql.values import (
     hashable,
 )
 
-#: A compiled accessor/evaluator over one row (positional or mapping).
+#: A compiled accessor/evaluator over one positional row.
 RowFn = Callable[[Any], Any]
 #: A compiled evaluator over one group: (member rows, sample row) -> value.
 GroupFn = Callable[[list[Any], Any], Any]
@@ -102,92 +98,39 @@ BatchFn = Callable[[Sequence[Any]], list[Any]]
 _NUMBERS = (float, int)
 _STRINGS = (str, str)
 
-#: Slot-flavour sample row for an empty implicit group: every accessor
-#: raises "unknown column" against it, matching the reference
-#: interpreter's empty-dict sample.
-_EMPTY_SLOT_ROW: tuple[Any, ...] = ()
-
-
-def _last_index(columns: Sequence[str], name: str) -> int:
-    """Index of the *last* occurrence of ``name`` (dict-build semantics:
-    when a layout carries a duplicate label, the later value wins, as it
-    does in ``dict(zip(columns, row))``)."""
-    for i in range(len(columns) - 1, -1, -1):
-        if columns[i] == name:
-            return i
-    raise ValueError(name)
-
-
-def _resolve_slot(columns: Sequence[str], column: ast.Column) -> int | None:
-    """Resolve a column reference to a slot index, or None when absent.
-
-    Mirrors the reference interpreter's resolution against a dict row
-    whose keys are ``columns``: exact name, then qualified name, then a
-    case-insensitive scan in key order (first distinct key that matches,
-    reading the last duplicate occurrence's value).
-    """
-    if column.name in columns:
-        return _last_index(columns, column.name)
-    qualified = column.qualified
-    if qualified != column.name and qualified in columns:
-        return _last_index(columns, qualified)
-    lowered = column.name.lower()
-    seen: set[str] = set()
-    for c in columns:
-        if c in seen:
-            continue
-        seen.add(c)
-        if c.lower() == lowered:
-            return _last_index(columns, c)
-    return None
-
 
 def _raise_unknown(qualified: str) -> Any:
     raise SqlExecutionError(f"unknown column: {qualified!r}")
 
 
-def _slow_mapping_lookup(row: Mapping[str, Any], name: str, qualified: str) -> Any:
-    """The reference interpreter's column resolution, verbatim — the
-    mapping-flavour fallback when a row lacks the bind-time key."""
-    if name in row:
-        return row[name]
-    if qualified in row:
-        return row[qualified]
-    lowered = name.lower()
-    for key in row:
-        if key.lower() == lowered:
-            return row[key]
-    raise SqlExecutionError(f"unknown column: {qualified!r}")
-
-
 class _Layout:
-    """One column layout; a name resolves to its position in it."""
+    """One column layout of positional rows; a name resolves to its
+    slot index in it."""
 
     __slots__ = ("columns", "_exact")
 
     def __init__(self, columns: Sequence[str]) -> None:
         self.columns = list(columns)
-        # A plan is bound on every plan-cache miss and names each column
-        # several times; nearly every reference is an exact label.  As
-        # in ``dict(zip(columns, row))``, a duplicate's last place wins.
+        # Each distinct label in first-seen order, at its slot.  As in
+        # ``dict(zip(columns, row))``, a duplicate's last place wins.
         self._exact = {c: i for i, c in enumerate(self.columns)}
 
     def slot(self, column: ast.Column) -> int | None:
-        index = self._exact.get(column.name)
-        return _resolve_slot(self.columns, column) if index is None else index
-
-
-class _SlotFlavour(_Layout):
-    """Rows are positional lists; columns resolve to slot indices."""
-
-    __slots__ = ()
-
-    def subscript(self, column: ast.Column) -> int | None:
-        """What a kernel subscripts a row with to read ``column``."""
-        return self.slot(column)
+        """A column reference's slot, or None when absent: the reference
+        interpreter's resolution against a dict row keyed by the layout
+        — exact name, then qualified name, then the first distinct label
+        that matches case-insensitively."""
+        exact = self._exact
+        index = exact.get(column.name)
+        if index is None:
+            index = exact.get(column.qualified)
+        if index is None:
+            lowered = column.name.lower()
+            index = next((i for c, i in exact.items() if c.lower() == lowered), None)
+        return index
 
     def resolve(self, column: ast.Column) -> RowFn:
-        index = self.subscript(column)
+        index = self.slot(column)
         qualified = column.qualified
         if index is None:
             return lambda row: _raise_unknown(qualified)
@@ -200,57 +143,20 @@ class _SlotFlavour(_Layout):
 
         return accessor
 
-    def empty_sample(self) -> Any:
-        return _EMPTY_SLOT_ROW
-
     def star_rows(self, filtered: list[Any]) -> list[list[Any]]:
-        # Positional rows under this layout ARE the star projection:
+        # A driver's lists under this layout ARE the star projection:
         # adopt them without building per-row copies (zero-copy path).
-        # Duplicate labels are the one exception — the interpreter's
-        # dict round-trip makes the last occurrence's value show at
-        # every duplicate position, so mirror that explicitly.
-        cols = self.columns
-        if len(set(cols)) != len(cols):
-            idx = [_last_index(cols, c) for c in cols]
+        # A batch's rows are all of one kind, and tuples are rows a
+        # table stores: the answer gets lists of its own.  Duplicate
+        # labels are the one exception — the interpreter's dict
+        # round-trip makes the last occurrence's value show at every
+        # duplicate position, so mirror that explicitly.
+        if len(self._exact) != len(self.columns):
+            idx = [self._exact[c] for c in self.columns]
             return [[row[i] for i in idx] for row in filtered]
+        if filtered and filtered[0].__class__ is tuple:
+            return list(map(list, filtered))
         return filtered
-
-
-class _MappingFlavour(_Layout):
-    """Rows are mappings; column names resolve to canonical keys once."""
-
-    __slots__ = ()
-
-    def subscript(self, column: ast.Column) -> str | None:
-        """What a kernel subscripts a row with to read ``column``."""
-        index = self.slot(column)
-        return None if index is None else self.columns[index]
-
-    def resolve(self, column: ast.Column) -> RowFn:
-        key = self.subscript(column)
-        name, qualified = column.name, column.qualified
-        if key is None:
-            return lambda row: _slow_mapping_lookup(row, name, qualified)
-
-        def accessor(
-            row: Any, k: str = key, n: str = name, q: str = qualified
-        ) -> Any:
-            try:
-                return row[k]
-            except KeyError:
-                return _slow_mapping_lookup(row, n, q)
-
-        return accessor
-
-    def empty_sample(self) -> Any:
-        return {}
-
-    def star_rows(self, filtered: list[Any]) -> list[list[Any]]:
-        cols = self.columns
-        return [[r.get(c) for c in cols] for r in filtered]
-
-
-_Flavour = _SlotFlavour | _MappingFlavour
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +175,7 @@ def _literal(expr: ast.Expr) -> ast.Literal | None:
     return None
 
 
-def _compile_expr(expr: ast.Expr, flavour: _Flavour) -> RowFn:
+def _compile_expr(expr: ast.Expr, layout: _Layout) -> RowFn:
     """Compile an expression to a closure over one row.
 
     Compilation is total: anything the reference interpreter rejects at
@@ -280,7 +186,7 @@ def _compile_expr(expr: ast.Expr, flavour: _Flavour) -> RowFn:
         value = expr.value
         return lambda row: value
     if isinstance(expr, ast.Column):
-        return flavour.resolve(expr)
+        return layout.resolve(expr)
     if isinstance(expr, ast.Star):
         def star_error(row: Any) -> Any:
             raise SqlExecutionError(
@@ -290,8 +196,8 @@ def _compile_expr(expr: ast.Expr, flavour: _Flavour) -> RowFn:
     if isinstance(expr, ast.UnaryOp):
         constant = _literal(expr)
         if constant is not None:
-            return _compile_expr(constant, flavour)
-        inner = _compile_expr(expr.operand, flavour)
+            return _compile_expr(constant, layout)
+        inner = _compile_expr(expr.operand, layout)
         if expr.op == "NOT":
             def not_fn(row: Any) -> Any:
                 val = inner(row)
@@ -307,10 +213,10 @@ def _compile_expr(expr: ast.Expr, flavour: _Flavour) -> RowFn:
             return -val
         return neg_fn
     if isinstance(expr, ast.BinOp):
-        return _compile_binop(expr, flavour)
+        return _compile_binop(expr, layout)
     if isinstance(expr, ast.InList):
-        target = _compile_expr(expr.expr, flavour)
-        items = [_compile_expr(i, flavour) for i in expr.items]
+        target = _compile_expr(expr.expr, layout)
+        items = [_compile_expr(i, layout) for i in expr.items]
         negated = expr.negated
 
         def in_fn(row: Any) -> Any:
@@ -326,9 +232,9 @@ def _compile_expr(expr: ast.Expr, flavour: _Flavour) -> RowFn:
             return (not found) if negated else found
         return in_fn
     if isinstance(expr, ast.Between):
-        target = _compile_expr(expr.expr, flavour)
-        low = _compile_expr(expr.low, flavour)
-        high = _compile_expr(expr.high, flavour)
+        target = _compile_expr(expr.expr, layout)
+        low = _compile_expr(expr.low, layout)
+        high = _compile_expr(expr.high, layout)
         negated = expr.negated
 
         def between_fn(row: Any) -> Any:
@@ -343,7 +249,7 @@ def _compile_expr(expr: ast.Expr, flavour: _Flavour) -> RowFn:
             return (not result) if negated else result
         return between_fn
     if isinstance(expr, ast.IsNull):
-        target = _compile_expr(expr.expr, flavour)
+        target = _compile_expr(expr.expr, layout)
         negated = expr.negated
 
         def isnull_fn(row: Any) -> Any:
@@ -376,11 +282,11 @@ _DIRECT_OPS: dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-def _compile_binop(expr: ast.BinOp, flavour: _Flavour) -> RowFn:
+def _compile_binop(expr: ast.BinOp, layout: _Layout) -> RowFn:
     op = expr.op
-    left = _compile_expr(expr.left, flavour)
+    left = _compile_expr(expr.left, layout)
     if op == "AND":
-        right = _compile_expr(expr.right, flavour)
+        right = _compile_expr(expr.right, layout)
 
         def and_fn(row: Any) -> Any:
             lv = left(row)
@@ -394,7 +300,7 @@ def _compile_binop(expr: ast.BinOp, flavour: _Flavour) -> RowFn:
             return True
         return and_fn
     if op == "OR":
-        right = _compile_expr(expr.right, flavour)
+        right = _compile_expr(expr.right, layout)
 
         def or_fn(row: Any) -> Any:
             lv = left(row)
@@ -422,7 +328,7 @@ def _compile_binop(expr: ast.BinOp, flavour: _Flavour) -> RowFn:
                 return None
             return pattern.match(str(lv)) is not None
         return like_fn
-    right = _compile_expr(expr.right, flavour)
+    right = _compile_expr(expr.right, layout)
     fn = _DIRECT_OPS.get(op)
     if fn is not None:
         # Hot path: prebound operator function, no dispatch ladder.  The
@@ -627,18 +533,18 @@ def _deciding(closure: RowFn, later: Sequence[RowFn]) -> RowFn:
 
 
 def _kernel_stage(
-    conjunct: ast.Expr, flavour: _Flavour, decide: RowFn
+    conjunct: ast.Expr, layout: _Layout, decide: RowFn
 ) -> BatchFn | None:
     """The column kernel for one conjunct, when its shape has one."""
     if isinstance(conjunct, ast.IsNull):
-        key = _plain_key(conjunct.expr, flavour)
+        key = _plain_key(conjunct.expr, layout)
         if key is None:
             return None
         return _null_stage(key, conjunct.negated, decide)
     found = _column_test(conjunct)
     if found is not None:
         column, guard, test = found
-        key = flavour.subscript(column)
+        key = layout.slot(column)
         if key is not None:
             return _guarded_stage(key, guard, test, decide)
     return None
@@ -649,19 +555,19 @@ def _closure_stage(decide: RowFn) -> BatchFn:
     return lambda rows: [row for row in rows if decide(row)]
 
 
-def _compile_filter(where: ast.Expr | None, flavour: _Flavour) -> list[BatchFn]:
+def _compile_filter(where: ast.Expr | None, layout: _Layout) -> list[BatchFn]:
     """WHERE clause -> one batch stage per top-level conjunct, applied
     in order to a shrinking batch (NULL counts false); [] = no filter.
 
     Stage by stage, an error on a late row can surface before an earlier
     row's; :meth:`BoundPlan._filter` replays such a batch row by row."""
     conjuncts = list(_conjuncts(where))
-    closures = [_compile_expr(c, flavour) for c in conjuncts]
+    closures = [_compile_expr(c, layout) for c in conjuncts]
     stages: list[BatchFn] = []
     for i, conjunct in enumerate(conjuncts):
         decide = _deciding(closures[i], closures[i + 1:])
         stages.append(
-            _kernel_stage(conjunct, flavour, decide) or _closure_stage(decide)
+            _kernel_stage(conjunct, layout, decide) or _closure_stage(decide)
         )
     return stages
 
@@ -706,16 +612,16 @@ def _detached(exc: SqlError) -> SqlError:
     return exc
 
 
-def _plain_key(expr: ast.Expr, flavour: _Flavour) -> Any:
+def _plain_key(expr: ast.Expr, layout: _Layout) -> Any:
     """The subscript that reads ``expr`` when it is a plain column the
     layout has; None when it needs its closure."""
-    return flavour.subscript(expr) if isinstance(expr, ast.Column) else None
+    return layout.slot(expr) if isinstance(expr, ast.Column) else None
 
 
-def _plain_keys(exprs: Sequence[ast.Expr], flavour: _Flavour) -> tuple[Any, ...] | None:
+def _plain_keys(exprs: Sequence[ast.Expr], layout: _Layout) -> tuple[Any, ...] | None:
     """The subscripts of ``exprs`` when every one is a plain column (and
     there is one); None when any needs its closure."""
-    keys = tuple(_plain_key(expr, flavour) for expr in exprs)
+    keys = tuple(_plain_key(expr, layout) for expr in exprs)
     return None if None in keys or not keys else keys
 
 
@@ -745,7 +651,7 @@ def _column_values(rows: Sequence[Any], key: Any, closure: RowFn) -> list[Any]:
 # ----------------------------------------------------------------------
 # Aggregate compilation (group-level)
 # ----------------------------------------------------------------------
-def _compile_aggregate(call: ast.FuncCall, flavour: _Flavour) -> GroupFn:
+def _compile_aggregate(call: ast.FuncCall, layout: _Layout) -> GroupFn:
     if call.star:
         if call.name != "COUNT":
             message = f"{call.name}(*) is not valid"
@@ -760,8 +666,8 @@ def _compile_aggregate(call: ast.FuncCall, flavour: _Flavour) -> GroupFn:
         def arity_error(rows: list[Any], sample: Any) -> Any:
             raise SqlExecutionError(arity_message)
         return arity_error
-    arg = _compile_expr(call.args[0], flavour)
-    key = _plain_key(call.args[0], flavour)
+    arg = _compile_expr(call.args[0], layout)
+    key = _plain_key(call.args[0], layout)
     name = call.name
     distinct = call.distinct
 
@@ -770,7 +676,7 @@ def _compile_aggregate(call: ast.FuncCall, flavour: _Flavour) -> GroupFn:
     return aggregate
 
 
-def _compile_agg_expr(expr: ast.Expr, flavour: _Flavour) -> GroupFn:
+def _compile_agg_expr(expr: ast.Expr, layout: _Layout) -> GroupFn:
     """Compile an expression that may contain aggregate calls.
 
     Mirrors the reference's ``_eval_with_aggregates``: aggregates reduce
@@ -779,17 +685,17 @@ def _compile_agg_expr(expr: ast.Expr, flavour: _Flavour) -> GroupFn:
     anything else evaluates against the group's sample row.
     """
     if isinstance(expr, ast.FuncCall) and expr.name in ast.AGGREGATES:
-        return _compile_aggregate(expr, flavour)
+        return _compile_aggregate(expr, layout)
     if isinstance(expr, ast.BinOp):
-        left = _compile_agg_expr(expr.left, flavour)
-        right = _compile_agg_expr(expr.right, flavour)
+        left = _compile_agg_expr(expr.left, layout)
+        right = _compile_agg_expr(expr.right, layout)
         op = expr.op
 
         def binop(rows: list[Any], sample: Any) -> Any:
             return apply_binop_values(op, left(rows, sample), right(rows, sample))
         return binop
     if isinstance(expr, ast.UnaryOp):
-        inner = _compile_agg_expr(expr.operand, flavour)
+        inner = _compile_agg_expr(expr.operand, layout)
         op = expr.op
 
         def unary(rows: list[Any], sample: Any) -> Any:
@@ -798,7 +704,7 @@ def _compile_agg_expr(expr: ast.Expr, flavour: _Flavour) -> GroupFn:
                 return None if val is None else (not bool(val))
             return None if val is None else -val
         return unary
-    plain = _compile_expr(expr, flavour)
+    plain = _compile_expr(expr, layout)
     return lambda rows, sample: plain(sample)
 
 
@@ -810,9 +716,9 @@ def _compile_agg_expr(expr: ast.Expr, flavour: _Flavour) -> GroupFn:
 OrderKey = tuple[RowFn, bool, Any]
 
 
-def _order_keys(select: ast.Select, flavour: _Flavour) -> list[OrderKey]:
+def _order_keys(select: ast.Select, layout: _Layout) -> list[OrderKey]:
     return [
-        (_compile_expr(o.expr, flavour), o.descending, _plain_key(o.expr, flavour))
+        (_compile_expr(o.expr, layout), o.descending, _plain_key(o.expr, layout))
         for o in select.order_by
     ]
 
@@ -865,17 +771,16 @@ def _sort_payload(
 class BoundPlan:
     """A :class:`CompiledPlan` resolved against one column layout.
 
-    ``execute(rows)`` consumes rows in the bound representation —
-    positional lists (slot flavour) or mappings (mapping flavour) — and
-    returns a :class:`SelectResult`.  Slot rows must be fresh lists the
-    caller relinquishes: star projections adopt them into the result
-    without copying.
+    ``execute(rows)`` consumes positional rows in the bound layout and
+    returns a :class:`SelectResult` whose rows are lists of its own.
+    Lists must be fresh ones the caller relinquishes: star projections
+    adopt them into the result without copying.  Tuples are rows a
+    table keeps: they are read, never adopted.
     """
 
     __slots__ = (
         "select",
-        "columns",
-        "_flavour",
+        "_layout",
         "_stages",
         "_out_cols",
         "_item_fns",
@@ -895,12 +800,11 @@ class BoundPlan:
         "_leading_bounds",
     )
 
-    def __init__(self, select: ast.Select, flavour: _Flavour) -> None:
+    def __init__(self, select: ast.Select, layout: _Layout) -> None:
         self.select = select
-        self.columns = list(flavour.columns)
-        self._flavour = flavour
+        self._layout = layout
         self._leading_bounds: dict[str, tuple[tuple[str, float], ...]] = {}
-        self._stages = _compile_filter(select.where, flavour)
+        self._stages = _compile_filter(select.where, layout)
         self._star = select.is_star
         has_aggregates = any(
             ast.contains_aggregate(i.expr) for i in select.items
@@ -923,79 +827,76 @@ class BoundPlan:
                 [] if self._star_with_aggregates else select.projected_names()
             )
             self._group_keys = [
-                _compile_expr(g, flavour) for g in select.group_by
+                _compile_expr(g, layout) for g in select.group_by
             ]
-            plain = _plain_keys(select.group_by, flavour)
+            plain = _plain_keys(select.group_by, layout)
             if plain is not None:
                 # One key: the bare value; several: their tuple.  Either
                 # groups as the closures' tuple of values does.
                 self._group_key = operator.itemgetter(*plain)
             if select.having is not None:
-                self._having = _compile_agg_expr(select.having, flavour)
+                self._having = _compile_agg_expr(select.having, layout)
             if not self._star_with_aggregates:
                 self._agg_items = [
-                    _compile_agg_expr(i.expr, flavour) for i in select.items
+                    _compile_agg_expr(i.expr, layout) for i in select.items
                 ]
             if select.order_by:
                 # Grouped output: ORDER BY keys resolve against the
                 # projected columns over the projected (positional) rows.
                 self._order_grouped = _order_keys(
-                    select, _SlotFlavour(self._out_cols)
+                    select, _Layout(self._out_cols)
                 )
         else:
             self._out_cols = (
-                list(flavour.columns) if self._star else select.projected_names()
+                list(layout.columns) if self._star else select.projected_names()
             )
             if not self._star:
                 self._item_fns = [
-                    _compile_expr(i.expr, flavour) for i in select.items
+                    _compile_expr(i.expr, layout) for i in select.items
                 ]
-                plain = _plain_keys([i.expr for i in select.items], flavour)
+                plain = _plain_keys([i.expr for i in select.items], layout)
                 if plain is not None:
                     self._item_cells = _cells_of(plain)
             if select.order_by:
-                self._compile_plain_order(select, flavour)
+                self._compile_plain_order(select, layout)
 
     # -- plain-path ORDER BY (alias-augmented rows) --------------------
-    def _compile_plain_order(self, select: ast.Select, flavour: _Flavour) -> None:
+    def _compile_plain_order(self, select: ast.Select, layout: _Layout) -> None:
         self._aliases = [
-            (item.alias, _compile_expr(item.expr, flavour))
+            (item.alias, _compile_expr(item.expr, layout))
             for item in select.items
             if item.alias is not None
         ]
         if not self._aliases:
-            self._order_plain = _order_keys(select, flavour)
+            self._order_plain = _order_keys(select, layout)
             return
         # Sort keys see the source row augmented with the computed
         # aliases — an alias sharing an existing column's name
         # overwrites that value in place (dict semantics), a new name
         # appends a slot.
-        ext_columns = list(flavour.columns)
+        ext_columns = list(layout.columns)
+        at = dict(layout._exact)
         actions: list[int | None] = []
         for alias, _ in self._aliases:
-            if alias in ext_columns:
-                actions.append(_last_index(ext_columns, alias))
-            else:
-                actions.append(None)
+            actions.append(at.get(alias))
+            if alias not in at:
+                at[alias] = len(ext_columns)
                 ext_columns.append(alias)
         self._alias_actions = actions
         self._ext_columns = ext_columns
-        self._order_plain = _order_keys(select, _SlotFlavour(ext_columns))
+        self._order_plain = _order_keys(select, _Layout(ext_columns))
 
     def _extended_rows(self, filtered: list[Any]) -> list[list[Any]]:
         """Source rows + computed alias values, as positional rows under
         ``self._ext_columns`` (alias evaluation errors become None)."""
-        flavour = self._flavour
         out: list[list[Any]] = []
         appended = sum(1 for a in self._alias_actions if a is None)
+        width = len(self._layout.columns)
         for r in filtered:
-            if isinstance(flavour, _SlotFlavour):
-                ext = list(r)
-            else:
-                ext = [r.get(c) for c in flavour.columns]
+            ext = list(r)
             if appended:
                 ext.extend([None] * appended)
-            slot = len(flavour.columns)
+            slot = width
             for (alias, fn), action in zip(self._aliases, self._alias_actions):
                 try:
                     value = fn(r)
@@ -1059,8 +960,8 @@ class BoundPlan:
             limits = [(">=", _literal(expr.low)), ("<=", _literal(expr.high))]
         else:
             return []
-        slot = self._flavour.slot(column)
-        if slot is None or self.columns[slot] != name:
+        slot = self._layout.slot(column)
+        if slot is None or self._layout.columns[slot] != name:
             return []
         bounds: list[tuple[str, float]] = []
         for op, literal in limits:
@@ -1079,7 +980,7 @@ class BoundPlan:
         for name in BoundPlan.__slots__:
             setattr(bound, name, getattr(self, name))
         bound.select = select
-        bound._stages = _compile_filter(select.where, self._flavour)
+        bound._stages = _compile_filter(select.where, self._layout)
         bound._leading_bounds = {}
         return bound
 
@@ -1149,7 +1050,7 @@ class BoundPlan:
                 filtered = [filtered[i] for i in order]
             out_cols = self._out_cols
             if self._star:
-                out_rows = self._flavour.star_rows(filtered)
+                out_rows = self._layout.star_rows(filtered)
             else:
                 out_rows = self._project(filtered)
 
@@ -1184,7 +1085,7 @@ class BoundPlan:
             # later conjunct's.  The interpreter goes row by row: replay
             # the WHERE clause's own closure that way, and it raises the
             # error the interpreter would have raised first.
-            where = _compile_expr(self.select.where, self._flavour)  # type: ignore[arg-type]
+            where = _compile_expr(self.select.where, self._layout)  # type: ignore[arg-type]
             for row in rows:
                 where(row)
             raise
@@ -1236,10 +1137,11 @@ class BoundPlan:
 
         having = self._having
         agg_items = self._agg_items
-        empty_sample = self._flavour.empty_sample()
         out: list[list[Any]] = []
         for members in groups.values():
-            sample = members[0] if members else empty_sample
+            # An empty implicit group's sample is ``()``: every accessor
+            # raises "unknown column" on it, as on the interpreter's ``{}``.
+            sample = members[0] if members else ()
             if having is not None:
                 hv = having(members, sample)
                 if hv is None or not hv:
@@ -1250,10 +1152,9 @@ class BoundPlan:
         return self._out_cols, out
 
 
-#: Bindings the plans of one statement shape share: (flavour, layout) ->
-#: the first :class:`BoundPlan` any of them built (see
-#: :meth:`BoundPlan.refiltered`).
-ShapeBindings = dict[tuple[type, tuple[str, ...]], BoundPlan]
+#: Bindings the plans of one statement shape share: layout -> the first
+#: :class:`BoundPlan` any of them built (see :meth:`BoundPlan.refiltered`).
+ShapeBindings = dict[tuple[str, ...], BoundPlan]
 
 
 class CompiledPlan:
@@ -1268,41 +1169,36 @@ class CompiledPlan:
     for the next.
     """
 
-    __slots__ = ("select", "_slot_bindings", "_mapping_bindings", "_shape_bindings")
+    __slots__ = ("select", "_bindings", "_shape_bindings")
 
     def __init__(
         self, select: ast.Select, shape_bindings: ShapeBindings | None = None
     ) -> None:
         self.select = select
-        self._slot_bindings: dict[tuple[str, ...], BoundPlan] = {}
-        self._mapping_bindings: dict[tuple[str, ...], BoundPlan] = {}
+        self._bindings: dict[tuple[str, ...], BoundPlan] = {}
         self._shape_bindings = shape_bindings
 
     def bind(self, columns: Sequence[str]) -> BoundPlan:
-        """Bind to a positional-row layout (rows are lists of values)."""
+        """Bind to a layout of positional rows (lists or tuples)."""
         key = tuple(columns)
-        bound = self._slot_bindings.get(key)
+        bound = self._bindings.get(key)
         if bound is None:
-            bound = self._slot_bindings[key] = self._bound(_SlotFlavour, key)
+            bound = self._bindings[key] = self._bound(key)
         return bound
 
-    def bind_mapping(self, columns: Sequence[str]) -> BoundPlan:
-        """Bind to a mapping-row layout (rows are dicts; the history
-        store's persistent representation)."""
-        key = tuple(columns)
-        bound = self._mapping_bindings.get(key)
-        if bound is None:
-            bound = self._mapping_bindings[key] = self._bound(_MappingFlavour, key)
-        return bound
+    # Kept only because the e2e benchmark's layer table
+    # (benchmarks/e2e/layers.py) resolves this name and its traced run
+    # raises on a missing one; nothing under src/repro calls it.
+    bind_mapping = bind
 
-    def _bound(self, flavour: type[_Flavour], key: tuple[str, ...]) -> BoundPlan:
+    def _bound(self, key: tuple[str, ...]) -> BoundPlan:
         shared = self._shape_bindings
         if shared is None:
-            return BoundPlan(self.select, flavour(key))
-        sibling = shared.get((flavour, key))
+            return BoundPlan(self.select, _Layout(key))
+        sibling = shared.get(key)
         if sibling is not None:
             return sibling.refiltered(self.select)
-        bound = shared[flavour, key] = BoundPlan(self.select, flavour(key))
+        bound = shared[key] = BoundPlan(self.select, _Layout(key))
         return bound
 
 
@@ -1314,10 +1210,10 @@ def compile_plan(
 
 
 def compile_expr(expr: ast.Expr, columns: Sequence[str]) -> RowFn:
-    """One expression as a closure over one mapping row keyed by
-    ``columns``: the compiler ``bind_mapping`` uses, for the statements
-    that are not a SELECT (DML values, assignments and predicates)."""
-    return _compile_expr(expr, _MappingFlavour(columns))
+    """One expression as a closure over one positional row laid out as
+    ``columns``: the compiler ``bind`` uses, for the statements that are
+    not a SELECT (DML values, assignments and predicates)."""
+    return _compile_expr(expr, _Layout(columns))
 
 
 # ----------------------------------------------------------------------
@@ -1341,21 +1237,23 @@ def join_rows(
     out_rows: list[list[Any]] = [list(r) for r in relations[0][1]]
     for columns, rows in relations[1:]:
         columns = list(columns)
-        column_set = set(columns)
+        # A label's slot; as in ``dict(zip(columns, row))``, the last
+        # place of a duplicate wins.
+        left_at = {c: i for i, c in enumerate(out_columns)}
+        right_at = {c: i for i, c in enumerate(columns)}
         if key_columns is None:
-            keys = [c for c in out_columns if c in column_set]
+            keys = [c for c in out_columns if c in right_at]
         else:
-            out_set = set(out_columns)
-            keys = [c for c in key_columns if c in out_set and c in column_set]
+            keys = [c for c in key_columns if c in left_at and c in right_at]
         if not keys:
             raise SqlExecutionError(
                 "natural join requires at least one shared column "
                 f"(left has {out_columns!r}, right has {list(columns)!r})"
             )
-        new_columns = [c for c in columns if c not in set(out_columns)]
-        left_key = [_last_index(out_columns, k) for k in keys]
-        right_key = [_last_index(columns, k) for k in keys]
-        new_index = [_last_index(columns, c) for c in new_columns]
+        new_columns = [c for c in columns if c not in left_at]
+        left_key = [left_at[k] for k in keys]
+        right_key = [right_at[k] for k in keys]
+        new_index = [right_at[c] for c in new_columns]
         index: dict[tuple[Any, ...], list[Sequence[Any]]] = {}
         for row in rows:
             index.setdefault(

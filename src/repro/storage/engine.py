@@ -6,8 +6,9 @@ touches the :class:`~repro.storage.simdisk.SimDisk`.  It makes rows
 durable; which rows a group *keeps* is the store's ring, and the engine
 only declines to hold on disk what that ring can never serve again:
 
-* ``append_rows`` — frame a recorded batch into the WAL (group commit
-  per the policy's fsync interval) and keep it in a per-group memtable;
+* ``append_rows`` — frame a recorded batch (its layout once, its rows as
+  tuples) into the WAL (group commit per the policy's fsync interval)
+  and keep it in a per-group memtable;
 * ``checkpoint`` — seal memtables into immutable segments, truncate the
   WAL, drop head segments below the ring, commit via the manifest
   protocol and garbage-collect;
@@ -17,20 +18,24 @@ only declines to hold on disk what that ring can never serve again:
 
 The acknowledgement boundary is ``wal.synced_lsn``: ``acked_rows`` is
 the exact set of rows, in log order, the engine promises will survive a
-crash; ``serving_rows`` is every row it holds, in the same order.  The
-crashtest harness holds a reopened store to what the ring keeps of the
+crash; ``serving_rows`` is every row it holds, in the same order — both
+in the layout the caller names, mapped by column name.  The crashtest
+harness holds a reopened store to what the ring keeps of the
 acknowledged rows, as an equality.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator
+from itertools import groupby
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.obs.metrics import MetricsRegistry, StatsView
 from repro.storage.checkpoint import CheckpointResult, write_manifest
-from repro.storage.recovery import RecoveryReport, recover_state
-from repro.storage.segments import NULL_FIRST, Segment, recorded_key, seal_segment
+from repro.sql.database import Row
+from repro.storage.recovery import MemtableRecord, RecoveryReport, recover_state
+from repro.storage.segments import NULL_FIRST, Segment, recorded_key, remap, seal_segment
 from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,7 +82,7 @@ class HistoryEngine:
         with self._span("recovery") as span:
             state = recover_state(disk)
             self.segments: dict[str, list[Segment]] = state.segments
-            self._memtable: dict[str, list[tuple[int, dict[str, Any]]]] = state.memtable
+            self._memtable: dict[str, list[MemtableRecord]] = state.memtable
             self.next_seg_seq = state.next_seg_seq
             self._manifest_gen = self._parse_manifest_gen(state.report.manifest)
             self.wal = WriteAheadLog(
@@ -130,8 +135,9 @@ class HistoryEngine:
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def append_rows(self, group: str, rows: list[dict[str, Any]]) -> int:
-        """WAL-append a batch of history rows as ONE framed record.
+    def append_rows(self, group: str, rows: list[Row], columns: tuple[str, ...]) -> int:
+        """WAL-append a batch of history rows, laid out as ``columns``, as
+        ONE framed record.
 
         The whole batch shares one LSN — it is acknowledged (or lost)
         atomically, which is exactly the granularity a poll result
@@ -140,15 +146,15 @@ class HistoryEngine:
         instead of per row.
 
         Rows are kept by reference in the memtable (they are the same
-        dicts the serving table holds), so the durable and serving
+        tuples the serving table holds), so the durable and serving
         copies can never drift between checkpoints.
         """
         if not rows:
             return self.wal.last_lsn
-        lsn = self.wal.append({"kind": "rows", "group": group, "rows": rows})
-        entries = self._memtable.setdefault(group, [])
-        for row in rows:
-            entries.append((lsn, row))
+        lsn = self.wal.append(
+            {"kind": "rows", "group": group, "columns": columns, "rows": rows}
+        )
+        self._memtable.setdefault(group, []).append((lsn, columns, rows))
         return lsn
 
     def sync(self) -> None:
@@ -184,19 +190,18 @@ class HistoryEngine:
 
     def _checkpoint_locked(self) -> CheckpointResult:
         result = CheckpointResult()
-        # 1. Seal every non-empty memtable (sorted: deterministic seqs).
+        # 1. Seal every non-empty memtable (sorted: deterministic seqs),
+        #    one segment per run of records that share a layout.
         for group in sorted(self._memtable):
-            entries = self._memtable[group]
-            if not entries:
-                continue
-            seg = seal_segment(
-                self.disk, group, self.next_seg_seq, [row for _, row in entries]
-            )
-            self.next_seg_seq += 1
-            self.segments.setdefault(group, []).append(seg)
-            result.segments_written += 1
-            result.rows_sealed += len(entries)
-            entries.clear()
+            records = self._memtable[group]
+            for columns, run in groupby(records, key=itemgetter(1)):
+                rows = [row for _, _, batch in run for row in batch]
+                seg = seal_segment(self.disk, group, self.next_seg_seq, columns, rows)
+                self.next_seg_seq += 1
+                self.segments.setdefault(group, []).append(seg)
+                result.segments_written += 1
+                result.rows_sealed += len(rows)
+            records.clear()
         # 2. Drop whole head segments the ring can never serve again.
         self._apply_ring(result)
         # 3-4. Rotate the WAL and commit the new manifest.
@@ -258,18 +263,18 @@ class HistoryEngine:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def serving_rows(self, group: str) -> list[dict[str, Any]]:
-        """Every row the engine holds for ``group``, in log order: sealed
-        segments, then the memtable.  A
+    def serving_rows(self, group: str, layout: Sequence[str]) -> list[Row]:
+        """Every row the engine holds for ``group``, in log order and in
+        ``layout``: sealed segments, then the memtable.  A
         :class:`~repro.core.history.HistoryStore` opening on this engine
         applies its ring to them."""
-        return self._collect(group, lsn_bound=None, exclude=frozenset())
+        return self._collect(group, layout, lsn_bound=None, exclude=frozenset())
 
     def acked_rows(
-        self, group: str, *, exclude_segments: frozenset[str] = frozenset()
-    ) -> list[dict[str, Any]]:
-        """The acknowledged prefix, in log order: rows guaranteed to
-        survive a crash.
+        self, group: str, layout: Sequence[str], *, exclude_segments: frozenset[str] = frozenset()
+    ) -> list[Row]:
+        """The acknowledged prefix, in log order and in ``layout``: rows
+        guaranteed to survive a crash.
 
         Memtable rows count only up to ``wal.synced_lsn``; sealed
         segments are durable by construction.  ``exclude_segments`` lets
@@ -277,26 +282,26 @@ class HistoryEngine:
         (their quarantine is the *expected* outcome, not a loss).
         """
         return self._collect(
-            group, lsn_bound=self.wal.synced_lsn, exclude=exclude_segments
+            group, layout, lsn_bound=self.wal.synced_lsn, exclude=exclude_segments
         )
 
     def _collect(
-        self, group: str, *, lsn_bound: int | None, exclude: frozenset[str]
-    ) -> list[dict[str, Any]]:
-        rows: list[dict[str, Any]] = []
+        self, group: str, layout: Sequence[str], *, lsn_bound: int | None, exclude: frozenset[str]
+    ) -> list[Row]:
+        rows: list[Row] = []
         for seg in self.segments.get(group, ()):
             if seg.path not in exclude:
-                rows.extend(seg.rows)
-        for lsn, row in self._memtable.get(group, ()):
+                rows.extend(remap(seg.rows, seg.columns, layout))
+        for lsn, columns, batch in self._memtable.get(group, ()):
             if lsn_bound is not None and lsn > lsn_bound:
                 break
-            rows.append(row)
+            rows.extend(remap(batch, columns, layout))
         return rows
 
     def groups(self) -> list[str]:
         """Every group with durable or pending rows, sorted."""
         names = set(self.segments)
-        names.update(g for g, entries in self._memtable.items() if entries)
+        names.update(g for g, records in self._memtable.items() if records)
         return sorted(names)
 
     # ------------------------------------------------------------------
@@ -304,7 +309,9 @@ class HistoryEngine:
         segment_rows = sum(
             seg.row_count for segs in self.segments.values() for seg in segs
         )
-        memtable_rows = sum(len(entries) for entries in self._memtable.values())
+        memtable_rows = sum(
+            len(rows) for records in self._memtable.values() for _, _, rows in records
+        )
         return {
             "enabled": True,
             "wal": {

@@ -13,6 +13,9 @@ durable picture of history from disk:
 3. replay the manifest's WAL generation from the front, appending row
    records to an in-memory memtable, and stop at the first torn or
    corrupt frame (GRM402); everything from the bad frame on is dropped.
+   A record whose relation does not check out
+   (:func:`~repro.storage.segments.stored_relation`) was written
+   corrupt, and replay stops at it the same way.
 
 The result is exactly the acknowledged prefix, in log order: rows the
 engine fsynced (directly or via a sealed segment) survive, un-fsynced
@@ -29,13 +32,20 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.analysis.findings import Finding, Severity
+from repro.sql.database import Row
 from repro.storage.checkpoint import (
     ManifestError,
     current_manifest,
     read_manifest,
 )
-from repro.storage.segments import Segment, SegmentDecodeError, load_segment, segment_path
-from repro.storage.wal import TAIL_CLEAN, TAIL_TORN, WriteAheadLog, wal_path
+from repro.storage.segments import (
+    Segment,
+    SegmentDecodeError,
+    load_segment,
+    segment_path,
+    stored_relation,
+)
+from repro.storage.wal import TAIL_CLEAN, TAIL_CORRUPT, TAIL_TORN, WriteAheadLog, wal_path
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.simdisk import SimDisk
@@ -100,13 +110,17 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
+#: One WAL ``rows`` record in the memtable: its LSN, layout and rows.
+MemtableRecord = tuple[int, tuple[str, ...], list[Row]]
+
+
 @dataclass
 class RecoveredState:
     """The durable state handed to :class:`~repro.storage.engine.HistoryEngine`."""
 
     segments: dict[str, list[Segment]] = field(default_factory=dict)
-    #: group -> [(lsn, row)] replayed from the WAL, append order.
-    memtable: dict[str, list[tuple[int, dict[str, Any]]]] = field(default_factory=dict)
+    #: group -> the records replayed from the WAL, append order.
+    memtable: dict[str, list[MemtableRecord]] = field(default_factory=dict)
     next_lsn: int = 1
     next_seg_seq: int = 1
     wal_gen: int = 1
@@ -193,22 +207,26 @@ def _replay_wal(disk: "SimDisk", state: RecoveredState) -> None:
     report = state.report
     path = wal_path(state.wal_gen)
     records, tail, detail = WriteAheadLog.read_records(disk, path)
-    report.wal_tail = tail
-    report.wal_tail_detail = detail
-    for record in records:
+    for index, record in enumerate(records):
         lsn = record.get("lsn")
+        if record.get("kind") == "rows":
+            group = record.get("group")
+            try:
+                if type(group) is not str or not group:
+                    raise ValueError("no group")
+                columns, rows = stored_relation(record)
+            except ValueError as exc:
+                tail, detail = TAIL_CORRUPT, f"frame {index} is not a rows record: {exc}"
+                break
+            state.memtable.setdefault(group, []).append(
+                (lsn if isinstance(lsn, int) else 0, columns, rows)
+            )
+            report.wal_records_replayed += 1
+        # Other kinds are skipped: forward compatibility over refusal.
         if isinstance(lsn, int):
             state.next_lsn = max(state.next_lsn, lsn + 1)
-        if record.get("kind") == "rows":
-            group = str(record.get("group", ""))
-            rows = record.get("rows")
-            if group and isinstance(rows, list):
-                entries = state.memtable.setdefault(group, [])
-                for row in rows:
-                    if isinstance(row, dict):
-                        entries.append((lsn if isinstance(lsn, int) else 0, row))
-                report.wal_records_replayed += 1
-        # Other kinds are skipped: forward compatibility over refusal.
+    report.wal_tail = tail
+    report.wal_tail_detail = detail
     if tail != TAIL_CLEAN:
         report.findings.append(
             Finding(

@@ -10,10 +10,13 @@ WAL and segment payloads are *pickled* record dicts (fixed protocol, so
 seeded replays stay byte-identical); the manifest keeps human-readable
 JSON.  Pickle is the deliberate choice for the hot path: the log is only
 ever read back by the process family that wrote it, every frame passes
-its CRC before a single byte is unpickled, the rows are plain scalar
-dicts that round-trip exactly — and pickling is several times faster per
-row than JSON, which is what keeps the durable record path cheap (the
-e2e harness's ``storage.wal.self_us_per_record`` measures it).
+its CRC before a single byte is unpickled, a ``rows`` record names its
+``columns`` once and its rows are tuples of plain scalars that
+round-trip exactly — and pickling is several times faster per row than
+JSON, which is what keeps the durable record path cheap (the e2e
+harness's ``storage.wal.self_us_per_record`` measures it).  What a
+record *means* is checked after it decodes
+(:func:`~repro.storage.segments.stored_relation`).
 
 Recovery walks frames from the front and stops at the first one that is
 *torn* (truncated header or payload — the expected shape after a crash
@@ -117,21 +120,6 @@ def read_frames(data: bytes) -> tuple[list[bytes], str, str]:
         payloads.append(payload)
         offset = end
     return payloads, TAIL_CLEAN, ""
-
-
-def decode_record_frames(payloads: list[bytes]) -> tuple[list[dict[str, Any]], int]:
-    """Decode framed payloads, stopping at the first undecodable one.
-
-    Returns ``(records, bad_index)`` with ``bad_index == -1`` when all
-    payloads decode.
-    """
-    records: list[dict[str, Any]] = []
-    for i, payload in enumerate(payloads):
-        record = decode_payload(payload)
-        if record is None:
-            return records, i
-        records.append(record)
-    return records, -1
 
 
 def wal_path(gen: int) -> str:
@@ -243,7 +231,10 @@ class WriteAheadLog:
         if not disk.exists(path):
             return [], TAIL_CLEAN, ""
         payloads, tail, detail = read_frames(disk.read(path))
-        records, bad = decode_record_frames(payloads)
-        if bad != -1:
-            return records, TAIL_CORRUPT, f"frame {bad} is not a record dict"
+        records: list[dict[str, Any]] = []
+        for i, payload in enumerate(payloads):
+            record = decode_payload(payload)
+            if record is None:
+                return records, TAIL_CORRUPT, f"frame {i} is not a record dict"
+            records.append(record)
         return records, tail, detail

@@ -4,7 +4,8 @@ The paper's introduction motivates the homogeneous view with high-level
 tools — "intelligent system monitoring, scheduling, load-balancing".
 This module is the monitoring-report consumer: it reads only the
 gateway's HistoryStore (never the agents, and the store only through
-``HistoryStore.since``, never its tables), so reports are free of
+``HistoryStore.since`` plus the column layout ``HistoryStore.layout``
+gives its rows, never its tables), so reports are free of
 resource intrusion, and produces the tables an era site operator put on
 the group web page:
 
@@ -21,8 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
+from repro.sql.database import Row
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.gateway import Gateway
+    from repro.core.history import HistoryStore
 
 @dataclass
 class HostUtilisation:
@@ -51,13 +55,14 @@ def utilisation_report(
     from recorded Processor history."""
     hosts: dict[str, list[float]] = {}
     utils: dict[str, list[float]] = {}
-    for row in gateway.history.since("Processor", since):
-        host = row.get("HostName")
-        load = row.get("LoadAverage1Min")
+    history = gateway.history
+    at = _slots(history, "Processor")
+    host_at, load_at, util_at = at["HostName"], at["LoadAverage1Min"], at["CPUUtilization"]
+    for row in history.since("Processor", since):
+        host, load, util = row[host_at], row[load_at], row[util_at]
         if host is None or not isinstance(load, (int, float)):
             continue
         hosts.setdefault(host, []).append(float(load))
-        util = row.get("CPUUtilization")
         if isinstance(util, (int, float)):
             utils.setdefault(host, []).append(float(util))
     out = []
@@ -96,52 +101,51 @@ class CapacitySummary:
         )
 
 
-def _latest_per_host(rows: list[dict], value_keys: list[str]) -> dict[str, dict]:
-    latest: dict[str, dict] = {}
-    for row in rows:
-        host = row.get("HostName")
-        t = row.get("RecordedAt")
-        if host is None or t is None:
+def _slots(history: "HistoryStore", group: str) -> dict[str, int]:
+    """Column name -> slot in ``group``'s stored rows, by the store's layout."""
+    return {name: i for i, name in enumerate(history.layout(group))}
+
+
+def _latest(history: "HistoryStore", group: str, *keys: str) -> dict[tuple, Row]:
+    """The newest stored row of ``group`` per value of ``keys`` (a row
+    with a NULL key or ``RecordedAt`` left out)."""
+    at = _slots(history, group)
+    slots = [at[k] for k in keys]
+    latest: dict[tuple, Row] = {}
+    for row in history.since(group, None):
+        key = tuple(row[i] for i in slots)
+        t = row[-1]
+        if None in key or t is None:
             continue
-        if host not in latest or t >= latest[host]["RecordedAt"]:
-            latest[host] = row
+        if key not in latest or t >= latest[key][-1]:
+            latest[key] = row
     return latest
 
 
 def capacity_report(gateway: "Gateway") -> CapacitySummary:
     """Aggregate the newest recorded sample of each host."""
     history = gateway.history
-    proc = _latest_per_host(history.since("Processor", None), ["CPUCount"])
-    mem = _latest_per_host(history.since("MainMemory", None), ["RAMSizeMB"])
+    proc = _latest(history, "Processor", "HostName")
+    mem = _latest(history, "MainMemory", "HostName")
+    cpus = _slots(history, "Processor")["CPUCount"]
+    ram = _slots(history, "MainMemory")
+    size, free = ram["RAMSizeMB"], ram["RAMAvailableMB"]
+    fs = _slots(history, "FileSystem")
     total_disk = free_disk = 0.0
     # FileSystem rows are one per mount; key on (host, Name).
-    newest: dict[tuple, dict] = {}
-    for row in history.since("FileSystem", None):
-        key = (row.get("HostName"), row.get("Name"))
-        t = row.get("RecordedAt")
-        if None in key or t is None:
-            continue
-        if key not in newest or t >= newest[key]["RecordedAt"]:
-            newest[key] = row
-    for row in newest.values():
-        if isinstance(row.get("SizeMB"), (int, float)):
-            total_disk += row["SizeMB"]
-        if isinstance(row.get("AvailableSpaceMB"), (int, float)):
-            free_disk += row["AvailableSpaceMB"]
-    hosts = set(proc) | set(mem)
+    for row in _latest(history, "FileSystem", "HostName", "Name").values():
+        if isinstance(row[fs["SizeMB"]], (int, float)):
+            total_disk += row[fs["SizeMB"]]
+        if isinstance(row[fs["AvailableSpaceMB"]], (int, float)):
+            free_disk += row[fs["AvailableSpaceMB"]]
     return CapacitySummary(
-        hosts=len(hosts),
-        total_cpus=sum(
-            int(r["CPUCount"]) for r in proc.values()
-            if isinstance(r.get("CPUCount"), int)
-        ),
+        hosts=len(set(proc) | set(mem)),
+        total_cpus=sum(int(r[cpus]) for r in proc.values() if isinstance(r[cpus], int)),
         total_ram_mb=sum(
-            float(r["RAMSizeMB"]) for r in mem.values()
-            if isinstance(r.get("RAMSizeMB"), (int, float))
+            float(r[size]) for r in mem.values() if isinstance(r[size], (int, float))
         ),
         free_ram_mb=sum(
-            float(r["RAMAvailableMB"]) for r in mem.values()
-            if isinstance(r.get("RAMAvailableMB"), (int, float))
+            float(r[free]) for r in mem.values() if isinstance(r[free], (int, float))
         ),
         total_disk_mb=total_disk,
         free_disk_mb=free_disk,

@@ -381,9 +381,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
         "dialect", "Queries: the IS [NOT] NULL column kernel"),
     "repro.sql.plan:_null_stage.<locals>.stage": (
         "dialect", "Queries: the IS [NOT] NULL column kernel"),
-    "repro.sql.plan:_slow_mapping_lookup": (
-        "dialect", "Case sensitivity: a dict row without the bound key resolves a "
-        "column case-insensitively"),
     "repro.sql.plan:compile_expr": (
         "dialect", "DML / DDL: UPDATE and DELETE evaluate WHERE and SET through it"),
     "repro.sql.values:SelectResult.__init__": (

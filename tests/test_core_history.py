@@ -6,7 +6,7 @@ from repro.core.history import HistoryStore
 from repro.glue.schema import standard_schema
 from repro.sql.database import ROW_BUILDER_MEMO_SIZE
 from repro.sql.errors import SqlExecutionError
-from tests.history_rows import record_rows
+from tests.history_rows import as_dicts, record_rows
 
 
 @pytest.fixture
@@ -153,11 +153,12 @@ class TestRetention:
     These ids are re-aimed at it."""
 
     def test_trim_older_than(self):
-        """The ring drops the oldest instants and counts them."""
+        """The ring drops the oldest instants and counts them.  (Stored
+        rows are read through ``as_dicts``: they are tuples now.)"""
         store = HistoryStore(standard_schema(), max_rows_per_group=2)
         for t in (1.0, 5.0, 9.0):
             record_rows(store, "Processor", [proc_row()], source_url="u", recorded_at=t)
-        assert [r["RecordedAt"] for r in store.since("Processor", None)] == [5.0, 9.0]
+        assert [r["RecordedAt"] for r in as_dicts(store, "Processor")] == [5.0, 9.0]
         assert store.rows_evicted == 1
 
     def test_trim_spans_all_groups(self):
@@ -227,11 +228,12 @@ class TestRetentionEdgeCases:
     def test_recorded_at_none_rows_survive_trim(self):
         """Re-aimed (NULL rows are exempt from nothing): a NULL
         ``RecordedAt`` sorts before every instant, so it is the first row
-        the ring evicts."""
+        the ring evicts.  (Stored rows are read through ``as_dicts``:
+        they are tuples now.)"""
         store = HistoryStore(standard_schema(), max_rows_per_group=1)
         record_rows(store, "Processor", [proc_row()], source_url="u", recorded_at=None)
         record_rows(store, "Processor", [proc_row()], source_url="u", recorded_at=1.0)
-        assert [r["RecordedAt"] for r in store.since("Processor", None)] == [1.0]
+        assert [r["RecordedAt"] for r in as_dicts(store, "Processor")] == [1.0]
 
     def test_series_since_skips_recorded_at_none(self, store):
         record_rows(store, "Processor", [proc_row(load=1.0)], source_url="u", recorded_at=None)
@@ -367,8 +369,9 @@ PROVENANCE_TYPES = (("SourceUrl", "TEXT"), ("RecordedAt", "TIMESTAMP"))
 
 
 def reference_rows(group, columns, rows, *, source_url, recorded_at):
-    """What ``record`` must store: ``dict(zip)`` of each row, provenance
-    from the arguments, every table column in table order, coerced."""
+    """What ``record`` must store, as a ``dict(zip)`` of each row:
+    provenance from the arguments, every table column in table order,
+    coerced.  The store keeps ``tuple`` of each, in that order."""
     schema_group = standard_schema().group(group)
     layout = [(f.name, f.type) for f in schema_group.fields] + list(PROVENANCE_TYPES)
     out = []
@@ -399,33 +402,41 @@ POSITIONAL_CASES = {
 
 
 class TestPositionalRecord:
-    """``record(group, columns, rows)`` stores what ``dict(zip)`` plus the
-    coercion table above would, with the table's key order and the given
-    value objects, cold (the layout's builder compiled) and warm (read
-    from the table's memo)."""
+    """``record(group, columns, rows)`` stores ``tuple`` of what
+    ``dict(zip)`` plus the coercion table above would, in table column
+    order with the given value objects, cold (the layout's builder
+    compiled) and warm (read from the table's memo).  Re-aimed from
+    stored dicts: the reference is compared as ``tuple`` of its dicts."""
 
     @pytest.mark.parametrize("case", sorted(POSITIONAL_CASES))
     def test_matches_the_reference_cold_and_warm(self, store, case):
+        """The stored tuples equal the reference dicts' values in table
+        order, value for value and class for class."""
         columns, rows = POSITIONAL_CASES[case]
         for at in (1.0, 2):  # cold, then warm through the same layout
             n = store.record("Processor", columns, rows, source_url="u", recorded_at=at)
-            want = reference_rows("Processor", columns, rows, source_url="u", recorded_at=at)
+            want = [
+                tuple(w.values())
+                for w in reference_rows("Processor", columns, rows, source_url="u", recorded_at=at)
+            ]
             got = store.since("Processor", None)[-len(rows):] if rows else []
             assert n == len(rows)
             assert got == want
             for g, w in zip(got, want):
-                assert list(g) == list(w)
-                assert [type(v) for v in g.values()] == [type(v) for v in w.values()]
+                assert type(g) is tuple
+                assert [type(v) for v in g] == [type(v) for v in w]
         assert len(store.db.table("Processor")._builders) == 1
 
     def test_value_objects_are_kept(self, store):
+        """The given objects are stored as they are, at the slots the
+        store's layout gives their columns (the layout is the table's)."""
         host, site = "host-" + "x" * 3, "site-" + "y" * 3
         store.record("Processor", ("HostName", "SiteName"), [[host, site]],
                      source_url="u", recorded_at=1.0)
         (row,) = store.since("Processor", None)
-        assert row["HostName"] is host and row["SiteName"] is site
-        table = store.db.table("Processor")
-        assert all(a is b for a, b in zip(row, table.column_names))
+        layout = store.layout("Processor")
+        assert row[layout.index("HostName")] is host and row[layout.index("SiteName")] is site
+        assert layout == tuple(store.db.table("Processor").column_names)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_uncoercible_value_gives_the_same_message(self, store, warm):
@@ -454,12 +465,26 @@ class TestPositionalRecord:
         assert store.row_count("Processor") == 1
 
     def test_memo_is_bounded(self, store):
+        """(Stored rows are read through ``as_dicts``: they are tuples now.)"""
         for i in range(ROW_BUILDER_MEMO_SIZE + 5):
             columns = ("HostName", f"Extra{i}")
             store.record("Processor", columns, [[f"h{i}", i]], source_url="u",
                          recorded_at=float(i))
         table = store.db.table("Processor")
         assert len(table._builders) == ROW_BUILDER_MEMO_SIZE
-        assert [r["HostName"] for r in store.since("Processor", None)][-2:] == [
+        assert [r["HostName"] for r in as_dicts(store, "Processor")][-2:] == [
             f"h{ROW_BUILDER_MEMO_SIZE + 3}", f"h{ROW_BUILDER_MEMO_SIZE + 4}"
         ]
+
+
+def test_a_mutated_history_answer_leaves_the_stored_rows_as_they_were(store):
+    """A HISTORY ``SELECT *`` answers lists of its own, never the stored
+    tuples: writing into the answer and reading again gives the first
+    answer back, and the store still holds tuples."""
+    record_rows(store, "Processor", [proc_row("a"), proc_row("b")], source_url="u", recorded_at=1.0)
+    first = store.query("SELECT * FROM Processor").rows
+    kept = [list(row) for row in first]
+    for row in first:
+        row[0] = "mutated"
+    assert store.query("SELECT * FROM Processor").rows == kept
+    assert all(type(row) is tuple for row in store.since("Processor", None))

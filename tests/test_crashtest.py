@@ -36,6 +36,7 @@ from repro.scenarios import CRASHTEST
 from repro.simnet.clock import VirtualClock
 from repro.simnet.network import Network
 from repro.storage.simdisk import SimDisk
+from tests.history_rows import as_dicts
 from repro.testbed import build_site
 
 
@@ -140,7 +141,7 @@ def served_across_a_crash(seed, ring, *, checkpoint_each_round=False):
     gw.history.sync()
 
     def served(store):
-        return {g: [dict(r) for r in store.since(g, None)] for g in store.groups_recorded()}
+        return {g: as_dicts(store, g) for g in store.groups_recorded()}
 
     before = served(gw.history)
     disk.crash(None)
@@ -157,7 +158,8 @@ def test_a_crash_changes_no_served_row_seed_0_ring_46(checkpoint_each_round):
     """Fan-out siblings record a round a few microseconds out of instant
     order.  The store's ring evicts the oldest instants; recovery used to
     keep the newest *arrivals*, so this run came back serving one
-    acknowledged row fewer and one already-evicted row more."""
+    acknowledged row fewer and one already-evicted row more.  (Stored
+    rows are read through ``as_dicts``: they are tuples now.)"""
     before, after = served_across_a_crash(
         0, 46, checkpoint_each_round=checkpoint_each_round
     )

@@ -38,12 +38,14 @@ from repro.sql.plan import compile_plan
 from repro.storage.engine import HistoryEngine
 from repro.storage.segments import recorded_key
 from repro.storage.simdisk import SimDisk
-from tests.history_rows import record_rows
+from tests.history_rows import as_dicts, record_rows
 
 from .test_core_history import proc_row
 
 SOURCES = ("jdbc:snmp://n0/x", "jdbc:snmp://n1/x", "jdbc:ganglia://n0/y")
 COLUMNS = (*standard_schema().group("Processor").field_names(), "SourceUrl", "RecordedAt")
+#: Where a stored row (a tuple laid out as ``COLUMNS``) keeps its provenance.
+URL, AT = COLUMNS.index("SourceUrl"), COLUMNS.index("RecordedAt")
 MAX_ROWS = 12
 
 #: ``{a}`` / ``{b}`` are drawn from the instants rows are recorded at
@@ -175,18 +177,23 @@ def _outcome(run_query):
 
 
 def _check(store: HistoryStore, plans: dict) -> None:
+    """Re-aimed from stored dicts: the rows are the tuples the table
+    stores, read at their ``COLUMNS`` slots, and the reference scan
+    binds the plan with ``bind`` over them (the mapping binding is
+    gone)."""
+    assert store.layout("Processor") == COLUMNS
     rows = store.db.table("Processor").rows if "Processor" in store.db.tables else []
     keys = [recorded_key(r) for r in rows]
     assert keys == sorted(keys)
     for url in (*SOURCES, "jdbc:snmp://never/recorded"):
-        mine = [r for r in rows if r["SourceUrl"] == url]
+        mine = [r for r in rows if r[URL] == url]
         assert store.since("Processor", None, source_url=url) == mine
-        nulls = sum(r["RecordedAt"] is None for r in mine)
+        nulls = sum(r[AT] is None for r in mine)
         for i, (sql, (served, reference)) in enumerate(plans.items()):
             before = store.rows_scanned
             got = _outcome(lambda: store.query(sql, source_url=url, plan=served))
             scanned = store.rows_scanned - before
-            want = _outcome(lambda: reference.bind_mapping(COLUMNS).execute(mine))
+            want = _outcome(lambda: reference.bind(COLUMNS).execute(mine))
             assert got == want, (sql, url)
             if i in PURE_RANGES:
                 # The window is exact, not merely sufficient: the rows
@@ -197,9 +204,9 @@ def _check(store: HistoryStore, plans: dict) -> None:
             assert store.since("Processor", watermark, source_url=url) == [
                 r
                 for r in rows
-                if (url is None or r["SourceUrl"] == url)
-                and r["RecordedAt"] is not None
-                and r["RecordedAt"] >= watermark
+                if (url is None or r[URL] == url)
+                and r[AT] is not None
+                and r[AT] >= watermark
             ]
 
 
@@ -265,6 +272,8 @@ settings.register_profile(
     b=5.0,
 )
 def test_indexed_reads_equal_the_linear_scan(durable, ring, ops, a, b):
+    """(Re-aimed: stored rows are tuples, read at their ``COLUMNS``
+    slots, and the reference scan binds with ``bind``.)"""
     fixture = _Fixture(durable, ring)
     # Two compilations per text: the served plan keeps its extracted
     # bounds across the whole sequence, the reference shares no state.
@@ -278,12 +287,13 @@ def test_indexed_reads_equal_the_linear_scan(durable, ring, ops, a, b):
 
 
 def test_ring_overflow_takes_the_oldest_instants_not_the_oldest_arrivals():
+    """(Stored rows are read through ``as_dicts``: they are tuples now.)"""
     store = HistoryStore(standard_schema(), max_rows_per_group=3)
     for at, url in ((5.0, "u"), (6.0, "v"), (7.0, "u"), (1.0, "v")):
         record_rows(store, "Processor", [proc_row()], source_url=url, recorded_at=at)
     # The late batch (t=1) was the oldest instant the moment it arrived.
-    assert [r["RecordedAt"] for r in store.since("Processor", None)] == [5.0, 6.0, 7.0]
-    assert [r["RecordedAt"] for r in store.since("Processor", None, source_url="v")] == [6.0]
+    assert [r["RecordedAt"] for r in as_dicts(store, "Processor")] == [5.0, 6.0, 7.0]
+    assert [r["RecordedAt"] for r in as_dicts(store, "Processor", source_url="v")] == [6.0]
     assert store.rows_evicted == 1
 
 
@@ -328,7 +338,8 @@ def test_history_reregistration_replays_exactly_the_rows_since_its_watermark(mon
     Run on the in-memory ring: the default durable store charges
     the WAL append (0.2 ms on the scenario disk) between recording a row
     and publishing it, so there every ``published_at`` — hence every
-    watermark — is later than the whole round and the case cannot arise."""
+    watermark — is later than the whole round and the case cannot arise.
+    (Stored rows are tuples now: ``RecordedAt`` is read at its slot.)"""
     in_memory = dataclasses.replace(
         STREAM,
         policy=lambda k: dataclasses.replace(STREAM.policy(k), history_durable=False),
@@ -340,7 +351,7 @@ def test_history_reregistration_replays_exactly_the_rows_since_its_watermark(mon
         got = inner(self, group_name, watermark, source_url=source_url)
         if watermark:
             rows = self.db.table(group_name).rows
-            calls.append((watermark, got, [r["RecordedAt"] for r in rows]))
+            calls.append((watermark, got, [r[AT] for r in rows]))
         return got
 
     monkeypatch.setattr(HistoryStore, "since", spy)
@@ -349,7 +360,7 @@ def test_history_reregistration_replays_exactly_the_rows_since_its_watermark(mon
     assert calls, "no history re-registration carried a watermark"
     inside_a_round = 0
     for watermark, got, instants in calls:
-        assert [r["RecordedAt"] for r in got] == [t for t in instants if t >= watermark]
+        assert [r[AT] for r in got] == [t for t in instants if t >= watermark]
         earlier_in_round = [t for t in instants if watermark - 0.01 < t < watermark]
         inside_a_round += bool(got and earlier_in_round)
     assert inside_a_round

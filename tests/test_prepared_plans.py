@@ -11,9 +11,11 @@ compile means, taken from elsewhere:
   and recursive descent) — same ``repr``, or the same error message at
   the same position;
 * the findings to the validator run on that reference AST;
-* the rows to ``tests/reference_sql.py`` over typed, edge, lacking and
-  short relations, through both bindings (mapping and slot rows), which
-  the plans of one shape share up to their WHERE stages.
+* the rows to ``tests/reference_sql.py`` over the typed and edge
+  relations, through the one binding (``bind``) over their rows as a
+  driver's lists and as the tuples a table stores, which the plans of
+  one shape share up to their WHERE stages (the lacking and short
+  relations have rows without every column: no full positional twin).
 
 The variants come from the reference lexer's own token spans: every
 literal of the plan-sweep statements (``tests/test_sql_plan.py``), of
@@ -233,19 +235,19 @@ def check(cache, text, schema, extra, columns, relations) -> None:
     if entry is None or entry.findings or select.is_join:
         return
     plan = entry.compiled()
-    fresh = compile_plan(select).bind_mapping(tuple(columns))
+    fresh = compile_plan(select).bind(tuple(columns))
     for column in ("RecordedAt", "Load", "x"):
-        assert plan.bind_mapping(tuple(columns)).leading_bounds(column) == (
+        assert plan.bind(tuple(columns)).leading_bounds(column) == (
             fresh.leading_bounds(column)
         ), f"{text!r}: leading bounds on {column}"
     for name, rows in relations.items():
+        if not all(len(row) == len(columns) for row in rows):
+            continue
         theirs = rows_outcome(execute_select, select, columns, rows)
-        mine = rows_outcome(plan.bind_mapping(tuple(columns)).execute, rows)
-        assert mine == theirs, f"{text!r} over {name}:\n{mine}\n{theirs}"
-        if all(len(row) == len(columns) for row in rows):
-            slots = [[row[c] for c in columns] for row in rows]
-            mine = rows_outcome(plan.bind(tuple(columns)).execute, slots)
-            assert mine == theirs, f"{text!r} over {name}, slot rows:\n{mine}\n{theirs}"
+        slots = [[row[c] for c in columns] for row in rows]
+        for kind, twin in (("list", slots), ("tuple", [tuple(r) for r in slots])):
+            mine = rows_outcome(plan.bind(tuple(columns)).execute, twin)
+            assert mine == theirs, f"{text!r} over {name}, {kind} rows:\n{mine}\n{theirs}"
 
 
 def check_variants(rng, text, schema, extra, columns, relations) -> PlanCache:
@@ -268,6 +270,8 @@ SWEEP = HAND_PICKED + KERNEL_EDGES + CORPUS
 @settings(settings.get_profile("sql-prepared"))
 @given(rng=st.randoms(use_true_random=True), extra=st.sampled_from([(), HISTORY]))
 def test_plan_sweep_variants_match_the_reference(rng, extra):
+    """(Re-aimed: rows are checked through ``bind`` over lists and over
+    stored tuples; the mapping binding is gone.)"""
     text = rng.choice(SWEEP) if rng.random() < 0.6 else random_select(rng)
     check_variants(rng, text, PLAN_SCHEMA, extra, PLAN_COLUMNS, PLAN_RELATIONS)
 
@@ -275,6 +279,8 @@ def test_plan_sweep_variants_match_the_reference(rng, extra):
 @settings(settings.get_profile("sql-prepared"))
 @given(rng=st.randoms(use_true_random=True))
 def test_front_end_variants_match_the_reference(rng):
+    """(Re-aimed: rows are checked through ``bind`` over lists and over
+    stored tuples; the mapping binding is gone.)"""
     tokens = _select(rng)
     if rng.random() < 0.3:
         tokens = mutate(rng, tokens)
@@ -285,7 +291,8 @@ def test_front_end_variants_match_the_reference(rng):
 def test_one_cache_serves_the_whole_sweep():
     """Templates of every statement side by side: a shape that lost a
     name, a keyword or an operator would hand one statement another's
-    tree."""
+    tree.  (Re-aimed: rows are checked through ``bind`` over lists and
+    over stored tuples; the mapping binding is gone.)"""
     rng = random.Random(7)
     cache = PlanCache(PLAN_SCHEMA)
     for _ in range(3):
@@ -299,7 +306,8 @@ def test_one_cache_serves_the_whole_sweep():
 
 def test_the_sweeps_instantiate_most_variants():
     """The oracle above is not vacuous: over the same inputs, most
-    variants are instantiated, not compiled."""
+    variants are instantiated, not compiled.  (Re-aimed: rows are
+    checked through ``bind`` over lists and over stored tuples.)"""
     rng = random.Random(42)
     instantiated = compiled = 0
     for _ in range(200):
@@ -367,14 +375,16 @@ def test_true_false_and_null_stay_in_the_shape(literal):
 
 
 def test_digits_in_names_and_soft_keyword_columns_are_no_slots():
+    """(Re-aimed: the instantiated plan runs over one stored tuple; the
+    mapping binding is gone.)"""
     template = "SELECT Timestamp, LoadAverage1Min FROM Processor WHERE LoadAverage1Min > 1.5"
     text = "SELECT Timestamp, LoadAverage1Min FROM Processor WHERE LoadAverage1Min > 9.5"
     cache = cache_with(template)
     entry = cache.get(text)
     assert cache.instantiations == 1
     assert entry.select == ref.parse_select(text)
-    assert entry.compiled().bind_mapping(("Timestamp", "LoadAverage1Min")).execute(
-        [{"Timestamp": 1.0, "LoadAverage1Min": 10.0}]
+    assert entry.compiled().bind(("Timestamp", "LoadAverage1Min")).execute(
+        [(1.0, 10.0)]
     ).columns == ["Timestamp", "LoadAverage1Min"]
 
 

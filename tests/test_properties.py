@@ -683,7 +683,8 @@ def test_durable_history_recovers_acked_prefix(ops, sync_interval, torn_seed):
     Re-aimed: the ``trim`` op used to log a time trim, which is gone; it
     now records a *late* row (an instant before the newest), the case a
     ring that dropped rows by arrival got wrong.  The ring is small
-    enough that checkpoints drop segments."""
+    enough that checkpoints drop segments.  Re-aimed again: the acked
+    rows are tuples laid out as the store's layout."""
     import random as _random
 
     from repro.core.history import HistoryStore
@@ -716,9 +717,12 @@ def test_durable_history_recovers_acked_prefix(ops, sync_interval, torn_seed):
         elif op == "checkpoint":
             store.checkpoint()
     reference = HistoryStore(standard_schema(), max_rows_per_group=ring)
-    for row in store.engine.acked_rows("Processor"):
+    # Re-aimed: acked rows are tuples in the layout the store names.
+    layout = store.layout("Processor")
+    for row in store.engine.acked_rows("Processor", layout):
         record_rows(
-            reference, "Processor", [row], source_url="u", recorded_at=row["RecordedAt"]
+            reference, "Processor", [dict(zip(layout, row))], source_url="u",
+            recorded_at=row[-1],
         )
     expected = list(reference.since("Processor", None))
 

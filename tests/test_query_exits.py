@@ -405,3 +405,38 @@ def test_remote_short_circuits_and_joins_move_the_local_counters():
         short_circuits = stats["breaker_short_circuits"]
         gw.query(url, SQL, mode=QueryMode.REALTIME)
         assert stats["breaker_short_circuits"] - short_circuits == 1, url
+
+
+def test_a_history_and_a_realtime_share_of_one_text_fly_apart():
+    """Sent at once to one remote URL, a REALTIME and a HISTORY share of
+    one text are two questions to the owner: the HISTORY one answers
+    the owner's recorded rows (three ``SELECT *`` fetches there) and
+    joins no flight.  The remote flight key used to lack the mode, so
+    the HISTORY share joined the REALTIME flight and answered its one
+    live row as ``fresh`` + ``coalesced``."""
+    network = Network(VirtualClock(), seed=29)
+    network.clock.advance(20.0)
+    policy = GatewayPolicy(security_enabled=True)
+    a, b = (
+        build_site(network, name=name, n_hosts=2, agents=("snmp",), seed=seed, policy=policy)
+        for name, seed in (("site-a", 1), ("site-b", 2))
+    )
+    directory = GMADirectory(network)
+    GlobalLayer(a.gateway, directory)
+    GlobalLayer(b.gateway, directory)
+    url = b.source_urls[0]
+    for _ in range(3):
+        network.clock.advance(1.0)
+        b.gateway.query(url, "SELECT * FROM Processor", mode=QueryMode.REALTIME)
+    network.clock.advance(1.0)
+    sql = "SELECT HostName, COUNT(*) FROM Processor GROUP BY HostName"
+    realtime, history = (
+        outcome.value
+        for outcome in a.gateway.dispatcher.run([
+            lambda: a.gateway.query(url, sql, mode=QueryMode.REALTIME),
+            lambda: a.gateway.query(url, sql, mode=QueryMode.HISTORY),
+        ])
+    )
+    assert realtime.rows == [["site-b-n00", 1]]
+    assert history.rows == [["site-b-n00", 3]]
+    assert [(s.cause, s.coalesced) for s in history.statuses] == [(Cause.FRESH, False)]

@@ -20,6 +20,7 @@ from repro.simnet.network import Network
 from repro.testbed import build_site
 from repro.web.console import Console
 from repro.web.reports import capacity_report, utilisation_report
+from tests.history_rows import as_dicts
 
 
 @pytest.fixture(scope="module")
@@ -134,11 +135,11 @@ class TestSoakInvariants:
             assert tree.count("+-") == len(site.source_urls)
 
     def test_host_metrics_stayed_sane_throughout(self, soaked):
-        """Spot-check recorded history for invariant violations."""
+        """Spot-check recorded history for invariant violations.  (Stored
+        rows are read through ``as_dicts``: they are tuples now.)"""
         network, sites, *_ = soaked
         for site in sites:
-            rows = site.gateway.history.db.table("Processor").rows
-            for row in rows:
+            for row in as_dicts(site.gateway.history, "Processor"):
                 util = row.get("CPUUtilization")
                 if util is not None:
                     assert 0.0 <= util <= 100.0

@@ -112,15 +112,19 @@ class TestDmlIsAllOrNothing:
     assignment reads the row as the statement found it."""
 
     def test_insert_that_raises_on_a_later_row_inserts_none(self, db):
-        before = [dict(r) for r in db.table("m").rows]
+        """Re-aimed: stored rows are tuples, so the snapshot is a copy of
+        the list (a tuple cannot change in place)."""
+        before = list(db.table("m").rows)
         with pytest.raises(SqlExecutionError, match="cannot coerce 'x' to REAL"):
             db.execute("INSERT INTO m (host, load, cpus) VALUES ('d', 4, 4), ('e', 'x', 5)")
         assert db.table("m").rows == before
 
     def test_update_that_raises_on_a_later_row_updates_none(self, db):
+        """Re-aimed: stored rows are tuples, so the snapshot is a copy of
+        the list (a tuple cannot change in place)."""
         db.execute("CREATE TABLE t (k TEXT, n INTEGER, x REAL)")
         db.execute("INSERT INTO t (k, n, x) VALUES ('1', 1, 1.5), ('2', 2, 2.5), ('x', 3, 3.5)")
-        before = [dict(r) for r in db.table("t").rows]
+        before = list(db.table("t").rows)
         # The third matching row's k does not coerce to INTEGER.
         with pytest.raises(SqlExecutionError, match="cannot coerce 'x' to INTEGER"):
             db.execute("UPDATE t SET x = x + 1, n = k WHERE x > 1")
@@ -130,9 +134,30 @@ class TestDmlIsAllOrNothing:
             db.execute("UPDATE t SET x = 0 WHERE k < 'x' OR k > 1")
         assert db.table("t").rows == before
 
+    def test_update_replaces_each_matched_row_with_a_tuple(self, db):
+        table = db.table("m")
+        untouched = table.rows[1]
+        assert db.execute("UPDATE m SET load = 9 WHERE host = 'a'") == 1
+        assert all(type(row) is tuple for row in table.rows)
+        assert table.rows[0][table.column_names.index("load")] == 9.0
+        assert table.rows[1] is untouched
+
     def test_update_assignments_read_the_row_as_found(self, db):
         assert db.execute("UPDATE m SET load = cpus, cpus = load") == 2
         assert db.query("SELECT host, load, cpus FROM m ORDER BY host").rows == [
             ["a", 4.0, 0],
             ["b", 8.0, 1],
         ]
+
+
+def test_a_mutated_answer_leaves_the_stored_rows_as_they_were(db):
+    """Stored rows are tuples and an answer's rows are lists of its own:
+    writing into a ``SELECT *`` answer (or a projection's) and reading
+    again gives the first answer back."""
+    for sql in ("SELECT * FROM m", "SELECT host, load FROM m WHERE cpus > 1"):
+        first = db.query(sql).rows
+        kept = [list(row) for row in first]
+        for row in first:
+            row[0] = "mutated"
+        assert db.query(sql).rows == kept
+    assert all(type(row) is tuple for row in db.table("m").rows)

@@ -26,7 +26,11 @@ def run(sql, columns=COLUMNS, rows=ROWS):
 
 
 def run_plan(sql, columns=COLUMNS, rows=ROWS):
-    return compile_plan(parse_select(sql)).bind_mapping(tuple(columns)).execute(rows)
+    """The compiled plan over ``rows`` as a table stores them: one tuple
+    per row in ``columns`` order (re-aimed from the mapping binding,
+    which bound dict rows and is gone; ``bind`` is the one binding)."""
+    stored = [tuple(r.get(c) for c in columns) for r in rows]
+    return compile_plan(parse_select(sql)).bind(tuple(columns)).execute(stored)
 
 
 class _Reference:
@@ -219,16 +223,28 @@ class TestEvaluateHelpers:
 
 
 class TestProjectionOnPlan(TestProjection):
+    """Every inherited id, re-aimed: the plan runs over stored tuples
+    (``run_plan``); the mapping binding is gone."""
+
     run = staticmethod(run_plan)
 
 
 class TestWhereOnPlan(TestWhere):
+    """Every inherited id, re-aimed: the plan runs over stored tuples
+    (``run_plan``); the mapping binding is gone."""
+
     run = staticmethod(run_plan)
 
 
 class TestAggregatesOnPlan(TestAggregates):
+    """Every inherited id, re-aimed: the plan runs over stored tuples
+    (``run_plan``); the mapping binding is gone."""
+
     run = staticmethod(run_plan)
 
 
 class TestOrderLimitOnPlan(TestOrderLimit):
+    """Every inherited id, re-aimed: the plan runs over stored tuples
+    (``run_plan``); the mapping binding is gone."""
+
     run = staticmethod(run_plan)

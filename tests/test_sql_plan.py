@@ -7,21 +7,23 @@ out of reach of the code it judges.  The compiled path (:mod:`repro.sql.plan`) m
 row order, and the same exception type/message whenever the interpreter
 raises.  A seeded generator sweeps projections, aliases, LIKE, NULLs,
 aggregates, GROUP BY/HAVING, ORDER BY, DISTINCT and LIMIT/OFFSET over a
-relation with NULLs, numeric strings and mixed types; both bind flavours
-(positional slots and mapping rows) are checked against the oracle.
+relation with NULLs, numeric strings and mixed types; the one binding
+(``bind``) is checked against the oracle over the relation's positional
+twin twice: as a driver's lists and as the tuples a table stores.
 
 The sweep runs over four relations: the six typed rows; those plus a
 row for every edge of a column kernel's class guard (``bool``, a
 ``str`` subclass, NaN, ±inf, ``2**63``, a non-numeric string in a numeric
-column, ``'1e3'``); one whose mapping rows lack bind-time keys (a row
-keyed in another case, one missing a middle key); and its positional
-twin, a slot row shorter than its layout.  The generator writes literals on either side of a
+column, ``'1e3'``); one whose dict rows lack keys (a row keyed in
+another case, one missing a middle key), which has no positional twin
+and checks the reference alone; and its positional cut, a slot row
+shorter than its layout.  The generator writes literals on either side of a
 comparison, negative literals, ``-'x'``, numeric ``IN`` lists, string
 ``BETWEEN`` and comparisons that raise behind conjuncts that are NULL.
 
 Every ``assert_equivalent`` also runs ``BoundPlan.execute_each`` (the
 stream hub's round: one WHERE pass over several relations) over the
-rows cut into 2-3 seeded parts, in both flavours: each part's outcome
+rows cut into 2-3 seeded parts, as lists and as tuples: each part's outcome
 must be the reference over that part alone — same result, or the same
 exception type and message in that part's slot.  Hand mutations seen to
 fail here: every survivor credited to the first part, an aggregating
@@ -48,9 +50,9 @@ was applied and seen to fail; the statement that catches it is in
 * a NULL conjunct short-circuited (``_deciding`` returns the closure
   whatever follows) — ``Load > 100 AND HostName > 3`` stops raising;
 * ``LookupError`` swallowed in a kernel (a missing value reads as NULL
-  instead of going to the closure) — ``MemMB >= 512`` over the
-  ``LACKING`` relation loses the row keyed ``memmb`` and stops raising
-  ``unknown column`` for the row with no such key;
+  instead of going to the closure) — ``Label BETWEEN 'a' AND 'h'``
+  over the ``SHORT`` relation drops the row that lacks ``Label``
+  instead of raising ``unknown column``;
 * the sign fold applied to any literal (``-'x'``) — ``HostName = 'zz'
   AND Label = -'x'`` raises ``TypeError`` when bound instead of never;
 * the empty-filter early return taken on a grouped plan — ``SELECT
@@ -58,7 +60,7 @@ was applied and seen to fail; the statement that catches it is in
 * a batch fallback that raises its own error, or the first one in
   column or conjunct order (``_filter`` without the replay, ``_project``
   re-raising the ``LookupError``) — ``Load > 0 AND MemMB > 'x'`` over
-  the edge relation and ``SELECT Label, MemMB`` over ``LACKING`` name
+  the edge relation and ``SELECT Label, MemMB`` over ``SHORT`` name
   the wrong operand types / the wrong column.
 """
 
@@ -164,14 +166,15 @@ def outcome(fn, head=lambda result: (result.columns, result.rows)):
 
 
 def assert_equivalent(sql, columns=COLUMNS, dict_rows=ROWS):
+    """The reference over ``dict_rows`` against ``bind`` over their
+    positional twin, twice: as a driver's lists and as the tuples a
+    table stores.  (Re-aimed: the mapping binding that read the dicts
+    themselves is gone, so a relation with no positional twin checks
+    the reference alone.)"""
     select = parse_select(sql)
     ref = outcome(lambda: execute_select(select, columns, dict_rows))
-    plan = compile_plan(select)
-    got_map = outcome(lambda: plan.bind_mapping(tuple(columns)).execute(dict_rows))
-    assert got_map == ref, f"mapping flavour diverged on {sql!r}:\n{got_map}\n{ref}"
     rows = positional(columns, dict_rows)
     if rows is None:
-        assert_each_equivalent(sql, columns, dict_rows)
         return ref
     if any(len(r) < len(columns) for r in rows) and (
         select.is_star or (select.order_by and any(i.alias for i in select.items))
@@ -180,10 +183,11 @@ def assert_equivalent(sql, columns=COLUMNS, dict_rows=ROWS):
         # the alias-extended sort rows) as it is, where the interpreter
         # pads a dict row's missing keys with NULL: not a kernel's doing
         # and not comparable.
-        assert_each_equivalent(sql, columns, dict_rows)
         return ref
-    got_slot = outcome(lambda: plan.bind(tuple(columns)).execute(rows))
-    assert got_slot == ref, f"slot flavour diverged on {sql!r}:\n{got_slot}\n{ref}"
+    plan = compile_plan(select)
+    for kind, twin in (("list", rows), ("tuple", [tuple(r) for r in rows])):
+        got = outcome(lambda: plan.bind(tuple(columns)).execute(twin))
+        assert got == ref, f"{kind} rows diverged on {sql!r}:\n{got}\n{ref}"
     assert_each_equivalent(sql, columns, dict_rows, rows)
     return ref
 
@@ -223,29 +227,22 @@ def each_reference(select, columns, parts):
     return ("ok", "each", repr(slots))
 
 
-def assert_each_equivalent(sql, columns, dict_rows, slot_rows=None):
-    """``execute_each`` over ``dict_rows`` (and their positional twin
-    ``slot_rows``) cut into seeded parts: each part's outcome is the
-    reference over that part's rows alone."""
+def assert_each_equivalent(sql, columns, dict_rows, slot_rows):
+    """``execute_each`` over the positional twin ``slot_rows`` of
+    ``dict_rows`` — lists, then tuples — cut into seeded parts: each
+    part's outcome is the reference over that part's rows alone."""
     select = parse_select(sql)
     plan = compile_plan(select)
     rng = random.Random(f"{sql}/{len(dict_rows)}")
     indices = cut(rng, list(range(len(dict_rows))))
     want = each_reference(select, columns, [[dict_rows[i] for i in p] for p in indices])
-    got = each_outcome(
-        lambda: plan.bind_mapping(tuple(columns)).execute_each(
-            [[dict_rows[i] for i in p] for p in indices]
+    for kind, twin in (("list", slot_rows), ("tuple", [tuple(r) for r in slot_rows])):
+        got = each_outcome(
+            lambda: plan.bind(tuple(columns)).execute_each(
+                [[twin[i] for i in p] for p in indices]
+            )
         )
-    )
-    assert got == want, f"mapping execute_each diverged on {sql!r} cut {indices}:\n{got}\n{want}"
-    if slot_rows is None:
-        return
-    got = each_outcome(
-        lambda: plan.bind(tuple(columns)).execute_each(
-            [[slot_rows[i] for i in p] for p in indices]
-        )
-    )
-    assert got == want, f"slot execute_each diverged on {sql!r} cut {indices}:\n{got}\n{want}"
+        assert got == want, f"{kind} execute_each diverged on {sql!r} cut {indices}:\n{got}\n{want}"
 
 
 HAND_PICKED = [
@@ -356,16 +353,19 @@ RELATIONS = {"typed": ROWS, "edge": EDGE_ROWS, "lacking": LACKING_ROWS, "short":
 class TestHandPicked:
     @pytest.mark.parametrize("sql", HAND_PICKED)
     def test_equivalent(self, sql):
+        """(Re-aimed: the plan binds with ``bind`` over lists and stored tuples.)"""
         assert_equivalent(sql)
 
     @pytest.mark.parametrize("relation", RELATIONS)
     @pytest.mark.parametrize("sql", HAND_PICKED + KERNEL_EDGES)
     def test_kernel_edges(self, sql, relation):
+        """(Re-aimed: the plan binds with ``bind`` over lists and stored tuples.)"""
         assert_equivalent(sql, COLUMNS, RELATIONS[relation])
 
     def test_a_value_in_a_list_groups_with_its_tuple(self):
         # ``_hashable``: the group-key kernel meets an unhashable value
         # and hands the whole batch back to the closures.
+        """(Re-aimed: the plan binds with ``bind`` over lists and stored tuples.)"""
         rows = [
             {**ROWS[0], "Label": ["a", 1]},
             {**ROWS[1], "Label": ["a", 1]},
@@ -381,7 +381,9 @@ class TestHandPicked:
     def test_the_edges_are_met(self):
         """The relations do raise, and do not only raise: each edge
         statement succeeds over the typed rows or is one of the known
-        raisers, and the lacking relation raises ``unknown column``."""
+        raisers, and the lacking relation raises ``unknown column``, as
+        a short positional row does under the plan.
+        (Re-aimed: the plan binds with ``bind`` over lists and stored tuples.)"""
         raisers = 0
         for sql in KERNEL_EDGES:
             raisers += assert_equivalent(sql)[0] == "err"
@@ -390,10 +392,14 @@ class TestHandPicked:
             "SELECT HostName FROM Processor WHERE MemMB >= 512", COLUMNS, LACKING_ROWS
         ) == ("err", "SqlExecutionError", "unknown column: 'MemMB'")
         assert assert_equivalent(
+            "SELECT Label, MemMB FROM Processor", COLUMNS, SHORT_ROWS
+        ) == ("err", "SqlExecutionError", "unknown column: 'Label'")
+        assert assert_equivalent(
             "SELECT SiteName FROM Processor WHERE HostName IN ('h1', 'H11')", COLUMNS, EDGE_ROWS
         ) == ("ok", ["SiteName"], "[['s1'], ['s1']]")
 
     def test_empty_relation(self):
+        """(Re-aimed: the plan binds with ``bind`` over lists and stored tuples.)"""
         for sql in (
             "SELECT * FROM Processor",
             "SELECT COUNT(*) FROM Processor",
@@ -406,6 +412,7 @@ class TestHandPicked:
     def test_aggregate_references_column_on_empty_group(self):
         # Implicit single empty group: the interpreter resolves plain
         # columns against an empty sample row and raises.
+        """(Re-aimed: the plan binds with ``bind`` over lists and stored tuples.)"""
         ref = assert_equivalent(
             "SELECT HostName, COUNT(*) FROM Processor", COLUMNS, []
         )
@@ -442,13 +449,16 @@ class TestExecuteEach:
         assert [r.rows for r in got] == [[["h1"], ["h2"]], [["h1"]], [["h1"]]]
 
     def test_an_error_stays_in_its_part(self):
+        """Over stored tuples (re-aimed from the mapping binding, which
+        read the dicts and is gone)."""
         sql = "SELECT HostName FROM Processor WHERE Load > 1"
         parts = [ROWS[:2], [EDGE_ROWS[8]], ROWS[3:]]  # h9's Load is 'n/a'
-        plan = compile_plan(parse_select(sql)).bind_mapping(tuple(COLUMNS))
-        first, error, last = plan.execute_each(parts)
+        stored = [[tuple(r[c] for c in COLUMNS) for r in part] for part in parts]
+        plan = compile_plan(parse_select(sql)).bind(tuple(COLUMNS))
+        first, error, last = plan.execute_each(stored)
         assert isinstance(error, SqlExecutionError) and error.__traceback__ is None
         assert (first.rows, last.rows) == ([], [["h4"]])
-        assert each_outcome(lambda: plan.execute_each(parts)) == each_reference(
+        assert each_outcome(lambda: plan.execute_each(stored)) == each_reference(
             parse_select(sql), COLUMNS, parts
         )
 
@@ -567,7 +577,8 @@ def random_select(rng):
 class TestGeneratedDifferential:
     def test_seeded_sweep(self):
         """400 generated SELECTs, byte-identical across all three paths,
-        over each relation."""
+        over each relation.
+        (Re-aimed: the plan binds with ``bind`` over lists and stored tuples.)"""
         rng = random.Random(20260809)
         for i in range(400):
             sql = random_select(rng)
@@ -578,6 +589,7 @@ class TestGeneratedDifferential:
                     raise AssertionError(f"iteration {i} over {name}: {sql}") from None
 
     def test_generator_exercises_interesting_shapes(self):
+        """(Re-aimed: the plan binds with ``bind`` over lists and stored tuples.)"""
         rng = random.Random(20260809)
         batch = [random_select(rng) for _ in range(400)]
         assert any("LIKE" in s for s in batch)
@@ -656,16 +668,24 @@ def random_dml(rng):
 
 
 def loaded_table(dict_rows):
+    """A table holding ``dict_rows`` as it stores rows: tuples in column
+    order, the values as they are (edges stay edges).  Re-aimed from
+    storing the dicts themselves."""
     db = Database()
     table = db.create_table("Processor", DML_COLUMNS)
-    table.rows = [dict(r) for r in dict_rows]  # as they are: edges stay edges
+    table.rows = [tuple(r[c] for c in table.column_names) for r in dict_rows]
     return db, table
 
 
 def reference_dml(stmt, table):
     """``(count, rows)`` after ``stmt``, by the reference interpreter over
-    a copy of ``table``'s rows; only ``Table.coerce`` is the table's."""
-    rows = [dict(r) for r in table.rows]
+    dict copies of ``table``'s rows, handed back as the tuples the table
+    stores; only ``Table.coerce`` is the table's."""
+    count, rows = _reference_dml(stmt, table, [dict(zip(table.column_names, r)) for r in table.rows])
+    return count, [tuple(r.values()) for r in rows]
+
+
+def _reference_dml(stmt, table, rows):
     if isinstance(stmt, sql_ast.Delete):
         kept = [r for r in rows if not evaluate_predicate(stmt.where, r)]
         return len(rows) - len(kept), kept
@@ -701,7 +721,8 @@ class TestGeneratedDml:
         """300 generated UPDATE / DELETE statements over the typed and the
         kernel-edge relation: same surviving rows in the same order, same
         count, same exception type and message as the reference, and a
-        statement that raises leaves the table as it found it."""
+        statement that raises leaves the table as it found it.
+        (Re-aimed: the plan binds with ``bind`` over lists and stored tuples.)"""
         rng = random.Random(20261003)
         batch = [random_dml(rng) for _ in range(300)]
         seen = {name: {"ok": 0, "err": 0, "touched": 0} for name in ("typed", "edge")}
@@ -724,6 +745,7 @@ class TestGeneratedDml:
             assert tally["touched"] >= 60 and tally["err"] >= 40, (name, tally)
 
     def test_the_errors_are_the_typed_ones(self):
+        """(Re-aimed: the plan binds with ``bind`` over lists and stored tuples.)"""
         typed = ("err", "SqlExecutionError")
         for sql, rows, expected in [
             ("UPDATE Processor SET MemMB = Label", ROWS,
@@ -743,9 +765,12 @@ class TestGeneratedDml:
 
 class TestBindingCache:
     def test_bindings_cached_per_layout(self):
+        """One binding per layout; ``bind_mapping`` (re-aimed) is only
+        the alias the e2e benchmark's layer table resolves, and hands
+        back the same binding."""
         plan = compile_plan(parse_select("SELECT HostName FROM Processor"))
         assert plan.bind(tuple(COLUMNS)) is plan.bind(tuple(COLUMNS))
-        assert plan.bind_mapping(tuple(COLUMNS)) is plan.bind_mapping(tuple(COLUMNS))
+        assert plan.bind_mapping(tuple(COLUMNS)) is plan.bind(tuple(COLUMNS))
         assert plan.bind(tuple(COLUMNS)) is not plan.bind(("HostName",))
 
     def test_compile_plan_returns_compiled_plan(self):
@@ -808,10 +833,15 @@ class TestZeroCopy:
         assert all(out is src for out, src in zip(result.rows, rows))
 
     def test_mapping_star_builds_fresh_rows(self):
+        """Re-aimed from mapping rows, which no table stores any more:
+        over stored tuples, a star answer's rows are lists of its own,
+        so mutating one leaves the stored row as it was."""
         plan = compile_plan(parse_select("SELECT * FROM Processor"))
-        result = plan.bind_mapping(tuple(COLUMNS)).execute(ROWS)
+        stored = [tuple(r) for r in slot_rows()]
+        result = plan.bind(tuple(COLUMNS)).execute(stored)
+        assert all(type(row) is list for row in result.rows)
         result.rows[0][0] = "mutated"
-        assert ROWS[0]["HostName"] == "h1"
+        assert stored[0][0] == "h1"
 
 
 def test_only_the_executor_module_names_the_interpreter():

@@ -7,7 +7,7 @@ the gateway that owns the required data."
 
 import pytest
 
-from repro.core.health import FAILURE_THRESHOLD
+from repro.core.health import FAILURE_THRESHOLD, BreakerState
 from repro.core.request_manager import Cause, QueryMode
 from repro.core.security import AccessRule, Principal
 from repro.gma.directory import GMADirectory
@@ -102,6 +102,22 @@ class TestRouting:
         result = a.gateway.query(b.url_for("snmp"), "SELECT HostName FROM Host")
         assert result.failed_sources == 1
         assert "may not read" in result.statuses[0].error
+
+    def test_an_owners_refusal_is_an_error_and_leaves_the_breaker_closed(self, fabric):
+        """The owner denies every query (FGSL ``role:remote``): each one
+        answers ``error`` with the owner's message, round after round,
+        and the site's ``gma://`` breaker stays closed — a refusal is an
+        answer, as a local syntax error is.  Every refusal used to be
+        recorded as a health failure, so the fourth query answered
+        ``breaker``."""
+        network, a, b, gla, _ = fabric
+        b.gateway.fgsl.enabled = True
+        b.gateway.fgsl.add_rule(AccessRule(allow=False, who="role:remote"))
+        for _ in range(FAILURE_THRESHOLD + 1):
+            network.clock.advance(1.0)
+            (status,) = a.gateway.query(b.url_for("snmp"), "SELECT HostName FROM Host").statuses
+            assert status.cause is Cause.ERROR and "may not read" in status.error
+        assert a.gateway.health.state("gma://rb") is BreakerState.CLOSED
 
     def test_local_queries_unaffected_by_fabric(self, fabric):
         network, a, b, gla, _ = fabric

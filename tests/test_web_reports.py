@@ -4,6 +4,7 @@ import pytest
 
 from repro.web.console import Console
 from repro.web.reports import capacity_report, utilisation_report
+from tests.history_rows import as_dicts
 
 
 @pytest.fixture
@@ -83,8 +84,10 @@ class TestReadsGoThroughTheStore:
     the store's tables."""
 
     def test_window_is_the_linear_filter_it_replaced(self, polled_site):
+        """(Re-aimed: stored rows are tuples, read here through
+        ``as_dicts`` — every row, unwindowed.)"""
         gw = polled_site.gateway
-        rows = gw.history.db.table("Processor").rows
+        rows = as_dicts(gw.history, "Processor")
         for cut in (None, 0.0, polled_site.clock.now() - 20.0, rows[5]["RecordedAt"], 1e9):
             want: dict[str, list[float]] = {}
             for r in rows:
