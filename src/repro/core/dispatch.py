@@ -325,9 +325,10 @@ class FanoutDispatcher:
         """Primary fetch, hedged by an identical fetch after ``delay``.
 
         Both attempts run as concurrent-scope branches (each measured on
-        a private timeline from the same start instant); the clock then
-        advances by the *winner's* completion offset.  The loser is
-        abandoned: its virtual traffic happened, but nobody waits for it.
+        a private timeline from the same start instant); the scope then
+        joins at the *winner's* completion instant.  The loser is
+        abandoned: its virtual traffic happened, but nobody waits for it
+        (its recorded failure still settles at the join).
         When both fail, the caller learns at the later failure — a
         hedged client keeps waiting for the surviving sibling.
         """
@@ -348,7 +349,7 @@ class FanoutDispatcher:
             if primary_span.name == "hedge":
                 primary_span.name = "fetch"
                 primary_span.attrs.pop("index", None)
-            self.clock.advance(primary.elapsed)
+            scope.join(at=scope.started_at + primary.elapsed)
             return primary
         self.stats.inc("hedges_fired")
         with scope.branch():
@@ -378,7 +379,7 @@ class FanoutDispatcher:
         # The abandoned attempt's span may outlive its parent — marking
         # it cancelled is what exempts it from the containment invariant.
         (hedge_span if winner is primary else primary_span).cancel()
-        self.clock.advance(end)
+        scope.join(at=scope.started_at + end)
         return winner
 
     # ------------------------------------------------------------------

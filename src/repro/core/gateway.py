@@ -14,7 +14,6 @@ attaches to a Gateway to route remote queries.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Mapping, MutableMapping, Optional, Sequence
@@ -146,8 +145,8 @@ class Gateway:
         # detector (chaos --race-detect, racecheck) attach it here so
         # analyze() folds GRM55x findings into the admin report.
         self.race_detector: Any | None = None
-        # One health tracker for the request manager and the Global layer:
-        # local sources keyed by full JDBC URL, remote gateways by gma://<site>.
+        # The request manager's breakers: local sources keyed by full JDBC
+        # URL, remote sites' shares by gma://<site>.
         self.health = HealthTracker(
             network.clock,
             self.policy,
@@ -638,31 +637,17 @@ class Gateway:
         single-flight (a join and a tree-view poll asking one source the
         same group share a single agent round-trip).  Results come back
         in batch order; a member that fails contributes its exception in
-        place rather than aborting its siblings.
+        place rather than aborting its siblings.  Members read source
+        health as it stood at launch: what they record settles when the
+        batch joins (DESIGN §11, branch isolation).
         """
-        # Batch members are virtually simultaneous, so each involved
-        # source's breaker decision is frozen as of batch launch and
-        # outcome recording deferred to the batch join — the same lane
-        # discipline hedge siblings follow (HealthTracker.pin).  Without
-        # this, member k's admission would read breaker state member
-        # k-1's outcome just wrote: a launch-order dependence (GRM552).
-        keys = sorted({
-            str(u)
+        outcomes = self.dispatcher.run([
+            partial(
+                self.query, q.urls, q.sql, mode=q.mode, principal=principal,
+                max_age=q.max_age, timeout=q.timeout, query_class=q.query_class,
+            )
             for q in queries
-            for u in ([q.urls] if isinstance(q.urls, (str, JdbcUrl)) else q.urls)
-        })
-        with ExitStack() as pins:
-            for key in keys:
-                pins.enter_context(
-                    self.health.pin(key, self.health.allow_request(key))
-                )
-            outcomes = self.dispatcher.run([
-                partial(
-                    self.query, q.urls, q.sql, mode=q.mode, principal=principal,
-                    max_age=q.max_age, timeout=q.timeout, query_class=q.query_class,
-                )
-                for q in queries
-            ])
+        ])
         return [o.value if o.error is None else o.error for o in outcomes]
 
     def query_all_sources(

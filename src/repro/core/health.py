@@ -38,15 +38,24 @@ before paying connect/retry cost and report outcomes with
 is surfaced through the ``on_transition`` callback, which the Gateway
 wires to the EventManager (history + listeners) and to connection-pool
 quarantine.
+
+Branch isolation: an outcome recorded inside a concurrent branch (a
+fan-out source, a batch or ACIL burst member, a join group, a hedge
+sibling, a remote share) is held until the outermost
+:class:`~repro.simnet.clock.ConcurrentScope` joins, then applied with the
+scope's other outcomes in one canonical order — by key, failures before
+successes.  Virtually-simultaneous branches therefore read the breakers
+as they stood when the scope opened and leave the same end state
+whatever order they were launched in; outside any scope an outcome
+applies at once.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.analysis import races
 from repro.core.policy import GatewayPolicy
@@ -125,10 +134,10 @@ class HealthTracker:
 
     The request manager records one success per answered fetch and one
     failure per failed attempt (a failed connect, a transport error, a
-    bad reply); the Global layer does the same per remote-gateway round
-    trip.  ``total_successes``/``total_failures`` therefore count fetches
-    and attempts, not queries, and ``consecutive_failures`` resets on any
-    success.
+    bad reply), a remote site's round trip under ``gma://<site>``
+    included.  ``total_successes``/``total_failures`` therefore count
+    fetches and attempts, not queries, and ``consecutive_failures``
+    resets on any success.
     """
 
     def __init__(
@@ -144,12 +153,9 @@ class HealthTracker:
         self.on_transition = on_transition
         self._rng = random.Random(JITTER_SEED)
         self._sources: dict[str, SourceHealth] = {}
-        # Admission decisions pinned for the duration of one dispatched
-        # operation (see :meth:`pin`): key -> stack of frozen decisions,
-        # and the outcomes recorded meanwhile, held until the outermost
-        # pin exits.
-        self._pins: dict[str, list[bool]] = {}
-        self._deferred: dict[str, list[tuple[str, str]]] = {}
+        # Outcomes recorded inside concurrent branches, as (key, error;
+        # None for a success), until the outermost scope joins.
+        self._unsettled: list[tuple[str, str | None]] = []
         self.stats = StatsView(
             registry if registry is not None else MetricsRegistry(),
             "health",
@@ -176,21 +182,14 @@ class HealthTracker:
     def allow_request(self, key: str) -> bool:
         """Consult the breaker before paying connect/retry cost.
 
-        CLOSED and HALF_OPEN allow the request.  OPEN short-circuits it
-        unless the backoff has elapsed, in which case the breaker moves
-        to HALF_OPEN and the request becomes the probe.
+        CLOSED allows the request.  OPEN and HALF_OPEN short-circuit it
+        until the backoff has elapsed; from then on the breaker is
+        HALF_OPEN and requests are probes.  The decision reads only the
+        state and the caller's instant, so sibling branches consulting
+        one breaker agree whichever runs first.
         """
         if not self.policy.breaker_enabled:
             return True
-        pinned = self._pins.get(key)
-        if pinned:
-            # Admission for the enclosing operation was decided before
-            # its concurrent scope opened; re-checks inside the scope
-            # (retry attempts, hedge siblings) read that frozen decision
-            # rather than breaker state a sibling branch may be mutating
-            # — a pinned read is not a shared-state access, so no race
-            # note either.
-            return pinned[-1]
         if races.ACTIVE is not None:
             races.ACTIVE.note(
                 "health", key, "r", site="HealthTracker.allow_request"
@@ -198,58 +197,18 @@ class HealthTracker:
         entry = self._sources.get(key)
         if entry is None or entry.state is BreakerState.CLOSED:
             return True
-        if entry.state is BreakerState.OPEN:
-            if self.clock.now() >= entry.open_until:
-                self._transition(entry, BreakerState.HALF_OPEN)
-                return True
+        if self.clock.now() < entry.open_until:
             entry.short_circuits += 1
             self.stats.inc("short_circuits")
             return False
-        return True  # HALF_OPEN: probes flow
-
-    @contextmanager
-    def pin(self, key: str, decision: bool) -> "Iterator[None]":
-        """Freeze ``allow_request(key)`` to ``decision`` for the block.
-
-        The request manager decides admission once, sequentially, before
-        handing the fetch to the (possibly hedged, possibly retried)
-        dispatch path, and ``Gateway.query_batch`` decides it once per
-        source for all its members; every breaker consult inside the
-        block then sees the decision as it stood at launch.  Without
-        this, a batch member's ``allow_request`` would read breaker state
-        its virtually-simultaneous sibling just wrote — admission would
-        depend on branch launch order (a GRM552 lane race).
-
-        Outcomes recorded while pinned (the failed attempts of hedge
-        siblings and retries, a batch member's answer) are *deferred*:
-        buffered, then applied when the outermost pin exits, failures
-        before successes.  Two virtually-simultaneous attempts therefore
-        contribute the same end state whatever order the dispatcher
-        happened to launch them in — the write side of the same
-        lane-race hazard.  Pins nest; the innermost decision wins.
-        """
-        stack = self._pins.setdefault(key, [])
-        stack.append(decision)
-        try:
-            yield
-        finally:
-            stack.pop()
-            if not stack:
-                del self._pins[key]
-                for kind, error in sorted(
-                    self._deferred.pop(key, ()), key=lambda o: o[0] == "s"
-                ):
-                    if kind == "s":
-                        self.record_success(key)
-                    else:
-                        self.record_failure(key, error)
+        self._transition(entry, BreakerState.HALF_OPEN)
+        return True
 
     # ------------------------------------------------------------------
     # Outcome recording
     # ------------------------------------------------------------------
     def record_success(self, key: str) -> None:
-        if key in self._pins:
-            self._deferred.setdefault(key, []).append(("s", ""))
+        if self._held(key, None):
             return
         if races.ACTIVE is not None:
             races.ACTIVE.note(
@@ -267,8 +226,7 @@ class HealthTracker:
             self._transition(entry, BreakerState.CLOSED)
 
     def record_failure(self, key: str, error: str = "") -> None:
-        if key in self._pins:
-            self._deferred.setdefault(key, []).append(("f", error))
+        if self._held(key, error):
             return
         if races.ACTIVE is not None:
             races.ACTIVE.note(
@@ -287,6 +245,26 @@ class HealthTracker:
             and entry.consecutive_failures >= FAILURE_THRESHOLD
         ):
             self._trip(entry)
+
+    def _held(self, key: str, error: str | None) -> bool:
+        """Hold an outcome recorded inside a concurrent branch until the
+        outermost scope joins; False outside any scope (apply it now)."""
+        if not self.clock.in_concurrent_branch:
+            return False
+        if not self._unsettled:
+            self.clock.at_outermost_join(self._settle)
+        self._unsettled.append((key, error))
+        return True
+
+    def _settle(self) -> None:
+        """Apply the joined scope's outcomes in an order no launch order
+        can change: by key, failures (by text) before successes."""
+        outcomes, self._unsettled = self._unsettled, []
+        for key, error in sorted(outcomes, key=lambda o: (o[0], o[1] is None, o[1] or "")):
+            if error is None:
+                self.record_success(key)
+            else:
+                self.record_failure(key, error)
 
     # ------------------------------------------------------------------
     def _trip(self, entry: SourceHealth) -> None:

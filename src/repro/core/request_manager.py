@@ -765,46 +765,40 @@ class RequestManager:
         adm = self.admission
         fetch_started = self.clock.now()
         attempt = 0
-        # Admission was decided by the breaker stage; pin it for the whole
-        # operation, so what its hedge siblings and retry attempts record
-        # is applied when it ends, whatever their order.
         try:
-            with self.health.pin(url_text, True):
-                while True:
-                    attempt += 1
-                    try:
-                        with self.tracer.span("attempt", index=attempt):
-                            columns, rows = self.dispatcher.run_flight(
-                                url_text,
-                                query.sql,
-                                lambda: self._fetch(url_text, lambda: self._read(url, query)),
-                                hedge=reissuable and not adm.suppress_hedges(),
-                                deadline=query.deadline if adm.enabled else None,
-                                key=query.key,
-                            )
-                        break
-                    except _UNHEALTHY:
-                        # The attempt (``_fetch``) recorded it.  Syntax
-                        # errors say nothing about source health and are
-                        # not retried.
-                        if reissuable and attempt < self.retry.attempts:
-                            pause = self.retry.backoff(attempt, self._retry_rng)
-                            if not adm.allow_retry(query.query_class):
-                                # Re-check admission: retrying under
-                                # pressure is extra offered load fighting
-                                # our own limiter (only CRITICAL keeps
-                                # its retries).
-                                self.stats.inc("retry_giveups")
-                            elif query.deadline is not None and query.deadline.remaining() <= pause:
-                                # No budget left to back off and try again.
-                                self.stats.inc("retry_giveups")
-                            elif query.retry_budget.take():
-                                self.stats.inc("retries")
-                                self.clock.advance(pause)
-                                continue
-                            else:
-                                self.stats.inc("retry_giveups")
-                        raise
+            while True:
+                attempt += 1
+                try:
+                    with self.tracer.span("attempt", index=attempt):
+                        columns, rows = self.dispatcher.run_flight(
+                            url_text,
+                            query.sql,
+                            lambda: self._fetch(url_text, lambda: self._read(url, query)),
+                            hedge=reissuable and not adm.suppress_hedges(),
+                            deadline=query.deadline if adm.enabled else None,
+                            key=query.key,
+                        )
+                    break
+                except _UNHEALTHY:
+                    # The attempt (``_fetch``) recorded it.  Syntax errors say
+                    # nothing about source health and are not retried.
+                    if reissuable and attempt < self.retry.attempts:
+                        pause = self.retry.backoff(attempt, self._retry_rng)
+                        if not adm.allow_retry(query.query_class):
+                            # Re-check admission: retrying under pressure is
+                            # extra offered load fighting our own limiter
+                            # (only CRITICAL keeps its retries).
+                            self.stats.inc("retry_giveups")
+                        elif query.deadline is not None and query.deadline.remaining() <= pause:
+                            # No budget left to back off and try again.
+                            self.stats.inc("retry_giveups")
+                        elif query.retry_budget.take():
+                            self.stats.inc("retries")
+                            self.clock.advance(pause)
+                            continue
+                        else:
+                            self.stats.inc("retry_giveups")
+                    raise
         except (
             OverloadError, DeadlineExceededError, DataSourceError,
             NoSuitableDriverError, SQLException,

@@ -74,6 +74,8 @@ class VirtualClock:
         # repro.analysis.races).  Empty tuple = sequential context.
         self._scope_seq = itertools.count(1)
         self._lane: list[tuple[int, int]] = []
+        # Run once, in order, when the outermost ConcurrentScope joins.
+        self._join_hooks: list[Callable[[], None]] = []
 
     @property
     def lane(self) -> tuple[tuple[int, int], ...]:
@@ -172,6 +174,11 @@ class VirtualClock:
         """True while executing inside a :class:`ConcurrentScope` branch."""
         return self._branch_depth > 0
 
+    def at_outermost_join(self, hook: Callable[[], None]) -> None:
+        """Run ``hook`` once, right after the outermost open
+        :class:`ConcurrentScope` joins (and its deferred callbacks fired)."""
+        self._join_hooks.append(hook)
+
     def concurrent(self) -> "ConcurrentScope":
         """A scope whose branches run "simultaneously" in virtual time.
 
@@ -237,17 +244,24 @@ class ConcurrentScope:
         """Longest branch duration recorded so far."""
         return max(self._ends, default=self.started_at) - self.started_at
 
-    def join(self) -> None:
-        """Advance the clock past the slowest branch (idempotent).
+    def join(self, at: float | None = None) -> None:
+        """Advance the clock past the slowest branch (idempotent), or to
+        ``at`` — the instant a hedged caller stops waiting.
 
-        Fires any callbacks that became due during the branches — unless
-        this scope is itself nested inside another scope's branch, in
-        which case firing is deferred to the outermost join.
+        Fires any callbacks that became due during the branches, then the
+        :meth:`VirtualClock.at_outermost_join` hooks — unless this scope
+        is itself nested inside another scope's branch, in which case
+        both are deferred to the outermost join.
         """
         if self._joined:
             return
         self._joined = True
-        self._clock.advance_to(max(self._ends, default=self.started_at))
+        clock = self._clock
+        clock.advance_to(max(self._ends, default=self.started_at) if at is None else at)
+        if not clock._branch_depth:
+            hooks, clock._join_hooks = clock._join_hooks, []
+            for hook in hooks:
+                hook()
 
     def __enter__(self) -> "ConcurrentScope":
         return self

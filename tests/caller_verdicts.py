@@ -304,8 +304,6 @@ VERDICTS: dict[str, tuple[str, str]] = {
         "runs never diverge (tests/test_racecheck.py)"),
     "repro.simnet.clock:ConcurrentScope.elapsed": (
         "reference", "the longest branch so far; tests/test_simnet_clock.py"),
-    "repro.simnet.clock:VirtualClock.in_concurrent_branch": (
-        "reference", "whether a branch is running; tests/test_simnet_clock.py"),
     "repro.simnet.clock:VirtualClock.pending": (
         "reference", "live scheduled calls; the clock and stream tests"),
     "repro.simnet.faults:FaultPlane.active_faults": (

@@ -210,45 +210,62 @@ class TestAmbientHook:
         assert races.ACTIVE is None
 
 
+def _subscribed_hub():
+    """A gateway's stream hub with one subscription, and a consumer
+    host that controls it over the network."""
+    from repro.gma.streams import StreamConsumer
+    from repro.testbed import build_testbed
+
+    network, (site,) = build_testbed(n_hosts=1, agents=("snmp",), seed=7)
+    network.add_host("viewer", site="elsewhere")
+    consumer = StreamConsumer(network, "viewer")
+    hub = site.gateway.streams
+    cq = consumer.register(hub.address, "SELECT HostName FROM Processor")
+    return network.clock, consumer, hub, cq
+
+
 class TestInjectionAcceptance:
-    """ISSUE acceptance: a deliberately injected unordered-branch shared
-    write is caught by the detector through the real ambient hooks."""
+    """A deliberately injected unordered-branch access to EXCLUSIVE state
+    is caught by the detector through the real ambient hooks.  The
+    injections used to target a breaker; since the health tracker settles
+    branch outcomes at the outermost join it admits no unordered write,
+    so they target a stream subscription's lifecycle, which two branches
+    can still write."""
 
-    def test_injected_unordered_gauge_writes_are_caught(self, clock):
-        """The registry has no gauge any more; the last-write-wins state
-        this injects into is a breaker's, written from two branches."""
-        from repro.core.health import HealthTracker
-        from repro.core.policy import GatewayPolicy
-
-        health = HealthTracker(clock, GatewayPolicy())
+    def test_injected_unordered_gauge_writes_are_caught(self):
+        """Two branches each write one subscription's lifecycle state
+        (pause, renew) through the hub's control wire: GRM551."""
+        clock, consumer, hub, cq = _subscribed_hub()
         det = RaceDetector.standard(clock)
         with races.activate(det):
             with clock.concurrent() as scope:
                 with scope.branch():
-                    health.record_failure("jdbc:snmp://h1", "timeout")
+                    assert consumer.pause(hub.address, cq)
                 with scope.branch():
-                    health.record_failure("jdbc:snmp://h1", "refused")
+                    assert consumer.renew(hub.address, cq, 300.0)
         assert [f.rule_id for f in det.findings] == ["GRM551"]
-        assert det.findings[0].path == "state://health"
-        assert det.findings[0].symbol == "jdbc:snmp://h1"
+        assert det.findings[0].path == "state://stream.subs"
+        assert det.findings[0].symbol == str(cq)
 
-    def test_injected_unordered_health_write_read_is_caught(self, clock):
-        from repro.core.health import HealthTracker
-        from repro.core.policy import GatewayPolicy
-
-        health = HealthTracker(clock, GatewayPolicy())
+    def test_injected_unordered_health_write_read_is_caught(self):
+        """One branch writes the subscription (a pause over the wire),
+        a sibling reads it through the ambient hook: GRM552."""
+        clock, consumer, hub, cq = _subscribed_hub()
         det = RaceDetector.standard(clock)
         with races.activate(det):
             with clock.concurrent() as scope:
                 with scope.branch():
-                    health.record_failure("jdbc:snmp://h1", "timeout")
+                    assert consumer.pause(hub.address, cq)
                 with scope.branch():
-                    health.allow_request("jdbc:snmp://h1")
+                    races.note("stream.subs", str(cq), "r", site="injected read")
         assert [f.rule_id for f in det.findings] == ["GRM552"]
+        assert det.findings[0].symbol == str(cq)
 
     def test_pinned_admission_does_not_race(self, clock):
-        """The production idiom: decide admission before the scope opens,
-        pin it, and let branch outcomes apply canonically at exit."""
+        """The production idiom without a pin: one branch records a
+        failure, its sibling consults the breaker; the failure settles at
+        the join, so neither access races and the sibling read the
+        breaker as it stood when the scope opened."""
         from repro.core.health import HealthTracker
         from repro.core.policy import GatewayPolicy
 
@@ -256,15 +273,14 @@ class TestInjectionAcceptance:
         det = RaceDetector.standard(clock)
         url = "jdbc:snmp://h1"
         with races.activate(det):
-            decision = health.allow_request(url)
-            with health.pin(url, decision):
-                with clock.concurrent() as scope:
-                    with scope.branch():
-                        health.record_failure(url, "timeout")
-                    with scope.branch():
-                        assert health.allow_request(url) is decision
+            with clock.concurrent() as scope:
+                with scope.branch():
+                    health.record_failure(url, "timeout")
+                with scope.branch():
+                    assert health.allow_request(url)
+                    assert url not in health.scoreboard()
         assert det.findings == []
-        # The deferred observation landed once the pin released.
+        # The held observation landed when the scope joined.
         assert health.scoreboard()[url]["total_failures"] == 1
 
 

@@ -203,8 +203,7 @@ def pooled_gateway():
 class TestReleaseValidation:
     def test_release_quarantined_source_closes(self):
         """An OPEN source's idle connections are closed and never reused.
-        A query's connection is released inside the operation that holds
-        the source's breaker pinned, so release never sees it OPEN; the
+        The pool reads no health, so release never sees it OPEN; the
         connection released *before* the trip is closed by the trip-time
         purge (``Gateway._on_breaker_transition`` -> ``quarantine``)."""
         network, site, url, conn = pooled_gateway()

@@ -150,21 +150,27 @@ class TestStateMachine:
 
 
 class TestPinnedOutcomes:
-    """What one pinned operation observed is applied at its end, as one
-    unordered set: its virtually-simultaneous stages have no order.
-    Inside an operation only failures are recorded (a connect is no
-    health observation), its answer after the pin; the tests that drove
-    a connect success into the pin now drive a gateway whose fetches
-    connect and then read garbage."""
+    """What virtually-simultaneous branches record is applied when the
+    outermost concurrent scope joins, as one unordered set: failures
+    before successes, whatever order the branches ran in.  The class kept
+    its name from the pin it tested; the tracker now isolates every
+    branch itself (DESIGN §11, branch isolation).  Inside an operation
+    only failures are recorded (a connect is no health observation), its
+    answer after; the tests that drove a connect success into an
+    operation now drive a gateway whose fetches connect and then read
+    garbage."""
 
     @staticmethod
-    def run(tracker, outcomes):
-        with tracker.pin(KEY, True):
+    def run(clock, tracker, outcomes):
+        """One branch per outcome of one scope: ``"s"`` records a
+        success, ``"f"`` a failure, ``""`` nothing."""
+        with clock.concurrent() as scope:
             for kind in outcomes:
-                if kind == "s":
-                    tracker.record_success(KEY)
-                else:
-                    tracker.record_failure(KEY, "bad reply")
+                with scope.branch():
+                    if kind == "s":
+                        tracker.record_success(KEY)
+                    elif kind == "f":
+                        tracker.record_failure(KEY, "bad reply")
 
     def test_a_stage_success_does_not_reset_a_later_stage_failure(self):
         """A fetch that connects and then reads half a dump counts one
@@ -189,37 +195,43 @@ class TestPinnedOutcomes:
         assert gateway.health.health(url).total_failures == FAILURE_THRESHOLD
 
     def test_an_operation_without_failures_applies_its_successes(self):
-        _, tracker = make_tracker()
+        """Two branches' successes land at the join, both of them.
+        (Re-aimed from one pinned operation: the tracker holds what
+        branches record without a pin.)"""
+        clock, tracker = make_tracker()
         tracker.record_failure(KEY, "earlier")
-        self.run(tracker, "ss")
+        self.run(clock, tracker, "ss")
         entry = tracker.health(KEY)
         assert entry.consecutive_failures == 0 and entry.total_successes == 2
 
     def test_a_batch_pin_keeps_each_answer_beside_its_failed_attempt(self):
-        """Attempt 1 fails, the retry connects and answers; the answer is
-        recorded after the operation's pin, inside the batch's.  The
-        retry's connect records nothing."""
-        _, tracker = make_tracker()
-        for _ in range(3):
-            with tracker.pin(KEY, True):
-                self.run(tracker, "f")
-                tracker.record_success(KEY)
+        """A batch member's attempt fails inside its own fan-out, the
+        retry answers: both settle at the batch's join, the failure
+        first, so three such rounds leave the breaker CLOSED.  (Was the
+        batch's pin; now the nested scope defers to the outermost join.)"""
+        clock, tracker = make_tracker()
+        for joined in range(3):
+            with clock.concurrent() as batch:
+                with batch.branch():
+                    self.run(clock, tracker, "f")
+                    assert tracker.health(KEY).total_failures == joined  # held
+                    tracker.record_success(KEY)
         entry = tracker.health(KEY)
         assert entry.state is BreakerState.CLOSED
         assert entry.consecutive_failures == 0
         assert (entry.total_failures, entry.total_successes) == (3, 3)
 
     def test_one_failed_member_discards_no_other_members_success(self):
-        """One batch member's fetch fails, another's answers: both are
-        applied when the batch joins, the failure first."""
-        _, tracker = make_tracker()
-        with tracker.pin(KEY, True):
-            self.run(tracker, "f")
-            self.run(tracker, "")
-            tracker.record_success(KEY)
-        entry = tracker.health(KEY)
-        assert entry.consecutive_failures == 0
-        assert (entry.total_failures, entry.total_successes) == (1, 1)
+        """One member's fetch fails, another's answers, a third records
+        nothing: both outcomes are applied when the batch joins, the
+        failure first, in either launch order.  (Re-aimed from the
+        batch's pin: members are plain branches of one scope now.)"""
+        for members in ("f s", "s f"):
+            clock, tracker = make_tracker()
+            self.run(clock, tracker, members.split(" ") + [""])
+            entry = tracker.health(KEY)
+            assert entry.consecutive_failures == 0, members
+            assert (entry.total_failures, entry.total_successes) == (1, 1), members
 
     def test_a_half_open_probe_that_connects_and_then_fails_reopens(self):
         """Through ``Gateway.query``: the HALF_OPEN probe connects, reads
@@ -295,6 +307,65 @@ def test_one_fetch_counts_one_success():
         assert gateway.health.health(url).total_successes == n
     pool = gateway.connection_manager.stats
     assert (pool["created"], pool["reused"]) == (1, 2)
+
+
+class TestBranchIsolation:
+    """The tracker's one rule: an outcome recorded inside a concurrent
+    branch settles when the outermost scope joins; outside any scope it
+    applies at once.  No caller pins anything."""
+
+    def test_an_inner_join_defers_to_the_outermost(self):
+        clock, tracker = make_tracker()
+        with clock.concurrent() as outer:
+            with outer.branch():
+                with clock.concurrent() as inner:
+                    with inner.branch():
+                        trip(clock, tracker)
+                assert tracker.state(KEY) is BreakerState.CLOSED
+                assert tracker.allow_request(KEY)
+        assert tracker.state(KEY) is BreakerState.OPEN
+        assert tracker.health(KEY).total_failures == 3
+
+    def test_settled_state_does_not_depend_on_launch_order(self):
+        """Two keys, differing failure texts and a success per branch:
+        both launch orders leave equal scoreboards and transitions."""
+
+        def settle(branches):
+            clock = VirtualClock()
+            seen = []
+            tracker = HealthTracker(
+                clock, GatewayPolicy(),
+                on_transition=lambda key, old, new, _: seen.append((key, new.value)),
+            )
+            with clock.concurrent() as scope:
+                for key, errors in branches:
+                    with scope.branch():
+                        for error in errors:
+                            tracker.record_failure(key, error)
+                        tracker.record_success("jdbc:snmp://other/system")
+            return tracker.scoreboard(), seen
+
+        branches = [(KEY, ["timeout", "refused"]), (KEY, ["bad reply"]), ("jdbc:a://x", ["t"])]
+        assert settle(branches) == settle(branches[::-1])
+        scoreboard, seen = settle(branches)
+        assert scoreboard[KEY]["state"] == "open" and scoreboard[KEY]["last_error"] == "timeout"
+        assert seen == [(KEY, "open")]
+
+    def test_a_later_probe_does_not_admit_an_earlier_sibling(self):
+        """A sibling that reaches the breaker after its backoff elapsed
+        probes; one still before it is refused, in either order."""
+        for later_first in (True, False):
+            clock, tracker = make_tracker()
+            trip(clock, tracker)
+            until = tracker.health(KEY).open_until
+            decisions = {}
+            with clock.concurrent() as scope:
+                for which in ("later", "earlier") if later_first else ("earlier", "later"):
+                    with scope.branch():
+                        if which == "later":
+                            clock.advance_to(until + 1.0)
+                        decisions[which] = tracker.allow_request(KEY)
+            assert decisions == {"later": True, "earlier": False}, later_first
 
 
 class TestAdministration:

@@ -9,17 +9,24 @@ only how long it takes.  These tests pin that contract:
 * breaker short-circuits and stale-degradation behave identically with
   fan-out on and off;
 * single-flight coalescing reduces agent traffic without changing
-  results.
+  results;
+* reversing the launch order of simultaneous requests changes neither
+  their answers nor source health.
 """
 
 from __future__ import annotations
 
+from repro.analysis import races
+from repro.analysis.races import RaceDetector
+from repro.core.acil import ClientRequest
 from repro.core.gateway import BatchQuery
+from repro.core.health import FAILURE_THRESHOLD
 from repro.core.policy import GatewayPolicy
-from repro.core.request_manager import QueryMode
+from repro.core.request_manager import Cause, QueryMode
 from repro.simnet.clock import VirtualClock
+from repro.simnet.faults import FaultPlane
 from repro.simnet.network import Network
-from repro.testbed import build_site
+from repro.testbed import build_site, build_testbed
 
 
 def fresh_site(*, fanout=True, singleflight=True, seed=11, n_hosts=6, **policy_kwargs):
@@ -315,21 +322,48 @@ class TestBatchSurfaces:
         assert f"unexpected character '\u00b2' at position {position}" in replies[1].error
 
     def test_query_batch_pins_a_bare_string_url_as_one_url(self, monkeypatch):
-        """A member whose ``urls`` is one string pins that URL, not its
-        characters, and is answered like ``Gateway.query`` answers it."""
+        """A member whose ``urls`` is one string consults that URL's
+        breaker, not its characters', and is answered like
+        ``Gateway.query`` answers it.  (The batch no longer pins; the
+        consult is the member's own, in the request manager.)"""
         site = fresh_site()
         gw = site.gateway
         url = source_urls(site)[0]
-        pinned = []
-        pin = gw.health.pin
+        consulted = []
+        allow = gw.health.allow_request
         monkeypatch.setattr(
-            gw.health, "pin", lambda key, decision: pinned.append(key) or pin(key, decision)
+            gw.health, "allow_request", lambda key: consulted.append(key) or allow(key)
         )
-        (result,) = gw.query_batch([BatchQuery(urls=url, sql="SELECT * FROM Processor")])
-        assert pinned[0] == url
-        assert set(pinned) == {url}
+        (result,) = gw.query_batch(
+            [BatchQuery(urls=url, sql="SELECT * FROM Processor", mode=QueryMode.REALTIME)]
+        )
+        assert consulted == [url]
         assert [s.url for s in result.statuses] == [url]
         assert result.statuses[0].ok and result.rows
+
+    def test_a_batch_counts_each_short_circuit_once_on_both_counters(self):
+        """Three members against an OPEN source: each member's breaker
+        stage short-circuits, and the tracker's and the request
+        manager's counters of that one event agree (+3 / +3; the batch's
+        launch-time consult used to move the tracker's by +1 only)."""
+        site = fresh_site()
+        gw = site.gateway
+        url = source_urls(site)[0]
+        for _ in range(FAILURE_THRESHOLD):
+            gw.health.record_failure(url, "down")
+
+        def counters():
+            return (
+                gw.health.stats["short_circuits"],
+                gw.request_manager.stats["breaker_short_circuits"],
+            )
+
+        before = counters()
+        batch = [BatchQuery(urls=[url], sql="SELECT * FROM Processor", mode=QueryMode.REALTIME)] * 3
+        results = gw.query_batch(batch)
+        assert [r.statuses[0].cause for r in results] == [Cause.BREAKER] * 3
+        after = counters()
+        assert (after[0] - before[0], after[1] - before[1]) == (3, 3)
 
     def test_console_poll_all_uses_one_fanout(self):
         from repro.web.console import Console
@@ -358,6 +392,110 @@ class TestBatchSurfaces:
         panel = Console(gw).dispatch_panel()
         assert "fan-out enabled" in panel
         assert "coalesced joins" in panel
+
+
+def corrupting_site():
+    """Two SNMP sources; every reply from the first fails its checksum."""
+    network, (site,) = build_testbed(n_hosts=2, agents=("snmp",), seed=3)
+    FaultPlane(network, seed=1).corrupt_payloads(site.host_names()[0], prob=1.0)
+    return network, site
+
+
+def masked(dicts):
+    """Rows as sorted item tuples, the sample timestamp masked."""
+    return sorted(tuple(sorted((k, v) for k, v in d.items() if k != "Timestamp")) for d in dicts)
+
+
+def acil_burst(site, reverse):
+    urls = site.source_urls
+    members = [
+        ClientRequest(urls=urls, sql="SELECT * FROM Processor"),
+        ClientRequest(urls=urls[:1], sql="SELECT * FROM MainMemory"),
+        ClientRequest(urls=urls[::-1], sql="SELECT HostName FROM Processor"),
+    ]
+    order = members[::-1] if reverse else members
+    replies = site.gateway.acil.query_many(order)
+    replies = replies[::-1] if reverse else replies
+    return [
+        (r.ok, r.error, sorted((s["url"], s["cause"], s["error"]) for s in r.statuses),
+         masked(r.rows))
+        for r in replies
+    ]
+
+
+def gateway_batch(site, reverse):
+    urls = site.source_urls
+    members = [
+        BatchQuery(urls=urls, sql="SELECT * FROM Processor", mode=QueryMode.REALTIME),
+        BatchQuery(urls=urls[:1], sql="SELECT * FROM MainMemory", mode=QueryMode.REALTIME),
+        BatchQuery(urls=urls[::-1], sql="SELECT HostName FROM Processor", mode=QueryMode.REALTIME),
+    ]
+    results = site.gateway.query_batch(members[::-1] if reverse else members)
+    results = results[::-1] if reverse else results
+    return [
+        (sorted((s.url, s.cause.value, s.error) for s in r.statuses), masked(r.dicts()))
+        for r in results
+    ]
+
+
+def two_group_join(site, reverse):
+    groups = ["MainMemory", "Processor"] if reverse else ["Processor", "MainMemory"]
+    result = site.gateway.query(
+        site.source_urls, f"SELECT * FROM {', '.join(groups)}", mode=QueryMode.REALTIME
+    )
+    half = len(result.statuses) // 2
+    by_group = [result.statuses[:half], result.statuses[half:]]
+    by_group = by_group[::-1] if reverse else by_group
+    return [[(s.url, s.cause.value, s.error) for s in g] for g in by_group], masked(result.dicts())
+
+
+class TestLaunchOrder:
+    """Virtually-simultaneous requests must not depend on which of them
+    ran first.  Each surface runs against a source that corrupts every
+    reply, once in order and once reversed (members, or ``FROM``
+    groups), four rounds 20 s apart: the answers mapped back to their
+    members, the health scoreboard and the lane-race findings (none)
+    must be equal.  The health tracker settles what the branches record
+    at the outermost join, so no surface needs to know about it."""
+
+    @staticmethod
+    def run(surface, reverse):
+        network, site = corrupting_site()
+        det = RaceDetector.standard(network.clock)
+        answers = []
+        with races.activate(det):
+            for _ in range(4):
+                answers.append(surface(site, reverse))
+                network.clock.advance(20.0)
+        findings = sorted({(f.rule_id, f.symbol) for f in det.findings})
+        # ``open_until`` is the join instant plus the backoff, and the join
+        # waits for the slowest branch, whose network latency draws follow
+        # launch order: an instant, not a health decision.
+        scoreboard = {
+            key: {k: v for k, v in entry.items() if k != "open_until"}
+            for key, entry in site.gateway.health.scoreboard().items()
+        }
+        return answers, scoreboard, findings
+
+    def check(self, surface):
+        forward = self.run(surface, reverse=False)
+        assert forward[2] == []
+        assert self.run(surface, reverse=True) == forward
+        return forward
+
+    def test_an_acil_burst(self):
+        self.check(acil_burst)
+
+    def test_a_gateway_batch(self):
+        self.check(gateway_batch)
+
+    def test_a_two_group_join(self):
+        answers, scoreboard, _ = self.check(two_group_join)
+        # Round 1: both groups probe the source again (its backoff has
+        # elapsed), so both fail with ``error``, never one ``breaker``.
+        by_group = answers[1][0]
+        assert [[cause for _, cause, _ in g] for g in by_group] == [["error", "fresh"]] * 2
+        assert scoreboard[corrupting_site()[1].source_urls[0]]["state"] == "open"
 
 
 class TestPolicyKnobs:

@@ -196,6 +196,35 @@ class TestConcurrentScope:
                 clock.advance(3.0)
         assert clock.now() == 7.0      # max(2,6) + 1 vs 3
 
+    def test_join_hooks_run_once_after_the_outermost_join(self):
+        """A hook registered in a nested branch waits for the outermost
+        join, runs after the deferred callbacks fired, and runs once."""
+        clock = VirtualClock()
+        seen = []
+        clock.call_later(1.0, lambda: seen.append(("callback", clock.now())))
+        with clock.concurrent() as outer:
+            with outer.branch():
+                with clock.concurrent() as inner:
+                    with inner.branch():
+                        clock.at_outermost_join(lambda: seen.append(("hook", clock.now())))
+                        clock.advance(2.0)
+                assert seen == []
+        assert seen == [("callback", 1.0), ("hook", 2.0)]
+        with clock.concurrent():
+            pass
+        assert len(seen) == 2
+
+    def test_join_at_an_instant_before_the_slowest_branch(self):
+        """A hedged caller stops waiting at the winner's instant."""
+        clock = VirtualClock()
+        scope = clock.concurrent()
+        with scope.branch():
+            clock.advance(5.0)
+        with scope.branch():
+            clock.advance(2.0)
+        scope.join(at=2.0)
+        assert clock.now() == 2.0
+
     def test_branch_after_join_rejected(self):
         clock = VirtualClock()
         scope = clock.concurrent()
