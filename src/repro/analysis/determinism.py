@@ -200,7 +200,7 @@ class SetIterationOrderRule(LintRule):
         scopes: list[ast.AST] = [module.tree]
         scopes.extend(
             n
-            for n in ast.walk(module.tree)
+            for n in module.nodes
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
         )
         for scope in scopes:
@@ -320,7 +320,7 @@ class IdentityOrderRule(LintRule):
     title = "id()/hash()-dependent ordering (order by a stable key)"
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if module.allowed(node, "id-order"):

@@ -37,11 +37,13 @@ import resolver (:meth:`ModuleContext.origin`).
 from __future__ import annotations
 
 import ast
+import fnmatch
 import inspect
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import PurePath
+from itertools import takewhile
 from typing import Iterator, NamedTuple, Sequence, Type
 
 from repro.analysis.findings import Finding, Severity
@@ -116,6 +118,87 @@ def _hazard_row(origin: str) -> "tuple[str, str] | None":
     )
 
 
+#: The architecture's ratchets (GRM109): what stays gone, what only some
+#: modules spell, and what one module spells on exactly one line.
+#: ``pattern`` is the ``grep -E`` pattern of the CI step the row replaced,
+#: searched in each of the module's :attr:`ModuleContext.spellings`
+#: instead of each line, so no comment or docstring matches; ``where``
+#: holds globs below ``repro/``: the modules a GONE or ONCE row covers,
+#: the only modules an OWNER row lets spell its pattern.  ``pr`` is the
+#: change that made the row true.
+GONE, OWNER, ONCE = "gone", "owner", "once"
+
+
+class Ratchet(NamedTuple):
+    kind: str
+    pattern: str
+    where: str
+    pr: int
+    reason: str
+
+
+_HEALTH_OWNERS = "core/request_manager.py core/health.py"
+RATCHETS = (
+    Ratchet(OWNER, r"_since_slice|history\.db\.table", "core/history.py", 16,
+            "nothing but the store reads history tables (HistoryStore.since / query)"),
+    Ratchet(GONE, "request_async|NetFuture|pending_futures", "*", 19,
+            "one RPC path: a request runs inside clock.concurrent() branches"),
+    Ratchet(GONE, "contextmanager|class (DispatchStats|NetworkStats)", "obs/trace.py "
+            "core/dispatch.py simnet/network.py", 20, "spans are scope objects and stats "
+            "one read-only view (rejects any spelling of contextmanager, an import too)"),
+    Ratchet(GONE, r"\.request\(|stats\[", "drivers/*_driver.py", 21,
+            "a driver is a sans-I/O conversation: the DDK sends and counts"),
+    Ratchet(OWNER, "(history_durable|streaming_enabled|admission_enabled|adaptive_concurrency|"
+            "hedge_enabled)=True", "core/policy.py", 22, "GatewayPolicy() is the deployed "
+            "gateway: nothing repeats a plane's default (rejects `= True` with spaces too)"),
+    Ratchet(OWNER, '"(retry_after|status_keys|deadline_budget|trace_ctx)"', "gma/records.py",
+            24, "one envelope for the gateway-to-gateway wires (rejects a 'key' too)"),
+    Ratchet(GONE, "trim_older_than|append_trim|retention_age|serving_dirty", "*", 25,
+            "one retention rule for history: the store's ring"),
+    Ratchet(ONCE, r"streams\.publish\(", "core/request_manager.py", 26,
+            "one publish per query round, after the fan-out"),
+    Ratchet(GONE, r"SourceStatus\([^)\n]*(from_cache|degraded|shed)=", "*", 28,
+            "a status names its cause; its flags follow (rejects a multi-line call too)"),
+    Ratchet(GONE, r"_admitted_query|_traced_query|_brownout_result|lookup_stale\(|"
+            r"SourceStatus\.brownout", "core/gateway.py", 31,
+            "one query path: the request manager's cache exit builds every stale answer"),
+    Ratchet(GONE, "GRM501|ExtendedWallClockRule|_owner_name|_random_aliases|_WALL_CLOCK_IMPORTS",
+            "*", 33, "one rule per hazard: rows of STDLIB_HAZARDS"),
+    Ratchet(GONE, r"\b(max_concurrent_per_source|hedge_percentile|hedge_min_samples|"
+            "hedge_min_delay|initial_limit|batch_queue_share|brownout_enter|shed_enter|"
+            "half_open_probes|half_open_successes|jitter_seed|idle_ttl|replay_limit|max_rows|"
+            r"max_traces|max_cell_history|event_window|sample_period|name_prefix)\b", "*", 39,
+            "a value no shipped caller sets is a constant at its reader, not a keyword"),
+    Ratchet(GONE, r"\b(AvailabilityTracker|availability_report|SourceAvailability|"
+            "SAMPLE_PERIOD|rollup|Gauge|gauge|convert_unit|rule_for|render_select|"
+            r"breaker_failure_threshold|unary_error|unknown_error)\b|"
+            r"def (merge|coverage|validate_sql)\(self|_canonical\(self, group", "*", 43,
+            "no shipped caller and no verdict row"),
+    Ratchet(GONE, "SourceQuarantinedError|is_quarantined|breaker_fast_fails|fast_failed",
+            "*", 44, "the driver manager and the pool never consult the breaker"),
+    Ratchet(OWNER, r"allow_request\(", _HEALTH_OWNERS, 44,
+            "the request manager alone consults source health, a gma:// breaker too"),
+    Ratchet(OWNER, r"record_(success|failure)\(", _HEALTH_OWNERS, 44,
+            "the request manager alone records source health"),
+    Ratchet(ONCE, r"record_failure\(", "core/request_manager.py", 45,
+            "one pipeline per source: each attempt records its own failure in _fetch"),
+    Ratchet(GONE, "health", "core/connection_manager.py", 45, "the pool reads no health"),
+    Ratchet(GONE, "SiteCircuitOpen|_query_remote_site|remote_exit|on_failure|"
+            "remote_(short_circuits|stale_served|coalesced|sheds)", "*", 46,
+            "a remote site is a source: no second pipeline, exit or counter twins"),
+    Ratchet(GONE, r"\b(_MappingFlavour|_slow_mapping_lookup|_mapping_bindings)\b", "*", 47,
+            "one row shape: the plan has no mapping flavour"),
+    Ratchet(GONE, r"\b_pins\b|HealthTracker\.pin|health\.pin\(|def pin\(", "*", 48,
+            "the tracker isolates branches itself: no admission pin"),
+    Ratchet(GONE, "execute_query is", "core/request_manager.py", 21,
+            "one way to run a statement: no execute_query override fork"),
+)
+_RATCHET_RES = [
+    (re.compile(row.pattern), re.compile("|".join(map(fnmatch.translate, row.where.split()))))
+    for row in RATCHETS
+]
+
+
 class StdlibUse(NamedTuple):
     """One place a module reaches a :data:`STDLIB_HAZARDS` row."""
 
@@ -144,6 +227,11 @@ class ModuleContext:
     def _lines(self) -> list[str]:
         return self.source.splitlines()
 
+    @cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node, in :func:`ast.walk` order: one walk for all rules."""
+        return list(ast.walk(self.tree))
+
     def allowed(self, node: ast.AST, tag: str) -> bool:
         """True when ``node``'s line carries ``# grm: allow-<tag>``.
 
@@ -162,7 +250,7 @@ class ModuleContext:
     def _imports(self) -> dict[str, str]:
         """Local name -> the dotted module or member an import binds it to."""
         bound: dict[str, str] = {}
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     head = alias.name.partition(".")[0]
@@ -188,7 +276,7 @@ class ModuleContext:
         """Every call and import in the module that reaches a
         :data:`STDLIB_HAZARDS` row, in walk order."""
         uses: list[StdlibUse] = []
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     uses.extend(_module_import(node, alias.name))
@@ -223,6 +311,58 @@ class ModuleContext:
                     uses.append(StdlibUse(node, row[0], f"{symbol}()", symbol))
         return uses
 
+    @cached_property
+    def spellings(self) -> dict[str, list[ast.AST]]:
+        """Each way the module spells something -> its nodes, for GRM109: a
+        name, a dotted chain (``.c`` after a call), a call with its leading
+        dotted arguments (``a.f(x, y.z``) and per keyword (``a.f(k=True``),
+        ``a.b[``, ``class C``, ``def f(a, b``, ``p=<constant>``, ``a.b as
+        c``, ``x is``, a "string" and any other identifier field; never a
+        comment, a bare string (a docstring) or a :class:`Ratchet`'s own
+        arguments."""
+        index: dict[str, list[ast.AST]] = {}
+        unspelled: set[ast.AST] = set()
+        for node in self.nodes:
+            texts: list[str] = []
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                texts = [_chain(node)]
+            elif isinstance(node, ast.Expr):
+                unspelled.add(node.value)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes)):
+                text = node.value if isinstance(node.value, str) else node.value.decode("latin-1")
+                texts = [] if node in unspelled else [f'"{text}"']
+            elif isinstance(node, ast.Call):
+                callee = _chain(node.func)
+                if callee == "Ratchet":
+                    unspelled.update(node.args)
+                texts = [f"{callee}({', '.join(takewhile(bool, map(_chain, node.args)))}"]
+                for kw in node.keywords:
+                    index.setdefault(f"{callee}({kw.arg}={_constant(kw.value)}", []).append(kw)
+            elif isinstance(node, ast.Subscript):
+                texts = [_chain(node.value) + "["]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                texts = [f"def {node.name}({', '.join(arg.arg for arg in positional)}"]
+                named = positional[len(positional) - len(args.defaults) :] + args.kwonlyargs
+                for arg, default in zip(named, [*args.defaults, *args.kw_defaults]):
+                    index.setdefault(f"{arg.arg}={_constant(default)}", []).append(arg)
+            elif isinstance(node, ast.Assign) and _constant(node.value):
+                texts = [f"{_chain(target)}={_constant(node.value)}" for target in node.targets]
+            elif isinstance(node, ast.ClassDef):
+                texts = [f"class {node.name}"]
+            elif isinstance(node, ast.alias):
+                texts = [node.name + (f" as {node.asname}" if node.asname else "")]
+            elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.Is, ast.IsNot)):
+                texts = [_chain(node.left) + " is"]
+            else:  # any other identifier: a parameter, a `from` module, a global ...
+                for _, value in ast.iter_fields(node):
+                    values = value if isinstance(value, list) else [value]
+                    texts += [v for v in values if isinstance(v, str)]
+            for text in texts:
+                index.setdefault(text, []).append(node)
+        return index
+
     def driver_classes(self) -> dict[str, ast.ClassDef]:
         """Classes in this module that (transitively, within the module)
         subclass ``GridRmDriver``."""
@@ -254,6 +394,22 @@ def _module_import(node: ast.AST, module: str) -> list[StdlibUse]:
     if row is None or row[1] != IMPORT:
         return []
     return [StdlibUse(node, row[0], f"importing {top}", f"import-{top}")]
+
+
+def _chain(node: ast.AST) -> str:
+    """The dotted text of a Name/Attribute chain: ``a.b.c``; ``.b.c``
+    when it hangs off anything else (``f().b.c``); else ``""``."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    parts.append(node.id if isinstance(node, ast.Name) else "")
+    return ".".join(reversed(parts))
+
+
+def _constant(value: "ast.expr | None") -> str:
+    """The text of a constant value (``True``, ``'x'``), else ``""``."""
+    return repr(value.value) if isinstance(value, ast.Constant) else ""
 
 
 def _base_name(node: ast.expr) -> str:
@@ -420,7 +576,7 @@ class ExceptionDisciplineRule(LintRule):
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         exempt = self._trust_boundary(module)
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ExceptHandler) or node in exempt:
                 continue
             last = node.body[-1] if node.body else None
@@ -525,6 +681,39 @@ class BoundInstrumentRule(LintRule):
                     symbol=f"{function}:{child.func.attr}",
                 )
             yield from self._walk(module, child, function)
+
+
+@register_rule
+class RatchetRule(LintRule):
+    """The architecture's ratchets (:data:`RATCHETS`), per line a row's
+    pattern is spelled where it is gone or outside its owners, and per
+    ONCE module that spells it on other than one line; files below a
+    ``repro/`` directory only."""
+
+    rule_id = "GRM109"
+    severity = Severity.ERROR
+    title = "ratchet slipped: a gone symbol is back, an owned one spelled elsewhere, a count moved"
+
+    def check(self, module: ModuleContext) -> Iterator[Finding]:
+        below = "/".join(_below_repro(module.path))
+        for row, (pattern, where) in zip(RATCHETS, _RATCHET_RES):
+            if not below or (row.kind == OWNER) == bool(where.match(below)):
+                continue
+            lines: dict[int, tuple[ast.AST, str]] = {}
+            for text, nodes in module.spellings.items():
+                if match := pattern.search(text):
+                    for node in nodes:
+                        lines.setdefault(getattr(node, "lineno", 0), (node, match[0]))
+            spelled = [lines[line] for line in sorted(lines)]
+            why = f"(PR {row.pr}: {row.reason})"
+            if row.kind != ONCE:
+                place = f"outside {row.where}, its home" if row.kind == OWNER else "here, gone"
+                for node, hit in spelled:
+                    yield self.finding(module, node, f"{hit} is spelled {place} {why}", symbol=hit)
+            elif len(spelled) != 1:
+                node, text = spelled[1] if spelled else (module.tree, row.pattern)
+                message = f"{text} is spelled on {len(spelled)} lines, not 1 {why}"
+                yield self.finding(module, node, message, symbol=text)
 
 
 # ----------------------------------------------------------------------

@@ -172,12 +172,7 @@ class FanoutDispatcher:
     # ------------------------------------------------------------------
     # Fan-out
     # ------------------------------------------------------------------
-    def run(
-        self,
-        thunks: Sequence[Callable[[], Any]],
-        *,
-        deadline: Deadline | None = None,
-    ) -> list[BranchOutcome]:
+    def run(self, thunks: Sequence[Callable[[], Any]]) -> list[BranchOutcome]:
         """Run branches concurrently in virtual time; outcomes in order.
 
         Branch exceptions are captured per-branch (one failing branch
@@ -185,15 +180,10 @@ class FanoutDispatcher:
         to re-raise.  Outcome order always matches ``thunks`` order, so
         consolidation is deterministic regardless of which branch's
         virtual round-trip completes first.  With ``fanout_enabled``
-        off — or a single branch — execution is plain serial.
-
-        With a ``deadline``, every fanned-out branch re-checks it at
-        launch: a request whose budget ran out while it sat behind
-        earlier work is failed as ``DeadlineExceededError`` (naming
-        ``queue_wait`` as the spending step) instead of being dispatched
-        anyway.  Serial branches launch unguarded, as the caller wrote
-        them (the request manager's source branches check their budget
-        first thing).
+        off — or a single branch — execution is plain serial.  Every
+        branch starts at the scope's opening instant, so a branch that
+        must respect a deadline checks it first thing (the request
+        manager's source branches do).
         """
         thunks = list(thunks)
         if not thunks:
@@ -201,8 +191,6 @@ class FanoutDispatcher:
         if not self.fans_out(len(thunks)):
             self.stats.inc("serial_runs")
             return [self._run_one(thunk) for thunk in thunks]
-        if deadline is not None:
-            thunks = [self._launch_guard(thunk, deadline) for thunk in thunks]
         self.stats.inc("fanouts")
         self.stats.inc("branches", len(thunks))
         outcomes: list[BranchOutcome] = []
@@ -217,17 +205,6 @@ class FanoutDispatcher:
         """Whether :meth:`run` fans ``branches`` branches out; it runs
         them serially otherwise."""
         return self.policy.fanout_enabled and branches > 1
-
-    def _launch_guard(
-        self, thunk: Callable[[], Any], deadline: Deadline
-    ) -> Callable[[], Any]:
-        """Wrap a branch so its deadline is re-checked at launch time."""
-
-        def run() -> Any:
-            deadline.check("queue_wait (branch launch)")
-            return thunk()
-
-        return run
 
     def _run_one(self, thunk: Callable[[], Any]) -> BranchOutcome:
         start = self.clock.now()

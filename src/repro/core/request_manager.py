@@ -531,17 +531,8 @@ class RequestManager:
                     functools.partial(self._one_realtime, url, query, partial, published)
                     for url, partial in pending
                 ]
-                guarded = deadline if self.admission.enabled else None
-                outcomes = self.dispatcher.run(branches, deadline=guarded)
-                for outcome, (url, partial) in zip(outcomes, pending):
-                    if isinstance(outcome.error, DeadlineExceededError):
-                        # The branch-launch guard fired: the budget ran out
-                        # while this source's branch queued.  A per-source
-                        # outcome, not a query failure — and no health
-                        # penalty (and no span).
-                        failed = SourceStatus.failed(str(url), outcome.error)
-                        self.answer(partial, NULL_SPAN, failed)
-                    elif outcome.error is not None:
+                for outcome in self.dispatcher.run(branches):
+                    if outcome.error is not None:
                         # _one_realtime converts per-source failures to
                         # statuses; anything escaping it is a programming
                         # error worth surfacing, not a source outcome.

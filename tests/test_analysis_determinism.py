@@ -21,8 +21,8 @@ def rule_ids(rule_id, source, path="<test>"):
     return [f.rule_id for f in run_rule(rule_id, source, path)]
 
 
-#: A path inside a serving package, so GRM108 applies; no other rule
-#: reads the path outside ``drivers/base.py``.
+#: A path inside a serving package, so GRM108 applies, and below
+#: ``repro/``, so GRM109's rows that cover every module do.
 CENSUS_PATH = "src/repro/core/census.py"
 
 #: rule id -> (a source the rule flags exactly once, a near miss it
@@ -51,6 +51,10 @@ CENSUS = {
     "GRM108": (
         "class M:\n    def serve(self):\n        registry.counter('m').inc()\n",
         "class M:\n    def __init__(self):\n        registry.counter('m')\n",
+    ),
+    "GRM109": (
+        "def rollup(self):\n    pass\n",
+        '# rollup\ndef roll_up(self):\n    """The rollup is gone."""\n',
     ),
     "GRM502": ("import random\nx = random.random()\n", "import random as r\nr.Random(7)\n"),
     "GRM503": (

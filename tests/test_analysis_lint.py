@@ -1,8 +1,13 @@
 """The lint driver: path walking, baselines, rendering, CLI."""
 
+import ast
+import fnmatch
 import json
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.analysis.linter import (
@@ -15,7 +20,7 @@ from repro.analysis.linter import (
     summary_line,
     write_baseline,
 )
-from repro.analysis.rules import rules_by_id
+from repro.analysis.rules import RATCHETS, ModuleContext, rules_by_id
 from repro.cli import main as cli_main
 
 DIRTY = "import socket\nimport time\nstarted = time.time()\n"
@@ -161,6 +166,134 @@ class TestLintPaths:
         bad.write_bytes(b"# caf\xe9\nx = 1\n")
         report = lint_paths([str(bad)])
         assert [f.rule_id for f in report.findings] == ["GRM100"]
+
+
+def ratchets(source, below="core/module.py"):
+    """(line, symbol) of each GRM109 finding in ``source`` at ``repro/<below>``."""
+    module = ModuleContext(path=f"src/repro/{below}", source=source, tree=ast.parse(source))
+    (rule,) = rules_by_id(["GRM109"])
+    return [(f.line, f.symbol) for f in rule.check(module)]
+
+
+class TestRatchets:
+    """GRM109: the architecture's ratchets are rows of one table, read
+    through the AST, so a comment or docstring naming a symbol is none."""
+
+    def test_a_gone_row_covers_its_modules_only(self):
+        src = "answer = self._admitted_query(sql)\n"
+        assert ratchets(src, "core/gateway.py") == [(1, "_admitted_query")]
+        assert ratchets(src, "core/dispatch.py") == []
+
+    def test_an_owner_row_exempts_its_owners_only(self):
+        src = 'envelope = {"trace_ctx": ctx}\n'
+        assert ratchets(src, "gma/global_layer.py") == [(1, '"trace_ctx"')]
+        assert ratchets(src, "gma/records.py") == []
+
+    def test_a_once_row_wants_exactly_one_line(self):
+        once = (
+            "def round(self):\n"
+            "    self.streams.publish(t, p)\n"
+            "    self.health.record_failure(k, r)\n"
+        )
+        assert ratchets(once, "core/request_manager.py") == []
+        twice = once + "    self.streams.publish(t, q)\n"
+        assert ratchets(twice, "core/request_manager.py") == [(4, "streams.publish(")]
+        assert ratchets("pass\n", "core/request_manager.py") == [
+            (0, r"streams\.publish\("),
+            (0, r"record_failure\("),
+        ]
+
+    def test_comments_and_docstrings_spell_nothing(self):
+        src = (
+            '"""The rollup is gone."""\n'
+            "# rollup\n"
+            "def roll_up(store):\n"
+            '    """store.rollup(60) used to live here."""\n'
+            "    return store.since(0)  # store._since_slice(0)\n"
+        )
+        assert ratchets(src) == []
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "def rollup(self):\n    pass\n",
+            "window = store.rollup\n",
+            "store.rollup(60)\n",
+            "store.query(rollup=60)\n",
+            "from repro.core.history import rollup\n",
+        ],
+        ids=["definition", "use", "call", "keyword", "import"],
+    )
+    def test_every_spelling_of_a_gone_symbol_is_one(self, source):
+        assert ratchets(source) == [(1, "rollup")]
+
+    def test_definition_keyword_and_string_spellings(self):
+        assert ratchets("class H:\n    def pin(self, key):\n        pass\n") == [(2, "def pin(")]
+        assert ratchets("def merge(self, other):\n    pass\n") == [(1, "def merge(self")]
+        assert ratchets("def merge(left, right):\n    pass\n") == []
+        assert ratchets("s = SourceStatus(\n    url,\n    shed=True,\n)\n") == [
+            (3, "SourceStatus(shed=")
+        ]
+        policy = "GatewayPolicy(hedge_enabled={})\n"
+        assert ratchets(policy.format(True), "scenarios.py") == [(1, "hedge_enabled=True")]
+        assert ratchets(policy.format(False), "scenarios.py") == []
+        assert ratchets('rule_id = "GRM501"\n') == [(1, "GRM501")]
+        assert ratchets("if type(s).execute_query is Base.execute_query:\n    pass\n") == []
+        assert ratchets(
+            "if type(s).execute_query is Base.execute_query:\n    pass\n", "core/request_manager.py"
+        )[-1] == (1, "execute_query is")
+
+    @pytest.mark.parametrize(
+        "source, below, hit",
+        [
+            ('self.stats.inc("remote_sheds")\n', "core/gateway.py", "remote_sheds"),
+            ('span["fast_failed"] = True\n', "core/dispatch.py", "fast_failed"),
+            ('registry.counter("drivers.breaker_fast_fails")\n', "core/pool.py", "breaker_fast_fails"),
+            ('size = getattr(policy, "max_rows", 500)\n', "core/gateway.py", "max_rows"),
+            ("payload = b'{\"trace_ctx\": 1}'\n", "core/gateway.py", '"trace_ctx"'),
+        ],
+        ids=["counter", "span-attribute", "instrument", "getattr", "bytes"],
+    )
+    def test_a_string_constant_spells_what_it_names(self, source, below, hit):
+        """Counters, instruments and span attributes are named by strings,
+        so a string constant is read as its grep read its line."""
+        assert ratchets(source, below) == [(1, hit)]
+
+    def test_a_row_matches_inside_a_spelling_as_its_grep_did(self):
+        src = "self.evicted_unhealthy = 0\n"
+        assert ratchets(src, "core/connection_manager.py") == [(1, "health")]
+        assert ratchets(src, "core/dispatch.py") == []
+        assert ratchets("class SiteCircuitOpenError(Exception):\n    pass\n") == [
+            (1, "SiteCircuitOpen")
+        ]
+        assert ratchets("s = SourceStatus(url, is_shed=True)\n") == [
+            (1, "SourceStatus(is_shed=")
+        ]
+        # A word-bounded row (the grep's ``\b``) leaves a longer name alone.
+        assert ratchets('total = stats["max_rows_total"]\n') == []
+
+    def test_the_table_does_not_spell_its_own_patterns(self):
+        assert ratchets('Ratchet(GONE, "rollup|remote_sheds", "*", 43, "gone")\n') == []
+
+    def test_a_file_outside_a_repro_package_is_out_of_scope(self, tmp_path):
+        plugin = tmp_path / "plugins" / "rollup_driver.py"
+        plugin.parent.mkdir()
+        plugin.write_text("def rollup(self):\n    self.health.record_failure(k, r)\n")
+        report = lint_paths([str(tmp_path)], rules=rules_by_id(["GRM109"]))
+        assert report.findings == []
+
+    def test_every_where_glob_matches_a_module(self):
+        """A row guarding a module that was renamed or deleted guards
+        nothing; like a stale caller-census row, it fails."""
+        root = Path(repro.__file__).parent
+        modules = [path.relative_to(root).as_posix() for path in root.rglob("*.py")]
+        stale = [
+            (row.pattern, glob)
+            for row in RATCHETS
+            for glob in row.where.split()
+            if not fnmatch.filter(modules, glob)
+        ]
+        assert stale == []
 
 
 class TestBaseline:

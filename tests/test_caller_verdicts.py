@@ -44,13 +44,14 @@ def test_the_qualname_format_is_the_interpreters():
     """The AST walk names a method, a closure and a class the way the
     interpreter's ``__qualname__`` (``co_qualname``) does, so a census key
     and a row key can be compared.  The method closure it names is the
-    dispatcher's launch guard, since the gateway's remote exit is gone."""
+    event manager's datagram handler, since the gateway's remote exit and
+    then the dispatcher's launch guard are gone."""
     from repro.core.plans import PlanCache
     from repro.sql import plan
 
     defs, classes = functions()
     assert "repro.sql.plan:_compile_expr.<locals>.neg_fn" in defs
-    assert "repro.core.dispatch:FanoutDispatcher._launch_guard.<locals>.run" in defs
+    assert "repro.core.events:EventManager.install_driver.<locals>.on_datagram" in defs
     assert "repro.dbapi.resultset:ListResultSet" in classes
     assert f"repro.core.plans:{PlanCache._canonical.__qualname__}" in defs
     assert f"repro.sql.plan:{plan.compile_expr.__qualname__}" in defs

@@ -169,6 +169,28 @@ class TestDeadlineIntegration:
         # was clamped to the remaining deadline, not its own 5 s default).
         assert result.elapsed <= 1.0 + 1e-6
 
+    def test_spent_deadline_fails_each_fanned_out_source_in_its_own_span(self):
+        """Every source branch checks its own budget first thing, so a
+        fan-out whose deadline is already spent answers each source
+        "deadline exceeded before dispatch", each in its own failed
+        ``source`` span: no agent traffic, no health penalty."""
+        site = make_site(GatewayPolicy())
+        gw = site.gateway
+        urls = [site.url_for("snmp", host=host) for host in site.host_names()[:2]]
+        spent = Deadline(site.clock, site.clock.now())
+        before = gw.request_manager.stats["deadline_exceeded"]
+
+        result = gw.query(urls, SQL, mode=QueryMode.REALTIME, deadline=spent)
+        assert [(s.cause, s.error) for s in result.statuses] == [
+            (Cause.DEADLINE_EXCEEDED, "deadline exceeded before dispatch")
+        ] * 2
+        assert gw.request_manager.stats["deadline_exceeded"] - before == 2
+        sources = [span for span in gw.tracer.last().spans if span.name == "source"]
+        assert [(span.attrs["url"], span.status) for span in sources] == [
+            (url, "deadline_exceeded") for url in urls
+        ]
+        assert all(gw.health.health(url).total_failures == 0 for url in urls)
+
     def test_default_deadline_stamped_from_policy(self):
         """The breaker is off so it cannot open mid-test (this
         test set a threshold of 10 before the threshold became

@@ -16,6 +16,8 @@ only how long it takes.  These tests pin that contract:
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis import races
 from repro.analysis.races import RaceDetector
 from repro.core.acil import ClientRequest
@@ -459,7 +461,7 @@ class TestLaunchOrder:
     at the outermost join, so no surface needs to know about it."""
 
     @staticmethod
-    def run(surface, reverse):
+    def run(surface, reverse, *, open_until=False):
         network, site = corrupting_site()
         det = RaceDetector.standard(network.clock)
         answers = []
@@ -470,9 +472,9 @@ class TestLaunchOrder:
         findings = sorted({(f.rule_id, f.symbol) for f in det.findings})
         # ``open_until`` is the join instant plus the backoff, and the join
         # waits for the slowest branch, whose network latency draws follow
-        # launch order: an instant, not a health decision.
+        # launch order: an instant, not a health decision (pinned below).
         scoreboard = {
-            key: {k: v for k, v in entry.items() if k != "open_until"}
+            key: {k: v for k, v in entry.items() if open_until or k != "open_until"}
             for key, entry in site.gateway.health.scoreboard().items()
         }
         return answers, scoreboard, findings
@@ -496,6 +498,19 @@ class TestLaunchOrder:
         by_group = answers[1][0]
         assert [[cause for _, cause, _ in g] for g in by_group] == [["error", "fresh"]] * 2
         assert scoreboard[corrupting_site()[1].source_urls[0]]["state"] == "open"
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the network draws each datagram's delay and loss from one seeded RNG "
+        "in call order (Network._rng), so the join instant, and with it open_until, "
+        "follows launch order",
+    )
+    @pytest.mark.parametrize(
+        "surface", [acil_burst, gateway_batch, two_group_join], ids=["burst", "batch", "join"]
+    )
+    def test_the_breaker_reopens_at_one_instant_in_either_order(self, surface):
+        forward = self.run(surface, reverse=False, open_until=True)
+        assert self.run(surface, reverse=True, open_until=True) == forward
 
 
 class TestPolicyKnobs:
