@@ -315,7 +315,8 @@ class ModuleContext:
     def spellings(self) -> dict[str, list[ast.AST]]:
         """Each way the module spells something -> its nodes, for GRM109: a
         name, a dotted chain (``.c`` after a call), a call with its leading
-        dotted arguments (``a.f(x, y.z``) and per keyword (``a.f(k=True``),
+        dotted arguments (``a.f(x, y.z``) and per keyword (``a.f(k=True``,
+        filed under the call, so a call is one construct on its line),
         ``a.b[``, ``class C``, ``def f(a, b``, ``p=<constant>``, ``a.b as
         c``, ``x is``, a "string" and any other identifier field; never a
         comment, a bare string (a docstring) or a :class:`Ratchet`'s own
@@ -336,8 +337,7 @@ class ModuleContext:
                 if callee == "Ratchet":
                     unspelled.update(node.args)
                 texts = [f"{callee}({', '.join(takewhile(bool, map(_chain, node.args)))}"]
-                for kw in node.keywords:
-                    index.setdefault(f"{callee}({kw.arg}={_constant(kw.value)}", []).append(kw)
+                texts += [f"{callee}({kw.arg}={_constant(kw.value)}" for kw in node.keywords]
             elif isinstance(node, ast.Subscript):
                 texts = [_chain(node.value) + "["]
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -38,7 +38,10 @@ the root names it:
   are ``isinstance`` tests), and both are part of the shape.  When the
   literals sit only in WHERE, LIMIT and OFFSET, the plans of a shape
   also share their layout bindings: a layout one of them bound is only
-  re-filtered for the next (:meth:`~repro.sql.plan.BoundPlan.refiltered`).
+  re-filtered for the next (:meth:`~repro.sql.plan.BoundPlan.refiltered`),
+  and each such entry carries the shape key as ``entry.shape``: the stream
+  hub evaluates the subscriptions of one shape together
+  (:class:`~repro.sql.plan.ShapeGroup`).
 * ``plan.compile`` with ``parse`` and ``validate`` children — anything
   else.  ``plans.misses`` counts these and only these.
 
@@ -160,23 +163,30 @@ class PlanEntry:
     take the plan of a clean one from :meth:`compiled`.
     """
 
-    __slots__ = ("key", "select", "findings", "plan")
+    __slots__ = ("key", "select", "findings", "plan", "shape")
 
     def __init__(
         self,
         key: str,
         select: ast.Select,
         findings: list[Finding],
-        shape_bindings: ShapeBindings | None = None,
+        template: Template | None = None,
+        shape: "tuple[Shape, tuple[str, ...]] | None" = None,
     ) -> None:
         #: The normalised text this entry is cached under — handed down
         #: as the result-cache and single-flight ``key=``.
         self.key = key
         self.select = select
         self.findings = findings
+        bindings = None if template is None else template.bindings
         self.plan: CompiledPlan | None = (
-            None if findings else compile_plan(select, shape_bindings)
+            None if findings else compile_plan(select, bindings)
         )
+        #: The (shape, extra fields) key of the template this entry was
+        #: built from, when the plans of that template share their
+        #: bindings (they differ at most in WHERE, LIMIT and OFFSET
+        #: literals); otherwise ``None``.
+        self.shape = None if bindings is None else shape
 
     def compiled(self) -> CompiledPlan:
         """The plan of an entry whose ``findings`` the caller found empty."""
@@ -285,7 +295,7 @@ class PlanCache:
                 self._instantiations.add(1)
                 with self.tracer.span("plan.instantiate"):
                     entry = PlanEntry(
-                        key[0], template.rebuild(values), [], template.bindings
+                        key[0], template.rebuild(values), [], template, shape_key
                     )
         if races.ACTIVE is not None:
             digest = hashlib.sha256(repr(key).encode()).hexdigest()[:16]
@@ -330,7 +340,7 @@ class PlanCache:
             self._shapes[shape_key] = template
             while len(self._shapes) > MAX_SHAPES:
                 del self._shapes[next(iter(self._shapes))]
-            return PlanEntry(key, select, findings, template.bindings)
+            return PlanEntry(key, select, findings, template, shape_key)
 
     def _canonical(self, select: ast.Select) -> ast.Select:
         """``select`` with each FROM group in its GLUE spelling.

@@ -25,18 +25,22 @@ consumer.  This module is that plane for GridRM:
   like any source.
 
 The push wire ships **one frame per consumer address per query round**:
-``{"kind": "gridrm-frame", "batches": [...]}``, each member the
-:func:`encode_batch` form of what one subscription is owed by one
-source's snapshot, in the order the hub evaluated them.  A gateway query
-publishes its whole fan-out in one :meth:`StreamHub.publish` call once
-the fan-out is over, so a viewer holding thirty subscriptions over eight
-sources costs the hub one datagram (and one ``push`` span) per round,
-not one per source or per subscription; what a consumer observes per
-subscription — batches, rows, callbacks — does not depend on how they
-were framed.  A lost datagram therefore loses that consumer's whole
-share of one round; recovery is per flavour, as before.  A member
-carries its own ``published_at`` / ``source_url`` / ``replay`` because
-one frame mixes sources (and a resume flush mixes publishes).
+``{"kind": "gridrm-frame", "parts": [...]}``.  A part is one source's
+snapshot, stating its ``source_url`` / ``published_at`` / ``replay``
+once, and its members are what that snapshot owes the address: one per
+distinct result, each listing every subscription id it goes to
+(:func:`encode_batch`).  A gateway query publishes its whole fan-out in
+one :meth:`StreamHub.publish` call once the fan-out is over, and the
+subscriptions of one statement shape are evaluated together
+(:class:`~repro.sql.plan.ShapeGroup`), so a round costs the hub one
+evaluation per shape, one ``_finish`` per distinct answer, one member
+per (address, source, answer) — more only where :data:`MEMBER_SPREAD`
+splits a widely shared one — and one datagram (and one ``push`` span)
+per address.  :class:`StreamConsumer` expands every member back into one
+batch per subscription, so what a consumer observes per subscription —
+batches, rows, callbacks — does not depend on how they were framed or
+shared.  A lost datagram therefore loses that consumer's whole share of
+one round; recovery is per flavour, as before.
 
 Flow control is a bounded buffer with pause/resume: while a subscription
 is paused its tuples buffer (bounded) at the hub, and overflow fates
@@ -64,7 +68,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, Callable, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.analysis import races
 from repro.core.admission import QueryClass
@@ -88,6 +92,7 @@ from repro.obs.trace import NO_TRACER, Tracer
 from repro.simnet.errors import NetworkError
 from repro.simnet.network import Address, Network
 from repro.sql.errors import SqlError
+from repro.sql.plan import ShapeGroup
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.admission import AdmissionController
@@ -101,80 +106,189 @@ DEFAULT_BUFFER = 256
 #: Newest history rows an attach replay of a ``history``-flavour
 #: subscription may ship.
 REPLAY_LIMIT = 256
+#: A frame member naming ``n`` subscriptions, whose columns and rows
+#: come to ``size`` items (a column name, a row, a value: one each),
+#: decodes into ``n * size`` copies.  So that decoding costs what
+#: arrived, a consumer skips a member with ``n * size > MEMBER_SPREAD *
+#: (n + size)``, and the hub never builds one: it starts another member
+#: for the same result first.  A member of one subscription, or of no
+#: more than this many items, is never split.
+MEMBER_SPREAD = 8
 
 #: Producer flavours, R-GMA's vocabulary (see module docstring).
 FLAVOURS = ("stream", "latest", "history")
 
 
-def encode_batch(
-    cq_id: int,
-    columns: list[str],
-    rows: list[list[Any]],
-    *,
-    published_at: float,
-    source_url: str,
-    replay: bool,
-) -> dict[str, Any]:
-    """Wire form of one delivered tuple batch (plain dict)."""
+def encode_batch(cqs: list[int], columns: list[str], rows: list[list[Any]]) -> dict[str, Any]:
+    """Wire form of one frame member: the rows one result owes every
+    subscription in ``cqs`` (a plain dict).  Columns and rows are the
+    result's own, not copies: nothing mutates a result, and the consumer
+    copies what it keeps (:func:`decode_batch`)."""
+    return {"cqs": list(cqs), "columns": columns, "rows": rows}
+
+
+def decode_batch(
+    member: Any, published_at: float, source_url: str, replay: bool
+) -> list[dict[str, Any]]:
+    """One frame member as the per-subscription batches it stands for,
+    ``[]`` when it is malformed or spreads past :data:`MEMBER_SPREAD`.
+    Each id is delivered once, in member order, and each batch gets rows
+    and columns of its own."""
+    try:
+        ids = member["cqs"]
+        if ids.__class__ is not list:
+            return []
+        cqs = list(map(int, ids))
+        columns = list(map(str, member["columns"]))
+        rows = list(map(list, member["rows"]))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return []
+    if len(cqs) > 1:
+        cqs = list(dict.fromkeys(cqs))
+        if _spread(len(cqs), _size(columns, rows)):
+            return []
+    batches = []
+    for cq in cqs:
+        if batches:
+            columns, rows = list(columns), list(map(list, rows))
+        batches.append({
+            "kind": "gridrm-tuples",
+            "cq": cq,
+            "columns": columns,
+            "rows": rows,
+            "published_at": published_at,
+            "source_url": source_url,
+            "replay": replay,
+        })
+    return batches
+
+
+def _size(columns: list[Any], rows: list[list[Any]]) -> int:
+    """A member's columns and rows in items: one per column name, row and
+    value."""
+    return len(columns) + len(rows) + sum(map(len, rows))
+
+
+def _spread(n: int, size: int) -> bool:
+    """Whether a member naming ``n`` subscriptions over ``size`` items
+    decodes into more than :data:`MEMBER_SPREAD` copies per id and item
+    it carries."""
+    return n * size > MEMBER_SPREAD * (n + size)
+
+
+#: One source part of a frame: (source_url, published_at, replay).
+Stamps = tuple[str, float, bool]
+
+
+def encode_frame(parts: list[tuple[Stamps, list[dict[str, Any]]]]) -> dict[str, Any]:
+    """Wire form of one datagram: everything one publish (or one attach
+    replay, or one resume flush) owes one consumer address, as source
+    parts, each stating its stamps once and listing its members
+    (:func:`encode_batch`)."""
     return {
-        "kind": "gridrm-tuples",
-        "cq": cq_id,
-        "columns": list(columns),
-        "rows": [list(r) for r in rows],
-        "published_at": published_at,
-        "source_url": source_url,
-        "replay": replay,
+        "kind": "gridrm-frame",
+        "parts": [
+            {"source_url": url, "published_at": at, "replay": replay, "members": members}
+            for (url, at, replay), members in parts
+        ],
     }
 
 
-def decode_batch(payload: Any) -> Optional[dict[str, Any]]:
-    if not isinstance(payload, dict) or payload.get("kind") != "gridrm-tuples":
+def _stamps(part: Any) -> Optional[tuple[float, str, bool]]:
+    """A frame part's ``(published_at, source_url, replay)``, or None when
+    the part is malformed."""
+    if not isinstance(part, dict) or not isinstance(part.get("members"), list):
         return None
     try:
-        batch = {
-            "kind": "gridrm-tuples",
-            "cq": int(payload["cq"]),
-            "columns": [str(c) for c in payload["columns"]],
-            "rows": [list(r) for r in payload["rows"]],
-            "published_at": float(payload["published_at"]),
-            "source_url": str(payload.get("source_url", "")),
-            "replay": bool(payload.get("replay", False)),
-        }
+        published_at = float(part["published_at"])
+        stamps = (
+            published_at,
+            str(part.get("source_url", "")),
+            bool(part.get("replay", False)),
+        )
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
     # ``published_at`` becomes the consumer's replay watermark: a forged
     # ``inf`` would silence every later ``history`` catch-up, a NaN would
     # poison the ``max`` that advances it.
-    if not math.isfinite(batch["published_at"]):
-        return None
-    return batch
-
-
-def encode_frame(batches: list[dict[str, Any]]) -> dict[str, Any]:
-    """Wire form of one datagram: every batch one publish (or one attach
-    replay, or one resume flush) owes one consumer address."""
-    return {"kind": "gridrm-frame", "batches": batches}
+    return stamps if math.isfinite(published_at) else None
 
 
 def decode_frame(payload: Any) -> list[dict[str, Any]]:
-    """The well-formed member batches of a frame, in frame order.
+    """The per-subscription batches a frame stands for: part by part,
+    member by member, id by id.
 
     Untrusted boundary: anything that is not a frame yields ``[]``, a
-    malformed member is skipped and its siblings are delivered, and
+    malformed part or member, or one that spreads past
+    :data:`MEMBER_SPREAD`, is skipped and its siblings are delivered, and
     every member goes through :func:`decode_batch` (rows are copied).
     Never raises.
     """
     if not isinstance(payload, dict) or payload.get("kind") != "gridrm-frame":
         return []
-    members = payload.get("batches")
-    if not isinstance(members, list):
+    parts = payload.get("parts")
+    if not isinstance(parts, list):
         return []
-    return [b for b in map(decode_batch, members) if b is not None]
+    batches: list[dict[str, Any]] = []
+    for part in parts:
+        stamps = _stamps(part)
+        if stamps is not None:
+            for member in part["members"]:
+                batches += decode_batch(member, *stamps)
+    return batches
 
 
-#: Encoded batches owed to each consumer address by one publish call, in
-#: first-offer order; :meth:`StreamHub._flush` ships one frame per key.
-_Outbox = dict[Address, list[dict[str, Any]]]
+class _Frame:
+    """What one publish call (attach replay, resume flush) owes one
+    consumer address: per source part its stamps and one member per
+    distinct result (more when :data:`MEMBER_SPREAD` splits one), plus
+    the offers in order (the ``push`` span's)."""
+
+    __slots__ = ("parts", "cqs", "rows")
+
+    def __init__(self) -> None:
+        #: part -> (stamps, its members, each result's open member)
+        self.parts: dict[int, tuple[Stamps, list[dict[str, Any]], dict[Any, dict[str, Any]]]] = {}
+        self.cqs: list[int] = []
+        self.rows = 0
+
+    def owe(
+        self, part: int, stamps: Stamps, result: Any, cq_id: int,
+        columns: list[str], rows: list[list[Any]],
+    ) -> None:
+        """Owe subscription ``cq_id`` one part's ``result``: its rows are
+        encoded once per member however many subscriptions share it."""
+        owed = self.parts.get(part)
+        if owed is None:
+            owed = self.parts[part] = (stamps, [], {})
+        member = owed[2].get(result)
+        # A result's rows are as wide as its columns: its size in items
+        # (:func:`_size`) needs no walk over them.
+        if member is None or _spread(
+            len(member["cqs"]) + 1, len(columns) + len(rows) * (len(columns) + 1)
+        ):
+            member = owed[2][result] = encode_batch([cq_id], columns, rows)
+            owed[1].append(member)
+        else:
+            member["cqs"].append(cq_id)
+        self.cqs.append(cq_id)
+        self.rows += len(rows)
+
+    def encode(self) -> dict[str, Any]:
+        return encode_frame([(stamps, members) for stamps, members, _ in self.parts.values()])
+
+
+#: The frame owed to each consumer address by one publish call, in
+#: first-offer order; :meth:`StreamHub._flush` ships one datagram per key.
+_Outbox = dict[Address, _Frame]
+
+
+class _Held(NamedTuple):
+    """A batch held for a paused subscription."""
+
+    stamps: Stamps
+    columns: list[str]
+    rows: list[list[Any]]
 
 
 @dataclass
@@ -187,6 +301,9 @@ class _Continuous:
     flavour: str
     group: str
     plan: "CompiledPlan"
+    #: The plan entry's shape key (:attr:`~repro.core.plans.PlanEntry.shape`):
+    #: subscriptions of one shape are evaluated together; None alone.
+    shape: Any
     query_class: str
     expires_at: float
     #: Backpressure: while paused, batches buffer here (bounded) instead
@@ -199,7 +316,7 @@ class _Continuous:
     dropped: int = 0
     suppressed: int = 0
     unsatisfied: int = 0
-    buffer: "deque[dict[str, Any]]" = field(default_factory=deque)
+    buffer: "deque[_Held]" = field(default_factory=deque)
 
 
 class StreamHub:
@@ -219,9 +336,9 @@ class StreamHub:
         stats       -> stats
 
     Data plane (one-way datagrams to the registered ``host:port``):
-    ``{"kind": "gridrm-frame", "batches": [batch, ...]}`` — one per
-    consumer address per :meth:`publish` call (a gateway query round),
-    attach replay or resume.  ``stats["pushes"]`` counts batches
+    ``{"kind": "gridrm-frame", "parts": [part, ...]}`` (:func:`encode_frame`)
+    — one per consumer address per :meth:`publish` call (a gateway query
+    round), attach replay or resume.  ``stats["pushes"]`` counts batches
     delivered to subscriptions, resume flushes included;
     ``stats["frames"]`` the datagrams that carried them.
 
@@ -258,6 +375,11 @@ class StreamHub:
         #: (the lease-gap fix: a renewal the clock carried past the
         #: expiry instant still lands; a short partition heals in place).
         self._tombstones: dict[int, _Continuous] = {}
+        #: Each shape's :class:`ShapeGroup` by (layout, live member ids):
+        #: a subscription's plan never changes, so an entry only goes
+        #: stale by naming a gone subscription; emptied whenever the table
+        #: changes, so it holds no more than the live subscriptions make.
+        self._groups: dict[tuple[Any, ...], ShapeGroup] = {}
         self._ids = itertools.count(1)
         #: Current row snapshot per (group, source) — what the ``latest``
         #: flavour replays on attach.
@@ -333,12 +455,14 @@ class StreamHub:
                 flavour=flavour,
                 group=group,
                 plan=entry.compiled(),
+                shape=entry.shape,
                 query_class=qc.value,
                 expires_at=self.network.clock.now() + lease,
                 max_buffer=max_buffer,
                 overflow=overflow,
             )
             self._subs[cq.cq_id] = cq
+            self._groups.clear()
             self.stats["registered"] += 1
             self._wrote(cq.cq_id, "register")
             replayed = self._replay(cq, watermark)
@@ -379,7 +503,7 @@ class StreamHub:
         outbox: _Outbox = {}
         with self.tracer.span("replay", cq=cq.cq_id, flavour=cq.flavour):
             if cq.flavour == "latest":
-                for source_url in sorted(self._latest.get(cq.group, {})):
+                for part, source_url in enumerate(sorted(self._latest.get(cq.group, {}))):
                     columns, rows = self._latest[cq.group][source_url]
                     try:
                         result = cq.plan.bind(tuple(columns)).execute(rows)
@@ -389,10 +513,7 @@ class StreamHub:
                         cq.unsatisfied += 1
                         self.stats["unsatisfied"] += 1
                         continue
-                    replayed += self._owe(
-                        cq, result, outbox,
-                        published_at=now, source_url=source_url, replay=True,
-                    )
+                    replayed += self._owe(cq, outbox, part, (source_url, now, True), result)
             elif cq.flavour == "history" and self.history is not None:
                 rows = self.history.since(cq.group, watermark)
                 # Cap at the newest rows: attach replay is a catch-up,
@@ -400,11 +521,9 @@ class StreamHub:
                 rows = rows[-REPLAY_LIMIT:]
                 if rows:
                     layout = self.history.layout(cq.group)
-                    replayed = self._owe(
-                        cq, cq.plan.bind(layout).execute(rows), outbox,
-                        published_at=now, source_url="history://" + cq.group,
-                        replay=True,
-                    )
+                    result = cq.plan.bind(layout).execute(rows)
+                    stamps = ("history://" + cq.group, now, True)
+                    replayed = self._owe(cq, outbox, 0, stamps, result)
             self._flush(outbox, cq.group)
         self.stats["replayed"] += replayed
         return replayed
@@ -424,6 +543,7 @@ class StreamHub:
             if cq is None:
                 return {"ok": False, "error": "missing"}
             self._subs[cq_id] = cq
+            self._groups.clear()
             self.stats["resurrected"] += 1
         cq.expires_at = self.network.clock.now() + lease
         self._wrote(cq_id, "renew")
@@ -434,6 +554,7 @@ class StreamHub:
         removed = self._subs.pop(cq_id, None) or self._tombstones.pop(cq_id, None)
         if removed is None:
             return {"ok": False, "error": "missing"}
+        self._groups.clear()
         self._wrote(cq_id, "deregister")
         return {"ok": True}
 
@@ -450,17 +571,20 @@ class StreamHub:
         if cq is None:
             return {"ok": False, "error": "missing"}
         cq.paused = False
-        batches = list(cq.buffer)
+        held = list(cq.buffer)
         cq.buffer.clear()
-        if batches:
-            tuples = sum(len(b["rows"]) for b in batches)
-            cq.delivered += len(batches)
-            cq.tuples += tuples
-            self.stats["pushes"] += len(batches)
-            self.stats["tuples"] += tuples
-            self._flush({cq.consumer: batches}, cq.group)
+        if held:
+            # One part per held batch: each was its own publish's.
+            frame = _Frame()
+            for part, (stamps, columns, rows) in enumerate(held):
+                frame.owe(part, stamps, part, cq.cq_id, columns, rows)
+            cq.delivered += len(held)
+            cq.tuples += frame.rows
+            self.stats["pushes"] += len(held)
+            self.stats["tuples"] += frame.rows
+            self._flush({cq.consumer: frame}, cq.group)
         self._wrote(cq.cq_id, "resume")
-        return {"ok": True, "flushed": len(batches)}
+        return {"ok": True, "flushed": len(held)}
 
     # ------------------------------------------------------------------
     # Publish plane
@@ -480,10 +604,13 @@ class StreamHub:
         one snapshot per :class:`Republisher` window roll or event.  Each
         snapshot is a publish of its own — LIMIT, ORDER BY and aggregates
         see one source's rows — but every consumer address gets one frame
-        for the whole call.  A subscription's WHERE runs once per call
-        and layout (:meth:`~repro.sql.plan.BoundPlan.execute_each`); a
-        (subscription, source) pair that keeps no rows costs nothing
-        more.  Returns how many (subscription, source) pairs matched rows.
+        for the whole call.  The live subscriptions of one statement
+        shape are evaluated together, once per call and layout
+        (:class:`~repro.sql.plan.ShapeGroup`): one result per distinct
+        (kept rows, LIMIT, OFFSET), which every subscription owed it
+        shares — as one frame member per consumer address.  A (subscription, source) pair that keeps no
+        rows costs nothing more.  Returns how many (subscription, source)
+        pairs matched rows.
         """
         latest = self._latest.setdefault(group, {})
         snapshots = []
@@ -509,18 +636,15 @@ class StreamHub:
             live = [cq for cq in live if cq.query_class != batch_tier]
         if not live:
             return 0
-        # Each subscription's WHERE runs once per layout over the whole
-        # round (``execute_each``); the rest of its plan runs only for the
-        # snapshots that kept rows, each on its own — LIMIT, ORDER BY and
-        # aggregates still see one source's rows.  A batch is encoded as
-        # soon as its subscription's plan has run: holding every result
-        # of the round until the walk below cost extra collector passes.
-        layouts: dict[tuple[str, ...], list[int]] = {}
-        for index, (_, columns, _, _) in enumerate(sources):
-            layouts.setdefault(tuple(columns), []).append(index)
-        owed: list[list[tuple[_Continuous, dict[str, Any]]]] = [[] for _ in sources]
-        for cq in live:
-            for index, result in enumerate(self._outcomes(cq, layouts, snapshots)):
+        each = self._evaluate(live, sources, snapshots)
+        # Offers keep the publish order: source by source, and within a
+        # source in registration order.
+        outbox: _Outbox = {}
+        pushed = 0
+        for index, (source_url, _, _, published_at) in enumerate(sources):
+            stamps = (source_url, published_at, False)
+            for cq, outcomes in zip(live, each):
+                result = outcomes[index]
                 if isinstance(result, SqlError):
                     # This publish does not carry every column the plan
                     # needs (a narrower real-time projection can acquire a
@@ -530,20 +654,10 @@ class StreamHub:
                     # query.
                     cq.unsatisfied += 1
                     self.stats["unsatisfied"] += 1
-                elif result.rows:
-                    source_url, _, _, published_at = sources[index]
-                    batch = encode_batch(
-                        cq.cq_id, result.columns, result.rows,
-                        published_at=published_at, source_url=source_url, replay=False,
-                    )
-                    owed[index].append((cq, batch))
-        # Offers keep the publish order: source by source, and within a
-        # source in registration order.
-        outbox: _Outbox = {}
-        pushed = 0
-        for batches in owed:
-            for cq, batch in batches:
-                self._offer(cq, batch, outbox)
+                    continue
+                if not result.rows:
+                    continue
+                self._offer(cq, outbox, index, stamps, result)
                 if races.ACTIVE is not None:
                     # Registered COMMUTATIVE: the round's sources reach one
                     # subscription in completion order, but every batch
@@ -557,68 +671,98 @@ class StreamHub:
         self._flush(outbox, group)
         return pushed
 
-    @staticmethod
-    def _outcomes(
-        cq: _Continuous,
-        layouts: dict[tuple[str, ...], list[int]],
+    def _evaluate(
+        self,
+        live: list[_Continuous],
+        sources: list[tuple[str, list[str], list[Any], float]],
         snapshots: list[list[list[Any]]],
-    ) -> list[Any]:
-        """``cq``'s plan over every snapshot of one publish, in source
-        order: a result or the :class:`SqlError` that snapshot raised."""
-        if len(layouts) == 1:
-            (layout,) = layouts
-            return cq.plan.bind(layout).execute_each(snapshots)
-        each: list[Any] = [None] * len(snapshots)
+    ) -> list[list[Any]]:
+        """Per live subscription, its plan's outcome over every snapshot of
+        one publish, in source order: a result or the :class:`SqlError`
+        that snapshot raised.  One :class:`ShapeGroup` call per statement
+        shape and layout; a subscription whose plan shares no bindings
+        with others is a group of one."""
+        layouts: dict[tuple[str, ...], list[int]] = {}
+        for index, (_, columns, _, _) in enumerate(sources):
+            layouts.setdefault(tuple(columns), []).append(index)
+        shapes: dict[Any, list[int]] = {}
+        for position, cq in enumerate(live):
+            key = cq.cq_id if cq.shape is None else cq.shape
+            shapes.setdefault(key, []).append(position)
+        each: list[Any] = [None] * len(live)
         for layout, indices in layouts.items():
-            parts = [snapshots[i] for i in indices]
-            for i, outcome in zip(indices, cq.plan.bind(layout).execute_each(parts)):
-                each[i] = outcome
+            whole = len(indices) == len(sources)
+            parts = snapshots if whole else [snapshots[i] for i in indices]
+            for positions in shapes.values():
+                answers = self._group(live, positions, layout).execute_each(parts)
+                for position, outcomes in zip(positions, answers):
+                    if whole:
+                        each[position] = outcomes
+                        continue
+                    row = each[position]
+                    if row is None:
+                        row = each[position] = [None] * len(sources)
+                    for i, outcome in zip(indices, outcomes):
+                        row[i] = outcome
         return each
 
+    def _group(
+        self, live: list[_Continuous], positions: list[int], layout: tuple[str, ...]
+    ) -> ShapeGroup:
+        """The :class:`ShapeGroup` of the live subscriptions at
+        ``positions`` over ``layout``, built once for that set of ids —
+        their plans bound and their binding families told apart — and
+        dropped when the subscription table changes."""
+        key = (layout, *[live[p].cq_id for p in positions])
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = ShapeGroup([live[p].plan.bind(layout) for p in positions])
+        return group
+
     def _owe(
-        self, cq: _Continuous, result: Any, outbox: _Outbox, **stamps: Any
+        self, cq: _Continuous, outbox: _Outbox, part: int, stamps: Stamps, result: Any
     ) -> int:
-        """Offer ``cq`` the rows one plan run matched as a batch (none for
-        no rows); how many."""
+        """Offer ``cq`` the rows one plan run matched (nothing for no
+        rows); how many."""
         if result.rows:
-            batch = encode_batch(cq.cq_id, result.columns, result.rows, **stamps)
-            self._offer(cq, batch, outbox)
+            self._offer(cq, outbox, part, stamps, result)
         return len(result.rows)
 
     def _offer(
-        self, cq: _Continuous, batch: dict[str, Any], outbox: _Outbox
+        self, cq: _Continuous, outbox: _Outbox, part: int, stamps: Stamps, result: Any
     ) -> None:
-        """Owe the batch to the consumer's next frame, or buffer it
+        """Owe ``result`` to the consumer's next frame, or buffer it
         (bounded) while the subscription is paused."""
+        rows = result.rows
         if not cq.paused:
-            outbox.setdefault(cq.consumer, []).append(batch)
+            frame = outbox.get(cq.consumer)
+            if frame is None:
+                frame = outbox[cq.consumer] = _Frame()
+            frame.owe(part, stamps, result, cq.cq_id, result.columns, rows)
             cq.delivered += 1
-            cq.tuples += len(batch["rows"])
+            cq.tuples += len(rows)
             self.stats["pushes"] += 1
-            self.stats["tuples"] += len(batch["rows"])
+            self.stats["tuples"] += len(rows)
             return
+        held = _Held(stamps, result.columns, rows)
         if len(cq.buffer) < cq.max_buffer:
-            cq.buffer.append(batch)
+            cq.buffer.append(held)
             return
         # Bounded buffer full: something must be dropped, and counted.
         cq.dropped += 1
         self.stats["dropped"] += 1
         if cq.overflow == "drop_oldest":
             cq.buffer.popleft()
-            cq.buffer.append(batch)
+            cq.buffer.append(held)
         # "pause": the newcomer is dropped — the orderly prefix survives.
 
     def _flush(self, outbox: _Outbox, group: str) -> None:
         """Send each consumer address its share as one frame, one span."""
-        for consumer, batches in outbox.items():
+        for consumer, frame in outbox.items():
             with self.tracer.span(
-                "push",
-                consumer=str(consumer),
-                group=group,
-                cqs=[b["cq"] for b in batches],
-                rows=sum(len(b["rows"]) for b in batches),
+                "push", consumer=str(consumer), group=group, cqs=frame.cqs, rows=frame.rows
             ):
-                self.network.send(self.host, consumer, encode_frame(batches))
+                self.network.send(self.host, consumer, frame.encode())
             self.stats["frames"] += 1
 
     # ------------------------------------------------------------------
@@ -634,6 +778,7 @@ class StreamHub:
         dead = [cq_id for cq_id, s in self._subs.items() if s.expires_at < now]
         for cq_id in dead:
             self._tombstones[cq_id] = self._subs.pop(cq_id)
+            self._groups.clear()
             self._wrote(cq_id, "sweep")
         self.stats["expired"] += len(dead)
         return len(dead)

@@ -15,7 +15,11 @@ in front of them, column kernels:
   tuples a table stores, in its column order — building no per-row
   dicts, and whose ``execute_each(parts)`` answers several relations
   of that layout at once — one WHERE pass over all their rows, the rest
-  of the plan per relation that kept any (the stream hub's round);
+  of the plan per relation that kept any;
+* :class:`ShapeGroup` runs the bound plans of one statement shape (the
+  literal variants one plan-cache template instantiated) over such a
+  round together — one ``_finish`` per distinct answer — and returns
+  what each plan's ``execute_each`` would: the stream hub's round;
 * :func:`compile_expr` is that compiler for one expression on its own
   — what :class:`~repro.sql.database.Database` runs INSERT values,
   UPDATE assignments and UPDATE / DELETE predicates through.
@@ -1009,9 +1013,7 @@ class BoundPlan:
         try:
             kept = self._filter(rows)
         except SqlError as exc:
-            if len(parts) == 1:
-                return [_detached(exc)]
-            return [self._settled(part) for part in parts]
+            return self._failed(parts, exc)
         owned = _owned(kept, parts)
         empty = SelectResult.adopt(self._out_cols, [])
         out: list[SelectResult | SqlError] = [empty] * len(parts)
@@ -1023,6 +1025,16 @@ class BoundPlan:
             except SqlError as exc:
                 out[index] = _detached(exc)
         return out
+
+    def _failed(
+        self, parts: Sequence[Sequence[Any]], exc: SqlError
+    ) -> list[SelectResult | SqlError]:
+        """``execute_each``'s answer when its one WHERE pass over every
+        part raised ``exc``: each part on its own, so an error is the one
+        its part alone would raise."""
+        if len(parts) == 1:
+            return [_detached(exc)]
+        return [self._settled(part) for part in parts]
 
     def _settled(self, part: Sequence[Any]) -> SelectResult | SqlError:
         """``execute(part)``, its :class:`SqlError` returned, not raised."""
@@ -1150,6 +1162,86 @@ class BoundPlan:
         if self._order_grouped:
             out = _sort_payload(self._order_grouped, out, out)
         return self._out_cols, out
+
+
+# ----------------------------------------------------------------------
+# Shape groups: the literal variants of one statement, evaluated together
+# ----------------------------------------------------------------------
+class ShapeGroup:
+    """Bound plans of one layout whose statements differ at most in the
+    literals of their WHERE, LIMIT and OFFSET — the plans one
+    :class:`~repro.core.plans.PlanCache` template instantiated — run
+    over one round of relations together.
+
+    ``execute_each(parts)`` returns exactly ``[plan.execute_each(parts)
+    for plan in plans]``, finishing each distinct result once: members
+    of one binding family (:meth:`BoundPlan.refiltered`, which shares
+    every closure ``_finish`` reads) that kept the same row objects of a
+    part under the same LIMIT and OFFSET share that part's result
+    object.  Nobody may mutate a result.  Each member's WHERE runs once
+    over the round (its own stages, so an error is the one its own
+    ``execute_each`` would answer); a group of one takes the same path.
+    """
+
+    __slots__ = ("plans", "_families")
+
+    def __init__(self, plans: Sequence[BoundPlan]) -> None:
+        self.plans = list(plans)
+        # A member's binding family: the first member whose layout and
+        # projection it shares by identity (only ``refiltered`` shares them).
+        reps: list[BoundPlan] = []
+        families = []
+        for plan in self.plans:
+            family = next(
+                (
+                    f for f, rep in enumerate(reps)
+                    if rep._layout is plan._layout and rep._out_cols is plan._out_cols
+                ),
+                len(reps),
+            )
+            if family == len(reps):
+                reps.append(plan)
+            families.append(family)
+        self._families = families
+
+    def execute_each(
+        self, parts: Sequence[Sequence[Any]]
+    ) -> list[list[SelectResult | SqlError]]:
+        rows = parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
+        out: list[list[SelectResult | SqlError]] = []
+        finished: dict[tuple[Any, ...], dict[int, list[tuple[list[Any], Any]]]] = {}
+        empties: dict[int, SelectResult] = {}
+        for plan, family in zip(self.plans, self._families):
+            try:
+                kept = plan._filter(rows)
+            except SqlError as exc:
+                out.append(plan._failed(parts, exc))
+                continue
+            empty = empties.get(family)
+            if empty is None:
+                empty = empties[family] = SelectResult.adopt(plan._out_cols, [])
+            owned = _owned(kept, parts)
+            answers: list[SelectResult | SqlError] = [empty] * len(parts)
+            stmt = plan.select
+            # part -> [(kept rows, their result)] of this family under
+            # this LIMIT and OFFSET: the results this member may share.
+            shelf = finished.setdefault((family, stmt.limit, stmt.offset), {})
+            # An aggregating plan answers a part that kept nothing, too.
+            for index in range(len(parts)) if plan._grouped else owned:
+                mine = owned.get(index, [])
+                known = shelf.setdefault(index, [])
+                for theirs, result in known:
+                    if len(theirs) == len(mine) and all(map(operator.is_, theirs, mine)):
+                        break
+                else:
+                    try:
+                        result = plan._finish(mine)
+                    except SqlError as exc:
+                        result = _detached(exc)
+                    known.append((mine, result))
+                answers[index] = result
+            out.append(answers)
+        return out
 
 
 #: Bindings the plans of one statement shape share: layout -> the first

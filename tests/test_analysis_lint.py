@@ -232,7 +232,7 @@ class TestRatchets:
         assert ratchets("def merge(self, other):\n    pass\n") == [(1, "def merge(self")]
         assert ratchets("def merge(left, right):\n    pass\n") == []
         assert ratchets("s = SourceStatus(\n    url,\n    shed=True,\n)\n") == [
-            (3, "SourceStatus(shed=")
+            (1, "SourceStatus(shed=")
         ]
         policy = "GatewayPolicy(hedge_enabled={})\n"
         assert ratchets(policy.format(True), "scenarios.py") == [(1, "hedge_enabled=True")]
@@ -242,6 +242,15 @@ class TestRatchets:
         assert ratchets(
             "if type(s).execute_query is Base.execute_query:\n    pass\n", "core/request_manager.py"
         )[-1] == (1, "execute_query is")
+
+    def test_a_multi_line_call_is_one_finding(self):
+        """A keyword's ``callee(k=`` spelling is filed under its call, so a
+        call a row matches is one construct, reported once on the call's
+        line, and a ONCE row counts it as one line."""
+        call = "self.network.request(addr,\n    timeout=timeout)\n"
+        assert ratchets(call, "drivers/x_driver.py") == [(1, ".request(")]
+        once = "self.streams.publish(\n    table,\n    published=rows)\nrecord_failure(k)\n"
+        assert ratchets(once, "core/request_manager.py") == []
 
     @pytest.mark.parametrize(
         "source, below, hit",

@@ -29,6 +29,7 @@ from repro.gma.streams import (
     StreamConsumer,
     StreamHub,
     decode_batch,
+    decode_frame,
     encode_batch,
     encode_frame,
 )
@@ -352,9 +353,14 @@ def test_register_error_paths():
 
 
 def test_ignores_non_batch_datagrams():
-    assert decode_batch({"kind": "other"}) is None
-    assert decode_batch({"kind": "gridrm-tuples", "cq": "x"}) is None
-    assert decode_batch("text") is None
+    """A frame member that is not one (no id list, an id that is not a
+    number, not a dict) stands for no batch."""
+    stamps = {"published_at": 1.0, "source_url": "u", "replay": False}
+    assert decode_batch({"kind": "other"}, **stamps) == []
+    assert decode_batch({"cqs": ["x"], "columns": [], "rows": []}, **stamps) == []
+    assert decode_batch({"cqs": 3, "columns": [], "rows": []}, **stamps) == []
+    assert decode_batch("text", **stamps) == []
+    assert decode_frame(encode_batch([1], ["a"], [[1]])) == []
 
 
 @pytest.mark.parametrize("instant", [float("inf"), float("-inf"), float("nan"), "inf", "nan"])
@@ -372,11 +378,9 @@ def test_non_finite_instants_are_refused_on_both_wires(instant):
     (reg,) = consumer._regs
     honest = reg.last_published
     assert honest > 0.0 and consumer.rows(hub.address, cq) == [[1]]
-    forged = encode_batch(
-        cq, ["Slot"], [[9]], published_at=instant, source_url="x", replay=False
-    )
-    assert decode_batch(forged) is None
-    consumer._on_datagram(encode_frame([forged]), hub.address)
+    forged = encode_frame([(("x", instant, False), [encode_batch([cq], ["Slot"], [[9]])])])
+    assert decode_frame(forged) == []
+    consumer._on_datagram(forged, hub.address)
     assert reg.last_published == honest and consumer.rows(hub.address, cq) == [[1]]
     # The hub refuses the same values (and a negative one) as a watermark,
     # with the typed reply of every other bad registration field.

@@ -51,7 +51,7 @@ def go_quiet(subscriber):
 def buffered_times(publisher, sid):
     """``Time`` of every event buffered for one paused subscription."""
     return [
-        row[3] for batch in publisher.hub._subs[sid].buffer for row in batch["rows"]
+        row[3] for held in publisher.hub._subs[sid].buffer for row in held.rows
     ]
 
 

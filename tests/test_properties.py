@@ -737,8 +737,8 @@ def test_durable_history_recovers_acked_prefix(ops, sync_interval, torn_seed):
 # ----------------------------------------------------------------------
 import dataclasses  # noqa: E402
 
+from repro.gma import streams  # noqa: E402
 from repro.gma.streams import (  # noqa: E402
-    decode_batch,
     decode_frame,
     encode_batch,
     encode_frame,
@@ -754,16 +754,16 @@ _cells = st.one_of(
     st.floats(allow_nan=False),
     st.text(max_size=8),
 )
-_valid_batches = st.builds(
-    lambda cq, columns, rows, at, url, replay: encode_batch(
-        cq, columns, rows, published_at=at, source_url=url, replay=replay
-    ),
-    st.integers(1, 10**6),
+#: A member as the hub encodes it; ids may repeat (a hostile sender's).
+_valid_members = st.builds(
+    encode_batch,
+    st.lists(st.integers(1, 40), min_size=1, max_size=4),
     st.lists(st.text(max_size=6), max_size=4),
     st.lists(st.lists(_cells, max_size=4), max_size=5),
-    st.floats(0.0, 1e9),
-    st.text(max_size=20),
-    st.booleans(),
+)
+_valid_parts = st.tuples(
+    st.tuples(st.text(max_size=20), st.floats(0.0, 1e9), st.booleans()),
+    st.lists(_valid_members, max_size=4),
 )
 #: Anything a peer could put in a datagram (NaN, infinities, ints too
 #: large for a float, bytes and nesting included).
@@ -791,33 +791,57 @@ def _nest(value, depth):
     return value
 
 
+def _expanded(parts):
+    """The per-subscription batches a frame of ``parts`` stands for, built
+    without the decoder: part by part, member by member, each distinct
+    id once."""
+    return [
+        {
+            "kind": "gridrm-tuples", "cq": cq, "columns": member["columns"],
+            "rows": member["rows"], "published_at": at, "source_url": url,
+            "replay": replay,
+        }
+        for (url, at, replay), members in parts
+        for member in members
+        for cq in dict.fromkeys(member["cqs"])
+    ]
+
+
 @st.composite
 def _mutated_frames(draw):
     """A valid frame with one structure-aware defect."""
-    batches = draw(st.lists(_valid_batches, min_size=1, max_size=5))
-    frame = encode_frame(batches)
-    defect = draw(st.sampled_from(
-        ("junk_member", "dict", "str", "nested", "kind", "missing_key", "bad_field")
-    ))
-    index = draw(st.integers(0, len(batches) - 1))
-    if defect == "junk_member":
-        frame["batches"][index] = draw(_json_like)
+    parts = draw(st.lists(_valid_parts, min_size=1, max_size=4))
+    frame = encode_frame(parts)
+    wire = frame["parts"]
+    defect = draw(st.sampled_from((
+        "junk_part", "junk_member", "dict", "str", "nested", "kind",
+        "missing_key", "bad_field", "non_finite",
+    )))
+    at = draw(st.integers(0, len(wire) - 1))
+    part = wire[at]
+    members = part["members"]
+    which = draw(st.integers(0, len(members) - 1)) if members else None
+    if defect == "junk_part":
+        wire[at] = draw(_json_like)
+    elif defect == "junk_member" and which is not None:
+        members[which] = draw(_json_like)
     elif defect == "dict":
-        frame["batches"] = {str(i): b for i, b in enumerate(batches)}
+        frame["parts"] = {str(i): p for i, p in enumerate(wire)}
     elif defect == "str":
-        frame["batches"] = repr(batches)
+        frame["parts"] = repr(wire)
     elif defect == "nested":
-        frame["batches"] = _nest(batches, draw(st.integers(1, 60)))
+        frame["parts"] = _nest(wire, draw(st.integers(1, 60)))
     elif defect == "kind":
         frame["kind"] = draw(st.sampled_from(("gridrm-tuples", "gridrm-event", "", None, 7)))
-    elif defect == "missing_key":
-        member = dict(batches[index])
-        del member[draw(st.sampled_from(sorted(member)))]
-        frame["batches"][index] = member
+    elif defect == "non_finite":
+        part["published_at"] = draw(st.sampled_from((math.inf, -math.inf, math.nan, "nan")))
     else:
-        member = dict(batches[index])
-        member[draw(st.sampled_from(sorted(member)))] = draw(_json_like)
-        frame["batches"][index] = member
+        target = draw(st.sampled_from([part] if which is None else [part, members[which]]))
+        key = draw(st.sampled_from(sorted(target)))
+        if defect == "missing_key":
+            del target[key]
+        else:
+            target[key] = draw(_json_like)
     return frame
 
 
@@ -837,27 +861,67 @@ def _well_formed(batch):
     )
 
 
-@given(batches=st.lists(_valid_batches, max_size=8))
-def test_stream_frame_round_trip(batches):
-    decoded = decode_frame(encode_frame(batches))
-    assert decoded == [decode_batch(b) for b in batches]
+@given(parts=st.lists(_valid_parts, max_size=6), data=st.data())
+def test_stream_frame_round_trip(parts, data):
+    """A frame states each source part's stamps once and each member
+    names every subscription its result is owed to; the consumer must
+    get back exactly the per-subscription batches the hub owed — each
+    id once per member, rows of their own — and a hostile defect costs
+    only what it spoils: a part whose instant is not finite, or one
+    malformed member, while every sibling is still delivered."""
+    frame = encode_frame(parts)
+    decoded = decode_frame(frame)
+    assert decoded == _expanded(parts)
     assert all(_well_formed(b) for b in decoded)
-    # Rows are copied at the boundary, never aliased.
-    for mine, theirs in zip(decoded, batches):
-        assert all(a is not b for a, b in zip(mine["rows"], theirs["rows"]))
+    # Rows are copied at the boundary, never aliased: not with the
+    # frame's, and not between two subscriptions of one member.
+    sent = [r for p in frame["parts"] for m in p["members"] for r in m["rows"]]
+    got = [r for b in decoded for r in b["rows"]]
+    assert not any(a is b for a in got for b in sent)
+    assert not any(a is b for i, a in enumerate(got) for b in got[i + 1:])
+    if not parts:
+        return
+    i = data.draw(st.integers(0, len(parts) - 1))
+    (url, _, replay), members = parts[i]
+    instant = data.draw(st.sampled_from((math.inf, -math.inf, math.nan)))
+    spoiled = [*parts[:i], ((url, instant, replay), members), *parts[i + 1:]]
+    assert decode_frame(encode_frame(spoiled)) == _expanded(parts[:i] + parts[i + 1:])
+    if members:
+        j = data.draw(st.integers(0, len(members) - 1))
+        junk = data.draw(st.sampled_from(({"cqs": "7"}, {"cqs": [math.inf]}, [], None)))
+        spoiled = [*parts[:i], (parts[i][0], [*members[:j], junk, *members[j + 1:]]), *parts[i + 1:]]
+        kept = [*parts[:i], (parts[i][0], members[:j] + members[j + 1:]), *parts[i + 1:]]
+        assert decode_frame(encode_frame(spoiled)) == _expanded(kept)
+
+
+def _part(member, published_at=1.0):
+    return {"source_url": "u", "published_at": published_at, "replay": False, "members": [member]}
 
 
 @settings(max_examples=150, deadline=None)
 @given(payload=st.one_of(_json_like, _mutated_frames()))
-@example(payload={"kind": "gridrm-frame", "batches": [{"kind": "gridrm-tuples", "cq": float("inf")}]})
-@example(payload={"kind": "gridrm-frame", "batches": [{
-    "kind": "gridrm-tuples", "cq": 1, "columns": [], "rows": [], "published_at": 10**400,
-}]})
+@example(payload={"kind": "gridrm-frame", "parts": [
+    _part({"cqs": [float("inf")], "columns": [], "rows": []}),
+]})
+@example(payload={"kind": "gridrm-frame", "parts": [
+    _part({"cqs": [1], "columns": [], "rows": []}, published_at=10**400),
+]})
 @example(payload={"kind": "gridrm-frame"})
-@example(payload={"kind": "gridrm-frame", "batches": [{
-    "kind": "gridrm-tuples", "cq": 1, "columns": [], "rows": [], "published_at": float("inf"),
-}]})
+@example(payload={"kind": "gridrm-frame", "parts": [
+    # 10 000 ids over 10 000 rows: 10^8 row copies if it were expanded.
+    _part({"cqs": list(range(10_000)), "columns": ["a"], "rows": [[i] for i in range(10_000)]}),
+    _part({"cqs": [1], "columns": ["a"], "rows": [[1]]}),
+]})
+@example(payload={"kind": "gridrm-frame", "parts": [
+    _part({"cqs": [1], "columns": [], "rows": []}, published_at=float("inf")),
+]})
 def test_hostile_datagram_never_raises_and_leaks_no_state(payload):
+    """The stream consumer port takes one-way datagrams from anyone:
+    whatever arrives, decoding never raises and yields only well-formed
+    batches, and the consumer's registration, renew timer, watermark and
+    earlier deliveries come through untouched.  A member that would
+    expand far past its own size (many ids over many rows) is skipped,
+    not copied once per id."""
     batches = decode_frame(payload)
     assert isinstance(batches, list) and all(_well_formed(b) for b in batches)
 
@@ -891,8 +955,24 @@ def test_hostile_datagram_never_raises_and_leaks_no_state(payload):
     assert client.rows(hub.address, cq)[-1] == [2]
 
 
-def test_ten_thousand_member_frame_is_decoded_in_one_pass():
-    good = encode_batch(1, ["a"], [[1]], published_at=1.0, source_url="u", replay=False)
-    frame = encode_frame([good if i % 2 else {"kind": "junk", "i": i} for i in range(10_000)])
+def test_ten_thousand_member_frame_is_decoded_in_one_pass(monkeypatch):
+    """A sender picks how many members and ids a frame names, so decoding
+    must stay one pass over them: each member is decoded once (10 000
+    of them, half junk that is skipped), and a member naming 10 000 ids,
+    each twice, delivers each id once, in first-named order."""
+    good = encode_batch([1], ["a"], [[1]])
+    members = [good if i % 2 else {"cqs": "junk", "i": i} for i in range(10_000)]
+    wide = encode_batch([i % 5_000 for i in range(10_000)], ["a"], [[1]])
+    frame = encode_frame([(("u", 1.0, False), members), (("v", 2.0, False), [wide])])
+    calls = []
+    real = streams.decode_batch
+
+    def counted(member, *stamps):
+        calls.append(1)
+        return real(member, *stamps)
+
+    monkeypatch.setattr(streams, "decode_batch", counted)
     decoded = decode_frame(frame)
-    assert len(decoded) == 5_000 and all(_well_formed(b) for b in decoded)
+    assert len(calls) == 10_001
+    assert len(decoded) == 10_000 and all(_well_formed(b) for b in decoded)
+    assert [b["cq"] for b in decoded[5_000:]] == list(range(5_000))

@@ -27,12 +27,12 @@ import pytest
 
 from repro.core.request_manager import QueryMode
 from repro.gma import streams
-from repro.gma.streams import StreamConsumer
+from repro.gma.streams import Republisher, StreamConsumer
 from repro.obs import check_trace
 from repro.simnet.clock import VirtualClock
 from repro.simnet.link import LAN, WAN
 from repro.simnet.network import Network
-from repro.sql.plan import BoundPlan
+from repro.sql.plan import BoundPlan, ShapeGroup
 from repro.testbed import build_site
 
 from .test_gma_streams import _fabric
@@ -213,14 +213,18 @@ class TestSeededSite:
 
 
     def test_a_round_runs_each_subscription_once_per_layout(self, monkeypatch):
-        """Counts, not clocks: the Processor round publishes 5 snapshots
-        of one layout, and its 9 live Processor subscriptions cost the
-        hub 9 ``execute_each`` calls and no ``execute`` (one per
+        """Counts, not clocks: one group evaluation per (statement shape,
+        layout) per round.  The Processor round publishes 5 snapshots of
+        one layout, and its 9 live Processor subscriptions are 9 shapes:
+        the hub makes 9 ``ShapeGroup.execute_each`` calls of one plan
+        each — a group of one takes the path every group takes, not its
+        plan's ``execute_each`` — and no ``execute`` (one per
         subscription per source, 45, before the WHERE ran once per
         round)."""
         site, _ = scenario()
         hub = site.gateway.streams
         counts = {"execute": 0, "execute_each": 0, "snapshots": 0, "layouts": 0}
+        groups = []
         inner = hub.publish
 
         def publish(group, sources):
@@ -235,6 +239,13 @@ class TestSeededSite:
                         return real(plan, arg)
 
                     m.setattr(BoundPlan, name, counted)
+                real_group = ShapeGroup.execute_each
+
+                def evaluated(group, parts):
+                    groups.append(len(group.plans))
+                    return real_group(group, parts)
+
+                m.setattr(ShapeGroup, "execute_each", evaluated)
                 return inner(group, sources)
 
         hub.publish = publish
@@ -243,7 +254,113 @@ class TestSeededSite:
             list(site.source_urls), "SELECT * FROM Processor", mode=QueryMode.REALTIME
         )
         assert len(live) == 9
-        assert counts == {"execute": 0, "execute_each": 9, "snapshots": 5, "layouts": 1}
+        assert len({cq.shape or cq.cq_id for cq in live}) == 9
+        assert counts == {"execute": 0, "execute_each": 0, "snapshots": 5, "layouts": 1}
+        assert groups == [1] * 9
+
+
+#: ``benchmarks/e2e/workloads.py``'s ``stream_events`` subscription set:
+#: 8 statement shapes x 8 literal variants over 8 hosts, (SQL, rows per
+#: round).  ``{one}`` / ``{other}`` are hosts ``k`` and ``k + 3``.
+EVENT_SHAPES = (
+    ("SELECT HostName, LoadAverage1Min FROM Processor WHERE LoadAverage1Min >= {minus}", 8),
+    ("SELECT HostName, CPUUtilization, CPUIdle FROM Processor WHERE CPUCount >= {one_minus}", 8),
+    ("SELECT * FROM Processor WHERE HostName = '{one}'", 1),
+    ("SELECT HostName, LoadAverage5Min FROM Processor WHERE HostName LIKE 'site-a-n0{k}%'", 1),
+    ("SELECT HostName, SiteName, LoadAverage15Min FROM Processor "
+     "WHERE SiteName = 'site-a' AND HostName IN ('{one}', '{other}')", 2),
+    ("SELECT HostName, CPUUtilization FROM Processor "
+     "WHERE HostName = '{other}' AND CPUUtilization >= {minus} ORDER BY HostName", 1),
+    ("SELECT HostName, Vendor, Model FROM Processor WHERE CPUCount < {minus}", 0),
+    ("SELECT HostName, CPUUser + CPUSystem FROM Processor "
+     "WHERE HostName <> '{one}' AND CPUIdle < {minus} LIMIT 4", 0),
+)
+
+
+def event_site():
+    """Eight one-row SNMP sources; two viewers holding four variants of
+    every shape each, and a republisher's derivation on a third host."""
+    network = quiet_network(11)
+    site = build_site(network, name="site-a", n_hosts=8, agents=("snmp",), seed=11)
+    site.clock.advance(60.0)
+    hosts = site.host_names()
+    sqls = [
+        sql.format(
+            k=k, minus=-k, one_minus=1 - k, one=hosts[k], other=hosts[(k + 3) % 8]
+        )
+        for k in range(8)
+        for sql, _ in EVENT_SHAPES
+    ]
+    hub = site.gateway.streams
+    viewers = [StreamConsumer(network, "viewer-a"), StreamConsumer(network, "viewer-b")]
+    for viewer, half in zip(viewers, (sqls[:32], sqls[32:])):
+        for sql in half:
+            viewer.register(hub.address, sql)
+    archiver = Republisher(network, "archiver", consumer_port=8511, policy=site.gateway.policy)
+    archiver.derive(
+        hub.address, "SELECT HostName, LoadAverage1Min FROM Processor",
+        key_column="HostName", value_column="LoadAverage1Min", window=60.0,
+        group="HostLoadWindow",
+    )
+    site.clock.advance(1.0)
+    return site, viewers
+
+
+def test_the_event_set_costs_one_finish_and_one_member_per_distinct_answer(monkeypatch):
+    """Counts, not clocks, on the ``stream_events`` set.  Its 65 live
+    subscriptions are 14 shape groups, not 9: a literal's sign is a
+    token, so ``>= 0`` and ``>= -1`` are two shapes, and five of the
+    eight statements split in two.  A round of 8 one-row sources owes
+    176 batches in 3 frames, as before, but the hub runs 72 ``_finish``
+    calls and frames 94 members, where it ran and framed one per batch
+    (176 each).  The shapes that share keep every row for every variant
+    (``>=`` below every value: one result per source), and the ``IN``
+    shape's variants ``k`` and ``k - 3`` keep the same row of host
+    ``k``."""
+    site, viewers = event_site()
+    hub = site.gateway.streams
+    finishes = []
+    frames = []
+    groups = []
+    inner = hub.publish
+    real_finish = BoundPlan._finish
+    real_send = site.network.send
+    real_group = ShapeGroup.execute_each
+
+    def finish(plan, rows):
+        finishes.append(len(rows))
+        return real_finish(plan, rows)
+
+    def send(src, dst, payload):
+        frames.append(payload)
+        return real_send(src, dst, payload)
+
+    def evaluated(group, parts):
+        groups.append(len(group.plans))
+        return real_group(group, parts)
+
+    def publish(group, sources):
+        with monkeypatch.context() as m:
+            m.setattr(BoundPlan, "_finish", finish)
+            m.setattr(site.network, "send", send)
+            m.setattr(ShapeGroup, "execute_each", evaluated)
+            return inner(group, sources)
+
+    hub.publish = publish
+    pushes = hub.stats["pushes"]
+    site.gateway.query(
+        list(site.source_urls), "SELECT * FROM Processor", mode=QueryMode.REALTIME
+    )
+    site.clock.advance(1.0)
+    assert len(hub._subs) == 65
+    assert sorted(groups) == [1, 1, 1, 1, 1, 2, 6, 7, 7, 7, 7, 8, 8, 8]
+    assert hub.stats["pushes"] - pushes == 176
+    assert len(frames) == 3
+    assert len(finishes) == 72
+    assert sum(len(part["members"]) for f in frames for part in f["parts"]) == 94
+    # Each viewer got one batch per (subscription, source) it keeps.
+    want = sum(rows for _, rows in EVENT_SHAPES) * 8
+    assert sum(len(v.batches) for v in viewers) == want == 168
 
 
 # ----------------------------------------------------------------------
@@ -492,17 +609,62 @@ def test_a_slow_source_delays_its_siblings_frame_to_the_end_of_the_round():
 
 
 def test_frame_helpers_are_the_wire_form():
-    batch = streams.encode_batch(
-        7, ["a"], [[1]], published_at=2.0, source_url="u", replay=False
-    )
-    frame = streams.encode_frame([batch])
-    assert frame == {"kind": "gridrm-frame", "batches": [batch]}
-    assert streams.decode_frame(frame) == [streams.decode_batch(batch)]
-    # The bare batch is a member codec, not a datagram any more.
-    assert streams.decode_frame(batch) == []
+    """A frame states each source part's stamps once, and each member
+    names every subscription its result is owed to; decoding expands a
+    member back into one batch per subscription, each with rows of its
+    own, so a consumer sees the batches it always saw."""
+    member = streams.encode_batch([7, 9], ["a"], [[1]])
+    assert member == {"cqs": [7, 9], "columns": ["a"], "rows": [[1]]}
+    frame = streams.encode_frame([(("u", 2.0, False), [member])])
+    assert frame == {
+        "kind": "gridrm-frame",
+        "parts": [{"source_url": "u", "published_at": 2.0, "replay": False, "members": [member]}],
+    }
+    batches = streams.decode_frame(frame)
+    assert batches == [
+        {"kind": "gridrm-tuples", "cq": cq, "columns": ["a"], "rows": [[1]],
+         "published_at": 2.0, "source_url": "u", "replay": False}
+        for cq in (7, 9)
+    ]
+    assert batches == streams.decode_batch(member, published_at=2.0, source_url="u", replay=False)
+    first, second = batches
+    assert first["rows"][0] is not second["rows"][0] is not member["rows"][0]
+    # The bare member is a member codec, not a datagram.
+    assert streams.decode_frame(member) == []
     _, _, hub, client, _ = _fabric()
-    client._on_datagram(batch, hub.address)
+    client._on_datagram(member, hub.address)
     assert client.batches == [] and client.received == 0
+
+
+def test_a_widely_shared_result_is_split_so_no_member_spreads_too_far():
+    """A member naming ``n`` subscriptions over ``size`` items decodes
+    into ``n * size`` copies, so a consumer skips one past
+    ``MEMBER_SPREAD * (n + size)``, and the hub splits a result shared
+    that widely over several members: 20 subscriptions of one statement
+    over 20 one-value rows (41 items: a column name, 20 rows, 20 values)
+    make members of 9, 9 and 2 ids, and every subscription still gets
+    its batch."""
+    _, network, hub, client, _ = _fabric()
+    cqs = [client.register(hub.address, "SELECT Slot FROM Probe") for _ in range(20)]
+    frames = []
+    real_send = network.send
+
+    def send(src, dst, payload):
+        frames.append(payload)
+        return real_send(src, dst, payload)
+
+    network.send = send
+    rows = [[f"n{i}", 0.5, i] for i in range(20)]
+    hub.publish("Probe", [("probe://h0", ["HostName", "Load", "Slot"], rows, network.clock.now())])
+    network.clock.advance(1.0)
+    (frame,) = frames
+    (part,) = frame["parts"]
+    assert [len(m["cqs"]) for m in part["members"]] == [9, 9, 2]
+    assert [client.rows(hub.address, cq) for cq in cqs] == [[[i] for i in range(20)]] * 20
+    # One id more in a member is skipped whole at the consumer.
+    wide = streams.encode_batch(cqs[:10], ["Slot"], [[i] for i in range(20)])
+    assert streams.decode_batch(wide, 1.0, "u", False) == []
+    assert len(streams.decode_batch(dict(wide, cqs=cqs[:9]), 1.0, "u", False)) == 9
 
 
 if __name__ == "__main__":

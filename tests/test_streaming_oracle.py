@@ -340,12 +340,18 @@ def test_multi_source_rounds_match_the_reference_per_snapshot(seed: int) -> None
             assert hub.stats["unsatisfied"] - unsatisfied == want_unsatisfied, (
                 f"seed={seed} case={case} step={step}"
             )
-            # One frame, its members source by source and, within a
-            # source, in registration order.
-            assert [
+            # One frame owes exactly these (source, subscription) pairs,
+            # and each subscription meets its sources in source order.
+            # Order across subscriptions is the frame's members' order,
+            # which is no part of the contract.
+            framed = [
                 (sources.index(b["source_url"]), b["cq"])
                 for b in consumer.batches[arrived:]
-            ] == sorted(owed)
+            ]
+            assert sorted(framed) == sorted(owed)
+            for cq in cqs:
+                mine = [source for source, owner in framed if owner == cq]
+                assert mine == sorted(mine)
             raised += want_unsatisfied
         hub.close()
     # The schedule is worth running: rounds mix layouts, some snapshots
