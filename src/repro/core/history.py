@@ -122,10 +122,15 @@ class _GroupIndex:
         return self.by_source.get(source_url, [])
 
 
-def _window(rows: list[Row], bounds: tuple[tuple[str, float], ...]) -> list[Row]:
+def _window(
+    rows: list[Row], bounds: tuple[tuple[str, float], ...]
+) -> tuple[list[Row], int]:
     """The rows of a sorted list that can satisfy every ``RecordedAt
     <op> number`` bound: the NULL-``RecordedAt`` head (a bound is NULL
-    there, not false) plus the bisected range."""
+    there, not false) plus the bisected range, and the head's length.
+    Every row of the range satisfies every bound: the list is sorted by
+    ``RecordedAt`` and holds no NaN (:meth:`HistoryStore.record` and
+    :func:`~repro.storage.segments.stored_relation` refuse one)."""
     nulls = bisect_right(rows, NULL_FIRST, key=recorded_key)
     lo, hi = nulls, len(rows)
     for op, value in bounds:
@@ -137,7 +142,7 @@ def _window(rows: list[Row], bounds: tuple[tuple[str, float], ...]) -> list[Row]
             hi = min(hi, bisect_left(rows, value, key=recorded_key))
         else:
             hi = min(hi, bisect_right(rows, value, key=recorded_key))
-    return rows[:nulls] + rows[lo:hi] if nulls else rows[lo:hi]
+    return (rows[:nulls] + rows[lo:hi] if nulls else rows[lo:hi]), nulls
 
 
 class HistoryStore:
@@ -204,7 +209,9 @@ class HistoryStore:
         any of the group's fields (a narrow projection is not
         representative), records nothing.  The layout is compiled once:
         the table memoises one row builder per ``columns``, which also
-        names the fields a layout lacks.
+        names the fields a layout lacks.  A ``recorded_at`` that stores
+        as NaN is no instant: it raises :class:`ValueError` before any
+        row is stored.
         """
         if star_only and not self.schema.has_group(group_name):
             return 0
@@ -227,6 +234,9 @@ class HistoryStore:
         batch = build(rows, (source_url, recorded_at))
         if not batch:
             return 0
+        if batch[0][-1] != batch[0][-1]:
+            # NaN is no instant and has no place in the index's order.
+            raise ValueError(f"recorded_at is not an instant: {recorded_at!r}")
         index.insert(batch)
         if self.engine is not None:
             # One WAL record for the whole batch, referencing the coerced
@@ -260,9 +270,13 @@ class HistoryStore:
 
         The plan sees the source's partition narrowed to the window its
         leading ``RecordedAt`` bounds allow (see
-        :meth:`~repro.sql.plan.BoundPlan.leading_bounds`) and still
-        evaluates the whole WHERE over it: narrowing only spares it rows
-        it would have rejected.
+        :meth:`~repro.sql.plan.BoundPlan.leading_bounds`): the NULL-
+        ``RecordedAt`` head, which runs the whole WHERE, then the
+        bisected range, which the bounds' conjuncts have already judged
+        and which runs only the rest of it (``execute(rows, window=…)``).
+        Narrowing spares the plan rows it would have rejected, and the
+        window spares it conjuncts it would have found true; the answer
+        and the first error are the whole WHERE's over the window.
         """
         plan = plan or compile_plan(parse_select(sql))
         select = plan.select
@@ -274,11 +288,13 @@ class HistoryStore:
         bound = plan.bind(index.columns)
         rows = index.rows(source_url)
         bounds = bound.leading_bounds("RecordedAt")
+        window: tuple[str, int] | None = None
         if bounds:
-            rows = _window(rows, bounds)
+            rows, head = _window(rows, bounds)
+            window = ("RecordedAt", head)
         self.queries += 1
         self.rows_scanned += len(rows)
-        return bound.execute(rows)
+        return bound.execute(rows, window=window)
 
     def since(
         self,

@@ -179,6 +179,19 @@ def _literal(expr: ast.Expr) -> ast.Literal | None:
     return None
 
 
+def _negate(value: Any) -> Any:
+    """Unary minus over one value: NULL stays NULL, and a value with no
+    negative (TEXT) is a typed error, as in ``-`` between two values."""
+    if value is None:
+        return None
+    try:
+        return -value
+    except TypeError as exc:
+        raise SqlExecutionError(
+            f"type error in unary '-': {type(value).__name__}"
+        ) from exc
+
+
 def _compile_expr(expr: ast.Expr, layout: _Layout) -> RowFn:
     """Compile an expression to a closure over one row.
 
@@ -211,10 +224,7 @@ def _compile_expr(expr: ast.Expr, layout: _Layout) -> RowFn:
             return not_fn
         # The parser builds no unary operator but NOT and minus.
         def neg_fn(row: Any) -> Any:
-            val = inner(row)
-            if val is None:
-                return None
-            return -val
+            return _negate(inner(row))
         return neg_fn
     if isinstance(expr, ast.BinOp):
         return _compile_binop(expr, layout)
@@ -249,7 +259,13 @@ def _compile_expr(expr: ast.Expr, layout: _Layout) -> RowFn:
                 return None
             a, l_ = coerce_pair(val, lo)
             a2, h = coerce_pair(val, hi)
-            result = l_ <= a and a2 <= h
+            try:
+                result = l_ <= a and a2 <= h
+            except TypeError as exc:
+                raise SqlExecutionError(
+                    f"type error in 'BETWEEN': {type(val).__name__} vs "
+                    f"{type(lo).__name__} and {type(hi).__name__}"
+                ) from exc
             return (not result) if negated else result
         return between_fn
     if isinstance(expr, ast.IsNull):
@@ -576,6 +592,18 @@ def _compile_filter(where: ast.Expr | None, layout: _Layout) -> list[BatchFn]:
     return stages
 
 
+def _staged(stages: Sequence[BatchFn], rows: Sequence[Any]) -> list[Any]:
+    """``rows`` through ``stages`` in order, as a fresh list."""
+    if not stages:
+        return list(rows)
+    kept: Any = rows
+    for stage in stages:
+        kept = stage(kept)
+        if not kept:
+            break
+    return kept
+
+
 def _owned(kept: list[Any], parts: Sequence[Sequence[Any]]) -> dict[int, list[Any]]:
     """``kept`` — what the WHERE stages kept of ``parts`` concatenated —
     cut back into each part's survivors: part index -> its kept rows, in
@@ -706,7 +734,7 @@ def _compile_agg_expr(expr: ast.Expr, layout: _Layout) -> GroupFn:
             val = inner(rows, sample)
             if op == "NOT":
                 return None if val is None else (not bool(val))
-            return None if val is None else -val
+            return _negate(val)
         return unary
     plain = _compile_expr(expr, layout)
     return lambda rows, sample: plain(sample)
@@ -807,7 +835,7 @@ class BoundPlan:
     def __init__(self, select: ast.Select, layout: _Layout) -> None:
         self.select = select
         self._layout = layout
-        self._leading_bounds: dict[str, tuple[tuple[str, float], ...]] = {}
+        self._leading_bounds: dict[str, tuple[tuple[tuple[str, float], ...], int]] = {}
         self._stages = _compile_filter(select.where, layout)
         self._star = select.is_star
         has_aggregates = any(
@@ -923,28 +951,41 @@ class BoundPlan:
         as ``>= t`` and ``<= t``; ``NOT BETWEEN`` and ``!=`` bound nothing.
 
         A caller holding rows sorted by ``name`` may skip every row whose
-        non-NULL numeric value fails one of them and still hand the whole
-        predicate the rest: AND evaluates left to right and stops at the
-        first false conjunct, and these conjuncts cannot raise on a
-        number, so for such a row nothing after the failing one runs —
-        it is rejected silently either way.  The walk stops at the first
-        conjunct of any other shape, because a later bound would skip
-        rows on which that conjunct has to be evaluated first (and may
-        raise).  A row whose value is NULL makes a bound NULL, not false,
-        and evaluation continues: such rows must not be skipped.
+        non-NULL numeric value fails one of them: AND evaluates left to
+        right and stops at the first false conjunct, and these conjuncts
+        cannot raise on a number, so for such a row nothing after the
+        failing one runs — it is rejected silently either way.  The walk
+        stops at the first conjunct of any other shape, because a later
+        bound would skip rows on which that conjunct has to be evaluated
+        first (and may raise).  A row whose value is NULL makes a bound
+        NULL, not false, and evaluation continues: such rows must not be
+        skipped.
 
-        Extracted once per bound plan and column, not per execution.
+        The conjuncts the bounds came from are true on every row the
+        bounds keep, so such a window need not evaluate them again:
+        ``execute(rows, window=(name, head))`` runs only the rest of the
+        WHERE over ``rows[head:]``.
+
+        Extracted once per bound plan and column, not per execution,
+        together with the number of conjuncts the bounds consumed.
         """
-        bounds = self._leading_bounds.get(name)
-        if bounds is None:
+        return self._leading(name)[0]
+
+    def _leading(self, name: str) -> tuple[tuple[tuple[str, float], ...], int]:
+        """:meth:`leading_bounds` and how many top-level conjuncts they
+        came from, cached per column."""
+        leading = self._leading_bounds.get(name)
+        if leading is None:
             found: list[tuple[str, float]] = []
+            consumed = 0
             for conjunct in _conjuncts(self.select.where):
                 more = self._bounds_on(name, conjunct)
                 if not more:
                     break
                 found.extend(more)
-            bounds = self._leading_bounds[name] = tuple(found)
-        return bounds
+                consumed += 1
+            leading = self._leading_bounds[name] = (tuple(found), consumed)
+        return leading
 
     def _bounds_on(self, name: str, expr: ast.Expr) -> list[tuple[str, float]]:
         """What one conjunct bounds ``name`` by; [] when it is no bound."""
@@ -989,9 +1030,22 @@ class BoundPlan:
         return bound
 
     # -- execution -----------------------------------------------------
-    def execute(self, rows: Sequence[Any]) -> SelectResult:
-        """Run the bound plan over ``rows``."""
-        return self._finish(self._filter(rows))
+    def execute(
+        self, rows: Sequence[Any], *, window: tuple[str, int] | None = None
+    ) -> SelectResult:
+        """Run the bound plan over ``rows``.
+
+        ``window=(name, head)`` says what a caller holding rows sorted by
+        ``name`` proved of them: ``rows[:head]`` have a NULL ``name`` and
+        the rest satisfy every :meth:`leading_bounds` of ``name``.  The
+        head still runs the whole WHERE (a bound is NULL there, and the
+        conjuncts after it must run and may raise); the rest start at
+        the first conjunct after the ones the bounds came from.  The
+        answer is the one without ``window``, errors included."""
+        if window is None:
+            return self._finish(self._filter(rows))
+        name, head = window
+        return self._finish(self._filter(rows, head, self._leading(name)[1]))
 
     def execute_each(
         self, parts: Sequence[Sequence[Any]]
@@ -1082,16 +1136,15 @@ class BoundPlan:
             out_rows = out_rows[: stmt.limit]
         return SelectResult.adopt(out_cols, out_rows)
 
-    def _filter(self, rows: Sequence[Any]) -> list[Any]:
-        """The rows the WHERE clause keeps, as a fresh list."""
-        if not self._stages:
-            return list(rows)
-        kept: Any = rows
+    def _filter(self, rows: Sequence[Any], head: int = 0, proven: int = 0) -> list[Any]:
+        """The rows the WHERE clause keeps, as a fresh list.  With
+        ``proven`` conjuncts known true on ``rows[head:]``, those rows
+        start at the stage after them; ``rows[:head]`` run every stage."""
+        stages = self._stages
         try:
-            for stage in self._stages:
-                kept = stage(kept)
-                if not kept:
-                    break
+            if not head:
+                return _staged(stages[proven:], rows)
+            return _staged(stages, rows[:head]) + _staged(stages[proven:], rows[head:])
         except Exception:
             # Conjunct by conjunct this may be a later row's error, or a
             # later conjunct's.  The interpreter goes row by row: replay
@@ -1101,7 +1154,6 @@ class BoundPlan:
             for row in rows:
                 where(row)
             raise
-        return kept
 
     def _project(self, filtered: list[Any]) -> list[list[Any]]:
         cells = self._item_cells

@@ -7,7 +7,9 @@ values, aggregate reduction, LIKE patterns, the ORDER BY total order —
 defined here once and used by both the compiled plans
 (:mod:`repro.sql.plan`, the only expression evaluator under
 ``src/repro``) and the tree-walking reference the tests compare them
-with (``tests/reference_sql.py``), so the two cannot drift.
+with (``tests/reference_sql.py``), so the two cannot drift.  Aggregate
+reduction is the one exception: :func:`aggregate_values` is the plans'
+alone, and the reference keeps its own per-value loop to judge it by.
 
 NULL semantics are the pragmatic subset GridRM needs: any comparison or
 arithmetic touching NULL yields NULL, and a NULL predicate is treated as
@@ -174,12 +176,21 @@ def apply_binop_values(op: str, left: Any, right: Any) -> Any:
 # ----------------------------------------------------------------------
 # Aggregation, grouping and ordering
 # ----------------------------------------------------------------------
+#: The exact classes SUM / AVG add as they are (``bool`` is not one).
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
 def aggregate_values(name: str, values: list[Any], distinct: bool) -> Any:
     """Reduce already-evaluated argument values with aggregate ``name``.
 
-    Shared by the compiled plans and the reference: NULLs are dropped,
-    DISTINCT dedups by equality (list scan — values may be unhashable),
-    and empty input yields NULL for everything but COUNT.
+    The compiled plans' reduction: NULLs are dropped, DISTINCT dedups by
+    equality (list scan — values may be unhashable), and empty input
+    yields NULL for everything but COUNT.  SUM and AVG over values that
+    are all exactly ``int`` or ``float`` add them in one ``sum`` call —
+    the same objects in the same order that :func:`as_number` would hand
+    it one by one, so the same result; any other value (``bool``, a
+    numeric string, ...) takes that per-value path.  The tests'
+    reference interpreter keeps its own per-value reduction.
     """
     values = [v for v in values if v is not None]
     if distinct:
@@ -192,10 +203,12 @@ def aggregate_values(name: str, values: list[Any], distinct: bool) -> Any:
         return len(values)
     if not values:
         return None
-    if name == "SUM":
-        return sum(as_number(v) for v in values)
-    if name == "AVG":
-        return sum(as_number(v) for v in values) / len(values)
+    if name == "SUM" or name == "AVG":
+        if set(map(type, values)) <= _PLAIN_NUMBERS:
+            total = sum(values)
+        else:
+            total = sum(as_number(v) for v in values)
+        return total if name == "SUM" else total / len(values)
     if name in ("MIN", "MAX"):
         try:
             return min(values) if name == "MIN" else max(values)

@@ -58,7 +58,8 @@ def stored_relation(doc: Mapping[str, Any]) -> tuple[tuple[str, ...], list[Row]]
     :data:`PROVENANCE_NAMES` (a dict-row record from before the format
     carried them has none), every row a tuple of one value per column
     with a text-or-NULL ``SourceUrl`` and a number-or-NULL
-    ``RecordedAt``.  Raises :class:`ValueError` saying what is wrong."""
+    ``RecordedAt`` that is not NaN (it would break :func:`recorded_key`'s
+    order).  Raises :class:`ValueError` saying what is wrong."""
     columns, rows = doc.get("columns"), doc.get("rows")
     if type(columns) not in (list, tuple) or any(type(c) is not str for c in columns):
         raise ValueError(f"columns is a {type(columns).__name__}, not a list of names")
@@ -71,6 +72,8 @@ def stored_relation(doc: Mapping[str, Any]) -> tuple[tuple[str, ...], list[Row]]
             raise ValueError(f"row {i} is not a tuple of {len(columns)} values")
         if type(row[-2]) not in (str, type(None)) or type(row[-1]) not in _INSTANTS:
             raise ValueError(f"row {i} has an ill-typed SourceUrl or RecordedAt")
+        if row[-1] != row[-1]:
+            raise ValueError(f"row {i} has a NaN RecordedAt")
     return tuple(columns), [tuple(row) for row in rows]
 
 

@@ -344,6 +344,9 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.sql.parser:_Parser.update": ("dialect", "DML / DDL: UPDATE"),
     "repro.sql.plan:BoundPlan._extended_rows": (
         "dialect", "Queries: ORDER BY / GROUP BY a computed alias"),
+    "repro.sql.plan:BoundPlan.execute_each": (
+        "reference", "one plan over a round of relations, what ShapeGroup.execute_each "
+        "must return member by member (tests/test_sql_plan.py, tests/test_stream_shapes.py)"),
     "repro.sql.plan:_compile_agg_expr.<locals>.binop": (
         "dialect", "Queries: arithmetic over aggregates (`SUM(x) + 1`)"),
     "repro.sql.plan:_compile_agg_expr.<locals>.unary": (
@@ -375,6 +378,8 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.sql.plan:_compile_expr.<locals>.not_fn": ("dialect", "NULL semantics: NOT"),
     "repro.sql.plan:_compile_expr.<locals>.star_error": (
         "dialect", "Queries: `*` only as a projection or in COUNT(*)"),
+    "repro.sql.plan:_negate": (
+        "dialect", "Queries: unary minus (over TEXT, a typed error)"),
     "repro.sql.plan:_null_stage": (
         "dialect", "Queries: the IS [NOT] NULL column kernel"),
     "repro.sql.plan:_null_stage.<locals>.stage": (
@@ -394,4 +399,7 @@ VERDICTS: dict[str, tuple[str, str]] = {
     "repro.sql.values:apply_binop_values": (
         "dialect", "Queries: operators over already-evaluated values (aggregate "
         "arithmetic, the reference interpreter)"),
+    "repro.sql.values:as_number": (
+        "dialect", "Queries: SUM / AVG over a bool or a numeric string (plain ints and "
+        "floats are added without it)"),
 }

@@ -21,7 +21,9 @@ so NULL handling is exercised constantly.
 It may import only the AST, the error types and the value helpers
 (:mod:`repro.sql.values`) that both sides share so that operator, NULL
 and coercion semantics cannot drift — never the parser, the planner or
-the database it judges (``test_sql_plan`` checks).
+the database it judges (``test_sql_plan`` checks).  Aggregate reduction
+is its own (:func:`reduce_values`, the per-value loop), not the plans'
+``aggregate_values``, which it judges.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from repro.sql.errors import SqlExecutionError
 from repro.sql.values import (
     SelectResult,
     SortKey,
-    aggregate_values,
     apply_binop_values,
+    as_number,
     coerce_pair,
     hashable,
 )
@@ -72,7 +74,12 @@ def evaluate_expr(expr: ast.Expr, row: Row) -> Any:
         if expr.op == "-":
             if val is None:
                 return None
-            return -val
+            try:
+                return -val
+            except TypeError as exc:
+                raise SqlExecutionError(
+                    f"type error in unary '-': {type(val).__name__}"
+                ) from exc
         raise SqlExecutionError(f"unknown unary operator {expr.op!r}")
     if isinstance(expr, ast.BinOp):
         return _eval_binop(expr, row)
@@ -96,7 +103,13 @@ def evaluate_expr(expr: ast.Expr, row: Row) -> Any:
             return None
         a, l = coerce_pair(val, lo)
         a2, h = coerce_pair(val, hi)
-        result = l <= a and a2 <= h
+        try:
+            result = l <= a and a2 <= h
+        except TypeError as exc:
+            raise SqlExecutionError(
+                f"type error in 'BETWEEN': {type(val).__name__} vs "
+                f"{type(lo).__name__} and {type(hi).__name__}"
+            ) from exc
         return (not result) if expr.negated else result
     if isinstance(expr, ast.IsNull):
         val = evaluate_expr(expr.expr, row)
@@ -155,7 +168,35 @@ def _aggregate(call: ast.FuncCall, rows: list[Row]) -> Any:
     if len(call.args) != 1:
         raise SqlExecutionError(f"{call.name} takes exactly one argument")
     values = [evaluate_expr(call.args[0], r) for r in rows]
-    return aggregate_values(call.name, values, call.distinct)
+    return reduce_values(call.name, values, call.distinct)
+
+
+def reduce_values(name: str, values: list[Any], distinct: bool) -> Any:
+    """Reduce evaluated argument values with aggregate ``name``, one
+    value at a time: the judge of ``repro.sql.values.aggregate_values``,
+    which the plans reduce with.  NULLs are dropped, DISTINCT dedups by
+    equality, and empty input is NULL for everything but COUNT."""
+    values = [v for v in values if v is not None]
+    if distinct:
+        seen: list[Any] = []
+        for v in values:
+            if v not in seen:
+                seen.append(v)
+        values = seen
+    if name == "COUNT":
+        return len(values)
+    if not values:
+        return None
+    if name == "SUM":
+        return sum(as_number(v) for v in values)
+    if name == "AVG":
+        return sum(as_number(v) for v in values) / len(values)
+    if name in ("MIN", "MAX"):
+        try:
+            return min(values) if name == "MIN" else max(values)
+        except TypeError as exc:
+            raise SqlExecutionError(f"type error in {name}: {exc}") from exc
+    raise SqlExecutionError(f"unknown aggregate {name!r}")
 
 
 def _eval_with_aggregates(expr: ast.Expr, rows: list[Row], sample: Row) -> Any:

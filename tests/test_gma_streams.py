@@ -553,6 +553,29 @@ def test_an_aggregate_over_a_text_value_leaves_its_snapshot_unsatisfied():
     assert consumer.rows(hub.address, cq) == [[0.7]]
 
 
+def test_between_and_unary_minus_over_a_text_value_leave_their_snapshot_unsatisfied():
+    """``BETWEEN`` with numeric bounds and unary minus over a TEXT value
+    are typed SQL errors, as ``>`` is: each subscription skips that
+    snapshot, the publish is answered and the round goes on."""
+    clock, network, hub, consumer, _ = _fabric()
+    between = consumer.register(
+        hub.address, "SELECT HostName FROM Probe WHERE Load BETWEEN 0 AND 1"
+    )
+    minus = consumer.register(hub.address, "SELECT -Load AS Neg FROM Probe")
+    plain = consumer.register(hub.address, "SELECT HostName FROM Probe")
+    columns = ["HostName", "Load", "Slot"]
+    now = clock.now()
+    hub.publish("Probe", [
+        ("probe://h0", columns, [["n0", 0.5, 1], ["n1", "n/a", 2]], now),
+        ("probe://h1", columns, [["n2", 0.7, 3]], now),
+    ])
+    clock.advance(1.0)
+    assert hub.stats["unsatisfied"] == 2
+    assert consumer.rows(hub.address, between) == [["n2"]]
+    assert consumer.rows(hub.address, minus) == [[-0.7]]
+    assert consumer.rows(hub.address, plain) == [["n0"], ["n1"], ["n2"]]
+
+
 # ----------------------------------------------------------------------
 # Republisher: derived streams over an upstream hub
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -86,6 +87,25 @@ STATEMENTS = (
     "SELECT HostName, AVG(LoadAverage1Min) FROM Processor WHERE RecordedAt < {b} GROUP BY HostName",
     "SELECT HostName, LoadAverage1Min FROM Processor WHERE RecordedAt > {a} "
     "ORDER BY LoadAverage1Min DESC LIMIT 3",
+    # The window proves its bounds and runs only what follows them: a
+    # pure range before SUM / AVG, residual conjuncts after the bounds,
+    # and one that raises on every row it is evaluated on.
+    "SELECT SUM(LoadAverage1Min), AVG(CPUCount), COUNT(*) FROM Processor "
+    "WHERE RecordedAt >= {a} AND RecordedAt < {b}",
+    "SELECT HostName, SUM(CPUCount), AVG(LoadAverage1Min) FROM Processor "
+    "WHERE RecordedAt > {a} AND LoadAverage1Min >= 1 GROUP BY HostName",
+    "SELECT AVG(LoadAverage5Min) FROM Processor WHERE RecordedAt BETWEEN {b} AND {a} "
+    "AND RecordedAt != {a}",
+    "SELECT HostName FROM Processor WHERE RecordedAt = {a} AND HostName > 3",
+    # Two residual conjuncts that raise on different rows: stage by
+    # stage, a later row's error at the first would come out before an
+    # earlier row's at the second, so a raising window replays the whole
+    # WHERE row by row — over the head too, whose rows raise their own
+    # error in the second statement.
+    "SELECT HostName FROM Processor WHERE RecordedAt >= {a} "
+    "AND (LoadAverage1Min < 1 OR HostName > 3) AND CPUCount > 'x'",
+    "SELECT HostName FROM Processor WHERE RecordedAt >= {a} "
+    "AND (RecordedAt IS NOT NULL OR HostName > 3) AND CPUCount > 'x'",
 )
 
 #: Statements whose whole WHERE is leading ``RecordedAt`` bounds
@@ -102,7 +122,7 @@ _ops = st.tuples(
     st.sampled_from(("record",) * 6 + ("tick",) * 2 + ("checkpoint", "checkpoint", "crash")),
     st.integers(0, len(SOURCES) - 1),  # record: which source
     st.integers(1, 3),  # record: rows in the batch
-    st.sampled_from(("now", "now", "late", "null")),  # record: RecordedAt
+    st.sampled_from(("now", "now", "late", "null", "nan")),  # record: RecordedAt
     st.integers(1, 6),  # record: how late a "late" batch is, in half-instants
     st.sampled_from((0.5, 1.0, 8.0)),  # tick
 )
@@ -140,8 +160,19 @@ class _Fixture:
                 "now": self.clock.now(),
                 "late": self.clock.now() - lateness / 2,
                 "null": None,
+                "nan": float("nan"),
             }[when]
             rows = [proc_row(host=f"n{i}", load=float(source + i)) for i in range(n)]
+            if when == "nan":
+                # No instant: refused whole, before anything is stored.
+                served, recorded = list(self.store.since("Processor", None)), self.store.rows_recorded
+                with pytest.raises(ValueError):
+                    record_rows(
+                        self.store, "Processor", rows, source_url=SOURCES[source], recorded_at=at
+                    )
+                assert self.store.since("Processor", None) == served
+                assert self.store.rows_recorded == recorded
+                return
             record_rows(
                 self.store, "Processor", rows, source_url=SOURCES[source], recorded_at=at
             )
@@ -271,6 +302,27 @@ settings.register_profile(
     a=10.0,
     b=5.0,
 )
+# NULL-RecordedAt rows in front of a residual conjunct that raises: the
+# head runs the whole WHERE (``RecordedAt >= 1.0 AND HostName > 3``
+# raises there), the range only what follows the bounds, and a NaN
+# instant is refused between them.  Source 0 reads a range with no head
+# first, where the residual conjuncts raise on different rows.
+@example(
+    durable=False,
+    ring=MAX_ROWS,
+    ops=[
+        _op("record", source=1, n=2, when="null"),
+        _op("tick", tick=1.0),
+        _op("record", source=0, n=2),
+        _op("record", source=1, n=2),
+        _op("record", source=0, when="nan"),
+        _op("tick", tick=1.0),
+        _op("record", source=0, n=3),
+        _op("record", source=0, when="null"),
+    ],
+    a=1.0,
+    b=2.0,
+)
 def test_indexed_reads_equal_the_linear_scan(durable, ring, ops, a, b):
     """(Re-aimed: stored rows are tuples, read at their ``COLUMNS``
     slots, and the reference scan binds with ``bind``.)"""
@@ -322,6 +374,69 @@ def test_one_source_window_scans_the_window_not_the_group():
     # No usable bound: the source's partition, still not the group.
     store.query("SELECT COUNT(*) FROM Processor WHERE CPUCount >= 0", source_url=urls[3])
     assert (store.queries, store.rows_scanned) == (2, 10 + 256)
+
+
+def _counting_stages(bound, calls):
+    """Wrap each WHERE stage of ``bound`` so that it logs ``(stage, rows
+    in)`` to ``calls``: a test-side count of the work a read did."""
+
+    def counted(index, stage):
+        def run(rows):
+            calls.append((index, len(rows)))
+            return stage(rows)
+        return run
+
+    bound._stages[:] = [counted(i, stage) for i, stage in enumerate(bound._stages)]
+
+
+def test_a_window_runs_only_the_conjuncts_its_bounds_do_not_prove():
+    """Over the bisected range, the conjuncts the ``RecordedAt`` bounds
+    came from are not run again: a pure range runs no stage on range
+    rows, one residual conjunct runs one.  NULL-``RecordedAt`` rows (the
+    window's head) still run the whole WHERE.  ``rows_scanned`` counts
+    the window either way."""
+    store = HistoryStore(standard_schema())
+    url = SOURCES[0]
+    for at in range(1, 11):
+        record_rows(store, "Processor", [proc_row(load=float(at))], source_url=url, recorded_at=float(at))
+
+    def read(sql):
+        plan = compile_plan(parse_select(sql))
+        calls = []
+        _counting_stages(plan.bind(COLUMNS), calls)
+        before = store.rows_scanned
+        result = store.query(sql, source_url=url, plan=plan)
+        return result.rows, calls, store.rows_scanned - before
+
+    pure = "SELECT COUNT(*), SUM(LoadAverage1Min) FROM Processor WHERE RecordedAt >= 3 AND RecordedAt < 7"
+    residual = "SELECT HostName FROM Processor WHERE RecordedAt BETWEEN 3 AND 10 AND LoadAverage1Min > 4"
+    assert read(pure) == ([[4, 18.0]], [], 4)
+    assert read(residual) == ([["n0"]] * 6, [(1, 8)], 8)
+    record_rows(store, "Processor", [proc_row(), proc_row()], source_url=url, recorded_at=None)
+    # The head's two rows meet the first bound, which is NULL there; the
+    # later conjuncts run on them inside that stage and reject them.
+    assert read(pure) == ([[4, 18.0]], [(0, 2)], 6)
+    assert read(residual) == ([["n0"]] * 6, [(0, 2), (1, 8)], 10)
+
+
+def test_a_nan_instant_is_refused_and_never_served():
+    """NaN is no instant: it breaks the index's order, and a store that
+    took one answered ``since("Processor", 1.5)`` after recording 1, 2,
+    NaN, 3, 4, 5 with the NaN row.  ``record`` refuses it whole."""
+    store = HistoryStore(standard_schema())
+    for at in (1.0, 2.0, float("nan"), 3.0, 4.0, 5.0):
+        rows = [proc_row(load=at)]
+        if at != at:
+            with pytest.raises(ValueError, match="not an instant"):
+                record_rows(store, "Processor", rows, source_url="u", recorded_at=at)
+        else:
+            record_rows(store, "Processor", rows, source_url="u", recorded_at=at)
+    with pytest.raises(ValueError):
+        record_rows(store, "Processor", [proc_row()], source_url="u", recorded_at="nan")
+    assert [r[AT] for r in store.since("Processor", 1.5)] == [2.0, 3.0, 4.0, 5.0]
+    answer = store.query("SELECT RecordedAt FROM Processor WHERE RecordedAt >= 1.5")
+    assert answer.rows == [[2.0], [3.0], [4.0], [5.0]]
+    assert store.rows_recorded == store.row_count("Processor") == 5
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,16 @@ fail here: every survivor credited to the first part, an aggregating
 plan skipping the parts that kept nothing, one part's error copied into
 every slot.
 
+SUM and AVG reduce with ``repro.sql.values.aggregate_values``, whose
+kernel adds a list of plain ``int`` / ``float`` values in one ``sum``
+call; the reference keeps its own per-value loop
+(``reference_sql.reduce_values``), and a derandomized Hypothesis
+property (profile ``sql-aggregate``) holds the two to the same ``repr``
+over mixed ints and floats, huge ints, ``bool``, numeric strings, NaN,
+±inf and -0.0.  Seen to fail it: ``math.fsum`` for ``sum``, the values
+cast to ``float``, the sum taken in reverse order, a string let into
+the kernel.
+
 ``Database`` DML runs the same closures (``plan.compile_expr``), so a
 second seeded sweep (``TestGeneratedDml``) loads the typed and the edge
 relation into a ``Table`` and holds 300 generated UPDATE / DELETE
@@ -70,6 +80,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro
 
@@ -78,6 +90,7 @@ from repro.sql.database import Database
 from repro.sql.errors import SqlError, SqlExecutionError, SqlParseError
 from repro.sql.parser import parse_select, parse_statement
 from repro.sql.plan import CompiledPlan, compile_plan, join_rows
+from repro.sql.values import aggregate_values
 from tests import reference_sql
 from tests.reference_sql import (
     evaluate_expr,
@@ -435,6 +448,32 @@ class TestHandPicked:
             positional = [[1, 2, 3], [4, 5, 6]]
             got = outcome(lambda: plan.bind(tuple(columns)).execute(positional))
             assert got == ref, sql
+
+
+    @pytest.mark.parametrize(
+        "sql, message",
+        [
+            (
+                "SELECT HostName FROM Processor WHERE Label BETWEEN 0 AND 5",
+                "type error in 'BETWEEN': str vs int and int",
+            ),
+            (
+                "SELECT HostName FROM Processor WHERE Label NOT BETWEEN 0 AND HostName",
+                "type error in 'BETWEEN': str vs int and str",
+            ),
+            ("SELECT -Label FROM Processor", "type error in unary '-': str"),
+            (
+                "SELECT HostName FROM Processor WHERE MemMB > 0 AND -Label < 0",
+                "type error in unary '-': str",
+            ),
+            ("SELECT -MIN(Label) FROM Processor", "type error in unary '-': str"),
+        ],
+    )
+    def test_text_under_between_or_unary_minus_is_a_typed_error(self, sql, message):
+        """Over a TEXT value, ``BETWEEN`` with numeric bounds and unary
+        minus raise :class:`SqlExecutionError` (a bare ``TypeError``
+        before), as ``>`` does; plan and reference raise the same one."""
+        assert assert_equivalent(sql) == ("err", "SqlExecutionError", message)
 
 
 class TestExecuteEach:
@@ -844,13 +883,66 @@ class TestZeroCopy:
         assert stored[0][0] == "h1"
 
 
+# ----------------------------------------------------------------------
+# The SUM / AVG reduction kernel against the reference's per-value loop
+# ----------------------------------------------------------------------
+settings.register_profile(
+    "sql-aggregate", max_examples=400, derandomize=True, deadline=None, database=None
+)
+
+#: Every class a SUM / AVG argument meets: ints (huge ones past a
+#: float's range too), floats (NaN, ±inf and -0.0 included), ``bool``,
+#: numeric and other strings, NULL.
+_aggregated = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from((2**1100, -(2**1100), 2**53 + 1)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from((0.0, -0.0, 0.1, 1e308, float("nan"), float("inf"), float("-inf"))),
+    st.booleans(),
+    st.sampled_from(("1", "2.5", "-0.0", "1e3", "nan", "inf", "n/a", "")),
+    st.none(),
+)
+
+
+@settings(settings.get_profile("sql-aggregate"))
+@given(
+    name=st.sampled_from(("SUM", "AVG", "SUM", "AVG", "COUNT", "MIN", "MAX")),
+    values=st.one_of(
+        st.lists(st.one_of(st.integers(-(2**70), 2**70), st.floats()), max_size=12),
+        st.lists(_aggregated, max_size=12),
+    ),
+    distinct=st.booleans(),
+)
+@example(name="SUM", values=[1, 0.1, 2**60, -0.0], distinct=False)
+@example(name="AVG", values=[True, 2, 3.5], distinct=False)
+@example(name="SUM", values=["1", 2, 0.5], distinct=False)
+@example(name="SUM", values=[2**1100, 1.0], distinct=False)
+@example(name="AVG", values=[float("inf"), float("-inf")], distinct=False)
+@example(name="SUM", values=[-0.0, -0.0], distinct=False)
+def test_the_reduction_kernel_equals_the_reference_loop(name, values, distinct):
+    """``aggregate_values`` (one ``sum`` over plain ``int`` / ``float``
+    values) against the reference's own per-value ``as_number`` loop,
+    compared by ``repr``: the same result bit for bit (NaN, -0.0, an
+    int's exactness) or the same error.  CI runs it under the fixed,
+    derandomized ``sql-aggregate`` profile."""
+
+    def reduced(fn):
+        try:
+            return ("ok", repr(fn(name, list(values), distinct)))
+        except Exception as exc:  # noqa: BLE001 - fingerprinting all failures
+            return ("err", type(exc).__name__, str(exc))
+
+    assert reduced(aggregate_values) == reduced(reference_sql.reduce_values)
+
+
 def test_only_the_executor_module_names_the_interpreter():
     """One expression evaluator serves.  (The id is from when the
     reference was ``repro.sql.executor``; it lives in
     ``tests/reference_sql.py`` now.)  No file under ``src/repro`` names
     an interpreter entry point or imports from ``tests``, and the
     reference imports nothing of ``repro`` but the AST, the error types
-    and the value helpers — never the code it judges."""
+    and the value helpers — never the code it judges, ``aggregate_values``
+    (the plans' SUM / AVG kernel) included."""
     root = Path(repro.__file__).parent
     names = re.compile(
         r"\b(execute_select|evaluate_expr|evaluate_predicate|natural_join)\b"
@@ -863,12 +955,14 @@ def test_only_the_executor_module_names_the_interpreter():
         if names.search(path.read_text())
     ]
     assert offenders == []
-    imported = set()
+    imported, names = set(), set()
     for node in ast.walk(ast.parse(Path(reference_sql.__file__).read_text())):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module)
+            names.update(alias.name for alias in node.names)
+    assert "aggregate_values" not in names
     assert {m for m in imported if m.split(".")[0] in ("repro", "tests")} == {
         "repro.sql.ast_nodes",
         "repro.sql.errors",

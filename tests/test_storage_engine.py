@@ -421,6 +421,7 @@ HOSTILE_RECORDS = {
     "row is a string": _rows(lambda row: "old"),
     "row is a dict": _rows(lambda row: {"HostName": "old"}),
     "RecordedAt is a string": _rows(lambda row: (*row[:-1], "late")),
+    "RecordedAt is NaN": _rows(lambda row: (*row[:-1], float("nan"))),
     "old dict-row format": _dict_rows,
 }
 
@@ -452,7 +453,7 @@ def _forge_segment(disk, mutate):
 def test_hostile_record_is_refused_and_the_next_history_read_is_answered(mutate, where):
     """A WAL ``rows`` record or a segment document whose CRC holds but
     whose relation is out of shape — ``columns`` missing, ill-typed or
-    duplicated, a row of the wrong length or kind, an ill-typed
+    duplicated, a row of the wrong length or kind, an ill-typed or NaN
     ``RecordedAt``, the old dict-row format — is refused on recovery: a
     segment is quarantined with a GRM401 finding, a WAL record ends the
     replay as a corrupt tail with a GRM402 finding and the rows before

@@ -359,10 +359,13 @@ def _run(hub_class, sqls, rounds, paused):
 
 
 def _outcome(hub_class, *case):
-    """What :func:`_run` returns, or the class of what escaped a publish:
-    a ``TypeError`` from ``BETWEEN`` or unary minus over a TEXT value
-    escapes both hubs alike, but which subscription raises it first
-    follows the order they are evaluated in."""
+    """What :func:`_run` returns, or the class of what escaped a publish.
+    Nothing a statement raises escapes either hub: ``BETWEEN`` and unary
+    minus over a TEXT value are typed SQL errors now, as every other
+    comparison that cannot be made is, and leave their snapshot
+    unsatisfied.  An exception here is a fault of the hub itself, and
+    which subscription would meet it first follows the order they are
+    evaluated in, so only its class is compared."""
     try:
         return _run(hub_class, *case)
     except Exception as exc:  # noqa: BLE001 - compared, not swallowed
